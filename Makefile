@@ -16,83 +16,38 @@ chaos:
 	$(GO) test -race -short ./internal/chaos/ ./internal/ddrtest/
 	$(GO) test -race -short -run 'Chaos|Partial|WaitCtxAbandon' ./internal/mpi/
 
-# verify is the pre-merge gate. The pipelined exchange gate runs by
-# name: the core pipelined differential sweep (depths 1/2/4 byte-identical
-# across seeded geometries, modes, and budget tiers, incl. composition
-# with the bounded step schedule), the pipelined planted-bug self-tests
-# (core and harness — a staging buffer recycled one round early must be
-# caught; these run WITHOUT -race because the planted bug is a genuine
-# data race the detector would fail before the harness's own check
-# fires), the budget depth clamp, the per-round Pack/Wire/Unpack timing
-# contract, the pipelined zero-alloc steady-state guard, the short
-# pipelined chaos property schedule, the distributed-FFT workload suite
-# under race, and a one-iteration FFT bench smoke.
-#
-# The memory-bounded compiler gate runs by
-# name: the differential sweep (bounded plans byte-identical to the
-# brute oracle across seeded geometries x exchange modes x budget tiers
-# down to the one-chunk minimum, with measured peak staging enforced
-# against the budget), the meter-enforcement self-test, the planted-bug
-# self-tests (core and harness), the golden bounded step fixtures, the
-# bounded zero-alloc steady-state guard, the short bounded chaos
-# property schedule, and a one-iteration bounded bench smoke.
-#
-# verify is the pre-merge gate. On top of the long-standing checks
-# (described below), the topology-aware data path gate runs by name: the
-# shm ring suite under race (concurrent storm, wraparound, chunked
-# interleave, sever/stall chaos, scrape-under-load), the 2-node x 4-rank
-# hierarchical smoke that asserts O(nodes²) leader flows via the
-# endpoint stats, the autotune-cache smoke (at most one probe per plan x
-# transport x direction, decision visible in /metrics, topology-keyed
-# plan fingerprints), the shm zero-alloc steady-state guard, and a brief
-# fuzz of the shm ring-record decoder.
-#
-# Long-standing checks: static analysis over the whole module,
-# the race detector on the packages with concurrent machinery (lock-free
-# counters, mailbox gauges, TCP wire counters, the pack/unpack worker
-# pool and staging-buffer arena, and the parallel plan compiler — the
-# compiler-equivalence differential tests run under race explicitly so a
-# data race in the ForkJoin'd construction fails the gate by name), the
-# chaos suite, the golden-plan fixtures, a brief fuzz of both TCP wire
-# decoders, and one-iteration smokes of the exchange-engine and mapping
-# benchmarks so every measured configuration stays runnable. The
-# observability gate runs by name: the merged-trace round trip (4-rank
-# exchange -> gathered, clock-corrected Perfetto timeline with a track
-# per rank), the scrape-while-writing race, and the detached-cost guards
-# (no tracer attached => zero allocations, no wire growth). The elastic
-# gate runs the resize differential/lifecycle tests under race, a
-# one-iteration resize bench smoke, and deprlint — which fails the build
-# if internal code reaches a deprecated launcher entry point (Run,
-# RunChaos, RunTCP*) or a removed descriptor constructor.
+# verify is the pre-merge gate: static analysis over the whole module,
+# the chaos suite, then the race detector over every package with
+# concurrent machinery (lock-free counters, mailbox gauges, TCP and shm
+# transports, the pack/unpack worker pool and staging arena, the parallel
+# plan compiler, the step executor) and the in-transit layer; chaos has
+# already run the property harness under race. A test in those packages
+# is gated by existing — nothing is enumerated by name there. What follows the race lines is only what they
+# cannot cover:
+#   - tests that skip themselves under -race and so need a plain run: the
+#     zero-alloc steady-state guards (the detector allocates per sync
+#     event), the arena-recycling guard (sync.Pool drops Puts under
+#     -race), and the planted-bug self-tests of the pipelined executor
+#     (the planted bug is a genuine data race the detector would fail
+#     before the harness's own check fires);
+#   - the golden plan and bounded-step fixtures;
+#   - a brief fuzz of the shm ring-record decoder and both TCP wire
+#     decoders;
+#   - one-iteration smokes of the benchmarks, so every measured
+#     configuration stays runnable.
 verify: chaos
 	$(GO) vet ./...
-	$(GO) run ./cmd/deprlint -root .
 	$(GO) test -race ./internal/obs/... ./internal/mpi/... ./internal/trace/... ./internal/core/... ./internal/datatype/... ./internal/fft/...
-	$(GO) test -race -run 'TestCompilerEquivalence' ./internal/core/
-	$(GO) test -race -run 'TestTraceMergeRoundTrip|TestGatherTrace' ./internal/core/ ./internal/mpi/
-	$(GO) test -race -run 'TestMetricsScrapeWhileWriting|TestFlightRecHandler' ./internal/obs/
-	$(GO) test -run 'TestZeroAllocSteadyState|TestBoundedZeroAllocSteadyState|TestPipelineZeroAllocSteadyState|TestTracingDetachedZeroAlloc|TestFlightRecorderRecordZeroAlloc|TestTCPUntracedWireIdentical' ./internal/core/ ./internal/obs/ ./internal/mpi/
-	$(GO) test -race -run 'TestRegridderReconnect' ./internal/transit/
-	$(GO) test -race -run 'TestRegridderResize|TestRegridderConnectFailureResetsState' ./internal/transit/
-	$(GO) test -race -run 'TestCompileDelta|TestDeltaCompilerCollective|TestDeltaExchange' ./internal/core/
-	$(GO) test -race -short -run 'TestResize' ./internal/ddrtest/
-	$(GO) test -run TestGoldenPlans ./internal/core/
-	$(GO) test -race -run 'TestBoundedDifferentialSweep|TestBoundedMeterHasTeeth|TestBoundedHarnessCatchesPlantedBug|TestBoundedBudgetTooSmall|TestBoundedPlanCacheKeyedByBudget|TestBoundedCachedPlanReplays|TestSingleShotFootprintClassRounded' ./internal/core/
-	$(GO) test -run 'TestGoldenBoundedPlans' ./internal/core/
-	$(GO) test -race -short -run 'TestBoundedProperty|TestHarnessCatchesBoundedPlantedBug' ./internal/ddrtest/
-	$(GO) test -run '^$$' -bench BenchmarkBoundedExchange -benchtime 1x ./internal/core/
-	$(GO) test -race -run 'TestPipelineDifferentialSweep|TestPipelineDepthClampedByBudget|TestPipelineTimingsSubDurations|TestWithPipelineDepthValidation' ./internal/core/
-	$(GO) test -race -short -run 'TestPipelinedProperty' ./internal/ddrtest/
+	$(GO) test -race ./internal/transit/...
+	$(GO) test -run 'TestZeroAllocSteadyState|TestBoundedZeroAllocSteadyState|TestPipelineZeroAllocSteadyState|TestTracingDetachedZeroAlloc|TestFlightRecorderRecordZeroAlloc|TestTCPUntracedWireIdentical|TestShmZeroAllocSteadyState|TestDeltaExchangeRecyclesPayloads' ./internal/core/ ./internal/obs/ ./internal/mpi/
 	$(GO) test -run 'TestPipelineHarnessCatchesPlantedBug' ./internal/core/
 	$(GO) test -short -run 'TestHarnessCatchesPipelinePlantedBug' ./internal/ddrtest/
-	$(GO) test -run '^$$' -bench BenchmarkFFT2DStep -benchtime 1x ./internal/fft/
-	$(GO) test -race -run 'TestShmConcurrentStorm|TestShmRingWraparound|TestShmChunkedInterleave|TestShmChaosSchedules|TestShmScrapeUnderLoad|TestTransportOptionsValidation' ./internal/mpi/
-	$(GO) test -race -run 'TestHierSmoke|TestHierLargeChunkedRelay|TestHierCollectivesAndSplit|TestHierErrorPropagation' ./internal/mpi/
-	$(GO) test -race -run 'TestAutotuneProbesOnce|TestPackStrategiesByteIdentical|TestTopologyKeyedPlanFingerprint|TestTwoLevelSchedule' ./internal/core/
-	$(GO) test -run 'TestShmZeroAllocSteadyState' ./internal/mpi/
+	$(GO) test -run 'TestGoldenPlans|TestGoldenBoundedPlans' ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzShmRingHeader -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTCPFrameDecoder -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTCPSeqFrameDecoder -fuzztime 10s ./internal/mpi/
+	$(GO) test -run '^$$' -bench BenchmarkBoundedExchange -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkFFT2DStep -benchtime 1x ./internal/fft/
 	$(GO) test -run '^$$' -bench BenchmarkReorganizeEngine -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkTCPExchange -benchtime 1x ./internal/mpi/
 	$(GO) test -run '^$$' -bench 'BenchmarkSetupMapping/(schedule|plan)/P=64' -benchtime 1x ./internal/core/

@@ -18,10 +18,14 @@ import (
 // (datatype). Which gather wins depends on the region geometry — row
 // length, row count, cache footprint — and on the transport underneath,
 // none of which are visible statically. Instead of hardcoding the
-// choice, the first exchange on a plan runs a microprobe: it times each
-// candidate on the plan's own representative region and picks the
-// fastest per direction (packing sends and scattering receives have
-// different geometries and different winners).
+// choice, the first exchange on a plan runs a microprobe: it times the
+// two gathers that keep the fast paths on — zerocopy and pack — on the
+// plan's own representative region and picks the faster per direction
+// (packing sends and scattering receives have different geometries and
+// different winners). The probe chooses between those two only: datatype
+// adds a memmove of the contiguous bytes on top of zerocopy's gather, so
+// it can never win one. It stays as a forced strategy, the fully staged
+// reference the byte-identity tests compare the fast paths against.
 //
 // Decisions are cached process-wide, keyed by (plan fingerprint,
 // transport, direction) — the probe runs at most once per key even when
@@ -44,7 +48,8 @@ const (
 	StrategyPack
 	// StrategyDatatype stages every region through wire buffers with the
 	// Subarray loop, contiguous fast paths off — the fully staged path
-	// MPI datatypes would take.
+	// MPI datatypes would take. Never chosen by the probe; force it with
+	// WithPackStrategy.
 	StrategyDatatype
 )
 
@@ -65,12 +70,6 @@ func (s PackStrategy) String() string {
 // the probe. StrategyAuto (the default) restores measured selection.
 func WithPackStrategy(s PackStrategy) Option {
 	return func(d *Descriptor) { d.forcedStrat = s }
-}
-
-// WithAutotune toggles the measured pack-strategy probe (default on).
-// Off, the descriptor keeps the static choice implied by WithZeroCopy.
-func WithAutotune(enabled bool) Option {
-	return func(d *Descriptor) { d.autotune = enabled }
 }
 
 // tuneKey identifies one cached decision: the collectively agreed plan
@@ -113,26 +112,19 @@ func (d *Descriptor) PackDecision() (send, recv PackStrategy) {
 }
 
 // ensureTuned resolves the effective pack strategy for both directions
-// of plan p over communicator c, probing on first use when autotuning is
-// active. Runs on every exchange but is two comparisons in steady state.
+// of plan p over communicator c, probing on first use unless a strategy
+// is forced. Runs on every exchange but is two comparisons in steady
+// state.
 func (d *Descriptor) ensureTuned(c *mpi.Comm, p *Plan) {
 	tn := c.TransportName()
 	if d.tunedFP == p.fp && d.tunedTransport == tn && d.sendStrat != StrategyAuto {
 		return
 	}
-	switch {
-	case d.forcedStrat != StrategyAuto:
+	if d.forcedStrat != StrategyAuto {
 		d.sendStrat, d.recvStrat = d.forcedStrat, d.forcedStrat
-	case !d.autotune || !d.zeroCopy:
-		// Static behaviour: WithZeroCopy decides, no measurement.
-		s := StrategyZeroCopy
-		if !d.zeroCopy {
-			s = StrategyDatatype
-		}
-		d.sendStrat, d.recvStrat = s, s
-	default:
-		d.sendStrat = tuneDecision(tuneKey{fp: p.fp, transport: tn, send: true}, &p.sendE, d)
-		d.recvStrat = tuneDecision(tuneKey{fp: p.fp, transport: tn, send: false}, &p.recvE, d)
+	} else {
+		d.sendStrat = tuneDecision(tuneKey{fp: p.fp, transport: tn, send: true}, &p.sendE)
+		d.recvStrat = tuneDecision(tuneKey{fp: p.fp, transport: tn, send: false}, &p.recvE)
 	}
 	d.tunedFP, d.tunedTransport = p.fp, tn
 	d.applyStrategy(p)
@@ -142,13 +134,15 @@ func (d *Descriptor) ensureTuned(c *mpi.Comm, p *Plan) {
 // plan state the exchange paths consume: the per-direction fast-path
 // gates, run-list compilation for pack, and the selection counters.
 func (d *Descriptor) applyStrategy(p *Plan) {
-	d.zcSend = d.sendStrat != StrategyDatatype
-	d.zcRecv = d.recvStrat != StrategyDatatype
-	if d.sendStrat == StrategyPack {
-		compilePlanRuns(&p.sendE)
+	d.ex.zcSend = d.sendStrat != StrategyDatatype
+	d.ex.zcRecv = d.recvStrat != StrategyDatatype
+	swapped := d.sendStrat == StrategyPack && compilePlanRuns(&p.sendE)
+	if d.recvStrat == StrategyPack && compilePlanRuns(&p.recvE) {
+		swapped = true
 	}
-	if d.recvStrat == StrategyPack {
-		compilePlanRuns(&p.recvE)
+	if swapped {
+		// The step lists copied the old types; recompile them on next use.
+		p.roundSched, p.fusedSched = nil, nil
 	}
 	if d.metrics != nil {
 		rl := obs.RankLabel(p.rank)
@@ -168,25 +162,28 @@ func (d *Descriptor) applyStrategy(p *Plan) {
 // bytes in the same order, so a plan whose types were compiled stays
 // valid for every strategy — a descriptor that later resolves zerocopy
 // on another transport simply gathers through the table it already has.
-func compilePlanRuns(e *planEntries) {
+// Reports whether any entry changed.
+func compilePlanRuns(e *planEntries) (swapped bool) {
 	for i, t := range e.types {
 		if e.spans[i].ok {
 			continue
 		}
 		if rl, ok := datatype.CompileRuns(t); ok {
 			e.types[i] = rl
+			swapped = true
 		}
 	}
+	return swapped
 }
 
 // tuneDecision returns the cached strategy for key, probing exactly once
 // per key process-wide.
-func tuneDecision(key tuneKey, e *planEntries, d *Descriptor) PackStrategy {
+func tuneDecision(key tuneKey, e *planEntries) PackStrategy {
 	v, _ := tuneCache.LoadOrStore(key, &tuneEntry{})
 	ent := v.(*tuneEntry)
 	ent.once.Do(func() {
 		tuneProbes.Add(1)
-		ent.strat = probeStrategy(e, !key.send, d)
+		ent.strat = probeStrategy(e, !key.send)
 	})
 	return ent.strat
 }
@@ -196,23 +193,19 @@ func tuneDecision(key tuneKey, e *planEntries, d *Descriptor) PackStrategy {
 // many repetitions and huge ones timed once.
 const probeBudget = 4 << 20
 
-// probeStrategy times the three candidates on the direction's largest
-// strided region and returns the winner. The cost model per candidate:
-// zerocopy and datatype gather strided bytes with the Subarray loop,
-// pack with the compiled run list; datatype additionally stages the
-// direction's contiguous bytes (one memmove) that the other two hand to
-// the transport untouched. Pack must beat zerocopy by a margin to win —
+// probeStrategy times zerocopy's Subarray stride loop against pack's
+// compiled run list on the direction's largest strided region and
+// returns the winner. Pack must beat zerocopy by a margin to win —
 // measured noise should not flip the default.
-func probeStrategy(e *planEntries, unpack bool, d *Descriptor) PackStrategy {
+func probeStrategy(e *planEntries, unpack bool) PackStrategy {
 	// Representative region: the largest strided Subarray in the table.
 	var rep *datatype.Subarray
-	repBytes, contigBytes := 0, 0
+	repBytes := 0
 	for i, t := range e.types {
-		n := t.PackedSize()
 		if e.spans[i].ok {
-			contigBytes += n
 			continue
 		}
+		n := t.PackedSize()
 		if s, ok := t.(*datatype.Subarray); ok && n > repBytes {
 			rep, repBytes = s, n
 		}
@@ -227,10 +220,10 @@ func probeStrategy(e *planEntries, unpack bool, d *Descriptor) PackStrategy {
 	}
 
 	localBytes := rep.Array.Volume() * rep.ElemSize
-	local := d.stage(localBytes)
-	wire := d.stage(repBytes)
-	defer d.unstage(local)
-	defer d.unstage(wire)
+	local := mpi.GetBuffer(localBytes)
+	wire := mpi.GetBuffer(repBytes)
+	defer mpi.PutBuffer(local)
+	defer mpi.PutBuffer(wire)
 	iters := probeBudget / repBytes
 	if iters < 1 {
 		iters = 1
@@ -258,20 +251,8 @@ func probeStrategy(e *planEntries, unpack bool, d *Descriptor) PackStrategy {
 	}
 	subNs := float64(move(rep))
 	rlNs := float64(move(rl))
-
-	// Staging cost of the contiguous bytes the datatype strategy gives
-	// up, charged at the measured per-byte gather rate.
-	datatypeNs := subNs
-	if contigBytes > 0 {
-		datatypeNs += subNs / float64(iters*repBytes) * float64(iters*contigBytes)
-	}
-
-	best := StrategyZeroCopy
 	if rlNs < subNs*0.95 { // pack must win by >5% to displace the default
-		best = StrategyPack
+		return StrategyPack
 	}
-	if datatypeNs < subNs && datatypeNs < rlNs {
-		best = StrategyDatatype
-	}
-	return best
+	return StrategyZeroCopy
 }

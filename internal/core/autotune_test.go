@@ -88,8 +88,8 @@ func TestForcedStrategyResolves(t *testing.T) {
 				return fmt.Errorf("decision (%v,%v), want %v", s, r, strat)
 			}
 			zc := strat != StrategyDatatype
-			if desc.zcSend != zc || desc.zcRecv != zc {
-				return fmt.Errorf("gates (%v,%v) for %v", desc.zcSend, desc.zcRecv, strat)
+			if desc.ex.zcSend != zc || desc.ex.zcRecv != zc {
+				return fmt.Errorf("gates (%v,%v) for %v", desc.ex.zcSend, desc.ex.zcRecv, strat)
 			}
 			return checkBox(needBuf, need, 1, nil, 0)
 		})
@@ -99,16 +99,16 @@ func TestForcedStrategyResolves(t *testing.T) {
 	}
 }
 
-// TestAutotuneOffKeepsStaticChoice verifies WithAutotune(false) restores
-// the WithZeroCopy-implied static behaviour without probing.
-func TestAutotuneOffKeepsStaticChoice(t *testing.T) {
+// TestForcedStrategySkipsProbe verifies WithPackStrategy pins the choice
+// statically: no microprobe runs for a forced strategy.
+func TestForcedStrategySkipsProbe(t *testing.T) {
 	ResetAutotuneCache()
 	before := AutotuneProbeCount()
 	err := mpi.Launch(2, func(c *mpi.Comm) error {
 		ownB := []grid.Box{grid.Box2(0, 8*c.Rank(), 16, 8)}
 		needB := grid.Box2(8*c.Rank(), 0, 8, 16)
-		for _, zc := range []bool{true, false} {
-			desc, err := NewDescriptor(2, Layout2D, Uint8, WithAutotune(false), WithZeroCopy(zc))
+		for _, want := range []PackStrategy{StrategyZeroCopy, StrategyDatatype} {
+			desc, err := NewDescriptor(2, Layout2D, Uint8, WithPackStrategy(want))
 			if err != nil {
 				return err
 			}
@@ -119,12 +119,8 @@ func TestAutotuneOffKeepsStaticChoice(t *testing.T) {
 			if err := desc.ReorganizeData(c, [][]byte{fillBox(ownB[0], 1)}, needBuf); err != nil {
 				return err
 			}
-			want := StrategyZeroCopy
-			if !zc {
-				want = StrategyDatatype
-			}
 			if s, r := desc.PackDecision(); s != want || r != want {
-				return fmt.Errorf("zeroCopy=%v resolved (%v,%v)", zc, s, r)
+				return fmt.Errorf("forced %v resolved (%v,%v)", want, s, r)
 			}
 			if err := checkBox(needBuf, needB, 1, nil, 0); err != nil {
 				return err
@@ -136,7 +132,7 @@ func TestAutotuneOffKeepsStaticChoice(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := AutotuneProbeCount() - before; got != 0 {
-		t.Fatalf("static selection ran %d probes", got)
+		t.Fatalf("forced selection ran %d probes", got)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ddr/internal/datatype"
 	"ddr/internal/grid"
 	"ddr/internal/mpi"
 )
@@ -61,29 +60,20 @@ type boundedSlice struct {
 	bytes    int      // region volume × element size
 	tag      int
 	step     int
-
-	// Local halves, built only on the ranks that execute the slice.
-	sendT    datatype.Type // non-nil when src is the local rank
-	recvT    datatype.Type // non-nil when dst is the local rank
-	sendSpan contigSpan
-	recvSpan contigSpan
 }
 
-// boundedPlan is the compiled step sequence plus this rank's flattened
-// execution schedule, precomputed so the exchange walks plain index
-// ranges with no per-call filtering or allocation.
+// boundedPlan is the compiled step sequence — global, identical on every
+// rank — plus this rank's share of it as the executor's step list.
 type boundedPlan struct {
 	budget   int // configured ceiling, bytes
 	maxSlice int // per-slice payload cap, bytes
 	steps    int
 	slices   []boundedSlice
 
-	// This rank's slice indices in execution order, with [steps+1]
-	// offset tables delimiting each step's range.
-	sendIdx []int // src == rank (self included), global order
-	recvIdx []int // dst == rank && src != rank
-	sendOff []int
-	recvOff []int
+	// sched holds, per step and in slice order, the slices this rank
+	// executes: one single-seg message per remote slice on the slice's own
+	// tag, a self move per local one.
+	sched []step
 
 	wireBytes int64 // bytes this rank sends to other ranks
 	peak      int   // modeled worst per-step footprint of this rank
@@ -121,9 +111,10 @@ func (d *Descriptor) BoundedSteps() int {
 }
 
 // LastPeakStaging reports the measured high-water mark of exchange-layer
-// staging bytes during the most recent bounded ReorganizeData call (0
-// before the first, and 0 when the one-shot path ran — the meter only
-// arms on the bounded backend).
+// staging bytes during the most recent budgeted ReorganizeData call that
+// ran a step list (0 before the first — the meter arms only under
+// WithMemoryBudget, and ModeAlltoallw rounds stage inside the collective,
+// outside it).
 func (d *Descriptor) LastPeakStaging() int64 { return d.lastPeakStaging }
 
 // maxSliceBytes returns the largest slice payload whose class-rounded
@@ -277,7 +268,7 @@ func compileBounded(p *Plan, budget int) (*boundedPlan, error) {
 	// closes the step. Every slice fits an empty step by construction,
 	// so the packer always terminates.
 	load := make([]int, p.nProcs)
-	step := 0
+	cur, stepLoad := 0, 0 // the open step, and this rank's modeled load within it
 	var boxes []grid.Box
 	var err error
 	forEachOverlap(p.allChunks, p.allNeeds, func(src, ci, dst int, ov grid.Box) {
@@ -289,87 +280,65 @@ func compileBounded(p *Plan, budget int) (*boundedPlan, error) {
 			bytes := region.Volume() * p.elemSize
 			l := mpi.BufferClassSize(bytes)
 			if load[src]+l > budget || (dst != src && load[dst]+l > budget) {
-				step++
+				cur++
 				clear(load)
 			}
 			load[src] += l
 			if dst != src {
 				load[dst] += l
 			}
-			sl := boundedSlice{
-				src: src, dst: dst, chunk: ci, region: region,
-				bytes: bytes, tag: boundedTagBase + len(b.slices), step: step,
+			tag := boundedTagBase + len(b.slices)
+			b.slices = append(b.slices, boundedSlice{
+				src: src, dst: dst, chunk: ci, region: region, bytes: bytes, tag: tag, step: cur,
+			})
+			if src != p.rank && dst != p.rank {
+				continue
 			}
+			// This rank executes the slice: emit its local halves into the
+			// step list and account its modeled footprint.
+			for len(b.sched) <= cur {
+				b.sched = append(b.sched, step{})
+				stepLoad = 0
+			}
+			st := &b.sched[cur]
+			stepLoad += l
+			b.peak = max(b.peak, stepLoad)
+			var send, recv seg
 			if src == p.rank {
-				sl.sendT, sl.sendSpan, err = boundedType(p.elemSize, p.allChunks[src][ci], region, dst, false)
-				if err != nil {
+				if send, err = newSeg(p.elemSize, p.allChunks[src][ci], ci, region); err != nil {
+					err = fmt.Errorf("core: bounded send type to rank %d: %w", dst, err)
 					return
 				}
 			}
 			if dst == p.rank {
-				sl.recvT, sl.recvSpan, err = boundedType(p.elemSize, p.need, region, src, true)
-				if err != nil {
+				if recv, err = newSeg(p.elemSize, p.need, 0, region); err != nil {
+					err = fmt.Errorf("core: bounded recv type from rank %d: %w", src, err)
 					return
 				}
 			}
-			b.slices = append(b.slices, sl)
+			switch {
+			case src == dst:
+				st.selfs = append(st.selfs, selfMove{src: send, dst: recv})
+			case src == p.rank:
+				st.sends = append(st.sends, message{peer: dst, tag: tag, bytes: bytes, segs: []seg{send}})
+				b.wireBytes += int64(bytes)
+			default:
+				st.recvs = append(st.recvs, message{peer: src, tag: tag, bytes: bytes, segs: []seg{recv}})
+			}
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
 	if len(b.slices) > 0 {
-		b.steps = step + 1
+		b.steps = cur + 1
 	}
-
-	// Flatten this rank's schedule with per-step offsets. Slice order is
-	// step-monotone, so one pass fills both lists and their offsets.
-	b.sendOff = make([]int, b.steps+1)
-	b.recvOff = make([]int, b.steps+1)
-	peakStep, peakLoad := -1, 0
-	for i := range b.slices {
-		sl := &b.slices[i]
-		if sl.src == p.rank {
-			b.sendIdx = append(b.sendIdx, i)
-			if sl.dst != p.rank {
-				b.wireBytes += int64(sl.bytes)
-			}
-		}
-		if sl.dst == p.rank && sl.src != p.rank {
-			b.recvIdx = append(b.recvIdx, i)
-		}
-		if sl.src == p.rank || sl.dst == p.rank {
-			l := mpi.BufferClassSize(sl.bytes)
-			if sl.step != peakStep {
-				peakStep, peakLoad = sl.step, 0
-			}
-			peakLoad += l
-			b.peak = max(b.peak, peakLoad)
-		}
-		b.sendOff[sl.step+1] = len(b.sendIdx)
-		b.recvOff[sl.step+1] = len(b.recvIdx)
-	}
-	for s := 1; s <= b.steps; s++ {
-		b.sendOff[s] = max(b.sendOff[s], b.sendOff[s-1])
-		b.recvOff[s] = max(b.recvOff[s], b.recvOff[s-1])
+	// Steps after this rank's last slice still run (as no-ops), so every
+	// rank reports the same step count and timings shape.
+	for len(b.sched) < b.steps {
+		b.sched = append(b.sched, step{})
 	}
 	return b, nil
-}
-
-// boundedType builds one local half of a slice: the subarray addressing
-// region inside base (the owned chunk for sends, the need box for
-// receives) plus its contiguity span.
-func boundedType(elemSize int, base, region grid.Box, peer int, recv bool) (datatype.Type, contigSpan, error) {
-	t, err := datatype.NewSubarray(elemSize, base, region)
-	if err != nil {
-		dir := "bounded send type to"
-		if recv {
-			dir = "bounded recv type from"
-		}
-		return nil, contigSpan{}, fmt.Errorf("core: %s rank %d: %w", dir, peer, err)
-	}
-	off, n, ok := t.ContiguousSpan()
-	return t, contigSpan{off: off, n: n, ok: ok}, nil
 }
 
 // ensureBounded attaches (or clears) the plan's bounded schedule

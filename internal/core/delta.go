@@ -21,7 +21,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"ddr/internal/datatype"
 	"ddr/internal/grid"
 	"ddr/internal/mpi"
 )
@@ -49,24 +48,20 @@ type DeltaPlan struct {
 
 	// keeps are the locally retained regions (newNeed ∩ oldNeed), copied
 	// from the old buffer into the new one without touching the wire.
-	keeps   []grid.Box
-	keepSrc []datatype.Type // base oldNeed
-	keepDst []datatype.Type // base newNeed
-	uncov   []grid.Box      // new-need regions no old rank held; left untouched
+	keeps []grid.Box
+	uncov []grid.Box // new-need regions no old rank held; left untouched
 
-	// sends/recvs hold the changed-ownership regions grouped per peer:
-	// peer i's regions are sends[sendOff[i]:sendOff[i+1]], concatenated in
-	// that order into one wire message. The grouping order is identical on
-	// both sides of every pair, so the receiver unpacks segments in the
-	// order the sender packed them.
-	sends     []DeltaRegion
-	sendTypes []datatype.Type // base oldNeed
-	sendPeers []int
-	sendOff   []int
-	recvs     []DeltaRegion
-	recvTypes []datatype.Type // base newNeed
-	recvPeers []int
-	recvOff   []int
+	// sends/recvs hold the changed-ownership regions, sorted by peer with
+	// the deterministic discovery order preserved within each peer.
+	sends []DeltaRegion
+	recvs []DeltaRegion
+
+	// sched is the move as the executor runs it: one step from the old
+	// buffer to the new, the keeps as its self moves and one message per
+	// peer carrying that peer's regions. The region order within a peer is
+	// identical on both sides of every pair, so the receiver unpacks
+	// segments in the order the sender packed them.
+	sched []step
 }
 
 // Rank returns the rank the plan was compiled for.
@@ -216,66 +211,48 @@ func CompileDelta(elemSize int, oldNeeds, newNeeds []grid.Box) ([]*DeltaPlan, er
 	return plans, nil
 }
 
-// finalize groups a plan's regions per peer and compiles the subarray
-// types the exchange packs and unpacks with, so execution pays no
-// per-call geometry analysis.
+// finalize sorts a plan's regions by peer and compiles them into the
+// step the exchange replays, so execution pays no per-call geometry
+// analysis.
 func (p *DeltaPlan) finalize() error {
-	var err error
-	groupRegions(p.sends, &p.sendPeers, &p.sendOff)
-	groupRegions(p.recvs, &p.recvPeers, &p.recvOff)
-	if p.sendTypes, err = regionTypes(p.elemSize, p.oldNeed, p.sends, "send"); err != nil {
-		return err
-	}
-	if p.recvTypes, err = regionTypes(p.elemSize, p.newNeed, p.recvs, "recv"); err != nil {
-		return err
-	}
-	for _, k := range p.keeps {
-		src, err := datatype.NewSubarray(p.elemSize, p.oldNeed, k)
+	st := step{selfs: make([]selfMove, len(p.keeps))}
+	for i, k := range p.keeps {
+		src, err := newSeg(p.elemSize, p.oldNeed, 0, k)
 		if err != nil {
 			return fmt.Errorf("core: delta keep source %v: %w", k, err)
 		}
-		dst, err := datatype.NewSubarray(p.elemSize, p.newNeed, k)
+		dst, err := newSeg(p.elemSize, p.newNeed, 0, k)
 		if err != nil {
 			return fmt.Errorf("core: delta keep destination %v: %w", k, err)
 		}
-		p.keepSrc = append(p.keepSrc, src)
-		p.keepDst = append(p.keepDst, dst)
+		st.selfs[i] = selfMove{src: src, dst: dst}
 	}
+	var err error
+	if st.sends, err = deltaMessages(p.elemSize, p.oldNeed, p.sends, "send"); err != nil {
+		return err
+	}
+	if st.recvs, err = deltaMessages(p.elemSize, p.newNeed, p.recvs, "recv"); err != nil {
+		return err
+	}
+	p.sched = []step{st}
 	return nil
 }
 
-// groupRegions stably sorts regions by peer (preserving the deterministic
-// discovery order within each peer — the wire segment order both sides
-// agree on) and builds the CSR peer grouping.
-func groupRegions(regions []DeltaRegion, peers *[]int, off *[]int) {
+// deltaMessages stably sorts regions by peer (preserving the
+// deterministic discovery order within each peer — the wire segment order
+// both sides agree on) and folds each peer's run into one message on the
+// resize tag.
+func deltaMessages(elemSize int, base grid.Box, regions []DeltaRegion, dir string) ([]message, error) {
 	sort.SliceStable(regions, func(a, b int) bool { return regions[a].Peer < regions[b].Peer })
-	*peers = (*peers)[:0]
-	*off = append((*off)[:0], 0)
-	for i := 0; i < len(regions); {
-		j := i
-		for j < len(regions) && regions[j].Peer == regions[i].Peer {
-			j++
-		}
-		*peers = append(*peers, regions[i].Peer)
-		*off = append(*off, j)
-		i = j
-	}
-}
-
-// regionTypes builds the subarray type of every region against base.
-func regionTypes(elemSize int, base grid.Box, regions []DeltaRegion, dir string) ([]datatype.Type, error) {
-	if len(regions) == 0 {
-		return nil, nil
-	}
-	out := make([]datatype.Type, len(regions))
-	for i, reg := range regions {
-		t, err := datatype.NewSubarray(elemSize, base, reg.Region)
+	var msgs []message
+	for _, reg := range regions {
+		sg, err := newSeg(elemSize, base, 0, reg.Region)
 		if err != nil {
 			return nil, fmt.Errorf("core: delta %s type for rank %d region %v: %w", dir, reg.Peer, reg.Region, err)
 		}
-		out[i] = t
+		msgs = appendSeg(msgs, reg.Peer, deltaTag, sg)
 	}
-	return out, nil
+	return msgs, nil
 }
 
 // DeltaCompiler is the collective front end of CompileDelta: ranks agree
@@ -373,24 +350,25 @@ func (dc *DeltaCompiler) Compile(c *mpi.Comm, oldNeed, newNeed grid.Box) (*Delta
 // bugs. Returns false when no region can be shifted. Never call outside
 // tests.
 func (p *DeltaPlan) PerturbDeltaForTest() bool {
-	for i := range p.recvs {
-		reg := p.recvs[i].Region
-		for axis := 0; axis < reg.NDims; axis++ {
-			shifted := reg
-			shifted.Offset[axis]++
-			if !p.newNeed.Contains(shifted) {
-				shifted.Offset[axis] -= 2
+	for _, m := range p.sched[0].recvs {
+		for i := range m.segs {
+			reg := m.segs[i].region
+			for axis := 0; axis < reg.NDims; axis++ {
+				shifted := reg
+				shifted.Offset[axis]++
 				if !p.newNeed.Contains(shifted) {
+					shifted.Offset[axis] -= 2
+					if !p.newNeed.Contains(shifted) {
+						continue
+					}
+				}
+				sg, err := newSeg(p.elemSize, p.newNeed, 0, shifted)
+				if err != nil {
 					continue
 				}
+				m.segs[i] = sg
+				return true
 			}
-			t, err := datatype.NewSubarray(p.elemSize, p.newNeed, shifted)
-			if err != nil {
-				continue
-			}
-			p.recvs[i].Region = shifted
-			p.recvTypes[i] = t
-			return true
 		}
 	}
 	return false

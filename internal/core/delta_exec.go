@@ -1,17 +1,15 @@
-// Execution of delta plans: one exchange round that carries only the
-// changed-ownership bytes of an elastic resize. The executor mirrors the
-// point-to-point engine in reorganize.go — eager buffered sends so the
-// sequential send-then-receive order cannot deadlock, and the same
-// graceful-degradation contract: with a deadline armed, peer-loss and
-// timeout failures park the peer on a lost list and the call completes
-// with a *PartialError naming the new-need regions that never arrived
-// (their cells stay untouched, per the paper's incomplete-receive rule).
+// Execution of delta plans: one executor step (exec.go) that carries
+// only the changed-ownership bytes of an elastic resize, under the same
+// graceful-degradation contract as ReorganizeData: with a deadline armed,
+// peer-loss and timeout failures park the peer on a lost list and the
+// call completes with a *PartialError naming the new-need regions that
+// never arrived (their cells stay untouched, per the paper's
+// incomplete-receive rule).
 package core
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"ddr/internal/grid"
@@ -41,13 +39,11 @@ func (p *DeltaPlan) Exchange(c *mpi.Comm, oldData, newData []byte) error {
 // returns a *PartialError whose Missing boxes are the new-need regions
 // whose old holder was lost. ctx cancellation always aborts.
 func (p *DeltaPlan) ExchangeCtx(ctx context.Context, c *mpi.Comm, oldData, newData []byte, deadline time.Duration) error {
-	if ctx != nil {
-		if ctx.Done() == nil {
-			ctx = nil
-		} else if err := ctx.Err(); err != nil {
-			return err
-		}
+	ctx, ps, cancel, err := beginExchange(ctx, deadline)
+	if err != nil {
+		return err
 	}
+	defer cancel()
 	if c.Size() != p.nRanks || c.Rank() != p.rank {
 		return fmt.Errorf("core: communicator does not match the one the delta plan was compiled for: %w", ErrCommMismatch)
 	}
@@ -57,98 +53,15 @@ func (p *DeltaPlan) ExchangeCtx(ctx context.Context, c *mpi.Comm, oldData, newDa
 	if want := p.volBytes(p.newNeed); len(newData) != want {
 		return fmt.Errorf("core: new buffer has %d bytes, box %v needs %d: %w", len(newData), p.newNeed, want, ErrBufferSize)
 	}
-
-	var ps *partialState
-	if deadline > 0 {
-		ps = &partialState{uctx: ctx, lost: make(map[int]int)}
-		base := ctx
-		if base == nil {
-			base = context.Background()
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(base, deadline)
-		defer cancel()
+	// The plan is immutable and shareable, so each call brings its own
+	// executor; the payloads themselves cycle through the arena.
+	x := executor{eng: engine{par: 1}, zcSend: true, zcRecv: true}
+	err = x.run(&exchange{ctx: ctx, c: c, ps: ps, deadline: deadline},
+		p.sched, 1, [][]byte{oldData}, [][]byte{newData})
+	if err != nil {
+		return err
 	}
-
-	// Local retention first: the bytes that never touch the wire.
-	p.copyKeeps(oldData, newData)
-
-	// Send phase: one concatenated message per peer, segments in the
-	// plan's grouped order (identical on both sides by construction).
-	var staged [][]byte
-	for i, peer := range p.sendPeers {
-		lo, hi := p.sendOff[i], p.sendOff[i+1]
-		n := 0
-		for j := lo; j < hi; j++ {
-			n += p.sendTypes[j].PackedSize()
-		}
-		wire := mpi.GetBuffer(n)
-		off := 0
-		for j := lo; j < hi; j++ {
-			off += p.sendTypes[j].Pack(oldData, wire[off:])
-		}
-		staged = append(staged, wire)
-		if ps.isLost(peer) {
-			continue
-		}
-		var err error
-		if ctx == nil {
-			err = c.Send(peer, deltaTag, wire)
-		} else {
-			err = c.SendCtx(ctx, peer, deltaTag, wire)
-		}
-		if err != nil {
-			if ps.degrade(peer, 0, err) {
-				continue
-			}
-			for _, w := range staged {
-				mpi.PutBuffer(w)
-			}
-			return err
-		}
-	}
-	// Sends copy eagerly, so the staging buffers recycle immediately.
-	for _, w := range staged {
-		mpi.PutBuffer(w)
-	}
-
-	// Receive phase: delivery is eager and buffered, so receiving in
-	// plan order cannot deadlock.
-	if ctx == nil {
-		for i, peer := range p.recvPeers {
-			data, _, _, err := c.Recv(peer, deltaTag)
-			if err != nil {
-				return err
-			}
-			if err := p.acceptDelta(i, peer, data, newData); err != nil {
-				return err
-			}
-		}
-	} else {
-		reqs := make([]*mpi.Request, len(p.recvPeers))
-		for i, peer := range p.recvPeers {
-			if ps.isLost(peer) {
-				continue
-			}
-			reqs[i] = c.Irecv(peer, deltaTag)
-		}
-		for i, peer := range p.recvPeers {
-			if reqs[i] == nil {
-				continue
-			}
-			data, _, _, err := reqs[i].WaitCtx(ctx)
-			if err != nil {
-				if ps.degrade(peer, 0, err) {
-					continue
-				}
-				return err
-			}
-			if err := p.acceptDelta(i, peer, data, newData); err != nil {
-				return err
-			}
-		}
-	}
-	return p.partialError(ps)
+	return partialError(ps, p.sched)
 }
 
 func (p *DeltaPlan) volBytes(b grid.Box) int {
@@ -156,65 +69,4 @@ func (p *DeltaPlan) volBytes(b grid.Box) int {
 		return 0
 	}
 	return b.Volume() * p.elemSize
-}
-
-// copyKeeps moves the retained regions from the old buffer to the new
-// one through a single staging buffer (the boxes may be strided in both
-// layouts, and old and new buffers can alias only when the need boxes
-// are identical — in which case there is nothing else to move).
-func (p *DeltaPlan) copyKeeps(oldData, newData []byte) {
-	max := 0
-	for _, t := range p.keepSrc {
-		if n := t.PackedSize(); n > max {
-			max = n
-		}
-	}
-	if max == 0 {
-		return
-	}
-	stage := mpi.GetBuffer(max)
-	for i, src := range p.keepSrc {
-		n := src.Pack(oldData, stage)
-		p.keepDst[i].Unpack(stage[:n], newData)
-	}
-	mpi.PutBuffer(stage)
-}
-
-// acceptDelta consumes one received per-peer payload, splitting it into
-// its region segments in the grouped order the sender packed them.
-func (p *DeltaPlan) acceptDelta(i, peer int, data, newData []byte) error {
-	lo, hi := p.recvOff[i], p.recvOff[i+1]
-	want := 0
-	for j := lo; j < hi; j++ {
-		want += p.recvTypes[j].PackedSize()
-	}
-	if len(data) != want {
-		return fmt.Errorf("core: expected %d resize bytes from rank %d, got %d", want, peer, len(data))
-	}
-	off := 0
-	for j := lo; j < hi; j++ {
-		off += p.recvTypes[j].Unpack(data[off:], newData)
-	}
-	return nil
-}
-
-// partialError builds the resize completion report: the sorted lost-peer
-// set plus the new-need regions whose old holder was lost. Those regions
-// were never unpacked, so their cells hold whatever newData held before.
-func (p *DeltaPlan) partialError(ps *partialState) error {
-	if ps == nil || len(ps.lost) == 0 {
-		return nil
-	}
-	lost := make([]int, 0, len(ps.lost))
-	for r := range ps.lost {
-		lost = append(lost, r)
-	}
-	sort.Ints(lost)
-	var missing []grid.Box
-	for _, r := range p.recvs {
-		if _, ok := ps.lost[r.Peer]; ok {
-			missing = append(missing, r.Region)
-		}
-	}
-	return &PartialError{LostPeers: lost, Missing: missing, Cause: ps.cause}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"ddr/internal/grid"
@@ -103,7 +105,10 @@ func runFullOracle(t *testing.T, oldNeeds, newNeeds []grid.Box, elemSize int) []
 	out := make([][]byte, n)
 	err := mpi.Launch(n, func(c *mpi.Comm) error {
 		r := c.Rank()
-		desc, err := NewDescriptor(n, Layout2D, Uint8, WithElemSize(elemSize))
+		// One unpack worker: overlapping owners break the exclusive-
+		// ownership precondition that makes parallel scatters disjoint, and
+		// two workers writing the same (identical) bytes is still a race.
+		desc, err := NewDescriptor(n, Layout2D, Uint8, WithElemSize(elemSize), WithParallelism(1))
 		if err != nil {
 			return err
 		}
@@ -314,5 +319,68 @@ func TestDeltaExchangeBufferValidation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeltaExchangeRecyclesPayloads pins the resize exchange's buffer
+// lifecycle: received payloads go back to the staging arena, so a
+// replayed resize allocates a small constant, not the bytes it moves.
+// Two ranks swap 1 MiB halves 20 times; with a payload dropped for the
+// GC per receive, TotalAlloc grows by the moved bytes every exchange.
+func TestDeltaExchangeRecyclesPayloads(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a random quarter of its Puts, so the arena cannot reach a steady state")
+	}
+	const elemSize, iters = 4, 20
+	halves := []grid.Box{grid.Box2(0, 0, 512, 512), grid.Box2(512, 0, 512, 512)}
+	oldNeeds := halves
+	newNeeds := []grid.Box{halves[1], halves[0]}
+	plans, err := CompileDelta(elemSize, oldNeeds, newNeeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := plans[0].MovedBytes() + plans[1].MovedBytes()
+	if moved < 2<<20 {
+		t.Fatalf("geometry moves %d bytes, want at least 1 MiB each way", moved)
+	}
+	// The arena is a sync.Pool; a collection mid-test would empty it and
+	// charge the refill to the exchange.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var perExchange uint64
+	err = mpi.Launch(2, func(c *mpi.Comm) error {
+		r := c.Rank()
+		oldBuf := fillBox(oldNeeds[r], elemSize)
+		newBuf := make([]byte, newNeeds[r].Volume()*elemSize)
+		for i := 0; i < 2; i++ { // fill the arena
+			if err := plans[r].Exchange(c, oldBuf, newBuf); err != nil {
+				return err
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		var before, after runtime.MemStats
+		if r == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		for i := 0; i < iters; i++ {
+			if err := plans[r].Exchange(c, oldBuf, newBuf); err != nil {
+				return err
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if r == 0 {
+			runtime.ReadMemStats(&after)
+			perExchange = (after.TotalAlloc - before.TotalAlloc) / iters
+		}
+		return checkBox(newBuf, newNeeds[r], elemSize, nil, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perExchange > uint64(moved)/4 {
+		t.Errorf("resize exchange allocates %d bytes per call while moving %d — payloads are not recycled", perExchange, moved)
 	}
 }

@@ -23,8 +23,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ddr/internal/datatype"
 	"ddr/internal/grid"
-	"ddr/internal/mpi"
 	"ddr/internal/obs"
 	"ddr/internal/trace"
 )
@@ -143,9 +143,6 @@ type Descriptor struct {
 	elemSizeSet bool // WithElemSize was given (even an invalid value)
 	mode        ExchangeMode
 	validate    bool
-	pooled      bool          // stage wire buffers through the shared arena
-	zeroCopy    bool          // skip staging for contiguous regions
-	autotune    bool          // measured pack-strategy selection at first use
 	forcedStrat PackStrategy  // WithPackStrategy override; StrategyAuto probes
 	deadline    time.Duration // per-exchange bound; > 0 enables degradation
 	budget      int           // WithMemoryBudget ceiling; <= 0 disables
@@ -158,7 +155,6 @@ type Descriptor struct {
 	plan                   *Plan             // nil until SetupDataMapping
 	cache                  *planCache[*Plan] // nil when caching is disabled
 	cacheHits, cacheMisses atomic.Int64
-	timings                []RoundTiming
 	obsv                   *exchObs // nil unless a tracer or registry is attached
 
 	// exchSeq counts ReorganizeData calls on this descriptor. The call is
@@ -168,34 +164,35 @@ type Descriptor struct {
 	exchSeq    uint64
 	lastExchID uint64 // ID minted by the most recent exchange
 
-	// Resolved pack strategies and the per-direction fast-path gates the
-	// exchange paths read. ensureTuned refreshes them whenever the plan
-	// fingerprint or the transport underneath changes.
+	// Resolved pack strategies (the executor's fast-path gates follow
+	// from them). ensureTuned refreshes them whenever the plan fingerprint
+	// or the transport underneath changes.
 	sendStrat, recvStrat PackStrategy
-	zcSend, zcRecv       bool
 	tunedFP              uint64
 	tunedTransport       string
 
-	eng     engine // pack/unpack worker pool + reusable job batch
-	scratch exchScratch
-
-	// meter is the live staging accountant of the bounded exchange: every
-	// pack buffer and held receive payload of a bounded step is charged
-	// against it, so the measured high-water mark (lastPeakStaging) is the
-	// ground truth the budget-enforcement tests assert against.
-	meter           mpi.StagingMeter
+	// ex runs every step-list exchange (exec.go) and records its timings;
+	// needBuf is the one-element destination buffer list handed to it, a
+	// field so the steady state allocates nothing. lastPeakStaging is the
+	// meter's high-water mark of the last budgeted exchange.
+	ex              executor
+	needBuf         [1][]byte
 	lastPeakStaging int64
 
+	// Dense alltoallw rows, materialized per round from the plan's sparse
+	// tables (the collective's wire format wants one slot per peer).
+	// Allocated once per descriptor and reset to the Empty sentinel after
+	// each call, so the steady state allocates nothing.
+	rowSend, rowRecv []datatype.Type
+
 	// Pipeline state: the depth the most recent exchange actually ran at
-	// (after geometry and budget clamping), its overlap ratio, the cached
-	// single-shot footprint the budget clamp divides by (recomputed when
-	// the plan fingerprint changes), and the test-only early-recycle
-	// perturbation (see PerturbPipelineForTest).
+	// (after geometry and budget clamping), its overlap ratio, and the
+	// cached single-shot footprint the budget clamp divides by (recomputed
+	// when the plan fingerprint changes).
 	lastDepth   int
 	lastOverlap float64
 	pipeShotFP  uint64
 	pipeShot    int
-	pipePerturb bool
 }
 
 // exchObs is the observation context threaded through the exchange
@@ -363,7 +360,7 @@ func WithElemSize(n int) Option {
 // restores the default). Workers pack distinct peers' regions
 // concurrently; 1 packs serially on the calling goroutine.
 func WithParallelism(n int) Option {
-	return func(d *Descriptor) { d.eng.par = n }
+	return func(d *Descriptor) { d.ex.eng.par = n }
 }
 
 // WithPlanCache sets the capacity of the descriptor's plan cache
@@ -373,25 +370,6 @@ func WithParallelism(n int) Option {
 // disables caching, forcing every setup through the full compile path.
 func WithPlanCache(n int) Option {
 	return func(d *Descriptor) { d.cacheCap = n }
-}
-
-// WithBufferPooling toggles staging-buffer pooling (default on). When on,
-// wire buffers cycle through a process-wide arena so repeated exchanges
-// on one plan allocate nothing in steady state; turn it off to isolate
-// allocator effects in measurements.
-func WithBufferPooling(enabled bool) Option {
-	return func(d *Descriptor) { d.pooled = enabled }
-}
-
-// WithZeroCopy toggles the contiguous fast path (default on). When on,
-// regions detected as contiguous at plan-compile time skip wire staging:
-// sends hand the owned buffer's sub-slice directly to the transport and
-// receives copy payloads straight into the need buffer.
-func WithZeroCopy(enabled bool) Option {
-	return func(d *Descriptor) {
-		d.zeroCopy = enabled
-		d.zcSend, d.zcRecv = enabled, enabled
-	}
 }
 
 // NewDescriptor creates a descriptor for redistributing arrays of the
@@ -410,16 +388,14 @@ func NewDescriptor(nProcs int, layout Layout, elem ElemType, opts ...Option) (*D
 		layout:   layout,
 		elem:     elem,
 		elemSize: elem.Size(),
-		pooled:   true,
-		zeroCopy: true,
-		autotune: true,
 		cacheCap: 8,
 		depth:    DefaultPipelineDepth,
 	}
-	d.zcSend, d.zcRecv = true, true
 	for _, opt := range opts {
 		opt(d)
 	}
+	d.ex.zcSend, d.ex.zcRecv = true, true
+	d.ex.metered = d.budget > 0
 	if d.depth < 1 {
 		return nil, fmt.Errorf("core: pipeline depth %d must be at least 1", d.depth)
 	}

@@ -93,7 +93,7 @@ func TestZeroCopyMatchesStaged(t *testing.T) {
 	ownAll, needAll := stripWorld(4, 32, 2, false)
 	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint, ModePointToPointFused} {
 		engineWorld(t, 4, mode, 4, ownAll, needAll)
-		engineWorld(t, 4, mode, 4, ownAll, needAll, WithZeroCopy(false))
+		engineWorld(t, 4, mode, 4, ownAll, needAll, WithPackStrategy(StrategyDatatype))
 	}
 }
 
@@ -370,16 +370,15 @@ func benchEngineConfig(b *testing.B, mode ExchangeMode, opts ...Option) {
 }
 
 // BenchmarkReorganizeEngine compares the staging strategies on the same
-// exchange: fully serial unpooled staging, pooled staging, the parallel
-// engine, and the pooled zero-copy fast path (the default).
+// exchange: fully staged on one worker, fully staged on the parallel
+// engine, and the zero-copy fast path (the default).
 func BenchmarkReorganizeEngine(b *testing.B) {
 	configs := []struct {
 		name string
 		opts []Option
 	}{
-		{"serial", []Option{WithParallelism(1), WithBufferPooling(false), WithZeroCopy(false)}},
-		{"pooled", []Option{WithParallelism(1), WithBufferPooling(true), WithZeroCopy(false)}},
-		{"parallel", []Option{WithBufferPooling(true), WithZeroCopy(false)}},
+		{"pooled", []Option{WithParallelism(1), WithPackStrategy(StrategyDatatype)}},
+		{"parallel", []Option{WithPackStrategy(StrategyDatatype)}},
 		{"zerocopy", nil},
 	}
 	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint, ModePointToPointFused} {

@@ -1,0 +1,617 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sort"
+	"time"
+
+	"ddr/internal/datatype"
+	"ddr/internal/grid"
+	"ddr/internal/mpi"
+	"ddr/internal/trace"
+)
+
+// The exchange executor. Every point-to-point redistribution — rounds,
+// fused, memory-bounded, elastic resize, multi-need — is an ordered list
+// of steps (after Rink et al., "Memory-efficient array redistribution
+// through portable collective communication"), each a set of messages
+// moved under one staging footprint, and this file is the only code that
+// runs one: it owns the transport calls, staging, deadline and lost-peer
+// handling, trace stamps, round timings and abort cleanup. The backends
+// are compilers that emit []step (steps.go, bounded.go, delta.go,
+// multi.go); ModeAlltoallw alone keeps its own round loop, because it is
+// the paper-fidelity oracle the differential tests compare this against.
+//
+// A serial exchange runs each step as issue → wait → retire, so the wire
+// time of every step is pure blocking. With pipeline depth k ≥ 2 the same
+// three actions interleave across a ring of staging slots:
+//
+//	issue(0) … issue(k-1)
+//	wait(r-k); issue(r); retire(r-k)     for r = k … n-1
+//	wait; retire                         for the last k steps, in order
+//
+// so step r's pack and send posting happen while steps r-k..r-1 are on
+// the wire, and step r-k's unpack runs after step r's sends are posted —
+// the unpack itself is hidden behind the youngest step's wire time.
+// Because step r-k's state must survive across issue(r) — its waited
+// payloads retire only after r's sends are posted — the ring holds k+1
+// slots: k steps in flight plus the one retiring behind the current
+// issue. Steps r and r-k land in distinct slots (k and 0 differ mod k+1),
+// so issue(r) can reset its slot without touching the batch wait(r-k)
+// just brought in hand. Depth 1 has nothing to hide a retire behind, so
+// its ring is a single slot and the same state machine degenerates to
+// issue; wait; retire. Steps retire strictly in order at every depth,
+// which keeps the timings slice and partial-failure bookkeeping identical
+// in shape across depths.
+//
+// Deadlock freedom at any depth mix: a rank only blocks in wait(j) after
+// it has issued steps 0..j+k-1 — in particular its own step-j sends are
+// already posted — and delivery on every transport is eager (inproc
+// copies into the destination mailbox, TCP and shm drain their links
+// with background goroutines), so by induction over steps every posted
+// send is eventually deliverable and every wait satisfiable, even when
+// peers run at different effective depths. Tags are distinct across any
+// window of k+1 consecutive steps (one tag per round, one per bounded
+// slice), so payloads of different steps cannot be cross-matched.
+//
+// Partial failure with several steps in flight: a peer lost at step j is
+// skipped for every subsequent send and receive, in-flight receives from
+// it degrade as their waits fail, and when the exchange deadline expires
+// the not-yet-issued steps' sources are marked lost while the issued
+// window drains.
+//
+// Buffer lease lifecycle (the memory-budget interaction): when a budget
+// is set, all staging is metered. Pack buffers are charged while held —
+// sends copy eagerly, so they recycle before the step's wire time even
+// starts — and step r's receive payload classes are leased at issue time
+// and released when the step retires, so the meter's high-water mark
+// bounds the whole in-flight window: k receive leases plus the current
+// step's send staging while packing, or k+1 leases (and no pack staging)
+// in the instant between issue(r) and retire(r-k). Both are at most k+1
+// per-step footprints, which is exactly what pipelineDepth clamps to the
+// budget; at depth 1 the pack staging and the single lease never
+// coexist, so one footprint suffices.
+
+// seg is one box-shaped region of a message, addressed in a local buffer.
+type seg struct {
+	buf    int           // index into the exchange's source (send) or destination (recv) buffers
+	t      datatype.Type // packs from / scatters into that buffer
+	span   contigSpan    // t's contiguous byte range there, detected at compile time
+	region grid.Box      // global coordinates; on a recv, what stays unfilled if the peer is lost
+}
+
+// newSeg addresses region inside base — the box whose data buffer buf
+// holds — detecting its contiguity span once, at compile time.
+func newSeg(elemSize int, base grid.Box, buf int, region grid.Box) (seg, error) {
+	t, err := datatype.NewSubarray(elemSize, base, region)
+	if err != nil {
+		return seg{}, err
+	}
+	off, n, ok := t.ContiguousSpan()
+	return seg{buf: buf, t: t, span: contigSpan{off: off, n: n, ok: ok}, region: region}, nil
+}
+
+// message is one wire transfer: its segs' packed bytes concatenated in
+// order. Both ends compile the same seg order, so no framing is needed.
+type message struct {
+	peer, tag int
+	bytes     int // packed size of all segs
+	segs      []seg
+}
+
+// appendSeg adds sg to the message for peer at the tail of msgs, opening
+// it first if the tail belongs to another peer — how the multi-seg
+// compilers fold a peer-major run of regions into one message per peer.
+func appendSeg(msgs []message, peer, tag int, sg seg) []message {
+	if n := len(msgs); n == 0 || msgs[n-1].peer != peer {
+		msgs = append(msgs, message{peer: peer, tag: tag})
+	}
+	m := &msgs[len(msgs)-1]
+	m.segs = append(m.segs, sg)
+	m.bytes += sg.t.PackedSize()
+	return msgs
+}
+
+// selfMove is a region whose source and destination are both this rank.
+type selfMove struct{ src, dst seg }
+
+// step is the executor's unit of work: everything moved under one staging
+// footprint. Step lists are immutable once compiled and replayed by every
+// exchange on their plan.
+type step struct {
+	selfs []selfMove
+	sends []message
+	recvs []message
+}
+
+// slot is one ring entry: the in-flight state of one issued step, alive
+// from issue until retire. All slices are reused across steps and
+// exchanges, so steady state allocates nothing.
+type slot struct {
+	step  int
+	bytes int64 // wire bytes this rank sent in the step
+
+	start   time.Time     // issue began
+	issued  time.Time     // sends posted
+	packT   time.Duration // issue: pack through posting sends
+	blocked time.Duration // wait: time spent blocked on the transport
+	wire    time.Duration // sends posted → last payload in hand
+
+	lease mpi.StagingLease // receive-class reservation (budgeted runs)
+	datas [][]byte         // held payloads pending the unpack batch
+	jobs  []exchJob        // the step's unpack batch
+	reqs  []*mpi.Request   // cancellable-path receive requests
+	early bool             // payloads recycled early by PerturbPipelineForTest
+}
+
+// executor holds what outlives one exchange: the pack/unpack engine, the
+// fast-path gates, the staging meter, the last run's timings, and the
+// reusable scratch. Not safe for concurrent use.
+type executor struct {
+	eng            engine
+	zcSend, zcRecv bool // contiguous regions skip staging (the pack strategy's gates)
+
+	// meter is the live staging accountant of budgeted exchanges: every
+	// pack buffer and receive lease is charged against it, so its
+	// high-water mark is the ground truth the budget tests assert against.
+	meter   mpi.StagingMeter
+	metered bool
+	perturb bool // PerturbPipelineForTest: recycle held payloads early
+
+	timings []RoundTiming
+
+	// clock is the reading taken as the last action ended. Actions run back
+	// to back, so the next one starts there instead of reading it again —
+	// on hosts without a fast clock source time.Now dominated short steps.
+	clock time.Time
+
+	wires  [][]byte // per-send outgoing wire (staged or zero-copy alias)
+	staged [][]byte // staged wires to recycle once sent
+	slots  []slot
+}
+
+// exchange is one run's environment: who to talk to and how failure and
+// observation are handled. The data buffers travel beside it as plain
+// parameters — own for send segs, need for recv segs — because escape
+// analysis is field-insensitive: next to a context that flows to the
+// transport, a caller's buffer list would be forced onto the heap.
+type exchange struct {
+	ctx      context.Context // nil selects the uncancellable fast path
+	c        *mpi.Comm
+	o        *exchObs
+	ps       *partialState // nil unless a deadline arms graceful degradation
+	deadline time.Duration
+	id       uint64 // trace exchange ID
+	traced   bool   // stamp the step onto the communicator's trace context
+}
+
+// run executes steps at depth k (≥ 1, ≤ len(steps)) and records one
+// RoundTiming per retired step. A hard error abandons the in-flight
+// window; a degraded exchange returns nil with the losses in ex.ps.
+func (x *executor) run(ex *exchange, steps []step, k int, own, need [][]byte) error {
+	x.timings = x.timings[:0]
+	if x.metered {
+		x.meter.ResetPeak()
+	}
+	ring := k + 1
+	if k == 1 {
+		ring = 1
+	}
+	if cap(x.slots) < ring {
+		x.slots = make([]slot, ring)
+	}
+	x.slots = x.slots[:ring]
+
+	n := len(steps)
+	issued, waited, retired := 0, 0, 0
+	x.clock = time.Now()
+	for retired < n {
+		var err error
+		switch {
+		case issued < n && issued-retired < ring && issued-waited < k:
+			if ex.expired(steps, issued) {
+				n = issued
+				continue
+			}
+			if ex.ctx != nil && ex.ctx.Err() != nil {
+				err = ex.ctx.Err() // the caller's own cancellation aborts
+				break
+			}
+			err = x.issue(ex, &steps[issued], issued, &x.slots[issued%ring], own, need)
+			issued++
+		case waited > retired:
+			x.retire(ex, &x.slots[retired%ring])
+			retired++
+		default:
+			err = x.wait(ex, &steps[waited], &x.slots[waited%ring], need, ring > 1)
+			waited++
+		}
+		if err != nil {
+			// Release whatever the ring and the failed issue still hold.
+			// Outstanding receive requests are left to the transport: a
+			// hard error ends the communicator's DDR use. (An explicit loop
+			// rather than a defer — a deferred closure over the ring escapes
+			// and would cost the steady state an allocation per exchange.)
+			for i := range x.slots {
+				x.slots[i].release()
+			}
+			for _, w := range x.staged {
+				x.unstage(w)
+			}
+			x.staged = x.staged[:0]
+			return err
+		}
+	}
+	return nil
+}
+
+// expired reports whether the exchange deadline is spent with step next
+// still unissued. If so it gives up on every source of the unissued steps
+// — the issued window drains, degrading peer by peer as its waits fail —
+// so the call reports what landed rather than abort with the buffer state
+// unknown. A cancellation of the caller's own context is not expiry.
+func (ex *exchange) expired(steps []step, next int) bool {
+	ps := ex.ps
+	if ps == nil || ex.ctx.Err() == nil || (ps.uctx != nil && ps.uctx.Err() != nil) {
+		return false
+	}
+	for i := next; i < len(steps); i++ {
+		for j := range steps[i].recvs {
+			ps.markLost(steps[i].recvs[j].peer, i)
+		}
+	}
+	if ps.cause == nil {
+		ps.cause = fmt.Errorf("core: exchange deadline %v exhausted after step %d: %w",
+			ex.deadline, next, mpi.ErrExchangeTimeout)
+	}
+	return true
+}
+
+// stage takes a staging buffer from the arena, charged while metered.
+func (x *executor) stage(n int) []byte {
+	if x.metered {
+		return mpi.GetBufferMetered(n, &x.meter)
+	}
+	return mpi.GetBuffer(n)
+}
+
+func (x *executor) unstage(b []byte) {
+	if x.metered {
+		mpi.PutBufferMetered(b, &x.meter)
+		return
+	}
+	mpi.PutBuffer(b)
+}
+
+// selfMove places one local region without touching the transport. One
+// contiguous side is enough to drop the staging buffer; two reduce the
+// move to a single memmove.
+func (x *executor) selfMove(sf *selfMove, own, need [][]byte) {
+	src, dst := own[sf.src.buf], need[sf.dst.buf]
+	ss, ds := sf.src.span, sf.dst.span
+	n := sf.src.t.PackedSize()
+	switch {
+	case x.zcSend && x.zcRecv && ss.ok && ds.ok:
+		copy(dst[ds.off:ds.off+n], src[ss.off:ss.off+n])
+	case x.zcSend && ss.ok:
+		sf.dst.t.Unpack(src[ss.off:ss.off+n], dst)
+	case x.zcRecv && ds.ok:
+		sf.src.t.Pack(src, dst[ds.off:ds.off+n])
+	default:
+		wire := x.stage(n)
+		sf.src.t.Pack(src, wire)
+		sf.dst.t.Unpack(wire, dst)
+		x.unstage(wire)
+	}
+}
+
+// issue packs and posts one step into slot s: local moves, staging
+// copies, sends, the receive-class lease, and — on the cancellable path
+// — the step's receive requests.
+func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][]byte) error {
+	s.start = x.clock
+	if ex.traced {
+		ex.c.SetTraceContext(mpi.TraceContext{Exchange: ex.id, Round: uint32(idx)})
+	}
+	for i := range st.selfs {
+		x.selfMove(&st.selfs[i], own, need)
+	}
+
+	// Pack phase. A message that is one contiguous region needs no
+	// staging at all — the owned buffer's sub-slice goes straight to Send,
+	// whose delivery copy is the only copy. Everything else stages: the
+	// contiguous segs of a multi-seg message by memmove, strided ones
+	// through the engine. All of the step's staging is held at once — that
+	// simultaneity is what the footprint models budget.
+	x.wires, x.staged = x.wires[:0], x.staged[:0]
+	s.bytes = 0
+	for i := range st.sends {
+		m := &st.sends[i]
+		s.bytes += int64(m.bytes)
+		if sg := &m.segs[0]; len(m.segs) == 1 && x.zcSend && sg.span.ok {
+			x.wires = append(x.wires, own[sg.buf][sg.span.off:sg.span.off+m.bytes])
+			continue
+		}
+		wire := x.stage(m.bytes)
+		off := 0
+		for j := range m.segs {
+			sg := &m.segs[j]
+			n := sg.t.PackedSize()
+			if x.zcSend && sg.span.ok {
+				copy(wire[off:off+n], own[sg.buf][sg.span.off:sg.span.off+n])
+			} else {
+				x.eng.add(exchJob{t: sg.t, local: own[sg.buf], wire: wire[off : off+n], peer: m.peer})
+			}
+			off += n
+		}
+		x.wires = append(x.wires, wire)
+		x.staged = append(x.staged, wire)
+	}
+	x.eng.run(ex.o)
+	for i := range st.sends {
+		m := &st.sends[i]
+		if ex.ps.isLost(m.peer) {
+			continue
+		}
+		var err error
+		if ex.ctx == nil {
+			err = ex.c.Send(m.peer, m.tag, x.wires[i])
+		} else {
+			// Context-bound sends always copy eagerly, so the staging
+			// recycle below stays unconditional.
+			err = ex.c.SendCtx(ex.ctx, m.peer, m.tag, x.wires[i])
+		}
+		if err != nil && !ex.ps.degrade(m.peer, idx, err) {
+			return err
+		}
+	}
+	for _, w := range x.staged {
+		x.unstage(w)
+	}
+	x.staged = x.staged[:0]
+
+	s.step = idx
+	s.datas, s.jobs, s.reqs = s.datas[:0], s.jobs[:0], s.reqs[:0]
+	s.early = false
+	if x.metered {
+		total := 0
+		for i := range st.recvs {
+			total += mpi.BufferClassSize(st.recvs[i].bytes)
+		}
+		s.lease = x.meter.Lease(total)
+	}
+	// Delivery is eager and buffered, so receiving in plan order cannot
+	// deadlock and the uncancellable path uses blocking receives with no
+	// request bookkeeping; only a cancellable exchange posts requests.
+	if ex.ctx != nil {
+		for i := range st.recvs {
+			m := &st.recvs[i]
+			if ex.ps.isLost(m.peer) {
+				// Nothing is coming: our own send already failed or the
+				// peer was lost in an earlier step.
+				s.reqs = append(s.reqs, nil)
+				continue
+			}
+			s.reqs = append(s.reqs, ex.c.Irecv(m.peer, m.tag))
+		}
+	}
+	s.issued = time.Now()
+	x.clock = s.issued
+	s.packT = s.issued.Sub(s.start)
+	return nil
+}
+
+// wait brings slot s's step's payloads in hand, placing contiguous segs
+// immediately and batching strided ones into the slot's unpack jobs. It
+// is the only blocking point of the executor; the time spent here is the
+// step's unhidden wire time. windowed says another step may be issued
+// before this one retires.
+func (x *executor) wait(ex *exchange, st *step, s *slot, need [][]byte, windowed bool) error {
+	waitStart := x.clock
+	for i := range st.recvs {
+		m := &st.recvs[i]
+		if ex.ctx != nil && s.reqs[i] == nil {
+			continue
+		}
+		var peerStart time.Time
+		if ex.o.tracing() {
+			peerStart = time.Now()
+		}
+		var data []byte
+		var err error
+		if ex.ctx == nil {
+			data, _, _, err = ex.c.Recv(m.peer, m.tag)
+		} else {
+			data, _, _, err = s.reqs[i].WaitCtx(ex.ctx)
+		}
+		if err != nil {
+			if ex.ps.degrade(m.peer, s.step, err) {
+				continue
+			}
+			return err
+		}
+		if ex.o.tracing() {
+			ex.o.rec.StampSpan(trace.Event{Rank: ex.o.rank, Name: fmt.Sprintf("wait<-%d", m.peer),
+				Bytes: int64(len(data)), Exchange: ex.id, Round: int32(s.step), Peer: int32(m.peer)},
+				peerStart, time.Now())
+		}
+		if len(data) != m.bytes {
+			mpi.PutBuffer(data)
+			return fmt.Errorf("core: expected %d bytes from rank %d (tag %d), got %d", m.bytes, m.peer, m.tag, len(data))
+		}
+		held, off := false, 0
+		for j := range m.segs {
+			sg := &m.segs[j]
+			n := sg.t.PackedSize()
+			if x.zcRecv && sg.span.ok {
+				directUnpack(ex.o, need[sg.buf][sg.span.off:sg.span.off+n], data[off:off+n], m.peer)
+			} else {
+				s.jobs = append(s.jobs, exchJob{t: sg.t, local: need[sg.buf], wire: data[off : off+n], unpack: true, peer: m.peer})
+				held = true
+			}
+			off += n
+		}
+		// Every payload a receive hands out is arena-backed, whatever the
+		// transport, so the consumer returns it — at once when its bytes
+		// have all landed, after the unpack batch otherwise.
+		if held {
+			s.datas = append(s.datas, data)
+		} else {
+			mpi.PutBuffer(data)
+		}
+	}
+	now := time.Now()
+	x.clock = now
+	s.blocked = now.Sub(waitStart)
+	s.wire = now.Sub(s.issued)
+	if x.perturb && windowed {
+		// Planted bug (PerturbPipelineForTest): recycle the step's held
+		// payloads one iteration early. The next issue's staging draws the
+		// same arena buffers back out and packs over them before this
+		// step's unpack batch has scattered them.
+		for _, data := range s.datas {
+			mpi.PutBuffer(data)
+		}
+		s.early = true
+	}
+	return nil
+}
+
+// retire scatters slot s's batched payloads, releases them and the slot's
+// lease, and records the step's timing.
+func (x *executor) retire(ex *exchange, s *slot) {
+	x.eng.runJobs(ex.o, s.jobs)
+	s.release()
+	end := time.Now()
+	unpackT := end.Sub(x.clock)
+	x.clock = end
+	dur := s.packT + s.blocked + unpackT
+	x.timings = append(x.timings, RoundTiming{
+		Round: s.step, Duration: dur, Pack: s.packT, Wire: s.wire, Unpack: unpackT, WireBytes: s.bytes,
+	})
+	if o := ex.o; o.on() {
+		o.roundLat.Observe(dur.Seconds())
+		o.exchangeBytes.Add(s.bytes)
+		if o.tracing() {
+			o.rec.StampSpan(trace.Event{Rank: o.rank, Name: fmt.Sprintf("round-%d", s.step),
+				Bytes: s.bytes, Exchange: ex.id, Round: int32(s.step), Peer: -1}, s.start, end)
+		}
+	}
+}
+
+// release returns the slot's held payloads to the arena and closes its
+// lease. Idempotent, so abort cleanup may sweep the whole ring.
+func (s *slot) release() {
+	if !s.early {
+		for _, data := range s.datas {
+			mpi.PutBuffer(data)
+		}
+	}
+	s.datas, s.jobs = s.datas[:0], s.jobs[:0]
+	s.lease.Close()
+}
+
+// partialState tracks graceful degradation during one deadline-bounded
+// exchange: which peers have been given up on, from which step onward,
+// and why. It is nil when no deadline is set, keeping the fail-fast paths
+// untouched.
+type partialState struct {
+	uctx  context.Context // caller's context; its cancellation still aborts
+	lost  map[int]int     // peer → earliest step whose data is compromised
+	cause error
+}
+
+// beginExchange normalizes the caller's context (one that can never be
+// cancelled selects the nil fast path; an already-cancelled one fails
+// fast) and, when deadline > 0, bounds the whole exchange and arms
+// graceful degradation: peer-loss and timeout failures park the peer on
+// the lost list instead of aborting, and the call ends with a
+// *PartialError describing what is missing.
+func beginExchange(ctx context.Context, deadline time.Duration) (context.Context, *partialState, context.CancelFunc, error) {
+	if ctx != nil {
+		if ctx.Done() == nil {
+			ctx = nil
+		} else if err := ctx.Err(); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	if deadline <= 0 {
+		return ctx, nil, func() {}, nil
+	}
+	ps := &partialState{uctx: ctx, lost: make(map[int]int)}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, cancel := context.WithTimeout(ctx, deadline)
+	return ctx, ps, cancel, nil
+}
+
+// markLost records that peer's data is missing from step onward.
+func (ps *partialState) markLost(peer, step int) {
+	if s0, ok := ps.lost[peer]; !ok || step < s0 {
+		ps.lost[peer] = step
+	}
+}
+
+// isLost reports whether peer has already been given up on.
+func (ps *partialState) isLost(peer int) bool {
+	if ps == nil {
+		return false
+	}
+	_, ok := ps.lost[peer]
+	return ok
+}
+
+// degrade decides whether err from a step's operation against peer is a
+// peer-loss condition the exchange should absorb (recording the peer as
+// lost) rather than abort on. A cancellation of the caller's own context
+// always aborts.
+func (ps *partialState) degrade(peer, step int, err error) bool {
+	if ps == nil {
+		return false
+	}
+	if ps.uctx != nil && ps.uctx.Err() != nil {
+		return false
+	}
+	if !mpi.IsPeerLoss(err) && !errors.Is(err, context.DeadlineExceeded) {
+		return false
+	}
+	ps.markLost(peer, step)
+	if ps.cause == nil {
+		ps.cause = err
+	}
+	return true
+}
+
+// partialError builds the caller-facing completion report: the sorted
+// lost-peer set plus the destination regions whose producing peer was
+// lost. A peer lost at step s0 is missing exactly the regions of its
+// receive segs scheduled at s0 or later (its earlier steps landed before
+// the loss); those were never unpacked, so their cells hold whatever the
+// destination held before.
+func partialError(ps *partialState, steps []step) error {
+	if ps == nil || len(ps.lost) == 0 {
+		return nil
+	}
+	lost := make([]int, 0, len(ps.lost))
+	for r := range ps.lost {
+		lost = append(lost, r)
+	}
+	sort.Ints(lost)
+	var missing []grid.Box
+	for _, peer := range lost {
+		for i := ps.lost[peer]; i < len(steps); i++ {
+			for _, m := range steps[i].recvs {
+				if m.peer != peer {
+					continue
+				}
+				for _, sg := range m.segs {
+					missing = append(missing, sg.region)
+				}
+			}
+		}
+	}
+	return &PartialError{LostPeers: lost, Missing: missing, Cause: ps.cause}
+}

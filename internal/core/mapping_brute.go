@@ -33,8 +33,6 @@ func compilePlanBrute(rank, elemSize int, allChunks [][]grid.Box, allNeeds []gri
 		need:      allNeeds[rank],
 		allChunks: allChunks,
 		allNeeds:  allNeeds,
-		sendPeers: make([][]int, rounds),
-		recvPeers: make([][]int, rounds),
 	}
 	send := make([][]datatype.Type, rounds)
 	recv := make([][]datatype.Type, rounds)
@@ -62,9 +60,6 @@ func compilePlanBrute(rank, elemSize int, allChunks [][]grid.Box, allNeeds []gri
 					return nil, fmt.Errorf("core: send type to rank %d: %w", peer, err)
 				}
 				send[r][peer] = st
-				if peer != rank {
-					p.sendPeers[r] = append(p.sendPeers[r], peer)
-				}
 			}
 		}
 		// Receives: the overlap of each peer's round-r chunk with my need.
@@ -81,9 +76,6 @@ func compilePlanBrute(rank, elemSize int, allChunks [][]grid.Box, allNeeds []gri
 				return nil, fmt.Errorf("core: recv type from rank %d: %w", peer, err)
 			}
 			recv[r][peer] = rt
-			if peer != rank {
-				p.recvPeers[r] = append(p.recvPeers[r], peer)
-			}
 		}
 	}
 	// Contiguity detection.
@@ -99,54 +91,10 @@ func compilePlanBrute(rank, elemSize int, allChunks [][]grid.Box, allNeeds []gri
 			}
 		}
 	}
-	// Fused-mode precomputation: the pre-PR O(R·P) sweep over the dense
-	// tables.
-	bruteFused(p, send, recv)
 	// Pack the dense tables into the sparse plan representation.
 	p.sendE = denseToEntries(send, sendSpan)
 	p.recvE = denseToEntries(recv, recvSpan)
 	return p, nil
-}
-
-// bruteFused derives the fused-mode schedule by sweeping the dense
-// tables, the reference for precomputeFusedFromJobs.
-func bruteFused(p *Plan, send, recv [][]datatype.Type) {
-	for peer := 0; peer < p.nProcs; peer++ {
-		sendBytes, recvBytes := 0, 0
-		sendOne, recvOne := -1, -1
-		sendRounds, recvRounds := 0, 0
-		for r := 0; r < p.rounds; r++ {
-			if n := send[r][peer].PackedSize(); n > 0 {
-				sendBytes += n
-				sendOne = r
-				sendRounds++
-			}
-			if n := recv[r][peer].PackedSize(); n > 0 {
-				recvBytes += n
-				recvOne = r
-				recvRounds++
-			}
-		}
-		if sendRounds != 1 {
-			sendOne = -1
-		}
-		if recvRounds != 1 {
-			recvOne = -1
-		}
-		if peer == p.rank {
-			continue
-		}
-		if sendBytes > 0 {
-			p.fusedSendPeers = append(p.fusedSendPeers, peer)
-			p.fusedSendBytes = append(p.fusedSendBytes, sendBytes)
-			p.fusedSendOne = append(p.fusedSendOne, sendOne)
-		}
-		if recvBytes > 0 {
-			p.fusedRecvPeers = append(p.fusedRecvPeers, peer)
-			p.fusedRecvBytes = append(p.fusedRecvBytes, recvBytes)
-			p.fusedRecvOne = append(p.fusedRecvOne, recvOne)
-		}
-	}
 }
 
 // denseToEntries packs one direction's dense tables into the sparse

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"ddr/internal/datatype"
 	"ddr/internal/grid"
 	"ddr/internal/mpi"
 )
@@ -13,9 +12,11 @@ import (
 // names "support for more data patterns" as future work (§V). The
 // MultiDescriptor implements that extension: every rank may both own and
 // need any number of box-shaped chunks. The exchange always runs fused —
-// one message per communicating pair, carrying all chunk×need overlaps in
-// a deterministic order — because the round structure alltoallw relies on
-// has no analogue when receives are fragmented.
+// one executor step (exec.go) with one message per communicating pair,
+// carrying all chunk×need overlaps in a deterministic order and
+// scattering into several destination buffers — because the round
+// structure alltoallw relies on has no analogue when receives are
+// fragmented.
 
 // MultiDescriptor describes a many-to-many chunked redistribution.
 type MultiDescriptor struct {
@@ -26,27 +27,23 @@ type MultiDescriptor struct {
 	plan                   *multiPlan
 	cache                  *planCache[*multiPlan]
 	cacheHits, cacheMisses atomic.Int64
+	ex                     executor
 }
 
-// multiXfer is one packed region within a pair's fused message.
-type multiXfer struct {
-	buf int // chunk index (send side) or need index (receive side)
-	t   *datatype.Subarray
-}
-
-// multiPlan is the compiled schedule: per peer, the ordered transfers.
+// multiPlan is the compiled schedule: one step whose segs index the owned
+// chunk (send side) or need chunk (receive side) they address.
 type multiPlan struct {
 	rank     int
 	myChunks []grid.Box
 	myNeeds  []grid.Box
-
-	sendTo   [][]multiXfer // [peer] ordered (chunk, need) overlaps
-	recvFrom [][]multiXfer // [peer] same order from the peer's perspective
-	selfs    []struct{ src, dst multiXfer }
+	sched    []step
 
 	wireBytes int64 // bytes this rank sends to other ranks
 	selfBytes int64
 }
+
+// multiTag keeps multi-need traffic distinct from the single-need modes.
+const multiTag = ddrTagBase + 1<<10
 
 // NewMultiDescriptor creates a descriptor for redistributions where both
 // sides may be fragmented. nProcs, layout, and elem follow
@@ -66,6 +63,7 @@ func NewMultiDescriptor(nProcs int, layout Layout, elem ElemType) (*MultiDescrip
 		layout:   layout,
 		elemSize: elem.Size(),
 		cache:    newPlanCache[*multiPlan](8),
+		ex:       executor{eng: engine{par: 1}, zcSend: true, zcRecv: true},
 	}, nil
 }
 
@@ -179,73 +177,55 @@ func (d *MultiDescriptor) SetupDataMapping(c *mpi.Comm, own, needs []grid.Box) e
 	}
 
 	rank := c.Rank()
-	p := &multiPlan{
-		rank:     rank,
-		myChunks: allChunks[rank],
-		myNeeds:  allNeeds[rank],
-		sendTo:   make([][]multiXfer, c.Size()),
-		recvFrom: make([][]multiXfer, c.Size()),
-	}
+	p := &multiPlan{rank: rank, myChunks: allChunks[rank], myNeeds: allNeeds[rank]}
 	// Transfers from src to dst, ordered (src chunk, dst need): both sides
-	// enumerate identically, so the fused payload needs no framing.
-	pair := func(src, dst int, fn func(ci, ni int, chunk, need, ov grid.Box) error) error {
+	// enumerate identically, so the fused payload needs no framing. Each
+	// overlap yields the seg addressing it inside base's buffer.
+	pair := func(src, dst int, fn func(send, recv seg)) error {
 		for ci, chunk := range allChunks[src] {
 			for ni, need := range allNeeds[dst] {
-				if ov, ok := chunk.Intersect(need); ok {
-					if err := fn(ci, ni, chunk, need, ov); err != nil {
+				ov, ok := chunk.Intersect(need)
+				if !ok {
+					continue
+				}
+				var send, recv seg
+				var err error
+				if src == rank {
+					if send, err = newSeg(d.elemSize, chunk, ci, ov); err != nil {
 						return err
 					}
 				}
+				if dst == rank {
+					if recv, err = newSeg(d.elemSize, need, ni, ov); err != nil {
+						return err
+					}
+				}
+				fn(send, recv)
 			}
 		}
 		return nil
 	}
-	for peer := 0; peer < c.Size(); peer++ {
+	var st step
+	for peer := 0; peer < c.Size() && err == nil; peer++ {
 		if peer == rank {
+			err = pair(rank, rank, func(send, recv seg) {
+				st.selfs = append(st.selfs, selfMove{src: send, dst: recv})
+				p.selfBytes += int64(send.t.PackedSize())
+			})
 			continue
 		}
-		err := pair(rank, peer, func(ci, _ int, chunk, _, ov grid.Box) error {
-			st, err := datatype.NewSubarray(d.elemSize, chunk, ov)
-			if err != nil {
-				return err
-			}
-			p.sendTo[peer] = append(p.sendTo[peer], multiXfer{buf: ci, t: st})
-			p.wireBytes += int64(ov.Volume()) * int64(d.elemSize)
-			return nil
+		err = pair(rank, peer, func(send, _ seg) {
+			st.sends = appendSeg(st.sends, peer, multiTag, send)
+			p.wireBytes += int64(send.t.PackedSize())
 		})
-		if err != nil {
-			return err
-		}
-		err = pair(peer, rank, func(_, ni int, _, need, ov grid.Box) error {
-			rt, err := datatype.NewSubarray(d.elemSize, need, ov)
-			if err != nil {
-				return err
-			}
-			p.recvFrom[peer] = append(p.recvFrom[peer], multiXfer{buf: ni, t: rt})
-			return nil
-		})
-		if err != nil {
-			return err
+		if err == nil {
+			err = pair(peer, rank, func(_, recv seg) { st.recvs = appendSeg(st.recvs, peer, multiTag, recv) })
 		}
 	}
-	// Local overlaps.
-	err = pair(rank, rank, func(ci, ni int, chunk, need, ov grid.Box) error {
-		st, err := datatype.NewSubarray(d.elemSize, chunk, ov)
-		if err != nil {
-			return err
-		}
-		rt, err := datatype.NewSubarray(d.elemSize, need, ov)
-		if err != nil {
-			return err
-		}
-		p.selfs = append(p.selfs, struct{ src, dst multiXfer }{
-			multiXfer{buf: ci, t: st}, multiXfer{buf: ni, t: rt}})
-		p.selfBytes += int64(ov.Volume()) * int64(d.elemSize)
-		return nil
-	})
 	if err != nil {
 		return err
 	}
+	p.sched = []step{st}
 	d.cache.store(p)
 	d.plan = p
 	return nil
@@ -313,57 +293,5 @@ func (d *MultiDescriptor) ReorganizeData(c *mpi.Comm, own, needs [][]byte) error
 		}
 	}
 
-	for _, sf := range p.selfs {
-		wire := mpi.GetBuffer(sf.src.t.PackedSize())
-		sf.src.t.Pack(own[sf.src.buf], wire)
-		sf.dst.t.Unpack(wire, needs[sf.dst.buf])
-		mpi.PutBuffer(wire)
-	}
-	const tag = ddrTagBase + 1<<10 // distinct from the single-need modes
-	var sends []*mpi.Request
-	expect := map[int]int{}
-	for peer := range p.sendTo {
-		total := 0
-		for _, x := range p.sendTo[peer] {
-			total += x.t.PackedSize()
-		}
-		if total > 0 {
-			wire := mpi.GetBuffer(total)
-			off := 0
-			for _, x := range p.sendTo[peer] {
-				off += x.t.Pack(own[x.buf], wire[off:])
-			}
-			sends = append(sends, c.Isend(peer, tag, wire))
-			mpi.PutBuffer(wire) // Isend copies eagerly
-		}
-		recvTotal := 0
-		for _, x := range p.recvFrom[peer] {
-			recvTotal += x.t.PackedSize()
-		}
-		if recvTotal > 0 {
-			expect[peer] = recvTotal
-		}
-	}
-	recvs := map[int]*mpi.Request{}
-	for peer := range expect {
-		recvs[peer] = c.Irecv(peer, tag)
-	}
-	if err := mpi.WaitAll(sends...); err != nil {
-		return err
-	}
-	for peer, req := range recvs {
-		data, _, _, err := req.Wait()
-		if err != nil {
-			return err
-		}
-		if len(data) != expect[peer] {
-			return fmt.Errorf("core: expected %d bytes from rank %d, got %d", expect[peer], peer, len(data))
-		}
-		off := 0
-		for _, x := range p.recvFrom[peer] {
-			off += x.t.Unpack(data[off:], needs[x.buf])
-		}
-		mpi.PutBuffer(data)
-	}
-	return nil
+	return d.ex.run(&exchange{c: c}, p.sched, 1, own, needs)
 }

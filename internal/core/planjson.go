@@ -70,17 +70,24 @@ func (p *Plan) Summary() PlanSummary {
 		rd := RoundSummary{Sends: summarizeRound(&p.sendE, r, p.rank), Recvs: summarizeRound(&p.recvE, r, p.rank)}
 		out.RoundPlans = append(out.RoundPlans, rd)
 	}
-	out.FusedSends = []FusedSummary{}
-	for i, peer := range p.fusedSendPeers {
-		out.FusedSends = append(out.FusedSends, FusedSummary{
-			Peer: peer, Bytes: p.fusedSendBytes[i], One: p.fusedSendOne[i],
-		})
-	}
-	out.FusedRecvs = []FusedSummary{}
-	for i, peer := range p.fusedRecvPeers {
-		out.FusedRecvs = append(out.FusedRecvs, FusedSummary{
-			Peer: peer, Bytes: p.fusedRecvBytes[i], One: p.fusedRecvOne[i],
-		})
-	}
+	out.FusedSends = fusedSummary(&p.sendE, p.rank)
+	out.FusedRecvs = fusedSummary(&p.recvE, p.rank)
+	return out
+}
+
+// fusedSummary folds one direction's table per peer: the bytes of all the
+// peer's rounds and, when exactly one round contributes, that round's
+// index (the fused message is then a single seg, eligible for the
+// zero-copy send) — else -1.
+func fusedSummary(e *planEntries, rank int) []FusedSummary {
+	out := []FusedSummary{}
+	e.byPeer(rank, func(peer, r, i int) {
+		if n := len(out); n == 0 || out[n-1].Peer != peer {
+			out = append(out, FusedSummary{Peer: peer, One: r})
+		} else {
+			out[n-1].One = -1
+		}
+		out[len(out)-1].Bytes += e.types[i].PackedSize()
+	})
 	return out
 }

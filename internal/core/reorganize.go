@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"ddr/internal/datatype"
@@ -72,11 +71,11 @@ func OverlapRatio(ts []RoundTiming) float64 {
 // ReorganizeData call (nil before the first call). The copy is the
 // caller's to keep; use AppendTimings to avoid the allocation.
 func (d *Descriptor) LastTimings() []RoundTiming {
-	if d.timings == nil {
+	if d.ex.timings == nil {
 		return nil
 	}
-	out := make([]RoundTiming, len(d.timings))
-	copy(out, d.timings)
+	out := make([]RoundTiming, len(d.ex.timings))
+	copy(out, d.ex.timings)
 	return out
 }
 
@@ -84,7 +83,7 @@ func (d *Descriptor) LastTimings() []RoundTiming {
 // and returns the extended slice, the allocation-conscious variant of
 // LastTimings.
 func (d *Descriptor) AppendTimings(dst []RoundTiming) []RoundTiming {
-	return append(dst, d.timings...)
+	return append(dst, d.ex.timings...)
 }
 
 // ddrTagBase is the first of the user-visible tags DDR reserves for its
@@ -97,53 +96,6 @@ const ddrTagBase = 1 << 20
 // data exchange (tags >= ExchangeTagBase) while sparing the mapping
 // collectives and application control traffic.
 const ExchangeTagBase = ddrTagBase
-
-// partialState tracks graceful degradation during one deadline-bounded
-// exchange: which peers have been given up on, from which round onward,
-// and why. It is nil when WithExchangeDeadline is unset, keeping the
-// fail-fast paths untouched.
-type partialState struct {
-	uctx  context.Context // caller's context; its cancellation still aborts
-	lost  map[int]int     // peer → earliest round whose data is compromised
-	cause error
-}
-
-// markLost records that peer's data is missing from round onward.
-func (ps *partialState) markLost(peer, round int) {
-	if r0, ok := ps.lost[peer]; !ok || round < r0 {
-		ps.lost[peer] = round
-	}
-}
-
-// isLost reports whether peer has already been given up on.
-func (ps *partialState) isLost(peer int) bool {
-	if ps == nil {
-		return false
-	}
-	_, ok := ps.lost[peer]
-	return ok
-}
-
-// degrade decides whether err from a round-r operation against peer is a
-// peer-loss condition the exchange should absorb (recording the peer as
-// lost) rather than abort on. A cancellation of the caller's own context
-// always aborts.
-func (ps *partialState) degrade(peer, round int, err error) bool {
-	if ps == nil {
-		return false
-	}
-	if ps.uctx != nil && ps.uctx.Err() != nil {
-		return false
-	}
-	if !mpi.IsPeerLoss(err) && !errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	ps.markLost(peer, round)
-	if ps.cause == nil {
-		ps.cause = err
-	}
-	return true
-}
 
 // absorb folds a round-level error into the partial state: a
 // *mpi.PartialExchangeError (alltoallw mode's degraded result) merges its
@@ -163,51 +115,6 @@ func (ps *partialState) absorb(round int, err error) bool {
 		ps.cause = pe.Cause
 	}
 	return true
-}
-
-// partialError builds the caller-facing completion report: the sorted
-// lost-peer set plus the need-box regions whose producing peer was lost.
-// Round r moves each rank's r-th chunk, so a peer lost at round r0 is
-// missing the intersections of its chunks r0..end with this rank's need
-// (its earlier rounds landed before the loss).
-func (d *Descriptor) partialError(ps *partialState) error {
-	if ps == nil || len(ps.lost) == 0 {
-		return nil
-	}
-	p := d.plan
-	lost := make([]int, 0, len(ps.lost))
-	for r := range ps.lost {
-		lost = append(lost, r)
-	}
-	sort.Ints(lost)
-	var missing []grid.Box
-	if b := p.bounded; b != nil {
-		// Bounded exchanges lose peers at step granularity: a source lost
-		// at step s0 is missing exactly its receive slices scheduled at
-		// s0 or later (its earlier steps landed before the loss).
-		for _, peer := range lost {
-			s0 := ps.lost[peer]
-			for _, idx := range b.recvIdx {
-				sl := &b.slices[idx]
-				if sl.src == peer && sl.step >= s0 {
-					missing = append(missing, sl.region)
-				}
-			}
-		}
-		return &PartialError{LostPeers: lost, Missing: missing, Cause: ps.cause}
-	}
-	for _, peer := range lost {
-		if peer < 0 || peer >= len(p.allChunks) {
-			continue
-		}
-		chunks := p.allChunks[peer]
-		for r := ps.lost[peer]; r < len(chunks); r++ {
-			if iv, ok := chunks[r].Intersect(p.need); ok && !iv.Empty() {
-				missing = append(missing, iv)
-			}
-		}
-	}
-	return &PartialError{LostPeers: lost, Missing: missing, Cause: ps.cause}
 }
 
 // ReorganizeData exchanges the data between ranks according to the plan
@@ -234,13 +141,11 @@ func (d *Descriptor) ReorganizeData(c *mpi.Comm, own [][]byte, need []byte) erro
 // or one that can never be cancelled — selects the uncancellable fast
 // path and is exactly ReorganizeData.
 func (d *Descriptor) ReorganizeDataCtx(ctx context.Context, c *mpi.Comm, own [][]byte, need []byte) error {
-	if ctx != nil {
-		if ctx.Done() == nil {
-			ctx = nil
-		} else if err := ctx.Err(); err != nil {
-			return err
-		}
+	ctx, ps, cancel, err := beginExchange(ctx, d.deadline)
+	if err != nil {
+		return err
 	}
+	defer cancel()
 	p := d.plan
 	if p == nil {
 		return fmt.Errorf("core: ReorganizeData before SetupDataMapping: %w", ErrNoMapping)
@@ -262,28 +167,11 @@ func (d *Descriptor) ReorganizeDataCtx(ctx context.Context, c *mpi.Comm, own [][
 			len(need), p.need, want, ErrBufferSize)
 	}
 
-	// WithExchangeDeadline bounds the whole exchange and arms graceful
-	// degradation: peer-loss and deadline failures park the peer on the
-	// lost list instead of aborting, and the call ends with a
-	// *PartialError describing what is missing.
-	var ps *partialState
-	if d.deadline > 0 {
-		ps = &partialState{uctx: ctx, lost: make(map[int]int)}
-		base := ctx
-		if base == nil {
-			base = context.Background()
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(base, d.deadline)
-		defer cancel()
-	}
-
 	// Resolve the pack strategies this exchange will use — a measured
 	// probe on the first exchange of a (plan, transport) pair, two
 	// comparisons afterwards.
 	d.ensureTuned(c, p)
 
-	d.timings = d.timings[:0]
 	o := d.obsv
 	rankL := o.Rank(c)
 
@@ -312,73 +200,109 @@ func (d *Descriptor) ReorganizeDataCtx(ctx context.Context, c *mpi.Comm, own [][
 				Exchange: exch, Round: -1, Peer: -1}, allStart, time.Now())
 		}()
 	}
-	if b := p.bounded; b != nil {
-		// The memory-bounded backend replaces the mode dispatch entirely:
-		// the step schedule was compiled for this descriptor's budget and
-		// every rank selected it from the same collectively shared
-		// geometry, so the worlds agree on the path taken. Depth permitting
-		// (the budget clamp divides by the schedule's modeled per-step
-		// footprint), the steps run software-pipelined.
-		start := time.Now()
-		k := d.pipelineDepth(p, b.steps, b.peak)
-		d.lastDepth = k
-		var err error
-		if k >= 2 {
-			err = d.exchangeBoundedPipelined(ctx, o, c, own, need, ps, k, exch, traced)
-		} else {
-			err = d.exchangeBounded(ctx, o, c, own, need, ps)
+
+	start := time.Now()
+	steps, k, stepped := d.schedule(p)
+	d.lastDepth = k
+	if stepped {
+		d.needBuf[0] = need
+		err = d.ex.run(&exchange{ctx: ctx, c: c, o: o, ps: ps, deadline: d.deadline,
+			id: exch, traced: traced}, steps, k, own, d.needBuf[:])
+		d.needBuf[0] = nil
+		if d.ex.metered {
+			d.lastPeakStaging = d.ex.meter.Peak()
 		}
-		if err != nil {
-			return fmt.Errorf("core: bounded exchange: %w", err)
-		}
-		elapsed := time.Since(start)
-		if o.on() {
-			o.exchangeLat.Observe(elapsed.Seconds())
-			o.exchangeBytes.Add(b.wireBytes)
+	} else {
+		err = d.alltoallwRounds(ctx, c, own, need, ps, exch, traced)
+	}
+	if err != nil {
+		return fmt.Errorf("core: exchange: %w", err)
+	}
+	d.lastOverlap = OverlapRatio(d.ex.timings)
+	if o.on() {
+		o.exchangeLat.Observe(time.Since(start).Seconds())
+		o.pipeDepth.Set(int64(k))
+		o.pipeOverlap.Set(d.lastOverlap)
+		if b := p.bounded; b != nil {
 			o.boundedSteps.Add(int64(b.steps))
 			o.boundedPeak.SetMax(d.lastPeakStaging)
 		}
-		return d.finishExchange(rankL, exch, ps)
 	}
-	if d.mode == ModePointToPointFused {
-		d.lastDepth = 1
-		start := time.Now()
-		var rt RoundTiming
-		if err := d.exchangeFused(ctx, o, c, own, need, ps, &rt); err != nil {
-			return fmt.Errorf("core: fused exchange: %w", err)
-		}
-		elapsed := time.Since(start)
-		var wire int64
-		for r := 0; r < p.rounds; r++ {
-			wire += p.RankRoundSendBytes(p.rank, r)
-		}
-		rt.Duration, rt.WireBytes = elapsed, wire
-		d.timings = append(d.timings, rt)
-		if o.on() {
-			o.exchangeLat.Observe(elapsed.Seconds())
-			o.roundLat.Observe(elapsed.Seconds())
-			o.exchangeBytes.Add(wire)
-		}
-		return d.finishExchange(rankL, exch, ps)
+	if ps != nil && len(ps.lost) > 0 && !stepped {
+		// The oracle loop has no step list of its own; the lost rounds'
+		// regions are those of the round steps it is the reference for.
+		steps = p.roundSteps()
 	}
-	if d.mode == ModePointToPoint {
-		if k := d.pipelineDepth(p, p.rounds, 0); k >= 2 {
-			d.lastDepth = k
-			start := time.Now()
-			if err := d.exchangePipelined(ctx, o, c, own, need, ps, k, exch, traced); err != nil {
-				return fmt.Errorf("core: pipelined exchange: %w", err)
-			}
-			if o.on() {
-				o.exchangeLat.Observe(time.Since(start).Seconds())
-			}
-			return d.finishExchange(rankL, exch, ps)
+	err = partialError(ps, steps)
+	if d.flight != nil {
+		// Mark the exchange end in the ring and, if it degraded, emit the
+		// one-shot postmortem dump naming the lost peers while the ring
+		// still holds the frames leading up to the loss.
+		d.flight.Record(obs.FlightEvent{Kind: obs.FlightExchangeEnd, Rank: int32(rankL), Peer: -1, Exchange: exch})
+		var pe *PartialError
+		if errors.As(err, &pe) {
+			d.flight.DumpOnce(fmt.Sprintf("rank %d exchange %016x degraded: lost peers %v: %v",
+				rankL, exch, pe.LostPeers, pe.Cause))
 		}
 	}
-	d.lastDepth = 1
-	var exchangeStart time.Time
-	if o.on() {
-		exchangeStart = time.Now()
+	return err
+}
+
+// schedule selects the step list this exchange replays and the depth it
+// runs at. The memory-bounded backend replaces the mode dispatch
+// entirely: its schedule was compiled for this descriptor's budget and
+// every rank selected it from the same collectively shared geometry, so
+// the worlds agree on the path taken. stepped is false for ModeAlltoallw,
+// which delegates each round to the collective instead.
+func (d *Descriptor) schedule(p *Plan) (steps []step, k int, stepped bool) {
+	switch {
+	case p.bounded != nil:
+		return p.bounded.sched, d.pipelineDepth(p, p.bounded.steps, p.bounded.peak), true
+	case d.mode == ModePointToPointFused:
+		return p.fusedSteps(), 1, true
+	case d.mode == ModePointToPoint:
+		return p.roundSteps(), d.pipelineDepth(p, p.rounds, 0), true
 	}
+	return nil, 1, false
+}
+
+// pipelineDepth resolves the depth an exchange may run at: the
+// configured depth clamped by the step count and — when a memory budget
+// is set — by the lease model: the in-flight window holds at most k+1
+// per-step staging footprints (k receive leases plus the step being
+// packed), so k is lowered until (k+1)·footprint fits the budget. perStep
+// is the bounded schedule's modeled per-step footprint; 0 selects the
+// one-shot footprint of the plan's geometry, cached per plan
+// fingerprint. Depth 1 needs a single footprint, which backend selection
+// already proved against the budget.
+func (d *Descriptor) pipelineDepth(p *Plan, steps, perStep int) int {
+	k := min(d.depth, steps)
+	if k <= 1 {
+		return 1
+	}
+	if d.budget <= 0 {
+		return k
+	}
+	if perStep == 0 {
+		if d.pipeShotFP != p.fp || d.pipeShot == 0 {
+			d.pipeShot = p.SingleShotFootprint(d.mode)
+			d.pipeShotFP = p.fp
+		}
+		perStep = d.pipeShot
+	}
+	if perStep <= 0 {
+		return k
+	}
+	return min(k, max(d.budget/perStep-1, 1))
+}
+
+// alltoallwRounds is the paper's mechanism and the oracle the step
+// executor is tested against: one alltoallw collective per round, the
+// whole pack/wire/unpack phase delegated to it (so the timings' sub-
+// durations stay zero).
+func (d *Descriptor) alltoallwRounds(ctx context.Context, c *mpi.Comm, own [][]byte, need []byte, ps *partialState, exch uint64, traced bool) error {
+	p, o := d.plan, d.obsv
+	d.ex.timings = d.ex.timings[:0]
 	for r := 0; r < p.rounds; r++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -389,8 +313,10 @@ func (d *Descriptor) ReorganizeDataCtx(ctx context.Context, c *mpi.Comm, own [][
 				// still owed data in the remaining rounds and report what
 				// landed rather than abort with the buffer state unknown.
 				for rr := r; rr < p.rounds; rr++ {
-					for _, peer := range p.recvPeers[rr] {
-						ps.markLost(peer, rr)
+					for i := p.recvE.off[rr]; i < p.recvE.off[rr+1]; i++ {
+						if peer := p.recvE.peers[i]; peer != p.rank {
+							ps.markLost(peer, rr)
+						}
 					}
 				}
 				if ps.cause == nil {
@@ -409,398 +335,27 @@ func (d *Descriptor) ReorganizeDataCtx(ctx context.Context, c *mpi.Comm, own [][
 			c.SetTraceContext(mpi.TraceContext{Exchange: exch, Round: uint32(r)})
 		}
 		start := time.Now()
-		var err error
-		rt := RoundTiming{Round: r, WireBytes: roundBytes}
-		switch d.mode {
-		case ModePointToPoint:
-			err = d.exchangeP2P(ctx, o, c, r, sendBuf, need, ps, &rt)
-		default:
-			rowSend, rowRecv := d.alltoallwRows(p, r)
-			err = c.AlltoallwOpt(sendBuf, rowSend, need, rowRecv, mpi.AlltoallwOptions{
-				Parallelism: d.parallelism(),
-				Pooled:      d.pooled,
-				ZeroCopy:    d.zcSend && d.zcRecv,
-				Deadline:    d.deadline,
-			})
-			d.resetAlltoallwRows(p, r)
-		}
+		rowSend, rowRecv := d.alltoallwRows(p, r)
+		err := c.AlltoallwOpt(sendBuf, rowSend, need, rowRecv, mpi.AlltoallwOptions{
+			Parallelism: d.parallelism(),
+			ZeroCopy:    d.ex.zcSend && d.ex.zcRecv,
+			Deadline:    d.deadline,
+		})
+		d.resetAlltoallwRows(p, r)
 		if o.tracing() {
-			o.rec.StampSpan(trace.Event{Rank: rankL, Name: fmt.Sprintf("round-%d", r),
+			o.rec.StampSpan(trace.Event{Rank: o.rank, Name: fmt.Sprintf("round-%d", r),
 				Bytes: roundBytes, Exchange: exch, Round: int32(r), Peer: -1}, start, time.Now())
 		}
 		if err != nil && !ps.absorb(r, err) {
-			return fmt.Errorf("core: exchange round %d: %w", r, err)
+			return fmt.Errorf("round %d: %w", r, err)
 		}
 		elapsed := time.Since(start)
 		if o.on() {
 			o.roundLat.Observe(elapsed.Seconds())
 			o.exchangeBytes.Add(roundBytes)
 		}
-		rt.Duration = elapsed
-		d.timings = append(d.timings, rt)
+		d.ex.timings = append(d.ex.timings, RoundTiming{Round: r, Duration: elapsed, WireBytes: roundBytes})
 	}
-	if o.on() {
-		o.exchangeLat.Observe(time.Since(exchangeStart).Seconds())
-	}
-	return d.finishExchange(rankL, exch, ps)
-}
-
-// finishExchange builds the caller-facing completion report and, when a
-// flight recorder is attached, marks the exchange end in the ring — and,
-// if the exchange degraded, emits the one-shot postmortem dump naming
-// the lost peers while the ring still holds the frames leading up to the
-// loss.
-func (d *Descriptor) finishExchange(rankL int, exch uint64, ps *partialState) error {
-	d.lastOverlap = OverlapRatio(d.timings)
-	if o := d.obsv; o.on() {
-		o.pipeDepth.Set(int64(d.lastDepth))
-		o.pipeOverlap.Set(d.lastOverlap)
-	}
-	err := d.partialError(ps)
-	if d.flight != nil {
-		d.flight.Record(obs.FlightEvent{Kind: obs.FlightExchangeEnd, Rank: int32(rankL), Peer: -1, Exchange: exch})
-		var pe *PartialError
-		if errors.As(err, &pe) {
-			d.flight.DumpOnce(fmt.Sprintf("rank %d exchange %016x degraded: lost peers %v: %v",
-				rankL, exch, pe.LostPeers, pe.Cause))
-		}
-	}
-	return err
-}
-
-// selfExchange moves round r's local contribution (this rank's owned
-// chunk overlapping its own need) without touching the transport. One
-// contiguous side is enough to drop the staging buffer; two reduce the
-// move to a single memmove.
-func (d *Descriptor) selfExchange(round int, src, need []byte) {
-	p := d.plan
-	st, ss := p.sendE.at(round, p.rank)
-	n := st.PackedSize()
-	if n == 0 {
-		return
-	}
-	rt, rs := p.recvE.at(round, p.rank)
-	switch {
-	case d.zcSend && d.zcRecv && ss.ok && rs.ok:
-		copy(need[rs.off:rs.off+n], src[ss.off:ss.off+n])
-	case d.zcSend && ss.ok:
-		rt.Unpack(src[ss.off:ss.off+n], need)
-	case d.zcRecv && rs.ok:
-		st.Pack(src, need[rs.off:rs.off+n])
-	default:
-		wire := d.stage(n)
-		st.Pack(src, wire)
-		rt.Unpack(wire, need)
-		d.unstage(wire)
-	}
-}
-
-// acceptRound consumes one received round-mode payload: contiguous
-// destinations are copied straight into the need buffer and the payload
-// recycled; strided ones are batched for the unpack phase (the payload is
-// recycled after the batch runs).
-func (d *Descriptor) acceptRound(o *exchObs, round, peer int, data, need []byte) error {
-	p := d.plan
-	rt, sp := p.recvE.at(round, peer)
-	if len(data) != rt.PackedSize() {
-		return fmt.Errorf("core: expected %d bytes from rank %d, got %d", rt.PackedSize(), peer, len(data))
-	}
-	if d.zcRecv && sp.ok {
-		directUnpack(o, need[sp.off:sp.off+sp.n], data, peer)
-		d.releaseRecv(data)
-		return nil
-	}
-	d.eng.add(exchJob{t: rt, local: need, wire: data, unpack: true, peer: peer})
-	d.scratch.datas = append(d.scratch.datas, data)
-	return nil
-}
-
-// exchangeP2P performs one round using direct sends and receives between
-// only the ranks that share data — the sparse-communication optimization
-// the paper lists as future work. Semantically identical to the alltoallw
-// round. rt receives the round's pack/wire/unpack sub-durations.
-func (d *Descriptor) exchangeP2P(ctx context.Context, o *exchObs, c *mpi.Comm, round int, sendBuf, need []byte, ps *partialState, rt *RoundTiming) error {
-	p := d.plan
-	tag := ddrTagBase + round
-	packStart := time.Now()
-
-	// Local contribution first (no message needed).
-	d.selfExchange(round, sendBuf, need)
-
-	// Pack phase: contiguous regions skip staging entirely — the owned
-	// buffer's sub-slice goes straight to Send, whose delivery copy is the
-	// only copy. Strided regions stage through the engine.
-	s := &d.scratch
-	s.wires = s.wires[:0]
-	s.staged = s.staged[:0]
-	for _, peer := range p.sendPeers[round] {
-		st, sp := p.sendE.at(round, peer)
-		n := st.PackedSize()
-		if d.zcSend && sp.ok {
-			s.wires = append(s.wires, sendBuf[sp.off:sp.off+n])
-			continue
-		}
-		wire := d.stage(n)
-		d.eng.add(exchJob{t: st, local: sendBuf, wire: wire, peer: peer})
-		s.wires = append(s.wires, wire)
-		s.staged = append(s.staged, wire)
-	}
-	d.eng.run(o)
-	for i, peer := range p.sendPeers[round] {
-		if ps.isLost(peer) {
-			continue
-		}
-		var err error
-		if ctx == nil {
-			err = c.Send(peer, tag, s.wires[i])
-		} else {
-			// Context-bound sends always copy eagerly, so the staging
-			// recycle below stays unconditional.
-			err = c.SendCtx(ctx, peer, tag, s.wires[i])
-		}
-		if err != nil {
-			if ps.degrade(peer, round, err) {
-				continue
-			}
-			return err
-		}
-	}
-	// Send copies eagerly, so staging buffers recycle immediately.
-	for _, w := range s.staged {
-		d.unstage(w)
-	}
-	s.staged = s.staged[:0]
-	issued := time.Now()
-	rt.Pack = issued.Sub(packStart)
-
-	// Receive phase. Delivery is eager and buffered — every peer's send
-	// has already been accepted by the transport — so receiving in plan
-	// order cannot deadlock, and the uncancellable path uses blocking
-	// receives with no request bookkeeping.
-	s.datas = s.datas[:0]
-	if ctx == nil {
-		for _, peer := range p.recvPeers[round] {
-			var waitStart time.Time
-			if o.tracing() {
-				waitStart = time.Now()
-			}
-			data, _, _, err := c.Recv(peer, tag)
-			if err != nil {
-				return err
-			}
-			if o.tracing() {
-				o.rec.StampSpan(trace.Event{Rank: o.rank, Name: fmt.Sprintf("wait<-%d", peer),
-					Bytes: int64(len(data)), Exchange: d.lastExchID, Round: int32(round), Peer: int32(peer)},
-					waitStart, time.Now())
-			}
-			if err := d.acceptRound(o, round, peer, data, need); err != nil {
-				return err
-			}
-		}
-	} else {
-		s.reqs = s.reqs[:0]
-		for _, peer := range p.recvPeers[round] {
-			if ps.isLost(peer) {
-				// Nothing is coming: our own send already failed or the
-				// peer was lost in an earlier round.
-				s.reqs = append(s.reqs, nil)
-				continue
-			}
-			s.reqs = append(s.reqs, c.Irecv(peer, tag))
-		}
-		for i, peer := range p.recvPeers[round] {
-			if s.reqs[i] == nil {
-				continue
-			}
-			var waitStart time.Time
-			if o.tracing() {
-				waitStart = time.Now()
-			}
-			data, _, _, err := s.reqs[i].WaitCtx(ctx)
-			if err != nil {
-				if ps.degrade(peer, round, err) {
-					continue
-				}
-				return err
-			}
-			if o.tracing() {
-				o.rec.StampSpan(trace.Event{Rank: o.rank, Name: fmt.Sprintf("wait<-%d", peer),
-					Bytes: int64(len(data)), Exchange: d.lastExchID, Round: int32(round), Peer: int32(peer)},
-					waitStart, time.Now())
-			}
-			if err := d.acceptRound(o, round, peer, data, need); err != nil {
-				return err
-			}
-		}
-	}
-	wireDone := time.Now()
-	rt.Wire = wireDone.Sub(issued)
-	d.eng.run(o)
-	for _, data := range s.datas {
-		d.releaseRecv(data)
-	}
-	s.datas = s.datas[:0]
-	rt.Unpack = time.Since(wireDone)
-	return nil
-}
-
-// acceptFused consumes one received fused payload, splitting it back into
-// its per-round segments in round order.
-func (d *Descriptor) acceptFused(o *exchObs, i, peer int, data, need []byte) error {
-	p := d.plan
-	if len(data) != p.fusedRecvBytes[i] {
-		return fmt.Errorf("core: expected %d fused bytes from rank %d, got %d",
-			p.fusedRecvBytes[i], peer, len(data))
-	}
-	off := 0
-	for r := 0; r < p.rounds; r++ {
-		rt, sp := p.recvE.at(r, peer)
-		n := rt.PackedSize()
-		if n == 0 {
-			continue
-		}
-		if d.zcRecv && sp.ok {
-			directUnpack(o, need[sp.off:sp.off+sp.n], data[off:off+n], peer)
-		} else {
-			d.eng.add(exchJob{t: rt, local: need, wire: data[off : off+n], unpack: true, peer: peer})
-		}
-		off += n
-	}
-	d.scratch.datas = append(d.scratch.datas, data)
-	return nil
-}
-
-// exchangeFused performs the whole redistribution in one message per peer
-// pair: each peer's per-round overlaps are concatenated in round order on
-// the sending side and unpacked in the same order on the receiving side.
-// When a single round contributes a contiguous region to a peer, the
-// message is the owned buffer's sub-slice and no staging happens at all.
-// rt receives the exchange's pack/wire/unpack sub-durations.
-func (d *Descriptor) exchangeFused(ctx context.Context, o *exchObs, c *mpi.Comm, own [][]byte, need []byte, ps *partialState, rt *RoundTiming) error {
-	p := d.plan
-	const tag = ddrTagBase
-	packStart := time.Now()
-
-	// Local contribution.
-	for r := 0; r < len(p.myChunks); r++ {
-		d.selfExchange(r, own[r], need)
-	}
-
-	s := &d.scratch
-	s.wires = s.wires[:0]
-	s.staged = s.staged[:0]
-	for i, peer := range p.fusedSendPeers {
-		if r := p.fusedSendOne[i]; d.zcSend && r >= 0 {
-			if _, sp := p.sendE.at(r, peer); sp.ok {
-				s.wires = append(s.wires, own[r][sp.off:sp.off+sp.n])
-				continue
-			}
-		}
-		wire := d.stage(p.fusedSendBytes[i])
-		off := 0
-		for r := 0; r < len(p.myChunks); r++ {
-			st, sp := p.sendE.at(r, peer)
-			n := st.PackedSize()
-			if n == 0 {
-				continue
-			}
-			if d.zcSend && sp.ok {
-				copy(wire[off:off+n], own[r][sp.off:sp.off+n])
-			} else {
-				d.eng.add(exchJob{t: st, local: own[r], wire: wire[off : off+n], peer: peer})
-			}
-			off += n
-		}
-		s.wires = append(s.wires, wire)
-		s.staged = append(s.staged, wire)
-	}
-	d.eng.run(o)
-	for i, peer := range p.fusedSendPeers {
-		if ps.isLost(peer) {
-			continue
-		}
-		var err error
-		if ctx == nil {
-			err = c.Send(peer, tag, s.wires[i])
-		} else {
-			err = c.SendCtx(ctx, peer, tag, s.wires[i])
-		}
-		if err != nil {
-			if ps.degrade(peer, 0, err) {
-				continue
-			}
-			return err
-		}
-	}
-	for _, w := range s.staged {
-		d.unstage(w)
-	}
-	s.staged = s.staged[:0]
-	issued := time.Now()
-	rt.Pack = issued.Sub(packStart)
-
-	s.datas = s.datas[:0]
-	if ctx == nil {
-		for i, peer := range p.fusedRecvPeers {
-			var waitStart time.Time
-			if o.tracing() {
-				waitStart = time.Now()
-			}
-			data, _, _, err := c.Recv(peer, tag)
-			if err != nil {
-				return err
-			}
-			if o.tracing() {
-				o.rec.StampSpan(trace.Event{Rank: o.rank, Name: fmt.Sprintf("wait<-%d", peer),
-					Bytes: int64(len(data)), Exchange: d.lastExchID, Round: -1, Peer: int32(peer)},
-					waitStart, time.Now())
-			}
-			if err := d.acceptFused(o, i, peer, data, need); err != nil {
-				return err
-			}
-		}
-	} else {
-		s.reqs = s.reqs[:0]
-		for _, peer := range p.fusedRecvPeers {
-			if ps.isLost(peer) {
-				s.reqs = append(s.reqs, nil)
-				continue
-			}
-			s.reqs = append(s.reqs, c.Irecv(peer, tag))
-		}
-		for i, peer := range p.fusedRecvPeers {
-			if s.reqs[i] == nil {
-				continue
-			}
-			var waitStart time.Time
-			if o.tracing() {
-				waitStart = time.Now()
-			}
-			data, _, _, err := s.reqs[i].WaitCtx(ctx)
-			if err != nil {
-				if ps.degrade(peer, 0, err) {
-					continue
-				}
-				return err
-			}
-			if o.tracing() {
-				o.rec.StampSpan(trace.Event{Rank: o.rank, Name: fmt.Sprintf("wait<-%d", peer),
-					Bytes: int64(len(data)), Exchange: d.lastExchID, Round: -1, Peer: int32(peer)},
-					waitStart, time.Now())
-			}
-			if err := d.acceptFused(o, i, peer, data, need); err != nil {
-				return err
-			}
-		}
-	}
-	wireDone := time.Now()
-	rt.Wire = wireDone.Sub(issued)
-	d.eng.run(o)
-	for _, data := range s.datas {
-		d.releaseRecv(data)
-	}
-	s.datas = s.datas[:0]
-	rt.Unpack = time.Since(wireDone)
 	return nil
 }
 
@@ -810,31 +365,29 @@ func (d *Descriptor) exchangeFused(ctx context.Context, o *exchObs, c *mpi.Comm,
 // after the collective returns to restore the Empty sentinels, so the
 // rows are clean for the next round at O(entries) cost.
 func (d *Descriptor) alltoallwRows(p *Plan, r int) (rowSend, rowRecv []datatype.Type) {
-	s := &d.scratch
-	if len(s.rowSend) != p.nProcs {
-		s.rowSend = make([]datatype.Type, p.nProcs)
-		s.rowRecv = make([]datatype.Type, p.nProcs)
-		fillEmpty(s.rowSend)
-		fillEmpty(s.rowRecv)
+	if len(d.rowSend) != p.nProcs {
+		d.rowSend = make([]datatype.Type, p.nProcs)
+		d.rowRecv = make([]datatype.Type, p.nProcs)
+		fillEmpty(d.rowSend)
+		fillEmpty(d.rowRecv)
 	}
 	for i := p.sendE.off[r]; i < p.sendE.off[r+1]; i++ {
-		s.rowSend[p.sendE.peers[i]] = p.sendE.types[i]
+		d.rowSend[p.sendE.peers[i]] = p.sendE.types[i]
 	}
 	for i := p.recvE.off[r]; i < p.recvE.off[r+1]; i++ {
-		s.rowRecv[p.recvE.peers[i]] = p.recvE.types[i]
+		d.rowRecv[p.recvE.peers[i]] = p.recvE.types[i]
 	}
-	return s.rowSend, s.rowRecv
+	return d.rowSend, d.rowRecv
 }
 
 // resetAlltoallwRows restores the Empty sentinel in the slots round r
 // populated.
 func (d *Descriptor) resetAlltoallwRows(p *Plan, r int) {
-	s := &d.scratch
 	for i := p.sendE.off[r]; i < p.sendE.off[r+1]; i++ {
-		s.rowSend[p.sendE.peers[i]] = datatype.Empty{}
+		d.rowSend[p.sendE.peers[i]] = datatype.Empty{}
 	}
 	for i := p.recvE.off[r]; i < p.recvE.off[r+1]; i++ {
-		s.rowRecv[p.recvE.peers[i]] = datatype.Empty{}
+		d.rowRecv[p.recvE.peers[i]] = datatype.Empty{}
 	}
 }
 

@@ -43,23 +43,21 @@ func (p *Plan) PerturbBoundedForTest() bool {
 	if p == nil || p.bounded == nil {
 		return false
 	}
-	b := p.bounded
-	for _, idx := range b.recvIdx {
-		sl := &b.slices[idx]
-		for ax := 0; ax < sl.region.NDims; ax++ {
-			for _, delta := range [2]int{1, -1} {
-				moved := sl.region
-				moved.Offset[ax] += delta
-				if !p.need.Contains(moved) {
-					continue
+	for _, st := range p.bounded.sched {
+		for _, m := range st.recvs {
+			sg := &m.segs[0]
+			for ax := 0; ax < sg.region.NDims; ax++ {
+				for _, delta := range [2]int{1, -1} {
+					moved := sg.region
+					moved.Offset[ax] += delta
+					if !p.need.Contains(moved) {
+						continue
+					}
+					if shifted, err := newSeg(p.elemSize, p.need, 0, moved); err == nil {
+						*sg = shifted
+						return true
+					}
 				}
-				t, span, err := boundedType(p.elemSize, p.need, moved, sl.src, true)
-				if err != nil {
-					continue
-				}
-				sl.region = moved
-				sl.recvT, sl.recvSpan = t, span
-				return true
 			}
 		}
 	}
@@ -74,12 +72,13 @@ func (p *Plan) PerturbBoundedForTest() bool {
 // buffers between those two points, the arena hands the just-freed
 // payloads back out and the pack overwrites them before the unpack batch
 // reads them — the classic double-buffer lifetime bug a depth-k ring
-// must not have. Exchanges at depth 1 (or whose payloads all take the
-// contiguous fast path) are unaffected. It exists so both the
+// must not have. Exchanges at depth 1 (whose single-slot ring issues
+// nothing between a wait and its retire) or whose payloads all take the
+// contiguous fast path are unaffected. It exists so both the
 // differential sweep and the property harness can prove they detect
 // pipelined buffer-lifetime bugs. Never call outside tests.
 func (d *Descriptor) PerturbPipelineForTest() {
-	d.pipePerturb = true
+	d.ex.perturb = true
 }
 
 // PerturbPlanForTest shifts one compiled contiguous receive span by one
@@ -99,14 +98,16 @@ func (p *Plan) PerturbPlanForTest() bool {
 		if !sp.ok || sp.n == 0 || sp.n >= total {
 			continue
 		}
-		if sp.off+sp.n+p.elemSize <= total {
+		switch {
+		case sp.off+sp.n+p.elemSize <= total:
 			sp.off += p.elemSize
-			return true
-		}
-		if sp.off >= p.elemSize {
+		case sp.off >= p.elemSize:
 			sp.off -= p.elemSize
-			return true
+		default:
+			continue
 		}
+		p.roundSched, p.fusedSched = nil, nil // recompile from the perturbed table
+		return true
 	}
 	return false
 }

@@ -138,22 +138,22 @@ func benchLarge(b *testing.B, run func(int, func(*Comm) error) error, size int) 
 // results in BENCH_tcp.json so the transport's trajectory stays visible.
 func BenchmarkTCPExchange(b *testing.B) {
 	runNoChunk := func(n int, body func(*Comm) error) error {
-		return RunTCPOpts(n, TCPOptions{ChunkThreshold: -1}, body)
+		return Launch(n, body, WithTCPOptions(TCPOptions{ChunkThreshold: -1}))
 	}
 	b.Run("storm/16ranks/4KiB/tcp", func(b *testing.B) {
-		benchStorm(b, RunTCP, 16, 4, 4096)
+		benchStorm(b, runTCP, 16, 4, 4096)
 	})
 	b.Run("storm/16ranks/4KiB/inproc", func(b *testing.B) {
-		benchStorm(b, Run, 16, 4, 4096)
+		benchStorm(b, runInProc, 16, 4, 4096)
 	})
 	b.Run("large/64MiB/tcp", func(b *testing.B) {
-		benchLarge(b, RunTCP, 64<<20)
+		benchLarge(b, runTCP, 64<<20)
 	})
 	b.Run("large/64MiB/tcp-nochunk", func(b *testing.B) {
 		benchLarge(b, runNoChunk, 64<<20)
 	})
 	b.Run("large/64MiB/inproc", func(b *testing.B) {
-		benchLarge(b, Run, 64<<20)
+		benchLarge(b, runInProc, 64<<20)
 	})
 }
 
@@ -190,7 +190,7 @@ func BenchmarkCollectives(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			err := Run(n, func(c *Comm) error {
+			err := Launch(n, func(c *Comm) error {
 				if c.Rank() == 0 {
 					b.ResetTimer()
 				}
@@ -222,19 +222,19 @@ func BenchmarkShmExchange(b *testing.B) {
 		benchStorm(b, RunShm, 16, 4, 4096)
 	})
 	b.Run("storm/16ranks/4KiB/tcp", func(b *testing.B) {
-		benchStorm(b, RunTCP, 16, 4, 4096)
+		benchStorm(b, runTCP, 16, 4, 4096)
 	})
 	b.Run("storm/16ranks/4KiB/inproc", func(b *testing.B) {
-		benchStorm(b, Run, 16, 4, 4096)
+		benchStorm(b, runInProc, 16, 4, 4096)
 	})
 	b.Run("large/64MiB/shm", func(b *testing.B) {
 		benchLarge(b, RunShm, 64<<20)
 	})
 	b.Run("large/64MiB/tcp", func(b *testing.B) {
-		benchLarge(b, RunTCP, 64<<20)
+		benchLarge(b, runTCP, 64<<20)
 	})
 	b.Run("large/64MiB/inproc", func(b *testing.B) {
-		benchLarge(b, Run, 64<<20)
+		benchLarge(b, runInProc, 64<<20)
 	})
 }
 
@@ -251,7 +251,7 @@ func BenchmarkHierExchange(b *testing.B) {
 		benchStorm(b, runHier, ranks, 2, 1024)
 	})
 	b.Run("storm/64ranks/1KiB/tcp", func(b *testing.B) {
-		benchStorm(b, RunTCP, ranks, 2, 1024)
+		benchStorm(b, runTCP, ranks, 2, 1024)
 	})
 	b.Run("storm/64ranks/1KiB/shm", func(b *testing.B) {
 		benchStorm(b, RunShm, ranks, 2, 1024)

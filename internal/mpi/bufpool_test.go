@@ -145,12 +145,10 @@ func TestStagingMeter(t *testing.T) {
 // and strided ones.
 func TestAlltoallwOptParity(t *testing.T) {
 	options := []AlltoallwOptions{
-		{},                             // historical serial behaviour
-		{Pooled: true},                 // pooled staging
-		{ZeroCopy: true},               // contiguous fast path
-		{Pooled: true, ZeroCopy: true}, // the Alltoallw default
-		{Parallelism: 4, Pooled: true}, // parallel staging
-		{Parallelism: 4, ZeroCopy: true, Pooled: true},
+		{},               // serial staging
+		{ZeroCopy: true}, // contiguous fast path, the Alltoallw default
+		{Parallelism: 4}, // parallel staging
+		{Parallelism: 4, ZeroCopy: true},
 	}
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 77))
@@ -167,7 +165,7 @@ func TestAlltoallwOptParity(t *testing.T) {
 		var want [][]byte
 		for oi, opt := range options {
 			outs := make([][]byte, n)
-			err := Run(n, func(c *Comm) error {
+			err := Launch(n, func(c *Comm) error {
 				rank := c.Rank()
 				own := bands[rank]
 				sendBuf := make([]byte, own.Volume())
@@ -219,7 +217,7 @@ func TestAlltoallwOptParity(t *testing.T) {
 }
 
 func TestWaitCtxCancel(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 1 {
 			// Give rank 0 time to cancel, then satisfy the abandoned
 			// receive so the world drains cleanly.
@@ -250,7 +248,7 @@ func TestWaitCtxCancel(t *testing.T) {
 }
 
 func TestWaitCtxNilAndDone(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 1 {
 			return c.Send(0, 9, []byte{1, 2, 3})
 		}
@@ -284,7 +282,7 @@ func TestWaitCtxNilAndDone(t *testing.T) {
 // mailbox must be empty and the depth gauge back at zero.
 func TestWaitCtxAbandonAccounting(t *testing.T) {
 	const cycles = 50
-	err := Run(2, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 1 {
 			for i := 0; i < cycles; i++ {
 				if _, _, _, err := c.Recv(0, 1); err != nil {

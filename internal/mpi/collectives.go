@@ -276,16 +276,14 @@ func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
 }
 
 // AlltoallwOptions tunes how Alltoallw stages and copies sub-regions.
-// The zero value reproduces the historical serial behaviour: one freshly
-// allocated staging buffer per peer, packed and unpacked inline.
+// Wire buffers always cycle through the process-wide buffer arena
+// (GetBuffer/PutBuffer). The zero value packs and unpacks every region
+// inline on the calling goroutine.
 type AlltoallwOptions struct {
 	// Parallelism is the number of concurrent pack/unpack workers; values
 	// <= 1 pack serially on the calling goroutine. Parallel staging trades
 	// the per-peer trace spans for aggregate a2aw-pack/a2aw-unpack spans.
 	Parallelism int
-	// Pooled stages wire buffers through the process-wide buffer arena
-	// (GetBuffer/PutBuffer) instead of allocating per call.
-	Pooled bool
 	// ZeroCopy replaces the gather/scatter loops with single memmoves for
 	// regions that are contiguous in the local arrays.
 	ZeroCopy bool
@@ -309,7 +307,7 @@ type AlltoallwOptions struct {
 // explicit control (all ranks must pass equivalent options).
 func (c *Comm) Alltoallw(sendBuf []byte, sendTypes []datatype.Type, recvBuf []byte, recvTypes []datatype.Type) error {
 	return c.AlltoallwOpt(sendBuf, sendTypes, recvBuf, recvTypes,
-		AlltoallwOptions{Parallelism: 1, Pooled: true, ZeroCopy: true})
+		AlltoallwOptions{Parallelism: 1, ZeroCopy: true})
 }
 
 // AlltoallwOpt is Alltoallw with explicit staging options.
@@ -325,13 +323,6 @@ func (c *Comm) AlltoallwOpt(sendBuf []byte, sendTypes []datatype.Type, recvBuf [
 	if tel != nil {
 		collStart = time.Now()
 	}
-	stage := func(n int) []byte {
-		if opt.Pooled {
-			return GetBuffer(n)
-		}
-		return make([]byte, n)
-	}
-
 	// Graceful degradation under a deadline: peer-loss and timeout errors
 	// park the peer on the lost list instead of aborting the collective.
 	var dctx context.Context
@@ -378,12 +369,10 @@ func (c *Comm) AlltoallwOpt(sendBuf []byte, sendTypes []datatype.Type, recvBuf [
 		case opt.ZeroCopy && rOK:
 			sendTypes[c.rank].Pack(sendBuf, recvBuf[rOff:rOff+n])
 		default:
-			wire := stage(n)
+			wire := GetBuffer(n)
 			sendTypes[c.rank].Pack(sendBuf, wire)
 			recvTypes[c.rank].Unpack(wire, recvBuf)
-			if opt.Pooled {
-				PutBuffer(wire)
-			}
+			PutBuffer(wire)
 		}
 	}
 
@@ -412,7 +401,7 @@ func (c *Comm) AlltoallwOpt(sendBuf []byte, sendTypes []datatype.Type, recvBuf [
 		if tel != nil && par <= 1 {
 			peerStart = time.Now()
 		}
-		wire := stage(n)
+		wire := GetBuffer(n)
 		if off, _, ok := sendTypes[r].ContiguousSpan(); opt.ZeroCopy && ok {
 			copy(wire, sendBuf[off:off+n])
 		} else if par > 1 {

@@ -29,7 +29,7 @@ func TestScatterv(t *testing.T) {
 }
 
 func TestScattervValidation(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			if _, err := c.Scatterv(0, [][]byte{{1}}); err == nil {
 				return errors.New("short parts accepted")
@@ -43,7 +43,7 @@ func TestScattervValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = Run(1, func(c *Comm) error {
+	err = Launch(1, func(c *Comm) error {
 		if _, err := c.Scatterv(7, nil); err == nil {
 			return errors.New("bad root accepted")
 		}
@@ -91,7 +91,7 @@ func TestSendrecvRingShift(t *testing.T) {
 }
 
 func TestSendrecvSelf(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
+	err := Launch(1, func(c *Comm) error {
 		got, err := c.Sendrecv(0, 0, 9, []byte("self"))
 		if err != nil {
 			return err
@@ -107,7 +107,7 @@ func TestSendrecvSelf(t *testing.T) {
 }
 
 func TestDupIsolation(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		dup, err := c.Dup()
 		if err != nil {
 			return err

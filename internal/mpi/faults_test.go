@@ -43,10 +43,10 @@ func chaosPingPong(t *testing.T, inj FaultInjector) {
 		}
 		return nil
 	}
-	if err := RunChaos(2, inj, body); err != nil {
+	if err := Launch(2, body, WithFaultInjector(inj)); err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
-	if err := RunTCPChaos(2, DefaultTCPOptions(), inj, body); err != nil {
+	if err := Launch(2, body, WithTCPOptions(DefaultTCPOptions()), WithFaultInjector(inj)); err != nil {
 		t.Fatalf("tcp: %v", err)
 	}
 }
@@ -118,10 +118,10 @@ func TestChaosSeverFailsReceiver(t *testing.T) {
 		}
 		return nil
 	}
-	if err := RunChaos(2, inj, body); err != nil {
+	if err := Launch(2, body, WithFaultInjector(inj)); err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
-	if err := RunTCPChaos(2, DefaultTCPOptions(), inj, body); err != nil {
+	if err := Launch(2, body, WithTCPOptions(DefaultTCPOptions()), WithFaultInjector(inj)); err != nil {
 		t.Fatalf("tcp: %v", err)
 	}
 }
@@ -134,7 +134,7 @@ func TestChaosRetriesExhaustedSeversLink(t *testing.T) {
 		return Fault{Drop: src == 0 && dst == 1}
 	})
 	before := FaultStatsSnapshot()
-	err := RunChaos(2, inj, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return c.Send(1, 7, []byte("black hole"))
 		}
@@ -143,7 +143,7 @@ func TestChaosRetriesExhaustedSeversLink(t *testing.T) {
 			return fmt.Errorf("got %v, want ErrPeerLost", err)
 		}
 		return nil
-	})
+	}, WithFaultInjector(inj))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestChaosRetriesExhaustedSeversLink(t *testing.T) {
 // TestRecvCtxTimeout: a receive with an expiring context fails with
 // ErrExchangeTimeout instead of blocking forever.
 func TestRecvCtxTimeout(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		if c.Rank() != 0 {
 			return nil // never sends
 		}
@@ -180,7 +180,7 @@ func TestRecvCtxTimeout(t *testing.T) {
 // TestSendCtxExpired: a send under an already-expired context fails with
 // ErrExchangeTimeout without touching the wire.
 func TestSendCtxExpired(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		if c.Rank() != 0 {
 			return nil
 		}
@@ -212,7 +212,7 @@ func TestAlltoallwDeadlinePartial(t *testing.T) {
 		}
 		start := time.Now()
 		err := c.AlltoallwOpt(make([]byte, 12), send, make([]byte, 12), recv,
-			AlltoallwOptions{Pooled: true, Deadline: 300 * time.Millisecond})
+			AlltoallwOptions{Deadline: 300 * time.Millisecond})
 		var pe *PartialExchangeError
 		if !errors.As(err, &pe) {
 			return fmt.Errorf("got %v (%T), want *PartialExchangeError", err, err)
@@ -228,10 +228,10 @@ func TestAlltoallwDeadlinePartial(t *testing.T) {
 		}
 		return nil
 	}
-	if err := Run(3, body); err != nil {
+	if err := Launch(3, body); err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
-	if err := RunTCP(3, body); err != nil {
+	if err := Launch(3, body, WithTransport(TransportTCP)); err != nil {
 		t.Fatalf("tcp: %v", err)
 	}
 }
@@ -267,8 +267,8 @@ func TestChaosNoGoroutineLeaks(t *testing.T) {
 			}
 			return nil
 		}
-		RunChaos(3, inj, body)                         //nolint:errcheck // fault outcomes vary
-		RunTCPChaos(3, DefaultTCPOptions(), inj, body) //nolint:errcheck // fault outcomes vary
+		Launch(3, body, WithFaultInjector(inj))                                      //nolint:errcheck // fault outcomes vary
+		Launch(3, body, WithTCPOptions(DefaultTCPOptions()), WithFaultInjector(inj)) //nolint:errcheck // fault outcomes vary
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -27,7 +27,7 @@ func TestCollectivesRandomized(t *testing.T) {
 			}
 			return out
 		}
-		err := Run(n, func(c *Comm) error {
+		err := Launch(n, func(c *Comm) error {
 			mine := payload(c.Rank())
 
 			// Bcast: everyone must end with root's payload.
@@ -101,7 +101,7 @@ func TestManyConcurrentWorlds(t *testing.T) {
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
 		go func(w int) {
-			errs <- Run(3, func(c *Comm) error {
+			errs <- Launch(3, func(c *Comm) error {
 				sum, err := c.AllreduceInt64([]int64{int64(w)}, OpSum)
 				if err != nil {
 					return err
@@ -124,7 +124,7 @@ func TestManyConcurrentWorlds(t *testing.T) {
 // receives them in a different order.
 func TestInterleavedTagsStress(t *testing.T) {
 	const msgs = 200
-	err := Run(2, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			order := rand.New(rand.NewSource(7)).Perm(msgs)
 			for _, tag := range order {

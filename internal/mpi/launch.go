@@ -2,16 +2,15 @@ package mpi
 
 import "fmt"
 
-// Launch is the single entry point for running an n-rank world: it
-// replaces the Run / RunChaos / RunTCP / RunTCPOpts / RunTCPChaos family
-// with one call configured by functional options. The default is the
-// in-process transport with the process-wide fault injector (see
-// SetDefaultFaultInjector), i.e. exactly the old Run.
+// Launch is the single entry point for running an n-rank world,
+// configured by functional options. The default is the in-process
+// transport with the process-wide fault injector (see
+// SetDefaultFaultInjector).
 //
-//	mpi.Launch(8, body)                                          // Run
-//	mpi.Launch(8, body, mpi.WithFaultInjector(inj))              // RunChaos
-//	mpi.Launch(8, body, mpi.WithTransport(mpi.TransportTCP))     // RunTCP
-//	mpi.Launch(8, body, mpi.WithTCPOptions(opts))                // RunTCPOpts
+//	mpi.Launch(8, body)                                          // in-process
+//	mpi.Launch(8, body, mpi.WithFaultInjector(inj))              // explicit injector
+//	mpi.Launch(8, body, mpi.WithTransport(mpi.TransportTCP))     // loopback TCP
+//	mpi.Launch(8, body, mpi.WithTCPOptions(opts))                // TCP, tuned
 //	mpi.Launch(8, body, mpi.WithTransport(mpi.TransportShm))     // shm rings
 //	mpi.Launch(8, body, mpi.WithTransport(mpi.TransportShm),
 //	    mpi.WithTopology(func(rank int) int { return rank / 4 })) // two-level

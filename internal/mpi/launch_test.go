@@ -84,23 +84,3 @@ func TestLaunchInjectorPrecedence(t *testing.T) {
 		t.Fatal("default injector consulted despite explicit WithFaultInjector(nil)")
 	}
 }
-
-// TestLaunchDeprecatedWrappers keeps the five legacy entry points
-// working until external callers migrate.
-func TestLaunchDeprecatedWrappers(t *testing.T) {
-	if err := Run(3, launchRing(t)); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunChaos(3, nil, launchRing(t)); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunTCP(3, launchRing(t)); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunTCPOpts(3, DefaultTCPOptions(), launchRing(t)); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunTCPChaos(3, DefaultTCPOptions(), nil, launchRing(t)); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -747,20 +747,6 @@ func (t *inprocTransport) send(dst int, e envelope) error {
 
 func (t *inprocTransport) close() error { return nil }
 
-// Run executes body on n in-process ranks.
-//
-// Deprecated: use Launch(n, body).
-func Run(n int, body func(c *Comm) error) error {
-	return Launch(n, body)
-}
-
-// RunChaos is Run with an explicit fault injector.
-//
-// Deprecated: use Launch(n, body, WithFaultInjector(inj)).
-func RunChaos(n int, inj FaultInjector, body func(c *Comm) error) error {
-	return Launch(n, body, WithFaultInjector(inj))
-}
-
 // launchInProc runs body on n in-process ranks (one goroutine per rank)
 // and blocks until all return; see Launch for the contract. Each rank's
 // transport is wrapped with inj when non-nil.

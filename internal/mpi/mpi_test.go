@@ -8,14 +8,22 @@ import (
 	"testing"
 )
 
+// runInProc and runTCP give Launch the (n, body) shape the transport
+// tables and benchmarks pass around.
+func runInProc(n int, body func(c *Comm) error) error { return Launch(n, body) }
+
+func runTCP(n int, body func(c *Comm) error) error {
+	return Launch(n, body, WithTransport(TransportTCP))
+}
+
 // transports enumerates the two runtime flavours so every behaviour is
 // verified over shared memory and over real sockets.
 var transports = []struct {
 	name string
 	run  func(n int, body func(c *Comm) error) error
 }{
-	{"inproc", Run},
-	{"tcp", RunTCP},
+	{"inproc", runInProc},
+	{"tcp", runTCP},
 	{"shm", RunShm},
 	{"hier", func(n int, body func(c *Comm) error) error {
 		// Two ranks per node exercises every hierarchical leg (self, shm
@@ -36,10 +44,10 @@ func forEachTransport(t *testing.T, n int, body func(c *Comm) error) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if err := Run(0, func(*Comm) error { return nil }); err == nil {
+	if err := Launch(0, func(*Comm) error { return nil }); err == nil {
 		t.Error("world size 0 accepted")
 	}
-	if err := RunTCP(-1, func(*Comm) error { return nil }); err == nil {
+	if err := Launch(-1, func(*Comm) error { return nil }, WithTransport(TransportTCP)); err == nil {
 		t.Error("negative TCP world size accepted")
 	}
 }
@@ -168,7 +176,7 @@ func TestTagSelectivity(t *testing.T) {
 }
 
 func TestSendValidation(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
+	err := Launch(1, func(c *Comm) error {
 		if err := c.Send(5, 0, nil); err == nil {
 			return errors.New("out-of-range destination accepted")
 		}
@@ -319,7 +327,7 @@ func TestAllreduce(t *testing.T) {
 }
 
 func TestAllreduceInt64RangeGuard(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
+	err := Launch(1, func(c *Comm) error {
 		_, err := c.AllreduceInt64([]int64{1 << 60}, OpSum)
 		if err == nil {
 			return errors.New("out-of-range int64 accepted")
@@ -370,7 +378,7 @@ func TestRunPropagatesErrors(t *testing.T) {
 }
 
 func TestWorldRank(t *testing.T) {
-	err := Run(3, func(c *Comm) error {
+	err := Launch(3, func(c *Comm) error {
 		if c.WorldRank(c.Rank()) != c.Rank() {
 			return fmt.Errorf("world rank mismatch for %d", c.Rank())
 		}

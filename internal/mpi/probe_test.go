@@ -40,7 +40,7 @@ func TestProbeThenRecv(t *testing.T) {
 }
 
 func TestIprobe(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			// Nothing has been sent to rank 0 on tag 3 yet.
 			_, _, _, ok, err := c.Iprobe(1, 3)
@@ -81,7 +81,7 @@ func TestIprobe(t *testing.T) {
 }
 
 func TestProbeValidation(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
+	err := Launch(1, func(c *Comm) error {
 		if _, _, _, err := c.Probe(5, 0); err == nil {
 			return errors.New("bad source accepted")
 		}

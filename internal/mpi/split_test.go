@@ -41,7 +41,7 @@ func TestSplitGroupsAndRanks(t *testing.T) {
 }
 
 func TestSplitUndefinedColor(t *testing.T) {
-	err := Run(4, func(c *Comm) error {
+	err := Launch(4, func(c *Comm) error {
 		color := 0
 		if c.Rank() == 3 {
 			color = -1
@@ -69,7 +69,7 @@ func TestSplitUndefinedColor(t *testing.T) {
 func TestSplitContextIsolation(t *testing.T) {
 	// A message sent on the parent with tag T must not be received by a
 	// Recv on the child with the same tag, even between the same ranks.
-	err := Run(2, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		sub, err := c.Split(0, c.Rank())
 		if err != nil {
 			return err
@@ -102,7 +102,7 @@ func TestSplitContextIsolation(t *testing.T) {
 }
 
 func TestSplitTranslatesWorldRanks(t *testing.T) {
-	err := Run(4, func(c *Comm) error {
+	err := Launch(4, func(c *Comm) error {
 		sub, err := c.Split(c.Rank()/2, 0)
 		if err != nil {
 			return err
@@ -182,7 +182,7 @@ func TestAlltoallwE1(t *testing.T) {
 }
 
 func TestAlltoallwSizeMismatchDetected(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		send := []datatype.Type{datatype.Empty{}, datatype.Empty{}}
 		recv := []datatype.Type{datatype.Empty{}, datatype.Empty{}}
 		if c.Rank() == 0 {

@@ -1518,27 +1518,6 @@ func (d *frameDecoder) cleanup() {
 	}
 }
 
-// RunTCP executes body on n ranks over loopback TCP.
-//
-// Deprecated: use Launch(n, body, WithTransport(TransportTCP)).
-func RunTCP(n int, body func(c *Comm) error) error {
-	return Launch(n, body, WithTransport(TransportTCP))
-}
-
-// RunTCPOpts is RunTCP with explicit transport options.
-//
-// Deprecated: use Launch(n, body, WithTCPOptions(opts)).
-func RunTCPOpts(n int, opts TCPOptions, body func(c *Comm) error) error {
-	return Launch(n, body, WithTCPOptions(opts))
-}
-
-// RunTCPChaos is RunTCPOpts with an explicit fault injector.
-//
-// Deprecated: use Launch(n, body, WithTCPOptions(opts), WithFaultInjector(inj)).
-func RunTCPChaos(n int, opts TCPOptions, inj FaultInjector, body func(c *Comm) error) error {
-	return Launch(n, body, WithTCPOptions(opts), WithFaultInjector(inj))
-}
-
 // launchTCP runs body on n ranks, one goroutine per rank, with all
 // inter-rank traffic carried over loopback TCP sockets; see Launch for
 // the contract. It is the socket-transport twin of launchInProc and

@@ -24,7 +24,7 @@ func TestTCPSmallFrameStorm(t *testing.T) {
 		perPeer = 64
 		size    = 96
 	)
-	err := RunTCP(n, func(c *Comm) error {
+	err := Launch(n, func(c *Comm) error {
 		rank := c.Rank()
 		for peer := 0; peer < n; peer++ {
 			if peer == rank {
@@ -62,7 +62,7 @@ func TestTCPSmallFrameStorm(t *testing.T) {
 			}
 		}
 		return nil
-	})
+	}, WithTransport(TransportTCP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestTCPSmallFrameStorm(t *testing.T) {
 func TestTCPChunkedPayload(t *testing.T) {
 	opts := TCPOptions{ChunkThreshold: 64 << 10, ChunkSize: 16 << 10}
 	sizes := []int{64<<10 + 1, 200 << 10, 1 << 20}
-	err := RunTCPOpts(2, opts, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i, size := range sizes {
 				msg := make([]byte, size)
@@ -104,7 +104,7 @@ func TestTCPChunkedPayload(t *testing.T) {
 			PutBuffer(data)
 		}
 		return c.Send(0, 99, []byte{1})
-	})
+	}, WithTCPOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestTCPChunkedPayload(t *testing.T) {
 func TestTCPChunkOrdering(t *testing.T) {
 	opts := TCPOptions{ChunkThreshold: 32 << 10, ChunkSize: 4 << 10}
 	big := 512 << 10
-	err := RunTCPOpts(2, opts, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		const tag = 5
 		if c.Rank() == 0 {
 			msg := make([]byte, big)
@@ -152,7 +152,7 @@ func TestTCPChunkOrdering(t *testing.T) {
 			return fmt.Errorf("second Recv got %q", second)
 		}
 		return nil
-	})
+	}, WithTCPOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestTCPInterleavedChunkStreams(t *testing.T) {
 		small = 32
 	)
 	opts := TCPOptions{ChunkThreshold: 16 << 10, ChunkSize: 8 << 10}
-	err := RunTCPOpts(n, opts, func(c *Comm) error {
+	err := Launch(n, func(c *Comm) error {
 		rank := c.Rank()
 		var wg sync.WaitGroup
 		sendErr := make([]error, n)
@@ -231,7 +231,7 @@ func TestTCPInterleavedChunkStreams(t *testing.T) {
 			}
 		}
 		return nil
-	})
+	}, WithTCPOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestTCPBackpressureWarning(t *testing.T) {
 
 	opts := TCPOptions{SendQueueLen: 2, WriteBatch: 2}
 	var stats TCPStats
-	err := RunTCPOpts(2, opts, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < 512; i++ {
 				if err := c.Send(1, 0, make([]byte, 4096)); err != nil {
@@ -358,7 +358,7 @@ func TestTCPBackpressureWarning(t *testing.T) {
 			PutBuffer(data)
 		}
 		return nil
-	})
+	}, WithTCPOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestTCPFrameTooLarge(t *testing.T) {
 // frames per write under bursty load.
 func TestTCPStatsCoalescing(t *testing.T) {
 	var stats TCPStats
-	err := RunTCP(2, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < 256; i++ {
 				if err := c.Send(1, i, []byte("burst")); err != nil {
@@ -420,7 +420,7 @@ func TestTCPStatsCoalescing(t *testing.T) {
 			}
 		}
 		return c.Send(0, 0, []byte{1})
-	})
+	}, WithTransport(TransportTCP))
 	if err != nil {
 		t.Fatal(err)
 	}

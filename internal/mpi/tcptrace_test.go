@@ -21,7 +21,7 @@ func TestTCPSendqSaturationCounter(t *testing.T) {
 	opts := TCPOptions{SendQueueLen: 2, WriteBatch: 2}
 	var stats TCPStats
 	var counted int64
-	err := RunTCPOpts(2, opts, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			reg := obs.NewRegistry()
 			tel := NewTelemetry(reg, nil, 0)
@@ -45,7 +45,7 @@ func TestTCPSendqSaturationCounter(t *testing.T) {
 			PutBuffer(data)
 		}
 		return nil
-	})
+	}, WithTCPOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestTCPSendqSaturationCounter(t *testing.T) {
 func TestTCPTraceContextRoundTrip(t *testing.T) {
 	const exch = uint64(0xabcdef0123456789)
 	var flights [2]*obs.FlightRecorder
-	err := RunTCPOpts(2, TCPOptions{}, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		rank := c.Rank()
 		f := obs.NewFlightRecorder(256)
 		flights[rank] = f
@@ -83,7 +83,7 @@ func TestTCPTraceContextRoundTrip(t *testing.T) {
 		}
 		PutBuffer(data)
 		return nil
-	})
+	}, WithTCPOptions(TCPOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestTCPTraceContextChunked(t *testing.T) {
 	const exch = uint64(0x1122334455667788)
 	var recvFlight *obs.FlightRecorder
 	opts := TCPOptions{ChunkThreshold: 1 << 10, ChunkSize: 1 << 10}
-	err := RunTCPOpts(2, opts, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		rank := c.Rank()
 		if rank == 0 {
 			c.SetTraceContext(TraceContext{Exchange: exch, Round: 1})
@@ -140,7 +140,7 @@ func TestTCPTraceContextChunked(t *testing.T) {
 		}
 		PutBuffer(data)
 		return nil
-	})
+	}, WithTCPOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestTCPUntracedWireIdentical(t *testing.T) {
 	const size = 1024
 	run := func(traced bool) int64 {
 		var wireOut int64
-		err := RunTCPOpts(2, TCPOptions{}, func(c *Comm) error {
+		err := Launch(2, func(c *Comm) error {
 			if c.Rank() == 0 {
 				if traced {
 					c.SetTraceContext(TraceContext{Exchange: 0xbeef, Round: 0})
@@ -213,7 +213,7 @@ func TestTCPUntracedWireIdentical(t *testing.T) {
 				PutBuffer(data)
 			}
 			return c.Send(0, 1, []byte{1})
-		})
+		}, WithTCPOptions(TCPOptions{}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func TestTelemetryTCPAlltoallw(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := trace.NewRecorder()
 
-	err := RunTCP(n, func(c *Comm) error {
+	err := Launch(n, func(c *Comm) error {
 		c.AttachTelemetry(NewTelemetry(reg, rec, c.Rank()))
 		sendTypes := make([]datatype.Type, n)
 		recvTypes := make([]datatype.Type, n)
@@ -43,7 +43,7 @@ func TestTelemetryTCPAlltoallw(t *testing.T) {
 			return err
 		}
 		return c.Barrier()
-	})
+	}, WithTransport(TransportTCP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTelemetryTCPAlltoallw(t *testing.T) {
 // communicators, still attributed to the world rank.
 func TestTelemetrySharedAcrossSplit(t *testing.T) {
 	reg := obs.NewRegistry()
-	err := Run(4, func(c *Comm) error {
+	err := Launch(4, func(c *Comm) error {
 		c.AttachTelemetry(NewTelemetry(reg, nil, c.Rank()))
 		sub, err := c.Split(c.Rank()%2, c.Rank())
 		if err != nil {
@@ -176,7 +176,7 @@ func TestTelemetrySharedAcrossSplit(t *testing.T) {
 
 // Attaching no telemetry must keep the hot paths on the nil fast path.
 func TestTelemetryNilAttach(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		c.AttachTelemetry(nil)
 		if c.Rank() == 0 {
 			return c.Send(1, 1, []byte("x"))

@@ -16,7 +16,7 @@ func TestGatherTraceClockCorrection(t *testing.T) {
 	// Rank r's recorder runs ahead of rank 0's by skew[r].
 	skew := []time.Duration{0, 50 * time.Millisecond, -20 * time.Millisecond, 300 * time.Millisecond}
 	var got *MergedTrace
-	err := Run(n, func(c *Comm) error {
+	err := Launch(n, func(c *Comm) error {
 		rank := c.Rank()
 		rec := trace.NewRecorderAt(time.Now().Add(-skew[rank]))
 		// One span per rank, stamped "now" in the rank's own skewed
@@ -71,7 +71,7 @@ func TestGatherTraceSharedRecorder(t *testing.T) {
 	const n = 3
 	rec := trace.NewRecorder()
 	var got *MergedTrace
-	err := Run(n, func(c *Comm) error {
+	err := Launch(n, func(c *Comm) error {
 		rec.Add(trace.Event{Rank: c.Rank(), Name: "lane", Start: time.Duration(c.Rank()) * time.Microsecond})
 		if err := c.Barrier(); err != nil {
 			return err
@@ -104,7 +104,7 @@ func TestGatherTraceSharedRecorder(t *testing.T) {
 
 // A nil recorder participates in the collective and contributes nothing.
 func TestGatherTraceNilRecorder(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		merged, err := GatherTrace(c, nil)
 		if err != nil {
 			return err

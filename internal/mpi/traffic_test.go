@@ -35,7 +35,7 @@ func TestTrafficCountsP2P(t *testing.T) {
 }
 
 func TestTrafficSharedAcrossSplit(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
+	err := Launch(2, func(c *Comm) error {
 		sub, err := c.Split(0, c.Rank())
 		if err != nil {
 			return err
@@ -60,7 +60,7 @@ func TestTrafficSharedAcrossSplit(t *testing.T) {
 }
 
 func TestTrafficCollectivesCounted(t *testing.T) {
-	err := Run(4, func(c *Comm) error {
+	err := Launch(4, func(c *Comm) error {
 		c.ResetTraffic()
 		if _, err := c.Allgather(make([]byte, 10)); err != nil {
 			return err
@@ -127,7 +127,7 @@ func TestTrafficPerPeerMatrix(t *testing.T) {
 func TestCollectiveTrafficDecomposes(t *testing.T) {
 	const n = 4
 	stats := make([]TrafficStats, n)
-	err := Run(n, func(c *Comm) error {
+	err := Launch(n, func(c *Comm) error {
 		if _, err := c.Allgather(make([]byte, 32*(c.Rank()+1))); err != nil {
 			return err
 		}
