@@ -206,7 +206,8 @@ func BenchmarkFigure5Regrid(b *testing.B) {
 				box := grid.Box2(0, starts[p], w, starts[p+1]-starts[p])
 				own = append(own, core.Chunk{Box: box, Data: make([]byte, box.Volume()*4)})
 			}
-			_, err := core.Redistribute(c, core.Layout2D, core.Float32, own, squares[c.Rank()])
+			_, err := core.Redistribute(c, core.Layout2D, core.Float32, own, squares[c.Rank()],
+				core.WithExchangeMode(core.ModeAlltoallw)) // the paper's mechanism
 			return err
 		})
 		if err != nil {

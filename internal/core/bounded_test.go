@@ -278,6 +278,71 @@ func TestBoundedDifferentialSweep(t *testing.T) {
 	}
 }
 
+// TestStagingHandOffEveryTransport pins the executor's ownership hand-off
+// (mpi.SendOwned) on all four transports: a strided multi-round exchange
+// under a budget — roomy enough for the pipelined one-shot path, then
+// tight enough for the bounded backend — must land byte-identical, keep
+// its measured peak under the budget, and leave nothing charged to the
+// staging meter once the call returns: a wire's charge ends when it is
+// handed off, a lease's when its step retires.
+func TestStagingHandOffEveryTransport(t *testing.T) {
+	const procs, side, chunksPerRank = 4, 32, 3
+	ownAll, needAll := stripWorld(procs, side, chunksPerRank, true)
+	probe, err := NewPlanFromGeometry(0, 4, ownAll, needAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := probe.SingleShotFootprint(ModePointToPoint)
+	transports := []struct {
+		name string
+		opts []mpi.LaunchOption
+	}{
+		{"inproc", nil},
+		{"tcp", []mpi.LaunchOption{mpi.WithTransport(mpi.TransportTCP)}},
+		{"shm", []mpi.LaunchOption{mpi.WithTransport(mpi.TransportShm)}},
+		{"hier", []mpi.LaunchOption{mpi.WithTransport(mpi.TransportShm), mpi.WithTopology(mpi.NodesOf(procs, 2))}},
+	}
+	for _, tr := range transports {
+		for _, budget := range []int{3 * fp, fp / 2} {
+			t.Run(fmt.Sprintf("%s/budget%d", tr.name, budget), func(t *testing.T) {
+				err := mpi.Launch(procs, func(c *mpi.Comm) error {
+					rank := c.Rank()
+					d, err := NewDescriptor(procs, Layout2D, Float32, WithMemoryBudget(budget))
+					if err != nil {
+						return err
+					}
+					if err := d.SetupDataMapping(c, ownAll[rank], needAll[rank]); err != nil {
+						return err
+					}
+					if bounded := d.BoundedSteps() > 0; bounded != (budget < fp) {
+						return fmt.Errorf("rank %d: bounded backend = %v at budget %d, footprint %d", rank, bounded, budget, fp)
+					}
+					bufs := make([][]byte, len(ownAll[rank]))
+					for i, box := range ownAll[rank] {
+						bufs[i] = fillBox(box, 4)
+					}
+					dst := make([]byte, needAll[rank].Volume()*4)
+					for iter := 0; iter < 2; iter++ {
+						if err := d.ReorganizeData(c, bufs, dst); err != nil {
+							return err
+						}
+						if cur := d.ex.meter.Current(); cur != 0 {
+							return fmt.Errorf("rank %d: %d staging bytes still charged after the exchange", rank, cur)
+						}
+						if peak := d.LastPeakStaging(); peak <= 0 || peak > int64(budget) {
+							return fmt.Errorf("rank %d: peak staging %d, want in (0, %d]", rank, peak, budget)
+						}
+					}
+					return checkBox(dst, needAll[rank], 4, nil, 0)
+				}, tr.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
 // TestBoundedHarnessCatchesPlantedBug proves the differential harness
 // has teeth: a one-cell translation of a single receive slice
 // (PerturbBoundedForTest — the payload lands one cell from where it

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"ddr/internal/grid"
 	"ddr/internal/mpi"
@@ -77,6 +78,19 @@ func TestNewDescriptorValidation(t *testing.T) {
 	}
 	if _, err := NewDescriptor(4, Layout2D, Float32, WithElemSize(0)); err == nil {
 		t.Error("zero element size accepted")
+	}
+	// The reference collective is fail-fast: it has no degraded completion
+	// for a deadline to arm, in either option order.
+	for _, opts := range [][]Option{
+		{WithExchangeMode(ModeAlltoallw), WithExchangeDeadline(time.Second)},
+		{WithExchangeDeadline(time.Second), WithExchangeMode(ModeAlltoallw)},
+	} {
+		if _, err := NewDescriptor(4, Layout2D, Float32, opts...); !errors.Is(err, ErrDeadlineUnsupported) {
+			t.Errorf("ModeAlltoallw with a deadline: got %v, want ErrDeadlineUnsupported", err)
+		}
+	}
+	if _, err := NewDescriptor(4, Layout2D, Float32, WithExchangeDeadline(time.Second)); err != nil {
+		t.Errorf("default mode with a deadline rejected: %v", err)
 	}
 	d, err := NewDescriptor(4, Layout2D, Float32)
 	if err != nil {

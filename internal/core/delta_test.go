@@ -105,10 +105,11 @@ func runFullOracle(t *testing.T, oldNeeds, newNeeds []grid.Box, elemSize int) []
 	out := make([][]byte, n)
 	err := mpi.Launch(n, func(c *mpi.Comm) error {
 		r := c.Rank()
-		// One unpack worker: overlapping owners break the exclusive-
-		// ownership precondition that makes parallel scatters disjoint, and
-		// two workers writing the same (identical) bytes is still a race.
-		desc, err := NewDescriptor(n, Layout2D, Uint8, WithElemSize(elemSize), WithParallelism(1))
+		// The serial reference collective: overlapping owners break the
+		// exclusive-ownership precondition that makes the step executor's
+		// parallel scatters disjoint, and two workers writing the same
+		// (identical) bytes is still a race.
+		desc, err := NewDescriptor(n, Layout2D, Uint8, WithElemSize(elemSize), WithExchangeMode(ModeAlltoallw))
 		if err != nil {
 			return err
 		}

@@ -12,10 +12,16 @@
 //	desc.ReorganizeData(comm, ownedBuffers, neededBuffer) // per data arrival
 //
 // SetupDataMapping computes, from the geometry alone, which sub-boxes every
-// rank must exchange with every other rank and compiles them into rounds of
-// alltoallw exchanges (one round per owned chunk, as in the paper). The
-// mapping is reusable: when new data arrives in the same layout — the
-// "dynamic data" case — only ReorganizeData needs to run again.
+// rank must exchange with every other rank and compiles them into rounds
+// (one round per owned chunk, as in the paper). The mapping is reusable:
+// when new data arrives in the same layout — the "dynamic data" case —
+// only ReorganizeData needs to run again.
+//
+// ReorganizeData moves each round as direct sends and receives between the
+// ranks that share data, run by the step executor (exec.go). The paper's
+// own mechanism, one alltoallw collective per round, is kept behind
+// WithExchangeMode(ModeAlltoallw) as the reference the tests and the
+// paper-reproduction experiments compare against.
 package core
 
 import (
@@ -103,28 +109,31 @@ func (t ElemType) String() string {
 type ExchangeMode int
 
 const (
-	// ModeAlltoallw drives one alltoallw collective per round, the
-	// mechanism the paper implements.
-	ModeAlltoallw ExchangeMode = iota
-	// ModePointToPoint replaces each collective with direct non-blocking
-	// sends and receives between the ranks that actually share data — the
+	// ModePointToPoint, the default, moves each round as direct sends and
+	// receives between the ranks that actually share data — the
 	// optimization the paper proposes as future work for sparse mappings.
-	ModePointToPoint
+	ModePointToPoint ExchangeMode = iota
 	// ModePointToPointFused goes one step further: all rounds are fused
 	// into a single message per peer pair, trading the per-round latency
 	// of many-chunk layouts (the paper's round-robin case pays one
 	// collective per chunk) for one exchange phase.
 	ModePointToPointFused
+	// ModeAlltoallw drives one alltoallw collective per round, the
+	// mechanism the paper implements. It is the reference the other modes
+	// are tested against and the experiments reproduce the paper with:
+	// serial, fail-fast (no WithExchangeDeadline), and it reports no
+	// pack/wire/unpack split.
+	ModeAlltoallw
 )
 
 func (m ExchangeMode) String() string {
 	switch m {
-	case ModePointToPoint:
-		return "point-to-point"
 	case ModePointToPointFused:
 		return "point-to-point-fused"
-	default:
+	case ModeAlltoallw:
 		return "alltoallw"
+	default:
+		return "point-to-point"
 	}
 }
 
@@ -179,8 +188,8 @@ type Descriptor struct {
 	needBuf         [1][]byte
 	lastPeakStaging int64
 
-	// Dense alltoallw rows, materialized per round from the plan's sparse
-	// tables (the collective's wire format wants one slot per peer).
+	// Dense rows of ModeAlltoallw, materialized per round from the plan's
+	// sparse tables (the collective's wire format wants one slot per peer).
 	// Allocated once per descriptor and reset to the Empty sentinel after
 	// each call, so the steady state allocates nothing.
 	rowSend, rowRecv []datatype.Type
@@ -277,7 +286,7 @@ func (d *Descriptor) buildObs(rank int) {
 // Option configures a Descriptor.
 type Option func(*Descriptor)
 
-// WithExchangeMode selects the wire mechanism (default ModeAlltoallw).
+// WithExchangeMode selects the wire mechanism (default ModePointToPoint).
 func WithExchangeMode(m ExchangeMode) Option {
 	return func(d *Descriptor) { d.mode = m }
 }
@@ -321,7 +330,8 @@ func WithValidation() Option {
 // call returns a *PartialError naming the lost peers and the need-box
 // regions their data would have filled. Zero (the default) keeps the
 // historical behaviour — the exchange waits indefinitely and aborts on
-// the first transport error.
+// the first transport error. ModeAlltoallw is fail-fast by definition:
+// NewDescriptor rejects the combination with ErrDeadlineUnsupported.
 func WithExchangeDeadline(dl time.Duration) Option {
 	return func(d *Descriptor) { d.deadline = dl }
 }
@@ -339,7 +349,7 @@ const DefaultPipelineDepth = 2
 // Depth 1 restores strictly serial rounds. The effective depth of an
 // exchange is additionally clamped by the plan's round (or step) count
 // and — when WithMemoryBudget is set — by the budget, so k-deep staging
-// never exceeds it; single-round geometries and the alltoallw and fused
+// never exceeds it; single-round geometries and the fused and alltoallw
 // modes always run serially. Results are byte-identical at every depth.
 func WithPipelineDepth(k int) Option {
 	return func(d *Descriptor) { d.depth = k }
@@ -353,14 +363,6 @@ func WithElemSize(n int) Option {
 		d.elemSize = n
 		d.elemSizeSet = true
 	}
-}
-
-// WithParallelism sets the number of worker goroutines the descriptor's
-// pack/unpack engine uses per exchange phase (default GOMAXPROCS; n <= 0
-// restores the default). Workers pack distinct peers' regions
-// concurrently; 1 packs serially on the calling goroutine.
-func WithParallelism(n int) Option {
-	return func(d *Descriptor) { d.ex.eng.par = n }
 }
 
 // WithPlanCache sets the capacity of the descriptor's plan cache
@@ -398,6 +400,9 @@ func NewDescriptor(nProcs int, layout Layout, elem ElemType, opts ...Option) (*D
 	d.ex.metered = d.budget > 0
 	if d.depth < 1 {
 		return nil, fmt.Errorf("core: pipeline depth %d must be at least 1", d.depth)
+	}
+	if d.mode == ModeAlltoallw && d.deadline > 0 {
+		return nil, fmt.Errorf("core: ModeAlltoallw with a %v exchange deadline: %w", d.deadline, ErrDeadlineUnsupported)
 	}
 	if d.cacheCap > 0 {
 		d.cache = newPlanCache[*Plan](d.cacheCap)

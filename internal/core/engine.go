@@ -63,7 +63,7 @@ func (j *exchJob) do(o *exchObs) {
 // descriptor's worker pool. The job slice is reused across calls, so the
 // steady state adds nothing to the garbage collector.
 type engine struct {
-	par  int // worker count; <= 0 means GOMAXPROCS
+	par  int // worker count; 0, the value outside tests, means GOMAXPROCS
 	jobs []exchJob
 }
 

@@ -15,6 +15,10 @@ import (
 	"ddr/internal/obs"
 )
 
+// withPar pins the pack/unpack pool width. No exported option does: outside
+// tests the engine always sizes the pool min(GOMAXPROCS, jobs).
+func withPar(n int) Option { return func(d *Descriptor) { d.ex.eng.par = n } }
+
 // engineWorld runs one redistribution of the given geometry and verifies
 // every rank's need buffer holds the canonical pattern.
 func engineWorld(t *testing.T, n int, mode ExchangeMode, elemSize int, ownAll [][]grid.Box, needAll []grid.Box, opts ...Option) {
@@ -78,7 +82,7 @@ func TestWorkerPoolSizes(t *testing.T) {
 				name := fmt.Sprintf("par%d/%v/columns=%v", par, mode, columns)
 				t.Run(name, func(t *testing.T) {
 					ownAll, needAll := stripWorld(4, 32, 2, columns)
-					engineWorld(t, 4, mode, 4, ownAll, needAll, WithParallelism(par))
+					engineWorld(t, 4, mode, 4, ownAll, needAll, withPar(par))
 				})
 			}
 		}
@@ -377,7 +381,7 @@ func BenchmarkReorganizeEngine(b *testing.B) {
 		name string
 		opts []Option
 	}{
-		{"pooled", []Option{WithParallelism(1), WithPackStrategy(StrategyDatatype)}},
+		{"pooled", []Option{withPar(1), WithPackStrategy(StrategyDatatype)}},
 		{"parallel", []Option{WithPackStrategy(StrategyDatatype)}},
 		{"zerocopy", nil},
 	}

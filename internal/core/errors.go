@@ -19,6 +19,10 @@ var (
 	// ErrBufferSize reports owned or need buffers whose count or byte
 	// length disagrees with the registered geometry.
 	ErrBufferSize = errors.New("buffer size mismatch")
+	// ErrDeadlineUnsupported reports WithExchangeDeadline combined with
+	// ModeAlltoallw: the collective waits for every peer and has no
+	// partial completion to degrade to.
+	ErrDeadlineUnsupported = errors.New("exchange deadline needs a point-to-point mode")
 )
 
 // PartialError reports a ReorganizeData exchange that completed for every

@@ -21,8 +21,9 @@ import (
 // runs one: it owns the transport calls, staging, deadline and lost-peer
 // handling, trace stamps, round timings and abort cleanup. The backends
 // are compilers that emit []step (steps.go, bounded.go, delta.go,
-// multi.go); ModeAlltoallw alone keeps its own round loop, because it is
-// the paper-fidelity oracle the differential tests compare this against.
+// multi.go). ModeAlltoallw alone keeps its own round loop
+// (reorganize.go), because it is the paper-fidelity oracle the
+// differential tests compare this against.
 //
 // A serial exchange runs each step as issue → wait → retire, so the wire
 // time of every step is pure blocking. With pipeline depth k ≥ 2 the same
@@ -63,16 +64,18 @@ import (
 // window drains.
 //
 // Buffer lease lifecycle (the memory-budget interaction): when a budget
-// is set, all staging is metered. Pack buffers are charged while held —
-// sends copy eagerly, so they recycle before the step's wire time even
-// starts — and step r's receive payload classes are leased at issue time
-// and released when the step retires, so the meter's high-water mark
-// bounds the whole in-flight window: k receive leases plus the current
-// step's send staging while packing, or k+1 leases (and no pack staging)
-// in the instant between issue(r) and retire(r-k). Both are at most k+1
-// per-step footprints, which is exactly what pipelineDepth clamps to the
-// budget; at depth 1 the pack staging and the single lease never
-// coexist, so one footprint suffices.
+// is set, all staging is metered. Pack buffers are charged while held:
+// each is handed to the transport by ownership (mpi.SendOwned), which ends
+// its charge before the step's wire time even starts — from then on the
+// payload is covered by the receiving rank's lease. Step r's receive
+// payload classes are leased at issue time and released when the step
+// retires, so the meter's high-water mark bounds the whole in-flight
+// window: k receive leases plus the current step's send staging while
+// packing, or k+1 leases (and no pack staging) in the instant between
+// issue(r) and retire(r-k). Both are at most k+1 per-step footprints,
+// which is exactly what pipelineDepth clamps to the budget; at depth 1 the
+// pack staging and the single lease never coexist, so one footprint
+// suffices.
 
 // seg is one box-shaped region of a message, addressed in a local buffer.
 type seg struct {
@@ -167,9 +170,8 @@ type executor struct {
 	// on hosts without a fast clock source time.Now dominated short steps.
 	clock time.Time
 
-	wires  [][]byte // per-send outgoing wire (staged or zero-copy alias)
-	staged [][]byte // staged wires to recycle once sent
-	slots  []slot
+	wires [][]byte // per-send outgoing wire (staged or zero-copy alias)
+	slots []slot
 }
 
 // exchange is one run's environment: who to talk to and how failure and
@@ -229,18 +231,15 @@ func (x *executor) run(ex *exchange, steps []step, k int, own, need [][]byte) er
 			waited++
 		}
 		if err != nil {
-			// Release whatever the ring and the failed issue still hold.
-			// Outstanding receive requests are left to the transport: a
-			// hard error ends the communicator's DDR use. (An explicit loop
-			// rather than a defer — a deferred closure over the ring escapes
-			// and would cost the steady state an allocation per exchange.)
+			// Release whatever the ring still holds (a failed issue has
+			// already let go of its staging). Outstanding receive requests
+			// are left to the transport: a hard error ends the communicator's
+			// DDR use. (An explicit loop rather than a defer — a deferred
+			// closure over the ring escapes and would cost the steady state
+			// an allocation per exchange.)
 			for i := range x.slots {
 				x.slots[i].release()
 			}
-			for _, w := range x.staged {
-				x.unstage(w)
-			}
-			x.staged = x.staged[:0]
 			return err
 		}
 	}
@@ -285,6 +284,12 @@ func (x *executor) unstage(b []byte) {
 	mpi.PutBuffer(b)
 }
 
+// aliased reports whether m goes out as a sub-slice of the owned buffer
+// it is one contiguous region of, with no staging.
+func (x *executor) aliased(m *message) bool {
+	return len(m.segs) == 1 && x.zcSend && m.segs[0].span.ok
+}
+
 // selfMove places one local region without touching the transport. One
 // contiguous side is enough to drop the staging buffer; two reduce the
 // move to a single memmove.
@@ -325,12 +330,13 @@ func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][
 	// contiguous segs of a multi-seg message by memmove, strided ones
 	// through the engine. All of the step's staging is held at once — that
 	// simultaneity is what the footprint models budget.
-	x.wires, x.staged = x.wires[:0], x.staged[:0]
+	x.wires = x.wires[:0]
 	s.bytes = 0
 	for i := range st.sends {
 		m := &st.sends[i]
 		s.bytes += int64(m.bytes)
-		if sg := &m.segs[0]; len(m.segs) == 1 && x.zcSend && sg.span.ok {
+		if x.aliased(m) {
+			sg := &m.segs[0]
 			x.wires = append(x.wires, own[sg.buf][sg.span.off:sg.span.off+m.bytes])
 			continue
 		}
@@ -347,30 +353,43 @@ func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][
 			off += n
 		}
 		x.wires = append(x.wires, wire)
-		x.staged = append(x.staged, wire)
 	}
 	x.eng.run(ex.o)
+
+	// Post phase. A staged wire is handed to the transport by ownership —
+	// no second copy, and in process the receiver unpacks the very buffer
+	// packed above — so its charge ends here: the peer's receive lease
+	// already covers the payload. After a hard error, and for peers given
+	// up on, the remaining staged wires go back to the arena instead.
+	var failed error
 	for i := range st.sends {
-		m := &st.sends[i]
-		if ex.ps.isLost(m.peer) {
+		m, wire := &st.sends[i], x.wires[i]
+		staged := !x.aliased(m)
+		if failed != nil || ex.ps.isLost(m.peer) {
+			if staged {
+				x.unstage(wire)
+			}
 			continue
 		}
 		var err error
-		if ex.ctx == nil {
-			err = ex.c.Send(m.peer, m.tag, x.wires[i])
-		} else {
-			// Context-bound sends always copy eagerly, so the staging
-			// recycle below stays unconditional.
-			err = ex.c.SendCtx(ex.ctx, m.peer, m.tag, x.wires[i])
+		switch {
+		case staged:
+			if x.metered {
+				x.meter.Release(cap(wire))
+			}
+			err = ex.c.SendOwned(ex.ctx, m.peer, m.tag, wire)
+		case ex.ctx == nil:
+			err = ex.c.Send(m.peer, m.tag, wire)
+		default:
+			err = ex.c.SendCtx(ex.ctx, m.peer, m.tag, wire)
 		}
 		if err != nil && !ex.ps.degrade(m.peer, idx, err) {
-			return err
+			failed = err
 		}
 	}
-	for _, w := range x.staged {
-		x.unstage(w)
+	if failed != nil {
+		return failed
 	}
-	x.staged = x.staged[:0]
 
 	s.step = idx
 	s.datas, s.jobs, s.reqs = s.datas[:0], s.jobs[:0], s.reqs[:0]

@@ -28,8 +28,9 @@ import (
 // Wire + Unpack; a pipelined round only pays the part of the wire span
 // it actually blocked on (Duration = Pack + blocked + Unpack), which is
 // what makes overlap efficiency computable from timings alone — see
-// OverlapRatio. Alltoallw rounds delegate the whole phase to the
-// collective and leave the sub-durations zero.
+// OverlapRatio. Every step-executor path — the default mode, fused,
+// bounded, delta — fills the sub-durations; only ModeAlltoallw, which
+// delegates the whole phase to the reference collective, leaves them zero.
 type RoundTiming struct {
 	Round     int
 	Duration  time.Duration
@@ -96,26 +97,6 @@ const ddrTagBase = 1 << 20
 // data exchange (tags >= ExchangeTagBase) while sparing the mapping
 // collectives and application control traffic.
 const ExchangeTagBase = ddrTagBase
-
-// absorb folds a round-level error into the partial state: a
-// *mpi.PartialExchangeError (alltoallw mode's degraded result) merges its
-// lost-peer set and the round is considered survived.
-func (ps *partialState) absorb(round int, err error) bool {
-	if ps == nil {
-		return false
-	}
-	var pe *mpi.PartialExchangeError
-	if !errors.As(err, &pe) {
-		return false
-	}
-	for _, r := range pe.LostPeers {
-		ps.markLost(r, round)
-	}
-	if ps.cause == nil {
-		ps.cause = pe.Cause
-	}
-	return true
-}
 
 // ReorganizeData exchanges the data between ranks according to the plan
 // compiled by SetupDataMapping. own holds one buffer per owned chunk, in
@@ -213,7 +194,7 @@ func (d *Descriptor) ReorganizeDataCtx(ctx context.Context, c *mpi.Comm, own [][
 			d.lastPeakStaging = d.ex.meter.Peak()
 		}
 	} else {
-		err = d.alltoallwRounds(ctx, c, own, need, ps, exch, traced)
+		err = d.alltoallwRounds(ctx, c, own, need, exch, traced)
 	}
 	if err != nil {
 		return fmt.Errorf("core: exchange: %w", err)
@@ -227,11 +208,6 @@ func (d *Descriptor) ReorganizeDataCtx(ctx context.Context, c *mpi.Comm, own [][
 			o.boundedSteps.Add(int64(b.steps))
 			o.boundedPeak.SetMax(d.lastPeakStaging)
 		}
-	}
-	if ps != nil && len(ps.lost) > 0 && !stepped {
-		// The oracle loop has no step list of its own; the lost rounds'
-		// regions are those of the round steps it is the reference for.
-		steps = p.roundSteps()
 	}
 	err = partialError(ps, steps)
 	if d.flight != nil {
@@ -260,10 +236,10 @@ func (d *Descriptor) schedule(p *Plan) (steps []step, k int, stepped bool) {
 		return p.bounded.sched, d.pipelineDepth(p, p.bounded.steps, p.bounded.peak), true
 	case d.mode == ModePointToPointFused:
 		return p.fusedSteps(), 1, true
-	case d.mode == ModePointToPoint:
-		return p.roundSteps(), d.pipelineDepth(p, p.rounds, 0), true
+	case d.mode == ModeAlltoallw:
+		return nil, 1, false
 	}
-	return nil, 1, false
+	return p.roundSteps(), d.pipelineDepth(p, p.rounds, 0), true
 }
 
 // pipelineDepth resolves the depth an exchange may run at: the
@@ -299,32 +275,14 @@ func (d *Descriptor) pipelineDepth(p *Plan, steps, perStep int) int {
 // alltoallwRounds is the paper's mechanism and the oracle the step
 // executor is tested against: one alltoallw collective per round, the
 // whole pack/wire/unpack phase delegated to it (so the timings' sub-
-// durations stay zero).
-func (d *Descriptor) alltoallwRounds(ctx context.Context, c *mpi.Comm, own [][]byte, need []byte, ps *partialState, exch uint64, traced bool) error {
+// durations stay zero). It is fail-fast: a cancelled ctx stops it between
+// rounds, any transport error aborts it.
+func (d *Descriptor) alltoallwRounds(ctx context.Context, c *mpi.Comm, own [][]byte, need []byte, exch uint64, traced bool) error {
 	p, o := d.plan, d.obsv
 	d.ex.timings = d.ex.timings[:0]
 	for r := 0; r < p.rounds; r++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				if ps == nil || (ps.uctx != nil && ps.uctx.Err() != nil) {
-					return err
-				}
-				// The exchange deadline is spent: give up on every peer
-				// still owed data in the remaining rounds and report what
-				// landed rather than abort with the buffer state unknown.
-				for rr := r; rr < p.rounds; rr++ {
-					for i := p.recvE.off[rr]; i < p.recvE.off[rr+1]; i++ {
-						if peer := p.recvE.peers[i]; peer != p.rank {
-							ps.markLost(peer, rr)
-						}
-					}
-				}
-				if ps.cause == nil {
-					ps.cause = fmt.Errorf("core: exchange deadline %v exhausted after round %d: %w",
-						d.deadline, r, mpi.ErrExchangeTimeout)
-				}
-				break
-			}
+		if ctx != nil && ctx.Err() != nil {
+			return ctx.Err()
 		}
 		var sendBuf []byte
 		if r < len(own) {
@@ -336,17 +294,13 @@ func (d *Descriptor) alltoallwRounds(ctx context.Context, c *mpi.Comm, own [][]b
 		}
 		start := time.Now()
 		rowSend, rowRecv := d.alltoallwRows(p, r)
-		err := c.AlltoallwOpt(sendBuf, rowSend, need, rowRecv, mpi.AlltoallwOptions{
-			Parallelism: d.parallelism(),
-			ZeroCopy:    d.ex.zcSend && d.ex.zcRecv,
-			Deadline:    d.deadline,
-		})
+		err := c.Alltoallw(sendBuf, rowSend, need, rowRecv)
 		d.resetAlltoallwRows(p, r)
 		if o.tracing() {
 			o.rec.StampSpan(trace.Event{Rank: o.rank, Name: fmt.Sprintf("round-%d", r),
 				Bytes: roundBytes, Exchange: exch, Round: int32(r), Peer: -1}, start, time.Now())
 		}
-		if err != nil && !ps.absorb(r, err) {
+		if err != nil {
 			return fmt.Errorf("round %d: %w", r, err)
 		}
 		elapsed := time.Since(start)

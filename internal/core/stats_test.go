@@ -101,8 +101,8 @@ func TestExchangeModesAgree(t *testing.T) {
 		opts []Option
 	}{
 		{"default", nil},
-		{"staged", []Option{WithParallelism(1), WithPackStrategy(StrategyDatatype)}},
-		{"par2", []Option{WithParallelism(2)}},
+		{"staged", []Option{withPar(1), WithPackStrategy(StrategyDatatype)}},
+		{"par2", []Option{withPar(2)}},
 	}
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 500))

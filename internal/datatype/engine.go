@@ -6,46 +6,14 @@ import (
 	"sync/atomic"
 )
 
-// CopyJob is one pack or unpack operation between a strided local array
-// and a contiguous wire buffer. Jobs for distinct peers address disjoint
-// regions (packs read immutable sources; unpacks write disjoint
-// destinations under DDR's exclusive-ownership precondition), so a batch
-// of jobs may execute in any order and concurrently.
-type CopyJob struct {
-	T     Type
-	Local []byte // the strided local array
-	Wire  []byte // the contiguous wire buffer
-	// Unpack selects the direction: false packs Local into Wire, true
-	// scatters Wire into Local.
-	Unpack bool
-}
-
-// Do executes the copy.
-func (j *CopyJob) Do() {
-	if j.Unpack {
-		j.T.Unpack(j.Wire, j.Local)
-	} else {
-		j.T.Pack(j.Local, j.Wire)
-	}
-}
-
-// RunJobs executes the jobs with up to par concurrent workers. par <= 0
-// means runtime.GOMAXPROCS(0); par == 1 (or a single job) runs inline on
-// the calling goroutine with no synchronization. Workers claim jobs from
-// a shared atomic cursor, so imbalanced job sizes still spread across the
-// pool.
-func RunJobs(jobs []CopyJob, par int) {
-	ForkJoin(len(jobs), par, func(i int) { jobs[i].Do() })
-}
-
 // ForkJoin runs f(0..n-1) with up to par concurrent workers and returns
-// when every call has completed — the fork-join engine behind RunJobs,
-// exposed so other fixed-size batches of independent work (plan
-// compilation, contiguity analysis) share one scheduling idiom. par <= 0
-// means runtime.GOMAXPROCS(0); par == 1 (or n == 1) runs inline on the
-// calling goroutine with no synchronization. Workers claim indices from a
-// shared atomic cursor, so imbalanced item costs still spread across the
-// pool. Calls of f must be independent: they may run in any order and
+// when every call has completed — the scheduling idiom the plan compiler's
+// fixed-size batches of independent work (datatype construction,
+// rank-per-worker schedule compiles) share. par <= 0 means
+// runtime.GOMAXPROCS(0); par == 1 (or n == 1) runs inline on the calling
+// goroutine with no synchronization. Workers claim indices from a shared
+// atomic cursor, so imbalanced item costs still spread across the pool.
+// Calls of f must be independent: they may run in any order and
 // concurrently.
 func ForkJoin(n, par int, f func(i int)) {
 	if n == 0 {

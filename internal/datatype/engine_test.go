@@ -107,44 +107,38 @@ func TestContiguousSpanKnownCases(t *testing.T) {
 	}
 }
 
-// TestRunJobs verifies the fork-join runner matches serial execution for
-// every pool size, with jobs of uneven size in both directions.
-func TestRunJobs(t *testing.T) {
+// TestForkJoin verifies the fork-join runner matches serial execution for
+// every pool size, with items of uneven size.
+func TestForkJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	array := grid.Box2(0, 0, 64, 64)
 	local := make([]byte, array.Volume())
 	for i := range local {
 		local[i] = byte(rng.Intn(256))
 	}
-	var jobs []CopyJob
-	var wires [][]byte
+	var types []*Subarray
+	var wires, serial [][]byte
 	for i := 0; i < 13; i++ {
-		sub := grid.RandomBoxIn(rng, array)
-		s, err := NewSubarray(1, array, sub)
+		s, err := NewSubarray(1, array, grid.RandomBoxIn(rng, array))
 		if err != nil {
 			t.Fatal(err)
 		}
 		w := make([]byte, s.PackedSize())
-		wires = append(wires, w)
-		jobs = append(jobs, CopyJob{T: s, Local: local, Wire: w})
-	}
-	serial := make([][]byte, len(jobs))
-	for i := range jobs {
-		jobs[i].Do()
-		serial[i] = append([]byte(nil), wires[i]...)
+		s.Pack(local, w)
+		types = append(types, s)
+		serial = append(serial, w)
+		wires = append(wires, make([]byte, len(w)))
 	}
 	for _, par := range []int{0, 1, 2, 8, 100} {
 		for i := range wires {
-			for j := range wires[i] {
-				wires[i][j] = 0
-			}
+			clear(wires[i])
 		}
-		RunJobs(jobs, par)
+		ForkJoin(len(types), par, func(i int) { types[i].Pack(local, wires[i]) })
 		for i := range wires {
 			if !bytes.Equal(wires[i], serial[i]) {
-				t.Fatalf("par %d: job %d output differs from serial", par, i)
+				t.Fatalf("par %d: item %d output differs from serial", par, i)
 			}
 		}
 	}
-	RunJobs(nil, 4) // empty batch is a no-op
+	ForkJoin(0, 4, func(int) { t.Error("empty batch ran an item") })
 }

@@ -68,7 +68,8 @@ func ConvertStackToBOV(c *mpi.Comm, info tiff.StackInfo, outPath string) (*Conve
 	readTime := time.Since(start)
 
 	start = time.Now()
-	desc, err := core.NewDescriptor(c.Size(), core.Layout3D, core.Uint8, core.WithElemSize(bps))
+	desc, err := core.NewDescriptor(c.Size(), core.Layout3D, core.Uint8, core.WithElemSize(bps),
+		core.WithExchangeMode(core.ModeAlltoallw)) // the paper's mechanism, as in LoadStackDDR
 	if err != nil {
 		return nil, err
 	}

@@ -102,7 +102,8 @@ func RunRestartStudy(path string, writeProcs, readProcs int, h bov.Header) (*Res
 		if err != nil {
 			return err
 		}
-		desc, err := core.NewDescriptor(c.Size(), core.Layout3D, core.Uint8, core.WithElemSize(1))
+		desc, err := core.NewDescriptor(c.Size(), core.Layout3D, core.Uint8, core.WithElemSize(1),
+			core.WithExchangeMode(core.ModeAlltoallw)) // the paper's mechanism
 		if err != nil {
 			return err
 		}

@@ -55,7 +55,7 @@ func TestInTransitTelemetry(t *testing.T) {
 			}
 		}
 		exch := tel.Metrics.Histogram("ddr_exchange_seconds", "", nil,
-			obs.RankLabel(r), obs.Label{Key: "mode", Value: "alltoallw"})
+			obs.RankLabel(r), obs.Label{Key: "mode", Value: "point-to-point"})
 		if exch.Count() != 3 {
 			t.Errorf("consumer %d exchanges = %d, want 3", r, exch.Count())
 		}

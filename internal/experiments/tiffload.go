@@ -112,7 +112,9 @@ func LoadStackDDR(c *mpi.Comm, info tiff.StackInfo, tech Technique) (*LoadResult
 	res.ReadTime = time.Since(start)
 
 	elem := core.Uint8
-	desc, err := core.NewDescriptor(c.Size(), core.Layout3D, elem, core.WithElemSize(bps))
+	// Table II times the paper's mechanism: one alltoallw per chunk.
+	desc, err := core.NewDescriptor(c.Size(), core.Layout3D, elem, core.WithElemSize(bps),
+		core.WithExchangeMode(core.ModeAlltoallw))
 	if err != nil {
 		return nil, err
 	}

@@ -134,8 +134,7 @@ func benchLarge(b *testing.B, run func(int, func(*Comm) error) error, size int) 
 // BenchmarkTCPExchange measures the socket transport on the two traffic
 // shapes that dominate multi-process redistributions — a 16-rank storm
 // of small frames and a 64 MiB bulk payload — with the in-process
-// channel transport as the reference. make bench-json records the
-// results in BENCH_tcp.json so the transport's trajectory stays visible.
+// channel transport as the reference.
 func BenchmarkTCPExchange(b *testing.B) {
 	runNoChunk := func(n int, body func(*Comm) error) error {
 		return Launch(n, body, WithTCPOptions(TCPOptions{ChunkThreshold: -1}))
@@ -214,9 +213,8 @@ func BenchmarkCollectives(b *testing.B) {
 // BenchmarkShmExchange measures the shared-memory transport on the same
 // two traffic shapes as BenchmarkTCPExchange — the 16-rank small-frame
 // storm and the 64 MiB bulk payload — against the TCP-loopback and
-// in-process channel transports. make bench-shm records the results in
-// BENCH_shm.json; the acceptance bar is shm at >= 3x TCP loopback on
-// the 64 MiB payload.
+// in-process channel transports. The acceptance bar when the transport
+// landed was shm at >= 3x TCP loopback on the 64 MiB payload.
 func BenchmarkShmExchange(b *testing.B) {
 	b.Run("storm/16ranks/4KiB/shm", func(b *testing.B) {
 		benchStorm(b, RunShm, 16, 4, 4096)

@@ -13,6 +13,10 @@
 //     large messages on a zero-copy transport) block until the payload is
 //     written, so a staging buffer may be recycled as soon as the call
 //     returns.
+//   - Comm.SendOwned takes the buffer itself: the transport — in process,
+//     the receiver — owns it from the call on, and the sender neither
+//     touches nor recycles it again. A metered sender releases the charge
+//     as it hands the buffer off.
 //   - Message payloads returned by Recv/Wait are owned by the receiver;
 //     a receiver that is finished with a payload may PutBuffer it (the
 //     exchange engine does), but must not if any alias is retained.

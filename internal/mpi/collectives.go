@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -9,14 +8,6 @@ import (
 
 	"ddr/internal/datatype"
 )
-
-// ctxDone projects a possibly-nil context onto an envelope cancel channel.
-func ctxDone(ctx context.Context) <-chan struct{} {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Done()
-}
 
 // nextCollTag returns the reserved (negative) tag for the next collective
 // operation on this communicator. Collectives must be invoked by all
@@ -275,27 +266,6 @@ func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
 	return recv, nil
 }
 
-// AlltoallwOptions tunes how Alltoallw stages and copies sub-regions.
-// Wire buffers always cycle through the process-wide buffer arena
-// (GetBuffer/PutBuffer). The zero value packs and unpacks every region
-// inline on the calling goroutine.
-type AlltoallwOptions struct {
-	// Parallelism is the number of concurrent pack/unpack workers; values
-	// <= 1 pack serially on the calling goroutine. Parallel staging trades
-	// the per-peer trace spans for aggregate a2aw-pack/a2aw-unpack spans.
-	Parallelism int
-	// ZeroCopy replaces the gather/scatter loops with single memmoves for
-	// regions that are contiguous in the local arrays.
-	ZeroCopy bool
-	// Deadline bounds the whole exchange. When > 0, sends and receives
-	// that exceed it fail with ErrExchangeTimeout, and instead of aborting
-	// on the first lost or unresponsive peer the exchange degrades
-	// gracefully: it skips that peer, finishes with the healthy ones, and
-	// returns a *PartialExchangeError naming everyone it gave up on. Zero
-	// keeps the historical fail-fast, wait-forever behaviour.
-	Deadline time.Duration
-}
-
 // Alltoallw exchanges typed sub-regions between all ranks, the analogue of
 // MPI_Alltoallw. sendTypes[i] selects the bytes of sendBuf destined for
 // rank i; recvTypes[j] scatters the bytes arriving from rank j into
@@ -303,15 +273,12 @@ type AlltoallwOptions struct {
 // the send and receive geometries must agree across ranks (DDR constructs
 // both sides from the same overlap computation, which guarantees this).
 //
-// Staging is serial but pooled and contiguity-aware; use AlltoallwOpt for
-// explicit control (all ranks must pass equivalent options).
+// This is the paper's mechanism kept as a reference: staging is serial on
+// the calling goroutine, pooled through the buffer arena and contiguity-
+// aware (a region that is one byte range of its array moves by a single
+// memmove), and the collective is fail-fast — it waits for every peer and
+// returns the first transport error.
 func (c *Comm) Alltoallw(sendBuf []byte, sendTypes []datatype.Type, recvBuf []byte, recvTypes []datatype.Type) error {
-	return c.AlltoallwOpt(sendBuf, sendTypes, recvBuf, recvTypes,
-		AlltoallwOptions{Parallelism: 1, ZeroCopy: true})
-}
-
-// AlltoallwOpt is Alltoallw with explicit staging options.
-func (c *Comm) AlltoallwOpt(sendBuf []byte, sendTypes []datatype.Type, recvBuf []byte, recvTypes []datatype.Type, opt AlltoallwOptions) error {
 	if len(sendTypes) != len(c.group) || len(recvTypes) != len(c.group) {
 		return fmt.Errorf("mpi: alltoallw needs %d send and recv types, got %d/%d",
 			len(c.group), len(sendTypes), len(recvTypes))
@@ -323,34 +290,6 @@ func (c *Comm) AlltoallwOpt(sendBuf []byte, sendTypes []datatype.Type, recvBuf [
 	if tel != nil {
 		collStart = time.Now()
 	}
-	// Graceful degradation under a deadline: peer-loss and timeout errors
-	// park the peer on the lost list instead of aborting the collective.
-	var dctx context.Context
-	if opt.Deadline > 0 {
-		var cancel context.CancelFunc
-		dctx, cancel = context.WithTimeout(context.Background(), opt.Deadline)
-		defer cancel()
-	}
-	var lostPeers []int
-	var lostCause error
-	degrade := func(r int, err error) bool {
-		if opt.Deadline <= 0 || !IsPeerLoss(err) {
-			return false
-		}
-		lostPeers = append(lostPeers, c.group[r])
-		if lostCause == nil {
-			lostCause = err
-		}
-		return true
-	}
-	isLost := func(r int) bool {
-		for _, lr := range lostPeers {
-			if lr == c.group[r] {
-				return true
-			}
-		}
-		return false
-	}
 
 	// Local exchange without touching the transport. One contiguous side
 	// is enough to drop the staging buffer: the other side's pack/unpack
@@ -359,16 +298,11 @@ func (c *Comm) AlltoallwOpt(sendBuf []byte, sendTypes []datatype.Type, recvBuf [
 		return fmt.Errorf("mpi: rank %d self exchange size mismatch (%d vs %d)",
 			c.rank, n, recvTypes[c.rank].PackedSize())
 	} else if n > 0 {
-		sOff, _, sOK := sendTypes[c.rank].ContiguousSpan()
-		rOff, _, rOK := recvTypes[c.rank].ContiguousSpan()
-		switch {
-		case opt.ZeroCopy && sOK && rOK:
-			copy(recvBuf[rOff:rOff+n], sendBuf[sOff:sOff+n])
-		case opt.ZeroCopy && sOK:
-			recvTypes[c.rank].Unpack(sendBuf[sOff:sOff+n], recvBuf)
-		case opt.ZeroCopy && rOK:
-			sendTypes[c.rank].Pack(sendBuf, recvBuf[rOff:rOff+n])
-		default:
+		if off, _, ok := sendTypes[c.rank].ContiguousSpan(); ok {
+			recvTypes[c.rank].Unpack(sendBuf[off:off+n], recvBuf)
+		} else if off, _, ok := recvTypes[c.rank].ContiguousSpan(); ok {
+			sendTypes[c.rank].Pack(sendBuf, recvBuf[off:off+n])
+		} else {
 			wire := GetBuffer(n)
 			sendTypes[c.rank].Pack(sendBuf, wire)
 			recvTypes[c.rank].Unpack(wire, recvBuf)
@@ -379,148 +313,67 @@ func (c *Comm) AlltoallwOpt(sendBuf []byte, sendTypes []datatype.Type, recvBuf [
 	// Pack and send. The wire buffer is handed to the transport, which
 	// either delivers it to the peer's mailbox (in-process: the receiver
 	// recycles it) or writes it to the socket, so the sender never recycles
-	// it here. With ZeroCopy a contiguous region skips the gather loop and
-	// is copied straight into the wire buffer.
-	par := opt.Parallelism
-	var packJobs []datatype.CopyJob
-	var packWires [][]byte // parallel to packJobs' destination peers
-	var packPeers []int
-	var packStart time.Time
-	if tel != nil && par > 1 {
-		packStart = time.Now()
-	}
+	// it here.
 	for r := range c.group {
-		if r == c.rank {
-			continue
-		}
 		n := sendTypes[r].PackedSize()
-		if n == 0 {
+		if r == c.rank || n == 0 {
 			continue
 		}
 		var peerStart time.Time
-		if tel != nil && par <= 1 {
+		if tel != nil {
 			peerStart = time.Now()
 		}
 		wire := GetBuffer(n)
-		if off, _, ok := sendTypes[r].ContiguousSpan(); opt.ZeroCopy && ok {
+		if off, _, ok := sendTypes[r].ContiguousSpan(); ok {
 			copy(wire, sendBuf[off:off+n])
-		} else if par > 1 {
-			packJobs = append(packJobs, datatype.CopyJob{T: sendTypes[r], Local: sendBuf, Wire: wire})
-			packWires = append(packWires, wire)
-			packPeers = append(packPeers, r)
-			continue // send after the parallel pack phase
 		} else {
 			sendTypes[r].Pack(sendBuf, wire)
 		}
-		c.counters.countSend(c.group[r], len(wire))
+		c.counters.countSend(c.group[r], n)
 		if tel != nil {
-			if par <= 1 {
-				tel.rec.AddSpan(tel.rank, fmt.Sprintf("a2aw-pack->%d", c.group[r]), peerStart, time.Now(), int64(n))
-			}
+			tel.rec.AddSpan(tel.rank, fmt.Sprintf("a2aw-pack->%d", c.group[r]), peerStart, time.Now(), int64(n))
 			tel.wireSent.Add(int64(n))
 			wireBytes += int64(n)
 		}
-		if err := c.tr.send(c.group[r], envelope{ctx: c.ctx, src: c.group[c.rank], tag: tag, data: wire, cancel: ctxDone(dctx)}); err != nil {
-			if degrade(r, err) {
-				continue
-			}
+		if err := c.tr.send(c.group[r], envelope{ctx: c.ctx, src: c.group[c.rank], tag: tag, data: wire}); err != nil {
 			return err
 		}
 	}
-	if len(packJobs) > 0 {
-		datatype.RunJobs(packJobs, par)
-		if tel != nil {
-			tel.rec.AddSpan(tel.rank, "a2aw-pack", packStart, time.Now(), 0)
-		}
-		for i, wire := range packWires {
-			r := packPeers[i]
-			c.counters.countSend(c.group[r], len(wire))
-			if tel != nil {
-				tel.wireSent.Add(int64(len(wire)))
-				wireBytes += int64(len(wire))
-			}
-			if err := c.tr.send(c.group[r], envelope{ctx: c.ctx, src: c.group[c.rank], tag: tag, data: wire, cancel: ctxDone(dctx)}); err != nil {
-				if degrade(r, err) {
-					continue
-				}
-				return err
-			}
-		}
-	}
 
-	// Receive and unpack. Contiguous destinations take a single memmove;
-	// strided ones unpack inline (serial) or fan out to workers (parallel).
-	var unpackJobs []datatype.CopyJob
-	var unpackWires [][]byte
-	var unpackStart time.Time
-	if tel != nil && par > 1 {
-		unpackStart = time.Now()
-	}
+	// Receive and unpack. Received payloads are always arena-backed (the
+	// sender's staging buffer in process, the read loop's elsewhere), so
+	// they recycle here.
 	for r := range c.group {
-		if r == c.rank {
-			continue
-		}
 		want := recvTypes[r].PackedSize()
-		if want == 0 {
-			continue
-		}
-		if isLost(r) {
-			// Our send to this peer already failed; its reply is not coming.
+		if r == c.rank || want == 0 {
 			continue
 		}
 		var recvStart time.Time
 		if tel != nil {
 			recvStart = time.Now()
 		}
-		got, _, _, err := c.RecvCtx(dctx, r, tag)
+		got, _, _, err := c.Recv(r, tag)
 		if err != nil {
-			if degrade(r, err) {
-				continue
-			}
 			return err
 		}
 		if len(got) != want {
 			return fmt.Errorf("mpi: alltoallw expected %d bytes from rank %d, got %d", want, r, len(got))
 		}
-		done := true
-		if off, _, ok := recvTypes[r].ContiguousSpan(); opt.ZeroCopy && ok {
+		if off, _, ok := recvTypes[r].ContiguousSpan(); ok {
 			copy(recvBuf[off:off+want], got)
-		} else if par > 1 {
-			unpackJobs = append(unpackJobs, datatype.CopyJob{T: recvTypes[r], Local: recvBuf, Wire: got, Unpack: true})
-			unpackWires = append(unpackWires, got)
-			done = false
 		} else {
 			recvTypes[r].Unpack(got, recvBuf)
 		}
+		PutBuffer(got)
 		if tel != nil {
-			if par <= 1 || done {
-				tel.rec.AddSpan(tel.rank, fmt.Sprintf("a2aw-unpack<-%d", c.group[r]), recvStart, time.Now(), int64(want))
-			}
+			tel.rec.AddSpan(tel.rank, fmt.Sprintf("a2aw-unpack<-%d", c.group[r]), recvStart, time.Now(), int64(want))
 			wireBytes += int64(want)
-		}
-		// Received payloads are always arena-backed (the eager send copy and
-		// the TCP read loop both draw from the arena), so recycling is not
-		// conditional on this call's own staging mode.
-		if done {
-			PutBuffer(got)
-		}
-	}
-	if len(unpackJobs) > 0 {
-		datatype.RunJobs(unpackJobs, par)
-		if tel != nil {
-			tel.rec.AddSpan(tel.rank, "a2aw-unpack", unpackStart, time.Now(), 0)
-		}
-		for _, got := range unpackWires {
-			PutBuffer(got)
 		}
 	}
 	if tel != nil {
 		now := time.Now()
 		tel.rec.AddSpan(tel.rank, "alltoallw", collStart, now, wireBytes)
 		tel.collLatency.Observe(now.Sub(collStart).Seconds())
-	}
-	if len(lostPeers) > 0 {
-		return newPartialExchangeError(lostPeers, lostCause)
 	}
 	return nil
 }

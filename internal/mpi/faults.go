@@ -3,42 +3,12 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ddr/internal/obs"
 )
-
-// PartialExchangeError reports a collective exchange that completed for
-// every peer except the listed ones: data from healthy peers landed
-// normally, while each lost peer's contribution is missing (and this
-// rank's contribution to it may not have been delivered). Cause holds a
-// representative underlying error; errors.Is sees through it, so both
-// ErrPeerLost and ErrExchangeTimeout remain matchable.
-type PartialExchangeError struct {
-	LostPeers []int // world ranks, sorted, deduplicated
-	Cause     error
-}
-
-func (e *PartialExchangeError) Error() string {
-	return fmt.Sprintf("mpi: exchange completed partially; lost peers %v: %v", e.LostPeers, e.Cause)
-}
-
-func (e *PartialExchangeError) Unwrap() error { return e.Cause }
-
-// newPartialExchangeError normalises the lost-peer set (sort + dedupe).
-func newPartialExchangeError(lost []int, cause error) *PartialExchangeError {
-	sort.Ints(lost)
-	out := lost[:0]
-	for i, r := range lost {
-		if i == 0 || r != lost[i-1] {
-			out = append(out, r)
-		}
-	}
-	return &PartialExchangeError{LostPeers: out, Cause: cause}
-}
 
 // IsPeerLoss reports whether err is a peer-loss or deadline condition —
 // the class of failures graceful-degradation paths treat as "give up on

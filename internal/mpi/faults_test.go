@@ -8,8 +8,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"ddr/internal/datatype"
 )
 
 // funcInjector adapts a closure to the FaultInjector interface for tests.
@@ -193,46 +191,6 @@ func TestSendCtxExpired(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAlltoallwDeadlinePartial: when one rank never joins the exchange,
-// the survivors' Alltoallw with a deadline returns a typed
-// PartialExchangeError naming the absent rank — on both transports.
-func TestAlltoallwDeadlinePartial(t *testing.T) {
-	body := func(c *Comm) error {
-		if c.Rank() == 2 {
-			return nil // absent: contributes nothing, never calls the collective
-		}
-		send := []datatype.Type{
-			datatype.Contiguous{Bytes: 4}, datatype.Contiguous{Bytes: 4}, datatype.Contiguous{Bytes: 4},
-		}
-		recv := []datatype.Type{
-			datatype.Contiguous{Bytes: 4}, datatype.Contiguous{Bytes: 4}, datatype.Contiguous{Bytes: 4},
-		}
-		start := time.Now()
-		err := c.AlltoallwOpt(make([]byte, 12), send, make([]byte, 12), recv,
-			AlltoallwOptions{Deadline: 300 * time.Millisecond})
-		var pe *PartialExchangeError
-		if !errors.As(err, &pe) {
-			return fmt.Errorf("got %v (%T), want *PartialExchangeError", err, err)
-		}
-		if len(pe.LostPeers) != 1 || pe.LostPeers[0] != 2 {
-			return fmt.Errorf("lost peers %v, want [2]", pe.LostPeers)
-		}
-		if !IsPeerLoss(err) {
-			return fmt.Errorf("partial error %v does not match IsPeerLoss", err)
-		}
-		if el := time.Since(start); el > 10*time.Second {
-			return fmt.Errorf("degraded only after %v", el)
-		}
-		return nil
-	}
-	if err := Launch(3, body); err != nil {
-		t.Fatalf("inproc: %v", err)
-	}
-	if err := Launch(3, body, WithTransport(TransportTCP)); err != nil {
-		t.Fatalf("tcp: %v", err)
 	}
 }
 

@@ -41,8 +41,8 @@ var ErrClosed = errors.New("mpi: communicator closed")
 var ErrPeerLost = errors.New("mpi: peer lost")
 
 // ErrExchangeTimeout is wrapped by deadline-bounded operations (RecvCtx,
-// SendCtx, Alltoallw with a Deadline) that ran out of time before the
-// peer produced or accepted the message. Match with errors.Is.
+// SendCtx, SendOwned) that ran out of time before the peer produced or
+// accepted the message. Match with errors.Is.
 var ErrExchangeTimeout = errors.New("mpi: exchange timeout")
 
 // envelope is one in-flight message. src is a world (global) rank; ctx
@@ -547,22 +547,11 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 // touch data again the moment this returns.
 func (c *Comm) sendInternal(dst, tag int, data []byte) error {
 	dstWorld := c.group[dst]
-	tc := c.traceCtx()
-	t := c.tel
-	var start time.Time
-	if t != nil {
-		start = time.Now()
-		if t.flight != nil {
-			t.flight.Record(obs.FlightEvent{
-				Kind: obs.FlightSend, Rank: int32(c.group[c.rank]), Peer: int32(dstWorld),
-				Tag: int32(tag), Round: int32(tc.Round), Exchange: tc.Exchange, Bytes: int64(len(data)),
-			})
-		}
-	}
+	tc, start := c.sendBegin(dstWorld, tag, len(data))
 	if zc, ok := c.tr.(zeroCopySender); ok {
 		if handled, err := zc.sendZeroCopy(dstWorld, envelope{ctx: c.ctx, src: c.group[c.rank], tag: tag, data: data, tc: tc}); handled {
 			c.counters.countSend(dstWorld, len(data))
-			if t != nil {
+			if t := c.tel; t != nil {
 				t.sendLatency.ObserveSince(start)
 				t.wireSent.Add(int64(len(data)))
 			}
@@ -571,13 +560,36 @@ func (c *Comm) sendInternal(dst, tag int, data []byte) error {
 	}
 	cp := GetBuffer(len(data))
 	copy(cp, data)
-	c.counters.countSend(dstWorld, len(cp))
-	if t == nil {
-		return c.tr.send(dstWorld, envelope{ctx: c.ctx, src: c.group[c.rank], tag: tag, data: cp, tc: tc})
+	return c.post(dstWorld, tag, cp, nil, tc, start)
+}
+
+// sendBegin opens one send's telemetry: the flight event and the latency
+// clock (zero when no telemetry is attached), plus the trace context the
+// message will carry.
+func (c *Comm) sendBegin(dstWorld, tag, n int) (tc TraceContext, start time.Time) {
+	tc = c.traceCtx()
+	if t := c.tel; t != nil {
+		start = time.Now()
+		if t.flight != nil {
+			t.flight.Record(obs.FlightEvent{
+				Kind: obs.FlightSend, Rank: int32(c.group[c.rank]), Peer: int32(dstWorld),
+				Tag: int32(tag), Round: int32(tc.Round), Exchange: tc.Exchange, Bytes: int64(n),
+			})
+		}
 	}
-	err := c.tr.send(dstWorld, envelope{ctx: c.ctx, src: c.group[c.rank], tag: tag, data: cp, tc: tc})
-	t.sendLatency.ObserveSince(start)
-	t.wireSent.Add(int64(len(cp)))
+	return tc, start
+}
+
+// post hands an arena-backed payload to the transport, which owns it from
+// here on every outcome, and closes the telemetry sendBegin opened.
+func (c *Comm) post(dstWorld, tag int, owned []byte, cancel <-chan struct{}, tc TraceContext, start time.Time) error {
+	n := len(owned)
+	c.counters.countSend(dstWorld, n)
+	err := c.tr.send(dstWorld, envelope{ctx: c.ctx, src: c.group[c.rank], tag: tag, data: owned, cancel: cancel, tc: tc})
+	if t := c.tel; t != nil {
+		t.sendLatency.ObserveSince(start)
+		t.wireSent.Add(int64(n))
+	}
 	return err
 }
 
@@ -642,6 +654,18 @@ func (c *Comm) recvInternal(cancel <-chan struct{}, src, tag int) (data []byte, 
 // eager-copy path (never zero-copy), so the caller's buffer is reusable
 // immediately regardless of outcome.
 func (c *Comm) SendCtx(ctx context.Context, dst, tag int, data []byte) error {
+	cp := GetBuffer(len(data))
+	copy(cp, data)
+	return c.SendOwned(ctx, dst, tag, cp)
+}
+
+// SendOwned is Send for a wire the caller took from the staging arena
+// (GetBuffer) and is finished with: ownership passes to the transport —
+// in process, on to the receiver — so the eager copy Send makes is
+// skipped. Whatever the outcome, the caller must neither touch nor
+// recycle wire afterwards. A non-nil ctx bounds a saturated outbound
+// queue the way SendCtx does; nil never gives up.
+func (c *Comm) SendOwned(ctx context.Context, dst, tag int, wire []byte) error {
 	if err := c.checkRank(dst); err != nil {
 		return err
 	}
@@ -650,17 +674,16 @@ func (c *Comm) SendCtx(ctx context.Context, dst, tag int, data []byte) error {
 	}
 	var cancel <-chan struct{}
 	if ctx != nil {
-		if err := ctx.Err(); err != nil {
+		if ctx.Err() != nil {
+			PutBuffer(wire)
 			return fmt.Errorf("mpi: send to rank %d tag %d: %w", dst, tag, ErrExchangeTimeout)
 		}
 		cancel = ctx.Done()
 	}
 	dstWorld := c.group[dst]
-	cp := GetBuffer(len(data))
-	copy(cp, data)
-	c.counters.countSend(dstWorld, len(cp))
-	err := c.tr.send(dstWorld, envelope{ctx: c.ctx, src: c.group[c.rank], tag: tag, data: cp, cancel: cancel, tc: c.traceCtx()})
-	if err != nil && errors.Is(err, ErrExchangeTimeout) {
+	tc, start := c.sendBegin(dstWorld, tag, len(wire))
+	err := c.post(dstWorld, tag, wire, cancel, tc, start)
+	if errors.Is(err, ErrExchangeTimeout) {
 		err = fmt.Errorf("mpi: send to rank %d tag %d: %w", dst, tag, ErrExchangeTimeout)
 	}
 	return err

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ddr/internal/obs"
 )
@@ -405,12 +406,18 @@ func TestTCPStatsCoalescing(t *testing.T) {
 				}
 			}
 			// Wait for the receiver's ack so every queued frame has been
-			// written before the counters are read.
+			// written before the counters are read — and, since the writer
+			// counts a batch just after writing it, for the count to land.
 			if _, _, _, err := c.Recv(1, 0); err != nil {
 				return err
 			}
 			if tt, ok := c.tr.(*tcpTransport); ok {
-				stats = tt.ep.Stats()
+				for settle := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+					stats = tt.ep.Stats()
+					if stats.FramesOut == 256 || time.Now().After(settle) {
+						break
+					}
+				}
 			}
 			return nil
 		}

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"ddr/internal/datatype"
 	"ddr/internal/obs"
@@ -24,8 +26,15 @@ func TestTelemetryTCPAlltoallw(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := trace.NewRecorder()
 
+	// Every rank attaches before any rank sends: a message that lands in a
+	// mailbox ahead of its owner's gauges is consumed after them, and the
+	// depth and frame counters would read one short.
+	var attached sync.WaitGroup
+	attached.Add(n)
 	err := Launch(n, func(c *Comm) error {
 		c.AttachTelemetry(NewTelemetry(reg, rec, c.Rank()))
+		attached.Done()
+		attached.Wait()
 		sendTypes := make([]datatype.Type, n)
 		recvTypes := make([]datatype.Type, n)
 		for i := range sendTypes {
@@ -68,10 +77,18 @@ func TestTelemetryTCPAlltoallw(t *testing.T) {
 	// Frame-level TCP counters include the 16-byte header per message.
 	// The barrier's empty signals also cross the wire, so totals must be
 	// at least the alltoallw share and out must equal in globally.
+	// A read loop counts a frame just after delivering it, so the last
+	// barrier frames may be counted a moment after the world has returned.
 	var tcpOut, tcpIn int64
-	for r := 0; r < n; r++ {
-		tcpOut += reg.Counter("mpi_tcp_wire_bytes_out_total", "", obs.RankLabel(r)).Value()
-		tcpIn += reg.Counter("mpi_tcp_wire_bytes_in_total", "", obs.RankLabel(r)).Value()
+	for settle := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		tcpOut, tcpIn = 0, 0
+		for r := 0; r < n; r++ {
+			tcpOut += reg.Counter("mpi_tcp_wire_bytes_out_total", "", obs.RankLabel(r)).Value()
+			tcpIn += reg.Counter("mpi_tcp_wire_bytes_in_total", "", obs.RankLabel(r)).Value()
+		}
+		if tcpOut == tcpIn || time.Now().After(settle) {
+			break
+		}
 	}
 	minA2AW := int64(n * (n - 1) * (msgSize + tcpFrameHeader))
 	if tcpOut < minA2AW {
