@@ -16,8 +16,8 @@ chaos:
 	$(GO) test -race -short ./internal/chaos/ ./internal/ddrtest/
 	$(GO) test -race -short -run 'Chaos|Partial|WaitCtxAbandon' ./internal/mpi/
 
-# verify is the pre-merge gate: static analysis over the whole module,
-# the chaos suite, then the race detector over every package with
+# verify is the pre-merge gate: formatting and static analysis over the
+# whole module, the chaos suite, then the race detector over every package with
 # concurrent machinery (lock-free counters, mailbox gauges, TCP and shm
 # transports, the pack/unpack worker pool and staging arena, the parallel
 # plan compiler, the step executor) and the in-transit layer; chaos has
@@ -38,6 +38,7 @@ chaos:
 #   - the tests of bench/ddrperf, the benchmark of record (bash
 #     bench/run.sh): bench/ is a module of its own, so ./... skips it.
 verify: chaos
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/mpi/... ./internal/trace/... ./internal/core/... ./internal/datatype/... ./internal/fft/...
 	$(GO) test -race ./internal/transit/...

@@ -204,7 +204,7 @@ func TestE1PlanShape(t *testing.T) {
 		for peer, w := range wantSend {
 			for r := 0; r < 2; r++ {
 				if st, _ := p.sendE.at(r, peer); st.PackedSize() != w[r] {
-				got := st.PackedSize()
+					got := st.PackedSize()
 					return fmt.Errorf("send round %d to rank %d: %d bytes, want %d", r, peer, got, w[r])
 				}
 			}
@@ -213,11 +213,11 @@ func TestE1PlanShape(t *testing.T) {
 		// of ranks 0..3 respectively.
 		for peer := 0; peer < 4; peer++ {
 			if rt, _ := p.recvE.at(0, peer); rt.PackedSize() != 16 {
-			got := rt.PackedSize()
+				got := rt.PackedSize()
 				return fmt.Errorf("recv round 0 from rank %d: %d bytes, want 16", peer, got)
 			}
 			if rt, _ := p.recvE.at(1, peer); rt.PackedSize() != 0 {
-			got := rt.PackedSize()
+				got := rt.PackedSize()
 				return fmt.Errorf("recv round 1 from rank %d: %d bytes, want 0", peer, got)
 			}
 		}

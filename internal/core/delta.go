@@ -5,8 +5,8 @@
 // usually already resident locally (its old need box), and only the cells
 // whose ownership changed have to cross the wire. CompileDelta diffs the
 // old and new need geometries — grid.Subtract for the local retention,
-// grid.Index overlap queries for the remote holders — and emits one
-// DeltaPlan per rank that moves exactly the changed bytes. The result of
+// overlap queries against the old holders for the remote part — and emits
+// one DeltaPlan per rank that moves exactly the changed bytes. The result of
 // executing a delta plan is byte-identical to a full re-exchange that
 // treats the old need boxes as owned chunks (the differential-testing
 // oracle in delta_test.go).
@@ -129,11 +129,32 @@ func boxEmpty(b grid.Box) bool { return b.NDims == 0 || b.Empty() }
 // resize, offline from the global geometry alone: oldNeeds[r] is the box
 // rank r held before the resize and newNeeds[r] the box it needs after
 // (empty boxes mark joiners and leavers; the slices share one indexing,
-// the resize collective's ranks). It is the offline twin of
-// DeltaCompiler.Compile, used by the property harness and for capacity
-// analysis; every rank of a collective derives the identical plans from
-// the identical geometry.
+// the resize collective's ranks). It is the all-ranks twin of
+// CompileDeltaRank, used by the property harness and for capacity
+// analysis.
 func CompileDelta(elemSize int, oldNeeds, newNeeds []grid.Box) ([]*DeltaPlan, error) {
+	return compileDelta(elemSize, -1, oldNeeds, newNeeds)
+}
+
+// CompileDeltaRank compiles one rank's delta plan from the global
+// geometry, as each rank of a collective resize does after
+// DeltaCompiler.Compile's allgather. Only the receivers that involve the
+// rank are assigned (itself, and those whose new need touches its old
+// box), by CompileDelta's loop, so the plan equals CompileDelta(...)[rank].
+func CompileDeltaRank(elemSize, rank int, oldNeeds, newNeeds []grid.Box) (*DeltaPlan, error) {
+	if rank < 0 || rank >= len(oldNeeds) {
+		return nil, fmt.Errorf("core: rank %d out of range [0,%d)", rank, len(oldNeeds))
+	}
+	plans, err := compileDelta(elemSize, rank, oldNeeds, newNeeds)
+	if err != nil {
+		return nil, err
+	}
+	return plans[rank], nil
+}
+
+// compileDelta is the assignment loop behind both: it fills plans[only],
+// or every rank's plan when only < 0.
+func compileDelta(elemSize, only int, oldNeeds, newNeeds []grid.Box) ([]*DeltaPlan, error) {
 	if elemSize <= 0 {
 		return nil, fmt.Errorf("core: element size %d must be positive", elemSize)
 	}
@@ -149,44 +170,38 @@ func CompileDelta(elemSize int, oldNeeds, newNeeds []grid.Box) ([]*DeltaPlan, er
 	}
 	plans := make([]*DeltaPlan, n)
 	for r := range plans {
-		plans[r] = &DeltaPlan{
-			elemSize: elemSize, rank: r, nRanks: n, newSize: newSize,
-			oldNeed: oldNeeds[r], newNeed: newNeeds[r],
+		if only < 0 || r == only {
+			plans[r] = &DeltaPlan{
+				elemSize: elemSize, rank: r, nRanks: n, newSize: newSize,
+				oldNeed: oldNeeds[r], newNeed: newNeeds[r],
+			}
 		}
 	}
 
-	// Old holders, spatially indexed: the delta overlap query for one new
-	// need box returns its candidate holders in ascending rank order,
-	// which is exactly the deterministic assignment priority.
-	ix := grid.NewIndex(oldNeeds)
-
-	var hits []int
+	// Old holders are tried in ascending rank order, which is the
+	// deterministic assignment priority.
 	var work, rest []grid.Box
 	for r, nn := range newNeeds {
-		if boxEmpty(nn) {
+		if boxEmpty(nn) || only >= 0 && r != only && !nn.Overlaps(oldNeeds[only]) {
 			continue
 		}
-		p := plans[r]
+		recv := plans[r] // nil: only what this assignment takes from plans[only] matters
 		work = work[:0]
-		if on := oldNeeds[r]; !boxEmpty(on) {
-			if keep, ok := nn.Intersect(on); ok {
-				p.keeps = append(p.keeps, keep)
-				work = grid.SubtractAppend(work, nn, keep)
-			} else {
-				work = append(work, nn)
+		if keep, ok := nn.Intersect(oldNeeds[r]); ok {
+			if recv != nil {
+				recv.keeps = append(recv.keeps, keep)
 			}
+			work = grid.SubtractAppend(work, nn, keep)
 		} else {
 			work = append(work, nn)
 		}
-		if len(work) == 0 {
-			continue
-		}
-		hits = ix.QueryAppend(hits[:0], nn)
-		for _, s := range hits {
-			if s == r || len(work) == 0 {
+		for s, holder := range oldNeeds {
+			if len(work) == 0 {
+				break
+			}
+			if s == r || !nn.Overlaps(holder) {
 				continue
 			}
-			holder := oldNeeds[s]
 			rest = rest[:0]
 			for _, u := range work {
 				iv, ok := u.Intersect(holder)
@@ -194,16 +209,25 @@ func CompileDelta(elemSize int, oldNeeds, newNeeds []grid.Box) ([]*DeltaPlan, er
 					rest = append(rest, u)
 					continue
 				}
-				p.recvs = append(p.recvs, DeltaRegion{Peer: s, Region: iv})
-				plans[s].sends = append(plans[s].sends, DeltaRegion{Peer: r, Region: iv})
+				if recv != nil {
+					recv.recvs = append(recv.recvs, DeltaRegion{Peer: s, Region: iv})
+				}
+				if send := plans[s]; send != nil {
+					send.sends = append(send.sends, DeltaRegion{Peer: r, Region: iv})
+				}
 				rest = grid.SubtractAppend(rest, u, iv)
 			}
-			work = append(work[:0], rest...)
+			work, rest = rest, work
 		}
-		p.uncov = append(p.uncov, work...)
+		if recv != nil {
+			recv.uncov = append(recv.uncov, work...)
+		}
 	}
 
 	for _, p := range plans {
+		if p == nil {
+			continue
+		}
 		if err := p.finalize(); err != nil {
 			return nil, err
 		}
@@ -255,12 +279,13 @@ func deltaMessages(elemSize int, base grid.Box, regions []DeltaRegion, dir strin
 	return msgs, nil
 }
 
-// DeltaCompiler is the collective front end of CompileDelta: ranks agree
-// on the (old geometry, new geometry) pair, replay a cached delta plan
-// when the pair was compiled before — consumer groups that oscillate
-// between two scales resize at two-small-collectives cost — and
-// otherwise allgather the need boxes and compile. Like Descriptor it is
-// not safe for concurrent use; construct one per Regridder/session.
+// DeltaCompiler is the collective front end of CompileDeltaRank: one
+// allgather hands every rank the whole (old geometry, new geometry) pair
+// and, in the same bytes, whether every rank still holds the plan it
+// compiled for that pair before — then all replay (consumer groups that
+// oscillate between two scales resize at one-small-allgather cost) —
+// or else each compiles its own. Like Descriptor it is not safe for
+// concurrent use; construct one per Regridder/session.
 type DeltaCompiler struct {
 	elemSize int
 	cache    *planCache[*DeltaPlan]
@@ -270,16 +295,12 @@ type DeltaCompiler struct {
 
 // NewDeltaCompiler creates a delta compiler for elements of the given
 // byte size with a delta-plan cache of cacheCap entries (cacheCap <= 0
-// disables caching).
+// holds none: every compile is a miss).
 func NewDeltaCompiler(elemSize, cacheCap int) (*DeltaCompiler, error) {
 	if elemSize <= 0 {
 		return nil, fmt.Errorf("core: element size %d must be positive", elemSize)
 	}
-	dc := &DeltaCompiler{elemSize: elemSize}
-	if cacheCap > 0 {
-		dc.cache = newPlanCache[*DeltaPlan](cacheCap)
-	}
-	return dc, nil
+	return &DeltaCompiler{elemSize: elemSize, cache: newPlanCache[*DeltaPlan](max(cacheCap, 0))}, nil
 }
 
 // CacheStats reports delta-plan cache hits and misses.
@@ -291,55 +312,74 @@ func (dc *DeltaCompiler) CacheStats() (hits, misses int64) {
 // it held before the resize and the one it wants after (zero-extent for
 // leavers/joiners; both boxes must share the data's dimensionality so the
 // geometry encoding stays canonical). All ranks receive their own plan
-// for the same globally agreed assignment. A previously seen
-// (old, new) geometry pair is replayed from the cache without the
-// allgather or compile.
+// for the same globally agreed assignment.
+//
+// Its one collective is an allgather of every rank's two-box pair, no
+// larger than a hash vote would be, each followed by the fingerprints of
+// the cached plans that rank compiled from the same pair. All ranks
+// fingerprint the same pairs and read the same offers, so all reach one
+// verdict with nothing further on the wire: a replay when every rank
+// offers the fingerprint, otherwise (a joiner's session is fresh) a miss
+// on every rank, each compiling only its own plan.
 func (dc *DeltaCompiler) Compile(c *mpi.Comm, oldNeed, newNeed grid.Box) (*DeltaPlan, error) {
 	if oldNeed.NDims == 0 || newNeed.NDims == 0 {
 		return nil, fmt.Errorf("core: delta compile needs explicit box dimensionality (use a zero-extent box for an empty side)")
 	}
-	// The pair encodes as one canonical geometry stream — the old box in
-	// the need slot, the new box as the single chunk — so the plan cache's
-	// collective fingerprint agreement applies unchanged.
+	// The pair encodes as one canonical geometry stream: the old box in
+	// the need slot, the new box as the single chunk. Its length precedes
+	// it; the offers follow.
 	enc := encodeGeometry(oldNeed, []grid.Box{newNeed})
-	if dc.cache != nil {
-		cached, ok, err := dc.cache.lookup(c, enc, 0, func(p *DeltaPlan) bool {
-			return p.rank == c.Rank() && p.nRanks == c.Size() &&
-				p.oldNeed.Equal(oldNeed) && p.newNeed.Equal(newNeed)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: delta plan cache agreement: %w", err)
-		}
-		if ok {
-			dc.hits.Add(1)
-			return cached, nil
-		}
-		dc.misses.Add(1)
-	}
-	packed, err := c.Allgather(enc)
+	vote := append(appendUvarint(make([]byte, 0, 1+len(enc)), uint64(len(enc))), enc...)
+	// The box comparison is the collision defence: see planCache.lookup.
+	packed, err := c.Allgather(dc.cache.offers(vote, c.Rank(), func(p *DeltaPlan) bool {
+		return p.nRanks == c.Size() && p.oldNeed.Equal(oldNeed) && p.newNeed.Equal(newNeed)
+	}))
 	if err != nil {
 		return nil, fmt.Errorf("core: delta geometry exchange: %w", err)
 	}
-	oldNeeds := make([]grid.Box, c.Size())
-	newNeeds := make([]grid.Box, c.Size())
-	for r, buf := range packed {
-		on, chunks, err := decodeGeometry(buf)
-		if err != nil || len(chunks) != 1 {
-			return nil, fmt.Errorf("core: delta geometry from rank %d: %w", r, err)
+	offers := make([][]byte, len(packed))
+	for r, v := range packed {
+		n, rest, err := readUvarint(v)
+		if err != nil || n > uint64(len(rest)) || (uint64(len(rest))-n)%8 != 0 {
+			return nil, fmt.Errorf("core: malformed %d-byte delta contribution from rank %d", len(v), r)
 		}
-		oldNeeds[r], newNeeds[r] = on, chunks[0]
+		packed[r], offers[r] = rest[:n], rest[n:]
 	}
-	plans, err := CompileDelta(dc.elemSize, oldNeeds, newNeeds)
+	key := cacheKey{fp: geometryFingerprint(packed), rank: c.Rank()}
+	hit := true
+	for _, o := range offers {
+		hit = hit && offered(o, key.fp)
+	}
+	if hit {
+		// This rank's own offers are among the gathered, so the entry exists.
+		plan, _ := dc.cache.get(key)
+		dc.hits.Add(1)
+		return plan, nil
+	}
+	dc.misses.Add(1)
+	oldNeeds, chunks, err := decodeGeometries(packed)
+	if err != nil {
+		return nil, fmt.Errorf("core: delta compile: %w", err)
+	}
+	// Every rank reads the same bytes, so these fail on every rank
+	// together; left to the compile, a dimensionality mismatch would fail
+	// only the sender and strand its peers in the exchange.
+	newNeeds := make([]grid.Box, len(chunks))
+	for r, ch := range chunks {
+		if len(ch) != 1 {
+			return nil, fmt.Errorf("core: delta geometry from rank %d carries %d boxes after the old need, want exactly 1", r, len(ch))
+		}
+		if nd := oldNeeds[0].NDims; oldNeeds[r].NDims != nd || ch[0].NDims != nd {
+			return nil, fmt.Errorf("core: delta geometry from rank %d is %dD -> %dD, rank 0's is %dD", r, oldNeeds[r].NDims, ch[0].NDims, nd)
+		}
+		newNeeds[r] = ch[0]
+	}
+	plan, err := CompileDeltaRank(dc.elemSize, c.Rank(), oldNeeds, newNeeds)
 	if err != nil {
 		return nil, err
 	}
-	plan := plans[c.Rank()]
-	if dc.cache != nil {
-		plan.fp = dc.cache.lastKey.fp
-		dc.cache.store(plan)
-	} else {
-		plan.fp = geometryFingerprint(packed)
-	}
+	plan.fp = key.fp
+	dc.cache.put(key, plan)
 	return plan, nil
 }
 

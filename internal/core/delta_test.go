@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"ddr/internal/grid"
@@ -154,6 +156,27 @@ func TestCompileDeltaDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		// The per-rank compile a collective resize runs must be the
+		// all-ranks compile's plan for that rank, field for field.
+		for r, all := range plans {
+			one, err := CompileDeltaRank(elemSize, r, oldNeeds, newNeeds)
+			if err != nil {
+				t.Fatalf("seed %d rank %d: %v", seed, r, err)
+			}
+			for _, f := range []struct {
+				name      string
+				one, want any
+			}{
+				{"keeps", one.keeps, all.keeps}, {"uncov", one.uncov, all.uncov},
+				{"sends", one.sends, all.sends}, {"recvs", one.recvs, all.recvs},
+				{"sched", one.sched, all.sched}, {"newSize", one.newSize, all.newSize},
+			} {
+				if !reflect.DeepEqual(f.one, f.want) {
+					t.Fatalf("seed %d rank %d: per-rank %s diverge from CompileDelta\nper-rank: %+v\nall:      %+v",
+						seed, r, f.name, f.one, f.want)
+				}
+			}
+		}
 		got := runDeltaExchange(t, plans, oldNeeds, newNeeds, elemSize, -1)
 		want := runFullOracle(t, oldNeeds, newNeeds, elemSize)
 		covered := func(x, y, z int) bool {
@@ -280,6 +303,9 @@ func TestCompileDeltaValidation(t *testing.T) {
 	if _, err := CompileDelta(4, make([]grid.Box, 2), make([]grid.Box, 3)); err == nil {
 		t.Error("mismatched geometry lengths accepted")
 	}
+	if _, err := CompileDeltaRank(4, 2, make([]grid.Box, 2), make([]grid.Box, 2)); err == nil {
+		t.Error("out-of-range rank accepted")
+	}
 	if _, err := NewDeltaCompiler(0, 4); err == nil {
 		t.Error("zero element size accepted by NewDeltaCompiler")
 	}
@@ -292,6 +318,116 @@ func TestCompileDeltaValidation(t *testing.T) {
 			return fmt.Errorf("zero-value box accepted (dimensionality is required)")
 		}
 		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// deltaVote frames a geometry stream the way DeltaCompiler.Compile
+// contributes it: length, stream, no offers.
+func deltaVote(enc []byte) []byte {
+	return append(appendUvarint(nil, uint64(len(enc))), enc...)
+}
+
+// TestDeltaCompilerMalformedPeer feeds DeltaCompiler.Compile a peer
+// contribution that is not a two-box pair: streams that decode cleanly
+// but carry two boxes or none after the old need, a truncated one, a pair
+// of another dimensionality (which only the sender's own compile used to
+// reject), and frames whose length or offers are cut short. All must
+// surface as errors that name the rank and what was wrong with it.
+func TestDeltaCompilerMalformedPeer(t *testing.T) {
+	old, neu := grid.Box2(0, 0, 8, 8), grid.Box2(0, 0, 4, 8)
+	good := encodeGeometry(old, []grid.Box{neu})
+	for _, tc := range []struct {
+		name, want string
+		bad        []byte
+	}{
+		{"two boxes", "rank 1 carries 2 boxes", deltaVote(encodeGeometry(old, []grid.Box{neu, neu}))},
+		{"no box", "rank 1 carries 0 boxes", deltaVote(encodeGeometry(old, nil))},
+		{"truncated", "geometry from rank 1", deltaVote(good[:len(good)-1])},
+		{"mixed dimensionality", "rank 1 is 1D -> 1D", deltaVote(encodeGeometry(grid.Box1(0, 8), []grid.Box{grid.Box1(0, 4)}))},
+		{"old and new differ", "rank 1 is 2D -> 1D", deltaVote(encodeGeometry(old, []grid.Box{grid.Box1(0, 4)}))},
+		{"empty", "malformed 0-byte delta contribution from rank 1", nil},
+		{"short frame", "delta contribution from rank 1", deltaVote(good)[:len(good)]},
+		{"partial offer", "delta contribution from rank 1", append(deltaVote(good), 1, 2, 3)},
+	} {
+		err := mpi.Launch(2, func(c *mpi.Comm) error {
+			if c.Rank() == 1 {
+				_, err := c.Allgather(tc.bad)
+				return err
+			}
+			dc, err := NewDeltaCompiler(4, 4)
+			if err != nil {
+				return err
+			}
+			_, err = dc.Compile(c, old, neu)
+			if err == nil {
+				return fmt.Errorf("malformed contribution accepted")
+			}
+			if msg := err.Error(); !strings.Contains(msg, tc.want) || strings.Contains(msg, "%!") {
+				return fmt.Errorf("error %q does not say %q", msg, tc.want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// TestDeltaCompilerDissent: the verdict rides the geometry allgather, so
+// one rank that cannot replay — a joiner with a fresh compiler, or one
+// whose local pair differs from what its cached plan was compiled from —
+// makes the same resize a miss on every rank, and the next repeat a hit
+// on every rank.
+func TestDeltaCompilerDissent(t *testing.T) {
+	const n = 4
+	err := mpi.Launch(n, func(c *mpi.Comm) error {
+		r := c.Rank()
+		old, neu := grid.Box1(8*r, 8), grid.Box1(8*(n-1-r), 8)
+		dc, err := NewDeltaCompiler(1, 4)
+		if err != nil {
+			return err
+		}
+		compile := func(want int64) error {
+			before, _ := dc.CacheStats()
+			if _, err := dc.Compile(c, old, neu); err != nil {
+				return err
+			}
+			if hits, _ := dc.CacheStats(); hits-before != want {
+				return fmt.Errorf("rank %d: %d hits, want %d", r, hits-before, want)
+			}
+			return nil
+		}
+		if err := compile(0); err != nil {
+			return err
+		}
+		if err := compile(1); err != nil {
+			return err
+		}
+		if r == 2 { // leaves and rejoins: its session starts over
+			if dc, err = NewDeltaCompiler(1, 4); err != nil {
+				return err
+			}
+		}
+		if err := compile(0); err != nil {
+			return fmt.Errorf("after rank 2 rejoined: %w", err)
+		}
+		if err := compile(1); err != nil {
+			return err
+		}
+		// A fingerprint collision, as rank 1 would see it: the plan under
+		// the gathered set's fingerprint was compiled from another pair.
+		if r == 1 {
+			for _, el := range dc.cache.byKey {
+				el.Value.(*cacheEntry[*DeltaPlan]).val.oldNeed = grid.Box1(0, 1)
+			}
+		}
+		if err := compile(0); err != nil {
+			return fmt.Errorf("after rank 1's cached plan stopped matching: %w", err)
+		}
+		return compile(1)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -368,8 +368,9 @@ func WithElemSize(n int) Option {
 // WithPlanCache sets the capacity of the descriptor's plan cache
 // (default 8). Cached plans let SetupDataMapping skip the geometry
 // exchange and compilation entirely when a previously mapped layout
-// recurs — the collective agreement costs two small collectives. n <= 0
+// recurs — the collective agreement costs one small allgather. n <= 0
 // disables caching, forcing every setup through the full compile path.
+// Ranks must agree on whether caching is enabled; capacities may differ.
 func WithPlanCache(n int) Option {
 	return func(d *Descriptor) { d.cacheCap = n }
 }

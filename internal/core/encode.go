@@ -63,25 +63,24 @@ func readBox(buf []byte, prev *grid.Box) (grid.Box, []byte, error) {
 	if err != nil {
 		return grid.Box{}, nil, fmt.Errorf("core: box header: %w", err)
 	}
-	nd := int(u)
-	if nd < 1 || nd > grid.MaxDims {
-		return grid.Box{}, nil, fmt.Errorf("core: box dimensionality %d out of range", nd)
+	if u < 1 || u > grid.MaxDims {
+		return grid.Box{}, nil, fmt.Errorf("core: box dimensionality %d out of range", u)
 	}
-	offset := make([]int, nd)
-	dims := make([]int, nd)
-	for i := 0; i < nd; i++ {
+	b := grid.Box{NDims: int(u)}
+	for i := range b.Dims {
+		b.Dims[i] = 1
+	}
+	for i := 0; i < b.NDims; i++ {
 		if u, buf, err = readUvarint(buf); err != nil {
 			return grid.Box{}, nil, fmt.Errorf("core: box offset axis %d: %w", i, err)
 		}
-		offset[i] = prev.Offset[i] + unzigzag(u)
+		b.Offset[i] = prev.Offset[i] + unzigzag(u)
 		if u, buf, err = readUvarint(buf); err != nil {
 			return grid.Box{}, nil, fmt.Errorf("core: box extent axis %d: %w", i, err)
 		}
-		dims[i] = prev.Dims[i] + unzigzag(u)
-	}
-	b, err := grid.NewBox(offset, dims)
-	if err != nil {
-		return grid.Box{}, nil, err
+		if b.Dims[i] = prev.Dims[i] + unzigzag(u); b.Dims[i] < 0 {
+			return grid.Box{}, nil, fmt.Errorf("core: negative extent %d on axis %d", b.Dims[i], i)
+		}
 	}
 	*prev = b
 	return b, buf, nil
@@ -101,34 +100,54 @@ func encodeGeometry(need grid.Box, own []grid.Box) []byte {
 	return buf
 }
 
-// decodeGeometry reverses encodeGeometry.
-func decodeGeometry(buf []byte) (need grid.Box, own []grid.Box, err error) {
-	if len(buf) < 1 || buf[0] != geomVersion {
-		return grid.Box{}, nil, fmt.Errorf("core: unsupported geometry encoding version")
+// decodeGeometries reverses encodeGeometry for a whole allgather:
+// needs[r] is rank r's need box and chunks[r] its owned chunks. The
+// headers are read first to size one flat table for every rank's chunks,
+// which the per-rank lists slice — three allocations whatever the number
+// of ranks and boxes.
+func decodeGeometries(packed [][]byte) (needs []grid.Box, chunks [][]grid.Box, err error) {
+	total := uint64(0)
+	for _, buf := range packed {
+		_, n, _, _ := readGeometryHeader(buf) // 0 on error, which the decode below reports
+		total += n
 	}
-	buf = buf[1:]
-	var prev grid.Box
-	need, buf, err = readBox(buf, &prev)
-	if err != nil {
-		return grid.Box{}, nil, err
-	}
-	u, buf, err := readUvarint(buf)
-	if err != nil {
-		return grid.Box{}, nil, fmt.Errorf("core: chunk count: %w", err)
-	}
-	n := int(u)
-	if n < 0 || n > len(buf)+1 { // every box costs at least one byte
-		return grid.Box{}, nil, fmt.Errorf("core: implausible chunk count %d", n)
-	}
-	own = make([]grid.Box, n)
-	for i := range own {
-		own[i], buf, err = readBox(buf, &prev)
-		if err != nil {
-			return grid.Box{}, nil, err
+	needs = make([]grid.Box, len(packed))
+	chunks = make([][]grid.Box, len(packed))
+	flat := make([]grid.Box, 0, total)
+	for r, buf := range packed {
+		need, n, buf, err := readGeometryHeader(buf)
+		prev, lo := need, len(flat)
+		for i := uint64(0); i < n && err == nil; i++ {
+			var b grid.Box
+			b, buf, err = readBox(buf, &prev)
+			flat = append(flat, b)
 		}
+		if err == nil && len(buf) != 0 {
+			err = fmt.Errorf("core: %d trailing bytes after geometry", len(buf))
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: geometry from rank %d: %w", r, err)
+		}
+		needs[r], chunks[r] = need, flat[lo:len(flat):len(flat)]
 	}
-	if len(buf) != 0 {
-		return grid.Box{}, nil, fmt.Errorf("core: %d trailing bytes after geometry", len(buf))
+	return needs, chunks, nil
+}
+
+// readGeometryHeader consumes the head of one rank's stream: version,
+// need box and chunk count; the chunks follow in rest.
+func readGeometryHeader(buf []byte) (need grid.Box, n uint64, rest []byte, err error) {
+	if len(buf) < 1 || buf[0] != geomVersion {
+		return grid.Box{}, 0, nil, fmt.Errorf("core: unsupported geometry encoding version")
 	}
-	return need, own, nil
+	var prev grid.Box
+	if need, rest, err = readBox(buf[1:], &prev); err != nil {
+		return grid.Box{}, 0, nil, err
+	}
+	if n, rest, err = readUvarint(rest); err != nil {
+		return grid.Box{}, 0, nil, fmt.Errorf("core: chunk count: %w", err)
+	}
+	if n > uint64(len(rest)) { // every box costs at least one byte
+		return grid.Box{}, 0, nil, fmt.Errorf("core: implausible chunk count %d", n)
+	}
+	return need, n, rest, nil
 }

@@ -22,11 +22,11 @@ func plansIdentical(t *testing.T, label string, want, got *Plan) {
 		t.Fatal(err)
 	}
 	if string(wj) != string(gj) {
-		t.Errorf("%s: plan summary diverges from brute force\nbrute:   %s\nindexed: %s", label, wj, gj)
+		t.Errorf("%s: plan summary diverges from brute force\nbrute: %s\ngot:   %s", label, wj, gj)
 		return
 	}
 	if want.Stats() != got.Stats() {
-		t.Errorf("%s: schedule stats diverge: brute %+v, indexed %+v", label, want.Stats(), got.Stats())
+		t.Errorf("%s: schedule stats diverge: brute %+v, got %+v", label, want.Stats(), got.Stats())
 	}
 	for r := 0; r < want.rounds; r++ {
 		rank := want.rank
@@ -49,49 +49,69 @@ func plansIdentical(t *testing.T, label string, want, got *Plan) {
 	}
 }
 
-// TestCompilerEquivalenceGolden proves the indexed compiler is
-// plan-preserving on the golden geometries: for every rank of every
-// golden case, serial and parallel indexed compiles must match the
-// brute-force reference exactly.
+// compilePlanIndexed compiles one rank's plan with freshly built spatial
+// indexes — the discovery strategy CompileSchedule shares across ranks,
+// applied to a single compile.
+func compilePlanIndexed(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box) (*Plan, error) {
+	return newScheduleCompiler(elemSize, allChunks, allNeeds, true).compile(rank, 1)
+}
+
+// compilersAgree checks the three discovery strategies against one
+// another on one geometry: for every rank, the linear per-rank compile
+// (serial and parallel construction), the whole-schedule indexed compile
+// and a single indexed compile must all equal the brute-force reference.
+func compilersAgree(t *testing.T, label string, elemSize int, chunks [][]grid.Box, needs []grid.Box) {
+	t.Helper()
+	schedule, err := CompileSchedule(elemSize, chunks, needs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank := range chunks {
+		brute, err := compilePlanBrute(rank, elemSize, chunks, needs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+			linear, err := compilePlan(rank, elemSize, chunks, needs, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plansIdentical(t, label+"/linear", brute, linear)
+		}
+		plansIdentical(t, label+"/schedule", brute, schedule[rank])
+		indexed, err := compilePlanIndexed(rank, elemSize, chunks, needs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plansIdentical(t, label+"/indexed", brute, indexed)
+	}
+}
+
+// TestCompilerEquivalenceGolden proves the compilers are plan-preserving
+// on the golden geometries: linear = indexed = brute force, for every
+// rank of every golden case.
 func TestCompilerEquivalenceGolden(t *testing.T) {
-	pars := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
-			for rank := range gc.chunks {
-				brute, err := compilePlanBrute(rank, gc.elemSize, gc.chunks, gc.needs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, par := range pars {
-					indexed, err := compilePlan(rank, gc.elemSize, gc.chunks, gc.needs, par)
-					if err != nil {
-						t.Fatal(err)
-					}
-					plansIdentical(t, gc.name, brute, indexed)
-				}
-			}
+			compilersAgree(t, gc.name, gc.elemSize, gc.chunks, gc.needs)
 		})
 	}
 }
 
-// TestCompilerEquivalenceDegenerate exercises the shapes the index must
-// not mishandle: ranks owning nothing, empty chunks, and needs entirely
-// outside the owned domain.
+// TestCompilerEquivalenceDegenerate exercises the shapes discovery must
+// not mishandle: ranks owning nothing, zero-extent chunks and needs (the
+// index drops them at build time; the scan must find they intersect
+// nothing), and needs entirely outside the owned domain.
 func TestCompilerEquivalenceDegenerate(t *testing.T) {
 	gc := goldenCases()[0]
+	nd := gc.needs[0].NDims
+	empty := grid.MustBox(make([]int, nd), make([]int, nd))
 	chunks := append([][]grid.Box{}, gc.chunks...)
 	chunks[1] = nil // a rank with no data
+	chunks[0] = append([]grid.Box{empty}, chunks[0]...)
+	chunks[3] = append(append([]grid.Box{}, chunks[3]...), empty)
 	needs := append([]grid.Box{}, gc.needs...)
 	needs[2] = grid.MustBox([]int{1000}, []int{16}) // a need nothing covers
-	for rank := range chunks {
-		brute, err := compilePlanBrute(rank, gc.elemSize, chunks, needs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		indexed, err := compilePlan(rank, gc.elemSize, chunks, needs, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plansIdentical(t, "degenerate", brute, indexed)
-	}
+	needs[3] = empty
+	compilersAgree(t, "degenerate", gc.elemSize, chunks, needs)
 }

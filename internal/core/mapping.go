@@ -122,12 +122,13 @@ func (p *Plan) MyChunks() []grid.Box { return p.myChunks }
 // precondition is checked collectively and violations are reported.
 //
 // When the plan cache is enabled (the default, see WithPlanCache), the
-// ranks first agree collectively on a fingerprint of the global geometry;
-// if every rank holds a cached plan for it, the geometry allgather,
-// validation, and compilation are all skipped and the cached plan is
-// replayed — the steady-state cost of re-establishing a mapping whose
-// layout did not change (the in-transit reconnect cycle) is two tiny
-// collectives.
+// ranks first agree on a fingerprint of the global geometry and on
+// whether every rank holds a cached plan for it, in one small allgather
+// (plancache.go); if so the geometry allgather, validation, and
+// compilation are all skipped and the cached plan is replayed — that one
+// allgather is the steady-state cost of re-establishing a mapping whose
+// layout did not change (the in-transit reconnect cycle). A miss adds the
+// geometry allgather and this rank's own compile.
 func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box) error {
 	if c.Size() != d.nProcs {
 		return fmt.Errorf("core: descriptor is for %d processes but communicator has %d: %w",
@@ -153,10 +154,12 @@ func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box
 	defer endSpan()
 
 	enc := encodeGeometry(need, own)
+	var key cacheKey
 	if d.cache != nil {
-		cached, ok, err := d.cache.lookup(c, enc, d.fpSalt(), func(p *Plan) bool {
+		cached, k, ok, err := d.cache.lookup(c, enc, d.fpSalt(), func(p *Plan) bool {
 			return planMatchesLocal(p, c.Rank(), own, need)
 		})
+		key = k
 		if err != nil {
 			return fmt.Errorf("core: plan cache agreement: %w", err)
 		}
@@ -183,13 +186,9 @@ func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box
 	if err != nil {
 		return fmt.Errorf("core: geometry exchange: %w", err)
 	}
-	allChunks := make([][]grid.Box, c.Size())
-	allNeeds := make([]grid.Box, c.Size())
-	for r, buf := range packed {
-		allNeeds[r], allChunks[r], err = decodeGeometry(buf)
-		if err != nil {
-			return fmt.Errorf("core: geometry from rank %d: %w", r, err)
-		}
+	allNeeds, allChunks, err := decodeGeometries(packed)
+	if err != nil {
+		return err
 	}
 
 	if d.validate {
@@ -218,8 +217,8 @@ func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box
 	if d.cache != nil {
 		// The cache lookup already agreed on the fingerprint collectively;
 		// reuse it so the stored plan replays with the same identity.
-		plan.fp = d.cache.lastKey.fp
-		d.cache.store(plan)
+		plan.fp = key.fp
+		d.cache.put(key, plan)
 	} else {
 		plan.fp = saltHash(topoHash(geometryFingerprint(packed), c), d.fpSalt())
 	}
@@ -301,59 +300,104 @@ func NewPlanFromGeometry(rank, elemSize int, allChunks [][]grid.Box, allNeeds []
 }
 
 // typeJob is one subarray-type construction the compiler fans across the
-// worker pool: a (round, peer, direction) slot plus the geometry the type
-// is built from. Slots are unique per job, so the batch runs at any
-// parallelism with no synchronization beyond the join.
+// worker pool: a (round, peer, direction) slot plus the overlap the type
+// packs or scatters — inside the rank's round-r chunk for a send, inside
+// its need box for a receive. Slots are unique per job, so the batch runs
+// at any parallelism with no synchronization beyond the join.
 type typeJob struct {
 	r, peer int
-	base    grid.Box // the array the type addresses (chunk or need box)
-	region  grid.Box // the overlap packed/scattered
+	region  grid.Box
 	recv    bool
 	pos     int // the entry slot in the plan's sparse table
 }
 
 // scheduleCompiler holds the geometry-wide state of plan compilation: the
-// spatial index over the need boxes (driving send discovery), the
-// flattened chunk list with its index (driving receive discovery), and
-// the round count. Building it costs O(C log C) in the total chunk count;
-// compiling one rank against it costs only that rank's overlaps. The
-// separation is what makes whole-schedule analysis (CompileSchedule, the
-// ddrplan sweeps) scale: the indexes are built once and shared across all
-// P rank compiles instead of being rebuilt — or worse, replaced by P
-// brute-force scans of all P peers — per rank.
+// gathered geometry, the round count and, for whole-schedule compiles
+// only, spatial indexes over the need boxes (send discovery) and the
+// flattened chunk list (receive discovery). One rank's compile asks a
+// query per own chunk and one for its need box, which an O(C log C) bulk
+// load never repays, so compilePlan scans instead; CompileSchedule builds
+// the indexes once, where they replace P scans of all P peers.
 type scheduleCompiler struct {
 	elemSize  int
 	allChunks [][]grid.Box
 	allNeeds  []grid.Box
 	rounds    int
 
-	needIx    *grid.Index
+	needIx    *grid.Index // nil: discover by linear scan
 	chunkIx   *grid.Index
 	flat      []grid.Box // all chunks, peer-major, round ascending
 	flatPeer  []int
 	flatRound []int
 }
 
-func newScheduleCompiler(elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box) *scheduleCompiler {
+func newScheduleCompiler(elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, indexed bool) *scheduleCompiler {
 	sc := &scheduleCompiler{elemSize: elemSize, allChunks: allChunks, allNeeds: allNeeds}
-	totalChunks := 0
+	total := 0
 	for _, chunks := range allChunks {
 		sc.rounds = max(sc.rounds, len(chunks))
-		totalChunks += len(chunks)
+		total += len(chunks)
 	}
-	sc.flat = make([]grid.Box, 0, totalChunks)
-	sc.flatPeer = make([]int, 0, totalChunks)
-	sc.flatRound = make([]int, 0, totalChunks)
-	for peer, chunks := range allChunks {
+	if !indexed {
+		return sc
+	}
+	sc.flat = make([]grid.Box, 0, total)
+	sc.flatPeer = make([]int, 0, total)
+	sc.flatRound = make([]int, 0, total)
+	for peer, chunks := range sc.allChunks {
 		for r, b := range chunks {
 			sc.flat = append(sc.flat, b)
 			sc.flatPeer = append(sc.flatPeer, peer)
 			sc.flatRound = append(sc.flatRound, r)
 		}
 	}
-	sc.needIx = grid.NewIndex(allNeeds)
+	sc.needIx = grid.NewIndex(sc.allNeeds)
 	sc.chunkIx = grid.NewIndex(sc.flat)
 	return sc
+}
+
+// discover collects the (round, peer) pairs of p's rank that overlap:
+// first the sends, round-major with peers ascending inside each round —
+// the entry order of the sparse table — then the receives, peer-major
+// (compile buckets those by round). The indexes return candidates
+// ascending, so both strategies emit the same jobs in the same order;
+// empty boxes intersect nothing and drop out of either.
+func (sc *scheduleCompiler) discover(p *Plan) (jobs []typeJob, nSend int) {
+	if sc.needIx != nil {
+		var hits []int
+		for r, chunk := range p.myChunks {
+			hits = sc.needIx.QueryAppend(hits[:0], chunk)
+			for _, peer := range hits {
+				if ov, ok := chunk.Intersect(sc.allNeeds[peer]); ok {
+					jobs = append(jobs, typeJob{r: r, peer: peer, region: ov})
+				}
+			}
+		}
+		nSend = len(jobs)
+		hits = sc.chunkIx.QueryAppend(hits[:0], p.need)
+		for _, id := range hits {
+			if ov, ok := sc.flat[id].Intersect(p.need); ok {
+				jobs = append(jobs, typeJob{r: sc.flatRound[id], peer: sc.flatPeer[id], region: ov, recv: true})
+			}
+		}
+		return jobs, nSend
+	}
+	for r, chunk := range p.myChunks {
+		for peer, need := range sc.allNeeds {
+			if ov, ok := chunk.Intersect(need); ok {
+				jobs = append(jobs, typeJob{r: r, peer: peer, region: ov})
+			}
+		}
+	}
+	nSend = len(jobs)
+	for peer, chunks := range sc.allChunks {
+		for r, chunk := range chunks {
+			if ov, ok := chunk.Intersect(p.need); ok {
+				jobs = append(jobs, typeJob{r: r, peer: peer, region: ov, recv: true})
+			}
+		}
+	}
+	return jobs, nSend
 }
 
 // fillEmpty stamps the Empty sentinel into every slot by doubling copy —
@@ -368,58 +412,23 @@ func fillEmpty(ts []datatype.Type) {
 	}
 }
 
-// compile builds rank's plan against the shared indexes. Subarray
-// construction and contiguity analysis fan out across par workers
-// (datatype.ForkJoin); the result is byte-identical to the brute-force
-// reference at any parallelism.
+// compile builds rank's plan. Subarray construction and contiguity
+// analysis fan out across par workers (datatype.ForkJoin); the result is
+// byte-identical to the brute-force reference at any parallelism and
+// under either discovery strategy.
 func (sc *scheduleCompiler) compile(rank, par int) (*Plan, error) {
-	nProcs := len(sc.allNeeds)
 	rounds := sc.rounds
 	p := &Plan{
 		elemSize:  sc.elemSize,
 		rank:      rank,
-		nProcs:    nProcs,
+		nProcs:    len(sc.allNeeds),
 		rounds:    rounds,
 		myChunks:  sc.allChunks[rank],
 		need:      sc.allNeeds[rank],
 		allChunks: sc.allChunks,
 		allNeeds:  sc.allNeeds,
 	}
-
-	// Discovery: collect the (round, peer) pairs that actually overlap.
-	// Candidate sets come back from the indexes ascending, preserving the
-	// peer ordering the brute-force compiler produced.
-	var jobs []typeJob
-	var hits []int
-
-	// Sends: my round-r chunk against the indexed need boxes. Jobs arrive
-	// round-major with peers ascending inside each round â already the
-	// entry order of the sparse table.
-	for r, chunk := range p.myChunks {
-		hits = sc.needIx.QueryAppend(hits[:0], chunk)
-		for _, peer := range hits {
-			ov, ok := chunk.Intersect(sc.allNeeds[peer])
-			if !ok {
-				continue
-			}
-			jobs = append(jobs, typeJob{r: r, peer: peer, base: chunk, region: ov})
-		}
-	}
-	nSend := len(jobs)
-
-	// Receives: my need box against the indexed flattened chunk list.
-	// Flat order is peer-major, so hits arrive with ascending peers; the
-	// sparse table is round-major, so these jobs are bucketed by round
-	// below.
-	hits = sc.chunkIx.QueryAppend(hits[:0], p.need)
-	for _, id := range hits {
-		peer, r := sc.flatPeer[id], sc.flatRound[id]
-		ov, ok := sc.flat[id].Intersect(p.need)
-		if !ok {
-			continue
-		}
-		jobs = append(jobs, typeJob{r: r, peer: peer, base: p.need, region: ov, recv: true})
-	}
+	jobs, nSend := sc.discover(p)
 
 	// Lay out the sparse tables: prefix-sum the per-round entry counts
 	// into offsets and assign each job its slot. Send jobs are already
@@ -445,20 +454,16 @@ func (sc *scheduleCompiler) compile(rank, par int) (*Plan, error) {
 	errs := make([]error, len(jobs))
 	datatype.ForkJoin(len(jobs), par, func(i int) {
 		j := &jobs[i]
-		t, err := datatype.NewSubarray(sc.elemSize, j.base, j.region)
+		e, base, dir := &p.recvE, p.need, "recv type from"
+		if !j.recv {
+			e, base, dir = &p.sendE, p.myChunks[j.r], "send type to"
+		}
+		t, err := datatype.NewSubarray(sc.elemSize, base, j.region)
 		if err != nil {
-			dir := "send type to"
-			if j.recv {
-				dir = "recv type from"
-			}
 			errs[i] = fmt.Errorf("core: %s rank %d: %w", dir, j.peer, err)
 			return
 		}
 		off, n, ok := t.ContiguousSpan()
-		e := &p.sendE
-		if j.recv {
-			e = &p.recvE
-		}
 		e.types[j.pos] = t
 		e.spans[j.pos] = contigSpan{off: off, n: n, ok: ok}
 	})
@@ -489,10 +494,11 @@ func newPlanEntries(rounds int, jobs []typeJob) planEntries {
 }
 
 // compilePlan builds one rank's plan from the gathered global geometry —
-// the path SetupDataMapping takes after its allgather. Overlap discovery
-// runs through the spatial indexes of a fresh scheduleCompiler.
+// the path SetupDataMapping and NewPlanFromGeometry take. It is per-rank
+// work, as in the paper's DDR_SetupDataMapping: O(C_r·P + C) overlap
+// tests and no index.
 func compilePlan(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, par int) (*Plan, error) {
-	return newScheduleCompiler(elemSize, allChunks, allNeeds).compile(rank, par)
+	return newScheduleCompiler(elemSize, allChunks, allNeeds, false).compile(rank, par)
 }
 
 // CompileSchedule compiles every rank's plan from a full global geometry
@@ -509,7 +515,7 @@ func CompileSchedule(elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, 
 	if len(allChunks) != len(allNeeds) {
 		return nil, fmt.Errorf("core: %d chunk lists for %d need boxes", len(allChunks), len(allNeeds))
 	}
-	sc := newScheduleCompiler(elemSize, allChunks, allNeeds)
+	sc := newScheduleCompiler(elemSize, allChunks, allNeeds, true)
 	plans := make([]*Plan, len(allNeeds))
 	errs := make([]error, len(allNeeds))
 	// Ranks compile independently against the shared read-only indexes, so

@@ -40,13 +40,17 @@ func gcQuiesce() func() {
 }
 
 // BenchmarkSetupMapping sweeps offline plan compilation across process
-// counts, comparing the indexed sparse compiler against the brute-force
-// reference (the pre-PR path, retained in mapping_brute.go):
+// counts. One rank's plan, under each of the three discovery strategies:
 //
-//	plan/*:           one rank's plan via NewPlanFromGeometry
-//	plan-brute/*:     one rank's plan via the brute-force compiler
-//	schedule/*:       all P plans via CompileSchedule (shared indexes)
-//	schedule-brute/*: all P plans by looping the brute-force compiler
+//	plan/*:           NewPlanFromGeometry — linear scan into sparse tables,
+//	                  the path SetupDataMapping takes
+//	plan-indexed/*:   fresh spatial indexes for the one compile
+//	plan-brute/*:     the dense-table reference compiler (mapping_brute.go)
+//
+// and all P plans:
+//
+//	schedule/*:       CompileSchedule (one index build shared by P compiles)
+//	schedule-brute/*: looping the brute-force compiler
 //
 // The schedule pair is the paper's offline-analysis scenario (ddrplan,
 // capacity planning): the acceptance target is the schedule ratio at
@@ -58,13 +62,23 @@ func BenchmarkSetupMapping(b *testing.B) {
 		rank := procs / 2
 
 		b.Run(fmt.Sprintf("plan/P=%d", procs), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := NewPlanFromGeometry(rank, 4, chunks, needs); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+		b.Run(fmt.Sprintf("plan-indexed/P=%d", procs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := compilePlanIndexed(rank, 4, chunks, needs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 		b.Run(fmt.Sprintf("plan-brute/P=%d", procs), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := compilePlanBrute(rank, 4, chunks, needs); err != nil {
 					b.Fatal(err)

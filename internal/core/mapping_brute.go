@@ -11,13 +11,12 @@ import (
 // against every peer's need linearly over dense (round, peer) tables,
 // exactly as the original implementation of the paper's
 // DDR_SetupDataMapping did. It is retained solely as the
-// differential-testing oracle for the indexed parallel compiler in
-// compilePlan — the two must produce byte-identical plans for every
-// geometry (see TestCompilerEquivalence and the ddrtest sweep) — and as
-// the baseline the mapping benchmarks measure the indexed compiler
-// against. Production paths never call it. The trailing conversion packs
-// the dense tables into the Plan's sparse representation without
-// changing any entry.
+// differential-testing oracle for scheduleCompiler — the linear per-rank
+// compilePlan and the indexed CompileSchedule must both produce its plans
+// byte for byte on every geometry (see TestCompilerEquivalence and the
+// ddrtest sweep) — and as a row of the mapping benchmarks. No library
+// path calls it. The trailing conversion packs the dense tables into the
+// Plan's sparse representation without changing any entry.
 func compilePlanBrute(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box) (*Plan, error) {
 	nProcs := len(allNeeds)
 	rounds := 0

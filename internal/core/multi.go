@@ -148,7 +148,7 @@ func (d *MultiDescriptor) SetupDataMapping(c *mpi.Comm, own, needs []grid.Box) e
 		}
 	}
 	enc := encodeBoxLists(own, needs)
-	cached, ok, err := d.cache.lookup(c, enc, 0, func(p *multiPlan) bool {
+	cached, key, ok, err := d.cache.lookup(c, enc, 0, func(p *multiPlan) bool {
 		return multiPlanMatchesLocal(p, c.Rank(), own, needs)
 	})
 	if err != nil {
@@ -226,7 +226,7 @@ func (d *MultiDescriptor) SetupDataMapping(c *mpi.Comm, own, needs []grid.Box) e
 		return err
 	}
 	p.sched = []step{st}
-	d.cache.store(p)
+	d.cache.put(key, p)
 	d.plan = p
 	return nil
 }

@@ -3,32 +3,33 @@ package core
 import (
 	"container/list"
 	"encoding/binary"
+	"fmt"
 
 	"ddr/internal/mpi"
 )
 
 // Plan caching. SetupDataMapping is a collective whose cost — a geometry
-// allgather plus an O(chunks·overlaps) compile — is pure waste when the
-// layout it describes was already mapped: in-transit couplings reconnect
-// with the producer and consumer grids unchanged, and simulations cycle
-// through a small set of decompositions (compute layout ↔ I/O layout).
-// The cache keys compiled plans by a fingerprint of the canonical
-// geometry encoding, so re-establishing a known mapping costs two small
-// collectives instead of a full compile.
+// allgather plus a compile — is pure waste when the layout it describes
+// was already mapped: in-transit couplings reconnect with the producer
+// and consumer grids unchanged, and simulations cycle through a small set
+// of decompositions (compute layout ↔ I/O layout). The cache keys
+// compiled plans by a fingerprint of the canonical geometry encoding, so
+// re-establishing a known mapping costs one small allgather.
 //
 // Correctness hinges on the decision being collectively consistent: a
 // rank that replays a cached plan while another compiles would leave the
 // compiler's allgather short one participant and deadlock the world. The
-// lookup therefore agrees collectively — an allgather of per-rank
-// geometry hashes (from which every rank derives the same global
-// fingerprint) followed by one min-allreduce that simultaneously checks
-// the fingerprint is unanimous and that every rank holds a matching
-// entry. Only a unanimous yes replays the cache; any dissent routes all
-// ranks through the compile path together.
+// lookup therefore settles in one allgather that every rank reads the
+// same way: each contributes the hash of its own geometry followed by the
+// fingerprints of the cached plans it could replay; the global
+// fingerprint is the fold of the gathered hashes, and the verdict is a
+// hit exactly when every rank lists it. Any dissent — a rank that never
+// saw the geometry, or evicted it — is visible to all in the same
+// gathered bytes and routes all ranks through the compile path together.
 //
 // A fingerprint collision (two geometries, one hash) is defended locally:
-// the hit callback compares the cached plan's own geometry against the
-// rank's current contribution, and any mismatch votes miss.
+// a rank lists a cached plan only when the match callback confirms it was
+// compiled from the rank's current contribution.
 
 // FNV-1a, the 64-bit variant — stable across processes and runs, unlike
 // maphash, so fingerprints can be compared between ranks.
@@ -48,9 +49,9 @@ func hash64(h uint64, b []byte) uint64 {
 
 // geometryFingerprint derives the global-geometry fingerprint from the
 // allgathered per-rank canonical encodings — the same fold the cache
-// lookup performs over gathered per-rank hashes, for the cache-disabled
-// path that has the full encodings in hand. Every rank holds the same
-// gathered set, so every rank derives the same value.
+// lookup performs over gathered per-rank hashes, for callers with the full
+// encodings in hand (cache-disabled set-ups, the delta compiler). Every
+// rank holds the same gathered set, so every rank derives the same value.
 func geometryFingerprint(packed [][]byte) uint64 {
 	fp := uint64(fnvOffset64)
 	var h [8]byte
@@ -124,10 +125,6 @@ type planCache[T any] struct {
 	limit int
 	ll    *list.List // front = most recently used
 	byKey map[cacheKey]*list.Element
-
-	// lastKey carries the fingerprint computed by the latest lookup to the
-	// store call that follows a miss.
-	lastKey cacheKey
 }
 
 type cacheEntry[T any] struct {
@@ -140,70 +137,82 @@ func newPlanCache[T any](limit int) *planCache[T] {
 }
 
 // lookup fingerprints the global geometry from this rank's canonical
-// encoding enc and collectively decides whether every rank can replay a
-// cached plan. salt is folded into every rank's local hash (see
-// saltHash); it must be uniform across ranks, like the geometry itself —
-// a disagreement surfaces as a fingerprint mismatch, which routes all
-// ranks through the compile path together. match confirms a candidate
+// encoding enc and collectively decides, in one allgather, whether every
+// rank can replay a cached plan. salt is folded into every rank's local
+// hash (see saltHash); it must be uniform across ranks, like the geometry
+// itself — a disagreement changes the global fingerprint, which no rank
+// then lists, so all ranks compile together. match confirms a candidate
 // was compiled from exactly this rank's current geometry (the collision
 // defense). Returns the plan and true only on a unanimous hit; otherwise
-// the caller must compile and then call store, on every rank.
-func (pc *planCache[T]) lookup(c *mpi.Comm, enc []byte, salt uint64, match func(T) bool) (T, bool, error) {
-	var zero T
-
-	// Every rank contributes the hash of its own geometry; the global
-	// fingerprint folds the gathered hashes in rank order, so all ranks
-	// derive the same 64-bit value for the same global geometry.
-	var local [8]byte
-	binary.LittleEndian.PutUint64(local[:], saltHash(topoHash(hash64(fnvOffset64, enc), c), salt))
-	gathered, err := c.Allgather(local[:])
+// the caller must compile and then put the plan under the returned key,
+// on every rank.
+func (pc *planCache[T]) lookup(c *mpi.Comm, enc []byte, salt uint64, match func(T) bool) (hit T, key cacheKey, ok bool, err error) {
+	key = cacheKey{fp: fnvOffset64, rank: c.Rank()}
+	vote := binary.LittleEndian.AppendUint64(make([]byte, 0, 16),
+		saltHash(topoHash(hash64(fnvOffset64, enc), c), salt))
+	gathered, err := c.Allgather(pc.offers(vote, key.rank, match))
 	if err != nil {
-		return zero, false, err
+		return hit, key, false, err
 	}
-	fp := uint64(fnvOffset64)
-	for _, h := range gathered {
-		fp = hash64(fp, h)
+	for r, v := range gathered {
+		if len(v) < 8 || len(v)%8 != 0 {
+			return hit, key, false, fmt.Errorf("core: malformed %d-byte cache vote from rank %d", len(v), r)
+		}
+		key.fp = hash64(key.fp, v[:8])
 	}
-	key := cacheKey{fp: fp, rank: c.Rank()}
-	pc.lastKey = key
-
-	have := int64(0)
-	var hit T
-	if el, ok := pc.byKey[key]; ok {
-		ent := el.Value.(*cacheEntry[T])
-		if match(ent.val) {
-			have = 1
-			hit = ent.val
+	for _, v := range gathered {
+		if !offered(v[8:], key.fp) {
+			return hit, key, false, nil
 		}
 	}
-
-	// One allreduce settles both questions. min(x) == x and min(-x) == -x
-	// together mean x is unanimous, so the fingerprint halves (split to
-	// stay inside AllreduceInt64's exact float64 range) verify every rank
-	// fingerprinted the same geometry, and min(have) == 1 means every rank
-	// holds a matching plan. Anything less is a collective miss.
-	hi, lo := int64(fp>>32), int64(fp&0xffffffff)
-	votes, err := c.AllreduceInt64([]int64{hi, lo, -hi, -lo, have}, mpi.OpMin)
-	if err != nil {
-		return zero, false, err
-	}
-	if votes[0] != hi || votes[1] != lo || votes[2] != -hi || votes[3] != -lo || votes[4] != 1 {
-		return zero, false, nil
-	}
-	pc.ll.MoveToFront(pc.byKey[key])
-	return hit, true, nil
+	// This rank's own vote is among the gathered, so the entry exists.
+	hit, _ = pc.get(key)
+	return hit, key, true, nil
 }
 
-// store records the plan compiled after a miss under the fingerprint that
-// lookup computed, evicting the least recently used entry beyond the
-// cache's capacity.
-func (pc *planCache[T]) store(val T) {
-	if el, ok := pc.byKey[pc.lastKey]; ok {
+// offers appends to vote the fingerprints of rank's cached plans that
+// match confirms. The global fingerprint is not known before the gather,
+// so a rank offers every plan it could replay for its contribution.
+func (pc *planCache[T]) offers(vote []byte, rank int, match func(T) bool) []byte {
+	for el := pc.ll.Front(); el != nil; el = el.Next() {
+		if ent := el.Value.(*cacheEntry[T]); ent.key.rank == rank && match(ent.val) {
+			vote = binary.LittleEndian.AppendUint64(vote, ent.key.fp)
+		}
+	}
+	return vote
+}
+
+// offered reports whether a rank's offers (whole 8-byte fingerprints)
+// include fp.
+func offered(offers []byte, fp uint64) bool {
+	for ; len(offers) > 0; offers = offers[8:] {
+		if binary.LittleEndian.Uint64(offers) == fp {
+			return true
+		}
+	}
+	return false
+}
+
+// get returns the plan stored under key, marked most recently used.
+func (pc *planCache[T]) get(key cacheKey) (T, bool) {
+	el, ok := pc.byKey[key]
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	pc.ll.MoveToFront(el)
+	return el.Value.(*cacheEntry[T]).val, true
+}
+
+// put records val under key, evicting the least recently used entry
+// beyond the cache's capacity.
+func (pc *planCache[T]) put(key cacheKey, val T) {
+	if el, ok := pc.byKey[key]; ok {
 		el.Value.(*cacheEntry[T]).val = val
 		pc.ll.MoveToFront(el)
 		return
 	}
-	pc.byKey[pc.lastKey] = pc.ll.PushFront(&cacheEntry[T]{key: pc.lastKey, val: val})
+	pc.byKey[key] = pc.ll.PushFront(&cacheEntry[T]{key: key, val: val})
 	for pc.ll.Len() > pc.limit {
 		back := pc.ll.Back()
 		pc.ll.Remove(back)

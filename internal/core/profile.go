@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"time"
 
 	"ddr/internal/grid"
@@ -11,9 +10,9 @@ import (
 // compilation, the measurement behind cmd/ddrplan -sweep. It separates
 // what a live SetupDataMapping would spend on the wire (the geometry
 // allgather payload), on the cache key (canonical encoding + fingerprint),
-// and on the compile itself (spatial-index construction plus plan
-// assembly), so compile-time scaling can be reproduced at process counts
-// far beyond the running world.
+// and on the rank's compile, beside what the spatial indexes of a
+// whole-schedule compile cost to build, so compile-time scaling can be
+// reproduced at process counts far beyond the running world.
 type MappingProfile struct {
 	Procs       int
 	TotalChunks int
@@ -29,8 +28,8 @@ type MappingProfile struct {
 
 	EncodeTime      time.Duration // canonical encoding of every rank's geometry
 	FingerprintTime time.Duration // folding the per-rank hashes into the cache key
-	IndexTime       time.Duration // building the need and chunk spatial indexes
-	CompileTime     time.Duration // full plan compilation (includes its own indexing)
+	IndexTime       time.Duration // building the need and chunk spatial indexes (CompileSchedule only)
+	CompileTime     time.Duration // this rank's plan compilation (linear discovery, no index)
 }
 
 // ProfileMapping compiles rank's plan offline from a full global geometry
@@ -55,20 +54,14 @@ func ProfileMapping(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.
 	}
 	prof.EncodeTime = time.Since(start)
 
-	// Phase 2: the cache key, exactly as planCache.lookup derives it —
-	// per-rank FNV-1a hashes folded in rank order.
+	// Phase 2: the cache key, as planCache.lookup derives it on a flat,
+	// unsalted world — per-rank FNV-1a hashes folded in rank order.
 	start = time.Now()
-	fp := uint64(fnvOffset64)
-	var h [8]byte
-	for _, enc := range encodings {
-		binary.LittleEndian.PutUint64(h[:], hash64(fnvOffset64, enc))
-		fp = hash64(fp, h[:])
-	}
-	prof.Fingerprint = fp
+	prof.Fingerprint = geometryFingerprint(encodings)
 	prof.FingerprintTime = time.Since(start)
 
-	// Phase 3: spatial-index construction alone, isolated from the plan
-	// assembly it accelerates.
+	// Phase 3: spatial-index construction alone — the cost a single
+	// rank's compile avoids and a whole-schedule compile pays once.
 	start = time.Now()
 	_ = grid.NewIndex(allNeeds)
 	flat := make([]grid.Box, 0, prof.TotalChunks)

@@ -2,9 +2,10 @@ package core
 
 import "ddr/internal/grid"
 
-// CompileForTest compiles a plan through the production indexed compiler
-// at an explicit parallelism, bypassing the communicator. It exists for
-// the compiler-equivalence tests. Never call outside tests.
+// CompileForTest compiles a plan through the per-rank compiler
+// SetupDataMapping runs, at an explicit parallelism, bypassing the
+// communicator. It exists for the compiler-equivalence tests. Never call
+// outside tests.
 func CompileForTest(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, par int) (*Plan, error) {
 	return compilePlan(rank, elemSize, allChunks, allNeeds, par)
 }

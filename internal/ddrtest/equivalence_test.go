@@ -2,53 +2,73 @@ package ddrtest
 
 import (
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"testing"
 
 	"ddr/internal/core"
+	"ddr/internal/grid"
 )
 
-// TestCompilerEquivalenceSweep differentially tests the production
-// indexed + parallel plan compiler against the brute-force reference over
-// seeded random geometries: random tilings, uneven chunk counts, empty
-// ranks, and needs poking past the domain. Every rank of every case must
-// compile to an identical plan at every parallelism. Run under -race this
-// also shakes down the parallel construction phase.
+// TestCompilerEquivalenceSweep differentially tests the three overlap
+// discovery strategies over seeded random geometries — random tilings,
+// uneven chunk counts, needs poking past the domain and, on every other
+// seed, a rank stripped of its chunks, zero-extent chunks and a
+// zero-extent need. For every rank the linear per-rank compiler (what
+// SetupDataMapping runs, at every construction parallelism) and the
+// indexed whole-schedule compiler must both produce the brute-force
+// reference's plan. Run under -race this also shakes down the parallel
+// construction phase.
 func TestCompilerEquivalenceSweep(t *testing.T) {
 	seeds := 30
 	if testing.Short() {
 		seeds = 8
 	}
 	pars := []int{1, 4, runtime.GOMAXPROCS(0)}
+	same := func(tc *Case, label string, rank int, brute, got *core.Plan) {
+		t.Helper()
+		want, err := json.Marshal(brute.Summary())
+		if err != nil {
+			t.Fatal(err)
+		}
+		have, err := json.Marshal(got.Summary())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(have) != string(want) {
+			t.Fatalf("%v rank %d %s: plan diverges from brute force\nbrute: %s\ngot:   %s", tc, rank, label, want, have)
+		}
+		if brute.Stats() != got.Stats() {
+			t.Fatalf("%v rank %d %s: stats diverge: brute %+v got %+v", tc, rank, label, brute.Stats(), got.Stats())
+		}
+	}
 	for seed := 0; seed < seeds; seed++ {
 		tc := GenCase(uint64(seed), core.ModeAlltoallw, 12, 24)
+		if seed%2 == 1 {
+			nd := tc.Layout.NDims()
+			empty := grid.MustBox(make([]int, nd), make([]int, nd))
+			tc.Chunks[0] = nil
+			tc.Chunks[1] = append([]grid.Box{empty}, tc.Chunks[1]...)
+			tc.Chunks[tc.NProcs-1] = append(tc.Chunks[tc.NProcs-1], empty)
+			tc.Needs[seed%tc.NProcs] = empty
+		}
+		schedule, err := core.CompileSchedule(tc.ElemSize, tc.Chunks, tc.Needs, 2)
+		if err != nil {
+			t.Fatalf("%v: schedule: %v", &tc, err)
+		}
 		for rank := 0; rank < tc.NProcs; rank++ {
 			brute, err := core.CompileBruteForTest(rank, tc.ElemSize, tc.Chunks, tc.Needs)
 			if err != nil {
 				t.Fatalf("%v rank %d: brute: %v", &tc, rank, err)
 			}
-			want, err := json.Marshal(brute.Summary())
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, par := range pars {
-				indexed, err := core.CompileForTest(rank, tc.ElemSize, tc.Chunks, tc.Needs, par)
+				linear, err := core.CompileForTest(rank, tc.ElemSize, tc.Chunks, tc.Needs, par)
 				if err != nil {
 					t.Fatalf("%v rank %d par %d: %v", &tc, rank, par, err)
 				}
-				got, err := json.Marshal(indexed.Summary())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(got) != string(want) {
-					t.Fatalf("%v rank %d par %d: plan diverges from brute force\nbrute:   %s\nindexed: %s",
-						&tc, rank, par, want, got)
-				}
-				if brute.Stats() != indexed.Stats() {
-					t.Fatalf("%v rank %d par %d: stats diverge: brute %+v indexed %+v",
-						&tc, rank, par, brute.Stats(), indexed.Stats())
-				}
+				same(&tc, fmt.Sprintf("linear par %d", par), rank, brute, linear)
 			}
+			same(&tc, "indexed", rank, brute, schedule[rank])
 		}
 	}
 }

@@ -100,13 +100,13 @@ func NewDist2D(c *mpi.Comm, n, nb int, opts ...core.Option) (*Dist2D, error) {
 		nb:     nb,
 		rank:   c.Rank(),
 		procs:  p,
-		rowBuf: make([]complex128, n / p * n),
-		colBuf: make([]complex128, n * (n / p)),
+		rowBuf: make([]complex128, n/p*n),
+		colBuf: make([]complex128, n*(n/p)),
 		plan:   plan,
 		colTmp: make([]complex128, n),
 	}
 	h := d.rowsPerRank() / nb // rows per forward chunk
-	g := n / nb              // rows per inverse chunk
+	g := n / nb               // rows per inverse chunk
 	w := d.colsPerRank()
 	rowChunks := make([]grid.Box, nb)
 	colChunks := make([]grid.Box, nb)

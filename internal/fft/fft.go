@@ -22,8 +22,8 @@ import (
 // after construction and safe for concurrent use.
 type Plan struct {
 	n   int
-	rev []int32       // bit-reversal permutation
-	tw  []complex128  // tw[k] = exp(-2πik/n), k < n/2
+	rev []int32      // bit-reversal permutation
+	tw  []complex128 // tw[k] = exp(-2πik/n), k < n/2
 }
 
 // NewPlan builds a transform plan for length n, which must be a power

@@ -128,10 +128,15 @@ func (a Box) Intersect(b Box) (Box, bool) {
 	return out, true
 }
 
-// Overlaps reports whether a and b share at least one element.
+// Overlaps reports whether a and b share at least one element: the ok of
+// Intersect without building the overlap.
 func (a Box) Overlaps(b Box) bool {
-	_, ok := a.Intersect(b)
-	return ok
+	for i := 0; i < a.NDims; i++ {
+		if min(a.End(i), b.End(i)) <= max(a.Offset[i], b.Offset[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Equal reports whether a and b describe the same region with the same

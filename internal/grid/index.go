@@ -27,7 +27,7 @@ const indexFanout = 16
 // packed leaf entries (leaf) or a run of child nodes (internal).
 type indexNode struct {
 	bounds   Box
-	lo, hi   int  // half-open range into live (leaf) or nodes (internal)
+	lo, hi   int // half-open range into live (leaf) or nodes (internal)
 	internal bool
 }
 

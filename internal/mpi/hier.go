@@ -163,7 +163,7 @@ func (w *hierWorld) stats() HierStats {
 // hierTransport is one rank's view of the hierarchical world.
 type hierTransport struct {
 	hw   *hierWorld
-	rank int           // world rank
+	rank int // world rank
 	node int
 	shm  *shmTransport // this rank's producer view of its node's shm world
 }

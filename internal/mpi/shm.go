@@ -366,12 +366,12 @@ type shmStream struct {
 // ShmStats is a point-in-time snapshot of a shared-memory world's
 // transport counters.
 type ShmStats struct {
-	BytesOut, BytesIn  int64 // payload bytes through the rings
-	Records            int64 // records published (messages and chunks)
+	BytesOut, BytesIn   int64 // payload bytes through the rings
+	Records             int64 // records published (messages and chunks)
 	ChunksOut, ChunksIn int64
-	Wraps              int64 // wrap markers emitted
-	BackpressureEvents int64 // producer waits on a full ring
-	RingOccupancy      int64 // bytes currently committed and unconsumed
+	Wraps               int64 // wrap markers emitted
+	BackpressureEvents  int64 // producer waits on a full ring
+	RingOccupancy       int64 // bytes currently committed and unconsumed
 }
 
 // shmWorld is one world's shared region: n*n rings, one consumer
@@ -380,8 +380,8 @@ type ShmStats struct {
 type shmWorld struct {
 	n     int
 	cfg   shmConfig
-	mem   []byte // the MAP_SHARED region (nil after close)
-	mmap  bool   // mem came from syscall.Mmap (vs heap fallback)
+	mem   []byte     // the MAP_SHARED region (nil after close)
+	mmap  bool       // mem came from syscall.Mmap (vs heap fallback)
 	rings []*shmRing // [src*n+dst]
 	boxes []*mailbox
 	wakes []chan struct{} // per-receiver wakeup

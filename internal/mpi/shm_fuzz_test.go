@@ -17,14 +17,14 @@ func shmSeedRecord(typ, flags byte, n int, payloadPad int) []byte {
 	b := make([]byte, need+payloadPad)
 	binary.LittleEndian.PutUint64(b, uint64(uint32(n))|uint64(typ)<<32|uint64(flags)<<40)
 	h := b[shmWordSize:]
-	binary.LittleEndian.PutUint32(h, 42)         // ctx
-	binary.LittleEndian.PutUint32(h[4:], 3)      // src
-	binary.LittleEndian.PutUint32(h[8:], 7)      // tag
-	binary.LittleEndian.PutUint64(h[16:], 1234)  // seq
+	binary.LittleEndian.PutUint32(h, 42)        // ctx
+	binary.LittleEndian.PutUint32(h[4:], 3)     // src
+	binary.LittleEndian.PutUint32(h[8:], 7)     // tag
+	binary.LittleEndian.PutUint64(h[16:], 1234) // seq
 	h = h[shmRecHeader:]
 	if typ == shmRecChunk {
-		binary.LittleEndian.PutUint32(h, 9)          // stream
-		binary.LittleEndian.PutUint64(h[8:], 65536)  // total
+		binary.LittleEndian.PutUint32(h, 9)         // stream
+		binary.LittleEndian.PutUint64(h[8:], 65536) // total
 		h = h[shmChunkExt:]
 	}
 	if flags&shmFlagTrace != 0 {
@@ -50,9 +50,9 @@ func FuzzShmRingHeader(f *testing.F) {
 	f.Add(wrap)
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
-	f.Add(shmSeedRecord(shmRecMsg, 0, 1<<30, 0))  // payload overrun
-	f.Add(shmSeedRecord(3, 0, 8, 8))              // unknown type
-	f.Add(shmSeedRecord(shmRecMsg, 0x80, 8, 8))   // unknown flag
+	f.Add(shmSeedRecord(shmRecMsg, 0, 1<<30, 0))                          // payload overrun
+	f.Add(shmSeedRecord(3, 0, 8, 8))                                      // unknown type
+	f.Add(shmSeedRecord(shmRecMsg, 0x80, 8, 8))                           // unknown flag
 	f.Add(shmSeedRecord(shmRecChunk, 0, 8, 8)[:shmWordSize+shmRecHeader]) // truncated ext
 
 	f.Fuzz(func(t *testing.T, b []byte) {

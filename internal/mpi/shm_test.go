@@ -29,10 +29,10 @@ func shmPattern(src, tag, i, size int) []byte {
 // breaking per-goroutine tag streams. Run under -race in make verify.
 func TestShmConcurrentStorm(t *testing.T) {
 	const (
-		ranks    = 8
-		senders  = 4
-		perTag   = 25
-		size     = 512
+		ranks   = 8
+		senders = 4
+		perTag  = 25
+		size    = 512
 	)
 	err := RunShm(ranks, func(c *Comm) error {
 		var wg sync.WaitGroup

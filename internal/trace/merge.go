@@ -116,8 +116,8 @@ func StragglerReport(events []Event) []RoundCritical {
 		exch  uint64
 		round int32
 	}
-	rounds := map[key]*RoundCritical{}  // longest round span so far
-	hasRounds := map[uint64]bool{}      // exchange has explicit round spans
+	rounds := map[key]*RoundCritical{} // longest round span so far
+	hasRounds := map[uint64]bool{}     // exchange has explicit round spans
 	var order []key
 
 	consider := func(k key, e Event) {

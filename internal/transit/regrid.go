@@ -41,7 +41,7 @@ const (
 // The Regridder routes every Connect through one long-lived Descriptor so
 // its plan cache recognizes those recurrences; a warm reconnect skips the
 // geometry allgather, validation, and plan compilation entirely and costs
-// two small collectives.
+// one small allgather.
 //
 // The consumer side can itself rescale mid-stream: Resize moves the
 // session from N to N′ consumer ranks without tearing the coupling down,
@@ -141,12 +141,13 @@ type ResizeReport struct {
 // Resize on its zero-extent session). oldData holds the current need box
 // and newData receives the new one (nil for an empty side).
 //
-// The move is incremental: the delta compiler diffs the old and new
-// global geometries and ships only the bytes whose ownership changed;
-// everything still resident locally is copied buffer-to-buffer. A repeat
-// of a previously seen (old, new) geometry pair replays the cached delta
-// plan — oscillating between two scales costs two small collectives per
-// swing.
+// The move is incremental: one allgather of every rank's (old, new) need
+// pair is the only agreement; each rank then diffs the two global
+// geometries for its own plan and ships only the bytes whose ownership
+// changed, copying everything still resident locally buffer-to-buffer. A
+// repeat of a pair every rank has compiled before replays the cached
+// delta plans; the same allgather settles that, so a hit costs nothing
+// more than a miss on the wire.
 //
 // On success the session re-targets the descriptor at newSize ranks
 // (newSize = the number of ranks with a non-empty new need) and clears

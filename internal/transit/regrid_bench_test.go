@@ -67,7 +67,7 @@ func benchReconnect(b *testing.B, procs, chunksPer, cacheCap int) {
 // reconnect: the producers return with a geometry the consumers have seen
 // before. cold disables the plan cache so the epoch pays the full
 // geometry exchange, validation, and compile; warm is the same epoch
-// satisfied from the cache — two small collectives and a fingerprint.
+// satisfied from the cache — one small allgather and a fingerprint.
 func BenchmarkRegridderReconnect(b *testing.B) {
 	const procs, chunksPer = 64, 16
 	b.Run("cold", func(b *testing.B) { benchReconnect(b, procs, chunksPer, 0) })
@@ -99,11 +99,14 @@ func resizeGeometry() (oldNeeds, newNeeds []grid.Box) {
 // BenchmarkRegridderResize quantifies what the incremental plan compiler
 // buys over recompiling and re-exchanging from scratch on a 64→65 grow:
 //
-//	delta-compile   CompileDelta over the diffed geometries; reports
-//	                moved_frac, the share of the new need that crosses
-//	                the wire (a cold full re-exchange ships every byte,
-//	                so moved_frac is also the moved-bytes ratio against
-//	                that baseline).
+//	delta-compile   the delta compiler over the diffed geometries:
+//	                all-ranks is CompileDelta, every rank's plan, and
+//	                reports moved_frac, the share of the new need that
+//	                crosses the wire (a cold full re-exchange ships every
+//	                byte, so moved_frac is also the moved-bytes ratio
+//	                against that baseline); one-rank is CompileDeltaRank
+//	                for the rank that splits its slab — what each rank of
+//	                a collective Resize actually runs.
 //	full-compile    from-scratch CompileSchedule of the same geometry.
 //	compile-speedup both compilers back to back; reports the ratio.
 //	exchange        the complete collective Resize through Regridder
@@ -125,20 +128,31 @@ func BenchmarkRegridderResize(b *testing.B) {
 	}
 
 	b.Run("delta-compile", func(b *testing.B) {
-		var plans []*core.DeltaPlan
-		for i := 0; i < b.N; i++ {
-			var err error
-			plans, err = core.CompileDelta(elemSize, oldNeeds, newNeeds)
-			if err != nil {
-				b.Fatal(err)
+		b.Run("all-ranks", func(b *testing.B) {
+			b.ReportAllocs()
+			var plans []*core.DeltaPlan
+			for i := 0; i < b.N; i++ {
+				var err error
+				plans, err = core.CompileDelta(elemSize, oldNeeds, newNeeds)
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		var moved, need int64
-		for _, p := range plans {
-			moved += p.ReceivedBytes()
-			need += p.NeedBytes()
-		}
-		b.ReportMetric(float64(moved)/float64(need), "moved_frac")
+			var moved, need int64
+			for _, p := range plans {
+				moved += p.ReceivedBytes()
+				need += p.NeedBytes()
+			}
+			b.ReportMetric(float64(moved)/float64(need), "moved_frac")
+		})
+		b.Run("one-rank", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.CompileDeltaRank(elemSize, nOld-1, oldNeeds, newNeeds); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	})
 
 	b.Run("full-compile", func(b *testing.B) {
