@@ -51,6 +51,7 @@ verify: chaos
 	$(GO) test -run '^$$' -fuzz FuzzTCPSeqFrameDecoder -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -bench BenchmarkBoundedExchange -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkFFT2DStep -benchtime 1x ./internal/fft/
+	$(GO) test -run '^$$' -bench BenchmarkKernel -benchtime 1x ./internal/fft/
 	$(GO) test -run '^$$' -bench BenchmarkReorganizeEngine -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkTCPExchange -benchtime 1x ./internal/mpi/
 	$(GO) test -run '^$$' -bench 'BenchmarkSetupMapping/(schedule|plan)/P=64' -benchtime 1x ./internal/core/

@@ -158,3 +158,48 @@ func BenchmarkFFT2DTranspose(b *testing.B) {
 	b.Run("pipelined", func(b *testing.B) { transposeBench(b, benchDepth, false) })
 	b.Run("hand", func(b *testing.B) { transposeBench(b, 1, true) })
 }
+
+// BenchmarkKernel times the serial transform with no exchange around it,
+// at the per-rank shape of ddrperf's fft_transpose workload: rows is the
+// row pass over a W×n slab, cols the batched column pass over the n×W
+// pencil slab. One op is one pass over the slab. Forward and inverse
+// alternate on the same buffer whichever direction is timed, so values
+// neither overflow nor decay into denormals as b.N grows.
+func BenchmarkKernel(b *testing.B) {
+	const n, w = 1024, 64
+	p, err := PlanFor(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	slab := make([]complex128, n*w)
+	passes := []struct {
+		name string
+		run  func(inverse bool)
+	}{
+		{"rows", func(inverse bool) {
+			for i := 0; i < w; i++ {
+				p.transform(slab[i*n:(i+1)*n], inverse)
+			}
+		}},
+		{"cols", func(inverse bool) { p.transformCols(slab, w, inverse) }},
+	}
+	for _, pass := range passes {
+		for _, dir := range []string{"fwd", "inv"} {
+			inverse := dir == "inv"
+			b.Run(pass.name+"/"+dir, func(b *testing.B) {
+				fill(slab, 1)
+				if inverse {
+					pass.run(false)
+				}
+				b.SetBytes(int64(len(slab)) * 16)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pass.run(inverse)
+					b.StopTimer()
+					pass.run(!inverse)
+					b.StartTimer()
+				}
+			})
+		}
+	}
+}

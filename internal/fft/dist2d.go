@@ -48,10 +48,11 @@ type Dist2D struct {
 	colBytes      []byte   // whole colBuf (forward need buffer)
 
 	fwd, inv *core.Descriptor
-	plan     *Plan        // length-n transform shared by rows and columns
-	colTmp   []complex128 // stride-gather scratch for column transforms
+	plan     *Plan // length-n transform shared by rows and columns
 
-	handWire [][]complex128 // per-peer pack buffers for the hand baseline
+	// handWire holds the hand baseline's per-peer pack buffers, built by
+	// its first forward transpose: the DDR path never needs them.
+	handWire [][]complex128
 }
 
 // Hand-baseline tags: below core.ExchangeTagBase so they cannot collide
@@ -103,7 +104,6 @@ func NewDist2D(c *mpi.Comm, n, nb int, opts ...core.Option) (*Dist2D, error) {
 		rowBuf: make([]complex128, n/p*n),
 		colBuf: make([]complex128, n*(n/p)),
 		plan:   plan,
-		colTmp: make([]complex128, n),
 	}
 	h := d.rowsPerRank() / nb // rows per forward chunk
 	g := n / nb               // rows per inverse chunk
@@ -137,13 +137,6 @@ func NewDist2D(c *mpi.Comm, n, nb int, opts ...core.Option) (*Dist2D, error) {
 	}
 	if err = d.inv.SetupDataMapping(c, colChunks, grid.Box2(0, d.rank*d.rowsPerRank(), n, d.rowsPerRank())); err != nil {
 		return nil, fmt.Errorf("fft: inverse transpose mapping: %w", err)
-	}
-
-	d.handWire = make([][]complex128, p)
-	for peer := 0; peer < p; peer++ {
-		if peer != d.rank {
-			d.handWire[peer] = make([]complex128, d.rowsPerRank()*w)
-		}
 	}
 	return d, nil
 }
@@ -187,32 +180,14 @@ func (d *Dist2D) TransposeInverse(c *mpi.Comm) error {
 // true inverse).
 func (d *Dist2D) rowPass(inverse bool) {
 	for i := 0; i < d.rowsPerRank(); i++ {
-		row := d.rowBuf[i*d.n : (i+1)*d.n]
-		if inverse {
-			d.plan.Inverse(row)
-		} else {
-			d.plan.Forward(row)
-		}
+		d.plan.transform(d.rowBuf[i*d.n:(i+1)*d.n], inverse)
 	}
 }
 
 // colPass transforms every local column of the pencil slab in place,
-// gathering each stride-W column through colTmp.
+// all W at once.
 func (d *Dist2D) colPass(inverse bool) {
-	w := d.colsPerRank()
-	for x := 0; x < w; x++ {
-		for y := 0; y < d.n; y++ {
-			d.colTmp[y] = d.colBuf[y*w+x]
-		}
-		if inverse {
-			d.plan.Inverse(d.colTmp)
-		} else {
-			d.plan.Forward(d.colTmp)
-		}
-		for y := 0; y < d.n; y++ {
-			d.colBuf[y*w+x] = d.colTmp[y]
-		}
-	}
+	d.plan.transformCols(d.colBuf, d.colsPerRank(), inverse)
 }
 
 // Forward computes the 2D forward transform: row FFTs on the slab,
@@ -256,6 +231,14 @@ func (d *Dist2D) Step(c *mpi.Comm) error {
 // path must stay within ~1.2× of.
 func (d *Dist2D) HandTransposeForward(c *mpi.Comm) error {
 	hh, w := d.rowsPerRank(), d.colsPerRank()
+	if d.handWire == nil {
+		d.handWire = make([][]complex128, d.procs)
+		for peer := range d.handWire {
+			if peer != d.rank {
+				d.handWire[peer] = make([]complex128, hh*w)
+			}
+		}
+	}
 	for peer := 0; peer < d.procs; peer++ {
 		if peer == d.rank {
 			continue

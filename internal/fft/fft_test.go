@@ -11,14 +11,15 @@ import (
 	"ddr/internal/mpi"
 )
 
-// naiveDFT is the O(n²) definition the kernel is checked against.
-func naiveDFT(x []complex128) []complex128 {
+// naiveDFT is the O(n²) definition the kernel is checked against:
+// sign -1 is the forward transform, +1 the unscaled inverse.
+func naiveDFT(x []complex128, sign float64) []complex128 {
 	n := len(x)
 	out := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		var sum complex128
 		for j := 0; j < n; j++ {
-			sum += x[j] * cmplx.Exp(complex(0, -2*math.Pi*float64(k*j)/float64(n)))
+			sum += x[j] * cmplx.Exp(complex(0, sign*2*math.Pi*float64(k*j%n)/float64(n)))
 		}
 		out[k] = sum
 	}
@@ -51,24 +52,36 @@ func maxDiff(a, b []complex128) float64 {
 	return m
 }
 
+// TestKernelMatchesNaiveDFT checks each direction on its own against
+// the definition — a round trip alone passes a sign or scale error the
+// two directions share — at every power of two up to 2048, so both
+// parities of log₂n (radix-2 head or not) and every stage count run.
 func TestKernelMatchesNaiveDFT(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 8, 16, 64} {
+	for n := 1; n <= 2048; n *= 2 {
 		p, err := NewPlan(n)
 		if err != nil {
 			t.Fatalf("NewPlan(%d): %v", n, err)
 		}
 		x := make([]complex128, n)
 		fill(x, uint64(n))
-		want := naiveDFT(x)
-		p.Forward(x)
-		if d := maxDiff(x, want); d > 1e-9*float64(n) {
+		fwd, inv := naiveDFT(x, -1), naiveDFT(x, +1)
+		for i := range inv {
+			inv[i] /= complex(float64(n), 0)
+		}
+		y := append([]complex128(nil), x...)
+		p.Forward(y)
+		if d := maxDiff(y, fwd); d > 1e-9*float64(n) {
 			t.Errorf("n=%d: forward deviates from naive DFT by %g", n, d)
+		}
+		p.Inverse(x)
+		if d := maxDiff(x, inv); d > 1e-9*float64(n) {
+			t.Errorf("n=%d: inverse deviates from naive inverse DFT by %g", n, d)
 		}
 	}
 }
 
 func TestKernelRoundTrip(t *testing.T) {
-	for _, n := range []int{1, 2, 8, 32, 256, 1024} {
+	for n := 1; n <= 2048; n *= 2 {
 		p, err := NewPlan(n)
 		if err != nil {
 			t.Fatalf("NewPlan(%d): %v", n, err)
@@ -80,6 +93,68 @@ func TestKernelRoundTrip(t *testing.T) {
 		p.Inverse(x)
 		if d := maxDiff(x, orig); d > 1e-10*float64(n) {
 			t.Errorf("n=%d: round trip deviates by %g", n, d)
+		}
+	}
+}
+
+// TestTransformRejectsWrongLength: a buffer of the wrong length panics
+// in both directions before a single element of it is written.
+func TestTransformRejectsWrongLength(t *testing.T) {
+	p, err := NewPlan(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, transform := range map[string]func([]complex128){"Forward": p.Forward, "Inverse": p.Inverse} {
+		x := make([]complex128, 4)
+		fill(x, 3)
+		orig := append([]complex128(nil), x...)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a length-4 buffer on a length-8 plan", name)
+				}
+			}()
+			transform(x)
+		}()
+		if maxDiff(x, orig) != 0 {
+			t.Errorf("%s modified the buffer before rejecting its length", name)
+		}
+	}
+}
+
+// TestColumnPassMatchesKernel: the batched pass over an n×w slab equals
+// the vector kernel applied to each column, in both directions, for
+// both parities of log₂n and for widths of one, odd and the benchmark's.
+func TestColumnPassMatchesKernel(t *testing.T) {
+	for _, n := range []int{1, 2, 4, 8, 64, 128} {
+		p, err := NewPlan(n)
+		if err != nil {
+			t.Fatalf("NewPlan(%d): %v", n, err)
+		}
+		for _, w := range []int{1, 3, 64} {
+			for _, inverse := range []bool{false, true} {
+				slab := make([]complex128, n*w)
+				fill(slab, uint64(n*w))
+				want := make([]complex128, n*w)
+				col := make([]complex128, n)
+				for x := 0; x < w; x++ {
+					for y := range col {
+						col[y] = slab[y*w+x]
+					}
+					if inverse {
+						p.Inverse(col)
+					} else {
+						p.Forward(col)
+					}
+					for y := range col {
+						want[y*w+x] = col[y]
+					}
+				}
+				p.transformCols(slab, w, inverse)
+				if d := maxDiff(slab, want); d > 1e-12*float64(n) {
+					t.Errorf("n=%d w=%d inverse=%v: batched pass deviates from per-column kernel by %g", n, w, inverse, d)
+				}
+			}
 		}
 	}
 }
@@ -167,6 +242,51 @@ func TestDist2DForwardMatchesLocal(t *testing.T) {
 					return fmt.Errorf("rank %d spectrum[%d,%d] = %v, want %v", c.Rank(), y, c.Rank()*w+x, got, exp)
 				}
 			}
+		}
+		return nil
+	})
+}
+
+// TestDist2DForwardMatchesNaiveDFT checks the distributed transform
+// against the 2-D definition (naive DFT of every row, then of every
+// column), so it is not verified only against the kernel it is built
+// from, as ref2D is.
+func TestDist2DForwardMatchesNaiveDFT(t *testing.T) {
+	const n, nProcs, nb = 16, 4, 2
+	global := globalInput(n)
+	want := make([]complex128, n*n)
+	for y := 0; y < n; y++ {
+		copy(want[y*n:], naiveDFT(global[y*n:(y+1)*n], -1))
+	}
+	col := make([]complex128, n)
+	for x := 0; x < n; x++ {
+		for y := range col {
+			col[y] = want[y*n+x]
+		}
+		for y, v := range naiveDFT(col, -1) {
+			want[y*n+x] = v
+		}
+	}
+	runWorld(t, nProcs, func(c *mpi.Comm) error {
+		d, err := NewDist2D(c, n, nb)
+		if err != nil {
+			return err
+		}
+		h, w := n/nProcs, n/nProcs
+		copy(d.Rows(), global[c.Rank()*h*n:(c.Rank()+1)*h*n])
+		if err := d.Forward(c); err != nil {
+			return err
+		}
+		for y := 0; y < n; y++ {
+			for x := 0; x < w; x++ {
+				got, exp := d.Pencils()[y*w+x], want[y*n+c.Rank()*w+x]
+				if cmplx.Abs(got-exp) > 1e-9*n*n {
+					return fmt.Errorf("rank %d spectrum[%d,%d] = %v, want %v", c.Rank(), y, c.Rank()*w+x, got, exp)
+				}
+			}
+		}
+		if d.handWire != nil {
+			return fmt.Errorf("rank %d: the DDR path allocated the hand baseline's pack buffers", c.Rank())
 		}
 		return nil
 	})
