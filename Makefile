@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify chaos bench
+.PHONY: build test verify chaos bench size
 
 build:
 	$(GO) build ./...
@@ -64,3 +64,10 @@ verify: chaos
 bench:
 	$(GO) test -run XXX -bench BenchmarkReorganizeTelemetry -benchmem ./internal/core/
 	$(GO) test -run XXX -bench 'BenchmarkReorganizeEngine|BenchmarkPackUnpackPool' -benchmem ./internal/core/
+
+# size prints the line counts the simplicity acceptance criteria quote:
+# non-test Go outside bench/ (the benchmark is its own module), and the
+# share of it in internal/core.
+size:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l | xargs echo "non-test Go outside bench/:"
+	@find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo "  of which internal/core:"

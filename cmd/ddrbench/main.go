@@ -58,13 +58,10 @@ func main() {
 		useTCP    = flag.Bool("tcp", false, "run the in-transit pipeline ranks over the loopback TCP transport (shorthand for -transport=tcp)")
 		memBudget = flag.Int("mem-budget", 0, "per-rank exchange staging budget in bytes for the in-transit pipeline; frames exceeding it regrid through the bounded step compiler (0 = unbounded)")
 	)
-	applyTCP := experiments.RegisterTCPFlags(flag.CommandLine)
-	resolveTransport := experiments.RegisterTransportFlags(flag.CommandLine)
-	applyChaos := experiments.RegisterChaosFlags(flag.CommandLine)
-	pipeDepth := experiments.RegisterPipelineFlags(flag.CommandLine)
+	var shared experiments.Flags
+	shared.Bind(flag.CommandLine)
 	flag.Parse()
-	applyTCP()
-	if err := applyChaos(); err != nil {
+	if err := shared.Apply(); err != nil {
 		fmt.Fprintln(os.Stderr, "ddrbench:", err)
 		os.Exit(2)
 	}
@@ -77,11 +74,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ddrbench:", err)
 		os.Exit(1)
 	}
-	transport, nodes := resolveTransport()
-	if *useTCP && transport == "" {
-		transport = "tcp"
+	if *useTCP && shared.Transport == "" {
+		shared.Transport = "tcp"
 	}
-	if err := run(tel, transport, nodes, *memBudget, pipeDepth(), *table, *figure, *all, *real, *ablation, *vol3d, *outDir, *t4w, *t4h, *t4fr, *quality); err != nil {
+	if err := run(tel, shared.Transport, shared.Nodes, *memBudget, shared.PipelineDepth, *table, *figure, *all, *real, *ablation, *vol3d, *outDir, *t4w, *t4h, *t4fr, *quality); err != nil {
 		fmt.Fprintln(os.Stderr, "ddrbench:", err)
 		os.Exit(1)
 	}

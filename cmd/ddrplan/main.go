@@ -13,7 +13,7 @@
 // With -sweep, ddrplan instead profiles compile-time scaling across a
 // list of process counts, printing the per-phase cost of establishing the
 // mapping at each scale — geometry allgather payload, cache-key
-// fingerprint, spatial-index build, and plan compile:
+// fingerprint, and plan compile:
 //
 //	ddrplan -mode stack -sweep 64,256,1024 -par 8
 package main
@@ -99,8 +99,8 @@ func runSweep(mode string, width, height, depth, elem int, technique string, pro
 		counts = append(counts, n)
 	}
 	fmt.Printf("compile-time scaling, %s geometry, par=%d\n", mode, par)
-	fmt.Printf("%-8s %8s %12s %12s %10s %10s %10s  %s\n",
-		"procs", "chunks", "gather KiB", "max enc B", "encode", "index", "compile", "cache key")
+	fmt.Printf("%-8s %8s %12s %12s %10s %10s  %s\n",
+		"procs", "chunks", "gather KiB", "max enc B", "encode", "compile", "cache key")
 	for _, p := range counts {
 		chunks, needs, err := buildGeometry(mode, width, height, depth, p, technique, producers, consumers)
 		if err != nil {
@@ -110,10 +110,10 @@ func runSweep(mode string, width, height, depth, elem int, technique string, pro
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-8d %8d %12.1f %12d %10s %10s %10s  %016x (%s)\n",
+		fmt.Printf("%-8d %8d %12.1f %12d %10s %10s  %016x (%s)\n",
 			prof.Procs, prof.TotalChunks,
 			float64(prof.AllgatherBytes)/1024, prof.MaxEncodedBytes,
-			prof.EncodeTime.Round(10e3), prof.IndexTime.Round(10e3), prof.CompileTime.Round(10e3),
+			prof.EncodeTime.Round(10e3), prof.CompileTime.Round(10e3),
 			prof.Fingerprint, prof.FingerprintTime.Round(1e3))
 	}
 	return nil

@@ -47,13 +47,10 @@ func main() {
 		useTCP    = flag.Bool("tcp", false, "run the in-process world over the loopback TCP transport (shorthand for -transport=tcp, role=both only)")
 		memBudget = flag.Int("mem-budget", 0, "per-rank exchange staging budget in bytes; frames exceeding it regrid through the bounded step compiler (0 = unbounded)")
 	)
-	applyTCP := experiments.RegisterTCPFlags(flag.CommandLine)
-	resolveTransport := experiments.RegisterTransportFlags(flag.CommandLine)
-	applyChaos := experiments.RegisterChaosFlags(flag.CommandLine)
-	pipeDepth := experiments.RegisterPipelineFlags(flag.CommandLine)
+	var shared experiments.Flags
+	shared.Bind(flag.CommandLine)
 	flag.Parse()
-	applyTCP()
-	if err := applyChaos(); err != nil {
+	if err := shared.Apply(); err != nil {
 		fmt.Fprintln(os.Stderr, "lbmsim:", err)
 		os.Exit(2)
 	}
@@ -62,9 +59,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lbmsim:", err)
 		os.Exit(1)
 	}
-	transport, nodes := resolveTransport()
-	if *useTCP && transport == "" {
-		transport = "tcp"
+	if *useTCP && shared.Transport == "" {
+		shared.Transport = "tcp"
 	}
 	cfg := experiments.InTransitConfig{
 		M: *sim, N: *viz,
@@ -76,10 +72,10 @@ func main() {
 		GIFPath:       *gifOut,
 		StatsPath:     *stats,
 		Telemetry:     tel,
-		Transport:     transport,
-		Nodes:         nodes,
+		Transport:     shared.Transport,
+		Nodes:         shared.Nodes,
 		MemBudget:     *memBudget,
-		PipelineDepth: pipeDepth(),
+		PipelineDepth: shared.PipelineDepth,
 	}
 	if err := run(cfg, *role, *connect, *bind, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "lbmsim:", err)

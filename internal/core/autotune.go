@@ -24,8 +24,8 @@ import (
 // (packing sends and scattering receives have different geometries and
 // different winners). The probe chooses between those two only: datatype
 // adds a memmove of the contiguous bytes on top of zerocopy's gather, so
-// it can never win one. It stays as a forced strategy, the fully staged
-// reference the byte-identity tests compare the fast paths against.
+// it can never win one. It stays as the fully staged reference the
+// byte-identity tests force and compare the fast paths against.
 //
 // Decisions are cached process-wide, keyed by (plan fingerprint,
 // transport, direction) — the probe runs at most once per key even when
@@ -48,8 +48,8 @@ const (
 	StrategyPack
 	// StrategyDatatype stages every region through wire buffers with the
 	// Subarray loop, contiguous fast paths off — the fully staged path
-	// MPI datatypes would take. Never chosen by the probe; force it with
-	// WithPackStrategy.
+	// MPI datatypes would take. Never chosen by the probe, and no option
+	// selects it: the tests force it as their staged reference.
 	StrategyDatatype
 )
 
@@ -64,12 +64,6 @@ func (s PackStrategy) String() string {
 	default:
 		return "auto"
 	}
-}
-
-// WithPackStrategy forces one strategy for both directions, bypassing
-// the probe. StrategyAuto (the default) restores measured selection.
-func WithPackStrategy(s PackStrategy) Option {
-	return func(d *Descriptor) { d.forcedStrat = s }
 }
 
 // tuneKey identifies one cached decision: the collectively agreed plan
@@ -123,8 +117,8 @@ func (d *Descriptor) ensureTuned(c *mpi.Comm, p *Plan) {
 	if d.forcedStrat != StrategyAuto {
 		d.sendStrat, d.recvStrat = d.forcedStrat, d.forcedStrat
 	} else {
-		d.sendStrat = tuneDecision(tuneKey{fp: p.fp, transport: tn, send: true}, &p.sendE)
-		d.recvStrat = tuneDecision(tuneKey{fp: p.fp, transport: tn, send: false}, &p.recvE)
+		d.sendStrat = tuneDecision(tuneKey{fp: p.fp, transport: tn, send: true}, p.sched)
+		d.recvStrat = tuneDecision(tuneKey{fp: p.fp, transport: tn, send: false}, p.sched)
 	}
 	d.tunedFP, d.tunedTransport = p.fp, tn
 	d.applyStrategy(p)
@@ -136,13 +130,11 @@ func (d *Descriptor) ensureTuned(c *mpi.Comm, p *Plan) {
 func (d *Descriptor) applyStrategy(p *Plan) {
 	d.ex.zcSend = d.sendStrat != StrategyDatatype
 	d.ex.zcRecv = d.recvStrat != StrategyDatatype
-	swapped := d.sendStrat == StrategyPack && compilePlanRuns(&p.sendE)
-	if d.recvStrat == StrategyPack && compilePlanRuns(&p.recvE) {
-		swapped = true
+	if d.sendStrat == StrategyPack {
+		p.compileRuns(false)
 	}
-	if swapped {
-		// The step lists copied the old types; recompile them on next use.
-		p.roundSched, p.fusedSched = nil, nil
+	if d.recvStrat == StrategyPack {
+		p.compileRuns(true)
 	}
 	if d.metrics != nil {
 		rl := obs.RankLabel(p.rank)
@@ -157,33 +149,34 @@ func (d *Descriptor) applyStrategy(p *Plan) {
 	}
 }
 
-// compilePlanRuns swaps every strided Subarray entry of one direction's
-// table for its compiled run list, in place. Run lists pack the same
-// bytes in the same order, so a plan whose types were compiled stays
-// valid for every strategy — a descriptor that later resolves zerocopy
-// on another transport simply gathers through the table it already has.
-// Reports whether any entry changed.
-func compilePlanRuns(e *planEntries) (swapped bool) {
-	for i, t := range e.types {
-		if e.spans[i].ok {
-			continue
-		}
-		if rl, ok := datatype.CompileRuns(t); ok {
-			e.types[i] = rl
-			swapped = true
-		}
+// compileRuns swaps every strided Subarray seg of one direction for its
+// compiled run list, in place — in the round schedule and in the fused
+// fold when one has been taken, which holds copies of the same segs. Run
+// lists pack the same bytes in the same order, so a plan whose types were
+// compiled stays valid for every strategy — a descriptor that later
+// resolves zerocopy on another transport simply gathers through the table
+// it already has.
+func (p *Plan) compileRuns(recv bool) {
+	for _, steps := range [2][]step{p.sched, p.fused} {
+		eachSeg(steps, recv, func(sg *seg) {
+			if sg.span.ok {
+				return
+			}
+			if rl, ok := datatype.CompileRuns(sg.t); ok {
+				sg.t = rl
+			}
+		})
 	}
-	return swapped
 }
 
 // tuneDecision returns the cached strategy for key, probing exactly once
 // per key process-wide.
-func tuneDecision(key tuneKey, e *planEntries) PackStrategy {
+func tuneDecision(key tuneKey, sched []step) PackStrategy {
 	v, _ := tuneCache.LoadOrStore(key, &tuneEntry{})
 	ent := v.(*tuneEntry)
 	ent.once.Do(func() {
 		tuneProbes.Add(1)
-		ent.strat = probeStrategy(e, !key.send)
+		ent.strat = probeStrategy(sched, !key.send)
 	})
 	return ent.strat
 }
@@ -197,19 +190,19 @@ const probeBudget = 4 << 20
 // compiled run list on the direction's largest strided region and
 // returns the winner. Pack must beat zerocopy by a margin to win —
 // measured noise should not flip the default.
-func probeStrategy(e *planEntries, unpack bool) PackStrategy {
-	// Representative region: the largest strided Subarray in the table.
+func probeStrategy(sched []step, unpack bool) PackStrategy {
+	// Representative region: the direction's largest strided Subarray.
 	var rep *datatype.Subarray
 	repBytes := 0
-	for i, t := range e.types {
-		if e.spans[i].ok {
-			continue
+	eachSeg(sched, unpack, func(sg *seg) {
+		if sg.span.ok {
+			return
 		}
-		n := t.PackedSize()
-		if s, ok := t.(*datatype.Subarray); ok && n > repBytes {
+		n := sg.t.PackedSize()
+		if s, ok := sg.t.(*datatype.Subarray); ok && n > repBytes {
 			rep, repBytes = s, n
 		}
-	}
+	})
 	if rep == nil {
 		// Nothing strided: fast paths cover everything.
 		return StrategyZeroCopy

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ddr/internal/datatype"
 	"ddr/internal/grid"
 	"ddr/internal/mpi"
 	"ddr/internal/obs"
@@ -41,7 +42,7 @@ func TestPackStrategiesByteIdentical(t *testing.T) {
 					err := mpi.Launch(4, func(c *mpi.Comm) error {
 						own, need := stripGeometry(c.Rank(), transposed)
 						desc, err := NewDescriptor(4, Layout2D, Float32,
-							WithExchangeMode(mode), WithPackStrategy(strat))
+							WithExchangeMode(mode), withPackStrategy(strat))
 						if err != nil {
 							return err
 						}
@@ -64,7 +65,7 @@ func TestPackStrategiesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestForcedStrategyResolves checks WithPackStrategy pins both
+// TestForcedStrategyResolves checks withPackStrategy pins both
 // directions and that compiled run lists replace the strided entries
 // only under the pack strategy.
 func TestForcedStrategyResolves(t *testing.T) {
@@ -72,7 +73,7 @@ func TestForcedStrategyResolves(t *testing.T) {
 		err := mpi.Launch(2, func(c *mpi.Comm) error {
 			own := []grid.Box{grid.Box2(0, 4*c.Rank(), 8, 4)}
 			need := grid.Box2(4*c.Rank(), 0, 4, 8)
-			desc, err := NewDescriptor(2, Layout2D, Uint8, WithPackStrategy(strat))
+			desc, err := NewDescriptor(2, Layout2D, Uint8, withPackStrategy(strat))
 			if err != nil {
 				return err
 			}
@@ -99,7 +100,77 @@ func TestForcedStrategyResolves(t *testing.T) {
 	}
 }
 
-// TestForcedStrategySkipsProbe verifies WithPackStrategy pins the choice
+// TestPackResolvedAfterFusedExchange guards the stale-copy hazard of the
+// fused fold: it copies the round schedule's segs, so a pack strategy
+// resolved after a fused exchange has already taken the fold must reach
+// the copy the executor replays, not just the schedule it was folded
+// from. The next fused exchange must gather through run lists and land
+// the same bytes.
+func TestPackResolvedAfterFusedExchange(t *testing.T) {
+	for _, transposed := range []bool{false, true} {
+		err := mpi.Launch(4, func(c *mpi.Comm) error {
+			own, need := stripGeometry(c.Rank(), transposed)
+			desc, err := NewDescriptor(4, Layout2D, Float32,
+				WithExchangeMode(ModePointToPointFused), withPackStrategy(StrategyZeroCopy))
+			if err != nil {
+				return err
+			}
+			if err := desc.SetupDataMapping(c, own, need); err != nil {
+				return err
+			}
+			ownBufs := [][]byte{fillBox(own[0], 4)}
+			first := make([]byte, need.Volume()*4)
+			if err := desc.ReorganizeData(c, ownBufs, first); err != nil {
+				return err
+			}
+			folded := desc.plan.fused
+			if folded == nil {
+				return fmt.Errorf("fused exchange left no fold on the plan")
+			}
+
+			// Re-resolve on the same plan, as a descriptor meeting a new
+			// transport would.
+			desc.forcedStrat, desc.sendStrat = StrategyPack, StrategyAuto
+			second := make([]byte, len(first))
+			if err := desc.ReorganizeData(c, ownBufs, second); err != nil {
+				return err
+			}
+			if s, r := desc.PackDecision(); s != StrategyPack || r != StrategyPack {
+				return fmt.Errorf("decision (%v,%v), want pack", s, r)
+			}
+			if &desc.plan.fused[0] != &folded[0] {
+				return fmt.Errorf("the fold was rebuilt instead of updated in place")
+			}
+			strided := 0
+			for _, recv := range []bool{false, true} {
+				eachSeg(desc.plan.fused, recv, func(sg *seg) {
+					if sg.span.ok {
+						return
+					}
+					strided++
+					if _, ok := sg.t.(*datatype.RunList); !ok {
+						err = fmt.Errorf("strided fused seg (recv=%v) still gathers through %T", recv, sg.t)
+					}
+				})
+			}
+			if err != nil {
+				return err
+			}
+			if strided == 0 {
+				return fmt.Errorf("geometry offered no strided seg")
+			}
+			if !bytes.Equal(first, second) {
+				return fmt.Errorf("fused exchange changed bytes after resolving pack")
+			}
+			return checkBox(second, need, 4, nil, 0)
+		})
+		if err != nil {
+			t.Fatalf("transposed=%v: %v", transposed, err)
+		}
+	}
+}
+
+// TestForcedStrategySkipsProbe verifies withPackStrategy pins the choice
 // statically: no microprobe runs for a forced strategy.
 func TestForcedStrategySkipsProbe(t *testing.T) {
 	ResetAutotuneCache()
@@ -108,7 +179,7 @@ func TestForcedStrategySkipsProbe(t *testing.T) {
 		ownB := []grid.Box{grid.Box2(0, 8*c.Rank(), 16, 8)}
 		needB := grid.Box2(8*c.Rank(), 0, 8, 16)
 		for _, want := range []PackStrategy{StrategyZeroCopy, StrategyDatatype} {
-			desc, err := NewDescriptor(2, Layout2D, Uint8, WithPackStrategy(want))
+			desc, err := NewDescriptor(2, Layout2D, Uint8, withPackStrategy(want))
 			if err != nil {
 				return err
 			}

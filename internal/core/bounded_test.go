@@ -110,7 +110,7 @@ func (bc *boundedCase) ownData() [][][]byte {
 }
 
 // oracleNeed computes rank dst's expected need buffer through the
-// brute-force plans: sentinel-prefilled, then every transfer of every
+// brute-force tables: sentinel-prefilled, then every transfer of every
 // round simulated with the oracle compiler's pack and unpack types.
 func (bc *boundedCase) oracleNeed(t *testing.T, dst int, own [][][]byte) []byte {
 	t.Helper()
@@ -118,25 +118,24 @@ func (bc *boundedCase) oracleNeed(t *testing.T, dst int, own [][][]byte) []byte 
 	for i := range out {
 		out[i] = boundedSentinel
 	}
-	dstPlan, err := compilePlanBrute(dst, bc.elemSize, bc.chunks, bc.needs)
+	_, recv, err := bruteTables(dst, bc.elemSize, bc.chunks, bc.needs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for src := 0; src < bc.nProcs; src++ {
-		srcPlan, err := compilePlanBrute(src, bc.elemSize, bc.chunks, bc.needs)
+		send, _, err := bruteTables(src, bc.elemSize, bc.chunks, bc.needs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for r := range bc.chunks[src] {
-			st, _ := srcPlan.sendE.at(r, dst)
+			st := send[r][dst]
 			n := st.PackedSize()
 			if n == 0 {
 				continue
 			}
 			wire := make([]byte, n)
 			st.Pack(own[src][r], wire)
-			rt, _ := dstPlan.recvE.at(r, src)
-			rt.Unpack(wire, out)
+			recv[r][src].Unpack(wire, out)
 		}
 	}
 	return out

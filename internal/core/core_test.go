@@ -201,25 +201,20 @@ func TestE1PlanShape(t *testing.T) {
 			2: {0, 16},
 			3: {0, 16},
 		}
-		for peer, w := range wantSend {
-			for r := 0; r < 2; r++ {
-				if st, _ := p.sendE.at(r, peer); st.PackedSize() != w[r] {
-					got := st.PackedSize()
-					return fmt.Errorf("send round %d to rank %d: %d bytes, want %d", r, peer, got, w[r])
-				}
-			}
-		}
 		// Rank 0 needs quadrant (0,0)+(4,4): rows y=0..3, owned as chunk 0
 		// of ranks 0..3 respectively.
-		for peer := 0; peer < 4; peer++ {
-			if rt, _ := p.recvE.at(0, peer); rt.PackedSize() != 16 {
-				got := rt.PackedSize()
-				return fmt.Errorf("recv round 0 from rank %d: %d bytes, want 16", peer, got)
+		wantRecv := [2]int{16, 0}
+		for r := 0; r < 2; r++ {
+			rowSend, rowRecv := desc.alltoallwRows(p, r)
+			for peer := 0; peer < 4; peer++ {
+				if got, want := rowSend[peer].PackedSize(), wantSend[peer][r]; got != want {
+					return fmt.Errorf("send round %d to rank %d: %d bytes, want %d", r, peer, got, want)
+				}
+				if got := rowRecv[peer].PackedSize(); got != wantRecv[r] {
+					return fmt.Errorf("recv round %d from rank %d: %d bytes, want %d", r, peer, got, wantRecv[r])
+				}
 			}
-			if rt, _ := p.recvE.at(1, peer); rt.PackedSize() != 0 {
-				got := rt.PackedSize()
-				return fmt.Errorf("recv round 1 from rank %d: %d bytes, want 0", peer, got)
-			}
+			desc.resetAlltoallwRows(p, r)
 		}
 		return nil
 	})

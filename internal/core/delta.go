@@ -382,34 +382,3 @@ func (dc *DeltaCompiler) Compile(c *mpi.Comm, oldNeed, newNeed grid.Box) (*Delta
 	dc.cache.put(key, plan)
 	return plan, nil
 }
-
-// PerturbDeltaForTest shifts one of the plan's receive regions by one
-// cell along the first axis where the shifted box stays inside the new
-// need, simulating an off-by-one in the delta overlap math. It exists so
-// the resize property harness can prove it detects delta-compilation
-// bugs. Returns false when no region can be shifted. Never call outside
-// tests.
-func (p *DeltaPlan) PerturbDeltaForTest() bool {
-	for _, m := range p.sched[0].recvs {
-		for i := range m.segs {
-			reg := m.segs[i].region
-			for axis := 0; axis < reg.NDims; axis++ {
-				shifted := reg
-				shifted.Offset[axis]++
-				if !p.newNeed.Contains(shifted) {
-					shifted.Offset[axis] -= 2
-					if !p.newNeed.Contains(shifted) {
-						continue
-					}
-				}
-				sg, err := newSeg(p.elemSize, p.newNeed, 0, shifted)
-				if err != nil {
-					continue
-				}
-				m.segs[i] = sg
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -152,7 +152,7 @@ type Descriptor struct {
 	elemSizeSet bool // WithElemSize was given (even an invalid value)
 	mode        ExchangeMode
 	validate    bool
-	forcedStrat PackStrategy  // WithPackStrategy override; StrategyAuto probes
+	forcedStrat PackStrategy  // tests pin a strategy here; StrategyAuto probes
 	deadline    time.Duration // per-exchange bound; > 0 enables degradation
 	budget      int           // WithMemoryBudget ceiling; <= 0 disables
 	depth       int           // WithPipelineDepth; rounds in flight at once
@@ -189,7 +189,7 @@ type Descriptor struct {
 	lastPeakStaging int64
 
 	// Dense rows of ModeAlltoallw, materialized per round from the plan's
-	// sparse tables (the collective's wire format wants one slot per peer).
+	// step (the collective's wire format wants one slot per peer).
 	// Allocated once per descriptor and reset to the Empty sentinel after
 	// each call, so the steady state allocates nothing.
 	rowSend, rowRecv []datatype.Type

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ddr/internal/datatype"
 	"ddr/internal/grid"
 )
 
@@ -28,38 +29,30 @@ func plansIdentical(t *testing.T, label string, want, got *Plan) {
 	if want.Stats() != got.Stats() {
 		t.Errorf("%s: schedule stats diverge: brute %+v, got %+v", label, want.Stats(), got.Stats())
 	}
-	for r := 0; r < want.rounds; r++ {
-		rank := want.rank
-		wst, wss := want.sendE.at(r, rank)
-		gst, gss := got.sendE.at(r, rank)
-		wrt, wrs := want.recvE.at(r, rank)
-		grt, grs := got.recvE.at(r, rank)
-		if w, g := wst.PackedSize(), gst.PackedSize(); w != g {
-			t.Errorf("%s: round %d self-send size %d != brute %d", label, r, g, w)
+	for r := range want.sched {
+		ws, gs := want.sched[r].selfs, got.sched[r].selfs
+		if len(ws) != len(gs) {
+			t.Errorf("%s: round %d has %d self moves, brute %d", label, r, len(gs), len(ws))
+			continue
 		}
-		if w, g := wrt.PackedSize(), grt.PackedSize(); w != g {
-			t.Errorf("%s: round %d self-recv size %d != brute %d", label, r, g, w)
-		}
-		if w, g := wss, gss; w != g {
-			t.Errorf("%s: round %d self-send span %+v != brute %+v", label, r, g, w)
-		}
-		if w, g := wrs, grs; w != g {
-			t.Errorf("%s: round %d self-recv span %+v != brute %+v", label, r, g, w)
+		for i := range ws {
+			side := func(name string, w, g seg) {
+				if w.t.PackedSize() != g.t.PackedSize() || w.span != g.span || w.buf != g.buf {
+					t.Errorf("%s: round %d self-%s is %d bytes, span %+v, buf %d; brute %d bytes, span %+v, buf %d",
+						label, r, name, g.t.PackedSize(), g.span, g.buf, w.t.PackedSize(), w.span, w.buf)
+				}
+			}
+			side("send", ws[i].src, gs[i].src)
+			side("recv", ws[i].dst, gs[i].dst)
 		}
 	}
 }
 
-// compilePlanIndexed compiles one rank's plan with freshly built spatial
-// indexes — the discovery strategy CompileSchedule shares across ranks,
-// applied to a single compile.
-func compilePlanIndexed(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box) (*Plan, error) {
-	return newScheduleCompiler(elemSize, allChunks, allNeeds, true).compile(rank, 1)
-}
-
-// compilersAgree checks the three discovery strategies against one
+// compilersAgree checks the two discoveries and the oracle against one
 // another on one geometry: for every rank, the linear per-rank compile
-// (serial and parallel construction), the whole-schedule indexed compile
-// and a single indexed compile must all equal the brute-force reference.
+// (serial and parallel construction) and that rank's plan of the
+// whole-schedule compile, bucketed from the index-backed enumerator, must
+// both equal the brute-force reference.
 func compilersAgree(t *testing.T, label string, elemSize int, chunks [][]grid.Box, needs []grid.Box) {
 	t.Helper()
 	schedule, err := CompileSchedule(elemSize, chunks, needs, 2)
@@ -79,16 +72,11 @@ func compilersAgree(t *testing.T, label string, elemSize int, chunks [][]grid.Bo
 			plansIdentical(t, label+"/linear", brute, linear)
 		}
 		plansIdentical(t, label+"/schedule", brute, schedule[rank])
-		indexed, err := compilePlanIndexed(rank, elemSize, chunks, needs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plansIdentical(t, label+"/indexed", brute, indexed)
 	}
 }
 
 // TestCompilerEquivalenceGolden proves the compilers are plan-preserving
-// on the golden geometries: linear = indexed = brute force, for every
+// on the golden geometries: linear = schedule = brute force, for every
 // rank of every golden case.
 func TestCompilerEquivalenceGolden(t *testing.T) {
 	for _, gc := range goldenCases() {
@@ -103,6 +91,12 @@ func TestCompilerEquivalenceGolden(t *testing.T) {
 // index drops them at build time; the scan must find they intersect
 // nothing), and needs entirely outside the owned domain.
 func TestCompilerEquivalenceDegenerate(t *testing.T) {
+	gc := degenerateCase()
+	compilersAgree(t, gc.name, gc.elemSize, gc.chunks, gc.needs)
+}
+
+// degenerateCase is the first golden geometry bent into the shapes above.
+func degenerateCase() goldenCase {
 	gc := goldenCases()[0]
 	nd := gc.needs[0].NDims
 	empty := grid.MustBox(make([]int, nd), make([]int, nd))
@@ -113,5 +107,56 @@ func TestCompilerEquivalenceDegenerate(t *testing.T) {
 	needs := append([]grid.Box{}, gc.needs...)
 	needs[2] = grid.MustBox([]int{1000}, []int{16}) // a need nothing covers
 	needs[3] = empty
-	compilersAgree(t, "degenerate", gc.elemSize, chunks, needs)
+	gc.name, gc.chunks, gc.needs = "degenerate", chunks, needs
+	return gc
+}
+
+// TestAlltoallwRowsMatchBrute holds the ModeAlltoallw oracle's wire format
+// against the reference compiler's: for every round of every rank of every
+// golden and degenerate geometry, the dense rows the descriptor derives
+// from the plan's step list carry the packed size and contiguity span of
+// the brute-force dense tables in every slot — Empty where the pair
+// exchanges nothing, the rank's own slot included — and are all Empty
+// again once the round is reset.
+func TestAlltoallwRowsMatchBrute(t *testing.T) {
+	sameSlot := func(got, want datatype.Type) bool {
+		gOff, gN, gOK := got.ContiguousSpan()
+		wOff, wN, wOK := want.ContiguousSpan()
+		return got.PackedSize() == want.PackedSize() && gOff == wOff && gN == wN && gOK == wOK
+	}
+	for _, gc := range append(goldenCases(), degenerateCase()) {
+		t.Run(gc.name, func(t *testing.T) {
+			for rank := range gc.needs {
+				p, err := compilePlan(rank, gc.elemSize, gc.chunks, gc.needs, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				send, recv, err := bruteTables(rank, gc.elemSize, gc.chunks, gc.needs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(send) != p.rounds {
+					t.Fatalf("rank %d: %d rounds, brute %d", rank, p.rounds, len(send))
+				}
+				d := &Descriptor{}
+				for r := 0; r < p.rounds; r++ {
+					rowSend, rowRecv := d.alltoallwRows(p, r)
+					for peer := range gc.needs {
+						if !sameSlot(rowSend[peer], send[r][peer]) {
+							t.Errorf("rank %d round %d: send row slot %d is %v, brute %v", rank, r, peer, rowSend[peer], send[r][peer])
+						}
+						if !sameSlot(rowRecv[peer], recv[r][peer]) {
+							t.Errorf("rank %d round %d: recv row slot %d is %v, brute %v", rank, r, peer, rowRecv[peer], recv[r][peer])
+						}
+					}
+					d.resetAlltoallwRows(p, r)
+					for peer := range gc.needs {
+						if rowSend[peer] != (datatype.Empty{}) || rowRecv[peer] != (datatype.Empty{}) {
+							t.Errorf("rank %d round %d: slot %d not Empty after reset", rank, r, peer)
+						}
+					}
+				}
+			}
+		})
+	}
 }

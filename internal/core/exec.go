@@ -20,10 +20,10 @@ import (
 // moved under one staging footprint, and this file is the only code that
 // runs one: it owns the transport calls, staging, deadline and lost-peer
 // handling, trace stamps, round timings and abort cleanup. The backends
-// are compilers that emit []step (steps.go, bounded.go, delta.go,
-// multi.go). ModeAlltoallw alone keeps its own round loop
-// (reorganize.go), because it is the paper-fidelity oracle the
-// differential tests compare this against.
+// are compilers that emit []step (mapping.go and its fused fold in
+// steps.go, bounded.go, delta.go, multi.go). ModeAlltoallw alone keeps
+// its own round loop (reorganize.go), because it is the paper-fidelity
+// oracle the differential tests compare this against.
 //
 // A serial exchange runs each step as issue → wait → retire, so the wire
 // time of every step is pure blocking. With pipeline depth k ≥ 2 the same

@@ -11,12 +11,14 @@ import (
 )
 
 // Plan is the compiled communication schedule produced by
-// SetupDataMapping. It is immutable and may be replayed by
-// ReorganizeData any number of times while the data layout stays the
-// same — only the data values need to be fresh (the paper's "dynamic
-// data" property). Because it is immutable it may also be shared: the
-// plan cache hands the same *Plan back to repeated setups of one
-// geometry.
+// SetupDataMapping: a step list (exec.go), the one form every exchange
+// path, summary and test hook reads. What it moves, between whom and in
+// which round is immutable, so it may be replayed by ReorganizeData any
+// number of times while the data layout stays the same — only the data
+// values need to be fresh (the paper's "dynamic data" property) — and
+// shared: the plan cache hands the same *Plan back to repeated setups of
+// one geometry. The one thing ever rewritten is a seg's packing type,
+// swapped for a run list that packs the same bytes (compileRuns).
 type Plan struct {
 	elemSize int
 	rank     int
@@ -35,63 +37,29 @@ type Plan struct {
 	allChunks [][]grid.Box // [rank][chunk]
 	allNeeds  []grid.Box   // [rank]
 
-	// The per-round exchange tables, stored sparsely: one entry per
-	// actual overlap instead of a dense (round, peer) matrix. A rank's
-	// plan at P processes holds O(overlaps) state rather than O(R·P) —
-	// the dense tables were >99% Empty sentinels at scale, and their
-	// allocation and zeroing dominated plan compilation long before the
-	// overlap math did. Entries carry the packing type and its contiguity
-	// span together (a contiguous send needs no pack, a contiguous
-	// receive no scatter — detected at compile time so the exchange fast
-	// paths pay no per-call analysis). The alltoallw exchange, whose wire
-	// format is a dense row per round, materializes rows into reusable
-	// descriptor scratch.
-	sendE planEntries // packing from the round's chunk buffer
-	recvE planEntries // scattering into the need buffer
+	// sched is the schedule itself, one step per round (round r moves every
+	// rank's r-th chunk): the round's local move, if this rank's chunk
+	// overlaps its own need, then one single-seg message per peer in
+	// ascending peer order on the round's own tag, each seg carrying its
+	// packing type and contiguity span (a contiguous send needs no pack, a
+	// contiguous receive no scatter — detected at compile time so the
+	// exchange fast paths pay no per-call analysis). It holds one seg per
+	// actual overlap, O(overlaps) rather than O(rounds·procs) state. Every
+	// reader of the plan reads this list: the step executor replays it,
+	// ModePointToPointFused folds it peer-major (steps.go), the alltoallw
+	// oracle scatters a round's segs into its dense rows, and the summary,
+	// the autotuner and the test hooks walk it.
+	sched []step
+	fused []step // sched folded to one message per peer, on first fused use
 
 	// bounded is the memory-bounded step schedule, attached by
 	// ensureBounded when a WithMemoryBudget descriptor maps a geometry
 	// whose single-shot footprint exceeds the budget, nil otherwise (see
 	// bounded.go).
 	bounded *boundedPlan
-
-	// The executor's step lists for the round tables above, compiled on
-	// first use (steps.go).
-	roundSched, fusedSched []step
 }
 
-// planEntries is one direction's sparse exchange table: the overlap
-// entries of all rounds concatenated round-major, peers ascending within
-// each round (self included), with off[r]..off[r+1] delimiting round r.
-type planEntries struct {
-	off   []int // [rounds+1]
-	peers []int
-	types []datatype.Type
-	spans []contigSpan
-
-	left []int // compile-time scratch: unassigned slots per round
-}
-
-// at returns round r's entry for peer, or the Empty sentinel when the
-// pair exchanges nothing. Peers are sorted within a round, so the lookup
-// is a binary search over that round's few entries.
-func (e *planEntries) at(r, peer int) (datatype.Type, contigSpan) {
-	lo, hi := e.off[r], e.off[r+1]
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if e.peers[mid] < peer {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < e.off[r+1] && e.peers[lo] == peer {
-		return e.types[lo], e.spans[lo]
-	}
-	return datatype.Empty{}, contigSpan{}
-}
-
-// contigSpan records whether a plan entry is contiguous in its local
+// contigSpan records whether a seg's region is contiguous in its local
 // array and, if so, where.
 type contigSpan struct {
 	off, n int
@@ -299,124 +267,71 @@ func NewPlanFromGeometry(rank, elemSize int, allChunks [][]grid.Box, allNeeds []
 	return compilePlan(rank, elemSize, allChunks, allNeeds, 0)
 }
 
-// typeJob is one subarray-type construction the compiler fans across the
-// worker pool: a (round, peer, direction) slot plus the overlap the type
-// packs or scatters — inside the rank's round-r chunk for a send, inside
-// its need box for a receive. Slots are unique per job, so the batch runs
-// at any parallelism with no synchronization beyond the join.
+// typeJob is one overlap of the rank being compiled — the unit discovery
+// emits, layout assigns a slot and construction fans across the worker
+// pool: the round, the peer, and the region the seg packs (inside the
+// rank's round-r chunk, a send) or scatters (inside its need box, a
+// receive). Slots are unique per job, so the batch runs at any parallelism
+// with no synchronization beyond the join.
 type typeJob struct {
 	r, peer int
 	region  grid.Box
-	recv    bool
-	pos     int // the entry slot in the plan's sparse table
+	pos     int // the job's message slot, or its self-move slot when peer is the rank itself
 }
 
-// scheduleCompiler holds the geometry-wide state of plan compilation: the
-// gathered geometry, the round count and, for whole-schedule compiles
-// only, spatial indexes over the need boxes (send discovery) and the
-// flattened chunk list (receive discovery). One rank's compile asks a
-// query per own chunk and one for its need box, which an O(C log C) bulk
-// load never repays, so compilePlan scans instead; CompileSchedule builds
-// the indexes once, where they replace P scans of all P peers.
+// scheduleCompiler holds the geometry-wide state of plan compilation.
+// Overlap discovery has two forms feeding the one compile: a rank's own
+// compile scans (discover) — it asks a query per own chunk and one for its
+// need box, which an O(C log C) index bulk load never repays — and
+// CompileSchedule buckets one pass of the global, index-backed enumerator
+// (forEachOverlap), where the index replaces P scans of all P peers.
 type scheduleCompiler struct {
 	elemSize  int
 	allChunks [][]grid.Box
 	allNeeds  []grid.Box
 	rounds    int
-
-	needIx    *grid.Index // nil: discover by linear scan
-	chunkIx   *grid.Index
-	flat      []grid.Box // all chunks, peer-major, round ascending
-	flatPeer  []int
-	flatRound []int
 }
 
-func newScheduleCompiler(elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, indexed bool) *scheduleCompiler {
+func newScheduleCompiler(elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box) *scheduleCompiler {
 	sc := &scheduleCompiler{elemSize: elemSize, allChunks: allChunks, allNeeds: allNeeds}
-	total := 0
 	for _, chunks := range allChunks {
 		sc.rounds = max(sc.rounds, len(chunks))
-		total += len(chunks)
 	}
-	if !indexed {
-		return sc
-	}
-	sc.flat = make([]grid.Box, 0, total)
-	sc.flatPeer = make([]int, 0, total)
-	sc.flatRound = make([]int, 0, total)
-	for peer, chunks := range sc.allChunks {
-		for r, b := range chunks {
-			sc.flat = append(sc.flat, b)
-			sc.flatPeer = append(sc.flatPeer, peer)
-			sc.flatRound = append(sc.flatRound, r)
-		}
-	}
-	sc.needIx = grid.NewIndex(sc.allNeeds)
-	sc.chunkIx = grid.NewIndex(sc.flat)
 	return sc
 }
 
-// discover collects the (round, peer) pairs of p's rank that overlap:
-// first the sends, round-major with peers ascending inside each round —
-// the entry order of the sparse table — then the receives, peer-major
-// (compile buckets those by round). The indexes return candidates
-// ascending, so both strategies emit the same jobs in the same order;
-// empty boxes intersect nothing and drop out of either.
-func (sc *scheduleCompiler) discover(p *Plan) (jobs []typeJob, nSend int) {
-	if sc.needIx != nil {
-		var hits []int
-		for r, chunk := range p.myChunks {
-			hits = sc.needIx.QueryAppend(hits[:0], chunk)
-			for _, peer := range hits {
-				if ov, ok := chunk.Intersect(sc.allNeeds[peer]); ok {
-					jobs = append(jobs, typeJob{r: r, peer: peer, region: ov})
-				}
-			}
-		}
-		nSend = len(jobs)
-		hits = sc.chunkIx.QueryAppend(hits[:0], p.need)
-		for _, id := range hits {
-			if ov, ok := sc.flat[id].Intersect(p.need); ok {
-				jobs = append(jobs, typeJob{r: sc.flatRound[id], peer: sc.flatPeer[id], region: ov, recv: true})
-			}
-		}
-		return jobs, nSend
-	}
-	for r, chunk := range p.myChunks {
+// discover collects rank's overlaps by linear scan: the sends round-major
+// with peers ascending inside each round, then the receives peer-major,
+// rounds ascending inside each peer — the two orders compile lays out
+// from. Empty boxes intersect nothing and drop out.
+func (sc *scheduleCompiler) discover(rank int) (sends, recvs []typeJob) {
+	var jobs []typeJob
+	for r, chunk := range sc.allChunks[rank] {
 		for peer, need := range sc.allNeeds {
 			if ov, ok := chunk.Intersect(need); ok {
 				jobs = append(jobs, typeJob{r: r, peer: peer, region: ov})
 			}
 		}
 	}
-	nSend = len(jobs)
+	nSend := len(jobs)
+	need := sc.allNeeds[rank]
 	for peer, chunks := range sc.allChunks {
 		for r, chunk := range chunks {
-			if ov, ok := chunk.Intersect(p.need); ok {
-				jobs = append(jobs, typeJob{r: r, peer: peer, region: ov, recv: true})
+			if ov, ok := chunk.Intersect(need); ok {
+				jobs = append(jobs, typeJob{r: r, peer: peer, region: ov})
 			}
 		}
 	}
-	return jobs, nSend
+	return jobs[:nSend:nSend], jobs[nSend:]
 }
 
-// fillEmpty stamps the Empty sentinel into every slot by doubling copy —
-// memmove speed instead of an interface store per element.
-func fillEmpty(ts []datatype.Type) {
-	if len(ts) == 0 {
-		return
-	}
-	ts[0] = datatype.Empty{}
-	for n := 1; n < len(ts); n *= 2 {
-		copy(ts[n:], ts[:n])
-	}
-}
-
-// compile builds rank's plan. Subarray construction and contiguity
-// analysis fan out across par workers (datatype.ForkJoin); the result is
-// byte-identical to the brute-force reference at any parallelism and
-// under either discovery strategy.
-func (sc *scheduleCompiler) compile(rank, par int) (*Plan, error) {
+// compile lays rank's overlaps straight into its step list. sends must
+// arrive round-major with peers ascending, recvs with rounds ascending
+// inside each peer; the rank's own chunk overlapping its own need appears
+// once in each. Subarray construction and contiguity analysis fan out
+// across par workers (datatype.ForkJoin); the result is byte-identical to
+// the brute-force reference at any parallelism and from either discovery.
+func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, par int) (*Plan, error) {
 	rounds := sc.rounds
 	p := &Plan{
 		elemSize:  sc.elemSize,
@@ -427,45 +342,84 @@ func (sc *scheduleCompiler) compile(rank, par int) (*Plan, error) {
 		need:      sc.allNeeds[rank],
 		allChunks: sc.allChunks,
 		allNeeds:  sc.allNeeds,
+		sched:     make([]step, rounds),
 	}
-	jobs, nSend := sc.discover(p)
 
-	// Lay out the sparse tables: prefix-sum the per-round entry counts
-	// into offsets and assign each job its slot. Send jobs are already
-	// round-major; receive jobs land at their round's next free slot,
-	// which keeps peers ascending because they arrived peer-major.
-	p.sendE = newPlanEntries(rounds, jobs[:nSend])
-	p.recvE = newPlanEntries(rounds, jobs[nSend:])
-	for i := range jobs {
-		j := &jobs[i]
-		e := &p.sendE
-		if j.recv {
-			e = &p.recvE
+	// Layout: one message array for the whole plan, each round's sends then
+	// its receives, one seg per message. Counting the rounds' messages and
+	// prefix-summing gives every job its slot; send jobs are already in slot
+	// order, receive jobs land at their round's next free slot, which keeps
+	// peers ascending because each peer's rounds arrived together. A rank's
+	// overlap with itself is not a message: its two jobs fill the two sides
+	// of one self move, paired by arrival order (both lists meet the rank's
+	// own rounds ascending).
+	next := make([]int, 2*rounds) // per round: next free send slot, next free recv slot
+	nSelf := 0
+	for i := range sends {
+		if sends[i].peer == rank {
+			nSelf++
+		} else {
+			next[2*sends[i].r]++
 		}
-		j.pos = e.off[j.r+1] - e.left[j.r]
-		e.left[j.r]--
-		e.peers[j.pos] = j.peer
 	}
-	p.sendE.left, p.recvE.left = nil, nil
-
-	// Construction: build the subarray types and their contiguity spans
-	// across the pool. Each job owns its slot, and errors are reported by
-	// the lowest failing job for determinism.
-	errs := make([]error, len(jobs))
-	datatype.ForkJoin(len(jobs), par, func(i int) {
-		j := &jobs[i]
-		e, base, dir := &p.recvE, p.need, "recv type from"
-		if !j.recv {
-			e, base, dir = &p.sendE, p.myChunks[j.r], "send type to"
+	for i := range recvs {
+		if recvs[i].peer != rank {
+			next[2*recvs[i].r+1]++
 		}
-		t, err := datatype.NewSubarray(sc.elemSize, base, j.region)
-		if err != nil {
+	}
+	nMsg := len(sends) + len(recvs) - 2*nSelf
+	msgs := make([]message, nMsg)
+	segs := make([]seg, nMsg)
+	selfs := make([]selfMove, nSelf)
+	off := 0
+	for r := range p.sched {
+		ns, nr := next[2*r], next[2*r+1]
+		next[2*r], next[2*r+1] = off, off+ns
+		p.sched[r].sends = msgs[off : off+ns : off+ns]
+		p.sched[r].recvs = msgs[off+ns : off+ns+nr : off+ns+nr]
+		off += ns + nr
+	}
+	for d, jobs := range [2][]typeJob{sends, recvs} {
+		k := 0
+		for i := range jobs {
+			j := &jobs[i]
+			if j.peer != rank {
+				j.pos = next[2*j.r+d]
+				next[2*j.r+d]++
+				continue
+			}
+			j.pos = k
+			p.sched[j.r].selfs = selfs[k : k+1 : k+1]
+			k++
+		}
+	}
+
+	// Construction: build each job's seg — subarray type plus contiguity
+	// span — across the pool. Each job owns its slot, and errors are
+	// reported by the lowest failing job for determinism.
+	errs := make([]error, len(sends)+len(recvs))
+	datatype.ForkJoin(len(errs), par, func(i int) {
+		recv := i >= len(sends)
+		var j *typeJob
+		base, buf, dir := p.need, 0, "recv type from"
+		if recv {
+			j = &recvs[i-len(sends)]
+		} else {
+			j = &sends[i]
+			base, buf, dir = p.myChunks[j.r], j.r, "send type to"
+		}
+		sg, err := newSeg(sc.elemSize, base, buf, j.region)
+		switch {
+		case err != nil:
 			errs[i] = fmt.Errorf("core: %s rank %d: %w", dir, j.peer, err)
-			return
+		case j.peer != rank:
+			segs[j.pos] = sg
+			msgs[j.pos] = message{peer: j.peer, tag: ddrTagBase + j.r, bytes: sg.t.PackedSize(), segs: segs[j.pos : j.pos+1 : j.pos+1]}
+		case recv:
+			selfs[j.pos].dst = sg
+		default:
+			selfs[j.pos].src = sg
 		}
-		off, n, ok := t.ContiguousSpan()
-		e.types[j.pos] = t
-		e.spans[j.pos] = contigSpan{off: off, n: n, ok: ok}
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -475,39 +429,24 @@ func (sc *scheduleCompiler) compile(rank, par int) (*Plan, error) {
 	return p, nil
 }
 
-// newPlanEntries sizes one direction's sparse table for a job batch:
-// counts per round become the off prefix sums, and left temporarily
-// tracks each round's unassigned slots while jobs claim positions.
-func newPlanEntries(rounds int, jobs []typeJob) planEntries {
-	e := planEntries{off: make([]int, rounds+1), left: make([]int, rounds)}
-	for i := range jobs {
-		e.left[jobs[i].r]++
-	}
-	for r := 0; r < rounds; r++ {
-		e.off[r+1] = e.off[r] + e.left[r]
-	}
-	n := len(jobs)
-	e.peers = make([]int, n)
-	e.types = make([]datatype.Type, n)
-	e.spans = make([]contigSpan, n)
-	return e
-}
-
 // compilePlan builds one rank's plan from the gathered global geometry —
 // the path SetupDataMapping and NewPlanFromGeometry take. It is per-rank
 // work, as in the paper's DDR_SetupDataMapping: O(C_r·P + C) overlap
 // tests and no index.
 func compilePlan(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, par int) (*Plan, error) {
-	return newScheduleCompiler(elemSize, allChunks, allNeeds, false).compile(rank, par)
+	sc := newScheduleCompiler(elemSize, allChunks, allNeeds)
+	sends, recvs := sc.discover(rank)
+	return sc.compile(rank, sends, recvs, par)
 }
 
 // CompileSchedule compiles every rank's plan from a full global geometry
-// with one shared set of spatial indexes — the whole-schedule analogue of
-// NewPlanFromGeometry for offline analysis (ddrplan sweeps, capacity
-// planning, the paper's Table II at arbitrary scale). Sharing the indexes
-// is what removes the O(P²) cost of constructing all P schedules by
-// brute-force peer scans. par bounds the construction parallelism per
-// rank compile; <= 0 means GOMAXPROCS.
+// — the whole-schedule analogue of NewPlanFromGeometry for offline
+// analysis (ddrplan sweeps, capacity planning, the paper's Table II at
+// arbitrary scale). One pass of the index-backed global enumerator finds
+// every overlap once, which is what removes the O(P²) cost of P peer
+// scans; bucketed per rank, the overlaps feed the same compile the
+// per-rank path runs. par bounds the construction parallelism; <= 0 means
+// GOMAXPROCS.
 func CompileSchedule(elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, par int) ([]*Plan, error) {
 	if elemSize <= 0 {
 		return nil, fmt.Errorf("core: element size %d must be positive", elemSize)
@@ -515,15 +454,45 @@ func CompileSchedule(elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, 
 	if len(allChunks) != len(allNeeds) {
 		return nil, fmt.Errorf("core: %d chunk lists for %d need boxes", len(allChunks), len(allNeeds))
 	}
-	sc := newScheduleCompiler(elemSize, allChunks, allNeeds, true)
-	plans := make([]*Plan, len(allNeeds))
-	errs := make([]error, len(allNeeds))
-	// Ranks compile independently against the shared read-only indexes, so
-	// the schedule fans out rank-per-worker; each rank's own construction
-	// then runs serially (par 1) to avoid nested pools. Errors surface from
-	// the lowest failing rank for determinism.
-	datatype.ForkJoin(len(plans), par, func(rank int) {
-		plans[rank], errs[rank] = sc.compile(rank, 1)
+	sc := newScheduleCompiler(elemSize, allChunks, allNeeds)
+	n := len(allNeeds)
+
+	// The enumerator visits source rank, then chunk, then destination
+	// ascending, so the overlaps arrive as every rank's send jobs back to
+	// back, already in compile's order. A counting sort by destination turns
+	// the same list into the receive jobs, each rank's peer-major because
+	// the pass keeps the source order. The two offset tables delimit a
+	// rank's jobs in each list.
+	var sends []typeJob
+	sendOff := make([]int, n+1)
+	recvOff := make([]int, n+1)
+	forEachOverlap(allChunks, allNeeds, func(src, chunk, dst int, ov grid.Box) {
+		sends = append(sends, typeJob{r: chunk, peer: dst, region: ov})
+		sendOff[src+1]++
+		recvOff[dst+1]++
+	})
+	for r := 0; r < n; r++ {
+		sendOff[r+1] += sendOff[r]
+		recvOff[r+1] += recvOff[r]
+	}
+	recvs := make([]typeJob, len(sends))
+	fill := append([]int(nil), recvOff[:n]...)
+	for src := 0; src < n; src++ {
+		for _, j := range sends[sendOff[src]:sendOff[src+1]] {
+			recvs[fill[j.peer]] = typeJob{r: j.r, peer: src, region: j.region}
+			fill[j.peer]++
+		}
+	}
+
+	plans := make([]*Plan, n)
+	errs := make([]error, n)
+	// Ranks compile independently from disjoint job ranges, so the schedule
+	// fans out rank-per-worker; each rank's own construction then runs
+	// serially (par 1) to avoid nested pools. Errors surface from the lowest
+	// failing rank for determinism.
+	datatype.ForkJoin(n, par, func(rank int) {
+		plans[rank], errs[rank] = sc.compile(rank,
+			sends[sendOff[rank]:sendOff[rank+1]], recvs[recvOff[rank]:recvOff[rank+1]], 1)
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -40,16 +40,16 @@ func gcQuiesce() func() {
 }
 
 // BenchmarkSetupMapping sweeps offline plan compilation across process
-// counts. One rank's plan, under each of the three discovery strategies:
+// counts. One rank's plan:
 //
-//	plan/*:           NewPlanFromGeometry — linear scan into sparse tables,
+//	plan/*:           NewPlanFromGeometry — linear scan into the step list,
 //	                  the path SetupDataMapping takes
-//	plan-indexed/*:   fresh spatial indexes for the one compile
 //	plan-brute/*:     the dense-table reference compiler (mapping_brute.go)
 //
 // and all P plans:
 //
-//	schedule/*:       CompileSchedule (one index build shared by P compiles)
+//	schedule/*:       CompileSchedule (one indexed overlap pass bucketed
+//	                  into P compiles)
 //	schedule-brute/*: looping the brute-force compiler
 //
 // The schedule pair is the paper's offline-analysis scenario (ddrplan,
@@ -65,14 +65,6 @@ func BenchmarkSetupMapping(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := NewPlanFromGeometry(rank, 4, chunks, needs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("plan-indexed/P=%d", procs), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := compilePlanIndexed(rank, 4, chunks, needs); err != nil {
 					b.Fatal(err)
 				}
 			}

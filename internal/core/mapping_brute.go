@@ -7,48 +7,31 @@ import (
 	"ddr/internal/grid"
 )
 
-// compilePlanBrute is the reference compiler: it intersects every chunk
-// against every peer's need linearly over dense (round, peer) tables,
-// exactly as the original implementation of the paper's
-// DDR_SetupDataMapping did. It is retained solely as the
-// differential-testing oracle for scheduleCompiler — the linear per-rank
-// compilePlan and the indexed CompileSchedule must both produce its plans
-// byte for byte on every geometry (see TestCompilerEquivalence and the
-// ddrtest sweep) — and as a row of the mapping benchmarks. No library
-// path calls it. The trailing conversion packs the dense tables into the
-// Plan's sparse representation without changing any entry.
-func compilePlanBrute(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box) (*Plan, error) {
+// bruteTables is the reference compiler's discovery and construction: it
+// intersects every chunk against every peer's need linearly into dense
+// (round, peer) type tables, Empty where a pair exchanges nothing, exactly
+// as the original implementation of the paper's DDR_SetupDataMapping did.
+// These tables are also the rows ModeAlltoallw hands the collective, which
+// TestAlltoallwRowsMatchBrute holds the oracle's rows against.
+func bruteTables(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box) (send, recv [][]datatype.Type, err error) {
 	nProcs := len(allNeeds)
 	rounds := 0
 	for _, chunks := range allChunks {
 		rounds = max(rounds, len(chunks))
 	}
-	p := &Plan{
-		elemSize:  elemSize,
-		rank:      rank,
-		nProcs:    nProcs,
-		rounds:    rounds,
-		myChunks:  allChunks[rank],
-		need:      allNeeds[rank],
-		allChunks: allChunks,
-		allNeeds:  allNeeds,
-	}
-	send := make([][]datatype.Type, rounds)
-	recv := make([][]datatype.Type, rounds)
-	sendSpan := make([][]contigSpan, rounds)
-	recvSpan := make([][]contigSpan, rounds)
+	myChunks, need := allChunks[rank], allNeeds[rank]
+	send = make([][]datatype.Type, rounds)
+	recv = make([][]datatype.Type, rounds)
 	for r := 0; r < rounds; r++ {
 		send[r] = make([]datatype.Type, nProcs)
 		recv[r] = make([]datatype.Type, nProcs)
-		sendSpan[r] = make([]contigSpan, nProcs)
-		recvSpan[r] = make([]contigSpan, nProcs)
 		for peer := 0; peer < nProcs; peer++ {
 			send[r][peer] = datatype.Empty{}
 			recv[r][peer] = datatype.Empty{}
 		}
 		// Sends: the overlap of my round-r chunk with each peer's need.
-		if r < len(p.myChunks) {
-			chunk := p.myChunks[r]
+		if r < len(myChunks) {
+			chunk := myChunks[r]
 			for peer := 0; peer < nProcs; peer++ {
 				ov, ok := chunk.Intersect(allNeeds[peer])
 				if !ok {
@@ -56,7 +39,7 @@ func compilePlanBrute(rank, elemSize int, allChunks [][]grid.Box, allNeeds []gri
 				}
 				st, err := datatype.NewSubarray(elemSize, chunk, ov)
 				if err != nil {
-					return nil, fmt.Errorf("core: send type to rank %d: %w", peer, err)
+					return nil, nil, fmt.Errorf("core: send type to rank %d: %w", peer, err)
 				}
 				send[r][peer] = st
 			}
@@ -66,51 +49,69 @@ func compilePlanBrute(rank, elemSize int, allChunks [][]grid.Box, allNeeds []gri
 			if r >= len(allChunks[peer]) {
 				continue
 			}
-			ov, ok := allChunks[peer][r].Intersect(p.need)
+			ov, ok := allChunks[peer][r].Intersect(need)
 			if !ok {
 				continue
 			}
-			rt, err := datatype.NewSubarray(elemSize, p.need, ov)
+			rt, err := datatype.NewSubarray(elemSize, need, ov)
 			if err != nil {
-				return nil, fmt.Errorf("core: recv type from rank %d: %w", peer, err)
+				return nil, nil, fmt.Errorf("core: recv type from rank %d: %w", peer, err)
 			}
 			recv[r][peer] = rt
 		}
 	}
-	// Contiguity detection.
-	for r := 0; r < rounds; r++ {
-		for peer := 0; peer < nProcs; peer++ {
-			if send[r][peer].PackedSize() > 0 {
-				off, n, ok := send[r][peer].ContiguousSpan()
-				sendSpan[r][peer] = contigSpan{off: off, n: n, ok: ok}
+	return send, recv, nil
+}
+
+// compilePlanBrute is the reference compiler: bruteTables, then its own
+// conversion of the dense tables to the plan's step list — non-empty
+// slots in (round, peer) order, contiguity detected per slot. It is
+// retained solely as the differential-testing oracle for scheduleCompiler
+// — the linear per-rank compilePlan and the bucketed CompileSchedule must
+// both produce its plans byte for byte on every geometry (see
+// TestCompilerEquivalence and the ddrtest sweep) — and as a row of the
+// mapping benchmarks. No library path calls it, and it shares neither
+// discovery nor layout with the compiler it checks.
+func compilePlanBrute(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box) (*Plan, error) {
+	send, recv, err := bruteTables(rank, elemSize, allChunks, allNeeds)
+	if err != nil {
+		return nil, err
+	}
+	p := &Plan{
+		elemSize:  elemSize,
+		rank:      rank,
+		nProcs:    len(allNeeds),
+		rounds:    len(send),
+		myChunks:  allChunks[rank],
+		need:      allNeeds[rank],
+		allChunks: allChunks,
+		allNeeds:  allNeeds,
+		sched:     make([]step, len(send)),
+	}
+	for r := range p.sched {
+		st := &p.sched[r]
+		for peer := 0; peer < p.nProcs; peer++ {
+			if t, ok := send[r][peer].(*datatype.Subarray); ok && peer != rank {
+				st.sends = append(st.sends, bruteMessage(peer, r, bruteSeg(t, r)))
 			}
-			if recv[r][peer].PackedSize() > 0 {
-				off, n, ok := recv[r][peer].ContiguousSpan()
-				recvSpan[r][peer] = contigSpan{off: off, n: n, ok: ok}
+			if t, ok := recv[r][peer].(*datatype.Subarray); ok && peer != rank {
+				st.recvs = append(st.recvs, bruteMessage(peer, r, bruteSeg(t, 0)))
 			}
 		}
+		if t, ok := send[r][rank].(*datatype.Subarray); ok {
+			st.selfs = []selfMove{{src: bruteSeg(t, r), dst: bruteSeg(recv[r][rank].(*datatype.Subarray), 0)}}
+		}
 	}
-	// Pack the dense tables into the sparse plan representation.
-	p.sendE = denseToEntries(send, sendSpan)
-	p.recvE = denseToEntries(recv, recvSpan)
 	return p, nil
 }
 
-// denseToEntries packs one direction's dense tables into the sparse
-// entry layout: non-empty slots in (round, peer) order.
-func denseToEntries(types [][]datatype.Type, spans [][]contigSpan) planEntries {
-	e := planEntries{off: make([]int, len(types)+1)}
-	for r := range types {
-		e.off[r] = len(e.peers)
-		for peer, t := range types[r] {
-			if t.PackedSize() == 0 {
-				continue
-			}
-			e.peers = append(e.peers, peer)
-			e.types = append(e.types, t)
-			e.spans = append(e.spans, spans[r][peer])
-		}
-	}
-	e.off[len(types)] = len(e.peers)
-	return e
+// bruteSeg lifts a dense-table slot into a seg addressing buffer buf.
+func bruteSeg(t *datatype.Subarray, buf int) seg {
+	off, n, ok := t.ContiguousSpan()
+	return seg{buf: buf, t: t, span: contigSpan{off: off, n: n, ok: ok}, region: t.Sub}
+}
+
+// bruteMessage is round r's single-seg message to or from peer.
+func bruteMessage(peer, r int, sg seg) message {
+	return message{peer: peer, tag: ddrTagBase + r, bytes: sg.t.PackedSize(), segs: []seg{sg}}
 }

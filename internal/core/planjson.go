@@ -43,20 +43,14 @@ type PlanSummary struct {
 	FusedRecvs []FusedSummary `json:"fused_recvs"`
 }
 
-// summarizeRound serializes one round of one direction's sparse table,
-// excluding the self entry (which moves no wire bytes) — the same peer
-// set, in the same ascending order, as the round's peer list.
-func summarizeRound(e *planEntries, r, rank int) []EntrySummary {
+// summarizeRound serializes one direction of one round's step — its
+// messages, peers ascending; the local move carries no wire bytes and is
+// not listed.
+func summarizeRound(msgs []message) []EntrySummary {
 	out := []EntrySummary{}
-	for i := e.off[r]; i < e.off[r+1]; i++ {
-		if e.peers[i] == rank {
-			continue
-		}
-		out = append(out, EntrySummary{
-			Peer: e.peers[i],
-			Size: e.types[i].PackedSize(),
-			Span: SpanSummary{Off: e.spans[i].off, N: e.spans[i].n, OK: e.spans[i].ok},
-		})
+	for _, m := range msgs {
+		sp := m.segs[0].span
+		out = append(out, EntrySummary{Peer: m.peer, Size: m.bytes, Span: SpanSummary{Off: sp.off, N: sp.n, OK: sp.ok}})
 	}
 	return out
 }
@@ -66,28 +60,28 @@ func summarizeRound(e *planEntries, r, rank int) []EntrySummary {
 // in the same rounds with the same fast-path decisions.
 func (p *Plan) Summary() PlanSummary {
 	out := PlanSummary{Rank: p.rank, Rounds: p.rounds}
-	for r := 0; r < p.rounds; r++ {
-		rd := RoundSummary{Sends: summarizeRound(&p.sendE, r, p.rank), Recvs: summarizeRound(&p.recvE, r, p.rank)}
-		out.RoundPlans = append(out.RoundPlans, rd)
+	for r := range p.sched {
+		st := &p.sched[r]
+		out.RoundPlans = append(out.RoundPlans, RoundSummary{Sends: summarizeRound(st.sends), Recvs: summarizeRound(st.recvs)})
 	}
-	out.FusedSends = fusedSummary(&p.sendE, p.rank)
-	out.FusedRecvs = fusedSummary(&p.recvE, p.rank)
+	out.FusedSends = fusedSummary(p.sched, false)
+	out.FusedRecvs = fusedSummary(p.sched, true)
 	return out
 }
 
-// fusedSummary folds one direction's table per peer: the bytes of all the
-// peer's rounds and, when exactly one round contributes, that round's
-// index (the fused message is then a single seg, eligible for the
+// fusedSummary folds one direction of the schedule per peer: the bytes of
+// all the peer's rounds and, when exactly one round contributes, that
+// round's index (the fused message is then a single seg, eligible for the
 // zero-copy send) — else -1.
-func fusedSummary(e *planEntries, rank int) []FusedSummary {
+func fusedSummary(sched []step, recv bool) []FusedSummary {
 	out := []FusedSummary{}
-	e.byPeer(rank, func(peer, r, i int) {
-		if n := len(out); n == 0 || out[n-1].Peer != peer {
-			out = append(out, FusedSummary{Peer: peer, One: r})
+	byPeer(sched, recv, func(r int, m *message) {
+		if n := len(out); n == 0 || out[n-1].Peer != m.peer {
+			out = append(out, FusedSummary{Peer: m.peer, One: r})
 		} else {
 			out[n-1].One = -1
 		}
-		out[len(out)-1].Bytes += e.types[i].PackedSize()
+		out[len(out)-1].Bytes += m.bytes
 	})
 	return out
 }

@@ -10,9 +10,8 @@ import (
 // compilation, the measurement behind cmd/ddrplan -sweep. It separates
 // what a live SetupDataMapping would spend on the wire (the geometry
 // allgather payload), on the cache key (canonical encoding + fingerprint),
-// and on the rank's compile, beside what the spatial indexes of a
-// whole-schedule compile cost to build, so compile-time scaling can be
-// reproduced at process counts far beyond the running world.
+// and on the rank's compile, so compile-time scaling can be reproduced at
+// process counts far beyond the running world.
 type MappingProfile struct {
 	Procs       int
 	TotalChunks int
@@ -28,7 +27,6 @@ type MappingProfile struct {
 
 	EncodeTime      time.Duration // canonical encoding of every rank's geometry
 	FingerprintTime time.Duration // folding the per-rank hashes into the cache key
-	IndexTime       time.Duration // building the need and chunk spatial indexes (CompileSchedule only)
 	CompileTime     time.Duration // this rank's plan compilation (linear discovery, no index)
 }
 
@@ -60,18 +58,7 @@ func ProfileMapping(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.
 	prof.Fingerprint = geometryFingerprint(encodings)
 	prof.FingerprintTime = time.Since(start)
 
-	// Phase 3: spatial-index construction alone — the cost a single
-	// rank's compile avoids and a whole-schedule compile pays once.
-	start = time.Now()
-	_ = grid.NewIndex(allNeeds)
-	flat := make([]grid.Box, 0, prof.TotalChunks)
-	for _, chunks := range allChunks {
-		flat = append(flat, chunks...)
-	}
-	_ = grid.NewIndex(flat)
-	prof.IndexTime = time.Since(start)
-
-	// Phase 4: the compile proper.
+	// Phase 3: the compile proper.
 	start = time.Now()
 	plan, err := compilePlan(rank, elemSize, allChunks, allNeeds, par)
 	if err != nil {

@@ -239,7 +239,7 @@ func (d *Descriptor) schedule(p *Plan) (steps []step, k int, stepped bool) {
 	case d.mode == ModeAlltoallw:
 		return nil, 1, false
 	}
-	return p.roundSteps(), d.pipelineDepth(p, p.rounds, 0), true
+	return p.sched, d.pipelineDepth(p, p.rounds, 0), true
 }
 
 // pipelineDepth resolves the depth an exchange may run at: the
@@ -314,22 +314,28 @@ func (d *Descriptor) alltoallwRounds(ctx context.Context, c *mpi.Comm, own [][]b
 }
 
 // alltoallwRows materializes round r's dense send/recv type rows — the
-// alltoallw collective's wire format — from the plan's sparse tables
-// into the descriptor's reusable scratch. resetAlltoallwRows must run
-// after the collective returns to restore the Empty sentinels, so the
-// rows are clean for the next round at O(entries) cost.
+// alltoallw collective's wire format — from the round's step into the
+// descriptor's reusable scratch: each message's one seg in its peer's
+// slot, the local move in the rank's own. resetAlltoallwRows must run
+// after the collective returns to restore the Empty sentinels, so the rows
+// are clean for the next round at O(messages) cost.
 func (d *Descriptor) alltoallwRows(p *Plan, r int) (rowSend, rowRecv []datatype.Type) {
 	if len(d.rowSend) != p.nProcs {
 		d.rowSend = make([]datatype.Type, p.nProcs)
 		d.rowRecv = make([]datatype.Type, p.nProcs)
-		fillEmpty(d.rowSend)
-		fillEmpty(d.rowRecv)
+		for i := range d.rowSend {
+			d.rowSend[i], d.rowRecv[i] = datatype.Empty{}, datatype.Empty{}
+		}
 	}
-	for i := p.sendE.off[r]; i < p.sendE.off[r+1]; i++ {
-		d.rowSend[p.sendE.peers[i]] = p.sendE.types[i]
+	st := &p.sched[r]
+	for _, sf := range st.selfs {
+		d.rowSend[p.rank], d.rowRecv[p.rank] = sf.src.t, sf.dst.t
 	}
-	for i := p.recvE.off[r]; i < p.recvE.off[r+1]; i++ {
-		d.rowRecv[p.recvE.peers[i]] = p.recvE.types[i]
+	for _, m := range st.sends {
+		d.rowSend[m.peer] = m.segs[0].t
+	}
+	for _, m := range st.recvs {
+		d.rowRecv[m.peer] = m.segs[0].t
 	}
 	return d.rowSend, d.rowRecv
 }
@@ -337,11 +343,13 @@ func (d *Descriptor) alltoallwRows(p *Plan, r int) (rowSend, rowRecv []datatype.
 // resetAlltoallwRows restores the Empty sentinel in the slots round r
 // populated.
 func (d *Descriptor) resetAlltoallwRows(p *Plan, r int) {
-	for i := p.sendE.off[r]; i < p.sendE.off[r+1]; i++ {
-		d.rowSend[p.sendE.peers[i]] = datatype.Empty{}
+	st := &p.sched[r]
+	d.rowSend[p.rank], d.rowRecv[p.rank] = datatype.Empty{}, datatype.Empty{}
+	for _, m := range st.sends {
+		d.rowSend[m.peer] = datatype.Empty{}
 	}
-	for i := p.recvE.off[r]; i < p.recvE.off[r+1]; i++ {
-		d.rowRecv[p.recvE.peers[i]] = datatype.Empty{}
+	for _, m := range st.recvs {
+		d.rowRecv[m.peer] = datatype.Empty{}
 	}
 }
 

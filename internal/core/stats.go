@@ -45,8 +45,7 @@ func (p *Plan) Stats() ScheduleStats {
 	s := ScheduleStats{Rounds: p.rounds, Ranks: p.nProcs}
 	activeSlots := 0
 	for rank := 0; rank < p.nProcs; rank++ {
-		for r, chunk := range p.allChunks[rank] {
-			_ = r
+		for _, chunk := range p.allChunks[rank] {
 			activeSlots++
 			var sentThisRound int64
 			peers := 0
@@ -64,7 +63,7 @@ func (p *Plan) Stats() ScheduleStats {
 				sentThisRound += bytes
 				s.TotalWireBytes += bytes
 			}
-			s.PerRankRoundMax = max64(s.PerRankRoundMax, sentThisRound)
+			s.PerRankRoundMax = max(s.PerRankRoundMax, sentThisRound)
 			s.MaxPeersPerRound = max(s.MaxPeersPerRound, peers)
 		}
 	}
@@ -91,11 +90,4 @@ func (p *Plan) RankRoundSendBytes(rank, round int) int64 {
 		}
 	}
 	return total
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

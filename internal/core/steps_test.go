@@ -191,7 +191,7 @@ func TestStepScheduleConservation(t *testing.T) {
 			{"p2p", 0, overlaps, func(t *testing.T) [][]step {
 				var out [][]step
 				for _, p := range plans(t) {
-					out = append(out, p.roundSteps())
+					out = append(out, p.sched)
 				}
 				return out
 			}},

@@ -31,38 +31,62 @@ func CompileBoundedForTest(p *Plan, budget int) error {
 	return nil
 }
 
-// PerturbBoundedForTest translates one of the bounded schedule's receive
-// slices by one cell along an axis (staying inside the need box),
-// rebuilding its receive type and span — a step-boundary off-by-one: the
-// payload still carries the right bytes, but they land one cell away
-// from where they belong. The send half is untouched, so the wire
-// lengths still match and only the differential byte comparison (or the
-// harness's fill invariant) can catch it. Returns false when no receive
-// slice can be shifted while staying in bounds. Never call outside
-// tests.
-func (p *Plan) PerturbBoundedForTest() bool {
-	if p == nil || p.bounded == nil {
-		return false
-	}
-	for _, st := range p.bounded.sched {
-		for _, m := range st.recvs {
-			sg := &m.segs[0]
-			for ax := 0; ax < sg.region.NDims; ax++ {
-				for _, delta := range [2]int{1, -1} {
-					moved := sg.region
-					moved.Offset[ax] += delta
-					if !p.need.Contains(moved) {
-						continue
-					}
-					if shifted, err := newSeg(p.elemSize, p.need, 0, moved); err == nil {
-						*sg = shifted
-						return true
+// shiftRecvSeg translates the first receive seg of sched that can move by
+// one cell along some axis and stay inside base — the box its destination
+// buffer holds — rebuilding its type and span: an off-by-one in the
+// overlap math. The send half is untouched, so the wire lengths still
+// match and the payload carries the right bytes; they land one cell away
+// from where they belong, which only a byte comparison (or the harness's
+// fill invariant) can catch. Every plan backend is a []step, so this is
+// the one planted schedule bug behind all three hooks below. Returns false
+// when no receive seg can be shifted in bounds.
+func shiftRecvSeg(sched []step, elemSize int, base grid.Box) bool {
+	for i := range sched {
+		for _, m := range sched[i].recvs {
+			for j := range m.segs {
+				sg := &m.segs[j]
+				for ax := 0; ax < sg.region.NDims; ax++ {
+					for _, delta := range [2]int{1, -1} {
+						moved := sg.region
+						moved.Offset[ax] += delta
+						if !base.Contains(moved) {
+							continue
+						}
+						if shifted, err := newSeg(elemSize, base, sg.buf, moved); err == nil {
+							*sg = shifted
+							return true
+						}
 					}
 				}
 			}
 		}
 	}
 	return false
+}
+
+// PerturbPlanForTest plants shiftRecvSeg's bug in the plan's round
+// schedule (a fused fold already taken of it is dropped, to be folded
+// again from the shifted segs), so the property-based harness can prove it
+// detects plan-compilation bugs. Never call outside tests.
+func (p *Plan) PerturbPlanForTest() bool {
+	if p == nil || !shiftRecvSeg(p.sched, p.elemSize, p.need) {
+		return false
+	}
+	p.fused = nil
+	return true
+}
+
+// PerturbBoundedForTest plants shiftRecvSeg's bug in the plan's bounded
+// schedule — a step-boundary off-by-one. Never call outside tests.
+func (p *Plan) PerturbBoundedForTest() bool {
+	return p != nil && p.bounded != nil && shiftRecvSeg(p.bounded.sched, p.elemSize, p.need)
+}
+
+// PerturbDeltaForTest plants shiftRecvSeg's bug in a delta plan, so the
+// resize property harness can prove it detects delta-compilation bugs.
+// Never call outside tests.
+func (p *DeltaPlan) PerturbDeltaForTest() bool {
+	return shiftRecvSeg(p.sched, p.elemSize, p.newNeed)
 }
 
 // PerturbPipelineForTest arms a pipelined-schedule bug in this
@@ -80,35 +104,4 @@ func (p *Plan) PerturbBoundedForTest() bool {
 // pipelined buffer-lifetime bugs. Never call outside tests.
 func (d *Descriptor) PerturbPipelineForTest() {
 	d.ex.perturb = true
-}
-
-// PerturbPlanForTest shifts one compiled contiguous receive span by one
-// element, simulating an off-by-one in the overlap math. It exists so the
-// property-based harness can prove it detects plan-compilation bugs: a
-// perturbed rank scatters one peer's payload one element away from where
-// it belongs, which must surface as an invariant violation. It returns
-// false when the plan has no entry that can be shifted while staying in
-// bounds of the need buffer. Never call outside tests.
-func (p *Plan) PerturbPlanForTest() bool {
-	if p == nil {
-		return false
-	}
-	total := p.need.Volume() * p.elemSize
-	for i := range p.recvE.spans {
-		sp := &p.recvE.spans[i]
-		if !sp.ok || sp.n == 0 || sp.n >= total {
-			continue
-		}
-		switch {
-		case sp.off+sp.n+p.elemSize <= total:
-			sp.off += p.elemSize
-		case sp.off >= p.elemSize:
-			sp.off -= p.elemSize
-		default:
-			continue
-		}
-		p.roundSched, p.fusedSched = nil, nil // recompile from the perturbed table
-		return true
-	}
-	return false
 }

@@ -10,15 +10,15 @@ import (
 	"ddr/internal/grid"
 )
 
-// TestCompilerEquivalenceSweep differentially tests the three overlap
-// discovery strategies over seeded random geometries — random tilings,
-// uneven chunk counts, needs poking past the domain and, on every other
-// seed, a rank stripped of its chunks, zero-extent chunks and a
-// zero-extent need. For every rank the linear per-rank compiler (what
+// TestCompilerEquivalenceSweep differentially tests the two overlap
+// discoveries and the oracle over seeded random geometries — random
+// tilings, uneven chunk counts, needs poking past the domain and, on
+// every other seed, a rank stripped of its chunks, zero-extent chunks and
+// a zero-extent need. For every rank the linear per-rank compiler (what
 // SetupDataMapping runs, at every construction parallelism) and the
-// indexed whole-schedule compiler must both produce the brute-force
-// reference's plan. Run under -race this also shakes down the parallel
-// construction phase.
+// whole-schedule compiler (one indexed enumeration, bucketed per rank)
+// must both produce the brute-force reference's plan. Run under -race
+// this also shakes down the parallel construction phase.
 func TestCompilerEquivalenceSweep(t *testing.T) {
 	seeds := 30
 	if testing.Short() {
@@ -68,7 +68,7 @@ func TestCompilerEquivalenceSweep(t *testing.T) {
 				}
 				same(&tc, fmt.Sprintf("linear par %d", par), rank, brute, linear)
 			}
-			same(&tc, "indexed", rank, brute, schedule[rank])
+			same(&tc, "schedule", rank, brute, schedule[rank])
 		}
 	}
 }

@@ -227,12 +227,9 @@ type RunOptions struct {
 	// (shm rings under a two-node hierarchical topology, exercising the
 	// leader-exchange path).
 	Transport string
-	// TCP is the deprecated spelling of Transport == "tcp"; it is honored
-	// when Transport is empty.
-	TCP      bool
-	Injector mpi.FaultInjector // nil runs fault-free
-	Deadline time.Duration     // per-exchange bound; required for sever schedules
-	Mutate   func(*core.Plan)  // test hook: corrupt the compiled plan on rank 0
+	Injector  mpi.FaultInjector // nil runs fault-free
+	Deadline  time.Duration     // per-exchange bound; required for sever schedules
+	Mutate    func(*core.Plan)  // test hook: corrupt the compiled plan on rank 0
 	// MutateDescriptor is the descriptor-level sibling of Mutate, also
 	// applied on rank 0 after mapping setup. It exists for planted bugs
 	// that live in exchange execution state rather than the compiled plan
@@ -246,13 +243,10 @@ type RunOptions struct {
 	PipelineDepth int
 }
 
-// launchOptions maps the option's transport name onto launcher options.
-func (opt RunOptions) launchOptions(nprocs int) ([]mpi.LaunchOption, error) {
-	transport := opt.Transport
-	if transport == TransportInproc && opt.TCP {
-		transport = TransportTCP
-	}
-	lo := []mpi.LaunchOption{mpi.WithFaultInjector(opt.Injector)}
+// launchOptions maps a transport name and fault injector onto launcher
+// options, for Run and RunResize alike.
+func launchOptions(transport string, inj mpi.FaultInjector, nprocs int) ([]mpi.LaunchOption, error) {
+	lo := []mpi.LaunchOption{mpi.WithFaultInjector(inj)}
 	switch transport {
 	case TransportInproc:
 	case TransportTCP:
@@ -330,7 +324,7 @@ func (tc *Case) Run(opt RunOptions) ([]RankResult, error) {
 		res.CheckErr = tc.CheckNeed(tc.Needs[rank], needBuf, missing)
 		return nil
 	}
-	launchOpts, err := opt.launchOptions(tc.NProcs)
+	launchOpts, err := launchOptions(opt.Transport, opt.Injector, tc.NProcs)
 	if err != nil {
 		return results, err
 	}

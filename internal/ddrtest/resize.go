@@ -176,10 +176,10 @@ func (rc *ResizeCase) CheckNew(need grid.Box, buf []byte, missing []grid.Box) er
 
 // ResizeRunOptions selects how a resize case executes.
 type ResizeRunOptions struct {
-	TCP      bool                  // socket transport instead of in-process
-	Injector mpi.FaultInjector     // nil runs fault-free
-	Deadline time.Duration         // per-exchange bound; required for sever schedules
-	Mutate   func(*core.DeltaPlan) // test hook: corrupt the compiled plan on rank 0
+	Transport string                // as RunOptions.Transport: "" (in-process), "tcp", "shm", "hier"
+	Injector  mpi.FaultInjector     // nil runs fault-free
+	Deadline  time.Duration         // per-exchange bound; required for sever schedules
+	Mutate    func(*core.DeltaPlan) // test hook: corrupt the compiled plan on rank 0
 }
 
 // RunResize compiles the case's delta plans and executes the resize
@@ -229,9 +229,9 @@ func (rc *ResizeCase) RunResize(opt ResizeRunOptions) ([]RankResult, error) {
 		res.CheckErr = rc.CheckNew(rc.NewNeeds[rank], newData, missing)
 		return nil
 	}
-	launchOpts := []mpi.LaunchOption{mpi.WithFaultInjector(opt.Injector)}
-	if opt.TCP {
-		launchOpts = append(launchOpts, mpi.WithTransport(mpi.TransportTCP))
+	launchOpts, err := launchOptions(opt.Transport, opt.Injector, rc.NProcs)
+	if err != nil {
+		return results, err
 	}
 	return results, mpi.Launch(rc.NProcs, body, launchOpts...)
 }

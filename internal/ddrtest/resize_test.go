@@ -59,23 +59,31 @@ func TestResizeProperty(t *testing.T) {
 			for i := 0; i < cases && !t.Failed(); i++ {
 				seed := uint64(i)*2654435761 + uint64(i) + 17
 				rc := GenResizeCase(seed, *flagMaxProcs, *flagMaxExtent)
-				tcp := i%8 == 0
+				// Every eighth case rides loopback sockets, every eighth (on
+				// an offset stride) shared-memory rings.
+				tr := TransportInproc
+				switch i % 8 {
+				case 0:
+					tr = TransportTCP
+				case 4:
+					tr = TransportShm
+				}
 				results, err := rc.RunResize(ResizeRunOptions{
-					TCP:      tcp,
-					Injector: sc.build(&rc),
-					Deadline: sc.deadline,
+					Transport: tr,
+					Injector:  sc.build(&rc),
+					Deadline:  sc.deadline,
 				})
 				if err != nil {
-					t.Fatalf("%v schedule %q (tcp=%v): world error: %v", &rc, sc.name, tcp, err)
+					t.Fatalf("%v schedule %q (transport=%q): world error: %v", &rc, sc.name, tr, err)
 				}
 				for rank, res := range results {
 					switch {
 					case res.Err != nil:
-						t.Fatalf("%v schedule %q (tcp=%v): rank %d exchange failed: %v", &rc, sc.name, tcp, rank, res.Err)
+						t.Fatalf("%v schedule %q (transport=%q): rank %d exchange failed: %v", &rc, sc.name, tr, rank, res.Err)
 					case res.CheckErr != nil:
-						t.Fatalf("%v schedule %q (tcp=%v): rank %d invariant violated: %v", &rc, sc.name, tcp, rank, res.CheckErr)
+						t.Fatalf("%v schedule %q (transport=%q): rank %d invariant violated: %v", &rc, sc.name, tr, rank, res.CheckErr)
 					case res.Partial != nil && !sc.lossy:
-						t.Fatalf("%v schedule %q (tcp=%v): rank %d degraded under a lossless schedule: %v", &rc, sc.name, tcp, rank, res.Partial)
+						t.Fatalf("%v schedule %q (transport=%q): rank %d degraded under a lossless schedule: %v", &rc, sc.name, tr, rank, res.Partial)
 					}
 				}
 			}
@@ -114,35 +122,35 @@ func TestResizeSeverLeavingRank(t *testing.T) {
 	}
 	inj := chaos.New(chaos.Options{Seed: 42, TagFloor: core.ExchangeTagBase, Severs: severs})
 
-	for _, tcp := range []bool{false, true} {
+	for _, tr := range []string{TransportInproc, TransportTCP} {
 		results, err := rc.RunResize(ResizeRunOptions{
-			TCP:      tcp,
-			Injector: inj,
-			Deadline: 5 * time.Second,
+			Transport: tr,
+			Injector:  inj,
+			Deadline:  5 * time.Second,
 		})
 		if err != nil {
-			t.Fatalf("tcp=%v: world error: %v", tcp, err)
+			t.Fatalf("transport=%q: world error: %v", tr, err)
 		}
 		degraded := false
 		for rank := 0; rank < 3; rank++ {
 			res := results[rank]
 			if res.Err != nil {
-				t.Fatalf("tcp=%v: surviving rank %d aborted instead of degrading: %v", tcp, rank, res.Err)
+				t.Fatalf("transport=%q: surviving rank %d aborted instead of degrading: %v", tr, rank, res.Err)
 			}
 			if res.CheckErr != nil {
-				t.Fatalf("tcp=%v: surviving rank %d invariant violated: %v", tcp, rank, res.CheckErr)
+				t.Fatalf("transport=%q: surviving rank %d invariant violated: %v", tr, rank, res.CheckErr)
 			}
 			if res.Partial != nil {
 				degraded = true
 				for _, lost := range res.Partial.LostPeers {
 					if lost != leaver {
-						t.Fatalf("tcp=%v: rank %d reported healthy peer %d lost", tcp, rank, lost)
+						t.Fatalf("transport=%q: rank %d reported healthy peer %d lost", tr, rank, lost)
 					}
 				}
 			}
 		}
 		if !degraded {
-			t.Fatalf("tcp=%v: severing the leaver degraded no survivor — the schedule cut nothing", tcp)
+			t.Fatalf("transport=%q: severing the leaver degraded no survivor — the schedule cut nothing", tr)
 		}
 	}
 }

@@ -10,53 +10,38 @@ import (
 
 // binaryFlagSet builds a FlagSet shaped like one of the command-line
 // binaries: the binary's own flags first (both define -tcp themselves),
-// then all three shared registrars — twice, which used to panic with
-// "flag redefined" because the registrars defined their names
-// unconditionally.
-func binaryFlagSet(t *testing.T, name string, define func(fs *flag.FlagSet)) (*flag.FlagSet, func() (string, int), func(), func() error) {
+// then the shared Flags bound beside them.
+func binaryFlagSet(t *testing.T, name string, define func(fs *flag.FlagSet)) (*flag.FlagSet, *Flags) {
 	t.Helper()
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	define(fs)
 	defer func() {
 		if r := recover(); r != nil {
-			t.Fatalf("%s: registrar composition panicked: %v", name, r)
+			t.Fatalf("%s: binding the shared flags panicked: %v", name, r)
 		}
 	}()
-	applyTCP := RegisterTCPFlags(fs)
-	resolve := RegisterTransportFlags(fs)
-	applyChaos := RegisterChaosFlags(fs)
-	// Second round: embedding tools (or a future shared config helper)
-	// may install the same registrars again on the same set.
-	RegisterTCPFlags(fs)
-	resolve2 := RegisterTransportFlags(fs)
-	RegisterChaosFlags(fs)
-	_ = resolve2
-	return fs, resolve, applyTCP, applyChaos
+	shared := &Flags{}
+	shared.Bind(fs)
+	return fs, shared
 }
 
-// TestFlagRegistrarsCompose is the regression test for the
-// duplicate-flag panic: both binaries' flag shapes must accept all
-// three registrars twice, parse, and resolve the values through
-// whichever registration ran first.
+// TestFlagRegistrarsCompose binds the shared flags beside both binaries'
+// own flag shapes (no name may collide), parses a command line and checks
+// the values resolve and apply.
 func TestFlagRegistrarsCompose(t *testing.T) {
-	// The apply funcs install process-wide defaults; restore the
-	// fault-free, untuned state so later tests in this package are
-	// unaffected.
+	// Apply installs process-wide defaults; restore the fault-free,
+	// untuned state so later tests in this package are unaffected.
 	t.Cleanup(func() {
 		mpi.SetDefaultFaultInjector(nil)
 		mpi.SetDefaultTCPOptions(mpi.TCPOptions{})
 	})
 	t.Run("ddrbench", func(t *testing.T) {
-		fs, resolve, applyTCP, applyChaos := binaryFlagSet(t, "ddrbench", func(fs *flag.FlagSet) {
+		fs, shared := binaryFlagSet(t, "ddrbench", func(fs *flag.FlagSet) {
 			fs.Int("table", 0, "")
 			fs.Bool("all", false, "")
 			fs.String("out", "ddrbench-out", "")
 			fs.Bool("tcp", false, "")
 		})
-		depth := RegisterPipelineFlags(fs)
-		if again := RegisterPipelineFlags(fs); again == nil {
-			t.Fatal("re-registering the pipeline flags returned no getter")
-		}
 		args := []string{
 			"-transport=hier", "-nodes=3",
 			"-tcp-queue=64", "-tcp-nagle",
@@ -66,20 +51,27 @@ func TestFlagRegistrarsCompose(t *testing.T) {
 		if err := fs.Parse(args); err != nil {
 			t.Fatalf("parse: %v", err)
 		}
-		if depth() != 4 {
-			t.Fatalf("pipeline depth = %d, want 4", depth())
+		if shared.PipelineDepth != 4 {
+			t.Fatalf("pipeline depth = %d, want 4", shared.PipelineDepth)
 		}
-		transport, nodes := resolve()
-		if transport != "hier" || nodes != 3 {
-			t.Fatalf("resolve() = (%q, %d), want (hier, 3)", transport, nodes)
+		if shared.Transport != "hier" || shared.Nodes != 3 {
+			t.Fatalf("transport = (%q, %d), want (hier, 3)", shared.Transport, shared.Nodes)
 		}
-		applyTCP()
-		if err := applyChaos(); err != nil {
-			t.Fatalf("apply chaos: %v", err)
+		if opts, err := transportLaunchOpts(shared.Transport, shared.Nodes, 6); err != nil || len(opts) != 2 {
+			t.Fatalf("hier launch options = %d (%v), want 2", len(opts), err)
+		}
+		if shared.TCP.SendQueueLen != 64 || !shared.TCP.Nagle {
+			t.Fatalf("tcp options = %+v", shared.TCP)
+		}
+		if err := shared.Apply(); err != nil {
+			t.Fatalf("apply: %v", err)
+		}
+		if c := shared.Chaos; c.Seed != 7 || c.DropProb != 0.25 || len(c.Severs) != 1 {
+			t.Fatalf("chaos options = %+v", c)
 		}
 	})
 	t.Run("lbmsim", func(t *testing.T) {
-		fs, resolve, applyTCP, applyChaos := binaryFlagSet(t, "lbmsim", func(fs *flag.FlagSet) {
+		fs, shared := binaryFlagSet(t, "lbmsim", func(fs *flag.FlagSet) {
 			fs.Int("sim", 8, "")
 			fs.Int("viz", 2, "")
 			fs.String("role", "both", "")
@@ -89,67 +81,23 @@ func TestFlagRegistrarsCompose(t *testing.T) {
 		if err := fs.Parse([]string{"-sim=4", "-transport=shm", "-chaos-delay=0.1", "-chaos-delay-max=3ms"}); err != nil {
 			t.Fatalf("parse: %v", err)
 		}
-		if transport, _ := resolve(); transport != "shm" {
-			t.Fatalf("transport = %q, want shm", transport)
+		if shared.Transport != "shm" || shared.Nodes != 2 || shared.PipelineDepth != 0 {
+			t.Fatalf("transport = (%q, %d), depth %d, want (shm, 2), 0", shared.Transport, shared.Nodes, shared.PipelineDepth)
 		}
-		applyTCP()
-		if err := applyChaos(); err != nil {
-			t.Fatalf("apply chaos: %v", err)
+		if shared.Chaos.DelayMax != 3*time.Millisecond || shared.Chaos.Seed != 1 {
+			t.Fatalf("chaos options = %+v", shared.Chaos)
+		}
+		if err := shared.Apply(); err != nil {
+			t.Fatalf("apply: %v", err)
 		}
 	})
-}
-
-// TestFlagRegistrarsAdoptExistingDefinition pins the reuse semantics:
-// when the binary itself already defines a name a registrar wants, the
-// registrar adopts that definition instead of panicking, and its getter
-// reads the adopted flag's parsed value (falling back to the
-// registrar's default when the foreign value does not parse).
-func TestFlagRegistrarsAdoptExistingDefinition(t *testing.T) {
-	fs := flag.NewFlagSet("adopt", flag.ContinueOnError)
-	fs.String("nodes", "4", "binary-local spelling with a string type")
-	resolve := RegisterTransportFlags(fs)
-	if err := fs.Parse([]string{"-transport=tcp"}); err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	transport, nodes := resolve()
-	if transport != "tcp" || nodes != 4 {
-		t.Fatalf("resolve() = (%q, %d), want (tcp, 4)", transport, nodes)
-	}
-
-	fs2 := flag.NewFlagSet("adopt2", flag.ContinueOnError)
-	fs2.String("chaos-delay-max", "not-a-duration", "unparsable foreign value")
-	apply := RegisterChaosFlags(fs2)
-	if err := fs2.Parse(nil); err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if err := apply(); err != nil {
-		t.Fatalf("apply must fall back to the default on unparsable text: %v", err)
-	}
-}
-
-// TestFlagGetterTypes covers each lookup-or-define helper round-trip.
-func TestFlagGetterTypes(t *testing.T) {
-	fs := flag.NewFlagSet("types", flag.ContinueOnError)
-	i := flagGetInt(fs, "i", 3, "")
-	u := flagGetUint64(fs, "u", 5, "")
-	f := flagGetFloat64(fs, "f", 0.5, "")
-	b := flagGetBool(fs, "b", false, "")
-	s := flagGetString(fs, "s", "x", "")
-	d := flagGetDuration(fs, "d", time.Second, "")
-	if err := fs.Parse([]string{"-i=7", "-u=9", "-f=0.25", "-b", "-s=y", "-d=2ms"}); err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if i() != 7 || u() != 9 || f() != 0.25 || !b() || s() != "y" || d() != 2*time.Millisecond {
-		t.Fatalf("parsed getters: i=%d u=%d f=%v b=%v s=%q d=%v", i(), u(), f(), b(), s(), d())
-	}
-	// Defaults without parse-time overrides.
-	fs2 := flag.NewFlagSet("defaults", flag.ContinueOnError)
-	i2 := flagGetInt(fs2, "i", 3, "")
-	d2 := flagGetDuration(fs2, "d", time.Second, "")
-	if err := fs2.Parse(nil); err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if i2() != 3 || d2() != time.Second {
-		t.Fatalf("default getters: i=%d d=%v", i2(), d2())
-	}
+	t.Run("bad-sever", func(t *testing.T) {
+		fs, shared := binaryFlagSet(t, "bad", func(*flag.FlagSet) {})
+		if err := fs.Parse([]string{"-chaos-sever=nonsense"}); err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		if err := shared.Apply(); err == nil {
+			t.Fatal("apply accepted a malformed -chaos-sever")
+		}
+	})
 }
