@@ -63,8 +63,26 @@ func (j *exchJob) do(o *exchObs) {
 // descriptor's worker pool. The job slice is reused across calls, so the
 // steady state adds nothing to the garbage collector.
 type engine struct {
-	par  int // worker count; 0, the value outside tests, means GOMAXPROCS
-	jobs []exchJob
+	par   int // worker count forced by tests; 0, the value outside them, lets workers decide
+	ranks int // size of the running exchange's communicator
+	jobs  []exchJob
+}
+
+// workers is the pool width for a batch of n jobs: GOMAXPROCS, unless the
+// communicator's ranks — goroutines of this process — already cover the
+// cores. Forking there buys no parallelism and costs a goroutine set and
+// a WaitGroup per step, so the batch runs inline.
+func (e *engine) workers(n int) int {
+	par := e.par
+	if par <= 0 {
+		if par = runtime.GOMAXPROCS(0); e.ranks >= par {
+			return 1
+		}
+	}
+	if par > n {
+		par = n
+	}
+	return par
 }
 
 func (e *engine) reset() { e.jobs = e.jobs[:0] }
@@ -90,13 +108,7 @@ func (e *engine) runJobs(o *exchObs, jobs []exchJob) {
 	if n == 0 {
 		return
 	}
-	par := e.par
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > n {
-		par = n
-	}
+	par := e.workers(n)
 	if par == 1 {
 		for i := range jobs {
 			jobs[i].do(o)

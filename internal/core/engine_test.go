@@ -16,7 +16,8 @@ import (
 )
 
 // withPar pins the pack/unpack pool width. No exported option does: outside
-// tests the engine always sizes the pool min(GOMAXPROCS, jobs).
+// tests the engine sizes the pool min(GOMAXPROCS, jobs), or runs inline when
+// the communicator's ranks already cover the cores (engine.workers).
 func withPar(n int) Option { return func(d *Descriptor) { d.ex.eng.par = n } }
 
 // withPackStrategy forces one pack strategy for both directions, bypassing

@@ -194,6 +194,7 @@ type exchange struct {
 // window; a degraded exchange returns nil with the losses in ex.ps.
 func (x *executor) run(ex *exchange, steps []step, k int, own, need [][]byte) error {
 	x.timings = x.timings[:0]
+	x.eng.ranks = ex.c.Size()
 	if x.metered {
 		x.meter.ResetPeak()
 	}

@@ -335,7 +335,6 @@ func TestPipelineZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates per cross-goroutine sync event; the pipelined path's race coverage comes from the differential sweep")
 	}
-	const procs, side, runs = 2, 16, 50
 	rows := []struct {
 		name          string
 		chunksPerRank int
@@ -344,72 +343,112 @@ func TestPipelineZeroAllocSteadyState(t *testing.T) {
 		{"depth2", 4, []Option{WithPipelineDepth(2), withPar(1)}},
 		{"default", 8, nil},
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			ownAll, needAll := stripWorld(procs, side, row.chunksPerRank, true)
-			var mallocs uint64
-			var ms runtime.MemStats // rank 0's, out here so it is not allocated inside the window
-			// gate parks every rank but 0 until rank 0 has run read.
-			arrived := make(chan struct{}, procs)
-			gate := func(rank int, open chan struct{}, read func()) {
-				if rank != 0 {
-					arrived <- struct{}{}
-					<-open
-					return
-				}
-				for i := 1; i < procs; i++ {
-					<-arrived
-				}
-				read()
-				close(open)
-			}
-			start, stop := make(chan struct{}), make(chan struct{})
-			err := mpi.Launch(procs, func(c *mpi.Comm) error {
-				rank := c.Rank()
-				d, err := NewDescriptor(procs, Layout2D, Float32, row.opts...)
-				if err != nil {
-					return err
-				}
-				if err := d.SetupDataMapping(c, ownAll[rank], needAll[rank]); err != nil {
-					return err
-				}
-				bufs := make([][]byte, len(ownAll[rank]))
-				for i, box := range ownAll[rank] {
-					bufs[i] = fillBox(box, 4)
-				}
-				dst := make([]byte, needAll[rank].Volume()*4)
-				for i := 0; i < runs; i++ { // reach steady state
-					if err := d.ReorganizeData(c, bufs, dst); err != nil {
-						return err
-					}
-				}
-				if got := d.LastPipelineDepth(); got != 2 {
-					return fmt.Errorf("effective depth %d, want 2", got)
-				}
-				gate(rank, start, func() {
-					runtime.ReadMemStats(&ms)
-					mallocs = ms.Mallocs
-				})
-				for i := 0; i < runs; i++ {
-					if err := d.ReorganizeData(c, bufs, dst); err != nil {
-						return err
-					}
-				}
-				gate(rank, stop, func() {
-					runtime.ReadMemStats(&ms)
-					mallocs = ms.Mallocs - mallocs
-				})
-				return checkBox(dst, needAll[rank], 4, nil, 0)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if perRun := mallocs / runs; perRun != 0 {
-				t.Errorf("%d allocs per steady-state pipelined world exchange (%d over %d), want 0", perRun, mallocs, runs)
+			if perRun, _ := steadyStateMallocs(t, 2, 16, row.chunksPerRank, row.opts...); perRun != 0 {
+				t.Errorf("%d allocs per steady-state pipelined world exchange, want 0", perRun)
 			}
 		})
 	}
+}
+
+// TestInlinePackWhenRanksCoverCores pins the engine's one scheduling
+// decision: on a 16-round layout whose every step packs a strided
+// two-row region for each of three peers, a world of at least GOMAXPROCS
+// ranks runs the batches inline and allocates nothing, while forcing the
+// pool forks per step — and both fill the need buffers with the same
+// bytes.
+func TestInlinePackWhenRanksCoverCores(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates per cross-goroutine sync event; TestWorkerPoolSizes covers the pool under it")
+	}
+	const procs, side = 4, 128
+	if runtime.GOMAXPROCS(0) > procs {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	}
+	inline, want := steadyStateMallocs(t, procs, side, 16)
+	if inline != 0 {
+		t.Errorf("%d allocs per steady-state world exchange with ranks covering the cores, want 0", inline)
+	}
+	pooled, got := steadyStateMallocs(t, procs, side, 16, withPar(2))
+	if pooled == 0 {
+		t.Error("the forced pool allocated nothing: the layout has no multi-job batch, so the inline reading proves nothing")
+	}
+	for rank := range want {
+		if !bytes.Equal(got[rank], want[rank]) {
+			t.Errorf("rank %d: pooled and inline exchanges filled different bytes", rank)
+		}
+	}
+}
+
+// steadyStateMallocs replays a warmed-up exchange on stripWorld's strided
+// geometry and returns the mallocs per world exchange and every rank's
+// (oracle-checked) need buffer.
+func steadyStateMallocs(t *testing.T, procs, side, chunksPerRank int, opts ...Option) (perRun uint64, needs [][]byte) {
+	t.Helper()
+	const runs = 50
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ownAll, needAll := stripWorld(procs, side, chunksPerRank, true)
+	needs = make([][]byte, procs)
+	var mallocs uint64
+	var ms runtime.MemStats // rank 0's, out here so it is not allocated inside the window
+	// gate parks every rank but 0 until rank 0 has run read.
+	arrived := make(chan struct{}, procs)
+	gate := func(rank int, open chan struct{}, read func()) {
+		if rank != 0 {
+			arrived <- struct{}{}
+			<-open
+			return
+		}
+		for i := 1; i < procs; i++ {
+			<-arrived
+		}
+		read()
+		close(open)
+	}
+	start, stop := make(chan struct{}), make(chan struct{})
+	err := mpi.Launch(procs, func(c *mpi.Comm) error {
+		rank := c.Rank()
+		d, err := NewDescriptor(procs, Layout2D, Float32, opts...)
+		if err != nil {
+			return err
+		}
+		if err := d.SetupDataMapping(c, ownAll[rank], needAll[rank]); err != nil {
+			return err
+		}
+		bufs := make([][]byte, len(ownAll[rank]))
+		for i, box := range ownAll[rank] {
+			bufs[i] = fillBox(box, 4)
+		}
+		dst := make([]byte, needAll[rank].Volume()*4)
+		needs[rank] = dst
+		for i := 0; i < runs; i++ { // reach steady state
+			if err := d.ReorganizeData(c, bufs, dst); err != nil {
+				return err
+			}
+		}
+		if got := d.LastPipelineDepth(); got != 2 {
+			return fmt.Errorf("effective depth %d, want 2", got)
+		}
+		gate(rank, start, func() {
+			runtime.ReadMemStats(&ms)
+			mallocs = ms.Mallocs
+		})
+		for i := 0; i < runs; i++ {
+			if err := d.ReorganizeData(c, bufs, dst); err != nil {
+				return err
+			}
+		}
+		gate(rank, stop, func() {
+			runtime.ReadMemStats(&ms)
+			mallocs = ms.Mallocs - mallocs
+		})
+		return checkBox(dst, needAll[rank], 4, nil, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mallocs / runs, needs
 }
 
 // TestWithPipelineDepthValidation pins the option's contract: the

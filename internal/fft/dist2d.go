@@ -261,6 +261,7 @@ func (d *Dist2D) HandTransposeForward(c *mpi.Comm) error {
 		}
 		// Peer from's rows are globally contiguous in the pencil slab.
 		copy(d.colBytes[from*hh*w*16:(from+1)*hh*w*16], data)
+		mpi.PutBuffer(data)
 	}
 	return nil
 }
@@ -291,6 +292,7 @@ func (d *Dist2D) HandTransposeInverse(c *mpi.Comm) error {
 		for i := 0; i < hh; i++ {
 			copy(d.rowBytes[(i*d.n+from*w)*16:(i*d.n+(from+1)*w)*16], data[i*w*16:(i+1)*w*16])
 		}
+		mpi.PutBuffer(data)
 	}
 	return nil
 }

@@ -67,6 +67,7 @@ func (ps *Parallel) Step() error {
 			return err
 		}
 		haloLow = bytesToFloats(data)
+		mpi.PutBuffer(data)
 	}
 	if recvHigh != nil {
 		data, _, _, err := recvHigh.Wait()
@@ -74,6 +75,7 @@ func (ps *Parallel) Step() error {
 			return err
 		}
 		haloHigh = bytesToFloats(data)
+		mpi.PutBuffer(data)
 	}
 	if err := s.SetHalo(haloLow, haloHigh); err != nil {
 		return err
@@ -110,6 +112,7 @@ func (ps *Parallel) Vorticity() ([]float32, error) {
 			return nil, err
 		}
 		fl := bytesToFloats(data)
+		mpi.PutBuffer(data)
 		uxBelow, uyBelow = fl[:w], fl[w:]
 	}
 	if recvHigh != nil {
@@ -118,6 +121,7 @@ func (ps *Parallel) Vorticity() ([]float32, error) {
 			return nil, err
 		}
 		fl := bytesToFloats(data)
+		mpi.PutBuffer(data)
 		uxAbove, uyAbove = fl[:w], fl[w:]
 	}
 	return s.VorticityInterior(uxBelow, uyBelow, uxAbove, uyAbove), nil

@@ -64,6 +64,7 @@ func (ps *Parallel) Step() error {
 			return err
 		}
 		haloLow = fielddata.BytesFloat64(data)
+		mpi.PutBuffer(data)
 	}
 	if recvHigh != nil {
 		data, _, _, err := recvHigh.Wait()
@@ -71,6 +72,7 @@ func (ps *Parallel) Step() error {
 			return err
 		}
 		haloHigh = fielddata.BytesFloat64(data)
+		mpi.PutBuffer(data)
 	}
 	if err := s.SetHalo(haloLow, haloHigh); err != nil {
 		return err

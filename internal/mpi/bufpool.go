@@ -19,7 +19,10 @@
 //     as it hands the buffer off.
 //   - Message payloads returned by Recv/Wait are owned by the receiver;
 //     a receiver that is finished with a payload may PutBuffer it (the
-//     exchange engine does), but must not if any alias is retained.
+//     exchange engine does), but must not if any alias is retained. A
+//     payload that is simply dropped costs the next receive of its class
+//     a zeroed allocation; transit.Coupling.Recv therefore returns each
+//     step's payloads on its callers' behalf, at the next Recv.
 package mpi
 
 import (

@@ -222,7 +222,7 @@ func FuzzTCPFrameDecoder(f *testing.F) {
 		dec := newFrameDecoder(sink, 1<<16, 1<<20, 8)
 		r := bytes.NewReader(data)
 		for {
-			if _, _, err := dec.readFrame(r); err != nil {
+			if _, err := dec.readFrame(r); err != nil {
 				break
 			}
 			if r.Len() == 0 {
@@ -349,7 +349,7 @@ func FuzzTCPSeqFrameDecoder(f *testing.F) {
 			dec.onDup = func() { dups++ }
 			r := bytes.NewReader(data)
 			for {
-				if _, _, err := dec.readFrame(r); err != nil {
+				if _, err := dec.readFrame(r); err != nil {
 					dec.cleanup()
 					return false, sink, dups
 				}
@@ -386,7 +386,7 @@ func countFrames(data []byte, want func(byte) bool) int {
 	r := bytes.NewReader(data)
 	n := 0
 	for {
-		_, typ, err := dec.readFrame(r)
+		typ, err := dec.readFrame(r)
 		if err != nil {
 			break
 		}

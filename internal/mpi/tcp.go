@@ -611,16 +611,11 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 	}()
 	br := bufio.NewReaderSize(conn, readBufSize)
 	for {
-		wire, typ, err := dec.readFrame(br)
-		if err != nil {
+		if _, err := dec.readFrame(br); err != nil {
 			if errors.Is(err, errTCPProto) {
 				obs.Warnf("mpi: tcp read from %s: %v (dropping connection)", conn.RemoteAddr(), err)
 			}
 			return
-		}
-		ep.countWireIn(wire)
-		if typ == frameChunk || typ == frameChunkSeq {
-			ep.countChunkIn()
 		}
 	}
 }
@@ -1095,10 +1090,13 @@ func (p *tcpPeer) writeLoop() {
 		if draining {
 			conn.SetWriteDeadline(time.Now().Add(tcpFlushTimeout)) //nolint:errcheck
 		}
+		// Count the batch before writing it: once the bytes are out, the
+		// peer can answer and the sender read its counters before this
+		// goroutine runs again.
+		ep.countBatch(frames, chunks)
 		wb := net.Buffers(iov)
 		nw, werr := wb.WriteTo(conn)
 		ep.countWireOut(nw)
-		ep.countBatch(frames, chunks)
 		if werr != nil {
 			if cfg.retryMax > 0 && !draining && p.reconnect() {
 				// At-least-once retransmission: the whole interrupted batch
@@ -1253,9 +1251,10 @@ type frameDecoder struct {
 	// this connection, so a dying connection can mark exactly those ranks
 	// lost.
 	srcs map[int]struct{}
-	// ep, when non-nil, is the owning endpoint — the decoder mirrors
-	// frame/chunk/dup events into its flight recorder when one is
-	// attached. Standalone decoders (tests, fuzzing) leave it nil.
+	// ep, when non-nil, is the owning endpoint — the decoder counts every
+	// frame on it and mirrors frame/chunk/dup events into its flight
+	// recorder when one is attached. Standalone decoders (tests, fuzzing)
+	// leave it nil.
 	ep *TCPEndpoint
 	// hdr is the header/extension read scratch. A local array would
 	// escape through the io.Reader interface and cost one allocation per
@@ -1275,6 +1274,19 @@ func (d *frameDecoder) recordFlight(ev obs.FlightEvent) {
 	}
 	ev.Rank = d.ep.selfRank.Load()
 	f.Record(ev)
+}
+
+// countIn counts one fully read frame on the owning endpoint. readFrame
+// calls it before the frame's message can reach the sink: a receiver that
+// has the message in hand must already find it counted.
+func (d *frameDecoder) countIn(wire int64, chunk bool) {
+	if d.ep == nil {
+		return
+	}
+	d.ep.countWireIn(wire)
+	if chunk {
+		d.ep.countChunkIn()
+	}
 }
 
 // chunkSink is where decoded messages land; satisfied by *mailbox.
@@ -1306,14 +1318,14 @@ func newFrameDecoder(sink chunkSink, maxFrame, maxTotal uint64, maxStreams int) 
 	}
 }
 
-// readFrame consumes one frame, delivering completed messages to the
-// sink. It returns the wire bytes consumed and the frame type. Errors
-// wrapping errTCPProto mean the stream is desynchronized and the
+// readFrame consumes one frame, counting it on the owning endpoint and
+// delivering completed messages to the sink. It returns the frame type.
+// Errors wrapping errTCPProto mean the stream is desynchronized and the
 // connection must be dropped.
-func (d *frameDecoder) readFrame(r io.Reader) (wire int64, typ byte, err error) {
+func (d *frameDecoder) readFrame(r io.Reader) (typ byte, err error) {
 	hdr := d.hdr[:tcpFrameHeader]
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	typ = hdr[0]
 	flags := hdr[1]
@@ -1322,7 +1334,7 @@ func (d *frameDecoder) readFrame(r io.Reader) (wire int64, typ byte, err error) 
 	tag := int(int32(binary.LittleEndian.Uint32(hdr[12:])))
 	n := int(binary.LittleEndian.Uint32(hdr[16:]))
 	if flags&^tcpFlagTrace != 0 {
-		return 0, typ, fmt.Errorf("%w: unknown header flags %#x", errTCPProto, flags)
+		return typ, fmt.Errorf("%w: unknown header flags %#x", errTCPProto, flags)
 	}
 	traced := flags&tcpFlagTrace != 0
 	if _, ok := d.srcs[src]; !ok {
@@ -1336,7 +1348,6 @@ func (d *frameDecoder) readFrame(r io.Reader) (wire int64, typ byte, err error) 
 	case frameMsg, frameMsgSeq:
 		var seq uint64
 		var tc TraceContext
-		wire = int64(tcpFrameHeader)
 		extLen := 0
 		if typ == frameMsgSeq {
 			extLen += tcpSeqExt
@@ -1347,7 +1358,7 @@ func (d *frameDecoder) readFrame(r io.Reader) (wire int64, typ byte, err error) 
 		if extLen > 0 {
 			ext := d.hdr[tcpFrameHeader : tcpFrameHeader+extLen]
 			if _, err := io.ReadFull(r, ext); err != nil {
-				return 0, typ, err
+				return typ, err
 			}
 			if typ == frameMsgSeq {
 				seq = binary.LittleEndian.Uint64(ext)
@@ -1360,19 +1371,19 @@ func (d *frameDecoder) readFrame(r io.Reader) (wire int64, typ byte, err error) 
 					Span:     binary.LittleEndian.Uint32(ext[12:]),
 				}
 			}
-			wire += int64(extLen)
 		}
 		if uint64(n) > d.maxFrame {
-			return 0, typ, fmt.Errorf("%w: %d-byte frame exceeds limit", errTCPProto, n)
+			return typ, fmt.Errorf("%w: %d-byte frame exceeds limit", errTCPProto, n)
 		}
 		var data []byte
 		if n > 0 {
 			data = GetBuffer(n)
 			if _, err := io.ReadFull(r, data); err != nil {
 				PutBuffer(data)
-				return 0, typ, err
+				return typ, err
 			}
 		}
+		d.countIn(int64(tcpFrameHeader+extLen+n), false)
 		if typ == frameMsgSeq && d.ded != nil && !d.ded.commit(ctx, src, seq) {
 			// Replay of a frame already delivered on a previous connection.
 			PutBuffer(data)
@@ -1383,14 +1394,14 @@ func (d *frameDecoder) readFrame(r io.Reader) (wire int64, typ byte, err error) 
 				Kind: obs.FlightDup, Peer: int32(src), Tag: int32(tag), Seq: seq,
 				Round: int32(tc.Round), Exchange: tc.Exchange, Bytes: int64(n),
 			})
-			return wire + int64(n), typ, nil
+			return typ, nil
 		}
 		d.recordFlight(obs.FlightEvent{
 			Kind: obs.FlightFrameIn, Peer: int32(src), Tag: int32(tag), Seq: seq,
 			Round: int32(tc.Round), Exchange: tc.Exchange, Bytes: int64(n),
 		})
 		d.sink.put(envelope{ctx: ctx, src: src, tag: tag, data: data, tc: tc})
-		return wire + int64(n), typ, nil
+		return typ, nil
 
 	case frameChunk, frameChunkSeq:
 		extLen := tcpChunkExt
@@ -1403,7 +1414,7 @@ func (d *frameDecoder) readFrame(r io.Reader) (wire int64, typ byte, err error) 
 		}
 		ext := d.hdr[tcpFrameHeader : tcpFrameHeader+extLen]
 		if _, err := io.ReadFull(r, ext); err != nil {
-			return 0, typ, err
+			return typ, err
 		}
 		stream := binary.LittleEndian.Uint32(ext[0:])
 		total := binary.LittleEndian.Uint64(ext[8:])
@@ -1420,12 +1431,12 @@ func (d *frameDecoder) readFrame(r io.Reader) (wire int64, typ byte, err error) 
 			}
 		}
 		if total == 0 || total > d.maxTotal {
-			return 0, typ, fmt.Errorf("%w: chunk stream of %d bytes out of range", errTCPProto, total)
+			return typ, fmt.Errorf("%w: chunk stream of %d bytes out of range", errTCPProto, total)
 		}
 		st, ok := d.streams[stream]
 		if !ok {
 			if len(d.streams) >= d.maxStreams {
-				return 0, typ, fmt.Errorf("%w: more than %d concurrent chunk streams", errTCPProto, d.maxStreams)
+				return typ, fmt.Errorf("%w: more than %d concurrent chunk streams", errTCPProto, d.maxStreams)
 			}
 			st = &inStream{env: envelope{
 				ctx: ctx, src: src, tag: tag,
@@ -1449,25 +1460,26 @@ func (d *frameDecoder) readFrame(r io.Reader) (wire int64, typ byte, err error) 
 				d.sink.put(st.env)
 			}
 		} else if st.env.ctx != ctx || st.env.src != src || st.env.tag != tag || uint64(len(st.env.data)) != total {
-			return 0, typ, fmt.Errorf("%w: chunk stream %d changed identity mid-flight", errTCPProto, stream)
+			return typ, fmt.Errorf("%w: chunk stream %d changed identity mid-flight", errTCPProto, stream)
 		}
 		if uint64(n) > d.maxFrame || uint64(st.fill)+uint64(n) > total {
-			return 0, typ, fmt.Errorf("%w: chunk overflows stream %d (%d+%d of %d)", errTCPProto, stream, st.fill, n, total)
+			return typ, fmt.Errorf("%w: chunk overflows stream %d (%d+%d of %d)", errTCPProto, stream, st.fill, n, total)
 		}
 		if n > 0 {
 			if _, err := io.ReadFull(r, st.env.data[st.fill:st.fill+n]); err != nil {
-				return 0, typ, err
+				return typ, err
 			}
 			st.fill += n
 		}
+		d.countIn(int64(tcpFrameHeader+extLen+n), true)
 		if uint64(st.fill) == total {
 			d.finishStream(st)
 			delete(d.streams, stream)
 		}
-		return int64(tcpFrameHeader) + int64(extLen) + int64(n), typ, nil
+		return typ, nil
 
 	default:
-		return 0, typ, fmt.Errorf("%w: unknown frame type %d", errTCPProto, typ)
+		return typ, fmt.Errorf("%w: unknown frame type %d", errTCPProto, typ)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"ddr/internal/datatype"
 	"ddr/internal/obs"
@@ -77,18 +76,12 @@ func TestTelemetryTCPAlltoallw(t *testing.T) {
 	// Frame-level TCP counters include the 16-byte header per message.
 	// The barrier's empty signals also cross the wire, so totals must be
 	// at least the alltoallw share and out must equal in globally.
-	// A read loop counts a frame just after delivering it, so the last
-	// barrier frames may be counted a moment after the world has returned.
+	// A read loop counts a frame before delivering it and Launch waits for
+	// every writer, so the totals are final once the world has returned.
 	var tcpOut, tcpIn int64
-	for settle := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-		tcpOut, tcpIn = 0, 0
-		for r := 0; r < n; r++ {
-			tcpOut += reg.Counter("mpi_tcp_wire_bytes_out_total", "", obs.RankLabel(r)).Value()
-			tcpIn += reg.Counter("mpi_tcp_wire_bytes_in_total", "", obs.RankLabel(r)).Value()
-		}
-		if tcpOut == tcpIn || time.Now().After(settle) {
-			break
-		}
+	for r := 0; r < n; r++ {
+		tcpOut += reg.Counter("mpi_tcp_wire_bytes_out_total", "", obs.RankLabel(r)).Value()
+		tcpIn += reg.Counter("mpi_tcp_wire_bytes_in_total", "", obs.RankLabel(r)).Value()
 	}
 	minA2AW := int64(n * (n - 1) * (msgSize + tcpFrameHeader))
 	if tcpOut < minA2AW {

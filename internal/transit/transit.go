@@ -45,7 +45,8 @@ type Coupling struct {
 	Role  Role
 	M, N  int
 
-	blocks []int // SplitEven(M, N): producer block boundaries per consumer
+	blocks []int    // SplitEven(M, N): producer block boundaries per consumer
+	leased [][]byte // consumer: payloads handed out by Recv and not yet recycled
 }
 
 // NewCoupling splits the world into an M-producer and an N-consumer group.
@@ -114,16 +115,30 @@ func (cp *Coupling) Send(step int, payload []byte) error {
 // Message is one producer's payload for a step.
 type Message struct {
 	ProducerRank int // local rank within the producer group
-	Data         []byte
+	// Data is leased from the staging arena: it is valid until the next
+	// Recv on the coupling that returned it, which recycles it. Copy what
+	// must outlive the step.
+	Data []byte
 }
 
 // Recv collects the step's payloads from every producer assigned to this
 // consumer, returned in ascending producer rank. Must be called on the
 // consumer side.
+//
+// The payloads are a lease, not a gift: each Recv first returns the
+// previous call's payloads to the staging arena (mpi.PutBuffer), so a
+// steady stream reuses the same receive buffers instead of allocating and
+// zeroing one per message. A failed Recv keeps the payloads it already
+// took in the lease, so the next call (or the garbage collector, with the
+// coupling) reclaims them exactly once.
 func (cp *Coupling) Recv(step int) ([]Message, error) {
 	if cp.Role != Consumer {
 		return nil, fmt.Errorf("transit: Recv called on a %v rank", cp.Role)
 	}
+	for _, data := range cp.leased {
+		mpi.PutBuffer(data)
+	}
+	cp.leased = cp.leased[:0]
 	lo, hi := cp.ProducersOf(cp.Local.Rank())
 	out := make([]Message, 0, hi-lo)
 	for p := lo; p < hi; p++ {
@@ -131,6 +146,7 @@ func (cp *Coupling) Recv(step int) ([]Message, error) {
 		if err != nil {
 			return nil, err
 		}
+		cp.leased = append(cp.leased, data)
 		out = append(out, Message{ProducerRank: p, Data: data})
 	}
 	return out, nil
