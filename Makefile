@@ -30,6 +30,8 @@ chaos:
 #     -race), and the planted-bug self-tests of the pipelined executor
 #     (the planted bug is a genuine data race the detector would fail
 #     before the harness's own check fires);
+#   - the posted-receive and landing tests once more without the detector,
+#     whose slowdown changes which rank finds whose post open;
 #   - the golden plan and bounded-step fixtures;
 #   - a brief fuzz of the shm ring-record decoder and both TCP wire
 #     decoders;
@@ -45,6 +47,7 @@ verify: chaos
 	$(GO) test -run 'TestZeroAllocSteadyState|TestBoundedZeroAllocSteadyState|TestPipelineZeroAllocSteadyState|TestTracingDetachedZeroAlloc|TestFlightRecorderRecordZeroAlloc|TestTCPUntracedWireIdentical|TestShmZeroAllocSteadyState|TestDeltaExchangeRecyclesPayloads|TestInlinePackWhenRanksCoverCores|TestStreamSteadyStateAllocs' ./internal/core/ ./internal/obs/ ./internal/mpi/ ./internal/transit/
 	$(GO) test -run 'TestPipelineHarnessCatchesPlantedBug' ./internal/core/
 	$(GO) test -short -run 'TestHarnessCatchesPipelinePlantedBug' ./internal/ddrtest/
+	$(GO) test -run 'TestPosted|TestLandedMatchesEager|TestNobodyWritesAfterReturn' ./internal/mpi/ ./internal/core/
 	$(GO) test -run 'TestGoldenPlans|TestGoldenBoundedPlans' ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzShmRingHeader -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTCPFrameDecoder -fuzztime 10s ./internal/mpi/
@@ -53,6 +56,7 @@ verify: chaos
 	$(GO) test -run '^$$' -bench BenchmarkFFT2DStep -benchtime 1x ./internal/fft/
 	$(GO) test -run '^$$' -bench BenchmarkKernel -benchtime 1x ./internal/fft/
 	$(GO) test -run '^$$' -bench BenchmarkReorganizeEngine -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkStackExchange -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkTCPExchange -benchtime 1x ./internal/mpi/
 	$(GO) test -run '^$$' -bench 'BenchmarkSetupMapping/(schedule|plan)/P=64' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkRegridderReconnect -benchtime 1x ./internal/transit/

@@ -222,6 +222,7 @@ type exchObs struct {
 	exchangeBytes *obs.Counter
 	packLat       *obs.Histogram
 	unpackLat     *obs.Histogram
+	landed        *obs.Counter
 	boundedSteps  *obs.Counter
 	boundedPeak   *obs.Gauge
 	pipeDepth     *obs.Gauge
@@ -272,6 +273,8 @@ func (d *Descriptor) buildObs(rank int) {
 			"Time spent packing sub-arrays into wire buffers.", obs.LatencyBuckets, rl),
 		unpackLat: d.metrics.Histogram("ddr_unpack_seconds",
 			"Time spent scattering wire buffers into the need box.", obs.LatencyBuckets, rl),
+		landed: d.metrics.Counter("ddr_landed_messages_total",
+			"Messages this rank packed straight into the receiver's posted need span: a pack observation each, and no unpack anywhere.", rl),
 		boundedSteps: d.metrics.Counter("ddr_bounded_steps_total",
 			"Bounded-footprint exchange steps executed by memory-bounded ReorganizeData calls.", rl, ml),
 		boundedPeak: d.metrics.Gauge("ddr_bounded_peak_staging_bytes",

@@ -44,15 +44,21 @@ func (j *exchJob) do(o *exchObs) {
 	} else {
 		j.t.Pack(j.local, j.wire)
 	}
+	o.observeCopy(start, len(j.wire), j.peer, j.unpack)
+}
+
+// observeCopy records one finished pack or unpack of n bytes that began
+// at start: the per-peer span when tracing, and the latency.
+func (o *exchObs) observeCopy(start time.Time, n, peer int, unpack bool) {
 	now := time.Now()
 	if o.rec != nil {
-		name := fmt.Sprintf("pack->%d", j.peer)
-		if j.unpack {
-			name = fmt.Sprintf("unpack<-%d", j.peer)
+		name := fmt.Sprintf("pack->%d", peer)
+		if unpack {
+			name = fmt.Sprintf("unpack<-%d", peer)
 		}
-		o.rec.AddSpan(o.rank, name, start, now, int64(len(j.wire)))
+		o.rec.AddSpan(o.rank, name, start, now, int64(n))
 	}
-	if j.unpack {
+	if unpack {
 		o.unpackLat.Observe(now.Sub(start).Seconds())
 	} else {
 		o.packLat.Observe(now.Sub(start).Seconds())
@@ -85,7 +91,12 @@ func (e *engine) workers(n int) int {
 	return par
 }
 
-func (e *engine) reset() { e.jobs = e.jobs[:0] }
+// reset empties the batch, dropping its references: a pack job's wire may
+// be a span of another rank's need buffer.
+func (e *engine) reset() {
+	clear(e.jobs)
+	e.jobs = e.jobs[:0]
+}
 
 func (e *engine) add(j exchJob) { e.jobs = append(e.jobs, j) }
 
@@ -142,19 +153,17 @@ func (d *Descriptor) parallelism() int {
 	return d.ex.eng.par
 }
 
-// directUnpack copies an already-contiguous payload straight into the
-// destination span, bypassing the scatter loop, while still reporting the
-// copy as an unpack (it is one — just a fast one).
-func directUnpack(o *exchObs, dst, src []byte, peer int) {
+// directCopy moves an already-contiguous region with one memmove,
+// bypassing the row loop, while still reporting the copy as the pack or
+// unpack it stands for (it is one — just a fast one): a payload placed
+// into its contiguous destination span, or a contiguous owned region
+// landed in a peer's posted span.
+func directCopy(o *exchObs, dst, src []byte, peer int, unpack bool) {
 	if !o.on() {
 		copy(dst, src)
 		return
 	}
 	start := time.Now()
 	copy(dst, src)
-	now := time.Now()
-	if o.rec != nil {
-		o.rec.AddSpan(o.rank, fmt.Sprintf("unpack<-%d", peer), start, now, int64(len(src)))
-	}
-	o.unpackLat.Observe(now.Sub(start).Seconds())
+	o.observeCopy(start, len(src), peer, unpack)
 }

@@ -47,28 +47,73 @@ import (
 // which keeps the timings slice and partial-failure bookkeeping identical
 // in shape across depths.
 //
+// One receive path. run posts every receive of the exchange in the
+// rank's mailbox on entry (mpi.Comm.Post, one mpi.Posted per receive
+// message, in step order) and wait blocks on the step's posts — there is
+// no Recv call and no per-receive request or goroutine, cancellable or
+// not. A post names (peer, tag) and, when the message is a single seg
+// whose receive side is contiguous under zcRecv, offers the destination
+// span need[buf][off:off+bytes] itself. How a post completes is the
+// transport's business:
+//
+//   - Landed. On a transport that shares the receiver's address space
+//     (bare inproc, nothing else) issue first tries to claim the peer's
+//     open post for (dst, tag, bytes). On a hit the step's pack jobs — or
+//     the one memmove of an aliased contiguous message — write straight
+//     into the peer's need buffer and a commit completes the post: one
+//     copy end to end, no staging, nothing to unpack.
+//   - Eager. On a miss (the peer has not entered the exchange yet, its
+//     receive is strided, the lengths differ) and on every other
+//     transport the message is staged and sent as before; the arriving
+//     envelope completes the oldest matching post, or waits in the
+//     mailbox queue for the post to come and take it, and wait places or
+//     batches its payload.
+//
+// Posts, envelopes and claims match FIFO per (communicator, source, tag),
+// so tags may repeat across steps and across back-to-back exchanges of
+// different descriptors: any post a sender finds open at a peer stands
+// for a message it has not sent yet, because every earlier one was
+// delivered — synchronously, which is what restricts claims to bare
+// inproc — and took the posts before it. A post for a later step may
+// land before this rank has issued that step; the regions of distinct
+// messages are disjoint (DDR's exclusive-ownership precondition, the one
+// the parallel unpack batch already relies on), so nothing it writes is
+// touched in between.
+//
 // Deadlock freedom at any depth mix: a rank only blocks in wait(j) after
 // it has issued steps 0..j+k-1 — in particular its own step-j sends are
-// already posted — and delivery on every transport is eager (inproc
-// copies into the destination mailbox, TCP and shm drain their links
-// with background goroutines), so by induction over steps every posted
-// send is eventually deliverable and every wait satisfiable, even when
-// peers run at different effective depths. Tags are distinct across any
-// window of k+1 consecutive steps (one tag per round, one per bounded
-// slice), so payloads of different steps cannot be cross-matched.
+// already posted — and a sender never waits for a receiver: a claim
+// either hits at once or misses at once, and the eager fallback is
+// buffered on every transport (inproc appends to the destination
+// mailbox, TCP and shm drain their links with background goroutines). So
+// by induction over steps every posted send is eventually deliverable
+// and every wait satisfiable, even when peers run at different effective
+// depths. Landing is an optimisation on top of that argument, never a
+// rendezvous.
+//
+// Leaving run, on every exit — success, hard error, caller's cancel,
+// deadline — no post of this exchange stays behind: open ones are
+// revoked (a message that arrives later stays in the mailbox queue,
+// matchable by whoever receives next), completed ones are recycled, and
+// a post a sender has claimed is waited for, which is bounded by that
+// sender's one step of packing. Nobody writes into the caller's need
+// buffers after its call returned.
 //
 // Partial failure with several steps in flight: a peer lost at step j is
-// skipped for every subsequent send and receive, in-flight receives from
-// it degrade as their waits fail, and when the exchange deadline expires
-// the not-yet-issued steps' sources are marked lost while the issued
-// window drains.
+// skipped for every subsequent send and wait (its posts fail with the
+// loss or are revoked on the way out), in-flight receives from it degrade
+// as their waits fail, and when the exchange deadline expires the
+// not-yet-issued steps' sources are marked lost while the issued window
+// drains.
 //
 // Buffer lease lifecycle (the memory-budget interaction): when a budget
 // is set, all staging is metered. Pack buffers are charged while held:
 // each is handed to the transport by ownership (mpi.SendOwned), which ends
 // its charge before the step's wire time even starts — from then on the
-// payload is covered by the receiving rank's lease. Step r's receive
-// payload classes are leased at issue time and released when the step
+// payload is covered by the receiving rank's lease. A landed message
+// takes no pack buffer at all. Step r's receive payload classes are
+// leased at issue time — conservatively: whether or not a message later
+// lands and needs no payload — and released when the step
 // retires, so the meter's high-water mark bounds the whole in-flight
 // window: k receive leases plus the current step's send staging while
 // packing, or k+1 leases (and no pack staging) in the instant between
@@ -143,9 +188,9 @@ type slot struct {
 	wire    time.Duration // sends posted → last payload in hand
 
 	lease mpi.StagingLease // receive-class reservation (budgeted runs)
+	post0 int              // index in executor.posts of the step's first receive
 	datas [][]byte         // held payloads pending the unpack batch
 	jobs  []exchJob        // the step's unpack batch
-	reqs  []*mpi.Request   // cancellable-path receive requests
 	early bool             // payloads recycled early by PerturbPipelineForTest
 }
 
@@ -162,6 +207,7 @@ type executor struct {
 	meter   mpi.StagingMeter
 	metered bool
 	perturb bool // PerturbPipelineForTest: recycle held payloads early
+	eager   bool // tests only: never claim a peer's post, stage every message
 
 	timings []RoundTiming
 
@@ -170,8 +216,23 @@ type executor struct {
 	// on hosts without a fast clock source time.Now dominated short steps.
 	clock time.Time
 
-	wires [][]byte // per-send outgoing wire (staged or zero-copy alias)
-	slots []slot
+	// Per-send scratch of the step being issued: the outgoing wire (staged,
+	// zero-copy alias, or the claimed span in the peer's need buffer) and
+	// the peer's post when the send was claimed. Both are cleared as soon
+	// as the step's sends are posted — they reference other ranks' memory,
+	// and a surviving descriptor must not keep a dead world's buffers
+	// reachable.
+	wires  [][]byte
+	claims []*mpi.Posted
+	slots  []slot
+
+	// posts holds the exchange's posted receives, one per receive message
+	// in step order; the mailbox keeps their addresses, so the slice is
+	// sized once per run. open counts those not yet back from Wait, which
+	// is what the way out has to sweep.
+	posts []mpi.Posted
+	open  int
+	next  int // posts index of the next step to issue
 }
 
 // exchange is one run's environment: who to talk to and how failure and
@@ -207,6 +268,61 @@ func (x *executor) run(ex *exchange, steps []step, k int, own, need [][]byte) er
 	}
 	x.slots = x.slots[:ring]
 
+	err := x.post(ex, steps, need)
+	if err == nil {
+		err = x.drive(ex, steps, k, ring, own, need)
+	}
+	if err != nil {
+		// Release whatever the ring still holds (a failed issue has already
+		// let go of its staging). (An explicit loop rather than a defer — a
+		// deferred closure over the ring escapes and would cost the steady
+		// state an allocation per exchange.)
+		for i := range x.slots {
+			x.slots[i].release()
+		}
+	}
+	if x.open > 0 {
+		// Posts nobody waited for: a failed or expired exchange's, a lost
+		// peer's. Cancel revokes, recycles, or waits out a claim.
+		for i := range x.posts {
+			x.posts[i].Cancel()
+		}
+		x.open = 0
+	}
+	return err
+}
+
+// post posts every receive of the exchange, offering the destination span
+// wherever a message's bytes belong in one contiguous place.
+func (x *executor) post(ex *exchange, steps []step, need [][]byte) error {
+	total := 0
+	for i := range steps {
+		total += len(steps[i].recvs)
+	}
+	if cap(x.posts) < total {
+		x.posts = make([]mpi.Posted, total)
+	}
+	x.posts = x.posts[:total]
+	x.open, x.next = 0, 0
+	for i := range steps {
+		for j := range steps[i].recvs {
+			m := &steps[i].recvs[j]
+			var dst []byte
+			if len(m.segs) == 1 && x.zcRecv && m.segs[0].span.ok {
+				sg := &m.segs[0]
+				dst = need[sg.buf][sg.span.off : sg.span.off+m.bytes]
+			}
+			if err := ex.c.Post(&x.posts[x.open], m.peer, m.tag, dst); err != nil {
+				return err
+			}
+			x.open++
+		}
+	}
+	return nil
+}
+
+// drive is run's state machine over the ring.
+func (x *executor) drive(ex *exchange, steps []step, k, ring int, own, need [][]byte) error {
 	n := len(steps)
 	issued, waited, retired := 0, 0, 0
 	x.clock = time.Now()
@@ -232,15 +348,6 @@ func (x *executor) run(ex *exchange, steps []step, k int, own, need [][]byte) er
 			waited++
 		}
 		if err != nil {
-			// Release whatever the ring still holds (a failed issue has
-			// already let go of its staging). Outstanding receive requests
-			// are left to the transport: a hard error ends the communicator's
-			// DDR use. (An explicit loop rather than a defer — a deferred
-			// closure over the ring escapes and would cost the steady state
-			// an allocation per exchange.)
-			for i := range x.slots {
-				x.slots[i].release()
-			}
 			return err
 		}
 	}
@@ -313,9 +420,8 @@ func (x *executor) selfMove(sf *selfMove, own, need [][]byte) {
 	}
 }
 
-// issue packs and posts one step into slot s: local moves, staging
-// copies, sends, the receive-class lease, and — on the cancellable path
-// — the step's receive requests.
+// issue packs and posts one step into slot s: local moves, claims,
+// staging copies, sends and commits, and the receive-class lease.
 func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][]byte) error {
 	s.start = x.clock
 	if ex.traced {
@@ -325,23 +431,39 @@ func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][
 		x.selfMove(&st.selfs[i], own, need)
 	}
 
-	// Pack phase. A message that is one contiguous region needs no
-	// staging at all — the owned buffer's sub-slice goes straight to Send,
-	// whose delivery copy is the only copy. Everything else stages: the
-	// contiguous segs of a multi-seg message by memmove, strided ones
-	// through the engine. All of the step's staging is held at once — that
-	// simultaneity is what the footprint models budget.
-	x.wires = x.wires[:0]
+	// Pack phase. A message whose receiver's post can be claimed packs
+	// into the claimed span — the peer's need buffer — and is done. Of the
+	// rest, one that is a single contiguous region needs no staging at all:
+	// the owned buffer's sub-slice goes straight to Send, whose delivery
+	// copy is the only copy. Everything else stages: the contiguous segs of
+	// a multi-seg message by memmove, strided ones through the engine. All
+	// of the step's staging is held at once — that simultaneity is what the
+	// footprint models budget.
+	x.wires, x.claims = x.wires[:0], x.claims[:0]
 	s.bytes = 0
 	for i := range st.sends {
 		m := &st.sends[i]
 		s.bytes += int64(m.bytes)
+		var claim *mpi.Posted
+		if !x.eager {
+			claim = ex.c.Claim(m.peer, m.tag, m.bytes)
+		}
+		x.claims = append(x.claims, claim)
 		if x.aliased(m) {
 			sg := &m.segs[0]
-			x.wires = append(x.wires, own[sg.buf][sg.span.off:sg.span.off+m.bytes])
+			src := own[sg.buf][sg.span.off : sg.span.off+m.bytes]
+			if claim != nil {
+				directCopy(ex.o, claim.Span(), src, m.peer, false)
+			}
+			x.wires = append(x.wires, src)
 			continue
 		}
-		wire := x.stage(m.bytes)
+		var wire []byte
+		if claim != nil {
+			wire = claim.Span()
+		} else {
+			wire = x.stage(m.bytes)
+		}
 		off := 0
 		for j := range m.segs {
 			sg := &m.segs[j]
@@ -357,14 +479,23 @@ func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][
 	}
 	x.eng.run(ex.o)
 
-	// Post phase. A staged wire is handed to the transport by ownership —
-	// no second copy, and in process the receiver unpacks the very buffer
-	// packed above — so its charge ends here: the peer's receive lease
-	// already covers the payload. After a hard error, and for peers given
-	// up on, the remaining staged wires go back to the arena instead.
+	// Post phase. A claim is committed whatever else failed: its bytes are
+	// in place and its receiver cannot leave the exchange before. A staged
+	// wire is handed to the transport by ownership — no second copy, and in
+	// process the receiver unpacks the very buffer packed above — so its
+	// charge ends here: the peer's receive lease already covers the
+	// payload. After a hard error, and for peers given up on, the remaining
+	// staged wires go back to the arena instead.
 	var failed error
 	for i := range st.sends {
 		m, wire := &st.sends[i], x.wires[i]
+		if claim := x.claims[i]; claim != nil {
+			ex.c.Commit(claim)
+			if ex.o.on() {
+				ex.o.landed.Add(1)
+			}
+			continue
+		}
 		staged := !x.aliased(m)
 		if failed != nil || ex.ps.isLost(m.peer) {
 			if staged {
@@ -388,12 +519,16 @@ func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][
 			failed = err
 		}
 	}
+	clear(x.wires)
+	clear(x.claims)
+	s.post0 = x.next
+	x.next += len(st.recvs)
 	if failed != nil {
 		return failed
 	}
 
 	s.step = idx
-	s.datas, s.jobs, s.reqs = s.datas[:0], s.jobs[:0], s.reqs[:0]
+	s.datas, s.jobs = s.datas[:0], s.jobs[:0]
 	s.early = false
 	if x.metered {
 		total := 0
@@ -402,50 +537,33 @@ func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][
 		}
 		s.lease = x.meter.Lease(total)
 	}
-	// Delivery is eager and buffered, so receiving in plan order cannot
-	// deadlock and the uncancellable path uses blocking receives with no
-	// request bookkeeping; only a cancellable exchange posts requests.
-	if ex.ctx != nil {
-		for i := range st.recvs {
-			m := &st.recvs[i]
-			if ex.ps.isLost(m.peer) {
-				// Nothing is coming: our own send already failed or the
-				// peer was lost in an earlier step.
-				s.reqs = append(s.reqs, nil)
-				continue
-			}
-			s.reqs = append(s.reqs, ex.c.Irecv(m.peer, m.tag))
-		}
-	}
 	s.issued = time.Now()
 	x.clock = s.issued
 	s.packT = s.issued.Sub(s.start)
 	return nil
 }
 
-// wait brings slot s's step's payloads in hand, placing contiguous segs
-// immediately and batching strided ones into the slot's unpack jobs. It
-// is the only blocking point of the executor; the time spent here is the
-// step's unhidden wire time. windowed says another step may be issued
-// before this one retires.
+// wait blocks on the posts of slot s's step until each message has landed
+// or its payload is in hand, placing contiguous segs immediately and
+// batching strided ones into the slot's unpack jobs. It is the only
+// blocking point of the executor; the time spent here is the step's
+// unhidden wire time. windowed says another step may be issued before
+// this one retires.
 func (x *executor) wait(ex *exchange, st *step, s *slot, need [][]byte, windowed bool) error {
 	waitStart := x.clock
 	for i := range st.recvs {
 		m := &st.recvs[i]
-		if ex.ctx != nil && s.reqs[i] == nil {
+		if ex.ps.isLost(m.peer) {
+			// Nothing is coming: our own send already failed or the peer
+			// was given up on. Its post is swept on the way out.
 			continue
 		}
 		var peerStart time.Time
 		if ex.o.tracing() {
 			peerStart = time.Now()
 		}
-		var data []byte
-		var err error
-		if ex.ctx == nil {
-			data, _, _, err = ex.c.Recv(m.peer, m.tag)
-		} else {
-			data, _, _, err = s.reqs[i].WaitCtx(ex.ctx)
-		}
+		data, landed, err := x.posts[s.post0+i].Wait(ex.ctx)
+		x.open--
 		if err != nil {
 			if ex.ps.degrade(m.peer, s.step, err) {
 				continue
@@ -454,8 +572,11 @@ func (x *executor) wait(ex *exchange, st *step, s *slot, need [][]byte, windowed
 		}
 		if ex.o.tracing() {
 			ex.o.rec.StampSpan(trace.Event{Rank: ex.o.rank, Name: fmt.Sprintf("wait<-%d", m.peer),
-				Bytes: int64(len(data)), Exchange: ex.id, Round: int32(s.step), Peer: int32(m.peer)},
+				Bytes: int64(m.bytes), Exchange: ex.id, Round: int32(s.step), Peer: int32(m.peer)},
 				peerStart, time.Now())
+		}
+		if landed {
+			continue
 		}
 		if len(data) != m.bytes {
 			mpi.PutBuffer(data)
@@ -466,7 +587,7 @@ func (x *executor) wait(ex *exchange, st *step, s *slot, need [][]byte, windowed
 			sg := &m.segs[j]
 			n := sg.t.PackedSize()
 			if x.zcRecv && sg.span.ok {
-				directUnpack(ex.o, need[sg.buf][sg.span.off:sg.span.off+n], data[off:off+n], m.peer)
+				directCopy(ex.o, need[sg.buf][sg.span.off:sg.span.off+n], data[off:off+n], m.peer, true)
 			} else {
 				s.jobs = append(s.jobs, exchJob{t: sg.t, local: need[sg.buf], wire: data[off : off+n], unpack: true, peer: m.peer})
 				held = true

@@ -114,11 +114,12 @@ func (d *Descriptor) ReorganizeData(c *mpi.Comm, own [][]byte, need []byte) erro
 }
 
 // ReorganizeDataCtx is ReorganizeData with cancellation: when ctx is
-// cancelled the exchange stops between rounds and abandons in-flight
-// point-to-point waits, returning ctx.Err(). An abandoned wait may still
-// consume its matching message later, so after a cancellation the
-// communicator must not be reused for DDR traffic (see the cancellation
-// contract in DESIGN.md); cancel to tear down, not to retry. A nil ctx —
+// cancelled the exchange stops between rounds, revokes its posted
+// receives and returns ctx.Err(); once it has returned nobody writes into
+// need any more. Messages peers had yet to send still arrive and stay in
+// the mailbox, so after a cancellation the communicator must not be
+// reused for DDR traffic (see the cancellation contract in DESIGN.md);
+// cancel to tear down, not to retry. A nil ctx —
 // or one that can never be cancelled — selects the uncancellable fast
 // path and is exactly ReorganizeData.
 func (d *Descriptor) ReorganizeDataCtx(ctx context.Context, c *mpi.Comm, own [][]byte, need []byte) error {

@@ -40,6 +40,15 @@ func CompileBoundedForTest(p *Plan, budget int) error {
 // fill invariant) can catch. Every plan backend is a []step, so this is
 // the one planted schedule bug behind all three hooks below. Returns false
 // when no receive seg can be shifted in bounds.
+//
+// The shifted region overlaps its neighbours, which breaks the one thing
+// that lets peers write into this rank's buffer concurrently — the
+// regions of distinct messages are disjoint — so a message landing in a
+// posted span would race with whatever fills the cells the bug made it
+// share, and the race detector would fire before the byte comparison
+// these hooks exist to prove. The perturbed list therefore offers no
+// spans: its receive segs all read as strided, every payload arrives
+// eagerly, and this rank alone writes its buffer, misplaced cell included.
 func shiftRecvSeg(sched []step, elemSize int, base grid.Box) bool {
 	for i := range sched {
 		for _, m := range sched[i].recvs {
@@ -54,6 +63,7 @@ func shiftRecvSeg(sched []step, elemSize int, base grid.Box) bool {
 						}
 						if shifted, err := newSeg(elemSize, base, sg.buf, moved); err == nil {
 							*sg = shifted
+							hideRecvSpans(sched)
 							return true
 						}
 					}
@@ -62,6 +72,18 @@ func shiftRecvSeg(sched []step, elemSize int, base grid.Box) bool {
 		}
 	}
 	return false
+}
+
+// hideRecvSpans marks every receive seg of sched as not contiguous, so
+// the executor offers no landing span for it (see shiftRecvSeg).
+func hideRecvSpans(sched []step) {
+	for i := range sched {
+		for _, m := range sched[i].recvs {
+			for j := range m.segs {
+				m.segs[j].span.ok = false
+			}
+		}
+	}
 }
 
 // PerturbPlanForTest plants shiftRecvSeg's bug in the plan's round

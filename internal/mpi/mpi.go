@@ -10,7 +10,9 @@
 // exchanges the same frames over real sockets (RunTCP), usable both over
 // loopback and across machines. Message delivery is eager and buffered,
 // so a Send never blocks on the matching Recv — the same progress
-// guarantee a buffered MPI_Send provides.
+// guarantee a buffered MPI_Send provides. A receive may also be posted
+// ahead of its message (Comm.Post, posted.go); in process a sender can
+// then write the payload straight into the posted destination.
 package mpi
 
 import (
@@ -118,20 +120,24 @@ func (c *Comm) traceCtx() TraceContext {
 }
 
 // chunkPending tracks the reassembly state of a chunk-streamed message.
-// ready is guarded by the owning mailbox's mutex; the payload bytes are
-// written by the transport's read loop alone until ready flips, so no
+// Both fields are guarded by the owning mailbox's mutex; the payload bytes
+// are written by the transport's read loop alone until ready flips, so no
 // consumer ever observes a partially filled buffer.
 type chunkPending struct {
 	ready bool
+	post  *Posted // the posted receive bound to this message, if any (posted.go)
 }
 
-// matches reports whether the envelope satisfies a receive posted on
+// matches reports whether the envelope satisfies a receive on
 // communicator context ctx for (src, tag), honouring wildcards. Messages
 // still being reassembled from chunks never match.
 func (e *envelope) matches(ctx uint32, src, tag int) bool {
-	if e.pend != nil && !e.pend.ready {
-		return false
-	}
+	return (e.pend == nil || e.pend.ready) && e.is(ctx, src, tag)
+}
+
+// is reports whether the envelope's identity satisfies (ctx, src, tag),
+// honouring wildcards, whether or not its payload is complete.
+func (e *envelope) is(ctx uint32, src, tag int) bool {
 	if e.ctx != ctx {
 		return false
 	}
@@ -166,12 +172,14 @@ func (w *seqWindow) seen(seq uint64) bool {
 	return false
 }
 
-// mailbox holds a rank's unmatched incoming messages. put never blocks;
-// get blocks until a matching envelope arrives or the mailbox is closed.
+// mailbox holds a rank's unmatched incoming messages and its unmatched
+// posted receives (posted.go). put never blocks; get blocks until a
+// matching envelope arrives or the mailbox is closed.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []envelope
+	posts  []*Posted // open posted receives, oldest first
 	closed bool
 	err    error
 	depth  *obs.Gauge          // pending-message depth, nil unless telemetry attached
@@ -237,8 +245,7 @@ func (m *mailbox) put(e envelope) {
 				return
 			}
 		}
-		m.queue = append(m.queue, e)
-		m.depth.Add(1)
+		m.deliver(e)
 	}
 	m.mu.Unlock()
 	m.cond.Broadcast()
@@ -259,6 +266,7 @@ func (m *mailbox) markLost(src int, err error) {
 		m.lost[src] = err
 		m.lostC.Add(1)
 		first = true
+		m.failPosts()
 	}
 	flight, self := m.flight, m.self
 	m.mu.Unlock()
@@ -287,33 +295,67 @@ func (m *mailbox) setFlight(f *obs.FlightRecorder, self int) {
 
 // removePending unlinks and recycles a still-reassembling envelope whose
 // transport stream died before completion, so the pinned slot and its
-// staging buffer are not leaked. Safe to call for envelopes that were
-// never inserted (no-op).
+// staging buffer are not leaked. A posted receive bound to it is open
+// again, ahead of every younger post. Safe to call for envelopes that
+// were never inserted (no-op).
 func (m *mailbox) removePending(p *chunkPending) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	for i := range m.queue {
 		if m.queue[i].pend == p {
-			data := m.queue[i].data
-			m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			m.depth.Add(-1)
-			m.mu.Unlock()
-			if data != nil {
-				PutBuffer(data)
+			PutBuffer(m.take(i).data)
+			if post := p.post; post != nil {
+				p.post, post.pend = nil, nil
+				m.open(post, true)
 			}
 			return
 		}
 	}
-	m.mu.Unlock()
 }
 
-// get blocks until a matching envelope arrives, the mailbox closes, the
-// specific source rank is marked lost, or cancel (optional, may be nil)
-// fires. Waiting on AnySource is never failed by a lost peer — other
-// senders may still deliver.
-// get blocks until an envelope matching (ctx, src, tag) is available.
-// group and self describe the communicator the receive runs on (world
-// ranks): a wildcard receive fails once every peer in group except self
-// is marked lost, instead of waiting for a message that can never come.
+// take unlinks and returns the queued envelope at index i.
+func (m *mailbox) take(i int) envelope {
+	e := m.queue[i]
+	m.queue = append(m.queue[:i], m.queue[i+1:]...)
+	m.depth.Add(-1)
+	return e
+}
+
+// failure reports why a receive from src (a world rank or AnySource) can
+// never be satisfied by a message not yet here: the mailbox closed, src
+// was lost, or — for a wildcard on a communicator of the given group —
+// every peer but self was. Nil while the receive may still complete.
+func (m *mailbox) failure(src int, group []int, self int) error {
+	if m.closed {
+		if m.err != nil {
+			return m.err
+		}
+		return ErrClosed
+	}
+	if src != AnySource {
+		return m.lost[src]
+	}
+	if len(m.lost) == 0 || len(group) == 0 {
+		return nil
+	}
+	var lerr error
+	for _, w := range group {
+		if w == self {
+			continue
+		}
+		e, isLost := m.lost[w]
+		if !isLost {
+			return nil
+		}
+		lerr = e
+	}
+	return lerr
+}
+
+// get blocks until an envelope matching (ctx, src, tag) is available, the
+// receive can no longer be satisfied (see failure; group and self describe
+// the communicator it runs on, in world ranks), or cancel (optional, may
+// be nil) fires.
 func (m *mailbox) get(cancel <-chan struct{}, ctx uint32, src, tag int, group []int, self int) (envelope, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -326,39 +368,11 @@ func (m *mailbox) get(cancel <-chan struct{}, ctx uint32, src, tag int, group []
 	for {
 		for i := range m.queue {
 			if m.queue[i].matches(ctx, src, tag) {
-				e := m.queue[i]
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
-				m.depth.Add(-1)
-				return e, nil
+				return m.take(i), nil
 			}
 		}
-		if m.closed {
-			err := m.err
-			if err == nil {
-				err = ErrClosed
-			}
+		if err := m.failure(src, group, self); err != nil {
 			return envelope{}, err
-		}
-		if src != AnySource {
-			if lerr, isLost := m.lost[src]; isLost {
-				return envelope{}, lerr
-			}
-		} else if len(m.lost) > 0 && len(group) > 0 {
-			var lerr error
-			for _, w := range group {
-				if w == self {
-					continue
-				}
-				e, isLost := m.lost[w]
-				if !isLost {
-					lerr = nil
-					break
-				}
-				lerr = e
-			}
-			if lerr != nil {
-				return envelope{}, lerr
-			}
 		}
 		if cancel != nil {
 			select {
@@ -402,17 +416,8 @@ func (m *mailbox) peek(ctx uint32, src, tag int, wait bool) (gotSrc, gotTag, siz
 				return e.src, e.tag, len(e.data), true, nil
 			}
 		}
-		if m.closed {
-			err := m.err
-			if err == nil {
-				err = ErrClosed
-			}
+		if err := m.failure(src, nil, 0); err != nil {
 			return 0, 0, 0, false, err
-		}
-		if src != AnySource {
-			if lerr, isLost := m.lost[src]; isLost {
-				return 0, 0, 0, false, lerr
-			}
 		}
 		if !wait {
 			return 0, 0, 0, false, nil
@@ -421,11 +426,20 @@ func (m *mailbox) peek(ctx uint32, src, tag int, wait bool) (gotSrc, gotTag, siz
 	}
 }
 
-// complete marks a chunk-reassembled envelope as matchable and wakes
-// receivers blocked on it.
+// complete marks a chunk-reassembled envelope as matchable: it goes to
+// the posted receive bound to it, or wakes the receivers blocked on it.
 func (m *mailbox) complete(p *chunkPending) {
 	m.mu.Lock()
 	p.ready = true
+	if post := p.post; post != nil {
+		for i := range m.queue {
+			if m.queue[i].pend == p {
+				p.post, post.pend = nil, nil
+				post.finish(m.take(i), nil)
+				break
+			}
+		}
+	}
 	m.mu.Unlock()
 	m.cond.Broadcast()
 }
@@ -436,6 +450,7 @@ func (m *mailbox) close(err error) {
 	if m.err == nil {
 		m.err = err
 	}
+	m.failPosts()
 	m.mu.Unlock()
 	m.cond.Broadcast()
 }
@@ -633,19 +648,26 @@ func (c *Comm) recvInternal(cancel <-chan struct{}, src, tag int) (data []byte, 
 		}
 		return nil, 0, 0, err
 	}
-	c.counters.countRecv(e.src, len(e.data))
-	if t != nil {
+	c.recvDone(&e, len(e.data), start)
+	return e.data, c.localRank(e.src), e.tag, nil
+}
+
+// recvDone accounts for one consumed message of n payload bytes: traffic
+// counters, and — with telemetry attached, start being when the receive
+// began to wait — latency, wire bytes and the flight event.
+func (c *Comm) recvDone(e *envelope, n int, start time.Time) {
+	c.counters.countRecv(e.src, n)
+	if t := c.tel; t != nil {
 		t.recvLatency.ObserveSince(start)
-		t.wireRecv.Add(int64(len(e.data)))
+		t.wireRecv.Add(int64(n))
 		if t.flight != nil {
 			t.flight.Record(obs.FlightEvent{
 				Kind: obs.FlightRecv, Rank: int32(c.group[c.rank]), Peer: int32(e.src),
 				Tag: int32(e.tag), Round: int32(e.tc.Round), Seq: e.seq,
-				Exchange: e.tc.Exchange, Bytes: int64(len(e.data)),
+				Exchange: e.tc.Exchange, Bytes: int64(n),
 			})
 		}
 	}
-	return e.data, c.localRank(e.src), e.tag, nil
 }
 
 // SendCtx is Send bounded by a context: if the transport's outbound queue

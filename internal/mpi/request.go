@@ -6,19 +6,14 @@ import "context"
 // operation completes and returns its outcome. A Request must be waited
 // on exactly once.
 type Request struct {
-	done   chan struct{}
-	cancel context.CancelFunc // non-nil for receives: releases the mailbox wait
-	data   []byte
-	from   int
-	tag    int
-	err    error
+	recv Posted // the posted receive; unused by sends, which complete in Isend
+	err  error  // a send's delivery status, or why a receive could not be posted
 }
 
 // Wait blocks until the operation completes. For receives, the returned
 // slice is the message payload and from/tag identify the sender.
 func (r *Request) Wait() (data []byte, from, tag int, err error) {
-	<-r.done
-	return r.data, r.from, r.tag, r.err
+	return r.WaitCtx(nil)
 }
 
 // Isend starts a non-blocking send. Because delivery is eager the data is
@@ -30,22 +25,16 @@ func (r *Request) Wait() (data []byte, from, tag int, err error) {
 // copy and stream straight from the caller's buffer, returning once the
 // payload is on the wire.
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
-	r := &Request{done: make(chan struct{})}
-	err := c.Send(dst, tag, data)
-	r.err = err
-	close(r.done)
-	return r
+	return &Request{err: c.Send(dst, tag, data)}
 }
 
-// Irecv starts a non-blocking receive for a message matching (src, tag).
+// Irecv starts a non-blocking receive for a message matching (src, tag):
+// it posts the receive in the rank's mailbox (Comm.Post), so receives
+// posted for one (src, tag) stream match its messages in the order they
+// were posted, and no goroutine stands behind the request.
 func (c *Comm) Irecv(src, tag int) *Request {
-	ctx, cancel := context.WithCancel(context.Background())
-	r := &Request{done: make(chan struct{}), cancel: cancel}
-	go func() {
-		r.data, r.from, r.tag, r.err = c.RecvCtx(ctx, src, tag)
-		cancel()
-		close(r.done)
-	}()
+	r := &Request{}
+	r.err = c.Post(&r.recv, src, tag, nil)
 	return r
 }
 
@@ -62,33 +51,21 @@ func WaitAll(reqs ...*Request) error {
 
 // WaitCtx is Wait with cancellation: it returns early with ctx.Err() when
 // the context is cancelled before the operation completes. A cancelled
-// receive releases its mailbox slot: the background receive is unblocked
-// without consuming a message, so a message that arrives later stays
-// matchable by a future Recv and no staging-arena buffer is pinned. If
-// the receive had already matched when the cancellation raced in, the
-// payload is recycled back to the arena. A nil context behaves like Wait.
+// receive releases its mailbox slot: the post is revoked without
+// consuming a message, so a message that arrives later stays matchable by
+// a future Recv and no staging-arena buffer is pinned. If the receive had
+// already matched when the cancellation raced in, the payload is recycled
+// back to the arena. A nil context behaves like Wait.
 func (r *Request) WaitCtx(ctx context.Context) (data []byte, from, tag int, err error) {
-	if ctx == nil {
-		return r.Wait()
+	if r.recv.c == nil {
+		return nil, 0, 0, r.err
 	}
-	select {
-	case <-r.done:
-		return r.data, r.from, r.tag, r.err
-	case <-ctx.Done():
-		if r.cancel != nil {
-			r.cancel()
-			// The cancellable mailbox wait returns promptly, so this does
-			// not reintroduce the unbounded block WaitCtx exists to avoid.
-			<-r.done
-			if r.err == nil && r.data != nil {
-				// The receive won the race: the message is consumed and the
-				// caller is abandoning it, so recycle the payload.
-				PutBuffer(r.data)
-				r.data = nil
-			}
-		}
-		return nil, 0, 0, ctx.Err()
+	c := r.recv.c
+	e, _, err := r.recv.wait(ctx)
+	if err != nil {
+		return nil, 0, 0, err
 	}
+	return e.data, c.localRank(e.src), e.tag, nil
 }
 
 // WaitAllCtx waits on every request until done or the context is

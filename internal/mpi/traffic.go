@@ -12,6 +12,14 @@ type TrafficStats struct {
 	MessagesRecv int64
 	BytesRecv    int64
 
+	// MessagesLanded / BytesLanded count the sent messages this rank wrote
+	// straight into the receiver's posted destination span (Claim/Commit)
+	// instead of handing a staged payload to the transport. They say which
+	// path ran; the messages are included in the Sent totals here and in
+	// the receiver's Recv totals like any other.
+	MessagesLanded int64
+	BytesLanded    int64
+
 	// PeerBytesSent[w] / PeerBytesRecv[w] attribute the byte totals to the
 	// world rank w on the other end, so collective traffic can be
 	// decomposed into the point-to-point flows it is built from:
@@ -30,6 +38,9 @@ type traffic struct {
 	bytesSent atomic.Int64
 	msgsRecv  atomic.Int64
 	bytesRecv atomic.Int64
+
+	msgsLanded  atomic.Int64
+	bytesLanded atomic.Int64
 
 	peerSent []atomic.Int64
 	peerRecv []atomic.Int64
@@ -67,6 +78,16 @@ func (t *traffic) countRecv(peer, n int) {
 	}
 }
 
+// countLanded records that a sent message of n bytes was written into the
+// receiver's posted span; countSend counts the message itself.
+func (t *traffic) countLanded(n int) {
+	if t == nil {
+		return
+	}
+	t.msgsLanded.Add(1)
+	t.bytesLanded.Add(int64(n))
+}
+
 // Traffic returns a snapshot of this rank's cumulative transport traffic.
 // Collective operations are included (they are built from point-to-point
 // messages), so the counters measure real wire load, not call counts.
@@ -80,6 +101,9 @@ func (c *Comm) Traffic() TrafficStats {
 		BytesSent:    t.bytesSent.Load(),
 		MessagesRecv: t.msgsRecv.Load(),
 		BytesRecv:    t.bytesRecv.Load(),
+
+		MessagesLanded: t.msgsLanded.Load(),
+		BytesLanded:    t.bytesLanded.Load(),
 	}
 	if len(t.peerSent) > 0 {
 		s.PeerBytesSent = make([]int64, len(t.peerSent))
@@ -103,6 +127,8 @@ func (c *Comm) ResetTraffic() {
 	t.bytesSent.Store(0)
 	t.msgsRecv.Store(0)
 	t.bytesRecv.Store(0)
+	t.msgsLanded.Store(0)
+	t.bytesLanded.Store(0)
 	for i := range t.peerSent {
 		t.peerSent[i].Store(0)
 	}
