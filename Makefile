@@ -30,7 +30,8 @@ chaos:
 #     -race), and the planted-bug self-tests of the pipelined executor
 #     (the planted bug is a genuine data race the detector would fail
 #     before the harness's own check fires);
-#   - the posted-receive and landing tests once more without the detector,
+#   - the posted-receive, landing and shm ring-rewind tests, and the FFT
+#     differential across receive paths, once more without the detector,
 #     whose slowdown changes which rank finds whose post open;
 #   - the golden plan and bounded-step fixtures;
 #   - a brief fuzz of the shm ring-record decoder and both TCP wire
@@ -44,10 +45,10 @@ verify: chaos
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/mpi/... ./internal/trace/... ./internal/core/... ./internal/datatype/... ./internal/fft/...
 	$(GO) test -race ./internal/transit/...
-	$(GO) test -run 'TestZeroAllocSteadyState|TestBoundedZeroAllocSteadyState|TestPipelineZeroAllocSteadyState|TestTracingDetachedZeroAlloc|TestFlightRecorderRecordZeroAlloc|TestTCPUntracedWireIdentical|TestShmZeroAllocSteadyState|TestDeltaExchangeRecyclesPayloads|TestInlinePackWhenRanksCoverCores|TestStreamSteadyStateAllocs' ./internal/core/ ./internal/obs/ ./internal/mpi/ ./internal/transit/
+	$(GO) test -run 'TestZeroAllocSteadyState|TestBoundedZeroAllocSteadyState|TestPipelineZeroAllocSteadyState|TestTracingDetachedZeroAlloc|TestFlightRecorderRecordZeroAlloc|TestTCPUntracedWireIdentical|TestShmZeroAllocSteadyState|TestShmBackpressureAllocs|TestDeltaExchangeRecyclesPayloads|TestInlinePackWhenRanksCoverCores|TestStreamSteadyStateAllocs' ./internal/core/ ./internal/obs/ ./internal/mpi/ ./internal/transit/
 	$(GO) test -run 'TestPipelineHarnessCatchesPlantedBug' ./internal/core/
 	$(GO) test -short -run 'TestHarnessCatchesPipelinePlantedBug' ./internal/ddrtest/
-	$(GO) test -run 'TestPosted|TestLandedMatchesEager|TestNobodyWritesAfterReturn' ./internal/mpi/ ./internal/core/
+	$(GO) test -run 'TestPosted|TestLandedMatchesEager|TestNobodyWritesAfterReturn|TestShmRingRewind|TestTelemetryPackUnpackObserved|TestDist2DStepMatchesAcrossPaths' ./internal/mpi/ ./internal/core/ ./internal/fft/
 	$(GO) test -run 'TestGoldenPlans|TestGoldenBoundedPlans' ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzShmRingHeader -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTCPFrameDecoder -fuzztime 10s ./internal/mpi/

@@ -274,7 +274,7 @@ func (d *Descriptor) buildObs(rank int) {
 		unpackLat: d.metrics.Histogram("ddr_unpack_seconds",
 			"Time spent scattering wire buffers into the need box.", obs.LatencyBuckets, rl),
 		landed: d.metrics.Counter("ddr_landed_messages_total",
-			"Messages this rank packed straight into the receiver's posted need span: a pack observation each, and no unpack anywhere.", rl),
+			"Messages that arrived already in this rank's posted need span, packed there by an in-process sender or copied there by the shared-memory consumer: no unpack for them.", rl),
 		boundedSteps: d.metrics.Counter("ddr_bounded_steps_total",
 			"Bounded-footprint exchange steps executed by memory-bounded ReorganizeData calls.", rl, ml),
 		boundedPeak: d.metrics.Gauge("ddr_bounded_peak_staging_bytes",

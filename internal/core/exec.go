@@ -56,18 +56,27 @@ import (
 // span need[buf][off:off+bytes] itself. How a post completes is the
 // transport's business:
 //
-//   - Landed. On a transport that shares the receiver's address space
-//     (bare inproc, nothing else) issue first tries to claim the peer's
-//     open post for (dst, tag, bytes). On a hit the step's pack jobs — or
-//     the one memmove of an aliased contiguous message — write straight
-//     into the peer's need buffer and a commit completes the post: one
-//     copy end to end, no staging, nothing to unpack.
-//   - Eager. On a miss (the peer has not entered the exchange yet, its
-//     receive is strided, the lengths differ) and on every other
-//     transport the message is staged and sent as before; the arriving
-//     envelope completes the oldest matching post, or waits in the
-//     mailbox queue for the post to come and take it, and wait places or
-//     batches its payload.
+//   - Landed by the sender. On a transport that shares the receiver's
+//     address space and delivers synchronously (bare inproc, nothing
+//     else) issue first tries to claim the peer's open post for (dst,
+//     tag, bytes). On a hit the step's pack jobs — or the one memmove of
+//     an aliased contiguous message — write straight into the peer's need
+//     buffer and a commit completes the post: one copy end to end, no
+//     staging, nothing to unpack.
+//   - Landed by the transport. On shm (and hier within a node) the
+//     message is sent as below — an aliased contiguous one straight from
+//     the owned buffer into the ring — and the receiving rank's ring
+//     consumer copies the record into the posted span when the post is
+//     open and offers exactly its length: one copy per side, nothing to
+//     unpack. Chunk-streamed and fault-injected messages are eager.
+//   - Eager. Otherwise the message is staged (or aliased) and sent; the
+//     arriving envelope completes the oldest matching post, or waits in
+//     the mailbox queue for the post to come and take it, and wait places
+//     or batches its payload.
+//
+// wait sees both kinds of landing alike — the post reports landed and
+// there is nothing to place — and counts them in
+// ddr_landed_messages_total on the receiving rank.
 //
 // Posts, envelopes and claims match FIFO per (communicator, source, tag),
 // so tags may repeat across steps and across back-to-back exchanges of
@@ -110,10 +119,10 @@ import (
 // is set, all staging is metered. Pack buffers are charged while held:
 // each is handed to the transport by ownership (mpi.SendOwned), which ends
 // its charge before the step's wire time even starts — from then on the
-// payload is covered by the receiving rank's lease. A landed message
-// takes no pack buffer at all. Step r's receive payload classes are
-// leased at issue time — conservatively: whether or not a message later
-// lands and needs no payload — and released when the step
+// payload is covered by the receiving rank's lease. A message landed by
+// its sender takes no pack buffer at all. Step r's receive payload
+// classes are leased at issue time — conservatively: whether or not a
+// message later lands and needs no payload — and released when the step
 // retires, so the meter's high-water mark bounds the whole in-flight
 // window: k receive leases plus the current step's send staging while
 // packing, or k+1 leases (and no pack staging) in the instant between
@@ -491,9 +500,6 @@ func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][
 		m, wire := &st.sends[i], x.wires[i]
 		if claim := x.claims[i]; claim != nil {
 			ex.c.Commit(claim)
-			if ex.o.on() {
-				ex.o.landed.Add(1)
-			}
 			continue
 		}
 		staged := !x.aliased(m)
@@ -576,6 +582,9 @@ func (x *executor) wait(ex *exchange, st *step, s *slot, need [][]byte, windowed
 				peerStart, time.Now())
 		}
 		if landed {
+			if ex.o.on() {
+				ex.o.landed.Add(1)
+			}
 			continue
 		}
 		if len(data) != m.bytes {

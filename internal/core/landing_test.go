@@ -13,9 +13,10 @@ import (
 	"ddr/internal/mpi"
 )
 
-// Tests of the executor's two ways of completing a posted receive: a
-// message landed by its sender in the posted need span (bare inproc) and
-// an eager payload placed by the receiver (everything else).
+// Tests of the executor's ways of completing a posted receive: a message
+// landed in the posted need span — by its sender on bare inproc, by the
+// receiving rank's ring consumer on shm — and an eager payload placed by
+// the receiver (everything else).
 
 // withEager makes the descriptor's executor stage every message, as it
 // does on a transport without the claim capability. No exported option
@@ -54,7 +55,7 @@ func stridedRecvWorld(n, side, chunksPerRank int) (ownAll [][]grid.Box, needAll 
 
 // landWorld runs two exchanges of the geometry on one world, the need
 // buffers poisoned first, and returns every rank's output and the number
-// of messages the world's senders landed.
+// of messages that landed (TrafficStats.MessagesLanded, world total).
 func landWorld(t *testing.T, ownAll [][]grid.Box, needAll []grid.Box, layout Layout, launch []mpi.LaunchOption, opts ...Option) (out [][]byte, landed int64) {
 	t.Helper()
 	n := len(needAll)
@@ -92,12 +93,12 @@ func landWorld(t *testing.T, ownAll [][]grid.Box, needAll []grid.Box, layout Lay
 	return out, landed
 }
 
-// TestLandedMatchesEager is the differential test of the two completion
+// TestLandedMatchesEager is the differential test of the completion
 // paths: the same geometry on bare inproc (where the rank that enters the
 // exchange last finds every peer's post open, so something always lands
 // when the receives are contiguous), behind a no-op fault injector (where
-// nothing can), and through the alltoallw reference must leave the same
-// bytes. On the strided-receive geometry no post offers a span, so
+// nothing can), on shm (where the ring consumer lands what finds its post
+// open) and through the alltoallw reference must leave the same bytes. On the strided-receive geometry no post offers a span, so
 // nothing lands anywhere.
 func TestLandedMatchesEager(t *testing.T) {
 	_, stackOwn, stackNeed := stackWorld(16, 16)
@@ -127,9 +128,15 @@ func TestLandedMatchesEager(t *testing.T) {
 			if landed != 0 {
 				t.Errorf("%d messages landed in ModeAlltoallw", landed)
 			}
+			// On shm a message lands when its post is open as the ring
+			// consumer reaches it, so only "never" is certain.
+			shm, landed := landWorld(t, g.ownAll, g.needAll, g.layout, []mpi.LaunchOption{mpi.WithTransport(mpi.TransportShm), mpi.WithFaultInjector(nil)})
+			if !g.lands && landed != 0 {
+				t.Errorf("%d messages landed on shm without a posted span", landed)
+			}
 			for r := range got {
-				if !bytes.Equal(got[r], eager[r]) || !bytes.Equal(got[r], ref[r]) {
-					t.Errorf("rank %d: landed, eager and alltoallw outputs differ", r)
+				if !bytes.Equal(got[r], eager[r]) || !bytes.Equal(got[r], ref[r]) || !bytes.Equal(got[r], shm[r]) {
+					t.Errorf("rank %d: landed, eager, shm and alltoallw outputs differ", r)
 				}
 			}
 		})
@@ -137,15 +144,26 @@ func TestLandedMatchesEager(t *testing.T) {
 }
 
 // TestNobodyWritesAfterReturn cancels, and deadline-expires, exchanges in
-// mid-flight on bare inproc, where peers write into this rank's need
-// buffer directly, and has every rank scribble over its need buffer the
-// moment its call returns. The race detector is the oracle: a sender
-// still packing into a claimed span after the receiver's ReorganizeData
-// returned is a write-write race with the scribble. Each attempt runs on
-// a fresh communicator over the same ranks (the cancellation contract:
-// an abandoned exchange's stragglers stay in its context), and a clean
-// exchange among them at the end must still be exact.
+// mid-flight where something other than the receiver writes into its
+// need buffer directly — peers on bare inproc, the rank's ring consumer
+// on shm — and has every rank scribble over its need buffer the moment
+// its call returns. The race detector is the oracle: a sender still
+// packing into a claimed span, or a consumer still copying into a landed
+// one, after the receiver's ReorganizeData returned is a write-write race
+// with the scribble. Each attempt runs on a fresh communicator over the
+// same ranks (the cancellation contract: an abandoned exchange's
+// stragglers stay in its context), and a clean exchange among them at the
+// end must still be exact.
 func TestNobodyWritesAfterReturn(t *testing.T) {
+	for name, launch := range map[string][]mpi.LaunchOption{
+		"inproc": {mpi.WithFaultInjector(nil)},
+		"shm":    {mpi.WithTransport(mpi.TransportShm), mpi.WithFaultInjector(nil)},
+	} {
+		t.Run(name, func(t *testing.T) { nobodyWritesAfterReturn(t, launch) })
+	}
+}
+
+func nobodyWritesAfterReturn(t *testing.T, launch []mpi.LaunchOption) {
 	const attempts = 40
 	_, ownAll, needAll := stackWorld(64, 32)
 	n := len(needAll)
@@ -155,6 +173,7 @@ func TestNobodyWritesAfterReturn(t *testing.T) {
 		ctxs[i], cancels[i] = context.WithCancel(context.Background())
 		defer cancels[i]()
 	}
+	var landed int64
 	err := mpi.Launch(n, func(c *mpi.Comm) error {
 		rank := c.Rank()
 		d, err := NewDescriptor(n, Layout3D, Float32)
@@ -213,10 +232,14 @@ func TestNobodyWritesAfterReturn(t *testing.T) {
 		if err := d.ReorganizeData(sub, bufs, dst); err != nil {
 			return fmt.Errorf("clean exchange after the cancelled ones: %w", err)
 		}
+		atomic.AddInt64(&landed, c.Traffic().MessagesLanded)
 		return checkBox(dst, needAll[rank], 4, nil, 0)
-	}, mpi.WithFaultInjector(nil))
+	}, launch...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if landed == 0 {
+		t.Error("no message landed: the test never raced a writer against the return")
 	}
 }
 

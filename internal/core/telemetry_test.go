@@ -16,6 +16,11 @@ import (
 // of a 64x64 float32 field with the given descriptor options, calling
 // ReorganizeData iters times on the reusable mapping.
 func telemetryWorld(iters int, opts ...Option) error {
+	return telemetryWorldOn(nil, iters, opts...)
+}
+
+// telemetryWorldOn is telemetryWorld launched with the given options.
+func telemetryWorldOn(launch []mpi.LaunchOption, iters int, opts ...Option) error {
 	const n, side = 4, 64
 	return mpi.Launch(n, func(c *mpi.Comm) error {
 		d, err := NewDescriptor(n, Layout2D, Float32, opts...)
@@ -36,7 +41,7 @@ func telemetryWorld(iters int, opts ...Option) error {
 			}
 		}
 		return checkBox(needBuf, need, d.ElemSize(), nil, 0)
-	})
+	}, launch...)
 }
 
 // Every exchange mode must leave behind the plan-compile histogram, the
@@ -114,23 +119,30 @@ func TestTelemetryPopulatedAllModes(t *testing.T) {
 // application side (the alltoallw mode packs inside the collective).
 // Every rank packs for 3 peers whatever path the message takes. Its
 // receives are contiguous (full-width bands of the column strip), so a
-// message either lands in the posted span — a pack observation on the
-// sender, no unpack anywhere — or arrives eagerly and is placed by one
-// unpack: unpacks = 12 - landed, exactly, however the ranks interleave.
+// message either lands in the posted span — packed there by the sender on
+// inproc, copied there by the ring consumer on shm; no unpack either way
+// — or arrives eagerly and is placed by one unpack: unpacks = 12 -
+// landed, exactly, however the ranks interleave.
 func TestTelemetryPackUnpackObserved(t *testing.T) {
-	for _, mode := range []ExchangeMode{ModePointToPoint, ModePointToPointFused} {
-		reg := obs.NewRegistry()
-		if err := telemetryWorld(1, WithExchangeMode(mode), WithMetrics(reg)); err != nil {
-			t.Fatal(err)
-		}
-		var packs, unpacks, landed int64
-		for r := 0; r < 4; r++ {
-			packs += reg.Histogram("ddr_pack_seconds", "", nil, obs.RankLabel(r)).Count()
-			unpacks += reg.Histogram("ddr_unpack_seconds", "", nil, obs.RankLabel(r)).Count()
-			landed += reg.Counter("ddr_landed_messages_total", "", obs.RankLabel(r)).Value()
-		}
-		if packs != 4*3 || unpacks != 4*3-landed {
-			t.Errorf("%v: %d packs, %d unpacks, %d landed; want 12 packs and 12-landed unpacks", mode, packs, unpacks, landed)
+	transports := map[string][]mpi.LaunchOption{
+		"inproc": {mpi.WithFaultInjector(nil)},
+		"shm":    {mpi.WithTransport(mpi.TransportShm), mpi.WithFaultInjector(nil)},
+	}
+	for name, launch := range transports {
+		for _, mode := range []ExchangeMode{ModePointToPoint, ModePointToPointFused} {
+			reg := obs.NewRegistry()
+			if err := telemetryWorldOn(launch, 1, WithExchangeMode(mode), WithMetrics(reg)); err != nil {
+				t.Fatal(err)
+			}
+			var packs, unpacks, landed int64
+			for r := 0; r < 4; r++ {
+				packs += reg.Histogram("ddr_pack_seconds", "", nil, obs.RankLabel(r)).Count()
+				unpacks += reg.Histogram("ddr_unpack_seconds", "", nil, obs.RankLabel(r)).Count()
+				landed += reg.Counter("ddr_landed_messages_total", "", obs.RankLabel(r)).Value()
+			}
+			if packs != 4*3 || unpacks != 4*3-landed {
+				t.Errorf("%s %v: %d packs, %d unpacks, %d landed; want 12 packs and 12-landed unpacks", name, mode, packs, unpacks, landed)
+			}
 		}
 	}
 }

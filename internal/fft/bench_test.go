@@ -171,14 +171,14 @@ func BenchmarkKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	slab := make([]complex128, n*w)
+	slab, scratch := make([]complex128, n*w), make([]complex128, n)
 	passes := []struct {
 		name string
 		run  func(inverse bool)
 	}{
 		{"rows", func(inverse bool) {
 			for i := 0; i < w; i++ {
-				p.transform(slab[i*n:(i+1)*n], inverse)
+				p.transform(slab[i*n:(i+1)*n], scratch, inverse)
 			}
 		}},
 		{"cols", func(inverse bool) { p.transformCols(slab, w, inverse) }},

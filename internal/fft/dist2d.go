@@ -39,8 +39,9 @@ type Dist2D struct {
 	rank  int
 	procs int
 
-	rowBuf []complex128 // H×n row slab, row-major
-	colBuf []complex128 // n×W column pencil slab, row-major
+	rowBuf  []complex128 // H×n row slab, row-major
+	colBuf  []complex128 // n×W column pencil slab, row-major
+	scratch []complex128 // one row: the copy the row kernel permutes from
 
 	rowChunkBytes [][]byte // nb views into rowBuf, one per forward own chunk
 	colChunkBytes [][]byte // nb views into colBuf, one per inverse own chunk
@@ -97,13 +98,14 @@ func NewDist2D(c *mpi.Comm, n, nb int, opts ...core.Option) (*Dist2D, error) {
 		return nil, err
 	}
 	d := &Dist2D{
-		n:      n,
-		nb:     nb,
-		rank:   c.Rank(),
-		procs:  p,
-		rowBuf: make([]complex128, n/p*n),
-		colBuf: make([]complex128, n*(n/p)),
-		plan:   plan,
+		n:       n,
+		nb:      nb,
+		rank:    c.Rank(),
+		procs:   p,
+		rowBuf:  make([]complex128, n/p*n),
+		colBuf:  make([]complex128, n*(n/p)),
+		scratch: make([]complex128, n),
+		plan:    plan,
 	}
 	h := d.rowsPerRank() / nb // rows per forward chunk
 	g := n / nb               // rows per inverse chunk
@@ -180,7 +182,7 @@ func (d *Dist2D) TransposeInverse(c *mpi.Comm) error {
 // true inverse).
 func (d *Dist2D) rowPass(inverse bool) {
 	for i := 0; i < d.rowsPerRank(); i++ {
-		d.plan.transform(d.rowBuf[i*d.n:(i+1)*d.n], inverse)
+		d.plan.transform(d.rowBuf[i*d.n:(i+1)*d.n], d.scratch, inverse)
 	}
 }
 

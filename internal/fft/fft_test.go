@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -377,6 +378,57 @@ func TestDDRTransposeMatchesHand(t *testing.T) {
 				return nil
 			})
 		})
+	}
+}
+
+// TestDist2DStepMatchesAcrossPaths runs the same timestep where the
+// transposes' messages take different paths — bare inproc (senders pack
+// into posted spans), shm (every send zero-copy into a ring, the ring
+// consumer copies into posted spans) and the ModeAlltoallw reference —
+// and requires bitwise-identical pencils after Forward and rows after
+// Inverse.
+func TestDist2DStepMatchesAcrossPaths(t *testing.T) {
+	const n, nProcs, nb = 32, 4, 2
+	global := globalInput(n)
+	run := func(launch []mpi.LaunchOption, opts ...core.Option) (pencils, rows [][]byte) {
+		pencils, rows = make([][]byte, nProcs), make([][]byte, nProcs)
+		err := mpi.Launch(nProcs, func(c *mpi.Comm) error {
+			d, err := NewDist2D(c, n, nb, opts...)
+			if err != nil {
+				return err
+			}
+			h := n / nProcs
+			copy(d.Rows(), global[c.Rank()*h*n:(c.Rank()+1)*h*n])
+			if err := d.Forward(c); err != nil {
+				return err
+			}
+			pencils[c.Rank()] = append([]byte(nil), complexBytes(d.Pencils())...)
+			if err := d.Inverse(c); err != nil {
+				return err
+			}
+			rows[c.Rank()] = append([]byte(nil), complexBytes(d.Rows())...)
+			return nil
+		}, launch...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pencils, rows
+	}
+	bare := []mpi.LaunchOption{mpi.WithFaultInjector(nil)}
+	refPencils, refRows := run(bare, core.WithExchangeMode(core.ModeAlltoallw))
+	for name, launch := range map[string][]mpi.LaunchOption{
+		"inproc": bare,
+		"shm":    {mpi.WithTransport(mpi.TransportShm), mpi.WithFaultInjector(nil)},
+	} {
+		pencils, rows := run(launch)
+		for r := 0; r < nProcs; r++ {
+			if !bytes.Equal(pencils[r], refPencils[r]) {
+				t.Errorf("%s: rank %d pencils differ from ModeAlltoallw's", name, r)
+			}
+			if !bytes.Equal(rows[r], refRows[r]) {
+				t.Errorf("%s: rank %d rows after Inverse differ from ModeAlltoallw's", name, r)
+			}
+		}
 	}
 }
 

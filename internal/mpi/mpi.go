@@ -11,8 +11,9 @@
 // loopback and across machines. Message delivery is eager and buffered,
 // so a Send never blocks on the matching Recv — the same progress
 // guarantee a buffered MPI_Send provides. A receive may also be posted
-// ahead of its message (Comm.Post, posted.go); in process a sender can
-// then write the payload straight into the posted destination.
+// ahead of its message (Comm.Post, posted.go); in process a sender, and
+// on shared memory the receiver's ring consumer, can then write the
+// payload straight into the posted destination.
 package mpi
 
 import (
@@ -556,9 +557,10 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 // sendInternal performs the delivery without the user-tag restriction.
 // Small messages are copied eagerly into a staging-arena buffer whose
 // ownership passes to the receiver (which may recycle it with PutBuffer
-// once unpacked). Large messages on a transport with zero-copy support
-// skip the copy: the transport streams straight from the caller's buffer
-// and sendInternal blocks until it is reusable. Either way the caller may
+// once unpacked). Messages a zero-copy transport accepts — shm at every
+// size, tcp above its chunk threshold — skip the copy: the transport
+// writes straight from the caller's buffer and sendInternal blocks until
+// it is reusable. Either way the caller may
 // touch data again the moment this returns.
 func (c *Comm) sendInternal(dst, tag int, data []byte) error {
 	dstWorld := c.group[dst]

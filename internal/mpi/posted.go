@@ -8,10 +8,13 @@ import (
 
 // Posted receives: the mailbox's second queue. A receiver may announce a
 // receive before its message exists; the mailbox then hands the arriving
-// envelope to the post instead of queueing it, and — on a transport that
-// shares the receiver's address space — a sender may claim the post and
-// write the payload straight into the destination span the receiver
-// offered, so the message is never staged at all.
+// envelope to the post instead of queueing it, and the payload may land
+// straight in the destination span the receiver offered, in one of two
+// ways: on a transport that shares the receiver's address space and
+// delivers synchronously (bare inproc) a sender claims the post and packs
+// into the span, so the message is never staged at all; on shm (and hier
+// within a node) the receiving rank's ring consumer claims it and copies
+// the ring record into the span, so no arena payload exists.
 //
 // Matching is FIFO per (communicator, source, tag) on both sides: an
 // arriving envelope completes the oldest open post that accepts it, a new
@@ -30,7 +33,7 @@ const (
 	postIdle    postState = iota // not registered; free to Post
 	postOpen                     // in mailbox.posts: matchable, claimable, revocable
 	postBound                    // pinned to a chunk-reassembling envelope in the queue
-	postClaimed                  // an in-process sender is writing into dst; not revocable
+	postClaimed                  // a sender or the shm consumer is writing into dst; not revocable
 	postDone                     // completed or failed; one signal waits in done
 )
 
@@ -69,10 +72,11 @@ func (p *Posted) finish(e envelope, err error) {
 
 // Post registers a receive for a message matching (src, tag) — wildcards
 // allowed — in the caller-owned p. A non-nil dst is the span the payload
-// belongs in: it is only an offer, taken when a sender in this address
-// space claims the post for a message of exactly len(dst) bytes (Wait
-// then reports landed); in every other case the post completes with an
-// arena-backed payload exactly as Recv would return it. The caller must
+// belongs in: it is only an offer, taken for a message of exactly
+// len(dst) bytes when a sender in this address space claims the post or
+// the shm consumer delivers the message (Wait then reports landed); in
+// every other case the post completes with an arena-backed payload
+// exactly as Recv would return it. The caller must
 // end every post with Wait or Cancel, and must keep dst untouched until
 // then.
 func (c *Comm) Post(p *Posted, src, tag int, dst []byte) error {
@@ -107,8 +111,8 @@ func (c *Comm) Post(p *Posted, src, tag int, dst []byte) error {
 }
 
 // Wait blocks until the post completes and returns the payload — the
-// caller's to recycle with PutBuffer — or landed=true when a sender wrote
-// it into the offered span instead. A lost source or closed communicator
+// caller's to recycle with PutBuffer — or landed=true when a sender or
+// the shm consumer wrote it into the offered span instead. A lost source or closed communicator
 // fails it as it would fail Recv. When ctx (nil never cancels) is done
 // first the post is cancelled and ctx.Err() returned; see Cancel.
 func (p *Posted) Wait(ctx context.Context) (data []byte, landed bool, err error) {
@@ -151,9 +155,10 @@ func (p *Posted) consume(start time.Time) (envelope, bool, error) {
 
 // Cancel ends the receive whatever its state and leaves p idle. An open
 // post is revoked: a message that arrives later stays matchable by any
-// future receive. A post already claimed by a sender cannot be revoked,
-// so Cancel waits for the commit — bounded by that sender's one pack —
-// and the bytes stay where they landed; a completed post's payload is
+// future receive. A post already claimed — by a sender, or by the shm
+// consumer — cannot be revoked, so Cancel waits for the commit, bounded
+// by that sender's one pack or the consumer's one copy, and the bytes
+// stay where they landed; a completed post's payload is
 // recycled. It reports whether a message was consumed. Once Cancel
 // returns nobody writes into the offered span any more.
 func (p *Posted) Cancel() bool {
@@ -214,12 +219,7 @@ func (c *Comm) Commit(p *Posted) {
 	tc, start := c.sendBegin(peer, p.env.tag, n)
 	c.counters.countSend(peer, n)
 	c.counters.countLanded(n)
-	m := p.c.box
-	m.mu.Lock()
-	p.landed = true
-	p.env.tc = tc
-	p.finish(p.env, nil)
-	m.mu.Unlock()
+	p.c.box.commit(p, tc)
 	if t := c.tel; t != nil {
 		t.sendLatency.ObserveSince(start)
 		t.wireSent.Add(int64(n))
@@ -231,7 +231,9 @@ func (c *Comm) Commit(p *Posted) {
 // synchronous, so an open post there can be claimed and written into
 // directly. Synchronous matters: a claim jumps the queue, which is only
 // FIFO-safe when none of this sender's earlier messages are still in
-// flight behind it. Only the bare in-process transport qualifies.
+// flight behind it. Only the bare in-process transport qualifies; shm
+// lands on the receiving side instead, where its consumer is the
+// delivery point (shmWorld.deliver).
 type lander interface {
 	claim(dst int, id envelope, n int) *Posted
 }
@@ -245,7 +247,9 @@ func (t *inprocTransport) claim(dst int, id envelope, n int) *Posted {
 
 // claim takes the oldest open post accepting id if it offers a span of
 // exactly n bytes. The oldest one decides: skipping it for a later post
-// that fits would break FIFO matching.
+// that fits would break FIFO matching. The claimer — an in-process sender
+// (Comm.Claim) or the shm consumer delivering id — writes the span and
+// then commits.
 func (m *mailbox) claim(id envelope, n int) *Posted {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -261,6 +265,15 @@ func (m *mailbox) claim(id envelope, n int) *Posted {
 		return p
 	}
 	return nil
+}
+
+// commit completes a claimed post whose span is written, as landed.
+func (m *mailbox) commit(p *Posted, tc TraceContext) {
+	m.mu.Lock()
+	p.landed = true
+	p.env.tc = tc
+	p.finish(p.env, nil)
+	m.mu.Unlock()
 }
 
 // open files p as an open post — at the front when it is older than

@@ -16,22 +16,40 @@ const (
 	postTagGo   = 41
 )
 
-// postedWorld is one transport the posted-receive contract is checked on.
+// postedWorld is one transport the posted-receive contract is checked on,
+// with the way a message can land in a posted span there.
 type postedWorld struct {
-	name  string
-	lands bool // a sender can claim an open post (bare inproc only)
-	opts  []LaunchOption
+	name string
+	// claims: a sender can claim an open post (bare inproc only).
+	claims bool
+	// delivers reports whether the shm consumer of world rank dst copies
+	// a whole-message record into an open post: on shm always, on hier
+	// when the message's last hop is a node's ring (nil: never).
+	delivers func(dst int) bool
+	opts     []LaunchOption
+}
+
+// lands reports whether a message of n bytes to world rank dst lands in
+// its post.
+func (w postedWorld) lands(n, dst int, postFirst bool) bool {
+	return postFirst && n > 0 && (w.claims || w.delivers != nil && w.delivers(dst) && n <= defaultShmChunkThreshold)
 }
 
 func postedWorlds() []postedWorld {
 	noop := funcInjector(func(src, dst, tag int, seq uint64, attempt int) Fault { return Fault{} })
+	always := func(int) bool { return true }
 	return []postedWorld{
-		{"inproc", true, []LaunchOption{WithFaultInjector(nil)}},
-		{"inproc+injector", false, []LaunchOption{WithFaultInjector(noop)}},
-		{"tcp", false, []LaunchOption{WithTransport(TransportTCP), WithFaultInjector(nil)}},
-		{"shm", false, []LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil)}},
-		{"hier", false, []LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil),
-			WithTopology(func(rank int) int { return rank / 2 })}},
+		{"inproc", true, nil, []LaunchOption{WithFaultInjector(nil)}},
+		{"inproc+injector", false, nil, []LaunchOption{WithFaultInjector(noop)}},
+		{"tcp", false, nil, []LaunchOption{WithTransport(TransportTCP), WithFaultInjector(nil)}},
+		{"shm", false, always, []LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil)}},
+		// Behind an injector every message is sequenced, and a sequenced
+		// one takes the arena path so the mailbox can drop its duplicates.
+		{"shm+injector", false, nil, []LaunchOption{WithTransport(TransportShm), WithFaultInjector(noop)}},
+		// Nodes {0,1} and {2,3}: a leader (0, 2) takes cross-node messages
+		// from its relay worker, not from a ring.
+		{"hier", false, func(dst int) bool { return dst%2 == 1 }, []LaunchOption{WithTransport(TransportShm),
+			WithFaultInjector(nil), WithTopology(func(rank int) int { return rank / 2 })}},
 	}
 }
 
@@ -69,8 +87,9 @@ func sendOrLand(c *Comm, to, n, msg int) (landed bool, err error) {
 
 // postedExchange runs every size × order combination between two ranks of
 // c, three same-tag messages each. Only from and to take part.
-func postedExchange(c *Comm, from, to int, lands bool) error {
+func postedExchange(c *Comm, from, to int, w postedWorld) error {
 	const msgs = 3
+	dst := c.WorldRank(to)
 	// The last size is above every transport's chunk threshold, so on tcp,
 	// shm and hier a post can meet its message half reassembled.
 	for _, n := range []int{0, 1 << 10, 64 << 10, 1<<20 + 4096} {
@@ -88,8 +107,8 @@ func postedExchange(c *Comm, from, to int, lands bool) error {
 					if err != nil {
 						return err
 					}
-					if want := lands && postFirst && n > 0; landed != want {
-						return fmt.Errorf("%s: message %d landed %v, want %v", name, i, landed, want)
+					if want := w.claims && w.lands(n, dst, postFirst); landed != want {
+						return fmt.Errorf("%s: message %d claimed %v, want %v", name, i, landed, want)
 					}
 				}
 				if !postFirst {
@@ -123,7 +142,7 @@ func postedExchange(c *Comm, from, to int, lands bool) error {
 					if err != nil {
 						return fmt.Errorf("%s: wait %d: %w", name, i, err)
 					}
-					if want := lands && postFirst && n > 0; landed != want {
+					if want := w.lands(n, dst, postFirst); landed != want {
 						return fmt.Errorf("%s: post %d landed %v, want %v", name, i, landed, want)
 					}
 					if landed {
@@ -176,8 +195,9 @@ func postedRevoke(c *Comm, from, to int) error {
 // TestPostedRecv checks the posted-receive contract on every transport:
 // posts and messages meet in either order, same-tag messages match FIFO,
 // sub-communicators keep their own stream, a message lands in the posted
-// span exactly where a claim is possible, and afterwards the mailbox is
-// empty on both queues.
+// span exactly where a sender can claim it (bare inproc) or the shm
+// consumer can copy it there (shm and hier, unsequenced whole-message
+// records), and afterwards the mailbox is empty on both queues.
 func TestPostedRecv(t *testing.T) {
 	for _, w := range postedWorlds() {
 		t.Run(w.name, func(t *testing.T) {
@@ -194,7 +214,7 @@ func TestPostedRecv(t *testing.T) {
 				}
 				_, _, uncounted := trail()
 				// Ranks 0 and 3 sit on different nodes of the hier world.
-				if err := postedExchange(c, 0, 3, w.lands); err != nil {
+				if err := postedExchange(c, 0, 3, w); err != nil {
 					return err
 				}
 				if err := postedRevoke(c, 3, 0); err != nil {
@@ -204,7 +224,7 @@ func TestPostedRecv(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if err := postedExchange(sub, 0, 1, w.lands); err != nil {
+				if err := postedExchange(sub, 0, 1, w); err != nil {
 					return fmt.Errorf("sub-communicator: %w", err)
 				}
 				if err := c.Barrier(); err != nil {
@@ -213,9 +233,12 @@ func TestPostedRecv(t *testing.T) {
 				if queued, posted, behind := trail(); queued != 0 || posted != 0 || behind != uncounted {
 					return fmt.Errorf("mailbox not drained: %d queued, %d posted, depth gauge off by %d", queued, posted, uncounted-behind)
 				}
-				// Rank 0 sends on the world, ranks 0 and 1 on their halves.
-				if st := c.Traffic(); (st.MessagesLanded > 0) != (w.lands && c.Rank() < 2) {
-					return fmt.Errorf("MessagesLanded = %d on a world where landing is %v", st.MessagesLanded, w.lands)
+				// Rank 0 sends on the world, ranks 0 and 1 on their halves;
+				// rank 3 receives on the world, ranks 2 and 3 on the halves.
+				// A landing counts on the rank whose side wrote the span.
+				writer := w.claims && c.Rank() < 2 || w.delivers != nil && w.delivers(c.Rank()) && c.Rank() >= 2
+				if st := c.Traffic(); (st.MessagesLanded > 0) != writer {
+					return fmt.Errorf("MessagesLanded = %d on a rank that wrote spans: %v", st.MessagesLanded, writer)
 				}
 				return nil
 			}, w.opts...)

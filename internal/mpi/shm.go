@@ -20,13 +20,31 @@
 //     payload, padded to 8 bytes. Records never straddle the ring end: a
 //     producer that would wrap emits a wrap marker (descriptor word with
 //     the wrap bit) and restarts at offset zero.
+//   - Rewind: a producer that finds its ring drained (head == tail, so
+//     the consumer is done with every byte) with the tail at least one
+//     chunk — and at least the record — past offset zero emits the same
+//     wrap marker early and restarts at zero. A ring's pages are then
+//     touched up to its peak occupancy plus one chunk, not end to end:
+//     n*n rings cost memory in proportion to the bytes in flight. The
+//     one-chunk floor is what keeps a rewind from costing a wait: the
+//     marker's dead space counts as occupied until the consumer skips
+//     it, and the floor leaves the records that follow the whole first
+//     chunk below the marker to fill meanwhile. ShmStats counts rewinds
+//     apart from ring-end wraps.
 //   - Payloads above the chunk threshold stream as bulk-lane chunk
 //     records, reassembled into one arena buffer pinned in the receiving
 //     mailbox (the same mechanism as TCP chunked streaming). A message
-//     larger than the ring therefore still flows, the ring never holds
-//     more than one chunk of it at a time, and the contiguous zero-copy
-//     fast path feeds chunks straight from the caller's buffer with no
-//     staging copy.
+//     larger than the ring therefore still flows, and the ring never
+//     holds more than one chunk of it at a time.
+//
+// One copy per side: Send writes every payload straight from the
+// caller's buffer into the ring (the write is synchronous, so there is
+// no staging copy at any size), and the consumer copies a whole-message
+// record straight into the receiver's posted span when a post offering
+// exactly its length is waiting (see posted.go) — into an arena payload
+// only otherwise, and always for chunk streams and for sequenced
+// (fault-injected) messages, which the mailbox must be able to drop as
+// duplicates.
 package mpi
 
 import (
@@ -52,13 +70,15 @@ var ErrBadOption = errors.New("mpi: invalid transport option")
 
 // ShmOptions tunes the shared-memory transport. The zero value selects
 // the defaults: 1 MiB rings, 256 KiB chunk threshold, ring/4 chunks.
-// Bigger rings are not faster: a 1 MiB ring (and its 256 KiB chunks)
-// stays cache-resident, and measured throughput drops on both the
-// small-message storm and the 64 MiB bulk shape at 2-4 MiB rings.
+// Bigger rings are not faster: measured throughput drops on both the
+// small-message storm and the 64 MiB bulk shape at 2-4 MiB rings, where a
+// 1 MiB ring's 256 KiB chunks still fit in cache.
 type ShmOptions struct {
 	// RingSize is the per-(sender,receiver) ring capacity in bytes; it
 	// must be a power of two and at least 4 KiB. 0 selects the 1 MiB
-	// default. A world of n ranks maps n*n rings.
+	// default. A world of n ranks reserves n*n rings of address space, but
+	// a drained ring rewinds to its start, so each touches only its peak
+	// occupancy plus one chunk of memory.
 	RingSize int
 	// ChunkThreshold is the payload size above which a message streams
 	// as bulk-lane chunk records instead of one record. 0 selects the
@@ -76,6 +96,7 @@ const (
 	defaultShmChunkThreshold = 256 << 10
 	minShmRing               = 4 << 10
 	shmRingHeaderBytes       = 128 // head + tail, one cache line apart
+	shmSpaceWait             = 100 * time.Microsecond
 )
 
 // Validate rejects option values the transport cannot run with, with a
@@ -242,6 +263,7 @@ type shmRing struct {
 	// space is nudged by the consumer after it advances head, releasing
 	// a producer blocked on a full ring.
 	space chan struct{}
+	timer *time.Timer // bounds a producer's wait on space; guarded by mu
 }
 
 func (r *shmRing) headPtr() *uint64 { return (*uint64)(unsafe.Pointer(&r.hdr[0])) }
@@ -258,8 +280,10 @@ func shmPad(n int) int { return (n + 7) &^ 7 }
 
 // reserve blocks until at least need contiguous bytes are writable at
 // the tail, emitting a wrap marker when the record would straddle the
-// ring end. It returns the write position, or an error when the world
-// shuts down while waiting. Producer-side only.
+// ring end — or, rewinding, when the ring is drained and the tail is at
+// least one chunk (and one record) past offset zero. It returns the
+// write position, or an error when the world shuts down while waiting.
+// Producer-side only; the caller holds r.mu.
 func (r *shmRing) reserve(need int, w *shmWorld) (pos uint64, err error) {
 	size := uint64(len(r.data))
 	tail := r.loadTail()
@@ -269,18 +293,23 @@ func (r *shmRing) reserve(need int, w *shmWorld) (pos uint64, err error) {
 		free := size - (tail - head)
 		at := tail & r.mask
 		contig := size - at
+		rewind := head == tail && at >= uint64(max(w.cfg.chunkSize, need))
 		required := uint64(need)
 		if uint64(need) > contig {
 			// Wrap marker consumes the ring tail; the record restarts at
 			// offset zero.
 			required = contig + uint64(need)
 		}
-		if free >= required {
-			if uint64(need) > contig {
+		if rewind || free >= required {
+			if rewind || uint64(need) > contig {
 				binary.LittleEndian.PutUint64(r.data[at:], shmWrapBit)
 				tail += contig
 				atomic.StoreUint64(r.tailPtr(), tail)
-				w.wraps.Add(1)
+				if rewind {
+					w.rewinds.Add(1)
+				} else {
+					w.wraps.Add(1)
+				}
 				continue
 			}
 			return tail, nil
@@ -294,13 +323,21 @@ func (r *shmRing) reserve(need int, w *shmWorld) (pos uint64, err error) {
 			continue
 		}
 		w.backpressure.Add(1)
+		// The timeout bounds the lost-wakeup window; the loop re-checks.
+		// One timer per ring, re-armed under the producer lock, keeps a
+		// wait from allocating.
+		if r.timer == nil {
+			r.timer = time.NewTimer(shmSpaceWait)
+		} else {
+			r.timer.Reset(shmSpaceWait)
+		}
 		select {
 		case <-r.space:
 		case <-w.stop:
 			return 0, ErrClosed
-		case <-time.After(100 * time.Microsecond):
-			// Timeout bounds the lost-wakeup window; the loop re-checks.
+		case <-r.timer.C:
 		}
+		r.timer.Stop()
 	}
 }
 
@@ -369,7 +406,8 @@ type ShmStats struct {
 	BytesOut, BytesIn   int64 // payload bytes through the rings
 	Records             int64 // records published (messages and chunks)
 	ChunksOut, ChunksIn int64
-	Wraps               int64 // wrap markers emitted
+	Wraps               int64 // wrap markers emitted at the ring end
+	Rewinds             int64 // wrap markers emitted early, on a drained ring
 	BackpressureEvents  int64 // producer waits on a full ring
 	RingOccupancy       int64 // bytes currently committed and unconsumed
 }
@@ -394,7 +432,7 @@ type shmWorld struct {
 	bytesOut, bytesIn   atomic.Int64
 	records             atomic.Int64
 	chunksOut, chunksIn atomic.Int64
-	wraps               atomic.Int64
+	wraps, rewinds      atomic.Int64
 	backpressure        atomic.Int64
 	occupancy           atomic.Int64
 
@@ -416,6 +454,7 @@ func (w *shmWorld) stats() ShmStats {
 		ChunksOut:          w.chunksOut.Load(),
 		ChunksIn:           w.chunksIn.Load(),
 		Wraps:              w.wraps.Load(),
+		Rewinds:            w.rewinds.Load(),
 		BackpressureEvents: w.backpressure.Load(),
 		RingOccupancy:      w.occupancy.Load(),
 	}
@@ -424,6 +463,20 @@ func (w *shmWorld) stats() ShmStats {
 // newShmWorld maps the shared region and starts one consumer per rank.
 // boxes[i] is rank i's mailbox (shared with the caller, who closes them).
 func newShmWorld(n int, opts ShmOptions, boxes []*mailbox) (*shmWorld, error) {
+	w, err := mapShmWorld(n, opts, boxes)
+	if err != nil {
+		return nil, err
+	}
+	for d := 0; d < n; d++ {
+		w.wg.Add(1)
+		go w.consume(d)
+	}
+	return w, nil
+}
+
+// mapShmWorld maps the shared region and carves it into rings, starting
+// no consumer.
+func mapShmWorld(n int, opts ShmOptions, boxes []*mailbox) (*shmWorld, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -456,10 +509,8 @@ func newShmWorld(n int, opts ShmOptions, boxes []*mailbox) (*shmWorld, error) {
 			space: make(chan struct{}, 1),
 		}
 	}
-	for d := 0; d < n; d++ {
+	for d := range w.wakes {
 		w.wakes[d] = make(chan struct{}, 1)
-		w.wg.Add(1)
-		go w.consume(d)
 	}
 	return w, nil
 }
@@ -555,31 +606,7 @@ func (w *shmWorld) drainRing(src, dst int, box *mailbox, streams map[uint64]*shm
 		return false
 	}
 	for head != tail {
-		at := head & r.mask
-		rec, wrap, err := decodeShmRecord(r.data[at:])
-		if wrap {
-			// Wrap bytes are dead space, not records; the occupancy gauge
-			// tracks record bytes only, so nothing to account here.
-			head += uint64(len(r.data)) - at
-			atomic.StoreUint64(r.headPtr(), head)
-			continue
-		}
-		if err != nil {
-			// A corrupt ring is unrecoverable; drop everything committed
-			// and warn. Only reachable through memory corruption.
-			obs.Warnf("mpi: shm ring %d->%d: %v (dropping ring contents)", src, dst, err)
-			atomic.StoreUint64(r.headPtr(), tail)
-			w.addOccupancy(dst, -int64(tail-head))
-			break
-		}
-		payload := r.data[at+uint64(rec.hdr) : at+uint64(rec.hdr)+uint64(rec.n)]
-		w.deliver(dst, box, streams, rec, payload)
-		step := uint64(shmPad(rec.hdr + rec.n))
-		head += step
-		atomic.StoreUint64(r.headPtr(), head)
-		w.addOccupancy(dst, -int64(step))
-		w.bytesIn.Add(int64(rec.n))
-		w.inCtr[dst].Load().Add(int64(rec.n))
+		head = w.consumeRecord(src, dst, box, streams, head, tail)
 	}
 	// Release a producer blocked on this ring.
 	select {
@@ -589,11 +616,55 @@ func (w *shmWorld) drainRing(src, dst int, box *mailbox, streams map[uint64]*shm
 	return true
 }
 
-// deliver lands one decoded record in the mailbox: whole messages copy
-// into an arena buffer; chunk records reassemble into a pinned envelope.
+// consumeRecord consumes the record (or wrap marker) at head of the
+// (src -> dst) ring, committed up to tail, and returns the new head.
+func (w *shmWorld) consumeRecord(src, dst int, box *mailbox, streams map[uint64]*shmStream, head, tail uint64) uint64 {
+	r := w.ring(src, dst)
+	at := head & r.mask
+	rec, wrap, err := decodeShmRecord(r.data[at:])
+	if wrap {
+		// Wrap bytes are dead space, not records; the occupancy gauge
+		// tracks record bytes only, so nothing to account here.
+		head += uint64(len(r.data)) - at
+		atomic.StoreUint64(r.headPtr(), head)
+		return head
+	}
+	if err != nil {
+		// A corrupt ring is unrecoverable; drop everything committed
+		// and warn. Only reachable through memory corruption.
+		obs.Warnf("mpi: shm ring %d->%d: %v (dropping ring contents)", src, dst, err)
+		atomic.StoreUint64(r.headPtr(), tail)
+		w.addOccupancy(dst, -int64(tail-head))
+		return tail
+	}
+	payload := r.data[at+uint64(rec.hdr) : at+uint64(rec.hdr)+uint64(rec.n)]
+	w.deliver(dst, box, streams, rec, payload)
+	step := uint64(shmPad(rec.hdr + rec.n))
+	head += step
+	atomic.StoreUint64(r.headPtr(), head)
+	w.addOccupancy(dst, -int64(step))
+	w.bytesIn.Add(int64(rec.n))
+	w.inCtr[dst].Load().Add(int64(rec.n))
+	return head
+}
+
+// deliver lands one decoded record in the mailbox. A whole message copies
+// straight into the posted span of the oldest open post it matches when
+// that span is exactly its length — the one copy on the receiving side —
+// and into an arena buffer otherwise. Sequenced (fault-injected) messages
+// always take the arena path, so the mailbox can drop duplicates, and
+// chunk records reassemble into a pinned envelope.
 func (w *shmWorld) deliver(dst int, box *mailbox, streams map[uint64]*shmStream, rec shmRecord, payload []byte) {
 	e := envelope{ctx: rec.ctx, src: rec.src, tag: rec.tag, seq: rec.seq, tc: rec.tc}
 	if rec.typ == shmRecMsg {
+		if rec.n > 0 && rec.seq == 0 {
+			if p := box.claim(e, rec.n); p != nil {
+				copy(p.dst, payload)
+				p.c.counters.countLanded(rec.n)
+				box.commit(p, rec.tc)
+				return
+			}
+		}
 		if rec.n > 0 {
 			e.data = GetBuffer(rec.n)
 			copy(e.data, payload)
@@ -674,15 +745,12 @@ func (t *shmTransport) send(dst int, e envelope) error {
 	return err
 }
 
-// sendZeroCopy implements the zeroCopySender capability: payloads above
-// the chunk threshold stream straight from the caller's buffer into the
-// ring — no staging copy, no arena allocation. The ring write is
-// synchronous, so by the time write returns the caller's buffer is
-// reusable, which is exactly Send's contract.
+// sendZeroCopy implements the zeroCopySender capability at every size:
+// the payload goes straight from the caller's buffer into the ring — one
+// record or a chunk stream — with no staging copy and no arena
+// allocation. The ring write is synchronous, so by the time write returns
+// the caller's buffer is reusable, which is exactly Send's contract.
 func (t *shmTransport) sendZeroCopy(dst int, e envelope) (bool, error) {
-	if !t.w.cfg.chunk || len(e.data) <= t.w.cfg.chunkThreshold {
-		return false, nil
-	}
 	if dst < 0 || dst >= t.w.n {
 		return true, fmt.Errorf("mpi: shm world rank %d out of range", dst)
 	}

@@ -117,9 +117,11 @@ func TestShmRingWraparound(t *testing.T) {
 			}
 			PutBuffer(data)
 		}
-		// The schedule must actually have wrapped.
+		// The schedule must actually have wrapped — at the ring end, or
+		// early on a drained ring, depending on how the consumer kept up
+		// (TestShmRingRewind forces both).
 		tr := c.tr.(*shmTransport)
-		if st := tr.Stats(); st.Wraps == 0 {
+		if st := tr.Stats(); st.Wraps+st.Rewinds == 0 {
 			return errors.New("ring never wrapped")
 		}
 		return nil

@@ -12,11 +12,13 @@ type TrafficStats struct {
 	MessagesRecv int64
 	BytesRecv    int64
 
-	// MessagesLanded / BytesLanded count the sent messages this rank wrote
-	// straight into the receiver's posted destination span (Claim/Commit)
-	// instead of handing a staged payload to the transport. They say which
-	// path ran; the messages are included in the Sent totals here and in
-	// the receiver's Recv totals like any other.
+	// MessagesLanded / BytesLanded count the messages that reached a
+	// posted destination span without an arena payload, on the rank that
+	// wrote them there: a sender counts those it packed straight into the
+	// receiver's span (Claim/Commit, bare inproc), a receiver those its shm
+	// ring consumer copied into its own span (shm, and hier within a node).
+	// They say which path ran; the messages are included in the sender's
+	// Sent and the receiver's Recv totals like any other.
 	MessagesLanded int64
 	BytesLanded    int64
 
@@ -78,8 +80,9 @@ func (t *traffic) countRecv(peer, n int) {
 	}
 }
 
-// countLanded records that a sent message of n bytes was written into the
-// receiver's posted span; countSend counts the message itself.
+// countLanded records that a message of n bytes was written into a posted
+// span by this rank's side; countSend and countRecv count the message
+// itself.
 func (t *traffic) countLanded(n int) {
 	if t == nil {
 		return
