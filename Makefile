@@ -73,7 +73,20 @@ bench:
 
 # size prints the line counts the simplicity acceptance criteria quote:
 # non-test Go outside bench/ (the benchmark is its own module), and the
-# share of it in internal/core.
+# share of it in internal/core. It then lists the exported internal/core
+# identifiers that no non-test Go file (bench/ included) names outside
+# their own declaration — a word grep that skips comment lines, so it is
+# informational: a method sharing a common name is never listed.
 size:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l | xargs echo "non-test Go outside bench/:"
 	@find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo "  of which internal/core:"
+	@echo "exported internal/core identifiers only _test.go files use:"
+	@for id in $$(awk '/^(const|var) \($$/ { blk = 1; next } \
+		blk && /^\)/ { blk = 0; next } \
+		blk && /^\t[A-Z]/ { match($$0, /[A-Z][A-Za-z0-9_]*/); print substr($$0, RSTART, RLENGTH); next } \
+		/^func \([^)]*\) [A-Z]/ { sub(/^func \([^)]*\) /, ""); match($$0, /^[A-Z][A-Za-z0-9_]*/); print substr($$0, RSTART, RLENGTH); next } \
+		/^(func|type|const|var) [A-Z]/ { match($$0, / [A-Z][A-Za-z0-9_]*/); print substr($$0, RSTART + 1, RLENGTH - 1) }' \
+		$$(find internal/core -name '*.go' ! -name '*_test.go') | sort -u); do \
+		n=$$(grep -rhw --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build "$$id" . | grep -cv '^[[:space:]]*//'); \
+		[ "$$n" -le 1 ] && echo "  $$id"; \
+	done; true

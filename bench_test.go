@@ -224,7 +224,7 @@ func BenchmarkAblationP2PvsAlltoallw(b *testing.B) {
 	domain := grid.Box3(0, 0, 0, 64, 32, 32)
 	slabs := grid.Slabs(domain, 2, procs)
 	pencils := grid.Slabs(domain, 0, procs)
-	for _, mode := range []core.ExchangeMode{core.ModeAlltoallw, core.ModePointToPoint, core.ModePointToPointFused} {
+	for _, mode := range []core.ExchangeMode{core.ModeAlltoallw, core.ModePointToPoint} {
 		b.Run(mode.String(), func(b *testing.B) {
 			b.SetBytes(int64(domain.Volume()) * 4)
 			for i := 0; i < b.N; i++ {

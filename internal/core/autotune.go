@@ -150,23 +150,19 @@ func (d *Descriptor) applyStrategy(p *Plan) {
 }
 
 // compileRuns swaps every strided Subarray seg of one direction for its
-// compiled run list, in place — in the round schedule and in the fused
-// fold when one has been taken, which holds copies of the same segs. Run
-// lists pack the same bytes in the same order, so a plan whose types were
-// compiled stays valid for every strategy — a descriptor that later
-// resolves zerocopy on another transport simply gathers through the table
-// it already has.
+// compiled run list, in place, in the round schedule. Run lists pack the
+// same bytes in the same order, so a plan whose types were compiled stays
+// valid for every strategy — a descriptor that later resolves zerocopy on
+// another transport simply gathers through the table it already has.
 func (p *Plan) compileRuns(recv bool) {
-	for _, steps := range [2][]step{p.sched, p.fused} {
-		eachSeg(steps, recv, func(sg *seg) {
-			if sg.span.ok {
-				return
-			}
-			if rl, ok := datatype.CompileRuns(sg.t); ok {
-				sg.t = rl
-			}
-		})
-	}
+	eachSeg(p.sched, recv, func(sg *seg) {
+		if sg.span.ok {
+			return
+		}
+		if rl, ok := datatype.CompileRuns(sg.t); ok {
+			sg.t = rl
+		}
+	})
 }
 
 // tuneDecision returns the cached strategy for key, probing exactly once

@@ -9,19 +9,19 @@ import (
 )
 
 // The memory-bounded plan backend. The one-shot exchange paths stage, per
-// rank, every send and receive region of a round (or, fused, of the whole
-// exchange) at once, so their peak staging footprint is proportional to
-// the data moved — exactly where the paper's in-transit coupling hurts at
-// scale. Following the decomposition of "Memory-efficient array
-// redistribution through portable collective communication" (Rink et
-// al.), CompileBounded rewrites the same transfer as a sequence of
-// bounded-footprint steps: every overlap region is sliced into pieces
-// whose class-rounded wire size fits the configured budget, the slices
-// are packed greedily into steps such that no rank's modeled staging
-// (sends charged to the source, payloads to the destination, both at the
-// arena's class granularity) exceeds the budget within a step, and the
-// exchange executes the steps in order — slice, exchange, place — through
-// the same staging arena and chunked wire lanes as the one-shot paths.
+// rank, every send and receive region of a round at once, so their peak
+// staging footprint is proportional to the data moved — exactly where the
+// paper's in-transit coupling hurts at scale. Following the decomposition
+// of "Memory-efficient array redistribution through portable collective
+// communication" (Rink et al.), CompileBounded rewrites the same transfer
+// as a sequence of bounded-footprint steps: every overlap region is
+// sliced into pieces whose class-rounded wire size fits the configured
+// budget, the slices are packed greedily into steps such that no rank's
+// modeled staging (sends charged to the source, payloads to the
+// destination, both at the arena's class granularity) exceeds the budget
+// within a step, and the exchange executes the steps in order — slice,
+// exchange, place — through the same staging arena and chunked wire lanes
+// as the one-shot paths.
 //
 // The schedule is a pure function of the global geometry, the element
 // size, and the budget, so every rank derives the identical slice list
@@ -180,42 +180,21 @@ func appendSlices(dst []grid.Box, b grid.Box, maxElems int) []grid.Box {
 
 // SingleShotFootprint returns the worst per-rank staging footprint, in
 // class-rounded bytes, that the one-shot exchange paths would reach for
-// this plan's geometry under the given mode: per rank, the largest
-// round's send+receive staging (round modes) or the whole fused
-// schedule's (fused mode). The value is derived from the global geometry
+// this plan's geometry: per rank, the largest round's send+receive
+// staging — both exchange modes stage one round at a time, round r moving
+// each rank's r-th chunk. The value is derived from the global geometry
 // alone, so every rank computes the same number — it is the quantity the
 // bounded backend's auto-selection compares against the budget, keeping
 // the selection collectively consistent.
-func (p *Plan) SingleShotFootprint(mode ExchangeMode) int {
+func (p *Plan) SingleShotFootprint() int {
 	nProcs, rounds := p.nProcs, p.rounds
 	if rounds == 0 {
 		return 0
 	}
-	cls := mpi.BufferClassSize
-	if mode == ModePointToPointFused {
-		// Fused concatenates each peer pair's rounds into one message:
-		// per rank, every outgoing and incoming pair total is staged at
-		// once. pair[src*nProcs+dst] accumulates the pair's bytes.
-		pair := make([]int, nProcs*nProcs)
-		forEachOverlap(p.allChunks, p.allNeeds, func(src, _, dst int, ov grid.Box) {
-			pair[src*nProcs+dst] += ov.Volume() * p.elemSize
-		})
-		worst := 0
-		for r := 0; r < nProcs; r++ {
-			total := 0
-			for peer := 0; peer < nProcs; peer++ {
-				total += cls(pair[r*nProcs+peer]) + cls(pair[peer*nProcs+r])
-			}
-			worst = max(worst, total)
-		}
-		return worst
-	}
-	// Round modes stage one round's sends and receives at a time; round
-	// r moves each rank's r-th chunk.
 	send := make([]int, nProcs*rounds)
 	recv := make([]int, nProcs*rounds)
 	forEachOverlap(p.allChunks, p.allNeeds, func(src, chunk, dst int, ov grid.Box) {
-		n := cls(ov.Volume() * p.elemSize)
+		n := mpi.BufferClassSize(ov.Volume() * p.elemSize)
 		send[src*rounds+chunk] += n
 		recv[dst*rounds+chunk] += n
 	})
@@ -346,13 +325,17 @@ func compileBounded(p *Plan, budget int) (*boundedPlan, error) {
 // worst single-shot footprint exceeds the budget, absent otherwise. The
 // decision derives from collectively shared inputs only, so every rank
 // takes the same branch. Plans are cached per descriptor and the budget
-// and mode are descriptor constants, so attaching once is stable across
-// cache replays.
+// is a descriptor constant, so attaching once is stable across cache
+// replays; the footprint is computed on the plan's first budgeted setup
+// and kept on it for pipelineDepth's clamp.
 func (d *Descriptor) ensureBounded(p *Plan) error {
 	if d.budget <= 0 {
 		return nil
 	}
-	if p.SingleShotFootprint(d.mode) <= d.budget {
+	if p.shot == 0 {
+		p.shot = p.SingleShotFootprint()
+	}
+	if p.shot <= d.budget {
 		p.bounded = nil
 		return nil
 	}

@@ -145,9 +145,12 @@ func runFullOracle(t *testing.T, oldNeeds, newNeeds []grid.Box, elemSize int) []
 // plans yields buffers byte-identical to a full re-exchange that treats
 // the old needs as owned chunks, and both match the closed-form
 // prediction (canonical value where any old rank held the cell, sentinel
-// elsewhere).
+// elsewhere). Delta is the one backend whose messages carry several segs,
+// so this is also the test that drives the executor's multi-seg gather
+// and scatter; the sweep must include at least one such message.
 func TestCompileDeltaDifferential(t *testing.T) {
 	const elemSize = 4
+	multiSeg := 0
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(6)
@@ -174,6 +177,11 @@ func TestCompileDeltaDifferential(t *testing.T) {
 				if !reflect.DeepEqual(f.one, f.want) {
 					t.Fatalf("seed %d rank %d: per-rank %s diverge from CompileDelta\nper-rank: %+v\nall:      %+v",
 						seed, r, f.name, f.one, f.want)
+				}
+			}
+			for _, m := range all.sched[0].sends {
+				if len(m.segs) > 1 {
+					multiSeg++
 				}
 			}
 		}
@@ -209,6 +217,9 @@ func TestCompileDeltaDifferential(t *testing.T) {
 					seed, r, p.RetainedBytes(), p.ReceivedBytes(), uncov, p.NeedBytes())
 			}
 		}
+	}
+	if multiSeg == 0 {
+		t.Error("no delta message carried more than one seg: the multi-seg gather and scatter went unexercised")
 	}
 }
 

@@ -113,28 +113,19 @@ const (
 	// receives between the ranks that actually share data — the
 	// optimization the paper proposes as future work for sparse mappings.
 	ModePointToPoint ExchangeMode = iota
-	// ModePointToPointFused goes one step further: all rounds are fused
-	// into a single message per peer pair, trading the per-round latency
-	// of many-chunk layouts (the paper's round-robin case pays one
-	// collective per chunk) for one exchange phase.
-	ModePointToPointFused
 	// ModeAlltoallw drives one alltoallw collective per round, the
-	// mechanism the paper implements. It is the reference the other modes
-	// are tested against and the experiments reproduce the paper with:
+	// mechanism the paper implements. It is the reference the default is
+	// tested against and the experiments reproduce the paper with:
 	// serial, fail-fast (no WithExchangeDeadline), and it reports no
 	// pack/wire/unpack split.
 	ModeAlltoallw
 )
 
 func (m ExchangeMode) String() string {
-	switch m {
-	case ModePointToPointFused:
-		return "point-to-point-fused"
-	case ModeAlltoallw:
+	if m == ModeAlltoallw {
 		return "alltoallw"
-	default:
-		return "point-to-point"
 	}
+	return "point-to-point"
 }
 
 // Descriptor describes the data being redistributed and, after
@@ -195,13 +186,9 @@ type Descriptor struct {
 	rowSend, rowRecv []datatype.Type
 
 	// Pipeline state: the depth the most recent exchange actually ran at
-	// (after geometry and budget clamping), its overlap ratio, and the
-	// cached single-shot footprint the budget clamp divides by (recomputed
-	// when the plan fingerprint changes).
+	// (after geometry and budget clamping) and its overlap ratio.
 	lastDepth   int
 	lastOverlap float64
-	pipeShotFP  uint64
-	pipeShot    int
 }
 
 // exchObs is the observation context threaded through the exchange
@@ -289,7 +276,11 @@ func (d *Descriptor) buildObs(rank int) {
 // Option configures a Descriptor.
 type Option func(*Descriptor)
 
-// WithExchangeMode selects the wire mechanism (default ModePointToPoint).
+// WithExchangeMode selects the wire mechanism: ModePointToPoint (the
+// default), the step executor replaying the plan's rounds — or its
+// bounded rewrite under WithMemoryBudget — as direct sends and receives;
+// or ModeAlltoallw, the paper's one collective per round, kept as the
+// reference.
 func WithExchangeMode(m ExchangeMode) Option {
 	return func(d *Descriptor) { d.mode = m }
 }
@@ -352,8 +343,8 @@ const DefaultPipelineDepth = 2
 // Depth 1 restores strictly serial rounds. The effective depth of an
 // exchange is additionally clamped by the plan's round (or step) count
 // and — when WithMemoryBudget is set — by the budget, so k-deep staging
-// never exceeds it; single-round geometries and the fused and alltoallw
-// modes always run serially. Results are byte-identical at every depth.
+// never exceeds it; single-round geometries and ModeAlltoallw always run
+// serially. Results are byte-identical at every depth.
 func WithPipelineDepth(k int) Option {
 	return func(d *Descriptor) { d.depth = k }
 }

@@ -85,7 +85,7 @@ func stripWorld(n, side, chunksPerRank int, columnNeeds bool) (ownAll [][]grid.B
 func TestWorkerPoolSizes(t *testing.T) {
 	sizes := []int{1, 2, runtime.GOMAXPROCS(0), 4}
 	for _, par := range sizes {
-		for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint, ModePointToPointFused} {
+		for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
 			for _, columns := range []bool{false, true} {
 				name := fmt.Sprintf("par%d/%v/columns=%v", par, mode, columns)
 				t.Run(name, func(t *testing.T) {
@@ -99,11 +99,10 @@ func TestWorkerPoolSizes(t *testing.T) {
 
 // TestZeroCopyMatchesStaged verifies the contiguous fast path against the
 // fully staged path on a geometry where every region is contiguous
-// (row strips to row slabs), including partially contiguous fused
-// messages (two rounds contribute to one peer).
+// (row strips to row slabs).
 func TestZeroCopyMatchesStaged(t *testing.T) {
 	ownAll, needAll := stripWorld(4, 32, 2, false)
-	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint, ModePointToPointFused} {
+	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
 		engineWorld(t, 4, mode, 4, ownAll, needAll)
 		engineWorld(t, 4, mode, 4, ownAll, needAll, withPackStrategy(StrategyDatatype))
 	}
@@ -114,7 +113,7 @@ func TestZeroCopyMatchesStaged(t *testing.T) {
 // the arena and all bookkeeping reuses descriptor scratch. The geometry
 // forces a strided self-exchange, the pooled staging path.
 func TestZeroAllocSteadyState(t *testing.T) {
-	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint, ModePointToPointFused} {
+	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
 		t.Run(mode.String(), func(t *testing.T) {
 			array := grid.Box2(0, 0, 8, 8)
 			need := grid.Box2(1, 1, 6, 6) // interior: strided in the 8x8 array
@@ -187,21 +186,6 @@ func TestSentinelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// MultiDescriptor shares the classification.
-	err = mpi.Launch(1, func(c *mpi.Comm) error {
-		md, err := NewMultiDescriptor(1, Layout1D, Uint8)
-		if err != nil {
-			return err
-		}
-		if err := md.ReorganizeData(c, nil, nil); !errors.Is(err, ErrNoMapping) {
-			return fmt.Errorf("multi pre-mapping exchange: got %v, want ErrNoMapping", err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestLastTimingsDefensiveCopy verifies the returned timings are the
@@ -255,7 +239,7 @@ func TestLastTimingsDefensiveCopy(t *testing.T) {
 // abandoned when the context expires, while the peer — whose inputs were
 // already sent eagerly — still completes its own exchange.
 func TestReorganizeDataCtxCancel(t *testing.T) {
-	for _, mode := range []ExchangeMode{ModePointToPoint, ModePointToPointFused} {
+	for _, mode := range []ExchangeMode{ModePointToPoint} {
 		t.Run(mode.String(), func(t *testing.T) {
 			domain := grid.Box1(0, 8)
 			halves := grid.Slabs(domain, 0, 2)
@@ -393,7 +377,7 @@ func BenchmarkReorganizeEngine(b *testing.B) {
 		{"parallel", []Option{withPackStrategy(StrategyDatatype)}},
 		{"zerocopy", nil},
 	}
-	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint, ModePointToPointFused} {
+	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
 		for _, cfg := range configs {
 			b.Run(fmt.Sprintf("%v/%s", mode, cfg.name), func(b *testing.B) {
 				benchEngineConfig(b, mode, cfg.opts...)

@@ -10,7 +10,7 @@ import (
 )
 
 // plansIdentical compares two compiled plans entry by entry — summaries
-// (peers, sizes, spans, fused schedule), schedule stats, and the
+// (peers, sizes, spans), schedule stats, and the
 // self-transfer entries the summary's peer lists exclude.
 func plansIdentical(t *testing.T, label string, want, got *Plan) {
 	t.Helper()

@@ -14,14 +14,14 @@ import (
 )
 
 // The exchange executor. Every point-to-point redistribution — rounds,
-// fused, memory-bounded, elastic resize, multi-need — is an ordered list
-// of steps (after Rink et al., "Memory-efficient array redistribution
-// through portable collective communication"), each a set of messages
-// moved under one staging footprint, and this file is the only code that
-// runs one: it owns the transport calls, staging, deadline and lost-peer
-// handling, trace stamps, round timings and abort cleanup. The backends
-// are compilers that emit []step (mapping.go and its fused fold in
-// steps.go, bounded.go, delta.go, multi.go). ModeAlltoallw alone keeps
+// memory-bounded, elastic resize — is an ordered list of steps (after
+// Rink et al., "Memory-efficient array redistribution through portable
+// collective communication"), each a set of messages moved under one
+// staging footprint, and this file is the only code that runs one: it
+// owns the transport calls, staging, deadline and lost-peer handling,
+// trace stamps, round timings and abort cleanup. The backends are
+// compilers that emit []step: the plan's round schedule (mapping.go) and
+// its two rewrites (bounded.go, delta.go). ModeAlltoallw alone keeps
 // its own round loop (reorganize.go), because it is the paper-fidelity
 // oracle the differential tests compare this against.
 //
@@ -159,8 +159,8 @@ type message struct {
 }
 
 // appendSeg adds sg to the message for peer at the tail of msgs, opening
-// it first if the tail belongs to another peer — how the multi-seg
-// compilers fold a peer-major run of regions into one message per peer.
+// it first if the tail belongs to another peer — how the delta compiler
+// folds a peer-major run of regions into one message per peer.
 func appendSeg(msgs []message, peer, tag int, sg seg) []message {
 	if n := len(msgs); n == 0 || msgs[n-1].peer != peer {
 		msgs = append(msgs, message{peer: peer, tag: tag})

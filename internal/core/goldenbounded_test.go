@@ -38,7 +38,7 @@ func TestGoldenBoundedPlans(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fp := p.SingleShotFootprint(ModePointToPoint); fp <= budget {
+			if fp := p.SingleShotFootprint(); fp <= budget {
 				t.Fatalf("fixture budget %d does not force the bounded backend (footprint %d)", budget, fp)
 			}
 			if err := CompileBoundedForTest(p, budget); err != nil {

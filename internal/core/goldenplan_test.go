@@ -16,8 +16,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden plan fixtures under testdata/")
 
 // Golden-plan fixtures pin the full compiled exchange schedule — rounds,
-// per-round peer lists, per-entry packed sizes and contiguity spans, and
-// the fused schedule — for one representative geometry per layout
+// per-round peer lists, per-entry packed sizes and contiguity spans —
+// for one representative geometry per layout
 // dimensionality, in the shape of the paper's mapping cases. Any change
 // to the geometry/mapping math shows up as a fixture diff instead of
 // silently reshaping the traffic. Regenerate with: go test ./internal/core

@@ -45,12 +45,16 @@ type Plan struct {
 	// contiguous receive no scatter — detected at compile time so the
 	// exchange fast paths pay no per-call analysis). It holds one seg per
 	// actual overlap, O(overlaps) rather than O(rounds·procs) state. Every
-	// reader of the plan reads this list: the step executor replays it,
-	// ModePointToPointFused folds it peer-major (steps.go), the alltoallw
-	// oracle scatters a round's segs into its dense rows, and the summary,
-	// the autotuner and the test hooks walk it.
+	// reader of the plan reads this list: the step executor replays it, the
+	// alltoallw oracle scatters a round's segs into its dense rows, and the
+	// summary, the autotuner and the test hooks walk it.
 	sched []step
-	fused []step // sched folded to one message per peer, on first fused use
+
+	// shot is the geometry's SingleShotFootprint, stored by ensureBounded
+	// when a WithMemoryBudget descriptor maps it (0 otherwise): the budget
+	// both selects the backend against it and clamps the pipeline depth
+	// by it.
+	shot int
 
 	// bounded is the memory-bounded step schedule, attached by
 	// ensureBounded when a WithMemoryBudget descriptor maps a geometry

@@ -118,9 +118,9 @@ type cacheKey struct {
 }
 
 // planCache is a small LRU of compiled plans, generic over the plan type
-// so the single-need Descriptor (*Plan) and the MultiDescriptor
-// (*multiPlan) share one implementation. Like the descriptors that embed
-// it, it is not safe for concurrent use.
+// so the Descriptor (*Plan) and the DeltaCompiler (*DeltaPlan) share one
+// implementation. Like the owners that embed it, it is not safe for
+// concurrent use.
 type planCache[T any] struct {
 	limit int
 	ll    *list.List // front = most recently used

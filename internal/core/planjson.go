@@ -1,8 +1,7 @@
 package core
 
 // The plan summary is the canonical JSON shape of a compiled plan: rounds,
-// per-round peer lists with packed sizes and contiguity spans, and the
-// fused schedule. It is what the golden-plan fixtures under testdata/ pin
+// per-round peer lists with packed sizes and contiguity spans. It is what the golden-plan fixtures under testdata/ pin
 // and what the compiler-equivalence tests compare, so its field set and
 // JSON tags are part of the fixture format — changing either invalidates
 // checked-in fixtures.
@@ -27,20 +26,11 @@ type RoundSummary struct {
 	Recvs []EntrySummary `json:"recvs"`
 }
 
-// FusedSummary is one peer of the fused schedule.
-type FusedSummary struct {
-	Peer  int `json:"peer"`
-	Bytes int `json:"bytes"`
-	One   int `json:"one_round"`
-}
-
 // PlanSummary is the serialized summary of one rank's compiled plan.
 type PlanSummary struct {
 	Rank       int            `json:"rank"`
 	Rounds     int            `json:"rounds"`
 	RoundPlans []RoundSummary `json:"round_plans"`
-	FusedSends []FusedSummary `json:"fused_sends"`
-	FusedRecvs []FusedSummary `json:"fused_recvs"`
 }
 
 // summarizeRound serializes one direction of one round's step — its
@@ -64,24 +54,5 @@ func (p *Plan) Summary() PlanSummary {
 		st := &p.sched[r]
 		out.RoundPlans = append(out.RoundPlans, RoundSummary{Sends: summarizeRound(st.sends), Recvs: summarizeRound(st.recvs)})
 	}
-	out.FusedSends = fusedSummary(p.sched, false)
-	out.FusedRecvs = fusedSummary(p.sched, true)
-	return out
-}
-
-// fusedSummary folds one direction of the schedule per peer: the bytes of
-// all the peer's rounds and, when exactly one round contributes, that
-// round's index (the fused message is then a single seg, eligible for the
-// zero-copy send) — else -1.
-func fusedSummary(sched []step, recv bool) []FusedSummary {
-	out := []FusedSummary{}
-	byPeer(sched, recv, func(r int, m *message) {
-		if n := len(out); n == 0 || out[n-1].Peer != m.peer {
-			out = append(out, FusedSummary{Peer: m.peer, One: r})
-		} else {
-			out[n-1].One = -1
-		}
-		out[len(out)-1].Bytes += m.bytes
-	})
 	return out
 }

@@ -15,8 +15,7 @@ import (
 
 // RoundTiming records the wall-clock cost of one exchange round of the
 // most recent ReorganizeData call, along with the bytes this rank sent to
-// other ranks in that round. Fused mode reports a single entry covering
-// the whole exchange; bounded exchanges report one entry per step.
+// other ranks in that round. Bounded exchanges report one entry per step.
 //
 // Duration is the round's contribution to the exchange's wall time. The
 // sub-durations decompose it against the wire: Pack covers staging the
@@ -28,8 +27,8 @@ import (
 // Wire + Unpack; a pipelined round only pays the part of the wire span
 // it actually blocked on (Duration = Pack + blocked + Unpack), which is
 // what makes overlap efficiency computable from timings alone — see
-// OverlapRatio. Every step-executor path — the default mode, fused,
-// bounded, delta — fills the sub-durations; only ModeAlltoallw, which
+// OverlapRatio. Every step-executor path — the default mode, bounded,
+// delta — fills the sub-durations; only ModeAlltoallw, which
 // delegates the whole phase to the reference collective, leaves them zero.
 type RoundTiming struct {
 	Round     int
@@ -234,13 +233,11 @@ func (d *Descriptor) ReorganizeDataCtx(ctx context.Context, c *mpi.Comm, own [][
 func (d *Descriptor) schedule(p *Plan) (steps []step, k int, stepped bool) {
 	switch {
 	case p.bounded != nil:
-		return p.bounded.sched, d.pipelineDepth(p, p.bounded.steps, p.bounded.peak), true
-	case d.mode == ModePointToPointFused:
-		return p.fusedSteps(), 1, true
+		return p.bounded.sched, d.pipelineDepth(p.bounded.steps, p.bounded.peak), true
 	case d.mode == ModeAlltoallw:
 		return nil, 1, false
 	}
-	return p.sched, d.pipelineDepth(p, p.rounds, 0), true
+	return p.sched, d.pipelineDepth(p.rounds, p.shot), true
 }
 
 // pipelineDepth resolves the depth an exchange may run at: the
@@ -248,24 +245,16 @@ func (d *Descriptor) schedule(p *Plan) (steps []step, k int, stepped bool) {
 // is set — by the lease model: the in-flight window holds at most k+1
 // per-step staging footprints (k receive leases plus the step being
 // packed), so k is lowered until (k+1)·footprint fits the budget. perStep
-// is the bounded schedule's modeled per-step footprint; 0 selects the
-// one-shot footprint of the plan's geometry, cached per plan
-// fingerprint. Depth 1 needs a single footprint, which backend selection
-// already proved against the budget.
-func (d *Descriptor) pipelineDepth(p *Plan, steps, perStep int) int {
+// is the bounded schedule's modeled per-step footprint, or the one-shot
+// footprint ensureBounded stored on the plan. Depth 1 needs a single
+// footprint, which backend selection already proved against the budget.
+func (d *Descriptor) pipelineDepth(steps, perStep int) int {
 	k := min(d.depth, steps)
 	if k <= 1 {
 		return 1
 	}
 	if d.budget <= 0 {
 		return k
-	}
-	if perStep == 0 {
-		if d.pipeShotFP != p.fp || d.pipeShot == 0 {
-			d.pipeShot = p.SingleShotFootprint(d.mode)
-			d.pipeShotFP = p.fp
-		}
-		perStep = d.pipeShot
 	}
 	if perStep <= 0 {
 		return k

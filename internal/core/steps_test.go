@@ -178,7 +178,7 @@ func TestStepScheduleConservation(t *testing.T) {
 				}
 			}
 		}
-		fp := bc.footprint(t, ModePointToPoint)
+		fp := bc.footprint(t)
 		tiers := []int{max(fp/2, 1<<minStagingShift), max(fp/8, 1<<minStagingShift), 1 << minStagingShift}
 
 		type backend struct {
@@ -192,13 +192,6 @@ func TestStepScheduleConservation(t *testing.T) {
 				var out [][]step
 				for _, p := range plans(t) {
 					out = append(out, p.sched)
-				}
-				return out
-			}},
-			{"fused", 0, overlaps, func(t *testing.T) [][]step {
-				var out [][]step
-				for _, p := range plans(t) {
-					out = append(out, p.fusedSteps())
 				}
 				return out
 			}},
@@ -249,45 +242,6 @@ func TestStepScheduleConservation(t *testing.T) {
 			var out [][]step
 			for _, p := range dps {
 				out = append(out, p.sched)
-			}
-			return out
-		}})
-
-		// Multi: each rank needs its box as two halves, two destination
-		// buffers per rank.
-		multiNeeds := make([][]grid.Box, bc.nProcs)
-		multiWant := map[cellKey]int{}
-		for r, need := range bc.needs {
-			multiNeeds[r] = []grid.Box{need}
-			if need.Dims[0] > 1 {
-				multiNeeds[r] = grid.Slabs(need, 0, 2)
-			}
-			for src, chunks := range bc.chunks {
-				for _, chunk := range chunks {
-					for ni, nb := range multiNeeds[r] {
-						if ov, ok := chunk.Intersect(nb); ok {
-							addCells(multiWant, src, r, ni, ov)
-						}
-					}
-				}
-			}
-		}
-		backends = append(backends, backend{"multi", 0, multiWant, func(t *testing.T) [][]step {
-			out := make([][]step, bc.nProcs)
-			err := mpi.Launch(bc.nProcs, func(c *mpi.Comm) error {
-				d, err := NewMultiDescriptor(bc.nProcs, bc.layout, Uint8)
-				if err != nil {
-					return err
-				}
-				d.elemSize = bc.elemSize
-				if err := d.SetupDataMapping(c, bc.chunks[c.Rank()], multiNeeds[c.Rank()]); err != nil {
-					return err
-				}
-				out[c.Rank()] = d.plan.sched
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
 			return out
 		}})

@@ -49,7 +49,7 @@ func telemetryWorldOn(launch []mpi.LaunchOption, iters int, opts ...Option) erro
 // per-rank mapping/exchange spans the acceptance criteria call for.
 func TestTelemetryPopulatedAllModes(t *testing.T) {
 	const n = 4
-	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint, ModePointToPointFused} {
+	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
 		t.Run(mode.String(), func(t *testing.T) {
 			reg := obs.NewRegistry()
 			rec := trace.NewRecorder()
@@ -93,7 +93,7 @@ func TestTelemetryPopulatedAllModes(t *testing.T) {
 				if got["mapping"] != 1 || got["exchange"] != 2 {
 					t.Errorf("rank %d spans %v, want mapping=1 exchange=2", r, got)
 				}
-				if mode != ModePointToPointFused && got["round"] != 2 {
+				if got["round"] != 2 {
 					t.Errorf("rank %d round spans = %d, want 2", r, got["round"])
 				}
 			}
@@ -129,20 +129,18 @@ func TestTelemetryPackUnpackObserved(t *testing.T) {
 		"shm":    {mpi.WithTransport(mpi.TransportShm), mpi.WithFaultInjector(nil)},
 	}
 	for name, launch := range transports {
-		for _, mode := range []ExchangeMode{ModePointToPoint, ModePointToPointFused} {
-			reg := obs.NewRegistry()
-			if err := telemetryWorldOn(launch, 1, WithExchangeMode(mode), WithMetrics(reg)); err != nil {
-				t.Fatal(err)
-			}
-			var packs, unpacks, landed int64
-			for r := 0; r < 4; r++ {
-				packs += reg.Histogram("ddr_pack_seconds", "", nil, obs.RankLabel(r)).Count()
-				unpacks += reg.Histogram("ddr_unpack_seconds", "", nil, obs.RankLabel(r)).Count()
-				landed += reg.Counter("ddr_landed_messages_total", "", obs.RankLabel(r)).Value()
-			}
-			if packs != 4*3 || unpacks != 4*3-landed {
-				t.Errorf("%s %v: %d packs, %d unpacks, %d landed; want 12 packs and 12-landed unpacks", name, mode, packs, unpacks, landed)
-			}
+		reg := obs.NewRegistry()
+		if err := telemetryWorldOn(launch, 1, WithMetrics(reg)); err != nil {
+			t.Fatal(err)
+		}
+		var packs, unpacks, landed int64
+		for r := 0; r < 4; r++ {
+			packs += reg.Histogram("ddr_pack_seconds", "", nil, obs.RankLabel(r)).Count()
+			unpacks += reg.Histogram("ddr_unpack_seconds", "", nil, obs.RankLabel(r)).Count()
+			landed += reg.Counter("ddr_landed_messages_total", "", obs.RankLabel(r)).Value()
+		}
+		if packs != 4*3 || unpacks != 4*3-landed {
+			t.Errorf("%s: %d packs, %d unpacks, %d landed; want 12 packs and 12-landed unpacks", name, packs, unpacks, landed)
 		}
 	}
 }
@@ -188,7 +186,7 @@ func benchmarkReorganize(b *testing.B, opts ...Option) {
 // The "off" variants are the regression guard: detached descriptors must
 // not pay for the telemetry layer.
 func BenchmarkReorganizeTelemetry(b *testing.B) {
-	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint, ModePointToPointFused} {
+	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
 		b.Run(fmt.Sprintf("%v/off", mode), func(b *testing.B) {
 			benchmarkReorganize(b, WithExchangeMode(mode))
 		})

@@ -87,15 +87,10 @@ func hideRecvSpans(sched []step) {
 }
 
 // PerturbPlanForTest plants shiftRecvSeg's bug in the plan's round
-// schedule (a fused fold already taken of it is dropped, to be folded
-// again from the shifted segs), so the property-based harness can prove it
-// detects plan-compilation bugs. Never call outside tests.
+// schedule, so the property-based harness can prove it detects
+// plan-compilation bugs. Never call outside tests.
 func (p *Plan) PerturbPlanForTest() bool {
-	if p == nil || !shiftRecvSeg(p.sched, p.elemSize, p.need) {
-		return false
-	}
-	p.fused = nil
-	return true
+	return p != nil && shiftRecvSeg(p.sched, p.elemSize, p.need)
 }
 
 // PerturbBoundedForTest plants shiftRecvSeg's bug in the plan's bounded

@@ -220,7 +220,7 @@ func TestFlightDumpOnSeveredPeer(t *testing.T) {
 // ReorganizeData must not allocate — exchange-ID minting stays, but the
 // context push and span stamping are gated off entirely.
 func TestTracingDetachedZeroAlloc(t *testing.T) {
-	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint, ModePointToPointFused} {
+	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
 		t.Run(mode.String(), func(t *testing.T) {
 			array := grid.Box2(0, 0, 8, 8)
 			need := grid.Box2(1, 1, 6, 6)

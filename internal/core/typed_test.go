@@ -138,27 +138,26 @@ func TestTypedWrapperElemSizeChecks(t *testing.T) {
 	}
 }
 
-// TestFusedModeManyChunks stresses ModePointToPointFused on the layout it
-// was designed for: round-robin ownership with many chunks per rank,
-// where the per-round modes pay one exchange per chunk.
-func TestFusedModeManyChunks(t *testing.T) {
+// TestManyChunksPerRank stresses the default mode on round-robin
+// ownership with many chunks per rank: sixteen rounds, so the pipeline
+// keeps a full window in flight for most of the exchange.
+func TestManyChunksPerRank(t *testing.T) {
 	const n = 4
-	domain := grid.Box3(0, 0, 0, 8, 4, 20)
+	domain := grid.Box3(0, 0, 0, 8, 4, 64)
 	chunksAll := grid.RoundRobinSlices(domain, 2, n)
 	nx, ny, nz := grid.Factor3(n)
 	needs := grid.Bricks3D(domain, nx, ny, nz)
 	err := mpi.Launch(n, func(c *mpi.Comm) error {
 		mine := chunksAll[c.Rank()]
-		desc, err := NewDescriptor(n, Layout3D, Uint8,
-			WithExchangeMode(ModePointToPointFused), WithValidation())
+		desc, err := NewDescriptor(n, Layout3D, Uint8, WithValidation())
 		if err != nil {
 			return err
 		}
 		if err := desc.SetupDataMapping(c, mine, needs[c.Rank()]); err != nil {
 			return err
 		}
-		if got := desc.Plan().Rounds(); got != 5 {
-			return fmt.Errorf("rounds = %d, want 5", got)
+		if got := desc.Plan().Rounds(); got != 16 {
+			return fmt.Errorf("rounds = %d, want 16", got)
 		}
 		bufs := make([][]byte, len(mine))
 		for i, b := range mine {

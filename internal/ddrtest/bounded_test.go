@@ -28,7 +28,7 @@ func boundedTiers(t *testing.T, tc *Case) (tiers []int, footprint int) {
 	if err != nil {
 		t.Fatalf("%v: offline plan: %v", tc, err)
 	}
-	footprint = p.SingleShotFootprint(tc.Mode)
+	footprint = p.SingleShotFootprint()
 	for _, b := range []int{footprint / 2, footprint / 8, 256} {
 		if b < 256 {
 			b = 256

@@ -97,7 +97,6 @@ func schedules() []schedule {
 var propertyModes = []core.ExchangeMode{
 	core.ModeAlltoallw,
 	core.ModePointToPoint,
-	core.ModePointToPointFused,
 }
 
 // runOne executes one (seed, mode, schedule) combination and fails the

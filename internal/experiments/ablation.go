@@ -13,8 +13,7 @@ import (
 
 // AblationRow is one chunk-count configuration of the exchange-mode
 // study: the same redistribution executed with the paper's alltoallw
-// mechanism, the future-work point-to-point mode, and this repository's
-// fused variant.
+// mechanism and its future-work point-to-point mode.
 type AblationRow struct {
 	ChunksPerRank int
 	Rounds        int
@@ -23,10 +22,9 @@ type AblationRow struct {
 
 	Alltoallw time.Duration // total wall time for `reps` redistributions
 	P2P       time.Duration
-	Fused     time.Duration
 }
 
-// ExchangeModeAblation measures all three exchange modes on round-robin
+// ExchangeModeAblation measures both exchange modes on round-robin
 // slice ownership with the given chunks-per-rank counts, redistributing
 // into near-cube bricks on `procs` in-process ranks, `reps` times per
 // mode. The sparsity column (MaxPeers) explains when point-to-point wins:
@@ -69,7 +67,7 @@ func ExchangeModeAblation(procs int, domain grid.Box, chunkCounts []int, reps in
 		row.Rounds = s.Rounds
 		row.MaxPeers = s.MaxPeersPerRound
 
-		for _, mode := range []core.ExchangeMode{core.ModeAlltoallw, core.ModePointToPoint, core.ModePointToPointFused} {
+		for _, mode := range []core.ExchangeMode{core.ModeAlltoallw, core.ModePointToPoint} {
 			var (
 				mu  sync.Mutex
 				dur time.Duration
@@ -114,13 +112,10 @@ func ExchangeModeAblation(procs int, domain grid.Box, chunkCounts []int, reps in
 			if err != nil {
 				return nil, err
 			}
-			switch mode {
-			case core.ModeAlltoallw:
+			if mode == core.ModeAlltoallw {
 				row.Alltoallw = dur
-			case core.ModePointToPoint:
+			} else {
 				row.P2P = dur
-			default:
-				row.Fused = dur
 			}
 		}
 		rows = append(rows, row)
@@ -130,15 +125,14 @@ func ExchangeModeAblation(procs int, domain grid.Box, chunkCounts []int, reps in
 
 // WriteAblation renders the exchange-mode study.
 func WriteAblation(w io.Writer, rows []AblationRow, reps int) {
-	fmt.Fprintf(w, "Exchange-mode ablation (%d redistributions per cell, %d ranks; alltoallw = paper, p2p = paper future work, fused = extension)\n",
+	fmt.Fprintf(w, "Exchange-mode ablation (%d redistributions per cell, %d ranks; alltoallw = paper, p2p = paper future work)\n",
 		reps, rows[0].Ranks)
-	fmt.Fprintf(w, "%-14s %7s %10s %12s %12s %12s\n",
-		"chunks/rank", "rounds", "peers", "alltoallw", "p2p", "p2p-fused")
+	fmt.Fprintf(w, "%-14s %7s %10s %12s %12s\n",
+		"chunks/rank", "rounds", "peers", "alltoallw", "p2p")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-14d %7d %6d/%-3d %12s %12s %12s\n",
+		fmt.Fprintf(w, "%-14d %7d %6d/%-3d %12s %12s\n",
 			r.ChunksPerRank, r.Rounds, r.MaxPeers, r.Ranks-1,
 			r.Alltoallw.Round(time.Microsecond),
-			r.P2P.Round(time.Microsecond),
-			r.Fused.Round(time.Microsecond))
+			r.P2P.Round(time.Microsecond))
 	}
 }

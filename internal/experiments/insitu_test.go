@@ -44,7 +44,7 @@ func TestExchangeModeAblation(t *testing.T) {
 		t.Errorf("rounds %d/%d, want 1/4", rows[0].Rounds, rows[1].Rounds)
 	}
 	for _, r := range rows {
-		if r.Alltoallw <= 0 || r.P2P <= 0 || r.Fused <= 0 {
+		if r.Alltoallw <= 0 || r.P2P <= 0 {
 			t.Errorf("chunks=%d: missing timings %+v", r.ChunksPerRank, r)
 		}
 		if r.MaxPeers < 1 || r.MaxPeers > r.Ranks-1 {

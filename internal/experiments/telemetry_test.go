@@ -118,7 +118,7 @@ func TestAblationTelemetry(t *testing.T) {
 	if _, err := ExchangeModeAblation(4, grid.Box3(0, 0, 0, 16, 16, 32), []int{1, 2}, 2, tel); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{"alltoallw", "point-to-point", "point-to-point-fused"} {
+	for _, mode := range []string{"alltoallw", "point-to-point"} {
 		for r := 0; r < 4; r++ {
 			h := tel.Metrics.Histogram("ddr_exchange_seconds", "", nil,
 				obs.RankLabel(r), obs.Label{Key: "mode", Value: mode})

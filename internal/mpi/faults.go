@@ -105,7 +105,7 @@ func defaultInjector() FaultInjector {
 
 const (
 	faultMaxRetries     = 6
-	faultRetryBackoff   = 200 * time.Microsecond
+	faultBackoff        = 200 * time.Microsecond
 	faultReorderWait    = 200 * time.Microsecond
 	faultLinkQueueDepth = 1024
 )
@@ -315,7 +315,7 @@ func (t *faultTransport) process(l *faultLink, e envelope) bool {
 			faultStats.retries.Add(1)
 			t.obsRetries.Load().Add(1)
 			t.recordFlight(obs.FlightRetry, l.dst, &e)
-			time.Sleep(faultRetryBackoff << uint(attempt))
+			time.Sleep(faultBackoff << uint(attempt))
 			continue
 		}
 		if f.Reorder {

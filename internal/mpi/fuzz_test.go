@@ -290,7 +290,7 @@ func realV2Corpus() [][]byte {
 
 // realV3Corpus returns sequenced (v3) streams: sequenced messages, an
 // in-stream duplicate, and a sequenced chunk stream followed by its full
-// replay — the shape a post-reconnect retransmission produces.
+// replay — the shape a fault injector's duplicate produces.
 func realV3Corpus() [][]byte {
 	var msgs []byte
 	msgs = append(msgs, buildWireFrame(frameMsgSeq, 1, 2, 7, []byte("one"), 0, 0, 1)...)
@@ -326,9 +326,10 @@ func (s *countingSink) complete(p *chunkPending) {
 	s.fuzzSink.complete(p)
 }
 
-// FuzzTCPSeqFrameDecoder drives the v3 (sequence-numbered, retry-enabled)
+// FuzzTCPSeqFrameDecoder drives the v3 (sequenced, fault-injected)
 // decoder path with a shared dedupe table across two decode passes of the
-// same bytes — the exact shape of a post-reconnect retransmission. The
+// same bytes — every sequenced message replayed, as an injector's
+// duplicates are. The
 // properties: totality (no panic, hang, or out-of-bounds), and
 // idempotency — when the first pass consumed the whole input cleanly, a
 // full replay must not deliver any sequenced message again.

@@ -439,8 +439,6 @@ func TestTransportOptionsValidation(t *testing.T) {
 		{"ChunkSize", TCPOptions{ChunkSize: -1}},
 		{"SendQueueLen", TCPOptions{SendQueueLen: -1}},
 		{"WriteBatch", TCPOptions{WriteBatch: -1}},
-		{"RetryMax", TCPOptions{RetryMax: -1}},
-		{"RetryBackoff", TCPOptions{RetryBackoff: -time.Second}},
 	}
 	for _, tc := range tcpCases {
 		if err := tc.o.Validate(); !errors.Is(err, ErrBadOption) {

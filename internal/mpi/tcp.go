@@ -54,12 +54,12 @@ const (
 
 // Frame types. The zero value is deliberately invalid so an all-zero or
 // desynchronized stream fails fast. The Seq variants are the v3
-// extension used when reconnect-retry is enabled: they append an 8-byte
+// extension for sequenced (fault-injected) traffic: they append an 8-byte
 // little-endian sequence number (after the chunk extension, when
-// present) stamped by the sending writer, letting the receiver discard
-// frames replayed by a post-reconnect retransmission. A retry-enabled
-// writer emits only Seq frames; the default configuration emits the v2
-// types byte-identically to before.
+// present) — the link sequence number the fault-injection layer stamped
+// on the message — letting the receiver discard the duplicates the
+// injector replays. A message without one goes out as the v2 types,
+// byte-identically to before.
 const (
 	frameMsg      byte = 1
 	frameChunk    byte = 2
@@ -117,17 +117,6 @@ type TCPOptions struct {
 	// WriteBatch is the maximum number of queued frames coalesced into
 	// one vectored write. 0 selects the default of 64.
 	WriteBatch int
-	// RetryMax enables at-least-once delivery: after a connection
-	// failure the peer writer redials up to RetryMax times with
-	// exponential backoff and retransmits the interrupted batch (and
-	// restarts in-flight chunk streams from offset zero). Frames then
-	// carry idempotent sequence numbers so the receiver discards
-	// replays. 0 (the default) keeps the fail-fast v2 behaviour.
-	RetryMax int
-	// RetryBackoff is the base delay of the reconnect backoff; attempt k
-	// sleeps RetryBackoff<<k. 0 selects the 50ms default. Only meaningful
-	// with RetryMax > 0.
-	RetryBackoff time.Duration
 }
 
 const (
@@ -188,12 +177,6 @@ func (o TCPOptions) Validate() error {
 	if o.WriteBatch < 0 {
 		return fmt.Errorf("%w: TCPOptions.WriteBatch %d is negative", ErrBadOption, o.WriteBatch)
 	}
-	if o.RetryMax < 0 {
-		return fmt.Errorf("%w: TCPOptions.RetryMax %d is negative", ErrBadOption, o.RetryMax)
-	}
-	if o.RetryBackoff < 0 {
-		return fmt.Errorf("%w: TCPOptions.RetryBackoff %v is negative", ErrBadOption, o.RetryBackoff)
-	}
 	return nil
 }
 
@@ -206,8 +189,6 @@ type tcpConfig struct {
 	chunkSize      int
 	queueLen       int
 	batch          int
-	retryMax       int
-	retryBackoff   time.Duration
 }
 
 func (o TCPOptions) resolve() tcpConfig {
@@ -220,11 +201,6 @@ func (o TCPOptions) resolve() tcpConfig {
 		chunkSize:      o.ChunkSize,
 		queueLen:       o.SendQueueLen,
 		batch:          o.WriteBatch,
-		retryMax:       o.RetryMax,
-		retryBackoff:   o.RetryBackoff,
-	}
-	if cfg.retryMax > 0 && cfg.retryBackoff <= 0 {
-		cfg.retryBackoff = 50 * time.Millisecond
 	}
 	if cfg.chunkThreshold == 0 {
 		cfg.chunkThreshold = defaultChunkThreshold
@@ -271,12 +247,12 @@ type TCPStats struct {
 	BackpressureEvents int64 // sends that found their queue full
 	SendqSaturation    int64 // every send-queue saturation occurrence (the log warns once)
 	SendQueueDepth     int64 // frames currently queued across all peers
-	Reconnects         int64 // writer redials after connection failures
 	DupFramesDropped   int64 // replayed frames discarded by sequence dedupe
 	PeerConnections    int64 // outbound peer links this endpoint has dialed
 }
 
-// seqDeduper discards frames replayed by post-reconnect retransmission.
+// seqDeduper discards duplicate sequenced frames — the replays a fault
+// injector's dup faults put on the wire.
 // It keys on (communicator ctx, world src) and remembers a bounded FIFO
 // window of recently committed sequence numbers — membership, not a
 // high-water mark, because interleaved chunk streams commit out of
@@ -330,28 +306,13 @@ func (d *seqDeduper) commit(ctx uint32, src int, seq uint64) bool {
 }
 
 // committed reports whether seq was already delivered, without recording
-// it — used at chunk-stream open so an incomplete (and later restarted)
-// stream never poisons the window.
+// it — used at chunk-stream open so a stream that never completes never
+// poisons the window.
 func (d *seqDeduper) committed(ctx uint32, src int, seq uint64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	_, dup := d.ring(ctx, src).set[seq]
 	return dup
-}
-
-// activityOf returns a monotone count of frames committed from src across
-// all communicator contexts — the liveness signal lostAfterGrace polls to
-// tell a reconnected peer from a dead one.
-func (d *seqDeduper) activityOf(src int) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var total uint64
-	for k, r := range d.peers {
-		if uint32(k) == uint32(src) {
-			total += uint64(r.n)
-		}
-	}
-	return total
 }
 
 // TCPEndpoint is one rank's attachment point to a TCP-transported world.
@@ -382,7 +343,6 @@ type TCPEndpoint struct {
 	backpressure atomic.Int64
 	sendqSat     atomic.Int64
 	queueDepth   atomic.Int64
-	reconnects   atomic.Int64
 	dupsDropped  atomic.Int64
 
 	// flight is the attached flight recorder (nil = detached) and
@@ -391,8 +351,8 @@ type TCPEndpoint struct {
 	flight   atomic.Pointer[obs.FlightRecorder]
 	selfRank atomic.Int32
 
-	// ded deduplicates retransmitted frames across this endpoint's inbound
-	// connections when peers send with retry enabled.
+	// ded deduplicates sequenced frames across this endpoint's inbound
+	// connections.
 	ded seqDeduper
 
 	obsOut          atomic.Pointer[obs.Counter]
@@ -403,7 +363,6 @@ type TCPEndpoint struct {
 	obsBackpressure atomic.Pointer[obs.Counter]
 	obsSendqSat     atomic.Pointer[obs.Counter]
 	obsQueueDepth   atomic.Pointer[obs.Gauge]
-	obsReconnects   atomic.Pointer[obs.Counter]
 
 	mu      sync.Mutex
 	peers   map[int]*tcpPeer
@@ -435,7 +394,6 @@ func (ep *TCPEndpoint) Stats() TCPStats {
 		BackpressureEvents: ep.backpressure.Load(),
 		SendqSaturation:    ep.sendqSat.Load(),
 		SendQueueDepth:     ep.queueDepth.Load(),
-		Reconnects:         ep.reconnects.Load(),
 		DupFramesDropped:   ep.dupsDropped.Load(),
 	}
 }
@@ -452,7 +410,6 @@ func (ep *TCPEndpoint) attachObs(t *Telemetry) {
 		ep.obsBackpressure.Store(nil)
 		ep.obsSendqSat.Store(nil)
 		ep.obsQueueDepth.Store(nil)
-		ep.obsReconnects.Store(nil)
 		ep.flight.Store(nil)
 		return
 	}
@@ -464,19 +421,7 @@ func (ep *TCPEndpoint) attachObs(t *Telemetry) {
 	ep.obsBackpressure.Store(t.tcpBackpressure)
 	ep.obsSendqSat.Store(t.tcpSendqSat)
 	ep.obsQueueDepth.Store(t.tcpQueueDepth)
-	ep.obsReconnects.Store(t.tcpReconnects)
 	ep.flight.Store(t.flight)
-}
-
-func (ep *TCPEndpoint) countReconnect() {
-	ep.reconnects.Add(1)
-	ep.obsReconnects.Load().Add(1)
-}
-
-func (ep *TCPEndpoint) isClosed() bool {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.closed
 }
 
 func (ep *TCPEndpoint) countWireOut(n int64) {
@@ -594,17 +539,13 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 		closed := ep.closed
 		ep.mu.Unlock()
 		// Incomplete chunk streams died with the connection: unpin their
-		// mailbox slots and recycle the reassembly buffers. A retrying
-		// sender restarts its streams from offset zero on a fresh
-		// connection, so nothing is lost that the sender still owns.
+		// mailbox slots and recycle the reassembly buffers.
 		dec.cleanup()
 		if !closed {
 			// The connection died while the endpoint is still live: the
-			// ranks it carried are (probably) gone. With retry enabled the
-			// verdict is deferred one reconnect window so a sender that
-			// redials in time is never declared lost.
+			// ranks it carried are gone.
 			for src := range dec.srcs {
-				ep.lostAfterGrace(src, fmt.Errorf(
+				ep.box.markLost(src, fmt.Errorf(
 					"mpi: tcp connection from rank %d (%s) died: %w", src, conn.RemoteAddr(), ErrPeerLost))
 			}
 		}
@@ -618,32 +559,6 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// lostAfterGrace marks src unreachable in this endpoint's mailbox —
-// immediately without retry, or after one full reconnect window when
-// retry is enabled, cancelled if the peer delivers any frame in the
-// meantime.
-func (ep *TCPEndpoint) lostAfterGrace(src int, err error) {
-	if ep.cfg.retryMax <= 0 {
-		ep.box.markLost(src, err)
-		return
-	}
-	grace := ep.cfg.retryBackoff << uint(ep.cfg.retryMax)
-	go func() {
-		before := ep.ded.activityOf(src)
-		timer := time.NewTimer(grace)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-ep.stop:
-			return
-		}
-		if ep.isClosed() || ep.ded.activityOf(src) != before {
-			return
-		}
-		ep.box.markLost(src, err)
-	}()
 }
 
 // Join assembles the world communicator for this endpoint. rank is this
@@ -694,13 +609,13 @@ func (ep *TCPEndpoint) Close() error {
 		select {
 		case <-p.dead:
 		case <-timeout:
-			p.closeConn()
+			p.conn.Close()
 			<-p.dead
 		}
 	}
 	err := ep.listener.Close()
 	for _, p := range peers {
-		p.closeConn()
+		p.conn.Close()
 	}
 	for _, c := range inbound {
 		c.Close()
@@ -712,69 +627,17 @@ func (ep *TCPEndpoint) Close() error {
 // tcpPeer is one outgoing connection: a socket, a bounded frame queue,
 // and the writer goroutine that drains it.
 type tcpPeer struct {
-	ep         *tcpEndpointRef
+	ep         *TCPEndpoint
 	rank       int
-	addr       string
+	conn       net.Conn // written by the writer, force-closed by Close
 	queue      chan envelope
 	dead       chan struct{} // closed when the writer has exited
 	nextStream uint32
-	wireSeq    uint64 // writer-goroutine only: last stamped sequence number
 	warned     atomic.Bool
-
-	connMu sync.Mutex
-	conn   net.Conn // swapped on reconnect; guarded for Close's force-close
 
 	errMu sync.Mutex
 	err   error // sticky first write error, ErrClosed after clean shutdown
 }
-
-func (p *tcpPeer) getConn() net.Conn {
-	p.connMu.Lock()
-	defer p.connMu.Unlock()
-	return p.conn
-}
-
-func (p *tcpPeer) setConn(c net.Conn) {
-	p.connMu.Lock()
-	p.conn = c
-	p.connMu.Unlock()
-}
-
-func (p *tcpPeer) closeConn() {
-	p.connMu.Lock()
-	if p.conn != nil {
-		p.conn.Close()
-	}
-	p.connMu.Unlock()
-}
-
-// reconnect redials the peer after a write failure with bounded
-// exponential backoff, returning true once a fresh connection is
-// installed. It gives up when the endpoint closes or attempts run out.
-func (p *tcpPeer) reconnect() bool {
-	cfg := &p.ep.cfg
-	p.closeConn()
-	for attempt := 0; attempt < cfg.retryMax; attempt++ {
-		if p.ep.isClosed() {
-			return false
-		}
-		conn, err := net.Dial("tcp", p.addr)
-		if err == nil {
-			cfg.apply(conn)
-			p.ep.countReconnect()
-			if f := p.ep.flight.Load(); f != nil {
-				f.Record(obs.FlightEvent{Kind: obs.FlightReconnect, Rank: p.ep.selfRank.Load(), Peer: int32(p.rank)})
-			}
-			p.setConn(conn)
-			return true
-		}
-		time.Sleep(cfg.retryBackoff << uint(attempt))
-	}
-	return false
-}
-
-// tcpEndpointRef only exists to keep tcpPeer methods readable.
-type tcpEndpointRef = TCPEndpoint
 
 func (p *tcpPeer) fail(err error) {
 	p.errMu.Lock()
@@ -853,7 +716,7 @@ type outStream struct {
 	e   envelope
 	id  uint32
 	off int
-	seq uint64 // idempotency seq shared by every chunk of the stream
+	seq uint64 // the fault layer's link seq, shared by every chunk; 0 = unsequenced
 }
 
 // writeLoop drains the queue, coalescing pending frames into vectored
@@ -867,7 +730,6 @@ func (p *tcpPeer) writeLoop() {
 		iov       [][]byte // reused iovec backing
 		hdrs      []byte   // reused header arena; pointers into it live in iov
 		items     []envelope
-		carry     []envelope // whole messages to retransmit after a reconnect
 		streams   []*outStream
 		batchMsgs []envelope   // whole messages in the current batch (payloads still owned)
 		batchDone []*outStream // streams fully emitted in the current batch
@@ -902,28 +764,11 @@ func (p *tcpPeer) writeLoop() {
 			}
 		}
 	}()
-	// stamp returns the idempotency sequence number for a message: a
-	// fault-injection layer above may have stamped one already (unique per
-	// link); otherwise, with retry enabled, the writer assigns its own.
-	// Zero means "unsequenced" and selects the v2 frame types.
-	stamp := func(e *envelope) uint64 {
-		if e.seq != 0 {
-			return e.seq
-		}
-		if cfg.retryMax > 0 {
-			p.wireSeq++
-			return p.wireSeq
-		}
-		return 0
-	}
+	// A message's sequence number is the one the fault-injection layer
+	// above stamped (unique per link); zero means "unsequenced" and selects
+	// the v2 frame types.
 	for {
 		items = items[:0]
-		if len(carry) > 0 {
-			// Retransmission after a reconnect: the interrupted batch's
-			// whole messages go out again ahead of new queue traffic.
-			items = append(items, carry...)
-			carry = carry[:0]
-		}
 		if !draining {
 			if len(streams) == 0 && len(items) == 0 {
 				// Nothing in flight: block for work or shutdown.
@@ -1036,7 +881,7 @@ func (p *tcpPeer) writeLoop() {
 		// slot at the receiver so matching order is preserved.
 		for _, e := range items {
 			if cfg.chunk && len(e.data) > cfg.chunkThreshold {
-				s := &outStream{e: e, id: p.nextStream, seq: stamp(&e)}
+				s := &outStream{e: e, id: p.nextStream, seq: e.seq}
 				p.nextStream++
 				emitChunk(s)
 				if s.off < len(s.e.data) {
@@ -1046,8 +891,7 @@ func (p *tcpPeer) writeLoop() {
 				}
 				continue
 			}
-			seq := stamp(&e)
-			e.seq = seq
+			seq := e.seq
 			ext := 0
 			typ := frameMsg
 			if seq != 0 {
@@ -1086,7 +930,7 @@ func (p *tcpPeer) writeLoop() {
 		}
 		streams = live
 
-		conn := p.getConn()
+		conn := p.conn
 		if draining {
 			conn.SetWriteDeadline(time.Now().Add(tcpFlushTimeout)) //nolint:errcheck
 		}
@@ -1098,22 +942,6 @@ func (p *tcpPeer) writeLoop() {
 		nw, werr := wb.WriteTo(conn)
 		ep.countWireOut(nw)
 		if werr != nil {
-			if cfg.retryMax > 0 && !draining && p.reconnect() {
-				// At-least-once retransmission: the whole interrupted batch
-				// goes out again on the fresh connection, and in-flight
-				// chunk streams restart from offset zero (the receiver's
-				// partial reassembly state died with the old connection).
-				// Sequence numbers make the replays idempotent.
-				carry = append(carry[:0], batchMsgs...)
-				for _, s := range batchDone {
-					s.off = 0
-					streams = append(streams, s)
-				}
-				for _, s := range streams {
-					s.off = 0
-				}
-				continue
-			}
 			loopErr = fmt.Errorf("mpi: tcp send to rank %d: %v: %w", p.rank, werr, ErrPeerLost)
 			for _, e := range batchMsgs {
 				PutBuffer(e.data)
@@ -1220,7 +1048,6 @@ func (ep *TCPEndpoint) dial(dst int, addr string) (*tcpPeer, error) {
 	p := &tcpPeer{
 		ep:    ep,
 		rank:  dst,
-		addr:  addr,
 		conn:  conn,
 		queue: make(chan envelope, ep.cfg.queueLen),
 		dead:  make(chan struct{}),
@@ -1243,7 +1070,8 @@ type frameDecoder struct {
 	maxStreams int
 	streams    map[uint32]*inStream
 	// ded, when non-nil, drops sequenced frames (v3) whose sequence
-	// number was already delivered — the receive half of reconnect-retry.
+	// number was already delivered — the duplicates a fault injector
+	// replays.
 	ded *seqDeduper
 	// onDup, when non-nil, is called once per dropped replay.
 	onDup func()

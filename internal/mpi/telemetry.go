@@ -42,13 +42,11 @@ type Telemetry struct {
 	hierRelayBytes *obs.Counter
 
 	// Fault-tolerance instruments: chaos-engine verdicts mirrored by the
-	// fault transport, TCP reconnect attempts, and peers this rank's
-	// mailbox declared lost.
-	faultDrops    *obs.Counter
-	faultRetries  *obs.Counter
-	faultSevers   *obs.Counter
-	tcpReconnects *obs.Counter
-	peersLost     *obs.Counter
+	// fault transport, and peers this rank's mailbox declared lost.
+	faultDrops   *obs.Counter
+	faultRetries *obs.Counter
+	faultSevers  *obs.Counter
+	peersLost    *obs.Counter
 
 	// flight is the per-rank flight recorder; nil unless attached via
 	// WithFlightRecorder. Hot paths gate on the nil check.
@@ -108,8 +106,6 @@ func NewTelemetry(reg *obs.Registry, rec *trace.Recorder, rank int) *Telemetry {
 			"Backoff retries after fault-injected drops.", rl),
 		faultSevers: reg.Counter("mpi_fault_severed_links_total",
 			"Peer links cut by the fault injector.", rl),
-		tcpReconnects: reg.Counter("mpi_tcp_reconnects_total",
-			"Peer writer reconnect attempts after connection failures.", rl),
 		peersLost: reg.Counter("mpi_peers_lost_total",
 			"Peer ranks this rank's mailbox declared unreachable.", rl),
 	}

@@ -34,7 +34,6 @@ const (
 	FlightRetry
 	FlightDrop
 	FlightSever
-	FlightReconnect
 	FlightSaturation
 	FlightPeerLost
 	FlightCacheHit
@@ -53,7 +52,6 @@ var flightKindNames = [...]string{
 	FlightRetry:         "retry",
 	FlightDrop:          "drop",
 	FlightSever:         "sever",
-	FlightReconnect:     "reconnect",
 	FlightSaturation:    "sendq-saturated",
 	FlightPeerLost:      "peer-lost",
 	FlightCacheHit:      "plan-cache-hit",

@@ -108,7 +108,7 @@ func TestServeMountsFlightRec(t *testing.T) {
 	prev := GlobalFlightRecorder()
 	defer SetGlobalFlightRecorder(prev)
 	f := NewFlightRecorder(64)
-	f.Record(FlightEvent{Kind: FlightReconnect, Rank: 1, Peer: 0})
+	f.Record(FlightEvent{Kind: FlightSever, Rank: 1, Peer: 0})
 	SetGlobalFlightRecorder(f)
 
 	srv, err := Serve("127.0.0.1:0", NewRegistry())
@@ -125,7 +125,7 @@ func TestServeMountsFlightRec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "reconnect") {
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "sever") {
 		t.Fatalf("served flightrec = %d:\n%s", resp.StatusCode, body)
 	}
 }

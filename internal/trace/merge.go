@@ -89,7 +89,7 @@ func DecodeEvents(buf []byte) ([]Event, error) {
 // time waiting on within the round.
 type RoundCritical struct {
 	Exchange     uint64
-	Round        int32 // -1 groups whole-exchange (fused-mode) spans
+	Round        int32 // -1 groups whole-exchange spans of exchanges without rounds
 	CriticalRank int
 	RoundDur     time.Duration // critical rank's span duration
 	DominantPeer int           // -1 when the critical rank recorded no waits
@@ -107,7 +107,7 @@ func (rc RoundCritical) WaitFrac() float64 {
 
 // StragglerReport derives per-round critical-path attribution from a
 // merged multi-rank event set. Round spans (names "round-N", or
-// "exchange" for fused-mode exchanges that have no rounds) define each
+// "exchange" for an exchange that recorded no round spans) define each
 // (exchange, round) group's duration per rank; "wait<-P" spans on the
 // slowest rank identify the peer that dominated its blocking time.
 // Events without an exchange ID are ignored.

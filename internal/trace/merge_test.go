@@ -93,8 +93,9 @@ func TestStragglerReport(t *testing.T) {
 	}
 }
 
-// Fused exchanges carry no round spans; the whole-exchange span keyed
-// round -1 must group them, including their waits.
+// An exchange that records no round spans (a trace holding only whole-
+// exchange spans) is grouped by its whole-exchange span keyed round -1,
+// waits included.
 func TestStragglerReportFused(t *testing.T) {
 	const exch = uint64(0x2222)
 	events := []Event{
@@ -108,7 +109,7 @@ func TestStragglerReportFused(t *testing.T) {
 	}
 	rc := report[0]
 	if rc.Round != -1 || rc.CriticalRank != 1 || rc.DominantPeer != 0 {
-		t.Fatalf("fused report = %+v", rc)
+		t.Fatalf("round-less report = %+v", rc)
 	}
 
 	var buf bytes.Buffer
