@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime/debug"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -45,7 +46,7 @@ func procRSSPeak() float64 {
 // — every (round, src, dst) transfer packed with the source's brute
 // plan and unpacked with the destination's — which shares no code with
 // the bounded compiler's slice enumeration or the step executor. The
-// sweep runs seeded random geometries × both exchange modes ×
+// sweep runs seeded random geometries × the sweep rows ×
 // budget tiers from "generous" (single-shot fits, bounded backend must
 // stand down) through "one chunk" (the arena's minimum class), asserting
 // byte-identical output at every point and, wherever the bounded path
@@ -60,6 +61,79 @@ type boundedCase struct {
 	elemSize int
 	chunks   [][]grid.Box
 	needs    []grid.Box
+	// fold, when set, has every rank replay its point-to-point plan
+	// folded to one message per peer pair (foldPeers) — the sweeps'
+	// point-to-point-fused rows.
+	fold bool
+}
+
+// sweepRow is one exchange configuration of the differential sweeps.
+type sweepRow struct {
+	name string
+	mode ExchangeMode
+	fold bool
+}
+
+// sweepRows are the configurations every sweep geometry runs: the
+// paper's collective, the default point-to-point schedule, and that
+// schedule folded per peer pair, which drives multi-seg messages through
+// the executor's gather/scatter on every geometry.
+var sweepRows = []sweepRow{
+	{"alltoallw", ModeAlltoallw, false},
+	{"point-to-point", ModePointToPoint, false},
+	{"point-to-point-fused", ModePointToPoint, true},
+}
+
+// foldPeers rewrites a mapped plan's round schedule into one step whose
+// message to each peer carries that pair's per-round segs in round
+// order, on every rank alike. The fold stages every pair's bytes at
+// once, so under a budget that foldedFootprint exceeds it attaches the
+// bounded schedule for the budget instead, as the descriptor does for a
+// round schedule that does not fit.
+func foldPeers(p *Plan, budget int) error {
+	if budget > 0 && foldedFootprint(p) > budget {
+		return CompileBoundedForTest(p, budget)
+	}
+	fold := func(recv bool) (msgs []message) {
+		var ms []*message
+		for r := range p.sched {
+			for i := range p.sched[r].msgs(recv) {
+				ms = append(ms, &p.sched[r].msgs(recv)[i])
+			}
+		}
+		sort.SliceStable(ms, func(a, b int) bool { return ms[a].peer < ms[b].peer })
+		for _, m := range ms {
+			for _, sg := range m.segs {
+				msgs = appendSeg(msgs, m.peer, ddrTagBase, sg)
+			}
+		}
+		return msgs
+	}
+	st := step{sends: fold(false), recvs: fold(true)}
+	for r := range p.sched {
+		st.selfs = append(st.selfs, p.sched[r].selfs...)
+	}
+	p.sched = []step{st}
+	return nil
+}
+
+// foldedFootprint is the worst per-rank staging, in class-rounded bytes,
+// of a folded plan: every outgoing and incoming pair total at once.
+func foldedFootprint(p *Plan) int {
+	n, cls := p.nProcs, mpi.BufferClassSize
+	pair := make([]int, n*n) // pair[src*n+dst]: the pair's bytes
+	forEachOverlap(p.allChunks, p.allNeeds, func(src, _, dst int, ov grid.Box) {
+		pair[src*n+dst] += ov.Volume() * p.elemSize
+	})
+	worst := 0
+	for r := 0; r < n; r++ {
+		total := 0
+		for peer := 0; peer < n; peer++ {
+			total += cls(pair[r*n+peer]) + cls(pair[peer*n+r])
+		}
+		worst = max(worst, total)
+	}
+	return worst
 }
 
 // genBoundedCase derives a geometry deterministically from seed:
@@ -141,13 +215,17 @@ func (bc *boundedCase) oracleNeed(t *testing.T, dst int, own [][][]byte) []byte 
 	return out
 }
 
-// footprint computes the reference single-shot footprint of the case,
-// from an offline-compiled plan.
+// footprint computes the reference single-shot footprint of the case
+// (its folded footprint when bc.fold is set), from an offline-compiled
+// plan.
 func (bc *boundedCase) footprint(t *testing.T) int {
 	t.Helper()
 	p, err := NewPlanFromGeometry(0, bc.elemSize, bc.chunks, bc.needs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if bc.fold {
+		return foldedFootprint(p)
 	}
 	return p.SingleShotFootprint()
 }
@@ -198,6 +276,11 @@ func (bc *boundedCase) runBoundedWorld(t *testing.T, mode ExchangeMode, budget i
 		if err := d.SetupDataMapping(c, bc.chunks[rank], bc.needs[rank]); err != nil {
 			return err
 		}
+		if bc.fold {
+			if err := foldPeers(d.plan, budget); err != nil {
+				return err
+			}
+		}
 		if rank == 0 && mutate != nil && !mutate(d.plan) {
 			return fmt.Errorf("rank 0: mutation hook found nothing to perturb")
 		}
@@ -233,7 +316,7 @@ func (bc *boundedCase) runBoundedWorld(t *testing.T, mode ExchangeMode, budget i
 }
 
 // TestBoundedDifferentialSweep is the tentpole's acceptance sweep:
-// seeded geometries × both exchange modes × budget tiers down to
+// seeded geometries × the sweep rows × budget tiers down to
 // the one-chunk minimum, every output byte-compared against the brute
 // oracle, the measured peak staging asserted under the ceiling whenever
 // the bounded backend ran, and the backend required to stand down when
@@ -243,19 +326,19 @@ func TestBoundedDifferentialSweep(t *testing.T) {
 	if testing.Short() {
 		seeds = 4
 	}
-	modes := []ExchangeMode{ModeAlltoallw, ModePointToPoint}
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		bc := genBoundedCase(seed)
-		fp := bc.footprint(t)
-		if fp == 0 {
-			continue
-		}
-		for _, mode := range modes {
+		for _, row := range sweepRows {
+			bc := genBoundedCase(seed)
+			bc.fold = row.fold
+			fp := bc.footprint(t)
+			if fp == 0 {
+				continue
+			}
 			for _, budget := range budgetTiers(fp) {
-				name := fmt.Sprintf("seed%d/%v/budget%d", seed, mode, budget)
+				name := fmt.Sprintf("seed%d/%s/budget%d", seed, row.name, budget)
 				t.Run(name, func(t *testing.T) {
 					wantBounded := fp > budget
-					bad := bc.runBoundedWorld(t, mode, budget, nil, func(rank int, d *Descriptor) error {
+					bad := bc.runBoundedWorld(t, row.mode, budget, nil, func(rank int, d *Descriptor) error {
 						steps := d.BoundedSteps()
 						if wantBounded && steps == 0 {
 							return fmt.Errorf("rank %d: footprint %d > budget %d but the one-shot path ran", rank, fp, budget)

@@ -48,6 +48,11 @@ func (bc *boundedCase) runPipeWorld(t *testing.T, mode ExchangeMode, depth, budg
 		if err := d.SetupDataMapping(c, bc.chunks[rank], bc.needs[rank]); err != nil {
 			return err
 		}
+		if bc.fold {
+			if err := foldPeers(d.plan, budget); err != nil {
+				return err
+			}
+		}
 		if rank == 0 && mutate != nil {
 			mutate(d)
 		}
@@ -83,7 +88,7 @@ func (bc *boundedCase) runPipeWorld(t *testing.T, mode ExchangeMode, depth, budg
 }
 
 // TestPipelineDifferentialSweep is the pipelined engine's acceptance
-// sweep: seeded geometries × both exchange modes × depths 1/2/4 ×
+// sweep: seeded geometries × the sweep rows × depths 1/2/4 ×
 // budget tiers (none, half the single-shot footprint — which composes
 // pipelining with the bounded step backend — and the one-class minimum),
 // every output byte-compared against the brute oracle, the effective
@@ -94,20 +99,20 @@ func TestPipelineDifferentialSweep(t *testing.T) {
 	if testing.Short() {
 		seeds = 4
 	}
-	modes := []ExchangeMode{ModeAlltoallw, ModePointToPoint}
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		bc := genBoundedCase(seed)
-		fp := bc.footprint(t)
-		if fp == 0 {
-			continue
-		}
-		for _, mode := range modes {
+		for _, row := range sweepRows {
+			bc := genBoundedCase(seed)
+			bc.fold = row.fold
+			fp := bc.footprint(t)
+			if fp == 0 {
+				continue
+			}
 			budgets := []int{0, max(fp/2, 1<<minStagingShift), 1 << minStagingShift}
 			for _, depth := range []int{1, 2, 4} {
 				for _, budget := range budgets {
-					name := fmt.Sprintf("seed%d/%v/depth%d/budget%d", seed, mode, depth, budget)
+					name := fmt.Sprintf("seed%d/%s/depth%d/budget%d", seed, row.name, depth, budget)
 					t.Run(name, func(t *testing.T) {
-						bad := bc.runPipeWorld(t, mode, depth, budget, nil, func(rank int, d *Descriptor) error {
+						bad := bc.runPipeWorld(t, row.mode, depth, budget, nil, func(rank int, d *Descriptor) error {
 							if got := d.LastPipelineDepth(); got < 1 || got > depth {
 								return fmt.Errorf("rank %d: effective depth %d outside [1, %d]", rank, got, depth)
 							}

@@ -237,7 +237,7 @@ func (d *Descriptor) schedule(p *Plan) (steps []step, k int, stepped bool) {
 	case d.mode == ModeAlltoallw:
 		return nil, 1, false
 	}
-	return p.sched, d.pipelineDepth(p.rounds, p.shot), true
+	return p.sched, d.pipelineDepth(len(p.sched), p.shot), true
 }
 
 // pipelineDepth resolves the depth an exchange may run at: the
