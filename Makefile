@@ -26,13 +26,15 @@ chaos:
 # cannot cover:
 #   - tests that skip themselves under -race and so need a plain run: the
 #     zero-alloc steady-state guards (the detector allocates per sync
-#     event), the arena-recycling guard (sync.Pool drops Puts under
-#     -race), and the planted-bug self-tests of the pipelined executor
-#     (the planted bug is a genuine data race the detector would fail
-#     before the harness's own check fires);
-#   - the posted-receive, landing and shm ring-rewind tests, and the FFT
-#     differential across receive paths, once more without the detector,
-#     whose slowdown changes which rank finds whose post open;
+#     event), the arena-recycling guard and the lent-send completion pool
+#     (sync.Pool drops Puts under -race), and the planted-bug self-tests
+#     of the pipelined executor and of the tcp lent send (each planted bug
+#     is a genuine data race the detector would fail before the test's own
+#     check fires);
+#   - the posted-receive, landing, typed-send and shm ring-rewind tests,
+#     and the FFT differential across receive paths, once more without
+#     the detector, whose slowdown changes which rank finds whose post
+#     open and how long a lent payload stays in the writer;
 #   - the golden plan and bounded-step fixtures;
 #   - a brief fuzz of the shm ring-record decoder and both TCP wire
 #     decoders;
@@ -45,10 +47,11 @@ verify: chaos
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/mpi/... ./internal/trace/... ./internal/core/... ./internal/datatype/... ./internal/fft/...
 	$(GO) test -race ./internal/transit/...
-	$(GO) test -run 'TestZeroAllocSteadyState|TestBoundedZeroAllocSteadyState|TestPipelineZeroAllocSteadyState|TestTracingDetachedZeroAlloc|TestFlightRecorderRecordZeroAlloc|TestTCPUntracedWireIdentical|TestShmZeroAllocSteadyState|TestShmBackpressureAllocs|TestDeltaExchangeRecyclesPayloads|TestInlinePackWhenRanksCoverCores|TestStreamSteadyStateAllocs' ./internal/core/ ./internal/obs/ ./internal/mpi/ ./internal/transit/
+	$(GO) test -run 'TestZeroAllocSteadyState|TestBoundedZeroAllocSteadyState|TestPipelineZeroAllocSteadyState|TestTracingDetachedZeroAlloc|TestFlightRecorderRecordZeroAlloc|TestTCPUntracedWireIdentical|TestShmZeroAllocSteadyState|TestShmBackpressureAllocs|TestDeltaExchangeRecyclesPayloads|TestInlinePackWhenRanksCoverCores|TestStreamSteadyStateAllocs|TestTCPSendSteadyStateAlloc' ./internal/core/ ./internal/obs/ ./internal/mpi/ ./internal/transit/
 	$(GO) test -run 'TestPipelineHarnessCatchesPlantedBug' ./internal/core/
+	$(GO) test -run 'TestBorrowedSendCatchesEarlyDone' ./internal/mpi/
 	$(GO) test -short -run 'TestHarnessCatchesPipelinePlantedBug' ./internal/ddrtest/
-	$(GO) test -run 'TestPosted|TestLandedMatchesEager|TestNobodyWritesAfterReturn|TestShmRingRewind|TestTelemetryPackUnpackObserved|TestDist2DStepMatchesAcrossPaths' ./internal/mpi/ ./internal/core/ ./internal/fft/
+	$(GO) test -run 'TestPosted|TestLandedMatchesEager|TestNobodyWritesAfterReturn|TestShmRingRewind|TestTelemetryPackUnpackObserved|TestDist2DStepMatchesAcrossPaths|TestTypedSendMatchesPacked|TestBorrowedSendScribbleAfterReturn|TestTCPWriterDeathReleasesBorrowedSend|TestStagingHandOffEveryTransport' ./internal/mpi/ ./internal/core/ ./internal/fft/
 	$(GO) test -run 'TestGoldenPlans|TestGoldenBoundedPlans' ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzShmRingHeader -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTCPFrameDecoder -fuzztime 10s ./internal/mpi/

@@ -360,13 +360,50 @@ func TestBoundedDifferentialSweep(t *testing.T) {
 	}
 }
 
-// TestStagingHandOffEveryTransport pins the executor's ownership hand-off
-// (mpi.SendOwned) on all four transports: a strided multi-round exchange
-// under a budget — roomy enough for the pipelined one-shot path, then
-// tight enough for the bounded backend — must land byte-identical, keep
-// its measured peak under the budget, and leave nothing charged to the
-// staging meter once the call returns: a wire's charge ends when it is
-// handed off, a lease's when its step retires.
+// leaseWindow is the receive-lease high-water mark the executor's ring
+// reaches running steps at depth k: the largest sum of the leases of k+1
+// consecutive steps (of one step at depth 1, whose ring is one slot).
+func leaseWindow(steps []step, k int) int64 {
+	w := k + 1
+	if k == 1 {
+		w = 1
+	}
+	var peak int64
+	for r := range steps {
+		var sum int64
+		for j := max(0, r-w+1); j <= r; j++ {
+			for _, m := range steps[j].recvs {
+				sum += int64(mpi.BufferClassSize(m.bytes))
+			}
+		}
+		peak = max(peak, sum)
+	}
+	return peak
+}
+
+// maxSendWire is the largest arena wire any one send of steps can take.
+func maxSendWire(steps []step) int64 {
+	var w int64
+	for i := range steps {
+		for _, m := range steps[i].sends {
+			w = max(w, int64(mpi.BufferClassSize(m.bytes)))
+		}
+	}
+	return w
+}
+
+// TestStagingHandOffEveryTransport pins the executor's staging on all
+// four transports: a strided multi-round exchange under a budget — roomy
+// enough for the pipelined one-shot path, then tight enough for the
+// bounded backend — must land byte-identical, keep its measured peak under
+// the budget, and leave nothing charged to the staging meter once the call
+// returns: a send wire's charge ends when SendTyped hands it off, a
+// lease's when its step retires. The peak itself is derived from the send
+// paths: the receive leases of the in-flight window, plus at most one
+// send wire — a send that needs one packs it and hands it off before the
+// next is packed. The receives here are contiguous and the local moves
+// pack straight into them, so nothing else is ever charged.
+// TestSendSideStagesNothing pins which sends need a wire at all.
 func TestStagingHandOffEveryTransport(t *testing.T) {
 	const procs, side, chunksPerRank = 4, 32, 3
 	ownAll, needAll := stripWorld(procs, side, chunksPerRank, true)
@@ -411,8 +448,14 @@ func TestStagingHandOffEveryTransport(t *testing.T) {
 						if cur := d.ex.meter.Current(); cur != 0 {
 							return fmt.Errorf("rank %d: %d staging bytes still charged after the exchange", rank, cur)
 						}
-						if peak := d.LastPeakStaging(); peak <= 0 || peak > int64(budget) {
+						peak := d.LastPeakStaging()
+						if peak <= 0 || peak > int64(budget) {
 							return fmt.Errorf("rank %d: peak staging %d, want in (0, %d]", rank, peak, budget)
+						}
+						steps, k, _ := d.schedule(d.plan)
+						leases, wire := leaseWindow(steps, k), maxSendWire(steps)
+						if peak < leases || peak > leases+wire {
+							return fmt.Errorf("rank %d: peak staging %d outside [%d, %d]: more than one send wire was charged", rank, peak, leases, leases+wire)
 						}
 					}
 					return checkBox(dst, needAll[rank], 4, nil, 0)
@@ -422,6 +465,59 @@ func TestStagingHandOffEveryTransport(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSendSideStagesNothing: rank 0 owns the whole 256x256 float32
+// domain and receives nothing, so under a budget its measured peak is its
+// send staging alone. Its step sends two strided messages, 64 KiB to rank
+// 1 and 128 KiB to rank 2. On shm (packed into the ring record) and tcp
+// (rows lent to the writer) they stage nothing; behind a fault injector
+// each is packed into an arena wire handed off before the next is packed,
+// so the peak is the larger wire's class — never both wires at once.
+func TestSendSideStagesNothing(t *testing.T) {
+	domain := grid.Box2(0, 0, 256, 256)
+	needs := []grid.Box{grid.Box2(0, 0, 64, 256), grid.Box2(64, 0, 64, 256), grid.Box2(128, 0, 128, 256)}
+	transports := []struct {
+		name string
+		opts []mpi.LaunchOption
+		peak int64
+	}{
+		{"shm", []mpi.LaunchOption{mpi.WithTransport(mpi.TransportShm), mpi.WithFaultInjector(nil)}, 0},
+		{"tcp", []mpi.LaunchOption{mpi.WithTransport(mpi.TransportTCP), mpi.WithFaultInjector(nil)}, 0},
+		{"inproc+injector", []mpi.LaunchOption{mpi.WithFaultInjector(noFaults{})}, int64(mpi.BufferClassSize(128 * 256 * 4))},
+	}
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			err := mpi.Launch(len(needs), func(c *mpi.Comm) error {
+				d, err := NewDescriptor(c.Size(), Layout2D, Float32, WithMemoryBudget(64<<20))
+				if err != nil {
+					return err
+				}
+				var own []grid.Box
+				var bufs [][]byte
+				if c.Rank() == 0 {
+					own, bufs = []grid.Box{domain}, [][]byte{fillBox(domain, 4)}
+				}
+				need := needs[c.Rank()]
+				if err := d.SetupDataMapping(c, own, need); err != nil {
+					return err
+				}
+				dst := make([]byte, need.Volume()*4)
+				for iter := 0; iter < 2; iter++ {
+					if err := d.ReorganizeData(c, bufs, dst); err != nil {
+						return err
+					}
+					if peak := d.LastPeakStaging(); c.Rank() == 0 && peak != tr.peak {
+						return fmt.Errorf("rank 0 staged a peak of %d bytes sending, want %d", peak, tr.peak)
+					}
+				}
+				return checkBox(dst, need, 4, nil, 0)
+			}, tr.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // Rink et al., "Memory-efficient array redistribution through portable
 // collective communication"), each a set of messages moved under one
 // staging footprint, and this file is the only code that runs one: it
-// owns the transport calls, staging, deadline and lost-peer handling,
-// trace stamps, round timings and abort cleanup. The backends are
+// owns the transport calls, deadline and lost-peer handling, trace
+// stamps, round timings and abort cleanup. The backends are
 // compilers that emit []step: the plan's round schedule (mapping.go) and
 // its two rewrites (bounded.go, delta.go). ModeAlltoallw alone keeps
 // its own round loop (reorganize.go), because it is the paper-fidelity
@@ -59,20 +59,31 @@ import (
 //   - Landed by the sender. On a transport that shares the receiver's
 //     address space and delivers synchronously (bare inproc, nothing
 //     else) issue first tries to claim the peer's open post for (dst,
-//     tag, bytes). On a hit the step's pack jobs — or the one memmove of
-//     an aliased contiguous message — write straight into the peer's need
-//     buffer and a commit completes the post: one copy end to end, no
-//     staging, nothing to unpack.
-//   - Landed by the transport. On shm (and hier within a node) the
-//     message is sent as below — an aliased contiguous one straight from
-//     the owned buffer into the ring — and the receiving rank's ring
-//     consumer copies the record into the posted span when the post is
-//     open and offers exactly its length: one copy per side, nothing to
-//     unpack. Chunk-streamed and fault-injected messages are eager.
-//   - Eager. Otherwise the message is staged (or aliased) and sent; the
-//     arriving envelope completes the oldest matching post, or waits in
-//     the mailbox queue for the post to come and take it, and wait places
-//     or batches its payload.
+//     tag, bytes). On a hit the step's pack jobs — a memmove per
+//     contiguous seg — write straight into the peer's need buffer and a
+//     commit completes the post: one copy end to end, no staging, nothing
+//     to unpack.
+//   - Landed by the transport. On shm (and hier within a node) the message
+//     is sent as below — its segs packed straight from the owned buffers
+//     into the ring record — and the receiving rank's ring consumer
+//     copies the record into the posted span when the post is open and
+//     offers exactly its length: one copy per side, nothing to unpack.
+//     Chunk-streamed and fault-injected messages are eager.
+//   - Eager. Otherwise the message is sent and the arriving envelope
+//     completes the oldest matching post, or waits in the mailbox queue
+//     for the post to come and take it, and wait places or batches its
+//     payload.
+//
+// One send call. A message nobody claimed goes to mpi.Comm.SendTyped as
+// its segs — a contiguous seg as its byte span of the owned buffer, a
+// strided one as its datatype over that buffer — and the transport picks
+// where the gather happens: tcp writes the segs' rows of a message from
+// 64 KiB up straight from the owned buffer into its vectored write, shm
+// packs them into the ring record, and everything else (a smaller tcp
+// message, an inproc miss, a cross-node hier hop, a fault-injected world,
+// a chunk stream, a deadline-bounded exchange on tcp) packs them into an
+// arena wire handed over by ownership. The executor stages nothing on the
+// send side.
 //
 // wait sees both kinds of landing alike — the post reports landed and
 // there is nothing to place — and counts them in
@@ -92,13 +103,16 @@ import (
 // Deadlock freedom at any depth mix: a rank only blocks in wait(j) after
 // it has issued steps 0..j+k-1 — in particular its own step-j sends are
 // already posted — and a sender never waits for a receiver: a claim
-// either hits at once or misses at once, and the eager fallback is
-// buffered on every transport (inproc appends to the destination
-// mailbox, TCP and shm drain their links with background goroutines). So
-// by induction over steps every posted send is eventually deliverable
-// and every wait satisfiable, even when peers run at different effective
-// depths. Landing is an optimisation on top of that argument, never a
-// rendezvous.
+// either hits at once or misses at once, and a send is buffered or
+// drained without the receiver's help on every transport. Inproc appends
+// to the destination mailbox; shm writes the ring, whose consumer
+// goroutine empties it; a tcp send that lends the owned buffer blocks,
+// but only on its connection's writer, and the writer only on the
+// socket, which the peer's read loop drains into the mailbox
+// unconditionally. So by induction over steps every posted send is
+// eventually delivered and every wait satisfiable, even when peers run
+// at different effective depths. Landing is an optimisation on top of
+// that argument, never a rendezvous.
 //
 // Leaving run, on every exit — success, hard error, caller's cancel,
 // deadline — no post of this exchange stays behind: open ones are
@@ -116,20 +130,21 @@ import (
 // drains.
 //
 // Buffer lease lifecycle (the memory-budget interaction): when a budget
-// is set, all staging is metered. Pack buffers are charged while held:
-// each is handed to the transport by ownership (mpi.SendOwned), which ends
-// its charge before the step's wire time even starts — from then on the
-// payload is covered by the receiving rank's lease. A message landed by
-// its sender takes no pack buffer at all. Step r's receive payload
-// classes are leased at issue time — conservatively: whether or not a
-// message later lands and needs no payload — and released when the step
-// retires, so the meter's high-water mark bounds the whole in-flight
-// window: k receive leases plus the current step's send staging while
-// packing, or k+1 leases (and no pack staging) in the instant between
-// issue(r) and retire(r-k). Both are at most k+1 per-step footprints,
-// which is exactly what pipelineDepth clamps to the budget; at depth 1 the
-// pack staging and the single lease never coexist, so one footprint
-// suffices.
+// is set, all staging is metered. A send that needs an arena wire draws
+// it through the exchange's meter inside SendTyped, which releases the
+// charge as it hands the wire to the transport — before the next message
+// is packed — so at most one message's wire is charged at a time; from
+// then on the payload is covered by the receiving rank's lease. A message
+// landed by its sender, lent to the tcp writer or packed into a shm
+// record takes no wire at all. Step r's receive payload classes are
+// leased at issue time — conservatively: whether or not a message later
+// lands and needs no payload — and released when the step retires, so
+// the meter's high-water mark bounds the whole in-flight window: k
+// receive leases plus one send wire while packing, or k+1 leases (and no
+// wire) in the instant between issue(r) and retire(r-k). Both are at most
+// k+1 per-step footprints, which is exactly what pipelineDepth clamps to
+// the budget; at depth 1 a send wire and the single lease never coexist,
+// so one footprint suffices.
 
 // seg is one box-shaped region of a message, addressed in a local buffer.
 type seg struct {
@@ -211,8 +226,9 @@ type executor struct {
 	zcSend, zcRecv bool // contiguous regions skip staging (the pack strategy's gates)
 
 	// meter is the live staging accountant of budgeted exchanges: every
-	// pack buffer and receive lease is charged against it, so its
-	// high-water mark is the ground truth the budget tests assert against.
+	// send wire, local staging buffer and receive lease is charged against
+	// it, so its high-water mark is the ground truth the budget tests
+	// assert against.
 	meter   mpi.StagingMeter
 	metered bool
 	perturb bool // PerturbPipelineForTest: recycle held payloads early
@@ -225,14 +241,13 @@ type executor struct {
 	// on hosts without a fast clock source time.Now dominated short steps.
 	clock time.Time
 
-	// Per-send scratch of the step being issued: the outgoing wire (staged,
-	// zero-copy alias, or the claimed span in the peer's need buffer) and
-	// the peer's post when the send was claimed. Both are cleared as soon
-	// as the step's sends are posted — they reference other ranks' memory,
-	// and a surviving descriptor must not keep a dead world's buffers
-	// reachable.
-	wires  [][]byte
+	// Per-send scratch of the step being issued: the peer's post when the
+	// send was claimed, and the parts of the typed send in flight. Both are
+	// cleared as soon as they are used — they reference other ranks' or the
+	// caller's memory, and a surviving descriptor must not keep a dead
+	// world's buffers reachable.
 	claims []*mpi.Posted
+	parts  []mpi.Part
 	slots  []slot
 
 	// posts holds the exchange's posted receives, one per receive message
@@ -385,26 +400,13 @@ func (ex *exchange) expired(steps []step, next int) bool {
 	return true
 }
 
-// stage takes a staging buffer from the arena, charged while metered.
-func (x *executor) stage(n int) []byte {
+// staging is the meter a budgeted exchange charges its staging to, nil
+// when unmetered.
+func (x *executor) staging() *mpi.StagingMeter {
 	if x.metered {
-		return mpi.GetBufferMetered(n, &x.meter)
+		return &x.meter
 	}
-	return mpi.GetBuffer(n)
-}
-
-func (x *executor) unstage(b []byte) {
-	if x.metered {
-		mpi.PutBufferMetered(b, &x.meter)
-		return
-	}
-	mpi.PutBuffer(b)
-}
-
-// aliased reports whether m goes out as a sub-slice of the owned buffer
-// it is one contiguous region of, with no staging.
-func (x *executor) aliased(m *message) bool {
-	return len(m.segs) == 1 && x.zcSend && m.segs[0].span.ok
+	return nil
 }
 
 // selfMove places one local region without touching the transport. One
@@ -422,15 +424,16 @@ func (x *executor) selfMove(sf *selfMove, own, need [][]byte) {
 	case x.zcRecv && ds.ok:
 		sf.src.t.Pack(src, dst[ds.off:ds.off+n])
 	default:
-		wire := x.stage(n)
+		m := x.staging()
+		wire := mpi.GetBufferMetered(n, m)
 		sf.src.t.Pack(src, wire)
 		sf.dst.t.Unpack(wire, dst)
-		x.unstage(wire)
+		mpi.PutBufferMetered(wire, m)
 	}
 }
 
-// issue packs and posts one step into slot s: local moves, claims,
-// staging copies, sends and commits, and the receive-class lease.
+// issue packs and posts one step into slot s: local moves, claims and
+// their commits, typed sends, and the receive-class lease.
 func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][]byte) error {
 	s.start = x.clock
 	if ex.traced {
@@ -440,15 +443,10 @@ func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][
 		x.selfMove(&st.selfs[i], own, need)
 	}
 
-	// Pack phase. A message whose receiver's post can be claimed packs
-	// into the claimed span — the peer's need buffer — and is done. Of the
-	// rest, one that is a single contiguous region needs no staging at all:
-	// the owned buffer's sub-slice goes straight to Send, whose delivery
-	// copy is the only copy. Everything else stages: the contiguous segs of
-	// a multi-seg message by memmove, strided ones through the engine. All
-	// of the step's staging is held at once — that simultaneity is what the
-	// footprint models budget.
-	x.wires, x.claims = x.wires[:0], x.claims[:0]
+	// Land phase: a message whose receiver's post can be claimed packs
+	// straight into the claimed span — the peer's need buffer — in one
+	// engine batch for the step.
+	x.claims = x.claims[:0]
 	s.bytes = 0
 	for i := range st.sends {
 		m := &st.sends[i]
@@ -458,74 +456,30 @@ func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][
 			claim = ex.c.Claim(m.peer, m.tag, m.bytes)
 		}
 		x.claims = append(x.claims, claim)
-		if x.aliased(m) {
-			sg := &m.segs[0]
-			src := own[sg.buf][sg.span.off : sg.span.off+m.bytes]
-			if claim != nil {
-				directCopy(ex.o, claim.Span(), src, m.peer, false)
-			}
-			x.wires = append(x.wires, src)
-			continue
-		}
-		var wire []byte
 		if claim != nil {
-			wire = claim.Span()
-		} else {
-			wire = x.stage(m.bytes)
+			x.packInto(ex.o, claim.Span(), m, own)
 		}
-		off := 0
-		for j := range m.segs {
-			sg := &m.segs[j]
-			n := sg.t.PackedSize()
-			if x.zcSend && sg.span.ok {
-				copy(wire[off:off+n], own[sg.buf][sg.span.off:sg.span.off+n])
-			} else {
-				x.eng.add(exchJob{t: sg.t, local: own[sg.buf], wire: wire[off : off+n], peer: m.peer})
-			}
-			off += n
-		}
-		x.wires = append(x.wires, wire)
 	}
 	x.eng.run(ex.o)
 
-	// Post phase. A claim is committed whatever else failed: its bytes are
-	// in place and its receiver cannot leave the exchange before. A staged
-	// wire is handed to the transport by ownership — no second copy, and in
-	// process the receiver unpacks the very buffer packed above — so its
-	// charge ends here: the peer's receive lease already covers the
-	// payload. After a hard error, and for peers given up on, the remaining
-	// staged wires go back to the arena instead.
+	// Send phase. A claim is committed whatever else failed: its bytes are
+	// in place and its receiver cannot leave the exchange before. Every
+	// other message is one typed send. After a hard error, and to peers
+	// given up on, nothing more is sent.
 	var failed error
 	for i := range st.sends {
-		m, wire := &st.sends[i], x.wires[i]
+		m := &st.sends[i]
 		if claim := x.claims[i]; claim != nil {
 			ex.c.Commit(claim)
 			continue
 		}
-		staged := !x.aliased(m)
 		if failed != nil || ex.ps.isLost(m.peer) {
-			if staged {
-				x.unstage(wire)
-			}
 			continue
 		}
-		var err error
-		switch {
-		case staged:
-			if x.metered {
-				x.meter.Release(cap(wire))
-			}
-			err = ex.c.SendOwned(ex.ctx, m.peer, m.tag, wire)
-		case ex.ctx == nil:
-			err = ex.c.Send(m.peer, m.tag, wire)
-		default:
-			err = ex.c.SendCtx(ex.ctx, m.peer, m.tag, wire)
-		}
-		if err != nil && !ex.ps.degrade(m.peer, idx, err) {
+		if err := x.send(ex, m, own); err != nil && !ex.ps.degrade(m.peer, idx, err) {
 			failed = err
 		}
 	}
-	clear(x.wires)
 	clear(x.claims)
 	s.post0 = x.next
 	x.next += len(st.recvs)
@@ -549,6 +503,50 @@ func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][
 	return nil
 }
 
+// packInto packs m's segs into dst, the claimed span of its receiver's
+// need buffer: a contiguous seg by one memmove, a strided one as a job of
+// the step's engine batch.
+func (x *executor) packInto(o *exchObs, dst []byte, m *message, own [][]byte) {
+	off := 0
+	for j := range m.segs {
+		sg := &m.segs[j]
+		n := sg.t.PackedSize()
+		if x.zcSend && sg.span.ok {
+			directCopy(o, dst[off:off+n], own[sg.buf][sg.span.off:sg.span.off+n], m.peer, false)
+		} else {
+			x.eng.add(exchJob{t: sg.t, local: own[sg.buf], wire: dst[off : off+n], peer: m.peer})
+		}
+		off += n
+	}
+}
+
+// send hands m to the transport as one typed message over the owned
+// buffers — a contiguous seg as its byte span, a strided one as its
+// datatype — and observes the call as m's pack: wherever the transport
+// writes the bytes (its socket, its ring, an arena wire), that is where
+// they are gathered.
+func (x *executor) send(ex *exchange, m *message, own [][]byte) error {
+	for j := range m.segs {
+		sg := &m.segs[j]
+		if x.zcSend && sg.span.ok {
+			x.parts = append(x.parts, mpi.Part{Buf: own[sg.buf][sg.span.off : sg.span.off+sg.span.n]})
+		} else {
+			x.parts = append(x.parts, mpi.Part{T: sg.t, Buf: own[sg.buf]})
+		}
+	}
+	var start time.Time
+	if ex.o.on() {
+		start = time.Now()
+	}
+	err := ex.c.SendTyped(ex.ctx, m.peer, m.tag, x.parts, x.staging())
+	clear(x.parts)
+	x.parts = x.parts[:0]
+	if err == nil && ex.o.on() {
+		ex.o.observeCopy(start, m.bytes, m.peer, false)
+	}
+	return err
+}
+
 // wait blocks on the posts of slot s's step until each message has landed
 // or its payload is in hand, placing contiguous segs immediately and
 // batching strided ones into the slot's unpack jobs. It is the only
@@ -560,8 +558,10 @@ func (x *executor) wait(ex *exchange, st *step, s *slot, need [][]byte, windowed
 	for i := range st.recvs {
 		m := &st.recvs[i]
 		if ex.ps.isLost(m.peer) {
-			// Nothing is coming: our own send already failed or the peer
-			// was given up on. Its post is swept on the way out.
+			// Nothing is coming: a send to the peer failed or it was given
+			// up on, perhaps at a later step issued ahead of this one, so
+			// the report must reach back here. The post is swept on exit.
+			ex.ps.markLost(m.peer, s.step)
 			continue
 		}
 		var peerStart time.Time

@@ -117,16 +117,20 @@ func TestTelemetryPopulatedAllModes(t *testing.T) {
 
 // The pack/unpack histograms only exist for the modes that pack on the
 // application side (the alltoallw mode packs inside the collective).
-// Every rank packs for 3 peers whatever path the message takes. Its
-// receives are contiguous (full-width bands of the column strip), so a
-// message either lands in the posted span — packed there by the sender on
-// inproc, copied there by the ring consumer on shm; no unpack either way
-// — or arrives eagerly and is placed by one unpack: unpacks = 12 -
-// landed, exactly, however the ranks interleave.
+// Every rank packs for 3 peers whatever path the message takes: into the
+// claimed span of the receiver's post on inproc, or as the typed send
+// that gathers it — into an arena wire on an inproc miss, into the ring
+// record on shm, straight into the vectored write on tcp. Its receives
+// are contiguous (full-width bands of the column strip), so a message
+// either lands in the posted span — packed there by the sender on inproc,
+// copied there by the ring consumer on shm; no unpack either way — or
+// arrives eagerly and is placed by one unpack: unpacks = 12 - landed,
+// exactly, however the ranks interleave. Nothing lands on tcp.
 func TestTelemetryPackUnpackObserved(t *testing.T) {
 	transports := map[string][]mpi.LaunchOption{
 		"inproc": {mpi.WithFaultInjector(nil)},
 		"shm":    {mpi.WithTransport(mpi.TransportShm), mpi.WithFaultInjector(nil)},
+		"tcp":    {mpi.WithTransport(mpi.TransportTCP), mpi.WithFaultInjector(nil)},
 	}
 	for name, launch := range transports {
 		reg := obs.NewRegistry()
@@ -139,7 +143,7 @@ func TestTelemetryPackUnpackObserved(t *testing.T) {
 			unpacks += reg.Histogram("ddr_unpack_seconds", "", nil, obs.RankLabel(r)).Count()
 			landed += reg.Counter("ddr_landed_messages_total", "", obs.RankLabel(r)).Value()
 		}
-		if packs != 4*3 || unpacks != 4*3-landed {
+		if packs != 4*3 || unpacks != 4*3-landed || name == "tcp" && landed != 0 {
 			t.Errorf("%s: %d packs, %d unpacks, %d landed; want 12 packs and 12-landed unpacks", name, packs, unpacks, landed)
 		}
 	}

@@ -32,6 +32,10 @@ type Type interface {
 	// wire representation is local[off : off+n] verbatim, which enables the
 	// zero-copy fast paths in the exchange engine.
 	ContiguousSpan() (off, n int, ok bool)
+	// AppendRuns appends the region's contiguous byte runs, sub-slices of
+	// local in pack order, to dst — what a vectored write sends in place of
+	// Pack's output.
+	AppendRuns(dst [][]byte, local []byte) [][]byte
 }
 
 // Subarray addresses a box-shaped sub-region of a local array.
@@ -100,6 +104,22 @@ func (s *Subarray) Pack(local []byte, wire []byte) int {
 		}
 	}
 	return w
+}
+
+// AppendRuns implements Type.
+func (s *Subarray) AppendRuns(dst [][]byte, local []byte) [][]byte {
+	if s.Sub.Empty() {
+		return dst
+	}
+	start, run, strideY, strideZ, ny, nz := s.rowGeometry()
+	for z := 0; z < nz; z++ {
+		rowBase := start + z*strideZ
+		for y := 0; y < ny; y++ {
+			dst = append(dst, local[rowBase:rowBase+run])
+			rowBase += strideY
+		}
+	}
+	return dst
 }
 
 // Unpack implements Type.
@@ -174,6 +194,14 @@ func (c Contiguous) Unpack(wire []byte, local []byte) int {
 // ContiguousSpan implements Type.
 func (c Contiguous) ContiguousSpan() (off, n int, ok bool) { return 0, c.Bytes, true }
 
+// AppendRuns implements Type.
+func (c Contiguous) AppendRuns(dst [][]byte, local []byte) [][]byte {
+	if c.Bytes == 0 {
+		return dst
+	}
+	return append(dst, local[:c.Bytes])
+}
+
 // Empty is a zero-size Type used for peers that exchange no data in a
 // given round (the alltoallw slots MPI would fill with zero counts).
 type Empty struct{}
@@ -189,3 +217,6 @@ func (Empty) Unpack([]byte, []byte) int { return 0 }
 
 // ContiguousSpan implements Type.
 func (Empty) ContiguousSpan() (off, n int, ok bool) { return 0, 0, true }
+
+// AppendRuns implements Type.
+func (Empty) AppendRuns(dst [][]byte, _ []byte) [][]byte { return dst }

@@ -80,6 +80,14 @@ func (rl *RunList) Unpack(wire []byte, local []byte) int {
 	return r
 }
 
+// AppendRuns implements Type.
+func (rl *RunList) AppendRuns(dst [][]byte, local []byte) [][]byte {
+	for _, off := range rl.offs {
+		dst = append(dst, local[off:off+rl.run])
+	}
+	return dst
+}
+
 // ContiguousSpan implements Type, reporting the span of the source type.
 func (rl *RunList) ContiguousSpan() (off, n int, ok bool) {
 	return rl.span.off, rl.span.n, rl.span.ok

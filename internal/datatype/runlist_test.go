@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"ddr/internal/grid"
 )
@@ -67,6 +68,44 @@ func TestRunListMatchesSubarray(t *testing.T) {
 		if !bytes.Equal(wantLocal, gotLocal) {
 			t.Fatalf("trial %d: unpacked bytes differ for %v", trial, s)
 		}
+	}
+}
+
+// TestAppendRunsMatchesPack: for every Type, the runs AppendRuns lists,
+// concatenated, are exactly Pack's wire bytes — what a vectored write of
+// the runs puts on the wire — and each run aliases local.
+func TestAppendRunsMatchesPack(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	check := func(name string, ty Type, local []byte) {
+		t.Helper()
+		want := make([]byte, ty.PackedSize())
+		ty.Pack(local, want)
+		lo := uintptr(unsafe.Pointer(&local[0]))
+		var got []byte
+		for _, run := range ty.AppendRuns(nil, local) {
+			at := uintptr(unsafe.Pointer(unsafe.SliceData(run)))
+			if len(run) == 0 || at < lo || at+uintptr(len(run)) > lo+uintptr(len(local)) {
+				t.Fatalf("%s: run of %d bytes does not alias local", name, len(run))
+			}
+			got = append(got, run...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: runs carry %d bytes, pack %d, or they differ", name, len(got), len(want))
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		s := randomSubarray(rng)
+		local := make([]byte, s.Array.Volume()*s.ElemSize)
+		rng.Read(local)
+		check(s.String(), s, local)
+		rl, _ := CompileRuns(s)
+		check(rl.String(), rl, local)
+	}
+	local := make([]byte, 64)
+	rng.Read(local)
+	check("contiguous", Contiguous{Bytes: 40}, local)
+	if runs := (Empty{}).AppendRuns(nil, local); len(runs) != 0 {
+		t.Fatalf("Empty lists %d runs", len(runs))
 	}
 }
 

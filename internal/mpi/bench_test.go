@@ -3,10 +3,15 @@ package mpi
 import (
 	"fmt"
 	"testing"
+
+	"ddr/internal/datatype"
+	"ddr/internal/grid"
 )
 
 // BenchmarkPingPong measures round-trip latency per transport and message
-// size.
+// size. Both sides return received payloads to the arena, as the exchange
+// engine does, so a large size measures the transport rather than the
+// allocator zeroing a fresh buffer per receive.
 func BenchmarkPingPong(b *testing.B) {
 	for _, tr := range transports {
 		for _, size := range []int{16, 4096, 1 << 20} {
@@ -20,15 +25,19 @@ func BenchmarkPingPong(b *testing.B) {
 							if err := c.Send(1, 0, msg); err != nil {
 								return err
 							}
-							if _, _, _, err := c.Recv(1, 1); err != nil {
+							data, _, _, err := c.Recv(1, 1)
+							if err != nil {
 								return err
 							}
+							PutBuffer(data)
 						}
 					} else {
 						for i := 0; i < b.N; i++ {
-							if _, _, _, err := c.Recv(0, 0); err != nil {
+							data, _, _, err := c.Recv(0, 0)
+							if err != nil {
 								return err
 							}
+							PutBuffer(data)
 							if err := c.Send(0, 1, msg); err != nil {
 								return err
 							}
@@ -131,10 +140,113 @@ func benchLarge(b *testing.B, run func(int, func(*Comm) error) error, size int) 
 	}
 }
 
-// BenchmarkTCPExchange measures the socket transport on the two traffic
+// benchStream is the in-transit coupling's shape: every rank but 0 sends
+// one size-byte frame to rank 0 per iteration, and rank 0 acknowledges
+// each once it holds them all.
+func benchStream(b *testing.B, run func(int, func(*Comm) error) error, ranks, size int) {
+	b.SetBytes(int64((ranks - 1) * size))
+	b.ReportAllocs()
+	err := run(ranks, func(c *Comm) error {
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() != 0 {
+			frame := make([]byte, size)
+			for i := 0; i < b.N; i++ {
+				if err := c.Send(0, 0, frame); err != nil {
+					return err
+				}
+				data, _, _, err := c.Recv(0, 1)
+				if err != nil {
+					return err
+				}
+				PutBuffer(data)
+			}
+			return nil
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for src := 1; src < ranks; src++ {
+				data, _, _, err := c.Recv(src, 0)
+				if err != nil {
+					return err
+				}
+				PutBuffer(data)
+			}
+			for src := 1; src < ranks; src++ {
+				if err := c.Send(src, 1, []byte{1}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// benchStrided sends a strided 256 KiB region — 128 rows of 2 KiB out of
+// a 4 KiB-row array, the regrid's message shape — from rank 0 to rank 1
+// per iteration, either as a typed send or packed into an arena wire and
+// handed over (the executor's send before typed sends).
+func benchStrided(b *testing.B, typed bool) {
+	array, sub := grid.Box2(0, 0, 1024, 128), grid.Box2(256, 0, 512, 128)
+	t, err := datatype.NewSubarray(4, array, sub)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(t.PackedSize()))
+	b.ReportAllocs()
+	err = runTCP(2, func(c *Comm) error {
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			for i := 0; i < b.N; i++ {
+				data, _, _, err := c.Recv(0, 0)
+				if err != nil {
+					return err
+				}
+				PutBuffer(data)
+				if err := c.Send(0, 1, []byte{1}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		parts := []Part{{T: t, Buf: make([]byte, array.Volume()*4)}}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if typed {
+				err = c.SendTyped(nil, 1, 0, parts, nil)
+			} else {
+				wire := GetBuffer(t.PackedSize())
+				t.Pack(parts[0].Buf, wire)
+				err = c.sendOwned(nil, 1, 0, wire)
+			}
+			if err != nil {
+				return err
+			}
+			data, _, _, err := c.Recv(1, 1)
+			if err != nil {
+				return err
+			}
+			PutBuffer(data)
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkTCPExchange measures the socket transport on the traffic
 // shapes that dominate multi-process redistributions — a 16-rank storm
-// of small frames and a 64 MiB bulk payload — with the in-process
-// channel transport as the reference.
+// of small frames, a 64 MiB bulk payload, the in-transit 2→1 stream of
+// 256 KiB frames, and a strided 256 KiB regrid message typed vs staged —
+// with the in-process channel transport as the reference.
 func BenchmarkTCPExchange(b *testing.B) {
 	runNoChunk := func(n int, body func(*Comm) error) error {
 		return Launch(n, body, WithTCPOptions(TCPOptions{ChunkThreshold: -1}))
@@ -153,6 +265,15 @@ func BenchmarkTCPExchange(b *testing.B) {
 	})
 	b.Run("large/64MiB/inproc", func(b *testing.B) {
 		benchLarge(b, runInProc, 64<<20)
+	})
+	b.Run("stream/256KiB/2to1", func(b *testing.B) {
+		benchStream(b, runTCP, 3, 256<<10)
+	})
+	b.Run("strided/256KiB/typed", func(b *testing.B) {
+		benchStrided(b, true)
+	})
+	b.Run("strided/256KiB/staged", func(b *testing.B) {
+		benchStrided(b, false)
 	})
 }
 

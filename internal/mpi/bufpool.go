@@ -9,14 +9,15 @@
 //
 //   - A buffer obtained with GetBuffer is owned by the caller until it is
 //     passed to PutBuffer or handed to the transport.
-//   - Comm.Send / Comm.Isend either copy their argument eagerly or (for
-//     large messages on a zero-copy transport) block until the payload is
-//     written, so a staging buffer may be recycled as soon as the call
-//     returns.
-//   - Comm.SendOwned takes the buffer itself: the transport — in process,
-//     the receiver — owns it from the call on, and the sender neither
-//     touches nor recycles it again. A metered sender releases the charge
-//     as it hands the buffer off.
+//   - Comm.Send / Comm.Isend / Comm.SendTyped either copy or pack their
+//     arguments into an arena buffer or lend them to the transport and
+//     block until it is done with them, so a caller's buffer may be
+//     reused as soon as the call returns.
+//   - A wire handed over by ownership (sendOwned, behind SendCtx and
+//     SendTyped's fallback) is the transport's — in process, the
+//     receiver's — from the call on; the sender neither touches nor
+//     recycles it again. A metered sender releases the charge as it hands
+//     the buffer off.
 //   - Message payloads returned by Recv/Wait are owned by the receiver;
 //     a receiver that is finished with a payload may PutBuffer it (the
 //     exchange engine does), but must not if any alias is retained. A

@@ -111,10 +111,11 @@ const (
 )
 
 // faultTransport wraps a raw transport with a per-destination delivery
-// worker that applies injected faults. It deliberately does not implement
-// zeroCopySender: under chaos every payload is an eager staging-arena
-// copy owned by the engine, so retries and duplicates have clean buffer
-// ownership.
+// worker that applies injected faults. It deliberately implements neither
+// zeroCopySender nor typedSender: under chaos every payload — a Send's
+// eager copy, a SendTyped's packed wire — is a staging-arena buffer owned
+// by the engine, so retries and duplicates have clean buffer ownership and
+// no caller ever waits on a delivery the injector may delay or drop.
 type faultTransport struct {
 	raw transport
 	inj FaultInjector

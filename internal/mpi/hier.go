@@ -214,6 +214,17 @@ func (t *hierTransport) sendZeroCopy(dst int, e envelope) (bool, error) {
 	return t.shm.sendZeroCopy(topo.localIndex(dst), e)
 }
 
+// sendTyped likewise packs a typed message for a co-located destination
+// straight into the node's ring; a cross-node one is packed into an arena
+// wire for the relay.
+func (t *hierTransport) sendTyped(dst int, e envelope, parts []Part, n int) (bool, error) {
+	topo := t.hw.topo
+	if dst < 0 || dst >= topo.NumRanks() || topo.NodeOf(dst) != t.node {
+		return false, nil
+	}
+	return t.shm.sendTyped(topo.localIndex(dst), e, parts, n)
+}
+
 func (t *hierTransport) close() error { return t.hw.close() }
 
 // wrapRelay builds the relayCtx envelope carrying e to dst: a fresh

@@ -8,12 +8,14 @@
 // Ranks are goroutines. Two transports are provided: an in-process
 // transport backed by per-rank mailboxes (Run) and a TCP transport that
 // exchanges the same frames over real sockets (RunTCP), usable both over
-// loopback and across machines. Message delivery is eager and buffered,
-// so a Send never blocks on the matching Recv — the same progress
-// guarantee a buffered MPI_Send provides. A receive may also be posted
-// ahead of its message (Comm.Post, posted.go); in process a sender, and
-// on shared memory the receiver's ring consumer, can then write the
-// payload straight into the posted destination.
+// loopback and across machines. A Send never blocks on the matching Recv
+// — small messages are copied and queued, larger ones written straight
+// from the caller's buffer by a transport that drains into the
+// receiver's mailbox on its own — the same progress guarantee a buffered
+// MPI_Send provides. A receive may also be posted ahead of its message
+// (Comm.Post, posted.go); in process a sender, and on shared memory the
+// receiver's ring consumer, can then write the payload straight into the
+// posted destination.
 package mpi
 
 import (
@@ -44,7 +46,7 @@ var ErrClosed = errors.New("mpi: communicator closed")
 var ErrPeerLost = errors.New("mpi: peer lost")
 
 // ErrExchangeTimeout is wrapped by deadline-bounded operations (RecvCtx,
-// SendCtx, SendOwned) that ran out of time before the peer produced or
+// SendCtx, SendTyped) that ran out of time before the peer produced or
 // accepted the message. Match with errors.Is.
 var ErrExchangeTimeout = errors.New("mpi: exchange timeout")
 
@@ -76,17 +78,24 @@ type envelope struct {
 	// until the transport marks it ready.
 	pend *chunkPending
 
-	// done is non-nil for zero-copy sends: data is borrowed from the
-	// caller, the writer must not recycle it, and it signals exactly one
-	// error (nil on success) when the payload has been fully written and
-	// ownership returns to the caller. Never set on mailbox envelopes.
-	done chan<- error
+	// zc is non-nil for zero-copy sends: the payload — data, or zc.parts —
+	// is borrowed from a caller blocked until the writer signals zc.done,
+	// and is never recycled. Never set on mailbox envelopes.
+	zc *borrow
 
 	// tc is the distributed trace context stamped on messages sent while
 	// an exchange is being traced (tc.Exchange == 0 means untraced). The
 	// TCP transport carries it in an optional frame extension; frames of
 	// untraced messages are byte-identical to the pre-tracing format.
 	tc TraceContext
+}
+
+// size is the payload length: data's, or a borrowed typed message's.
+func (e *envelope) size() int {
+	if e.zc != nil && e.zc.parts != nil {
+		return e.zc.n
+	}
+	return len(e.data)
 }
 
 // TraceContext identifies the logical exchange a message belongs to:
@@ -466,8 +475,8 @@ type transport interface {
 // zeroCopySender is an optional transport capability: send a payload
 // without the eager staging copy, blocking until the transport no longer
 // needs the caller's buffer. sendZeroCopy returns handled=false when the
-// payload does not qualify (too small, feature disabled) and the caller
-// must fall back to the eager-copy path.
+// payload does not qualify (below tcp's readBufSize, a cross-node hier
+// hop) and the caller must fall back to the eager-copy path.
 type zeroCopySender interface {
 	sendZeroCopy(dst int, e envelope) (handled bool, err error)
 }
@@ -540,16 +549,13 @@ func (c *Comm) checkRank(rank int) error {
 
 // Send delivers data to dst with the given tag. The tag must be
 // non-negative (negative tags are reserved for collectives). The caller
-// may reuse the buffer as soon as Send returns: small messages are copied
-// eagerly, while large messages on a zero-copy transport are streamed
-// directly from the caller's buffer with Send blocking until the payload
-// is on the wire.
+// may reuse the buffer as soon as Send returns and Send never waits for
+// the receiver: small messages are copied eagerly and queued, while on shm
+// (every size) and tcp (from readBufSize up) the transport writes straight
+// from the caller's buffer and Send blocks until it has.
 func (c *Comm) Send(dst, tag int, data []byte) error {
-	if err := c.checkRank(dst); err != nil {
+	if _, err := c.sendArgs(nil, dst, tag); err != nil {
 		return err
-	}
-	if tag < 0 {
-		return fmt.Errorf("mpi: negative tag %d is reserved", tag)
 	}
 	return c.sendInternal(dst, tag, data)
 }
@@ -557,27 +563,58 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 // sendInternal performs the delivery without the user-tag restriction.
 // Small messages are copied eagerly into a staging-arena buffer whose
 // ownership passes to the receiver (which may recycle it with PutBuffer
-// once unpacked). Messages a zero-copy transport accepts — shm at every
-// size, tcp above its chunk threshold — skip the copy: the transport
-// writes straight from the caller's buffer and sendInternal blocks until
-// it is reusable. Either way the caller may
-// touch data again the moment this returns.
+// once unpacked). Messages a zero-copy transport accepts skip the copy:
+// the transport writes straight from the caller's buffer and sendInternal
+// blocks until it is reusable. Either way the caller may touch data again
+// the moment this returns.
 func (c *Comm) sendInternal(dst, tag int, data []byte) error {
 	dstWorld := c.group[dst]
 	tc, start := c.sendBegin(dstWorld, tag, len(data))
 	if zc, ok := c.tr.(zeroCopySender); ok {
 		if handled, err := zc.sendZeroCopy(dstWorld, envelope{ctx: c.ctx, src: c.group[c.rank], tag: tag, data: data, tc: tc}); handled {
-			c.counters.countSend(dstWorld, len(data))
-			if t := c.tel; t != nil {
-				t.sendLatency.ObserveSince(start)
-				t.wireSent.Add(int64(len(data)))
-			}
+			c.sendEnd(dstWorld, len(data), start)
 			return err
 		}
 	}
 	cp := GetBuffer(len(data))
 	copy(cp, data)
 	return c.post(dstWorld, tag, cp, nil, tc, start)
+}
+
+// sendArgs validates a send's destination and tag and turns its context
+// into the transport's cancel channel (nil for a nil ctx).
+func (c *Comm) sendArgs(ctx context.Context, dst, tag int) (<-chan struct{}, error) {
+	if err := c.checkRank(dst); err != nil {
+		return nil, err
+	}
+	if tag < 0 {
+		return nil, fmt.Errorf("mpi: negative tag %d is reserved", tag)
+	}
+	if ctx == nil {
+		return nil, nil
+	}
+	if ctx.Err() != nil {
+		return nil, sendTimeout(ErrExchangeTimeout, dst, tag)
+	}
+	return ctx.Done(), nil
+}
+
+// sendTimeout names the send a deadline expiry belongs to.
+func sendTimeout(err error, dst, tag int) error {
+	if errors.Is(err, ErrExchangeTimeout) {
+		return fmt.Errorf("mpi: send to rank %d tag %d: %w", dst, tag, ErrExchangeTimeout)
+	}
+	return err
+}
+
+// sendEnd closes the telemetry sendBegin opened for a send of n bytes
+// that the transport took without an arena wire.
+func (c *Comm) sendEnd(dstWorld, n int, start time.Time) {
+	c.counters.countSend(dstWorld, n)
+	if t := c.tel; t != nil {
+		t.sendLatency.ObserveSince(start)
+		t.wireSent.Add(int64(n))
+	}
 }
 
 // sendBegin opens one send's telemetry: the flight event and the latency
@@ -674,43 +711,31 @@ func (c *Comm) recvDone(e *envelope, n int, start time.Time) {
 
 // SendCtx is Send bounded by a context: if the transport's outbound queue
 // to dst stays saturated past the deadline the call fails with an error
-// wrapping ErrExchangeTimeout instead of blocking. It always takes the
-// eager-copy path (never zero-copy), so the caller's buffer is reusable
-// immediately regardless of outcome.
+// wrapping ErrExchangeTimeout instead of blocking. It copies data into an
+// arena wire and queues that at every size — it never lends the caller's
+// buffer, so it never waits on a writer — and the buffer is reusable
+// immediately whatever the outcome.
 func (c *Comm) SendCtx(ctx context.Context, dst, tag int, data []byte) error {
 	cp := GetBuffer(len(data))
 	copy(cp, data)
-	return c.SendOwned(ctx, dst, tag, cp)
+	return c.sendOwned(ctx, dst, tag, cp)
 }
 
-// SendOwned is Send for a wire the caller took from the staging arena
-// (GetBuffer) and is finished with: ownership passes to the transport —
-// in process, on to the receiver — so the eager copy Send makes is
-// skipped. Whatever the outcome, the caller must neither touch nor
-// recycle wire afterwards. A non-nil ctx bounds a saturated outbound
-// queue the way SendCtx does; nil never gives up.
-func (c *Comm) SendOwned(ctx context.Context, dst, tag int, wire []byte) error {
-	if err := c.checkRank(dst); err != nil {
+// sendOwned is Send for a wire taken from the staging arena (GetBuffer)
+// that the caller is finished with: ownership passes to the transport —
+// in process, on to the receiver — so Send's eager copy is skipped.
+// Whatever the outcome, the caller must neither touch nor recycle wire
+// afterwards. A non-nil ctx bounds a saturated outbound queue as SendCtx
+// does; nil never gives up.
+func (c *Comm) sendOwned(ctx context.Context, dst, tag int, wire []byte) error {
+	cancel, err := c.sendArgs(ctx, dst, tag)
+	if err != nil {
+		PutBuffer(wire)
 		return err
-	}
-	if tag < 0 {
-		return fmt.Errorf("mpi: negative tag %d is reserved", tag)
-	}
-	var cancel <-chan struct{}
-	if ctx != nil {
-		if ctx.Err() != nil {
-			PutBuffer(wire)
-			return fmt.Errorf("mpi: send to rank %d tag %d: %w", dst, tag, ErrExchangeTimeout)
-		}
-		cancel = ctx.Done()
 	}
 	dstWorld := c.group[dst]
 	tc, start := c.sendBegin(dstWorld, tag, len(wire))
-	err := c.post(dstWorld, tag, wire, cancel, tc, start)
-	if errors.Is(err, ErrExchangeTimeout) {
-		err = fmt.Errorf("mpi: send to rank %d tag %d: %w", dst, tag, ErrExchangeTimeout)
-	}
-	return err
+	return sendTimeout(c.post(dstWorld, tag, wire, cancel, tc, start), dst, tag)
 }
 
 // Probe blocks until a message matching (src, tag) is available and

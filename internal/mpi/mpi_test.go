@@ -44,7 +44,8 @@ func forEachTransport(t *testing.T, n int, body func(c *Comm) error) {
 	}
 }
 
-// TestSendOwned hands arena wires to the transport by ownership on every
+// TestSendOwned hands arena wires to the transport by ownership
+// (sendOwned, the path SendCtx and SendTyped's fallback take) on every
 // transport — below and above the chunk-streaming thresholds, with and
 // without a context, to a sibling and (hier) across the leader relay — and
 // checks each arrives byte-identical, in order, while the sender goes
@@ -67,7 +68,7 @@ func TestSendOwned(t *testing.T) {
 					if i%2 == 1 {
 						ctx = context.Background()
 					}
-					if err := c.SendOwned(ctx, dst, 5, pattern(n, dst)); err != nil {
+					if err := c.sendOwned(ctx, dst, 5, pattern(n, dst)); err != nil {
 						return err
 					}
 					// The wire is gone; whatever the arena hands out next
@@ -75,7 +76,7 @@ func TestSendOwned(t *testing.T) {
 					PutBuffer(pattern(n, 99))
 				}
 			}
-			if err := c.SendOwned(nil, 1, -3, GetBuffer(8)); err == nil {
+			if err := c.sendOwned(nil, 1, -3, GetBuffer(8)); err == nil {
 				return errors.New("reserved tag accepted")
 			}
 		case 1, 3:

@@ -72,17 +72,18 @@ func postedCheck(b []byte, n, msg int) error {
 }
 
 // sendOrLand moves message msg the way the exchange executor does: claim
-// the receiver's post and write in place, or stage and SendOwned. It
-// reports which happened.
+// the receiver's post and write in place, or hand the owner's bytes to
+// SendTyped — lent to the tcp writer, packed into the shm record, staged
+// elsewhere. It reports which happened.
 func sendOrLand(c *Comm, to, n, msg int) (landed bool, err error) {
 	if p := c.Claim(to, postTagData, n); p != nil {
 		postedFill(p.Span(), msg)
 		c.Commit(p)
 		return true, nil
 	}
-	wire := GetBuffer(n)
-	postedFill(wire, msg)
-	return false, c.SendOwned(nil, to, postTagData, wire)
+	own := make([]byte, n)
+	postedFill(own, msg)
+	return false, c.SendTyped(nil, to, postTagData, []Part{{Buf: own}}, nil)
 }
 
 // postedExchange runs every size × order combination between two ranks of

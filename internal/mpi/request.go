@@ -16,14 +16,13 @@ func (r *Request) Wait() (data []byte, from, tag int, err error) {
 	return r.WaitCtx(nil)
 }
 
-// Isend starts a non-blocking send. Because delivery is eager the data is
-// copied immediately and the caller may reuse the buffer as soon as Isend
-// returns; Wait only reports the delivery status. On the TCP transport
-// the copy is enqueue-only: the per-peer writer goroutine performs the
-// socket write asynchronously, so small Isends (and Sends) return without
-// waiting for the kernel. Messages above the chunk threshold skip the
-// copy and stream straight from the caller's buffer, returning once the
-// payload is on the wire.
+// Isend starts a non-blocking send. It is Send — the caller may reuse the
+// buffer as soon as Isend returns — and Wait only reports the delivery
+// status. Small messages are copied and queued, so on tcp the per-peer
+// writer goroutine performs the socket write asynchronously and Isend
+// returns without waiting for the kernel; from 64 KiB up tcp skips the
+// copy and writes straight from the caller's buffer, returning once it is
+// written (shm does so at every size).
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 	return &Request{err: c.Send(dst, tag, data)}
 }

@@ -39,12 +39,13 @@
 //
 // One copy per side: Send writes every payload straight from the
 // caller's buffer into the ring (the write is synchronous, so there is
-// no staging copy at any size), and the consumer copies a whole-message
-// record straight into the receiver's posted span when a post offering
-// exactly its length is waiting (see posted.go) — into an arena payload
-// only otherwise, and always for chunk streams and for sequenced
-// (fault-injected) messages, which the mailbox must be able to drop as
-// duplicates.
+// no staging copy at any size), SendTyped packs a message that fits one
+// record straight into it from the owner's buffers, and the consumer
+// copies a whole-message record straight into the receiver's posted span
+// when a post offering exactly its length is waiting (see posted.go) —
+// into an arena payload only otherwise, and always for chunk streams and
+// for sequenced (fault-injected) messages, which the mailbox must be able
+// to drop as duplicates.
 package mpi
 
 import (
@@ -347,8 +348,8 @@ func (r *shmRing) publish(pos uint64, n int) {
 }
 
 // writeRecord reserves, fills, and publishes one record whose payload is
-// copied from payload (which may be nil for zero-length messages).
-func (r *shmRing) writeRecord(w *shmWorld, e *envelope, typ byte, stream uint32, total uint64, payload []byte) error {
+// the n packed bytes of parts, packed straight into the ring.
+func (r *shmRing) writeRecord(w *shmWorld, e *envelope, typ byte, stream uint32, total uint64, parts []Part, n int) error {
 	flags := byte(0)
 	hdrLen := shmWordSize + shmRecHeader
 	if typ == shmRecChunk {
@@ -358,14 +359,14 @@ func (r *shmRing) writeRecord(w *shmWorld, e *envelope, typ byte, stream uint32,
 		flags = shmFlagTrace
 		hdrLen += shmTraceExt
 	}
-	rec := shmPad(hdrLen + len(payload))
+	rec := shmPad(hdrLen + n)
 	pos, err := r.reserve(rec, w)
 	if err != nil {
 		return err
 	}
 	at := pos & r.mask
 	b := r.data[at:]
-	word := uint64(uint32(len(payload))) | uint64(typ)<<32 | uint64(flags)<<40
+	word := uint64(uint32(n)) | uint64(typ)<<32 | uint64(flags)<<40
 	// The descriptor word is written along with the rest of the header
 	// and payload before the tail store in publish makes any of it
 	// visible; the release/acquire pair on tail is the seqlock edge.
@@ -388,7 +389,7 @@ func (r *shmRing) writeRecord(w *shmWorld, e *envelope, typ byte, stream uint32,
 		binary.LittleEndian.PutUint32(h[8:], e.tc.Round)
 		binary.LittleEndian.PutUint32(h[12:], e.tc.Span)
 	}
-	copy(b[hdrLen:hdrLen+len(payload)], payload)
+	packParts(b[hdrLen:hdrLen+n], parts)
 	r.publish(pos, rec)
 	return nil
 }
@@ -745,6 +746,23 @@ func (t *shmTransport) send(dst int, e envelope) error {
 	return err
 }
 
+// sendTyped implements the typedSender capability for messages that fit
+// one record: the parts pack straight into the reserved record, so no
+// arena wire exists on the sending side. Larger messages stream as chunk
+// records from the arena wire the caller packs instead.
+func (t *shmTransport) sendTyped(dst int, e envelope, parts []Part, n int) (bool, error) {
+	if cfg := &t.w.cfg; cfg.chunk && n > cfg.chunkThreshold {
+		return false, nil
+	}
+	if dst < 0 || dst >= t.w.n {
+		return true, fmt.Errorf("mpi: shm world rank %d out of range", dst)
+	}
+	if t.w.isClosed() {
+		return true, ErrClosed
+	}
+	return true, t.writeMsg(dst, &e, parts, n)
+}
+
 // sendZeroCopy implements the zeroCopySender capability at every size:
 // the payload goes straight from the caller's buffer into the ring — one
 // record or a chunk stream — with no staging copy and no arena
@@ -766,26 +784,11 @@ func (t *shmTransport) sendZeroCopy(dst int, e envelope) (bool, error) {
 // senders and keeping chunk streams contiguous in publication order.
 func (t *shmTransport) write(dst int, e envelope) error {
 	w := t.w
-	r := w.ring(t.src, dst)
 	cfg := &w.cfg
 	if !cfg.chunk || len(e.data) <= cfg.chunkThreshold {
-		if len(e.data) > cfg.ringSize-shmMaxHeader-shmWordSize {
-			return fmt.Errorf("mpi: %d-byte message with shm chunking disabled: %w", len(e.data), ErrFrameTooLarge)
-		}
-		r.mu.Lock()
-		err := r.writeRecord(w, &e, shmRecMsg, 0, 0, e.data)
-		r.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		w.records.Add(1)
-		n := int64(len(e.data))
-		w.bytesOut.Add(n)
-		w.outCtr[t.src].Load().Add(n)
-		w.addOccupancy(dst, int64(shmPad(shmWordSize+shmRecHeader+shmTraceExtIf(&e)+len(e.data))))
-		w.nudge(dst)
-		return nil
+		return t.writeMsg(dst, &e, []Part{{Buf: e.data}}, len(e.data))
 	}
+	r := w.ring(t.src, dst)
 	stream := t.nextStream.Add(1)
 	total := uint64(len(e.data))
 	r.mu.Lock()
@@ -795,7 +798,7 @@ func (t *shmTransport) write(dst int, e envelope) error {
 		if n > cfg.chunkSize {
 			n = cfg.chunkSize
 		}
-		if err := r.writeRecord(w, &e, shmRecChunk, stream, total, e.data[off:off+n]); err != nil {
+		if err := r.writeRecord(w, &e, shmRecChunk, stream, total, []Part{{Buf: e.data[off : off+n]}}, n); err != nil {
 			return err
 		}
 		w.records.Add(1)
@@ -806,6 +809,28 @@ func (t *shmTransport) write(dst int, e envelope) error {
 		off += n
 		w.nudge(dst)
 	}
+	return nil
+}
+
+// writeMsg writes one whole-message record whose payload is the n packed
+// bytes of parts.
+func (t *shmTransport) writeMsg(dst int, e *envelope, parts []Part, n int) error {
+	w := t.w
+	if n > w.cfg.ringSize-shmMaxHeader-shmWordSize {
+		return fmt.Errorf("mpi: %d-byte message with shm chunking disabled: %w", n, ErrFrameTooLarge)
+	}
+	r := w.ring(t.src, dst)
+	r.mu.Lock()
+	err := r.writeRecord(w, e, shmRecMsg, 0, 0, parts, n)
+	r.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	w.records.Add(1)
+	w.bytesOut.Add(int64(n))
+	w.outCtr[t.src].Load().Add(int64(n))
+	w.addOccupancy(dst, int64(shmPad(shmWordSize+shmRecHeader+shmTraceExtIf(e)+n)))
+	w.nudge(dst)
 	return nil
 }
 

@@ -201,7 +201,8 @@ func TestShmBackpressureAllocs(t *testing.T) {
 	r := w.ring(0, 0)
 	// One record leaving less room than the next one needs.
 	e := envelope{ctx: 1}
-	if err := r.writeRecord(w, &e, shmRecMsg, 0, 0, make([]byte, minShmRing-shmMaxHeader-shmWordSize)); err != nil {
+	n := minShmRing - shmMaxHeader - shmWordSize
+	if err := r.writeRecord(w, &e, shmRecMsg, 0, 0, []Part{{Buf: make([]byte, n)}}, n); err != nil {
 		t.Fatal(err)
 	}
 	need := shmPad(shmWordSize + shmRecHeader + 256)

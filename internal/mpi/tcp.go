@@ -683,7 +683,7 @@ func (p *tcpPeer) enqueue(e envelope) error {
 	if f := p.ep.flight.Load(); f != nil {
 		f.Record(obs.FlightEvent{
 			Kind: obs.FlightSaturation, Rank: p.ep.selfRank.Load(), Peer: int32(p.rank),
-			Tag: int32(e.tag), Round: int32(e.tc.Round), Exchange: e.tc.Exchange, Bytes: int64(len(e.data)),
+			Tag: int32(e.tag), Round: int32(e.tc.Round), Exchange: e.tc.Exchange, Bytes: int64(e.size()),
 		})
 	}
 	if p.warned.CompareAndSwap(false, true) {
@@ -727,8 +727,9 @@ func (p *tcpPeer) writeLoop() {
 	ep := p.ep
 	cfg := ep.cfg
 	var (
-		iov       [][]byte // reused iovec backing
-		hdrs      []byte   // reused header arena; pointers into it live in iov
+		iov       [][]byte    // reused iovec backing
+		wb        net.Buffers // iov as WriteTo consumes it; escapes, so declared once
+		hdrs      []byte      // reused header arena; pointers into it live in iov
 		items     []envelope
 		streams   []*outStream
 		batchMsgs []envelope   // whole messages in the current batch (payloads still owned)
@@ -739,29 +740,11 @@ func (p *tcpPeer) writeLoop() {
 	defer func() {
 		p.fail(loopErr)
 		close(p.dead)
-		// Discard anything still queued so blocked senders observe the
-		// death instead of a silent hang. Payloads the writer owns go back
-		// to the arena; borrowed (zero-copy) payloads belong to a blocked
-		// caller, who is released with the loop error instead.
-		for {
-			select {
-			case e := <-p.queue:
-				ep.queueDepthAdd(-1)
-				if e.done != nil {
-					e.done <- p.error()
-				} else {
-					PutBuffer(e.data)
-				}
-			default:
-				for _, s := range streams {
-					if s.e.done != nil {
-						s.e.done <- p.error()
-					} else {
-						PutBuffer(s.e.data)
-					}
-				}
-				return
-			}
+		// Release anything still queued or streaming so blocked senders
+		// observe the death instead of a silent hang.
+		p.drain()
+		for _, s := range streams {
+			release(&s.e, p.error())
 		}
 	}()
 	// A message's sequence number is the one the fault-injection layer
@@ -880,7 +863,10 @@ func (p *tcpPeer) writeLoop() {
 		// emits its first chunk at its queue position, pinning its mailbox
 		// slot at the receiver so matching order is preserved.
 		for _, e := range items {
-			if cfg.chunk && len(e.data) > cfg.chunkThreshold {
+			n := e.size()
+			if cfg.chunk && n > cfg.chunkThreshold {
+				// Only data-backed payloads stream: a typed message this
+				// large was packed into an arena wire before it was queued.
 				s := &outStream{e: e, id: p.nextStream, seq: e.seq}
 				p.nextStream++
 				emitChunk(s)
@@ -904,7 +890,7 @@ func (p *tcpPeer) writeLoop() {
 				ext += tcpTraceExt
 			}
 			h := grab(tcpFrameHeader + ext)
-			putHeader(h, typ, flags, &e, len(e.data))
+			putHeader(h, typ, flags, &e, n)
 			if seq != 0 {
 				binary.LittleEndian.PutUint64(h[tcpFrameHeader:], seq)
 			}
@@ -912,7 +898,11 @@ func (p *tcpPeer) writeLoop() {
 				putTraceExt(h, e.tc)
 			}
 			iov = append(iov, h)
-			if len(e.data) > 0 {
+			if e.zc != nil && e.zc.parts != nil {
+				// A typed message goes out as its parts' runs, straight
+				// from the caller's buffers.
+				iov = appendRuns(iov, e.zc.parts)
+			} else if len(e.data) > 0 {
 				iov = append(iov, e.data)
 			}
 			batchMsgs = append(batchMsgs, e)
@@ -938,33 +928,76 @@ func (p *tcpPeer) writeLoop() {
 		// peer can answer and the sender read its counters before this
 		// goroutine runs again.
 		ep.countBatch(frames, chunks)
-		wb := net.Buffers(iov)
+		if testHookBeforeWrite != nil {
+			testHookBeforeWrite(batchMsgs)
+		}
+		wb = iov
 		nw, werr := wb.WriteTo(conn)
 		ep.countWireOut(nw)
 		if werr != nil {
 			loopErr = fmt.Errorf("mpi: tcp send to rank %d: %v: %w", p.rank, werr, ErrPeerLost)
-			for _, e := range batchMsgs {
-				PutBuffer(e.data)
-			}
-			for _, s := range batchDone {
-				if s.e.done != nil {
-					s.e.done <- loopErr
-				} else {
-					PutBuffer(s.e.data)
-				}
-			}
-			return
 		}
-		for _, e := range batchMsgs {
-			PutBuffer(e.data)
+		// The batch's payloads go back — borrowed ones to their blocked
+		// senders, with the write's outcome — and nothing the writer keeps
+		// for the next batch may reach them any more.
+		for i := range batchMsgs {
+			release(&batchMsgs[i], loopErr)
 		}
 		for _, s := range batchDone {
-			if s.e.done != nil {
-				s.e.done <- nil
-			} else {
-				PutBuffer(s.e.data)
-			}
+			release(&s.e, loopErr)
 		}
+		clear(iov)
+		clear(items)
+		clear(batchMsgs)
+		clear(batchDone)
+		if loopErr != nil {
+			return
+		}
+	}
+}
+
+// testHookBeforeWrite, when set, runs on every batch's whole messages just
+// before the writer writes them — where a test plants a writer bug. Set
+// only by tests, while no endpoint is open.
+var testHookBeforeWrite func(batch []envelope)
+
+// release ends the writer's hold on e's payload: a borrowed one goes back
+// to its blocked sender with err, an owned one to the arena.
+func release(e *envelope, err error) {
+	if e.zc != nil {
+		e.zc.done <- err
+	} else {
+		PutBuffer(e.data)
+	}
+}
+
+// drain releases everything still queued to a dead writer with its error.
+// Any goroutine may drain: each envelope is received, and so released,
+// exactly once.
+func (p *tcpPeer) drain() {
+	err := p.error()
+	for {
+		select {
+		case e := <-p.queue:
+			p.ep.queueDepthAdd(-1)
+			release(&e, err)
+		default:
+			return
+		}
+	}
+}
+
+// await blocks until the writer releases the borrowed payload b. A sender
+// that queued b just as the writer died may find nobody left to take it,
+// so once the writer is dead the sender drains the queue itself — b is
+// then released by whoever received it.
+func (p *tcpPeer) await(b *borrow) error {
+	select {
+	case err := <-b.done:
+		return err
+	case <-p.dead:
+		p.drain()
+		return <-b.done
 	}
 }
 
@@ -999,31 +1032,59 @@ func checkFrameSize(n int, cfg *tcpConfig) error {
 	return nil
 }
 
-// sendZeroCopy implements the zeroCopySender capability for payloads
-// above the chunk threshold: the writer streams chunks directly from the
-// caller's buffer — no staging copy, no arena allocation — and the call
-// blocks until the last chunk is written (or the writer dies). The wait
-// preserves Send's contract that the buffer is reusable on return, and
-// because the envelope takes its queue position at enqueue time, ordering
-// with surrounding sends is untouched.
+// sendZeroCopy implements the zeroCopySender capability from readBufSize
+// up — the size at which the receiving read loop stops batching frames
+// through its buffer and reads the payload straight into the arena. The
+// writer sends one frame, or streams chunks, directly from the caller's
+// buffer. Smaller messages stay eager: their copy is cheap, and queueing
+// it lets the writer coalesce them without the sender waiting.
 func (t *tcpTransport) sendZeroCopy(dst int, e envelope) (bool, error) {
-	cfg := &t.ep.cfg
-	if !cfg.chunk || len(e.data) <= cfg.chunkThreshold {
+	if len(e.data) < readBufSize {
 		return false, nil
 	}
+	if err := checkFrameSize(len(e.data), &t.ep.cfg); err != nil {
+		return true, err
+	}
+	return true, t.lend(dst, e, nil, 0)
+}
+
+// sendTyped implements the typedSender capability for the messages
+// sendZeroCopy would lend that fit one frame and carry no deadline (a lent
+// payload cannot be abandoned mid-queue): the writer appends the parts'
+// runs to its vectored write. Smaller ones are packed and queued like an
+// eager Send, so a storm of them still coalesces.
+func (t *tcpTransport) sendTyped(dst int, e envelope, parts []Part, n int) (bool, error) {
+	cfg := &t.ep.cfg
+	if e.cancel != nil || n < readBufSize || cfg.chunk && n > cfg.chunkThreshold || uint64(n) > maxSingleFrame {
+		return false, nil
+	}
+	return true, t.lend(dst, e, parts, n)
+}
+
+// lend queues e with its payload — data, or parts of n packed bytes when
+// set — borrowed from the caller, and blocks until the writer has written
+// it (or died). The wait keeps Send's contract that the buffers are
+// reusable on return; because the envelope takes its queue position at
+// enqueue time, ordering with surrounding sends is untouched. The writer
+// never waits on the receiver — the peer's read loop drains every
+// connection into its mailbox — so neither does the sender.
+func (t *tcpTransport) lend(dst int, e envelope, parts []Part, n int) error {
 	if dst < 0 || dst >= len(t.addrs) {
-		return true, fmt.Errorf("mpi: tcp world rank %d out of range", dst)
+		return fmt.Errorf("mpi: tcp world rank %d out of range", dst)
 	}
 	p, err := t.ep.dial(dst, t.addrs[dst])
 	if err != nil {
-		return true, err
+		return err
 	}
-	done := make(chan error, 1)
-	e.done = done
-	if err := p.enqueue(e); err != nil {
-		return true, err
+	b := borrows.Get().(*borrow)
+	b.parts, b.n = parts, n
+	e.zc = b
+	if err = p.enqueue(e); err == nil {
+		err = p.await(b)
 	}
-	return true, <-done
+	b.parts = nil
+	borrows.Put(b)
+	return err
 }
 
 func (t *tcpTransport) close() error { return t.ep.Close() }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"ddr/internal/grid"
 	"ddr/internal/obs"
 )
 
@@ -516,6 +517,73 @@ func TestTCPReceiveSteadyStateAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state frame decode allocates %.1f objects/frame, want 0", allocs)
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestTCPSendSteadyStateAlloc is its send-side twin: a ping-pong of lent
+// payloads — a typed strided message one way, a plain 96 KiB Send back —
+// allocates nothing per round trip once warm, across both ranks, their
+// writers and their read loops. The lent send's completion signal is
+// pooled; one channel per send would read two allocations here.
+func TestTCPSendSteadyStateAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race; make verify runs this test without it")
+	}
+	err := Launch(2, func(c *Comm) error {
+		peer := 1 - c.Rank()
+		if c.Rank() == 1 {
+			// Echo until the stop tag, so rank 0 controls the round count.
+			echo := make([]byte, 96<<10)
+			for {
+				data, _, tag, err := c.Recv(peer, AnyTag)
+				if err != nil {
+					return err
+				}
+				PutBuffer(data)
+				if tag == 9 {
+					return nil
+				}
+				if err := c.Send(peer, 0, echo); err != nil {
+					return err
+				}
+			}
+		}
+		parts := []Part{subarrayPart(4, grid.Box2(0, 0, 1024, 64), grid.Box2(1, 0, 1000, 40), 1)}
+		pingpong := func() error {
+			if err := c.SendTyped(nil, peer, 0, parts, nil); err != nil {
+				return err
+			}
+			data, _, _, err := c.Recv(peer, 0)
+			if err != nil {
+				return err
+			}
+			PutBuffer(data)
+			return nil
+		}
+		for i := 0; i < 100; i++ { // reach steady state on both sides
+			if err := pingpong(); err != nil {
+				return err
+			}
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := pingpong(); err != nil {
+				t.Error(err)
+			}
+		})
+		if err := c.Send(peer, 9, nil); err != nil {
+			return err
+		}
+		if allocs != 0 {
+			t.Errorf("steady-state lent ping-pong allocates %.1f objects per round trip, want 0", allocs)
+		}
+		return nil
+	}, WithTransport(TransportTCP), WithFaultInjector(nil))
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
