@@ -56,6 +56,7 @@ verify: chaos
 	$(GO) test -run '^$$' -fuzz FuzzShmRingHeader -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTCPFrameDecoder -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTCPSeqFrameDecoder -fuzztime 10s ./internal/mpi/
+	$(GO) test -run '^$$' -bench BenchmarkPackUnpack -benchtime 1x ./internal/datatype/
 	$(GO) test -run '^$$' -bench BenchmarkBoundedExchange -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkFFT2DStep -benchtime 1x ./internal/fft/
 	$(GO) test -run '^$$' -bench BenchmarkKernel -benchtime 1x ./internal/fft/
@@ -73,6 +74,7 @@ verify: chaos
 bench:
 	$(GO) test -run XXX -bench BenchmarkReorganizeTelemetry -benchmem ./internal/core/
 	$(GO) test -run XXX -bench 'BenchmarkReorganizeEngine|BenchmarkPackUnpackPool' -benchmem ./internal/core/
+	$(GO) test -run XXX -bench BenchmarkPackUnpack -benchmem ./internal/datatype/
 
 # size prints the line counts the simplicity acceptance criteria quote:
 # non-test Go outside bench/ (the benchmark is its own module), and the

@@ -27,8 +27,8 @@ import (
 // size, and the budget, so every rank derives the identical slice list
 // and step boundaries from the allgathered geometry with no extra
 // communication. The budget is folded into the plan fingerprint
-// (plancache.go), so cached plans, autotune keys, and exchange IDs all
-// key on it; it must be uniform across ranks, like the exchange mode.
+// (plancache.go), so cached plans and exchange IDs both key on it; it
+// must be uniform across ranks, like the exchange mode.
 //
 // Budget semantics: WithMemoryBudget bounds the bytes of exchange-layer
 // staging a rank holds at once — pack buffers plus received payloads
@@ -91,14 +91,10 @@ func WithMemoryBudget(n int) Option {
 	return func(d *Descriptor) { d.budget = n }
 }
 
-// MemoryBudget returns the ceiling set with WithMemoryBudget (0 when
-// unset).
-func (d *Descriptor) MemoryBudget() int { return d.budget }
-
 // fpSalt is the descriptor's fingerprint salt: the memory budget when
 // one is set, 0 (a no-op, see saltHash) otherwise. Folding it into the
-// plan fingerprint keys the plan cache, the autotune cache, and minted
-// exchange IDs on the budget alongside the geometry and topology.
+// plan fingerprint keys the plan cache and minted exchange IDs on the
+// budget alongside the geometry and topology.
 func (d *Descriptor) fpSalt() uint64 { return uint64(max(d.budget, 0)) }
 
 // BoundedSteps reports the number of bounded steps the current plan

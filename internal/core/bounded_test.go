@@ -97,8 +97,12 @@ func foldPeers(p *Plan, budget int) error {
 	fold := func(recv bool) (msgs []message) {
 		var ms []*message
 		for r := range p.sched {
-			for i := range p.sched[r].msgs(recv) {
-				ms = append(ms, &p.sched[r].msgs(recv)[i])
+			list := p.sched[r].sends
+			if recv {
+				list = p.sched[r].recvs
+			}
+			for i := range list {
+				ms = append(ms, &list[i])
 			}
 		}
 		sort.SliceStable(ms, func(a, b int) bool { return ms[a].peer < ms[b].peer })
@@ -622,8 +626,8 @@ func TestBoundedBudgetTooSmall(t *testing.T) {
 
 // TestBoundedPlanCacheKeyedByBudget verifies two descriptors mapping the
 // same geometry under different budgets never share a fingerprint — the
-// budget is part of the plan identity (salted into the hash), so plans,
-// autotune entries, and exchange IDs stay distinct.
+// budget is part of the plan identity (salted into the hash), so plans
+// and exchange IDs stay distinct.
 func TestBoundedPlanCacheKeyedByBudget(t *testing.T) {
 	err := mpi.Launch(2, func(c *mpi.Comm) error {
 		array := grid.Box2(c.Rank()*32, 0, 32, 64)

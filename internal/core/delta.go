@@ -67,11 +67,6 @@ type DeltaPlan struct {
 // Rank returns the rank the plan was compiled for.
 func (p *DeltaPlan) Rank() int { return p.rank }
 
-// OldNeed and NewNeed return the rank's need boxes on the two sides of
-// the resize (empty for joiners and leavers respectively).
-func (p *DeltaPlan) OldNeed() grid.Box { return p.oldNeed }
-func (p *DeltaPlan) NewNeed() grid.Box { return p.newNeed }
-
 // NewGroupSize returns the number of ranks with a non-empty need after
 // the resize — the N′ the surviving consumer communicator must have.
 func (p *DeltaPlan) NewGroupSize() int { return p.newSize }

@@ -22,10 +22,6 @@ import (
 // redistribution traffic (or with fault schedules that target it).
 const deltaTag = ddrTagBase + (1 << 19)
 
-// DeltaExchangeTag exports the resize round's tag so fault-injection
-// schedules can target (or spare) resize traffic specifically.
-const DeltaExchangeTag = deltaTag
-
 // Exchange executes the resize move fail-fast: oldData holds this rank's
 // old need box, newData receives the new one (nil for an empty side).
 // Cells of the new need covered by no old rank are left untouched.
@@ -55,7 +51,7 @@ func (p *DeltaPlan) ExchangeCtx(ctx context.Context, c *mpi.Comm, oldData, newDa
 	}
 	// The plan is immutable and shareable, so each call brings its own
 	// executor; the payloads themselves cycle through the arena.
-	x := executor{eng: engine{par: 1}, zcSend: true, zcRecv: true}
+	x := executor{eng: engine{par: 1}}
 	err = x.run(&exchange{ctx: ctx, c: c, ps: ps, deadline: deadline},
 		p.sched, 1, [][]byte{oldData}, [][]byte{newData})
 	if err != nil {

@@ -143,7 +143,6 @@ type Descriptor struct {
 	elemSizeSet bool // WithElemSize was given (even an invalid value)
 	mode        ExchangeMode
 	validate    bool
-	forcedStrat PackStrategy  // tests pin a strategy here; StrategyAuto probes
 	deadline    time.Duration // per-exchange bound; > 0 enables degradation
 	budget      int           // WithMemoryBudget ceiling; <= 0 disables
 	depth       int           // WithPipelineDepth; rounds in flight at once
@@ -163,13 +162,6 @@ type Descriptor struct {
 	// mints exchange IDs that match across ranks without a message.
 	exchSeq    uint64
 	lastExchID uint64 // ID minted by the most recent exchange
-
-	// Resolved pack strategies (the executor's fast-path gates follow
-	// from them). ensureTuned refreshes them whenever the plan fingerprint
-	// or the transport underneath changes.
-	sendStrat, recvStrat PackStrategy
-	tunedFP              uint64
-	tunedTransport       string
 
 	// ex runs every step-list exchange (exec.go) and records its timings;
 	// needBuf is the one-element destination buffer list handed to it, a
@@ -391,7 +383,6 @@ func NewDescriptor(nProcs int, layout Layout, elem ElemType, opts ...Option) (*D
 	for _, opt := range opts {
 		opt(d)
 	}
-	d.ex.zcSend, d.ex.zcRecv = true, true
 	d.ex.metered = d.budget > 0
 	if d.depth < 1 {
 		return nil, fmt.Errorf("core: pipeline depth %d must be at least 1", d.depth)
@@ -493,6 +484,12 @@ func (d *Descriptor) Reshape(nProcs int) error {
 	d.plan = nil
 	return nil
 }
+
+// ResetAutotuneCache does nothing: nothing is cached process-wide any
+// more, since every strided region is gathered by its Subarray and no
+// probe picks a strategy. It exists only because the benchmark harness
+// (bench/ddrperf) still calls it before each world.
+func ResetAutotuneCache() {}
 
 // checkBoxDims verifies a box matches the descriptor's dimensionality.
 func (d *Descriptor) checkBoxDims(b grid.Box, what string) error {

@@ -52,8 +52,8 @@ import (
 // message, in step order) and wait blocks on the step's posts — there is
 // no Recv call and no per-receive request or goroutine, cancellable or
 // not. A post names (peer, tag) and, when the message is a single seg
-// whose receive side is contiguous under zcRecv, offers the destination
-// span need[buf][off:off+bytes] itself. How a post completes is the
+// whose receive side is contiguous, offers the destination span
+// need[buf][off:off+bytes] itself. How a post completes is the
 // transport's business:
 //
 //   - Landed by the sender. On a transport that shares the receiver's
@@ -219,11 +219,10 @@ type slot struct {
 }
 
 // executor holds what outlives one exchange: the pack/unpack engine, the
-// fast-path gates, the staging meter, the last run's timings, and the
-// reusable scratch. Not safe for concurrent use.
+// staging meter, the last run's timings, and the reusable scratch. Not
+// safe for concurrent use.
 type executor struct {
-	eng            engine
-	zcSend, zcRecv bool // contiguous regions skip staging (the pack strategy's gates)
+	eng engine
 
 	// meter is the live staging accountant of budgeted exchanges: every
 	// send wire, local staging buffer and receive lease is charged against
@@ -233,6 +232,7 @@ type executor struct {
 	metered bool
 	perturb bool // PerturbPipelineForTest: recycle held payloads early
 	eager   bool // tests only: never claim a peer's post, stage every message
+	staged  bool // tests only: take no contiguous span, move every region by its datatype
 
 	timings []RoundTiming
 
@@ -332,7 +332,7 @@ func (x *executor) post(ex *exchange, steps []step, need [][]byte) error {
 		for j := range steps[i].recvs {
 			m := &steps[i].recvs[j]
 			var dst []byte
-			if len(m.segs) == 1 && x.zcRecv && m.segs[0].span.ok {
+			if len(m.segs) == 1 && !x.staged && m.segs[0].span.ok {
 				sg := &m.segs[0]
 				dst = need[sg.buf][sg.span.off : sg.span.off+m.bytes]
 			}
@@ -415,13 +415,16 @@ func (x *executor) staging() *mpi.StagingMeter {
 func (x *executor) selfMove(sf *selfMove, own, need [][]byte) {
 	src, dst := own[sf.src.buf], need[sf.dst.buf]
 	ss, ds := sf.src.span, sf.dst.span
+	if x.staged {
+		ss.ok, ds.ok = false, false
+	}
 	n := sf.src.t.PackedSize()
 	switch {
-	case x.zcSend && x.zcRecv && ss.ok && ds.ok:
+	case ss.ok && ds.ok:
 		copy(dst[ds.off:ds.off+n], src[ss.off:ss.off+n])
-	case x.zcSend && ss.ok:
+	case ss.ok:
 		sf.dst.t.Unpack(src[ss.off:ss.off+n], dst)
-	case x.zcRecv && ds.ok:
+	case ds.ok:
 		sf.src.t.Pack(src, dst[ds.off:ds.off+n])
 	default:
 		m := x.staging()
@@ -511,7 +514,7 @@ func (x *executor) packInto(o *exchObs, dst []byte, m *message, own [][]byte) {
 	for j := range m.segs {
 		sg := &m.segs[j]
 		n := sg.t.PackedSize()
-		if x.zcSend && sg.span.ok {
+		if !x.staged && sg.span.ok {
 			directCopy(o, dst[off:off+n], own[sg.buf][sg.span.off:sg.span.off+n], m.peer, false)
 		} else {
 			x.eng.add(exchJob{t: sg.t, local: own[sg.buf], wire: dst[off : off+n], peer: m.peer})
@@ -528,7 +531,7 @@ func (x *executor) packInto(o *exchObs, dst []byte, m *message, own [][]byte) {
 func (x *executor) send(ex *exchange, m *message, own [][]byte) error {
 	for j := range m.segs {
 		sg := &m.segs[j]
-		if x.zcSend && sg.span.ok {
+		if !x.staged && sg.span.ok {
 			x.parts = append(x.parts, mpi.Part{Buf: own[sg.buf][sg.span.off : sg.span.off+sg.span.n]})
 		} else {
 			x.parts = append(x.parts, mpi.Part{T: sg.t, Buf: own[sg.buf]})
@@ -595,7 +598,7 @@ func (x *executor) wait(ex *exchange, st *step, s *slot, need [][]byte, windowed
 		for j := range m.segs {
 			sg := &m.segs[j]
 			n := sg.t.PackedSize()
-			if x.zcRecv && sg.span.ok {
+			if !x.staged && sg.span.ok {
 				directCopy(ex.o, need[sg.buf][sg.span.off:sg.span.off+n], data[off:off+n], m.peer, true)
 			} else {
 				s.jobs = append(s.jobs, exchJob{t: sg.t, local: need[sg.buf], wire: data[off : off+n], unpack: true, peer: m.peer})

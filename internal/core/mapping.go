@@ -12,13 +12,12 @@ import (
 
 // Plan is the compiled communication schedule produced by
 // SetupDataMapping: a step list (exec.go), the one form every exchange
-// path, summary and test hook reads. What it moves, between whom and in
-// which round is immutable, so it may be replayed by ReorganizeData any
-// number of times while the data layout stays the same — only the data
-// values need to be fresh (the paper's "dynamic data" property) — and
-// shared: the plan cache hands the same *Plan back to repeated setups of
-// one geometry. The one thing ever rewritten is a seg's packing type,
-// swapped for a run list that packs the same bytes (compileRuns).
+// path, summary and test hook reads. Outside the planted-bug hooks
+// (testhook.go) nothing rewrites it once compiled — what it moves, between
+// whom, in which round, through which datatype — so ReorganizeData may replay it any number of times while the data
+// layout stays the same (only the data values need to be fresh: the
+// paper's "dynamic data" property), and the plan cache may hand the same
+// *Plan back to repeated setups of one geometry.
 type Plan struct {
 	elemSize int
 	rank     int
@@ -47,7 +46,7 @@ type Plan struct {
 	// actual overlap, O(overlaps) rather than O(rounds·procs) state. Every
 	// reader of the plan reads this list: the step executor replays it, the
 	// alltoallw oracle scatters a round's segs into its dense rows, and the
-	// summary, the autotuner and the test hooks walk it.
+	// summary and the test hooks walk it.
 	sched []step
 
 	// shot is the geometry's SingleShotFootprint, stored by ensureBounded
@@ -76,9 +75,6 @@ func (p *Plan) Rounds() int { return p.rounds }
 
 // Need returns the box this rank receives.
 func (p *Plan) Need() grid.Box { return p.need }
-
-// MyChunks returns the boxes this rank contributed as owned data.
-func (p *Plan) MyChunks() []grid.Box { return p.myChunks }
 
 // SetupDataMapping computes the data mapping between all ranks. It is a
 // collective call: every rank passes the chunks it currently owns (any

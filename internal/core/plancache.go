@@ -80,8 +80,8 @@ func topoHash(h uint64, c *mpi.Comm) uint64 {
 
 // saltHash folds a descriptor-level salt into the running hash state h.
 // The bounded backend salts fingerprints with its memory budget so plans
-// compiled for different budgets — whose step schedules, autotune
-// entries, and exchange identities all differ — never replay for each
+// compiled for different budgets — whose step schedules and exchange
+// identities differ — never replay for each
 // other. Salt 0 (no budget) contributes nothing, keeping unbudgeted
 // fingerprints byte-identical to the historical format.
 func saltHash(h, salt uint64) uint64 {

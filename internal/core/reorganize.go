@@ -148,11 +148,6 @@ func (d *Descriptor) ReorganizeDataCtx(ctx context.Context, c *mpi.Comm, own [][
 			len(need), p.need, want, ErrBufferSize)
 	}
 
-	// Resolve the pack strategies this exchange will use — a measured
-	// probe on the first exchange of a (plan, transport) pair, two
-	// comparisons afterwards.
-	d.ensureTuned(c, p)
-
 	o := d.obsv
 	rankL := o.Rank(c)
 

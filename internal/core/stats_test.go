@@ -101,7 +101,7 @@ func TestExchangeModesAgree(t *testing.T) {
 		opts []Option
 	}{
 		{"default", nil},
-		{"staged", []Option{withPar(1), withPackStrategy(StrategyDatatype)}},
+		{"staged", []Option{withPar(1), withStaged()}},
 		{"par2", []Option{withPar(2)}},
 	}
 	for trial := 0; trial < 8; trial++ {

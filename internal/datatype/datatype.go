@@ -48,6 +48,13 @@ type Subarray struct {
 	ElemSize int
 	Array    grid.Box // full local array (global offset + extents)
 	Sub      grid.Box // region to transfer, in global coordinates
+
+	// The row-run geometry of the copy loops, derived once by NewSubarray,
+	// so a Subarray built any other way moves nothing: the byte offset of
+	// the first element, the length of one contiguous run, the strides
+	// between consecutive runs along y and z, and the run counts — zero
+	// for an empty region. The exported fields must not change after.
+	start, run, strideY, strideZ, ny, nz int
 }
 
 // NewSubarray validates and builds a Subarray. The sub box must lie within
@@ -62,38 +69,29 @@ func NewSubarray(elemSize int, array, sub grid.Box) (*Subarray, error) {
 	if !array.Contains(sub) {
 		return nil, fmt.Errorf("datatype: sub-region %v not contained in array %v", sub, array)
 	}
-	return &Subarray{ElemSize: elemSize, Array: array, Sub: sub}, nil
+	s := &Subarray{ElemSize: elemSize, Array: array, Sub: sub}
+	if !sub.Empty() {
+		local := sub.LocalTo(array)
+		w := array.Dims[0]
+		h := 1
+		if array.NDims >= 2 {
+			h = array.Dims[1]
+		}
+		s.start = (((local.Offset[2]*h)+local.Offset[1])*w + local.Offset[0]) * elemSize
+		s.run = local.Dims[0] * elemSize
+		s.strideY = w * elemSize
+		s.strideZ = w * h * elemSize
+		s.ny, s.nz = local.Dims[1], local.Dims[2]
+	}
+	return s, nil
 }
 
 // PackedSize implements Type.
 func (s *Subarray) PackedSize() int { return s.Sub.Volume() * s.ElemSize }
 
-// rowGeometry returns the parameters of the row-run copy loop: the byte
-// offset of the first element, the length of one contiguous run, the
-// strides between consecutive runs along y and z, and the run counts.
-func (s *Subarray) rowGeometry() (start, run, strideY, strideZ, ny, nz int) {
-	local := s.Sub.LocalTo(s.Array)
-	w := s.Array.Dims[0]
-	h := 1
-	if s.Array.NDims >= 2 {
-		h = s.Array.Dims[1]
-	}
-	start = ((local.Offset[2]*h)+local.Offset[1])*w + local.Offset[0]
-	start *= s.ElemSize
-	run = local.Dims[0] * s.ElemSize
-	strideY = w * s.ElemSize
-	strideZ = w * h * s.ElemSize
-	ny = local.Dims[1]
-	nz = local.Dims[2]
-	return
-}
-
 // Pack implements Type.
 func (s *Subarray) Pack(local []byte, wire []byte) int {
-	if s.Sub.Empty() {
-		return 0
-	}
-	start, run, strideY, strideZ, ny, nz := s.rowGeometry()
+	start, run, strideY, strideZ, ny, nz := s.start, s.run, s.strideY, s.strideZ, s.ny, s.nz
 	w := 0
 	for z := 0; z < nz; z++ {
 		rowBase := start + z*strideZ
@@ -108,10 +106,7 @@ func (s *Subarray) Pack(local []byte, wire []byte) int {
 
 // AppendRuns implements Type.
 func (s *Subarray) AppendRuns(dst [][]byte, local []byte) [][]byte {
-	if s.Sub.Empty() {
-		return dst
-	}
-	start, run, strideY, strideZ, ny, nz := s.rowGeometry()
+	start, run, strideY, strideZ, ny, nz := s.start, s.run, s.strideY, s.strideZ, s.ny, s.nz
 	for z := 0; z < nz; z++ {
 		rowBase := start + z*strideZ
 		for y := 0; y < ny; y++ {
@@ -124,10 +119,7 @@ func (s *Subarray) AppendRuns(dst [][]byte, local []byte) [][]byte {
 
 // Unpack implements Type.
 func (s *Subarray) Unpack(wire []byte, local []byte) int {
-	if s.Sub.Empty() {
-		return 0
-	}
-	start, run, strideY, strideZ, ny, nz := s.rowGeometry()
+	start, run, strideY, strideZ, ny, nz := s.start, s.run, s.strideY, s.strideZ, s.ny, s.nz
 	r := 0
 	for z := 0; z < nz; z++ {
 		rowBase := start + z*strideZ
@@ -162,8 +154,7 @@ func (s *Subarray) ContiguousSpan() (off, n int, ok bool) {
 			}
 		}
 	}
-	start, _, _, _, _, _ := s.rowGeometry()
-	return start, s.PackedSize(), true
+	return s.start, s.PackedSize(), true
 }
 
 // String describes the subarray for diagnostics.

@@ -3,9 +3,11 @@ package datatype
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ddr/internal/grid"
 )
@@ -202,18 +204,133 @@ func TestEmptyType(t *testing.T) {
 	}
 }
 
-func BenchmarkPackSubarray2D(b *testing.B) {
-	array := grid.Box2(0, 0, 2048, 1024)
-	sub := grid.Box2(512, 256, 1024, 512)
-	s, err := NewSubarray(4, array, sub)
-	if err != nil {
-		b.Fatal(err)
+// randomSubarray builds a valid random Subarray within a small 3D array.
+func randomSubarray(rng *rand.Rand) *Subarray {
+	dims := [3]int{1 + rng.Intn(12), 1 + rng.Intn(10), 1 + rng.Intn(8)}
+	array := grid.Box{NDims: 3, Dims: [grid.MaxDims]int{dims[0], dims[1], dims[2]}}
+	var sub grid.Box
+	sub.NDims = 3
+	for d := 0; d < 3; d++ {
+		sub.Offset[d] = rng.Intn(dims[d])
+		sub.Dims[d] = 1 + rng.Intn(dims[d]-sub.Offset[d])
 	}
-	local := make([]byte, array.Volume()*4)
-	wire := make([]byte, s.PackedSize())
-	b.SetBytes(int64(s.PackedSize()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Pack(local, wire)
+	elem := []int{1, 2, 4, 8}[rng.Intn(4)]
+	s, err := NewSubarray(elem, array, sub)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// TestAppendRunsMatchesPack: for every Type, the runs AppendRuns lists,
+// concatenated, are exactly Pack's wire bytes — what a vectored write of
+// the runs puts on the wire — and each run aliases local.
+func TestAppendRunsMatchesPack(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	check := func(name string, ty Type, local []byte) {
+		t.Helper()
+		want := make([]byte, ty.PackedSize())
+		ty.Pack(local, want)
+		lo := uintptr(unsafe.Pointer(&local[0]))
+		var got []byte
+		for _, run := range ty.AppendRuns(nil, local) {
+			at := uintptr(unsafe.Pointer(unsafe.SliceData(run)))
+			if len(run) == 0 || at < lo || at+uintptr(len(run)) > lo+uintptr(len(local)) {
+				t.Fatalf("%s: run of %d bytes does not alias local", name, len(run))
+			}
+			got = append(got, run...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: runs carry %d bytes, pack %d, or they differ", name, len(got), len(want))
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		s := randomSubarray(rng)
+		local := make([]byte, s.Array.Volume()*s.ElemSize)
+		rng.Read(local)
+		check(s.String(), s, local)
+	}
+	local := make([]byte, 64)
+	rng.Read(local)
+	check("contiguous", Contiguous{Bytes: 40}, local)
+	if runs := (Empty{}).AppendRuns(nil, local); len(runs) != 0 {
+		t.Fatalf("Empty lists %d runs", len(runs))
+	}
+}
+
+// offsetTable is the reference BenchmarkPackUnpack measures the Subarray
+// stride loop against, not a kernel: one precomputed local offset per
+// row, walked by a flat loop of equal-length copies.
+type offsetTable struct {
+	offs []int
+	run  int
+}
+
+func newOffsetTable(s *Subarray) offsetTable {
+	t := offsetTable{run: s.run}
+	for z := 0; z < s.nz; z++ {
+		for y := 0; y < s.ny; y++ {
+			t.offs = append(t.offs, s.start+z*s.strideZ+y*s.strideY)
+		}
+	}
+	return t
+}
+
+func (t offsetTable) pack(local, wire []byte) {
+	for i, off := range t.offs {
+		copy(wire[i*t.run:(i+1)*t.run], local[off:off+t.run])
+	}
+}
+
+func (t offsetTable) unpack(wire, local []byte) {
+	for i, off := range t.offs {
+		copy(local[off:off+t.run], wire[i*t.run:(i+1)*t.run])
+	}
+}
+
+// BenchmarkPackUnpack is the per-geometry table of the one gather
+// kernel: the Subarray stride loop against the offset-table reference,
+// packing and unpacking 2-D and 3-D regions of 4 KiB and 64 KiB whose
+// rows hold 1 to 4096 elements of 8 B. Each row sits in an array twice
+// its width (and, in 3-D, one row taller than the region), so every
+// region is strided. Rows wider than half the region are skipped.
+func BenchmarkPackUnpack(b *testing.B) {
+	const elem = 8
+	for _, nd := range []int{2, 3} {
+		for _, region := range []int{4 << 10, 64 << 10} {
+			for _, row := range []int{1, 4, 16, 64, 256, 1024, 4096} {
+				rows := region / (row * elem)
+				if rows < 2 {
+					continue
+				}
+				array, sub := grid.Box2(0, 0, 2*row, rows), grid.Box2(row/2, 0, row, rows)
+				if nd == 3 {
+					array, sub = grid.Box3(0, 0, 0, 2*row, rows/2+1, 2), grid.Box3(row/2, 1, 0, row, rows/2, 2)
+				}
+				s, err := NewSubarray(elem, array, sub)
+				if err != nil {
+					b.Fatal(err)
+				}
+				local := make([]byte, array.Volume()*elem)
+				wire := make([]byte, s.PackedSize())
+				tab := newOffsetTable(s)
+				for _, k := range []struct {
+					name string
+					move func()
+				}{
+					{"pack/subarray", func() { s.Pack(local, wire) }},
+					{"pack/offsets", func() { tab.pack(local, wire) }},
+					{"unpack/subarray", func() { s.Unpack(wire, local) }},
+					{"unpack/offsets", func() { tab.unpack(wire, local) }},
+				} {
+					b.Run(fmt.Sprintf("%dd/%dKiB/row=%d/%s", nd, region>>10, row, k.name), func(b *testing.B) {
+						b.SetBytes(int64(region))
+						for i := 0; i < b.N; i++ {
+							k.move()
+						}
+					})
+				}
+			}
+		}
 	}
 }

@@ -95,9 +95,6 @@ func TestHierSmoke(t *testing.T) {
 		if !ok {
 			return fmt.Errorf("transport is %T, want *hierTransport", c.tr)
 		}
-		if c.TransportName() != "hier" {
-			return fmt.Errorf("TransportName = %q", c.TransportName())
-		}
 		// The O(nodes²) assertion: every leader endpoint dialed at most
 		// nodes-1 peers, regardless of the O(P²) rank traffic it carried.
 		for node, st := range ht.LeaderEndpointStats() {

@@ -272,6 +272,22 @@ func killExchangeWarmup(c *mpi.Comm) error {
 		}
 		mpi.PutBuffer(data)
 	}
+	// The victim (the highest rank) returns only once every survivor holds
+	// its warmup message. Send returns with the frame queued, not written:
+	// killed with it still queued, the victim would leave a survivor blocked
+	// above on a connection that has carried nothing, which a dying socket
+	// cannot attribute to any rank.
+	victim := c.Size() - 1
+	if c.Rank() != victim {
+		return c.Send(victim, 3, nil)
+	}
+	for peer := 0; peer < victim; peer++ {
+		data, _, _, err := c.Recv(peer, 3)
+		if err != nil {
+			return err
+		}
+		mpi.PutBuffer(data)
+	}
 	return nil
 }
 

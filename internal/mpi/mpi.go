@@ -520,26 +520,6 @@ func (c *Comm) WorldRank(rank int) int { return c.group[rank] }
 // nil for a flat (single-node) world. Derived communicators inherit it.
 func (c *Comm) Topology() *Topology { return c.topo }
 
-// TransportName identifies the transport carrying this communicator's
-// traffic ("inproc", "tcp", "shm", or "hier"), unwrapping the fault-
-// injection layer. Plan caches and the pack autotuner key on it.
-func (c *Comm) TransportName() string {
-	tr := c.tr
-	if ft, ok := tr.(*faultTransport); ok {
-		tr = ft.raw
-	}
-	switch tr.(type) {
-	case *tcpTransport:
-		return "tcp"
-	case *shmTransport:
-		return "shm"
-	case *hierTransport:
-		return "hier"
-	default:
-		return "inproc"
-	}
-}
-
 func (c *Comm) checkRank(rank int) error {
 	if rank < 0 || rank >= len(c.group) {
 		return fmt.Errorf("mpi: rank %d out of range [0,%d)", rank, len(c.group))

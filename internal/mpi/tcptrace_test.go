@@ -72,6 +72,11 @@ func TestTCPTraceContextRoundTrip(t *testing.T) {
 		f := obs.NewFlightRecorder(256)
 		flights[rank] = f
 		c.AttachTelemetry(NewTelemetry(nil, nil, rank).WithFlightRecorder(f, rank))
+		// Both recorders must be attached before the frame is on the wire:
+		// the receiver's read loop records frame-in only when it has one.
+		if err := c.Barrier(); err != nil {
+			return err
+		}
 		if rank == 0 {
 			c.SetTraceContext(TraceContext{Exchange: exch, Round: 3})
 			defer c.ClearTraceContext()

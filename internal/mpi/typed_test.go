@@ -55,12 +55,7 @@ func typedCases() []typedCase {
 	strided3 := func(array grid.Box, sub grid.Box) func(int) []Part {
 		return func(salt int) []Part { return []Part{subarrayPart(4, array, sub, salt)} }
 	}
-	runs := func(salt int) Part {
-		p := subarrayPart(4, cube, grid.Box3(2, 3, 4, 60, 50, 1), salt)
-		rl, _ := datatype.CompileRuns(p.T)
-		p.T = rl
-		return p
-	}
+	plane := func(salt int) Part { return subarrayPart(4, cube, grid.Box3(2, 3, 4, 60, 50, 1), salt) }
 	return []typedCase{
 		{"contig/100B", contig(100)},
 		{"contig/64KiB-4", contig(readBufSize - 4)},
@@ -79,13 +74,13 @@ func typedCases() []typedCase {
 			return []Part{
 				{Buf: typedFill(make([]byte, 1000), salt)},
 				subarrayPart(4, rows, grid.Box2(7, 1, 500, 32), salt+1),
-				runs(salt + 2),
+				plane(salt + 2),
 			}
 		}},
 		{"multi/1.3MiB", func(salt int) []Part {
 			return []Part{
 				{Buf: typedFill(make([]byte, 300<<10), salt)},
-				runs(salt + 1),
+				plane(salt + 1),
 				subarrayPart(4, rows, grid.Box2(2, 5, 1000, 270), salt+2),
 			}
 		}},
