@@ -46,7 +46,7 @@ var ErrClosed = errors.New("mpi: communicator closed")
 var ErrPeerLost = errors.New("mpi: peer lost")
 
 // ErrExchangeTimeout is wrapped by deadline-bounded operations (RecvCtx,
-// SendCtx, SendTyped) that ran out of time before the peer produced or
+// SendTyped) that ran out of time before the peer produced or
 // accepted the message. Match with errors.Is.
 var ErrExchangeTimeout = errors.New("mpi: exchange timeout")
 
