@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify chaos bench size
+.PHONY: build test verify names chaos bench size
 
 build:
 	$(GO) build ./...
@@ -14,13 +14,20 @@ test:
 # seeds), all under the race detector. See TESTING.md.
 chaos:
 	$(GO) test -race -short ./internal/chaos/ ./internal/ddrtest/
-	$(GO) test -race -short -run 'Chaos|Partial|WaitCtxAbandon' ./internal/mpi/
+	$(GO) test -race -short -run 'Chaos|WaitCtxAbandon' ./internal/mpi/
 
-# verify is the pre-merge gate: formatting and static analysis over the
-# whole module, the chaos suite, then the race detector over every package with
-# concurrent machinery (lock-free counters, mailbox gauges, TCP and shm
-# transports, the pack/unpack worker pool and staging arena, the parallel
-# plan compiler, the step executor) and the in-transit layer; chaos has
+# names fails when a -run, -bench or -fuzz pattern below names a test,
+# benchmark or fuzz target that no longer exists in the packages of its
+# line (go test -list): a renamed or deleted test would otherwise leave
+# its line running nothing, silently.
+names:
+	GO=$(GO) bash scripts/makenames.sh Makefile
+
+# verify is the pre-merge gate: the stale-name check, formatting and static
+# analysis over the whole module, the chaos suite, then the race detector
+# over every package with concurrent machinery (lock-free counters, mailbox
+# gauges, TCP and shm transports, the staging arena, the parallel plan
+# compiler, the step executor) and the in-transit layer; chaos has
 # already run the property harness under race. A test in those packages
 # is gated by existing — nothing is enumerated by name there. What follows the race lines is only what they
 # cannot cover:
@@ -42,12 +49,12 @@ chaos:
 #     configuration stays runnable;
 #   - the tests of bench/ddrperf, the benchmark of record (bash
 #     bench/run.sh): bench/ is a module of its own, so ./... skips it.
-verify: chaos
+verify: names chaos
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/mpi/... ./internal/trace/... ./internal/core/... ./internal/datatype/... ./internal/fft/...
 	$(GO) test -race ./internal/transit/...
-	$(GO) test -run 'TestZeroAllocSteadyState|TestBoundedZeroAllocSteadyState|TestPipelineZeroAllocSteadyState|TestTracingDetachedZeroAlloc|TestFlightRecorderRecordZeroAlloc|TestTCPUntracedWireIdentical|TestShmZeroAllocSteadyState|TestShmBackpressureAllocs|TestDeltaExchangeRecyclesPayloads|TestInlinePackWhenRanksCoverCores|TestStreamSteadyStateAllocs|TestTCPSendSteadyStateAlloc' ./internal/core/ ./internal/obs/ ./internal/mpi/ ./internal/transit/
+	$(GO) test -run 'TestZeroAllocSteadyState|TestBoundedZeroAllocSteadyState|TestPipelineZeroAllocSteadyState|TestTracingDetachedZeroAlloc|TestFlightRecorderRecordZeroAlloc|TestTCPUntracedWireIdentical|TestShmZeroAllocSteadyState|TestShmBackpressureAllocs|TestDeltaExchangeRecyclesPayloads|TestStridedStepsZeroAlloc|TestStreamSteadyStateAllocs|TestTCPSendSteadyStateAlloc' ./internal/core/ ./internal/obs/ ./internal/mpi/ ./internal/transit/
 	$(GO) test -run 'TestPipelineHarnessCatchesPlantedBug' ./internal/core/
 	$(GO) test -run 'TestBorrowedSendCatchesEarlyDone' ./internal/mpi/
 	$(GO) test -short -run 'TestHarnessCatchesPipelinePlantedBug' ./internal/ddrtest/
@@ -72,26 +79,29 @@ verify: chaos
 # bench runs the exchange-engine micro-benchmarks for a quick look while
 # working. Numbers to quote come from bash bench/run.sh (see bench/README.md).
 bench:
-	$(GO) test -run XXX -bench BenchmarkReorganizeTelemetry -benchmem ./internal/core/
-	$(GO) test -run XXX -bench 'BenchmarkReorganizeEngine|BenchmarkPackUnpackPool' -benchmem ./internal/core/
-	$(GO) test -run XXX -bench BenchmarkPackUnpack -benchmem ./internal/datatype/
+	$(GO) test -run '^$$' -bench BenchmarkReorganizeTelemetry -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkReorganizeEngine|BenchmarkStackExchange' -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkPackUnpack -benchmem ./internal/datatype/
 
 # size prints the line counts the simplicity acceptance criteria quote:
 # non-test Go outside bench/ (the benchmark is its own module), and the
-# share of it in internal/core. It then lists the exported internal/core
-# identifiers that no non-test Go file (bench/ included) names outside
-# their own declaration — a word grep that skips comment lines, so it is
-# informational: a method sharing a common name is never listed.
+# share of it in internal/core. It then lists, for internal/core and
+# internal/mpi, the exported identifiers that no non-test Go file (bench/
+# included) names outside their own declaration — a word grep that skips
+# comment lines, so it is informational: a method sharing a common name is
+# never listed.
 size:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l | xargs echo "non-test Go outside bench/:"
 	@find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo "  of which internal/core:"
-	@echo "exported internal/core identifiers only _test.go files use:"
-	@for id in $$(awk '/^(const|var) \($$/ { blk = 1; next } \
-		blk && /^\)/ { blk = 0; next } \
-		blk && /^\t[A-Z]/ { match($$0, /[A-Z][A-Za-z0-9_]*/); print substr($$0, RSTART, RLENGTH); next } \
-		/^func \([^)]*\) [A-Z]/ { sub(/^func \([^)]*\) /, ""); match($$0, /^[A-Z][A-Za-z0-9_]*/); print substr($$0, RSTART, RLENGTH); next } \
-		/^(func|type|const|var) [A-Z]/ { match($$0, / [A-Z][A-Za-z0-9_]*/); print substr($$0, RSTART + 1, RLENGTH - 1) }' \
-		$$(find internal/core -name '*.go' ! -name '*_test.go') | sort -u); do \
-		n=$$(grep -rhw --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build "$$id" . | grep -cv '^[[:space:]]*//'); \
-		[ "$$n" -le 1 ] && echo "  $$id"; \
+	@for pkg in internal/core internal/mpi; do \
+		echo "exported $$pkg identifiers only _test.go files use:"; \
+		for id in $$(awk '/^(const|var) \($$/ { blk = 1; next } \
+			blk && /^\)/ { blk = 0; next } \
+			blk && /^\t[A-Z]/ { match($$0, /[A-Z][A-Za-z0-9_]*/); print substr($$0, RSTART, RLENGTH); next } \
+			/^func \([^)]*\) [A-Z]/ { sub(/^func \([^)]*\) /, ""); match($$0, /^[A-Z][A-Za-z0-9_]*/); print substr($$0, RSTART, RLENGTH); next } \
+			/^(func|type|const|var) [A-Z]/ { match($$0, / [A-Z][A-Za-z0-9_]*/); print substr($$0, RSTART + 1, RLENGTH - 1) }' \
+			$$(find $$pkg -name '*.go' ! -name '*_test.go') | sort -u); do \
+			n=$$(grep -rhw --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build "$$id" . | grep -cv '^[[:space:]]*//'); \
+			[ "$$n" -le 1 ] && echo "  $$id"; \
+		done; \
 	done; true

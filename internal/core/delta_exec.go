@@ -51,7 +51,7 @@ func (p *DeltaPlan) ExchangeCtx(ctx context.Context, c *mpi.Comm, oldData, newDa
 	}
 	// The plan is immutable and shareable, so each call brings its own
 	// executor; the payloads themselves cycle through the arena.
-	x := executor{eng: engine{par: 1}}
+	var x executor
 	err = x.run(&exchange{ctx: ctx, c: c, ps: ps, deadline: deadline},
 		p.sched, 1, [][]byte{oldData}, [][]byte{newData})
 	if err != nil {

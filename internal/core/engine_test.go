@@ -9,16 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"ddr/internal/datatype"
 	"ddr/internal/grid"
 	"ddr/internal/mpi"
 	"ddr/internal/obs"
 )
-
-// withPar pins the pack/unpack pool width. No exported option does: outside
-// tests the engine sizes the pool min(GOMAXPROCS, jobs), or runs inline when
-// the communicator's ranks already cover the cores (engine.workers).
-func withPar(n int) Option { return func(d *Descriptor) { d.ex.eng.par = n } }
 
 // withStaged makes the descriptor's executor take no contiguous span and
 // move every region through its datatype: the fully staged reference the
@@ -26,9 +20,10 @@ func withPar(n int) Option { return func(d *Descriptor) { d.ex.eng.par = n } }
 // does.
 func withStaged() Option { return func(d *Descriptor) { d.ex.staged = true } }
 
-// engineWorld runs one redistribution of the given geometry and verifies
-// every rank's need buffer holds the canonical pattern.
-func engineWorld(t *testing.T, n int, mode ExchangeMode, elemSize int, ownAll [][]grid.Box, needAll []grid.Box, opts ...Option) {
+// engineWorld runs one redistribution of the given geometry on a world
+// launched with launch and verifies every rank's need buffer holds the
+// canonical pattern.
+func engineWorld(t *testing.T, n int, mode ExchangeMode, elemSize int, ownAll [][]grid.Box, needAll []grid.Box, launch []mpi.LaunchOption, opts ...Option) {
 	t.Helper()
 	err := mpi.Launch(n, func(c *mpi.Comm) error {
 		rank := c.Rank()
@@ -53,7 +48,7 @@ func engineWorld(t *testing.T, n int, mode ExchangeMode, elemSize int, ownAll []
 			}
 		}
 		return checkBox(needBuf, needAll[rank], elemSize, nil, 0)
-	})
+	}, launch...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +72,13 @@ func stripWorld(n, side, chunksPerRank int, columnNeeds bool) (ownAll [][]grid.B
 	return ownAll, needAll
 }
 
-// TestWorkerPoolSizes verifies the pack/unpack engine at pool sizes 1, 2,
-// GOMAXPROCS, and an oversubscribed 4, for every exchange mode, on both
-// strided (column needs) and contiguous (row needs) geometries. Run under
-// -race this also proves jobs for distinct peers are data-race free.
+// TestWorkerPoolSizes runs every exchange mode, on both strided (column
+// needs) and contiguous (row needs) geometries, with the process sized to
+// 1, 2, the host's GOMAXPROCS and an oversubscribed 4 Ps. The plan
+// compiler's fork-join takes that many workers, and the ranks' goroutines
+// — which do every pack and unpack — interleave differently at each
+// width, which moves which posts a sender finds open. Run under -race this
+// also proves the compile workers are data-race free.
 func TestWorkerPoolSizes(t *testing.T) {
 	sizes := []int{1, 2, runtime.GOMAXPROCS(0), 4}
 	for _, par := range sizes {
@@ -88,8 +86,9 @@ func TestWorkerPoolSizes(t *testing.T) {
 			for _, columns := range []bool{false, true} {
 				name := fmt.Sprintf("par%d/%v/columns=%v", par, mode, columns)
 				t.Run(name, func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 					ownAll, needAll := stripWorld(4, 32, 2, columns)
-					engineWorld(t, 4, mode, 4, ownAll, needAll, withPar(par))
+					engineWorld(t, 4, mode, 4, ownAll, needAll, nil)
 				})
 			}
 		}
@@ -120,8 +119,8 @@ func stripGeometry(transposed bool) (ownAll [][]grid.Box, needAll []grid.Box) {
 func TestZeroCopyMatchesStaged(t *testing.T) {
 	ownAll, needAll := stripWorld(4, 32, 2, false)
 	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
-		engineWorld(t, 4, mode, 4, ownAll, needAll)
-		engineWorld(t, 4, mode, 4, ownAll, needAll, withStaged())
+		engineWorld(t, 4, mode, 4, ownAll, needAll, nil)
+		engineWorld(t, 4, mode, 4, ownAll, needAll, nil, withStaged())
 	}
 }
 
@@ -129,27 +128,29 @@ func TestZeroCopyMatchesStaged(t *testing.T) {
 // a strided region yields the same bytes, on stripGeometry in both
 // orientations (every send, or every receive, strided) and both exchange
 // modes. The cases keep the names of the pack strategies they replace:
-// auto is the descriptor as built, which sizes its own pack pool;
-// zerocopy gathers and scatters each region by its Subarray inline on the
-// calling goroutine; pack fans the same kernel out over a four-worker
-// pool; datatype takes no contiguous span and stages every region
-// through its datatype.
+// auto is the descriptor as built on Launch's default world; zerocopy
+// runs on bare inproc, where a sender's typed send gathers each strided
+// region by its Subarray straight into the peer's open post; pack runs
+// behind a no-op fault injector, where every message is packed into an
+// arena wire and placed by its receiver; datatype takes no contiguous
+// span and stages every region through its datatype.
 func TestPackStrategiesByteIdentical(t *testing.T) {
 	strategies := []struct {
-		name string
-		opts []Option
+		name   string
+		launch []mpi.LaunchOption
+		opts   []Option
 	}{
-		{"auto", nil},
-		{"zerocopy", []Option{withPar(1)}},
-		{"pack", []Option{withPar(4)}},
-		{"datatype", []Option{withStaged()}},
+		{"auto", nil, nil},
+		{"zerocopy", []mpi.LaunchOption{mpi.WithFaultInjector(nil)}, nil},
+		{"pack", []mpi.LaunchOption{mpi.WithFaultInjector(noFaults{})}, nil},
+		{"datatype", nil, []Option{withStaged()}},
 	}
 	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
 		for _, s := range strategies {
 			for _, transposed := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%v/%s/transposed=%v", mode, s.name, transposed), func(t *testing.T) {
 					ownAll, needAll := stripGeometry(transposed)
-					engineWorld(t, 4, mode, 4, ownAll, needAll, s.opts...)
+					engineWorld(t, 4, mode, 4, ownAll, needAll, s.launch, s.opts...)
 				})
 			}
 		}
@@ -414,15 +415,14 @@ func benchEngineConfig(b *testing.B, mode ExchangeMode, opts ...Option) {
 }
 
 // BenchmarkReorganizeEngine compares the staging strategies on the same
-// exchange: fully staged on one worker, fully staged on the parallel
-// engine, and the zero-copy fast path (the default).
+// exchange: fully staged through every region's datatype, and the
+// zero-copy fast path (the default).
 func BenchmarkReorganizeEngine(b *testing.B) {
 	configs := []struct {
 		name string
 		opts []Option
 	}{
-		{"pooled", []Option{withPar(1), withStaged()}},
-		{"parallel", []Option{withStaged()}},
+		{"staged", []Option{withStaged()}},
 		{"zerocopy", nil},
 	}
 	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
@@ -432,36 +432,4 @@ func BenchmarkReorganizeEngine(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkPackUnpackPool isolates the engine itself: pack+unpack of one
-// rank's strided regions at different pool sizes, no communication.
-func BenchmarkPackUnpackPool(b *testing.B) {
-	const side = 512
-	array := grid.Box2(0, 0, side, side)
-	local := make([]byte, array.Volume()*4)
-	// 16 column strips: every region strided, evenly sized.
-	cols := grid.Slabs(array, 0, 16)
-	var jobs []exchJob
-	var wires [][]byte
-	for _, box := range cols {
-		st, err := datatype.NewSubarray(4, array, box)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w := make([]byte, st.PackedSize())
-		wires = append(wires, w)
-		jobs = append(jobs, exchJob{t: st, local: local, wire: w})
-	}
-	for _, par := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
-			eng := engine{par: par}
-			b.SetBytes(int64(len(local)))
-			for i := 0; i < b.N; i++ {
-				eng.jobs = append(eng.jobs[:0], jobs...)
-				eng.run(nil)
-			}
-		})
-	}
-	_ = wires
 }

@@ -53,57 +53,53 @@ import (
 // no Recv call and no per-receive request or goroutine, cancellable or
 // not. A post names (peer, tag) and, when the message is a single seg
 // whose receive side is contiguous, offers the destination span
-// need[buf][off:off+bytes] itself. How a post completes is the
-// transport's business:
+// need[buf][off:off+bytes] itself.
 //
-//   - Landed by the sender. On a transport that shares the receiver's
-//     address space and delivers synchronously (bare inproc, nothing
-//     else) issue first tries to claim the peer's open post for (dst,
-//     tag, bytes). On a hit the step's pack jobs — a memmove per
-//     contiguous seg — write straight into the peer's need buffer and a
-//     commit completes the post: one copy end to end, no staging, nothing
-//     to unpack.
-//   - Landed by the transport. On shm (and hier within a node) the message
-//     is sent as below — its segs packed straight from the owned buffers
-//     into the ring record — and the receiving rank's ring consumer
-//     copies the record into the posted span when the post is open and
-//     offers exactly its length: one copy per side, nothing to unpack.
-//     Chunk-streamed and fault-injected messages are eager.
-//   - Eager. Otherwise the message is sent and the arriving envelope
+// One send call. issue hands every message to mpi.Comm.SendTyped as its
+// segs — a contiguous seg as its byte span of the owned buffer, a strided
+// one as its datatype over that buffer — and the transport, and only the
+// transport, decides where the gather happens and how the post completes:
+//
+//   - Landed by the sender's send. On bare inproc, the one transport that
+//     shares the receiver's address space and delivers synchronously, the
+//     send claims the peer's oldest open post when it offers exactly the
+//     message's length, packs the segs straight into the peer's need
+//     buffer and completes the post: one copy end to end, no staging,
+//     nothing to unpack.
+//   - Landed by the ring consumer. On shm (and hier within a node) the
+//     segs are packed straight from the owned buffers into the ring
+//     record, and the receiving rank's ring consumer copies the record
+//     into the posted span when the post is open and offers exactly its
+//     length: one copy per side, nothing to unpack. Chunk-streamed and
+//     fault-injected messages are eager.
+//   - Eager. Otherwise tcp writes the segs' rows of a message from 64 KiB
+//     up straight from the owned buffer into its vectored write, and
+//     everything else (a smaller tcp message, an inproc post not open or
+//     of another length, a cross-node hier hop, a fault-injected world, a
+//     chunk stream, a deadline-bounded exchange on tcp) is packed into an
+//     arena wire handed over by ownership. The arriving envelope
 //     completes the oldest matching post, or waits in the mailbox queue
 //     for the post to come and take it, and wait places or batches its
 //     payload.
 //
-// One send call. A message nobody claimed goes to mpi.Comm.SendTyped as
-// its segs — a contiguous seg as its byte span of the owned buffer, a
-// strided one as its datatype over that buffer — and the transport picks
-// where the gather happens: tcp writes the segs' rows of a message from
-// 64 KiB up straight from the owned buffer into its vectored write, shm
-// packs them into the ring record, and everything else (a smaller tcp
-// message, an inproc miss, a cross-node hier hop, a fault-injected world,
-// a chunk stream, a deadline-bounded exchange on tcp) packs them into an
-// arena wire handed over by ownership. The executor stages nothing on the
-// send side.
-//
-// wait sees both kinds of landing alike — the post reports landed and
-// there is nothing to place — and counts them in
-// ddr_landed_messages_total on the receiving rank.
+// The executor stages nothing on the send side. wait sees both kinds of
+// landing alike — the post reports landed and there is nothing to place —
+// and counts them in ddr_landed_messages_total on the receiving rank.
 //
 // Posts, envelopes and claims match FIFO per (communicator, source, tag),
 // so tags may repeat across steps and across back-to-back exchanges of
 // different descriptors: any post a sender finds open at a peer stands
 // for a message it has not sent yet, because every earlier one was
-// delivered — synchronously, which is what restricts claims to bare
-// inproc — and took the posts before it. A post for a later step may
+// delivered — synchronously, which is what restricts send-side landing to
+// bare inproc — and took the posts before it. A post for a later step may
 // land before this rank has issued that step; the regions of distinct
-// messages are disjoint (DDR's exclusive-ownership precondition, the one
-// the parallel unpack batch already relies on), so nothing it writes is
-// touched in between.
+// messages are disjoint (DDR's exclusive-ownership precondition), so
+// nothing it writes is touched in between.
 //
 // Deadlock freedom at any depth mix: a rank only blocks in wait(j) after
 // it has issued steps 0..j+k-1 — in particular its own step-j sends are
-// already posted — and a sender never waits for a receiver: a claim
-// either hits at once or misses at once, and a send is buffered or
+// already posted — and a sender never waits for a receiver: a landing
+// claim either hits at once or misses at once, and a send is buffered or
 // drained without the receiver's help on every transport. Inproc appends
 // to the destination mailbox; shm writes the ring, whose consumer
 // goroutine empties it; a tcp send that lends the owned buffer blocks,
@@ -119,7 +115,7 @@ import (
 // revoked (a message that arrives later stays in the mailbox queue,
 // matchable by whoever receives next), completed ones are recycled, and
 // a post a sender has claimed is waited for, which is bounded by that
-// sender's one step of packing. Nobody writes into the caller's need
+// sender's packing of one message. Nobody writes into the caller's need
 // buffers after its call returned.
 //
 // Partial failure with several steps in flight: a peer lost at step j is
@@ -218,12 +214,9 @@ type slot struct {
 	early bool             // payloads recycled early by PerturbPipelineForTest
 }
 
-// executor holds what outlives one exchange: the pack/unpack engine, the
-// staging meter, the last run's timings, and the reusable scratch. Not
-// safe for concurrent use.
+// executor holds what outlives one exchange: the staging meter, the last
+// run's timings, and the reusable scratch. Not safe for concurrent use.
 type executor struct {
-	eng engine
-
 	// meter is the live staging accountant of budgeted exchanges: every
 	// send wire, local staging buffer and receive lease is charged against
 	// it, so its high-water mark is the ground truth the budget tests
@@ -231,7 +224,6 @@ type executor struct {
 	meter   mpi.StagingMeter
 	metered bool
 	perturb bool // PerturbPipelineForTest: recycle held payloads early
-	eager   bool // tests only: never claim a peer's post, stage every message
 	staged  bool // tests only: take no contiguous span, move every region by its datatype
 
 	timings []RoundTiming
@@ -241,14 +233,11 @@ type executor struct {
 	// on hosts without a fast clock source time.Now dominated short steps.
 	clock time.Time
 
-	// Per-send scratch of the step being issued: the peer's post when the
-	// send was claimed, and the parts of the typed send in flight. Both are
-	// cleared as soon as they are used — they reference other ranks' or the
-	// caller's memory, and a surviving descriptor must not keep a dead
-	// world's buffers reachable.
-	claims []*mpi.Posted
-	parts  []mpi.Part
-	slots  []slot
+	// parts is the typed send in flight, cleared as soon as it is sent: it
+	// references the caller's memory, and a surviving descriptor must not
+	// keep a dead world's buffers reachable.
+	parts []mpi.Part
+	slots []slot
 
 	// posts holds the exchange's posted receives, one per receive message
 	// in step order; the mailbox keeps their addresses, so the slice is
@@ -279,7 +268,6 @@ type exchange struct {
 // window; a degraded exchange returns nil with the losses in ex.ps.
 func (x *executor) run(ex *exchange, steps []step, k int, own, need [][]byte) error {
 	x.timings = x.timings[:0]
-	x.eng.ranks = ex.c.Size()
 	if x.metered {
 		x.meter.ResetPeak()
 	}
@@ -354,11 +342,13 @@ func (x *executor) drive(ex *exchange, steps []step, k, ring int, own, need [][]
 		var err error
 		switch {
 		case issued < n && issued-retired < ring && issued-waited < k:
-			if ex.expired(steps, issued) {
-				n = issued
-				continue
-			}
 			if ex.ctx != nil && ex.ctx.Err() != nil {
+				// Read once: a deadline firing between two reads would
+				// abort an exchange that is to degrade.
+				if ex.expired(steps, issued) {
+					n = issued
+					continue
+				}
 				err = ex.ctx.Err() // the caller's own cancellation aborts
 				break
 			}
@@ -378,14 +368,15 @@ func (x *executor) drive(ex *exchange, steps []step, k, ring int, own, need [][]
 	return nil
 }
 
-// expired reports whether the exchange deadline is spent with step next
-// still unissued. If so it gives up on every source of the unissued steps
-// — the issued window drains, degrading peer by peer as its waits fail —
-// so the call reports what landed rather than abort with the buffer state
-// unknown. A cancellation of the caller's own context is not expiry.
+// expired reports whether the done exchange context, with step next
+// still unissued, means the exchange deadline is spent. If so it gives up
+// on every source of the unissued steps — the issued window drains,
+// degrading peer by peer as its waits fail — so the call reports what
+// landed rather than abort with the buffer state unknown. A cancellation
+// of the caller's own context is not expiry.
 func (ex *exchange) expired(steps []step, next int) bool {
 	ps := ex.ps
-	if ps == nil || ex.ctx.Err() == nil || (ps.uctx != nil && ps.uctx.Err() != nil) {
+	if ps == nil || (ps.uctx != nil && ps.uctx.Err() != nil) {
 		return false
 	}
 	for i := next; i < len(steps); i++ {
@@ -435,8 +426,8 @@ func (x *executor) selfMove(sf *selfMove, own, need [][]byte) {
 	}
 }
 
-// issue packs and posts one step into slot s: local moves, claims and
-// their commits, typed sends, and the receive-class lease.
+// issue packs and posts one step into slot s: local moves, typed sends,
+// and the receive-class lease.
 func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][]byte) error {
 	s.start = x.clock
 	if ex.traced {
@@ -446,49 +437,22 @@ func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][
 		x.selfMove(&st.selfs[i], own, need)
 	}
 
-	// Land phase: a message whose receiver's post can be claimed packs
-	// straight into the claimed span — the peer's need buffer — in one
-	// engine batch for the step.
-	x.claims = x.claims[:0]
+	// Every message is one typed send; the transport decides where its
+	// bytes are gathered. Nothing is sent to a peer given up on, and
+	// nothing more after a hard error.
 	s.bytes = 0
 	for i := range st.sends {
 		m := &st.sends[i]
 		s.bytes += int64(m.bytes)
-		var claim *mpi.Posted
-		if !x.eager {
-			claim = ex.c.Claim(m.peer, m.tag, m.bytes)
-		}
-		x.claims = append(x.claims, claim)
-		if claim != nil {
-			x.packInto(ex.o, claim.Span(), m, own)
-		}
-	}
-	x.eng.run(ex.o)
-
-	// Send phase. A claim is committed whatever else failed: its bytes are
-	// in place and its receiver cannot leave the exchange before. Every
-	// other message is one typed send. After a hard error, and to peers
-	// given up on, nothing more is sent.
-	var failed error
-	for i := range st.sends {
-		m := &st.sends[i]
-		if claim := x.claims[i]; claim != nil {
-			ex.c.Commit(claim)
-			continue
-		}
-		if failed != nil || ex.ps.isLost(m.peer) {
+		if ex.ps.isLost(m.peer) {
 			continue
 		}
 		if err := x.send(ex, m, own); err != nil && !ex.ps.degrade(m.peer, idx, err) {
-			failed = err
+			return err
 		}
 	}
-	clear(x.claims)
 	s.post0 = x.next
 	x.next += len(st.recvs)
-	if failed != nil {
-		return failed
-	}
 
 	s.step = idx
 	s.datas, s.jobs = s.datas[:0], s.jobs[:0]
@@ -506,28 +470,11 @@ func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][
 	return nil
 }
 
-// packInto packs m's segs into dst, the claimed span of its receiver's
-// need buffer: a contiguous seg by one memmove, a strided one as a job of
-// the step's engine batch.
-func (x *executor) packInto(o *exchObs, dst []byte, m *message, own [][]byte) {
-	off := 0
-	for j := range m.segs {
-		sg := &m.segs[j]
-		n := sg.t.PackedSize()
-		if !x.staged && sg.span.ok {
-			directCopy(o, dst[off:off+n], own[sg.buf][sg.span.off:sg.span.off+n], m.peer, false)
-		} else {
-			x.eng.add(exchJob{t: sg.t, local: own[sg.buf], wire: dst[off : off+n], peer: m.peer})
-		}
-		off += n
-	}
-}
-
 // send hands m to the transport as one typed message over the owned
 // buffers — a contiguous seg as its byte span, a strided one as its
 // datatype — and observes the call as m's pack: wherever the transport
-// writes the bytes (its socket, its ring, an arena wire), that is where
-// they are gathered.
+// writes the bytes (the peer's posted span, its socket, its ring, an
+// arena wire), that is where they are gathered.
 func (x *executor) send(ex *exchange, m *message, own [][]byte) error {
 	for j := range m.segs {
 		sg := &m.segs[j]
@@ -599,9 +546,9 @@ func (x *executor) wait(ex *exchange, st *step, s *slot, need [][]byte, windowed
 			sg := &m.segs[j]
 			n := sg.t.PackedSize()
 			if !x.staged && sg.span.ok {
-				directCopy(ex.o, need[sg.buf][sg.span.off:sg.span.off+n], data[off:off+n], m.peer, true)
+				directCopy(ex.o, need[sg.buf][sg.span.off:sg.span.off+n], data[off:off+n], m.peer)
 			} else {
-				s.jobs = append(s.jobs, exchJob{t: sg.t, local: need[sg.buf], wire: data[off : off+n], unpack: true, peer: m.peer})
+				s.jobs = append(s.jobs, exchJob{t: sg.t, local: need[sg.buf], wire: data[off : off+n], peer: m.peer})
 				held = true
 			}
 			off += n
@@ -635,7 +582,9 @@ func (x *executor) wait(ex *exchange, st *step, s *slot, need [][]byte, windowed
 // retire scatters slot s's batched payloads, releases them and the slot's
 // lease, and records the step's timing.
 func (x *executor) retire(ex *exchange, s *slot) {
-	x.eng.runJobs(ex.o, s.jobs)
+	for i := range s.jobs {
+		s.jobs[i].do(ex.o)
+	}
 	s.release()
 	end := time.Now()
 	unpackT := end.Sub(x.clock)
@@ -651,6 +600,63 @@ func (x *executor) retire(ex *exchange, s *slot) {
 			o.rec.StampSpan(trace.Event{Rank: o.rank, Name: fmt.Sprintf("round-%d", s.step),
 				Bytes: s.bytes, Exchange: ex.id, Round: int32(s.step), Peer: -1}, s.start, end)
 		}
+	}
+}
+
+// exchJob is one strided unpack of a receive seg, batched in its slot by
+// wait and run by retire. Like every copy of the exchange it runs on the
+// rank's own goroutine: a world's ranks are goroutines of this process,
+// and once they cover the cores — every exchange of the benchmark of
+// record — a pool forked per step buys no parallelism and costs a
+// goroutine set and a WaitGroup per step.
+type exchJob struct {
+	t     datatype.Type
+	local []byte
+	wire  []byte
+	peer  int // trace label only
+}
+
+// do scatters the job's wire into its local array, observed as an unpack
+// when observation is attached.
+func (j *exchJob) do(o *exchObs) {
+	if !o.on() {
+		j.t.Unpack(j.wire, j.local)
+		return
+	}
+	start := time.Now()
+	j.t.Unpack(j.wire, j.local)
+	o.observeCopy(start, len(j.wire), j.peer, true)
+}
+
+// directCopy places a payload's contiguous part into its contiguous
+// destination span with one memmove, bypassing the row loop, while still
+// reporting the copy as the unpack it stands for (it is one — just a fast
+// one).
+func directCopy(o *exchObs, dst, src []byte, peer int) {
+	if !o.on() {
+		copy(dst, src)
+		return
+	}
+	start := time.Now()
+	copy(dst, src)
+	o.observeCopy(start, len(src), peer, true)
+}
+
+// observeCopy records one finished pack or unpack of n bytes that began
+// at start: the per-peer span when tracing, and the latency.
+func (o *exchObs) observeCopy(start time.Time, n, peer int, unpack bool) {
+	now := time.Now()
+	if o.rec != nil {
+		name := fmt.Sprintf("pack->%d", peer)
+		if unpack {
+			name = fmt.Sprintf("unpack<-%d", peer)
+		}
+		o.rec.AddSpan(o.rank, name, start, now, int64(n))
+	}
+	if unpack {
+		o.unpackLat.Observe(now.Sub(start).Seconds())
+	} else {
+		o.packLat.Observe(now.Sub(start).Seconds())
 	}
 }
 

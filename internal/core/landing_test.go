@@ -18,14 +18,10 @@ import (
 // receiving rank's ring consumer on shm — and an eager payload placed by
 // the receiver (everything else).
 
-// withEager makes the descriptor's executor stage every message, as it
-// does on a transport without the claim capability. No exported option
-// does: which path runs is the transport's business.
-func withEager() Option { return func(d *Descriptor) { d.ex.eager = true } }
-
 // noFaults is a fault injector that injects nothing. Wrapping a world in
-// it is still enough to take the claim capability away: delivery through
-// the injector's link queues is asynchronous.
+// it is still enough to stop every landing — which path runs is the
+// transport's business, and the fault transport has no send capability:
+// delivery through the injector's link queues is asynchronous.
 type noFaults struct{}
 
 func (noFaults) FaultFor(src, dst, tag int, seq uint64, attempt int) mpi.Fault { return mpi.Fault{} }
@@ -245,21 +241,21 @@ func nobodyWritesAfterReturn(t *testing.T, launch []mpi.LaunchOption) {
 
 // BenchmarkStackExchange times stack_to_bricks' exchange (256x256x128
 // float32, 16 slices a rank -> 2x2x2 bricks, a barrier between epochs as
-// in bench/ddrperf) with its messages landing in the posted spans and
-// with every one forced through staging, and reports the share that
-// landed.
+// in bench/ddrperf) on bare inproc, where its messages land in the posted
+// spans, and behind a no-op fault injector, where every one is staged, and
+// reports the share that landed.
 func BenchmarkStackExchange(b *testing.B) {
-	b.Run("landed", func(b *testing.B) { benchStackExchange(b) })
-	b.Run("eager", func(b *testing.B) { benchStackExchange(b, withEager()) })
+	b.Run("landed", func(b *testing.B) { benchStackExchange(b, nil) })
+	b.Run("eager", func(b *testing.B) { benchStackExchange(b, noFaults{}) })
 }
 
-func benchStackExchange(b *testing.B, opts ...Option) {
+func benchStackExchange(b *testing.B, inj mpi.FaultInjector) {
 	_, ownAll, needAll := stackWorld(256, 128)
 	n := len(needAll)
 	var landed, sent int64
 	err := mpi.Launch(n, func(c *mpi.Comm) error {
 		rank := c.Rank()
-		d, err := NewDescriptor(n, Layout3D, Float32, opts...)
+		d, err := NewDescriptor(n, Layout3D, Float32)
 		if err != nil {
 			return err
 		}
@@ -295,7 +291,7 @@ func benchStackExchange(b *testing.B, opts ...Option) {
 		atomic.AddInt64(&landed, c.Traffic().MessagesLanded)
 		atomic.AddInt64(&sent, perEpoch*int64(b.N))
 		return nil
-	}, mpi.WithFaultInjector(nil))
+	}, mpi.WithFaultInjector(inj))
 	if err != nil {
 		b.Fatal(err)
 	}

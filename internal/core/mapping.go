@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"ddr/internal/datatype"
@@ -169,7 +170,8 @@ func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box
 	if o.on() {
 		compileStart = time.Now()
 	}
-	plan, err := compilePlan(c.Rank(), d.elemSize, allChunks, allNeeds, d.parallelism())
+	par := runtime.GOMAXPROCS(0)
+	plan, err := compilePlan(c.Rank(), d.elemSize, allChunks, allNeeds, par)
 	if err != nil {
 		return err
 	}
@@ -177,7 +179,7 @@ func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box
 		now := time.Now()
 		o.rec.AddSpan(o.rank, "compile", compileStart, now, 0)
 		o.planCompile.Observe(now.Sub(mapStart).Seconds())
-		o.compilePar.Observe(float64(d.parallelism()))
+		o.compilePar.Observe(float64(par))
 	}
 	if err := d.ensureBounded(plan); err != nil {
 		return err

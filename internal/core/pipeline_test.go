@@ -338,9 +338,9 @@ func testTimingsSubDurations(t *testing.T, ownAll [][]grid.Box, needAll []grid.B
 // TestPipelineZeroAllocSteadyState proves the pipelined path reaches the
 // same steady state as the serial one: slot rings, job batches, and
 // staging all recycle, so a replayed pipelined exchange allocates nothing
-// — on a descriptor pinned to depth 2 with one pack worker, and on a
-// default-options descriptor over a many-round layout (one strided region
-// per peer and round, so the default pool runs its single job inline).
+// — on a descriptor pinned to depth 2, and on a default-options
+// descriptor over a many-round layout (one strided region per peer and
+// round).
 //
 // The malloc counter is process-wide, so the measurement covers the whole
 // world: every rank parks at a gate, rank 0 reads the counter, all ranks
@@ -360,56 +360,40 @@ func TestPipelineZeroAllocSteadyState(t *testing.T) {
 		chunksPerRank int
 		opts          []Option
 	}{
-		{"depth2", 4, []Option{WithPipelineDepth(2), withPar(1)}},
+		{"depth2", 4, []Option{WithPipelineDepth(2)}},
 		{"default", 8, nil},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			if perRun, _ := steadyStateMallocs(t, 2, 16, row.chunksPerRank, row.opts...); perRun != 0 {
+			if perRun := steadyStateMallocs(t, 2, 16, row.chunksPerRank, row.opts...); perRun != 0 {
 				t.Errorf("%d allocs per steady-state pipelined world exchange, want 0", perRun)
 			}
 		})
 	}
 }
 
-// TestInlinePackWhenRanksCoverCores pins the engine's one scheduling
-// decision: on a 16-round layout whose every step packs a strided
-// two-row region for each of three peers, a world of at least GOMAXPROCS
-// ranks runs the batches inline and allocates nothing, while forcing the
-// pool forks per step — and both fill the need buffers with the same
-// bytes.
-func TestInlinePackWhenRanksCoverCores(t *testing.T) {
+// TestStridedStepsZeroAlloc: a world of four ranks on a 16-round layout
+// whose every step moves a strided two-row region to each of three peers
+// replays its exchange without allocating — every message is a typed
+// send, every strided unpack runs on the rank's own goroutine, and no
+// step forks anything.
+func TestStridedStepsZeroAlloc(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector allocates per cross-goroutine sync event; TestWorkerPoolSizes covers the pool under it")
+		t.Skip("the race detector allocates per cross-goroutine sync event")
 	}
-	const procs, side = 4, 128
-	if runtime.GOMAXPROCS(0) > procs {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	}
-	inline, want := steadyStateMallocs(t, procs, side, 16)
-	if inline != 0 {
-		t.Errorf("%d allocs per steady-state world exchange with ranks covering the cores, want 0", inline)
-	}
-	pooled, got := steadyStateMallocs(t, procs, side, 16, withPar(2))
-	if pooled == 0 {
-		t.Error("the forced pool allocated nothing: the layout has no multi-job batch, so the inline reading proves nothing")
-	}
-	for rank := range want {
-		if !bytes.Equal(got[rank], want[rank]) {
-			t.Errorf("rank %d: pooled and inline exchanges filled different bytes", rank)
-		}
+	if perRun := steadyStateMallocs(t, 4, 128, 16); perRun != 0 {
+		t.Errorf("%d allocs per steady-state world exchange, want 0", perRun)
 	}
 }
 
 // steadyStateMallocs replays a warmed-up exchange on stripWorld's strided
-// geometry and returns the mallocs per world exchange and every rank's
-// (oracle-checked) need buffer.
-func steadyStateMallocs(t *testing.T, procs, side, chunksPerRank int, opts ...Option) (perRun uint64, needs [][]byte) {
+// geometry, checks every rank's need buffer against the oracle, and
+// returns the mallocs per world exchange.
+func steadyStateMallocs(t *testing.T, procs, side, chunksPerRank int, opts ...Option) (perRun uint64) {
 	t.Helper()
 	const runs = 50
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	ownAll, needAll := stripWorld(procs, side, chunksPerRank, true)
-	needs = make([][]byte, procs)
 	var mallocs uint64
 	var ms runtime.MemStats // rank 0's, out here so it is not allocated inside the window
 	// gate parks every rank but 0 until rank 0 has run read.
@@ -441,7 +425,6 @@ func steadyStateMallocs(t *testing.T, procs, side, chunksPerRank int, opts ...Op
 			bufs[i] = fillBox(box, 4)
 		}
 		dst := make([]byte, needAll[rank].Volume()*4)
-		needs[rank] = dst
 		for i := 0; i < runs; i++ { // reach steady state
 			if err := d.ReorganizeData(c, bufs, dst); err != nil {
 				return err
@@ -468,7 +451,7 @@ func steadyStateMallocs(t *testing.T, procs, side, chunksPerRank int, opts ...Op
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mallocs / runs, needs
+	return mallocs / runs
 }
 
 // TestWithPipelineDepthValidation pins the option's contract: the

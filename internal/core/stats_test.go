@@ -92,17 +92,15 @@ func TestStatsMatchBruteForce(t *testing.T) {
 }
 
 // TestExchangeModesAgree verifies both exchange modes produce
-// identical results for the same random geometry, across engine
-// configurations: the default (zero-copy, GOMAXPROCS workers), the fully
-// staged single-worker path, and an explicit multi-worker pool.
+// identical results for the same random geometry, across executor
+// configurations: the default (zero-copy) and the fully staged path.
 func TestExchangeModesAgree(t *testing.T) {
 	configs := []struct {
 		name string
 		opts []Option
 	}{
 		{"default", nil},
-		{"staged", []Option{withPar(1), withStaged()}},
-		{"par2", []Option{withPar(2)}},
+		{"staged", []Option{withStaged()}},
 	}
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 500))

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -188,7 +189,8 @@ func benchStream(b *testing.B, run func(int, func(*Comm) error) error, ranks, si
 
 // benchStrided sends a strided 256 KiB region — 128 rows of 2 KiB out of
 // a 4 KiB-row array, the regrid's message shape — from rank 0 to rank 1
-// per iteration, either as a typed send or packed into an arena wire and
+// per iteration as a typed send: lent to the writer, or — under a live
+// context, which tcp never lends to — packed into an arena wire and
 // handed over (the executor's send before typed sends).
 func benchStrided(b *testing.B, typed bool) {
 	array, sub := grid.Box2(0, 0, 1024, 128), grid.Box2(256, 0, 512, 128)
@@ -216,17 +218,15 @@ func benchStrided(b *testing.B, typed bool) {
 			return nil
 		}
 		parts := []Part{{T: t, Buf: make([]byte, array.Volume()*4)}}
+		var ctx context.Context
+		if !typed {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithCancel(context.Background())
+			defer cancel()
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var err error
-			if typed {
-				err = c.SendTyped(nil, 1, 0, parts, nil)
-			} else {
-				wire := GetBuffer(t.PackedSize())
-				t.Pack(parts[0].Buf, wire)
-				err = c.sendOwned(nil, 1, 0, wire)
-			}
-			if err != nil {
+			if err := c.SendTyped(ctx, 1, 0, parts, nil); err != nil {
 				return err
 			}
 			data, _, _, err := c.Recv(1, 1)

@@ -13,11 +13,11 @@
 //     arguments into an arena buffer or lend them to the transport and
 //     block until it is done with them, so a caller's buffer may be
 //     reused as soon as the call returns.
-//   - A wire handed over by ownership (sendOwned, behind SendCtx and
-//     SendTyped's fallback) is the transport's — in process, the
-//     receiver's — from the call on; the sender neither touches nor
-//     recycles it again. A metered sender releases the charge as it hands
-//     the buffer off.
+//   - The arena wire a send falls back to when the transport takes the
+//     message no other way is the transport's — in process, the
+//     receiver's — from the hand-off on; the sender neither touches nor
+//     recycles it again. A metered SendTyped releases the charge as it
+//     hands the wire off.
 //   - Message payloads returned by Recv/Wait are owned by the receiver;
 //     a receiver that is finished with a payload may PutBuffer it (the
 //     exchange engine does), but must not if any alias is retained. A

@@ -35,7 +35,7 @@ func (c *Comm) treeGatherSignal(tag int) error {
 	for mask := 1; mask < size; mask <<= 1 {
 		if rank&mask != 0 {
 			dst := rank - mask
-			return c.sendInternal(dst, tag, nil)
+			return c.send(nil, dst, tag, nil, nil, nil)
 		}
 		src := rank + mask
 		if src < size {
@@ -82,7 +82,7 @@ func (c *Comm) bcastInternal(root int, data []byte, tag int) ([]byte, error) {
 			if dst >= size {
 				dst -= size
 			}
-			if err := c.sendInternal(dst, tag, data); err != nil {
+			if err := c.send(nil, dst, tag, data, nil, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -98,7 +98,7 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	}
 	tag := c.nextCollTag()
 	if c.rank != root {
-		return nil, c.sendInternal(root, tag, data)
+		return nil, c.send(nil, root, tag, data, nil, nil)
 	}
 	out := make([][]byte, len(c.group))
 	cp := make([]byte, len(data))
@@ -249,7 +249,7 @@ func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
 		if r == c.rank {
 			continue
 		}
-		if err := c.sendInternal(r, tag, send[r]); err != nil {
+		if err := c.send(nil, r, tag, send[r], nil, nil); err != nil {
 			return nil, err
 		}
 	}

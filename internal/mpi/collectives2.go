@@ -22,7 +22,7 @@ func (c *Comm) Scatterv(root int, parts [][]byte) ([]byte, error) {
 			if r == root {
 				continue
 			}
-			if err := c.sendInternal(r, tag, parts[r]); err != nil {
+			if err := c.send(nil, r, tag, parts[r], nil, nil); err != nil {
 				return nil, err
 			}
 		}

@@ -35,7 +35,7 @@ func TestScattervValidation(t *testing.T) {
 				return errors.New("short parts accepted")
 			}
 			// Unblock rank 1, which posted a receive for the scatter.
-			return c.sendInternal(1, -3, nil)
+			return c.send(nil, 1, -3, nil, nil, nil)
 		}
 		_, err := c.Scatterv(0, nil)
 		return err

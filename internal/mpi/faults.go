@@ -111,11 +111,11 @@ const (
 )
 
 // faultTransport wraps a raw transport with a per-destination delivery
-// worker that applies injected faults. It deliberately implements neither
-// zeroCopySender nor typedSender: under chaos every payload — a Send's
-// eager copy, a SendTyped's packed wire — is a staging-arena buffer owned
-// by the engine, so retries and duplicates have clean buffer ownership and
-// no caller ever waits on a delivery the injector may delay or drop.
+// worker that applies injected faults. It deliberately does not implement
+// typedSender: under chaos every payload — a Send's copy, a SendTyped's
+// packed wire — is a staging-arena buffer owned by the engine, so retries
+// and duplicates have clean buffer ownership, no caller ever waits on a
+// delivery the injector may delay or drop, and nothing lands in a post.
 type faultTransport struct {
 	raw transport
 	inj FaultInjector

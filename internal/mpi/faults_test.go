@@ -175,16 +175,16 @@ func TestRecvCtxTimeout(t *testing.T) {
 	}
 }
 
-// TestSendCtxExpired: a send under an already-expired context fails with
+// TestSendTypedExpired: a send under an already-expired context fails with
 // ErrExchangeTimeout without touching the wire.
-func TestSendCtxExpired(t *testing.T) {
+func TestSendTypedExpired(t *testing.T) {
 	err := Launch(2, func(c *Comm) error {
 		if c.Rank() != 0 {
 			return nil
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if err := c.SendCtx(ctx, 1, 7, []byte("too late")); !errors.Is(err, ErrExchangeTimeout) {
+		if err := c.SendTyped(ctx, 1, 7, []Part{{Buf: []byte("too late")}}, nil); !errors.Is(err, ErrExchangeTimeout) {
 			return fmt.Errorf("got %v, want ErrExchangeTimeout", err)
 		}
 		return nil

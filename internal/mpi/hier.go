@@ -203,20 +203,9 @@ func (t *hierTransport) send(dst int, e envelope) error {
 	return t.shm.send(topo.localIndex(topo.Leader(t.node)), renv)
 }
 
-// sendZeroCopy delegates to the node shm world for co-located
-// destinations; cross-node payloads always take the eager path (the
-// relay header prepend forces a copy anyway).
-func (t *hierTransport) sendZeroCopy(dst int, e envelope) (bool, error) {
-	topo := t.hw.topo
-	if dst < 0 || dst >= topo.NumRanks() || topo.NodeOf(dst) != t.node {
-		return false, nil
-	}
-	return t.shm.sendZeroCopy(topo.localIndex(dst), e)
-}
-
-// sendTyped likewise packs a typed message for a co-located destination
-// straight into the node's ring; a cross-node one is packed into an arena
-// wire for the relay.
+// sendTyped delegates to the node shm world for co-located
+// destinations; a cross-node message is packed into an arena wire for the
+// relay (the relay header prepend forces a copy anyway).
 func (t *hierTransport) sendTyped(dst int, e envelope, parts []Part, n int) (bool, error) {
 	topo := t.hw.topo
 	if dst < 0 || dst >= topo.NumRanks() || topo.NodeOf(dst) != t.node {

@@ -68,7 +68,7 @@ type envelope struct {
 
 	// cancel, when non-nil, aborts a transport enqueue that would
 	// otherwise block (TCP backpressure, a saturated fault-injection
-	// link). It is the deadline hook SendCtx threads through.
+	// link). It is the deadline hook SendTyped threads through.
 	cancel <-chan struct{}
 
 	// pend is non-nil while the payload is still being reassembled from
@@ -472,15 +472,6 @@ type transport interface {
 	close() error
 }
 
-// zeroCopySender is an optional transport capability: send a payload
-// without the eager staging copy, blocking until the transport no longer
-// needs the caller's buffer. sendZeroCopy returns handled=false when the
-// payload does not qualify (below tcp's readBufSize, a cross-node hier
-// hop) and the caller must fall back to the eager-copy path.
-type zeroCopySender interface {
-	sendZeroCopy(dst int, e envelope) (handled bool, err error)
-}
-
 // Comm is a communicator: a group of ranks that can exchange point-to-
 // point messages and participate in collectives. The zero value is not
 // usable; communicators are obtained from Run, RunTCP, or Comm.Split.
@@ -530,35 +521,53 @@ func (c *Comm) checkRank(rank int) error {
 // Send delivers data to dst with the given tag. The tag must be
 // non-negative (negative tags are reserved for collectives). The caller
 // may reuse the buffer as soon as Send returns and Send never waits for
-// the receiver: small messages are copied eagerly and queued, while on shm
-// (every size) and tcp (from readBufSize up) the transport writes straight
-// from the caller's buffer and Send blocks until it has.
+// the receiver: on bare inproc it lands in the receiver's open post of
+// exactly its length, on shm (every size) and tcp (from readBufSize up)
+// the transport writes straight from the caller's buffer and Send blocks
+// until it has, and otherwise it is copied into an arena wire and queued.
 func (c *Comm) Send(dst, tag int, data []byte) error {
 	if _, err := c.sendArgs(nil, dst, tag); err != nil {
 		return err
 	}
-	return c.sendInternal(dst, tag, data)
+	return c.send(nil, dst, tag, data, nil, nil)
 }
 
-// sendInternal performs the delivery without the user-tag restriction.
-// Small messages are copied eagerly into a staging-arena buffer whose
-// ownership passes to the receiver (which may recycle it with PutBuffer
-// once unpacked). Messages a zero-copy transport accepts skip the copy:
-// the transport writes straight from the caller's buffer and sendInternal
-// blocks until it is reusable. Either way the caller may touch data again
-// the moment this returns.
-func (c *Comm) sendInternal(dst, tag int, data []byte) error {
-	dstWorld := c.group[dst]
-	tc, start := c.sendBegin(dstWorld, tag, len(data))
-	if zc, ok := c.tr.(zeroCopySender); ok {
-		if handled, err := zc.sendZeroCopy(dstWorld, envelope{ctx: c.ctx, src: c.group[c.rank], tag: tag, data: data, tc: tc}); handled {
-			c.sendEnd(dstWorld, len(data), start)
-			return err
+// send is the one delivery path behind Send, SendTyped and the
+// collectives, without the user-tag restriction. The payload is the
+// packed bytes of parts, or data when parts is nil, so a plain send
+// builds no part list. The transport's typedSender capability decides
+// first — land it, lend it, write it to a ring — and a message it does
+// not handle is gathered into an arena wire, charged to meter (nil for
+// none) until it is handed to the transport, which owns it from then on.
+// Either way the caller may touch its buffers again once send returns.
+func (c *Comm) send(cancel <-chan struct{}, dst, tag int, data []byte, parts []Part, meter *StagingMeter) error {
+	n := len(data)
+	if parts != nil {
+		n = 0
+		for i := range parts {
+			n += parts[i].size()
 		}
 	}
-	cp := GetBuffer(len(data))
-	copy(cp, data)
-	return c.post(dstWorld, tag, cp, nil, tc, start)
+	dstWorld := c.group[dst]
+	tc, start := c.sendBegin(dstWorld, tag, n)
+	e := envelope{ctx: c.ctx, src: c.group[c.rank], tag: tag, data: data, cancel: cancel, tc: tc}
+	var handled bool
+	var err error
+	if ts, ok := c.tr.(typedSender); ok {
+		handled, err = ts.sendTyped(dstWorld, e, parts, n)
+	}
+	if !handled {
+		e.data = GetBufferMetered(n, meter)
+		if parts == nil {
+			copy(e.data, data)
+		} else {
+			packParts(e.data, parts)
+		}
+		meter.Release(cap(e.data))
+		err = c.tr.send(dstWorld, e)
+	}
+	c.sendEnd(dstWorld, n, start)
+	return sendTimeout(err, dst, tag)
 }
 
 // sendArgs validates a send's destination and tag and turns its context
@@ -587,8 +596,7 @@ func sendTimeout(err error, dst, tag int) error {
 	return err
 }
 
-// sendEnd closes the telemetry sendBegin opened for a send of n bytes
-// that the transport took without an arena wire.
+// sendEnd closes the telemetry sendBegin opened for a send of n bytes.
 func (c *Comm) sendEnd(dstWorld, n int, start time.Time) {
 	c.counters.countSend(dstWorld, n)
 	if t := c.tel; t != nil {
@@ -612,19 +620,6 @@ func (c *Comm) sendBegin(dstWorld, tag, n int) (tc TraceContext, start time.Time
 		}
 	}
 	return tc, start
-}
-
-// post hands an arena-backed payload to the transport, which owns it from
-// here on every outcome, and closes the telemetry sendBegin opened.
-func (c *Comm) post(dstWorld, tag int, owned []byte, cancel <-chan struct{}, tc TraceContext, start time.Time) error {
-	n := len(owned)
-	c.counters.countSend(dstWorld, n)
-	err := c.tr.send(dstWorld, envelope{ctx: c.ctx, src: c.group[c.rank], tag: tag, data: owned, cancel: cancel, tc: tc})
-	if t := c.tel; t != nil {
-		t.sendLatency.ObserveSince(start)
-		t.wireSent.Add(int64(n))
-	}
-	return err
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns its
@@ -687,35 +682,6 @@ func (c *Comm) recvDone(e *envelope, n int, start time.Time) {
 			})
 		}
 	}
-}
-
-// SendCtx is Send bounded by a context: if the transport's outbound queue
-// to dst stays saturated past the deadline the call fails with an error
-// wrapping ErrExchangeTimeout instead of blocking. It copies data into an
-// arena wire and queues that at every size — it never lends the caller's
-// buffer, so it never waits on a writer — and the buffer is reusable
-// immediately whatever the outcome.
-func (c *Comm) SendCtx(ctx context.Context, dst, tag int, data []byte) error {
-	cp := GetBuffer(len(data))
-	copy(cp, data)
-	return c.sendOwned(ctx, dst, tag, cp)
-}
-
-// sendOwned is Send for a wire taken from the staging arena (GetBuffer)
-// that the caller is finished with: ownership passes to the transport —
-// in process, on to the receiver — so Send's eager copy is skipped.
-// Whatever the outcome, the caller must neither touch nor recycle wire
-// afterwards. A non-nil ctx bounds a saturated outbound queue as SendCtx
-// does; nil never gives up.
-func (c *Comm) sendOwned(ctx context.Context, dst, tag int, wire []byte) error {
-	cancel, err := c.sendArgs(ctx, dst, tag)
-	if err != nil {
-		PutBuffer(wire)
-		return err
-	}
-	dstWorld := c.group[dst]
-	tc, start := c.sendBegin(dstWorld, tag, len(wire))
-	return sendTimeout(c.post(dstWorld, tag, wire, cancel, tc, start), dst, tag)
 }
 
 // Probe blocks until a message matching (src, tag) is available and
@@ -795,6 +761,31 @@ func (t *inprocTransport) send(dst int, e envelope) error {
 	}
 	t.w.boxes[dst].put(e)
 	return nil
+}
+
+// sendTyped implements the typedSender capability by landing: it takes
+// the receiver's oldest open post for this message when that post offers
+// a span of exactly n > 0 bytes, packs the payload straight into it and
+// completes the post — one copy end to end, no arena wire. Only bare
+// inproc may: delivery here is synchronous, so none of this sender's
+// earlier messages can still be in flight behind a claim that jumps the
+// queue. Any other case is not handled, and the message is queued.
+func (t *inprocTransport) sendTyped(dst int, e envelope, parts []Part, n int) (bool, error) {
+	if n == 0 || dst < 0 || dst >= len(t.w.boxes) {
+		return false, nil
+	}
+	box := t.w.boxes[dst]
+	p := box.claim(envelope{ctx: e.ctx, src: e.src, tag: e.tag}, n)
+	if p == nil {
+		return false, nil
+	}
+	if parts == nil {
+		copy(p.dst, e.data)
+	} else {
+		packParts(p.dst, parts)
+	}
+	box.commit(p, e.tc)
+	return true, nil
 }
 
 func (t *inprocTransport) close() error { return nil }

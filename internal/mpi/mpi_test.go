@@ -44,12 +44,13 @@ func forEachTransport(t *testing.T, n int, body func(c *Comm) error) {
 	}
 }
 
-// TestSendOwned hands arena wires to the transport by ownership
-// (sendOwned, the path SendCtx and SendTyped's fallback take) on every
-// transport — below and above the chunk-streaming thresholds, with and
-// without a context, to a sibling and (hier) across the leader relay — and
-// checks each arrives byte-identical, in order, while the sender goes
-// straight on to reuse the arena.
+// TestSendOwned sends arena-backed buffers on every transport — below
+// and above the chunk-streaming thresholds, with and without a context
+// (which makes tcp hand over an arena wire of its own instead of lending),
+// to a sibling and (hier) across the leader relay — recycling each into
+// the arena the moment SendTyped returns, and checks each arrives
+// byte-identical, in order, while the sender goes straight on to reuse
+// the arena.
 func TestSendOwned(t *testing.T) {
 	sizes := []int{0, 100, 4096, 300 << 10, 2 << 20}
 	pattern := func(n, salt int) []byte {
@@ -66,17 +67,21 @@ func TestSendOwned(t *testing.T) {
 				for _, dst := range []int{1, 3} {
 					var ctx context.Context
 					if i%2 == 1 {
-						ctx = context.Background()
+						var cancel context.CancelFunc
+						ctx, cancel = context.WithCancel(context.Background())
+						defer cancel()
 					}
-					if err := c.sendOwned(ctx, dst, 5, pattern(n, dst)); err != nil {
+					b := pattern(n, dst)
+					if err := c.SendTyped(ctx, dst, 5, []Part{{Buf: b}}, nil); err != nil {
 						return err
 					}
-					// The wire is gone; whatever the arena hands out next
-					// must not disturb it in flight.
+					// The buffer is the sender's again; whatever the arena
+					// hands out next must not disturb the message in flight.
+					PutBuffer(b)
 					PutBuffer(pattern(n, 99))
 				}
 			}
-			if err := c.sendOwned(nil, 1, -3, GetBuffer(8)); err == nil {
+			if err := c.SendTyped(nil, 1, -3, []Part{{Buf: GetBuffer(8)}}, nil); err == nil {
 				return errors.New("reserved tag accepted")
 			}
 		case 1, 3:

@@ -11,10 +11,12 @@ import (
 // envelope to the post instead of queueing it, and the payload may land
 // straight in the destination span the receiver offered, in one of two
 // ways: on a transport that shares the receiver's address space and
-// delivers synchronously (bare inproc) a sender claims the post and packs
-// into the span, so the message is never staged at all; on shm (and hier
-// within a node) the receiving rank's ring consumer claims it and copies
-// the ring record into the span, so no arena payload exists.
+// delivers synchronously (bare inproc) the sender's typed send claims the
+// post and packs into the span, so the message is never staged at all;
+// on shm (and hier within a node) the receiving rank's ring consumer
+// claims it and copies the ring record into the span, so no arena payload
+// exists. Either way mailbox.claim takes the post and mailbox.commit
+// completes it; nothing outside the transports reaches them.
 //
 // Matching is FIFO per (communicator, source, tag) on both sides: an
 // arriving envelope completes the oldest open post that accepts it, a new
@@ -45,7 +47,7 @@ type Posted struct {
 	c     *Comm
 	src   int    // world rank, or AnySource
 	tag   int    // or AnyTag
-	dst   []byte // landing span offered to an in-process sender; nil offers none
+	dst   []byte // landing span offered to the transport; nil offers none
 	state postState
 	pend  *chunkPending // the reassembling envelope a bound post is pinned to
 
@@ -189,67 +191,11 @@ func (p *Posted) Cancel() bool {
 	return false
 }
 
-// Claim tries to take dst's oldest open post for a message of n bytes
-// with this tag. On a hit the caller owns the returned post until Commit:
-// it writes exactly the message's n bytes into Span and must then Commit,
-// whatever else fails — the receiver cannot leave its exchange while a
-// claim is outstanding. A miss (nil) means the peer has not posted yet,
-// offered no span or one of another length, or the transport does not
-// share the peer's address space; the caller sends as usual. Claim never
-// blocks, so a sender still never waits for a receiver.
-func (c *Comm) Claim(dst, tag, n int) *Posted {
-	l, ok := c.tr.(lander)
-	if !ok || n == 0 || c.checkRank(dst) != nil {
-		return nil
-	}
-	return l.claim(c.group[dst], envelope{ctx: c.ctx, src: c.group[c.rank], tag: tag}, n)
-}
-
-// Span is the destination a claimed post's message is to be written into.
-func (p *Posted) Span() []byte { return p.dst }
-
-// Commit completes a post obtained from Claim once its span is written.
-// It accounts for the message on the sending side exactly as SendOwned
-// does — traffic counters (and the landed ones), send telemetry, flight
-// event, trace context — and the receiver's Wait accounts for its side.
-func (c *Comm) Commit(p *Posted) {
-	// Read what the accounting needs first: the commit hands p back to the
-	// receiver, which may re-post it before this returns.
-	peer, n := p.c.group[p.c.rank], len(p.dst)
-	tc, start := c.sendBegin(peer, p.env.tag, n)
-	c.counters.countSend(peer, n)
-	c.counters.countLanded(n)
-	p.c.box.commit(p, tc)
-	if t := c.tel; t != nil {
-		t.sendLatency.ObserveSince(start)
-		t.wireSent.Add(int64(n))
-	}
-}
-
-// lander is an optional transport capability: sender and receiver share
-// an address space and delivery into the destination mailbox is
-// synchronous, so an open post there can be claimed and written into
-// directly. Synchronous matters: a claim jumps the queue, which is only
-// FIFO-safe when none of this sender's earlier messages are still in
-// flight behind it. Only the bare in-process transport qualifies; shm
-// lands on the receiving side instead, where its consumer is the
-// delivery point (shmWorld.deliver).
-type lander interface {
-	claim(dst int, id envelope, n int) *Posted
-}
-
-func (t *inprocTransport) claim(dst int, id envelope, n int) *Posted {
-	if dst < 0 || dst >= len(t.w.boxes) {
-		return nil
-	}
-	return t.w.boxes[dst].claim(id, n)
-}
-
 // claim takes the oldest open post accepting id if it offers a span of
 // exactly n bytes. The oldest one decides: skipping it for a later post
-// that fits would break FIFO matching. The claimer — an in-process sender
-// (Comm.Claim) or the shm consumer delivering id — writes the span and
-// then commits.
+// that fits would break FIFO matching. The claimer — an in-process
+// sender's typed send or the shm consumer delivering id — writes the span
+// and then commits.
 func (m *mailbox) claim(id envelope, n int) *Posted {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -267,8 +213,11 @@ func (m *mailbox) claim(id envelope, n int) *Posted {
 	return nil
 }
 
-// commit completes a claimed post whose span is written, as landed.
+// commit completes a claimed post whose span is written, as landed, and
+// counts the landing on the receiving rank — the side whose Wait reports
+// it, whichever side wrote the span.
 func (m *mailbox) commit(p *Posted, tc TraceContext) {
+	p.c.counters.countLanded(len(p.dst))
 	m.mu.Lock()
 	p.landed = true
 	p.env.tc = tc

@@ -20,8 +20,9 @@ const (
 // with the way a message can land in a posted span there.
 type postedWorld struct {
 	name string
-	// claims: a sender can claim an open post (bare inproc only).
-	claims bool
+	// sendLands: a sender's typed send — and so a plain Send — lands in an
+	// open post (bare inproc only).
+	sendLands bool
 	// delivers reports whether the shm consumer of world rank dst copies
 	// a whole-message record into an open post: on shm always, on hier
 	// when the message's last hop is a node's ring (nil: never).
@@ -32,7 +33,7 @@ type postedWorld struct {
 // lands reports whether a message of n bytes to world rank dst lands in
 // its post.
 func (w postedWorld) lands(n, dst int, postFirst bool) bool {
-	return postFirst && n > 0 && (w.claims || w.delivers != nil && w.delivers(dst) && n <= defaultShmChunkThreshold)
+	return postFirst && n > 0 && (w.sendLands || w.delivers != nil && w.delivers(dst) && n <= defaultShmChunkThreshold)
 }
 
 func postedWorlds() []postedWorld {
@@ -71,19 +72,18 @@ func postedCheck(b []byte, n, msg int) error {
 	return nil
 }
 
-// sendOrLand moves message msg the way the exchange executor does: claim
-// the receiver's post and write in place, or hand the owner's bytes to
-// SendTyped — lent to the tcp writer, packed into the shm record, staged
-// elsewhere. It reports which happened.
-func sendOrLand(c *Comm, to, n, msg int) (landed bool, err error) {
-	if p := c.Claim(to, postTagData, n); p != nil {
-		postedFill(p.Span(), msg)
-		c.Commit(p)
-		return true, nil
-	}
+// postedSend moves message msg of n bytes the way the exchange executor
+// does, as one typed send of the owner's bytes — landed in the receiver's
+// open post on bare inproc, lent to the tcp writer, written into the shm
+// record, staged elsewhere — or, plain set, as a Send of the same bytes,
+// which the transport must treat alike.
+func postedSend(c *Comm, to, n, msg int, plain bool) error {
 	own := make([]byte, n)
 	postedFill(own, msg)
-	return false, c.SendTyped(nil, to, postTagData, []Part{{Buf: own}}, nil)
+	if plain {
+		return c.Send(to, postTagData, own)
+	}
+	return c.SendTyped(nil, to, postTagData, []Part{{Buf: own}}, nil)
 }
 
 // postedExchange runs every size × order combination between two ranks of
@@ -104,12 +104,8 @@ func postedExchange(c *Comm, from, to int, w postedWorld) error {
 					}
 				}
 				for i := 0; i < msgs; i++ {
-					landed, err := sendOrLand(c, to, n, i)
-					if err != nil {
+					if err := postedSend(c, to, n, i, i%2 == 1); err != nil {
 						return err
-					}
-					if want := w.claims && w.lands(n, dst, postFirst); landed != want {
-						return fmt.Errorf("%s: message %d claimed %v, want %v", name, i, landed, want)
 					}
 				}
 				if !postFirst {
@@ -170,8 +166,7 @@ func postedRevoke(c *Comm, from, to int) error {
 		if _, _, _, err := c.Recv(to, postTagGo); err != nil {
 			return err
 		}
-		_, err := sendOrLand(c, to, 1<<10, 7)
-		return err
+		return postedSend(c, to, 1<<10, 7, false)
 	case to:
 		var p Posted
 		if err := c.Post(&p, from, postTagData, make([]byte, 1<<10)); err != nil {
@@ -195,10 +190,11 @@ func postedRevoke(c *Comm, from, to int) error {
 
 // TestPostedRecv checks the posted-receive contract on every transport:
 // posts and messages meet in either order, same-tag messages match FIFO,
-// sub-communicators keep their own stream, a message lands in the posted
-// span exactly where a sender can claim it (bare inproc) or the shm
-// consumer can copy it there (shm and hier, unsequenced whole-message
-// records), and afterwards the mailbox is empty on both queues.
+// sub-communicators keep their own stream, a message — typed or plain —
+// lands in the posted span exactly where the sender's send can claim it
+// (bare inproc) or the shm consumer can copy it there (shm and hier,
+// unsequenced whole-message records), and afterwards the mailbox is empty
+// on both queues.
 func TestPostedRecv(t *testing.T) {
 	for _, w := range postedWorlds() {
 		t.Run(w.name, func(t *testing.T) {
@@ -236,10 +232,11 @@ func TestPostedRecv(t *testing.T) {
 				}
 				// Rank 0 sends on the world, ranks 0 and 1 on their halves;
 				// rank 3 receives on the world, ranks 2 and 3 on the halves.
-				// A landing counts on the rank whose side wrote the span.
-				writer := w.claims && c.Rank() < 2 || w.delivers != nil && w.delivers(c.Rank()) && c.Rank() >= 2
-				if st := c.Traffic(); (st.MessagesLanded > 0) != writer {
-					return fmt.Errorf("MessagesLanded = %d on a rank that wrote spans: %v", st.MessagesLanded, writer)
+				// A landing counts on the receiving rank, whichever side
+				// wrote the span.
+				lands := c.Rank() >= 2 && (w.sendLands || w.delivers != nil && w.delivers(c.Rank()))
+				if st := c.Traffic(); (st.MessagesLanded > 0) != lands {
+					return fmt.Errorf("MessagesLanded = %d on a rank whose posts take landings: %v", st.MessagesLanded, lands)
 				}
 				return nil
 			}, w.opts...)
@@ -252,7 +249,9 @@ func TestPostedRecv(t *testing.T) {
 
 // TestPostedClaimBlocksRevoke: once a sender has claimed a post, Cancel
 // cannot take the span away from under it — it returns only after the
-// commit, with the bytes in place.
+// commit, with the bytes in place. The sender holds the claim the way the
+// inproc typed send does, through the receiver's mailbox, but across a
+// round trip.
 func TestPostedClaimBlocksRevoke(t *testing.T) {
 	const n = 4 << 10
 	err := Launch(2, func(c *Comm) error {
@@ -260,11 +259,13 @@ func TestPostedClaimBlocksRevoke(t *testing.T) {
 			if _, _, _, err := c.Recv(1, postTagGo); err != nil {
 				return err
 			}
-			p := c.Claim(1, postTagData, n)
+			box := c.tr.(*inprocTransport).w.boxes[1]
+			id := envelope{ctx: c.ctx, src: 0, tag: postTagData}
+			p := box.claim(id, n)
 			if p == nil {
 				return errors.New("claim missed an open post")
 			}
-			if c.Claim(1, postTagData, n) != nil {
+			if box.claim(id, n) != nil {
 				return errors.New("one post claimed twice")
 			}
 			if err := c.Send(1, postTagGo, nil); err != nil {
@@ -274,8 +275,8 @@ func TestPostedClaimBlocksRevoke(t *testing.T) {
 			if _, _, _, err := c.Recv(1, postTagGo); err != nil {
 				return err
 			}
-			postedFill(p.Span(), 5)
-			c.Commit(p)
+			postedFill(p.dst, 5)
+			box.commit(p, TraceContext{})
 			return nil
 		}
 		span := make([]byte, n)

@@ -661,7 +661,6 @@ func (w *shmWorld) deliver(dst int, box *mailbox, streams map[uint64]*shmStream,
 		if rec.n > 0 && rec.seq == 0 {
 			if p := box.claim(e, rec.n); p != nil {
 				copy(p.dst, payload)
-				p.c.counters.countLanded(rec.n)
 				box.commit(p, rec.tc)
 				return
 			}
@@ -746,12 +745,15 @@ func (t *shmTransport) send(dst int, e envelope) error {
 	return err
 }
 
-// sendTyped implements the typedSender capability for messages that fit
-// one record: the parts pack straight into the reserved record, so no
-// arena wire exists on the sending side. Larger messages stream as chunk
-// records from the arena wire the caller packs instead.
+// sendTyped implements the typedSender capability with no staging copy
+// and no arena allocation. A plain payload (nil parts) goes straight from
+// the caller's buffer into the ring at every size, one record or a chunk
+// stream; typed parts that fit one record pack straight into it, while
+// larger ones stream as chunk records from the arena wire the caller packs
+// instead. The ring write is synchronous, so by the time it returns the
+// caller's buffers are reusable, which is exactly Send's contract.
 func (t *shmTransport) sendTyped(dst int, e envelope, parts []Part, n int) (bool, error) {
-	if cfg := &t.w.cfg; cfg.chunk && n > cfg.chunkThreshold {
+	if cfg := &t.w.cfg; parts != nil && cfg.chunk && n > cfg.chunkThreshold {
 		return false, nil
 	}
 	if dst < 0 || dst >= t.w.n {
@@ -760,22 +762,10 @@ func (t *shmTransport) sendTyped(dst int, e envelope, parts []Part, n int) (bool
 	if t.w.isClosed() {
 		return true, ErrClosed
 	}
+	if parts == nil {
+		return true, t.write(dst, e)
+	}
 	return true, t.writeMsg(dst, &e, parts, n)
-}
-
-// sendZeroCopy implements the zeroCopySender capability at every size:
-// the payload goes straight from the caller's buffer into the ring — one
-// record or a chunk stream — with no staging copy and no arena
-// allocation. The ring write is synchronous, so by the time write returns
-// the caller's buffer is reusable, which is exactly Send's contract.
-func (t *shmTransport) sendZeroCopy(dst int, e envelope) (bool, error) {
-	if dst < 0 || dst >= t.w.n {
-		return true, fmt.Errorf("mpi: shm world rank %d out of range", dst)
-	}
-	if t.w.isClosed() {
-		return true, ErrClosed
-	}
-	return true, t.write(dst, e)
 }
 
 // write moves one message into the (src -> dst) ring, chunking payloads

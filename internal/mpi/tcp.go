@@ -1032,30 +1032,27 @@ func checkFrameSize(n int, cfg *tcpConfig) error {
 	return nil
 }
 
-// sendZeroCopy implements the zeroCopySender capability from readBufSize
-// up — the size at which the receiving read loop stops batching frames
-// through its buffer and reads the payload straight into the arena. The
-// writer sends one frame, or streams chunks, directly from the caller's
-// buffer. Smaller messages stay eager: their copy is cheap, and queueing
-// it lets the writer coalesce them without the sender waiting.
-func (t *tcpTransport) sendZeroCopy(dst int, e envelope) (bool, error) {
-	if len(e.data) < readBufSize {
-		return false, nil
-	}
-	if err := checkFrameSize(len(e.data), &t.ep.cfg); err != nil {
-		return true, err
-	}
-	return true, t.lend(dst, e, nil, 0)
-}
-
-// sendTyped implements the typedSender capability for the messages
-// sendZeroCopy would lend that fit one frame and carry no deadline (a lent
-// payload cannot be abandoned mid-queue): the writer appends the parts'
-// runs to its vectored write. Smaller ones are packed and queued like an
-// eager Send, so a storm of them still coalesces.
+// sendTyped implements the typedSender capability by lending, from
+// readBufSize up — the size at which the receiving read loop stops
+// batching frames through its buffer and reads the payload straight into
+// the arena — and only without a deadline (a lent payload cannot be
+// abandoned mid-queue). A plain payload (nil parts) goes as one frame, or
+// a chunk stream, straight from the caller's buffer; typed parts that fit
+// one frame have their runs appended to the writer's vectored write.
+// Smaller messages are copied or packed and queued, so a storm of them
+// still coalesces without the sender waiting.
 func (t *tcpTransport) sendTyped(dst int, e envelope, parts []Part, n int) (bool, error) {
 	cfg := &t.ep.cfg
-	if e.cancel != nil || n < readBufSize || cfg.chunk && n > cfg.chunkThreshold || uint64(n) > maxSingleFrame {
+	if e.cancel != nil || n < readBufSize {
+		return false, nil
+	}
+	if parts == nil {
+		if err := checkFrameSize(n, cfg); err != nil {
+			return true, err
+		}
+		return true, t.lend(dst, e, nil, 0)
+	}
+	if cfg.chunk && n > cfg.chunkThreshold || uint64(n) > maxSingleFrame {
 		return false, nil
 	}
 	return true, t.lend(dst, e, parts, n)

@@ -12,13 +12,14 @@ type TrafficStats struct {
 	MessagesRecv int64
 	BytesRecv    int64
 
-	// MessagesLanded / BytesLanded count the messages that reached a
-	// posted destination span without an arena payload, on the rank that
-	// wrote them there: a sender counts those it packed straight into the
-	// receiver's span (Claim/Commit, bare inproc), a receiver those its shm
-	// ring consumer copied into its own span (shm, and hier within a node).
-	// They say which path ran; the messages are included in the sender's
-	// Sent and the receiver's Recv totals like any other.
+	// MessagesLanded / BytesLanded count the messages that reached one of
+	// this rank's posted destination spans without an arena payload —
+	// whether the sender's typed send packed them straight into it (bare
+	// inproc) or this rank's shm ring consumer copied them there (shm, and
+	// hier within a node) — on the receiving side, where Posted.Wait
+	// reports them landed. They say which path ran; the messages are
+	// included in the sender's Sent and the receiver's Recv totals like
+	// any other.
 	MessagesLanded int64
 	BytesLanded    int64
 
@@ -80,9 +81,8 @@ func (t *traffic) countRecv(peer, n int) {
 	}
 }
 
-// countLanded records that a message of n bytes was written into a posted
-// span by this rank's side; countSend and countRecv count the message
-// itself.
+// countLanded records that a message of n bytes landed in one of this
+// rank's posted spans; countSend and countRecv count the message itself.
 func (t *traffic) countLanded(n int) {
 	if t == nil {
 		return

@@ -10,7 +10,8 @@ import (
 // Typed sends: a message handed to the transport as ordered (datatype,
 // buffer) parts instead of bytes, so the transport — not the caller —
 // decides where the gather happens, the way MPI derived datatypes let the
-// communication layer move non-contiguous data. On tcp the writer puts
+// communication layer move non-contiguous data. On bare inproc the parts
+// pack straight into the receiver's posted span; on tcp the writer puts
 // every part's runs of a large message straight into its vectored write
 // and the kernel's copy is the only one; on shm the parts pack straight
 // into the ring record; everywhere else they pack into an arena wire
@@ -57,9 +58,12 @@ func appendRuns(iov [][]byte, parts []Part) [][]byte {
 	return iov
 }
 
-// typedSender is an optional transport capability: deliver a typed
-// message of n packed bytes without an arena wire. handled=false means
-// the message does not qualify, and the caller packs it into one.
+// typedSender is the one optional transport capability: deliver a
+// message of n packed bytes — the parts, or e.data when parts is nil —
+// without an arena wire, by landing it in the receiver's posted span
+// (inproc), lending it to the writer (tcp) or writing it into the ring
+// (shm, and hier within a node). handled=false means the message does
+// not qualify, and the caller packs it into a wire the transport owns.
 type typedSender interface {
 	sendTyped(dst int, e envelope, parts []Part, n int) (handled bool, err error)
 }
@@ -80,34 +84,21 @@ var borrows = sync.Pool{New: func() any { return &borrow{done: make(chan error, 
 // SendTyped sends one message whose payload is the packed bytes of parts,
 // concatenated in order: the receiver gets exactly what Send of those
 // bytes would deliver. As with Send the caller may touch the buffers again
-// once it returns. On tcp, with a nil ctx and a message of one frame from
-// readBufSize (64 KiB) up — the sizes Send lends — the writer sends the
-// parts' runs straight from the buffers and SendTyped blocks until they
-// are written; on shm a message that fits one ring record is packed
-// straight into it. Otherwise the parts are packed into an arena wire,
-// charged to meter (nil for none) until it is handed to the transport,
-// which owns it from then on. A non-nil ctx bounds a saturated outbound
-// queue as SendCtx does.
+// once it returns. On bare inproc a message of exactly the length of the
+// receiver's open post is packed straight into its span; on tcp, with a
+// nil ctx and a message of one frame from readBufSize (64 KiB) up — the
+// sizes Send lends — the writer sends the parts' runs straight from the
+// buffers and SendTyped blocks until they are written; on shm a message
+// that fits one ring record is packed straight into it. Otherwise the
+// parts are packed into an arena wire, charged to meter (nil for none)
+// until it is handed to the transport, which owns it from then on. A
+// non-nil ctx bounds a saturated outbound queue: past its deadline the
+// call fails with an error wrapping ErrExchangeTimeout instead of
+// blocking.
 func (c *Comm) SendTyped(ctx context.Context, dst, tag int, parts []Part, meter *StagingMeter) error {
 	cancel, err := c.sendArgs(ctx, dst, tag)
 	if err != nil {
 		return err
 	}
-	n := 0
-	for i := range parts {
-		n += parts[i].size()
-	}
-	dstWorld := c.group[dst]
-	tc, start := c.sendBegin(dstWorld, tag, n)
-	if ts, ok := c.tr.(typedSender); ok {
-		e := envelope{ctx: c.ctx, src: c.group[c.rank], tag: tag, cancel: cancel, tc: tc}
-		if handled, err := ts.sendTyped(dstWorld, e, parts, n); handled {
-			c.sendEnd(dstWorld, n, start)
-			return err
-		}
-	}
-	wire := GetBufferMetered(n, meter)
-	packParts(wire, parts)
-	meter.Release(cap(wire))
-	return sendTimeout(c.post(dstWorld, tag, wire, cancel, tc, start), dst, tag)
+	return c.send(cancel, dst, tag, nil, parts, meter)
 }

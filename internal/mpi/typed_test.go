@@ -57,6 +57,7 @@ func typedCases() []typedCase {
 	}
 	plane := func(salt int) Part { return subarrayPart(4, cube, grid.Box3(2, 3, 4, 60, 50, 1), salt) }
 	return []typedCase{
+		{"contig/0B", contig(0)},
 		{"contig/100B", contig(100)},
 		{"contig/64KiB-4", contig(readBufSize - 4)},
 		{"contig/64KiB+4", contig(readBufSize + 4)},
@@ -109,17 +110,20 @@ func packedOf(parts []Part) []byte {
 // ring-record and arena-wire paths all run — and checks the receiver gets
 // exactly the parts' packed bytes although the sender scribbles its
 // sources the moment SendTyped returns, and that no staging stays charged.
+// Then every case goes once more into an open post, typed and as a plain
+// Send of its packed bytes (typedLanding).
 func TestTypedSendMatchesPacked(t *testing.T) {
 	noop := funcInjector(func(src, dst, tag int, seq uint64, attempt int) Fault { return Fault{} })
 	worlds := []struct {
-		name string
-		opts []LaunchOption
+		name  string
+		lands landing
+		opts  []LaunchOption
 	}{
-		{"inproc", []LaunchOption{WithFaultInjector(nil)}},
-		{"inproc+injector", []LaunchOption{WithFaultInjector(noop)}},
-		{"tcp", []LaunchOption{WithTransport(TransportTCP), WithFaultInjector(nil)}},
-		{"shm", []LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil)}},
-		{"hier", []LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil), WithTopology(NodesOf(4, 2))}},
+		{"inproc", landsExact, []LaunchOption{WithFaultInjector(nil)}},
+		{"inproc+injector", landsNever, []LaunchOption{WithFaultInjector(noop)}},
+		{"tcp", landsNever, []LaunchOption{WithTransport(TransportTCP), WithFaultInjector(nil)}},
+		{"shm", landsMaybe, []LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil)}},
+		{"hier", landsMaybe, []LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil), WithTopology(NodesOf(4, 2))}},
 	}
 	cases := typedCases()
 	for _, w := range worlds {
@@ -160,13 +164,80 @@ func TestTypedSendMatchesPacked(t *testing.T) {
 						PutBuffer(got)
 					}
 				}
-				return nil
+				return typedLanding(c, cases, w.lands)
 			}, w.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
+}
+
+// landing is what a transport does with a message sent into an open post.
+type landing int
+
+const (
+	landsNever landing = iota // the post completes with an arena payload
+	landsExact                // the send lands a message of exactly the span's length, if it has any bytes
+	landsMaybe                // the ring consumer may land it, depending on size
+)
+
+// typedLanding has rank 1 post a receive for each case — its span exactly
+// the packed length, then one byte longer — before rank 0 sends the case,
+// typed and as a plain Send of its packed bytes, and checks Wait reports
+// landed exactly when lands says it must, with the packed bytes either way.
+func typedLanding(c *Comm, cases []typedCase, lands landing) error {
+	const tagData, tagGo = 6, 7
+	for i, tc := range cases {
+		for _, plain := range []bool{false, true} {
+			for extra := 0; extra < 2; extra++ {
+				switch c.Rank() {
+				case 0:
+					if _, _, _, err := c.Recv(1, tagGo); err != nil {
+						return err
+					}
+					var err error
+					if parts := tc.build(i); plain {
+						err = c.Send(1, tagData, packedOf(parts))
+					} else {
+						err = c.SendTyped(nil, 1, tagData, parts, nil)
+					}
+					if err != nil {
+						return err
+					}
+				case 1:
+					want := packedOf(tc.build(i))
+					span := make([]byte, len(want)+extra)
+					var p Posted
+					if err := c.Post(&p, 0, tagData, span); err != nil {
+						return err
+					}
+					if err := c.Send(0, tagGo, nil); err != nil {
+						return err
+					}
+					data, landed, err := p.Wait(nil)
+					if err != nil {
+						return err
+					}
+					name := fmt.Sprintf("%s, plain %v, span +%d", tc.name, plain, extra)
+					must := lands == landsExact && extra == 0 && len(want) > 0
+					if landed != must && (lands != landsMaybe || landed && extra > 0) {
+						return fmt.Errorf("%s: landed %v, want %v", name, landed, must)
+					}
+					if landed {
+						data = span
+					}
+					if !bytes.Equal(data, want) {
+						return fmt.Errorf("%s: %d bytes delivered, want %d packed bytes", name, len(data), len(want))
+					}
+					if !landed {
+						PutBuffer(data)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // TestTCPWriterDeathReleasesBorrowedSend: a sender blocked while the
