@@ -43,8 +43,8 @@ names:
 #     the detector, whose slowdown changes which rank finds whose post
 #     open and how long a lent payload stays in the writer;
 #   - the golden plan and bounded-step fixtures;
-#   - a brief fuzz of the shm ring-record decoder and both TCP wire
-#     decoders;
+#   - a brief fuzz of the shm ring-record decoder, both TCP wire
+#     decoders and the budgeted compile;
 #   - one-iteration smokes of the Go micro-benchmarks, so every measured
 #     configuration stays runnable;
 #   - the tests of bench/ddrperf, the benchmark of record (bash
@@ -63,6 +63,7 @@ verify: names chaos
 	$(GO) test -run '^$$' -fuzz FuzzShmRingHeader -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTCPFrameDecoder -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTCPSeqFrameDecoder -fuzztime 10s ./internal/mpi/
+	$(GO) test -run '^$$' -fuzz FuzzCompileBounded -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkPackUnpack -benchtime 1x ./internal/datatype/
 	$(GO) test -run '^$$' -bench BenchmarkBoundedExchange -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkFFT2DStep -benchtime 1x ./internal/fft/
@@ -70,7 +71,7 @@ verify: names chaos
 	$(GO) test -run '^$$' -bench BenchmarkReorganizeEngine -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkStackExchange -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkTCPExchange -benchtime 1x ./internal/mpi/
-	$(GO) test -run '^$$' -bench 'BenchmarkSetupMapping/(schedule|plan)/P=64' -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkSetupMapping/(schedule|plan|bounded)/P=64' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkRegridderReconnect -benchtime 1x ./internal/transit/
 	$(GO) test -run '^$$' -bench BenchmarkCouplingStream -benchtime 1x ./internal/transit/
 	$(GO) test -run '^$$' -bench BenchmarkRegridderResize -benchtime 1x ./internal/transit/

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ddr/internal/grid"
 	"ddr/internal/mpi"
@@ -13,22 +15,29 @@ import (
 // staging footprint is proportional to the data moved — exactly where the
 // paper's in-transit coupling hurts at scale. Following the decomposition
 // of "Memory-efficient array redistribution through portable collective
-// communication" (Rink et al.), CompileBounded rewrites the same transfer
-// as a sequence of bounded-footprint steps: every overlap region is
-// sliced into pieces whose class-rounded wire size fits the configured
-// budget, the slices are packed greedily into steps such that no rank's
-// modeled staging (sends charged to the source, payloads to the
-// destination, both at the arena's class granularity) exceeds the budget
-// within a step, and the exchange executes the steps in order — slice,
-// exchange, place — through the same staging arena and chunked wire lanes
-// as the one-shot paths.
+// communication" (Rink et al.), compileBounded rewrites this rank's own
+// round schedule (p.sched) as a sequence of bounded-footprint steps: every
+// message and self move too large for the budget is sliced into pieces
+// whose class-rounded size fits it, the pieces are ordered by one global
+// key, and they are packed greedily into steps whose modelled staging
+// (charge) fits the budget.
 //
-// The schedule is a pure function of the global geometry, the element
-// size, and the budget, so every rank derives the identical slice list
-// and step boundaries from the allgathered geometry with no extra
-// communication. The budget is folded into the plan fingerprint
-// (plancache.go), so cached plans and exchange IDs both key on it; it
-// must be uniform across ranks, like the exchange mode.
+// The schedule is per rank. A rank reads only its own step list, chunks
+// and need box — never another rank's overlaps — so the compile costs the
+// rank's own pieces, not the world's. Ranks may pack differently, and a
+// rank whose rounds all fit replays p.sched unchanged; what keeps them
+// compatible is the key every piece is ordered by: (round, shift, slice),
+// where shift = (dst−src) mod P is the circulant shift of the piece's
+// pair (Sudarsan & Ribbens: at shift t, rank r sends only to r+t and
+// receives only from r−t) and slice its index within the message, with a
+// send ahead of a receive on an equal key. Sender and receiver derive the
+// same key for a piece, and every rank's steps are consecutive runs of
+// its pieces in key order, which is what the executor's deadlock-freedom
+// argument needs (DESIGN.md, "Memory-bounded step compiler"). Whether a
+// message is sliced, and into which pieces, depends only on its size and
+// the budget, so both ends agree on that too; the budget must be uniform
+// across ranks, like the exchange mode, and is folded into the plan
+// fingerprint (plancache.go), so cached plans and exchange IDs key on it.
 //
 // Budget semantics: WithMemoryBudget bounds the bytes of exchange-layer
 // staging a rank holds at once — pack buffers plus received payloads
@@ -37,56 +46,61 @@ import (
 // (mailbox deliveries not yet received, TCP socket buffers) are outside
 // the bound; they are themselves bounded by the transports' chunk lanes.
 // A live mpi.StagingMeter on the descriptor measures the real high-water
-// mark of every bounded exchange, and the test harness asserts measured
+// mark of every budgeted exchange, and the test harness asserts measured
 // peak <= budget at every tier down to the one-chunk minimum.
 
 // ErrBudgetTooSmall reports a WithMemoryBudget value below the smallest
-// staging-arena class needed to move even a single element.
+// staging-arena class needed to move even a single element, or so small
+// that one peer pair needs more slices than the bounded tag range holds.
 var ErrBudgetTooSmall = errors.New("core: memory budget below the minimum staging class")
 
-// boundedTagBase is the first tag of the bounded exchange's range. Every
-// slice gets its own tag (base + global slice index), so duplicated or
-// reordered deliveries can never satisfy the wrong receive. The range
-// sits above the round tags (ddrTagBase+round) and below the delta
-// exchange's deltaTag.
+// boundedTagBase is the first tag of the bounded exchange's range. A
+// sliced piece takes base + its pair-local slice count — the number of
+// pieces of the same (src, dst) pair before it in key order — so the tags
+// of a pair never repeat, and duplicated or reordered deliveries can
+// never satisfy the wrong receive. An unsliced message keeps its round
+// tag (ddrTagBase+round). The range sits above the round tags and below
+// the delta exchange's deltaTag, which bounds the slices of one pair.
 const boundedTagBase = ddrTagBase + (1 << 18)
 
-// boundedSlice is one slice of one overlap region: the piece of src's
-// chunk that lands in dst's need box during one step.
-type boundedSlice struct {
-	src, dst int
-	chunk    int      // index into allChunks[src]
-	region   grid.Box // global coordinates; region ⊆ chunk ∩ need
-	bytes    int      // region volume × element size
-	tag      int
-	step     int
+// sliceTag returns the tag of a pair's n-th slice, failing with
+// ErrBudgetTooSmall once n would leave the bounded range.
+func sliceTag(n int) (int, error) {
+	if n >= deltaTag-boundedTagBase {
+		return 0, fmt.Errorf("core: one peer pair needs more than %d slices under this budget: %w",
+			deltaTag-boundedTagBase, ErrBudgetTooSmall)
+	}
+	return boundedTagBase + n, nil
 }
 
-// boundedPlan is the compiled step sequence — global, identical on every
-// rank — plus this rank's share of it as the executor's step list.
+// boundedPlan is this rank's schedule under one budget.
 type boundedPlan struct {
-	budget   int // configured ceiling, bytes
-	maxSlice int // per-slice payload cap, bytes
-	steps    int
-	slices   []boundedSlice
+	budget int // configured ceiling, bytes
 
-	// sched holds, per step and in slice order, the slices this rank
-	// executes: one single-seg message per remote slice on the slice's own
-	// tag, a self move per local one.
+	// sched is the rank's rounds re-packed into bounded steps, nil when
+	// every round of p.sched fits the budget and the rank replays it.
 	sched []step
 
-	wireBytes int64 // bytes this rank sends to other ranks
-	peak      int   // modeled worst per-step footprint of this rank
+	peak int // modelled charge of the largest step the rank runs
+}
+
+// steps is the step list the rank runs under the budget: its re-packed
+// steps, or its rounds when they all fit.
+func (b *boundedPlan) steps(p *Plan) []step {
+	if b.sched != nil {
+		return b.sched
+	}
+	return p.sched
 }
 
 // WithMemoryBudget bounds the exchange-layer staging of every
 // ReorganizeData call to at most n bytes per rank (class-rounded, see the
-// package comment above). When the single-shot footprint of the mapped
-// geometry would exceed the budget on any rank, SetupDataMapping
-// compiles the bounded step backend and ReorganizeData executes it; when
-// the geometry fits, the one-shot paths run unchanged. The budget must
-// be uniform across ranks and is part of the plan-cache key. n <= 0 (the
-// default) disables the bound.
+// package comment above). A budget selects the step executor for every
+// exchange, also under ModeAlltoallw. SetupDataMapping then compares each
+// rank's own worst round (SingleShotFootprint) with the budget: a rank
+// whose rounds fit replays them unchanged, any other re-packs its rounds
+// into bounded steps. The budget must be uniform across ranks and is part
+// of the plan-cache key. n <= 0 (the default) disables the bound.
 func WithMemoryBudget(n int) Option {
 	return func(d *Descriptor) { d.budget = n }
 }
@@ -97,20 +111,20 @@ func WithMemoryBudget(n int) Option {
 // budget alongside the geometry and topology.
 func (d *Descriptor) fpSalt() uint64 { return uint64(max(d.budget, 0)) }
 
-// BoundedSteps reports the number of bounded steps the current plan
-// executes per exchange, or 0 when the one-shot path is selected.
+// BoundedSteps reports the number of bounded steps this rank's current
+// plan executes per exchange, or 0 when it replays its rounds unchanged
+// (no budget, or every round fits it). Ranks of one world may differ.
 func (d *Descriptor) BoundedSteps() int {
 	if d.plan == nil || d.plan.bounded == nil {
 		return 0
 	}
-	return d.plan.bounded.steps
+	return len(d.plan.bounded.sched)
 }
 
 // LastPeakStaging reports the measured high-water mark of exchange-layer
-// staging bytes during the most recent budgeted ReorganizeData call that
-// ran a step list (0 before the first — the meter arms only under
-// WithMemoryBudget, and ModeAlltoallw rounds stage inside the collective,
-// outside it).
+// staging bytes on this rank during the most recent budgeted
+// ReorganizeData call (0 before the first — the meter arms only under
+// WithMemoryBudget).
 func (d *Descriptor) LastPeakStaging() int64 { return d.lastPeakStaging }
 
 // maxSliceBytes returns the largest slice payload whose class-rounded
@@ -174,168 +188,169 @@ func appendSlices(dst []grid.Box, b grid.Box, maxElems int) []grid.Box {
 	return dst
 }
 
-// SingleShotFootprint returns the worst per-rank staging footprint, in
-// class-rounded bytes, that the one-shot exchange paths would reach for
-// this plan's geometry: per rank, the largest round's send+receive
-// staging — both exchange modes stage one round at a time, round r moving
-// each rank's r-th chunk. The value is derived from the global geometry
-// alone, so every rank computes the same number — it is the quantity the
-// bounded backend's auto-selection compares against the budget, keeping
-// the selection collectively consistent.
-func (p *Plan) SingleShotFootprint() int {
-	nProcs, rounds := p.nProcs, p.rounds
-	if rounds == 0 {
-		return 0
+// charge is the one staging model of the budgeted path: every self move,
+// send and receive of st at its arena class. The executor holds at most
+// that much at once per step — one send or self-move wire at a time plus
+// the step's receive lease — and at most k+1 charges with k steps in
+// flight, which is what pipelineDepth clamps against.
+func charge(st *step) int {
+	n := 0
+	for i := range st.selfs {
+		n += mpi.BufferClassSize(st.selfs[i].src.t.PackedSize())
 	}
-	send := make([]int, nProcs*rounds)
-	recv := make([]int, nProcs*rounds)
-	forEachOverlap(p.allChunks, p.allNeeds, func(src, chunk, dst int, ov grid.Box) {
-		n := mpi.BufferClassSize(ov.Volume() * p.elemSize)
-		send[src*rounds+chunk] += n
-		recv[dst*rounds+chunk] += n
-	})
+	for i := range st.sends {
+		n += mpi.BufferClassSize(st.sends[i].bytes)
+	}
+	for i := range st.recvs {
+		n += mpi.BufferClassSize(st.recvs[i].bytes)
+	}
+	return n
+}
+
+// SingleShotFootprint returns this rank's one-shot staging footprint, in
+// class-rounded bytes: the charge of its largest round, the quantity a
+// memory budget is compared against to decide whether the rank re-packs.
+// It reads only this rank's compiled rounds, so ranks of one world
+// generally report different values.
+func (p *Plan) SingleShotFootprint() int {
 	worst := 0
-	for r := 0; r < nProcs; r++ {
-		for rr := 0; rr < rounds; rr++ {
-			worst = max(worst, send[r*rounds+rr]+recv[r*rounds+rr])
-		}
+	for i := range p.sched {
+		worst = max(worst, charge(&p.sched[i]))
 	}
 	return worst
 }
 
-// forEachOverlap visits every (source chunk × destination need) overlap
-// of the global geometry in the canonical order — source rank, then that
-// rank's chunk index, then destination rank ascending. The bounded slice
-// enumeration, the footprint model, and the step packer all iterate this
-// order, which is what makes the schedule identical on every rank.
-func forEachOverlap(allChunks [][]grid.Box, allNeeds []grid.Box, f func(src, chunk, dst int, ov grid.Box)) {
-	ix := grid.NewIndex(allNeeds)
-	var hits []int
-	for src, chunks := range allChunks {
-		for ci, chunk := range chunks {
-			hits = ix.QueryAppend(hits[:0], chunk)
-			for _, dst := range hits {
-				if ov, ok := chunk.Intersect(allNeeds[dst]); ok && !ov.Empty() {
-					f(src, ci, dst, ov)
-				}
-			}
-		}
-	}
+// piece is one self move, send or receive of the re-packed schedule, at
+// its position in the global key order.
+type piece struct {
+	round, shift, slice int
+	dir                 int // 1 for a receive, which sorts after a send on an equal key
+	bytes               int
+	self                bool // sf is the piece, not m
+	sf                  selfMove
+	m                   message
 }
 
-// compileBounded builds the bounded step schedule for plan p under the
-// given budget. The slice list and step boundaries depend only on the
-// global geometry, elemSize, and budget; the local send/recv types are
-// built only for p.rank's slices.
+// compileBounded builds this rank's schedule under budget from its own
+// compiled rounds. It reads only p.sched, p.myChunks and p.need.
 func compileBounded(p *Plan, budget int) (*boundedPlan, error) {
 	maxSlice := maxSliceBytes(budget)
 	if maxSlice < p.elemSize {
 		return nil, fmt.Errorf("core: budget %d cannot stage one %d-byte element: %w",
 			budget, p.elemSize, ErrBudgetTooSmall)
 	}
+	b := &boundedPlan{budget: budget, peak: p.SingleShotFootprint()}
+	if b.peak <= budget {
+		return b, nil
+	}
+
+	// Slice. A round schedule's messages are single-seg; one larger than
+	// maxSlice — equally so on both ends of its pair — is cut into region
+	// slices, each on its pair's next slice tag.
 	maxElems := maxSlice / p.elemSize
-
-	b := &boundedPlan{budget: budget, maxSlice: maxSlice}
-
-	// Enumerate slices in the canonical global order, packing them
-	// greedily into steps: a slice whose class-rounded charge would push
-	// its source's or destination's running step load past the budget
-	// closes the step. Every slice fits an empty step by construction,
-	// so the packer always terminates.
-	load := make([]int, p.nProcs)
-	cur, stepLoad := 0, 0 // the open step, and this rank's modeled load within it
+	var pieces []piece
 	var boxes []grid.Box
-	var err error
-	forEachOverlap(p.allChunks, p.allNeeds, func(src, ci, dst int, ov grid.Box) {
-		if err != nil {
-			return
+	cut := func(sg seg, base grid.Box) ([]seg, error) {
+		out := make([]seg, len(boxes))
+		for i, box := range boxes {
+			var err error
+			if out[i], err = newSeg(p.elemSize, base, sg.buf, box); err != nil {
+				return nil, err
+			}
 		}
-		boxes = appendSlices(boxes[:0], ov, maxElems)
-		for _, region := range boxes {
-			bytes := region.Volume() * p.elemSize
-			l := mpi.BufferClassSize(bytes)
-			if load[src]+l > budget || (dst != src && load[dst]+l > budget) {
-				cur++
-				clear(load)
-			}
-			load[src] += l
-			if dst != src {
-				load[dst] += l
-			}
-			tag := boundedTagBase + len(b.slices)
-			b.slices = append(b.slices, boundedSlice{
-				src: src, dst: dst, chunk: ci, region: region, bytes: bytes, tag: tag, step: cur,
-			})
-			if src != p.rank && dst != p.rank {
+		return out, nil
+	}
+	tags := map[int]int{} // pair (shift*2, +1 when receiving) → slices tagged so far
+	for r := range p.sched {
+		st := &p.sched[r]
+		for _, sf := range st.selfs {
+			n := sf.src.t.PackedSize()
+			if n <= maxSlice {
+				pieces = append(pieces, piece{round: r, bytes: n, self: true, sf: sf})
 				continue
 			}
-			// This rank executes the slice: emit its local halves into the
-			// step list and account its modeled footprint.
-			for len(b.sched) <= cur {
-				b.sched = append(b.sched, step{})
-				stepLoad = 0
-			}
-			st := &b.sched[cur]
-			stepLoad += l
-			b.peak = max(b.peak, stepLoad)
-			var send, recv seg
-			if src == p.rank {
-				if send, err = newSeg(p.elemSize, p.allChunks[src][ci], ci, region); err != nil {
-					err = fmt.Errorf("core: bounded send type to rank %d: %w", dst, err)
-					return
+			boxes = appendSlices(boxes[:0], sf.src.region, maxElems)
+			src, err := cut(sf.src, p.myChunks[sf.src.buf])
+			if err == nil {
+				var dst []seg
+				dst, err = cut(sf.dst, p.need)
+				for j := range dst {
+					pieces = append(pieces, piece{round: r, slice: j, bytes: src[j].t.PackedSize(),
+						self: true, sf: selfMove{src: src[j], dst: dst[j]}})
 				}
 			}
-			if dst == p.rank {
-				if recv, err = newSeg(p.elemSize, p.need, 0, region); err != nil {
-					err = fmt.Errorf("core: bounded recv type from rank %d: %w", src, err)
-					return
-				}
-			}
-			switch {
-			case src == dst:
-				st.selfs = append(st.selfs, selfMove{src: send, dst: recv})
-			case src == p.rank:
-				st.sends = append(st.sends, message{peer: dst, tag: tag, bytes: bytes, segs: []seg{send}})
-				b.wireBytes += int64(bytes)
-			default:
-				st.recvs = append(st.recvs, message{peer: src, tag: tag, bytes: bytes, segs: []seg{recv}})
+			if err != nil {
+				return nil, fmt.Errorf("core: bounded self move: %w", err)
 			}
 		}
+		for dir, msgs := range [2][]message{st.sends, st.recvs} {
+			for _, m := range msgs {
+				shift, base := (m.peer-p.rank+p.nProcs)%p.nProcs, p.myChunks[m.segs[0].buf]
+				if dir == 1 {
+					shift, base = (p.rank-m.peer+p.nProcs)%p.nProcs, p.need
+				}
+				if m.bytes <= maxSlice {
+					pieces = append(pieces, piece{round: r, shift: shift, dir: dir, bytes: m.bytes, m: m})
+					continue
+				}
+				boxes = appendSlices(boxes[:0], m.segs[0].region, maxElems)
+				pair := shift*2 + dir
+				first := tags[pair]
+				if _, err := sliceTag(first + len(boxes) - 1); err != nil {
+					return nil, err
+				}
+				tags[pair] += len(boxes)
+				segs, err := cut(m.segs[0], base)
+				if err != nil {
+					return nil, fmt.Errorf("core: bounded message with rank %d: %w", m.peer, err)
+				}
+				for j := range segs {
+					n := segs[j].t.PackedSize()
+					pieces = append(pieces, piece{round: r, shift: shift, slice: j, dir: dir, bytes: n,
+						m: message{peer: m.peer, tag: boundedTagBase + first + j, bytes: n, segs: segs[j : j+1 : j+1]}})
+				}
+			}
+		}
+	}
+
+	// Order by the global key, then pack greedily under the charge model
+	// (each piece at its class, as charge sums them): a piece that would
+	// push the open step past the budget, or that belongs to the next
+	// round, closes it. Every piece fits an empty step.
+	slices.SortFunc(pieces, func(a, b piece) int {
+		return cmp.Or(cmp.Compare(a.round, b.round), cmp.Compare(a.shift, b.shift),
+			cmp.Compare(a.slice, b.slice), cmp.Compare(a.dir, b.dir))
 	})
-	if err != nil {
-		return nil, err
-	}
-	if len(b.slices) > 0 {
-		b.steps = cur + 1
-	}
-	// Steps after this rank's last slice still run (as no-ops), so every
-	// rank reports the same step count and timings shape.
-	for len(b.sched) < b.steps {
-		b.sched = append(b.sched, step{})
+	b.peak = 0
+	load := 0
+	for i := range pieces {
+		pc := &pieces[i]
+		c := mpi.BufferClassSize(pc.bytes)
+		if i == 0 || load+c > budget || pc.round != pieces[i-1].round {
+			b.sched = append(b.sched, step{})
+			load = 0
+		}
+		load += c
+		b.peak = max(b.peak, load)
+		st := &b.sched[len(b.sched)-1]
+		switch {
+		case pc.self:
+			st.selfs = append(st.selfs, pc.sf)
+		case pc.dir == 1:
+			st.recvs = append(st.recvs, pc.m)
+		default:
+			st.sends = append(st.sends, pc.m)
+		}
 	}
 	return b, nil
 }
 
-// ensureBounded attaches (or clears) the plan's bounded schedule
-// according to the descriptor's budget: compiled when the geometry's
-// worst single-shot footprint exceeds the budget, absent otherwise. The
-// decision derives from collectively shared inputs only, so every rank
-// takes the same branch. Plans are cached per descriptor and the budget
-// is a descriptor constant, so attaching once is stable across cache
-// replays; the footprint is computed on the plan's first budgeted setup
-// and kept on it for pipelineDepth's clamp.
+// ensureBounded attaches the plan's budgeted schedule for the
+// descriptor's budget. Plans are cached per descriptor and the budget is
+// a descriptor constant, so compiling once is stable across cache
+// replays.
 func (d *Descriptor) ensureBounded(p *Plan) error {
-	if d.budget <= 0 {
-		return nil
-	}
-	if p.shot == 0 {
-		p.shot = p.SingleShotFootprint()
-	}
-	if p.shot <= d.budget {
-		p.bounded = nil
-		return nil
-	}
-	if p.bounded != nil && p.bounded.budget == d.budget {
+	if d.budget <= 0 || (p.bounded != nil && p.bounded.budget == d.budget) {
 		return nil
 	}
 	b, err := compileBounded(p, d.budget)
@@ -344,49 +359,4 @@ func (d *Descriptor) ensureBounded(p *Plan) error {
 	}
 	p.bounded = b
 	return nil
-}
-
-// BoundedSliceSummary serializes one slice of the bounded schedule.
-type BoundedSliceSummary struct {
-	Step   int   `json:"step"`
-	Src    int   `json:"src"`
-	Dst    int   `json:"dst"`
-	Chunk  int   `json:"chunk"`
-	Offset []int `json:"offset"`
-	Dims   []int `json:"dims"`
-	Bytes  int   `json:"bytes"`
-	Tag    int   `json:"tag"`
-}
-
-// BoundedSummary is the canonical JSON shape of a bounded step schedule.
-// The schedule is global — identical on every rank — so one summary pins
-// the whole world's step decomposition. It is what the golden bounded
-// fixtures under testdata/ record.
-type BoundedSummary struct {
-	Budget   int                   `json:"budget"`
-	MaxSlice int                   `json:"max_slice"`
-	Steps    int                   `json:"steps"`
-	Slices   []BoundedSliceSummary `json:"slices"`
-}
-
-// BoundedSummary flattens the plan's bounded schedule, or returns a zero
-// summary when no bounded schedule is attached.
-func (p *Plan) BoundedSummary() BoundedSummary {
-	b := p.bounded
-	if b == nil {
-		return BoundedSummary{Slices: []BoundedSliceSummary{}}
-	}
-	out := BoundedSummary{
-		Budget: b.budget, MaxSlice: b.maxSlice, Steps: b.steps,
-		Slices: make([]BoundedSliceSummary, 0, len(b.slices)),
-	}
-	for i := range b.slices {
-		sl := &b.slices[i]
-		out.Slices = append(out.Slices, BoundedSliceSummary{
-			Step: sl.step, Src: sl.src, Dst: sl.dst, Chunk: sl.chunk,
-			Offset: sl.region.OffsetSlice(), Dims: sl.region.DimsSlice(),
-			Bytes: sl.bytes, Tag: sl.tag,
-		})
-	}
-	return out
 }

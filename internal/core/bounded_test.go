@@ -86,14 +86,9 @@ var sweepRows = []sweepRow{
 
 // foldPeers rewrites a mapped plan's round schedule into one step whose
 // message to each peer carries that pair's per-round segs in round
-// order, on every rank alike. The fold stages every pair's bytes at
-// once, so under a budget that foldedFootprint exceeds it attaches the
-// bounded schedule for the budget instead, as the descriptor does for a
-// round schedule that does not fit.
-func foldPeers(p *Plan, budget int) error {
-	if budget > 0 && foldedFootprint(p) > budget {
-		return CompileBoundedForTest(p, budget)
-	}
+// order — the sweeps' point-to-point-fused rows. Both ends of a pair
+// must fold, so whether to fold is a world decision (folds).
+func foldPeers(p *Plan) {
 	fold := func(recv bool) (msgs []message) {
 		var ms []*message
 		for r := range p.sched {
@@ -118,26 +113,81 @@ func foldPeers(p *Plan, budget int) error {
 		st.selfs = append(st.selfs, p.sched[r].selfs...)
 	}
 	p.sched = []step{st}
-	return nil
 }
 
-// foldedFootprint is the worst per-rank staging, in class-rounded bytes,
-// of a folded plan: every outgoing and incoming pair total at once.
-func foldedFootprint(p *Plan) int {
-	n, cls := p.nProcs, mpi.BufferClassSize
-	pair := make([]int, n*n) // pair[src*n+dst]: the pair's bytes
-	forEachOverlap(p.allChunks, p.allNeeds, func(src, _, dst int, ov grid.Box) {
-		pair[src*n+dst] += ov.Volume() * p.elemSize
-	})
-	worst := 0
-	for r := 0; r < n; r++ {
-		total := 0
-		for peer := 0; peer < n; peer++ {
-			total += cls(pair[r*n+peer]) + cls(pair[peer*n+r])
+// plans compiles every rank's plan offline.
+func (bc *boundedCase) plans(t *testing.T) []*Plan {
+	t.Helper()
+	ps := make([]*Plan, bc.nProcs)
+	for r := range ps {
+		var err error
+		if ps[r], err = NewPlanFromGeometry(r, bc.elemSize, bc.chunks, bc.needs); err != nil {
+			t.Fatal(err)
 		}
-		worst = max(worst, total)
+	}
+	return ps
+}
+
+// footprints returns every rank's own single-shot footprint: what its
+// descriptor compares a budget against.
+func (bc *boundedCase) footprints(t *testing.T) []int {
+	t.Helper()
+	var fps []int
+	for _, p := range bc.plans(t) {
+		fps = append(fps, p.SingleShotFootprint())
+	}
+	return fps
+}
+
+// tierScale is the scale the sweeps derive their budget tiers from: the
+// largest staging any rank's round (its folded step when bc.fold is set)
+// would take with every self overlap charged on both sides, as if it
+// were a message to itself. It is at least every rank's own footprint, so
+// the generous tier (2×) fits every rank and the tiers below it split the
+// world wherever the ranks' own footprints fall.
+func (bc *boundedCase) tierScale(t *testing.T) int {
+	t.Helper()
+	cls := mpi.BufferClassSize
+	worst := 0
+	for _, p := range bc.plans(t) {
+		if bc.fold {
+			pair := map[int][2]int{} // peer → bytes sent, received over all rounds
+			for r := range p.sched {
+				st := &p.sched[r]
+				for _, sf := range st.selfs {
+					n := sf.src.t.PackedSize()
+					pair[p.rank] = [2]int{pair[p.rank][0] + n, pair[p.rank][1] + n}
+				}
+				for _, m := range st.sends {
+					pair[m.peer] = [2]int{pair[m.peer][0] + m.bytes, pair[m.peer][1]}
+				}
+				for _, m := range st.recvs {
+					pair[m.peer] = [2]int{pair[m.peer][0], pair[m.peer][1] + m.bytes}
+				}
+			}
+			total := 0
+			for _, b := range pair {
+				total += cls(b[0]) + cls(b[1])
+			}
+			worst = max(worst, total)
+			continue
+		}
+		for r := range p.sched {
+			c := charge(&p.sched[r])
+			for _, sf := range p.sched[r].selfs {
+				c += cls(sf.src.t.PackedSize())
+			}
+			worst = max(worst, c)
+		}
 	}
 	return worst
+}
+
+// folds reports whether the fold rows fold under budget: only when every
+// rank's folded step, on the tier scale's model, fits it. Otherwise every
+// rank maps as its descriptor decides, as for the unfolded rows.
+func (bc *boundedCase) folds(t *testing.T, budget int) bool {
+	return bc.fold && (budget <= 0 || bc.tierScale(t) <= budget)
 }
 
 // genBoundedCase derives a geometry deterministically from seed:
@@ -219,21 +269,6 @@ func (bc *boundedCase) oracleNeed(t *testing.T, dst int, own [][][]byte) []byte 
 	return out
 }
 
-// footprint computes the reference single-shot footprint of the case
-// (its folded footprint when bc.fold is set), from an offline-compiled
-// plan.
-func (bc *boundedCase) footprint(t *testing.T) int {
-	t.Helper()
-	p, err := NewPlanFromGeometry(0, bc.elemSize, bc.chunks, bc.needs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bc.fold {
-		return foldedFootprint(p)
-	}
-	return p.SingleShotFootprint()
-}
-
 // budgetTiers derives the sweep's ceilings from a case's footprint:
 // generous (bounded must stand down), half, an eighth, and the arena's
 // one-chunk minimum — deduplicated, all clamped to the minimum class.
@@ -270,6 +305,7 @@ func (bc *boundedCase) runBoundedWorld(t *testing.T, mode ExchangeMode, budget i
 		oracle[r] = bc.oracleNeed(t, r, own)
 	}
 	diverged := make([]bool, bc.nProcs)
+	fold := bc.folds(t, budget)
 	err := mpi.Launch(bc.nProcs, func(c *mpi.Comm) error {
 		rank := c.Rank()
 		d, err := NewDescriptor(bc.nProcs, bc.layout, Uint8,
@@ -280,10 +316,8 @@ func (bc *boundedCase) runBoundedWorld(t *testing.T, mode ExchangeMode, budget i
 		if err := d.SetupDataMapping(c, bc.chunks[rank], bc.needs[rank]); err != nil {
 			return err
 		}
-		if bc.fold {
-			if err := foldPeers(d.plan, budget); err != nil {
-				return err
-			}
+		if fold {
+			foldPeers(d.plan)
 		}
 		if rank == 0 && mutate != nil && !mutate(d.plan) {
 			return fmt.Errorf("rank 0: mutation hook found nothing to perturb")
@@ -319,12 +353,13 @@ func (bc *boundedCase) runBoundedWorld(t *testing.T, mode ExchangeMode, budget i
 	return n
 }
 
-// TestBoundedDifferentialSweep is the tentpole's acceptance sweep:
-// seeded geometries × the sweep rows × budget tiers down to
-// the one-chunk minimum, every output byte-compared against the brute
-// oracle, the measured peak staging asserted under the ceiling whenever
-// the bounded backend ran, and the backend required to stand down when
-// the single-shot footprint fits the budget.
+// TestBoundedDifferentialSweep is the bounded backend's acceptance sweep:
+// seeded geometries × the sweep rows × budget tiers down to the one-chunk
+// minimum, every output byte-compared against the brute oracle and every
+// rank's measured peak staging asserted under the ceiling. Each rank
+// decides for itself: it must re-pack exactly when its own single-shot
+// footprint exceeds the budget (and the fold rows, when they fold, run
+// one step on every rank).
 func TestBoundedDifferentialSweep(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
@@ -334,21 +369,23 @@ func TestBoundedDifferentialSweep(t *testing.T) {
 		for _, row := range sweepRows {
 			bc := genBoundedCase(seed)
 			bc.fold = row.fold
-			fp := bc.footprint(t)
+			fp := bc.tierScale(t)
 			if fp == 0 {
 				continue
 			}
+			fps := bc.footprints(t)
 			for _, budget := range budgetTiers(fp) {
 				name := fmt.Sprintf("seed%d/%s/budget%d", seed, row.name, budget)
 				t.Run(name, func(t *testing.T) {
-					wantBounded := fp > budget
+					folded := bc.folds(t, budget)
 					bad := bc.runBoundedWorld(t, row.mode, budget, nil, func(rank int, d *Descriptor) error {
 						steps := d.BoundedSteps()
+						wantBounded := !folded && fps[rank] > budget
 						if wantBounded && steps == 0 {
-							return fmt.Errorf("rank %d: footprint %d > budget %d but the one-shot path ran", rank, fp, budget)
+							return fmt.Errorf("rank %d: footprint %d > budget %d but its rounds ran unchanged", rank, fps[rank], budget)
 						}
 						if !wantBounded && steps != 0 {
-							return fmt.Errorf("rank %d: footprint %d <= budget %d but bounded ran %d steps", rank, fp, budget, steps)
+							return fmt.Errorf("rank %d: footprint %d <= budget %d (folded %v) but bounded ran %d steps", rank, fps[rank], budget, folded, steps)
 						}
 						if peak := d.LastPeakStaging(); peak > int64(budget) {
 							return fmt.Errorf("rank %d: measured peak staging %d exceeds budget %d", rank, peak, budget)
@@ -411,11 +448,9 @@ func maxSendWire(steps []step) int64 {
 func TestStagingHandOffEveryTransport(t *testing.T) {
 	const procs, side, chunksPerRank = 4, 32, 3
 	ownAll, needAll := stripWorld(procs, side, chunksPerRank, true)
-	probe, err := NewPlanFromGeometry(0, 4, ownAll, needAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := probe.SingleShotFootprint()
+	world := boundedCase{nProcs: procs, layout: Layout2D, elemSize: 4, chunks: ownAll, needs: needAll}
+	fps := world.footprints(t)
+	fp := world.tierScale(t)
 	transports := []struct {
 		name string
 		opts []mpi.LaunchOption
@@ -437,8 +472,8 @@ func TestStagingHandOffEveryTransport(t *testing.T) {
 					if err := d.SetupDataMapping(c, ownAll[rank], needAll[rank]); err != nil {
 						return err
 					}
-					if bounded := d.BoundedSteps() > 0; bounded != (budget < fp) {
-						return fmt.Errorf("rank %d: bounded backend = %v at budget %d, footprint %d", rank, bounded, budget, fp)
+					if bounded := d.BoundedSteps() > 0; bounded != (budget < fps[rank]) {
+						return fmt.Errorf("rank %d: bounded backend = %v at budget %d, footprint %d", rank, bounded, budget, fps[rank])
 					}
 					bufs := make([][]byte, len(ownAll[rank]))
 					for i, box := range ownAll[rank] {
@@ -534,7 +569,7 @@ func TestBoundedHarnessCatchesPlantedBug(t *testing.T) {
 	planted := 0
 	for seed := int64(0); seed < 20 && planted < 3; seed++ {
 		bc := genBoundedCase(seed)
-		fp := bc.footprint(t)
+		fp := bc.footprints(t)[0] // the perturbed rank must re-pack
 		if fp < 2*(1<<minStagingShift) {
 			continue
 		}
@@ -585,12 +620,15 @@ func TestBoundedMeterHasTeeth(t *testing.T) {
 		if peak := d.LastPeakStaging(); peak > budget {
 			return fmt.Errorf("tight schedule: peak %d exceeds the %d ceiling", peak, budget)
 		}
-		// Same descriptor, same ceiling — but a loose schedule that
-		// stages the whole overlap at once. The meter must report the
-		// violation, not the configured budget.
-		if err := CompileBoundedForTest(d.plan, need.Volume()*8*2); err != nil {
+		// Same descriptor, same ceiling — but the schedule compiled for a
+		// loose budget, under which the rank replays its rounds and stages
+		// each whole overlap at once. The meter must report the violation,
+		// not the configured budget.
+		loose, err := compileBounded(d.plan, need.Volume()*8*2)
+		if err != nil {
 			return err
 		}
+		d.plan.bounded = loose
 		if err := d.ReorganizeData(c, src, dst); err != nil {
 			return err
 		}
@@ -662,7 +700,7 @@ func TestBoundedPlanCacheKeyedByBudget(t *testing.T) {
 // the exchange still oracle-identical and under budget.
 func TestBoundedCachedPlanReplays(t *testing.T) {
 	bc := genBoundedCase(3)
-	fp := bc.footprint(t)
+	fp := bc.tierScale(t)
 	budget := max(fp/4, 1<<minStagingShift)
 	own := bc.ownData()
 	oracle := make([][]byte, bc.nProcs)
@@ -712,26 +750,29 @@ func TestBoundedCachedPlanReplays(t *testing.T) {
 // scratch — and the measured peak staging is stable, positive, and under
 // the ceiling on every replay.
 func TestBoundedZeroAllocSteadyState(t *testing.T) {
-	// Two owned chunks whose overlaps with the interior need are strided
-	// on both sides, so every step stages through the metered arena; at
-	// elem size 8 the round footprint (2×256-byte classes) exceeds the
-	// 256-byte budget and the bounded backend self-selects.
-	left := grid.Box2(0, 0, 4, 8)
-	right := grid.Box2(4, 0, 4, 8)
-	need := grid.Box2(1, 1, 6, 6)
+	// One owned chunk whose overlap with the need (7×6 cells, the need
+	// reaching one column past the chunk) is strided on both sides, so
+	// every step stages through the metered arena. At elem size 8 the
+	// round's self move (336 bytes, a 512-byte class) exceeds the
+	// 256-byte budget, so the rank slices it into two pieces and re-packs
+	// its round: two staged moves per exchange, as two rounds of one
+	// 144-byte move each staged before the one charge model.
+	array := grid.Box2(0, 0, 8, 8)
+	need := grid.Box2(1, 1, 8, 6)
+	covered := func(x, _, _ int) bool { return x < 8 }
 	const budget = 256
 	err := mpi.Launch(1, func(c *mpi.Comm) error {
 		d, err := NewDescriptor(1, Layout2D, Float64, WithMemoryBudget(budget))
 		if err != nil {
 			return err
 		}
-		if err := d.SetupDataMapping(c, []grid.Box{left, right}, need); err != nil {
+		if err := d.SetupDataMapping(c, []grid.Box{array}, need); err != nil {
 			return err
 		}
 		if d.BoundedSteps() == 0 {
 			return fmt.Errorf("geometry fits the budget; the test exercises nothing")
 		}
-		src := [][]byte{fillBox(left, 8), fillBox(right, 8)}
+		src := [][]byte{fillBox(array, 8)}
 		dst := make([]byte, need.Volume()*8)
 		for i := 0; i < 3; i++ { // reach steady state
 			if err := d.ReorganizeData(c, src, dst); err != nil {
@@ -754,7 +795,7 @@ func TestBoundedZeroAllocSteadyState(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%.1f allocs per steady-state bounded ReorganizeData, want 0", allocs)
 		}
-		return checkBox(dst, need, 8, nil, 0)
+		return checkBox(dst, need, 8, covered, 0)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -772,14 +813,24 @@ func TestSingleShotFootprintClassRounded(t *testing.T) {
 	if got, want := 1<<maxStagingShift, mpi.BufferClassSize(1<<maxStagingShift); got != want {
 		t.Fatalf("maximum class drifted: bounded.go says %d, arena says %d", got, want)
 	}
-	// One 6×6 float32 self-overlap: 144 bytes staged as a 256-byte class
-	// on each side of the round.
+	// The one charge model: a self move stages at most one buffer, so one
+	// 6×6 float32 self-overlap (144 bytes) charges one 256-byte class.
 	p, err := NewPlanFromGeometry(0, 4, [][]grid.Box{{grid.Box2(0, 0, 8, 8)}}, []grid.Box{grid.Box2(1, 1, 6, 6)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := p.SingleShotFootprint(); got != 256 {
+		t.Fatalf("self-move footprint = %d, want 256 (one 256-byte class)", got)
+	}
+	// A message charges both its ends: rank 0 sends 144 bytes to rank 1
+	// and receives 144 from it in the same round, two 256-byte classes.
+	chunks := [][]grid.Box{{grid.Box2(0, 0, 6, 6)}, {grid.Box2(6, 0, 6, 6)}}
+	needs := []grid.Box{grid.Box2(6, 0, 6, 6), grid.Box2(0, 0, 6, 6)}
+	if p, err = NewPlanFromGeometry(0, 4, chunks, needs); err != nil {
+		t.Fatal(err)
+	}
 	if got := p.SingleShotFootprint(); got != 512 {
-		t.Fatalf("footprint = %d, want 512 (two 256-byte classes)", got)
+		t.Fatalf("send+receive footprint = %d, want 512 (two 256-byte classes)", got)
 	}
 }
 

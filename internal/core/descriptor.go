@@ -117,7 +117,8 @@ const (
 	// mechanism the paper implements. It is the reference the default is
 	// tested against and the experiments reproduce the paper with:
 	// serial, fail-fast (no WithExchangeDeadline), and it reports no
-	// pack/wire/unpack split.
+	// pack/wire/unpack split. A memory budget overrides it: every
+	// budgeted exchange runs the step executor (WithMemoryBudget).
 	ModeAlltoallw
 )
 
@@ -335,8 +336,9 @@ const DefaultPipelineDepth = 2
 // Depth 1 restores strictly serial rounds. The effective depth of an
 // exchange is additionally clamped by the plan's round (or step) count
 // and — when WithMemoryBudget is set — by the budget, so k-deep staging
-// never exceeds it; single-round geometries and ModeAlltoallw always run
-// serially. Results are byte-identical at every depth.
+// never exceeds it; single-round geometries and an unbudgeted
+// ModeAlltoallw always run serially. Results are byte-identical at every
+// depth.
 func WithPipelineDepth(k int) Option {
 	return func(d *Descriptor) { d.depth = k }
 }

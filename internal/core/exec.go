@@ -105,10 +105,14 @@ import (
 // goroutine empties it; a tcp send that lends the owned buffer blocks,
 // but only on its connection's writer, and the writer only on the
 // socket, which the peer's read loop drains into the mailbox
-// unconditionally. So by induction over steps every posted send is
-// eventually delivered and every wait satisfiable, even when peers run
-// at different effective depths. Landing is an optimisation on top of
-// that argument, never a rendezvous.
+// unconditionally. So every posted send is eventually delivered, and
+// every wait is satisfiable as long as each rank's steps are consecutive
+// runs of one global order of the world's messages — the round order, or
+// the bounded compiler's key order (bounded.go), which is what lets peers
+// run at different effective depths and pack their steps differently:
+// the blocked receive earliest in that order would have a sender blocked
+// on an earlier one. Landing is an optimisation on top of that argument,
+// never a rendezvous.
 //
 // Leaving run, on every exit — success, hard error, caller's cancel,
 // deadline — no post of this exchange stays behind: open ones are

@@ -8,15 +8,22 @@ import (
 	"testing"
 )
 
-// Golden bounded-plan fixtures pin the bounded compiler's step
-// decomposition — the full global slice list with step assignments, tags,
-// and per-slice regions — on the same 1D/2D/3D geometries the one-shot
-// golden plans use, each at a budget small enough to force real slicing.
-// The schedule is a pure function of the geometry, element size, and
-// budget (identical on every rank), so the fixture is compiled offline
-// from rank 0's plan with no world. Any change to the slicing or packing
-// math shows up as a reviewable fixture diff. Regenerate with:
+// Golden bounded-plan fixtures pin the bounded compiler's output — every
+// rank's budgeted step list, in Plan.Summary's shape (one entry per step,
+// with peers, tags, sizes and contiguity spans) — on the same 1D/2D/3D
+// geometries the one-shot golden plans use, each at a budget small enough
+// to force real slicing. Each rank's schedule is a pure function of its
+// own plan and the budget, so the fixture is compiled offline, one rank
+// at a time, with no world. Any change to the slicing, ordering or
+// packing shows up as a reviewable fixture diff. Regenerate with:
 // go test ./internal/core -run TestGoldenBoundedPlans -update.
+
+// goldenBoundedDTO is one fixture: the budget and every rank's step list
+// (its re-packed steps, or its rounds when they all fit).
+type goldenBoundedDTO struct {
+	Budget int           `json:"budget"`
+	Plans  []PlanSummary `json:"plans"`
+}
 
 // goldenBoundedBudget picks the fixture budget per geometry: small
 // enough that overlaps split into many slices across many steps, large
@@ -34,17 +41,24 @@ func TestGoldenBoundedPlans(t *testing.T) {
 			if budget == 0 {
 				t.Fatalf("no fixture budget for %q", gc.name)
 			}
-			p, err := NewPlanFromGeometry(0, gc.elemSize, gc.chunks, gc.needs)
-			if err != nil {
-				t.Fatal(err)
+			dto := goldenBoundedDTO{Budget: budget}
+			repacked := false
+			for rank := range gc.needs {
+				p, err := NewPlanFromGeometry(rank, gc.elemSize, gc.chunks, gc.needs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := compileBounded(p, budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				repacked = repacked || b.sched != nil
+				dto.Plans = append(dto.Plans, summarizeSteps(rank, b.steps(p)))
 			}
-			if fp := p.SingleShotFootprint(); fp <= budget {
-				t.Fatalf("fixture budget %d does not force the bounded backend (footprint %d)", budget, fp)
+			if !repacked {
+				t.Fatalf("fixture budget %d re-packs no rank", budget)
 			}
-			if err := CompileBoundedForTest(p, budget); err != nil {
-				t.Fatal(err)
-			}
-			got, err := json.MarshalIndent(p.BoundedSummary(), "", "  ")
+			got, err := json.MarshalIndent(dto, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}

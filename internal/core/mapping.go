@@ -50,16 +50,9 @@ type Plan struct {
 	// summary and the test hooks walk it.
 	sched []step
 
-	// shot is the geometry's SingleShotFootprint, stored by ensureBounded
-	// when a WithMemoryBudget descriptor maps it (0 otherwise): the budget
-	// both selects the backend against it and clamps the pipeline depth
-	// by it.
-	shot int
-
-	// bounded is the memory-bounded step schedule, attached by
-	// ensureBounded when a WithMemoryBudget descriptor maps a geometry
-	// whose single-shot footprint exceeds the budget, nil otherwise (see
-	// bounded.go).
+	// bounded is this rank's schedule under the descriptor's memory budget,
+	// attached by ensureBounded when a WithMemoryBudget descriptor maps the
+	// geometry, nil otherwise (see bounded.go).
 	bounded *boundedPlan
 }
 
@@ -439,6 +432,26 @@ func compilePlan(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box
 	sc := newScheduleCompiler(elemSize, allChunks, allNeeds)
 	sends, recvs := sc.discover(rank)
 	return sc.compile(rank, sends, recvs, par)
+}
+
+// forEachOverlap visits every (source chunk × destination need) overlap
+// of the global geometry in the canonical order — source rank, then that
+// rank's chunk index, then destination rank ascending — through one
+// index over the need boxes. It serves CompileSchedule, the one compile
+// that wants every rank's overlaps.
+func forEachOverlap(allChunks [][]grid.Box, allNeeds []grid.Box, f func(src, chunk, dst int, ov grid.Box)) {
+	ix := grid.NewIndex(allNeeds)
+	var hits []int
+	for src, chunks := range allChunks {
+		for ci, chunk := range chunks {
+			hits = ix.QueryAppend(hits[:0], chunk)
+			for _, dst := range hits {
+				if ov, ok := chunk.Intersect(allNeeds[dst]); ok && !ov.Empty() {
+					f(src, ci, dst, ov)
+				}
+			}
+		}
+	}
 }
 
 // CompileSchedule compiles every rank's plan from a full global geometry

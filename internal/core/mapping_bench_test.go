@@ -45,6 +45,11 @@ func gcQuiesce() func() {
 //	plan/*:           NewPlanFromGeometry — linear scan into the step list,
 //	                  the path SetupDataMapping takes
 //	plan-brute/*:     the dense-table reference compiler (mapping_brute.go)
+//	bounded/*:        NewPlanFromGeometry plus the budgeted compile at a
+//	                  quarter of that rank's footprint — the path
+//	                  SetupDataMapping takes under WithMemoryBudget; it
+//	                  reads only the rank's own rounds, so its allocations
+//	                  follow the rank's slices, not P
 //
 // and all P plans:
 //
@@ -74,6 +79,27 @@ func BenchmarkSetupMapping(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := compilePlanBrute(rank, 4, chunks, needs); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("bounded/P=%d", procs), func(b *testing.B) {
+			probe, err := NewPlanFromGeometry(rank, 4, chunks, needs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			budget := probe.SingleShotFootprint() / 4
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := NewPlanFromGeometry(rank, 4, chunks, needs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bp, err := compileBounded(p, budget)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if bp.sched == nil {
+					b.Fatalf("budget %d re-packs nothing", budget)
 				}
 			}
 		})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,6 +34,7 @@ func (bc *boundedCase) runPipeWorld(t *testing.T, mode ExchangeMode, depth, budg
 		oracle[r] = bc.oracleNeed(t, r, own)
 	}
 	diverged := make([]bool, bc.nProcs)
+	fold := bc.folds(t, budget)
 	err := mpi.Launch(bc.nProcs, func(c *mpi.Comm) error {
 		rank := c.Rank()
 		opts := []Option{
@@ -48,10 +50,8 @@ func (bc *boundedCase) runPipeWorld(t *testing.T, mode ExchangeMode, depth, budg
 		if err := d.SetupDataMapping(c, bc.chunks[rank], bc.needs[rank]); err != nil {
 			return err
 		}
-		if bc.fold {
-			if err := foldPeers(d.plan, budget); err != nil {
-				return err
-			}
+		if fold {
+			foldPeers(d.plan)
 		}
 		if rank == 0 && mutate != nil {
 			mutate(d)
@@ -103,7 +103,7 @@ func TestPipelineDifferentialSweep(t *testing.T) {
 		for _, row := range sweepRows {
 			bc := genBoundedCase(seed)
 			bc.fold = row.fold
-			fp := bc.footprint(t)
+			fp := bc.tierScale(t)
 			if fp == 0 {
 				continue
 			}
@@ -188,25 +188,25 @@ func TestPipelineHarnessCatchesPlantedBug(t *testing.T) {
 }
 
 // TestPipelineDepthClampedByBudget verifies the lease model's clamp: a
-// budget of three single-shot footprints admits at most two rounds in
-// flight (k+1 footprints must fit), however deep the configuration asks
-// to go — and the measured peak proves the clamped window really stayed
-// under the ceiling.
+// budget of three of the world's largest single-shot footprints admits at
+// most two rounds in flight on the rank with that footprint (k+1
+// footprints must fit), and at most budget/fp−1 on any other rank,
+// however deep the configuration asks to go — and the measured peak
+// proves the clamped window really stayed under the ceiling.
 func TestPipelineDepthClampedByBudget(t *testing.T) {
 	const procs, side, chunksPerRank = 4, 32, 6
 	ownAll, needAll := stripWorld(procs, side, chunksPerRank, true)
+	world := boundedCase{nProcs: procs, layout: Layout2D, elemSize: 4, chunks: ownAll, needs: needAll}
+	fps := world.footprints(t)
+	fp := slices.Max(fps)
+	if fp == 0 {
+		t.Fatal("strided strip world has zero footprint; the clamp has nothing to bite on")
+	}
+	budget := 3 * fp
 	err := mpi.Launch(procs, func(c *mpi.Comm) error {
 		rank := c.Rank()
-		probe, err := NewPlanFromGeometry(rank, 4, ownAll, needAll)
-		if err != nil {
-			return err
-		}
-		fp := probe.SingleShotFootprint()
-		if fp == 0 {
-			return fmt.Errorf("strided strip world has zero footprint; the clamp has nothing to bite on")
-		}
 		d, err := NewDescriptor(procs, Layout2D, Float32,
-			WithExchangeMode(ModePointToPoint), WithPipelineDepth(8), WithMemoryBudget(3*fp))
+			WithExchangeMode(ModePointToPoint), WithPipelineDepth(8), WithMemoryBudget(budget))
 		if err != nil {
 			return err
 		}
@@ -221,11 +221,15 @@ func TestPipelineDepthClampedByBudget(t *testing.T) {
 		if err := d.ReorganizeData(c, bufs, dst); err != nil {
 			return err
 		}
-		if got := d.LastPipelineDepth(); got > 2 {
-			return fmt.Errorf("budget %d (3 footprints of %d) ran depth %d, want at most 2", 3*fp, fp, got)
+		want := 2
+		if fps[rank] < fp {
+			want = max(budget/fps[rank]-1, 1)
 		}
-		if peak := d.LastPeakStaging(); peak > int64(3*fp) {
-			return fmt.Errorf("peak staging %d exceeds budget %d", d.LastPeakStaging(), 3*fp)
+		if got := d.LastPipelineDepth(); got > want {
+			return fmt.Errorf("rank %d: budget %d (3 footprints of %d, own %d) ran depth %d, want at most %d", rank, budget, fp, fps[rank], got, want)
+		}
+		if peak := d.LastPeakStaging(); peak > int64(budget) {
+			return fmt.Errorf("rank %d: peak staging %d exceeds budget %d", rank, peak, budget)
 		}
 		return checkBox(dst, needAll[rank], 4, nil, 0)
 	})

@@ -13,14 +13,15 @@ type SpanSummary struct {
 	OK  bool `json:"ok"`
 }
 
-// EntrySummary is one (round, peer) plan entry.
+// EntrySummary is one message of a round (or bounded step).
 type EntrySummary struct {
 	Peer int         `json:"peer"`
+	Tag  int         `json:"tag"`
 	Size int         `json:"size"`
 	Span SpanSummary `json:"span"`
 }
 
-// RoundSummary is one exchange round of one rank's plan.
+// RoundSummary is one exchange round (or bounded step) of one rank's plan.
 type RoundSummary struct {
 	Sends []EntrySummary `json:"sends"`
 	Recvs []EntrySummary `json:"recvs"`
@@ -33,14 +34,13 @@ type PlanSummary struct {
 	RoundPlans []RoundSummary `json:"round_plans"`
 }
 
-// summarizeRound serializes one direction of one round's step — its
-// messages, peers ascending; the local move carries no wire bytes and is
-// not listed.
+// summarizeRound serializes one direction of one step — its messages in
+// step order; the local moves carry no wire bytes and are not listed.
 func summarizeRound(msgs []message) []EntrySummary {
 	out := []EntrySummary{}
 	for _, m := range msgs {
 		sp := m.segs[0].span
-		out = append(out, EntrySummary{Peer: m.peer, Size: m.bytes, Span: SpanSummary{Off: sp.off, N: sp.n, OK: sp.ok}})
+		out = append(out, EntrySummary{Peer: m.peer, Tag: m.tag, Size: m.bytes, Span: SpanSummary{Off: sp.off, N: sp.n, OK: sp.ok}})
 	}
 	return out
 }
@@ -48,10 +48,15 @@ func summarizeRound(msgs []message) []EntrySummary {
 // Summary flattens the plan into its canonical JSON shape. Two plans with
 // equal summaries exchange exactly the same bytes between the same peers
 // in the same rounds with the same fast-path decisions.
-func (p *Plan) Summary() PlanSummary {
-	out := PlanSummary{Rank: p.rank, Rounds: p.rounds}
-	for r := range p.sched {
-		st := &p.sched[r]
+func (p *Plan) Summary() PlanSummary { return summarizeSteps(p.rank, p.sched) }
+
+// summarizeSteps flattens one rank's step list into the summary shape,
+// one RoundSummary per step — how the golden fixtures record a bounded
+// schedule too.
+func summarizeSteps(rank int, sched []step) PlanSummary {
+	out := PlanSummary{Rank: rank, Rounds: len(sched)}
+	for i := range sched {
+		st := &sched[i]
 		out.RoundPlans = append(out.RoundPlans, RoundSummary{Sends: summarizeRound(st.sends), Recvs: summarizeRound(st.recvs)})
 	}
 	return out

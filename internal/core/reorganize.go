@@ -200,7 +200,7 @@ func (d *Descriptor) ReorganizeDataCtx(ctx context.Context, c *mpi.Comm, own [][
 		o.pipeDepth.Set(int64(k))
 		o.pipeOverlap.Set(d.lastOverlap)
 		if b := p.bounded; b != nil {
-			o.boundedSteps.Add(int64(b.steps))
+			o.boundedSteps.Add(int64(len(b.sched)))
 			o.boundedPeak.SetMax(d.lastPeakStaging)
 		}
 	}
@@ -220,36 +220,34 @@ func (d *Descriptor) ReorganizeDataCtx(ctx context.Context, c *mpi.Comm, own [][
 }
 
 // schedule selects the step list this exchange replays and the depth it
-// runs at. The memory-bounded backend replaces the mode dispatch
-// entirely: its schedule was compiled for this descriptor's budget and
-// every rank selected it from the same collectively shared geometry, so
-// the worlds agree on the path taken. stepped is false for ModeAlltoallw,
-// which delegates each round to the collective instead.
+// runs at. A memory budget selects the step executor whatever the mode:
+// this rank's re-packed steps, or its rounds when they all fit. That rule
+// is what lets ranks decide for themselves — every rank runs a step list
+// in the one global key order (bounded.go), so no collective choice is
+// needed. stepped is false for an unbudgeted ModeAlltoallw, which
+// delegates each round to the collective instead.
 func (d *Descriptor) schedule(p *Plan) (steps []step, k int, stepped bool) {
-	switch {
-	case p.bounded != nil:
-		return p.bounded.sched, d.pipelineDepth(p.bounded.steps, p.bounded.peak), true
-	case d.mode == ModeAlltoallw:
+	if b := p.bounded; b != nil {
+		steps = b.steps(p)
+		return steps, d.pipelineDepth(len(steps), b.peak), true
+	}
+	if d.mode == ModeAlltoallw {
 		return nil, 1, false
 	}
-	return p.sched, d.pipelineDepth(len(p.sched), p.shot), true
+	return p.sched, d.pipelineDepth(len(p.sched), 0), true
 }
 
 // pipelineDepth resolves the depth an exchange may run at: the
-// configured depth clamped by the step count and — when a memory budget
-// is set — by the lease model: the in-flight window holds at most k+1
-// per-step staging footprints (k receive leases plus the step being
-// packed), so k is lowered until (k+1)·footprint fits the budget. perStep
-// is the bounded schedule's modeled per-step footprint, or the one-shot
-// footprint ensureBounded stored on the plan. Depth 1 needs a single
-// footprint, which backend selection already proved against the budget.
+// configured depth clamped by the step count and — under a memory budget
+// — by the lease model: the in-flight window holds at most k+1 per-step
+// charges (k receive leases plus the step being packed), so k is lowered
+// until (k+1)·perStep fits the budget. perStep is the modelled charge of
+// the largest step this rank runs, 0 without a budget; depth 1 needs a
+// single charge, which compileBounded proved against the budget.
 func (d *Descriptor) pipelineDepth(steps, perStep int) int {
 	k := min(d.depth, steps)
 	if k <= 1 {
 		return 1
-	}
-	if d.budget <= 0 {
-		return k
 	}
 	if perStep <= 0 {
 		return k

@@ -6,16 +6,17 @@ import (
 
 	"ddr/internal/datatype"
 	"ddr/internal/grid"
-	"ddr/internal/mpi"
 )
 
 // Direct tests of the step IR (exec.go): whatever a backend compiles,
 // the world's step lists together must move every overlap byte exactly
-// once, pair every send with one receive of the same step and tag, keep
-// tags unambiguous across the deepest in-flight window, and — when
-// compiled for a budget — model no step above it. The executor itself is
-// held by the differential and property sweeps; these invariants are what
-// it relies on.
+// once, pair every send with exactly one receive of the same pair and tag
+// — wherever in its list each end scheduled it, since ranks may pack
+// their steps differently — keep every (peer, tag) unique per direction,
+// run to completion serially (no rank waits on a send another rank only
+// posts after waiting on it), and — when compiled for a budget — model no
+// step above it. The executor itself is held by the differential and
+// property sweeps; these invariants are what it relies on.
 
 // cellKey names one byte-moving obligation: a cell of the global domain
 // travelling from src to destination buffer buf of rank dst.
@@ -35,6 +36,22 @@ func addCells(m map[cellKey]int, src, dst, buf int, box grid.Box) {
 	}
 }
 
+// overlapCells is the brute-force obligations of a case: every cell of
+// every (chunk × need) overlap.
+func (bc *boundedCase) overlapCells() map[cellKey]int {
+	cells := map[cellKey]int{}
+	for src, chunks := range bc.chunks {
+		for _, chunk := range chunks {
+			for dst, need := range bc.needs {
+				if ov, ok := chunk.Intersect(need); ok {
+					addCells(cells, src, dst, 0, ov)
+				}
+			}
+		}
+	}
+	return cells
+}
+
 // segBox recovers the global region a freshly compiled seg addresses.
 func segBox(t *testing.T, sg seg) grid.Box {
 	t.Helper()
@@ -45,44 +62,47 @@ func segBox(t *testing.T, sg seg) grid.Box {
 	return sub.Sub
 }
 
-// maxWindow is the deepest pipeline the sweeps run plus the retiring slot.
-const maxWindow = 4 + 1
-
-// checkSchedules verifies invariants (a) and (b) over one world's step
-// lists, and (c) when budget > 0. want counts each obligation once.
+// checkSchedules verifies the invariants over one world's step lists,
+// the budget's only when budget > 0. want counts each obligation once.
 func checkSchedules(t *testing.T, scheds [][]step, want map[cellKey]int, budget int) {
 	t.Helper()
+	type pairTag struct{ src, dst, tag int }
+	recvs := map[pairTag]*message{}
+	for r, sched := range scheds {
+		for i := range sched {
+			for j := range sched[i].recvs {
+				m := &sched[i].recvs[j]
+				k := pairTag{m.peer, r, m.tag}
+				if recvs[k] != nil {
+					t.Errorf("rank %d: recv (peer %d, tag %d) repeats", r, m.peer, m.tag)
+				}
+				recvs[k] = m
+			}
+		}
+	}
 	got := map[cellKey]int{}
 	matched := map[*message]int{}
 	for r, sched := range scheds {
-		if len(sched) != len(scheds[0]) {
-			t.Fatalf("rank %d compiled %d steps, rank 0 %d", r, len(sched), len(scheds[0]))
-		}
+		sent := map[pairTag]bool{}
 		for i := range sched {
 			st := &sched[i]
-			load := 0
 			for _, sf := range st.selfs {
 				box := segBox(t, sf.src)
 				if !box.Equal(segBox(t, sf.dst)) {
 					t.Errorf("rank %d step %d: self move packs %v but scatters %v", r, i, box, segBox(t, sf.dst))
 				}
 				addCells(got, r, r, sf.dst.buf, box)
-				load += mpi.BufferClassSize(sf.src.t.PackedSize())
 			}
 			for j := range st.sends {
 				m := &st.sends[j]
-				load += mpi.BufferClassSize(m.bytes)
-				var peer *message
-				for k := range scheds[m.peer][i].recvs {
-					if rm := &scheds[m.peer][i].recvs[k]; rm.peer == r && rm.tag == m.tag {
-						if peer != nil {
-							t.Errorf("rank %d step %d: send to %d tag %d matches two receives", r, i, m.peer, m.tag)
-						}
-						peer = rm
-					}
+				k := pairTag{r, m.peer, m.tag}
+				if sent[k] {
+					t.Errorf("rank %d: send (peer %d, tag %d) repeats", r, m.peer, m.tag)
 				}
+				sent[k] = true
+				peer := recvs[k]
 				if peer == nil {
-					t.Errorf("rank %d step %d: send to %d tag %d has no receive in the peer's step", r, i, m.peer, m.tag)
+					t.Errorf("rank %d step %d: send to %d tag %d has no receive on the peer's list", r, i, m.peer, m.tag)
 					continue
 				}
 				matched[peer]++
@@ -100,41 +120,14 @@ func checkSchedules(t *testing.T, scheds [][]step, want map[cellKey]int, budget 
 					addCells(got, r, m.peer, peer.segs[k].buf, box)
 				}
 			}
-			for j := range st.recvs {
-				load += mpi.BufferClassSize(st.recvs[j].bytes)
-			}
-			if budget > 0 && load > budget {
+			if load := charge(st); budget > 0 && load > budget {
 				t.Errorf("rank %d step %d models %d staging bytes over the %d budget", r, i, load, budget)
 			}
 		}
-		// (b) Within any window of steps that can be in flight together, a
-		// (peer, tag) pair names one message per direction.
-		for lo := range sched {
-			sent, rcvd := map[[2]int]bool{}, map[[2]int]bool{}
-			for i := lo; i < min(lo+maxWindow, len(sched)); i++ {
-				for _, m := range sched[i].sends {
-					if sent[[2]int{m.peer, m.tag}] {
-						t.Errorf("rank %d: send (peer %d, tag %d) repeats within steps %d..%d", r, m.peer, m.tag, lo, i)
-					}
-					sent[[2]int{m.peer, m.tag}] = true
-				}
-				for _, m := range sched[i].recvs {
-					if rcvd[[2]int{m.peer, m.tag}] {
-						t.Errorf("rank %d: recv (peer %d, tag %d) repeats within steps %d..%d", r, m.peer, m.tag, lo, i)
-					}
-					rcvd[[2]int{m.peer, m.tag}] = true
-				}
-			}
-		}
 	}
-	for r, sched := range scheds {
-		for i := range sched {
-			for j := range sched[i].recvs {
-				if n := matched[&sched[i].recvs[j]]; n != 1 {
-					t.Errorf("rank %d step %d: receive from %d tag %d matched by %d sends",
-						r, i, sched[i].recvs[j].peer, sched[i].recvs[j].tag, n)
-				}
-			}
+	for k, m := range recvs {
+		if n := matched[m]; n != 1 {
+			t.Errorf("rank %d: receive from %d tag %d matched by %d sends", k.dst, k.src, k.tag, n)
 		}
 	}
 	for k := range want {
@@ -145,6 +138,38 @@ func checkSchedules(t *testing.T, scheds [][]step, want map[cellKey]int, budget 
 	}
 	if len(got) != len(want) {
 		t.Errorf("step lists move %d distinct cells, the geometry requires %d", len(got), len(want))
+	}
+
+	// Serial execution — depth 1, sends never blocking — must finish: each
+	// rank posts its step's sends, then completes the step once every
+	// receive of it has been sent. A deeper pipeline only posts more
+	// before it waits, so it cannot block where this does not.
+	pos := make([]int, len(scheds))
+	posted := map[pairTag]bool{}
+	for progress := true; progress; {
+		progress = false
+		for r, sched := range scheds {
+			for pos[r] < len(sched) {
+				st := &sched[pos[r]]
+				for _, m := range st.sends {
+					posted[pairTag{r, m.peer, m.tag}] = true
+				}
+				ready := true
+				for _, m := range st.recvs {
+					ready = ready && posted[pairTag{m.peer, r, m.tag}]
+				}
+				if !ready {
+					break
+				}
+				pos[r]++
+				progress = true
+			}
+		}
+	}
+	for r := range scheds {
+		if pos[r] < len(scheds[r]) {
+			t.Errorf("rank %d blocks in step %d of %d: the step lists deadlock", r, pos[r], len(scheds[r]))
+		}
 	}
 }
 
@@ -157,28 +182,9 @@ func TestStepScheduleConservation(t *testing.T) {
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		bc := genBoundedCase(seed)
-		plans := func(t *testing.T) []*Plan {
-			ps := make([]*Plan, bc.nProcs)
-			for r := range ps {
-				var err error
-				if ps[r], err = NewPlanFromGeometry(r, bc.elemSize, bc.chunks, bc.needs); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return ps
-		}
-		// The brute-force obligations: every (chunk × need) overlap cell.
-		overlaps := map[cellKey]int{}
-		for src, chunks := range bc.chunks {
-			for _, chunk := range chunks {
-				for dst, need := range bc.needs {
-					if ov, ok := chunk.Intersect(need); ok {
-						addCells(overlaps, src, dst, 0, ov)
-					}
-				}
-			}
-		}
-		fp := bc.footprint(t)
+		plans := bc.plans
+		overlaps := bc.overlapCells()
+		fp := bc.tierScale(t)
 		tiers := []int{max(fp/2, 1<<minStagingShift), max(fp/8, 1<<minStagingShift), 1 << minStagingShift}
 
 		type backend struct {
@@ -200,10 +206,11 @@ func TestStepScheduleConservation(t *testing.T) {
 			backends = append(backends, backend{fmt.Sprintf("bounded%d", budget), budget, overlaps, func(t *testing.T) [][]step {
 				var out [][]step
 				for _, p := range plans(t) {
-					if err := CompileBoundedForTest(p, budget); err != nil {
+					b, err := compileBounded(p, budget)
+					if err != nil {
 						t.Fatal(err)
 					}
-					out = append(out, p.bounded.sched)
+					out = append(out, b.steps(p))
 				}
 				return out
 			}})

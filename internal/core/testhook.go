@@ -17,20 +17,6 @@ func CompileBruteForTest(rank, elemSize int, allChunks [][]grid.Box, allNeeds []
 	return compilePlanBrute(rank, elemSize, allChunks, allNeeds)
 }
 
-// CompileBoundedForTest attaches a bounded step schedule compiled for an
-// explicit budget to the plan, bypassing the descriptor's auto-selection
-// (which only compiles one when the single-shot footprint exceeds the
-// budget). It exists for the golden bounded fixtures and the
-// meter-enforcement self-tests. Never call outside tests.
-func CompileBoundedForTest(p *Plan, budget int) error {
-	b, err := compileBounded(p, budget)
-	if err != nil {
-		return err
-	}
-	p.bounded = b
-	return nil
-}
-
 // shiftRecvSeg translates the first receive seg of sched that can move by
 // one cell along some axis and stay inside base — the box its destination
 // buffer holds — rebuilding its type and span: an off-by-one in the
@@ -93,8 +79,9 @@ func (p *Plan) PerturbPlanForTest() bool {
 	return p != nil && shiftRecvSeg(p.sched, p.elemSize, p.need)
 }
 
-// PerturbBoundedForTest plants shiftRecvSeg's bug in the plan's bounded
-// schedule — a step-boundary off-by-one. Never call outside tests.
+// PerturbBoundedForTest plants shiftRecvSeg's bug in this rank's
+// re-packed bounded steps — a slice-boundary off-by-one. It reports false
+// when the rank replays its rounds unchanged. Never call outside tests.
 func (p *Plan) PerturbBoundedForTest() bool {
 	return p != nil && p.bounded != nil && shiftRecvSeg(p.bounded.sched, p.elemSize, p.need)
 }

@@ -17,23 +17,28 @@ import (
 var flagBoundedSeeds = flag.Int("ddr-bounded-seeds", 12,
 	"seeded cases per exchange mode in the bounded property schedule")
 
-// boundedTiers derives the budget ladder for a case from its
-// offline-compiled single-shot footprint: half and an eighth of the
-// one-shot cost, plus the one-chunk minimum (the smallest arena class).
-// Tiers at or above the footprint are dropped — they would select the
-// one-shot backend and test nothing new.
-func boundedTiers(t *testing.T, tc *Case) (tiers []int, footprint int) {
+// boundedTiers derives the budget ladder for a case from its ranks'
+// offline-compiled single-shot footprints: half and an eighth of the
+// largest, plus the one-chunk minimum (the smallest arena class). Tiers
+// at or above the largest footprint are dropped — every rank would replay
+// its rounds and the tier would test nothing new. footprints[r] is rank
+// r's own footprint, which decides whether that rank re-packs.
+func boundedTiers(t *testing.T, tc *Case) (tiers, footprints []int) {
 	t.Helper()
-	p, err := core.NewPlanFromGeometry(0, tc.ElemSize, tc.Chunks, tc.Needs)
-	if err != nil {
-		t.Fatalf("%v: offline plan: %v", tc, err)
+	worst := 0
+	for r := range tc.Needs {
+		p, err := core.NewPlanFromGeometry(r, tc.ElemSize, tc.Chunks, tc.Needs)
+		if err != nil {
+			t.Fatalf("%v: offline plan: %v", tc, err)
+		}
+		footprints = append(footprints, p.SingleShotFootprint())
+		worst = max(worst, footprints[r])
 	}
-	footprint = p.SingleShotFootprint()
-	for _, b := range []int{footprint / 2, footprint / 8, 256} {
+	for _, b := range []int{worst / 2, worst / 8, 256} {
 		if b < 256 {
 			b = 256
 		}
-		if b >= footprint {
+		if b >= worst {
 			continue
 		}
 		dup := false
@@ -44,16 +49,17 @@ func boundedTiers(t *testing.T, tc *Case) (tiers []int, footprint int) {
 			tiers = append(tiers, b)
 		}
 	}
-	return tiers, footprint
+	return tiers, footprints
 }
 
 // runBoundedOne executes one (seed, mode, schedule, transport, budget)
 // combination and checks the invariant plus the budget-enforcement
-// property: when the bounded backend ran, measured peak staging must not
-// exceed the budget on any rank.
+// property: measured peak staging must not exceed the budget on any rank,
+// and exactly the ranks whose own footprint exceeds it re-pack.
 func runBoundedOne(t *testing.T, seed uint64, mode core.ExchangeMode, sc schedule, transport string, budget int) {
 	t.Helper()
 	tc := GenCase(seed, mode, *flagMaxProcs, *flagMaxExtent)
+	_, footprints := boundedTiers(t, &tc)
 	results, err := tc.Run(RunOptions{
 		Transport: transport,
 		Injector:  sc.build(&tc),
@@ -76,8 +82,8 @@ func runBoundedOne(t *testing.T, seed uint64, mode core.ExchangeMode, sc schedul
 			bfail(fmt.Errorf("rank %d invariant violated: %w", rank, res.CheckErr))
 		case res.Partial != nil && !sc.lossy:
 			bfail(fmt.Errorf("rank %d degraded under a lossless schedule: %v", rank, res.Partial))
-		case res.BoundedSteps == 0:
-			bfail(fmt.Errorf("rank %d ran the one-shot backend despite budget %d below its footprint", rank, budget))
+		case (res.BoundedSteps > 0) != (footprints[rank] > budget):
+			bfail(fmt.Errorf("rank %d ran %d bounded steps at budget %d, its footprint %d", rank, res.BoundedSteps, budget, footprints[rank]))
 		case res.PeakStaging > int64(budget):
 			bfail(fmt.Errorf("rank %d peak staging %d exceeds budget %d", rank, res.PeakStaging, budget))
 		}

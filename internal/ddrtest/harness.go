@@ -205,11 +205,11 @@ type RankResult struct {
 	Err error
 	// CheckErr is an invariant violation found in the need buffer.
 	CheckErr error
-	// BoundedSteps is the number of bounded-backend steps the exchange
-	// executed (0 when the one-shot backend ran).
+	// BoundedSteps is the number of bounded steps this rank's exchange
+	// executed (0 when it replayed its rounds unchanged).
 	BoundedSteps int
 	// PeakStaging is the rank's measured peak staging footprint in bytes
-	// during a bounded exchange; 0 otherwise.
+	// during a budgeted exchange; 0 otherwise.
 	PeakStaging int64
 }
 
@@ -235,8 +235,9 @@ type RunOptions struct {
 	// that live in exchange execution state rather than the compiled plan
 	// (e.g. core.(*Descriptor).PerturbPipelineForTest).
 	MutateDescriptor func(*core.Descriptor)
-	// Budget, when positive, arms core.WithMemoryBudget so cases whose
-	// single-shot footprint exceeds it run on the bounded backend.
+	// Budget, when positive, arms core.WithMemoryBudget: every rank runs
+	// the step executor, and a rank whose own single-shot footprint
+	// exceeds the budget re-packs its rounds into bounded steps.
 	Budget int
 	// PipelineDepth, when positive, arms core.WithPipelineDepth; 0 keeps
 	// the descriptor's default depth.

@@ -59,8 +59,8 @@ type InTransitConfig struct {
 	Nodes int
 
 	// MemBudget, when positive, caps each consumer rank's exchange
-	// staging footprint in bytes (core.WithMemoryBudget): frames whose
-	// one-shot footprint would exceed it are regridded through the
+	// staging footprint in bytes (core.WithMemoryBudget): a rank whose
+	// one-shot footprint for a frame would exceed it regrids through the
 	// bounded step compiler instead.
 	MemBudget int
 
