@@ -19,9 +19,11 @@ chaos:
 # names fails when a -run, -bench or -fuzz pattern below names a test,
 # benchmark or fuzz target that no longer exists in the packages of its
 # line (go test -list): a renamed or deleted test would otherwise leave
-# its line running nothing, silently.
+# its line running nothing, silently. It fails too when README.md,
+# DESIGN.md or TESTING.md names a test, benchmark, fuzz target or example
+# that neither the root module nor the bench module has.
 names:
-	GO=$(GO) bash scripts/makenames.sh Makefile
+	GO=$(GO) bash scripts/makenames.sh Makefile README.md DESIGN.md TESTING.md
 
 # verify is the pre-merge gate: the stale-name check, formatting and static
 # analysis over the whole module, the chaos suite, then the race detector

@@ -77,7 +77,7 @@ func main() {
 	if *useTCP && shared.Transport == "" {
 		shared.Transport = "tcp"
 	}
-	if err := run(tel, shared.Transport, shared.Nodes, *memBudget, shared.PipelineDepth, *table, *figure, *all, *real, *ablation, *vol3d, *outDir, *t4w, *t4h, *t4fr, *quality); err != nil {
+	if err := run(tel, shared.Transport, *memBudget, shared.PipelineDepth, *table, *figure, *all, *real, *ablation, *vol3d, *outDir, *t4w, *t4h, *t4fr, *quality); err != nil {
 		fmt.Fprintln(os.Stderr, "ddrbench:", err)
 		os.Exit(1)
 	}
@@ -87,7 +87,7 @@ func main() {
 	}
 }
 
-func run(tel *experiments.Telemetry, transport string, nodes, memBudget, pipeDepth int, table, figure int, all, real, ablation, vol3d bool, outDir string, t4w, t4h, t4fr, quality int) error {
+func run(tel *experiments.Telemetry, transport string, memBudget, pipeDepth int, table, figure int, all, real, ablation, vol3d bool, outDir string, t4w, t4h, t4fr, quality int) error {
 	machine := perfmodel.Cooley()
 	want := func(t, f int) bool {
 		return all || (t != 0 && table == t) || (f != 0 && figure == f)
@@ -179,7 +179,6 @@ func run(tel *experiments.Telemetry, transport string, nodes, memBudget, pipeDep
 			OutDir:        outDir,
 			Telemetry:     tel,
 			Transport:     transport,
-			Nodes:         nodes,
 			MemBudget:     memBudget,
 			PipelineDepth: pipeDepth,
 		})

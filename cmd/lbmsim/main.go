@@ -73,7 +73,6 @@ func main() {
 		StatsPath:     *stats,
 		Telemetry:     tel,
 		Transport:     shared.Transport,
-		Nodes:         shared.Nodes,
 		MemBudget:     *memBudget,
 		PipelineDepth: shared.PipelineDepth,
 	}

@@ -108,7 +108,7 @@ func WithMemoryBudget(n int) Option {
 // fpSalt is the descriptor's fingerprint salt: the memory budget when
 // one is set, 0 (a no-op, see saltHash) otherwise. Folding it into the
 // plan fingerprint keys the plan cache and minted exchange IDs on the
-// budget alongside the geometry and topology.
+// budget alongside the geometry.
 func (d *Descriptor) fpSalt() uint64 { return uint64(max(d.budget, 0)) }
 
 // BoundedSteps reports the number of bounded steps this rank's current

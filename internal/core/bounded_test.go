@@ -458,7 +458,6 @@ func TestStagingHandOffEveryTransport(t *testing.T) {
 		{"inproc", nil},
 		{"tcp", []mpi.LaunchOption{mpi.WithTransport(mpi.TransportTCP)}},
 		{"shm", []mpi.LaunchOption{mpi.WithTransport(mpi.TransportShm)}},
-		{"hier", []mpi.LaunchOption{mpi.WithTransport(mpi.TransportShm), mpi.WithTopology(mpi.NodesOf(procs, 2))}},
 	}
 	for _, tr := range transports {
 		for _, budget := range []int{3 * fp, fp / 2} {

@@ -66,18 +66,18 @@ import (
 //     message's length, packs the segs straight into the peer's need
 //     buffer and completes the post: one copy end to end, no staging,
 //     nothing to unpack.
-//   - Landed by the ring consumer. On shm (and hier within a node) the
-//     segs are packed straight from the owned buffers into the ring
-//     record, and the receiving rank's ring consumer copies the record
-//     into the posted span when the post is open and offers exactly its
-//     length: one copy per side, nothing to unpack. Chunk-streamed and
-//     fault-injected messages are eager.
+//   - Landed by the ring consumer. On shm the segs are packed straight
+//     from the owned buffers into the ring record, and the receiving
+//     rank's ring consumer copies the record into the posted span when
+//     the post is open and offers exactly its length: one copy per
+//     side, nothing to unpack. Chunk-streamed and fault-injected
+//     messages are eager.
 //   - Eager. Otherwise tcp writes the segs' rows of a message from 64 KiB
 //     up straight from the owned buffer into its vectored write, and
 //     everything else (a smaller tcp message, an inproc post not open or
-//     of another length, a cross-node hier hop, a fault-injected world, a
-//     chunk stream, a deadline-bounded exchange on tcp) is packed into an
-//     arena wire handed over by ownership. The arriving envelope
+//     of another length, a fault-injected world, a chunk stream, a
+//     deadline-bounded exchange on tcp) is packed into an arena wire
+//     handed over by ownership. The arriving envelope
 //     completes the oldest matching post, or waits in the mailbox queue
 //     for the post to come and take it, and wait places or batches its
 //     payload.

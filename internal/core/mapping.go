@@ -183,7 +183,7 @@ func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box
 		plan.fp = key.fp
 		d.cache.put(key, plan)
 	} else {
-		plan.fp = saltHash(topoHash(geometryFingerprint(packed), c), d.fpSalt())
+		plan.fp = saltHash(geometryFingerprint(packed), d.fpSalt())
 	}
 	d.plan = plan
 	return nil

@@ -62,22 +62,6 @@ func geometryFingerprint(packed [][]byte) uint64 {
 	return fp
 }
 
-// topoHash folds the communicator's topology fingerprint into the
-// running hash state h, so the effective cache key is (geometry ×
-// topology): a plan compiled for one node placement never replays on a
-// flat world or a different placement that happens to share the
-// geometry. Flat worlds (nil topology) contribute nothing, keeping
-// their fingerprints identical to the pre-topology format.
-func topoHash(h uint64, c *mpi.Comm) uint64 {
-	tf := c.Topology().Fingerprint()
-	if tf == 0 {
-		return h
-	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], tf)
-	return hash64(h, b[:])
-}
-
 // saltHash folds a descriptor-level salt into the running hash state h.
 // The bounded backend salts fingerprints with its memory budget so plans
 // compiled for different budgets — whose step schedules and exchange
@@ -149,7 +133,7 @@ func newPlanCache[T any](limit int) *planCache[T] {
 func (pc *planCache[T]) lookup(c *mpi.Comm, enc []byte, salt uint64, match func(T) bool) (hit T, key cacheKey, ok bool, err error) {
 	key = cacheKey{fp: fnvOffset64, rank: c.Rank()}
 	vote := binary.LittleEndian.AppendUint64(make([]byte, 0, 16),
-		saltHash(topoHash(hash64(fnvOffset64, enc), c), salt))
+		saltHash(hash64(fnvOffset64, enc), salt))
 	gathered, err := c.Allgather(pc.offers(vote, key.rank, match))
 	if err != nil {
 		return hit, key, false, err

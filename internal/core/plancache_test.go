@@ -181,45 +181,3 @@ func TestPlanCacheMalformedVote(t *testing.T) {
 		}
 	}
 }
-
-// TestTopologyKeyedPlanFingerprint proves the plan-cache key includes
-// the node topology: one geometry mapped on a flat world and on a
-// hierarchical two-node world must fingerprint differently, while two
-// identical placements agree.
-func TestTopologyKeyedPlanFingerprint(t *testing.T) {
-	ownAll, needAll := stripGeometry(false)
-	fpFor := func(launch func(int, func(*mpi.Comm) error) error) uint64 {
-		t.Helper()
-		var fp uint64
-		err := launch(4, func(c *mpi.Comm) error {
-			desc, err := NewDescriptor(4, Layout2D, Float32)
-			if err != nil {
-				return err
-			}
-			if err := desc.SetupDataMapping(c, ownAll[c.Rank()], needAll[c.Rank()]); err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				fp = desc.plan.fp
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fp
-	}
-	flat := fpFor(mpi.RunShm)
-	hier := fpFor(func(n int, body func(*mpi.Comm) error) error {
-		return mpi.RunHier(n, mpi.NodesOf(n, 2), body)
-	})
-	hier2 := fpFor(func(n int, body func(*mpi.Comm) error) error {
-		return mpi.RunHier(n, mpi.NodesOf(n, 2), body)
-	})
-	if flat == hier {
-		t.Fatalf("flat and hierarchical placements share fingerprint %016x", flat)
-	}
-	if hier != hier2 {
-		t.Fatalf("identical placements disagree: %016x vs %016x", hier, hier2)
-	}
-}

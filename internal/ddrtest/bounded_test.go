@@ -92,8 +92,8 @@ func runBoundedOne(t *testing.T, seed uint64, mode core.ExchangeMode, sc schedul
 
 // TestBoundedProperty sweeps seeded cases × exchange modes × chaos
 // schedules × budget tiers through the bounded backend on the in-process
-// transport, with clean-schedule coverage of the TCP, shared-memory, and
-// hierarchical transports at the tightest tier.
+// transport, with clean-schedule coverage of the TCP and shared-memory
+// transports at the tightest tier.
 func TestBoundedProperty(t *testing.T) {
 	seeds := *flagBoundedSeeds
 	if testing.Short() {
@@ -126,8 +126,8 @@ func TestBoundedProperty(t *testing.T) {
 					// sliced schedule).
 					if sc.name == "clean" && len(tiers) > 0 && *flagTransport == TransportInproc {
 						tight := tiers[len(tiers)-1]
-						for ti, tr := range []string{TransportTCP, TransportShm, TransportHier} {
-							if i%3 == ti {
+						for ti, tr := range []string{TransportTCP, TransportShm} {
+							if i%2 == ti {
 								runBoundedOne(t, seed, mode, sc, tr, tight)
 							}
 						}

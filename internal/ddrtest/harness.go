@@ -215,17 +215,14 @@ type RankResult struct {
 
 // Transport names accepted by RunOptions.Transport.
 const (
-	TransportInproc = ""     // in-process channels (the default)
-	TransportTCP    = "tcp"  // loopback sockets
-	TransportShm    = "shm"  // shared-memory rings
-	TransportHier   = "hier" // shm transport under a two-node hierarchical topology
+	TransportInproc = ""    // in-process channels (the default)
+	TransportTCP    = "tcp" // loopback sockets
+	TransportShm    = "shm" // shared-memory rings
 )
 
 // RunOptions selects how a case executes.
 type RunOptions struct {
-	// Transport picks the wire: "" (in-process), "tcp", "shm", or "hier"
-	// (shm rings under a two-node hierarchical topology, exercising the
-	// leader-exchange path).
+	// Transport picks the wire: "" (in-process), "tcp" or "shm".
 	Transport string
 	Injector  mpi.FaultInjector // nil runs fault-free
 	Deadline  time.Duration     // per-exchange bound; required for sever schedules
@@ -246,7 +243,7 @@ type RunOptions struct {
 
 // launchOptions maps a transport name and fault injector onto launcher
 // options, for Run and RunResize alike.
-func launchOptions(transport string, inj mpi.FaultInjector, nprocs int) ([]mpi.LaunchOption, error) {
+func launchOptions(transport string, inj mpi.FaultInjector) ([]mpi.LaunchOption, error) {
 	lo := []mpi.LaunchOption{mpi.WithFaultInjector(inj)}
 	switch transport {
 	case TransportInproc:
@@ -254,9 +251,6 @@ func launchOptions(transport string, inj mpi.FaultInjector, nprocs int) ([]mpi.L
 		lo = append(lo, mpi.WithTransport(mpi.TransportTCP))
 	case TransportShm:
 		lo = append(lo, mpi.WithTransport(mpi.TransportShm))
-	case TransportHier:
-		lo = append(lo, mpi.WithTransport(mpi.TransportShm),
-			mpi.WithTopology(mpi.NodesOf(nprocs, 2)))
 	default:
 		return nil, fmt.Errorf("ddrtest: unknown transport %q", transport)
 	}
@@ -325,7 +319,7 @@ func (tc *Case) Run(opt RunOptions) ([]RankResult, error) {
 		res.CheckErr = tc.CheckNeed(tc.Needs[rank], needBuf, missing)
 		return nil
 	}
-	launchOpts, err := launchOptions(opt.Transport, opt.Injector, tc.NProcs)
+	launchOpts, err := launchOptions(opt.Transport, opt.Injector)
 	if err != nil {
 		return results, err
 	}

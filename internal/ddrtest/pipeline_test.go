@@ -76,7 +76,7 @@ func runOnePipelined(t *testing.T, seed uint64, depth int, sc schedule, transpor
 
 // TestPipelinedProperty is the pipelined sweep: depths 1/2/4 × the chaos
 // schedules × seeded random point-to-point cases on the in-process
-// transport, with TCP, shared-memory, and hierarchical subsamples, and a
+// transport, with TCP and shared-memory subsamples, and a
 // budgeted subsample that composes pipelining with the bounded backend.
 func TestPipelinedProperty(t *testing.T) {
 	cases := *flagCases / 4
@@ -110,9 +110,6 @@ func TestPipelinedProperty(t *testing.T) {
 					}
 					if *flagShmEvery > 0 && i%*flagShmEvery == 6 {
 						runOnePipelined(t, seed, depth, sc, TransportShm, budget)
-					}
-					if *flagHierEvery > 0 && i%*flagHierEvery == 12 {
-						runOnePipelined(t, seed, depth, sc, TransportHier, budget)
 					}
 				}
 			})

@@ -29,10 +29,8 @@ var (
 		"run every Nth case on the TCP transport as well (0 disables)")
 	flagShmEvery = flag.Int("ddr-shm-every", 16,
 		"run every Nth case on the shared-memory transport as well (0 disables)")
-	flagHierEvery = flag.Int("ddr-hier-every", 16,
-		"run every Nth case on the hierarchical (shm + two-node topology) path as well (0 disables)")
 	flagTransport = flag.String("ddr-transport", "",
-		"transport for -ddr-seed reproductions: \"\" (in-process), tcp, shm, or hier")
+		"transport for -ddr-seed reproductions: \"\" (in-process), tcp, or shm")
 )
 
 // severDeadline bounds exchanges under sever schedules so lost peers
@@ -164,8 +162,8 @@ func shrink(seed uint64, mode core.ExchangeMode, sc schedule, transport string) 
 // TestDDRProperty is the harness sweep: for every exchange mode and
 // chaos schedule it runs the configured number of seeded random cases
 // (default 200, reduced under -short) on the in-process transport, plus
-// TCP, shared-memory, and hierarchical subsamples, and requires the
-// redistribution invariant to hold.
+// TCP and shared-memory subsamples, and requires the redistribution
+// invariant to hold.
 func TestDDRProperty(t *testing.T) {
 	cases := *flagCases
 	if testing.Short() {
@@ -193,9 +191,6 @@ func TestDDRProperty(t *testing.T) {
 					}
 					if *flagShmEvery > 0 && i%*flagShmEvery == 5 {
 						runOne(t, seed, mode, sc, TransportShm)
-					}
-					if *flagHierEvery > 0 && i%*flagHierEvery == 11 {
-						runOne(t, seed, mode, sc, TransportHier)
 					}
 				}
 			})

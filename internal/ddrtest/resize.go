@@ -176,7 +176,7 @@ func (rc *ResizeCase) CheckNew(need grid.Box, buf []byte, missing []grid.Box) er
 
 // ResizeRunOptions selects how a resize case executes.
 type ResizeRunOptions struct {
-	Transport string                // as RunOptions.Transport: "" (in-process), "tcp", "shm", "hier"
+	Transport string                // as RunOptions.Transport: "" (in-process), "tcp", "shm"
 	Injector  mpi.FaultInjector     // nil runs fault-free
 	Deadline  time.Duration         // per-exchange bound; required for sever schedules
 	Mutate    func(*core.DeltaPlan) // test hook: corrupt the compiled plan on rank 0
@@ -229,7 +229,7 @@ func (rc *ResizeCase) RunResize(opt ResizeRunOptions) ([]RankResult, error) {
 		res.CheckErr = rc.CheckNew(rc.NewNeeds[rank], newData, missing)
 		return nil
 	}
-	launchOpts, err := launchOptions(opt.Transport, opt.Injector, rc.NProcs)
+	launchOpts, err := launchOptions(opt.Transport, opt.Injector)
 	if err != nil {
 		return results, err
 	}

@@ -10,16 +10,12 @@ import (
 )
 
 // Flags is the set of command-line options the experiment binaries share:
-// rank transport and emulated placement, exchange pipelining, socket
+// rank transport, exchange pipelining, socket
 // tuning and the deterministic fault schedule. Bind it to the binary's
 // FlagSet before Parse, read the fields (and call Apply) after.
 type Flags struct {
-	// Transport names the rank transport ("" is the in-process mailbox);
-	// "hier" emulates a multi-node placement: ranks are split across Nodes
-	// nodes, intra-node traffic rides shared-memory rings and each node's
-	// leader relays inter-node traffic over TCP.
+	// Transport names the rank transport ("" is the in-process mailbox).
 	Transport string
-	Nodes     int
 	// PipelineDepth is the requested exchange depth: 0 keeps the library
 	// default (core.DefaultPipelineDepth), 1 forces strictly serial rounds,
 	// k >= 2 runs up to k exchange rounds in flight.
@@ -33,9 +29,7 @@ type Flags struct {
 // Bind defines every shared flag on fs.
 func (f *Flags) Bind(fs *flag.FlagSet) {
 	fs.StringVar(&f.Transport, "transport", "",
-		"rank transport: inproc (default), tcp, shm, or hier (two-level leader relay)")
-	fs.IntVar(&f.Nodes, "nodes", 2,
-		"emulated node count for -transport=hier (ranks are split contiguously)")
+		"rank transport: inproc (default), tcp, or shm")
 	fs.IntVar(&f.PipelineDepth, "pipeline-depth", 0,
 		"exchange rounds in flight per redistribution: 0 = library default, 1 = serial, k>=2 = pipelined (clamped by -mem-budget)")
 
@@ -74,12 +68,16 @@ func (f *Flags) Bind(fs *flag.FlagSet) {
 		"restrict faults to messages with tag >= this value (default spares the mapping collectives; 0 faults everything)")
 }
 
-// Apply, called after Parse, publishes the socket tuning as the
-// process-wide defaults of every TCP endpoint the binary opens, and builds
-// the deterministic fault injector and installs it process-wide so every
-// world the binary runs carries the schedule. With no chaos flag set it
-// installs nothing and the transports stay on their fault-free fast path.
+// Apply, called after Parse, rejects an unknown -transport, publishes the
+// socket tuning as the process-wide defaults of every TCP endpoint the
+// binary opens, and builds the deterministic fault injector and installs
+// it process-wide so every world the binary runs carries the schedule.
+// With no chaos flag set it installs nothing and the transports stay on
+// their fault-free fast path.
 func (f *Flags) Apply() error {
+	if _, err := transportLaunchOpts(f.Transport); err != nil {
+		return err
+	}
 	mpi.SetDefaultTCPOptions(f.TCP)
 	var err error
 	if f.Chaos.Severs, err = chaos.ParseSevers(f.severs); err != nil {
@@ -91,10 +89,9 @@ func (f *Flags) Apply() error {
 	return nil
 }
 
-// transportLaunchOpts maps a transport name and node count to the
-// launch options the experiment worlds pass to mpi.Launch. ranks is the
-// world size, needed to build the hier placement.
-func transportLaunchOpts(transport string, nodes, ranks int) ([]mpi.LaunchOption, error) {
+// transportLaunchOpts maps a transport name to the launch options the
+// experiment worlds pass to mpi.Launch.
+func transportLaunchOpts(transport string) ([]mpi.LaunchOption, error) {
 	switch transport {
 	case "", "inproc":
 		return nil, nil
@@ -102,15 +99,7 @@ func transportLaunchOpts(transport string, nodes, ranks int) ([]mpi.LaunchOption
 		return []mpi.LaunchOption{mpi.WithTransport(mpi.TransportTCP)}, nil
 	case "shm":
 		return []mpi.LaunchOption{mpi.WithTransport(mpi.TransportShm)}, nil
-	case "hier":
-		if nodes < 1 {
-			return nil, fmt.Errorf("experiments: -transport=hier needs nodes >= 1, have %d", nodes)
-		}
-		return []mpi.LaunchOption{
-			mpi.WithTransport(mpi.TransportShm),
-			mpi.WithTopology(mpi.NodesOf(ranks, nodes)),
-		}, nil
 	default:
-		return nil, fmt.Errorf("experiments: unknown transport %q (have inproc, tcp, shm, hier)", transport)
+		return nil, fmt.Errorf("experiments: unknown transport %q (have inproc, tcp, shm)", transport)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"flag"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,7 +44,7 @@ func TestFlagRegistrarsCompose(t *testing.T) {
 			fs.Bool("tcp", false, "")
 		})
 		args := []string{
-			"-transport=hier", "-nodes=3",
+			"-transport=tcp",
 			"-tcp-queue=64", "-tcp-nagle",
 			"-chaos-seed=7", "-chaos-drop=0.25", "-chaos-sever=0>1@5",
 			"-pipeline-depth=4",
@@ -54,11 +55,11 @@ func TestFlagRegistrarsCompose(t *testing.T) {
 		if shared.PipelineDepth != 4 {
 			t.Fatalf("pipeline depth = %d, want 4", shared.PipelineDepth)
 		}
-		if shared.Transport != "hier" || shared.Nodes != 3 {
-			t.Fatalf("transport = (%q, %d), want (hier, 3)", shared.Transport, shared.Nodes)
+		if shared.Transport != "tcp" {
+			t.Fatalf("transport = %q, want tcp", shared.Transport)
 		}
-		if opts, err := transportLaunchOpts(shared.Transport, shared.Nodes, 6); err != nil || len(opts) != 2 {
-			t.Fatalf("hier launch options = %d (%v), want 2", len(opts), err)
+		if opts, err := transportLaunchOpts(shared.Transport); err != nil || len(opts) != 1 {
+			t.Fatalf("tcp launch options = %d (%v), want 1", len(opts), err)
 		}
 		if shared.TCP.SendQueueLen != 64 || !shared.TCP.Nagle {
 			t.Fatalf("tcp options = %+v", shared.TCP)
@@ -81,8 +82,8 @@ func TestFlagRegistrarsCompose(t *testing.T) {
 		if err := fs.Parse([]string{"-sim=4", "-transport=shm", "-chaos-delay=0.1", "-chaos-delay-max=3ms"}); err != nil {
 			t.Fatalf("parse: %v", err)
 		}
-		if shared.Transport != "shm" || shared.Nodes != 2 || shared.PipelineDepth != 0 {
-			t.Fatalf("transport = (%q, %d), depth %d, want (shm, 2), 0", shared.Transport, shared.Nodes, shared.PipelineDepth)
+		if shared.Transport != "shm" || shared.PipelineDepth != 0 {
+			t.Fatalf("transport = %q, depth %d, want shm, 0", shared.Transport, shared.PipelineDepth)
 		}
 		if shared.Chaos.DelayMax != 3*time.Millisecond || shared.Chaos.Seed != 1 {
 			t.Fatalf("chaos options = %+v", shared.Chaos)
@@ -98,6 +99,15 @@ func TestFlagRegistrarsCompose(t *testing.T) {
 		}
 		if err := shared.Apply(); err == nil {
 			t.Fatal("apply accepted a malformed -chaos-sever")
+		}
+	})
+	t.Run("unknown-transport", func(t *testing.T) {
+		fs, shared := binaryFlagSet(t, "bad", func(*flag.FlagSet) {})
+		if err := fs.Parse([]string{"-transport=hier"}); err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		if err := shared.Apply(); err == nil || !strings.Contains(err.Error(), "unknown transport") {
+			t.Fatalf("-transport=hier: apply = %v, want unknown transport", err)
 		}
 	})
 }

@@ -49,14 +49,8 @@ type InTransitConfig struct {
 	// Transport selects how the M+N in-process ranks talk: "" or
 	// "inproc" uses the shared mailbox, "tcp" runs every rank on the
 	// loopback TCP transport (frames, chunking, real wire behaviour),
-	// "shm" on mmap-backed shared-memory rings, and "hier" on the
-	// two-level data path — ranks split across Nodes emulated nodes,
-	// shm rings inside a node, leader-relayed TCP between nodes.
+	// and "shm" on mmap-backed shared-memory rings.
 	Transport string
-
-	// Nodes is the emulated node count for Transport "hier" (ranks are
-	// split contiguously). 0 means 2.
-	Nodes int
 
 	// MemBudget, when positive, caps each consumer rank's exchange
 	// staging footprint in bytes (core.WithMemoryBudget): a rank whose
@@ -135,11 +129,7 @@ func RunInTransit(cfg InTransitConfig) (*InTransitResult, error) {
 		InletVelocity: cfg.InletVelocity,
 		Barrier:       lbm.CylinderBarrier(cfg.GridW/4, cfg.GridH/2, cfg.GridH/9),
 	}
-	nodes := cfg.Nodes
-	if nodes == 0 {
-		nodes = 2
-	}
-	launchOpts, err := transportLaunchOpts(cfg.Transport, nodes, cfg.M+cfg.N)
+	launchOpts, err := transportLaunchOpts(cfg.Transport)
 	if err != nil {
 		return nil, err
 	}

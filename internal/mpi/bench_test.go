@@ -356,23 +356,3 @@ func BenchmarkShmExchange(b *testing.B) {
 		benchLarge(b, runInProc, 64<<20)
 	})
 }
-
-// BenchmarkHierExchange measures the two-level transport's headline
-// case: a 64-rank all-to-all storm on a 4-node placement, where leader
-// aggregation reduces the O(P²) socket flows of flat TCP to O(nodes²),
-// versus the same storm on flat TCP loopback and on flat shm.
-func BenchmarkHierExchange(b *testing.B) {
-	const ranks, nodes = 64, 4
-	runHier := func(n int, body func(*Comm) error) error {
-		return RunHier(n, NodesOf(n, nodes), body)
-	}
-	b.Run("storm/64ranks/1KiB/hier-4node", func(b *testing.B) {
-		benchStorm(b, runHier, ranks, 2, 1024)
-	})
-	b.Run("storm/64ranks/1KiB/tcp", func(b *testing.B) {
-		benchStorm(b, runTCP, ranks, 2, 1024)
-	})
-	b.Run("storm/64ranks/1KiB/shm", func(b *testing.B) {
-		benchStorm(b, RunShm, ranks, 2, 1024)
-	})
-}

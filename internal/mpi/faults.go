@@ -382,9 +382,9 @@ func (t *faultTransport) severLink(l *faultLink, err error) {
 	// Notify the destination in-band: a lostCtx control envelope sent
 	// through the raw transport arrives at the mailbox behind every
 	// message delivered before the sever, so spared traffic still in
-	// flight (in a shm ring or a leader relay hop — e.g. mapping
-	// collectives below the injector's tag floor) stays consumable
-	// before the peer reads as lost. A direct markLost here would race
+	// flight (in a shm ring or a tcp socket — e.g. mapping collectives
+	// below the injector's tag floor) stays consumable before the peer
+	// reads as lost. A direct markLost here would race
 	// ahead of those asynchronous deliveries and fail receives whose
 	// messages were already sent.
 	msg := err.Error()

@@ -180,6 +180,10 @@ func (s *fuzzSink) complete(p *chunkPending) {
 // stream replay or connection teardown); buffer handling matches complete.
 func (s *fuzzSink) removePending(p *chunkPending) { s.complete(p) }
 
+// fuzzSrc is the world rank that dialed every fuzzed connection: the
+// corpus frames all carry it, as a real connection's frames do.
+const fuzzSrc = 2
+
 // FuzzTCPFrameDecoder feeds arbitrary bytes to the wire-protocol-v2
 // decoder. The property is totality: any input either decodes into frames
 // or fails with an error — never a panic, hang, or out-of-bounds write.
@@ -190,11 +194,13 @@ func FuzzTCPFrameDecoder(f *testing.F) {
 	// and corrupted variants of each.
 	msg := make([]byte, tcpFrameHeader+4)
 	msg[0] = frameMsg
+	msg[8] = fuzzSrc
 	msg[16] = 4 // len = 4, LE
 	f.Add(msg)
 	f.Add(msg[:tcpFrameHeader-3])
 	chunk := make([]byte, tcpFrameHeader+tcpChunkExt+2)
 	chunk[0] = frameChunk
+	chunk[8] = fuzzSrc
 	chunk[16] = 2                                       // frame len
 	chunk[tcpFrameHeader] = 1                           // stream id
 	chunk[tcpFrameHeader+8] = 4                         // total
@@ -219,7 +225,7 @@ func FuzzTCPFrameDecoder(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sink := &fuzzSink{}
-		dec := newFrameDecoder(sink, 1<<16, 1<<20, 8)
+		dec := newFrameDecoder(sink, fuzzSrc, 1<<16, 1<<20, 8)
 		r := bytes.NewReader(data)
 		for {
 			if _, err := dec.readFrame(r); err != nil {
@@ -268,22 +274,22 @@ func buildWireFrame(typ byte, ctx uint32, src, tag int, payload []byte, stream u
 // a chunked message, and two chunk streams interleaved with a small
 // message between their chunks — the shapes a real connection carries.
 func realV2Corpus() [][]byte {
-	msg := buildWireFrame(frameMsg, 1, 2, 7, []byte("hello-wire"), 0, 0, 0)
-	neg := buildWireFrame(frameMsg, 1, 0, -5, []byte{9, 9}, 0, 0, 0)
+	msg := buildWireFrame(frameMsg, 1, fuzzSrc, 7, []byte("hello-wire"), 0, 0, 0)
+	neg := buildWireFrame(frameMsg, 1, fuzzSrc, -5, []byte{9, 9}, 0, 0, 0)
 
 	var chunked []byte
 	payload := []byte("abcdefghijkl")
 	for off := 0; off < len(payload); off += 4 {
-		chunked = append(chunked, buildWireFrame(frameChunk, 1, 2, 7,
+		chunked = append(chunked, buildWireFrame(frameChunk, 1, fuzzSrc, 7,
 			payload[off:off+4], 3, uint64(len(payload)), 0)...)
 	}
 
 	var interleaved []byte
-	interleaved = append(interleaved, buildWireFrame(frameChunk, 1, 2, 7, []byte("AAAA"), 10, 8, 0)...)
-	interleaved = append(interleaved, buildWireFrame(frameChunk, 1, 2, 8, []byte("BBBB"), 11, 8, 0)...)
+	interleaved = append(interleaved, buildWireFrame(frameChunk, 1, fuzzSrc, 7, []byte("AAAA"), 10, 8, 0)...)
+	interleaved = append(interleaved, buildWireFrame(frameChunk, 1, fuzzSrc, 8, []byte("BBBB"), 11, 8, 0)...)
 	interleaved = append(interleaved, msg...)
-	interleaved = append(interleaved, buildWireFrame(frameChunk, 1, 2, 7, []byte("aaaa"), 10, 8, 0)...)
-	interleaved = append(interleaved, buildWireFrame(frameChunk, 1, 2, 8, []byte("bbbb"), 11, 8, 0)...)
+	interleaved = append(interleaved, buildWireFrame(frameChunk, 1, fuzzSrc, 7, []byte("aaaa"), 10, 8, 0)...)
+	interleaved = append(interleaved, buildWireFrame(frameChunk, 1, fuzzSrc, 8, []byte("bbbb"), 11, 8, 0)...)
 
 	return [][]byte{msg, neg, chunked, interleaved}
 }
@@ -293,15 +299,15 @@ func realV2Corpus() [][]byte {
 // replay — the shape a fault injector's duplicate produces.
 func realV3Corpus() [][]byte {
 	var msgs []byte
-	msgs = append(msgs, buildWireFrame(frameMsgSeq, 1, 2, 7, []byte("one"), 0, 0, 1)...)
-	msgs = append(msgs, buildWireFrame(frameMsgSeq, 1, 2, 7, []byte("two"), 0, 0, 2)...)
-	msgs = append(msgs, buildWireFrame(frameMsgSeq, 1, 2, 7, []byte("one"), 0, 0, 1)...) // replay
+	msgs = append(msgs, buildWireFrame(frameMsgSeq, 1, fuzzSrc, 7, []byte("one"), 0, 0, 1)...)
+	msgs = append(msgs, buildWireFrame(frameMsgSeq, 1, fuzzSrc, 7, []byte("two"), 0, 0, 2)...)
+	msgs = append(msgs, buildWireFrame(frameMsgSeq, 1, fuzzSrc, 7, []byte("one"), 0, 0, 1)...) // replay
 
 	var stream []byte
 	for rep := 0; rep < 2; rep++ { // original + full replay under a new stream id
 		id := uint32(20 + rep)
-		stream = append(stream, buildWireFrame(frameChunkSeq, 1, 2, 9, []byte("CCCC"), id, 8, 5)...)
-		stream = append(stream, buildWireFrame(frameChunkSeq, 1, 2, 9, []byte("cccc"), id, 8, 5)...)
+		stream = append(stream, buildWireFrame(frameChunkSeq, 1, fuzzSrc, 9, []byte("CCCC"), id, 8, 5)...)
+		stream = append(stream, buildWireFrame(frameChunkSeq, 1, fuzzSrc, 9, []byte("cccc"), id, 8, 5)...)
 	}
 
 	return [][]byte{msgs, stream, append(append([]byte{}, msgs...), stream...)}
@@ -345,7 +351,7 @@ func FuzzTCPSeqFrameDecoder(f *testing.F) {
 		ded := &seqDeduper{}
 		decode := func() (clean bool, sink *countingSink, dups int) {
 			sink = &countingSink{}
-			dec := newFrameDecoder(sink, 1<<16, 1<<20, 8)
+			dec := newFrameDecoder(sink, fuzzSrc, 1<<16, 1<<20, 8)
 			dec.ded = ded
 			dec.onDup = func() { dups++ }
 			r := bytes.NewReader(data)
@@ -383,7 +389,7 @@ func countUnsequenced(data []byte) int {
 
 func countFrames(data []byte, want func(byte) bool) int {
 	sink := &fuzzSink{}
-	dec := newFrameDecoder(sink, 1<<16, 1<<20, 8)
+	dec := newFrameDecoder(sink, fuzzSrc, 1<<16, 1<<20, 8)
 	r := bytes.NewReader(data)
 	n := 0
 	for {

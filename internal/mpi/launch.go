@@ -12,8 +12,7 @@ import "fmt"
 //	mpi.Launch(8, body, mpi.WithTransport(mpi.TransportTCP))     // loopback TCP
 //	mpi.Launch(8, body, mpi.WithTCPOptions(opts))                // TCP, tuned
 //	mpi.Launch(8, body, mpi.WithTransport(mpi.TransportShm))     // shm rings
-//	mpi.Launch(8, body, mpi.WithTransport(mpi.TransportShm),
-//	    mpi.WithTopology(func(rank int) int { return rank / 4 })) // two-level
+//	mpi.Launch(8, body, mpi.WithShmOptions(opts))                // shm, tuned
 //
 // body runs once per rank (one goroutine each); Launch blocks until all
 // ranks return and yields the joined errors. When a rank fails, the
@@ -40,18 +39,6 @@ func Launch(n int, body func(c *Comm) error, opts ...LaunchOption) error {
 	case TransportTCP:
 		return launchTCP(n, cfg.tcpOpts, inj, body)
 	case TransportShm:
-		if cfg.nodeOf != nil {
-			topo, err := NewTopology(n, cfg.nodeOf)
-			if err != nil {
-				return err
-			}
-			if topo.NumNodes() > 1 {
-				return launchHier(n, topo, cfg.shmOpts, cfg.tcpOpts, inj, body)
-			}
-			// One node: the hierarchy degenerates to plain shm, but keep
-			// the topology visible so plan caches key on it consistently.
-			return launchShmTopo(n, topo, cfg.shmOpts, inj, body)
-		}
 		return launchShm(n, cfg.shmOpts, inj, body)
 	default:
 		return launchInProc(n, inj, body)
@@ -69,9 +56,7 @@ const (
 	// sockets, exercising a real network stack.
 	TransportTCP
 	// TransportShm carries traffic over mmap-backed shared-memory ring
-	// buffers — the data path for ranks co-located on one node. Combine
-	// with WithTopology to run a multi-node world two-level: shm within
-	// each node, leader-aggregated TCP between nodes.
+	// buffers — the data path for ranks co-located on one node.
 	TransportShm
 )
 
@@ -94,7 +79,6 @@ type launchConfig struct {
 	transport Transport
 	tcpOpts   TCPOptions
 	shmOpts   ShmOptions
-	nodeOf    func(rank int) int
 	inj       FaultInjector
 	injSet    bool
 }
@@ -105,13 +89,7 @@ func (cfg *launchConfig) validate(n int) error {
 	if err := cfg.tcpOpts.Validate(); err != nil {
 		return err
 	}
-	if err := cfg.shmOpts.Validate(); err != nil {
-		return err
-	}
-	if cfg.nodeOf != nil && cfg.transport != TransportShm {
-		return fmt.Errorf("%w: WithTopology requires WithTransport(TransportShm); the %s transport is flat", ErrBadOption, cfg.transport)
-	}
-	return nil
+	return cfg.shmOpts.Validate()
 }
 
 // LaunchOption configures one Launch call.
@@ -123,14 +101,10 @@ func WithTransport(t Transport) LaunchOption {
 }
 
 // WithTCPOptions selects the TCP transport with explicit per-endpoint
-// options (it implies WithTransport(TransportTCP)). Under WithTopology
-// the options instead tune the inter-node leader links, and the
-// transport stays TransportShm.
+// options (it implies WithTransport(TransportTCP)).
 func WithTCPOptions(opts TCPOptions) LaunchOption {
 	return func(cfg *launchConfig) {
-		if cfg.transport != TransportShm {
-			cfg.transport = TransportTCP
-		}
+		cfg.transport = TransportTCP
 		cfg.tcpOpts = opts
 	}
 }
@@ -142,17 +116,6 @@ func WithShmOptions(opts ShmOptions) LaunchOption {
 		cfg.transport = TransportShm
 		cfg.shmOpts = opts
 	}
-}
-
-// WithTopology declares which node each rank lives on, turning the
-// shared-memory world hierarchical: ranks on one node exchange over shm
-// rings, and each node elects its lowest rank as leader to carry all of
-// the node's inter-node traffic over TCP — O(nodes²) cross-node flows
-// instead of O(ranks²). nodeOf must map every rank in [0,n) to a node
-// id; ids need not be dense. Requires WithTransport(TransportShm) /
-// WithShmOptions.
-func WithTopology(nodeOf func(rank int) int) LaunchOption {
-	return func(cfg *launchConfig) { cfg.nodeOf = nodeOf }
 }
 
 // WithFaultInjector wraps every rank's transport with inj: deliveries

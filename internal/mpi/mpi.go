@@ -218,8 +218,8 @@ func newMailbox() *mailbox {
 // notifications: a control envelope the fault layer sends through the
 // ordinary transport when it severs a link, so the loss notice arrives
 // at the destination mailbox behind every message delivered before the
-// sever. Like relayCtx, split-derived contexts never mint this value in
-// any realistic session.
+// sever. Split-derived contexts never mint this value in any realistic
+// session.
 const lostCtx = ^uint32(0) - 1
 
 // inbandLostError is a peer-loss notice reconstructed from an in-band
@@ -489,7 +489,6 @@ type Comm struct {
 
 	counters *traffic   // shared across communicators derived from one rank
 	tel      *Telemetry // shared observability hooks, nil unless attached
-	topo     *Topology  // node placement, nil unless launched WithTopology
 
 	// curTC is the trace context stamped on sends while an exchange is in
 	// flight on this communicator (nil = untraced). One writer (the
@@ -506,10 +505,6 @@ func (c *Comm) Size() int { return len(c.group) }
 // WorldRank returns the world (root communicator) rank of the given rank
 // in this communicator.
 func (c *Comm) WorldRank(rank int) int { return c.group[rank] }
-
-// Topology returns the node placement the world was launched with, or
-// nil for a flat (single-node) world. Derived communicators inherit it.
-func (c *Comm) Topology() *Topology { return c.topo }
 
 func (c *Comm) checkRank(rank int) error {
 	if rank < 0 || rank >= len(c.group) {

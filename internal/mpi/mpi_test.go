@@ -17,8 +17,8 @@ func runTCP(n int, body func(c *Comm) error) error {
 	return Launch(n, body, WithTransport(TransportTCP))
 }
 
-// transports enumerates the two runtime flavours so every behaviour is
-// verified over shared memory and over real sockets.
+// transports enumerates the runtime flavours so every behaviour is
+// verified in process, over shared memory and over real sockets.
 var transports = []struct {
 	name string
 	run  func(n int, body func(c *Comm) error) error
@@ -26,11 +26,6 @@ var transports = []struct {
 	{"inproc", runInProc},
 	{"tcp", runTCP},
 	{"shm", RunShm},
-	{"hier", func(n int, body func(c *Comm) error) error {
-		// Two ranks per node exercises every hierarchical leg (self, shm
-		// sibling, leader relay, leader-to-leader) in every world size.
-		return RunHier(n, NodesOf(n, (n+1)/2), body)
-	}},
 }
 
 func forEachTransport(t *testing.T, n int, body func(c *Comm) error) {
@@ -47,7 +42,7 @@ func forEachTransport(t *testing.T, n int, body func(c *Comm) error) {
 // TestSendOwned sends arena-backed buffers on every transport — below
 // and above the chunk-streaming thresholds, with and without a context
 // (which makes tcp hand over an arena wire of its own instead of lending),
-// to a sibling and (hier) across the leader relay — recycling each into
+// to two destinations — recycling each into
 // the arena the moment SendTyped returns, and checks each arrives
 // byte-identical, in order, while the sender goes straight on to reuse
 // the arena.

@@ -13,10 +13,10 @@ import (
 // ways: on a transport that shares the receiver's address space and
 // delivers synchronously (bare inproc) the sender's typed send claims the
 // post and packs into the span, so the message is never staged at all;
-// on shm (and hier within a node) the receiving rank's ring consumer
-// claims it and copies the ring record into the span, so no arena payload
-// exists. Either way mailbox.claim takes the post and mailbox.commit
-// completes it; nothing outside the transports reaches them.
+// on shm the receiving rank's ring consumer claims it and copies the
+// ring record into the span, so no arena payload exists. Either way
+// mailbox.claim takes the post and mailbox.commit completes it; nothing
+// outside the transports reaches them.
 //
 // Matching is FIFO per (communicator, source, tag) on both sides: an
 // arriving envelope completes the oldest open post that accepts it, a new

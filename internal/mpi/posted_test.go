@@ -23,34 +23,27 @@ type postedWorld struct {
 	// sendLands: a sender's typed send — and so a plain Send — lands in an
 	// open post (bare inproc only).
 	sendLands bool
-	// delivers reports whether the shm consumer of world rank dst copies
-	// a whole-message record into an open post: on shm always, on hier
-	// when the message's last hop is a node's ring (nil: never).
-	delivers func(dst int) bool
+	// delivers: the receiver's shm consumer copies a whole-message record
+	// into an open post (bare shm only).
+	delivers bool
 	opts     []LaunchOption
 }
 
-// lands reports whether a message of n bytes to world rank dst lands in
-// its post.
-func (w postedWorld) lands(n, dst int, postFirst bool) bool {
-	return postFirst && n > 0 && (w.sendLands || w.delivers != nil && w.delivers(dst) && n <= defaultShmChunkThreshold)
+// lands reports whether a message of n bytes lands in its post.
+func (w postedWorld) lands(n int, postFirst bool) bool {
+	return postFirst && n > 0 && (w.sendLands || w.delivers && n <= defaultShmChunkThreshold)
 }
 
 func postedWorlds() []postedWorld {
 	noop := funcInjector(func(src, dst, tag int, seq uint64, attempt int) Fault { return Fault{} })
-	always := func(int) bool { return true }
 	return []postedWorld{
-		{"inproc", true, nil, []LaunchOption{WithFaultInjector(nil)}},
-		{"inproc+injector", false, nil, []LaunchOption{WithFaultInjector(noop)}},
-		{"tcp", false, nil, []LaunchOption{WithTransport(TransportTCP), WithFaultInjector(nil)}},
-		{"shm", false, always, []LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil)}},
+		{"inproc", true, false, []LaunchOption{WithFaultInjector(nil)}},
+		{"inproc+injector", false, false, []LaunchOption{WithFaultInjector(noop)}},
+		{"tcp", false, false, []LaunchOption{WithTransport(TransportTCP), WithFaultInjector(nil)}},
+		{"shm", false, true, []LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil)}},
 		// Behind an injector every message is sequenced, and a sequenced
 		// one takes the arena path so the mailbox can drop its duplicates.
-		{"shm+injector", false, nil, []LaunchOption{WithTransport(TransportShm), WithFaultInjector(noop)}},
-		// Nodes {0,1} and {2,3}: a leader (0, 2) takes cross-node messages
-		// from its relay worker, not from a ring.
-		{"hier", false, func(dst int) bool { return dst%2 == 1 }, []LaunchOption{WithTransport(TransportShm),
-			WithFaultInjector(nil), WithTopology(func(rank int) int { return rank / 2 })}},
+		{"shm+injector", false, false, []LaunchOption{WithTransport(TransportShm), WithFaultInjector(noop)}},
 	}
 }
 
@@ -90,9 +83,8 @@ func postedSend(c *Comm, to, n, msg int, plain bool) error {
 // c, three same-tag messages each. Only from and to take part.
 func postedExchange(c *Comm, from, to int, w postedWorld) error {
 	const msgs = 3
-	dst := c.WorldRank(to)
-	// The last size is above every transport's chunk threshold, so on tcp,
-	// shm and hier a post can meet its message half reassembled.
+	// The last size is above every transport's chunk threshold, so on tcp
+	// and shm a post can meet its message half reassembled.
 	for _, n := range []int{0, 1 << 10, 64 << 10, 1<<20 + 4096} {
 		for _, postFirst := range []bool{true, false} {
 			name := fmt.Sprintf("%d B, post first %v", n, postFirst)
@@ -139,7 +131,7 @@ func postedExchange(c *Comm, from, to int, w postedWorld) error {
 					if err != nil {
 						return fmt.Errorf("%s: wait %d: %w", name, i, err)
 					}
-					if want := w.lands(n, dst, postFirst); landed != want {
+					if want := w.lands(n, postFirst); landed != want {
 						return fmt.Errorf("%s: post %d landed %v, want %v", name, i, landed, want)
 					}
 					if landed {
@@ -192,7 +184,7 @@ func postedRevoke(c *Comm, from, to int) error {
 // posts and messages meet in either order, same-tag messages match FIFO,
 // sub-communicators keep their own stream, a message — typed or plain —
 // lands in the posted span exactly where the sender's send can claim it
-// (bare inproc) or the shm consumer can copy it there (shm and hier,
+// (bare inproc) or the shm consumer can copy it there (bare shm,
 // unsequenced whole-message records), and afterwards the mailbox is empty
 // on both queues.
 func TestPostedRecv(t *testing.T) {
@@ -210,7 +202,6 @@ func TestPostedRecv(t *testing.T) {
 					return len(c.box.queue), len(c.box.posts), int64(len(c.box.queue)) - g.Value()
 				}
 				_, _, uncounted := trail()
-				// Ranks 0 and 3 sit on different nodes of the hier world.
 				if err := postedExchange(c, 0, 3, w); err != nil {
 					return err
 				}
@@ -234,7 +225,7 @@ func TestPostedRecv(t *testing.T) {
 				// rank 3 receives on the world, ranks 2 and 3 on the halves.
 				// A landing counts on the receiving rank, whichever side
 				// wrote the span.
-				lands := c.Rank() >= 2 && (w.sendLands || w.delivers != nil && w.delivers(c.Rank()))
+				lands := c.Rank() >= 2 && (w.sendLands || w.delivers)
 				if st := c.Traffic(); (st.MessagesLanded > 0) != lands {
 					return fmt.Errorf("MessagesLanded = %d on a rank whose posts take landings: %v", st.MessagesLanded, lands)
 				}

@@ -717,8 +717,7 @@ func (w *shmWorld) close() error {
 }
 
 // shmTransport is one rank's view of the shared-memory world. src is
-// the rank's index within the world (equal to its world rank in a flat
-// shm launch; a node-local index under the hierarchical transport).
+// the rank's world rank.
 type shmTransport struct {
 	w          *shmWorld
 	src        int
@@ -856,13 +855,6 @@ func RunShm(n int, body func(c *Comm) error) error {
 // launchShm runs body on n in-process ranks whose traffic crosses the
 // mmap-backed ring transport; see Launch for the contract.
 func launchShm(n int, opts ShmOptions, inj FaultInjector, body func(c *Comm) error) error {
-	return launchShmTopo(n, nil, opts, inj, body)
-}
-
-// launchShmTopo is launchShm with an optional topology recorded on the
-// communicators — the degenerate (single-node) hierarchical launch,
-// where the topology matters only as a plan-cache key.
-func launchShmTopo(n int, topo *Topology, opts ShmOptions, inj FaultInjector, body func(c *Comm) error) error {
 	if n <= 0 {
 		return fmt.Errorf("mpi: world size %d must be positive", n)
 	}
@@ -898,7 +890,6 @@ func launchShmTopo(n int, topo *Topology, opts ShmOptions, inj FaultInjector, bo
 				tr:       trs[rank],
 				box:      boxes[rank],
 				counters: newTraffic(n),
-				topo:     topo,
 			}
 			c.world = c
 			if err := body(c); err != nil {

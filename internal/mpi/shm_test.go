@@ -427,7 +427,7 @@ func TestShmScrapeUnderLoad(t *testing.T) {
 
 // TestTransportOptionsValidation covers the typed option errors Launch
 // must return before any rank runs: every rejectable TCPOptions and
-// ShmOptions field, plus a topology without the shm transport.
+// ShmOptions field.
 func TestTransportOptionsValidation(t *testing.T) {
 	body := func(*Comm) error { return errors.New("body must not run") }
 	tcpCases := []struct {
@@ -471,10 +471,6 @@ func TestTransportOptionsValidation(t *testing.T) {
 	}
 	if err := (TCPOptions{ChunkThreshold: -1}).Validate(); err != nil {
 		t.Errorf("disabled TCP chunking rejected: %v", err)
-	}
-	// A topology requires the shm transport.
-	if err := Launch(2, body, WithTransport(TransportTCP), WithTopology(NodesOf(2, 2))); !errors.Is(err, ErrBadOption) {
-		t.Errorf("topology over TCP accepted: %v", err)
 	}
 	// Valid options still launch.
 	if err := Launch(2, func(*Comm) error { return nil },

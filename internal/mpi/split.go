@@ -75,6 +75,5 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		box:      c.box,
 		counters: c.counters,
 		tel:      c.tel, // sub-communicator traffic shares the rank's telemetry
-		topo:     c.topo,
 	}, nil
 }

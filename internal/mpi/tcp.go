@@ -15,13 +15,15 @@ import (
 	"ddr/internal/obs"
 )
 
-// Wire protocol v2. Every frame starts with a 20-byte header:
+// Wire protocol v2. A connection carries one rank's messages: the dialer
+// opens it with a 4-byte preamble, its world rank as a u32, and every
+// frame after it starts with a 20-byte header:
 //
 //	off  0  type  u8   frameMsg or frameChunk
 //	off  1  flags u8   extension bits (zero before tracing existed)
 //	off  2  reserved (2 bytes, zero)
 //	off  4  ctx   u32  communicator context
-//	off  8  src   u32  sender's world rank
+//	off  8  src   u32  sender's world rank (the preamble's rank)
 //	off 12  tag   u32  message tag (two's-complement int32)
 //	off 16  len   u32  payload bytes following this header (this frame only)
 //
@@ -48,6 +50,7 @@ import (
 // at first-chunk time, which preserves per-(sender,receiver) matching
 // order. All integers are little endian.
 const (
+	tcpPreamble    = 4
 	tcpFrameHeader = 20
 	tcpChunkExt    = 16
 )
@@ -84,8 +87,9 @@ const tcpTraceExt = 16
 var ErrFrameTooLarge = errors.New("mpi: tcp message exceeds frame limit")
 
 // errTCPProto classifies malformed incoming frames (unknown type byte,
-// impossible lengths, inconsistent chunk streams). A connection that
-// produces one is desynchronized beyond recovery and is dropped.
+// impossible lengths, inconsistent chunk streams, a source other than
+// the connection's dialer). A connection that produces one is
+// desynchronized beyond recovery and is dropped.
 var errTCPProto = errors.New("mpi: tcp protocol error")
 
 // TCPOptions tunes the TCP transport. The zero value selects the
@@ -370,13 +374,6 @@ type TCPEndpoint struct {
 	closed  bool
 }
 
-// WireStats returns the frame bytes written to and read from peers since
-// the endpoint was created, headers included — the quantity that actually
-// crossed the network stack.
-func (ep *TCPEndpoint) WireStats() (out, in int64) {
-	return ep.wireOut.Load(), ep.wireIn.Load()
-}
-
 // Stats snapshots every transport counter.
 func (ep *TCPEndpoint) Stats() TCPStats {
 	ep.mu.Lock()
@@ -482,20 +479,13 @@ func NewTCPEndpoint(bind string, opts ...TCPOptions) (*TCPEndpoint, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	return newTCPEndpointOn(bind, newMailbox(), o)
-}
-
-// newTCPEndpointOn is NewTCPEndpoint delivering into a caller-owned
-// mailbox — the hook the hierarchical transport uses to land inter-node
-// frames directly in a leader rank's existing mailbox.
-func newTCPEndpointOn(bind string, box *mailbox, o TCPOptions) (*TCPEndpoint, error) {
 	l, err := net.Listen("tcp", bind)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: tcp listen: %w", err)
 	}
 	ep := &TCPEndpoint{
 		listener: l,
-		box:      box,
+		box:      newMailbox(),
 		cfg:      o.resolve(),
 		stop:     make(chan struct{}),
 		peers:    map[int]*tcpPeer{},
@@ -528,7 +518,15 @@ func (ep *TCPEndpoint) acceptLoop() {
 }
 
 func (ep *TCPEndpoint) readLoop(conn net.Conn) {
-	dec := newFrameDecoder(ep.box, maxSingleFrame, maxChunkTotal, maxInboundChunks)
+	br := bufio.NewReaderSize(conn, readBufSize)
+	// The preamble names the rank that dialed, attributing the connection
+	// before its first frame; one that dies before it carried no rank.
+	src := -1
+	var pre [tcpPreamble]byte
+	if _, err := io.ReadFull(br, pre[:]); err == nil {
+		src = int(binary.LittleEndian.Uint32(pre[:]))
+	}
+	dec := newFrameDecoder(ep.box, src, maxSingleFrame, maxChunkTotal, maxInboundChunks)
 	dec.ded = &ep.ded
 	dec.onDup = func() { ep.dupsDropped.Add(1) }
 	dec.ep = ep
@@ -541,16 +539,16 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 		// Incomplete chunk streams died with the connection: unpin their
 		// mailbox slots and recycle the reassembly buffers.
 		dec.cleanup()
-		if !closed {
+		if !closed && src >= 0 {
 			// The connection died while the endpoint is still live: the
-			// ranks it carried are gone.
-			for src := range dec.srcs {
-				ep.box.markLost(src, fmt.Errorf(
-					"mpi: tcp connection from rank %d (%s) died: %w", src, conn.RemoteAddr(), ErrPeerLost))
-			}
+			// rank that dialed it is gone.
+			ep.box.markLost(src, fmt.Errorf(
+				"mpi: tcp connection from rank %d (%s) died: %w", src, conn.RemoteAddr(), ErrPeerLost))
 		}
 	}()
-	br := bufio.NewReaderSize(conn, readBufSize)
+	if src < 0 {
+		return
+	}
 	for {
 		if _, err := dec.readFrame(br); err != nil {
 			if errors.Is(err, errTCPProto) {
@@ -1087,8 +1085,9 @@ func (t *tcpTransport) lend(dst int, e envelope, parts []Part, n int) error {
 func (t *tcpTransport) close() error { return t.ep.Close() }
 
 // dial returns the peer handle (socket, queue, writer) for dst,
-// establishing it on first use. Messages to self also travel through the
-// loopback socket so the TCP path is exercised uniformly.
+// establishing it on first use and writing the preamble before it
+// returns. Messages to self also travel through the loopback socket so
+// the TCP path is exercised uniformly.
 func (ep *TCPEndpoint) dial(dst int, addr string) (*tcpPeer, error) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
@@ -1103,6 +1102,12 @@ func (ep *TCPEndpoint) dial(dst int, addr string) (*tcpPeer, error) {
 		return nil, fmt.Errorf("mpi: tcp dial rank %d (%s): %v: %w", dst, addr, err, ErrPeerLost)
 	}
 	ep.cfg.apply(conn)
+	var pre [tcpPreamble]byte
+	binary.LittleEndian.PutUint32(pre[:], uint32(ep.selfRank.Load()))
+	if _, err := conn.Write(pre[:]); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("mpi: tcp dial rank %d (%s): %v: %w", dst, addr, err, ErrPeerLost)
+	}
 	p := &tcpPeer{
 		ep:    ep,
 		rank:  dst,
@@ -1133,10 +1138,8 @@ type frameDecoder struct {
 	ded *seqDeduper
 	// onDup, when non-nil, is called once per dropped replay.
 	onDup func()
-	// srcs records every world rank that delivered at least one frame on
-	// this connection, so a dying connection can mark exactly those ranks
-	// lost.
-	srcs map[int]struct{}
+	// src is the world rank whose frames the connection carries.
+	src int
 	// ep, when non-nil, is the owning endpoint — the decoder counts every
 	// frame on it and mirrors frame/chunk/dup events into its flight
 	// recorder when one is attached. Standalone decoders (tests, fuzzing)
@@ -1194,9 +1197,10 @@ type inStream struct {
 	discard bool
 }
 
-func newFrameDecoder(sink chunkSink, maxFrame, maxTotal uint64, maxStreams int) *frameDecoder {
+func newFrameDecoder(sink chunkSink, src int, maxFrame, maxTotal uint64, maxStreams int) *frameDecoder {
 	return &frameDecoder{
 		sink:       sink,
+		src:        src,
 		maxFrame:   maxFrame,
 		maxTotal:   maxTotal,
 		maxStreams: maxStreams,
@@ -1222,13 +1226,10 @@ func (d *frameDecoder) readFrame(r io.Reader) (typ byte, err error) {
 	if flags&^tcpFlagTrace != 0 {
 		return typ, fmt.Errorf("%w: unknown header flags %#x", errTCPProto, flags)
 	}
-	traced := flags&tcpFlagTrace != 0
-	if _, ok := d.srcs[src]; !ok {
-		if d.srcs == nil {
-			d.srcs = make(map[int]struct{})
-		}
-		d.srcs[src] = struct{}{}
+	if src != d.src {
+		return typ, fmt.Errorf("%w: frame from rank %d on rank %d's connection", errTCPProto, src, d.src)
 	}
+	traced := flags&tcpFlagTrace != 0
 
 	switch typ {
 	case frameMsg, frameMsgSeq:

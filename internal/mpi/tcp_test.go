@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ddr/internal/grid"
 	"ddr/internal/obs"
@@ -290,6 +292,64 @@ func TestTCPCloseMidStream(t *testing.T) {
 	<-recvDone
 }
 
+// TestTCPPeerLostBeforeFirstFrame kills a sender after it dialed but
+// before its first frame reached the wire: the writer's first batch is
+// held, and the sender's socket closes under it as a dying process's
+// would. The receiver knows who dialed from the connection's preamble, so
+// its receive from that rank fails with ErrPeerLost at once instead of
+// waiting out its deadline.
+func TestTCPPeerLostBeforeFirstFrame(t *testing.T) {
+	const timeout = 10 * time.Second
+	recvEp, err := NewTCPEndpoint("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recvEp.Close()
+	sendEp, err := NewTCPEndpoint("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{recvEp.Addr(), sendEp.Addr()}
+	recv, err := recvEp.Join(0, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send, err := sendEp.Join(1, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	testHookBeforeWrite = func([]envelope) {
+		once.Do(func() { close(held) })
+		<-release
+	}
+	defer func() {
+		close(release)
+		sendEp.Close()
+		testHookBeforeWrite = nil
+	}()
+	if err := send.Send(0, 7, []byte("never written")); err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	sendEp.mu.Lock()
+	sendEp.peers[0].conn.Close()
+	sendEp.mu.Unlock()
+
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	start := time.Now()
+	data, _, _, err := recv.RecvCtx(ctx, 1, 7)
+	if err == nil {
+		PutBuffer(data)
+		t.Fatal("received a message the sender never wrote")
+	}
+	if took := time.Since(start); !errors.Is(err, ErrPeerLost) || took > timeout/2 {
+		t.Fatalf("receive from a sender lost before its first frame: %v after %v, want ErrPeerLost well inside %v", err, took, timeout)
+	}
+}
+
 // TestTCPInboundConnTracking exercises the Close path for accepted
 // connections: an endpoint that only ever received (never dialed) must
 // still tear down its read-loop connections on Close.
@@ -499,7 +559,7 @@ func TestTCPReceiveSteadyStateAlloc(t *testing.T) {
 	const size = 8192
 	frame := buildMsgFrame(0, 1, 7, make([]byte, size))
 	sink := &recycleSink{}
-	dec := newFrameDecoder(sink, maxSingleFrame, maxChunkTotal, maxInboundChunks)
+	dec := newFrameDecoder(sink, 1, maxSingleFrame, maxChunkTotal, maxInboundChunks)
 	r := bytes.NewReader(nil)
 	// Warm the arena class.
 	for i := 0; i < 3; i++ {
@@ -606,6 +666,7 @@ func TestTCPDecoderProtocolErrors(t *testing.T) {
 			b := buildChunkFrame(0, 0, 0, 1, 8, make([]byte, 6))
 			return append(a, b...)
 		}()},
+		{"foreign source", buildMsgFrame(0, 3, 0, nil)},
 		{"stream identity change", func() []byte {
 			a := buildChunkFrame(0, 0, 0, 1, 64, make([]byte, 6))
 			b := buildChunkFrame(0, 0, 9, 1, 64, make([]byte, 6))
@@ -614,7 +675,7 @@ func TestTCPDecoderProtocolErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dec := newFrameDecoder(&recycleSink{}, maxSingleFrame, maxChunkTotal, 4)
+			dec := newFrameDecoder(&recycleSink{}, 0, maxSingleFrame, maxChunkTotal, 4)
 			r := bytes.NewReader(tc.frame)
 			var err error
 			for err == nil && r.Len() > 0 {

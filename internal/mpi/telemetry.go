@@ -34,12 +34,10 @@ type Telemetry struct {
 	tcpQueueDepth   *obs.Gauge
 
 	// Shared-memory transport instruments, mirrored by the rank's shm
-	// ring producer/consumer, and the leader-relay counter of the
-	// hierarchical transport (only moved by ranks that lead their node).
-	shmBytesOut    *obs.Counter
-	shmBytesIn     *obs.Counter
-	shmOccupancy   *obs.Gauge
-	hierRelayBytes *obs.Counter
+	// ring producer/consumer.
+	shmBytesOut  *obs.Counter
+	shmBytesIn   *obs.Counter
+	shmOccupancy *obs.Gauge
 
 	// Fault-tolerance instruments: chaos-engine verdicts mirrored by the
 	// fault transport, and peers this rank's mailbox declared lost.
@@ -98,8 +96,6 @@ func NewTelemetry(reg *obs.Registry, rec *trace.Recorder, rank int) *Telemetry {
 			"Payload bytes this rank consumed from shared-memory rings.", rl),
 		shmOccupancy: reg.Gauge("mpi_shm_ring_occupancy_bytes",
 			"Record bytes committed to this rank's inbound rings and not yet consumed.", rl),
-		hierRelayBytes: reg.Counter("mpi_hier_leader_relay_bytes_total",
-			"Bytes this rank aggregated onto inter-node TCP flows as its node's leader.", rl),
 		faultDrops: reg.Counter("mpi_fault_drops_total",
 			"Delivery attempts discarded by the fault injector.", rl),
 		faultRetries: reg.Counter("mpi_fault_retries_total",
@@ -164,16 +160,12 @@ func (c *Comm) AttachTelemetry(t *Telemetry) {
 		tr.ep.attachObs(t)
 	case *shmTransport:
 		tr.attachObs(t)
-	case *hierTransport:
-		tr.attachObs(t)
 	case *faultTransport:
 		tr.attachObs(t)
 		switch raw := tr.raw.(type) {
 		case *tcpTransport:
 			raw.ep.attachObs(t)
 		case *shmTransport:
-			raw.attachObs(t)
-		case *hierTransport:
 			raw.attachObs(t)
 		}
 	}

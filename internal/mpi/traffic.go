@@ -15,11 +15,10 @@ type TrafficStats struct {
 	// MessagesLanded / BytesLanded count the messages that reached one of
 	// this rank's posted destination spans without an arena payload —
 	// whether the sender's typed send packed them straight into it (bare
-	// inproc) or this rank's shm ring consumer copied them there (shm, and
-	// hier within a node) — on the receiving side, where Posted.Wait
-	// reports them landed. They say which path ran; the messages are
-	// included in the sender's Sent and the receiver's Recv totals like
-	// any other.
+	// inproc) or this rank's shm ring consumer copied them there (shm) —
+	// on the receiving side, where Posted.Wait reports them landed. They
+	// say which path ran; the messages are included in the sender's Sent
+	// and the receiver's Recv totals like any other.
 	MessagesLanded int64
 	BytesLanded    int64
 

@@ -62,8 +62,8 @@ func appendRuns(iov [][]byte, parts []Part) [][]byte {
 // message of n packed bytes — the parts, or e.data when parts is nil —
 // without an arena wire, by landing it in the receiver's posted span
 // (inproc), lending it to the writer (tcp) or writing it into the ring
-// (shm, and hier within a node). handled=false means the message does
-// not qualify, and the caller packs it into a wire the transport owns.
+// (shm). handled=false means the message does not qualify, and the
+// caller packs it into a wire the transport owns.
 type typedSender interface {
 	sendTyped(dst int, e envelope, parts []Part, n int) (handled bool, err error)
 }

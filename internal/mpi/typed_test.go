@@ -104,8 +104,8 @@ func packedOf(parts []Part) []byte {
 	return out
 }
 
-// TestTypedSendMatchesPacked sends every typed case from rank 0 to a
-// sibling and (hier) a rank across the leader relay, on every transport —
+// TestTypedSendMatchesPacked sends every typed case from rank 0 to two
+// destinations on every transport —
 // with and without a deadline context and a staging meter, so the lent,
 // ring-record and arena-wire paths all run — and checks the receiver gets
 // exactly the parts' packed bytes although the sender scribbles its
@@ -123,7 +123,6 @@ func TestTypedSendMatchesPacked(t *testing.T) {
 		{"inproc+injector", landsNever, []LaunchOption{WithFaultInjector(noop)}},
 		{"tcp", landsNever, []LaunchOption{WithTransport(TransportTCP), WithFaultInjector(nil)}},
 		{"shm", landsMaybe, []LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil)}},
-		{"hier", landsMaybe, []LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil), WithTopology(NodesOf(4, 2))}},
 	}
 	cases := typedCases()
 	for _, w := range worlds {

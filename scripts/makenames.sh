@@ -9,10 +9,17 @@
 # line into one that silently runs nothing. The pattern '^$' selects
 # nothing on purpose and is skipped.
 #
-# Usage: bash scripts/makenames.sh [Makefile]   (GO overrides the go binary)
+# It then checks the docs named after the Makefile: every Test…,
+# Benchmark…, Fuzz… or Example… identifier a doc names must be one that
+# `go test -list .` prints for the root module or the bench module, so a
+# doc cannot point a reader at a test that is gone. It prints the file and
+# line of each stale name.
+#
+# Usage: bash scripts/makenames.sh [Makefile [doc ...]]   (GO overrides the go binary)
 set -euo pipefail
 
 makefile=${1:-Makefile}
+docs=("${@:2}")
 go=${GO:-go}
 lists=$(mktemp -d)
 trap 'rm -rf "$lists"' EXIT
@@ -75,4 +82,18 @@ while IFS= read -r line; do
 		done < <(alternatives "$pat")
 	done
 done < <(grep -E '^[[:space:]]+(cd [^&]*&& )?\$\(GO\) test .*-(run|bench|fuzz) ' "$makefile")
+
+if [ ${#docs[@]} -gt 0 ]; then
+	all="$lists/all"
+	{ "$go" test -list . ./... && (cd bench && "$go" test -list . ./...); } |
+		grep -E '^(Test|Benchmark|Fuzz|Example)' | sort -u >"$all"
+	for doc in "${docs[@]}"; do
+		while IFS=: read -r line name; do
+			if ! grep -qx -- "$name" "$all"; then
+				echo "$doc:$line: '$name' names no test, benchmark, fuzz target or example" >&2
+				status=1
+			fi
+		done < <(grep -noE '\b(Test|Benchmark|Fuzz|Example)[A-Z0-9_][A-Za-z0-9_]*' "$doc")
+	done
+fi
 exit "$status"
