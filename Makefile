@@ -21,7 +21,9 @@ chaos:
 # line (go test -list): a renamed or deleted test would otherwise leave
 # its line running nothing, silently. It fails too when README.md,
 # DESIGN.md or TESTING.md names a test, benchmark, fuzz target or example
-# that neither the root module nor the bench module has.
+# that neither the root module nor the bench module has, or shows a
+# `go run ./cmd/<bin>` command line with a flag that binary's -h does not
+# list.
 names:
 	GO=$(GO) bash scripts/makenames.sh Makefile README.md DESIGN.md TESTING.md
 

@@ -20,8 +20,8 @@
 // estimate — and writes one multi-rank Perfetto timeline plus a
 // straggler report; -flightrec N arms a per-process postmortem ring of
 // the last N transport events, dumped on peer loss, SIGQUIT, and
-// /debug/flightrec; -tcp runs the in-transit ranks over the loopback TCP
-// transport so the traced frames are real wire frames.
+// /debug/flightrec; -transport=tcp runs the in-transit ranks over the
+// loopback TCP transport so the traced frames are real wire frames.
 package main
 
 import (
@@ -55,7 +55,6 @@ func main() {
 		pprof     = flag.String("pprof-addr", "", "serve /metrics and /debug/pprof on this address while running")
 		mergeOut  = flag.String("trace-merge", "", "gather every rank's spans at rank 0, clock-correct them, and write one merged multi-rank Perfetto timeline (plus a straggler report on stderr) to this JSON file")
 		flightN   = flag.Int("flightrec", 0, "arm a flight recorder keeping the last N transport events, dumped on peer loss, SIGQUIT, and /debug/flightrec (0 disables)")
-		useTCP    = flag.Bool("tcp", false, "run the in-transit pipeline ranks over the loopback TCP transport (shorthand for -transport=tcp)")
 		memBudget = flag.Int("mem-budget", 0, "per-rank exchange staging budget in bytes for the in-transit pipeline; frames exceeding it regrid through the bounded step compiler (0 = unbounded)")
 	)
 	var shared experiments.Flags
@@ -73,9 +72,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ddrbench:", err)
 		os.Exit(1)
-	}
-	if *useTCP && shared.Transport == "" {
-		shared.Transport = "tcp"
 	}
 	if err := run(tel, shared.Transport, *memBudget, shared.PipelineDepth, *table, *figure, *all, *real, *ablation, *vol3d, *outDir, *t4w, *t4h, *t4fr, *quality); err != nil {
 		fmt.Fprintln(os.Stderr, "ddrbench:", err)

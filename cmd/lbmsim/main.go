@@ -44,7 +44,6 @@ func main() {
 		pprof     = flag.String("pprof-addr", "", "serve /metrics and /debug/pprof on this address while running")
 		merge     = flag.String("trace-merge", "", "gather every rank's spans at rank 0, clock-correct them, and write one merged multi-rank Perfetto timeline (role=both only)")
 		flightN   = flag.Int("flightrec", 0, "arm a flight recorder keeping the last N transport events, dumped on peer loss, SIGQUIT, and /debug/flightrec (0 disables)")
-		useTCP    = flag.Bool("tcp", false, "run the in-process world over the loopback TCP transport (shorthand for -transport=tcp, role=both only)")
 		memBudget = flag.Int("mem-budget", 0, "per-rank exchange staging budget in bytes; frames exceeding it regrid through the bounded step compiler (0 = unbounded)")
 	)
 	var shared experiments.Flags
@@ -58,9 +57,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lbmsim:", err)
 		os.Exit(1)
-	}
-	if *useTCP && shared.Transport == "" {
-		shared.Transport = "tcp"
 	}
 	cfg := experiments.InTransitConfig{
 		M: *sim, N: *viz,

@@ -10,8 +10,8 @@ import (
 )
 
 // Flags is the set of command-line options the experiment binaries share:
-// rank transport, exchange pipelining, socket
-// tuning and the deterministic fault schedule. Bind it to the binary's
+// rank transport, exchange pipelining and the deterministic fault
+// schedule. Bind it to the binary's
 // FlagSet before Parse, read the fields (and call Apply) after.
 type Flags struct {
 	// Transport names the rank transport ("" is the in-process mailbox).
@@ -21,7 +21,6 @@ type Flags struct {
 	// k >= 2 runs up to k exchange rounds in flight.
 	PipelineDepth int
 
-	TCP    mpi.TCPOptions
 	Chaos  chaos.Options
 	severs string // -chaos-sever, parsed into Chaos.Severs by Apply
 }
@@ -32,19 +31,6 @@ func (f *Flags) Bind(fs *flag.FlagSet) {
 		"rank transport: inproc (default), tcp, or shm")
 	fs.IntVar(&f.PipelineDepth, "pipeline-depth", 0,
 		"exchange rounds in flight per redistribution: 0 = library default, 1 = serial, k>=2 = pipelined (clamped by -mem-budget)")
-
-	fs.IntVar(&f.TCP.ChunkThreshold, "tcp-chunk-threshold", 0,
-		"payload bytes above which TCP messages stream as chunked sub-frames (0 = 1 MiB default, negative disables chunking)")
-	fs.IntVar(&f.TCP.ChunkSize, "tcp-chunk-size", 0,
-		"payload bytes per TCP chunk sub-frame (0 = 8 MiB default)")
-	fs.IntVar(&f.TCP.SendBufSize, "tcp-sndbuf", 0,
-		"SO_SNDBUF in bytes for TCP transport connections (0 = OS default)")
-	fs.IntVar(&f.TCP.RecvBufSize, "tcp-rcvbuf", 0,
-		"SO_RCVBUF in bytes for TCP transport connections (0 = OS default)")
-	fs.BoolVar(&f.TCP.Nagle, "tcp-nagle", false,
-		"re-enable Nagle's algorithm on TCP transport connections (default sets TCP_NODELAY)")
-	fs.IntVar(&f.TCP.SendQueueLen, "tcp-queue", 0,
-		"per-peer TCP send queue capacity in frames; a full queue blocks the sender (0 = 256 default)")
 
 	fs.Uint64Var(&f.Chaos.Seed, "chaos-seed", 1,
 		"seed of the deterministic fault schedule; equal seeds reproduce identical faults")
@@ -68,17 +54,15 @@ func (f *Flags) Bind(fs *flag.FlagSet) {
 		"restrict faults to messages with tag >= this value (default spares the mapping collectives; 0 faults everything)")
 }
 
-// Apply, called after Parse, rejects an unknown -transport, publishes the
-// socket tuning as the process-wide defaults of every TCP endpoint the
-// binary opens, and builds the deterministic fault injector and installs
-// it process-wide so every world the binary runs carries the schedule.
+// Apply, called after Parse, rejects an unknown -transport, and builds the
+// deterministic fault injector and installs it process-wide so every
+// world the binary runs carries the schedule.
 // With no chaos flag set it installs nothing and the transports stay on
 // their fault-free fast path.
 func (f *Flags) Apply() error {
 	if _, err := transportLaunchOpts(f.Transport); err != nil {
 		return err
 	}
-	mpi.SetDefaultTCPOptions(f.TCP)
 	var err error
 	if f.Chaos.Severs, err = chaos.ParseSevers(f.severs); err != nil {
 		return err

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"flag"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -10,8 +11,8 @@ import (
 )
 
 // binaryFlagSet builds a FlagSet shaped like one of the command-line
-// binaries: the binary's own flags first (both define -tcp themselves),
-// then the shared Flags bound beside them.
+// binaries: the binary's own flags first, then the shared Flags bound
+// beside them.
 func binaryFlagSet(t *testing.T, name string, define func(fs *flag.FlagSet)) (*flag.FlagSet, *Flags) {
 	t.Helper()
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
@@ -30,22 +31,17 @@ func binaryFlagSet(t *testing.T, name string, define func(fs *flag.FlagSet)) (*f
 // own flag shapes (no name may collide), parses a command line and checks
 // the values resolve and apply.
 func TestFlagRegistrarsCompose(t *testing.T) {
-	// Apply installs process-wide defaults; restore the fault-free,
-	// untuned state so later tests in this package are unaffected.
-	t.Cleanup(func() {
-		mpi.SetDefaultFaultInjector(nil)
-		mpi.SetDefaultTCPOptions(mpi.TCPOptions{})
-	})
+	// Apply installs a process-wide fault injector; restore the
+	// fault-free state so later tests in this package are unaffected.
+	t.Cleanup(func() { mpi.SetDefaultFaultInjector(nil) })
 	t.Run("ddrbench", func(t *testing.T) {
 		fs, shared := binaryFlagSet(t, "ddrbench", func(fs *flag.FlagSet) {
 			fs.Int("table", 0, "")
 			fs.Bool("all", false, "")
 			fs.String("out", "ddrbench-out", "")
-			fs.Bool("tcp", false, "")
 		})
 		args := []string{
 			"-transport=tcp",
-			"-tcp-queue=64", "-tcp-nagle",
 			"-chaos-seed=7", "-chaos-drop=0.25", "-chaos-sever=0>1@5",
 			"-pipeline-depth=4",
 		}
@@ -61,9 +57,6 @@ func TestFlagRegistrarsCompose(t *testing.T) {
 		if opts, err := transportLaunchOpts(shared.Transport); err != nil || len(opts) != 1 {
 			t.Fatalf("tcp launch options = %d (%v), want 1", len(opts), err)
 		}
-		if shared.TCP.SendQueueLen != 64 || !shared.TCP.Nagle {
-			t.Fatalf("tcp options = %+v", shared.TCP)
-		}
 		if err := shared.Apply(); err != nil {
 			t.Fatalf("apply: %v", err)
 		}
@@ -77,7 +70,6 @@ func TestFlagRegistrarsCompose(t *testing.T) {
 			fs.Int("viz", 2, "")
 			fs.String("role", "both", "")
 			fs.String("fields", "vorticity", "")
-			fs.Bool("tcp", false, "")
 		})
 		if err := fs.Parse([]string{"-sim=4", "-transport=shm", "-chaos-delay=0.1", "-chaos-delay-max=3ms"}); err != nil {
 			t.Fatalf("parse: %v", err)
@@ -99,6 +91,17 @@ func TestFlagRegistrarsCompose(t *testing.T) {
 		}
 		if err := shared.Apply(); err == nil {
 			t.Fatal("apply accepted a malformed -chaos-sever")
+		}
+	})
+	t.Run("no-transport-tuning", func(t *testing.T) {
+		// The transports run their measured defaults: no socket tuning and
+		// no -tcp shorthand for -transport=tcp.
+		for _, arg := range []string{"-tcp-queue=64", "-tcp"} {
+			fs, _ := binaryFlagSet(t, "ddrbench", func(*flag.FlagSet) {})
+			fs.SetOutput(io.Discard)
+			if err := fs.Parse([]string{arg}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+				t.Errorf("%s: parse = %v, want an undefined flag", arg, err)
+			}
 		}
 	})
 	t.Run("unknown-transport", func(t *testing.T) {

@@ -248,9 +248,6 @@ func benchStrided(b *testing.B, typed bool) {
 // 256 KiB frames, and a strided 256 KiB regrid message typed vs staged —
 // with the in-process channel transport as the reference.
 func BenchmarkTCPExchange(b *testing.B) {
-	runNoChunk := func(n int, body func(*Comm) error) error {
-		return Launch(n, body, WithTCPOptions(TCPOptions{ChunkThreshold: -1}))
-	}
 	b.Run("storm/16ranks/4KiB/tcp", func(b *testing.B) {
 		benchStorm(b, runTCP, 16, 4, 4096)
 	})
@@ -259,9 +256,6 @@ func BenchmarkTCPExchange(b *testing.B) {
 	})
 	b.Run("large/64MiB/tcp", func(b *testing.B) {
 		benchLarge(b, runTCP, 64<<20)
-	})
-	b.Run("large/64MiB/tcp-nochunk", func(b *testing.B) {
-		benchLarge(b, runNoChunk, 64<<20)
 	})
 	b.Run("large/64MiB/inproc", func(b *testing.B) {
 		benchLarge(b, runInProc, 64<<20)

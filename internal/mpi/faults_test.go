@@ -17,7 +17,7 @@ func (f funcInjector) FaultFor(src, dst, tag int, seq uint64, attempt int) Fault
 	return f(src, dst, tag, seq, attempt)
 }
 
-// chaosPingPong runs a fixed message exchange on both transports under
+// chaosPingPong runs a fixed message exchange on every transport under
 // the injector and verifies every payload arrives intact and in order.
 func chaosPingPong(t *testing.T, inj FaultInjector) {
 	t.Helper()
@@ -41,11 +41,10 @@ func chaosPingPong(t *testing.T, inj FaultInjector) {
 		}
 		return nil
 	}
-	if err := Launch(2, body, WithFaultInjector(inj)); err != nil {
-		t.Fatalf("inproc: %v", err)
-	}
-	if err := Launch(2, body, WithTCPOptions(DefaultTCPOptions()), WithFaultInjector(inj)); err != nil {
-		t.Fatalf("tcp: %v", err)
+	for _, tr := range []Transport{TransportInProc, TransportTCP, TransportShm} {
+		if err := Launch(2, body, WithTransport(tr), WithFaultInjector(inj)); err != nil {
+			t.Fatalf("%v: %v", tr, err)
+		}
 	}
 }
 
@@ -66,8 +65,11 @@ func TestChaosDropRetryDelivers(t *testing.T) {
 }
 
 // TestChaosDuplicateDeduped: duplicating every message must not change
-// what the receiver observes — the dedupe layers (mailbox sequence window
-// in-process, frame sequence numbers on TCP) discard the copies.
+// what the receiver observes — the receiving mailbox's sequence window
+// discards the copies on every transport, whole messages and chunk
+// streams alike. In the chunked case a second sender streams beside the
+// duplicated one: a replayed stream's reassembly buffer must never reach
+// another stream's message.
 func TestChaosDuplicateDeduped(t *testing.T) {
 	before := FaultStatsSnapshot()
 	chaosPingPong(t, funcInjector(func(_, _, _ int, _ uint64, _ int) Fault {
@@ -76,6 +78,64 @@ func TestChaosDuplicateDeduped(t *testing.T) {
 	after := FaultStatsSnapshot()
 	if got := after.Duplicates - before.Duplicates; got == 0 {
 		t.Error("no duplicates recorded")
+	}
+
+	dupFrom0 := funcInjector(func(src, _, _ int, _ uint64, _ int) Fault {
+		return Fault{Duplicate: src == 0}
+	})
+	body := dupChunked()
+	for _, tc := range []struct {
+		name string
+		opt  LaunchOption
+	}{
+		{"inproc", WithTransport(TransportInProc)},
+		{"tcp", withTCP(tcpChunked(256<<10, 256<<10))}, // shm's chunk geometry
+		{"shm", WithTransport(TransportShm)},
+	} {
+		t.Run("chunked/"+tc.name, func(t *testing.T) {
+			for run := 0; run < 10; run++ {
+				if err := Launch(3, body, tc.opt, WithFaultInjector(dupFrom0)); err != nil {
+					t.Fatalf("run %d: %v", run, err)
+				}
+			}
+		})
+	}
+}
+
+// dupChunked returns a world body in which ranks 0 and 2 each send rank 1
+// eight 1 MiB messages — chunk streams on tcp and shm — under tags of
+// their own, and rank 1 checks every byte.
+func dupChunked() func(c *Comm) error {
+	const msgs, size = 8, 1 << 20
+	tag := func(src int) int { return 5 + src/2 }
+	want := map[int][][]byte{}
+	for _, src := range []int{0, 2} {
+		for i := 0; i < msgs; i++ {
+			want[src] = append(want[src], shmPattern(src, tag(src), i, size))
+		}
+	}
+	return func(c *Comm) error {
+		if c.Rank() != 1 {
+			for _, msg := range want[c.Rank()] {
+				if err := c.Send(1, tag(c.Rank()), msg); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for _, src := range []int{0, 2} {
+			for i, msg := range want[src] {
+				data, _, _, err := c.Recv(src, tag(src))
+				if err != nil {
+					return err
+				}
+				if !bytes.Equal(data, msg) {
+					return fmt.Errorf("message %d from rank %d corrupt", i, src)
+				}
+				PutBuffer(data)
+			}
+		}
+		return nil
 	}
 }
 
@@ -119,7 +179,7 @@ func TestChaosSeverFailsReceiver(t *testing.T) {
 	if err := Launch(2, body, WithFaultInjector(inj)); err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
-	if err := Launch(2, body, WithTCPOptions(DefaultTCPOptions()), WithFaultInjector(inj)); err != nil {
+	if err := Launch(2, body, WithTransport(TransportTCP), WithFaultInjector(inj)); err != nil {
 		t.Fatalf("tcp: %v", err)
 	}
 }
@@ -225,8 +285,8 @@ func TestChaosNoGoroutineLeaks(t *testing.T) {
 			}
 			return nil
 		}
-		Launch(3, body, WithFaultInjector(inj))                                      //nolint:errcheck // fault outcomes vary
-		Launch(3, body, WithTCPOptions(DefaultTCPOptions()), WithFaultInjector(inj)) //nolint:errcheck // fault outcomes vary
+		Launch(3, body, WithFaultInjector(inj))                              //nolint:errcheck // fault outcomes vary
+		Launch(3, body, WithTransport(TransportTCP), WithFaultInjector(inj)) //nolint:errcheck // fault outcomes vary
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -158,12 +158,13 @@ type fuzzSink struct {
 	pinned []envelope
 }
 
-func (s *fuzzSink) put(e envelope) {
+func (s *fuzzSink) put(e envelope) bool {
 	if e.pend != nil {
 		s.pinned = append(s.pinned, e)
-		return
+		return true
 	}
 	PutBuffer(e.data)
+	return true
 }
 
 func (s *fuzzSink) complete(p *chunkPending) {
@@ -176,8 +177,8 @@ func (s *fuzzSink) complete(p *chunkPending) {
 	}
 }
 
-// removePending unpins a reassembly the decoder abandoned (duplicate
-// stream replay or connection teardown); buffer handling matches complete.
+// removePending unpins a reassembly the decoder abandoned at connection
+// teardown; buffer handling matches complete.
 func (s *fuzzSink) removePending(p *chunkPending) { s.complete(p) }
 
 // fuzzSrc is the world rank that dialed every fuzzed connection: the
@@ -313,32 +314,14 @@ func realV3Corpus() [][]byte {
 	return [][]byte{msgs, stream, append(append([]byte{}, msgs...), stream...)}
 }
 
-// countingSink counts deliveries so the fuzz harness can detect
-// duplicate delivery through the sequence-dedupe layer.
-type countingSink struct {
-	fuzzSink
-	delivered int
-}
-
-func (s *countingSink) put(e envelope) {
-	if e.pend == nil {
-		s.delivered++
-	}
-	s.fuzzSink.put(e)
-}
-
-func (s *countingSink) complete(p *chunkPending) {
-	s.delivered++
-	s.fuzzSink.complete(p)
-}
-
 // FuzzTCPSeqFrameDecoder drives the v3 (sequenced, fault-injected)
-// decoder path with a shared dedupe table across two decode passes of the
-// same bytes — every sequenced message replayed, as an injector's
-// duplicates are. The
-// properties: totality (no panic, hang, or out-of-bounds), and
+// decoder path with two decode passes of the same bytes into one real
+// mailbox — every sequenced message replayed, as an injector's duplicates
+// are. The properties: totality (no panic, hang, or out-of-bounds), and
 // idempotency — when the first pass consumed the whole input cleanly, a
-// full replay must not deliver any sequenced message again.
+// full replay must not deliver any sequenced message again. The mailbox
+// remembers the last len(seqWindow.ring) sequence numbers per sender, the
+// duplication distance it covers, so longer inputs only check totality.
 func FuzzTCPSeqFrameDecoder(f *testing.F) {
 	for _, seed := range realV2Corpus() {
 		f.Add(seed)
@@ -348,29 +331,38 @@ func FuzzTCPSeqFrameDecoder(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ded := &seqDeduper{}
-		decode := func() (clean bool, sink *countingSink, dups int) {
-			sink = &countingSink{}
-			dec := newFrameDecoder(sink, fuzzSrc, 1<<16, 1<<20, 8)
-			dec.ded = ded
-			dec.onDup = func() { dups++ }
+		box := newMailbox()
+		// delivered counts the matchable messages the mailbox holds.
+		delivered := func() int {
+			n := 0
+			for _, e := range box.queue {
+				if e.pend == nil || e.pend.ready {
+					n++
+				}
+			}
+			return n
+		}
+		decode := func() (clean bool, added int) {
+			before := delivered()
+			dec := newFrameDecoder(box, fuzzSrc, 1<<16, 1<<20, 8)
 			r := bytes.NewReader(data)
 			for {
-				if _, err := dec.readFrame(r); err != nil {
+				_, err := dec.readFrame(r)
+				if err != nil || r.Len() == 0 {
 					dec.cleanup()
-					return false, sink, dups
-				}
-				if r.Len() == 0 {
-					dec.cleanup()
-					return true, sink, dups
+					return err == nil, delivered() - before
 				}
 			}
 		}
-		clean, first, _ := decode()
-		_, second, _ := decode()
-		if clean && countSeqMsgs(data) > 0 && second.delivered >= first.delivered && second.delivered > countUnsequenced(data) {
+		clean, first := decode()
+		_, second := decode()
+		for _, e := range box.queue {
+			PutBuffer(e.data)
+		}
+		seqs := countSeqMsgs(data)
+		if clean && seqs > 0 && seqs <= len(seqWindow{}.ring) && second >= first && second > countUnsequenced(data) {
 			t.Fatalf("replay delivered %d messages (first pass %d, unsequenced %d): sequence dedupe leaked",
-				second.delivered, first.delivered, countUnsequenced(data))
+				second, first, countUnsequenced(data))
 		}
 	})
 }

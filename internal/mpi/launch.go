@@ -10,26 +10,16 @@ import "fmt"
 //	mpi.Launch(8, body)                                          // in-process
 //	mpi.Launch(8, body, mpi.WithFaultInjector(inj))              // explicit injector
 //	mpi.Launch(8, body, mpi.WithTransport(mpi.TransportTCP))     // loopback TCP
-//	mpi.Launch(8, body, mpi.WithTCPOptions(opts))                // TCP, tuned
 //	mpi.Launch(8, body, mpi.WithTransport(mpi.TransportShm))     // shm rings
-//	mpi.Launch(8, body, mpi.WithShmOptions(opts))                // shm, tuned
 //
 // body runs once per rank (one goroutine each); Launch blocks until all
 // ranks return and yields the joined errors. When a rank fails, the
 // remaining ranks' pending operations are unblocked with ErrClosed so
 // the world can drain.
-//
-// Option values are validated up front: malformed TCPOptions or
-// ShmOptions (negative sizes, non-power-of-2 rings, ...) fail here with
-// an error wrapping ErrBadOption instead of misbehaving deep inside a
-// transport goroutine.
 func Launch(n int, body func(c *Comm) error, opts ...LaunchOption) error {
-	cfg := launchConfig{tcpOpts: DefaultTCPOptions()}
+	cfg := launchConfig{tcp: defaultTCPConfig, shm: defaultShmConfig}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if err := cfg.validate(n); err != nil {
-		return err
 	}
 	inj := cfg.inj
 	if !cfg.injSet {
@@ -37,9 +27,9 @@ func Launch(n int, body func(c *Comm) error, opts ...LaunchOption) error {
 	}
 	switch cfg.transport {
 	case TransportTCP:
-		return launchTCP(n, cfg.tcpOpts, inj, body)
+		return launchTCP(n, cfg.tcp, inj, body)
 	case TransportShm:
-		return launchShm(n, cfg.shmOpts, inj, body)
+		return launchShm(n, cfg.shm, inj, body)
 	default:
 		return launchInProc(n, inj, body)
 	}
@@ -74,22 +64,15 @@ func (t Transport) String() string {
 	}
 }
 
-// launchConfig is the resolved option set of one Launch call.
+// launchConfig is the resolved option set of one Launch call. The
+// transports' geometry is not an option: every world runs the defaults,
+// and only tests, inside this package, shrink them.
 type launchConfig struct {
 	transport Transport
-	tcpOpts   TCPOptions
-	shmOpts   ShmOptions
+	tcp       tcpConfig
+	shm       shmConfig
 	inj       FaultInjector
 	injSet    bool
-}
-
-// validate rejects malformed option combinations before any transport
-// state is built; every failure wraps ErrBadOption.
-func (cfg *launchConfig) validate(n int) error {
-	if err := cfg.tcpOpts.Validate(); err != nil {
-		return err
-	}
-	return cfg.shmOpts.Validate()
 }
 
 // LaunchOption configures one Launch call.
@@ -98,24 +81,6 @@ type LaunchOption func(*launchConfig)
 // WithTransport selects the transport the world runs on.
 func WithTransport(t Transport) LaunchOption {
 	return func(cfg *launchConfig) { cfg.transport = t }
-}
-
-// WithTCPOptions selects the TCP transport with explicit per-endpoint
-// options (it implies WithTransport(TransportTCP)).
-func WithTCPOptions(opts TCPOptions) LaunchOption {
-	return func(cfg *launchConfig) {
-		cfg.transport = TransportTCP
-		cfg.tcpOpts = opts
-	}
-}
-
-// WithShmOptions selects the shared-memory transport with explicit ring
-// tuning (it implies WithTransport(TransportShm)).
-func WithShmOptions(opts ShmOptions) LaunchOption {
-	return func(cfg *launchConfig) {
-		cfg.transport = TransportShm
-		cfg.shmOpts = opts
-	}
 }
 
 // WithFaultInjector wraps every rank's transport with inj: deliveries

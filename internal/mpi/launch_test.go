@@ -5,6 +5,43 @@ import (
 	"testing"
 )
 
+// minShmRing is the smallest ring the shm tests run: one page.
+const minShmRing = 4 << 10
+
+// wholeRecords is the smallest ring with the chunk threshold as high as
+// one record can carry, so every message that fits the ring goes whole.
+var wholeRecords = shmConfig{
+	ringSize:       minShmRing,
+	chunkThreshold: minShmRing - shmMaxHeader - shmWordSize,
+	chunkSize:      minShmRing / 4,
+}
+
+// withTCP runs a world on tcp with the wire geometry cfg — how a test
+// reaches the chunk and backpressure paths with small payloads. Worlds
+// outside the tests always run defaultTCPConfig.
+func withTCP(cfg tcpConfig) LaunchOption {
+	return func(c *launchConfig) {
+		c.transport = TransportTCP
+		c.tcp = cfg
+	}
+}
+
+// withShm runs a world on shm with the ring geometry cfg.
+func withShm(cfg shmConfig) LaunchOption {
+	return func(c *launchConfig) {
+		c.transport = TransportShm
+		c.shm = cfg
+	}
+}
+
+// tcpChunked is the default tcp geometry with chunk streams from
+// threshold bytes up, in chunks of size bytes.
+func tcpChunked(threshold, size int) tcpConfig {
+	cfg := defaultTCPConfig
+	cfg.chunkThreshold, cfg.chunkSize = threshold, size
+	return cfg
+}
+
 // countingInjector records how many delivery attempts consulted it while
 // injecting nothing.
 type countingInjector struct{ calls atomic.Int64 }
@@ -42,9 +79,6 @@ func TestLaunchDefaultsToInProc(t *testing.T) {
 
 func TestLaunchTCPTransport(t *testing.T) {
 	if err := Launch(4, launchRing(t), WithTransport(TransportTCP)); err != nil {
-		t.Fatal(err)
-	}
-	if err := Launch(4, launchRing(t), WithTCPOptions(DefaultTCPOptions())); err != nil {
 		t.Fatal(err)
 	}
 }

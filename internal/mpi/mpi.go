@@ -229,12 +229,19 @@ type inbandLostError struct{ msg string }
 func (e *inbandLostError) Error() string { return e.msg }
 func (e *inbandLostError) Unwrap() error { return ErrPeerLost }
 
-func (m *mailbox) put(e envelope) {
+// put queues e, or hands it to the posted receive it completes. It is the
+// one dedupe point of every transport: a sequenced envelope whose link
+// sequence number the sender's window already holds is a replay, and put
+// reports false, queuing nothing. A replayed whole message's payload is
+// recycled here (every sequenced duplicate owns its copy); a replayed
+// chunk stream's buffer stays with the transport reader still filling
+// it, which recycles it once the stream ends.
+func (m *mailbox) put(e envelope) bool {
 	if e.ctx == lostCtx {
 		err := &inbandLostError{msg: string(e.data)}
 		PutBuffer(e.data)
 		m.markLost(e.src, err)
-		return
+		return true
 	}
 	m.mu.Lock()
 	if !m.closed {
@@ -248,17 +255,25 @@ func (m *mailbox) put(e envelope) {
 				m.seen[e.src] = w
 			}
 			if w.seen(e.seq) {
-				// Duplicate delivery: every sequenced duplicate owns its
-				// payload copy, so recycle it here.
+				flight, self := m.flight, m.self
 				m.mu.Unlock()
-				PutBuffer(e.data)
-				return
+				if e.pend == nil {
+					PutBuffer(e.data)
+				}
+				if flight != nil {
+					flight.Record(obs.FlightEvent{
+						Kind: obs.FlightDup, Rank: int32(self), Peer: int32(e.src), Tag: int32(e.tag), Seq: e.seq,
+						Round: int32(e.tc.Round), Exchange: e.tc.Exchange, Bytes: int64(len(e.data)),
+					})
+				}
+				return false
 			}
 		}
 		m.deliver(e)
 	}
 	m.mu.Unlock()
 	m.cond.Broadcast()
+	return true
 }
 
 // markLost records that the given world rank is unreachable and wakes any

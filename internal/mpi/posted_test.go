@@ -31,7 +31,7 @@ type postedWorld struct {
 
 // lands reports whether a message of n bytes lands in its post.
 func (w postedWorld) lands(n int, postFirst bool) bool {
-	return postFirst && n > 0 && (w.sendLands || w.delivers && n <= defaultShmChunkThreshold)
+	return postFirst && n > 0 && (w.sendLands || w.delivers && n <= shmChunkThreshold)
 }
 
 func postedWorlds() []postedWorld {

@@ -63,88 +63,40 @@ import (
 	"ddr/internal/obs"
 )
 
-// ErrBadOption is wrapped by transport-option validation failures: a
-// zero-or-negative size, depth, or threshold that would otherwise
-// surface as a panic or a wedged writer goroutine deep inside the
-// transport. Match with errors.Is(err, mpi.ErrBadOption).
-var ErrBadOption = errors.New("mpi: invalid transport option")
-
-// ShmOptions tunes the shared-memory transport. The zero value selects
-// the defaults: 1 MiB rings, 256 KiB chunk threshold, ring/4 chunks.
-// Bigger rings are not faster: measured throughput drops on both the
-// small-message storm and the 64 MiB bulk shape at 2-4 MiB rings, where a
-// 1 MiB ring's 256 KiB chunks still fit in cache.
-type ShmOptions struct {
-	// RingSize is the per-(sender,receiver) ring capacity in bytes; it
-	// must be a power of two and at least 4 KiB. 0 selects the 1 MiB
-	// default. A world of n ranks reserves n*n rings of address space, but
-	// a drained ring rewinds to its start, so each touches only its peak
-	// occupancy plus one chunk of memory.
-	RingSize int
-	// ChunkThreshold is the payload size above which a message streams
-	// as bulk-lane chunk records instead of one record. 0 selects the
-	// 256 KiB default; negative disables chunking (each message must
-	// then fit in the ring whole).
-	ChunkThreshold int
-	// ChunkSize is the payload size of each bulk-lane chunk record. 0
-	// selects ring/4; values are clamped to ring/4 so a chunk plus its
-	// header can never deadlock a ring.
-	ChunkSize int
+// shmConfig is the ring geometry. Every world runs defaultShmConfig;
+// tests shrink it to reach wraps, rewinds and chunk streams with small
+// payloads. Bigger rings are not faster: measured throughput drops on
+// both the small-message storm and the 64 MiB bulk shape at 2-4 MiB
+// rings, where a 1 MiB ring's 256 KiB chunks still fit in cache.
+type shmConfig struct {
+	// ringSize is the per-(sender,receiver) ring capacity in bytes, a
+	// power of two. A world of n ranks reserves n*n rings of address
+	// space, but a drained ring rewinds to its start, so each touches only
+	// its peak occupancy plus one chunk of memory.
+	ringSize int
+	// chunkThreshold is the payload size above which a message streams as
+	// bulk-lane chunk records instead of one record. It must stay below
+	// what one record can carry (ringSize - shmMaxHeader - shmWordSize),
+	// or the producer would wedge on a record that never fits.
+	chunkThreshold int
+	// chunkSize is the payload size of each bulk-lane chunk record, at
+	// most ringSize/4 so a chunk plus its header can never deadlock a
+	// ring.
+	chunkSize int
 }
 
 const (
-	defaultShmRing           = 1 << 20
-	defaultShmChunkThreshold = 256 << 10
-	minShmRing               = 4 << 10
-	shmRingHeaderBytes       = 128 // head + tail, one cache line apart
-	shmSpaceWait             = 100 * time.Microsecond
+	shmRingSize        = 1 << 20
+	shmChunkThreshold  = 256 << 10
+	shmChunkSize       = shmRingSize / 4
+	shmRingHeaderBytes = 128 // head + tail, one cache line apart
+	shmSpaceWait       = 100 * time.Microsecond
 )
 
-// Validate rejects option values the transport cannot run with, with a
-// typed error naming the field. The zero value is always valid.
-func (o ShmOptions) Validate() error {
-	if o.RingSize < 0 {
-		return fmt.Errorf("%w: ShmOptions.RingSize %d is negative", ErrBadOption, o.RingSize)
-	}
-	if o.RingSize > 0 && (o.RingSize < minShmRing || o.RingSize&(o.RingSize-1) != 0) {
-		return fmt.Errorf("%w: ShmOptions.RingSize %d must be a power of two >= %d", ErrBadOption, o.RingSize, minShmRing)
-	}
-	if o.ChunkSize < 0 {
-		return fmt.Errorf("%w: ShmOptions.ChunkSize %d is negative", ErrBadOption, o.ChunkSize)
-	}
-	return nil
-}
-
-// shmConfig is ShmOptions with every default resolved.
-type shmConfig struct {
-	ringSize       int
-	chunk          bool
-	chunkThreshold int
-	chunkSize      int
-}
-
-func (o ShmOptions) resolve() shmConfig {
-	cfg := shmConfig{
-		ringSize:       o.RingSize,
-		chunk:          o.ChunkThreshold >= 0,
-		chunkThreshold: o.ChunkThreshold,
-		chunkSize:      o.ChunkSize,
-	}
-	if cfg.ringSize == 0 {
-		cfg.ringSize = defaultShmRing
-	}
-	if cfg.chunkThreshold == 0 {
-		cfg.chunkThreshold = defaultShmChunkThreshold
-	}
-	if cfg.chunkSize <= 0 || cfg.chunkSize > cfg.ringSize/4 {
-		cfg.chunkSize = cfg.ringSize / 4
-	}
-	// A chunk threshold beyond what one record can carry would wedge the
-	// producer: chunking must engage before a record outgrows the ring.
-	if max := cfg.ringSize - shmMaxHeader - shmWordSize; cfg.chunk && cfg.chunkThreshold > max {
-		cfg.chunkThreshold = max
-	}
-	return cfg
+var defaultShmConfig = shmConfig{
+	ringSize:       shmRingSize,
+	chunkThreshold: shmChunkThreshold,
+	chunkSize:      shmChunkSize,
 }
 
 // Record descriptor word layout (little endian):
@@ -395,10 +347,23 @@ func (r *shmRing) writeRecord(w *shmWorld, e *envelope, typ byte, stream uint32,
 }
 
 // shmStream is a bulk-lane chunk stream being reassembled on the
-// consumer side, keyed by (sender, stream id).
+// consumer side, keyed by (sender, stream id). A discard stream (a replay
+// the mailbox rejected) still reassembles into its own buffer, which is
+// recycled once the stream ends.
 type shmStream struct {
-	env  envelope
-	fill int
+	env     envelope
+	fill    int
+	discard bool
+}
+
+// drop ends a stream the consumer will not complete: a pinned one is
+// unlinked from the mailbox, a discard stream's buffer recycled.
+func (st *shmStream) drop(box *mailbox) {
+	if st.discard {
+		PutBuffer(st.env.data)
+	} else {
+		box.removePending(st.env.pend)
+	}
 }
 
 // ShmStats is a point-in-time snapshot of a shared-memory world's
@@ -463,8 +428,8 @@ func (w *shmWorld) stats() ShmStats {
 
 // newShmWorld maps the shared region and starts one consumer per rank.
 // boxes[i] is rank i's mailbox (shared with the caller, who closes them).
-func newShmWorld(n int, opts ShmOptions, boxes []*mailbox) (*shmWorld, error) {
-	w, err := mapShmWorld(n, opts, boxes)
+func newShmWorld(n int, cfg shmConfig, boxes []*mailbox) (*shmWorld, error) {
+	w, err := mapShmWorld(n, cfg, boxes)
 	if err != nil {
 		return nil, err
 	}
@@ -477,11 +442,7 @@ func newShmWorld(n int, opts ShmOptions, boxes []*mailbox) (*shmWorld, error) {
 
 // mapShmWorld maps the shared region and carves it into rings, starting
 // no consumer.
-func mapShmWorld(n int, opts ShmOptions, boxes []*mailbox) (*shmWorld, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := opts.resolve()
+func mapShmWorld(n int, cfg shmConfig, boxes []*mailbox) (*shmWorld, error) {
 	total := n * n * (shmRingHeaderBytes + cfg.ringSize)
 	mem, mapped, err := shmMap(total)
 	if err != nil {
@@ -590,7 +551,7 @@ func (w *shmWorld) consume(dst int) {
 				w.drainRing(src, dst, box, streams)
 			}
 			for _, st := range streams {
-				box.removePending(st.env.pend)
+				st.drop(box)
 			}
 			return
 		}
@@ -682,19 +643,23 @@ func (w *shmWorld) deliver(dst int, box *mailbox, streams map[uint64]*shmStream,
 		streams[key] = st
 		// Pin the message's matching position now; it becomes matchable
 		// when the last chunk lands.
-		box.put(st.env)
+		st.discard = !box.put(st.env)
 	}
 	if st.fill+rec.n > len(st.env.data) {
 		obs.Warnf("mpi: shm chunk stream %d->%d overflows (%d+%d of %d); dropping stream",
 			rec.src, dst, st.fill, rec.n, len(st.env.data))
-		box.removePending(st.env.pend)
+		st.drop(box)
 		delete(streams, key)
 		return
 	}
 	copy(st.env.data[st.fill:], payload)
 	st.fill += rec.n
 	if st.fill == len(st.env.data) {
-		box.complete(st.env.pend)
+		if st.discard {
+			PutBuffer(st.env.data)
+		} else {
+			box.complete(st.env.pend)
+		}
 		delete(streams, key)
 	}
 }
@@ -752,7 +717,7 @@ func (t *shmTransport) send(dst int, e envelope) error {
 // instead. The ring write is synchronous, so by the time it returns the
 // caller's buffers are reusable, which is exactly Send's contract.
 func (t *shmTransport) sendTyped(dst int, e envelope, parts []Part, n int) (bool, error) {
-	if cfg := &t.w.cfg; parts != nil && cfg.chunk && n > cfg.chunkThreshold {
+	if parts != nil && n > t.w.cfg.chunkThreshold {
 		return false, nil
 	}
 	if dst < 0 || dst >= t.w.n {
@@ -774,7 +739,7 @@ func (t *shmTransport) sendTyped(dst int, e envelope, parts []Part, n int) (bool
 func (t *shmTransport) write(dst int, e envelope) error {
 	w := t.w
 	cfg := &w.cfg
-	if !cfg.chunk || len(e.data) <= cfg.chunkThreshold {
+	if len(e.data) <= cfg.chunkThreshold {
 		return t.writeMsg(dst, &e, []Part{{Buf: e.data}}, len(e.data))
 	}
 	r := w.ring(t.src, dst)
@@ -805,9 +770,6 @@ func (t *shmTransport) write(dst int, e envelope) error {
 // bytes of parts.
 func (t *shmTransport) writeMsg(dst int, e *envelope, parts []Part, n int) error {
 	w := t.w
-	if n > w.cfg.ringSize-shmMaxHeader-shmWordSize {
-		return fmt.Errorf("mpi: %d-byte message with shm chunking disabled: %w", n, ErrFrameTooLarge)
-	}
 	r := w.ring(t.src, dst)
 	r.mu.Lock()
 	err := r.writeRecord(w, e, shmRecMsg, 0, 0, parts, n)
@@ -854,7 +816,7 @@ func RunShm(n int, body func(c *Comm) error) error {
 
 // launchShm runs body on n in-process ranks whose traffic crosses the
 // mmap-backed ring transport; see Launch for the contract.
-func launchShm(n int, opts ShmOptions, inj FaultInjector, body func(c *Comm) error) error {
+func launchShm(n int, cfg shmConfig, inj FaultInjector, body func(c *Comm) error) error {
 	if n <= 0 {
 		return fmt.Errorf("mpi: world size %d must be positive", n)
 	}
@@ -862,7 +824,7 @@ func launchShm(n int, opts ShmOptions, inj FaultInjector, body func(c *Comm) err
 	for i := range boxes {
 		boxes[i] = newMailbox()
 	}
-	w, err := newShmWorld(n, opts, boxes)
+	w, err := newShmWorld(n, cfg, boxes)
 	if err != nil {
 		return err
 	}

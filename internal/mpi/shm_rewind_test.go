@@ -47,7 +47,7 @@ func TestShmRingRewind(t *testing.T) {
 	)
 	box := newMailbox()
 	defer box.close(nil)
-	w, err := mapShmWorld(1, ShmOptions{RingSize: ring, ChunkThreshold: threshold, ChunkSize: chunk}, []*mailbox{box})
+	w, err := mapShmWorld(1, shmConfig{ringSize: ring, chunkThreshold: threshold, chunkSize: chunk}, []*mailbox{box})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestShmRingRewind(t *testing.T) {
 func TestShmBackpressureAllocs(t *testing.T) {
 	box := newMailbox()
 	defer box.close(nil)
-	w, err := mapShmWorld(1, ShmOptions{RingSize: minShmRing, ChunkThreshold: -1}, []*mailbox{box})
+	w, err := mapShmWorld(1, wholeRecords, []*mailbox{box})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,7 @@ func TestShmRingWraparound(t *testing.T) {
 			return errors.New("ring never wrapped")
 		}
 		return nil
-	}, WithShmOptions(ShmOptions{RingSize: minShmRing, ChunkThreshold: -1}))
+	}, withShm(wholeRecords))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,6 @@ func TestShmChunkedInterleave(t *testing.T) {
 		big   = 64 << 10 // far above the 2 KiB threshold below: many chunks
 		msgs  = 8
 	)
-	opts := ShmOptions{RingSize: 8 << 10, ChunkThreshold: 2 << 10}
 	err := Launch(ranks, func(c *Comm) error {
 		if c.Rank() == 0 {
 			type rec struct {
@@ -191,7 +190,7 @@ func TestShmChunkedInterleave(t *testing.T) {
 			}
 		}
 		return nil
-	}, WithShmOptions(opts))
+	}, withShm(shmConfig{ringSize: 8 << 10, chunkThreshold: 2 << 10, chunkSize: 2 << 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,59 +421,5 @@ func TestShmScrapeUnderLoad(t *testing.T) {
 		if !bytes.Contains([]byte(out), []byte(name)) {
 			t.Errorf("scrape output missing %s", name)
 		}
-	}
-}
-
-// TestTransportOptionsValidation covers the typed option errors Launch
-// must return before any rank runs: every rejectable TCPOptions and
-// ShmOptions field.
-func TestTransportOptionsValidation(t *testing.T) {
-	body := func(*Comm) error { return errors.New("body must not run") }
-	tcpCases := []struct {
-		name string
-		o    TCPOptions
-	}{
-		{"SendBufSize", TCPOptions{SendBufSize: -1}},
-		{"RecvBufSize", TCPOptions{RecvBufSize: -1}},
-		{"ChunkSize", TCPOptions{ChunkSize: -1}},
-		{"SendQueueLen", TCPOptions{SendQueueLen: -1}},
-		{"WriteBatch", TCPOptions{WriteBatch: -1}},
-	}
-	for _, tc := range tcpCases {
-		if err := tc.o.Validate(); !errors.Is(err, ErrBadOption) {
-			t.Errorf("TCPOptions.%s: Validate = %v, want ErrBadOption", tc.name, err)
-		}
-		if err := Launch(2, body, WithTCPOptions(tc.o)); !errors.Is(err, ErrBadOption) {
-			t.Errorf("TCPOptions.%s: Launch = %v, want ErrBadOption", tc.name, err)
-		}
-	}
-	shmCases := []struct {
-		name string
-		o    ShmOptions
-	}{
-		{"RingSize negative", ShmOptions{RingSize: -4096}},
-		{"RingSize not power of two", ShmOptions{RingSize: 12345}},
-		{"RingSize too small", ShmOptions{RingSize: 1024}},
-		{"ChunkSize negative", ShmOptions{ChunkSize: -1}},
-	}
-	for _, tc := range shmCases {
-		if err := tc.o.Validate(); !errors.Is(err, ErrBadOption) {
-			t.Errorf("ShmOptions %s: Validate = %v, want ErrBadOption", tc.name, err)
-		}
-		if err := Launch(2, body, WithShmOptions(tc.o)); !errors.Is(err, ErrBadOption) {
-			t.Errorf("ShmOptions %s: Launch = %v, want ErrBadOption", tc.name, err)
-		}
-	}
-	// Chunking disabled is legal, as is the zero value.
-	if err := (ShmOptions{ChunkThreshold: -1}).Validate(); err != nil {
-		t.Errorf("disabled chunking rejected: %v", err)
-	}
-	if err := (TCPOptions{ChunkThreshold: -1}).Validate(); err != nil {
-		t.Errorf("disabled TCP chunking rejected: %v", err)
-	}
-	// Valid options still launch.
-	if err := Launch(2, func(*Comm) error { return nil },
-		WithShmOptions(ShmOptions{RingSize: 64 << 10, ChunkThreshold: 8 << 10, ChunkSize: 4 << 10})); err != nil {
-		t.Errorf("valid shm options rejected: %v", err)
 	}
 }

@@ -81,53 +81,52 @@ const tcpFlagTrace byte = 0x01
 // tcpTraceExt is the size of the trace-context extension.
 const tcpTraceExt = 16
 
-// ErrFrameTooLarge reports a message that does not fit the wire format:
-// with chunked streaming disabled a single frame's length must fit the
-// header's u32 length field.
-var ErrFrameTooLarge = errors.New("mpi: tcp message exceeds frame limit")
-
 // errTCPProto classifies malformed incoming frames (unknown type byte,
 // impossible lengths, inconsistent chunk streams, a source other than
 // the connection's dialer). A connection that produces one is
 // desynchronized beyond recovery and is dropped.
 var errTCPProto = errors.New("mpi: tcp protocol error")
 
-// TCPOptions tunes the TCP transport. The zero value selects the
-// defaults: TCP_NODELAY on, OS socket buffer sizes, 1 MiB chunk
-// threshold, 256-frame send queues, and 64-frame write batches.
-type TCPOptions struct {
-	// Nagle re-enables Nagle's algorithm. By default the transport sets
-	// TCP_NODELAY: frames are already coalesced into vectored writes, so
-	// kernel-side batching only adds latency.
-	Nagle bool
-	// SendBufSize / RecvBufSize set SO_SNDBUF / SO_RCVBUF in bytes on
-	// every connection; 0 keeps the OS default.
-	SendBufSize int
-	RecvBufSize int
-	// ChunkThreshold is the payload size in bytes above which a message
-	// is split into chunked sub-frames so it cannot head-of-line-block
-	// its connection. 0 selects the 1 MiB default; negative disables
-	// chunking (single frames up to 4 GiB-1).
-	ChunkThreshold int
-	// ChunkSize is the payload size of each chunk sub-frame. 0 selects
-	// the 8 MiB default — large enough that chunking costs little
-	// throughput on a fast link, small enough that a control frame waits
-	// at most one chunk's transmission time.
-	ChunkSize int
-	// SendQueueLen is the per-peer send queue capacity in frames. A full
+// tcpConfig is the transport's wire geometry. Every endpoint runs
+// defaultTCPConfig; tests shrink it to reach the chunk and backpressure
+// paths with small payloads. TCP_NODELAY stays on (Go's default for TCP
+// connections): frames are already coalesced into vectored writes, so
+// kernel-side batching would only add latency.
+type tcpConfig struct {
+	// sndbuf sets SO_SNDBUF in bytes on every connection; 0 keeps the OS
+	// default.
+	sndbuf int
+	// chunkThreshold is the payload size in bytes above which a message is
+	// split into chunk sub-frames so it cannot head-of-line-block its
+	// connection.
+	chunkThreshold int
+	// chunkSize is the payload size of each chunk sub-frame — large enough
+	// that chunking costs little throughput on a fast link, small enough
+	// that a control frame waits at most one chunk's transmission time.
+	chunkSize int
+	// queueLen is the per-peer send queue capacity in frames. A full
 	// queue applies backpressure: Send blocks until the writer drains.
-	// 0 selects the default of 256.
-	SendQueueLen int
-	// WriteBatch is the maximum number of queued frames coalesced into
-	// one vectored write. 0 selects the default of 64.
-	WriteBatch int
+	queueLen int
+	// batch is the maximum number of queued frames coalesced into one
+	// vectored write.
+	batch int
 }
 
 const (
-	defaultChunkThreshold = 1 << 20
-	defaultChunkSize      = 8 << 20
-	defaultSendQueueLen   = 256
-	defaultWriteBatch     = 64
+	tcpChunkThreshold = 1 << 20
+	tcpChunkSize      = 8 << 20
+	tcpSendQueueLen   = 256
+	tcpWriteBatch     = 64
+)
+
+var defaultTCPConfig = tcpConfig{
+	chunkThreshold: tcpChunkThreshold,
+	chunkSize:      tcpChunkSize,
+	queueLen:       tcpSendQueueLen,
+	batch:          tcpWriteBatch,
+}
+
+const (
 	// readBufSize is the per-connection buffered-reader size: the read
 	// loop's counterpart to the writer's vectored batches, it turns a
 	// storm of small frames into one read syscall per buffer fill. Large
@@ -143,99 +142,10 @@ const (
 	maxInboundChunks = 1 << 10 // concurrent partial streams per connection
 )
 
-var defaultTCPOptions atomic.Pointer[TCPOptions]
-
-// SetDefaultTCPOptions installs the process-wide options used by
-// NewTCPEndpoint and RunTCP when none are passed explicitly — the hook
-// the command-line binaries expose as -tcp-* flags.
-func SetDefaultTCPOptions(o TCPOptions) { defaultTCPOptions.Store(&o) }
-
-// DefaultTCPOptions returns the current process-wide TCP options.
-func DefaultTCPOptions() TCPOptions {
-	if p := defaultTCPOptions.Load(); p != nil {
-		return *p
-	}
-	return TCPOptions{}
-}
-
-// Validate rejects option values the transport cannot run with, with a
-// typed error (wrapping ErrBadOption) naming the offending field. The
-// convention is: 0 selects the default, and only ChunkThreshold admits a
-// negative value (it disables chunking); everything else must be
-// non-negative. Launch and NewTCPEndpoint call this up front so a bad
-// option fails at the API boundary instead of misbehaving inside a
-// writer goroutine (resolve used to clamp silently).
-func (o TCPOptions) Validate() error {
-	if o.SendBufSize < 0 {
-		return fmt.Errorf("%w: TCPOptions.SendBufSize %d is negative", ErrBadOption, o.SendBufSize)
-	}
-	if o.RecvBufSize < 0 {
-		return fmt.Errorf("%w: TCPOptions.RecvBufSize %d is negative", ErrBadOption, o.RecvBufSize)
-	}
-	if o.ChunkSize < 0 {
-		return fmt.Errorf("%w: TCPOptions.ChunkSize %d is negative", ErrBadOption, o.ChunkSize)
-	}
-	if o.SendQueueLen < 0 {
-		return fmt.Errorf("%w: TCPOptions.SendQueueLen %d is negative", ErrBadOption, o.SendQueueLen)
-	}
-	if o.WriteBatch < 0 {
-		return fmt.Errorf("%w: TCPOptions.WriteBatch %d is negative", ErrBadOption, o.WriteBatch)
-	}
-	return nil
-}
-
-// tcpConfig is a TCPOptions with every default resolved.
-type tcpConfig struct {
-	nagle          bool
-	sndbuf, rcvbuf int
-	chunk          bool
-	chunkThreshold int
-	chunkSize      int
-	queueLen       int
-	batch          int
-}
-
-func (o TCPOptions) resolve() tcpConfig {
-	cfg := tcpConfig{
-		nagle:          o.Nagle,
-		sndbuf:         o.SendBufSize,
-		rcvbuf:         o.RecvBufSize,
-		chunk:          o.ChunkThreshold >= 0,
-		chunkThreshold: o.ChunkThreshold,
-		chunkSize:      o.ChunkSize,
-		queueLen:       o.SendQueueLen,
-		batch:          o.WriteBatch,
-	}
-	if cfg.chunkThreshold == 0 {
-		cfg.chunkThreshold = defaultChunkThreshold
-	}
-	if cfg.chunkSize <= 0 {
-		cfg.chunkSize = defaultChunkSize
-	}
-	if cfg.chunkSize < 1024 {
-		cfg.chunkSize = 1024
-	}
-	if cfg.queueLen <= 0 {
-		cfg.queueLen = defaultSendQueueLen
-	}
-	if cfg.batch <= 0 {
-		cfg.batch = defaultWriteBatch
-	}
-	return cfg
-}
-
 // apply sets the per-connection socket options.
 func (c *tcpConfig) apply(conn net.Conn) {
-	tc, ok := conn.(*net.TCPConn)
-	if !ok {
-		return
-	}
-	tc.SetNoDelay(!c.nagle) //nolint:errcheck // best effort
-	if c.sndbuf > 0 {
-		tc.SetWriteBuffer(c.sndbuf) //nolint:errcheck
-	}
-	if c.rcvbuf > 0 {
-		tc.SetReadBuffer(c.rcvbuf) //nolint:errcheck
+	if tc, ok := conn.(*net.TCPConn); ok && c.sndbuf > 0 {
+		tc.SetWriteBuffer(c.sndbuf) //nolint:errcheck // best effort
 	}
 }
 
@@ -251,72 +161,7 @@ type TCPStats struct {
 	BackpressureEvents int64 // sends that found their queue full
 	SendqSaturation    int64 // every send-queue saturation occurrence (the log warns once)
 	SendQueueDepth     int64 // frames currently queued across all peers
-	DupFramesDropped   int64 // replayed frames discarded by sequence dedupe
 	PeerConnections    int64 // outbound peer links this endpoint has dialed
-}
-
-// seqDeduper discards duplicate sequenced frames — the replays a fault
-// injector's dup faults put on the wire.
-// It keys on (communicator ctx, world src) and remembers a bounded FIFO
-// window of recently committed sequence numbers — membership, not a
-// high-water mark, because interleaved chunk streams commit out of
-// sequence-number order.
-type seqDeduper struct {
-	mu    sync.Mutex
-	peers map[uint64]*seqRing
-}
-
-const seqRingSize = 1024
-
-type seqRing struct {
-	set  map[uint64]struct{}
-	fifo [seqRingSize]uint64
-	n    int
-}
-
-func dedupeKey(ctx uint32, src int) uint64 {
-	return uint64(ctx)<<32 | uint64(uint32(src))
-}
-
-func (d *seqDeduper) ring(ctx uint32, src int) *seqRing {
-	if d.peers == nil {
-		d.peers = make(map[uint64]*seqRing)
-	}
-	k := dedupeKey(ctx, src)
-	r := d.peers[k]
-	if r == nil {
-		r = &seqRing{set: make(map[uint64]struct{}, seqRingSize)}
-		d.peers[k] = r
-	}
-	return r
-}
-
-// commit records seq as delivered; it returns false when seq was already
-// committed (the frame is a replay and must be dropped).
-func (d *seqDeduper) commit(ctx uint32, src int, seq uint64) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	r := d.ring(ctx, src)
-	if _, dup := r.set[seq]; dup {
-		return false
-	}
-	if r.n >= seqRingSize {
-		delete(r.set, r.fifo[r.n%seqRingSize])
-	}
-	r.fifo[r.n%seqRingSize] = seq
-	r.n++
-	r.set[seq] = struct{}{}
-	return true
-}
-
-// committed reports whether seq was already delivered, without recording
-// it — used at chunk-stream open so a stream that never completes never
-// poisons the window.
-func (d *seqDeduper) committed(ctx uint32, src int, seq uint64) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, dup := d.ring(ctx, src).set[seq]
-	return dup
 }
 
 // TCPEndpoint is one rank's attachment point to a TCP-transported world.
@@ -347,17 +192,12 @@ type TCPEndpoint struct {
 	backpressure atomic.Int64
 	sendqSat     atomic.Int64
 	queueDepth   atomic.Int64
-	dupsDropped  atomic.Int64
 
 	// flight is the attached flight recorder (nil = detached) and
 	// selfRank the world rank Join assigned this endpoint, for event
 	// attribution on the read/write loops.
 	flight   atomic.Pointer[obs.FlightRecorder]
 	selfRank atomic.Int32
-
-	// ded deduplicates sequenced frames across this endpoint's inbound
-	// connections.
-	ded seqDeduper
 
 	obsOut          atomic.Pointer[obs.Counter]
 	obsIn           atomic.Pointer[obs.Counter]
@@ -391,7 +231,6 @@ func (ep *TCPEndpoint) Stats() TCPStats {
 		BackpressureEvents: ep.backpressure.Load(),
 		SendqSaturation:    ep.sendqSat.Load(),
 		SendQueueDepth:     ep.queueDepth.Load(),
-		DupFramesDropped:   ep.dupsDropped.Load(),
 	}
 }
 
@@ -469,16 +308,14 @@ func (ep *TCPEndpoint) queueDepthAdd(n int64) {
 }
 
 // NewTCPEndpoint binds a listener on bind (e.g. "127.0.0.1:0") and starts
-// accepting peer connections. At most one TCPOptions may be passed; with
-// none, the process-wide defaults apply (see SetDefaultTCPOptions).
-func NewTCPEndpoint(bind string, opts ...TCPOptions) (*TCPEndpoint, error) {
-	o := DefaultTCPOptions()
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
+// accepting peer connections.
+func NewTCPEndpoint(bind string) (*TCPEndpoint, error) {
+	return newTCPEndpoint(bind, defaultTCPConfig)
+}
+
+// newTCPEndpoint is NewTCPEndpoint on the wire geometry cfg; Launch passes
+// its own, and tests pass small ones.
+func newTCPEndpoint(bind string, cfg tcpConfig) (*TCPEndpoint, error) {
 	l, err := net.Listen("tcp", bind)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: tcp listen: %w", err)
@@ -486,7 +323,7 @@ func NewTCPEndpoint(bind string, opts ...TCPOptions) (*TCPEndpoint, error) {
 	ep := &TCPEndpoint{
 		listener: l,
 		box:      newMailbox(),
-		cfg:      o.resolve(),
+		cfg:      cfg,
 		stop:     make(chan struct{}),
 		peers:    map[int]*tcpPeer{},
 		inbound:  map[net.Conn]struct{}{},
@@ -527,8 +364,6 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 		src = int(binary.LittleEndian.Uint32(pre[:]))
 	}
 	dec := newFrameDecoder(ep.box, src, maxSingleFrame, maxChunkTotal, maxInboundChunks)
-	dec.ded = &ep.ded
-	dec.onDup = func() { ep.dupsDropped.Add(1) }
 	dec.ep = ep
 	defer func() {
 		conn.Close()
@@ -685,7 +520,7 @@ func (p *tcpPeer) enqueue(e envelope) error {
 		})
 	}
 	if p.warned.CompareAndSwap(false, true) {
-		obs.Warnf("mpi: tcp send queue to rank %d saturated (cap %d frames); backpressure engaged — slow consumer or undersized SendQueueLen",
+		obs.Warnf("mpi: tcp send queue to rank %d saturated (cap %d frames); backpressure engaged — slow consumer",
 			p.rank, cap(p.queue))
 	}
 	if e.cancel != nil {
@@ -862,7 +697,7 @@ func (p *tcpPeer) writeLoop() {
 		// slot at the receiver so matching order is preserved.
 		for _, e := range items {
 			n := e.size()
-			if cfg.chunk && n > cfg.chunkThreshold {
+			if n > cfg.chunkThreshold {
 				// Only data-backed payloads stream: a typed message this
 				// large was packed into an arena wire before it was queued.
 				s := &outStream{e: e, id: p.nextStream, seq: e.seq}
@@ -1008,26 +843,11 @@ func (t *tcpTransport) send(dst int, e envelope) error {
 	if dst < 0 || dst >= len(t.addrs) {
 		return fmt.Errorf("mpi: tcp world rank %d out of range", dst)
 	}
-	if err := checkFrameSize(len(e.data), &t.ep.cfg); err != nil {
-		return err
-	}
 	p, err := t.ep.dial(dst, t.addrs[dst])
 	if err != nil {
 		return err
 	}
 	return p.enqueue(e)
-}
-
-// checkFrameSize rejects messages that cannot be expressed on the wire:
-// a payload that will travel as a single frame must fit the header's u32
-// length field. Chunked messages have no such limit (the decoder's
-// maxChunkTotal bounds them instead).
-func checkFrameSize(n int, cfg *tcpConfig) error {
-	chunked := cfg.chunk && n > cfg.chunkThreshold
-	if !chunked && uint64(n) > maxSingleFrame {
-		return fmt.Errorf("mpi: %d-byte message with chunked streaming disabled: %w", n, ErrFrameTooLarge)
-	}
-	return nil
 }
 
 // sendTyped implements the typedSender capability by lending, from
@@ -1040,17 +860,13 @@ func checkFrameSize(n int, cfg *tcpConfig) error {
 // Smaller messages are copied or packed and queued, so a storm of them
 // still coalesces without the sender waiting.
 func (t *tcpTransport) sendTyped(dst int, e envelope, parts []Part, n int) (bool, error) {
-	cfg := &t.ep.cfg
 	if e.cancel != nil || n < readBufSize {
 		return false, nil
 	}
 	if parts == nil {
-		if err := checkFrameSize(n, cfg); err != nil {
-			return true, err
-		}
 		return true, t.lend(dst, e, nil, 0)
 	}
-	if cfg.chunk && n > cfg.chunkThreshold || uint64(n) > maxSingleFrame {
+	if n > t.ep.cfg.chunkThreshold {
 		return false, nil
 	}
 	return true, t.lend(dst, e, parts, n)
@@ -1132,16 +948,10 @@ type frameDecoder struct {
 	maxTotal   uint64
 	maxStreams int
 	streams    map[uint32]*inStream
-	// ded, when non-nil, drops sequenced frames (v3) whose sequence
-	// number was already delivered — the duplicates a fault injector
-	// replays.
-	ded *seqDeduper
-	// onDup, when non-nil, is called once per dropped replay.
-	onDup func()
 	// src is the world rank whose frames the connection carries.
 	src int
 	// ep, when non-nil, is the owning endpoint — the decoder counts every
-	// frame on it and mirrors frame/chunk/dup events into its flight
+	// frame on it and mirrors frame and chunk events into its flight
 	// recorder when one is attached. Standalone decoders (tests, fuzzing)
 	// leave it nil.
 	ep *TCPEndpoint
@@ -1178,9 +988,10 @@ func (d *frameDecoder) countIn(wire int64, chunk bool) {
 	}
 }
 
-// chunkSink is where decoded messages land; satisfied by *mailbox.
+// chunkSink is where decoded messages land; satisfied by *mailbox. put
+// reports false for a replay of a sequenced message already delivered.
 type chunkSink interface {
-	put(e envelope)
+	put(e envelope) bool
 	complete(p *chunkPending)
 	removePending(p *chunkPending)
 }
@@ -1188,12 +999,11 @@ type chunkSink interface {
 // inStream is a chunk stream being reassembled. The envelope (and the
 // arena buffer its data field points to) is already pinned in the
 // mailbox; fill tracks how much of it has arrived. A discard stream (a
-// replay of an already-delivered message) reassembles into a throwaway
-// buffer and is never pinned.
+// replay the mailbox rejected) still reassembles, to keep the wire in
+// sync, and its buffer is recycled once complete.
 type inStream struct {
 	env     envelope
 	fill    int
-	seq     uint64
 	discard bool
 }
 
@@ -1271,23 +1081,11 @@ func (d *frameDecoder) readFrame(r io.Reader) (typ byte, err error) {
 			}
 		}
 		d.countIn(int64(tcpFrameHeader+extLen+n), false)
-		if typ == frameMsgSeq && d.ded != nil && !d.ded.commit(ctx, src, seq) {
-			// Replay of a frame already delivered on a previous connection.
-			PutBuffer(data)
-			if d.onDup != nil {
-				d.onDup()
-			}
-			d.recordFlight(obs.FlightEvent{
-				Kind: obs.FlightDup, Peer: int32(src), Tag: int32(tag), Seq: seq,
-				Round: int32(tc.Round), Exchange: tc.Exchange, Bytes: int64(n),
-			})
-			return typ, nil
-		}
 		d.recordFlight(obs.FlightEvent{
 			Kind: obs.FlightFrameIn, Peer: int32(src), Tag: int32(tag), Seq: seq,
 			Round: int32(tc.Round), Exchange: tc.Exchange, Bytes: int64(n),
 		})
-		d.sink.put(envelope{ctx: ctx, src: src, tag: tag, data: data, tc: tc})
+		d.sink.put(envelope{ctx: ctx, src: src, tag: tag, seq: seq, data: data, tc: tc})
 		return typ, nil
 
 	case frameChunk, frameChunkSeq:
@@ -1326,26 +1124,19 @@ func (d *frameDecoder) readFrame(r io.Reader) (typ byte, err error) {
 				return typ, fmt.Errorf("%w: more than %d concurrent chunk streams", errTCPProto, d.maxStreams)
 			}
 			st = &inStream{env: envelope{
-				ctx: ctx, src: src, tag: tag,
+				ctx: ctx, src: src, tag: tag, seq: seq,
 				data: GetBuffer(int(total)),
 				pend: &chunkPending{},
 				tc:   tc,
-			}, seq: seq}
-			if typ == frameChunkSeq && d.ded != nil && d.ded.committed(ctx, src, seq) {
-				// Replay of a stream that already completed: reassemble to
-				// keep the wire in sync, then throw the payload away.
-				st.discard = true
-			}
+			}}
 			d.streams[stream] = st
 			d.recordFlight(obs.FlightEvent{
 				Kind: obs.FlightChunkStart, Peer: int32(src), Tag: int32(tag), Seq: seq,
 				Round: int32(tc.Round), Exchange: tc.Exchange, Bytes: int64(total),
 			})
-			if !st.discard {
-				// Pin the message's matching position now; it becomes
-				// matchable when the last chunk lands.
-				d.sink.put(st.env)
-			}
+			// Pin the message's matching position now; it becomes
+			// matchable when the last chunk lands.
+			st.discard = !d.sink.put(st.env)
 		} else if st.env.ctx != ctx || st.env.src != src || st.env.tag != tag || uint64(len(st.env.data)) != total {
 			return typ, fmt.Errorf("%w: chunk stream %d changed identity mid-flight", errTCPProto, stream)
 		}
@@ -1370,34 +1161,15 @@ func (d *frameDecoder) readFrame(r io.Reader) (typ byte, err error) {
 	}
 }
 
-// finishStream commits a fully reassembled stream: discarded replays are
-// recycled, and a replay that raced in through another connection after
-// this stream was pinned is unpinned again.
+// finishStream commits a fully reassembled stream; a discarded replay is
+// recycled instead.
 func (d *frameDecoder) finishStream(st *inStream) {
 	if st.discard {
 		PutBuffer(st.env.data)
-		if d.onDup != nil {
-			d.onDup()
-		}
-		d.recordFlight(obs.FlightEvent{
-			Kind: obs.FlightDup, Peer: int32(st.env.src), Tag: int32(st.env.tag), Seq: st.seq,
-			Round: int32(st.env.tc.Round), Exchange: st.env.tc.Exchange, Bytes: int64(len(st.env.data)),
-		})
-		return
-	}
-	if st.seq != 0 && d.ded != nil && !d.ded.commit(st.env.ctx, st.env.src, st.seq) {
-		d.sink.removePending(st.env.pend)
-		if d.onDup != nil {
-			d.onDup()
-		}
-		d.recordFlight(obs.FlightEvent{
-			Kind: obs.FlightDup, Peer: int32(st.env.src), Tag: int32(st.env.tag), Seq: st.seq,
-			Round: int32(st.env.tc.Round), Exchange: st.env.tc.Exchange, Bytes: int64(len(st.env.data)),
-		})
 		return
 	}
 	d.recordFlight(obs.FlightEvent{
-		Kind: obs.FlightChunkDone, Peer: int32(st.env.src), Tag: int32(st.env.tag), Seq: st.seq,
+		Kind: obs.FlightChunkDone, Peer: int32(st.env.src), Tag: int32(st.env.tag), Seq: st.env.seq,
 		Round: int32(st.env.tc.Round), Exchange: st.env.tc.Exchange, Bytes: int64(len(st.env.data)),
 	})
 	d.sink.complete(st.env.pend)
@@ -1425,14 +1197,14 @@ func (d *frameDecoder) cleanup() {
 // before reaching the socket, and a severed link notifies the
 // destination rank's mailbox so blocked receivers fail with ErrPeerLost
 // instead of hanging.
-func launchTCP(n int, opts TCPOptions, inj FaultInjector, body func(c *Comm) error) error {
+func launchTCP(n int, cfg tcpConfig, inj FaultInjector, body func(c *Comm) error) error {
 	if n <= 0 {
 		return fmt.Errorf("mpi: world size %d must be positive", n)
 	}
 	eps := make([]*TCPEndpoint, n)
 	addrs := make([]string, n)
 	for i := range eps {
-		ep, err := NewTCPEndpoint("127.0.0.1:0", opts)
+		ep, err := newTCPEndpoint("127.0.0.1:0", cfg)
 		if err != nil {
 			for _, prev := range eps[:i] {
 				prev.Close()

@@ -75,7 +75,6 @@ func TestTCPSmallFrameStorm(t *testing.T) {
 // a small threshold so the test stays fast) and checks byte-exact
 // reassembly plus the chunk counters on both sides.
 func TestTCPChunkedPayload(t *testing.T) {
-	opts := TCPOptions{ChunkThreshold: 64 << 10, ChunkSize: 16 << 10}
 	sizes := []int{64<<10 + 1, 200 << 10, 1 << 20}
 	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
@@ -107,7 +106,7 @@ func TestTCPChunkedPayload(t *testing.T) {
 			PutBuffer(data)
 		}
 		return c.Send(0, 99, []byte{1})
-	}, WithTCPOptions(opts))
+	}, withTCP(tcpChunked(64<<10, 16<<10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,6 @@ func TestTCPChunkedPayload(t *testing.T) {
 // tag must be received in send order, even though the small frame
 // physically arrives while the big one is still streaming.
 func TestTCPChunkOrdering(t *testing.T) {
-	opts := TCPOptions{ChunkThreshold: 32 << 10, ChunkSize: 4 << 10}
 	big := 512 << 10
 	err := Launch(2, func(c *Comm) error {
 		const tag = 5
@@ -155,7 +153,7 @@ func TestTCPChunkOrdering(t *testing.T) {
 			return fmt.Errorf("second Recv got %q", second)
 		}
 		return nil
-	}, WithTCPOptions(opts))
+	}, withTCP(tcpChunked(32<<10, 4<<10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +169,6 @@ func TestTCPInterleavedChunkStreams(t *testing.T) {
 		big   = 256 << 10
 		small = 32
 	)
-	opts := TCPOptions{ChunkThreshold: 16 << 10, ChunkSize: 8 << 10}
 	err := Launch(n, func(c *Comm) error {
 		rank := c.Rank()
 		var wg sync.WaitGroup
@@ -234,7 +231,7 @@ func TestTCPInterleavedChunkStreams(t *testing.T) {
 			}
 		}
 		return nil
-	}, WithTCPOptions(opts))
+	}, withTCP(tcpChunked(16<<10, 8<<10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,12 +241,12 @@ func TestTCPInterleavedChunkStreams(t *testing.T) {
 // streaming. The contract is orderly shutdown: Close flushes what it can,
 // force-closes the rest within its timeout, and nothing hangs or panics.
 func TestTCPCloseMidStream(t *testing.T) {
-	opts := TCPOptions{ChunkThreshold: 4 << 10, ChunkSize: 1 << 10}
-	a, err := NewTCPEndpoint("127.0.0.1:0", opts)
+	cfg := tcpChunked(4<<10, 1<<10)
+	a, err := newTCPEndpoint("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewTCPEndpoint("127.0.0.1:0", opts)
+	b, err := newTCPEndpoint("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +394,8 @@ func TestTCPBackpressureWarning(t *testing.T) {
 	prev := obs.SetWarnOutput(&logbuf)
 	defer obs.SetWarnOutput(prev)
 
-	opts := TCPOptions{SendQueueLen: 2, WriteBatch: 2}
+	cfg := defaultTCPConfig
+	cfg.queueLen, cfg.batch = 2, 2
 	var stats TCPStats
 	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
@@ -419,7 +417,7 @@ func TestTCPBackpressureWarning(t *testing.T) {
 			PutBuffer(data)
 		}
 		return nil
-	}, WithTCPOptions(opts))
+	}, withTCP(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,25 +430,6 @@ func TestTCPBackpressureWarning(t *testing.T) {
 	}
 	if strings.Count(out, "saturated") != 1 {
 		t.Fatalf("saturation warned more than once per peer:\n%s", out)
-	}
-}
-
-// TestTCPFrameTooLarge checks the single-frame wire-format guard that
-// remains when chunked streaming is disabled: a payload whose length
-// cannot be expressed in the header's u32 field is rejected with a typed
-// error instead of being silently truncated on the wire.
-func TestTCPFrameTooLarge(t *testing.T) {
-	noChunk := TCPOptions{ChunkThreshold: -1}.resolve()
-	chunked := TCPOptions{}.resolve()
-	over := int(maxSingleFrame) + 1
-	if err := checkFrameSize(over, &noChunk); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("got %v, want ErrFrameTooLarge", err)
-	}
-	if err := checkFrameSize(over, &chunked); err != nil {
-		t.Fatalf("chunked path rejected a large message: %v", err)
-	}
-	if err := checkFrameSize(4096, &noChunk); err != nil {
-		t.Fatalf("small frame rejected: %v", err)
 	}
 }
 
@@ -508,12 +487,13 @@ type recycleSink struct {
 	last      envelope
 }
 
-func (s *recycleSink) put(e envelope) {
+func (s *recycleSink) put(e envelope) bool {
 	s.msgs++
 	s.last = e
 	if e.pend == nil {
 		PutBuffer(e.data)
 	}
+	return true
 }
 
 func (s *recycleSink) complete(p *chunkPending) {

@@ -18,7 +18,8 @@ func TestTCPSendqSaturationCounter(t *testing.T) {
 	prev := obs.SetWarnOutput(&logbuf)
 	defer obs.SetWarnOutput(prev)
 
-	opts := TCPOptions{SendQueueLen: 2, WriteBatch: 2}
+	cfg := defaultTCPConfig
+	cfg.queueLen, cfg.batch = 2, 2
 	var stats TCPStats
 	var counted int64
 	err := Launch(2, func(c *Comm) error {
@@ -45,7 +46,7 @@ func TestTCPSendqSaturationCounter(t *testing.T) {
 			PutBuffer(data)
 		}
 		return nil
-	}, WithTCPOptions(opts))
+	}, withTCP(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestTCPTraceContextRoundTrip(t *testing.T) {
 		}
 		PutBuffer(data)
 		return nil
-	}, WithTCPOptions(TCPOptions{}))
+	}, WithTransport(TransportTCP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,6 @@ func TestTCPTraceContextRoundTrip(t *testing.T) {
 func TestTCPTraceContextChunked(t *testing.T) {
 	const exch = uint64(0x1122334455667788)
 	var recvFlight *obs.FlightRecorder
-	opts := TCPOptions{ChunkThreshold: 1 << 10, ChunkSize: 1 << 10}
 	err := Launch(2, func(c *Comm) error {
 		rank := c.Rank()
 		if rank == 0 {
@@ -145,7 +145,7 @@ func TestTCPTraceContextChunked(t *testing.T) {
 		}
 		PutBuffer(data)
 		return nil
-	}, WithTCPOptions(opts))
+	}, withTCP(tcpChunked(1<<10, 1<<10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestTCPUntracedWireIdentical(t *testing.T) {
 				PutBuffer(data)
 			}
 			return c.Send(0, 1, []byte{1})
-		}, WithTCPOptions(TCPOptions{}))
+		}, WithTransport(TransportTCP))
 		if err != nil {
 			t.Fatal(err)
 		}

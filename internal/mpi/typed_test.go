@@ -62,7 +62,7 @@ func typedCases() []typedCase {
 		{"contig/64KiB-4", contig(readBufSize - 4)},
 		{"contig/64KiB+4", contig(readBufSize + 4)},
 		{"contig/300KiB", contig(300 << 10)},
-		{"contig/1MiB+4KiB", contig(defaultChunkThreshold + 4096)},
+		{"contig/1MiB+4KiB", contig(tcpChunkThreshold + 4096)},
 		{"strided2d/200B", strided2(10, 5)},
 		{"strided2d/62.5KiB", strided2(500, 32)},
 		{"strided2d/64.5KiB", strided2(500, 33)},
@@ -260,7 +260,10 @@ func TestTCPWriterDeathReleasesBorrowedSend(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ln.Close()
-			ep, err := NewTCPEndpoint("127.0.0.1:0", TCPOptions{ChunkThreshold: -1, SendBufSize: 4096})
+			// One frame, not a chunk stream, from a 4 KiB socket buffer.
+			cfg := tcpChunked(2*n, tcpChunkSize)
+			cfg.sndbuf = 4096
+			ep, err := newTCPEndpoint("127.0.0.1:0", cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

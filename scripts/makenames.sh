@@ -15,6 +15,11 @@
 # doc cannot point a reader at a test that is gone. It prints the file and
 # line of each stale name.
 #
+# Last it checks the docs' command lines: every -flag on a line that runs
+# `go run ./cmd/<bin>` must be one that binary's -h lists, so a doc cannot
+# show a command that fails with "flag provided but not defined". The
+# command ends at a backtick, a '|', ';' or '&', or a '#' comment.
+#
 # Usage: bash scripts/makenames.sh [Makefile [doc ...]]   (GO overrides the go binary)
 set -euo pipefail
 
@@ -94,6 +99,26 @@ if [ ${#docs[@]} -gt 0 ]; then
 				status=1
 			fi
 		done < <(grep -noE '\b(Test|Benchmark|Fuzz|Example)[A-Z0-9_][A-Za-z0-9_]*' "$doc")
+	done
+	for doc in "${docs[@]}"; do
+		while IFS=: read -r line text; do
+			bin=$(grep -oE 'go run \./cmd/[A-Za-z0-9_]+' <<<"$text" | head -1)
+			bin=${bin##*/}
+			flags="$lists/flags_$bin"
+			if [ ! -f "$flags" ]; then
+				"$go" build -o "$lists/$bin" "./cmd/$bin"
+				{ "$lists/$bin" -h 2>&1 || true; } | grep -oE '^  -[A-Za-z0-9_.-]+' | sed 's/^  //' >"$flags"
+			fi
+			cmd=${text#*go run ./cmd/$bin}
+			cmd=${cmd%%[\`|;&]*}
+			cmd=${cmd%%#*}
+			for name in $(grep -oE '(^|[[:space:]])--?[A-Za-z][A-Za-z0-9_.-]*' <<<"$cmd" | sed -E 's/^[[:space:]]*-+//'); do
+				if ! grep -qx -- "-$name" "$flags"; then
+					echo "$doc:$line: '-$name' is not a flag of ./cmd/$bin" >&2
+					status=1
+				fi
+			done
+		done < <(grep -nE 'go run \./cmd/[A-Za-z0-9_]+' "$doc")
 	done
 fi
 exit "$status"
