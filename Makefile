@@ -62,7 +62,7 @@ verify: names chaos
 	$(GO) test -run 'TestPipelineHarnessCatchesPlantedBug' ./internal/core/
 	$(GO) test -run 'TestBorrowedSendCatchesEarlyDone' ./internal/mpi/
 	$(GO) test -short -run 'TestHarnessCatchesPipelinePlantedBug' ./internal/ddrtest/
-	$(GO) test -run 'TestPosted|TestLandedMatchesEager|TestNobodyWritesAfterReturn|TestShmRingRewind|TestTelemetryPackUnpackObserved|TestDist2DStepMatchesAcrossPaths|TestTypedSendMatchesPacked|TestBorrowedSendScribbleAfterReturn|TestTCPWriterDeathReleasesBorrowedSend|TestStagingHandOffEveryTransport' ./internal/mpi/ ./internal/core/ ./internal/fft/
+	$(GO) test -run 'TestPosted|TestTypedPostMatchesUnpacked|TestLandedMatchesEager|TestNobodyWritesAfterReturn|TestShmRingRewind|TestTelemetryPackUnpackObserved|TestDist2DStepMatchesAcrossPaths|TestTypedSendMatchesPacked|TestBorrowedSendScribbleAfterReturn|TestTCPWriterDeathReleasesBorrowedSend|TestStagingHandOffEveryTransport' ./internal/mpi/ ./internal/core/ ./internal/fft/
 	$(GO) test -run 'TestGoldenPlans|TestGoldenBoundedPlans' ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzShmRingHeader -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTCPFrameDecoder -fuzztime 10s ./internal/mpi/

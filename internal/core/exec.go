@@ -51,36 +51,36 @@ import (
 // rank's mailbox on entry (mpi.Comm.Post, one mpi.Posted per receive
 // message, in step order) and wait blocks on the step's posts — there is
 // no Recv call and no per-receive request or goroutine, cancellable or
-// not. A post names (peer, tag) and, when the message is a single seg
-// whose receive side is contiguous, offers the destination span
-// need[buf][off:off+bytes] itself.
+// not. A post names (peer, tag) and the message's segs as typed parts of
+// the need buffers, the shape a send takes: a contiguous seg as its byte
+// span, a strided one as its datatype.
 //
 // One send call. issue hands every message to mpi.Comm.SendTyped as its
-// segs — a contiguous seg as its byte span of the owned buffer, a strided
-// one as its datatype over that buffer — and the transport, and only the
-// transport, decides where the gather happens and how the post completes:
+// segs, parts of the owned buffers in the same shape, and the transport,
+// and only the transport, decides where the gather happens and how the
+// post completes:
 //
 //   - Landed by the sender's send. On bare inproc, the one transport that
 //     shares the receiver's address space and delivers synchronously, the
-//     send claims the peer's oldest open post when it offers exactly the
-//     message's length, packs the segs straight into the peer's need
-//     buffer and completes the post: one copy end to end, no staging,
-//     nothing to unpack.
+//     send claims the peer's oldest open post when its parts pack to
+//     exactly the message's length, copies the owned rows straight into
+//     the peer's need rows and completes the post: one copy end to end,
+//     strided or not on either side, no staging, nothing to unpack.
 //   - Landed by the ring consumer. On shm the segs are packed straight
 //     from the owned buffers into the ring record, and the receiving
-//     rank's ring consumer copies the record into the posted span when
-//     the post is open and offers exactly its length: one copy per
-//     side, nothing to unpack. Chunk-streamed and fault-injected
-//     messages are eager.
+//     rank's ring consumer unpacks the record into the posted parts when
+//     the post is open and of exactly its length: one copy per side,
+//     nothing to unpack. Chunk-streamed and fault-injected messages are
+//     eager.
 //   - Eager. Otherwise tcp writes the segs' rows of a message from 64 KiB
 //     up straight from the owned buffer into its vectored write, and
-//     everything else (a smaller tcp message, an inproc post not open or
-//     of another length, a fault-injected world, a chunk stream, a
-//     deadline-bounded exchange on tcp) is packed into an arena wire
-//     handed over by ownership. The arriving envelope
-//     completes the oldest matching post, or waits in the mailbox queue
-//     for the post to come and take it, and wait places or batches its
-//     payload.
+//     everything else (a smaller tcp message, an inproc post not open, a
+//     fault-injected world, a chunk stream, a deadline-bounded exchange
+//     on tcp) is packed into an arena wire handed over by ownership. The
+//     arriving envelope completes the oldest matching post, or waits in
+//     the mailbox queue for the post to come and take it, and wait places
+//     its contiguous segs and batches its strided ones for retire to
+//     unpack.
 //
 // The executor stages nothing on the send side. wait sees both kinds of
 // landing alike — the post reports landed and there is nothing to place —
@@ -119,7 +119,7 @@ import (
 // revoked (a message that arrives later stays in the mailbox queue,
 // matchable by whoever receives next), completed ones are recycled, and
 // a post a sender has claimed is waited for, which is bounded by that
-// sender's packing of one message. Nobody writes into the caller's need
+// sender's copy of one message. Nobody writes into the caller's need
 // buffers after its call returned.
 //
 // Partial failure with several steps in flight: a peer lost at step j is
@@ -171,6 +171,7 @@ type message struct {
 	peer, tag int
 	bytes     int // packed size of all segs
 	segs      []seg
+	eager     bool // a receive posted without parts (testhook.go): it never lands
 }
 
 // appendSeg adds sg to the message for peer at the tail of msgs, opening
@@ -228,7 +229,7 @@ type executor struct {
 	meter   mpi.StagingMeter
 	metered bool
 	perturb bool // PerturbPipelineForTest: recycle held payloads early
-	staged  bool // tests only: take no contiguous span, move every region by its datatype
+	staged  bool // tests only: take no contiguous span, land nothing, move every region by its datatype
 
 	timings []RoundTiming
 
@@ -237,16 +238,17 @@ type executor struct {
 	// on hosts without a fast clock source time.Now dominated short steps.
 	clock time.Time
 
-	// parts is the typed send in flight, cleared as soon as it is sent: it
-	// references the caller's memory, and a surviving descriptor must not
-	// keep a dead world's buffers reachable.
-	parts []mpi.Part
-	slots []slot
+	// parts is the typed send in flight, cleared as soon as it is sent, and
+	// recvParts every post's parts, cleared as run returns: both reference
+	// the caller's memory, and a surviving descriptor must not keep a dead
+	// world's buffers reachable.
+	parts, recvParts []mpi.Part
+	slots            []slot
 
 	// posts holds the exchange's posted receives, one per receive message
-	// in step order; the mailbox keeps their addresses, so the slice is
-	// sized once per run. open counts those not yet back from Wait, which
-	// is what the way out has to sweep.
+	// in step order; the mailbox keeps their addresses and they keep their
+	// parts, so both are sized once per run. open counts those not yet
+	// back from Wait, which is what the way out has to sweep.
 	posts []mpi.Posted
 	open  int
 	next  int // posts index of the next step to issue
@@ -305,36 +307,50 @@ func (x *executor) run(ex *exchange, steps []step, k int, own, need [][]byte) er
 		}
 		x.open = 0
 	}
+	clear(x.recvParts)
 	return err
 }
 
-// post posts every receive of the exchange, offering the destination span
-// wherever a message's bytes belong in one contiguous place.
+// post posts every receive of the exchange as its segs' parts of the
+// need buffers.
 func (x *executor) post(ex *exchange, steps []step, need [][]byte) error {
-	total := 0
+	total, segs := 0, 0
 	for i := range steps {
+		for j := range steps[i].recvs {
+			segs += len(steps[i].recvs[j].segs)
+		}
 		total += len(steps[i].recvs)
 	}
 	if cap(x.posts) < total {
 		x.posts = make([]mpi.Posted, total)
 	}
-	x.posts = x.posts[:total]
+	if cap(x.recvParts) < segs {
+		x.recvParts = make([]mpi.Part, segs)
+	}
+	x.posts, x.recvParts = x.posts[:total], x.recvParts[:0]
 	x.open, x.next = 0, 0
 	for i := range steps {
 		for j := range steps[i].recvs {
-			m := &steps[i].recvs[j]
-			var dst []byte
-			if len(m.segs) == 1 && !x.staged && m.segs[0].span.ok {
-				sg := &m.segs[0]
-				dst = need[sg.buf][sg.span.off : sg.span.off+m.bytes]
+			m, at := &steps[i].recvs[j], len(x.recvParts)
+			for k := 0; k < len(m.segs) && !m.eager && !x.staged; k++ {
+				x.recvParts = append(x.recvParts, x.part(&m.segs[k], need))
 			}
-			if err := ex.c.Post(&x.posts[x.open], m.peer, m.tag, dst); err != nil {
+			if err := ex.c.Post(&x.posts[x.open], m.peer, m.tag, x.recvParts[at:]); err != nil {
 				return err
 			}
 			x.open++
 		}
 	}
 	return nil
+}
+
+// part is sg as one part of a typed message over bufs: its byte span when
+// it is contiguous there, its datatype otherwise.
+func (x *executor) part(sg *seg, bufs [][]byte) mpi.Part {
+	if !x.staged && sg.span.ok {
+		return mpi.Part{Buf: bufs[sg.buf][sg.span.off : sg.span.off+sg.span.n]}
+	}
+	return mpi.Part{T: sg.t, Buf: bufs[sg.buf]}
 }
 
 // drive is run's state machine over the ring.
@@ -395,39 +411,12 @@ func (ex *exchange) expired(steps []step, next int) bool {
 	return true
 }
 
-// staging is the meter a budgeted exchange charges its staging to, nil
-// when unmetered.
-func (x *executor) staging() *mpi.StagingMeter {
-	if x.metered {
-		return &x.meter
-	}
-	return nil
-}
-
-// selfMove places one local region without touching the transport. One
-// contiguous side is enough to drop the staging buffer; two reduce the
-// move to a single memmove.
+// selfMove places one local region without touching the transport or
+// staging anything, as an in-process send lands a message: one copy,
+// whichever side is strided (mpi.CopyParts).
 func (x *executor) selfMove(sf *selfMove, own, need [][]byte) {
-	src, dst := own[sf.src.buf], need[sf.dst.buf]
-	ss, ds := sf.src.span, sf.dst.span
-	if x.staged {
-		ss.ok, ds.ok = false, false
-	}
-	n := sf.src.t.PackedSize()
-	switch {
-	case ss.ok && ds.ok:
-		copy(dst[ds.off:ds.off+n], src[ss.off:ss.off+n])
-	case ss.ok:
-		sf.dst.t.Unpack(src[ss.off:ss.off+n], dst)
-	case ds.ok:
-		sf.src.t.Pack(src, dst[ds.off:ds.off+n])
-	default:
-		m := x.staging()
-		wire := mpi.GetBufferMetered(n, m)
-		sf.src.t.Pack(src, wire)
-		sf.dst.t.Unpack(wire, dst)
-		mpi.PutBufferMetered(wire, m)
-	}
+	parts := [2]mpi.Part{x.part(&sf.dst, need), x.part(&sf.src, own)}
+	mpi.CopyParts(parts[:1], parts[1:])
 }
 
 // issue packs and posts one step into slot s: local moves, typed sends,
@@ -477,22 +466,21 @@ func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][
 // send hands m to the transport as one typed message over the owned
 // buffers — a contiguous seg as its byte span, a strided one as its
 // datatype — and observes the call as m's pack: wherever the transport
-// writes the bytes (the peer's posted span, its socket, its ring, an
+// writes the bytes (the peer's posted regions, its socket, its ring, an
 // arena wire), that is where they are gathered.
 func (x *executor) send(ex *exchange, m *message, own [][]byte) error {
 	for j := range m.segs {
-		sg := &m.segs[j]
-		if !x.staged && sg.span.ok {
-			x.parts = append(x.parts, mpi.Part{Buf: own[sg.buf][sg.span.off : sg.span.off+sg.span.n]})
-		} else {
-			x.parts = append(x.parts, mpi.Part{T: sg.t, Buf: own[sg.buf]})
-		}
+		x.parts = append(x.parts, x.part(&m.segs[j], own))
 	}
 	var start time.Time
 	if ex.o.on() {
 		start = time.Now()
 	}
-	err := ex.c.SendTyped(ex.ctx, m.peer, m.tag, x.parts, x.staging())
+	var meter *mpi.StagingMeter // a budgeted exchange's, nil when unmetered
+	if x.metered {
+		meter = &x.meter
+	}
+	err := ex.c.SendTyped(ex.ctx, m.peer, m.tag, x.parts, meter)
 	clear(x.parts)
 	x.parts = x.parts[:0]
 	if err == nil && ex.o.on() {
@@ -502,11 +490,11 @@ func (x *executor) send(ex *exchange, m *message, own [][]byte) error {
 }
 
 // wait blocks on the posts of slot s's step until each message has landed
-// or its payload is in hand, placing contiguous segs immediately and
-// batching strided ones into the slot's unpack jobs. It is the only
-// blocking point of the executor; the time spent here is the step's
-// unhidden wire time. windowed says another step may be issued before
-// this one retires.
+// or its payload is in hand, placing an eager payload's contiguous segs
+// immediately and batching its strided ones into the slot's unpack jobs.
+// It is the only blocking point of the executor; the time spent here is
+// the step's unhidden wire time. windowed says another step may be issued
+// before this one retires.
 func (x *executor) wait(ex *exchange, st *step, s *slot, need [][]byte, windowed bool) error {
 	waitStart := x.clock
 	for i := range st.recvs {
@@ -547,12 +535,12 @@ func (x *executor) wait(ex *exchange, st *step, s *slot, need [][]byte, windowed
 		}
 		held, off := false, 0
 		for j := range m.segs {
-			sg := &m.segs[j]
-			n := sg.t.PackedSize()
-			if !x.staged && sg.span.ok {
-				directCopy(ex.o, need[sg.buf][sg.span.off:sg.span.off+n], data[off:off+n], m.peer)
+			p, n := x.part(&m.segs[j], need), m.segs[j].t.PackedSize()
+			job := exchJob{t: p.T, local: p.Buf, wire: data[off : off+n], peer: m.peer}
+			if p.T == nil {
+				job.do(ex.o)
 			} else {
-				s.jobs = append(s.jobs, exchJob{t: sg.t, local: need[sg.buf], wire: data[off : off+n], peer: m.peer})
+				s.jobs = append(s.jobs, job)
 				held = true
 			}
 			off += n
@@ -607,12 +595,14 @@ func (x *executor) retire(ex *exchange, s *slot) {
 	}
 }
 
-// exchJob is one strided unpack of a receive seg, batched in its slot by
-// wait and run by retire. Like every copy of the exchange it runs on the
-// rank's own goroutine: a world's ranks are goroutines of this process,
-// and once they cover the cores — every exchange of the benchmark of
-// record — a pool forked per step buys no parallelism and costs a
-// goroutine set and a WaitGroup per step.
+// exchJob is one unpack of an eager receive seg (tcp, a fault injector,
+// a post not yet open): a strided one is batched in its slot by wait and
+// run by retire; a contiguous one (nil t) wait runs at once, one memmove.
+// Like every copy of the exchange it runs on the rank's own goroutine: a
+// world's ranks are goroutines of this process, and once they cover the
+// cores — every exchange of the benchmark of record — a pool forked per
+// step buys no parallelism and costs a goroutine set and a WaitGroup per
+// step.
 type exchJob struct {
 	t     datatype.Type
 	local []byte
@@ -623,27 +613,18 @@ type exchJob struct {
 // do scatters the job's wire into its local array, observed as an unpack
 // when observation is attached.
 func (j *exchJob) do(o *exchObs) {
-	if !o.on() {
+	var start time.Time
+	if o.on() {
+		start = time.Now()
+	}
+	if j.t == nil {
+		copy(j.local, j.wire)
+	} else {
 		j.t.Unpack(j.wire, j.local)
-		return
 	}
-	start := time.Now()
-	j.t.Unpack(j.wire, j.local)
-	o.observeCopy(start, len(j.wire), j.peer, true)
-}
-
-// directCopy places a payload's contiguous part into its contiguous
-// destination span with one memmove, bypassing the row loop, while still
-// reporting the copy as the unpack it stands for (it is one — just a fast
-// one).
-func directCopy(o *exchObs, dst, src []byte, peer int) {
-	if !o.on() {
-		copy(dst, src)
-		return
+	if o.on() {
+		o.observeCopy(start, len(j.wire), j.peer, true)
 	}
-	start := time.Now()
-	copy(dst, src)
-	o.observeCopy(start, len(src), peer, true)
 }
 
 // observeCopy records one finished pack or unpack of n bytes that began

@@ -29,12 +29,12 @@ func CompileBruteForTest(rank, elemSize int, allChunks [][]grid.Box, allNeeds []
 //
 // The shifted region overlaps its neighbours, which breaks the one thing
 // that lets peers write into this rank's buffer concurrently — the
-// regions of distinct messages are disjoint — so a message landing in a
-// posted span would race with whatever fills the cells the bug made it
+// regions of distinct messages are disjoint — so a message landing in its
+// posted parts would race with whatever fills the cells the bug made it
 // share, and the race detector would fire before the byte comparison
-// these hooks exist to prove. The perturbed list therefore offers no
-// spans: its receive segs all read as strided, every payload arrives
-// eagerly, and this rank alone writes its buffer, misplaced cell included.
+// these hooks exist to prove. The perturbed list's receives are therefore
+// posted without parts: every payload arrives eagerly, and this rank
+// alone writes its buffer, misplaced cell included.
 func shiftRecvSeg(sched []step, elemSize int, base grid.Box) bool {
 	for i := range sched {
 		for _, m := range sched[i].recvs {
@@ -49,7 +49,7 @@ func shiftRecvSeg(sched []step, elemSize int, base grid.Box) bool {
 						}
 						if shifted, err := newSeg(elemSize, base, sg.buf, moved); err == nil {
 							*sg = shifted
-							hideRecvSpans(sched)
+							postEager(sched)
 							return true
 						}
 					}
@@ -60,14 +60,12 @@ func shiftRecvSeg(sched []step, elemSize int, base grid.Box) bool {
 	return false
 }
 
-// hideRecvSpans marks every receive seg of sched as not contiguous, so
-// the executor offers no landing span for it (see shiftRecvSeg).
-func hideRecvSpans(sched []step) {
+// postEager marks every receive of sched to be posted without parts, so
+// no message of it lands (see shiftRecvSeg).
+func postEager(sched []step) {
 	for i := range sched {
-		for _, m := range sched[i].recvs {
-			for j := range m.segs {
-				m.segs[j].span.ok = false
-			}
+		for j := range sched[i].recvs {
+			sched[i].recvs[j].eager = true
 		}
 	}
 }
@@ -102,8 +100,10 @@ func (p *DeltaPlan) PerturbDeltaForTest() bool {
 // payloads back out and the pack overwrites them before the unpack batch
 // reads them — the classic double-buffer lifetime bug a depth-k ring
 // must not have. Exchanges at depth 1 (whose single-slot ring issues
-// nothing between a wait and its retire) or whose payloads all take the
-// contiguous fast path are unaffected. It exists so both the
+// nothing between a wait and its retire) or whose messages all land or
+// take the contiguous fast path are unaffected — so the tests that plant
+// it run where payloads are still held: behind a fault injector, or on
+// tcp. It exists so both the
 // differential sweep and the property harness can prove they detect
 // pipelined buffer-lifetime bugs. Never call outside tests.
 func (d *Descriptor) PerturbPipelineForTest() {

@@ -36,6 +36,8 @@ type Type interface {
 	// local in pack order, to dst — what a vectored write sends in place of
 	// Pack's output.
 	AppendRuns(dst [][]byte, local []byte) [][]byte
+	// Runs returns a cursor over the same runs.
+	Runs(local []byte) Runs
 }
 
 // Subarray addresses a box-shaped sub-region of a local array.
@@ -117,6 +119,11 @@ func (s *Subarray) AppendRuns(dst [][]byte, local []byte) [][]byte {
 	return dst
 }
 
+// Runs implements Type.
+func (s *Subarray) Runs(local []byte) Runs {
+	return Runs{local: local, start: s.start, run: s.run, strideY: s.strideY, strideZ: s.strideZ, ny: s.ny, nz: s.nz}
+}
+
 // Unpack implements Type.
 func (s *Subarray) Unpack(wire []byte, local []byte) int {
 	start, run, strideY, strideZ, ny, nz := s.start, s.run, s.strideY, s.strideZ, s.ny, s.nz
@@ -162,6 +169,27 @@ func (s *Subarray) String() string {
 	return fmt.Sprintf("subarray{%v of %v, %dB elems}", s.Sub, s.Array, s.ElemSize)
 }
 
+// Runs is a cursor over a region's contiguous byte runs, sub-slices of
+// the local array in pack order: what AppendRuns lists, one at a time and
+// without the list. The zero value has no runs.
+type Runs struct {
+	local                                []byte
+	start, run, strideY, strideZ, ny, nz int
+	y, z                                 int
+}
+
+// Next returns the next run, or nil after the last.
+func (r *Runs) Next() []byte {
+	if r.z == r.nz {
+		return nil
+	}
+	at := r.start + r.z*r.strideZ + r.y*r.strideY
+	if r.y++; r.y == r.ny {
+		r.y, r.z = 0, r.z+1
+	}
+	return r.local[at : at+r.run]
+}
+
 // Contiguous is a Type covering an entire contiguous byte range — the
 // degenerate datatype used for already-linear payloads such as streamed
 // simulation slabs.
@@ -193,6 +221,14 @@ func (c Contiguous) AppendRuns(dst [][]byte, local []byte) [][]byte {
 	return append(dst, local[:c.Bytes])
 }
 
+// Runs implements Type.
+func (c Contiguous) Runs(local []byte) Runs {
+	if c.Bytes == 0 {
+		return Runs{}
+	}
+	return Runs{local: local, run: c.Bytes, ny: 1, nz: 1}
+}
+
 // Empty is a zero-size Type used for peers that exchange no data in a
 // given round (the alltoallw slots MPI would fill with zero counts).
 type Empty struct{}
@@ -211,3 +247,6 @@ func (Empty) ContiguousSpan() (off, n int, ok bool) { return 0, 0, true }
 
 // AppendRuns implements Type.
 func (Empty) AppendRuns(dst [][]byte, _ []byte) [][]byte { return dst }
+
+// Runs implements Type.
+func (Empty) Runs([]byte) Runs { return Runs{} }

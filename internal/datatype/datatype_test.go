@@ -224,7 +224,8 @@ func randomSubarray(rng *rand.Rand) *Subarray {
 
 // TestAppendRunsMatchesPack: for every Type, the runs AppendRuns lists,
 // concatenated, are exactly Pack's wire bytes — what a vectored write of
-// the runs puts on the wire — and each run aliases local.
+// the runs puts on the wire — each run aliases local, and the Runs cursor
+// returns the same runs in the same order.
 func TestAppendRunsMatchesPack(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	check := func(name string, ty Type, local []byte) {
@@ -233,12 +234,19 @@ func TestAppendRunsMatchesPack(t *testing.T) {
 		ty.Pack(local, want)
 		lo := uintptr(unsafe.Pointer(&local[0]))
 		var got []byte
-		for _, run := range ty.AppendRuns(nil, local) {
+		cursor := ty.Runs(local)
+		for i, run := range ty.AppendRuns(nil, local) {
 			at := uintptr(unsafe.Pointer(unsafe.SliceData(run)))
 			if len(run) == 0 || at < lo || at+uintptr(len(run)) > lo+uintptr(len(local)) {
 				t.Fatalf("%s: run of %d bytes does not alias local", name, len(run))
 			}
+			if next := cursor.Next(); len(next) != len(run) || unsafe.SliceData(next) != unsafe.SliceData(run) {
+				t.Fatalf("%s: Runs cursor's run %d differs from AppendRuns'", name, i)
+			}
 			got = append(got, run...)
+		}
+		if cursor.Next() != nil {
+			t.Fatalf("%s: Runs cursor has runs past AppendRuns' last", name)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: runs carry %d bytes, pack %d, or they differ", name, len(got), len(want))
@@ -255,6 +263,9 @@ func TestAppendRunsMatchesPack(t *testing.T) {
 	check("contiguous", Contiguous{Bytes: 40}, local)
 	if runs := (Empty{}).AppendRuns(nil, local); len(runs) != 0 {
 		t.Fatalf("Empty lists %d runs", len(runs))
+	}
+	if cursor := (Empty{}).Runs(local); cursor.Next() != nil {
+		t.Fatal("Empty's Runs cursor has a run")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ddr/internal/chaos"
 	"ddr/internal/core"
 )
 
@@ -122,10 +123,12 @@ func TestPipelinedProperty(t *testing.T) {
 // on rank 0 — its held receive payloads recycled to the staging arena
 // one round early, so a later round's pack staging overwrites them
 // before they are scattered — must surface as a fill-invariant
-// violation on at least one generated case. Cases whose payloads all
-// ride the contiguous fast path (never held) or whose round count never
-// exceeds the depth are legitimately inert, so the test sweeps seeds
-// until the bug bites.
+// violation on at least one generated case. The worlds run behind a
+// fault injector that injects nothing, where every payload is eager: on
+// bare inproc a strided receive lands in its posted parts and leaves no
+// payload to hold. Cases whose payloads all ride the contiguous fast path
+// (never held) or whose round count never exceeds the depth are
+// legitimately inert, so the test sweeps seeds until the bug bites.
 func TestHarnessCatchesPipelinePlantedBug(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the planted bug is a real buffer-lifetime data race; the detector fires before the invariant check can prove its teeth — make verify runs this test without -race")
@@ -134,6 +137,7 @@ func TestHarnessCatchesPipelinePlantedBug(t *testing.T) {
 	for seed := uint64(1); seed <= 80 && !caught; seed++ {
 		tc := GenCase(seed, core.ModePointToPoint, *flagMaxProcs, *flagMaxExtent)
 		results, err := tc.Run(RunOptions{
+			Injector:         chaos.New(chaos.Options{}),
 			PipelineDepth:    2,
 			MutateDescriptor: (*core.Descriptor).PerturbPipelineForTest,
 		})

@@ -382,16 +382,18 @@ func TestDDRTransposeMatchesHand(t *testing.T) {
 }
 
 // TestDist2DStepMatchesAcrossPaths runs the same timestep where the
-// transposes' messages take different paths — bare inproc (senders pack
-// into posted spans), shm (every send zero-copy into a ring, the ring
-// consumer copies into posted spans) and the ModeAlltoallw reference —
+// transposes' messages take different paths — bare inproc (senders copy
+// into posted regions), shm (every send zero-copy into a ring, the ring
+// consumer unpacks into posted regions) and the ModeAlltoallw reference —
 // and requires bitwise-identical pencils after Forward and rows after
-// Inverse.
+// Inverse. The inverse transpose receives strided column blocks, which
+// must land on inproc and on shm as the forward's contiguous ones do.
 func TestDist2DStepMatchesAcrossPaths(t *testing.T) {
 	const n, nProcs, nb = 32, 4, 2
 	global := globalInput(n)
-	run := func(launch []mpi.LaunchOption, opts ...core.Option) (pencils, rows [][]byte) {
+	run := func(launch []mpi.LaunchOption, opts ...core.Option) (pencils, rows [][]byte, inverseLanded int64) {
 		pencils, rows = make([][]byte, nProcs), make([][]byte, nProcs)
+		landed := make([]int64, nProcs)
 		err := mpi.Launch(nProcs, func(c *mpi.Comm) error {
 			d, err := NewDist2D(c, n, nb, opts...)
 			if err != nil {
@@ -403,24 +405,29 @@ func TestDist2DStepMatchesAcrossPaths(t *testing.T) {
 				return err
 			}
 			pencils[c.Rank()] = append([]byte(nil), complexBytes(d.Pencils())...)
+			c.ResetTraffic()
 			if err := d.Inverse(c); err != nil {
 				return err
 			}
+			landed[c.Rank()] = c.Traffic().MessagesLanded
 			rows[c.Rank()] = append([]byte(nil), complexBytes(d.Rows())...)
 			return nil
 		}, launch...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pencils, rows
+		for _, l := range landed {
+			inverseLanded += l
+		}
+		return pencils, rows, inverseLanded
 	}
 	bare := []mpi.LaunchOption{mpi.WithFaultInjector(nil)}
-	refPencils, refRows := run(bare, core.WithExchangeMode(core.ModeAlltoallw))
+	refPencils, refRows, _ := run(bare, core.WithExchangeMode(core.ModeAlltoallw))
 	for name, launch := range map[string][]mpi.LaunchOption{
 		"inproc": bare,
 		"shm":    {mpi.WithTransport(mpi.TransportShm), mpi.WithFaultInjector(nil)},
 	} {
-		pencils, rows := run(launch)
+		pencils, rows, landed := run(launch)
 		for r := 0; r < nProcs; r++ {
 			if !bytes.Equal(pencils[r], refPencils[r]) {
 				t.Errorf("%s: rank %d pencils differ from ModeAlltoallw's", name, r)
@@ -428,6 +435,9 @@ func TestDist2DStepMatchesAcrossPaths(t *testing.T) {
 			if !bytes.Equal(rows[r], refRows[r]) {
 				t.Errorf("%s: rank %d rows after Inverse differ from ModeAlltoallw's", name, r)
 			}
+		}
+		if landed == 0 {
+			t.Errorf("%s: no message of the inverse transpose landed", name)
 		}
 	}
 }

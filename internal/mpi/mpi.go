@@ -532,7 +532,7 @@ func (c *Comm) checkRank(rank int) error {
 // non-negative (negative tags are reserved for collectives). The caller
 // may reuse the buffer as soon as Send returns and Send never waits for
 // the receiver: on bare inproc it lands in the receiver's open post of
-// exactly its length, on shm (every size) and tcp (from readBufSize up)
+// exactly its packed size, on shm (every size) and tcp (from readBufSize up)
 // the transport writes straight from the caller's buffer and Send blocks
 // until it has, and otherwise it is copied into an arena wire and queued.
 func (c *Comm) Send(dst, tag int, data []byte) error {
@@ -553,10 +553,7 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 func (c *Comm) send(cancel <-chan struct{}, dst, tag int, data []byte, parts []Part, meter *StagingMeter) error {
 	n := len(data)
 	if parts != nil {
-		n = 0
-		for i := range parts {
-			n += parts[i].size()
-		}
+		n = partsSize(parts)
 	}
 	dstWorld := c.group[dst]
 	tc, start := c.sendBegin(dstWorld, tag, n)
@@ -774,12 +771,13 @@ func (t *inprocTransport) send(dst int, e envelope) error {
 }
 
 // sendTyped implements the typedSender capability by landing: it takes
-// the receiver's oldest open post for this message when that post offers
-// a span of exactly n > 0 bytes, packs the payload straight into it and
-// completes the post — one copy end to end, no arena wire. Only bare
-// inproc may: delivery here is synchronous, so none of this sender's
-// earlier messages can still be in flight behind a claim that jumps the
-// queue. Any other case is not handled, and the message is queued.
+// the receiver's oldest open post for this message when that post's parts
+// pack to exactly n > 0 bytes, copies the payload straight into them and
+// completes the post — one copy end to end, no arena wire, whether either
+// side is strided or not. Only bare inproc may: delivery here is
+// synchronous, so none of this sender's earlier messages can still be in
+// flight behind a claim that jumps the queue. Any other case is not
+// handled, and the message is queued.
 func (t *inprocTransport) sendTyped(dst int, e envelope, parts []Part, n int) (bool, error) {
 	if n == 0 || dst < 0 || dst >= len(t.w.boxes) {
 		return false, nil
@@ -789,11 +787,7 @@ func (t *inprocTransport) sendTyped(dst int, e envelope, parts []Part, n int) (b
 	if p == nil {
 		return false, nil
 	}
-	if parts == nil {
-		copy(p.dst, e.data)
-	} else {
-		packParts(p.dst, parts)
-	}
+	p.land(e.data, parts)
 	box.commit(p, e.tc)
 	return true, nil
 }

@@ -9,14 +9,16 @@ import (
 // Posted receives: the mailbox's second queue. A receiver may announce a
 // receive before its message exists; the mailbox then hands the arriving
 // envelope to the post instead of queueing it, and the payload may land
-// straight in the destination span the receiver offered, in one of two
-// ways: on a transport that shares the receiver's address space and
-// delivers synchronously (bare inproc) the sender's typed send claims the
-// post and packs into the span, so the message is never staged at all;
-// on shm the receiving rank's ring consumer claims it and copies the
-// ring record into the span, so no arena payload exists. Either way
-// mailbox.claim takes the post and mailbox.commit completes it; nothing
-// outside the transports reaches them.
+// straight in the regions the receiver posted — ordered (datatype,
+// buffer) parts, the shape SendTyped takes — in one of two ways: on a
+// transport that shares the receiver's address space and delivers
+// synchronously (bare inproc) the sender's typed send claims the post and
+// copies its parts' runs into the posted parts' runs, so the message is
+// never staged at all; on shm the receiving rank's ring consumer claims
+// it and unpacks the ring record into the posted parts, so no arena
+// payload exists. Either way mailbox.claim takes the post and
+// mailbox.commit completes it; nothing outside the transports reaches
+// them.
 //
 // Matching is FIFO per (communicator, source, tag) on both sides: an
 // arriving envelope completes the oldest open post that accepts it, a new
@@ -35,7 +37,7 @@ const (
 	postIdle    postState = iota // not registered; free to Post
 	postOpen                     // in mailbox.posts: matchable, claimable, revocable
 	postBound                    // pinned to a chunk-reassembling envelope in the queue
-	postClaimed                  // a sender or the shm consumer is writing into dst; not revocable
+	postClaimed                  // a sender or the shm consumer is writing into parts; not revocable
 	postDone                     // completed or failed; one signal waits in done
 )
 
@@ -47,7 +49,8 @@ type Posted struct {
 	c     *Comm
 	src   int    // world rank, or AnySource
 	tag   int    // or AnyTag
-	dst   []byte // landing span offered to the transport; nil offers none
+	parts []Part // the regions a message may land in; nil offers none
+	n     int    // parts' packed size
 	state postState
 	pend  *chunkPending // the reassembling envelope a bound post is pinned to
 
@@ -73,15 +76,16 @@ func (p *Posted) finish(e envelope, err error) {
 }
 
 // Post registers a receive for a message matching (src, tag) — wildcards
-// allowed — in the caller-owned p. A non-nil dst is the span the payload
-// belongs in: it is only an offer, taken for a message of exactly
-// len(dst) bytes when a sender in this address space claims the post or
-// the shm consumer delivers the message (Wait then reports landed); in
+// allowed — in the caller-owned p. parts are the regions the payload
+// belongs in, in order, exactly as SendTyped takes a message: a nil T
+// takes Buf whole. They are only an offer, taken for a message of exactly
+// their packed size when a sender in this address space claims the post
+// or the shm consumer delivers the message (Wait then reports landed); in
 // every other case the post completes with an arena-backed payload
-// exactly as Recv would return it. The caller must
-// end every post with Wait or Cancel, and must keep dst untouched until
-// then.
-func (c *Comm) Post(p *Posted, src, tag int, dst []byte) error {
+// exactly as Recv would return it, and nil parts offer nothing. The
+// caller must end every post with Wait or Cancel, and must keep parts and
+// the memory they name untouched until then.
+func (c *Comm) Post(p *Posted, src, tag int, parts []Part) error {
 	worldSrc, err := c.resolveSrc(src)
 	if err != nil {
 		return err
@@ -95,7 +99,7 @@ func (c *Comm) Post(p *Posted, src, tag int, dst []byte) error {
 	if p.state != postIdle {
 		return errors.New("mpi: Post on a receive still in flight")
 	}
-	p.c, p.src, p.tag, p.dst = c, worldSrc, tag, dst
+	p.c, p.src, p.tag, p.parts, p.n = c, worldSrc, tag, parts, partsSize(parts)
 	for i := range m.queue {
 		e := &m.queue[i]
 		if !p.accepts(e) || (e.pend != nil && e.pend.post != nil) {
@@ -114,7 +118,7 @@ func (c *Comm) Post(p *Posted, src, tag int, dst []byte) error {
 
 // Wait blocks until the post completes and returns the payload — the
 // caller's to recycle with PutBuffer — or landed=true when a sender or
-// the shm consumer wrote it into the offered span instead. A lost source or closed communicator
+// the shm consumer wrote it into the posted parts instead. A lost source or closed communicator
 // fails it as it would fail Recv. When ctx (nil never cancels) is done
 // first the post is cancelled and ctx.Err() returned; see Cancel.
 func (p *Posted) Wait(ctx context.Context) (data []byte, landed bool, err error) {
@@ -142,13 +146,13 @@ func (p *Posted) wait(ctx context.Context) (envelope, bool, error) {
 
 // consume takes the result out of a done post whose signal the caller has
 // received, counts the receive, and returns p to idle with every
-// reference to the payload and the landing span dropped.
+// reference to the payload and the posted parts dropped.
 func (p *Posted) consume(start time.Time) (envelope, bool, error) {
 	e, landed, err, n := p.env, p.landed, p.err, len(p.env.data)
 	if landed {
-		n = len(p.dst)
+		n = p.n
 	}
-	p.env, p.landed, p.err, p.dst, p.state = envelope{}, false, nil, nil, postIdle
+	p.env, p.landed, p.err, p.parts, p.state = envelope{}, false, nil, nil, postIdle
 	if err == nil {
 		p.c.recvDone(&e, n, start)
 	}
@@ -162,7 +166,7 @@ func (p *Posted) consume(start time.Time) (envelope, bool, error) {
 // by that sender's one pack or the consumer's one copy, and the bytes
 // stay where they landed; a completed post's payload is
 // recycled. It reports whether a message was consumed. Once Cancel
-// returns nobody writes into the offered span any more.
+// returns nobody writes into the posted parts any more.
 func (p *Posted) Cancel() bool {
 	if p.c == nil {
 		return false
@@ -186,16 +190,16 @@ func (p *Posted) Cancel() bool {
 	case postBound:
 		m.unbind(p)
 	}
-	p.dst, p.state = nil, postIdle
+	p.parts, p.state = nil, postIdle
 	m.mu.Unlock()
 	return false
 }
 
-// claim takes the oldest open post accepting id if it offers a span of
+// claim takes the oldest open post accepting id if its parts pack to
 // exactly n bytes. The oldest one decides: skipping it for a later post
 // that fits would break FIFO matching. The claimer — an in-process
-// sender's typed send or the shm consumer delivering id — writes the span
-// and then commits.
+// sender's typed send or the shm consumer delivering id — writes the
+// parts and then commits.
 func (m *mailbox) claim(id envelope, n int) *Posted {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -203,7 +207,7 @@ func (m *mailbox) claim(id envelope, n int) *Posted {
 		if !p.accepts(&id) {
 			continue
 		}
-		if len(p.dst) != n {
+		if p.n != n {
 			return nil
 		}
 		m.unpost(i)
@@ -213,11 +217,21 @@ func (m *mailbox) claim(id envelope, n int) *Posted {
 	return nil
 }
 
-// commit completes a claimed post whose span is written, as landed, and
-// counts the landing on the receiving rank — the side whose Wait reports
-// it, whichever side wrote the span.
+// land writes a claimed post's message — the packed bytes of src, or
+// data when src is nil — into its parts.
+func (p *Posted) land(data []byte, src []Part) {
+	if src == nil {
+		unpackParts(data, p.parts)
+	} else {
+		CopyParts(p.parts, src)
+	}
+}
+
+// commit completes a claimed post whose parts are written, as landed,
+// and counts the landing on the receiving rank — the side whose Wait
+// reports it, whichever side wrote the parts.
 func (m *mailbox) commit(p *Posted, tc TraceContext) {
-	p.c.counters.countLanded(len(p.dst))
+	p.c.counters.countLanded(p.n)
 	m.mu.Lock()
 	p.landed = true
 	p.env.tc = tc

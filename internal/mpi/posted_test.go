@@ -117,7 +117,7 @@ func postedExchange(c *Comm, from, to int, w postedWorld) error {
 				var spans [msgs][]byte
 				for i := range posts {
 					spans[i] = make([]byte, n)
-					if err := c.Post(&posts[i], from, postTagData, spans[i]); err != nil {
+					if err := c.Post(&posts[i], from, postTagData, []Part{{Buf: spans[i]}}); err != nil {
 						return err
 					}
 				}
@@ -161,7 +161,7 @@ func postedRevoke(c *Comm, from, to int) error {
 		return postedSend(c, to, 1<<10, 7, false)
 	case to:
 		var p Posted
-		if err := c.Post(&p, from, postTagData, make([]byte, 1<<10)); err != nil {
+		if err := c.Post(&p, from, postTagData, []Part{{Buf: make([]byte, 1<<10)}}); err != nil {
 			return err
 		}
 		if p.Cancel() {
@@ -266,13 +266,13 @@ func TestPostedClaimBlocksRevoke(t *testing.T) {
 			if _, _, _, err := c.Recv(1, postTagGo); err != nil {
 				return err
 			}
-			postedFill(p.dst, 5)
+			postedFill(p.parts[0].Buf, 5)
 			box.commit(p, TraceContext{})
 			return nil
 		}
 		span := make([]byte, n)
 		var p Posted
-		if err := c.Post(&p, 0, postTagData, span); err != nil {
+		if err := c.Post(&p, 0, postTagData, []Part{{Buf: span}}); err != nil {
 			return err
 		}
 		if err := c.Send(0, postTagGo, nil); err != nil {
@@ -313,7 +313,7 @@ func TestPostedPeerLost(t *testing.T) {
 			return nil
 		}
 		var fromLost, late, other Posted
-		if err := c.Post(&fromLost, 1, postTagData, make([]byte, 8)); err != nil {
+		if err := c.Post(&fromLost, 1, postTagData, []Part{{Buf: make([]byte, 8)}}); err != nil {
 			return err
 		}
 		if err := c.Post(&other, 2, postTagData, nil); err != nil {
@@ -378,7 +378,7 @@ func TestPostedChunkStream(t *testing.T) {
 		e, pd := stream(1)
 		m.put(e)
 		m.put(whole(2))
-		if err := c.Post(&a, 1, postTagData, make([]byte, 4)); err != nil {
+		if err := c.Post(&a, 1, postTagData, []Part{{Buf: make([]byte, 4)}}); err != nil {
 			return err
 		}
 		if err := c.Post(&b, 1, postTagData, nil); err != nil {

@@ -28,9 +28,10 @@ func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 }
 
 // Irecv starts a non-blocking receive for a message matching (src, tag):
-// it posts the receive in the rank's mailbox (Comm.Post), so receives
-// posted for one (src, tag) stream match its messages in the order they
-// were posted, and no goroutine stands behind the request.
+// it posts the receive in the rank's mailbox (Comm.Post) with no parts —
+// the payload is the request's to return — so receives posted for one
+// (src, tag) stream match its messages in the order they were posted,
+// and no goroutine stands behind the request.
 func (c *Comm) Irecv(src, tag int) *Request {
 	r := &Request{}
 	r.err = c.Post(&r.recv, src, tag, nil)

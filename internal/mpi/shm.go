@@ -41,8 +41,8 @@
 // caller's buffer into the ring (the write is synchronous, so there is
 // no staging copy at any size), SendTyped packs a message that fits one
 // record straight into it from the owner's buffers, and the consumer
-// copies a whole-message record straight into the receiver's posted span
-// when a post offering exactly its length is waiting (see posted.go) —
+// unpacks a whole-message record straight into the receiver's posted
+// parts when a post of exactly its packed size is waiting (see posted.go) —
 // into an arena payload only otherwise, and always for chunk streams and
 // for sequenced (fault-injected) messages, which the mailbox must be able
 // to drop as duplicates.
@@ -610,10 +610,10 @@ func (w *shmWorld) consumeRecord(src, dst int, box *mailbox, streams map[uint64]
 	return head
 }
 
-// deliver lands one decoded record in the mailbox. A whole message copies
-// straight into the posted span of the oldest open post it matches when
-// that span is exactly its length — the one copy on the receiving side —
-// and into an arena buffer otherwise. Sequenced (fault-injected) messages
+// deliver lands one decoded record in the mailbox. A whole message
+// unpacks straight into the posted parts of the oldest open post it
+// matches when they pack to exactly its length — the one copy on the
+// receiving side — and copies into an arena buffer otherwise. Sequenced (fault-injected) messages
 // always take the arena path, so the mailbox can drop duplicates, and
 // chunk records reassemble into a pinned envelope.
 func (w *shmWorld) deliver(dst int, box *mailbox, streams map[uint64]*shmStream, rec shmRecord, payload []byte) {
@@ -621,7 +621,7 @@ func (w *shmWorld) deliver(dst int, box *mailbox, streams map[uint64]*shmStream,
 	if rec.typ == shmRecMsg {
 		if rec.n > 0 && rec.seq == 0 {
 			if p := box.claim(e, rec.n); p != nil {
-				copy(p.dst, payload)
+				unpackParts(payload, p.parts)
 				box.commit(p, rec.tc)
 				return
 			}

@@ -12,10 +12,11 @@ type TrafficStats struct {
 	MessagesRecv int64
 	BytesRecv    int64
 
-	// MessagesLanded / BytesLanded count the messages that reached one of
-	// this rank's posted destination spans without an arena payload —
-	// whether the sender's typed send packed them straight into it (bare
-	// inproc) or this rank's shm ring consumer copied them there (shm) —
+	// MessagesLanded / BytesLanded count the messages that reached the
+	// regions of one of this rank's posted receives without an arena
+	// payload — whether the sender's typed send copied them straight
+	// there (bare inproc) or this rank's shm ring consumer unpacked them
+	// there (shm) —
 	// on the receiving side, where Posted.Wait reports them landed. They
 	// say which path ran; the messages are included in the sender's Sent
 	// and the receiver's Recv totals like any other.
@@ -80,8 +81,8 @@ func (t *traffic) countRecv(peer, n int) {
 	}
 }
 
-// countLanded records that a message of n bytes landed in one of this
-// rank's posted spans; countSend and countRecv count the message itself.
+// countLanded records that a message of n bytes landed in the parts of
+// one of this rank's posted receives; countSend and countRecv count the message itself.
 func (t *traffic) countLanded(n int) {
 	if t == nil {
 		return

@@ -10,12 +10,14 @@ import (
 // Typed sends: a message handed to the transport as ordered (datatype,
 // buffer) parts instead of bytes, so the transport — not the caller —
 // decides where the gather happens, the way MPI derived datatypes let the
-// communication layer move non-contiguous data. On bare inproc the parts
-// pack straight into the receiver's posted span; on tcp the writer puts
-// every part's runs of a large message straight into its vectored write
-// and the kernel's copy is the only one; on shm the parts pack straight
-// into the ring record; everywhere else they pack into an arena wire
-// handed over by ownership.
+// communication layer move non-contiguous data. A posted receive offers
+// its regions in the same shape (Comm.Post). On bare inproc the parts'
+// runs copy straight into the receiver's posted parts; on tcp the writer
+// puts every part's runs of a large message straight into its vectored
+// write and the kernel's copy is the only one; on shm the parts pack
+// straight into the ring record, which the consumer unpacks straight into
+// the posted parts; everywhere else they pack into an arena wire handed
+// over by ownership.
 
 // Part is one piece of a typed message: the bytes of Buf that T selects,
 // in T's pack order. A nil T takes Buf whole.
@@ -31,6 +33,15 @@ func (p *Part) size() int {
 	return p.T.PackedSize()
 }
 
+// partsSize is the packed size of a message's parts.
+func partsSize(parts []Part) int {
+	n := 0
+	for i := range parts {
+		n += parts[i].size()
+	}
+	return n
+}
+
 // packParts gathers parts into wire, which holds exactly their packed size.
 func packParts(wire []byte, parts []Part) {
 	off := 0
@@ -40,6 +51,73 @@ func packParts(wire []byte, parts []Part) {
 			off += copy(wire[off:], p.Buf)
 		} else {
 			off += p.T.Pack(p.Buf, wire[off:])
+		}
+	}
+}
+
+// unpackParts scatters wire, which holds exactly the parts' packed size,
+// into them.
+func unpackParts(wire []byte, parts []Part) {
+	off := 0
+	for i := range parts {
+		p := &parts[i]
+		if p.T == nil {
+			off += copy(p.Buf, wire[off:])
+		} else {
+			off += p.T.Unpack(wire[off:], p.Buf)
+		}
+	}
+}
+
+// CopyParts copies the packed bytes of src into the regions of dst, which
+// pack to the same size: what SendTyped of src into a post of dst leaves,
+// in one copy. A plain span on either side takes the other side's pack or
+// unpack; otherwise one merge-walk copies src's runs into dst's, a run
+// cut wherever the other side's boundary falls, with nothing in between
+// and nothing allocated.
+func CopyParts(dst, src []Part) {
+	switch {
+	case len(dst) == 1 && dst[0].T == nil:
+		packParts(dst[0].Buf, src)
+	case len(src) == 1 && src[0].T == nil:
+		unpackParts(src[0].Buf, dst)
+	default:
+		to, from := partRuns{parts: dst}, partRuns{parts: src}
+		var d, s []byte
+		for {
+			if len(d) == 0 {
+				if d = to.next(); d == nil {
+					return
+				}
+			}
+			if len(s) == 0 {
+				if s = from.next(); s == nil {
+					return
+				}
+			}
+			n := copy(d, s)
+			d, s = d[n:], s[n:]
+		}
+	}
+}
+
+// partRuns is a cursor over the runs of a message's parts, in order.
+type partRuns struct {
+	parts []Part
+	runs  datatype.Runs
+}
+
+func (w *partRuns) next() []byte {
+	for {
+		if run := w.runs.Next(); run != nil || len(w.parts) == 0 {
+			return run
+		}
+		p := &w.parts[0]
+		w.parts = w.parts[1:]
+		if p.T == nil {
+			w.runs = datatype.Contiguous{Bytes: len(p.Buf)}.Runs(p.Buf)
+		} else {
+			w.runs = p.T.Runs(p.Buf)
 		}
 	}
 }
@@ -60,7 +138,7 @@ func appendRuns(iov [][]byte, parts []Part) [][]byte {
 
 // typedSender is the one optional transport capability: deliver a
 // message of n packed bytes — the parts, or e.data when parts is nil —
-// without an arena wire, by landing it in the receiver's posted span
+// without an arena wire, by landing it in the receiver's posted parts
 // (inproc), lending it to the writer (tcp) or writing it into the ring
 // (shm). handled=false means the message does not qualify, and the
 // caller packs it into a wire the transport owns.
@@ -84,8 +162,8 @@ var borrows = sync.Pool{New: func() any { return &borrow{done: make(chan error, 
 // SendTyped sends one message whose payload is the packed bytes of parts,
 // concatenated in order: the receiver gets exactly what Send of those
 // bytes would deliver. As with Send the caller may touch the buffers again
-// once it returns. On bare inproc a message of exactly the length of the
-// receiver's open post is packed straight into its span; on tcp, with a
+// once it returns. On bare inproc a message of exactly the packed size of
+// the receiver's open post is copied run by run into its parts; on tcp, with a
 // nil ctx and a message of one frame from readBufSize (64 KiB) up — the
 // sizes Send lends — the writer sends the parts' runs straight from the
 // buffers and SendTyped blocks until they are written; on shm a message

@@ -208,7 +208,7 @@ func typedLanding(c *Comm, cases []typedCase, lands landing) error {
 					want := packedOf(tc.build(i))
 					span := make([]byte, len(want)+extra)
 					var p Posted
-					if err := c.Post(&p, 0, tagData, span); err != nil {
+					if err := c.Post(&p, 0, tagData, []Part{{Buf: span}}); err != nil {
 						return err
 					}
 					if err := c.Send(0, tagGo, nil); err != nil {
@@ -301,4 +301,186 @@ func TestTCPWriterDeathReleasesBorrowedSend(t *testing.T) {
 			}
 		})
 	}
+}
+
+// postShape is one typed receive shape: build lays its parts over fresh
+// buffers that fill supplies, so the receiver (poisoned buffers) and the
+// sender (a filled copy) derive the same geometry independently.
+type postShape struct {
+	name  string
+	build func(fill func(n int) []byte) []Part
+}
+
+// postShapes spans 2-D and 3-D strided receives, a multi-part one mixing
+// a plain span with both, and a 2-D one past shm's chunk threshold.
+func postShapes() []postShape {
+	sub := func(elem int, array, region grid.Box, fill func(int) []byte) Part {
+		t, err := datatype.NewSubarray(elem, array, region)
+		if err != nil {
+			panic(err)
+		}
+		return Part{T: t, Buf: fill(array.Volume() * elem)}
+	}
+	plane, cube := grid.Box2(0, 0, 64, 48), grid.Box3(0, 0, 0, 16, 16, 12)
+	return []postShape{
+		{"2d", func(fill func(int) []byte) []Part {
+			return []Part{sub(4, plane, grid.Box2(3, 5, 40, 30), fill)}
+		}},
+		{"3d", func(fill func(int) []byte) []Part {
+			return []Part{sub(4, cube, grid.Box3(1, 2, 3, 10, 12, 6), fill)}
+		}},
+		{"multi", func(fill func(int) []byte) []Part {
+			return []Part{
+				{Buf: fill(100)},
+				sub(4, plane, grid.Box2(7, 1, 20, 10), fill),
+				sub(4, cube, grid.Box3(2, 3, 4, 12, 10, 1), fill),
+			}
+		}},
+		{"2d-312KiB", func(fill func(int) []byte) []Part {
+			return []Part{sub(4, grid.Box2(0, 0, 1024, 300), grid.Box2(1, 3, 1000, 80), fill)}
+		}},
+	}
+}
+
+// TestTypedPostMatchesUnpacked posts every shape's parts on every
+// transport and sends the message three ways — its packed bytes by Send,
+// the same shape typed, and one strided part whose rows are cut elsewhere
+// (so a landing walk splits runs on both sides) — with the post made
+// before the message is sent and after it arrived. Whether the message
+// landed or came as a payload the caller unpacks, the posted buffers must
+// end exactly as Unpack of the packed bytes leaves them, poison outside
+// the regions included. A post open before the send must land on bare
+// inproc, and on shm when the message fits one ring record; a post made
+// after arrival, and every post behind an injector or on tcp, never does.
+func TestTypedPostMatchesUnpacked(t *testing.T) {
+	const poison = 0xA5
+	noop := funcInjector(func(src, dst, tag int, seq uint64, attempt int) Fault { return Fault{} })
+	worlds := []struct {
+		name  string
+		lands func(n int) bool // whether a message of n bytes into an open post must land
+		opts  []LaunchOption
+	}{
+		{"inproc", func(int) bool { return true }, []LaunchOption{WithFaultInjector(nil)}},
+		{"inproc+injector", func(int) bool { return false }, []LaunchOption{WithFaultInjector(noop)}},
+		{"shm", func(n int) bool { return n <= shmChunkThreshold }, []LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil)}},
+		{"tcp", func(int) bool { return false }, []LaunchOption{WithTransport(TransportTCP), WithFaultInjector(nil)}},
+	}
+	poisoned := func(n int) []byte { return bytes.Repeat([]byte{poison}, n) }
+	senders := []string{"plain", "typed", "skew"}
+	for _, w := range worlds {
+		t.Run(w.name, func(t *testing.T) {
+			err := Launch(2, func(c *Comm) error {
+				for i, sh := range postShapes() {
+					sent := func() []Part {
+						salt := i
+						return sh.build(func(n int) []byte { salt++; return typedFill(make([]byte, n), salt) })
+					}
+					want := packedOf(sent())
+					for _, how := range senders {
+						for _, postFirst := range []bool{true, false} {
+							name := fmt.Sprintf("%s, sent %s, post first %v", sh.name, how, postFirst)
+							var err error
+							if c.Rank() == 0 {
+								err = postSend(c, how, want, sent, postFirst)
+							} else {
+								err = postRecv(c, sh.build(poisoned), want, postFirst, postFirst && w.lands(len(want)))
+							}
+							if err != nil {
+								return fmt.Errorf("%s: %w", name, err)
+							}
+						}
+					}
+				}
+				return nil
+			}, w.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// postSend is rank 0's side of TestTypedPostMatchesUnpacked: once rank 1
+// posted (postFirst) or before it does, it sends want as plain bytes, as
+// the shape's own parts, or as one byte-wide strided part whose rows hold
+// a twentieth of the message each.
+func postSend(c *Comm, how string, want []byte, shape func() []Part, postFirst bool) error {
+	const tagData, tagGo = 6, 7
+	if postFirst {
+		if _, _, _, err := c.Recv(1, tagGo); err != nil {
+			return err
+		}
+	}
+	var err error
+	switch how {
+	case "plain":
+		err = c.Send(1, tagData, want)
+	case "typed":
+		err = c.SendTyped(nil, 1, tagData, shape(), nil)
+	case "skew":
+		w := len(want) / 20
+		if w*20 != len(want) {
+			return fmt.Errorf("%d bytes do not split into 20 rows", len(want))
+		}
+		st, serr := datatype.NewSubarray(1, grid.Box2(0, 0, w+3, 22), grid.Box2(2, 1, w, 20))
+		if serr != nil {
+			return serr
+		}
+		buf := make([]byte, (w+3)*22)
+		st.Unpack(want, buf)
+		err = c.SendTyped(nil, 1, tagData, []Part{{T: st, Buf: buf}}, nil)
+	}
+	if err != nil || postFirst {
+		return err
+	}
+	// The go message follows the data on the same link: once rank 1 has
+	// it, the data is in its mailbox (or, chunk-streamed, pinned there).
+	return c.Send(1, tagGo, nil)
+}
+
+// postRecv is rank 1's side: it posts parts before or after the message
+// arrived, completes the post — unpacking a payload as the executor
+// does — and compares every posted buffer with Unpack of want into a
+// copy of its poisoned original.
+func postRecv(c *Comm, parts []Part, want []byte, postFirst, mustLand bool) error {
+	const tagData, tagGo = 6, 7
+	expect := make([]Part, len(parts))
+	for i, p := range parts {
+		expect[i] = Part{T: p.T, Buf: bytes.Clone(p.Buf)}
+	}
+	unpackParts(want, expect)
+	if !postFirst {
+		if _, _, _, err := c.Recv(0, tagGo); err != nil {
+			return err
+		}
+	}
+	var p Posted
+	if err := c.Post(&p, 0, tagData, parts); err != nil {
+		return err
+	}
+	if postFirst {
+		if err := c.Send(0, tagGo, nil); err != nil {
+			return err
+		}
+	}
+	data, landed, err := p.Wait(nil)
+	if err != nil {
+		return err
+	}
+	if landed != mustLand {
+		return fmt.Errorf("landed %v, want %v", landed, mustLand)
+	}
+	if !landed {
+		if len(data) != len(want) {
+			return fmt.Errorf("payload of %d bytes, want %d", len(data), len(want))
+		}
+		unpackParts(data, parts)
+		PutBuffer(data)
+	}
+	for i := range parts {
+		if !bytes.Equal(parts[i].Buf, expect[i].Buf) {
+			return fmt.Errorf("part %d differs from Unpack of the packed message", i)
+		}
+	}
+	return nil
 }
