@@ -32,11 +32,9 @@ type Type interface {
 	// wire representation is local[off : off+n] verbatim, which enables the
 	// zero-copy fast paths in the exchange engine.
 	ContiguousSpan() (off, n int, ok bool)
-	// AppendRuns appends the region's contiguous byte runs, sub-slices of
-	// local in pack order, to dst — what a vectored write sends in place of
-	// Pack's output.
-	AppendRuns(dst [][]byte, local []byte) [][]byte
-	// Runs returns a cursor over the same runs.
+	// Runs returns a cursor over the region's contiguous byte runs,
+	// sub-slices of local in pack order — what a vectored write sends in
+	// place of Pack's output.
 	Runs(local []byte) Runs
 }
 
@@ -106,19 +104,6 @@ func (s *Subarray) Pack(local []byte, wire []byte) int {
 	return w
 }
 
-// AppendRuns implements Type.
-func (s *Subarray) AppendRuns(dst [][]byte, local []byte) [][]byte {
-	start, run, strideY, strideZ, ny, nz := s.start, s.run, s.strideY, s.strideZ, s.ny, s.nz
-	for z := 0; z < nz; z++ {
-		rowBase := start + z*strideZ
-		for y := 0; y < ny; y++ {
-			dst = append(dst, local[rowBase:rowBase+run])
-			rowBase += strideY
-		}
-	}
-	return dst
-}
-
 // Runs implements Type.
 func (s *Subarray) Runs(local []byte) Runs {
 	return Runs{local: local, start: s.start, run: s.run, strideY: s.strideY, strideZ: s.strideZ, ny: s.ny, nz: s.nz}
@@ -170,8 +155,8 @@ func (s *Subarray) String() string {
 }
 
 // Runs is a cursor over a region's contiguous byte runs, sub-slices of
-// the local array in pack order: what AppendRuns lists, one at a time and
-// without the list. The zero value has no runs.
+// the local array in pack order, one at a time and without a list. The
+// zero value has no runs.
 type Runs struct {
 	local                                []byte
 	start, run, strideY, strideZ, ny, nz int
@@ -213,14 +198,6 @@ func (c Contiguous) Unpack(wire []byte, local []byte) int {
 // ContiguousSpan implements Type.
 func (c Contiguous) ContiguousSpan() (off, n int, ok bool) { return 0, c.Bytes, true }
 
-// AppendRuns implements Type.
-func (c Contiguous) AppendRuns(dst [][]byte, local []byte) [][]byte {
-	if c.Bytes == 0 {
-		return dst
-	}
-	return append(dst, local[:c.Bytes])
-}
-
 // Runs implements Type.
 func (c Contiguous) Runs(local []byte) Runs {
 	if c.Bytes == 0 {
@@ -244,9 +221,6 @@ func (Empty) Unpack([]byte, []byte) int { return 0 }
 
 // ContiguousSpan implements Type.
 func (Empty) ContiguousSpan() (off, n int, ok bool) { return 0, 0, true }
-
-// AppendRuns implements Type.
-func (Empty) AppendRuns(dst [][]byte, _ []byte) [][]byte { return dst }
 
 // Runs implements Type.
 func (Empty) Runs([]byte) Runs { return Runs{} }
