@@ -494,9 +494,14 @@ func (d *Descriptor) Reshape(nProcs int) error {
 func ResetAutotuneCache() {}
 
 // checkBoxDims verifies a box matches the descriptor's dimensionality.
-func (d *Descriptor) checkBoxDims(b grid.Box, what string) error {
-	if b.NDims != d.layout.NDims() {
-		return fmt.Errorf("core: %s box %v is %dD but descriptor is %v", what, b, b.NDims, d.layout)
+// The error names the box as what, followed by index when it is not
+// negative; the label is formatted only on failure.
+func (d *Descriptor) checkBoxDims(b grid.Box, what string, index int) error {
+	if b.NDims == d.layout.NDims() {
+		return nil
 	}
-	return nil
+	if index >= 0 {
+		what = fmt.Sprintf("%s %d", what, index)
+	}
+	return fmt.Errorf("core: %s box %v is %dD but descriptor is %v", what, b, b.NDims, d.layout)
 }

@@ -217,6 +217,15 @@ func TestSentinelErrors(t *testing.T) {
 		if err := wrong.SetupDataMapping(c, nil, grid.Box1(0, 4)); !errors.Is(err, ErrCommMismatch) {
 			return fmt.Errorf("size-mismatched mapping: got %v, want ErrCommMismatch", err)
 		}
+		flat := grid.Box2(0, 0, 4, 1)
+		err = desc.SetupDataMapping(c, nil, flat)
+		if want := fmt.Sprintf("core: need box %v is 2D but descriptor is 1D", flat); err == nil || err.Error() != want {
+			return fmt.Errorf("2-D need box: got %v, want %q", err, want)
+		}
+		err = desc.SetupDataMapping(c, []grid.Box{grid.Box1(0, 4), flat}, grid.Box1(0, 8))
+		if want := fmt.Sprintf("core: owned chunk 1 box %v is 2D but descriptor is 1D", flat); err == nil || err.Error() != want {
+			return fmt.Errorf("2-D owned chunk: got %v, want %q", err, want)
+		}
 		own := grid.Box1(c.Rank()*4, 4)
 		if err := desc.SetupDataMapping(c, []grid.Box{own}, grid.Box1(0, 8)); err != nil {
 			return err

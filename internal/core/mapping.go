@@ -96,11 +96,11 @@ func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box
 		return fmt.Errorf("core: descriptor is for %d processes but communicator has %d: %w",
 			d.nProcs, c.Size(), ErrCommMismatch)
 	}
-	if err := d.checkBoxDims(need, "need"); err != nil {
+	if err := d.checkBoxDims(need, "need", -1); err != nil {
 		return err
 	}
 	for i, b := range own {
-		if err := d.checkBoxDims(b, fmt.Sprintf("owned chunk %d", i)); err != nil {
+		if err := d.checkBoxDims(b, "owned chunk", i); err != nil {
 			return err
 		}
 	}

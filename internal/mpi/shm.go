@@ -21,16 +21,19 @@
 //     producer that would wrap emits a wrap marker (descriptor word with
 //     the wrap bit) and restarts at offset zero.
 //   - Rewind: a producer that finds its ring drained (head == tail, so
-//     the consumer is done with every byte) with the tail at least one
-//     chunk — and at least the record — past offset zero emits the same
-//     wrap marker early and restarts at zero. A ring's pages are then
-//     touched up to its peak occupancy plus one chunk, not end to end:
-//     n*n rings cost memory in proportion to the bytes in flight. The
-//     one-chunk floor is what keeps a rewind from costing a wait: the
-//     marker's dead space counts as occupied until the consumer skips
-//     it, and the floor leaves the records that follow the whole first
-//     chunk below the marker to fill meanwhile. ShmStats counts rewinds
-//     apart from ring-end wraps.
+//     the consumer is done with every byte) with the tail past its
+//     floor — at least the record, and at least the largest burst of
+//     live record bytes the ring has carried, capped at one chunk —
+//     emits the same wrap marker early and restarts at offset zero. A
+//     ring's pages are then touched up to about twice its largest burst,
+//     and never past its peak occupancy plus one chunk: n*n rings cost
+//     memory in proportion to the bytes in flight. The floor is what
+//     keeps a rewind from costing a wait: the marker's dead space counts
+//     as occupied until the consumer skips it, and the floor leaves a
+//     burst no larger than one the ring has already carried room below
+//     the marker meanwhile. The first larger burst pays one wait, and
+//     its demand raises the floor. ShmStats counts rewinds apart from
+//     ring-end wraps, and the bytes the rings have touched.
 //   - Payloads above the chunk threshold stream as bulk-lane chunk
 //     records, reassembled into one arena buffer pinned in the receiving
 //     mailbox (the same mechanism as TCP chunked streaming). A message
@@ -71,8 +74,9 @@ import (
 type shmConfig struct {
 	// ringSize is the per-(sender,receiver) ring capacity in bytes, a
 	// power of two. A world of n ranks reserves n*n rings of address
-	// space, but a drained ring rewinds to its start, so each touches only
-	// its peak occupancy plus one chunk of memory.
+	// space, but a drained ring rewinds to its start once its tail is past
+	// the largest burst it has carried (capped at one chunk), so each
+	// touches about twice that burst of memory.
 	ringSize int
 	// chunkThreshold is the payload size above which a message streams as
 	// bulk-lane chunk records instead of one record. It must stay below
@@ -81,7 +85,7 @@ type shmConfig struct {
 	chunkThreshold int
 	// chunkSize is the payload size of each bulk-lane chunk record, at
 	// most ringSize/4 so a chunk plus its header can never deadlock a
-	// ring.
+	// ring. It also caps a ring's rewind floor.
 	chunkSize int
 }
 
@@ -210,8 +214,16 @@ type shmRing struct {
 	hdr  []byte // 128-byte header block (head at 0, tail at 64)
 	data []byte // power-of-2 payload area
 	mask uint64
+	dst  int // the receiving rank, whose touched bytes this ring adds to
 
 	mu sync.Mutex // serializes producers; consumer never takes it
+	// Producer state, guarded by mu. peak is the most live record bytes
+	// the ring has had to hold — committed, or committed plus a record
+	// reserve could not place — and sets the rewind floor. dead is the
+	// span of the last wrap marker written, which ends at tail position
+	// deadEnd and stays in tail-head until the consumer skips it.
+	// touched is the highest data offset ever written.
+	peak, dead, deadEnd, touched uint64
 
 	// space is nudged by the consumer after it advances head, releasing
 	// a producer blocked on a full ring.
@@ -231,22 +243,50 @@ func (r *shmRing) occupied() uint64 { return r.loadTail() - r.loadHead() }
 // shmPad rounds a record length up to the 8-byte ring alignment.
 func shmPad(n int) int { return (n + 7) &^ 7 }
 
+// live returns the record bytes committed and unconsumed when the
+// consumer is at head and the producer at tail: the occupancy less the
+// dead span of a wrap marker not yet skipped. Producer-side; the caller
+// holds r.mu.
+func (r *shmRing) live(head, tail uint64) uint64 {
+	if head < r.deadEnd {
+		return tail - head - r.dead
+	}
+	return tail - head
+}
+
+// touch raises the ring's high-water data offset to end, adding the rise
+// to the receiving rank's touched bytes. Producer-side; the caller holds
+// r.mu.
+func (r *shmRing) touch(w *shmWorld, end uint64) {
+	if end > r.touched {
+		w.touchGauge[r.dst].Load().SetMax(w.touched[r.dst].Add(int64(end - r.touched)))
+		r.touched = end
+	}
+}
+
 // reserve blocks until at least need contiguous bytes are writable at
 // the tail, emitting a wrap marker when the record would straddle the
 // ring end — or, rewinding, when the ring is drained and the tail is at
-// least one chunk (and one record) past offset zero. It returns the
-// write position, or an error when the world shuts down while waiting.
-// Producer-side only; the caller holds r.mu.
+// least the record and the ring's peak burst (capped at one chunk) past
+// offset zero. A record it cannot place raises the peak to the live
+// bytes plus the record before it waits, so the next burst that large
+// finds room below a rewind's marker. It returns the write position, or
+// an error when the world shuts down while waiting. Producer-side only;
+// the caller holds r.mu.
 func (r *shmRing) reserve(need int, w *shmWorld) (pos uint64, err error) {
 	size := uint64(len(r.data))
-	tail := r.loadTail()
 	spins := 0
 	for {
-		head := r.loadHead()
+		// close unmaps the region once no producer holds a ring lock, so
+		// a producer checks for it before every touch of ring memory.
+		if w.isClosed() {
+			return 0, ErrClosed
+		}
+		tail, head := r.loadTail(), r.loadHead()
 		free := size - (tail - head)
 		at := tail & r.mask
 		contig := size - at
-		rewind := head == tail && at >= uint64(max(w.cfg.chunkSize, need))
+		rewind := head == tail && at >= max(uint64(need), min(r.peak, uint64(w.cfg.chunkSize)))
 		required := uint64(need)
 		if uint64(need) > contig {
 			// Wrap marker consumes the ring tail; the record restarts at
@@ -256,7 +296,9 @@ func (r *shmRing) reserve(need int, w *shmWorld) (pos uint64, err error) {
 		if rewind || free >= required {
 			if rewind || uint64(need) > contig {
 				binary.LittleEndian.PutUint64(r.data[at:], shmWrapBit)
+				r.touch(w, at+shmWordSize)
 				tail += contig
+				r.dead, r.deadEnd = contig, tail
 				atomic.StoreUint64(r.tailPtr(), tail)
 				if rewind {
 					w.rewinds.Add(1)
@@ -267,9 +309,7 @@ func (r *shmRing) reserve(need int, w *shmWorld) (pos uint64, err error) {
 			}
 			return tail, nil
 		}
-		if w.isClosed() {
-			return 0, ErrClosed
-		}
+		r.peak = max(r.peak, r.live(head, tail)+uint64(need))
 		if spins < 64 {
 			spins++
 			runtime.Gosched()
@@ -294,9 +334,13 @@ func (r *shmRing) reserve(need int, w *shmWorld) (pos uint64, err error) {
 	}
 }
 
-// publish commits len bytes written at the reserved position.
+// publish commits n bytes written at the reserved position and raises
+// the ring's peak to the live bytes it now holds. Producer-side; the
+// caller holds r.mu.
 func (r *shmRing) publish(pos uint64, n int) {
-	atomic.StoreUint64(r.tailPtr(), pos+uint64(n))
+	tail := pos + uint64(n)
+	atomic.StoreUint64(r.tailPtr(), tail)
+	r.peak = max(r.peak, r.live(r.loadHead(), tail))
 }
 
 // writeRecord reserves, fills, and publishes one record whose payload is
@@ -317,6 +361,7 @@ func (r *shmRing) writeRecord(w *shmWorld, e *envelope, typ byte, stream uint32,
 		return err
 	}
 	at := pos & r.mask
+	r.touch(w, at+uint64(rec))
 	b := r.data[at:]
 	word := uint64(uint32(n)) | uint64(typ)<<32 | uint64(flags)<<40
 	// The descriptor word is written along with the rest of the header
@@ -376,6 +421,7 @@ type ShmStats struct {
 	Rewinds             int64 // wrap markers emitted early, on a drained ring
 	BackpressureEvents  int64 // producer waits on a full ring
 	RingOccupancy       int64 // bytes currently committed and unconsumed
+	TouchedBytes        int64 // sum over rings of the highest data offset ever written
 }
 
 // shmWorld is one world's shared region: n*n rings, one consumer
@@ -401,18 +447,24 @@ type shmWorld struct {
 	wraps, rewinds      atomic.Int64
 	backpressure        atomic.Int64
 	occupancy           atomic.Int64
+	touched             []atomic.Int64 // per receiving rank, over its inbound rings
 
 	// Per-rank obs mirrors, attached via AttachTelemetry; nil entries
 	// cost one atomic load on the hot path.
-	occGauge []atomic.Pointer[obs.Gauge]
-	inCtr    []atomic.Pointer[obs.Counter]
-	outCtr   []atomic.Pointer[obs.Counter]
+	occGauge   []atomic.Pointer[obs.Gauge]
+	touchGauge []atomic.Pointer[obs.Gauge]
+	inCtr      []atomic.Pointer[obs.Counter]
+	outCtr     []atomic.Pointer[obs.Counter]
 }
 
 func (w *shmWorld) isClosed() bool { return w.closed.Load() }
 
 // Stats snapshots the world-wide transport counters.
 func (w *shmWorld) stats() ShmStats {
+	var touched int64
+	for i := range w.touched {
+		touched += w.touched[i].Load()
+	}
 	return ShmStats{
 		BytesOut:           w.bytesOut.Load(),
 		BytesIn:            w.bytesIn.Load(),
@@ -423,6 +475,7 @@ func (w *shmWorld) stats() ShmStats {
 		Rewinds:            w.rewinds.Load(),
 		BackpressureEvents: w.backpressure.Load(),
 		RingOccupancy:      w.occupancy.Load(),
+		TouchedBytes:       touched,
 	}
 }
 
@@ -449,17 +502,19 @@ func mapShmWorld(n int, cfg shmConfig, boxes []*mailbox) (*shmWorld, error) {
 		return nil, err
 	}
 	w := &shmWorld{
-		n:        n,
-		cfg:      cfg,
-		mem:      mem,
-		mmap:     mapped,
-		rings:    make([]*shmRing, n*n),
-		boxes:    boxes,
-		wakes:    make([]chan struct{}, n),
-		stop:     make(chan struct{}),
-		occGauge: make([]atomic.Pointer[obs.Gauge], n),
-		inCtr:    make([]atomic.Pointer[obs.Counter], n),
-		outCtr:   make([]atomic.Pointer[obs.Counter], n),
+		n:          n,
+		cfg:        cfg,
+		mem:        mem,
+		mmap:       mapped,
+		rings:      make([]*shmRing, n*n),
+		boxes:      boxes,
+		wakes:      make([]chan struct{}, n),
+		stop:       make(chan struct{}),
+		touched:    make([]atomic.Int64, n),
+		occGauge:   make([]atomic.Pointer[obs.Gauge], n),
+		touchGauge: make([]atomic.Pointer[obs.Gauge], n),
+		inCtr:      make([]atomic.Pointer[obs.Counter], n),
+		outCtr:     make([]atomic.Pointer[obs.Counter], n),
 	}
 	hdrBase := 0
 	dataBase := n * n * shmRingHeaderBytes
@@ -469,6 +524,7 @@ func mapShmWorld(n int, cfg shmConfig, boxes []*mailbox) (*shmWorld, error) {
 			data:  mem[dataBase+i*cfg.ringSize : dataBase+(i+1)*cfg.ringSize],
 			mask:  uint64(cfg.ringSize - 1),
 			space: make(chan struct{}, 1),
+			dst:   i % n,
 		}
 	}
 	for d := range w.wakes {
@@ -664,8 +720,11 @@ func (w *shmWorld) deliver(dst int, box *mailbox, streams map[uint64]*shmStream,
 	}
 }
 
-// close stops the consumers and unmaps the region. Mailboxes belong to
-// the launcher, which closes them after every rank returned.
+// close stops the consumers and unmaps the region. A producer may still
+// be inside a ring — a fault injector's worker delivers after its rank
+// returned — so close waits out every ring's producer lock first; reserve
+// sees the world closed before it touches ring memory again. Mailboxes
+// belong to the launcher, which closes them after every rank returned.
 func (w *shmWorld) close() error {
 	w.closeMu.Lock()
 	defer w.closeMu.Unlock()
@@ -674,6 +733,10 @@ func (w *shmWorld) close() error {
 	}
 	close(w.stop)
 	w.wg.Wait()
+	for _, r := range w.rings { // wait out any producer still inside
+		r.mu.Lock()
+		r.mu.Unlock()
+	}
 	if w.mmap {
 		syscall.Munmap(w.mem) //nolint:errcheck // unmap on teardown is best effort
 	}
@@ -800,11 +863,16 @@ func (t *shmTransport) close() error { return t.w.close() }
 func (t *shmTransport) attachObs(tel *Telemetry) {
 	if tel == nil {
 		t.w.occGauge[t.src].Store(nil)
+		t.w.touchGauge[t.src].Store(nil)
 		t.w.inCtr[t.src].Store(nil)
 		t.w.outCtr[t.src].Store(nil)
 		return
 	}
 	t.w.occGauge[t.src].Store(tel.shmOccupancy)
+	// Touched bytes only rise, so a gauge attached late catches up here
+	// and every later rise sets it to the running total.
+	t.w.touchGauge[t.src].Store(tel.shmTouched)
+	tel.shmTouched.SetMax(t.w.touched[t.src].Load())
 	t.w.inCtr[t.src].Store(tel.shmBytesIn)
 	t.w.outCtr[t.src].Store(tel.shmBytesOut)
 }

@@ -417,9 +417,52 @@ func TestShmScrapeUnderLoad(t *testing.T) {
 		"mpi_shm_bytes_out_total",
 		"mpi_shm_bytes_in_total",
 		"mpi_shm_ring_occupancy_bytes",
+		"mpi_shm_ring_touched_bytes",
 	} {
 		if !bytes.Contains([]byte(out), []byte(name)) {
 			t.Errorf("scrape output missing %s", name)
 		}
+	}
+	// Every rank received 150 records of 2 KiB: its inbound rings have
+	// touched at least one.
+	for rank := 0; rank < 4; rank++ {
+		if v := reg.Gauge("mpi_shm_ring_touched_bytes", "", obs.RankLabel(rank)).Value(); v < 2048 {
+			t.Errorf("rank %d: mpi_shm_ring_touched_bytes %d, want at least one 2 KiB record", rank, v)
+		}
+	}
+}
+
+// TestShmCloseWaitsOutProducer: a producer can still be inside a ring
+// when the world closes — a fault injector's worker delivers after its
+// rank returned. close must not unmap the region under a producer that
+// holds a ring lock, and a producer that takes the lock afterwards must
+// get ErrClosed without touching ring memory.
+func TestShmCloseWaitsOutProducer(t *testing.T) {
+	box := newMailbox()
+	defer box.close(nil)
+	w, err := mapShmWorld(1, wholeRecords, []*mailbox{box})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := w.ring(0, 0)
+	r.mu.Lock() // a producer mid-record
+	closed := make(chan struct{})
+	go func() {
+		w.close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("world closed, unmapping its rings, under a producer holding a ring lock")
+	case <-time.After(20 * time.Millisecond):
+	}
+	r.mu.Unlock()
+	<-closed
+	e := envelope{ctx: 1}
+	r.mu.Lock()
+	err = r.writeRecord(w, &e, shmRecMsg, 0, 0, []Part{{Buf: make([]byte, 8)}}, 8)
+	r.mu.Unlock()
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("record written after close: %v, want ErrClosed", err)
 	}
 }

@@ -38,6 +38,7 @@ type Telemetry struct {
 	shmBytesOut  *obs.Counter
 	shmBytesIn   *obs.Counter
 	shmOccupancy *obs.Gauge
+	shmTouched   *obs.Gauge
 
 	// Fault-tolerance instruments: chaos-engine verdicts mirrored by the
 	// fault transport, and peers this rank's mailbox declared lost.
@@ -96,6 +97,8 @@ func NewTelemetry(reg *obs.Registry, rec *trace.Recorder, rank int) *Telemetry {
 			"Payload bytes this rank consumed from shared-memory rings.", rl),
 		shmOccupancy: reg.Gauge("mpi_shm_ring_occupancy_bytes",
 			"Record bytes committed to this rank's inbound rings and not yet consumed.", rl),
+		shmTouched: reg.Gauge("mpi_shm_ring_touched_bytes",
+			"Sum over this rank's inbound rings of the highest data offset ever written: the ring memory they have touched.", rl),
 		faultDrops: reg.Counter("mpi_fault_drops_total",
 			"Delivery attempts discarded by the fault injector.", rl),
 		faultRetries: reg.Counter("mpi_fault_retries_total",
