@@ -5,15 +5,15 @@
 // sessions), then repartitioning the survivors between slab orientations
 // — without ever tearing the coupling down.
 //
-// Each swing goes through Regridder.Resize: the delta compiler diffs the
-// old and new need geometries and ships only the bytes whose ownership
-// changed; everything still resident is copied locally. The run prints,
-// per swing and rank, how much crossed the wire versus stayed put — the
-// quantity the incremental plan makes small — and verifies every
-// surviving rank's field bit-for-bit after each swing. The closing
-// oscillation revisits geometry pairs the compilers have already seen,
-// so its later swings are delta-plan cache hits; the final line shows
-// the split.
+// Each swing goes through Regridder.Resize: a redistribution from the
+// old need boxes, each rank owning its own, to the new ones, which ships
+// only the bytes whose ownership changed; everything still resident is
+// copied locally. The run prints, per swing and rank, how much crossed
+// the wire versus stayed put — the quantity a resize keeps small — and
+// verifies every surviving rank's field bit-for-bit after each swing.
+// The closing oscillation revisits geometry pairs the group has already
+// mapped, so its later swings are resize plan-cache hits; the final line
+// shows the split.
 //
 // Run with: go run ./examples/resize
 package main
@@ -143,14 +143,14 @@ func main() {
 
 	// The four survivors now repartition in place, oscillating between
 	// vertical and horizontal slabs. Membership is stable, so the second
-	// visit to each geometry pair replays the cached delta plan.
+	// visit to each geometry pair replays the cached resize plan.
 	swing("repartition: vertical -> horizontal slabs", 4, 4, 1)
 	swing("repartition: horizontal -> vertical slabs", 4, 4, 0)
 	swing("repartition again: vertical -> horizontal (cached)", 4, 4, 1)
 	swing("repartition again: horizontal -> vertical (cached)", 4, 4, 0)
 
 	hits, misses := sessions[0].ResizeCacheStats()
-	fmt.Printf("verified %d cells after every swing; delta-plan cache: %d hits, %d misses\n",
+	fmt.Printf("verified %d cells after every swing; resize plan cache: %d hits, %d misses\n",
 		domain.Volume(), hits, misses)
 }
 

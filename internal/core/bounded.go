@@ -59,16 +59,17 @@ var ErrBudgetTooSmall = errors.New("core: memory budget below the minimum stagin
 // pieces of the same (src, dst) pair before it in key order — so the tags
 // of a pair never repeat, and duplicated or reordered deliveries can
 // never satisfy the wrong receive. An unsliced message keeps its round
-// tag (ddrTagBase+round). The range sits above the round tags and below
-// the delta exchange's deltaTag, which bounds the slices of one pair.
+// tag (ddrTagBase+round). The range sits above the round tags and ends
+// where DDR's reserved range does (ddrTagLimit), which bounds the slices
+// of one pair.
 const boundedTagBase = ddrTagBase + (1 << 18)
 
 // sliceTag returns the tag of a pair's n-th slice, failing with
 // ErrBudgetTooSmall once n would leave the bounded range.
 func sliceTag(n int) (int, error) {
-	if n >= deltaTag-boundedTagBase {
+	if n >= ddrTagLimit-boundedTagBase {
 		return 0, fmt.Errorf("core: one peer pair needs more than %d slices under this budget: %w",
-			deltaTag-boundedTagBase, ErrBudgetTooSmall)
+			ddrTagLimit-boundedTagBase, ErrBudgetTooSmall)
 	}
 	return boundedTagBase + n, nil
 }
@@ -244,9 +245,11 @@ func compileBounded(p *Plan, budget int) (*boundedPlan, error) {
 		return b, nil
 	}
 
-	// Slice. A round schedule's messages are single-seg; one larger than
-	// maxSlice — equally so on both ends of its pair — is cut into region
-	// slices, each on its pair's next slice tag.
+	// Slice. A message larger than maxSlice — equally so on both ends of
+	// its pair — is cut seg by seg into region slices, each on its pair's
+	// next slice tag. Both ends hold the same segs in the same order (a
+	// contested overlap's fragments, see fragments in mapping.go), so they
+	// cut the same slices.
 	maxElems := maxSlice / p.elemSize
 	var pieces []piece
 	var boxes []grid.Box
@@ -285,25 +288,33 @@ func compileBounded(p *Plan, budget int) (*boundedPlan, error) {
 		}
 		for dir, msgs := range [2][]message{st.sends, st.recvs} {
 			for _, m := range msgs {
-				shift, base := (m.peer-p.rank+p.nProcs)%p.nProcs, p.myChunks[m.segs[0].buf]
+				shift := (m.peer - p.rank + p.nProcs) % p.nProcs
 				if dir == 1 {
-					shift, base = (p.rank-m.peer+p.nProcs)%p.nProcs, p.need
+					shift = (p.rank - m.peer + p.nProcs) % p.nProcs
 				}
 				if m.bytes <= maxSlice {
 					pieces = append(pieces, piece{round: r, shift: shift, dir: dir, bytes: m.bytes, m: m})
 					continue
 				}
-				boxes = appendSlices(boxes[:0], m.segs[0].region, maxElems)
+				var segs []seg
+				for _, sg := range m.segs {
+					base := p.need
+					if dir == 0 {
+						base = p.myChunks[sg.buf]
+					}
+					boxes = appendSlices(boxes[:0], sg.region, maxElems)
+					cs, err := cut(sg, base)
+					if err != nil {
+						return nil, fmt.Errorf("core: bounded message with rank %d: %w", m.peer, err)
+					}
+					segs = append(segs, cs...)
+				}
 				pair := shift*2 + dir
 				first := tags[pair]
-				if _, err := sliceTag(first + len(boxes) - 1); err != nil {
+				if _, err := sliceTag(first + len(segs) - 1); err != nil {
 					return nil, err
 				}
-				tags[pair] += len(boxes)
-				segs, err := cut(m.segs[0], base)
-				if err != nil {
-					return nil, fmt.Errorf("core: bounded message with rank %d: %w", m.peer, err)
-				}
+				tags[pair] += len(segs)
 				for j := range segs {
 					n := segs[j].t.PackedSize()
 					pieces = append(pieces, piece{round: r, shift: shift, slice: j, dir: dir, bytes: n,

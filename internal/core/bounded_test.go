@@ -118,6 +118,19 @@ func foldPeers(p *Plan) {
 	p.sched = []step{st}
 }
 
+// appendSeg adds sg to the message for peer at the tail of msgs, opening
+// it first if the tail belongs to another peer — how foldPeers folds a
+// peer-major run of segs into one message per peer.
+func appendSeg(msgs []message, peer, tag int, sg seg) []message {
+	if n := len(msgs); n == 0 || msgs[n-1].peer != peer {
+		msgs = append(msgs, message{peer: peer, tag: tag})
+	}
+	m := &msgs[len(msgs)-1]
+	m.segs = append(m.segs, sg)
+	m.bytes += sg.t.PackedSize()
+	return msgs
+}
+
 // plans compiles every rank's plan offline.
 func (bc *boundedCase) plans(t *testing.T) []*Plan {
 	t.Helper()

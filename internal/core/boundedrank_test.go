@@ -111,13 +111,13 @@ func TestBoundedMixedRankDecisions(t *testing.T) {
 }
 
 // TestBoundedTagRange pins the bounded tag range: a pair's slice tags run
-// from boundedTagBase to one below deltaTag, and a pair that needs one
-// slice more fails the compile with ErrBudgetTooSmall rather than mint
-// the delta exchange's tag.
+// from boundedTagBase to the last tag of DDR's reserved range, and a pair
+// that needs one slice more fails the compile with ErrBudgetTooSmall
+// rather than mint a tag outside it.
 func TestBoundedTagRange(t *testing.T) {
-	const limit = deltaTag - boundedTagBase
-	if tag, err := sliceTag(limit - 1); err != nil || tag != deltaTag-1 {
-		t.Fatalf("sliceTag(%d) = %d, %v; want %d", limit-1, tag, err, deltaTag-1)
+	const limit = ddrTagLimit - boundedTagBase
+	if tag, err := sliceTag(limit - 1); err != nil || tag != ddrTagLimit-1 {
+		t.Fatalf("sliceTag(%d) = %d, %v; want %d", limit-1, tag, err, ddrTagLimit-1)
 	}
 	if _, err := sliceTag(limit); !errors.Is(err, ErrBudgetTooSmall) {
 		t.Fatalf("sliceTag(%d): %v, want ErrBudgetTooSmall", limit, err)

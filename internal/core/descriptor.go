@@ -152,8 +152,8 @@ type Descriptor struct {
 	flight      *obs.FlightRecorder // nil unless WithFlightRecorder
 	cacheCap    int                 // plan-cache capacity; <= 0 disables
 
-	plan                   *Plan             // nil until SetupDataMapping
-	cache                  *planCache[*Plan] // nil when caching is disabled
+	plan                   *Plan      // nil until SetupDataMapping
+	cache                  *planCache // nil when caching is disabled
 	cacheHits, cacheMisses atomic.Int64
 	obsv                   *exchObs // nil unless a tracer or registry is attached
 
@@ -393,7 +393,7 @@ func NewDescriptor(nProcs int, layout Layout, elem ElemType, opts ...Option) (*D
 		return nil, fmt.Errorf("core: ModeAlltoallw with a %v exchange deadline: %w", d.deadline, ErrDeadlineUnsupported)
 	}
 	if d.cacheCap > 0 {
-		d.cache = newPlanCache[*Plan](d.cacheCap)
+		d.cache = newPlanCache(d.cacheCap)
 	}
 	if !d.elemSizeSet && elem.Size() == 0 {
 		return nil, fmt.Errorf("core: unknown element type %v", elem)

@@ -14,14 +14,14 @@ import (
 )
 
 // The exchange executor. Every point-to-point redistribution — rounds,
-// memory-bounded, elastic resize — is an ordered list of steps (after
+// memory-bounded, an elastic resize among them — is an ordered list of steps (after
 // Rink et al., "Memory-efficient array redistribution through portable
 // collective communication"), each a set of messages moved under one
 // staging footprint, and this file is the only code that runs one: it
 // owns the transport calls, deadline and lost-peer handling, trace
 // stamps, round timings and abort cleanup. The backends are
 // compilers that emit []step: the plan's round schedule (mapping.go) and
-// its two rewrites (bounded.go, delta.go). ModeAlltoallw alone keeps
+// its bounded rewrite (bounded.go). ModeAlltoallw alone keeps
 // its own round loop (reorganize.go), because it is the paper-fidelity
 // oracle the differential tests compare this against.
 //
@@ -93,8 +93,9 @@ import (
 // delivered — synchronously, which is what restricts send-side landing to
 // bare inproc — and took the posts before it. A post for a later step may
 // land before this rank has issued that step; the regions of distinct
-// messages are disjoint (DDR's exclusive-ownership precondition), so
-// nothing it writes is touched in between.
+// messages are disjoint — the ownership rule (mapping.go) hands every
+// need cell to exactly one message or self move, even where owned chunks
+// overlap — so nothing it writes is touched in between.
 //
 // Deadlock freedom at any depth mix: a rank only blocks in wait(j) after
 // it has issued steps 0..j+k-1 — in particular its own step-j sends are
@@ -172,19 +173,6 @@ type message struct {
 	bytes     int // packed size of all segs
 	segs      []seg
 	eager     bool // a receive posted without parts (testhook.go): it never lands
-}
-
-// appendSeg adds sg to the message for peer at the tail of msgs, opening
-// it first if the tail belongs to another peer — how the delta compiler
-// folds a peer-major run of regions into one message per peer.
-func appendSeg(msgs []message, peer, tag int, sg seg) []message {
-	if n := len(msgs); n == 0 || msgs[n-1].peer != peer {
-		msgs = append(msgs, message{peer: peer, tag: tag})
-	}
-	m := &msgs[len(msgs)-1]
-	m.segs = append(m.segs, sg)
-	m.bytes += sg.t.PackedSize()
-	return msgs
 }
 
 // selfMove is a region whose source and destination are both this rank.

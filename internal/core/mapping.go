@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"ddr/internal/datatype"
@@ -78,10 +79,15 @@ func (p *Plan) Need() grid.Box { return p.need }
 // nProcs come from the communicator and each (dims, offset) pair is a
 // grid.Box.
 //
-// Owned chunks must be mutually exclusive across ranks and collectively
-// complete over the domain; need boxes may overlap and need not cover the
-// domain (paper §III-B). With WithValidation the exclusivity/completeness
-// precondition is checked collectively and violations are reported.
+// The paper's precondition is that owned chunks are mutually exclusive
+// across ranks and collectively complete over the domain; need boxes may
+// overlap and need not cover the domain (paper §III-B). WithValidation
+// checks the precondition collectively and reports violations. Without
+// it, overlapping owned chunks have a defined answer: every need cell
+// arrives once — a cell the receiving rank owns is copied locally, any
+// other comes from its lowest-ranked owner (within a rank, its
+// lowest-indexed chunk) — which is how an elastic resize maps its old
+// need boxes onto the new ones.
 //
 // When the plan cache is enabled (the default, see WithPlanCache), the
 // ranks first agree on a fingerprint of the global geometry and on
@@ -90,7 +96,8 @@ func (p *Plan) Need() grid.Box { return p.need }
 // compilation are all skipped and the cached plan is replayed — that one
 // allgather is the steady-state cost of re-establishing a mapping whose
 // layout did not change (the in-transit reconnect cycle). A miss adds the
-// geometry allgather and this rank's own compile.
+// geometry allgather, unless every rank's geometry was small enough to
+// ride in the agreement's (a resize's is), and this rank's own compile.
 func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box) error {
 	if c.Size() != d.nProcs {
 		return fmt.Errorf("core: descriptor is for %d processes but communicator has %d: %w",
@@ -117,15 +124,16 @@ func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box
 
 	enc := encodeGeometry(need, own)
 	var key cacheKey
+	var packed [][]byte
 	if d.cache != nil {
-		cached, k, ok, err := d.cache.lookup(c, enc, d.fpSalt(), func(p *Plan) bool {
+		cached, k, geoms, err := d.cache.lookup(c, enc, d.fpSalt(), func(p *Plan) bool {
 			return planMatchesLocal(p, c.Rank(), own, need)
 		})
-		key = k
+		key, packed = k, geoms
 		if err != nil {
 			return fmt.Errorf("core: plan cache agreement: %w", err)
 		}
-		if ok {
+		if cached != nil {
 			if err := d.ensureBounded(cached); err != nil {
 				return err
 			}
@@ -144,9 +152,11 @@ func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box
 		d.flight.Record(obs.FlightEvent{Kind: obs.FlightCacheMiss, Rank: int32(wr), Peer: -1})
 	}
 
-	packed, err := c.Allgather(enc)
-	if err != nil {
-		return fmt.Errorf("core: geometry exchange: %w", err)
+	if packed == nil {
+		var err error
+		if packed, err = c.Allgather(enc); err != nil {
+			return fmt.Errorf("core: geometry exchange: %w", err)
+		}
 	}
 	allNeeds, allChunks, err := decodeGeometries(packed)
 	if err != nil {
@@ -266,13 +276,20 @@ func NewPlanFromGeometry(rank, elemSize int, allChunks [][]grid.Box, allNeeds []
 // emits, layout assigns a slot and construction fans across the worker
 // pool: the round, the peer, and the region the seg packs (inside the
 // rank's round-r chunk, a send) or scatters (inside its need box, a
-// receive). Slots are unique per job, so the batch runs at any parallelism
-// with no synchronization beyond the join.
+// receive). A job the ownership rule cuts compiles to its nFrag pieces,
+// held from index frag of the compile's piece list; nFrag 0 means the
+// whole region. Slots are unique per job, so the batch runs at any
+// parallelism with no synchronization beyond the join.
 type typeJob struct {
-	r, peer int
-	region  grid.Box
-	pos     int // the job's message slot, or its self-move slot when peer is the rank itself
+	r, peer     int
+	region      grid.Box
+	frag, nFrag int32 // pointer-free: a job list is allocated unscanned
+	pos         int32 // the job's message slot, or its first self-move slot when peer is the rank itself
+	seg         int32 // the job's first seg slot (messages only)
 }
+
+// nSegs is the number of segs (or self moves) the job compiles to.
+func (j *typeJob) nSegs() int { return max(int(j.nFrag), 1) }
 
 // scheduleCompiler holds the geometry-wide state of plan compilation.
 // Overlap discovery has two forms feeding the one compile: a rank's own
@@ -298,35 +315,268 @@ func newScheduleCompiler(elemSize int, allChunks [][]grid.Box, allNeeds []grid.B
 // discover collects rank's overlaps by linear scan: the sends round-major
 // with peers ascending inside each round, then the receives peer-major,
 // rounds ascending inside each peer — the two orders compile lays out
-// from. Empty boxes intersect nothing and drop out.
-func (sc *scheduleCompiler) discover(rank int) (sends, recvs []typeJob) {
+// from. Empty boxes intersect nothing and drop out. The scan of the
+// world's chunks also finds which of the rank's own chunks another one
+// overlaps (ownTree).
+func (sc *scheduleCompiler) discover(rank int) (sends, recvs []typeJob, contested []bool) {
 	var jobs []typeJob
-	for r, chunk := range sc.allChunks[rank] {
-		for peer, need := range sc.allNeeds {
-			if ov, ok := chunk.Intersect(need); ok {
-				jobs = append(jobs, typeJob{r: r, peer: peer, region: ov})
+	for r := range sc.allChunks[rank] {
+		chunk := &sc.allChunks[rank][r]
+		e := extentOf(chunk)
+		for peer := range sc.allNeeds {
+			if need := &sc.allNeeds[peer]; e.meets(spans(need)) {
+				if ov, ok := chunk.Intersect(*need); ok {
+					jobs = append(jobs, typeJob{r: r, peer: peer, region: ov})
+				}
 			}
 		}
 	}
 	nSend := len(jobs)
-	need := sc.allNeeds[rank]
+	need := &sc.allNeeds[rank]
+	ne := extentOf(need)
+	var buf [64]extent
+	t := newOwnTree(sc.allChunks[rank], buf[:])
 	for peer, chunks := range sc.allChunks {
-		for r, chunk := range chunks {
-			if ov, ok := chunk.Intersect(need); ok {
-				jobs = append(jobs, typeJob{r: r, peer: peer, region: ov})
+		for r := range chunks {
+			x0, x1, y0, y1, z0, z1 := spans(&chunks[r])
+			if ne.meets(x0, x1, y0, y1, z0, z1) {
+				if ov, ok := chunks[r].Intersect(*need); ok {
+					jobs = append(jobs, typeJob{r: r, peer: peer, region: ov})
+				}
+			}
+			if t.nodes[1].meets(x0, x1, y0, y1, z0, z1) {
+				t.visit(&contested, peer == rank, r, &chunks[r])
 			}
 		}
 	}
-	return jobs[:nSend:nSend], jobs[nSend:]
+	return jobs[:nSend:nSend], jobs[nSend:], contested
+}
+
+// The ownership rule. Owned chunks may overlap — within a rank or across
+// ranks, as a resize's old need boxes do — and every cell a rank needs
+// still arrives exactly once: a cell the receiving rank owns itself is a
+// self move, any other comes from its lowest-ranked owner, and within one
+// rank from the lowest-indexed chunk. Every rank holds the gathered
+// geometry, so both ends of a pair derive the same answer without
+// communicating. On disjoint chunks (the paper's precondition) the rule
+// changes nothing and costs only the checks that find no job contested:
+// the world's chunks against a tree over the rank's own (ownTree), which
+// discovery's scan of the world runs, and the rank's receive regions
+// against each other (contestedRecvs).
+
+// fragments returns the pieces of ov — the overlap of src's chunk r with
+// dst's need — that src sends dst under the ownership rule: ov minus
+// every chunk that outranks it for dst, which are dst's own chunks
+// (unless src is dst), every chunk of a lower rank, and src's
+// lower-indexed chunks. Sender and receiver call it with the same
+// arguments, so the pieces of one (round, peer) overlap come out in the
+// same order on both ends and form one multi-seg message.
+func (sc *scheduleCompiler) fragments(src, r, dst int, ov grid.Box) []grid.Box {
+	work, rest := []grid.Box{ov}, []grid.Box(nil)
+	cut := func(chunks []grid.Box) {
+		for i := range chunks {
+			if len(work) > 0 && chunks[i].Overlaps(ov) {
+				rest = rest[:0]
+				for _, w := range work {
+					rest = grid.SubtractAppend(rest, w, chunks[i])
+				}
+				work, rest = rest, work
+			}
+		}
+	}
+	if src != dst {
+		cut(sc.allChunks[dst])
+		for s := 0; s < src; s++ {
+			if s != dst {
+				cut(sc.allChunks[s])
+			}
+		}
+	}
+	cut(sc.allChunks[src][:r])
+	return work
+}
+
+// extent is a box as its [lo, hi) span along each axis, an unused axis as
+// [0, 1): the form the contest checks test overlaps in, with no loop and
+// no branch that depends on where the boxes lie — on a tiling, whether
+// two cross along an axis is a coin toss the branch predictor loses.
+type extent [2 * grid.MaxDims]int
+
+// spans returns b's extent as scalars, which a scan keeps in registers.
+func spans(b *grid.Box) (x0, x1, y0, y1, z0, z1 int) {
+	x0, x1, y0, y1, z0, z1 = b.Offset[0], b.Offset[0]+b.Dims[0], 0, 1, 0, 1
+	if b.NDims > 1 {
+		y0, y1 = b.Offset[1], b.Offset[1]+b.Dims[1]
+	}
+	if b.NDims > 2 {
+		z0, z1 = b.Offset[2], b.Offset[2]+b.Dims[2]
+	}
+	return
+}
+
+func extentOf(b *grid.Box) extent {
+	x0, x1, y0, y1, z0, z1 := spans(b)
+	return extent{x0, x1, y0, y1, z0, z1}
+}
+
+// meets reports whether e overlaps the extent given as scalars.
+func (e *extent) meets(x0, x1, y0, y1, z0, z1 int) bool {
+	return min(min(e[1], x1)-max(e[0], x0), min(e[3], y1)-max(e[2], y0), min(e[5], z1)-max(e[4], z0)) > 0
+}
+
+// ownTree finds which of a rank's chunks another owned chunk overlaps:
+// only their send jobs can be cut. The chunks sit at the leaves of an
+// implicit binary tree of bounding extents, in their given order, and a
+// chunk of the world descends only into the subtrees it meets — one far
+// from the rank's chunks costs the test against the root, one near them a
+// few more.
+type ownTree struct {
+	nodes []extent // node k has children 2k and 2k+1, leaves from m
+	m     int
+}
+
+// newOwnTree builds the tree over own, in buf when it fits.
+func newOwnTree(own []grid.Box, buf []extent) ownTree {
+	m := 1
+	for m < len(own) {
+		m <<= 1
+	}
+	if 2*m > len(buf) {
+		buf = make([]extent, 2*m)
+	}
+	t := ownTree{buf[:2*m], m}
+	for k := range m {
+		t.nodes[m+k] = extent{1 << 62, -1 << 62, 1 << 62, -1 << 62, 1 << 62, -1 << 62} // meets nothing
+		if k < len(own) {
+			t.nodes[m+k] = extentOf(&own[k])
+		}
+	}
+	for k := m - 1; k > 0; k-- {
+		a, b := &t.nodes[2*k], &t.nodes[2*k+1]
+		t.nodes[k] = extent{min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]), min(a[4], b[4]), max(a[5], b[5])}
+	}
+	return t
+}
+
+// visit marks in contested (allocated at the first mark) the own chunks
+// c overlaps, except own chunk i when mine says c is that chunk.
+func (t *ownTree) visit(contested *[]bool, mine bool, i int, c *grid.Box) {
+	x0, x1, y0, y1, z0, z1 := spans(c)
+	var path [64]int
+	path[0] = 1
+	for top := 1; top > 0; {
+		top--
+		switch k := path[top]; {
+		case !t.nodes[k].meets(x0, x1, y0, y1, z0, z1):
+		case k < t.m:
+			path[top], path[top+1] = 2*k, 2*k+1
+			top += 2
+		case !mine || k-t.m != i:
+			if *contested == nil {
+				*contested = make([]bool, t.m)
+			}
+			(*contested)[k-t.m] = true
+		}
+	}
+}
+
+// contestedChunks runs ownTree over the world's chunks for a compile
+// whose discovery did not scan them.
+func (sc *scheduleCompiler) contestedChunks(rank int) (contested []bool) {
+	var buf [64]extent
+	t := newOwnTree(sc.allChunks[rank], buf[:])
+	for s, chunks := range sc.allChunks {
+		for i := range chunks {
+			x0, x1, y0, y1, z0, z1 := spans(&chunks[i])
+			if t.nodes[1].meets(x0, x1, y0, y1, z0, z1) {
+				t.visit(&contested, s == rank, i, &chunks[i])
+			}
+		}
+	}
+	return contested
+}
+
+// contestedRecvs reports which receives' regions overlap another's, nil
+// when none does: every chunk that could outrank a receive's overlaps the
+// need, so it is among the receives too. The regions lie in need; it
+// sweeps them in order of their low corner along need's longest axis,
+// testing each only against the ones still open there.
+func contestedRecvs(recvs []typeJob, need grid.Box) (contested []bool) {
+	ax := 0
+	for a := 1; a < need.NDims; a++ {
+		if need.Dims[a] > need.Dims[ax] {
+			ax = a
+		}
+	}
+	// The sort keys — a region's low corner above need's in the high half,
+	// its index in the low — then the open list, in one buffer. A need too
+	// wide for the high half leaves the regions unsorted and closes none,
+	// which tests every pair.
+	var stack [256]uint64
+	buf := stack[:]
+	if 2*len(recvs) > len(buf) {
+		buf = make([]uint64, 2*len(recvs))
+	}
+	keys, open := buf[:len(recvs)], buf[len(recvs):len(recvs)]
+	sorted := need.Dims[ax] < 1<<31
+	for i := range recvs {
+		keys[i] = uint64(i)
+		if sorted {
+			keys[i] |= uint64(recvs[i].region.Offset[ax]-need.Offset[ax]) << 32
+		}
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		i := uint32(key)
+		e, n := extentOf(&recvs[i].region), 0
+		for _, k := range open {
+			if b := &recvs[k].region; !sorted || b.Offset[ax]+b.Dims[ax] > e[2*ax] {
+				open[n], n = k, n+1
+				if e.meets(spans(b)) {
+					if contested == nil {
+						contested = make([]bool, len(recvs))
+					}
+					contested[i], contested[k] = true, true
+				}
+			}
+		}
+		open = append(open[:n], uint64(i))
+	}
+	return contested
+}
+
+// cut applies the ownership rule to rank's sends or receives: a job
+// marked contested — sends by their chunk, receives by their index — is
+// cut into its fragments, appended to pieces, or dropped when none is
+// left; the others keep their order.
+func (sc *scheduleCompiler) cut(rank int, jobs []typeJob, recv bool, contested []bool, pieces []grid.Box) ([]typeJob, []grid.Box) {
+	kept := jobs[:0]
+	for i, j := range jobs {
+		src, dst, mark := rank, j.peer, j.r
+		if recv {
+			src, dst, mark = j.peer, rank, i
+		}
+		if contested[mark] {
+			f := sc.fragments(src, j.r, dst, j.region)
+			if len(f) == 0 {
+				continue
+			}
+			j.frag, j.nFrag = int32(len(pieces)), int32(len(f))
+			pieces = append(pieces, f...)
+		}
+		kept = append(kept, j)
+	}
+	return kept, pieces
 }
 
 // compile lays rank's overlaps straight into its step list. sends must
 // arrive round-major with peers ascending, recvs with rounds ascending
 // inside each peer; the rank's own chunk overlapping its own need appears
 // once in each. Subarray construction and contiguity analysis fan out
-// across par workers (datatype.ForkJoin); the result is byte-identical to
-// the brute-force reference at any parallelism and from either discovery.
-func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, par int) (*Plan, error) {
+// across par workers (datatype.ForkJoin); wherever owned chunks are
+// disjoint the result is byte-identical to the brute-force reference at
+// any parallelism and from either discovery.
+func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, contested []bool, par int) (*Plan, error) {
 	rounds := sc.rounds
 	p := &Plan{
 		elemSize:  sc.elemSize,
@@ -340,31 +590,42 @@ func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, par int) (
 		sched:     make([]step, rounds),
 	}
 
+	var pieces []grid.Box
+	if contested != nil {
+		sends, pieces = sc.cut(rank, sends, false, contested, pieces)
+	}
+	if hit := contestedRecvs(recvs, p.need); hit != nil {
+		recvs, pieces = sc.cut(rank, recvs, true, hit, pieces)
+	}
+
 	// Layout: one message array for the whole plan, each round's sends then
-	// its receives, one seg per message. Counting the rounds' messages and
+	// its receives, one message per job. Counting the rounds' messages and
 	// prefix-summing gives every job its slot; send jobs are already in slot
 	// order, receive jobs land at their round's next free slot, which keeps
-	// peers ascending because each peer's rounds arrived together. A rank's
-	// overlap with itself is not a message: its two jobs fill the two sides
-	// of one self move, paired by arrival order (both lists meet the rank's
-	// own rounds ascending).
+	// peers ascending because each peer's rounds arrived together. Each
+	// message's segs take the next run of one seg array. A rank's overlap
+	// with itself is not a message: its two jobs fill the two sides of its
+	// round's self moves, paired by arrival order (both lists meet the
+	// rank's own rounds ascending, and both ends of a self move cut it into
+	// the same fragments).
 	next := make([]int, 2*rounds) // per round: next free send slot, next free recv slot
-	nSelf := 0
-	for i := range sends {
-		if sends[i].peer == rank {
-			nSelf++
-		} else {
-			next[2*sends[i].r]++
+	nMsg, nSeg, nSelf := 0, 0, 0
+	for d, jobs := range [2][]typeJob{sends, recvs} {
+		for i := range jobs {
+			j := &jobs[i]
+			switch {
+			case j.peer != rank:
+				next[2*j.r+d]++
+				j.seg = int32(nSeg)
+				nMsg++
+				nSeg += j.nSegs()
+			case d == 0:
+				nSelf += j.nSegs()
+			}
 		}
 	}
-	for i := range recvs {
-		if recvs[i].peer != rank {
-			next[2*recvs[i].r+1]++
-		}
-	}
-	nMsg := len(sends) + len(recvs) - 2*nSelf
 	msgs := make([]message, nMsg)
-	segs := make([]seg, nMsg)
+	segs := make([]seg, nSeg)
 	selfs := make([]selfMove, nSelf)
 	off := 0
 	for r := range p.sched {
@@ -379,18 +640,19 @@ func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, par int) (
 		for i := range jobs {
 			j := &jobs[i]
 			if j.peer != rank {
-				j.pos = next[2*j.r+d]
+				j.pos = int32(next[2*j.r+d])
 				next[2*j.r+d]++
 				continue
 			}
-			j.pos = k
-			p.sched[j.r].selfs = selfs[k : k+1 : k+1]
-			k++
+			n := j.nSegs()
+			j.pos = int32(k)
+			p.sched[j.r].selfs = selfs[k : k+n : k+n]
+			k += n
 		}
 	}
 
-	// Construction: build each job's seg — subarray type plus contiguity
-	// span — across the pool. Each job owns its slot, and errors are
+	// Construction: build each job's segs — subarray type plus contiguity
+	// span — across the pool. Each job owns its slots, and errors are
 	// reported by the lowest failing job for determinism.
 	errs := make([]error, len(sends)+len(recvs))
 	datatype.ForkJoin(len(errs), par, func(i int) {
@@ -403,17 +665,28 @@ func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, par int) (
 			j = &sends[i]
 			base, buf, dir = p.myChunks[j.r], j.r, "send type to"
 		}
-		sg, err := newSeg(sc.elemSize, base, buf, j.region)
-		switch {
-		case err != nil:
-			errs[i] = fmt.Errorf("core: %s rank %d: %w", dir, j.peer, err)
-		case j.peer != rank:
-			segs[j.pos] = sg
-			msgs[j.pos] = message{peer: j.peer, tag: ddrTagBase + j.r, bytes: sg.t.PackedSize(), segs: segs[j.pos : j.pos+1 : j.pos+1]}
-		case recv:
-			selfs[j.pos].dst = sg
-		default:
-			selfs[j.pos].src = sg
+		n, pos, sn, bytes := j.nSegs(), int(j.pos), int(j.seg), 0
+		for f := range n {
+			region := j.region
+			if j.nFrag > 0 {
+				region = pieces[int(j.frag)+f]
+			}
+			sg, err := newSeg(sc.elemSize, base, buf, region)
+			switch {
+			case err != nil:
+				errs[i] = fmt.Errorf("core: %s rank %d: %w", dir, j.peer, err)
+				return
+			case j.peer != rank:
+				segs[sn+f] = sg
+				bytes += sg.t.PackedSize()
+			case recv:
+				selfs[pos+f].dst = sg
+			default:
+				selfs[pos+f].src = sg
+			}
+		}
+		if j.peer != rank {
+			msgs[pos] = message{peer: j.peer, tag: ddrTagBase + j.r, bytes: bytes, segs: segs[sn : sn+n : sn+n]}
 		}
 	})
 	for _, err := range errs {
@@ -430,8 +703,8 @@ func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, par int) (
 // tests and no index.
 func compilePlan(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, par int) (*Plan, error) {
 	sc := newScheduleCompiler(elemSize, allChunks, allNeeds)
-	sends, recvs := sc.discover(rank)
-	return sc.compile(rank, sends, recvs, par)
+	sends, recvs, contested := sc.discover(rank)
+	return sc.compile(rank, sends, recvs, contested, par)
 }
 
 // forEachOverlap visits every (source chunk × destination need) overlap
@@ -507,7 +780,7 @@ func CompileSchedule(elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, 
 	// failing rank for determinism.
 	datatype.ForkJoin(n, par, func(rank int) {
 		plans[rank], errs[rank] = sc.compile(rank,
-			sends[sendOff[rank]:sendOff[rank+1]], recvs[recvOff[rank]:recvOff[rank+1]], 1)
+			sends[sendOff[rank]:sendOff[rank+1]], recvs[recvOff[rank]:recvOff[rank+1]], sc.contestedChunks(rank), 1)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -515,4 +788,22 @@ func CompileSchedule(elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, 
 		}
 	}
 	return plans, nil
+}
+
+// CompileDelta compiles every rank's plan for an elastic resize offline,
+// from the global geometry alone: oldNeeds[r] is the box rank r holds
+// before the resize and newNeeds[r] the box it needs after (zero-extent
+// boxes mark joiners and leavers; both are indexed by the resize
+// collective's ranks). It is CompileSchedule, serially, over the geometry
+// in which every rank owns its old need box as its one chunk — what each
+// rank of a collective resize maps with SetupDataMapping(c,
+// []grid.Box{oldNeed}, newNeed) — so the ownership rule keeps every cell
+// a rank already holds and takes each other one from its lowest-ranked
+// old holder.
+func CompileDelta(elemSize int, oldNeeds, newNeeds []grid.Box) ([]*Plan, error) {
+	chunks := make([][]grid.Box, len(oldNeeds))
+	for r := range oldNeeds {
+		chunks[r] = oldNeeds[r : r+1 : r+1]
+	}
+	return CompileSchedule(elemSize, chunks, newNeeds, 1)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -60,7 +61,28 @@ func gcQuiesce() func() {
 // The schedule pair is the paper's offline-analysis scenario (ddrplan,
 // capacity planning): the acceptance target is the schedule ratio at
 // P=1024 with 4 chunks per rank.
+//
+// churn is one rank's plan of elastic_churn's Connect geometry (17 ranks
+// × 16 RandomTiling chunks of a 2048×256 domain, slab needs), cycling
+// through the ranks: the compile that workload runs every epoch on every
+// rank.
 func BenchmarkSetupMapping(b *testing.B) {
+	b.Run("churn", func(b *testing.B) {
+		const ranks, per = 17, 16
+		domain := grid.Box2(0, 0, 2048, 256)
+		tiles := grid.RandomTiling(rand.New(rand.NewSource(1)), domain, ranks*per)
+		chunks := make([][]grid.Box, ranks)
+		for r := range chunks {
+			chunks[r] = tiles[r*per : (r+1)*per]
+		}
+		needs := grid.Slabs(domain, 0, ranks)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := compilePlan(i%ranks, 4, chunks, needs, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	const chunksPer = 4
 	for _, procs := range []int{64, 256, 1024} {
 		chunks, needs := benchMappingGeometry(procs, chunksPer)

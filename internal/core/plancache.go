@@ -30,6 +30,15 @@ import (
 // A fingerprint collision (two geometries, one hash) is defended locally:
 // a rank lists a cached plan only when the match callback confirms it was
 // compiled from the rank's current contribution.
+//
+// A small geometry rides in the vote itself: a rank whose encoding is at
+// most inlineGeometry bytes — a resize's one old and one new box — sends
+// it ahead of its hash. When every rank's does, a miss compiles from the
+// gathered votes, and the agreement is the mapping's only collective,
+// hit or miss.
+
+// inlineGeometry is the largest encoding a rank sends in its vote.
+const inlineGeometry = 64
 
 // FNV-1a, the 64-bit variant — stable across processes and runs, unlike
 // maphash, so fingerprints can be compared between ranks.
@@ -50,7 +59,7 @@ func hash64(h uint64, b []byte) uint64 {
 // geometryFingerprint derives the global-geometry fingerprint from the
 // allgathered per-rank canonical encodings — the same fold the cache
 // lookup performs over gathered per-rank hashes, for callers with the full
-// encodings in hand (cache-disabled set-ups, the delta compiler). Every
+// encodings in hand (cache-disabled set-ups). Every
 // rank holds the same gathered set, so every rank derives the same value.
 func geometryFingerprint(packed [][]byte) uint64 {
 	fp := uint64(fnvOffset64)
@@ -101,23 +110,21 @@ type cacheKey struct {
 	rank int
 }
 
-// planCache is a small LRU of compiled plans, generic over the plan type
-// so the Descriptor (*Plan) and the DeltaCompiler (*DeltaPlan) share one
-// implementation. Like the owners that embed it, it is not safe for
-// concurrent use.
-type planCache[T any] struct {
+// planCache is a small LRU of compiled plans. Like the Descriptor that
+// owns it, it is not safe for concurrent use.
+type planCache struct {
 	limit int
 	ll    *list.List // front = most recently used
 	byKey map[cacheKey]*list.Element
 }
 
-type cacheEntry[T any] struct {
+type cacheEntry struct {
 	key cacheKey
-	val T
+	val *Plan
 }
 
-func newPlanCache[T any](limit int) *planCache[T] {
-	return &planCache[T]{limit: limit, ll: list.New(), byKey: make(map[cacheKey]*list.Element)}
+func newPlanCache(limit int) *planCache {
+	return &planCache{limit: limit, ll: list.New(), byKey: make(map[cacheKey]*list.Element)}
 }
 
 // lookup fingerprints the global geometry from this rank's canonical
@@ -127,39 +134,70 @@ func newPlanCache[T any](limit int) *planCache[T] {
 // itself — a disagreement changes the global fingerprint, which no rank
 // then lists, so all ranks compile together. match confirms a candidate
 // was compiled from exactly this rank's current geometry (the collision
-// defense). Returns the plan and true only on a unanimous hit; otherwise
-// the caller must compile and then put the plan under the returned key,
-// on every rank.
-func (pc *planCache[T]) lookup(c *mpi.Comm, enc []byte, salt uint64, match func(T) bool) (hit T, key cacheKey, ok bool, err error) {
+// defense). Returns the plan only on a unanimous hit; otherwise the
+// caller must compile and then put the plan under the returned key, on
+// every rank — from geoms, every rank's encoding, when all of them rode
+// in the votes, or else after gathering them itself.
+func (pc *planCache) lookup(c *mpi.Comm, enc []byte, salt uint64, match func(*Plan) bool) (hit *Plan, key cacheKey, geoms [][]byte, err error) {
 	key = cacheKey{fp: fnvOffset64, rank: c.Rank()}
-	vote := binary.LittleEndian.AppendUint64(make([]byte, 0, 16),
-		saltHash(hash64(fnvOffset64, enc), salt))
+	var inline []byte
+	if len(enc) <= inlineGeometry {
+		inline = enc
+	}
+	vote := append(appendUvarint(make([]byte, 0, 1+len(inline)+16), uint64(len(inline))), inline...)
+	vote = binary.LittleEndian.AppendUint64(vote, saltHash(hash64(fnvOffset64, enc), salt))
 	gathered, err := c.Allgather(pc.offers(vote, key.rank, match))
 	if err != nil {
-		return hit, key, false, err
+		return nil, key, nil, err
 	}
+	all := true
 	for r, v := range gathered {
-		if len(v) < 8 || len(v)%8 != 0 {
-			return hit, key, false, fmt.Errorf("core: malformed %d-byte cache vote from rank %d", len(v), r)
+		g, v, err := splitVote(v)
+		if err != nil {
+			return nil, key, nil, fmt.Errorf("core: malformed cache vote from rank %d: %w", r, err)
 		}
+		all = all && len(g) > 0
 		key.fp = hash64(key.fp, v[:8])
 	}
+	miss := false
 	for _, v := range gathered {
-		if !offered(v[8:], key.fp) {
-			return hit, key, false, nil
+		_, v, _ := splitVote(v)
+		miss = miss || !offered(v[8:], key.fp)
+	}
+	if !miss {
+		// This rank's own vote is among the gathered, so the entry exists.
+		hit, _ = pc.get(key)
+		return hit, key, nil, nil
+	}
+	if all {
+		geoms = make([][]byte, len(gathered))
+		for r, v := range gathered {
+			geoms[r], _, _ = splitVote(v)
 		}
 	}
-	// This rank's own vote is among the gathered, so the entry exists.
-	hit, _ = pc.get(key)
-	return hit, key, true, nil
+	return nil, key, geoms, nil
+}
+
+// splitVote splits a gathered vote into the geometry it carries (empty
+// when the rank's was too large to) and the hash followed by whole
+// fingerprints.
+func splitVote(v []byte) (geom, rest []byte, err error) {
+	n, rest, err := readUvarint(v)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n > uint64(len(rest)) || len(rest)-int(n) < 8 || (len(rest)-int(n))%8 != 0 {
+		return nil, nil, fmt.Errorf("%d bytes are no %d-byte geometry, hash and fingerprints", len(v), n)
+	}
+	return rest[:n], rest[n:], nil
 }
 
 // offers appends to vote the fingerprints of rank's cached plans that
 // match confirms. The global fingerprint is not known before the gather,
 // so a rank offers every plan it could replay for its contribution.
-func (pc *planCache[T]) offers(vote []byte, rank int, match func(T) bool) []byte {
+func (pc *planCache) offers(vote []byte, rank int, match func(*Plan) bool) []byte {
 	for el := pc.ll.Front(); el != nil; el = el.Next() {
-		if ent := el.Value.(*cacheEntry[T]); ent.key.rank == rank && match(ent.val) {
+		if ent := el.Value.(*cacheEntry); ent.key.rank == rank && match(ent.val) {
 			vote = binary.LittleEndian.AppendUint64(vote, ent.key.fp)
 		}
 	}
@@ -178,31 +216,30 @@ func offered(offers []byte, fp uint64) bool {
 }
 
 // get returns the plan stored under key, marked most recently used.
-func (pc *planCache[T]) get(key cacheKey) (T, bool) {
+func (pc *planCache) get(key cacheKey) (*Plan, bool) {
 	el, ok := pc.byKey[key]
 	if !ok {
-		var zero T
-		return zero, false
+		return nil, false
 	}
 	pc.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry[T]).val, true
+	return el.Value.(*cacheEntry).val, true
 }
 
 // put records val under key, evicting the least recently used entry
 // beyond the cache's capacity.
-func (pc *planCache[T]) put(key cacheKey, val T) {
+func (pc *planCache) put(key cacheKey, val *Plan) {
 	if el, ok := pc.byKey[key]; ok {
-		el.Value.(*cacheEntry[T]).val = val
+		el.Value.(*cacheEntry).val = val
 		pc.ll.MoveToFront(el)
 		return
 	}
-	pc.byKey[key] = pc.ll.PushFront(&cacheEntry[T]{key: key, val: val})
+	pc.byKey[key] = pc.ll.PushFront(&cacheEntry{key: key, val: val})
 	for pc.ll.Len() > pc.limit {
 		back := pc.ll.Back()
 		pc.ll.Remove(back)
-		delete(pc.byKey, back.Value.(*cacheEntry[T]).key)
+		delete(pc.byKey, back.Value.(*cacheEntry).key)
 	}
 }
 
 // len reports the number of cached plans.
-func (pc *planCache[T]) len() int { return pc.ll.Len() }
+func (pc *planCache) len() int { return pc.ll.Len() }

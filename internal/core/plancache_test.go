@@ -19,8 +19,9 @@ func messages(c *mpi.Comm) int64 {
 
 // TestAgreementCollectiveCounts pins what agreement costs on the wire, in
 // units of a bare Allgather measured in the same world (so no tree shape
-// is assumed): a cold SetupDataMapping is two, a warm one is one, and a
-// DeltaCompiler.Compile is one whether it hits or misses.
+// is assumed): a cold SetupDataMapping is two and a warm one is one,
+// except that a geometry small enough to ride in the agreement's votes —
+// a resize's, one old and one new box a rank — is one either way.
 func TestAgreementCollectiveCounts(t *testing.T) {
 	const n = 5
 	err := mpi.Launch(n, func(c *mpi.Comm) error {
@@ -44,38 +45,29 @@ func TestAgreementCollectiveCounts(t *testing.T) {
 			return nil
 		}
 
-		desc, err := NewDescriptor(n, Layout1D, Uint8)
-		if err != nil {
-			return err
-		}
-		own, need := []grid.Box{grid.Box1(8*r, 8)}, grid.Box1(8*(n-1-r), 8)
-		setup := func() error { return desc.SetupDataMapping(c, own, need) }
-		if err := cost("cold SetupDataMapping", 2, setup); err != nil {
-			return err
-		}
-		if err := cost("warm SetupDataMapping", 1, setup); err != nil {
-			return err
-		}
-		if hits, misses := desc.PlanCacheStats(); hits != 1 || misses != 1 {
-			return fmt.Errorf("rank %d: %d hits / %d misses, want 1 / 1", r, hits, misses)
-		}
-
-		dc, err := NewDeltaCompiler(1, 4)
-		if err != nil {
-			return err
-		}
-		resize := func() error {
-			_, err := dc.Compile(c, need, grid.Box1(8*r, 8))
-			return err
-		}
-		if err := cost("DeltaCompiler.Compile miss", 1, resize); err != nil {
-			return err
-		}
-		if err := cost("DeltaCompiler.Compile hit", 1, resize); err != nil {
-			return err
-		}
-		if hits, misses := dc.CacheStats(); hits != 1 || misses != 1 {
-			return fmt.Errorf("rank %d: delta cache %d hits / %d misses, want 1 / 1", r, hits, misses)
+		for _, tc := range []struct {
+			name string
+			cold int64
+			own  []grid.Box
+		}{
+			{"resize-sized", 1, []grid.Box{grid.Box1(64*r, 64)}},
+			{"chunked", 2, grid.Slabs(grid.Box1(64*r, 64), 0, 32)},
+		} {
+			desc, err := NewDescriptor(n, Layout1D, Uint8)
+			if err != nil {
+				return err
+			}
+			need := grid.Box1(64*(n-1-r), 64)
+			setup := func() error { return desc.SetupDataMapping(c, tc.own, need) }
+			if err := cost("cold "+tc.name+" SetupDataMapping", tc.cold, setup); err != nil {
+				return err
+			}
+			if err := cost("warm "+tc.name+" SetupDataMapping", 1, setup); err != nil {
+				return err
+			}
+			if hits, misses := desc.PlanCacheStats(); hits != 1 || misses != 1 {
+				return fmt.Errorf("rank %d %s: %d hits / %d misses, want 1 / 1", r, tc.name, hits, misses)
+			}
 		}
 		return nil
 	})
@@ -136,21 +128,23 @@ func TestPlanCacheDissent(t *testing.T) {
 // list the fingerprint, which turns the lookup into a miss everywhere.
 func TestPlanCacheCollisionDefence(t *testing.T) {
 	err := mpi.Launch(3, func(c *mpi.Comm) error {
-		pc := newPlanCache[string](4)
+		pc := newPlanCache(4)
 		enc := []byte{geomVersion, byte(c.Rank())}
-		lookup := func(matches bool) (string, cacheKey, bool, error) {
-			return pc.lookup(c, enc, 0, func(string) bool { return matches })
+		lookup := func(matches bool) (*Plan, cacheKey, error) {
+			hit, key, _, err := pc.lookup(c, enc, 0, func(*Plan) bool { return matches })
+			return hit, key, err
 		}
-		_, key, ok, err := lookup(true)
-		if err != nil || ok {
-			return fmt.Errorf("empty cache: hit=%v err=%v", ok, err)
+		hit, key, err := lookup(true)
+		if err != nil || hit != nil {
+			return fmt.Errorf("empty cache: hit=%p err=%v", hit, err)
 		}
-		pc.put(key, "plan")
-		if _, _, ok, err := lookup(c.Rank() != 1); err != nil || ok {
-			return fmt.Errorf("rank 1's contribution differs from its cached plan, yet hit=%v err=%v", ok, err)
+		plan := &Plan{}
+		pc.put(key, plan)
+		if hit, _, err := lookup(c.Rank() != 1); err != nil || hit != nil {
+			return fmt.Errorf("rank 1's contribution differs from its cached plan, yet hit=%p err=%v", hit, err)
 		}
-		if got, _, ok, err := lookup(true); err != nil || !ok || got != "plan" {
-			return fmt.Errorf("unanimous lookup: got %q hit=%v err=%v", got, ok, err)
+		if hit, _, err := lookup(true); err != nil || hit != plan {
+			return fmt.Errorf("unanimous lookup: got %p err=%v", hit, err)
 		}
 		return nil
 	})
@@ -159,9 +153,9 @@ func TestPlanCacheCollisionDefence(t *testing.T) {
 	}
 }
 
-// TestPlanCacheMalformedVote: a contribution that is not a hash followed
-// by whole fingerprints is an error on every rank that reads it — never
-// a panic, never a hit.
+// TestPlanCacheMalformedVote: a contribution that is not a geometry, a
+// hash and whole fingerprints is an error on every rank that reads it —
+// never a panic, never a hit.
 func TestPlanCacheMalformedVote(t *testing.T) {
 	for _, size := range []int{0, 5, 12} {
 		err := mpi.Launch(3, func(c *mpi.Comm) error {
@@ -169,10 +163,10 @@ func TestPlanCacheMalformedVote(t *testing.T) {
 				_, err := c.Allgather(make([]byte, size))
 				return err
 			}
-			pc := newPlanCache[string](4)
-			_, _, ok, err := pc.lookup(c, []byte{geomVersion}, 0, func(string) bool { return true })
-			if err == nil || ok || !strings.Contains(err.Error(), "from rank 2") {
-				return fmt.Errorf("%d-byte vote: hit=%v err=%v, want an error naming rank 2", size, ok, err)
+			pc := newPlanCache(4)
+			hit, _, _, err := pc.lookup(c, []byte{geomVersion}, 0, func(*Plan) bool { return true })
+			if err == nil || hit != nil || !strings.Contains(err.Error(), "from rank 2") {
+				return fmt.Errorf("%d-byte vote: hit=%p err=%v, want an error naming rank 2", size, hit, err)
 			}
 			return nil
 		})

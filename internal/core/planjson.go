@@ -13,12 +13,16 @@ type SpanSummary struct {
 	OK  bool `json:"ok"`
 }
 
-// EntrySummary is one message of a round (or bounded step).
+// EntrySummary is one message of a round (or bounded step). Span is the
+// contiguity span of a message's one seg; a message cut into several segs
+// (a contested overlap's fragments) lists every seg's span in Segs, in
+// wire order, and leaves Span zero.
 type EntrySummary struct {
-	Peer int         `json:"peer"`
-	Tag  int         `json:"tag"`
-	Size int         `json:"size"`
-	Span SpanSummary `json:"span"`
+	Peer int           `json:"peer"`
+	Tag  int           `json:"tag"`
+	Size int           `json:"size"`
+	Span SpanSummary   `json:"span"`
+	Segs []SpanSummary `json:"segs,omitempty"`
 }
 
 // RoundSummary is one exchange round (or bounded step) of one rank's plan.
@@ -38,9 +42,17 @@ type PlanSummary struct {
 // step order; the local moves carry no wire bytes and are not listed.
 func summarizeRound(msgs []message) []EntrySummary {
 	out := []EntrySummary{}
+	span := func(sp contigSpan) SpanSummary { return SpanSummary{Off: sp.off, N: sp.n, OK: sp.ok} }
 	for _, m := range msgs {
-		sp := m.segs[0].span
-		out = append(out, EntrySummary{Peer: m.peer, Tag: m.tag, Size: m.bytes, Span: SpanSummary{Off: sp.off, N: sp.n, OK: sp.ok}})
+		e := EntrySummary{Peer: m.peer, Tag: m.tag, Size: m.bytes}
+		if len(m.segs) == 1 {
+			e.Span = span(m.segs[0].span)
+		} else {
+			for _, sg := range m.segs {
+				e.Segs = append(e.Segs, span(sg.span))
+			}
+		}
+		out = append(out, e)
 	}
 	return out
 }

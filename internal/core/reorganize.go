@@ -28,7 +28,7 @@ import (
 // it actually blocked on (Duration = Pack + blocked + Unpack), which is
 // what makes overlap efficiency computable from timings alone — see
 // OverlapRatio. Every step-executor path — the default mode, bounded,
-// delta — fills the sub-durations; only ModeAlltoallw, which
+// resize — fills the sub-durations; only ModeAlltoallw, which
 // delegates the whole phase to the reference collective, leaves them zero.
 type RoundTiming struct {
 	Round     int
@@ -90,6 +90,11 @@ func (d *Descriptor) AppendTimings(dst []RoundTiming) []RoundTiming {
 // point-to-point exchange mode (one tag per round). Applications sharing a
 // communicator with DDR should stay below this range.
 const ddrTagBase = 1 << 20
+
+// ddrTagLimit is one past the last tag of DDR's reserved range: the round
+// tags from ddrTagBase, then the bounded exchange's slice tags from
+// boundedTagBase up to it.
+const ddrTagLimit = ddrTagBase + (1 << 19)
 
 // ExchangeTagBase is the first tag of the range DDR reserves for its
 // exchange traffic, exported so fault-injection schedules can target the
@@ -263,6 +268,19 @@ func (d *Descriptor) pipelineDepth(steps, perStep int) int {
 func (d *Descriptor) alltoallwRounds(ctx context.Context, c *mpi.Comm, own [][]byte, need []byte, exch uint64, traced bool) error {
 	p, o := d.plan, d.obsv
 	d.ex.timings = d.ex.timings[:0]
+	for r := range p.sched {
+		st := &p.sched[r]
+		if len(st.selfs) > 1 {
+			return fmt.Errorf("round %d moves %d local pieces: %w", r, len(st.selfs), ErrFragmented)
+		}
+		for _, msgs := range [2][]message{st.sends, st.recvs} {
+			for _, m := range msgs {
+				if len(m.segs) > 1 {
+					return fmt.Errorf("round %d: message with rank %d has %d pieces: %w", r, m.peer, len(m.segs), ErrFragmented)
+				}
+			}
+		}
+	}
 	for r := 0; r < p.rounds; r++ {
 		if ctx != nil && ctx.Err() != nil {
 			return ctx.Err()
@@ -299,7 +317,8 @@ func (d *Descriptor) alltoallwRounds(ctx context.Context, c *mpi.Comm, own [][]b
 // alltoallwRows materializes round r's dense send/recv type rows — the
 // alltoallw collective's wire format — from the round's step into the
 // descriptor's reusable scratch: each message's one seg in its peer's
-// slot, the local move in the rank's own. resetAlltoallwRows must run
+// slot, the local move in the rank's own (alltoallwRounds has checked
+// that there is one of each). resetAlltoallwRows must run
 // after the collective returns to restore the Empty sentinels, so the rows
 // are clean for the next round at O(messages) cost.
 func (d *Descriptor) alltoallwRows(p *Plan, r int) (rowSend, rowRecv []datatype.Type) {

@@ -91,3 +91,39 @@ func (p *Plan) RankRoundSendBytes(rank, round int) int64 {
 	}
 	return total
 }
+
+// ReceivedBytes returns the bytes this rank's plan receives from other
+// ranks per exchange.
+func (p *Plan) ReceivedBytes() int64 {
+	var n int64
+	for i := range p.sched {
+		for _, m := range p.sched[i].recvs {
+			n += int64(m.bytes)
+		}
+	}
+	return n
+}
+
+// RetainedBytes returns the bytes this rank's plan copies from its own
+// chunks into its need box per exchange: what it already held.
+func (p *Plan) RetainedBytes() int64 {
+	var n int64
+	for i := range p.sched {
+		for _, sf := range p.sched[i].selfs {
+			n += int64(sf.dst.t.PackedSize())
+		}
+	}
+	return n
+}
+
+// NeedRanks returns how many ranks of the plan's world need a non-empty
+// box — after a resize, the size of the new group.
+func (p *Plan) NeedRanks() int {
+	n := 0
+	for _, b := range p.allNeeds {
+		if b.NDims > 0 && !b.Empty() {
+			n++
+		}
+	}
+	return n
+}

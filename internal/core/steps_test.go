@@ -216,7 +216,7 @@ func TestStepScheduleConservation(t *testing.T) {
 			}})
 		}
 
-		// Delta: every rank hands its need to its right neighbour. A cell of
+		// Resize: every rank hands its need to its right neighbour. A cell of
 		// the new need comes from the rank itself when it already held it,
 		// else from the lowest-ranked old holder.
 		newNeeds := make([]grid.Box, bc.nProcs)
@@ -241,13 +241,13 @@ func TestStepScheduleConservation(t *testing.T) {
 				}
 			}
 		}
-		backends = append(backends, backend{"delta", 0, deltaWant, func(t *testing.T) [][]step {
-			dps, err := CompileDelta(bc.elemSize, bc.needs, newNeeds)
+		backends = append(backends, backend{"resize", 0, deltaWant, func(t *testing.T) [][]step {
+			plans, err := CompileDelta(bc.elemSize, bc.needs, newNeeds)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var out [][]step
-			for _, p := range dps {
+			for _, p := range plans {
 				out = append(out, p.sched)
 			}
 			return out

@@ -24,7 +24,7 @@ func CompileBruteForTest(rank, elemSize int, allChunks [][]grid.Box, allNeeds []
 // match and the payload carries the right bytes; they land one cell away
 // from where they belong, which only a byte comparison (or the harness's
 // fill invariant) can catch. Every plan backend is a []step, so this is
-// the one planted schedule bug behind all three hooks below. Returns false
+// the one planted schedule bug behind both hooks below. Returns false
 // when no receive seg can be shifted in bounds.
 //
 // The shifted region overlaps its neighbours, which breaks the one thing
@@ -82,13 +82,6 @@ func (p *Plan) PerturbPlanForTest() bool {
 // when the rank replays its rounds unchanged. Never call outside tests.
 func (p *Plan) PerturbBoundedForTest() bool {
 	return p != nil && p.bounded != nil && shiftRecvSeg(p.bounded.sched, p.elemSize, p.need)
-}
-
-// PerturbDeltaForTest plants shiftRecvSeg's bug in a delta plan, so the
-// resize property harness can prove it detects delta-compilation bugs.
-// Never call outside tests.
-func (p *DeltaPlan) PerturbDeltaForTest() bool {
-	return shiftRecvSeg(p.sched, p.elemSize, p.newNeed)
 }
 
 // PerturbPipelineForTest arms a pipelined-schedule bug in this

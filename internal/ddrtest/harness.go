@@ -144,8 +144,8 @@ func forEachCell(box grid.Box, f func(x, y, z int)) {
 // buffer. missing lists regions a partial completion reported lost:
 // cells inside them may hold either the sentinel (data never arrived) or
 // the expected value (it arrived before the loss), but never anything
-// else. Cells outside the domain must hold the sentinel; all remaining
-// cells must hold the closed-form value.
+// else. Cells no rank owns — outside the domain, for a tiling — must hold
+// the sentinel; all remaining cells must hold the closed-form value.
 func (tc *Case) CheckNeed(need grid.Box, buf []byte, missing []grid.Box) error {
 	if len(buf) != need.Volume()*tc.ElemSize {
 		return fmt.Errorf("need buffer holds %d bytes, want %d", len(buf), need.Volume()*tc.ElemSize)
@@ -159,7 +159,10 @@ func (tc *Case) CheckNeed(need grid.Box, buf []byte, missing []grid.Box) error {
 			return
 		}
 		pt := [grid.MaxDims]int{x, y, z}
-		inDomain := tc.Domain.ContainsPoint(pt)
+		owned := false
+		for _, chunks := range tc.Chunks {
+			owned = owned || inBoxes(chunks, pt)
+		}
 		sentinel := true
 		expected := true
 		for b := 0; b < tc.ElemSize; b++ {
@@ -171,9 +174,9 @@ func (tc *Case) CheckNeed(need grid.Box, buf []byte, missing []grid.Box) error {
 			}
 		}
 		switch {
-		case !inDomain:
+		case !owned:
 			if !sentinel {
-				firstErr = fmt.Errorf("cell (%d,%d,%d) outside the domain was overwritten", x, y, z)
+				firstErr = fmt.Errorf("cell (%d,%d,%d) no rank owns was overwritten", x, y, z)
 			}
 		case inBoxes(missing, pt):
 			if !sentinel && !expected {
@@ -242,7 +245,7 @@ type RunOptions struct {
 }
 
 // launchOptions maps a transport name and fault injector onto launcher
-// options, for Run and RunResize alike.
+// options.
 func launchOptions(transport string, inj mpi.FaultInjector) ([]mpi.LaunchOption, error) {
 	lo := []mpi.LaunchOption{mpi.WithFaultInjector(inj)}
 	switch transport {

@@ -1,6 +1,9 @@
 package ddrtest
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -46,7 +49,7 @@ func resizeSchedules() []resizeSchedule {
 }
 
 // TestResizeProperty sweeps seeded random resize cases through every
-// schedule: the delta exchange must satisfy the fill invariant on all
+// schedule: the resize exchange must satisfy the fill invariant on all
 // surviving ranks, degrading only under lossy schedules.
 func TestResizeProperty(t *testing.T) {
 	cases := 120
@@ -59,6 +62,7 @@ func TestResizeProperty(t *testing.T) {
 			for i := 0; i < cases && !t.Failed(); i++ {
 				seed := uint64(i)*2654435761 + uint64(i) + 17
 				rc := GenResizeCase(seed, *flagMaxProcs, *flagMaxExtent)
+				tc := rc.Case()
 				// Every eighth case rides loopback sockets, every eighth (on
 				// an offset stride) shared-memory rings.
 				tr := TransportInproc
@@ -68,7 +72,7 @@ func TestResizeProperty(t *testing.T) {
 				case 4:
 					tr = TransportShm
 				}
-				results, err := rc.RunResize(ResizeRunOptions{
+				results, err := tc.Run(RunOptions{
 					Transport: tr,
 					Injector:  sc.build(&rc),
 					Deadline:  sc.deadline,
@@ -113,7 +117,7 @@ func TestResizeSeverLeavingRank(t *testing.T) {
 		NewNeeds: []grid.Box{newSlabs[0], newSlabs[1], newSlabs[2], empty},
 	}
 
-	// The leaver hands one concatenated message to each survivor; cutting
+	// The leaver hands one message to each survivor; cutting
 	// its links to ranks 1 and 2 on the first exchange delivery (and
 	// sparing rank 0) kills the handoff partway through.
 	severs := []chaos.Sever{
@@ -122,8 +126,9 @@ func TestResizeSeverLeavingRank(t *testing.T) {
 	}
 	inj := chaos.New(chaos.Options{Seed: 42, TagFloor: core.ExchangeTagBase, Severs: severs})
 
-	for _, tr := range []string{TransportInproc, TransportTCP} {
-		results, err := rc.RunResize(ResizeRunOptions{
+	tc := rc.Case()
+	for _, tr := range []string{TransportInproc, TransportTCP, TransportShm} {
+		results, err := tc.Run(RunOptions{
 			Transport: tr,
 			Injector:  inj,
 			Deadline:  5 * time.Second,
@@ -155,37 +160,103 @@ func TestResizeSeverLeavingRank(t *testing.T) {
 	}
 }
 
-// TestResizeCatchesPlantedBug proves the resize harness has teeth: an
-// off-by-one perturbation of a compiled delta receive region must
-// surface as an invariant violation on at least one seed.
+// TestResizeCatchesPlantedBug proves the resize harness has teeth, on
+// every transport: an off-by-one perturbation of a compiled resize
+// receive region must surface as an invariant violation on some seed.
 func TestResizeCatchesPlantedBug(t *testing.T) {
-	caught, perturbed := false, false
-	for seed := uint64(1); seed <= 40 && !caught; seed++ {
-		rc := GenResizeCase(seed, *flagMaxProcs, *flagMaxExtent)
-		applied := false
-		results, err := rc.RunResize(ResizeRunOptions{
-			Mutate: func(p *core.DeltaPlan) { applied = p.PerturbDeltaForTest() },
+	for _, tr := range []string{TransportInproc, TransportTCP, TransportShm} {
+		caught, perturbed := false, false
+		for seed := uint64(1); seed <= 40 && !caught; seed++ {
+			rc := GenResizeCase(seed, *flagMaxProcs, *flagMaxExtent)
+			tc := rc.Case()
+			applied := false
+			results, err := tc.Run(RunOptions{
+				Transport: tr,
+				Mutate:    func(p *core.Plan) { applied = p.PerturbPlanForTest() },
+			})
+			if err != nil {
+				t.Fatalf("transport=%q seed %d: world error: %v", tr, seed, err)
+			}
+			if !applied {
+				continue // rank 0 had no shiftable receive region in this case
+			}
+			perturbed = true
+			for _, res := range results {
+				if res.CheckErr != nil {
+					caught = true
+				}
+				if res.Err != nil {
+					t.Fatalf("transport=%q seed %d: exchange error instead of invariant violation: %v", tr, seed, res.Err)
+				}
+			}
+		}
+		if !perturbed {
+			t.Fatalf("transport=%q: no generated case offered a perturbable resize plan", tr)
+		}
+		if !caught {
+			t.Fatalf("transport=%q: planted resize-compile bug escaped the harness", tr)
+		}
+	}
+}
+
+// TestResizeWireBytes holds the resize to the bytes the incremental
+// compiler it replaced moved. testdata/resize_wire_bytes.json was
+// recorded from that compiler, before its removal: for every
+// TestResizeProperty seed at the default -ddr-max-procs 5 and
+// -ddr-max-extent 20, each rank's bytes received over the wire and kept
+// by the local copy. The offline compile (CompileDelta) and every rank's
+// SetupDataMapping plan must reproduce them byte for byte.
+func TestResizeWireBytes(t *testing.T) {
+	raw, err := os.ReadFile("testdata/resize_wire_bytes.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixture []struct {
+		Seed     uint64  `json:"seed"`
+		Received []int64 `json:"received"`
+		Retained []int64 `json:"retained"`
+	}
+	if err := json.Unmarshal(raw, &fixture); err != nil {
+		t.Fatal(err)
+	}
+	if len(fixture) != 120 {
+		t.Fatalf("fixture holds %d cases, TestResizeProperty sweeps 120", len(fixture))
+	}
+	for i, want := range fixture {
+		seed := uint64(i)*2654435761 + uint64(i) + 17
+		if want.Seed != seed {
+			t.Fatalf("fixture case %d is seed %d, the sweep's is %d", i, want.Seed, seed)
+		}
+		rc := GenResizeCase(seed, 5, 20)
+		check := func(path string, rank int, p *core.Plan) error {
+			if got, got2 := p.ReceivedBytes(), p.RetainedBytes(); got != want.Received[rank] || got2 != want.Retained[rank] {
+				return fmt.Errorf("%v: %s plan of rank %d receives %d and retains %d bytes, the fixture %d and %d",
+					&rc, path, rank, got, got2, want.Received[rank], want.Retained[rank])
+			}
+			return nil
+		}
+		plans, err := core.CompileDelta(rc.ElemSize, rc.OldNeeds, rc.NewNeeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, p := range plans {
+			if err := check("CompileDelta", r, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err = mpi.Launch(rc.NProcs, func(c *mpi.Comm) error {
+			r := c.Rank()
+			d, err := core.NewDescriptor(rc.NProcs, rc.Layout, core.Uint8, core.WithElemSize(rc.ElemSize))
+			if err != nil {
+				return err
+			}
+			if err := d.SetupDataMapping(c, rc.OldNeeds[r:r+1], rc.NewNeeds[r]); err != nil {
+				return err
+			}
+			return check("SetupDataMapping", r, d.Plan())
 		})
 		if err != nil {
-			t.Fatalf("seed %d: world error: %v", seed, err)
+			t.Fatal(err)
 		}
-		if !applied {
-			continue // rank 0 had no shiftable receive region in this case
-		}
-		perturbed = true
-		for _, res := range results {
-			if res.CheckErr != nil {
-				caught = true
-			}
-			if res.Err != nil {
-				t.Fatalf("seed %d: exchange error instead of invariant violation: %v", seed, res.Err)
-			}
-		}
-	}
-	if !perturbed {
-		t.Fatal("no generated case offered a perturbable delta plan")
-	}
-	if !caught {
-		t.Fatal("planted delta-compiler bug escaped the harness")
 	}
 }

@@ -217,10 +217,3 @@ func GetBufferMetered(n int, m *StagingMeter) []byte {
 	m.Acquire(cap(b))
 	return b
 }
-
-// PutBufferMetered releases the charge taken by GetBufferMetered and
-// recycles the buffer.
-func PutBufferMetered(b []byte, m *StagingMeter) {
-	m.Release(cap(b))
-	PutBuffer(b)
-}

@@ -101,7 +101,8 @@ func TestStagingMeter(t *testing.T) {
 	if cur := m.Current(); cur != 50+512 {
 		t.Fatalf("metered get charges %d, want class capacity 512", cur-50)
 	}
-	PutBufferMetered(b, &m)
+	m.Release(cap(b))
+	PutBuffer(b)
 	if cur, peak := m.Current(), m.Peak(); cur != 50 || peak != 562 {
 		t.Fatalf("after metered put: cur=%d peak=%d, want 50/562", cur, peak)
 	}
@@ -135,7 +136,8 @@ func TestStagingMeter(t *testing.T) {
 		t.Fatal("nil meter must read zero")
 	}
 	nb := GetBufferMetered(100, nil)
-	PutBufferMetered(nb, nil)
+	nilM.Release(cap(nb))
+	PutBuffer(nb)
 }
 
 // TestAlltoallwRandomBoxes checks the collective against the closed form

@@ -45,7 +45,9 @@ const (
 //
 // The consumer side can itself rescale mid-stream: Resize moves the
 // session from N to N′ consumer ranks without tearing the coupling down,
-// shipping only the bytes whose ownership changed (see core.CompileDelta).
+// shipping only the bytes whose ownership changed. A resize is one more
+// redistribution — from the need boxes the group held to the ones it
+// needs — run on a descriptor of its own.
 type Regridder struct {
 	desc *core.Descriptor
 	need grid.Box
@@ -55,7 +57,11 @@ type Regridder struct {
 	own     []grid.Box // chunk layout of the current epoch
 	state   sessionState
 
-	deltas *core.DeltaCompiler // lazily built on first Resize
+	// resize maps and runs every Resize, re-targeted at each resize
+	// collective's size; its plan cache holds resize plans only, so they
+	// never evict the producer mappings from desc's. Built on the first
+	// Resize.
+	resize *core.Descriptor
 
 	// Resize telemetry, registered lazily against the descriptor's
 	// metrics registry (nil when none is attached).
@@ -141,13 +147,14 @@ type ResizeReport struct {
 // Resize on its zero-extent session). oldData holds the current need box
 // and newData receives the new one (nil for an empty side).
 //
-// The move is incremental: one allgather of every rank's (old, new) need
-// pair is the only agreement; each rank then diffs the two global
-// geometries for its own plan and ships only the bytes whose ownership
-// changed, copying everything still resident locally buffer-to-buffer. A
-// repeat of a pair every rank has compiled before replays the cached
-// delta plans; the same allgather settles that, so a hit costs nothing
-// more than a miss on the wire.
+// The move is a redistribution in which every rank owns its old need box
+// and needs its new one: SetupDataMapping(c, []grid.Box{oldNeed},
+// newNeed), then ReorganizeData. The plan compiler's ownership rule keeps
+// every cell a rank already holds as a local copy and takes each other
+// one from its lowest-ranked old holder, so only the bytes whose
+// ownership changed cross the wire. A repeat of a geometry every rank
+// has mapped before replays the cached plans, at the one small allgather
+// of the plan-cache agreement.
 //
 // On success the session re-targets the descriptor at newSize ranks
 // (newSize = the number of ranks with a non-empty new need) and clears
@@ -164,21 +171,24 @@ func (rg *Regridder) Resize(c *mpi.Comm, newNeed grid.Box, oldData, newData []by
 	if rg.state == stateAbandoned {
 		return nil, fmt.Errorf("transit: Resize on an abandoned session")
 	}
-	if rg.deltas == nil {
-		dc, err := core.NewDeltaCompiler(rg.desc.ElemSize(), 8)
-		if err != nil {
-			return nil, fmt.Errorf("transit: resize: %w", err)
-		}
-		rg.deltas = dc
+	var err error
+	if rg.resize == nil {
+		rg.resize, err = core.NewDescriptor(c.Size(), rg.desc.Layout(), core.Uint8,
+			core.WithElemSize(rg.desc.ElemSize()), core.WithExchangeDeadline(rg.desc.ExchangeDeadline()))
+	} else {
+		err = rg.resize.Reshape(c.Size())
 	}
-	oldNeed := rg.normalNeed(rg.need)
-	plan, err := rg.deltas.Compile(c, oldNeed, rg.normalNeed(newNeed))
 	if err != nil {
-		rg.state = stateStale
-		return nil, fmt.Errorf("transit: resize %d compile: %w", rg.resizes+1, err)
+		return nil, fmt.Errorf("transit: resize: %w", err)
 	}
+	nn := rg.normalNeed(newNeed)
+	if err := rg.resize.SetupDataMapping(c, []grid.Box{rg.normalNeed(rg.need)}, nn); err != nil {
+		rg.state = stateStale
+		return nil, fmt.Errorf("transit: resize %d mapping: %w", rg.resizes+1, err)
+	}
+	plan := rg.resize.Plan()
 
-	exErr := plan.ExchangeCtx(nil, c, oldData, newData, rg.desc.ExchangeDeadline())
+	exErr := rg.resize.ReorganizeDataCtx(nil, c, [][]byte{oldData}, newData)
 	var pe *core.PartialError
 	if exErr != nil && !errors.As(exErr, &pe) {
 		rg.state = stateStale
@@ -195,20 +205,20 @@ func (rg *Regridder) Resize(c *mpi.Comm, newNeed grid.Box, oldData, newData []by
 	rg.state = stateActive
 	report := &ResizeReport{
 		Resize:        rg.resizes,
-		NewGroupSize:  plan.NewGroupSize(),
+		NewGroupSize:  plan.NeedRanks(),
 		MovedBytes:    plan.ReceivedBytes(),
 		RetainedBytes: plan.RetainedBytes(),
-		NeedBytes:     plan.NeedBytes(),
+		NeedBytes:     int64(nn.Volume()) * int64(rg.desc.ElemSize()),
 	}
 	if pe != nil {
 		report.Lost = pe.LostPeers
 		report.Missing = pe.Missing
 	}
 	rg.recordResize(report)
-	if rg.normalNeed(newNeed).Empty() {
+	if nn.Empty() {
 		rg.state = stateAbandoned
 		rg.desc.ResetMapping()
-	} else if err := rg.desc.Reshape(plan.NewGroupSize()); err != nil {
+	} else if err := rg.desc.Reshape(report.NewGroupSize); err != nil {
 		rg.state = stateStale
 		return nil, fmt.Errorf("transit: resize %d: %w", rg.resizes, err)
 	}
@@ -219,8 +229,8 @@ func (rg *Regridder) Resize(c *mpi.Comm, newNeed grid.Box, oldData, newData []by
 }
 
 // normalNeed gives a zero-value need box the descriptor's
-// dimensionality, so "not in the group" encodes as a zero-extent box the
-// geometry codec accepts.
+// dimensionality, so "not in the group" maps as a zero-extent box of the
+// layout SetupDataMapping checks boxes against.
 func (rg *Regridder) normalNeed(b grid.Box) grid.Box {
 	if b.NDims != 0 {
 		return b
@@ -284,13 +294,13 @@ func (rg *Regridder) CacheStats() (hits, misses int64) {
 	return rg.desc.PlanCacheStats()
 }
 
-// ResizeCacheStats reports the delta-plan cache's hits and misses (both
-// zero before the first Resize).
+// ResizeCacheStats reports the resize descriptor's plan-cache hits and
+// misses (both zero before the first Resize).
 func (rg *Regridder) ResizeCacheStats() (hits, misses int64) {
-	if rg.deltas == nil {
+	if rg.resize == nil {
 		return 0, 0
 	}
-	return rg.deltas.CacheStats()
+	return rg.resize.PlanCacheStats()
 }
 
 // LastExchangeID returns the trace exchange ID of the most recent Regrid

@@ -78,8 +78,8 @@ func BenchmarkRegridderReconnect(b *testing.B) {
 // consumer ranks hold vertical slabs of a 2-D field, and the group grows
 // to 65 by splitting the last slab between the old rank 63 and the
 // joining rank 64. Ranks 0..62 keep their needs bit-identical, so the
-// ownership delta is half of one slab — the geometry regime the
-// incremental compiler exists for.
+// ownership delta is half of one slab — the geometry regime a resize
+// that keeps what each rank holds exists for.
 func resizeGeometry() (oldNeeds, newNeeds []grid.Box) {
 	const oldProcs, w, h = 64, 8, 256
 	oldNeeds = make([]grid.Box, oldProcs)
@@ -96,21 +96,23 @@ func resizeGeometry() (oldNeeds, newNeeds []grid.Box) {
 	return oldNeeds, newNeeds
 }
 
-// BenchmarkRegridderResize quantifies what the incremental plan compiler
-// buys over recompiling and re-exchanging from scratch on a 64→65 grow:
+// BenchmarkRegridderResize quantifies what mapping a resize as a
+// redistribution of the old need boxes buys over recompiling and
+// re-exchanging from the producers' chunks on a 64→65 grow:
 //
-//	delta-compile   the delta compiler over the diffed geometries:
-//	                all-ranks is CompileDelta, every rank's plan, and
-//	                reports moved_frac, the share of the new need that
+//	delta-compile   the plan compiler over the old need boxes as owned
+//	                chunks: all-ranks is CompileDelta, every rank's plan,
+//	                and reports moved_frac, the share of the new need that
 //	                crosses the wire (a cold full re-exchange ships every
 //	                byte, so moved_frac is also the moved-bytes ratio
-//	                against that baseline); one-rank is CompileDeltaRank
-//	                for the rank that splits its slab — what each rank of
-//	                a collective Resize actually runs.
-//	full-compile    from-scratch CompileSchedule of the same geometry.
-//	compile-speedup both compilers back to back; reports the ratio.
+//	                against that baseline); one-rank is NewPlanFromGeometry
+//	                for the rank that splits its slab — what each rank of a
+//	                collective Resize compiles.
+//	full-compile    from-scratch CompileSchedule of the chunked geometry.
+//	compile-speedup one rank's NewPlanFromGeometry of each geometry back
+//	                to back; reports the ratio.
 //	exchange        the complete collective Resize through Regridder
-//	                sessions, delta compile + wire + local copies.
+//	                sessions: mapping + wire + local copies.
 func BenchmarkRegridderResize(b *testing.B) {
 	const elemSize = 4
 	oldNeeds, newNeeds := resizeGeometry()
@@ -119,18 +121,22 @@ func BenchmarkRegridderResize(b *testing.B) {
 	// allChunks is what a teardown would hand the from-scratch compiler:
 	// the data as the old group actually holds it, chunked — each old
 	// rank's slab arrives as 16 producer chunks, exactly as the reconnect
-	// path sees it (the joiner contributes no chunk). The delta compiler
-	// never looks at chunks; it diffs the two need geometries.
+	// path sees it (the joiner contributes no chunk). The resize compile
+	// instead owns each old need box as one chunk (oldChunks).
 	const chunksPer = 16
 	allChunks := make([][]grid.Box, nNew)
-	for r := 0; r < nOld; r++ {
-		allChunks[r] = grid.Slabs(oldNeeds[r], 1, chunksPer)
+	oldChunks := make([][]grid.Box, nNew)
+	for r := 0; r < nNew; r++ {
+		if r < nOld {
+			allChunks[r] = grid.Slabs(oldNeeds[r], 1, chunksPer)
+		}
+		oldChunks[r] = oldNeeds[r : r+1]
 	}
 
 	b.Run("delta-compile", func(b *testing.B) {
 		b.Run("all-ranks", func(b *testing.B) {
 			b.ReportAllocs()
-			var plans []*core.DeltaPlan
+			var plans []*core.Plan
 			for i := 0; i < b.N; i++ {
 				var err error
 				plans, err = core.CompileDelta(elemSize, oldNeeds, newNeeds)
@@ -139,16 +145,16 @@ func BenchmarkRegridderResize(b *testing.B) {
 				}
 			}
 			var moved, need int64
-			for _, p := range plans {
+			for r, p := range plans {
 				moved += p.ReceivedBytes()
-				need += p.NeedBytes()
+				need += int64(newNeeds[r].Volume()) * elemSize
 			}
 			b.ReportMetric(float64(moved)/float64(need), "moved_frac")
 		})
 		b.Run("one-rank", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CompileDeltaRank(elemSize, nOld-1, oldNeeds, newNeeds); err != nil {
+				if _, err := core.NewPlanFromGeometry(nOld-1, elemSize, oldChunks, newNeeds); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -167,12 +173,12 @@ func BenchmarkRegridderResize(b *testing.B) {
 		var dFull, dDelta time.Duration
 		for i := 0; i < b.N; i++ {
 			t0 := time.Now()
-			if _, err := core.CompileSchedule(elemSize, allChunks, newNeeds, 0); err != nil {
+			if _, err := core.NewPlanFromGeometry(nOld-1, elemSize, allChunks, newNeeds); err != nil {
 				b.Fatal(err)
 			}
 			dFull += time.Since(t0)
 			t1 := time.Now()
-			if _, err := core.CompileDelta(elemSize, oldNeeds, newNeeds); err != nil {
+			if _, err := core.NewPlanFromGeometry(nOld-1, elemSize, oldChunks, newNeeds); err != nil {
 				b.Fatal(err)
 			}
 			dDelta += time.Since(t1)

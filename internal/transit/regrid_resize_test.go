@@ -160,9 +160,9 @@ func boolColor(b bool) int {
 	return 0
 }
 
-// TestRegridderResizeOscillation pins the delta-plan cache: a consumer
-// group that swings between two scales replays cached delta plans after
-// the first full swing.
+// TestRegridderResizeOscillation pins the resize descriptor's plan
+// cache: a consumer group that swings between two scales replays cached
+// resize plans after the first full swing.
 func TestRegridderResizeOscillation(t *testing.T) {
 	domain := grid.Box2(0, 0, 24, 12)
 	layoutA := grid.Slabs(domain, 0, 2)
@@ -189,7 +189,7 @@ func TestRegridderResizeOscillation(t *testing.T) {
 		}
 		hits, misses := rg.ResizeCacheStats()
 		if hits != 2 || misses != 2 {
-			return fmt.Errorf("delta cache stats %d hits / %d misses, want 2 / 2", hits, misses)
+			return fmt.Errorf("resize cache stats %d hits / %d misses, want 2 / 2", hits, misses)
 		}
 		return nil
 	})
