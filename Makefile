@@ -27,8 +27,15 @@ chaos:
 names:
 	GO=$(GO) bash scripts/makenames.sh Makefile README.md DESIGN.md TESTING.md
 
-# verify is the pre-merge gate: the stale-name check, formatting and static
-# analysis over the whole module, the chaos suite, then the race detector
+# MPI_TEST_ONLY is every exported internal/mpi identifier that only tests
+# call, each kept for the reason DESIGN.md gives under "Test-only
+# survivors". make verify fails when scripts/testonly.sh lists anything
+# else: DDR, the experiments or the benchmark call an identifier, or it
+# goes.
+MPI_TEST_ONLY := Current NewTCPEndpoint
+
+# verify is the pre-merge gate: the stale-name check, formatting, the
+# internal/mpi test-only list, and static analysis over the whole module, the chaos suite, then the race detector
 # over every package with concurrent machinery (lock-free counters, mailbox
 # gauges, TCP and shm transports, the staging arena, the parallel plan
 # compiler, the step executor) and the in-transit layer; chaos has
@@ -56,6 +63,7 @@ names:
 #     bench/run.sh): bench/ is a module of its own, so ./... skips it.
 verify: names chaos
 	test -z "$$(gofmt -l .)"
+	test "$$(bash scripts/testonly.sh internal/mpi | xargs)" = "$(MPI_TEST_ONLY)"
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/mpi/... ./internal/trace/... ./internal/core/... ./internal/datatype/... ./internal/fft/...
 	$(GO) test -race ./internal/transit/...
@@ -92,23 +100,15 @@ bench:
 
 # size prints the line counts the simplicity acceptance criteria quote:
 # non-test Go outside bench/ (the benchmark is its own module), and the
-# share of it in internal/core. It then lists, for internal/core and
-# internal/mpi, the exported identifiers that no non-test Go file (bench/
-# included) names outside their own declaration — a word grep that skips
-# comment lines, so it is informational: a method sharing a common name is
-# never listed.
+# share of it in internal/core and internal/mpi. It then lists, for both
+# packages, the exported identifiers that only _test.go files use
+# (scripts/testonly.sh) — informational, except for the internal/mpi
+# list, which make verify holds to MPI_TEST_ONLY.
 size:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l | xargs echo "non-test Go outside bench/:"
 	@find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo "  of which internal/core:"
+	@find internal/mpi -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo "  of which internal/mpi:"
 	@for pkg in internal/core internal/mpi; do \
 		echo "exported $$pkg identifiers only _test.go files use:"; \
-		for id in $$(awk '/^(const|var) \($$/ { blk = 1; next } \
-			blk && /^\)/ { blk = 0; next } \
-			blk && /^\t[A-Z]/ { match($$0, /[A-Z][A-Za-z0-9_]*/); print substr($$0, RSTART, RLENGTH); next } \
-			/^func \([^)]*\) [A-Z]/ { sub(/^func \([^)]*\) /, ""); match($$0, /^[A-Z][A-Za-z0-9_]*/); print substr($$0, RSTART, RLENGTH); next } \
-			/^(func|type|const|var) [A-Z]/ { match($$0, / [A-Z][A-Za-z0-9_]*/); print substr($$0, RSTART + 1, RLENGTH - 1) }' \
-			$$(find $$pkg -name '*.go' ! -name '*_test.go') | sort -u); do \
-			n=$$(grep -rhw --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build "$$id" . | grep -cv '^[[:space:]]*//'); \
-			[ "$$n" -le 1 ] && echo "  $$id"; \
-		done; \
-	done; true
+		bash scripts/testonly.sh $$pkg | sed 's/^/  /'; \
+	done

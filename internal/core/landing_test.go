@@ -70,7 +70,7 @@ func landWorld(t *testing.T, ownAll [][]grid.Box, needAll []grid.Box, layout Lay
 			bufs[i] = fillBox(box, 4)
 		}
 		dst := make([]byte, needAll[rank].Volume()*4)
-		c.ResetTraffic()
+		before := c.Traffic().MessagesLanded
 		for iter := 0; iter < 2; iter++ {
 			for i := range dst {
 				dst[i] = landPoison
@@ -79,7 +79,7 @@ func landWorld(t *testing.T, ownAll [][]grid.Box, needAll []grid.Box, layout Lay
 				return err
 			}
 		}
-		atomic.AddInt64(&landed, c.Traffic().MessagesLanded)
+		atomic.AddInt64(&landed, c.Traffic().MessagesLanded-before)
 		out[rank] = dst
 		return checkBox(dst, needAll[rank], 4, nil, landPoison)
 	}, launch...)
@@ -272,18 +272,18 @@ func benchStackExchange(b *testing.B, inj mpi.FaultInjector) {
 		}
 		dst := make([]byte, needAll[rank].Volume()*4)
 		// One epoch to warm up, and to count an epoch's messages.
-		c.ResetTraffic()
+		sent0 := c.Traffic().MessagesSent
 		if err := d.ReorganizeData(c, bufs, dst); err != nil {
 			return err
 		}
-		perEpoch := c.Traffic().MessagesSent
+		perEpoch := c.Traffic().MessagesSent - sent0
 		if err := c.Barrier(); err != nil {
 			return err
 		}
 		if rank == 0 {
 			b.ResetTimer()
 		}
-		c.ResetTraffic()
+		landed0 := c.Traffic().MessagesLanded
 		for i := 0; i < b.N; i++ {
 			if err := d.ReorganizeData(c, bufs, dst); err != nil {
 				return err
@@ -292,7 +292,7 @@ func benchStackExchange(b *testing.B, inj mpi.FaultInjector) {
 				return err
 			}
 		}
-		atomic.AddInt64(&landed, c.Traffic().MessagesLanded)
+		atomic.AddInt64(&landed, c.Traffic().MessagesLanded-landed0)
 		atomic.AddInt64(&sent, perEpoch*int64(b.N))
 		return nil
 	}, mpi.WithFaultInjector(inj))

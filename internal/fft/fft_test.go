@@ -405,11 +405,11 @@ func TestDist2DStepMatchesAcrossPaths(t *testing.T) {
 				return err
 			}
 			pencils[c.Rank()] = append([]byte(nil), complexBytes(d.Pencils())...)
-			c.ResetTraffic()
+			before := c.Traffic().MessagesLanded
 			if err := d.Inverse(c); err != nil {
 				return err
 			}
-			landed[c.Rank()] = c.Traffic().MessagesLanded
+			landed[c.Rank()] = c.Traffic().MessagesLanded - before
 			rows[c.Rank()] = append([]byte(nil), complexBytes(d.Rows())...)
 			return nil
 		}, launch...)

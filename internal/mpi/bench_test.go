@@ -332,7 +332,7 @@ func BenchmarkCollectives(b *testing.B) {
 // landed was shm at >= 3x TCP loopback on the 64 MiB payload.
 func BenchmarkShmExchange(b *testing.B) {
 	b.Run("storm/16ranks/4KiB/shm", func(b *testing.B) {
-		benchStorm(b, RunShm, 16, 4, 4096)
+		benchStorm(b, runShm, 16, 4, 4096)
 	})
 	b.Run("storm/16ranks/4KiB/tcp", func(b *testing.B) {
 		benchStorm(b, runTCP, 16, 4, 4096)
@@ -341,7 +341,7 @@ func BenchmarkShmExchange(b *testing.B) {
 		benchStorm(b, runInProc, 16, 4, 4096)
 	})
 	b.Run("large/64MiB/shm", func(b *testing.B) {
-		benchLarge(b, RunShm, 64<<20)
+		benchLarge(b, runShm, 64<<20)
 	})
 	b.Run("large/64MiB/tcp", func(b *testing.B) {
 		benchLarge(b, runTCP, 64<<20)

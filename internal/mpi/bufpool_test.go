@@ -252,7 +252,7 @@ func TestWaitCtxNilAndDone(t *testing.T) {
 		done := c.Isend(1, 9, nil)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if err := WaitAllCtx(ctx, done); err != nil && !errors.Is(err, context.Canceled) {
+		if _, _, _, err := done.WaitCtx(ctx); err != nil && !errors.Is(err, context.Canceled) {
 			return err
 		}
 		return nil

@@ -53,41 +53,13 @@ type FaultInjector interface {
 	FaultFor(src, dst, tag int, seq uint64, attempt int) Fault
 }
 
-// FaultStats is a process-wide snapshot of what the fault engines did.
-type FaultStats struct {
-	Delays     int64
-	Drops      int64
-	Retries    int64
-	Duplicates int64
-	Reorders   int64
-	Severed    int64 // links cut by an injected Sever
-	Failed     int64 // links cut because delivery retries were exhausted
-}
-
-var faultStats struct {
-	delays, drops, retries, dups, reorders, severed, failed atomic.Int64
-}
-
-// FaultStatsSnapshot returns the cumulative process-wide fault counters.
-func FaultStatsSnapshot() FaultStats {
-	return FaultStats{
-		Delays:     faultStats.delays.Load(),
-		Drops:      faultStats.drops.Load(),
-		Retries:    faultStats.retries.Load(),
-		Duplicates: faultStats.dups.Load(),
-		Reorders:   faultStats.reorders.Load(),
-		Severed:    faultStats.severed.Load(),
-		Failed:     faultStats.failed.Load(),
-	}
-}
-
-// defaultFaultInjector is consulted by Run/RunTCP when no explicit
+// defaultFaultInjector is consulted by Launch when no explicit
 // injector is given, letting binaries enable chaos soak via flags without
 // plumbing an injector through every call site.
 var defaultFaultInjector atomic.Value // of FaultInjector
 
 // SetDefaultFaultInjector installs (or, with nil, clears) the process-wide
-// fault injector that Run and RunTCP wrap around every world they build.
+// fault injector that Launch wraps around every world it builds.
 func SetDefaultFaultInjector(inj FaultInjector) {
 	if inj == nil {
 		defaultFaultInjector.Store(injectorBox{})
@@ -291,7 +263,6 @@ func (t *faultTransport) process(l *faultLink, e envelope) bool {
 	for attempt := 0; ; attempt++ {
 		f := t.inj.FaultFor(t.src, l.dst, e.tag, e.seq, attempt)
 		if f.Sever {
-			faultStats.severed.Add(1)
 			t.obsSevers.Load().Add(1)
 			t.recordFlight(obs.FlightSever, l.dst, &e)
 			t.severLink(l, fmt.Errorf("mpi: link %d->%d severed by fault injection: %w", t.src, l.dst, ErrPeerLost))
@@ -299,21 +270,17 @@ func (t *faultTransport) process(l *faultLink, e envelope) bool {
 			return false
 		}
 		if f.Delay > 0 {
-			faultStats.delays.Add(1)
 			time.Sleep(f.Delay)
 		}
 		if f.Drop {
-			faultStats.drops.Add(1)
 			t.obsDrops.Load().Add(1)
 			t.recordFlight(obs.FlightDrop, l.dst, &e)
 			if attempt >= faultMaxRetries {
-				faultStats.failed.Add(1)
 				t.recordFlight(obs.FlightSever, l.dst, &e)
 				t.severLink(l, fmt.Errorf("mpi: link %d->%d failed after %d delivery attempts: %w", t.src, l.dst, attempt+1, ErrPeerLost))
 				PutBuffer(e.data)
 				return false
 			}
-			faultStats.retries.Add(1)
 			t.obsRetries.Load().Add(1)
 			t.recordFlight(obs.FlightRetry, l.dst, &e)
 			time.Sleep(faultBackoff << uint(attempt))
@@ -326,7 +293,6 @@ func (t *faultTransport) process(l *faultLink, e envelope) bool {
 			select {
 			case e2 := <-l.ch:
 				if e2.ctx != e.ctx || e2.tag != e.tag {
-					faultStats.reorders.Add(1)
 					if err := t.raw.send(l.dst, e2); err != nil {
 						t.severLink(l, err)
 						PutBuffer(e.data)
@@ -368,7 +334,6 @@ func (t *faultTransport) deliver(l *faultLink, e envelope, dup bool) error {
 		return err
 	}
 	if dup {
-		faultStats.dups.Add(1)
 		if err := t.raw.send(l.dst, d); err != nil {
 			t.severLink(l, err)
 			return err

@@ -297,7 +297,7 @@ func killSurvivorCheck(c *mpi.Comm) error {
 	ctx, cancel := context.WithTimeout(context.Background(), killPeerDeadline)
 	defer cancel()
 	victim := c.Size() - 1
-	_, _, _, err := c.RecvCtx(ctx, victim, 2)
+	_, _, _, err := c.Irecv(victim, 2).WaitCtx(ctx)
 	if !errors.Is(err, mpi.ErrPeerLost) {
 		return fmt.Errorf("recv from killed rank %d: got %v, want mpi.ErrPeerLost", victim, err)
 	}

@@ -1,6 +1,10 @@
 package mpi
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"sync"
+)
 
 // Launch is the single entry point for running an n-rank world,
 // configured by functional options. The default is the in-process
@@ -15,24 +19,83 @@ import "fmt"
 // body runs once per rank (one goroutine each); Launch blocks until all
 // ranks return and yields the joined errors. When a rank fails, the
 // remaining ranks' pending operations are unblocked with ErrClosed so
-// the world can drain.
+// the world can drain. A transport only builds the world's communicators;
+// the fault wrapping, the ranks and the teardown are the same for all.
 func Launch(n int, body func(c *Comm) error, opts ...LaunchOption) error {
+	if n <= 0 {
+		return fmt.Errorf("mpi: world size %d must be positive", n)
+	}
 	cfg := launchConfig{tcp: defaultTCPConfig, shm: defaultShmConfig}
 	for _, o := range opts {
 		o(&cfg)
+	}
+	var comms []*Comm
+	var err error
+	switch cfg.transport {
+	case TransportTCP:
+		comms, err = tcpComms(n, cfg.tcp)
+	case TransportShm:
+		comms, err = shmComms(n, cfg.shm)
+	default:
+		comms = inprocComms(n)
+	}
+	if err != nil {
+		return err
 	}
 	inj := cfg.inj
 	if !cfg.injSet {
 		inj = defaultInjector()
 	}
-	switch cfg.transport {
-	case TransportTCP:
-		return launchTCP(n, cfg.tcp, inj, body)
-	case TransportShm:
-		return launchShm(n, cfg.shm, inj, body)
-	default:
-		return launchInProc(n, inj, body)
+	if inj != nil {
+		// A severed link tells the destination's mailbox directly, so its
+		// blocked receives fail with ErrPeerLost instead of hanging.
+		for rank, c := range comms {
+			c.tr = newFaultTransport(c.tr, inj, rank, func(dst, src int, err error) {
+				if dst >= 0 && dst < n {
+					comms[dst].box.markLost(src, err)
+				}
+			})
+		}
 	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for rank, c := range comms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := body(c); err != nil {
+				errs[rank] = fmt.Errorf("rank %d: %w", rank, err)
+				// Unblock everyone so surviving ranks do not hang forever.
+				for _, o := range comms {
+					o.box.close(fmt.Errorf("mpi: rank %d failed: %w", rank, err))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// Fault transports flush their queued traffic into the raw transport
+	// and close it; closing a world's transport is idempotent.
+	for _, c := range comms {
+		c.tr.close() //nolint:errcheck // teardown; the ranks' errors are what Launch reports
+	}
+	for _, c := range comms {
+		c.box.close(nil)
+	}
+	return errors.Join(errs...)
+}
+
+// worldComm is world rank rank of an n-rank world, sending over tr and
+// receiving into box.
+func worldComm(rank, n int, tr transport, box *mailbox) *Comm {
+	c := &Comm{
+		rank:     rank,
+		group:    identityGroup(n),
+		tr:       tr,
+		box:      box,
+		counters: newTraffic(n),
+	}
+	c.world = c
+	return c
 }
 
 // Transport selects the wire a Launch'd world communicates over.

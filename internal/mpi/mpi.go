@@ -5,10 +5,11 @@
 // allgather, reduce, allreduce, alltoall, alltoallv, and alltoallw with
 // sub-array datatypes).
 //
-// Ranks are goroutines. Two transports are provided: an in-process
-// transport backed by per-rank mailboxes (Run) and a TCP transport that
-// exchanges the same frames over real sockets (RunTCP), usable both over
-// loopback and across machines. A Send never blocks on the matching Recv
+// Ranks are goroutines, started by Launch. Three transports are
+// provided: an in-process transport backed by per-rank mailboxes, shared-
+// memory rings, and a TCP transport that exchanges the same frames over
+// real sockets, usable both over loopback and across machines
+// (NewTCPEndpoint). A Send never blocks on the matching Recv
 // — small messages are copied and queued, larger ones written straight
 // from the caller's buffer by a transport that drains into the
 // receiver's mailbox on its own — the same progress guarantee a buffered
@@ -45,8 +46,8 @@ var ErrClosed = errors.New("mpi: communicator closed")
 // Match with errors.Is(err, mpi.ErrPeerLost).
 var ErrPeerLost = errors.New("mpi: peer lost")
 
-// ErrExchangeTimeout is wrapped by deadline-bounded operations (RecvCtx,
-// SendTyped) that ran out of time before the peer produced or
+// ErrExchangeTimeout is wrapped by deadline-bounded sends (SendTyped)
+// and exchanges that ran out of time before the peer produced or
 // accepted the message. Match with errors.Is.
 var ErrExchangeTimeout = errors.New("mpi: exchange timeout")
 
@@ -138,13 +139,6 @@ type chunkPending struct {
 	post  *Posted // the posted receive bound to this message, if any (posted.go)
 }
 
-// matches reports whether the envelope satisfies a receive on
-// communicator context ctx for (src, tag), honouring wildcards. Messages
-// still being reassembled from chunks never match.
-func (e *envelope) matches(ctx uint32, src, tag int) bool {
-	return (e.pend == nil || e.pend.ready) && e.is(ctx, src, tag)
-}
-
 // is reports whether the envelope's identity satisfies (ctx, src, tag),
 // honouring wildcards, whether or not its payload is complete.
 func (e *envelope) is(ctx uint32, src, tag int) bool {
@@ -183,11 +177,11 @@ func (w *seqWindow) seen(seq uint64) bool {
 }
 
 // mailbox holds a rank's unmatched incoming messages and its unmatched
-// posted receives (posted.go). put never blocks; get blocks until a
-// matching envelope arrives or the mailbox is closed.
+// posted receives (posted.go). put never blocks; every receive, Recv
+// included, is a post that takes a queued envelope or waits in posts for
+// put to complete it.
 type mailbox struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	queue  []envelope
 	posts  []*Posted // open posted receives, oldest first
 	closed bool
@@ -206,12 +200,6 @@ func (m *mailbox) setDepthGauge(g *obs.Gauge) {
 	m.mu.Lock()
 	m.depth = g
 	m.mu.Unlock()
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
 }
 
 // lostCtx is the reserved communicator context for in-band peer-loss
@@ -272,12 +260,11 @@ func (m *mailbox) put(e envelope) bool {
 		m.deliver(e)
 	}
 	m.mu.Unlock()
-	m.cond.Broadcast()
 	return true
 }
 
-// markLost records that the given world rank is unreachable and wakes any
-// receiver blocked on it. Messages already queued from that rank remain
+// markLost records that the given world rank is unreachable and fails
+// every post waiting on it. Messages already queued from that rank remain
 // deliverable; only a receive that would otherwise wait forever fails.
 // The first loss with a flight recorder attached triggers the postmortem
 // dump — this is the ErrPeerLost moment the recorder exists for.
@@ -295,7 +282,6 @@ func (m *mailbox) markLost(src int, err error) {
 	}
 	flight, self := m.flight, m.self
 	m.mu.Unlock()
-	m.cond.Broadcast()
 	if first && flight != nil {
 		flight.Record(obs.FlightEvent{Kind: obs.FlightPeerLost, Rank: int32(self), Peer: int32(src)})
 		flight.DumpOnce(fmt.Sprintf("rank %d lost peer %d: %v", self, src, err))
@@ -377,82 +363,8 @@ func (m *mailbox) failure(src int, group []int, self int) error {
 	return lerr
 }
 
-// get blocks until an envelope matching (ctx, src, tag) is available, the
-// receive can no longer be satisfied (see failure; group and self describe
-// the communicator it runs on, in world ranks), or cancel (optional, may
-// be nil) fires.
-func (m *mailbox) get(cancel <-chan struct{}, ctx uint32, src, tag int, group []int, self int) (envelope, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var stopWatch chan struct{}
-	defer func() {
-		if stopWatch != nil {
-			close(stopWatch)
-		}
-	}()
-	for {
-		for i := range m.queue {
-			if m.queue[i].matches(ctx, src, tag) {
-				return m.take(i), nil
-			}
-		}
-		if err := m.failure(src, group, self); err != nil {
-			return envelope{}, err
-		}
-		if cancel != nil {
-			select {
-			case <-cancel:
-				return envelope{}, ErrExchangeTimeout
-			default:
-			}
-			if stopWatch == nil {
-				// A watcher turns the cancellation signal into a Broadcast.
-				// The Lock/Unlock pair means the Broadcast cannot fire in
-				// the gap between this goroutine's check above and its
-				// cond.Wait below (it holds m.mu throughout), so no wakeup
-				// is ever missed.
-				stopWatch = make(chan struct{})
-				go func(stop <-chan struct{}) {
-					select {
-					case <-cancel:
-						m.mu.Lock()
-						//lint:ignore SA2001 empty critical section orders the Broadcast after the waiter parks
-						m.mu.Unlock()
-						m.cond.Broadcast()
-					case <-stop:
-					}
-				}(stopWatch)
-			}
-		}
-		m.cond.Wait()
-	}
-}
-
-// peek blocks until a matching envelope is available and returns its
-// metadata without consuming it. When wait is false it returns ok=false
-// immediately if nothing matches.
-func (m *mailbox) peek(ctx uint32, src, tag int, wait bool) (gotSrc, gotTag, size int, ok bool, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		for i := range m.queue {
-			if m.queue[i].matches(ctx, src, tag) {
-				e := &m.queue[i]
-				return e.src, e.tag, len(e.data), true, nil
-			}
-		}
-		if err := m.failure(src, nil, 0); err != nil {
-			return 0, 0, 0, false, err
-		}
-		if !wait {
-			return 0, 0, 0, false, nil
-		}
-		m.cond.Wait()
-	}
-}
-
 // complete marks a chunk-reassembled envelope as matchable: it goes to
-// the posted receive bound to it, or wakes the receivers blocked on it.
+// the posted receive bound to it, or waits in the queue for the next.
 func (m *mailbox) complete(p *chunkPending) {
 	m.mu.Lock()
 	p.ready = true
@@ -466,7 +378,6 @@ func (m *mailbox) complete(p *chunkPending) {
 		}
 	}
 	m.mu.Unlock()
-	m.cond.Broadcast()
 }
 
 func (m *mailbox) close(err error) {
@@ -477,7 +388,6 @@ func (m *mailbox) close(err error) {
 	}
 	m.failPosts()
 	m.mu.Unlock()
-	m.cond.Broadcast()
 }
 
 // transport moves envelopes between world ranks. Implementations must be
@@ -489,7 +399,8 @@ type transport interface {
 
 // Comm is a communicator: a group of ranks that can exchange point-to-
 // point messages and participate in collectives. The zero value is not
-// usable; communicators are obtained from Run, RunTCP, or Comm.Split.
+// usable; communicators are obtained from Launch, TCPEndpoint.Join, or
+// Comm.Split.
 type Comm struct {
 	rank  int   // rank within this communicator
 	group []int // communicator rank -> world rank
@@ -629,48 +540,39 @@ func (c *Comm) sendBegin(dstWorld, tag, n int) (tc TraceContext, start time.Time
 	return tc, start
 }
 
+// recvPosts holds the posted receives blocking Recvs wait on, so Recv
+// allocates nothing in steady state.
+var recvPosts = sync.Pool{New: func() any { return new(Posted) }}
+
 // Recv blocks until a message matching (src, tag) arrives and returns its
 // payload along with the sender's communicator rank and tag. src may be
-// AnySource and tag may be AnyTag. If the specific source rank becomes
+// AnySource and tag may be AnyTag. Recv is a post with no parts
+// (Comm.Post) and its wait, so it matches in FIFO order with every other
+// receive on this communicator for the same (source, tag): Irecvs and the
+// exchange executor's posts. If the specific source rank becomes
 // unreachable while waiting, Recv fails with an error wrapping
 // ErrPeerLost instead of hanging.
 func (c *Comm) Recv(src, tag int) (data []byte, from, gotTag int, err error) {
-	return c.recvInternal(nil, src, tag)
-}
-
-// RecvCtx is Recv bounded by a context: when ctx is cancelled or its
-// deadline expires before a matching message arrives, it returns an
-// error wrapping ErrExchangeTimeout (and ctx.Err() is available via the
-// context). No message is consumed on the timeout path.
-func (c *Comm) RecvCtx(ctx context.Context, src, tag int) (data []byte, from, gotTag int, err error) {
-	if ctx == nil {
-		return c.recvInternal(nil, src, tag)
-	}
-	return c.recvInternal(ctx.Done(), src, tag)
-}
-
-func (c *Comm) recvInternal(cancel <-chan struct{}, src, tag int) (data []byte, from, gotTag int, err error) {
-	worldSrc := AnySource
-	if src != AnySource {
-		if err := c.checkRank(src); err != nil {
-			return nil, 0, 0, err
-		}
-		worldSrc = c.group[src]
-	}
-	t := c.tel
-	var start time.Time
-	if t != nil {
-		start = time.Now()
-	}
-	e, err := c.box.get(cancel, c.ctx, worldSrc, tag, c.group, c.group[c.rank])
+	p := recvPosts.Get().(*Posted)
+	defer recvPosts.Put(p)
+	e, taken, err := c.post(p, src, tag, nil)
 	if err != nil {
-		if errors.Is(err, ErrExchangeTimeout) {
-			err = fmt.Errorf("mpi: recv from rank %d tag %d: %w", src, tag, ErrExchangeTimeout)
-		}
 		return nil, 0, 0, err
 	}
-	c.recvDone(&e, len(e.data), start)
+	if !taken {
+		return p.recv(nil)
+	}
+	c.recvDone(&e, len(e.data), c.recvStart())
 	return e.data, c.localRank(e.src), e.tag, nil
+}
+
+// recvStart is when a receive begins to wait, for its latency: now with
+// telemetry attached, the zero time (never read) without.
+func (c *Comm) recvStart() (start time.Time) {
+	if c.tel != nil {
+		start = time.Now()
+	}
+	return start
 }
 
 // recvDone accounts for one consumed message of n payload bytes: traffic
@@ -689,36 +591,6 @@ func (c *Comm) recvDone(e *envelope, n int, start time.Time) {
 			})
 		}
 	}
-}
-
-// Probe blocks until a message matching (src, tag) is available and
-// returns its origin, tag, and payload size without consuming it — the
-// analogue of MPI_Probe, used to size receive buffers or dispatch on
-// message identity before a Recv.
-func (c *Comm) Probe(src, tag int) (from, gotTag, size int, err error) {
-	worldSrc, err := c.resolveSrc(src)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	s, tg, n, _, err := c.box.peek(c.ctx, worldSrc, tag, true)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return c.localRank(s), tg, n, nil
-}
-
-// Iprobe is the non-blocking Probe: ok reports whether a matching message
-// is currently available (MPI_Iprobe).
-func (c *Comm) Iprobe(src, tag int) (from, gotTag, size int, ok bool, err error) {
-	worldSrc, err := c.resolveSrc(src)
-	if err != nil {
-		return 0, 0, 0, false, err
-	}
-	s, tg, n, ok, err := c.box.peek(c.ctx, worldSrc, tag, false)
-	if err != nil || !ok {
-		return 0, 0, 0, ok, err
-	}
-	return c.localRank(s), tg, n, true, nil
 }
 
 // resolveSrc maps a communicator-relative source (or AnySource) to a
@@ -794,58 +666,13 @@ func (t *inprocTransport) sendTyped(dst int, e envelope, parts []Part, n int) (b
 
 func (t *inprocTransport) close() error { return nil }
 
-// launchInProc runs body on n in-process ranks (one goroutine per rank)
-// and blocks until all return; see Launch for the contract. Each rank's
-// transport is wrapped with inj when non-nil.
-func launchInProc(n int, inj FaultInjector, body func(c *Comm) error) error {
-	if n <= 0 {
-		return fmt.Errorf("mpi: world size %d must be positive", n)
-	}
+// inprocComms builds the n world communicators of an in-process world.
+func inprocComms(n int) []*Comm {
 	w := &inprocWorld{boxes: make([]*mailbox, n)}
-	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
+	comms := make([]*Comm, n)
+	for rank := range comms {
+		w.boxes[rank] = &mailbox{}
+		comms[rank] = worldComm(rank, n, &inprocTransport{w: w}, w.boxes[rank])
 	}
-	trs := make([]transport, n)
-	for rank := 0; rank < n; rank++ {
-		var tr transport = &inprocTransport{w: w}
-		if inj != nil {
-			tr = newFaultTransport(tr, inj, rank, func(dst, src int, err error) {
-				if dst >= 0 && dst < len(w.boxes) {
-					w.boxes[dst].markLost(src, err)
-				}
-			})
-		}
-		trs[rank] = tr
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for rank := 0; rank < n; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := &Comm{
-				rank:     rank,
-				group:    identityGroup(n),
-				tr:       trs[rank],
-				box:      w.boxes[rank],
-				counters: newTraffic(n),
-			}
-			c.world = c
-			if err := body(c); err != nil {
-				errs[rank] = fmt.Errorf("rank %d: %w", rank, err)
-				// Unblock everyone so surviving ranks do not hang forever.
-				for _, b := range w.boxes {
-					b.close(fmt.Errorf("mpi: rank %d failed: %w", rank, err))
-				}
-			}
-		}(rank)
-	}
-	wg.Wait()
-	for _, tr := range trs {
-		tr.close()
-	}
-	for _, b := range w.boxes {
-		b.close(nil)
-	}
-	return errors.Join(errs...)
+	return comms
 }

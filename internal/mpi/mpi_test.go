@@ -9,12 +9,16 @@ import (
 	"testing"
 )
 
-// runInProc and runTCP give Launch the (n, body) shape the transport
-// tables and benchmarks pass around.
+// runInProc, runTCP and runShm give Launch the (n, body) shape the
+// transport tables and benchmarks pass around.
 func runInProc(n int, body func(c *Comm) error) error { return Launch(n, body) }
 
 func runTCP(n int, body func(c *Comm) error) error {
 	return Launch(n, body, WithTransport(TransportTCP))
+}
+
+func runShm(n int, body func(c *Comm) error) error {
+	return Launch(n, body, WithTransport(TransportShm))
 }
 
 // transports enumerates the runtime flavours so every behaviour is
@@ -25,7 +29,7 @@ var transports = []struct {
 }{
 	{"inproc", runInProc},
 	{"tcp", runTCP},
-	{"shm", RunShm},
+	{"shm", runShm},
 }
 
 func forEachTransport(t *testing.T, n int, body func(c *Comm) error) {

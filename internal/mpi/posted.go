@@ -26,8 +26,8 @@ import (
 // together keep the invariant that no open post and queued envelope that
 // match each other ever coexist. A chunk-streamed message pinned in the
 // queue binds the post that matches it and completes it when its last
-// chunk lands. Mixing Recv and posts on one (source, tag) stream is
-// ordered only in so far as posts win an arriving message.
+// chunk lands. Recv and Irecv are posts too, so the order holds across
+// every receive on a (source, tag) stream.
 
 // postState is where a Posted stands; guarded by the owning mailbox's
 // mutex until the post is done, the receiver's alone afterwards.
@@ -68,8 +68,9 @@ func (p *Posted) accepts(e *envelope) bool {
 
 // finish completes the post with e (or fails it with err) and wakes its
 // waiter. Called with the mailbox lock held — the send cannot block, a
-// post completes once and done holds one signal — and the completer must
-// not touch p afterwards: the receiver may re-post it at once.
+// post completes once and done holds one signal — or by Post on a post
+// no other goroutine can reach yet, and the completer must not touch p
+// afterwards: the receiver may re-post it at once.
 func (p *Posted) finish(e envelope, err error) {
 	p.env, p.err, p.state = e, err, postDone
 	p.done <- struct{}{}
@@ -86,9 +87,20 @@ func (p *Posted) finish(e envelope, err error) {
 // caller must end every post with Wait or Cancel, and must keep parts and
 // the memory they name untouched until then.
 func (c *Comm) Post(p *Posted, src, tag int, parts []Part) error {
+	e, taken, err := c.post(p, src, tag, parts)
+	if taken {
+		p.finish(e, nil)
+	}
+	return err
+}
+
+// post is Post, except that a complete queued envelope p accepts is
+// taken and handed back with p left unregistered, for the caller to
+// complete p with or, in Recv, to return without a wait.
+func (c *Comm) post(p *Posted, src, tag int, parts []Part) (e envelope, taken bool, err error) {
 	worldSrc, err := c.resolveSrc(src)
 	if err != nil {
-		return err
+		return envelope{}, false, err
 	}
 	if p.done == nil {
 		p.done = make(chan struct{}, 1)
@@ -97,7 +109,7 @@ func (c *Comm) Post(p *Posted, src, tag int, parts []Part) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if p.state != postIdle {
-		return errors.New("mpi: Post on a receive still in flight")
+		return envelope{}, false, errors.New("mpi: Post on a receive still in flight")
 	}
 	p.c, p.src, p.tag, p.parts, p.n = c, worldSrc, tag, parts, partsSize(parts)
 	for i := range m.queue {
@@ -105,15 +117,14 @@ func (c *Comm) Post(p *Posted, src, tag int, parts []Part) error {
 		if !p.accepts(e) || (e.pend != nil && e.pend.post != nil) {
 			continue
 		}
-		if e.pend != nil && !e.pend.ready {
-			m.bind(p, e.pend)
-		} else {
-			p.finish(m.take(i), nil)
+		if e.pend == nil || e.pend.ready {
+			return m.take(i), true, nil
 		}
-		return nil
+		m.bind(p, e.pend)
+		return envelope{}, false, nil
 	}
 	m.open(p, false)
-	return nil
+	return envelope{}, false, nil
 }
 
 // Wait blocks until the post completes and returns the payload — the
@@ -122,15 +133,23 @@ func (c *Comm) Post(p *Posted, src, tag int, parts []Part) error {
 // fails it as it would fail Recv. When ctx (nil never cancels) is done
 // first the post is cancelled and ctx.Err() returned; see Cancel.
 func (p *Posted) Wait(ctx context.Context) (data []byte, landed bool, err error) {
-	e, landed, err := p.wait(ctx)
-	return e.data, landed, err
+	data, _, _, landed, err = p.wait(ctx)
+	return data, landed, err
 }
 
-func (p *Posted) wait(ctx context.Context) (envelope, bool, error) {
-	var start time.Time
-	if p.c.tel != nil {
-		start = time.Now()
+// recv waits for a post with no parts and returns its message the way
+// Recv does: the payload, the sender's communicator rank and the tag.
+func (p *Posted) recv(ctx context.Context) (data []byte, from, tag int, err error) {
+	data, src, tag, _, err := p.wait(ctx)
+	if err != nil {
+		return nil, 0, 0, err
 	}
+	return data, p.c.localRank(src), tag, nil
+}
+
+// wait is Wait, also returning the sender's world rank and the tag.
+func (p *Posted) wait(ctx context.Context) (data []byte, src, tag int, landed bool, err error) {
+	start := p.c.recvStart()
 	if ctx == nil {
 		<-p.done
 		return p.consume(start)
@@ -140,23 +159,26 @@ func (p *Posted) wait(ctx context.Context) (envelope, bool, error) {
 		return p.consume(start)
 	case <-ctx.Done():
 		p.Cancel()
-		return envelope{}, false, ctx.Err()
+		return nil, 0, 0, false, ctx.Err()
 	}
 }
 
 // consume takes the result out of a done post whose signal the caller has
 // received, counts the receive, and returns p to idle with every
-// reference to the payload and the posted parts dropped.
-func (p *Posted) consume(start time.Time) (envelope, bool, error) {
-	e, landed, err, n := p.env, p.landed, p.err, len(p.env.data)
-	if landed {
-		n = p.n
+// reference to the payload and the posted parts dropped. It hands back
+// the envelope's fields rather than a copy of it: a receive's hot path.
+func (p *Posted) consume(start time.Time) (data []byte, src, tag int, landed bool, err error) {
+	e := &p.env
+	data, src, tag, landed, err = e.data, e.src, e.tag, p.landed, p.err
+	if err == nil {
+		n := len(data)
+		if landed {
+			n = p.n
+		}
+		p.c.recvDone(e, n, start)
 	}
 	p.env, p.landed, p.err, p.parts, p.state = envelope{}, false, nil, nil, postIdle
-	if err == nil {
-		p.c.recvDone(&e, n, start)
-	}
-	return e, landed, err
+	return data, src, tag, landed, err
 }
 
 // Cancel ends the receive whatever its state and leaves p idle. An open
@@ -177,8 +199,8 @@ func (p *Posted) Cancel() bool {
 	case postClaimed, postDone:
 		m.mu.Unlock()
 		<-p.done
-		e, _, err := p.consume(time.Time{})
-		PutBuffer(e.data)
+		data, _, _, _, err := p.consume(time.Time{})
+		PutBuffer(data)
 		return err == nil
 	case postOpen:
 		for i, q := range m.posts {

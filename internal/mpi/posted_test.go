@@ -238,6 +238,61 @@ func TestPostedRecv(t *testing.T) {
 	}
 }
 
+// TestRecvPostFIFO: a Recv is a post, so a Recv blocked before an Irecv
+// is posted on the same (source, tag) takes the stream's first message
+// and the Irecv the second, on every transport.
+func TestRecvPostFIFO(t *testing.T) {
+	forEachTransport(t, 2, func(c *Comm) error {
+		if c.Rank() == 0 {
+			if _, _, _, err := c.Recv(1, postTagGo); err != nil {
+				return err
+			}
+			if err := c.Send(1, postTagData, []byte("first")); err != nil {
+				return err
+			}
+			return c.Send(1, postTagData, []byte("second"))
+		}
+		type result struct {
+			data []byte
+			err  error
+		}
+		blocked := make(chan result, 1)
+		go func() {
+			data, _, _, err := c.Recv(0, postTagData)
+			blocked <- result{data, err}
+		}()
+		// Wait until the Recv has posted; a Recv that never does is still
+		// blocked by the deadline, and the order check below holds it to
+		// the same rule.
+		for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			c.box.mu.Lock()
+			posted := len(c.box.posts)
+			c.box.mu.Unlock()
+			if posted == 1 {
+				break
+			}
+		}
+		later := c.Irecv(0, postTagData)
+		if err := c.Send(0, postTagGo, nil); err != nil {
+			return err
+		}
+		first := <-blocked
+		if first.err != nil {
+			return first.err
+		}
+		second, _, _, err := later.Wait()
+		if err != nil {
+			return err
+		}
+		if string(first.data) != "first" || string(second) != "second" {
+			return fmt.Errorf("blocked Recv got %q, later Irecv got %q", first.data, second)
+		}
+		PutBuffer(first.data)
+		PutBuffer(second)
+		return nil
+	})
+}
+
 // TestPostedClaimBlocksRevoke: once a sender has claimed a post, Cancel
 // cannot take the span away from under it — it returns only after the
 // commit, with the bytes in place. The sender holds the claim the way the

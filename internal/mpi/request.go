@@ -60,23 +60,5 @@ func (r *Request) WaitCtx(ctx context.Context) (data []byte, from, tag int, err 
 	if r.recv.c == nil {
 		return nil, 0, 0, r.err
 	}
-	c := r.recv.c
-	e, _, err := r.recv.wait(ctx)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return e.data, c.localRank(e.src), e.tag, nil
-}
-
-// WaitAllCtx waits on every request until done or the context is
-// cancelled, returning the first error encountered. Receives not yet
-// complete at cancellation release their mailbox slots (see WaitCtx).
-func WaitAllCtx(ctx context.Context, reqs ...*Request) error {
-	var first error
-	for _, r := range reqs {
-		if _, _, _, err := r.WaitCtx(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return r.recv.recv(ctx)
 }

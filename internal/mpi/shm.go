@@ -877,65 +877,20 @@ func (t *shmTransport) attachObs(tel *Telemetry) {
 	t.w.outCtr[t.src].Store(tel.shmBytesOut)
 }
 
-// RunShm executes body on n ranks over the shared-memory ring transport.
-func RunShm(n int, body func(c *Comm) error) error {
-	return Launch(n, body, WithTransport(TransportShm))
-}
-
-// launchShm runs body on n in-process ranks whose traffic crosses the
-// mmap-backed ring transport; see Launch for the contract.
-func launchShm(n int, cfg shmConfig, inj FaultInjector, body func(c *Comm) error) error {
-	if n <= 0 {
-		return fmt.Errorf("mpi: world size %d must be positive", n)
-	}
+// shmComms builds the n world communicators of a world whose traffic
+// crosses the mmap-backed ring transport.
+func shmComms(n int, cfg shmConfig) ([]*Comm, error) {
 	boxes := make([]*mailbox, n)
 	for i := range boxes {
-		boxes[i] = newMailbox()
+		boxes[i] = &mailbox{}
 	}
 	w, err := newShmWorld(n, cfg, boxes)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	trs := make([]transport, n)
-	for rank := 0; rank < n; rank++ {
-		var tr transport = &shmTransport{w: w, src: rank}
-		if inj != nil {
-			tr = newFaultTransport(tr, inj, rank, func(dst, src int, err error) {
-				if dst >= 0 && dst < len(boxes) {
-					boxes[dst].markLost(src, err)
-				}
-			})
-		}
-		trs[rank] = tr
+	comms := make([]*Comm, n)
+	for rank := range comms {
+		comms[rank] = worldComm(rank, n, &shmTransport{w: w, src: rank}, boxes[rank])
 	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for rank := 0; rank < n; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := &Comm{
-				rank:     rank,
-				group:    identityGroup(n),
-				tr:       trs[rank],
-				box:      boxes[rank],
-				counters: newTraffic(n),
-			}
-			c.world = c
-			if err := body(c); err != nil {
-				errs[rank] = fmt.Errorf("rank %d: %w", rank, err)
-				for _, b := range boxes {
-					b.close(fmt.Errorf("mpi: rank %d failed: %w", rank, err))
-				}
-			}
-		}(rank)
-	}
-	wg.Wait()
-	for _, tr := range trs {
-		tr.close() //nolint:errcheck // world close is idempotent
-	}
-	for _, b := range boxes {
-		b.close(nil)
-	}
-	return errors.Join(errs...)
+	return comms, nil
 }

@@ -52,7 +52,7 @@ func TestShmRingRewind(t *testing.T) {
 		tag       = 5
 		cycles    = 6
 	)
-	box := newMailbox()
+	box := &mailbox{}
 	defer box.close(nil)
 	w, err := mapShmWorld(1, shmConfig{ringSize: ring, chunkThreshold: threshold, chunkSize: chunk}, []*mailbox{box})
 	if err != nil {
@@ -202,14 +202,14 @@ func TestShmRingRewind(t *testing.T) {
 	}
 
 	for i, n := range sizes {
-		e, err := box.get(nil, 1, 0, tag, nil, 0)
+		data, _, _, err := boxComm(box, 1, 0).Recv(0, tag)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(e.data, shmPattern(0, tag, i, n)) {
-			t.Fatalf("message %d (%d bytes): arrived out of order or corrupt (%d bytes)", i, n, len(e.data))
+		if !bytes.Equal(data, shmPattern(0, tag, i, n)) {
+			t.Fatalf("message %d (%d bytes): arrived out of order or corrupt (%d bytes)", i, n, len(data))
 		}
-		PutBuffer(e.data)
+		PutBuffer(data)
 	}
 }
 
@@ -218,7 +218,7 @@ func TestShmRingRewind(t *testing.T) {
 // wait re-arms one timer per ring, so however often it wakes the process
 // allocates nothing while it waits.
 func TestShmBackpressureAllocs(t *testing.T) {
-	box := newMailbox()
+	box := &mailbox{}
 	defer box.close(nil)
 	w, err := mapShmWorld(1, wholeRecords, []*mailbox{box})
 	if err != nil {
@@ -261,11 +261,18 @@ func TestShmBackpressureAllocs(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("a producer waiting on a full ring allocates %.0f objects per 2 ms (%d wake-ups in all)", allocs, waits)
 	}
-	got, err := box.get(nil, 1, 0, 0, nil, 0)
+	got, _, _, err := boxComm(box, 1, 0).Recv(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	PutBuffer(got.data)
+	PutBuffer(got)
+}
+
+// boxComm is rank self of an n-rank world on communicator context 1 that
+// receives into box and sends nothing: the receive side of a test that
+// drives a ring world without Launch.
+func boxComm(box *mailbox, n, self int) *Comm {
+	return &Comm{rank: self, group: identityGroup(n), ctx: 1, box: box}
 }
 
 // TestShmTransposeFootprint replays fft_transpose's traffic at the
@@ -287,7 +294,7 @@ func TestShmTransposeFootprint(t *testing.T) {
 	)
 	boxes := make([]*mailbox, ranks)
 	for i := range boxes {
-		boxes[i] = newMailbox()
+		boxes[i] = &mailbox{}
 		defer boxes[i].close(nil)
 	}
 	w, err := mapShmWorld(ranks, defaultShmConfig, boxes)
@@ -343,11 +350,11 @@ func TestShmTransposeFootprint(t *testing.T) {
 		}
 		for dst := 0; dst < ranks; dst++ {
 			for i := 0; i < (ranks-1)*rounds; i++ {
-				e, err := boxes[dst].get(nil, 1, AnySource, AnyTag, nil, 0)
+				data, _, _, err := boxComm(boxes[dst], ranks, dst).Recv(AnySource, AnyTag)
 				if err != nil {
 					t.Fatal(err)
 				}
-				PutBuffer(e.data)
+				PutBuffer(data)
 			}
 		}
 	}

@@ -34,7 +34,7 @@ func TestShmConcurrentStorm(t *testing.T) {
 		perTag  = 25
 		size    = 512
 	)
-	err := RunShm(ranks, func(c *Comm) error {
+	err := runShm(ranks, func(c *Comm) error {
 		var wg sync.WaitGroup
 		errc := make(chan error, senders+1)
 		// senders concurrent goroutines per rank, each with its own tag so
@@ -298,7 +298,7 @@ func TestShmChaosSchedules(t *testing.T) {
 // AllocsPerRun counts the whole process — including the consumer
 // goroutine's mailbox bookkeeping on first growth.
 func TestShmZeroAllocSteadyState(t *testing.T) {
-	err := RunShm(2, func(c *Comm) error {
+	err := runShm(2, func(c *Comm) error {
 		const size = 4 << 10
 		msg := make([]byte, size)
 		peer := 1 - c.Rank()
@@ -361,7 +361,7 @@ func TestShmZeroAllocSteadyState(t *testing.T) {
 // instruments and nothing deadlocks.
 func TestShmScrapeUnderLoad(t *testing.T) {
 	reg := obs.NewRegistry()
-	err := RunShm(4, func(c *Comm) error {
+	err := runShm(4, func(c *Comm) error {
 		c.AttachTelemetry(NewTelemetry(reg, nil, c.Rank()))
 		stop := make(chan struct{})
 		var scrapes sync.WaitGroup
@@ -438,7 +438,7 @@ func TestShmScrapeUnderLoad(t *testing.T) {
 // holds a ring lock, and a producer that takes the lock afterwards must
 // get ErrClosed without touching ring memory.
 func TestShmCloseWaitsOutProducer(t *testing.T) {
-	box := newMailbox()
+	box := &mailbox{}
 	defer box.close(nil)
 	w, err := mapShmWorld(1, wholeRecords, []*mailbox{box})
 	if err != nil {

@@ -322,7 +322,7 @@ func newTCPEndpoint(bind string, cfg tcpConfig) (*TCPEndpoint, error) {
 	}
 	ep := &TCPEndpoint{
 		listener: l,
-		box:      newMailbox(),
+		box:      &mailbox{},
 		cfg:      cfg,
 		stop:     make(chan struct{}),
 		peers:    map[int]*tcpPeer{},
@@ -401,16 +401,13 @@ func (ep *TCPEndpoint) Join(rank int, addrs []string) (*Comm, error) {
 	if rank < 0 || rank >= len(addrs) {
 		return nil, fmt.Errorf("mpi: tcp rank %d out of range for %d addresses", rank, len(addrs))
 	}
+	return ep.join(rank, addrs), nil
+}
+
+// join is Join for a rank known to be in range.
+func (ep *TCPEndpoint) join(rank int, addrs []string) *Comm {
 	ep.selfRank.Store(int32(rank))
-	c := &Comm{
-		rank:     rank,
-		group:    identityGroup(len(addrs)),
-		tr:       &tcpTransport{ep: ep, addrs: addrs},
-		box:      ep.box,
-		counters: newTraffic(len(addrs)),
-	}
-	c.world = c
-	return c, nil
+	return worldComm(rank, len(addrs), &tcpTransport{ep: ep, addrs: addrs}, ep.box)
 }
 
 // Close shuts the endpoint down: new sends are refused, per-peer writers
@@ -1189,18 +1186,11 @@ func (d *frameDecoder) cleanup() {
 	}
 }
 
-// launchTCP runs body on n ranks, one goroutine per rank, with all
-// inter-rank traffic carried over loopback TCP sockets; see Launch for
-// the contract. It is the socket-transport twin of launchInProc and
-// validates that DDR behaves identically when messages cross a real
-// network stack. Outgoing messages pass through inj (when non-nil)
-// before reaching the socket, and a severed link notifies the
-// destination rank's mailbox so blocked receivers fail with ErrPeerLost
-// instead of hanging.
-func launchTCP(n int, cfg tcpConfig, inj FaultInjector, body func(c *Comm) error) error {
-	if n <= 0 {
-		return fmt.Errorf("mpi: world size %d must be positive", n)
-	}
+// tcpComms builds the n world communicators of a world whose traffic
+// crosses loopback TCP sockets, one endpoint per rank: the socket twin of
+// the in-process world, which shows DDR behaves the same when messages
+// cross a real network stack.
+func tcpComms(n int, cfg tcpConfig) ([]*Comm, error) {
 	eps := make([]*TCPEndpoint, n)
 	addrs := make([]string, n)
 	for i := range eps {
@@ -1209,52 +1199,14 @@ func launchTCP(n int, cfg tcpConfig, inj FaultInjector, body func(c *Comm) error
 			for _, prev := range eps[:i] {
 				prev.Close()
 			}
-			return err
+			return nil, err
 		}
 		eps[i] = ep
 		addrs[i] = ep.Addr()
 	}
 	comms := make([]*Comm, n)
-	fts := make([]*faultTransport, 0, n)
-	for rank := range comms {
-		c, err := eps[rank].Join(rank, addrs)
-		if err != nil {
-			for _, ep := range eps {
-				ep.Close()
-			}
-			return err
-		}
-		if inj != nil {
-			ft := newFaultTransport(c.tr, inj, rank, func(dst, src int, err error) {
-				eps[dst].box.markLost(src, err)
-			})
-			c.tr = ft
-			fts = append(fts, ft)
-		}
-		comms[rank] = c
+	for rank, ep := range eps {
+		comms[rank] = ep.join(rank, addrs)
 	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for rank := 0; rank < n; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			if err := body(comms[rank]); err != nil {
-				errs[rank] = fmt.Errorf("rank %d: %w", rank, err)
-				for _, ep := range eps {
-					ep.box.close(fmt.Errorf("mpi: rank %d failed: %w", rank, err))
-				}
-			}
-		}(rank)
-	}
-	wg.Wait()
-	// Fault transports flush their queued traffic into the raw transport
-	// (and close it) before the endpoints shut down for good.
-	for _, ft := range fts {
-		ft.close()
-	}
-	for _, ep := range eps {
-		ep.Close()
-	}
-	return errors.Join(errs...)
+	return comms, nil
 }

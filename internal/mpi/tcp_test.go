@@ -337,7 +337,7 @@ func TestTCPPeerLostBeforeFirstFrame(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	start := time.Now()
-	data, _, _, err := recv.RecvCtx(ctx, 1, 7)
+	data, _, _, err := recv.Irecv(1, 7).WaitCtx(ctx)
 	if err == nil {
 		PutBuffer(data)
 		t.Fatal("received a message the sender never wrote")

@@ -68,7 +68,7 @@ func GatherTrace(c *Comm, rec *trace.Recorder) (*MergedTrace, error) {
 				if err := c.send(nil, r, tag, nil, nil, nil); err != nil {
 					return nil, fmt.Errorf("mpi: trace sync ping to rank %d: %w", r, err)
 				}
-				data, _, _, err := c.recvInternal(nil, r, tag)
+				data, _, _, err := c.Recv(r, tag)
 				if err != nil {
 					return nil, fmt.Errorf("mpi: trace sync pong from rank %d: %w", r, err)
 				}
@@ -88,7 +88,7 @@ func GatherTrace(c *Comm, rec *trace.Recorder) (*MergedTrace, error) {
 			merged.RTTs[r] = best
 		case r:
 			for k := 0; k < traceSyncRounds; k++ {
-				data, _, _, err := c.recvInternal(nil, 0, tag)
+				data, _, _, err := c.Recv(0, tag)
 				if err != nil {
 					return nil, fmt.Errorf("mpi: trace sync ping from rank 0: %w", err)
 				}

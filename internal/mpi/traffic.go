@@ -118,24 +118,3 @@ func (c *Comm) Traffic() TrafficStats {
 	}
 	return s
 }
-
-// ResetTraffic zeroes the rank's traffic counters (e.g. between phases of
-// a study).
-func (c *Comm) ResetTraffic() {
-	t := c.counters
-	if t == nil {
-		return
-	}
-	t.msgsSent.Store(0)
-	t.bytesSent.Store(0)
-	t.msgsRecv.Store(0)
-	t.bytesRecv.Store(0)
-	t.msgsLanded.Store(0)
-	t.bytesLanded.Store(0)
-	for i := range t.peerSent {
-		t.peerSent[i].Store(0)
-	}
-	for i := range t.peerRecv {
-		t.peerRecv[i].Store(0)
-	}
-}
