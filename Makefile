@@ -34,11 +34,14 @@ names:
 # goes.
 MPI_TEST_ONLY := Current NewTCPEndpoint
 
+# CORE_TEST_ONLY is the same list for internal/core, held the same way.
+CORE_TEST_ONLY := CompileBruteForTest PerturbBoundedForTest PlanCacheLen Redistribute Summary WithPlanCache
+
 # verify is the pre-merge gate: the stale-name check, formatting, the
-# internal/mpi test-only list, and static analysis over the whole module, the chaos suite, then the race detector
+# internal/mpi and internal/core test-only lists, and static analysis over the whole module, the chaos suite, then the race detector
 # over every package with concurrent machinery (lock-free counters, mailbox
-# gauges, TCP and shm transports, the staging arena, the parallel plan
-# compiler, the step executor) and the in-transit layer; chaos has
+# gauges, TCP and shm transports, the staging arena, the rank-per-worker
+# schedule compile, the step executor) and the in-transit layer; chaos has
 # already run the property harness under race. A test in those packages
 # is gated by existing — nothing is enumerated by name there. What follows the race lines is only what they
 # cannot cover:
@@ -64,6 +67,7 @@ MPI_TEST_ONLY := Current NewTCPEndpoint
 verify: names chaos
 	test -z "$$(gofmt -l .)"
 	test "$$(bash scripts/testonly.sh internal/mpi | xargs)" = "$(MPI_TEST_ONLY)"
+	test "$$(bash scripts/testonly.sh internal/core | xargs)" = "$(CORE_TEST_ONLY)"
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/mpi/... ./internal/trace/... ./internal/core/... ./internal/datatype/... ./internal/fft/...
 	$(GO) test -race ./internal/transit/...
@@ -102,8 +106,8 @@ bench:
 # non-test Go outside bench/ (the benchmark is its own module), and the
 # share of it in internal/core and internal/mpi. It then lists, for both
 # packages, the exported identifiers that only _test.go files use
-# (scripts/testonly.sh) — informational, except for the internal/mpi
-# list, which make verify holds to MPI_TEST_ONLY.
+# (scripts/testonly.sh), which make verify holds to MPI_TEST_ONLY and
+# CORE_TEST_ONLY.
 size:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l | xargs echo "non-test Go outside bench/:"
 	@find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo "  of which internal/core:"

@@ -8,14 +8,15 @@
 //	ddrplan -mode regrid -width 25904 -height 10360 -elem 4 -producers 128 -consumers 32
 //
 // The per-round table shows each rank's wire bytes per round (max/avg),
-// exposing imbalance the aggregate stats can hide.
+// read from every rank's compiled plan (CompileSchedule), exposing
+// imbalance the aggregate stats can hide.
 //
 // With -sweep, ddrplan instead profiles compile-time scaling across a
 // list of process counts, printing the per-phase cost of establishing the
 // mapping at each scale — geometry allgather payload, cache-key
 // fingerprint, and plan compile:
 //
-//	ddrplan -mode stack -sweep 64,256,1024 -par 8
+//	ddrplan -mode stack -sweep 64,256,1024
 package main
 
 import (
@@ -45,11 +46,10 @@ func main() {
 		save      = flag.String("save", "", "write the geometry as JSON to this path")
 		load      = flag.String("load", "", "analyze a geometry JSON instead of -mode")
 		sweep     = flag.String("sweep", "", "comma-separated process counts: profile compile-time scaling with per-phase timings")
-		par       = flag.Int("par", 0, "compile parallelism for -sweep (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	if *sweep != "" {
-		if err := runSweep(*mode, *width, *height, *depth, *elem, *technique, *producers, *consumers, *sweep, *par); err != nil {
+		if err := runSweep(*mode, *width, *height, *depth, *elem, *technique, *producers, *consumers, *sweep); err != nil {
 			fmt.Fprintln(os.Stderr, "ddrplan:", err)
 			os.Exit(1)
 		}
@@ -89,7 +89,7 @@ func buildGeometry(mode string, width, height, depth, procs int, technique strin
 }
 
 // runSweep profiles the offline compile across a list of process counts.
-func runSweep(mode string, width, height, depth, elem int, technique string, producers, consumers int, sweep string, par int) error {
+func runSweep(mode string, width, height, depth, elem int, technique string, producers, consumers int, sweep string) error {
 	var counts []int
 	for _, f := range strings.Split(sweep, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -98,7 +98,7 @@ func runSweep(mode string, width, height, depth, elem int, technique string, pro
 		}
 		counts = append(counts, n)
 	}
-	fmt.Printf("compile-time scaling, %s geometry, par=%d\n", mode, par)
+	fmt.Printf("compile-time scaling, %s geometry\n", mode)
 	fmt.Printf("%-8s %8s %12s %12s %10s %10s  %s\n",
 		"procs", "chunks", "gather KiB", "max enc B", "encode", "compile", "cache key")
 	for _, p := range counts {
@@ -106,7 +106,7 @@ func runSweep(mode string, width, height, depth, elem int, technique string, pro
 		if err != nil {
 			return err
 		}
-		_, prof, err := core.ProfileMapping(0, elem, chunks, needs, par)
+		_, prof, err := core.ProfileMapping(0, elem, chunks, needs)
 		if err != nil {
 			return err
 		}
@@ -124,6 +124,7 @@ func run(mode string, width, height, depth, elem, procs int, technique string, p
 		allChunks [][]grid.Box
 		allNeeds  []grid.Box
 		label     string
+		err       error
 	)
 	if load != "" {
 		f, err := os.Open(load)
@@ -135,36 +136,44 @@ func run(mode string, width, height, depth, elem, procs int, technique string, p
 		if err != nil {
 			return err
 		}
-		plan, err := g.Plan(0)
-		if err != nil {
+		if allChunks, allNeeds, err = g.Boxes(); err != nil {
 			return err
 		}
-		return report(plan, fmt.Sprintf("geometry file %s", load), g.ElemSize, perRound, save)
-	}
-	switch mode {
-	case "stack":
-		label = fmt.Sprintf("stack %dx%dx%d, %d procs, %s chunking", width, height, depth, procs, technique)
-	case "regrid":
-		procs = producers
-		label = fmt.Sprintf("regrid %dx%d, %d producers -> %d consumers", width, height, producers, consumers)
-	default:
-		return fmt.Errorf("unknown mode %q", mode)
-	}
-	var err error
-	allChunks, allNeeds, err = buildGeometry(mode, width, height, depth, procs, technique, producers, consumers)
-	if err != nil {
-		return err
+		elem, label = g.ElemSize, fmt.Sprintf("geometry file %s", load)
+	} else {
+		switch mode {
+		case "stack":
+			label = fmt.Sprintf("stack %dx%dx%d, %d procs, %s chunking", width, height, depth, procs, technique)
+		case "regrid":
+			procs = producers
+			label = fmt.Sprintf("regrid %dx%d, %d producers -> %d consumers", width, height, producers, consumers)
+		default:
+			return fmt.Errorf("unknown mode %q", mode)
+		}
+		if allChunks, allNeeds, err = buildGeometry(mode, width, height, depth, procs, technique, producers, consumers); err != nil {
+			return err
+		}
 	}
 
-	plan, err := core.NewPlanFromGeometry(0, elem, allChunks, allNeeds)
+	// The stats need one rank's plan; the per-round table reads them all.
+	var plans []*core.Plan
+	if perRound {
+		plans, err = core.CompileSchedule(elem, allChunks, allNeeds, 0)
+	} else {
+		var plan *core.Plan
+		plan, err = core.NewPlanFromGeometry(0, elem, allChunks, allNeeds)
+		plans = []*core.Plan{plan}
+	}
 	if err != nil {
 		return err
 	}
-	return report(plan, label, elem, perRound, save)
+	return report(plans, label, elem, perRound, save)
 }
 
-// report prints the analysis and optionally saves the geometry.
-func report(plan *core.Plan, label string, elem int, perRound bool, save string) error {
+// report prints the analysis — from rank 0's plan, the per-round table
+// from every rank's — and optionally saves the geometry.
+func report(plans []*core.Plan, label string, elem int, perRound bool, save string) error {
+	plan := plans[0]
 	stats := plan.Stats()
 	fmt.Printf("plan for %s (%d-byte elements)\n", label, elem)
 	fmt.Printf("  rounds:             %d\n", stats.Rounds)
@@ -183,8 +192,8 @@ func report(plan *core.Plan, label string, elem int, perRound bool, save string)
 		for r := 0; r < stats.Rounds; r++ {
 			var sum, mx int64
 			active := 0
-			for rank := 0; rank < stats.Ranks; rank++ {
-				b := plan.RankRoundSendBytes(rank, r)
+			for _, p := range plans {
+				b := p.RoundSendBytes(r)
 				if b > 0 {
 					active++
 					sum += b

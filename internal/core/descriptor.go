@@ -194,7 +194,6 @@ type exchObs struct {
 	rank int // world rank, so all comms of a process share one lane
 
 	planCompile   *obs.Histogram
-	compilePar    *obs.Histogram
 	cacheHits     *obs.Counter
 	cacheMisses   *obs.Counter
 	exchangeLat   *obs.Histogram
@@ -208,10 +207,6 @@ type exchObs struct {
 	pipeDepth     *obs.Gauge
 	pipeOverlap   *obs.FloatGauge
 }
-
-// parallelismBuckets covers worker-pool widths from serial through large
-// SMP nodes for the compile-parallelism histogram.
-var parallelismBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // on reports whether observation is attached; helpers gate every
 // time.Now and name formatting behind it.
@@ -237,8 +232,6 @@ func (d *Descriptor) buildObs(rank int) {
 		rank: rank,
 		planCompile: d.metrics.Histogram("ddr_plan_compile_seconds",
 			"Time to gather geometry and compile the communication plan.", obs.LatencyBuckets, rl),
-		compilePar: d.metrics.Histogram("ddr_plan_compile_parallelism",
-			"Worker-pool width used for each plan compilation.", parallelismBuckets, rl),
 		cacheHits: d.metrics.Counter("ddr_plan_cache_hits_total",
 			"SetupDataMapping calls satisfied by a cached plan.", rl),
 		cacheMisses: d.metrics.Counter("ddr_plan_cache_misses_total",

@@ -74,11 +74,10 @@ func stripWorld(n, side, chunksPerRank int, columnNeeds bool) (ownAll [][]grid.B
 
 // TestWorkerPoolSizes runs every exchange mode, on both strided (column
 // needs) and contiguous (row needs) geometries, with the process sized to
-// 1, 2, the host's GOMAXPROCS and an oversubscribed 4 Ps. The plan
-// compiler's fork-join takes that many workers, and the ranks' goroutines
-// — which do every pack and unpack — interleave differently at each
-// width, which moves which posts a sender finds open. Run under -race this
-// also proves the compile workers are data-race free.
+// 1, 2, the host's GOMAXPROCS and an oversubscribed 4 Ps. Each rank
+// compiles and moves on its own goroutine, and the ranks' goroutines —
+// which do every pack and unpack — interleave differently at each width,
+// which moves which posts a sender finds open.
 func TestWorkerPoolSizes(t *testing.T) {
 	sizes := []int{1, 2, runtime.GOMAXPROCS(0), 4}
 	for _, par := range sizes {

@@ -75,25 +75,21 @@ func LoadGeometry(r io.Reader) (Geometry, error) {
 	return g, nil
 }
 
-// Plan compiles the communication plan of the loaded geometry for the
-// given rank.
-func (g Geometry) Plan(rank int) (*Plan, error) {
-	allChunks := make([][]grid.Box, len(g.Chunks))
-	allNeeds := make([]grid.Box, len(g.Needs))
+// Boxes decodes the geometry into the per-rank chunk lists and need boxes
+// NewPlanFromGeometry and CompileSchedule take.
+func (g Geometry) Boxes() (allChunks [][]grid.Box, allNeeds []grid.Box, err error) {
+	allChunks = make([][]grid.Box, len(g.Chunks))
+	allNeeds = make([]grid.Box, len(g.Needs))
 	for r := range g.Chunks {
 		allChunks[r] = make([]grid.Box, len(g.Chunks[r]))
 		for i, d := range g.Chunks[r] {
-			b, err := fromDTO(d)
-			if err != nil {
-				return nil, fmt.Errorf("core: rank %d chunk %d: %w", r, i, err)
+			if allChunks[r][i], err = fromDTO(d); err != nil {
+				return nil, nil, fmt.Errorf("core: rank %d chunk %d: %w", r, i, err)
 			}
-			allChunks[r][i] = b
 		}
-		b, err := fromDTO(g.Needs[r])
-		if err != nil {
-			return nil, fmt.Errorf("core: rank %d need: %w", r, err)
+		if allNeeds[r], err = fromDTO(g.Needs[r]); err != nil {
+			return nil, nil, fmt.Errorf("core: rank %d need: %w", r, err)
 		}
-		allNeeds[r] = b
 	}
-	return NewPlanFromGeometry(rank, g.ElemSize, allChunks, allNeeds)
+	return allChunks, allNeeds, nil
 }

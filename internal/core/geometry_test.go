@@ -17,6 +17,16 @@ func e1GlobalGeometry() ([][]grid.Box, []grid.Box) {
 	return allChunks, allNeeds
 }
 
+// loadedPlan compiles rank's plan of a loaded geometry, as cmd/ddrplan
+// -load does.
+func loadedPlan(g Geometry, rank int) (*Plan, error) {
+	allChunks, allNeeds, err := g.Boxes()
+	if err != nil {
+		return nil, err
+	}
+	return NewPlanFromGeometry(rank, g.ElemSize, allChunks, allNeeds)
+}
+
 func TestGeometrySaveLoadRoundTrip(t *testing.T) {
 	allChunks, allNeeds := e1GlobalGeometry()
 	plan, err := NewPlanFromGeometry(0, 4, allChunks, allNeeds)
@@ -34,7 +44,7 @@ func TestGeometrySaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replan, err := g.Plan(0)
+	replan, err := loadedPlan(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +76,7 @@ func TestLoadGeometryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Plan(0); err == nil {
+	if _, err := loadedPlan(g, 0); err == nil {
 		t.Error("mismatched box dims accepted")
 	}
 	// Out-of-range rank.
@@ -75,10 +85,10 @@ func TestLoadGeometryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Plan(5); err == nil {
+	if _, err := loadedPlan(g, 5); err == nil {
 		t.Error("out-of-range rank accepted")
 	}
-	if _, err := g.Plan(0); err != nil {
+	if _, err := loadedPlan(g, 0); err != nil {
 		t.Errorf("valid geometry rejected: %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"time"
 
@@ -173,8 +172,7 @@ func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box
 	if o.on() {
 		compileStart = time.Now()
 	}
-	par := runtime.GOMAXPROCS(0)
-	plan, err := compilePlan(c.Rank(), d.elemSize, allChunks, allNeeds, par)
+	plan, err := compilePlan(c.Rank(), d.elemSize, allChunks, allNeeds)
 	if err != nil {
 		return err
 	}
@@ -182,7 +180,6 @@ func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box
 		now := time.Now()
 		o.rec.AddSpan(o.rank, "compile", compileStart, now, 0)
 		o.planCompile.Observe(now.Sub(mapStart).Seconds())
-		o.compilePar.Observe(float64(par))
 	}
 	if err := d.ensureBounded(plan); err != nil {
 		return err
@@ -269,17 +266,15 @@ func NewPlanFromGeometry(rank, elemSize int, allChunks [][]grid.Box, allNeeds []
 	if rank < 0 || rank >= len(allNeeds) {
 		return nil, fmt.Errorf("core: rank %d out of range [0,%d)", rank, len(allNeeds))
 	}
-	return compilePlan(rank, elemSize, allChunks, allNeeds, 0)
+	return compilePlan(rank, elemSize, allChunks, allNeeds)
 }
 
 // typeJob is one overlap of the rank being compiled — the unit discovery
-// emits, layout assigns a slot and construction fans across the worker
-// pool: the round, the peer, and the region the seg packs (inside the
-// rank's round-r chunk, a send) or scatters (inside its need box, a
-// receive). A job the ownership rule cuts compiles to its nFrag pieces,
-// held from index frag of the compile's piece list; nFrag 0 means the
-// whole region. Slots are unique per job, so the batch runs at any
-// parallelism with no synchronization beyond the join.
+// emits, layout assigns a slot and construction builds: the round, the
+// peer, and the region the seg packs (inside the rank's round-r chunk, a
+// send) or scatters (inside its need box, a receive). A job the ownership
+// rule cuts compiles to its nFrag pieces, held from index frag of the
+// compile's piece list; nFrag 0 means the whole region.
 type typeJob struct {
 	r, peer     int
 	region      grid.Box
@@ -292,11 +287,6 @@ type typeJob struct {
 func (j *typeJob) nSegs() int { return max(int(j.nFrag), 1) }
 
 // scheduleCompiler holds the geometry-wide state of plan compilation.
-// Overlap discovery has two forms feeding the one compile: a rank's own
-// compile scans (discover) — it asks a query per own chunk and one for its
-// need box, which an O(C log C) index bulk load never repays — and
-// CompileSchedule buckets one pass of the global, index-backed enumerator
-// (forEachOverlap), where the index replaces P scans of all P peers.
 type scheduleCompiler struct {
 	elemSize  int
 	allChunks [][]grid.Box
@@ -312,12 +302,13 @@ func newScheduleCompiler(elemSize int, allChunks [][]grid.Box, allNeeds []grid.B
 	return sc
 }
 
-// discover collects rank's overlaps by linear scan: the sends round-major
-// with peers ascending inside each round, then the receives peer-major,
-// rounds ascending inside each peer — the two orders compile lays out
-// from. Empty boxes intersect nothing and drop out. The scan of the
-// world's chunks also finds which of the rank's own chunks another one
-// overlaps (ownTree).
+// discover collects rank's overlaps by linear scan — the one overlap
+// discovery, which every compile and Plan.Stats read: the sends
+// round-major with peers ascending inside each round, then the receives
+// peer-major, rounds ascending inside each peer — the two orders compile
+// lays out from. Empty boxes intersect nothing and drop out. The scan of
+// the world's chunks also finds which of the rank's own chunks another
+// one overlaps (ownTree).
 func (sc *scheduleCompiler) discover(rank int) (sends, recvs []typeJob, contested []bool) {
 	var jobs []typeJob
 	for r := range sc.allChunks[rank] {
@@ -480,22 +471,6 @@ func (t *ownTree) visit(contested *[]bool, mine bool, i int, c *grid.Box) {
 	}
 }
 
-// contestedChunks runs ownTree over the world's chunks for a compile
-// whose discovery did not scan them.
-func (sc *scheduleCompiler) contestedChunks(rank int) (contested []bool) {
-	var buf [64]extent
-	t := newOwnTree(sc.allChunks[rank], buf[:])
-	for s, chunks := range sc.allChunks {
-		for i := range chunks {
-			x0, x1, y0, y1, z0, z1 := spans(&chunks[i])
-			if t.nodes[1].meets(x0, x1, y0, y1, z0, z1) {
-				t.visit(&contested, s == rank, i, &chunks[i])
-			}
-		}
-	}
-	return contested
-}
-
 // contestedRecvs reports which receives' regions overlap another's, nil
 // when none does: every chunk that could outrank a receive's overlaps the
 // need, so it is among the receives too. The regions lie in need; it
@@ -572,11 +547,9 @@ func (sc *scheduleCompiler) cut(rank int, jobs []typeJob, recv bool, contested [
 // compile lays rank's overlaps straight into its step list. sends must
 // arrive round-major with peers ascending, recvs with rounds ascending
 // inside each peer; the rank's own chunk overlapping its own need appears
-// once in each. Subarray construction and contiguity analysis fan out
-// across par workers (datatype.ForkJoin); wherever owned chunks are
-// disjoint the result is byte-identical to the brute-force reference at
-// any parallelism and from either discovery.
-func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, contested []bool, par int) (*Plan, error) {
+// once in each. It runs on the caller's goroutine; wherever owned chunks
+// are disjoint the result is byte-identical to the brute-force reference.
+func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, contested []bool) (*Plan, error) {
 	rounds := sc.rounds
 	p := &Plan{
 		elemSize:  sc.elemSize,
@@ -652,10 +625,8 @@ func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, contested 
 	}
 
 	// Construction: build each job's segs — subarray type plus contiguity
-	// span — across the pool. Each job owns its slots, and errors are
-	// reported by the lowest failing job for determinism.
-	errs := make([]error, len(sends)+len(recvs))
-	datatype.ForkJoin(len(errs), par, func(i int) {
+	// span — into its slots; the first failing job reports.
+	for i := range len(sends) + len(recvs) {
 		recv := i >= len(sends)
 		var j *typeJob
 		base, buf, dir := p.need, 0, "recv type from"
@@ -674,8 +645,7 @@ func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, contested 
 			sg, err := newSeg(sc.elemSize, base, buf, region)
 			switch {
 			case err != nil:
-				errs[i] = fmt.Errorf("core: %s rank %d: %w", dir, j.peer, err)
-				return
+				return nil, fmt.Errorf("core: %s rank %d: %w", dir, j.peer, err)
 			case j.peer != rank:
 				segs[sn+f] = sg
 				bytes += sg.t.PackedSize()
@@ -688,11 +658,6 @@ func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, contested 
 		if j.peer != rank {
 			msgs[pos] = message{peer: j.peer, tag: ddrTagBase + j.r, bytes: bytes, segs: segs[sn : sn+n : sn+n]}
 		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return p, nil
 }
@@ -701,40 +666,18 @@ func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, contested 
 // the path SetupDataMapping and NewPlanFromGeometry take. It is per-rank
 // work, as in the paper's DDR_SetupDataMapping: O(C_r·P + C) overlap
 // tests and no index.
-func compilePlan(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, par int) (*Plan, error) {
+func compilePlan(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box) (*Plan, error) {
 	sc := newScheduleCompiler(elemSize, allChunks, allNeeds)
 	sends, recvs, contested := sc.discover(rank)
-	return sc.compile(rank, sends, recvs, contested, par)
-}
-
-// forEachOverlap visits every (source chunk × destination need) overlap
-// of the global geometry in the canonical order — source rank, then that
-// rank's chunk index, then destination rank ascending — through one
-// index over the need boxes. It serves CompileSchedule, the one compile
-// that wants every rank's overlaps.
-func forEachOverlap(allChunks [][]grid.Box, allNeeds []grid.Box, f func(src, chunk, dst int, ov grid.Box)) {
-	ix := grid.NewIndex(allNeeds)
-	var hits []int
-	for src, chunks := range allChunks {
-		for ci, chunk := range chunks {
-			hits = ix.QueryAppend(hits[:0], chunk)
-			for _, dst := range hits {
-				if ov, ok := chunk.Intersect(allNeeds[dst]); ok && !ov.Empty() {
-					f(src, ci, dst, ov)
-				}
-			}
-		}
-	}
+	return sc.compile(rank, sends, recvs, contested)
 }
 
 // CompileSchedule compiles every rank's plan from a full global geometry
 // — the whole-schedule analogue of NewPlanFromGeometry for offline
 // analysis (ddrplan sweeps, capacity planning, the paper's Table II at
-// arbitrary scale). One pass of the index-backed global enumerator finds
-// every overlap once, which is what removes the O(P²) cost of P peer
-// scans; bucketed per rank, the overlaps feed the same compile the
-// per-rank path runs. par bounds the construction parallelism; <= 0 means
-// GOMAXPROCS.
+// arbitrary scale). It is P per-rank compiles, fanned out rank-per-worker
+// over par workers; <= 0 means GOMAXPROCS. Errors surface from the lowest
+// failing rank.
 func CompileSchedule(elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, par int) ([]*Plan, error) {
 	if elemSize <= 0 {
 		return nil, fmt.Errorf("core: element size %d must be positive", elemSize)
@@ -743,44 +686,11 @@ func CompileSchedule(elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, 
 		return nil, fmt.Errorf("core: %d chunk lists for %d need boxes", len(allChunks), len(allNeeds))
 	}
 	sc := newScheduleCompiler(elemSize, allChunks, allNeeds)
-	n := len(allNeeds)
-
-	// The enumerator visits source rank, then chunk, then destination
-	// ascending, so the overlaps arrive as every rank's send jobs back to
-	// back, already in compile's order. A counting sort by destination turns
-	// the same list into the receive jobs, each rank's peer-major because
-	// the pass keeps the source order. The two offset tables delimit a
-	// rank's jobs in each list.
-	var sends []typeJob
-	sendOff := make([]int, n+1)
-	recvOff := make([]int, n+1)
-	forEachOverlap(allChunks, allNeeds, func(src, chunk, dst int, ov grid.Box) {
-		sends = append(sends, typeJob{r: chunk, peer: dst, region: ov})
-		sendOff[src+1]++
-		recvOff[dst+1]++
-	})
-	for r := 0; r < n; r++ {
-		sendOff[r+1] += sendOff[r]
-		recvOff[r+1] += recvOff[r]
-	}
-	recvs := make([]typeJob, len(sends))
-	fill := append([]int(nil), recvOff[:n]...)
-	for src := 0; src < n; src++ {
-		for _, j := range sends[sendOff[src]:sendOff[src+1]] {
-			recvs[fill[j.peer]] = typeJob{r: j.r, peer: src, region: j.region}
-			fill[j.peer]++
-		}
-	}
-
-	plans := make([]*Plan, n)
-	errs := make([]error, n)
-	// Ranks compile independently from disjoint job ranges, so the schedule
-	// fans out rank-per-worker; each rank's own construction then runs
-	// serially (par 1) to avoid nested pools. Errors surface from the lowest
-	// failing rank for determinism.
-	datatype.ForkJoin(n, par, func(rank int) {
-		plans[rank], errs[rank] = sc.compile(rank,
-			sends[sendOff[rank]:sendOff[rank+1]], recvs[recvOff[rank]:recvOff[rank+1]], sc.contestedChunks(rank), 1)
+	plans := make([]*Plan, len(allNeeds))
+	errs := make([]error, len(allNeeds))
+	datatype.ForkJoin(len(plans), par, func(rank int) {
+		sends, recvs, contested := sc.discover(rank)
+		plans[rank], errs[rank] = sc.compile(rank, sends, recvs, contested)
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -54,8 +54,8 @@ func gcQuiesce() func() {
 //
 // and all P plans:
 //
-//	schedule/*:       CompileSchedule (one indexed overlap pass bucketed
-//	                  into P compiles)
+//	schedule/*:       CompileSchedule (P per-rank compiles, fanned out
+//	                  rank-per-worker)
 //	schedule-brute/*: looping the brute-force compiler
 //
 // The schedule pair is the paper's offline-analysis scenario (ddrplan,
@@ -78,7 +78,7 @@ func BenchmarkSetupMapping(b *testing.B) {
 		needs := grid.Slabs(domain, 0, ranks)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := compilePlan(i%ranks, 4, chunks, needs, 1); err != nil {
+			if _, err := compilePlan(i%ranks, 4, chunks, needs); err != nil {
 				b.Fatal(err)
 			}
 		}

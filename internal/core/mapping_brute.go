@@ -67,8 +67,8 @@ func bruteTables(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box
 // conversion of the dense tables to the plan's step list — non-empty
 // slots in (round, peer) order, contiguity detected per slot. It is
 // retained solely as the differential-testing oracle for scheduleCompiler
-// — the linear per-rank compilePlan and the bucketed CompileSchedule must
-// both produce its plans byte for byte on every geometry (see
+// — compilePlan and CompileSchedule, its P per-rank compiles, must both
+// produce its plans byte for byte on every geometry (see
 // TestCompilerEquivalence and the ddrtest sweep) — and as a row of the
 // mapping benchmarks. No library path calls it, and it shares neither
 // discovery nor layout with the compiler it checks.

@@ -102,10 +102,11 @@ func ownedBy(chunks [][]grid.Box) func(x, y, z int) bool {
 	}
 }
 
-// TestOverlapScheduleRule holds both discovery paths to the rule: the
-// per-rank compile and CompileSchedule produce the same plans, their
-// step lists move exactly the rule's cells, and the sweep includes
-// multi-seg messages and fragmented self moves.
+// TestOverlapScheduleRule holds the compiler to the rule: the per-rank
+// compile and CompileSchedule — the same compile, fanned out across ranks
+// — produce the same plans, their step lists move exactly the rule's
+// cells, and the sweep includes multi-seg messages and fragmented self
+// moves.
 func TestOverlapScheduleRule(t *testing.T) {
 	const elemSize = 4
 	multiSeg, selfCut := 0, 0
@@ -117,7 +118,7 @@ func TestOverlapScheduleRule(t *testing.T) {
 		}
 		scheds := make([][]step, len(all))
 		for r, p := range all {
-			one, err := compilePlan(r, elemSize, chunks, needs, 2)
+			one, err := compilePlan(r, elemSize, chunks, needs)
 			if err != nil {
 				t.Fatalf("seed %d rank %d: %v", seed, r, err)
 			}

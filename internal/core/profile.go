@@ -32,9 +32,8 @@ type MappingProfile struct {
 
 // ProfileMapping compiles rank's plan offline from a full global geometry
 // (as NewPlanFromGeometry does) and returns it together with the
-// per-phase timing breakdown. par sets the compile parallelism; <= 0
-// means GOMAXPROCS.
-func ProfileMapping(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, par int) (*Plan, MappingProfile, error) {
+// per-phase timing breakdown.
+func ProfileMapping(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box) (*Plan, MappingProfile, error) {
 	prof := MappingProfile{Procs: len(allNeeds)}
 	for _, chunks := range allChunks {
 		prof.TotalChunks += len(chunks)
@@ -60,7 +59,7 @@ func ProfileMapping(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.
 
 	// Phase 3: the compile proper.
 	start = time.Now()
-	plan, err := compilePlan(rank, elemSize, allChunks, allNeeds, par)
+	plan, err := compilePlan(rank, elemSize, allChunks, allNeeds)
 	if err != nil {
 		return nil, prof, err
 	}

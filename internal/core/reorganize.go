@@ -289,7 +289,7 @@ func (d *Descriptor) alltoallwRounds(ctx context.Context, c *mpi.Comm, own [][]b
 		if r < len(own) {
 			sendBuf = own[r]
 		}
-		roundBytes := p.RankRoundSendBytes(p.rank, r)
+		roundBytes := p.RoundSendBytes(r)
 		if traced {
 			c.SetTraceContext(mpi.TraceContext{Exchange: exch, Round: uint32(r)})
 		}

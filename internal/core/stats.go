@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"ddr/internal/grid"
+)
 
 // ScheduleStats summarizes the communication schedule of a Plan. All byte
 // counts refer to data crossing between distinct ranks; data a rank keeps
@@ -38,32 +42,45 @@ func (s ScheduleStats) String() string {
 		s.Rounds, float64(s.PerRankRoundAvg)/1e6, float64(s.PerRankRoundMax)/1e6, float64(s.SelfBytes)/1e6)
 }
 
-// Stats computes the schedule statistics of the plan. Because every rank
-// holds the full gathered geometry, the computation is local and
-// deterministic — all ranks obtain identical values.
+// Stats computes the schedule statistics of the plan's world: what every
+// rank's plan moves, from the compiler's own discovery and ownership rule,
+// without building a datatype. Because every rank holds the full gathered
+// geometry, the computation is local and deterministic — all ranks obtain
+// identical values.
 func (p *Plan) Stats() ScheduleStats {
 	s := ScheduleStats{Rounds: p.rounds, Ranks: p.nProcs}
+	sc := newScheduleCompiler(p.elemSize, p.allChunks, p.allNeeds)
 	activeSlots := 0
-	for rank := 0; rank < p.nProcs; rank++ {
-		for _, chunk := range p.allChunks[rank] {
-			activeSlots++
-			var sentThisRound int64
+	for rank := range p.nProcs {
+		activeSlots += len(p.allChunks[rank])
+		sends, _, contested := sc.discover(rank)
+		var pieces []grid.Box
+		if contested != nil {
+			sends, pieces = sc.cut(rank, sends, false, contested, nil)
+		}
+		// sends arrive round-major: one pass per round.
+		for i := 0; i < len(sends); {
+			var sent int64
 			peers := 0
-			for peer := 0; peer < p.nProcs; peer++ {
-				ov, ok := chunk.Intersect(p.allNeeds[peer])
-				if !ok {
-					continue
+			for r := sends[i].r; i < len(sends) && sends[i].r == r; i++ {
+				j := &sends[i]
+				cells := j.region.Volume()
+				if j.nFrag > 0 {
+					cells = 0
+					for _, b := range pieces[j.frag : j.frag+j.nFrag] {
+						cells += b.Volume()
+					}
 				}
-				bytes := int64(ov.Volume()) * int64(p.elemSize)
-				if peer == rank {
+				bytes := int64(cells) * int64(p.elemSize)
+				if j.peer == rank {
 					s.SelfBytes += bytes
 					continue
 				}
 				peers++
-				sentThisRound += bytes
-				s.TotalWireBytes += bytes
+				sent += bytes
 			}
-			s.PerRankRoundMax = max(s.PerRankRoundMax, sentThisRound)
+			s.TotalWireBytes += sent
+			s.PerRankRoundMax = max(s.PerRankRoundMax, sent)
 			s.MaxPeersPerRound = max(s.MaxPeersPerRound, peers)
 		}
 	}
@@ -73,23 +90,14 @@ func (p *Plan) Stats() ScheduleStats {
 	return s
 }
 
-// RankRoundSendBytes returns the bytes the given rank transmits to other
-// ranks in the given round (zero when the rank owns no chunk that round).
-func (p *Plan) RankRoundSendBytes(rank, round int) int64 {
-	if round >= len(p.allChunks[rank]) {
-		return 0
+// RoundSendBytes returns the bytes this rank's plan transmits to other
+// ranks in round r.
+func (p *Plan) RoundSendBytes(r int) int64 {
+	var n int64
+	for _, m := range p.sched[r].sends {
+		n += int64(m.bytes)
 	}
-	chunk := p.allChunks[rank][round]
-	var total int64
-	for peer := 0; peer < p.nProcs; peer++ {
-		if peer == rank {
-			continue
-		}
-		if ov, ok := chunk.Intersect(p.allNeeds[peer]); ok {
-			total += int64(ov.Volume()) * int64(p.elemSize)
-		}
-	}
-	return total
+	return n
 }
 
 // ReceivedBytes returns the bytes this rank's plan receives from other

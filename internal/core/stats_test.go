@@ -66,11 +66,11 @@ func TestStatsMatchBruteForce(t *testing.T) {
 			allNeeds[r] = grid.RandomBoxIn(rng, domain)
 		}
 		elemSize := 1 + rng.Intn(8)
-		plan, err := NewPlanFromGeometry(0, elemSize, allChunks, allNeeds)
+		plans, err := CompileSchedule(elemSize, allChunks, allNeeds, 0)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		s := plan.Stats()
+		s := plans[0].Stats()
 		wire, self := bruteForceTraffic(elemSize, allChunks, allNeeds)
 		if s.TotalWireBytes != wire {
 			t.Errorf("trial %d: wire %d, brute force %d", trial, s.TotalWireBytes, wire)
@@ -78,15 +78,65 @@ func TestStatsMatchBruteForce(t *testing.T) {
 		if s.SelfBytes != self {
 			t.Errorf("trial %d: self %d, brute force %d", trial, s.SelfBytes, self)
 		}
-		// Per-rank send bytes must sum to the wire total.
-		var sum int64
-		for rank := 0; rank < n; rank++ {
-			for r := 0; r < s.Rounds; r++ {
-				sum += plan.RankRoundSendBytes(rank, r)
-			}
+		// The plans' per-round send bytes must sum to the wire total.
+		if got := planStats(plans); got != s {
+			t.Errorf("trial %d: the plans move %#v, Stats reads %#v", trial, got, s)
 		}
-		if sum != wire {
-			t.Errorf("trial %d: per-rank sum %d, wire %d", trial, sum, wire)
+	}
+}
+
+// planStats reads a world's schedule statistics off its compiled plans,
+// independently of Stats: what the step lists send, per rank and round,
+// and what they keep.
+func planStats(plans []*Plan) ScheduleStats {
+	s := ScheduleStats{Rounds: plans[0].rounds, Ranks: len(plans)}
+	slots := 0
+	for _, p := range plans {
+		slots += len(p.myChunks)
+		s.SelfBytes += p.RetainedBytes()
+		for r := range p.sched {
+			sent := p.RoundSendBytes(r)
+			s.TotalWireBytes += sent
+			s.PerRankRoundMax = max(s.PerRankRoundMax, sent)
+			s.MaxPeersPerRound = max(s.MaxPeersPerRound, len(p.sched[r].sends))
+		}
+	}
+	if slots > 0 {
+		s.PerRankRoundAvg = float64(s.TotalWireBytes) / float64(slots)
+	}
+	return s
+}
+
+// TestStatsFollowOwnershipRule holds Plan.Stats to what a world's plans
+// move where owned chunks overlap: the wire total is the bytes the
+// ownership rule sends, cell by cell (ruleCells), and what the plans
+// receive; the self total is what they retain; and the plans' per-round
+// sends add up to the same figures.
+func TestStatsFollowOwnershipRule(t *testing.T) {
+	const elemSize = 4
+	for seed := int64(0); seed < 40; seed++ {
+		chunks, needs := genOverlapGeometry(seed)
+		plans, err := CompileSchedule(elemSize, chunks, needs, 0)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		s := plans[0].Stats()
+		_, sent := ruleCells(chunks, needs, elemSize)
+		var ruled, received, retained int64
+		for r, p := range plans {
+			ruled += sent[r]
+			received += p.ReceivedBytes()
+			retained += p.RetainedBytes()
+		}
+		if s.TotalWireBytes != ruled || s.TotalWireBytes != received {
+			t.Errorf("seed %d: Stats reads %d wire bytes, the rule sends %d, the plans receive %d",
+				seed, s.TotalWireBytes, ruled, received)
+		}
+		if s.SelfBytes != retained {
+			t.Errorf("seed %d: Stats reads %d self bytes, the plans retain %d", seed, s.SelfBytes, retained)
+		}
+		if got := planStats(plans); got != s {
+			t.Errorf("seed %d: the plans move %#v, Stats reads %#v", seed, got, s)
 		}
 	}
 }

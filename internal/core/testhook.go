@@ -2,17 +2,9 @@ package core
 
 import "ddr/internal/grid"
 
-// CompileForTest compiles a plan through the per-rank compiler
-// SetupDataMapping runs, at an explicit parallelism, bypassing the
-// communicator. It exists for the compiler-equivalence tests. Never call
-// outside tests.
-func CompileForTest(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, par int) (*Plan, error) {
-	return compilePlan(rank, elemSize, allChunks, allNeeds, par)
-}
-
 // CompileBruteForTest compiles a plan through the brute-force reference
 // compiler (mapping_brute.go), the differential-testing oracle for
-// CompileForTest. Never call outside tests.
+// NewPlanFromGeometry. Never call outside tests.
 func CompileBruteForTest(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box) (*Plan, error) {
 	return compilePlanBrute(rank, elemSize, allChunks, allNeeds)
 }

@@ -7,9 +7,10 @@ import (
 )
 
 // ForkJoin runs f(0..n-1) with up to par concurrent workers and returns
-// when every call has completed — the scheduling idiom the plan compiler's
-// fixed-size batches of independent work (datatype construction,
-// rank-per-worker schedule compiles) share. par <= 0 means
+// when every call has completed — how a whole-schedule compile
+// (core.CompileSchedule) fans its independent per-rank compiles out
+// rank-per-worker; one rank's compile runs on its caller's goroutine and
+// does not fork. par <= 0 means
 // runtime.GOMAXPROCS(0); par == 1 (or n == 1) runs inline on the calling
 // goroutine with no synchronization. Workers claim indices from a shared
 // atomic cursor, so imbalanced item costs still spread across the pool.
