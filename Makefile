@@ -35,7 +35,7 @@ names:
 MPI_TEST_ONLY := Current NewTCPEndpoint
 
 # CORE_TEST_ONLY is the same list for internal/core, held the same way.
-CORE_TEST_ONLY := CompileBruteForTest PerturbBoundedForTest PlanCacheLen Redistribute Summary WithPlanCache
+CORE_TEST_ONLY := CompileBruteForTest PerturbBoundedForTest PerturbPipelineForTest PlanCacheLen Redistribute Summary WithPlanCache
 
 # verify is the pre-merge gate: the stale-name check, formatting, the
 # internal/mpi and internal/core test-only lists, and static analysis over the whole module, the chaos suite, then the race detector

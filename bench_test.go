@@ -1,6 +1,6 @@
 // Package ddr_bench holds the top-level benchmark harness: one benchmark
 // per table and figure of the paper's evaluation section, plus ablations
-// for the design choices DESIGN.md calls out (exchange mode, transport,
+// for the design choices DESIGN.md calls out (pipeline depth, transport,
 // chunking technique). Run with:
 //
 //	go test -bench=. -benchmem .
@@ -34,11 +34,12 @@ func launchTCP(n int, body func(*mpi.Comm) error) error {
 }
 
 // runE1 performs one full E1 redistribution (descriptor + mapping +
-// exchange) on the given runtime flavour and exchange mode.
-func runE1(run func(int, func(*mpi.Comm) error) error, mode core.ExchangeMode) error {
+// exchange) on the given runtime flavour, at the paper's serial round
+// (depth 1).
+func runE1(run func(int, func(*mpi.Comm) error) error) error {
 	return run(4, func(c *mpi.Comm) error {
 		own, need := experiments.E1Geometry(c.Rank())
-		desc, err := core.NewDescriptor(4, core.Layout2D, core.Float32, core.WithExchangeMode(mode))
+		desc, err := core.NewDescriptor(4, core.Layout2D, core.Float32, core.WithPipelineDepth(1))
 		if err != nil {
 			return err
 		}
@@ -54,7 +55,7 @@ func runE1(run func(int, func(*mpi.Comm) error) error, mode core.ExchangeMode) e
 // Figure 1: world spin-up, mapping setup, and the two-round exchange.
 func BenchmarkTable1E1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := runE1(launchInProc, core.ModeAlltoallw); err != nil {
+		if err := runE1(launchInProc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +208,7 @@ func BenchmarkFigure5Regrid(b *testing.B) {
 				own = append(own, core.Chunk{Box: box, Data: make([]byte, box.Volume()*4)})
 			}
 			_, err := core.Redistribute(c, core.Layout2D, core.Float32, own, squares[c.Rank()],
-				core.WithExchangeMode(core.ModeAlltoallw)) // the paper's mechanism
+				core.WithPipelineDepth(1)) // the paper's serial round
 			return err
 		})
 		if err != nil {
@@ -216,31 +217,35 @@ func BenchmarkFigure5Regrid(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationP2PvsAlltoallw compares the two exchange mechanisms
-// (paper §V future work) on a sparse 3D slab-to-pencil redistribution
-// where only a few peers share data.
-func BenchmarkAblationP2PvsAlltoallw(b *testing.B) {
-	const procs = 8
+// BenchmarkAblationPipelineDepth compares the paper's serial rounds
+// (depth 1, one step per MPI_Alltoallw) with the default pipelined
+// exchange on a 3D slab-to-pencil redistribution: four slabs per rank,
+// dealt round-robin, so the plan has four rounds to overlap.
+func BenchmarkAblationPipelineDepth(b *testing.B) {
+	const procs, slabsPerRank = 8, 4
 	domain := grid.Box3(0, 0, 0, 64, 32, 32)
-	slabs := grid.Slabs(domain, 2, procs)
+	slabs := grid.Slabs(domain, 2, procs*slabsPerRank)
 	pencils := grid.Slabs(domain, 0, procs)
-	for _, mode := range []core.ExchangeMode{core.ModeAlltoallw, core.ModePointToPoint} {
-		b.Run(mode.String(), func(b *testing.B) {
+	for _, depth := range []int{1, core.DefaultPipelineDepth} {
+		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
 			b.SetBytes(int64(domain.Volume()) * 4)
 			for i := 0; i < b.N; i++ {
 				err := mpi.Launch(procs, func(c *mpi.Comm) error {
 					desc, err := core.NewDescriptor(procs, core.Layout3D, core.Float32,
-						core.WithExchangeMode(mode))
+						core.WithPipelineDepth(depth))
 					if err != nil {
 						return err
 					}
-					slab := slabs[c.Rank()]
-					if err := desc.SetupDataMapping(c, []grid.Box{slab}, pencils[c.Rank()]); err != nil {
+					var mine []grid.Box
+					var bufs [][]byte
+					for j := c.Rank(); j < len(slabs); j += procs {
+						mine = append(mine, slabs[j])
+						bufs = append(bufs, make([]byte, slabs[j].Volume()*4))
+					}
+					if err := desc.SetupDataMapping(c, mine, pencils[c.Rank()]); err != nil {
 						return err
 					}
-					return desc.ReorganizeData(c,
-						[][]byte{make([]byte, slab.Volume()*4)},
-						make([]byte, pencils[c.Rank()].Volume()*4))
+					return desc.ReorganizeData(c, bufs, make([]byte, pencils[c.Rank()].Volume()*4))
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -259,7 +264,7 @@ func BenchmarkAblationTransports(b *testing.B) {
 	}{{"inproc", launchInProc}, {"tcp", launchTCP}} {
 		b.Run(tr.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := runE1(tr.run, core.ModeAlltoallw); err != nil {
+				if err := runE1(tr.run); err != nil {
 					b.Fatal(err)
 				}
 			}

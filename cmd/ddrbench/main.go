@@ -43,7 +43,7 @@ func main() {
 		figure    = flag.Int("figure", 0, "reproduce figure N (2-5)")
 		all       = flag.Bool("all", false, "reproduce every table and figure")
 		real      = flag.Bool("real", false, "run the laptop-scale real-execution TIFF study")
-		ablation  = flag.Bool("ablation", false, "run the exchange-mode ablation study")
+		ablation  = flag.Bool("ablation", false, "run the pipeline-depth ablation study (serial paper rounds vs pipelined)")
 		vol3d     = flag.Bool("volumetric", false, "run the 3D in-transit volume-rendering extension")
 		outDir    = flag.String("out", "ddrbench-out", "directory for rendered outputs")
 		t4w       = flag.Int("t4width", 648, "grid width for the Table IV JPEG density measurement")
@@ -199,8 +199,8 @@ func run(tel *experiments.Telemetry, transport string, memBudget, pipeDepth int,
 	}
 	if ablation || all {
 		const reps = 20
-		fmt.Println("running the exchange-mode ablation (real execution, 8 ranks)...")
-		rows, err := experiments.ExchangeModeAblation(8,
+		fmt.Println("running the pipeline-depth ablation (real execution, 8 ranks)...")
+		rows, err := experiments.DepthAblation(8,
 			grid.Box3(0, 0, 0, 64, 64, 128), []int{1, 2, 4, 8, 16}, reps, tel)
 		if err != nil {
 			return err

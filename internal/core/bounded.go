@@ -36,7 +36,7 @@ import (
 // argument needs (DESIGN.md, "Memory-bounded step compiler"). Whether a
 // message is sliced, and into which pieces, depends only on its size and
 // the budget, so both ends agree on that too; the budget must be uniform
-// across ranks, like the exchange mode, and is folded into the plan
+// across ranks and is folded into the plan
 // fingerprint (plancache.go), so cached plans and exchange IDs key on it.
 //
 // Budget semantics: WithMemoryBudget bounds the bytes of exchange-layer
@@ -96,11 +96,10 @@ func (b *boundedPlan) steps(p *Plan) []step {
 
 // WithMemoryBudget bounds the exchange-layer staging of every
 // ReorganizeData call to at most n bytes per rank (class-rounded, see the
-// package comment above). A budget selects the step executor for every
-// exchange, also under ModeAlltoallw. SetupDataMapping then compares each
-// rank's own worst round (SingleShotFootprint) with the budget: a rank
-// whose rounds fit replays them unchanged, any other re-packs its rounds
-// into bounded steps. The budget must be uniform across ranks and is part
+// package comment above). SetupDataMapping compares each rank's own
+// worst round (SingleShotFootprint) with the budget: a rank whose rounds
+// fit replays them unchanged, any other re-packs its rounds into bounded
+// steps. The budget must be uniform across ranks and is part
 // of the plan-cache key. n <= 0 (the default) disables the bound.
 func WithMemoryBudget(n int) Option {
 	return func(d *Descriptor) { d.budget = n }

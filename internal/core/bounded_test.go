@@ -72,19 +72,30 @@ type boundedCase struct {
 
 // sweepRow is one exchange configuration of the differential sweeps.
 type sweepRow struct {
-	name string
-	mode ExchangeMode
-	fold bool
+	name   string
+	depth  int  // the depth the row runs at in a sweep without a depth axis
+	staged bool // every message packed into a wire and unpacked (withStaged)
+	fold   bool
+}
+
+// opts are the row's descriptor options beyond depth and budget.
+func (r sweepRow) opts() []Option {
+	if r.staged {
+		return []Option{withStaged()}
+	}
+	return nil
 }
 
 // sweepRows are the configurations every sweep geometry runs: the
-// paper's collective, the default point-to-point schedule, and that
-// schedule folded per peer pair, which drives multi-seg messages through
-// the executor's gather/scatter on every geometry.
+// paper's round as its collective ran it — one step at a time, every
+// message packed into a wire and unpacked from it, nothing landing — the
+// default point-to-point schedule, and that schedule folded per peer
+// pair, which drives multi-seg messages through the executor's
+// gather/scatter on every geometry.
 var sweepRows = []sweepRow{
-	{"alltoallw", ModeAlltoallw, false},
-	{"point-to-point", ModePointToPoint, false},
-	{"point-to-point-fused", ModePointToPoint, true},
+	{"alltoallw", 1, true, false},
+	{"point-to-point", DefaultPipelineDepth, false, false},
+	{"point-to-point-fused", DefaultPipelineDepth, false, true},
 }
 
 // foldPeers rewrites a mapped plan's round schedule into one step whose
@@ -306,13 +317,13 @@ func budgetTiers(fp int) []int {
 	return tiers
 }
 
-// runBoundedWorld runs one (case, mode, budget) configuration and checks
+// runBoundedWorld runs one (case, options, budget) configuration and checks
 // every rank's output byte-identical to the brute oracle. mutate, when
 // non-nil, runs on rank 0 after mapping setup; checkRank receives each
 // rank's descriptor after the exchange for extra assertions. Returns the
 // number of ranks whose output diverged from the oracle (0 for a healthy
 // run; mutation tests expect > 0).
-func (bc *boundedCase) runBoundedWorld(t *testing.T, mode ExchangeMode, budget int,
+func (bc *boundedCase) runBoundedWorld(t *testing.T, opts []Option, budget int,
 	mutate func(*Plan) bool, checkRank func(rank int, d *Descriptor) error) int {
 	t.Helper()
 	own := bc.ownData()
@@ -325,7 +336,7 @@ func (bc *boundedCase) runBoundedWorld(t *testing.T, mode ExchangeMode, budget i
 	err := mpi.Launch(bc.nProcs, func(c *mpi.Comm) error {
 		rank := c.Rank()
 		d, err := NewDescriptor(bc.nProcs, bc.layout, Uint8,
-			WithExchangeMode(mode), WithElemSize(bc.elemSize), WithMemoryBudget(budget))
+			append([]Option{WithElemSize(bc.elemSize), WithMemoryBudget(budget)}, opts...)...)
 		if err != nil {
 			return err
 		}
@@ -394,7 +405,7 @@ func TestBoundedDifferentialSweep(t *testing.T) {
 				name := fmt.Sprintf("seed%d/%s/budget%d", seed, row.name, budget)
 				t.Run(name, func(t *testing.T) {
 					folded := bc.folds(t, budget)
-					bad := bc.runBoundedWorld(t, row.mode, budget, nil, func(rank int, d *Descriptor) error {
+					bad := bc.runBoundedWorld(t, append(row.opts(), WithPipelineDepth(row.depth)), budget, nil, func(rank int, d *Descriptor) error {
 						steps := d.BoundedSteps()
 						wantBounded := !folded && fps[rank] > budget
 						if wantBounded && steps == 0 {
@@ -506,7 +517,7 @@ func TestStagingHandOffEveryTransport(t *testing.T) {
 						if peak <= 0 || peak > int64(budget) {
 							return fmt.Errorf("rank %d: peak staging %d, want in (0, %d]", rank, peak, budget)
 						}
-						steps, k, _ := d.schedule(d.plan)
+						steps, k := d.schedule(d.plan)
 						leases, wire := leaseWindow(steps, k), maxSendWire(steps)
 						if peak < leases || peak > leases+wire {
 							return fmt.Errorf("rank %d: peak staging %d outside [%d, %d]: more than one send wire was charged", rank, peak, leases, leases+wire)
@@ -589,7 +600,7 @@ func TestBoundedHarnessCatchesPlantedBug(t *testing.T) {
 			continue
 		}
 		budget := max(fp/4, 1<<minStagingShift)
-		bad := bc.runBoundedWorld(t, ModePointToPoint, budget, (*Plan).PerturbBoundedForTest, nil)
+		bad := bc.runBoundedWorld(t, nil, budget, (*Plan).PerturbBoundedForTest, nil)
 		if bad == 0 {
 			t.Errorf("seed %d: perturbed bounded plan produced oracle-identical output — the harness is blind", seed)
 		}
@@ -726,7 +737,7 @@ func TestBoundedCachedPlanReplays(t *testing.T) {
 	err := mpi.Launch(bc.nProcs, func(c *mpi.Comm) error {
 		rank := c.Rank()
 		d, err := NewDescriptor(bc.nProcs, bc.layout, Uint8,
-			WithExchangeMode(ModePointToPoint), WithElemSize(bc.elemSize), WithMemoryBudget(budget))
+			WithElemSize(bc.elemSize), WithMemoryBudget(budget))
 		if err != nil {
 			return err
 		}
@@ -898,7 +909,7 @@ func BenchmarkBoundedExchange(b *testing.B) {
 			b.SetBytes(int64(side) * int64(side) * elemSize)
 			err := mpi.Launch(procs, func(c *mpi.Comm) error {
 				rank := c.Rank()
-				opts := []Option{WithExchangeMode(ModePointToPoint)}
+				var opts []Option
 				if cfg.budget > 0 {
 					opts = append(opts, WithMemoryBudget(cfg.budget))
 				}

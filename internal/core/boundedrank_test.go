@@ -30,8 +30,9 @@ func skewedWorld() boundedCase {
 }
 
 // TestBoundedMixedRankDecisions runs the skewed world under a budget that
-// its lightest rank's rounds fit and the others' do not, in both exchange
-// modes, at depths 1/2/4, on inproc, tcp and shm. Every result must match
+// its lightest rank's rounds fit and the others' do not, for the
+// point-to-point and the staged "alltoallw" sweep rows, at depths 1/2/4,
+// on inproc, tcp and shm. Every result must match
 // the fill oracle, every rank's measured peak must stay under the budget,
 // every fitting rank must run exactly its compiled rounds and every other
 // rank its re-packed steps.
@@ -60,23 +61,21 @@ func TestBoundedMixedRankDecisions(t *testing.T) {
 		{"shm", []mpi.LaunchOption{mpi.WithTransport(mpi.TransportShm)}},
 	}
 	for _, tr := range transports {
-		for _, mode := range []ExchangeMode{ModePointToPoint, ModeAlltoallw} {
+		for _, row := range sweepRows[:2] {
 			for _, depth := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("%s/%v/depth%d", tr.name, mode, depth), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/depth%d", tr.name, row.name, depth), func(t *testing.T) {
 					err := mpi.Launch(bc.nProcs, func(c *mpi.Comm) error {
 						rank := c.Rank()
-						d, err := NewDescriptor(bc.nProcs, bc.layout, Float32, WithExchangeMode(mode),
-							WithPipelineDepth(depth), WithMemoryBudget(budget))
+						d, err := NewDescriptor(bc.nProcs, bc.layout, Float32,
+							append(row.opts(), WithPipelineDepth(depth), WithMemoryBudget(budget))...)
 						if err != nil {
 							return err
 						}
 						if err := d.SetupDataMapping(c, bc.chunks[rank], bc.needs[rank]); err != nil {
 							return err
 						}
-						steps, _, stepped := d.schedule(d.plan)
+						steps, _ := d.schedule(d.plan)
 						switch fits := fps[rank] <= budget; {
-						case !stepped:
-							return fmt.Errorf("rank %d: a budgeted exchange left the step executor", rank)
 						case fits && (d.BoundedSteps() != 0 || len(steps) != len(d.plan.sched) || &steps[0] != &d.plan.sched[0]):
 							return fmt.Errorf("rank %d: footprint %d fits budget %d, but it does not replay its rounds", rank, fps[rank], budget)
 						case !fits && d.BoundedSteps() == 0:

@@ -79,18 +79,8 @@ func TestNewDescriptorValidation(t *testing.T) {
 	if _, err := NewDescriptor(4, Layout2D, Float32, WithElemSize(0)); err == nil {
 		t.Error("zero element size accepted")
 	}
-	// The reference collective is fail-fast: it has no degraded completion
-	// for a deadline to arm, in either option order.
-	for _, opts := range [][]Option{
-		{WithExchangeMode(ModeAlltoallw), WithExchangeDeadline(time.Second)},
-		{WithExchangeDeadline(time.Second), WithExchangeMode(ModeAlltoallw)},
-	} {
-		if _, err := NewDescriptor(4, Layout2D, Float32, opts...); !errors.Is(err, ErrDeadlineUnsupported) {
-			t.Errorf("ModeAlltoallw with a deadline: got %v, want ErrDeadlineUnsupported", err)
-		}
-	}
-	if _, err := NewDescriptor(4, Layout2D, Float32, WithExchangeDeadline(time.Second)); err != nil {
-		t.Errorf("default mode with a deadline rejected: %v", err)
+	if _, err := NewDescriptor(4, Layout2D, Float32, WithExchangeDeadline(time.Second), WithPipelineDepth(1)); err != nil {
+		t.Errorf("a serial exchange with a deadline rejected: %v", err)
 	}
 	d, err := NewDescriptor(4, Layout2D, Float32)
 	if err != nil {
@@ -132,10 +122,25 @@ func e1Geometry(rank int) (own []grid.Box, need grid.Box) {
 	return own, need
 }
 
+// depthRow is one of the two exchange configurations the tests once split
+// by exchange mode, kept under the subtest names they had then.
+type depthRow struct {
+	name  string
+	depth int
+}
+
+// depthRows: "alltoallw" is the paper's round — one MPI_Alltoallw there,
+// one step run at depth 1 here — and "point-to-point" the default depth,
+// which overlaps a round's pack with the previous round's wire time.
+var depthRows = []depthRow{
+	{"alltoallw", 1},
+	{"point-to-point", DefaultPipelineDepth},
+}
+
 // TestE1Redistribution runs the paper's running example end to end on
-// every transport and exchange mode, checking every received element.
+// every transport, serial and pipelined, checking every received element.
 func TestE1Redistribution(t *testing.T) {
-	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
+	for _, row := range depthRows {
 		for _, tr := range []struct {
 			name string
 			run  func(int, func(*mpi.Comm) error) error
@@ -147,11 +152,11 @@ func TestE1Redistribution(t *testing.T) {
 				return mpi.Launch(n, body, mpi.WithTransport(mpi.TransportTCP))
 			}},
 		} {
-			t.Run(fmt.Sprintf("%v/%s", mode, tr.name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", row.name, tr.name), func(t *testing.T) {
 				err := tr.run(4, func(c *mpi.Comm) error {
 					own, need := e1Geometry(c.Rank())
 					desc, err := NewDescriptor(4, Layout2D, Float32,
-						WithExchangeMode(mode), WithValidation())
+						WithPipelineDepth(row.depth), WithValidation())
 					if err != nil {
 						return err
 					}
@@ -170,6 +175,75 @@ func TestE1Redistribution(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPaperRoundIsDepthOneStep holds the executor to Table III's
+// schedule: at WithPipelineDepth(1), on E1 (two rounds) and on a stack
+// dealt round-robin as unit slices (sixteen rounds), every rank runs one
+// step per round of its plan, serially and in round order, each sending
+// exactly the bytes Plan.RoundSendBytes reports for its round, and the
+// need buffer ends holding the closed-form fill.
+func TestPaperRoundIsDepthOneStep(t *testing.T) {
+	_, stackOwn, stackNeed := stackWorld(8, 128)
+	e1Own, e1Need := make([][]grid.Box, 4), make([]grid.Box, 4)
+	for r := range e1Own {
+		e1Own[r], e1Need[r] = e1Geometry(r)
+	}
+	for _, g := range []struct {
+		name    string
+		layout  Layout
+		rounds  int
+		ownAll  [][]grid.Box
+		needAll []grid.Box
+	}{
+		{"e1", Layout2D, 2, e1Own, e1Need},
+		{"stack", Layout3D, 16, stackOwn, stackNeed},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			n := len(g.needAll)
+			err := mpi.Launch(n, func(c *mpi.Comm) error {
+				rank := c.Rank()
+				desc, err := NewDescriptor(n, g.layout, Float32, WithPipelineDepth(1))
+				if err != nil {
+					return err
+				}
+				if err := desc.SetupDataMapping(c, g.ownAll[rank], g.needAll[rank]); err != nil {
+					return err
+				}
+				p := desc.Plan()
+				if p.Rounds() != g.rounds {
+					return fmt.Errorf("rank %d: %d rounds, want %d", rank, p.Rounds(), g.rounds)
+				}
+				bufs := make([][]byte, len(g.ownAll[rank]))
+				for i, b := range g.ownAll[rank] {
+					bufs[i] = fillBox(b, 4)
+				}
+				need := make([]byte, g.needAll[rank].Volume()*4)
+				if err := desc.ReorganizeData(c, bufs, need); err != nil {
+					return err
+				}
+				if k := desc.LastPipelineDepth(); k != 1 {
+					return fmt.Errorf("rank %d ran at depth %d, want 1", rank, k)
+				}
+				ts := desc.LastTimings()
+				if len(ts) != p.Rounds() {
+					return fmt.Errorf("rank %d: %d timings for %d rounds", rank, len(ts), p.Rounds())
+				}
+				for r, tm := range ts {
+					if tm.Round != r {
+						return fmt.Errorf("rank %d: timing %d is round %d", rank, r, tm.Round)
+					}
+					if want := p.RoundSendBytes(r); tm.WireBytes != want {
+						return fmt.Errorf("rank %d round %d moved %d wire bytes, the plan says %d", rank, r, tm.WireBytes, want)
+					}
+				}
+				return checkBox(need, g.needAll[rank], 4, nil, 0)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -205,7 +279,7 @@ func TestE1PlanShape(t *testing.T) {
 		// of ranks 0..3 respectively.
 		wantRecv := [2]int{16, 0}
 		for r := 0; r < 2; r++ {
-			rowSend, rowRecv := desc.alltoallwRows(p, r)
+			rowSend, rowRecv := alltoallwRows(p, r)
 			for peer := 0; peer < 4; peer++ {
 				if got, want := rowSend[peer].PackedSize(), wantSend[peer][r]; got != want {
 					return fmt.Errorf("send round %d to rank %d: %d bytes, want %d", r, peer, got, want)
@@ -214,7 +288,6 @@ func TestE1PlanShape(t *testing.T) {
 					return fmt.Errorf("recv round %d from rank %d: %d bytes, want %d", r, peer, got, wantRecv[r])
 				}
 			}
-			desc.resetAlltoallwRows(p, r)
 		}
 		return nil
 	})
@@ -266,7 +339,7 @@ func TestE1Stats(t *testing.T) {
 // TestRandomRedistribution is the library's central property test: for
 // random domains, random disjoint-complete ownerships, and random need
 // boxes, every rank must receive exactly the canonical data for its need
-// box, under both exchange modes.
+// box, serially (depth 1) and pipelined on alternate trials.
 func TestRandomRedistribution(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -292,11 +365,11 @@ func TestRandomRedistribution(t *testing.T) {
 		for r := range needAll {
 			needAll[r] = grid.RandomBoxIn(rng, domain)
 		}
-		mode := []ExchangeMode{ModeAlltoallw, ModePointToPoint}[trial%2]
+		depth := depthRows[trial%2].depth
 		err := mpi.Launch(n, func(c *mpi.Comm) error {
 			rank := c.Rank()
 			desc, err := NewDescriptor(n, layout, Uint8, WithElemSize(elemSize),
-				WithExchangeMode(mode), WithValidation())
+				WithPipelineDepth(depth), WithValidation())
 			if err != nil {
 				return err
 			}
@@ -512,12 +585,11 @@ func TestPaperScale216Ranks(t *testing.T) {
 		chunksAll[i] = []grid.Box{slab}
 	}
 	needs := grid.Bricks3D(domain, 6, 6, 6)
-	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, row := range depthRows {
+		t.Run(row.name, func(t *testing.T) {
 			err := mpi.Launch(n, func(c *mpi.Comm) error {
 				desc, err := NewDescriptor(n, Layout3D, Uint8, WithElemSize(1),
-					WithExchangeMode(mode), WithValidation())
+					WithPipelineDepth(row.depth), WithValidation())
 				if err != nil {
 					return err
 				}

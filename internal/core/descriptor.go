@@ -18,10 +18,10 @@
 // only ReorganizeData needs to run again.
 //
 // ReorganizeData moves each round as direct sends and receives between the
-// ranks that share data, run by the step executor (exec.go). The paper's
-// own mechanism, one alltoallw collective per round, is kept behind
-// WithExchangeMode(ModeAlltoallw) as the reference the tests and the
-// paper-reproduction experiments compare against.
+// ranks that share data, run by the step executor (exec.go), the one code
+// that runs an exchange. The paper's round, one MPI_Alltoallw, is one step
+// of that executor at WithPipelineDepth(1); the default depth overlaps a
+// round's pack with the previous round's wire time.
 package core
 
 import (
@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ddr/internal/datatype"
 	"ddr/internal/grid"
 	"ddr/internal/obs"
 	"ddr/internal/trace"
@@ -105,30 +104,6 @@ func (t ElemType) String() string {
 	return fmt.Sprintf("ElemType(%d)", int(t))
 }
 
-// ExchangeMode selects how ReorganizeData moves bytes between ranks.
-type ExchangeMode int
-
-const (
-	// ModePointToPoint, the default, moves each round as direct sends and
-	// receives between the ranks that actually share data — the
-	// optimization the paper proposes as future work for sparse mappings.
-	ModePointToPoint ExchangeMode = iota
-	// ModeAlltoallw drives one alltoallw collective per round, the
-	// mechanism the paper implements. It is the reference the default is
-	// tested against and the experiments reproduce the paper with:
-	// serial, fail-fast (no WithExchangeDeadline), and it reports no
-	// pack/wire/unpack split. A memory budget overrides it: every
-	// budgeted exchange runs the step executor (WithMemoryBudget).
-	ModeAlltoallw
-)
-
-func (m ExchangeMode) String() string {
-	if m == ModeAlltoallw {
-		return "alltoallw"
-	}
-	return "point-to-point"
-}
-
 // Descriptor describes the data being redistributed and, after
 // SetupDataMapping, carries the compiled communication plan. It
 // corresponds to the object returned by DDR_NewDataDescriptor.
@@ -142,7 +117,6 @@ type Descriptor struct {
 	elem        ElemType
 	elemSize    int
 	elemSizeSet bool // WithElemSize was given (even an invalid value)
-	mode        ExchangeMode
 	validate    bool
 	deadline    time.Duration // per-exchange bound; > 0 enables degradation
 	budget      int           // WithMemoryBudget ceiling; <= 0 disables
@@ -172,12 +146,6 @@ type Descriptor struct {
 	needBuf         [1][]byte
 	lastPeakStaging int64
 
-	// Dense rows of ModeAlltoallw, materialized per round from the plan's
-	// step (the collective's wire format wants one slot per peer).
-	// Allocated once per descriptor and reset to the Empty sentinel after
-	// each call, so the steady state allocates nothing.
-	rowSend, rowRecv []datatype.Type
-
 	// Pipeline state: the depth the most recent exchange actually ran at
 	// (after geometry and budget clamping) and its overlap ratio.
 	lastDepth   int
@@ -186,7 +154,7 @@ type Descriptor struct {
 
 // exchObs is the observation context threaded through the exchange
 // helpers: the trace recorder plus the registry handles for this
-// descriptor's rank and mode. It is nil when neither a tracer nor a
+// descriptor's rank. It is nil when neither a tracer nor a
 // metrics registry is attached, which keeps the hot paths free of
 // timestamping and formatting.
 type exchObs struct {
@@ -226,7 +194,6 @@ func (d *Descriptor) buildObs(rank int) {
 		return
 	}
 	rl := obs.RankLabel(rank)
-	ml := obs.Label{Key: "mode", Value: d.mode.String()}
 	d.obsv = &exchObs{
 		rec:  d.tracer,
 		rank: rank,
@@ -237,11 +204,11 @@ func (d *Descriptor) buildObs(rank int) {
 		cacheMisses: d.metrics.Counter("ddr_plan_cache_misses_total",
 			"SetupDataMapping calls that compiled a new plan with caching enabled.", rl),
 		exchangeLat: d.metrics.Histogram("ddr_exchange_seconds",
-			"Wall time of one complete ReorganizeData exchange.", obs.LatencyBuckets, rl, ml),
+			"Wall time of one complete ReorganizeData exchange.", obs.LatencyBuckets, rl),
 		roundLat: d.metrics.Histogram("ddr_exchange_round_seconds",
-			"Wall time of one exchange round.", obs.LatencyBuckets, rl, ml),
+			"Wall time of one exchange round.", obs.LatencyBuckets, rl),
 		exchangeBytes: d.metrics.Counter("ddr_exchange_bytes_total",
-			"Bytes this rank sent across ranks during exchanges.", rl, ml),
+			"Bytes this rank sent across ranks during exchanges.", rl),
 		packLat: d.metrics.Histogram("ddr_pack_seconds",
 			"Time spent packing sub-arrays into wire buffers.", obs.LatencyBuckets, rl),
 		unpackLat: d.metrics.Histogram("ddr_unpack_seconds",
@@ -249,27 +216,18 @@ func (d *Descriptor) buildObs(rank int) {
 		landed: d.metrics.Counter("ddr_landed_messages_total",
 			"Messages that arrived already in this rank's posted need regions, copied there by an in-process sender or unpacked there by the shared-memory consumer: no unpack for them.", rl),
 		boundedSteps: d.metrics.Counter("ddr_bounded_steps_total",
-			"Bounded-footprint exchange steps executed by memory-bounded ReorganizeData calls.", rl, ml),
+			"Bounded-footprint exchange steps executed by memory-bounded ReorganizeData calls.", rl),
 		boundedPeak: d.metrics.Gauge("ddr_bounded_peak_staging_bytes",
-			"High-water mark of measured exchange-layer staging bytes across bounded exchanges.", rl, ml),
+			"High-water mark of measured exchange-layer staging bytes across bounded exchanges.", rl),
 		pipeDepth: d.metrics.Gauge("ddr_pipeline_depth",
-			"Pipeline depth the most recent exchange ran at, after geometry and budget clamping (1 = serial).", rl, ml),
+			"Pipeline depth the most recent exchange ran at, after geometry and budget clamping (1 = serial).", rl),
 		pipeOverlap: d.metrics.FloatGauge("ddr_pipeline_overlap_ratio",
-			"Fraction of the most recent exchange's wire time hidden behind pack/unpack work (0 = fully serial).", rl, ml),
+			"Fraction of the most recent exchange's wire time hidden behind pack/unpack work (0 = fully serial).", rl),
 	}
 }
 
 // Option configures a Descriptor.
 type Option func(*Descriptor)
-
-// WithExchangeMode selects the wire mechanism: ModePointToPoint (the
-// default), the step executor replaying the plan's rounds — or its
-// bounded rewrite under WithMemoryBudget — as direct sends and receives;
-// or ModeAlltoallw, the paper's one collective per round, kept as the
-// reference.
-func WithExchangeMode(m ExchangeMode) Option {
-	return func(d *Descriptor) { d.mode = m }
-}
 
 // WithTracer attaches a trace recorder: SetupDataMapping and every
 // exchange round of ReorganizeData record spans into it (down to
@@ -281,7 +239,7 @@ func WithTracer(r *trace.Recorder) Option {
 
 // WithMetrics attaches a metrics registry: plan-compile and exchange
 // latencies, per-round timings, and exchanged bytes are recorded as
-// per-rank, per-mode series exportable in Prometheus text format.
+// per-rank series exportable in Prometheus text format.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(d *Descriptor) { d.metrics = reg }
 }
@@ -310,8 +268,7 @@ func WithValidation() Option {
 // call returns a *PartialError naming the lost peers and the need-box
 // regions their data would have filled. Zero (the default) keeps the
 // historical behaviour — the exchange waits indefinitely and aborts on
-// the first transport error. ModeAlltoallw is fail-fast by definition:
-// NewDescriptor rejects the combination with ErrDeadlineUnsupported.
+// the first transport error.
 func WithExchangeDeadline(dl time.Duration) Option {
 	return func(d *Descriptor) { d.deadline = dl }
 }
@@ -326,11 +283,12 @@ const DefaultPipelineDepth = 2
 // software-pipelines the multi-round exchange paths: round r+1's pack and
 // send posting overlap round r's wire time, and round r's unpack runs
 // behind round r+1's sends, through a ring of k staging-buffer sets.
-// Depth 1 restores strictly serial rounds. The effective depth of an
-// exchange is additionally clamped by the plan's round (or step) count
-// and — when WithMemoryBudget is set — by the budget, so k-deep staging
-// never exceeds it; single-round geometries and an unbudgeted
-// ModeAlltoallw always run serially. Results are byte-identical at every
+// Depth 1 restores strictly serial rounds — the paper's schedule, one
+// MPI_Alltoallw per round, each round run to completion before the next
+// is packed. The effective depth of an exchange is additionally clamped
+// by the plan's round (or step) count and — when WithMemoryBudget is set
+// — by the budget, so k-deep staging never exceeds it; single-round
+// geometries always run serially. Results are byte-identical at every
 // depth.
 func WithPipelineDepth(k int) Option {
 	return func(d *Descriptor) { d.depth = k }
@@ -381,9 +339,6 @@ func NewDescriptor(nProcs int, layout Layout, elem ElemType, opts ...Option) (*D
 	d.ex.metered = d.budget > 0
 	if d.depth < 1 {
 		return nil, fmt.Errorf("core: pipeline depth %d must be at least 1", d.depth)
-	}
-	if d.mode == ModeAlltoallw && d.deadline > 0 {
-		return nil, fmt.Errorf("core: ModeAlltoallw with a %v exchange deadline: %w", d.deadline, ErrDeadlineUnsupported)
 	}
 	if d.cacheCap > 0 {
 		d.cache = newPlanCache(d.cacheCap)

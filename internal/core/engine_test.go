@@ -21,14 +21,14 @@ import (
 func withStaged() Option { return func(d *Descriptor) { d.ex.staged = true } }
 
 // engineWorld runs one redistribution of the given geometry on a world
-// launched with launch and verifies every rank's need buffer holds the
-// canonical pattern.
-func engineWorld(t *testing.T, n int, mode ExchangeMode, elemSize int, ownAll [][]grid.Box, needAll []grid.Box, launch []mpi.LaunchOption, opts ...Option) {
+// launched with launch at the given pipeline depth and verifies every
+// rank's need buffer holds the canonical pattern.
+func engineWorld(t *testing.T, n int, depth int, elemSize int, ownAll [][]grid.Box, needAll []grid.Box, launch []mpi.LaunchOption, opts ...Option) {
 	t.Helper()
 	err := mpi.Launch(n, func(c *mpi.Comm) error {
 		rank := c.Rank()
 		desc, err := NewDescriptor(n, Layout2D, Uint8,
-			append([]Option{WithElemSize(elemSize), WithExchangeMode(mode)}, opts...)...)
+			append([]Option{WithElemSize(elemSize), WithPipelineDepth(depth)}, opts...)...)
 		if err != nil {
 			return err
 		}
@@ -72,7 +72,7 @@ func stripWorld(n, side, chunksPerRank int, columnNeeds bool) (ownAll [][]grid.B
 	return ownAll, needAll
 }
 
-// TestWorkerPoolSizes runs every exchange mode, on both strided (column
+// TestWorkerPoolSizes runs both depth rows, on both strided (column
 // needs) and contiguous (row needs) geometries, with the process sized to
 // 1, 2, the host's GOMAXPROCS and an oversubscribed 4 Ps. Each rank
 // compiles and moves on its own goroutine, and the ranks' goroutines —
@@ -81,13 +81,13 @@ func stripWorld(n, side, chunksPerRank int, columnNeeds bool) (ownAll [][]grid.B
 func TestWorkerPoolSizes(t *testing.T) {
 	sizes := []int{1, 2, runtime.GOMAXPROCS(0), 4}
 	for _, par := range sizes {
-		for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
+		for _, row := range depthRows {
 			for _, columns := range []bool{false, true} {
-				name := fmt.Sprintf("par%d/%v/columns=%v", par, mode, columns)
+				name := fmt.Sprintf("par%d/%s/columns=%v", par, row.name, columns)
 				t.Run(name, func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 					ownAll, needAll := stripWorld(4, 32, 2, columns)
-					engineWorld(t, 4, mode, 4, ownAll, needAll, nil)
+					engineWorld(t, 4, row.depth, 4, ownAll, needAll, nil)
 				})
 			}
 		}
@@ -114,19 +114,19 @@ func stripGeometry(transposed bool) (ownAll [][]grid.Box, needAll []grid.Box) {
 
 // TestZeroCopyMatchesStaged verifies the zero-copy fast path, where every
 // region of row strips to row slabs is a contiguous span moved as it is,
-// against the fully staged path, in both exchange modes.
+// against the fully staged path, serial and pipelined.
 func TestZeroCopyMatchesStaged(t *testing.T) {
 	ownAll, needAll := stripWorld(4, 32, 2, false)
-	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
-		engineWorld(t, 4, mode, 4, ownAll, needAll, nil)
-		engineWorld(t, 4, mode, 4, ownAll, needAll, nil, withStaged())
+	for _, row := range depthRows {
+		engineWorld(t, 4, row.depth, 4, ownAll, needAll, nil)
+		engineWorld(t, 4, row.depth, 4, ownAll, needAll, nil, withStaged())
 	}
 }
 
 // TestPackStrategiesByteIdentical proves every way the executor can move
 // a strided region yields the same bytes, on stripGeometry in both
-// orientations (every send, or every receive, strided) and both exchange
-// modes. The cases keep the names of the pack strategies they replace:
+// orientations (every send, or every receive, strided) and both depth
+// rows. The cases keep the names of the pack strategies they replace:
 // auto is the descriptor as built on Launch's default world; zerocopy
 // runs on bare inproc, where a sender's typed send gathers each strided
 // region by its Subarray straight into the peer's open post; pack runs
@@ -144,12 +144,12 @@ func TestPackStrategiesByteIdentical(t *testing.T) {
 		{"pack", []mpi.LaunchOption{mpi.WithFaultInjector(noFaults{})}, nil},
 		{"datatype", nil, []Option{withStaged()}},
 	}
-	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
+	for _, row := range depthRows {
 		for _, s := range strategies {
 			for _, transposed := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%v/%s/transposed=%v", mode, s.name, transposed), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/transposed=%v", row.name, s.name, transposed), func(t *testing.T) {
 					ownAll, needAll := stripGeometry(transposed)
-					engineWorld(t, 4, mode, 4, ownAll, needAll, s.launch, s.opts...)
+					engineWorld(t, 4, row.depth, 4, ownAll, needAll, s.launch, s.opts...)
 				})
 			}
 		}
@@ -161,12 +161,12 @@ func TestPackStrategiesByteIdentical(t *testing.T) {
 // the arena and all bookkeeping reuses descriptor scratch. The geometry
 // forces a strided self-exchange, the pooled staging path.
 func TestZeroAllocSteadyState(t *testing.T) {
-	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, row := range depthRows {
+		t.Run(row.name, func(t *testing.T) {
 			array := grid.Box2(0, 0, 8, 8)
 			need := grid.Box2(1, 1, 6, 6) // interior: strided in the 8x8 array
 			err := mpi.Launch(1, func(c *mpi.Comm) error {
-				desc, err := NewDescriptor(1, Layout2D, Float32, WithExchangeMode(mode))
+				desc, err := NewDescriptor(1, Layout2D, Float32, WithPipelineDepth(row.depth))
 				if err != nil {
 					return err
 				}
@@ -187,7 +187,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 					}
 				})
 				if allocs != 0 {
-					t.Errorf("mode %v: %.1f allocs per steady-state ReorganizeData, want 0", mode, allocs)
+					t.Errorf("%s: %.1f allocs per steady-state ReorganizeData, want 0", row.name, allocs)
 				}
 				return checkBox(dst, need, 4, nil, 0)
 			})
@@ -296,40 +296,38 @@ func TestLastTimingsDefensiveCopy(t *testing.T) {
 // abandoned when the context expires, while the peer — whose inputs were
 // already sent eagerly — still completes its own exchange.
 func TestReorganizeDataCtxCancel(t *testing.T) {
-	for _, mode := range []ExchangeMode{ModePointToPoint} {
-		t.Run(mode.String(), func(t *testing.T) {
-			domain := grid.Box1(0, 8)
-			halves := grid.Slabs(domain, 0, 2)
-			err := mpi.Launch(2, func(c *mpi.Comm) error {
-				desc, err := NewDescriptor(2, Layout1D, Uint8, WithExchangeMode(mode))
-				if err != nil {
-					return err
-				}
-				own := halves[c.Rank()]
-				if err := desc.SetupDataMapping(c, []grid.Box{own}, domain); err != nil {
-					return err
-				}
-				buf := fillBox(own, 1)
-				dst := make([]byte, domain.Volume())
-				if c.Rank() == 1 {
-					// Withhold rank 1's contribution long enough for rank 0's
-					// deadline to expire, then exchange normally: rank 0's send
-					// phase ran before its cancelled wait, so the data is there.
-					time.Sleep(200 * time.Millisecond)
-					return desc.ReorganizeData(c, [][]byte{buf}, dst)
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-				defer cancel()
-				if err := desc.ReorganizeDataCtx(ctx, c, [][]byte{buf}, dst); !errors.Is(err, context.DeadlineExceeded) {
-					return fmt.Errorf("rank 0: got %v, want context.DeadlineExceeded", err)
-				}
-				return nil
-			})
+	t.Run("point-to-point", func(t *testing.T) {
+		domain := grid.Box1(0, 8)
+		halves := grid.Slabs(domain, 0, 2)
+		err := mpi.Launch(2, func(c *mpi.Comm) error {
+			desc, err := NewDescriptor(2, Layout1D, Uint8)
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
+			own := halves[c.Rank()]
+			if err := desc.SetupDataMapping(c, []grid.Box{own}, domain); err != nil {
+				return err
+			}
+			buf := fillBox(own, 1)
+			dst := make([]byte, domain.Volume())
+			if c.Rank() == 1 {
+				// Withhold rank 1's contribution long enough for rank 0's
+				// deadline to expire, then exchange normally: rank 0's send
+				// phase ran before its cancelled wait, so the data is there.
+				time.Sleep(200 * time.Millisecond)
+				return desc.ReorganizeData(c, [][]byte{buf}, dst)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+			defer cancel()
+			if err := desc.ReorganizeDataCtx(ctx, c, [][]byte{buf}, dst); !errors.Is(err, context.DeadlineExceeded) {
+				return fmt.Errorf("rank 0: got %v, want context.DeadlineExceeded", err)
+			}
+			return nil
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestReorganizeDataCtxComplete verifies an ample deadline leaves the
@@ -338,7 +336,7 @@ func TestReorganizeDataCtxComplete(t *testing.T) {
 	ownAll, needAll := stripWorld(4, 32, 2, true)
 	err := mpi.Launch(4, func(c *mpi.Comm) error {
 		rank := c.Rank()
-		desc, err := NewDescriptor(4, Layout2D, Float32, WithExchangeMode(ModePointToPoint))
+		desc, err := NewDescriptor(4, Layout2D, Float32)
 		if err != nil {
 			return err
 		}
@@ -373,7 +371,7 @@ func TestReorganizeDataCtxComplete(t *testing.T) {
 // benchEngineConfig runs the 16-rank, 256x256, multi-chunk layout of the
 // acceptance benchmark with the given engine options, reporting the mean
 // per-exchange wall time observed by the rank-0 metrics registry.
-func benchEngineConfig(b *testing.B, mode ExchangeMode, opts ...Option) {
+func benchEngineConfig(b *testing.B, opts ...Option) {
 	const (
 		procs         = 16
 		side          = 256
@@ -386,7 +384,7 @@ func benchEngineConfig(b *testing.B, mode ExchangeMode, opts ...Option) {
 	err := mpi.Launch(procs, func(c *mpi.Comm) error {
 		rank := c.Rank()
 		desc, err := NewDescriptor(procs, Layout2D, Float32,
-			append([]Option{WithExchangeMode(mode), WithMetrics(reg)}, opts...)...)
+			append([]Option{WithMetrics(reg)}, opts...)...)
 		if err != nil {
 			return err
 		}
@@ -416,15 +414,15 @@ func benchEngineConfig(b *testing.B, mode ExchangeMode, opts ...Option) {
 	}
 	h := reg.Histogram("ddr_exchange_seconds",
 		"Wall time of one complete ReorganizeData exchange.", obs.LatencyBuckets,
-		obs.RankLabel(0), obs.Label{Key: "mode", Value: mode.String()})
+		obs.RankLabel(0))
 	if n := h.Count(); n > 0 {
 		b.ReportMetric(h.Sum()/float64(n)*1e9, "exch-ns/op")
 	}
 }
 
 // BenchmarkReorganizeEngine compares the staging strategies on the same
-// exchange: fully staged through every region's datatype, and the
-// zero-copy fast path (the default).
+// exchange, serial and at the default depth: fully staged through every
+// region's datatype, and the zero-copy fast path (the default).
 func BenchmarkReorganizeEngine(b *testing.B) {
 	configs := []struct {
 		name string
@@ -433,10 +431,10 @@ func BenchmarkReorganizeEngine(b *testing.B) {
 		{"staged", []Option{withStaged()}},
 		{"zerocopy", nil},
 	}
-	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
+	for _, depth := range []int{1, DefaultPipelineDepth} {
 		for _, cfg := range configs {
-			b.Run(fmt.Sprintf("%v/%s", mode, cfg.name), func(b *testing.B) {
-				benchEngineConfig(b, mode, cfg.opts...)
+			b.Run(fmt.Sprintf("depth%d/%s", depth, cfg.name), func(b *testing.B) {
+				benchEngineConfig(b, append([]Option{WithPipelineDepth(depth)}, cfg.opts...)...)
 			})
 		}
 	}

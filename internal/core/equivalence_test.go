@@ -111,13 +111,42 @@ func degenerateCase() goldenCase {
 	return gc
 }
 
-// TestAlltoallwRowsMatchBrute holds the ModeAlltoallw oracle's wire format
-// against the reference compiler's: for every round of every rank of every
-// golden and degenerate geometry, the dense rows the descriptor derives
-// from the plan's step list carry the packed size and contiguity span of
-// the brute-force dense tables in every slot — Empty where the pair
-// exchanges nothing, the rank's own slot included — and are all Empty
-// again once the round is reset.
+// alltoallwRows lays round r's step out as the paper's MPI_Alltoallw
+// would take it: one datatype per peer, each message's seg in its peer's
+// slot, the local move in the rank's own, Empty where the pair exchanges
+// nothing. A slot with more than one seg (a contested overlap's
+// fragments) keeps the last; the callers' geometries have none.
+func alltoallwRows(p *Plan, r int) (rowSend, rowRecv []datatype.Type) {
+	rowSend = make([]datatype.Type, p.nProcs)
+	rowRecv = make([]datatype.Type, p.nProcs)
+	for i := range rowSend {
+		rowSend[i], rowRecv[i] = datatype.Empty{}, datatype.Empty{}
+	}
+	st := &p.sched[r]
+	for _, sf := range st.selfs {
+		rowSend[p.rank], rowRecv[p.rank] = sf.src.t, sf.dst.t
+	}
+	for _, m := range st.sends {
+		for _, sg := range m.segs {
+			rowSend[m.peer] = sg.t
+		}
+	}
+	for _, m := range st.recvs {
+		for _, sg := range m.segs {
+			rowRecv[m.peer] = sg.t
+		}
+	}
+	return rowSend, rowRecv
+}
+
+// TestAlltoallwRowsMatchBrute holds each round's step against the
+// brute-force dense tables, the rows the paper's MPI_Alltoallw takes: for
+// every round of every rank of every golden and degenerate geometry, the
+// step laid out per peer carries the packed size and contiguity span of
+// the brute-force table in every slot — Empty where the pair exchanges
+// nothing, the rank's own slot included. compilersAgree compares the same
+// schedule with compilePlanBrute's step list; this reads the tables
+// before that conversion.
 func TestAlltoallwRowsMatchBrute(t *testing.T) {
 	sameSlot := func(got, want datatype.Type) bool {
 		gOff, gN, gOK := got.ContiguousSpan()
@@ -138,21 +167,14 @@ func TestAlltoallwRowsMatchBrute(t *testing.T) {
 				if len(send) != p.rounds {
 					t.Fatalf("rank %d: %d rounds, brute %d", rank, p.rounds, len(send))
 				}
-				d := &Descriptor{}
 				for r := 0; r < p.rounds; r++ {
-					rowSend, rowRecv := d.alltoallwRows(p, r)
+					rowSend, rowRecv := alltoallwRows(p, r)
 					for peer := range gc.needs {
 						if !sameSlot(rowSend[peer], send[r][peer]) {
-							t.Errorf("rank %d round %d: send row slot %d is %v, brute %v", rank, r, peer, rowSend[peer], send[r][peer])
+							t.Errorf("rank %d round %d: send slot %d is %v, brute %v", rank, r, peer, rowSend[peer], send[r][peer])
 						}
 						if !sameSlot(rowRecv[peer], recv[r][peer]) {
-							t.Errorf("rank %d round %d: recv row slot %d is %v, brute %v", rank, r, peer, rowRecv[peer], recv[r][peer])
-						}
-					}
-					d.resetAlltoallwRows(p, r)
-					for peer := range gc.needs {
-						if rowSend[peer] != (datatype.Empty{}) || rowRecv[peer] != (datatype.Empty{}) {
-							t.Errorf("rank %d round %d: slot %d not Empty after reset", rank, r, peer)
+							t.Errorf("rank %d round %d: recv slot %d is %v, brute %v", rank, r, peer, rowRecv[peer], recv[r][peer])
 						}
 					}
 				}

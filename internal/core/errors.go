@@ -19,17 +19,6 @@ var (
 	// ErrBufferSize reports owned or need buffers whose count or byte
 	// length disagrees with the registered geometry.
 	ErrBufferSize = errors.New("buffer size mismatch")
-	// ErrDeadlineUnsupported reports WithExchangeDeadline combined with
-	// ModeAlltoallw: the collective waits for every peer and has no
-	// partial completion to degrade to.
-	ErrDeadlineUnsupported = errors.New("exchange deadline needs a point-to-point mode")
-	// ErrFragmented reports a ModeAlltoallw exchange of a plan that moves
-	// some overlap in several pieces — the fragments overlapping owned
-	// chunks leave it (see SetupDataMapping). The collective takes one
-	// datatype per peer and round, so it cannot carry them; the
-	// point-to-point mode can. It fails the ranks whose plan holds such a
-	// message, before their first round.
-	ErrFragmented = errors.New("plan moves an overlap in several pieces, alltoallw takes one per peer")
 )
 
 // PartialError reports a ReorganizeData exchange that completed for every

@@ -13,17 +13,16 @@ import (
 	"ddr/internal/trace"
 )
 
-// The exchange executor. Every point-to-point redistribution — rounds,
-// memory-bounded, an elastic resize among them — is an ordered list of steps (after
+// The exchange executor. Every redistribution — rounds, memory-bounded,
+// an elastic resize among them — is an ordered list of steps (after
 // Rink et al., "Memory-efficient array redistribution through portable
 // collective communication"), each a set of messages moved under one
 // staging footprint, and this file is the only code that runs one: it
 // owns the transport calls, deadline and lost-peer handling, trace
 // stamps, round timings and abort cleanup. The backends are
 // compilers that emit []step: the plan's round schedule (mapping.go) and
-// its bounded rewrite (bounded.go). ModeAlltoallw alone keeps
-// its own round loop (reorganize.go), because it is the paper-fidelity
-// oracle the differential tests compare this against.
+// its bounded rewrite (bounded.go). The paper's round, one MPI_Alltoallw,
+// is one step of the round schedule run at depth 1.
 //
 // A serial exchange runs each step as issue → wait → retire, so the wire
 // time of every step is pure blocking. With pipeline depth k ≥ 2 the same

@@ -90,9 +90,9 @@ func landWorld(t *testing.T, ownAll [][]grid.Box, needAll []grid.Box, layout Lay
 }
 
 // TestLandedMatchesEager is the differential test of the completion
-// paths: the same geometry on bare inproc, behind a no-op fault injector
-// (where nothing can land), on shm and through the alltoallw reference
-// must leave the same bytes. Landing is certain on bare inproc and on shm
+// paths: the same geometry on bare inproc and on shm must leave the bytes
+// it leaves behind a no-op fault injector, where nothing can land and
+// every message is placed by its receiver — the reference. Landing is certain on bare inproc and on shm
 // for contiguous and strided receives alike: every rank posts all its
 // receives before it sends anything, so whatever is sent to the rank that
 // finished posting first finds its post open — claimed by the sender on
@@ -120,17 +120,13 @@ func TestLandedMatchesEager(t *testing.T) {
 			if landed != 0 {
 				t.Errorf("%d messages landed through a fault injector", landed)
 			}
-			ref, landed := landWorld(t, g.ownAll, g.needAll, g.layout, bare, WithExchangeMode(ModeAlltoallw))
-			if landed != 0 {
-				t.Errorf("%d messages landed in ModeAlltoallw", landed)
-			}
 			shm, landed := landWorld(t, g.ownAll, g.needAll, g.layout, []mpi.LaunchOption{mpi.WithTransport(mpi.TransportShm), mpi.WithFaultInjector(nil)})
 			if landed == 0 {
 				t.Error("nothing landed on shm")
 			}
 			for r := range got {
-				if !bytes.Equal(got[r], eager[r]) || !bytes.Equal(got[r], ref[r]) || !bytes.Equal(got[r], shm[r]) {
-					t.Errorf("rank %d: landed, eager, shm and alltoallw outputs differ", r)
+				if !bytes.Equal(got[r], eager[r]) || !bytes.Equal(shm[r], eager[r]) {
+					t.Errorf("rank %d: landed, shm and eager outputs differ", r)
 				}
 			}
 		})

@@ -45,9 +45,8 @@ type Plan struct {
 	// contiguous receive no scatter — detected at compile time so the
 	// exchange fast paths pay no per-call analysis). It holds one seg per
 	// actual overlap, O(overlaps) rather than O(rounds·procs) state. Every
-	// reader of the plan reads this list: the step executor replays it, the
-	// alltoallw oracle scatters a round's segs into its dense rows, and the
-	// summary and the test hooks walk it.
+	// reader of the plan reads this list: the step executor replays it,
+	// and the summary and the test hooks walk it.
 	sched []step
 
 	// bounded is this rank's schedule under the descriptor's memory budget,

@@ -11,8 +11,9 @@ import (
 // intersects every chunk against every peer's need linearly into dense
 // (round, peer) type tables, Empty where a pair exchanges nothing, exactly
 // as the original implementation of the paper's DDR_SetupDataMapping did.
-// These tables are also the rows ModeAlltoallw hands the collective, which
-// TestAlltoallwRowsMatchBrute holds the oracle's rows against.
+// These tables are the rows the paper's MPI_Alltoallw takes, one per
+// round; TestAlltoallwRowsMatchBrute holds each round's step against them
+// slot for slot.
 func bruteTables(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box) (send, recv [][]datatype.Type, err error) {
 	nProcs := len(allNeeds)
 	rounds := 0

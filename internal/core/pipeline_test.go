@@ -15,17 +15,17 @@ import (
 
 // Differential tests of the pipelined exchange engine. The ground truth
 // is the same brute-force oracle the bounded sweep uses: pipelining only
-// reschedules the rounds, so every (depth, mode, budget) point must stay
+// reschedules the rounds, so every (row, depth, budget) point must stay
 // byte-identical to the serial output — and, when a budget is armed, the
 // measured peak staging must stay under the ceiling even with k rounds
 // of receive payloads in flight.
 
-// runPipeWorld runs one (case, mode, depth, budget) configuration and
+// runPipeWorld runs one (case, options, depth, budget) configuration and
 // byte-compares every rank's output against the brute oracle. budget 0
 // runs unmetered; mutate, when non-nil, runs on rank 0's descriptor
 // after mapping setup. Returns the number of ranks whose output diverged
 // (0 for a healthy run; planted-bug tests expect > 0).
-func (bc *boundedCase) runPipeWorld(t *testing.T, mode ExchangeMode, depth, budget int,
+func (bc *boundedCase) runPipeWorld(t *testing.T, extra []Option, depth, budget int,
 	mutate func(*Descriptor), checkRank func(rank int, d *Descriptor) error) int {
 	t.Helper()
 	own := bc.ownData()
@@ -37,9 +37,7 @@ func (bc *boundedCase) runPipeWorld(t *testing.T, mode ExchangeMode, depth, budg
 	fold := bc.folds(t, budget)
 	err := mpi.Launch(bc.nProcs, func(c *mpi.Comm) error {
 		rank := c.Rank()
-		opts := []Option{
-			WithExchangeMode(mode), WithElemSize(bc.elemSize), WithPipelineDepth(depth),
-		}
+		opts := append([]Option{WithElemSize(bc.elemSize), WithPipelineDepth(depth)}, extra...)
 		if budget > 0 {
 			opts = append(opts, WithMemoryBudget(budget))
 		}
@@ -112,7 +110,7 @@ func TestPipelineDifferentialSweep(t *testing.T) {
 				for _, budget := range budgets {
 					name := fmt.Sprintf("seed%d/%s/depth%d/budget%d", seed, row.name, depth, budget)
 					t.Run(name, func(t *testing.T) {
-						bad := bc.runPipeWorld(t, row.mode, depth, budget, nil, func(rank int, d *Descriptor) error {
+						bad := bc.runPipeWorld(t, row.opts(), depth, budget, nil, func(rank int, d *Descriptor) error {
 							if got := d.LastPipelineDepth(); got < 1 || got > depth {
 								return fmt.Errorf("rank %d: effective depth %d outside [1, %d]", rank, got, depth)
 							}
@@ -176,17 +174,17 @@ func TestPipelineHarnessCatchesPlantedBug(t *testing.T) {
 		t.Skip("the planted bug is a real buffer-lifetime data race; the detector fires before the divergence check can prove its teeth — make verify runs this test without -race")
 	}
 	bc := pipePlantWorld()
-	if bad := bc.runPipeWorld(t, ModePointToPoint, 2, 0, nil, nil); bad != 0 {
+	if bad := bc.runPipeWorld(t, nil, 2, 0, nil, nil); bad != 0 {
 		t.Fatalf("unperturbed run diverged on %d ranks; geometry is broken", bad)
 	}
-	bad := bc.runPipeWorld(t, ModePointToPoint, 2, 0, (*Descriptor).PerturbPipelineForTest, nil)
+	bad := bc.runPipeWorld(t, nil, 2, 0, (*Descriptor).PerturbPipelineForTest, nil)
 	if bad == 0 {
 		t.Error("early-recycle perturbation produced oracle-identical output — the harness is blind to pipelined buffer-lifetime bugs")
 	}
 	// Depth 1 never holds a payload across an issue, so the planted bug
 	// must be inert there — this pins that the bug (and the harness's
 	// sensitivity) is specific to the pipelined window.
-	if bad := bc.runPipeWorld(t, ModePointToPoint, 1, 0, (*Descriptor).PerturbPipelineForTest, nil); bad != 0 {
+	if bad := bc.runPipeWorld(t, nil, 1, 0, (*Descriptor).PerturbPipelineForTest, nil); bad != 0 {
 		t.Errorf("perturbation diverged %d ranks at depth 1; the serial path should never hold payloads across rounds", bad)
 	}
 }
@@ -210,7 +208,7 @@ func TestPipelineDepthClampedByBudget(t *testing.T) {
 	err := mpi.Launch(procs, func(c *mpi.Comm) error {
 		rank := c.Rank()
 		d, err := NewDescriptor(procs, Layout2D, Float32,
-			WithExchangeMode(ModePointToPoint), WithPipelineDepth(8), WithMemoryBudget(budget))
+			WithPipelineDepth(8), WithMemoryBudget(budget))
 		if err != nil {
 			return err
 		}

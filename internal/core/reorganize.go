@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"ddr/internal/datatype"
 	"ddr/internal/grid"
 	"ddr/internal/mpi"
 	"ddr/internal/obs"
@@ -27,9 +26,8 @@ import (
 // Wire + Unpack; a pipelined round only pays the part of the wire span
 // it actually blocked on (Duration = Pack + blocked + Unpack), which is
 // what makes overlap efficiency computable from timings alone — see
-// OverlapRatio. Every step-executor path — the default mode, bounded,
-// resize — fills the sub-durations; only ModeAlltoallw, which
-// delegates the whole phase to the reference collective, leaves them zero.
+// OverlapRatio. The step executor runs every exchange — rounds, bounded
+// steps, a resize — and fills the sub-durations on all of them.
 type RoundTiming struct {
 	Round     int
 	Duration  time.Duration
@@ -43,8 +41,8 @@ type RoundTiming struct {
 // wire time that was hidden behind pack/unpack work instead of being
 // blocked on: 0 when every round waited out its whole wire span (serial
 // execution), approaching 1 when the pipeline kept the wire fully
-// covered by useful work. Rounds that report no wire span (alltoallw
-// delegation, pure-local rounds) are excluded.
+// covered by useful work. Rounds that report no wire span (pure-local
+// rounds) are excluded.
 func OverlapRatio(ts []RoundTiming) float64 {
 	var wire, hidden time.Duration
 	for _, t := range ts {
@@ -87,7 +85,7 @@ func (d *Descriptor) AppendTimings(dst []RoundTiming) []RoundTiming {
 }
 
 // ddrTagBase is the first of the user-visible tags DDR reserves for its
-// point-to-point exchange mode (one tag per round). Applications sharing a
+// exchanges (one tag per round). Applications sharing a
 // communicator with DDR should stay below this range.
 const ddrTagBase = 1 << 20
 
@@ -183,18 +181,14 @@ func (d *Descriptor) ReorganizeDataCtx(ctx context.Context, c *mpi.Comm, own [][
 	}
 
 	start := time.Now()
-	steps, k, stepped := d.schedule(p)
+	steps, k := d.schedule(p)
 	d.lastDepth = k
-	if stepped {
-		d.needBuf[0] = need
-		err = d.ex.run(&exchange{ctx: ctx, c: c, o: o, ps: ps, deadline: d.deadline,
-			id: exch, traced: traced}, steps, k, own, d.needBuf[:])
-		d.needBuf[0] = nil
-		if d.ex.metered {
-			d.lastPeakStaging = d.ex.meter.Peak()
-		}
-	} else {
-		err = d.alltoallwRounds(ctx, c, own, need, exch, traced)
+	d.needBuf[0] = need
+	err = d.ex.run(&exchange{ctx: ctx, c: c, o: o, ps: ps, deadline: d.deadline,
+		id: exch, traced: traced}, steps, k, own, d.needBuf[:])
+	d.needBuf[0] = nil
+	if d.ex.metered {
+		d.lastPeakStaging = d.ex.meter.Peak()
 	}
 	if err != nil {
 		return fmt.Errorf("core: exchange: %w", err)
@@ -225,21 +219,16 @@ func (d *Descriptor) ReorganizeDataCtx(ctx context.Context, c *mpi.Comm, own [][
 }
 
 // schedule selects the step list this exchange replays and the depth it
-// runs at. A memory budget selects the step executor whatever the mode:
-// this rank's re-packed steps, or its rounds when they all fit. That rule
-// is what lets ranks decide for themselves — every rank runs a step list
-// in the one global key order (bounded.go), so no collective choice is
-// needed. stepped is false for an unbudgeted ModeAlltoallw, which
-// delegates each round to the collective instead.
-func (d *Descriptor) schedule(p *Plan) (steps []step, k int, stepped bool) {
+// runs at: the plan's rounds, one step each, or — under a memory budget —
+// this rank's re-packed steps, or its rounds when they all fit. Every
+// rank runs a step list in the one global key order (bounded.go), so no
+// collective choice is needed.
+func (d *Descriptor) schedule(p *Plan) (steps []step, k int) {
 	if b := p.bounded; b != nil {
 		steps = b.steps(p)
-		return steps, d.pipelineDepth(len(steps), b.peak), true
+		return steps, d.pipelineDepth(len(steps), b.peak)
 	}
-	if d.mode == ModeAlltoallw {
-		return nil, 1, false
-	}
-	return p.sched, d.pipelineDepth(len(p.sched), 0), true
+	return p.sched, d.pipelineDepth(len(p.sched), 0)
 }
 
 // pipelineDepth resolves the depth an exchange may run at: the
@@ -258,101 +247,6 @@ func (d *Descriptor) pipelineDepth(steps, perStep int) int {
 		return k
 	}
 	return min(k, max(d.budget/perStep-1, 1))
-}
-
-// alltoallwRounds is the paper's mechanism and the oracle the step
-// executor is tested against: one alltoallw collective per round, the
-// whole pack/wire/unpack phase delegated to it (so the timings' sub-
-// durations stay zero). It is fail-fast: a cancelled ctx stops it between
-// rounds, any transport error aborts it.
-func (d *Descriptor) alltoallwRounds(ctx context.Context, c *mpi.Comm, own [][]byte, need []byte, exch uint64, traced bool) error {
-	p, o := d.plan, d.obsv
-	d.ex.timings = d.ex.timings[:0]
-	for r := range p.sched {
-		st := &p.sched[r]
-		if len(st.selfs) > 1 {
-			return fmt.Errorf("round %d moves %d local pieces: %w", r, len(st.selfs), ErrFragmented)
-		}
-		for _, msgs := range [2][]message{st.sends, st.recvs} {
-			for _, m := range msgs {
-				if len(m.segs) > 1 {
-					return fmt.Errorf("round %d: message with rank %d has %d pieces: %w", r, m.peer, len(m.segs), ErrFragmented)
-				}
-			}
-		}
-	}
-	for r := 0; r < p.rounds; r++ {
-		if ctx != nil && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		var sendBuf []byte
-		if r < len(own) {
-			sendBuf = own[r]
-		}
-		roundBytes := p.RoundSendBytes(r)
-		if traced {
-			c.SetTraceContext(mpi.TraceContext{Exchange: exch, Round: uint32(r)})
-		}
-		start := time.Now()
-		rowSend, rowRecv := d.alltoallwRows(p, r)
-		err := c.Alltoallw(sendBuf, rowSend, need, rowRecv)
-		d.resetAlltoallwRows(p, r)
-		if o.tracing() {
-			o.rec.StampSpan(trace.Event{Rank: o.rank, Name: fmt.Sprintf("round-%d", r),
-				Bytes: roundBytes, Exchange: exch, Round: int32(r), Peer: -1}, start, time.Now())
-		}
-		if err != nil {
-			return fmt.Errorf("round %d: %w", r, err)
-		}
-		elapsed := time.Since(start)
-		if o.on() {
-			o.roundLat.Observe(elapsed.Seconds())
-			o.exchangeBytes.Add(roundBytes)
-		}
-		d.ex.timings = append(d.ex.timings, RoundTiming{Round: r, Duration: elapsed, WireBytes: roundBytes})
-	}
-	return nil
-}
-
-// alltoallwRows materializes round r's dense send/recv type rows — the
-// alltoallw collective's wire format — from the round's step into the
-// descriptor's reusable scratch: each message's one seg in its peer's
-// slot, the local move in the rank's own (alltoallwRounds has checked
-// that there is one of each). resetAlltoallwRows must run
-// after the collective returns to restore the Empty sentinels, so the rows
-// are clean for the next round at O(messages) cost.
-func (d *Descriptor) alltoallwRows(p *Plan, r int) (rowSend, rowRecv []datatype.Type) {
-	if len(d.rowSend) != p.nProcs {
-		d.rowSend = make([]datatype.Type, p.nProcs)
-		d.rowRecv = make([]datatype.Type, p.nProcs)
-		for i := range d.rowSend {
-			d.rowSend[i], d.rowRecv[i] = datatype.Empty{}, datatype.Empty{}
-		}
-	}
-	st := &p.sched[r]
-	for _, sf := range st.selfs {
-		d.rowSend[p.rank], d.rowRecv[p.rank] = sf.src.t, sf.dst.t
-	}
-	for _, m := range st.sends {
-		d.rowSend[m.peer] = m.segs[0].t
-	}
-	for _, m := range st.recvs {
-		d.rowRecv[m.peer] = m.segs[0].t
-	}
-	return d.rowSend, d.rowRecv
-}
-
-// resetAlltoallwRows restores the Empty sentinel in the slots round r
-// populated.
-func (d *Descriptor) resetAlltoallwRows(p *Plan, r int) {
-	st := &p.sched[r]
-	d.rowSend[p.rank], d.rowRecv[p.rank] = datatype.Empty{}, datatype.Empty{}
-	for _, m := range st.sends {
-		d.rowSend[m.peer] = datatype.Empty{}
-	}
-	for _, m := range st.recvs {
-		d.rowRecv[m.peer] = datatype.Empty{}
-	}
 }
 
 // Chunk pairs an owned box with its data buffer, for the one-shot

@@ -44,33 +44,33 @@ func telemetryWorldOn(launch []mpi.LaunchOption, iters int, opts ...Option) erro
 	}, launch...)
 }
 
-// Every exchange mode must leave behind the plan-compile histogram, the
-// per-mode exchange latency histogram, exchanged-bytes counters, and the
-// per-rank mapping/exchange spans the acceptance criteria call for.
+// Serial and pipelined, an exchange must leave behind the plan-compile
+// histogram, the exchange latency histogram, exchanged-bytes counters,
+// and the per-rank mapping/exchange spans the acceptance criteria call
+// for.
 func TestTelemetryPopulatedAllModes(t *testing.T) {
 	const n = 4
-	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, row := range depthRows {
+		t.Run(row.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			rec := trace.NewRecorder()
-			if err := telemetryWorld(2, WithExchangeMode(mode), WithMetrics(reg), WithTracer(rec)); err != nil {
+			if err := telemetryWorld(2, WithPipelineDepth(row.depth), WithMetrics(reg), WithTracer(rec)); err != nil {
 				t.Fatal(err)
 			}
-			ml := obs.Label{Key: "mode", Value: mode.String()}
 			for r := 0; r < n; r++ {
 				rl := obs.RankLabel(r)
 				if h := reg.Histogram("ddr_plan_compile_seconds", "", nil, rl); h.Count() != 1 {
 					t.Errorf("rank %d plan-compile observations = %d, want 1", r, h.Count())
 				}
-				if h := reg.Histogram("ddr_exchange_seconds", "", nil, rl, ml); h.Count() != 2 {
+				if h := reg.Histogram("ddr_exchange_seconds", "", nil, rl); h.Count() != 2 {
 					t.Errorf("rank %d exchange observations = %d, want 2", r, h.Count())
 				}
-				if h := reg.Histogram("ddr_exchange_round_seconds", "", nil, rl, ml); h.Count() == 0 {
+				if h := reg.Histogram("ddr_exchange_round_seconds", "", nil, rl); h.Count() == 0 {
 					t.Errorf("rank %d recorded no rounds", r)
 				}
 				// Each rank's strip overlaps 3 peers' need columns with
 				// strip*strip cells each, twice: 2*3*16*16*4 bytes.
-				if got := reg.Counter("ddr_exchange_bytes_total", "", rl, ml).Value(); got != 2*3*16*16*4 {
+				if got := reg.Counter("ddr_exchange_bytes_total", "", rl).Value(); got != 2*3*16*16*4 {
 					t.Errorf("rank %d exchanged %d bytes, want %d", r, got, 2*3*16*16*4)
 				}
 			}
@@ -115,8 +115,6 @@ func TestTelemetryPopulatedAllModes(t *testing.T) {
 	}
 }
 
-// The pack/unpack histograms only exist for the modes that pack on the
-// application side (the alltoallw mode packs inside the collective).
 // Every rank packs for 3 peers whatever path the message takes: into the
 // claimed span of the receiver's post on inproc, or as the typed send
 // that gathers it — into an arena wire on an inproc miss, into the ring
@@ -186,16 +184,16 @@ func benchmarkReorganize(b *testing.B, opts ...Option) {
 }
 
 // BenchmarkReorganizeTelemetry compares the un-instrumented exchange
-// against the same exchange with tracing and metrics attached, per mode.
-// The "off" variants are the regression guard: detached descriptors must
-// not pay for the telemetry layer.
+// against the same exchange with tracing and metrics attached, serial and
+// at the default depth. The "off" variants are the regression guard:
+// detached descriptors must not pay for the telemetry layer.
 func BenchmarkReorganizeTelemetry(b *testing.B) {
-	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
-		b.Run(fmt.Sprintf("%v/off", mode), func(b *testing.B) {
-			benchmarkReorganize(b, WithExchangeMode(mode))
+	for _, depth := range []int{1, DefaultPipelineDepth} {
+		b.Run(fmt.Sprintf("depth%d/off", depth), func(b *testing.B) {
+			benchmarkReorganize(b, WithPipelineDepth(depth))
 		})
-		b.Run(fmt.Sprintf("%v/on", mode), func(b *testing.B) {
-			benchmarkReorganize(b, WithExchangeMode(mode),
+		b.Run(fmt.Sprintf("depth%d/on", depth), func(b *testing.B) {
+			benchmarkReorganize(b, WithPipelineDepth(depth),
 				WithTracer(trace.NewRecorder()), WithMetrics(obs.NewRegistry()))
 		})
 	}

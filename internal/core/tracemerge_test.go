@@ -27,8 +27,7 @@ func TestTraceMergeRoundTrip(t *testing.T) {
 	var merged *mpi.MergedTrace
 	err := mpi.Launch(n, func(c *mpi.Comm) error {
 		rec := trace.NewRecorder()
-		d, err := NewDescriptor(n, Layout2D, Float32,
-			WithExchangeMode(ModePointToPoint), WithTracer(rec))
+		d, err := NewDescriptor(n, Layout2D, Float32, WithTracer(rec))
 		if err != nil {
 			return err
 		}
@@ -154,7 +153,6 @@ func TestFlightDumpOnSeveredPeer(t *testing.T) {
 		f := obs.NewFlightRecorder(256)
 		flights[rank] = f
 		d, err := NewDescriptor(n, Layout2D, Float32,
-			WithExchangeMode(ModePointToPoint),
 			WithExchangeDeadline(3*time.Second),
 			WithFlightRecorder(f))
 		if err != nil {
@@ -220,12 +218,12 @@ func TestFlightDumpOnSeveredPeer(t *testing.T) {
 // ReorganizeData must not allocate — exchange-ID minting stays, but the
 // context push and span stamping are gated off entirely.
 func TestTracingDetachedZeroAlloc(t *testing.T) {
-	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, row := range depthRows {
+		t.Run(row.name, func(t *testing.T) {
 			array := grid.Box2(0, 0, 8, 8)
 			need := grid.Box2(1, 1, 6, 6)
 			err := mpi.Launch(1, func(c *mpi.Comm) error {
-				desc, err := NewDescriptor(1, Layout2D, Float32, WithExchangeMode(mode))
+				desc, err := NewDescriptor(1, Layout2D, Float32, WithPipelineDepth(row.depth))
 				if err != nil {
 					return err
 				}
@@ -246,7 +244,7 @@ func TestTracingDetachedZeroAlloc(t *testing.T) {
 					}
 				})
 				if allocs != 0 {
-					t.Errorf("mode %v: %.1f allocs per detached ReorganizeData, want 0", mode, allocs)
+					t.Errorf("%s: %.1f allocs per detached ReorganizeData, want 0", row.name, allocs)
 				}
 				// Exchange IDs are minted even when detached, so a later
 				// postmortem attach can correlate with peers.

@@ -138,7 +138,7 @@ func TestTypedWrapperElemSizeChecks(t *testing.T) {
 	}
 }
 
-// TestManyChunksPerRank stresses the default mode on round-robin
+// TestManyChunksPerRank stresses the default depth on round-robin
 // ownership with many chunks per rank: sixteen rounds, so the pipeline
 // keeps a full window in flight for most of the exchange.
 func TestManyChunksPerRank(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 // stay under the budget — under faults and across all transports.
 
 var flagBoundedSeeds = flag.Int("ddr-bounded-seeds", 12,
-	"seeded cases per exchange mode in the bounded property schedule")
+	"seeded cases per depth row in the bounded property schedule")
 
 // boundedTiers derives the budget ladder for a case from its ranks'
 // offline-compiled single-shot footprints: half and an eighth of the
@@ -52,23 +52,24 @@ func boundedTiers(t *testing.T, tc *Case) (tiers, footprints []int) {
 	return tiers, footprints
 }
 
-// runBoundedOne executes one (seed, mode, schedule, transport, budget)
+// runBoundedOne executes one (seed, depth, schedule, transport, budget)
 // combination and checks the invariant plus the budget-enforcement
 // property: measured peak staging must not exceed the budget on any rank,
 // and exactly the ranks whose own footprint exceeds it re-pack.
-func runBoundedOne(t *testing.T, seed uint64, mode core.ExchangeMode, sc schedule, transport string, budget int) {
+func runBoundedOne(t *testing.T, seed uint64, depth int, sc schedule, transport string, budget int) {
 	t.Helper()
-	tc := GenCase(seed, mode, *flagMaxProcs, *flagMaxExtent)
+	tc := GenCase(seed, *flagMaxProcs, *flagMaxExtent)
 	_, footprints := boundedTiers(t, &tc)
 	results, err := tc.Run(RunOptions{
-		Transport: transport,
-		Injector:  sc.build(&tc),
-		Deadline:  sc.deadline,
-		Budget:    budget,
+		Transport:     transport,
+		Injector:      sc.build(&tc),
+		Deadline:      sc.deadline,
+		Budget:        budget,
+		PipelineDepth: depth,
 	})
 	bfail := func(cause error) {
-		t.Errorf("%v budget=%d under schedule %q (transport=%q): %v\nreproduce: go test ./internal/ddrtest -run TestBoundedProperty -ddr-seed=%d -ddr-transport=%s",
-			&tc, budget, sc.name, transport, cause, seed, transport)
+		t.Errorf("%v depth=%d budget=%d under schedule %q (transport=%q): %v\nreproduce: go test ./internal/ddrtest -run TestBoundedProperty -ddr-seed=%d -ddr-transport=%s",
+			&tc, depth, budget, sc.name, transport, cause, seed, transport)
 	}
 	if err != nil {
 		bfail(fmt.Errorf("world error: %w", err))
@@ -90,7 +91,7 @@ func runBoundedOne(t *testing.T, seed uint64, mode core.ExchangeMode, sc schedul
 	}
 }
 
-// TestBoundedProperty sweeps seeded cases × exchange modes × chaos
+// TestBoundedProperty sweeps seeded cases × depth rows × chaos
 // schedules × budget tiers through the bounded backend on the in-process
 // transport, with clean-schedule coverage of the TCP and shared-memory
 // transports at the tightest tier.
@@ -100,25 +101,25 @@ func TestBoundedProperty(t *testing.T) {
 		seeds = 5
 	}
 	defer checkGoroutines(t)
-	for _, mode := range propertyModes {
+	for _, row := range propertyRows {
 		for _, sc := range schedules() {
 			if sc.name == "delay-reorder" {
 				continue // covered by TestDDRProperty; keep this sweep's budget on faults that alter delivery
 			}
-			if mode == core.ModeAlltoallw && !sc.a2aw {
+			if row.depth == 1 && sc.lossy {
 				continue
 			}
-			name := fmt.Sprintf("%v/%s", mode, sc.name)
+			name := fmt.Sprintf("%s/%s", row.name, sc.name)
 			t.Run(name, func(t *testing.T) {
 				for i := 0; i < seeds && !t.Failed(); i++ {
 					seed := uint64(i)*2654435761 + uint64(i) + 1
 					if *flagSeed >= 0 {
 						seed = uint64(*flagSeed)
 					}
-					tc := GenCase(seed, mode, *flagMaxProcs, *flagMaxExtent)
+					tc := GenCase(seed, *flagMaxProcs, *flagMaxExtent)
 					tiers, _ := boundedTiers(t, &tc)
 					for _, budget := range tiers {
-						runBoundedOne(t, seed, mode, sc, *flagTransport, budget)
+						runBoundedOne(t, seed, row.depth, sc, *flagTransport, budget)
 					}
 					// Tightest tier once per remote transport, clean
 					// schedule only (the chaos×transport product belongs to
@@ -128,7 +129,7 @@ func TestBoundedProperty(t *testing.T) {
 						tight := tiers[len(tiers)-1]
 						for ti, tr := range []string{TransportTCP, TransportShm} {
 							if i%2 == ti {
-								runBoundedOne(t, seed, mode, sc, tr, tight)
+								runBoundedOne(t, seed, row.depth, sc, tr, tight)
 							}
 						}
 					}
@@ -149,7 +150,7 @@ func TestBoundedProperty(t *testing.T) {
 func TestHarnessCatchesBoundedPlantedBug(t *testing.T) {
 	caught, perturbed := false, false
 	for seed := uint64(1); seed <= 40 && !caught; seed++ {
-		tc := GenCase(seed, core.ModePointToPoint, *flagMaxProcs, *flagMaxExtent)
+		tc := GenCase(seed, *flagMaxProcs, *flagMaxExtent)
 		tiers, _ := boundedTiers(t, &tc)
 		if len(tiers) == 0 {
 			continue // footprint already at the floor; no bounded run possible

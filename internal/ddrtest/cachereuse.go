@@ -38,8 +38,7 @@ func (tc *Case) RunCacheReuse(plantStale bool) ([]CacheReuseResult, error) {
 	err := mpi.Launch(tc.NProcs, func(c *mpi.Comm) error {
 		rank := c.Rank()
 		res := &results[rank]
-		d, err := core.NewDescriptor(tc.NProcs, tc.Layout, core.Uint8,
-			core.WithExchangeMode(tc.Mode), core.WithElemSize(tc.ElemSize))
+		d, err := core.NewDescriptor(tc.NProcs, tc.Layout, core.Uint8, core.WithElemSize(tc.ElemSize))
 		if err != nil {
 			return err
 		}

@@ -37,7 +37,7 @@ func TestCompilerEquivalenceSweep(t *testing.T) {
 		}
 	}
 	for seed := 0; seed < seeds; seed++ {
-		tc := GenCase(uint64(seed), core.ModeAlltoallw, 12, 24)
+		tc := GenCase(uint64(seed), 12, 24)
 		if seed%2 == 1 {
 			nd := tc.Layout.NDims()
 			empty := grid.MustBox(make([]int, nd), make([]int, nd))
@@ -81,7 +81,7 @@ func TestCompilerEquivalenceSweep(t *testing.T) {
 // invariant.
 func TestCacheReuseSchedule(t *testing.T) {
 	for _, seed := range []uint64{3, 11, 27} {
-		tc := GenCase(seed, core.ModePointToPoint, 6, 20)
+		tc := GenCase(seed, 6, 20)
 		results, err := tc.RunCacheReuse(false)
 		if err != nil {
 			t.Fatalf("%v: %v", &tc, err)
@@ -107,7 +107,7 @@ func TestCacheReuseSchedule(t *testing.T) {
 func TestCacheReuseCatchesStalePlan(t *testing.T) {
 	applied, caught := false, false
 	for seed := uint64(1); seed <= 40 && !caught; seed++ {
-		tc := GenCase(seed, core.ModePointToPoint, 6, 20)
+		tc := GenCase(seed, 6, 20)
 		results, err := tc.RunCacheReuse(true)
 		if err != nil {
 			t.Fatalf("%v: %v", &tc, err)

@@ -2,7 +2,8 @@
 // stack. It generates random redistribution cases — layout, domain,
 // producer tiling, per-rank need boxes, element size — from a single
 // seed, runs them through the full SetupDataMapping/ReorganizeData path
-// on a chosen transport and exchange mode, optionally under a
+// on a chosen transport, pipeline depth and memory budget, optionally
+// under a
 // deterministic chaos schedule, and checks the ground-truth invariant:
 // every need-box cell covered by the domain holds the closed-form fill
 // value of its global coordinates, and every uncovered cell still holds
@@ -32,15 +33,14 @@ type Case struct {
 	NProcs   int
 	Layout   core.Layout
 	ElemSize int
-	Mode     core.ExchangeMode
 	Domain   grid.Box
 	Chunks   [][]grid.Box // per rank; collectively tile Domain
 	Needs    []grid.Box   // per rank; may extend past Domain
 }
 
 func (tc *Case) String() string {
-	return fmt.Sprintf("seed=%d nprocs=%d layout=%v elem=%d mode=%v domain=%v",
-		tc.Seed, tc.NProcs, tc.Layout, tc.ElemSize, tc.Mode, tc.Domain)
+	return fmt.Sprintf("seed=%d nprocs=%d layout=%v elem=%d domain=%v",
+		tc.Seed, tc.NProcs, tc.Layout, tc.ElemSize, tc.Domain)
 }
 
 // mix is the splitmix64 finalizer, the same permutation the chaos
@@ -54,10 +54,9 @@ func mix(v uint64) uint64 {
 
 var elemSizes = []int{1, 2, 3, 4, 8}
 
-// GenCase derives a random case from seed for the given exchange mode,
-// bounded by maxProcs ranks and maxExtent cells per axis. Equal arguments
-// produce equal cases.
-func GenCase(seed uint64, mode core.ExchangeMode, maxProcs, maxExtent int) Case {
+// GenCase derives a random case from seed, bounded by maxProcs ranks and
+// maxExtent cells per axis. Equal arguments produce equal cases.
+func GenCase(seed uint64, maxProcs, maxExtent int) Case {
 	if maxProcs < 2 {
 		maxProcs = 2
 	}
@@ -70,7 +69,6 @@ func GenCase(seed uint64, mode core.ExchangeMode, maxProcs, maxExtent int) Case 
 		NProcs:   2 + rng.Intn(maxProcs-1),
 		Layout:   core.Layout(1 + rng.Intn(3)),
 		ElemSize: elemSizes[rng.Intn(len(elemSizes))],
-		Mode:     mode,
 	}
 	nd := tc.Layout.NDims()
 	offs := make([]int, nd)
@@ -269,10 +267,7 @@ func (tc *Case) Run(opt RunOptions) ([]RankResult, error) {
 	body := func(c *mpi.Comm) error {
 		rank := c.Rank()
 		res := &results[rank]
-		dopts := []core.Option{
-			core.WithExchangeMode(tc.Mode),
-			core.WithElemSize(tc.ElemSize),
-		}
+		dopts := []core.Option{core.WithElemSize(tc.ElemSize)}
 		if opt.Deadline > 0 {
 			dopts = append(dopts, core.WithExchangeDeadline(opt.Deadline))
 		}

@@ -38,12 +38,11 @@ func pipelineSchedules() []schedule {
 	return out
 }
 
-// runOnePipelined executes one (seed, depth, schedule) combination in
-// ModePointToPoint — the mode whose multi-round exchange pipelining
-// reschedules — and judges it exactly like the main sweep.
+// runOnePipelined executes one (seed, depth, schedule) combination and
+// judges it exactly like the main sweep.
 func runOnePipelined(t *testing.T, seed uint64, depth int, sc schedule, transport string, budget int) {
 	t.Helper()
-	tc := GenCase(seed, core.ModePointToPoint, *flagMaxProcs, *flagMaxExtent)
+	tc := GenCase(seed, *flagMaxProcs, *flagMaxExtent)
 	results, err := tc.Run(RunOptions{
 		Transport:     transport,
 		Injector:      sc.build(&tc),
@@ -135,7 +134,7 @@ func TestHarnessCatchesPipelinePlantedBug(t *testing.T) {
 	}
 	caught := false
 	for seed := uint64(1); seed <= 80 && !caught; seed++ {
-		tc := GenCase(seed, core.ModePointToPoint, *flagMaxProcs, *flagMaxExtent)
+		tc := GenCase(seed, *flagMaxProcs, *flagMaxExtent)
 		results, err := tc.Run(RunOptions{
 			Injector:         chaos.New(chaos.Options{}),
 			PipelineDepth:    2,

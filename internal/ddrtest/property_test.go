@@ -18,9 +18,9 @@ import (
 //	go test ./internal/ddrtest -run TestDDRProperty -ddr-seed=N
 var (
 	flagSeed = flag.Int64("ddr-seed", -1,
-		"run only this case seed (every mode and schedule) instead of the sweep")
+		"run only this case seed (every row and schedule) instead of the sweep")
 	flagCases = flag.Int("ddr-cases", 200,
-		"randomized cases per exchange mode per chaos schedule")
+		"randomized cases per depth row per chaos schedule")
 	flagMaxProcs = flag.Int("ddr-max-procs", 5,
 		"largest world size the generator may pick")
 	flagMaxExtent = flag.Int("ddr-max-extent", 20,
@@ -49,29 +49,25 @@ type schedule struct {
 	// lossy marks schedules that may legitimately end in partial
 	// completion; non-lossy schedules must complete fully on every rank.
 	lossy bool
-	// a2aw reports whether the schedule is meaningful for ModeAlltoallw
-	// (whose exchange rides collective tags, see TagFloor note below).
-	a2aw bool
 }
 
-// Schedules. Point-to-point modes use TagFloor = core.ExchangeTagBase so
-// the mapping collectives run clean and only exchange traffic is under
-// fire; ModeAlltoallw's exchange itself uses collective (negative) tags,
-// so its recoverable schedules set TagFloor = 0 and fault everything —
-// including the mapping — which recoverable faults must survive too.
+// Schedules. The recoverable ones set TagFloor = 0 and fault everything —
+// the mapping collectives included — which recoverable faults must
+// survive; sever sets TagFloor = core.ExchangeTagBase so the mapping runs
+// clean and only exchange traffic is cut.
 func schedules() []schedule {
 	return []schedule{
-		{name: "clean", build: func(*Case) mpi.FaultInjector { return nil }, a2aw: true},
-		{name: "drop", a2aw: true, build: func(tc *Case) mpi.FaultInjector {
+		{name: "clean", build: func(*Case) mpi.FaultInjector { return nil }},
+		{name: "drop", build: func(tc *Case) mpi.FaultInjector {
 			return chaos.New(chaos.Options{Seed: tc.Seed, DropProb: 0.08})
 		}},
-		{name: "delay-reorder", a2aw: true, build: func(tc *Case) mpi.FaultInjector {
+		{name: "delay-reorder", build: func(tc *Case) mpi.FaultInjector {
 			return chaos.New(chaos.Options{
 				Seed: tc.Seed, DelayProb: 0.2, DelayMax: 500 * time.Microsecond,
 				ReorderProb: 0.15, StallProb: 0.02, StallFor: 2 * time.Millisecond,
 			})
 		}},
-		{name: "dup", a2aw: true, build: func(tc *Case) mpi.FaultInjector {
+		{name: "dup", build: func(tc *Case) mpi.FaultInjector {
 			return chaos.New(chaos.Options{Seed: tc.Seed, DupProb: 0.15, DelayProb: 0.1})
 		}},
 		{name: "sever", lossy: true, deadline: severDeadline, build: func(tc *Case) mpi.FaultInjector {
@@ -92,54 +88,66 @@ func schedules() []schedule {
 	}
 }
 
-var propertyModes = []core.ExchangeMode{
-	core.ModeAlltoallw,
-	core.ModePointToPoint,
+// depthRow is one exchange configuration of the property sweeps, kept
+// under the subtest name it had when the sweeps ran each exchange mode.
+type depthRow struct {
+	name  string
+	depth int
 }
 
-// runOne executes one (seed, mode, schedule) combination and fails the
+// propertyRows: "alltoallw" is the paper's round — one MPI_Alltoallw
+// there, one step run at depth 1 here — and "point-to-point" the default
+// depth. The depth-1 row skips the lossy schedules, which
+// TestPipelinedProperty runs at depth 1.
+var propertyRows = []depthRow{
+	{"alltoallw", 1},
+	{"point-to-point", core.DefaultPipelineDepth},
+}
+
+// runOne executes one (seed, depth, schedule) combination and fails the
 // test with a reproduction command if the invariant does not hold.
-func runOne(t *testing.T, seed uint64, mode core.ExchangeMode, sc schedule, transport string) {
+func runOne(t *testing.T, seed uint64, depth int, sc schedule, transport string) {
 	t.Helper()
-	tc := GenCase(seed, mode, *flagMaxProcs, *flagMaxExtent)
+	tc := GenCase(seed, *flagMaxProcs, *flagMaxExtent)
 	results, err := tc.Run(RunOptions{
-		Transport: transport,
-		Injector:  sc.build(&tc),
-		Deadline:  sc.deadline,
+		Transport:     transport,
+		Injector:      sc.build(&tc),
+		Deadline:      sc.deadline,
+		PipelineDepth: depth,
 	})
 	if err != nil {
-		fail(t, &tc, sc, transport, fmt.Errorf("world error: %w", err))
+		fail(t, &tc, depth, sc, transport, fmt.Errorf("world error: %w", err))
 		return
 	}
 	for rank, res := range results {
 		switch {
 		case res.Err != nil:
-			fail(t, &tc, sc, transport, fmt.Errorf("rank %d exchange failed: %w", rank, res.Err))
+			fail(t, &tc, depth, sc, transport, fmt.Errorf("rank %d exchange failed: %w", rank, res.Err))
 		case res.CheckErr != nil:
-			fail(t, &tc, sc, transport, fmt.Errorf("rank %d invariant violated: %w", rank, res.CheckErr))
+			fail(t, &tc, depth, sc, transport, fmt.Errorf("rank %d invariant violated: %w", rank, res.CheckErr))
 		case res.Partial != nil && !sc.lossy:
-			fail(t, &tc, sc, transport, fmt.Errorf("rank %d degraded under a lossless schedule: %v", rank, res.Partial))
+			fail(t, &tc, depth, sc, transport, fmt.Errorf("rank %d degraded under a lossless schedule: %v", rank, res.Partial))
 		}
 	}
 }
 
 // fail reports a violation together with the minimal reproduction found
 // by shrinking the generator bounds for the same seed.
-func fail(t *testing.T, tc *Case, sc schedule, transport string, cause error) {
+func fail(t *testing.T, tc *Case, depth int, sc schedule, transport string, cause error) {
 	t.Helper()
-	procs, extent := shrink(tc.Seed, tc.Mode, sc, transport)
-	t.Errorf("%v under schedule %q (transport=%q): %v\nreproduce: go test ./internal/ddrtest -run TestDDRProperty -ddr-seed=%d -ddr-max-procs=%d -ddr-max-extent=%d -ddr-transport=%s",
-		tc, sc.name, transport, cause, tc.Seed, procs, extent, transport)
+	procs, extent := shrink(tc.Seed, depth, sc, transport)
+	t.Errorf("%v depth %d under schedule %q (transport=%q): %v\nreproduce: go test ./internal/ddrtest -run TestDDRProperty -ddr-seed=%d -ddr-max-procs=%d -ddr-max-extent=%d -ddr-transport=%s",
+		tc, depth, sc.name, transport, cause, tc.Seed, procs, extent, transport)
 }
 
 // shrink re-runs the failing seed with progressively tighter generator
 // bounds and returns the smallest (maxProcs, maxExtent) that still fails,
 // so the reproduction command builds the least case that shows the bug.
-func shrink(seed uint64, mode core.ExchangeMode, sc schedule, transport string) (procs, extent int) {
+func shrink(seed uint64, depth int, sc schedule, transport string) (procs, extent int) {
 	procs, extent = *flagMaxProcs, *flagMaxExtent
 	fails := func(p, e int) bool {
-		tc := GenCase(seed, mode, p, e)
-		results, err := tc.Run(RunOptions{Transport: transport, Injector: sc.build(&tc), Deadline: sc.deadline})
+		tc := GenCase(seed, p, e)
+		results, err := tc.Run(RunOptions{Transport: transport, Injector: sc.build(&tc), Deadline: sc.deadline, PipelineDepth: depth})
 		if err != nil {
 			return true
 		}
@@ -159,7 +167,7 @@ func shrink(seed uint64, mode core.ExchangeMode, sc schedule, transport string) 
 	return procs, extent
 }
 
-// TestDDRProperty is the harness sweep: for every exchange mode and
+// TestDDRProperty is the harness sweep: for both depth rows and every
 // chaos schedule it runs the configured number of seeded random cases
 // (default 200, reduced under -short) on the in-process transport, plus
 // TCP and shared-memory subsamples, and requires the redistribution
@@ -170,27 +178,27 @@ func TestDDRProperty(t *testing.T) {
 		cases = 25
 	}
 	defer checkGoroutines(t)
-	for _, mode := range propertyModes {
+	for _, row := range propertyRows {
 		for _, sc := range schedules() {
-			if mode == core.ModeAlltoallw && !sc.a2aw {
+			if row.depth == 1 && sc.lossy {
 				continue
 			}
-			name := fmt.Sprintf("%v/%s", mode, sc.name)
+			name := fmt.Sprintf("%s/%s", row.name, sc.name)
 			t.Run(name, func(t *testing.T) {
 				if *flagSeed >= 0 {
-					runOne(t, uint64(*flagSeed), mode, sc, *flagTransport)
+					runOne(t, uint64(*flagSeed), row.depth, sc, *flagTransport)
 					return
 				}
 				for i := 0; i < cases && !t.Failed(); i++ {
 					seed := uint64(i)*2654435761 + uint64(i) + 1
-					runOne(t, seed, mode, sc, TransportInproc)
+					runOne(t, seed, row.depth, sc, TransportInproc)
 					// Subsample the heavier transports on offset strides so
 					// no two sweeps hit the same case indices.
 					if *flagTCPEvery > 0 && i%*flagTCPEvery == 0 {
-						runOne(t, seed, mode, sc, TransportTCP)
+						runOne(t, seed, row.depth, sc, TransportTCP)
 					}
 					if *flagShmEvery > 0 && i%*flagShmEvery == 5 {
-						runOne(t, seed, mode, sc, TransportShm)
+						runOne(t, seed, row.depth, sc, TransportShm)
 					}
 				}
 			})
@@ -204,7 +212,7 @@ func TestDDRProperty(t *testing.T) {
 func TestHarnessCatchesPlantedBug(t *testing.T) {
 	caught, perturbed := false, false
 	for seed := uint64(1); seed <= 40 && !caught; seed++ {
-		tc := GenCase(seed, core.ModePointToPoint, *flagMaxProcs, *flagMaxExtent)
+		tc := GenCase(seed, *flagMaxProcs, *flagMaxExtent)
 		applied := false
 		results, err := tc.Run(RunOptions{
 			Mutate: func(p *core.Plan) { applied = p.PerturbPlanForTest() },

@@ -100,13 +100,12 @@ func GenResizeCase(seed uint64, maxProcs, maxExtent int) ResizeCase {
 }
 
 // Case is the resize as the redistribution it runs: every rank owns its
-// old need box as its one chunk and needs its new one, on the default
-// point-to-point mode. Run it with Case.Run; the fill invariant then
+// old need box as its one chunk and needs its new one. Run it with Case.Run; the fill invariant then
 // reads "held by some rank" where a tiling reads "inside the domain".
 func (rc *ResizeCase) Case() Case {
 	tc := Case{
 		Seed: rc.Seed, NProcs: rc.NProcs, Layout: rc.Layout, ElemSize: rc.ElemSize,
-		Mode: core.ModePointToPoint, Domain: rc.Domain,
+		Domain: rc.Domain,
 		Chunks: make([][]grid.Box, rc.NProcs), Needs: rc.NewNeeds,
 	}
 	for r := range tc.Chunks {

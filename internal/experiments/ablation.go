@@ -11,30 +11,31 @@ import (
 	"ddr/internal/mpi"
 )
 
-// AblationRow is one chunk-count configuration of the exchange-mode
-// study: the same redistribution executed with the paper's alltoallw
-// mechanism and its future-work point-to-point mode.
+// AblationRow is one chunk-count configuration of the pipeline-depth
+// study: the same redistribution run as the paper's serial rounds and
+// pipelined.
 type AblationRow struct {
 	ChunksPerRank int
 	Rounds        int
 	MaxPeers      int // of Ranks-1 possible destinations per round
 	Ranks         int
 
-	Alltoallw time.Duration // total wall time for `reps` redistributions
-	P2P       time.Duration
+	Serial    time.Duration // total wall time for `reps` redistributions at depth 1
+	Pipelined time.Duration // the same at core.DefaultPipelineDepth
 }
 
-// ExchangeModeAblation measures both exchange modes on round-robin
-// slice ownership with the given chunks-per-rank counts, redistributing
-// into near-cube bricks on `procs` in-process ranks, `reps` times per
-// mode. The sparsity column (MaxPeers) explains when point-to-point wins:
-// alltoallw's cost scales with the full rank count while p2p touches only
-// actual communication partners.
+// DepthAblation times the paper's serial round — one step at a time,
+// WithPipelineDepth(1), which is what its one MPI_Alltoallw per round
+// becomes here — against the default pipelined exchange, which packs
+// round r+1 while round r is on the wire. Ownership is round-robin slices
+// with the given chunks-per-rank counts, redistributed into near-cube
+// bricks on `procs` in-process ranks, `reps` times per depth. A
+// single-round row runs serially at either depth.
 //
 // An optional Telemetry argument attaches every run to its sinks: wire
-// counters on the communicators and per-mode exchange spans/histograms
-// on the descriptors, one series per (rank, mode) pair.
-func ExchangeModeAblation(procs int, domain grid.Box, chunkCounts []int, reps int, telemetry ...*Telemetry) ([]AblationRow, error) {
+// counters on the communicators and exchange spans/histograms on the
+// descriptors, one series per rank.
+func DepthAblation(procs int, domain grid.Box, chunkCounts []int, reps int, telemetry ...*Telemetry) ([]AblationRow, error) {
 	var tel *Telemetry
 	if len(telemetry) > 0 {
 		tel = telemetry[0]
@@ -67,7 +68,7 @@ func ExchangeModeAblation(procs int, domain grid.Box, chunkCounts []int, reps in
 		row.Rounds = s.Rounds
 		row.MaxPeers = s.MaxPeersPerRound
 
-		for _, mode := range []core.ExchangeMode{core.ModeAlltoallw, core.ModePointToPoint} {
+		for _, depth := range []int{1, core.DefaultPipelineDepth} {
 			var (
 				mu  sync.Mutex
 				dur time.Duration
@@ -75,7 +76,7 @@ func ExchangeModeAblation(procs int, domain grid.Box, chunkCounts []int, reps in
 			err := mpi.Launch(procs, func(c *mpi.Comm) error {
 				tel.attach(c)
 				desc, err := core.NewDescriptor(procs, core.Layout3D, core.Float32,
-					append([]core.Option{core.WithExchangeMode(mode)}, tel.coreOpts()...)...)
+					append([]core.Option{core.WithPipelineDepth(depth)}, tel.coreOpts()...)...)
 				if err != nil {
 					return err
 				}
@@ -112,10 +113,10 @@ func ExchangeModeAblation(procs int, domain grid.Box, chunkCounts []int, reps in
 			if err != nil {
 				return nil, err
 			}
-			if mode == core.ModeAlltoallw {
-				row.Alltoallw = dur
+			if depth == 1 {
+				row.Serial = dur
 			} else {
-				row.P2P = dur
+				row.Pipelined = dur
 			}
 		}
 		rows = append(rows, row)
@@ -123,16 +124,16 @@ func ExchangeModeAblation(procs int, domain grid.Box, chunkCounts []int, reps in
 	return rows, nil
 }
 
-// WriteAblation renders the exchange-mode study.
+// WriteAblation renders the pipeline-depth study.
 func WriteAblation(w io.Writer, rows []AblationRow, reps int) {
-	fmt.Fprintf(w, "Exchange-mode ablation (%d redistributions per cell, %d ranks; alltoallw = paper, p2p = paper future work)\n",
-		reps, rows[0].Ranks)
+	fmt.Fprintf(w, "Pipeline-depth ablation (%d redistributions per cell, %d ranks; serial = depth 1, the paper's round; pipelined = depth %d)\n",
+		reps, rows[0].Ranks, core.DefaultPipelineDepth)
 	fmt.Fprintf(w, "%-14s %7s %10s %12s %12s\n",
-		"chunks/rank", "rounds", "peers", "alltoallw", "p2p")
+		"chunks/rank", "rounds", "peers", "serial", "pipelined")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-14d %7d %6d/%-3d %12s %12s\n",
 			r.ChunksPerRank, r.Rounds, r.MaxPeers, r.Ranks-1,
-			r.Alltoallw.Round(time.Microsecond),
-			r.P2P.Round(time.Microsecond))
+			r.Serial.Round(time.Microsecond),
+			r.Pipelined.Round(time.Microsecond))
 	}
 }

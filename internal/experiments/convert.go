@@ -69,7 +69,7 @@ func ConvertStackToBOV(c *mpi.Comm, info tiff.StackInfo, outPath string) (*Conve
 
 	start = time.Now()
 	desc, err := core.NewDescriptor(c.Size(), core.Layout3D, core.Uint8, core.WithElemSize(bps),
-		core.WithExchangeMode(core.ModeAlltoallw)) // the paper's mechanism, as in LoadStackDDR
+		core.WithPipelineDepth(1)) // the paper's serial round, as in LoadStackDDR
 	if err != nil {
 		return nil, err
 	}

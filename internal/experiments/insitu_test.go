@@ -32,8 +32,8 @@ func TestRunInSitu(t *testing.T) {
 	}
 }
 
-func TestExchangeModeAblation(t *testing.T) {
-	rows, err := ExchangeModeAblation(4, grid.Box3(0, 0, 0, 16, 16, 32), []int{1, 4}, 2)
+func TestDepthAblation(t *testing.T) {
+	rows, err := DepthAblation(4, grid.Box3(0, 0, 0, 16, 16, 32), []int{1, 4}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestExchangeModeAblation(t *testing.T) {
 		t.Errorf("rounds %d/%d, want 1/4", rows[0].Rounds, rows[1].Rounds)
 	}
 	for _, r := range rows {
-		if r.Alltoallw <= 0 || r.P2P <= 0 {
+		if r.Serial <= 0 || r.Pipelined <= 0 {
 			t.Errorf("chunks=%d: missing timings %+v", r.ChunksPerRank, r)
 		}
 		if r.MaxPeers < 1 || r.MaxPeers > r.Ranks-1 {
@@ -57,10 +57,10 @@ func TestExchangeModeAblation(t *testing.T) {
 		t.Error("ablation table missing header")
 	}
 	// Validation paths.
-	if _, err := ExchangeModeAblation(4, grid.Box2(0, 0, 8, 8), []int{1}, 1); err == nil {
+	if _, err := DepthAblation(4, grid.Box2(0, 0, 8, 8), []int{1}, 1); err == nil {
 		t.Error("2D domain accepted")
 	}
-	if _, err := ExchangeModeAblation(4, grid.Box3(0, 0, 0, 4, 4, 4), []int{9}, 1); err == nil {
+	if _, err := DepthAblation(4, grid.Box3(0, 0, 0, 4, 4, 4), []int{9}, 1); err == nil {
 		t.Error("too many slabs accepted")
 	}
 }

@@ -103,7 +103,7 @@ func RunRestartStudy(path string, writeProcs, readProcs int, h bov.Header) (*Res
 			return err
 		}
 		desc, err := core.NewDescriptor(c.Size(), core.Layout3D, core.Uint8, core.WithElemSize(1),
-			core.WithExchangeMode(core.ModeAlltoallw)) // the paper's mechanism
+			core.WithPipelineDepth(1)) // the paper's serial round: one step per MPI_Alltoallw
 		if err != nil {
 			return err
 		}

@@ -60,7 +60,7 @@ func (t *Telemetry) attach(world *mpi.Comm) {
 	if !t.enabled() {
 		return
 	}
-	world.AttachTelemetry(mpi.NewTelemetry(t.Metrics, t.Trace, world.Rank()).
+	world.AttachTelemetry(mpi.NewTelemetry(t.Metrics, world.Rank()).
 		WithFlightRecorder(t.Flight, world.Rank()))
 }
 

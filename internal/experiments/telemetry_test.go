@@ -54,8 +54,7 @@ func TestInTransitTelemetry(t *testing.T) {
 				t.Errorf("consumer %d %s phases = %d, want 3", r, name, got)
 			}
 		}
-		exch := tel.Metrics.Histogram("ddr_exchange_seconds", "", nil,
-			obs.RankLabel(r), obs.Label{Key: "mode", Value: "point-to-point"})
+		exch := tel.Metrics.Histogram("ddr_exchange_seconds", "", nil, obs.RankLabel(r))
 		if exch.Count() != 3 {
 			t.Errorf("consumer %d exchanges = %d, want 3", r, exch.Count())
 		}
@@ -112,20 +111,17 @@ func TestInTransitTelemetry(t *testing.T) {
 }
 
 // The ablation accepts an optional telemetry bundle and records one
-// exchange series per (rank, mode) pair.
+// exchange series per rank, fed by both depths.
 func TestAblationTelemetry(t *testing.T) {
 	tel := &Telemetry{Metrics: obs.NewRegistry()}
-	if _, err := ExchangeModeAblation(4, grid.Box3(0, 0, 0, 16, 16, 32), []int{1, 2}, 2, tel); err != nil {
+	if _, err := DepthAblation(4, grid.Box3(0, 0, 0, 16, 16, 32), []int{1, 2}, 2, tel); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{"alltoallw", "point-to-point"} {
-		for r := 0; r < 4; r++ {
-			h := tel.Metrics.Histogram("ddr_exchange_seconds", "", nil,
-				obs.RankLabel(r), obs.Label{Key: "mode", Value: mode})
-			// Two chunk counts x two reps each.
-			if h.Count() != 4 {
-				t.Errorf("mode %s rank %d exchanges = %d, want 4", mode, r, h.Count())
-			}
+	for r := 0; r < 4; r++ {
+		h := tel.Metrics.Histogram("ddr_exchange_seconds", "", nil, obs.RankLabel(r))
+		// Two depths x two chunk counts x two reps each.
+		if h.Count() != 8 {
+			t.Errorf("rank %d exchanges = %d, want 8", r, h.Count())
 		}
 	}
 }
@@ -140,7 +136,7 @@ func TestTelemetryNil(t *testing.T) {
 		t.Errorf("nil telemetry produced options %v", opts)
 	}
 	tel.phase(0, "x")() // must not panic
-	if _, err := ExchangeModeAblation(4, grid.Box3(0, 0, 0, 8, 8, 16), []int{1}, 1, nil); err != nil {
+	if _, err := DepthAblation(4, grid.Box3(0, 0, 0, 8, 8, 16), []int{1}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, flush, err := TelemetryFromFlags("", "", "", "", 0)

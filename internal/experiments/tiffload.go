@@ -112,9 +112,11 @@ func LoadStackDDR(c *mpi.Comm, info tiff.StackInfo, tech Technique) (*LoadResult
 	res.ReadTime = time.Since(start)
 
 	elem := core.Uint8
-	// Table II times the paper's mechanism: one alltoallw per chunk.
+	// Table II times the paper's mechanism: one round per chunk, each run
+	// to completion before the next is packed — its one MPI_Alltoallw per
+	// round is one step at depth 1.
 	desc, err := core.NewDescriptor(c.Size(), core.Layout3D, elem, core.WithElemSize(bps),
-		core.WithExchangeMode(core.ModeAlltoallw))
+		core.WithPipelineDepth(1))
 	if err != nil {
 		return nil, err
 	}

@@ -123,11 +123,7 @@ func NewDist2D(c *mpi.Comm, n, nb int, opts ...core.Option) (*Dist2D, error) {
 	d.rowBytes = complexBytes(d.rowBuf)
 	d.colBytes = complexBytes(d.colBuf)
 
-	base := []core.Option{
-		core.WithElemSize(16),
-		core.WithExchangeMode(core.ModePointToPoint),
-	}
-	dopts := append(base, opts...)
+	dopts := append([]core.Option{core.WithElemSize(16)}, opts...)
 	if d.fwd, err = core.NewDescriptor(p, core.Layout2D, core.Uint8, dopts...); err != nil {
 		return nil, err
 	}

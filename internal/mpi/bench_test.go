@@ -293,14 +293,6 @@ func BenchmarkCollectives(b *testing.B) {
 			_, err := c.AllreduceFloat64([]float64{1, 2, 3, 4}, OpSum)
 			return err
 		}},
-		{"Alltoallv", func(c *Comm) error {
-			send := make([][]byte, n)
-			for i := range send {
-				send[i] = payload[:512]
-			}
-			_, err := c.Alltoallv(send)
-			return err
-		}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

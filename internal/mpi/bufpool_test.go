@@ -4,13 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
-	"ddr/internal/datatype"
-	"ddr/internal/grid"
 	"ddr/internal/obs"
 )
 
@@ -138,69 +135,6 @@ func TestStagingMeter(t *testing.T) {
 	nb := GetBufferMetered(100, nil)
 	nilM.Release(cap(nb))
 	PutBuffer(nb)
-}
-
-// TestAlltoallwRandomBoxes checks the collective against the closed form
-// on random subarray exchanges: every rank owns a full-width band (a
-// contiguous region of its buffer, the single-memmove path) and needs a
-// random box (usually strided in its buffer, the scatter path), and every
-// cell of the need must hold the value its owner wrote at those global
-// coordinates.
-func TestAlltoallwRandomBoxes(t *testing.T) {
-	for trial := 0; trial < 6; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial) + 77))
-		const n = 4
-		side := 8 + rng.Intn(8)
-		domain := grid.Box2(0, 0, side, side)
-		bands := grid.Slabs(domain, 1, n)
-		needs := make([]grid.Box, n)
-		for r := range needs {
-			needs[r] = grid.RandomBoxIn(rng, domain)
-		}
-		cell := func(x, y int) byte { return byte(y*31 + x*7 + trial) }
-		err := Launch(n, func(c *Comm) error {
-			rank := c.Rank()
-			own, need := bands[rank], needs[rank]
-			sendBuf := make([]byte, own.Volume())
-			for i := range sendBuf {
-				sendBuf[i] = cell(own.Offset[0]+i%side, own.Offset[1]+i/side)
-			}
-			recvBuf := make([]byte, need.Volume())
-			sendTypes := make([]datatype.Type, n)
-			recvTypes := make([]datatype.Type, n)
-			for peer := 0; peer < n; peer++ {
-				sendTypes[peer] = datatype.Empty{}
-				recvTypes[peer] = datatype.Empty{}
-				if ov, ok := own.Intersect(needs[peer]); ok {
-					st, err := datatype.NewSubarray(1, own, ov)
-					if err != nil {
-						return err
-					}
-					sendTypes[peer] = st
-				}
-				if ov, ok := bands[peer].Intersect(need); ok {
-					rt, err := datatype.NewSubarray(1, need, ov)
-					if err != nil {
-						return err
-					}
-					recvTypes[peer] = rt
-				}
-			}
-			if err := c.Alltoallw(sendBuf, sendTypes, recvBuf, recvTypes); err != nil {
-				return err
-			}
-			for i, got := range recvBuf {
-				x, y := need.Offset[0]+i%need.Dims[0], need.Offset[1]+i/need.Dims[0]
-				if want := cell(x, y); got != want {
-					return fmt.Errorf("rank %d cell (%d,%d) = %d, want %d", rank, x, y, got, want)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-	}
 }
 
 func TestWaitCtxCancel(t *testing.T) {

@@ -4,9 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
-
-	"ddr/internal/datatype"
 )
 
 // nextCollTag returns the reserved (negative) tag for the next collective
@@ -231,151 +228,6 @@ func (c *Comm) AllreduceInt64(vals []int64, op ReduceOp) ([]int64, error) {
 		out[i] = int64(v)
 	}
 	return out, nil
-}
-
-// Alltoallv sends send[i] to rank i and returns the payloads received from
-// every rank (recv[j] comes from rank j). Slice sizes may differ per peer;
-// nil entries are delivered as empty messages.
-func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
-	if len(send) != len(c.group) {
-		return nil, fmt.Errorf("mpi: alltoallv send has %d entries for %d ranks", len(send), len(c.group))
-	}
-	tag := c.nextCollTag()
-	recv := make([][]byte, len(c.group))
-	cp := make([]byte, len(send[c.rank]))
-	copy(cp, send[c.rank])
-	recv[c.rank] = cp
-	for r := range c.group {
-		if r == c.rank {
-			continue
-		}
-		if err := c.send(nil, r, tag, send[r], nil, nil); err != nil {
-			return nil, err
-		}
-	}
-	for r := range c.group {
-		if r == c.rank {
-			continue
-		}
-		got, _, _, err := c.Recv(r, tag)
-		if err != nil {
-			return nil, err
-		}
-		recv[r] = got
-	}
-	return recv, nil
-}
-
-// Alltoallw exchanges typed sub-regions between all ranks, the analogue of
-// MPI_Alltoallw. sendTypes[i] selects the bytes of sendBuf destined for
-// rank i; recvTypes[j] scatters the bytes arriving from rank j into
-// recvBuf. Peers whose types have zero packed size exchange no message, so
-// the send and receive geometries must agree across ranks (DDR constructs
-// both sides from the same overlap computation, which guarantees this).
-//
-// This is the paper's mechanism kept as a reference: staging is serial on
-// the calling goroutine, pooled through the buffer arena and contiguity-
-// aware (a region that is one byte range of its array moves by a single
-// memmove), and the collective is fail-fast — it waits for every peer and
-// returns the first transport error.
-func (c *Comm) Alltoallw(sendBuf []byte, sendTypes []datatype.Type, recvBuf []byte, recvTypes []datatype.Type) error {
-	if len(sendTypes) != len(c.group) || len(recvTypes) != len(c.group) {
-		return fmt.Errorf("mpi: alltoallw needs %d send and recv types, got %d/%d",
-			len(c.group), len(sendTypes), len(recvTypes))
-	}
-	tag := c.nextCollTag()
-	tel := c.tel
-	var collStart time.Time
-	var wireBytes int64
-	if tel != nil {
-		collStart = time.Now()
-	}
-
-	// Local exchange without touching the transport. One contiguous side
-	// is enough to drop the staging buffer: the other side's pack/unpack
-	// can target/source the contiguous region directly.
-	if n := sendTypes[c.rank].PackedSize(); n != recvTypes[c.rank].PackedSize() {
-		return fmt.Errorf("mpi: rank %d self exchange size mismatch (%d vs %d)",
-			c.rank, n, recvTypes[c.rank].PackedSize())
-	} else if n > 0 {
-		if off, _, ok := sendTypes[c.rank].ContiguousSpan(); ok {
-			recvTypes[c.rank].Unpack(sendBuf[off:off+n], recvBuf)
-		} else if off, _, ok := recvTypes[c.rank].ContiguousSpan(); ok {
-			sendTypes[c.rank].Pack(sendBuf, recvBuf[off:off+n])
-		} else {
-			wire := GetBuffer(n)
-			sendTypes[c.rank].Pack(sendBuf, wire)
-			recvTypes[c.rank].Unpack(wire, recvBuf)
-			PutBuffer(wire)
-		}
-	}
-
-	// Pack and send. The wire buffer is handed to the transport, which
-	// either delivers it to the peer's mailbox (in-process: the receiver
-	// recycles it) or writes it to the socket, so the sender never recycles
-	// it here.
-	for r := range c.group {
-		n := sendTypes[r].PackedSize()
-		if r == c.rank || n == 0 {
-			continue
-		}
-		var peerStart time.Time
-		if tel != nil {
-			peerStart = time.Now()
-		}
-		wire := GetBuffer(n)
-		if off, _, ok := sendTypes[r].ContiguousSpan(); ok {
-			copy(wire, sendBuf[off:off+n])
-		} else {
-			sendTypes[r].Pack(sendBuf, wire)
-		}
-		c.counters.countSend(c.group[r], n)
-		if tel != nil {
-			tel.rec.AddSpan(tel.rank, fmt.Sprintf("a2aw-pack->%d", c.group[r]), peerStart, time.Now(), int64(n))
-			tel.wireSent.Add(int64(n))
-			wireBytes += int64(n)
-		}
-		if err := c.tr.send(c.group[r], envelope{ctx: c.ctx, src: c.group[c.rank], tag: tag, data: wire}); err != nil {
-			return err
-		}
-	}
-
-	// Receive and unpack. Received payloads are always arena-backed (the
-	// sender's staging buffer in process, the read loop's elsewhere), so
-	// they recycle here.
-	for r := range c.group {
-		want := recvTypes[r].PackedSize()
-		if r == c.rank || want == 0 {
-			continue
-		}
-		var recvStart time.Time
-		if tel != nil {
-			recvStart = time.Now()
-		}
-		got, _, _, err := c.Recv(r, tag)
-		if err != nil {
-			return err
-		}
-		if len(got) != want {
-			return fmt.Errorf("mpi: alltoallw expected %d bytes from rank %d, got %d", want, r, len(got))
-		}
-		if off, _, ok := recvTypes[r].ContiguousSpan(); ok {
-			copy(recvBuf[off:off+want], got)
-		} else {
-			recvTypes[r].Unpack(got, recvBuf)
-		}
-		PutBuffer(got)
-		if tel != nil {
-			tel.rec.AddSpan(tel.rank, fmt.Sprintf("a2aw-unpack<-%d", c.group[r]), recvStart, time.Now(), int64(want))
-			wireBytes += int64(want)
-		}
-	}
-	if tel != nil {
-		now := time.Now()
-		tel.rec.AddSpan(tel.rank, "alltoallw", collStart, now, wireBytes)
-		tel.collLatency.Observe(now.Sub(collStart).Seconds())
-	}
-	return nil
 }
 
 // encodeSlices frames a list of byte slices into one buffer.

@@ -50,27 +50,6 @@ func TestCollectivesRandomized(t *testing.T) {
 				}
 			}
 
-			// Alltoallv with asymmetric sizes: recv[j] must be what j sent us.
-			send := make([][]byte, n)
-			for dst := range send {
-				l := (c.Rank()*7 + dst*3) % 97
-				send[dst] = bytes.Repeat([]byte{byte(c.Rank()<<4 | dst&0xF)}, l)
-			}
-			recv, err := c.Alltoallv(send)
-			if err != nil {
-				return err
-			}
-			for src, p := range recv {
-				wantLen := (src*7 + c.Rank()*3) % 97
-				if len(p) != wantLen {
-					return fmt.Errorf("alltoallv from %d: %d bytes, want %d", src, len(p), wantLen)
-				}
-				for _, b := range p {
-					if b != byte(src<<4|c.Rank()&0xF) {
-						return fmt.Errorf("alltoallv from %d: corrupt byte", src)
-					}
-				}
-			}
 			return nil
 		})
 		if err != nil {

@@ -1,9 +1,10 @@
 // Package mpi is a from-scratch message-passing runtime providing the
 // subset of MPI semantics the DDR library depends on: communicators,
 // tagged matched point-to-point messaging (blocking and non-blocking),
-// and the collectives used by the paper (barrier, broadcast, gather,
-// allgather, reduce, allreduce, alltoall, alltoallv, and alltoallw with
-// sub-array datatypes).
+// and the collectives DDR and its experiments use (barrier, broadcast,
+// gather, allgather, allreduce). The paper's alltoallw with sub-array
+// datatypes is not a collective here: a typed send (SendTyped) and a
+// typed posted receive (Post) carry the same parts point to point.
 //
 // Ranks are goroutines, started by Launch. Three transports are
 // provided: an in-process transport backed by per-rank mailboxes, shared-

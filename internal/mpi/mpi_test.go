@@ -398,25 +398,6 @@ func TestAllreduceInt64RangeGuard(t *testing.T) {
 	}
 }
 
-func TestAlltoallv(t *testing.T) {
-	forEachTransport(t, 4, func(c *Comm) error {
-		send := make([][]byte, c.Size())
-		for dst := range send {
-			send[dst] = []byte{byte(c.Rank()), byte(dst)}
-		}
-		recv, err := c.Alltoallv(send)
-		if err != nil {
-			return err
-		}
-		for src, p := range recv {
-			if len(p) != 2 || int(p[0]) != src || int(p[1]) != c.Rank() {
-				return fmt.Errorf("from %d: %v", src, p)
-			}
-		}
-		return nil
-	})
-}
-
 func TestRunPropagatesErrors(t *testing.T) {
 	boom := errors.New("boom")
 	for _, tr := range transports {

@@ -362,7 +362,7 @@ func TestShmZeroAllocSteadyState(t *testing.T) {
 func TestShmScrapeUnderLoad(t *testing.T) {
 	reg := obs.NewRegistry()
 	err := runShm(4, func(c *Comm) error {
-		c.AttachTelemetry(NewTelemetry(reg, nil, c.Rank()))
+		c.AttachTelemetry(NewTelemetry(reg, c.Rank()))
 		stop := make(chan struct{})
 		var scrapes sync.WaitGroup
 		scrapes.Add(1)

@@ -25,7 +25,7 @@ func TestTCPSendqSaturationCounter(t *testing.T) {
 	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			reg := obs.NewRegistry()
-			tel := NewTelemetry(reg, nil, 0)
+			tel := NewTelemetry(reg, 0)
 			c.AttachTelemetry(tel)
 			for i := 0; i < 512; i++ {
 				if err := c.Send(1, 0, make([]byte, 4096)); err != nil {
@@ -72,7 +72,7 @@ func TestTCPTraceContextRoundTrip(t *testing.T) {
 		rank := c.Rank()
 		f := obs.NewFlightRecorder(256)
 		flights[rank] = f
-		c.AttachTelemetry(NewTelemetry(nil, nil, rank).WithFlightRecorder(f, rank))
+		c.AttachTelemetry(NewTelemetry(nil, rank).WithFlightRecorder(f, rank))
 		// Both recorders must be attached before the frame is on the wire:
 		// the receiver's read loop records frame-in only when it has one.
 		if err := c.Barrier(); err != nil {
@@ -138,7 +138,7 @@ func TestTCPTraceContextChunked(t *testing.T) {
 		}
 		f := obs.NewFlightRecorder(256)
 		recvFlight = f
-		c.AttachTelemetry(NewTelemetry(nil, nil, rank).WithFlightRecorder(f, rank))
+		c.AttachTelemetry(NewTelemetry(nil, rank).WithFlightRecorder(f, rank))
 		data, _, _, err := c.Recv(0, 9)
 		if err != nil {
 			return err

@@ -1,23 +1,18 @@
 package mpi
 
-import (
-	"ddr/internal/obs"
-	"ddr/internal/trace"
-)
+import "ddr/internal/obs"
 
 // Telemetry bundles the observability sinks for one rank: latency
-// histograms and wire-byte counters in an obs.Registry, per-operation
-// spans in a trace.Recorder, and a pending-message gauge on the rank's
-// mailbox. Construct with NewTelemetry and attach with
+// histograms and wire-byte counters in an obs.Registry and a
+// pending-message gauge on the rank's mailbox. The runtime records no
+// spans of its own; the exchange's spans are core's. Construct with NewTelemetry and attach with
 // Comm.AttachTelemetry; a nil *Telemetry is valid everywhere and costs a
 // single pointer check on the hot paths.
 type Telemetry struct {
 	rank int
-	rec  *trace.Recorder
 
 	sendLatency *obs.Histogram
 	recvLatency *obs.Histogram
-	collLatency *obs.Histogram
 	wireSent    *obs.Counter
 	wireRecv    *obs.Counter
 	pendingMsgs *obs.Gauge
@@ -52,23 +47,20 @@ type Telemetry struct {
 	flight *obs.FlightRecorder
 }
 
-// NewTelemetry derives a rank's instrument handles from the registry and
-// recorder. Either may be nil; when both are nil the result is nil and
-// instrumentation stays on its free path.
-func NewTelemetry(reg *obs.Registry, rec *trace.Recorder, rank int) *Telemetry {
-	if reg == nil && rec == nil {
+// NewTelemetry derives a rank's instrument handles from the registry. A
+// nil registry gives a nil bundle, and instrumentation stays on its free
+// path.
+func NewTelemetry(reg *obs.Registry, rank int) *Telemetry {
+	if reg == nil {
 		return nil
 	}
 	rl := obs.RankLabel(rank)
 	return &Telemetry{
 		rank: rank,
-		rec:  rec,
 		sendLatency: reg.Histogram("mpi_send_latency_seconds",
 			"Time spent delivering one message into the transport.", obs.LatencyBuckets, rl),
 		recvLatency: reg.Histogram("mpi_recv_latency_seconds",
 			"Time blocked in Recv until a matching message arrived.", obs.LatencyBuckets, rl),
-		collLatency: reg.Histogram("mpi_alltoallw_latency_seconds",
-			"Wall time of one alltoallw collective on this rank.", obs.LatencyBuckets, rl),
 		wireSent: reg.Counter("mpi_wire_bytes_sent_total",
 			"Payload bytes this rank handed to its transport.", rl),
 		wireRecv: reg.Counter("mpi_wire_bytes_recv_total",
@@ -119,8 +111,7 @@ func (t *Telemetry) Rank() int {
 }
 
 // WithFlightRecorder attaches a flight recorder to the bundle, allocating
-// the bundle if t is nil (flight recording works without a registry or
-// trace recorder). Returns the bundle for chaining; a nil f is a no-op.
+// the bundle if t is nil (flight recording works without a registry). Returns the bundle for chaining; a nil f is a no-op.
 func (t *Telemetry) WithFlightRecorder(f *obs.FlightRecorder, rank int) *Telemetry {
 	if f == nil {
 		return t

@@ -5,7 +5,7 @@ import "sync/atomic"
 // TrafficStats is a snapshot of one rank's traffic through its transport,
 // accumulated across the world communicator and everything split from it.
 // Self-deliveries through the transport are counted; purely local
-// pack/unpack shortcuts (the alltoallw self exchange) are not.
+// copies (an exchange's local moves) are not.
 type TrafficStats struct {
 	MessagesSent int64
 	BytesSent    int64
