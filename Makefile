@@ -52,11 +52,11 @@ CORE_TEST_ONLY := CompileBruteForTest PerturbBoundedForTest PerturbPipelineForTe
 #     of the pipelined executor and of the tcp lent send (each planted bug
 #     is a genuine data race the detector would fail before the test's own
 #     check fires);
-#   - the posted-receive, landing, typed-send, shm ring-rewind and ring
-#     footprint tests, and the FFT differential across receive paths,
-#     once more without the detector, whose slowdown changes which rank
-#     finds whose post open and how long a lent payload stays in the
-#     writer;
+#   - the posted-receive, landing, typed-send, shm ring-rewind, ring
+#     footprint and record-wait tests, and the FFT differential and
+#     landing tests across receive paths, once more without the detector,
+#     whose slowdown changes which rank finds whose post open and how long
+#     a lent payload stays in the writer;
 #   - the golden plan and bounded-step fixtures;
 #   - a brief fuzz of the shm ring-record decoder, both TCP wire
 #     decoders and the budgeted compile;
@@ -75,7 +75,7 @@ verify: names chaos
 	$(GO) test -run 'TestPipelineHarnessCatchesPlantedBug' ./internal/core/
 	$(GO) test -run 'TestBorrowedSendCatchesEarlyDone' ./internal/mpi/
 	$(GO) test -short -run 'TestHarnessCatchesPipelinePlantedBug' ./internal/ddrtest/
-	$(GO) test -run 'TestPosted|TestTypedPostMatchesUnpacked|TestLandedMatchesEager|TestNobodyWritesAfterReturn|TestShmRingRewind|TestShmTransposeFootprint|TestTelemetryPackUnpackObserved|TestDist2DStepMatchesAcrossPaths|TestTypedSendMatchesPacked|TestBorrowedSendScribbleAfterReturn|TestTCPWriterDeathReleasesBorrowedSend|TestStagingHandOffEveryTransport' ./internal/mpi/ ./internal/core/ ./internal/fft/
+	$(GO) test -run 'TestPosted|TestTypedPostMatchesUnpacked|TestLandedMatchesEager|TestNobodyWritesAfterReturn|TestShmRingRewind|TestShmTransposeFootprint|TestShmRecordWaitsForPost|TestShmPressureDrainsWaitingRecords|TestShmLaterTagDrainsEarlierRecord|TestShmSeverDeliversEarlierMessages|TestShmCancelledPostRepostLands|TestDist2DShmEveryReceiveLands|TestTelemetryPackUnpackObserved|TestDist2DStepMatchesAcrossPaths|TestTypedSendMatchesPacked|TestBorrowedSendScribbleAfterReturn|TestTCPWriterDeathReleasesBorrowedSend|TestStagingHandOffEveryTransport' ./internal/mpi/ ./internal/core/ ./internal/fft/
 	$(GO) test -run 'TestGoldenPlans|TestGoldenBoundedPlans' ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzShmRingHeader -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTCPFrameDecoder -fuzztime 10s ./internal/mpi/

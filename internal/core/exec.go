@@ -69,8 +69,11 @@ import (
 //     from the owned buffers into the ring record, and the receiving
 //     rank's ring consumer unpacks the record into the posted parts when
 //     the post is open and of exactly its length: one copy per side,
-//     nothing to unpack. Chunk-streamed and fault-injected messages are
-//     eager.
+//     nothing to unpack. A record that arrives before its post waits in
+//     the ring until this rank posts a receive from its sender, so it
+//     lands however far the ranks are out of step, unless its ring runs
+//     short of space first. Chunk-streamed and fault-injected messages
+//     are eager.
 //   - Eager. Otherwise tcp writes the segs' rows of a message from 64 KiB
 //     up straight from the owned buffer into its vectored write, and
 //     everything else (a smaller tcp message, an inproc post not open, a
@@ -101,9 +104,11 @@ import (
 // already posted — and a sender never waits for a receiver: a landing
 // claim either hits at once or misses at once, and a send is buffered or
 // drained without the receiver's help on every transport. Inproc appends
-// to the destination mailbox; shm writes the ring, whose consumer
-// goroutine empties it; a tcp send that lends the owned buffer blocks,
-// but only on its connection's writer, and the writer only on the
+// to the destination mailbox; shm writes the ring, where a record may
+// wait for its receive, but a producer short of space flags the ring and
+// the receiver's consumer goroutine then empties it into the mailbox,
+// whatever the receiver posted; a tcp send that lends the owned buffer
+// blocks, but only on its connection's writer, and the writer only on the
 // socket, which the peer's read loop drains into the mailbox
 // unconditionally. So every posted send is eventually delivered, and
 // every wait is satisfiable as long as each rank's steps are consecutive

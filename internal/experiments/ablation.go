@@ -3,7 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
+	"math"
+	"slices"
 	"time"
 
 	"ddr/internal/core"
@@ -20,8 +21,26 @@ type AblationRow struct {
 	MaxPeers      int // of Ranks-1 possible destinations per round
 	Ranks         int
 
-	Serial    time.Duration // total wall time for `reps` redistributions at depth 1
-	Pipelined time.Duration // the same at core.DefaultPipelineDepth
+	Serial    Spread // one redistribution's wall time at depth 1
+	Pipelined Spread // the same at core.DefaultPipelineDepth
+}
+
+// Spread is the median and quartiles of a cell's samples: each the wall
+// time of one redistribution, started on a barrier and taken as the
+// slowest rank's.
+type Spread struct{ Q1, Median, Q3 time.Duration }
+
+// spreadOf sorts samples and returns their quartiles (nearest rank).
+func spreadOf(samples []time.Duration) Spread {
+	slices.Sort(samples)
+	at := func(f float64) time.Duration { return samples[int(math.Round(f*float64(len(samples)-1)))] }
+	return Spread{Q1: at(0.25), Median: at(0.5), Q3: at(0.75)}
+}
+
+// String renders the spread as "median [q1, q3]", to the microsecond.
+func (s Spread) String() string {
+	r := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+	return fmt.Sprintf("%v [%v, %v]", r(s.Median), r(s.Q1), r(s.Q3))
 }
 
 // DepthAblation times the paper's serial round — one step at a time,
@@ -29,7 +48,10 @@ type AblationRow struct {
 // becomes here — against the default pipelined exchange, which packs
 // round r+1 while round r is on the wire. Ownership is round-robin slices
 // with the given chunks-per-rank counts, redistributed into near-cube
-// bricks on `procs` in-process ranks, `reps` times per depth. A
+// bricks on `procs` in-process ranks, `reps` times per depth after one
+// untimed run, each redistribution timed on its own between barriers.
+// The two depths run in separate worlds, and which runs first alternates
+// from row to row, so warm-up and drift do not favour one column. A
 // single-round row runs serially at either depth.
 //
 // An optional Telemetry argument attaches every run to its sinks: wire
@@ -46,7 +68,7 @@ func DepthAblation(procs int, domain grid.Box, chunkCounts []int, reps int, tele
 	nx, ny, nz := grid.Factor3(procs)
 	needs := grid.Bricks3D(domain, nx, ny, nz)
 	rows := make([]AblationRow, 0, len(chunkCounts))
-	for _, k := range chunkCounts {
+	for i, k := range chunkCounts {
 		slabs := procs * k
 		if domain.Dims[2] < slabs {
 			return nil, fmt.Errorf("experiments: %d slabs exceed depth %d", slabs, domain.Dims[2])
@@ -68,11 +90,12 @@ func DepthAblation(procs int, domain grid.Box, chunkCounts []int, reps int, tele
 		row.Rounds = s.Rounds
 		row.MaxPeers = s.MaxPeersPerRound
 
-		for _, depth := range []int{1, core.DefaultPipelineDepth} {
-			var (
-				mu  sync.Mutex
-				dur time.Duration
-			)
+		depths := []int{1, core.DefaultPipelineDepth}
+		if i%2 == 1 {
+			depths[0], depths[1] = depths[1], depths[0]
+		}
+		for _, depth := range depths {
+			samples := make([]time.Duration, 0, reps)
 			err := mpi.Launch(procs, func(c *mpi.Comm) error {
 				tel.attach(c)
 				desc, err := core.NewDescriptor(procs, core.Layout3D, core.Float32,
@@ -89,24 +112,25 @@ func DepthAblation(procs int, domain grid.Box, chunkCounts []int, reps int, tele
 					bufs[i] = make([]byte, b.Volume()*4)
 				}
 				needBuf := make([]byte, needs[c.Rank()].Volume()*4)
-				if err := c.Barrier(); err != nil {
+				// One untimed redistribution warms the world's buffers.
+				if err := desc.ReorganizeData(c, bufs, needBuf); err != nil {
 					return err
 				}
-				start := time.Now()
 				for r := 0; r < reps; r++ {
+					if err := c.Barrier(); err != nil {
+						return err
+					}
+					start := time.Now()
 					if err := desc.ReorganizeData(c, bufs, needBuf); err != nil {
 						return err
 					}
-				}
-				elapsed := time.Since(start)
-				maxD, err := maxDuration(c, elapsed)
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					mu.Lock()
-					dur = maxD
-					mu.Unlock()
+					d, err := maxDuration(c, time.Since(start))
+					if err != nil {
+						return err
+					}
+					if c.Rank() == 0 {
+						samples = append(samples, d)
+					}
 				}
 				return nil
 			})
@@ -114,9 +138,9 @@ func DepthAblation(procs int, domain grid.Box, chunkCounts []int, reps int, tele
 				return nil, err
 			}
 			if depth == 1 {
-				row.Serial = dur
+				row.Serial = spreadOf(samples)
 			} else {
-				row.Pipelined = dur
+				row.Pipelined = spreadOf(samples)
 			}
 		}
 		rows = append(rows, row)
@@ -126,14 +150,12 @@ func DepthAblation(procs int, domain grid.Box, chunkCounts []int, reps int, tele
 
 // WriteAblation renders the pipeline-depth study.
 func WriteAblation(w io.Writer, rows []AblationRow, reps int) {
-	fmt.Fprintf(w, "Pipeline-depth ablation (%d redistributions per cell, %d ranks; serial = depth 1, the paper's round; pipelined = depth %d)\n",
+	fmt.Fprintf(w, "Pipeline-depth ablation (one redistribution's wall time, median [q1, q3] of %d per cell, %d ranks; serial = depth 1, the paper's round; pipelined = depth %d)\n",
 		reps, rows[0].Ranks, core.DefaultPipelineDepth)
-	fmt.Fprintf(w, "%-14s %7s %10s %12s %12s\n",
+	fmt.Fprintf(w, "%-14s %7s %10s %30s %30s\n",
 		"chunks/rank", "rounds", "peers", "serial", "pipelined")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-14d %7d %6d/%-3d %12s %12s\n",
-			r.ChunksPerRank, r.Rounds, r.MaxPeers, r.Ranks-1,
-			r.Serial.Round(time.Microsecond),
-			r.Pipelined.Round(time.Microsecond))
+		fmt.Fprintf(w, "%-14d %7d %6d/%-3d %30s %30s\n",
+			r.ChunksPerRank, r.Rounds, r.MaxPeers, r.Ranks-1, r.Serial, r.Pipelined)
 	}
 }

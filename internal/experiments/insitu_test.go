@@ -33,7 +33,7 @@ func TestRunInSitu(t *testing.T) {
 }
 
 func TestDepthAblation(t *testing.T) {
-	rows, err := DepthAblation(4, grid.Box3(0, 0, 0, 16, 16, 32), []int{1, 4}, 2)
+	rows, err := DepthAblation(4, grid.Box3(0, 0, 0, 16, 16, 32), []int{1, 4}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,17 +44,19 @@ func TestDepthAblation(t *testing.T) {
 		t.Errorf("rounds %d/%d, want 1/4", rows[0].Rounds, rows[1].Rounds)
 	}
 	for _, r := range rows {
-		if r.Serial <= 0 || r.Pipelined <= 0 {
-			t.Errorf("chunks=%d: missing timings %+v", r.ChunksPerRank, r)
+		for _, c := range []Spread{r.Serial, r.Pipelined} {
+			if c.Q1 <= 0 || c.Q1 > c.Median || c.Median > c.Q3 {
+				t.Errorf("chunks=%d: timings %+v, want 0 < q1 <= median <= q3", r.ChunksPerRank, c)
+			}
 		}
 		if r.MaxPeers < 1 || r.MaxPeers > r.Ranks-1 {
 			t.Errorf("chunks=%d: peers %d", r.ChunksPerRank, r.MaxPeers)
 		}
 	}
 	var sb strings.Builder
-	WriteAblation(&sb, rows, 2)
-	if !strings.Contains(sb.String(), "chunks/rank") {
-		t.Error("ablation table missing header")
+	WriteAblation(&sb, rows, 5)
+	if !strings.Contains(sb.String(), "chunks/rank") || !strings.Contains(sb.String(), rows[0].Serial.String()) {
+		t.Errorf("ablation table missing header or quartiles:\n%s", sb.String())
 	}
 	// Validation paths.
 	if _, err := DepthAblation(4, grid.Box2(0, 0, 8, 8), []int{1}, 1); err == nil {

@@ -119,9 +119,9 @@ func TestAblationTelemetry(t *testing.T) {
 	}
 	for r := 0; r < 4; r++ {
 		h := tel.Metrics.Histogram("ddr_exchange_seconds", "", nil, obs.RankLabel(r))
-		// Two depths x two chunk counts x two reps each.
-		if h.Count() != 8 {
-			t.Errorf("rank %d exchanges = %d, want 8", r, h.Count())
+		// Two depths x two chunk counts x (one untimed run + two reps).
+		if h.Count() != 12 {
+			t.Errorf("rank %d exchanges = %d, want 12", r, h.Count())
 		}
 	}
 }

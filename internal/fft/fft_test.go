@@ -446,6 +446,46 @@ func TestDist2DStepMatchesAcrossPaths(t *testing.T) {
 	}
 }
 
+// TestDist2DShmEveryReceiveLands runs Dist2D.Step at the fft_transpose
+// benchmark's shape — 16 ranks on shm, 4 blocks a transpose, the default
+// pipeline depth — at a short n. Ranks run out of step, so a rank's
+// records often reach its ring before it posts their receives; they must
+// wait there for the posts rather than take arena payloads. After a
+// warm-up, every message of both transposes must land: each rank's
+// MessagesLanded must rise by exactly its MessagesRecv.
+func TestDist2DShmEveryReceiveLands(t *testing.T) {
+	const n, nProcs, nb, warm, steps = 256, 16, 4, 5, 20
+	global := globalInput(n)
+	err := mpi.Launch(nProcs, func(c *mpi.Comm) error {
+		d, err := NewDist2D(c, n, nb)
+		if err != nil {
+			return err
+		}
+		h := n / nProcs
+		copy(d.Rows(), global[c.Rank()*h*n:(c.Rank()+1)*h*n])
+		for i := 0; i < warm; i++ {
+			if err := d.Step(c); err != nil {
+				return err
+			}
+		}
+		before := c.Traffic()
+		for i := 0; i < steps; i++ {
+			if err := d.Step(c); err != nil {
+				return err
+			}
+		}
+		after := c.Traffic()
+		recv, landed := after.MessagesRecv-before.MessagesRecv, after.MessagesLanded-before.MessagesLanded
+		if recv == 0 || landed != recv {
+			return fmt.Errorf("rank %d: %d of %d transpose receives landed", c.Rank(), landed, recv)
+		}
+		return nil
+	}, mpi.WithTransport(mpi.TransportShm), mpi.WithFaultInjector(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNewDist2DValidation(t *testing.T) {
 	runWorld(t, 2, func(c *mpi.Comm) error {
 		if _, err := NewDist2D(c, 24, 2); err == nil {

@@ -193,6 +193,38 @@ type mailbox struct {
 	lostC  *obs.Counter        // peers-lost counter, nil unless telemetry attached
 	flight *obs.FlightRecorder // flight recorder, nil unless attached
 	self   int                 // world rank owning this mailbox (flight attribution)
+	// wake nudges the shm ring consumer delivering into this mailbox when
+	// a receive opens or binds (nil on other transports).
+	wake chan struct{}
+}
+
+// nudge signals ch without blocking: a pending signal coalesces, and a
+// nil ch (a mailbox no ring consumer serves) drops it.
+func nudge(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// awaits reports whether a receive from world rank src, or from
+// AnySource, is open or bound to a reassembling chunk stream: whether the
+// shm consumer must take src's next record now rather than leave it
+// waiting in its ring.
+func (m *mailbox) awaits(src int) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, p := range m.posts {
+		if p.src == src || p.src == AnySource {
+			return true
+		}
+	}
+	for i := range m.queue {
+		if pd := m.queue[i].pend; pd != nil && pd.post != nil && (pd.post.src == src || pd.post.src == AnySource) {
+			return true
+		}
+	}
+	return false
 }
 
 // setDepthGauge attaches (or detaches, with nil) the pending-message

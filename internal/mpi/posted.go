@@ -18,7 +18,9 @@ import (
 // it and unpacks the ring record into the posted parts, so no arena
 // payload exists. Either way mailbox.claim takes the post and
 // mailbox.commit completes it; nothing outside the transports reaches
-// them.
+// them. A shm record that arrives first waits in its ring until a receive
+// from its sender opens or binds: post nudges the rank's consumer, which
+// then lands it in the posts that fit (shm.go).
 //
 // Matching is FIFO per (communicator, source, tag) on both sides: an
 // arriving envelope completes the oldest open post that accepts it, a new
@@ -121,9 +123,11 @@ func (c *Comm) post(p *Posted, src, tag int, parts []Part) (e envelope, taken bo
 			return m.take(i), true, nil
 		}
 		m.bind(p, e.pend)
+		nudge(m.wake)
 		return envelope{}, false, nil
 	}
 	m.open(p, false)
+	nudge(m.wake)
 	return envelope{}, false, nil
 }
 

@@ -45,10 +45,17 @@
 // no staging copy at any size), SendTyped packs a message that fits one
 // record straight into it from the owner's buffers, and the consumer
 // unpacks a whole-message record straight into the receiver's posted
-// parts when a post of exactly its packed size is waiting (see posted.go) —
-// into an arena payload only otherwise, and always for chunk streams and
-// for sequenced (fault-injected) messages, which the mailbox must be able
-// to drop as duplicates.
+// parts when a post of exactly its packed size is waiting (see posted.go).
+// A record that arrives before its receive waits in its ring for it: the
+// consumer stops at an unsequenced whole-message record while the
+// mailbox has no receive open or bound from the ring's sender (or from
+// AnySource), and Comm.post nudges it when one opens. A producer short
+// of space flags the ring, and the consumer then drains it whole. The
+// arena takes a payload only when a drain reaches a record no post fits:
+// a flagged ring, a receive for a later record from the same source, or a
+// post of another size; chunk streams and sequenced (fault-injected)
+// messages, which the mailbox must be able to drop as duplicates, always
+// take it, and never wait.
 package mpi
 
 import (
@@ -217,6 +224,9 @@ type shmRing struct {
 	dst  int // the receiving rank, whose touched bytes this ring adds to
 
 	mu sync.Mutex // serializes producers; consumer never takes it
+	// short is raised by a producer that finds too little room and
+	// cleared by the consumer, which then drains the ring whole.
+	short atomic.Bool
 	// Producer state, guarded by mu. peak is the most live record bytes
 	// the ring has had to hold — committed, or committed plus a record
 	// reserve could not place — and sets the rewind floor. dead is the
@@ -310,6 +320,11 @@ func (r *shmRing) reserve(need int, w *shmWorld) (pos uint64, err error) {
 			return tail, nil
 		}
 		r.peak = max(r.peak, r.live(head, tail)+uint64(need))
+		if spins == 0 {
+			// Records may be waiting for their receive; this one must not.
+			r.short.Store(true)
+			nudge(w.wakes[r.dst])
+		}
 		if spins < 64 {
 			spins++
 			runtime.Gosched()
@@ -529,6 +544,7 @@ func mapShmWorld(n int, cfg shmConfig, boxes []*mailbox) (*shmWorld, error) {
 	}
 	for d := range w.wakes {
 		w.wakes[d] = make(chan struct{}, 1)
+		boxes[d].wake = w.wakes[d]
 	}
 	return w, nil
 }
@@ -567,14 +583,6 @@ func shmMap(size int) (mem []byte, mapped bool, err error) {
 // ring returns the (src -> dst) ring.
 func (w *shmWorld) ring(src, dst int) *shmRing { return w.rings[src*w.n+dst] }
 
-// nudge wakes dst's consumer (non-blocking; a pending nudge coalesces).
-func (w *shmWorld) nudge(dst int) {
-	select {
-	case w.wakes[dst] <- struct{}{}:
-	default:
-	}
-}
-
 // addOccupancy tracks committed-but-unconsumed bytes, mirrored into
 // dst's ring-occupancy gauge when telemetry is attached.
 func (w *shmWorld) addOccupancy(dst int, n int64) {
@@ -583,7 +591,9 @@ func (w *shmWorld) addOccupancy(dst int, n int64) {
 }
 
 // consume is rank dst's consumer goroutine: it drains every inbound ring
-// into the rank's mailbox, blocking on the wakeup channel when idle.
+// into the rank's mailbox, up to a record that waits for its receive, and
+// blocks on the wakeup channel — nudged by a producer or a new post — when
+// idle.
 func (w *shmWorld) consume(dst int) {
 	defer w.wg.Done()
 	streams := make(map[uint64]*shmStream)
@@ -591,7 +601,7 @@ func (w *shmWorld) consume(dst int) {
 	for {
 		progress := false
 		for src := 0; src < w.n; src++ {
-			if w.drainRing(src, dst, box, streams) {
+			if w.drainRing(src, dst, box, streams, false) {
 				progress = true
 			}
 		}
@@ -604,7 +614,7 @@ func (w *shmWorld) consume(dst int) {
 			// Final drain: deliver everything already committed so a
 			// clean shutdown loses nothing, then release reassembly state.
 			for src := 0; src < w.n; src++ {
-				w.drainRing(src, dst, box, streams)
+				w.drainRing(src, dst, box, streams, true)
 			}
 			for _, st := range streams {
 				st.drop(box)
@@ -614,24 +624,32 @@ func (w *shmWorld) consume(dst int) {
 	}
 }
 
-// drainRing consumes every committed record in the (src -> dst) ring,
-// reporting whether it made progress.
-func (w *shmWorld) drainRing(src, dst int, box *mailbox, streams map[uint64]*shmStream) bool {
+// drainRing consumes the committed records of the (src -> dst) ring up to
+// one that waits for its receive — all of them when all is set or the
+// producer flagged the ring short of space — reporting whether it made
+// progress.
+func (w *shmWorld) drainRing(src, dst int, box *mailbox, streams map[uint64]*shmStream, all bool) bool {
 	r := w.ring(src, dst)
-	head := r.loadHead()
-	tail := r.loadTail()
-	if head == tail {
-		return false
-	}
-	for head != tail {
+	all = r.short.Swap(false) || all
+	start, tail := r.loadHead(), r.loadTail()
+	head := start
+	for head != tail && (all || !r.waits(head, box)) {
 		head = w.consumeRecord(src, dst, box, streams, head, tail)
 	}
-	// Release a producer blocked on this ring.
-	select {
-	case r.space <- struct{}{}:
-	default:
+	if head == start {
+		return false
 	}
+	nudge(r.space) // release a producer blocked on this ring
 	return true
+}
+
+// waits reports whether the record at head stays in the ring: an
+// unsequenced whole message of at least one byte that no receive on box
+// can take from its sender yet. Chunk records, sequenced records and wrap
+// markers never wait, nor does a record the decoder rejects.
+func (r *shmRing) waits(head uint64, box *mailbox) bool {
+	rec, wrap, err := decodeShmRecord(r.data[head&r.mask:])
+	return !wrap && err == nil && rec.typ == shmRecMsg && rec.n > 0 && rec.seq == 0 && !box.awaits(rec.src)
 }
 
 // consumeRecord consumes the record (or wrap marker) at head of the
@@ -824,7 +842,7 @@ func (t *shmTransport) write(dst int, e envelope) error {
 		w.outCtr[t.src].Load().Add(int64(n))
 		w.addOccupancy(dst, int64(shmPad(shmWordSize+shmRecHeader+shmChunkExt+shmTraceExtIf(&e)+n)))
 		off += n
-		w.nudge(dst)
+		nudge(w.wakes[dst])
 	}
 	return nil
 }
@@ -844,7 +862,7 @@ func (t *shmTransport) writeMsg(dst int, e *envelope, parts []Part, n int) error
 	w.bytesOut.Add(int64(n))
 	w.outCtr[t.src].Load().Add(int64(n))
 	w.addOccupancy(dst, int64(shmPad(shmWordSize+shmRecHeader+shmTraceExtIf(e)+n)))
-	w.nudge(dst)
+	nudge(w.wakes[dst])
 	return nil
 }
 
