@@ -27,21 +27,19 @@ chaos:
 names:
 	GO=$(GO) bash scripts/makenames.sh Makefile README.md DESIGN.md TESTING.md
 
-# MPI_TEST_ONLY is every exported internal/mpi identifier that only tests
-# call, each kept for the reason DESIGN.md gives under "Test-only
-# survivors". make verify fails when scripts/testonly.sh lists anything
-# else: DDR, the experiments or the benchmark call an identifier, or it
-# goes.
-MPI_TEST_ONLY := Current NewTCPEndpoint
-
-# CORE_TEST_ONLY is the same list for internal/core, held the same way.
-CORE_TEST_ONLY := CompileBruteForTest PerturbBoundedForTest PerturbPipelineForTest PlanCacheLen Redistribute Summary WithPlanCache
+# USEDEXPORTS runs the type-checked audit of the exported names only tests
+# use, over the root module with the bench module as a caller, against
+# the allowlist that gives each surviving name its reason. It prints the
+# names and fails when one is off the allowlist, or an allowlisted name
+# has a non-test use or no longer exists.
+USEDEXPORTS = $(GO) run ./scripts/usedexports scripts/usedexports/allowlist.txt . bench
 
 # verify is the pre-merge gate: the stale-name check, formatting, the
-# internal/mpi and internal/core test-only lists, and static analysis over the whole module, the chaos suite, then the race detector
-# over every package with concurrent machinery (lock-free counters, mailbox
-# gauges, TCP and shm transports, the staging arena, the rank-per-worker
-# schedule compile, the step executor) and the in-transit layer; chaos has
+# test-only export audit, and static analysis over the whole module, the
+# chaos suite, then the race detector over every package with concurrent
+# machinery (lock-free counters, mailbox gauges, TCP and shm transports,
+# the staging arena, the rank-per-worker schedule compile, the step
+# executor) and the in-transit layer; chaos has
 # already run the property harness under race. A test in those packages
 # is gated by existing — nothing is enumerated by name there. What follows the race lines is only what they
 # cannot cover:
@@ -66,8 +64,7 @@ CORE_TEST_ONLY := CompileBruteForTest PerturbBoundedForTest PerturbPipelineForTe
 #     bench/run.sh): bench/ is a module of its own, so ./... skips it.
 verify: names chaos
 	test -z "$$(gofmt -l .)"
-	test "$$(bash scripts/testonly.sh internal/mpi | xargs)" = "$(MPI_TEST_ONLY)"
-	test "$$(bash scripts/testonly.sh internal/core | xargs)" = "$(CORE_TEST_ONLY)"
+	$(USEDEXPORTS) >/dev/null
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/mpi/... ./internal/trace/... ./internal/core/... ./internal/datatype/... ./internal/fft/...
 	$(GO) test -race ./internal/transit/...
@@ -104,15 +101,12 @@ bench:
 
 # size prints the line counts the simplicity acceptance criteria quote:
 # non-test Go outside bench/ (the benchmark is its own module), and the
-# share of it in internal/core and internal/mpi. It then lists, for both
-# packages, the exported identifiers that only _test.go files use
-# (scripts/testonly.sh), which make verify holds to MPI_TEST_ONLY and
-# CORE_TEST_ONLY.
+# share of it in internal/core and internal/mpi. It then counts, per
+# package, the exported names the audit finds only tests use, which make
+# verify holds to scripts/usedexports/allowlist.txt.
 size:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l | xargs echo "non-test Go outside bench/:"
 	@find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo "  of which internal/core:"
 	@find internal/mpi -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo "  of which internal/mpi:"
-	@for pkg in internal/core internal/mpi; do \
-		echo "exported $$pkg identifiers only _test.go files use:"; \
-		bash scripts/testonly.sh $$pkg | sed 's/^/  /'; \
-	done
+	@echo "exported names only tests use, per package (scripts/usedexports):"
+	@$(USEDEXPORTS) | sed 's/\.[^/]*$$//' | sort | uniq -c | sed 's/^ */  /'

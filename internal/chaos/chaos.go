@@ -202,12 +202,3 @@ func ParseSevers(s string) ([]Sever, error) {
 	}
 	return out, nil
 }
-
-// FormatSevers is the inverse of ParseSevers.
-func FormatSevers(severs []Sever) string {
-	parts := make([]string, len(severs))
-	for i, s := range severs {
-		parts[i] = fmt.Sprintf("%d>%d@%d", s.From, s.To, s.After)
-	}
-	return strings.Join(parts, ",")
-}

@@ -86,8 +86,8 @@ func TestNewDescriptorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NProcs() != 4 || d.Layout() != Layout2D || d.ElemSize() != 4 {
-		t.Errorf("descriptor fields: %d %v %d", d.NProcs(), d.Layout(), d.ElemSize())
+	if d.Layout() != Layout2D || d.ElemSize() != 4 {
+		t.Errorf("descriptor fields: %v %d", d.Layout(), d.ElemSize())
 	}
 	if d.Plan() != nil {
 		t.Error("plan non-nil before SetupDataMapping")

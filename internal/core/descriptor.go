@@ -352,9 +352,6 @@ func NewDescriptor(nProcs int, layout Layout, elem ElemType, opts ...Option) (*D
 	return d, nil
 }
 
-// NProcs returns the process count the descriptor was created for.
-func (d *Descriptor) NProcs() int { return d.nProcs }
-
 // Layout returns the data layout.
 func (d *Descriptor) Layout() Layout { return d.layout }
 
@@ -364,13 +361,6 @@ func (d *Descriptor) ElemSize() int { return d.elemSize }
 // Plan returns the compiled communication plan, or nil before
 // SetupDataMapping has run.
 func (d *Descriptor) Plan() *Plan { return d.plan }
-
-// LastExchangeID returns the trace exchange ID minted by the most recent
-// ReorganizeData call (0 before the first). Every rank of the collective
-// derives the same ID — the plan fingerprint is collectively agreed and
-// the per-descriptor exchange counter runs in lockstep — so the value
-// keys this exchange's spans and flight events across the whole world.
-func (d *Descriptor) LastExchangeID() uint64 { return d.lastExchID }
 
 // PlanCacheStats reports how many SetupDataMapping calls were satisfied
 // by a cached plan and how many compiled a new one while caching was
@@ -387,10 +377,6 @@ func (d *Descriptor) PlanCacheLen() int {
 	}
 	return d.cache.len()
 }
-
-// PipelineDepth returns the configured pipeline depth (the
-// WithPipelineDepth value, DefaultPipelineDepth when unset).
-func (d *Descriptor) PipelineDepth() int { return d.depth }
 
 // LastPipelineDepth returns the depth the most recent ReorganizeData
 // call actually ran at, after clamping by the plan's round count and the

@@ -66,9 +66,6 @@ type contigSpan struct {
 // number of chunks owned by any single rank (paper §III-C).
 func (p *Plan) Rounds() int { return p.rounds }
 
-// Need returns the box this rank receives.
-func (p *Plan) Need() grid.Box { return p.need }
-
 // SetupDataMapping computes the data mapping between all ranks. It is a
 // collective call: every rank passes the chunks it currently owns (any
 // number, including zero) and the single contiguous box it needs after

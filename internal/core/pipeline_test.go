@@ -461,21 +461,21 @@ func steadyStateMallocs(t *testing.T, procs, side, chunksPerRank int, opts ...Op
 }
 
 // TestWithPipelineDepthValidation pins the option's contract: the
-// default is DefaultPipelineDepth, explicit depths echo back through the
-// accessor, and a non-positive depth is rejected at construction.
+// default is DefaultPipelineDepth, explicit depths are kept, and a
+// non-positive depth is rejected at construction.
 func TestWithPipelineDepthValidation(t *testing.T) {
 	d, err := NewDescriptor(2, Layout2D, Float32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.PipelineDepth(); got != DefaultPipelineDepth {
+	if got := d.depth; got != DefaultPipelineDepth {
 		t.Errorf("default depth = %d, want DefaultPipelineDepth (%d)", got, DefaultPipelineDepth)
 	}
 	d, err = NewDescriptor(2, Layout2D, Float32, WithPipelineDepth(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.PipelineDepth(); got != 4 {
+	if got := d.depth; got != 4 {
 		t.Errorf("configured depth = %d, want 4", got)
 	}
 	if _, err := NewDescriptor(2, Layout2D, Float32, WithPipelineDepth(0)); err == nil {

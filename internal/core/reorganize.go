@@ -261,13 +261,6 @@ type Chunk struct {
 // freshly allocated need buffer. Applications redistributing repeatedly
 // should keep the Descriptor and call ReorganizeData themselves.
 func Redistribute(c *mpi.Comm, layout Layout, elem ElemType, own []Chunk, need grid.Box, opts ...Option) ([]byte, error) {
-	return RedistributeCtx(nil, c, layout, elem, own, need, opts...)
-}
-
-// RedistributeCtx is Redistribute with cancellation, following the
-// ReorganizeDataCtx contract: the mapping setup is not cancellable, the
-// exchange is.
-func RedistributeCtx(ctx context.Context, c *mpi.Comm, layout Layout, elem ElemType, own []Chunk, need grid.Box, opts ...Option) ([]byte, error) {
 	d, err := NewDescriptor(c.Size(), layout, elem, opts...)
 	if err != nil {
 		return nil, err
@@ -282,7 +275,7 @@ func RedistributeCtx(ctx context.Context, c *mpi.Comm, layout Layout, elem ElemT
 		return nil, err
 	}
 	out := make([]byte, need.Volume()*d.ElemSize())
-	if err := d.ReorganizeDataCtx(ctx, c, bufs, out); err != nil {
+	if err := d.ReorganizeData(c, bufs, out); err != nil {
 		return nil, err
 	}
 	return out, nil

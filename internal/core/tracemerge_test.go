@@ -248,7 +248,7 @@ func TestTracingDetachedZeroAlloc(t *testing.T) {
 				}
 				// Exchange IDs are minted even when detached, so a later
 				// postmortem attach can correlate with peers.
-				if desc.LastExchangeID() == 0 {
+				if desc.lastExchID == 0 {
 					t.Error("detached exchange minted no exchange ID")
 				}
 				return checkBox(dst, need, 4, nil, 0)

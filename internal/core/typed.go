@@ -26,39 +26,3 @@ func (d *Descriptor) ReorganizeFloat32(c *mpi.Comm, own [][]float32, need []floa
 	copy(need, fielddata.BytesFloat32(needBytes))
 	return nil
 }
-
-// ReorganizeFloat64 is ReorganizeData for float64 fields. The
-// descriptor's element size must be 8.
-func (d *Descriptor) ReorganizeFloat64(c *mpi.Comm, own [][]float64, need []float64) error {
-	if d.elemSize != 8 {
-		return fmt.Errorf("core: ReorganizeFloat64 on a descriptor with %d-byte elements", d.elemSize)
-	}
-	ownBytes := make([][]byte, len(own))
-	for i, chunk := range own {
-		ownBytes[i] = fielddata.Float64Bytes(chunk)
-	}
-	needBytes := fielddata.Float64Bytes(need)
-	if err := d.ReorganizeData(c, ownBytes, needBytes); err != nil {
-		return err
-	}
-	copy(need, fielddata.BytesFloat64(needBytes))
-	return nil
-}
-
-// ReorganizeUint16 is ReorganizeData for uint16 fields (16-bit CT data).
-// The descriptor's element size must be 2.
-func (d *Descriptor) ReorganizeUint16(c *mpi.Comm, own [][]uint16, need []uint16) error {
-	if d.elemSize != 2 {
-		return fmt.Errorf("core: ReorganizeUint16 on a descriptor with %d-byte elements", d.elemSize)
-	}
-	ownBytes := make([][]byte, len(own))
-	for i, chunk := range own {
-		ownBytes[i] = fielddata.Uint16Bytes(chunk)
-	}
-	needBytes := fielddata.Uint16Bytes(need)
-	if err := d.ReorganizeData(c, ownBytes, needBytes); err != nil {
-		return err
-	}
-	copy(need, fielddata.BytesUint16(needBytes))
-	return nil
-}

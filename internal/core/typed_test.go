@@ -1,11 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"ddr/internal/fielddata"
 	"ddr/internal/grid"
 	"ddr/internal/mpi"
 	"ddr/internal/trace"
@@ -59,6 +61,9 @@ func TestReorganizeFloat32Slabs(t *testing.T) {
 	}
 }
 
+// TestReorganizeFloat64AndUint16 moves 8- and 2-byte elements through
+// the byte API: a descriptor's element size, not a typed wrapper, sets
+// the stride.
 func TestReorganizeFloat64AndUint16(t *testing.T) {
 	err := mpi.Launch(2, func(c *mpi.Comm) error {
 		domain := grid.Box1(0, 10)
@@ -76,13 +81,13 @@ func TestReorganizeFloat64AndUint16(t *testing.T) {
 		for i := range in64 {
 			in64[i] = float64(mine.Offset[0]+i) * 1.5
 		}
-		out64 := make([]float64, 10)
-		if err := d64.ReorganizeFloat64(c, [][]float64{in64}, out64); err != nil {
+		out64 := make([]byte, 8*10)
+		if err := d64.ReorganizeData(c, [][]byte{fielddata.Float64Bytes(in64)}, out64); err != nil {
 			return err
 		}
-		for x := 0; x < 10; x++ {
-			if out64[x] != float64(x)*1.5 {
-				return fmt.Errorf("float64[%d] = %f", x, out64[x])
+		for x, v := range fielddata.BytesFloat64(out64) {
+			if v != float64(x)*1.5 {
+				return fmt.Errorf("float64[%d] = %f", x, v)
 			}
 		}
 
@@ -93,17 +98,17 @@ func TestReorganizeFloat64AndUint16(t *testing.T) {
 		if err := d16.SetupDataMapping(c, []grid.Box{mine}, domain); err != nil {
 			return err
 		}
-		in16 := make([]uint16, mine.Volume())
-		for i := range in16 {
-			in16[i] = uint16(1000 + mine.Offset[0] + i)
+		var in16 []byte
+		for i := 0; i < mine.Volume(); i++ {
+			in16 = binary.LittleEndian.AppendUint16(in16, uint16(1000+mine.Offset[0]+i))
 		}
-		out16 := make([]uint16, 10)
-		if err := d16.ReorganizeUint16(c, [][]uint16{in16}, out16); err != nil {
+		out16 := make([]byte, 2*10)
+		if err := d16.ReorganizeData(c, [][]byte{in16}, out16); err != nil {
 			return err
 		}
 		for x := 0; x < 10; x++ {
-			if out16[x] != uint16(1000+x) {
-				return fmt.Errorf("uint16[%d] = %d", x, out16[x])
+			if v := binary.LittleEndian.Uint16(out16[2*x:]); v != uint16(1000+x) {
+				return fmt.Errorf("uint16[%d] = %d", x, v)
 			}
 		}
 		return nil
@@ -124,12 +129,6 @@ func TestTypedWrapperElemSizeChecks(t *testing.T) {
 		}
 		if err := desc.ReorganizeFloat32(c, nil, nil); err == nil {
 			return errors.New("float32 on 1-byte elements accepted")
-		}
-		if err := desc.ReorganizeFloat64(c, nil, nil); err == nil {
-			return errors.New("float64 on 1-byte elements accepted")
-		}
-		if err := desc.ReorganizeUint16(c, nil, nil); err == nil {
-			return errors.New("uint16 on 1-byte elements accepted")
 		}
 		return nil
 	})

@@ -137,10 +137,10 @@ func TestStackGeometryTiles(t *testing.T) {
 		for _, c := range chunks {
 			flat = append(flat, c...)
 		}
-		if err := grid.VerifyTiling(domain, flat); err != nil {
+		if err := grid.VerifyTilingOwned(domain, flat, nil); err != nil {
 			t.Errorf("%v ownership: %v", tech, err)
 		}
-		if err := grid.VerifyTiling(domain, needs); err != nil {
+		if err := grid.VerifyTilingOwned(domain, needs, nil); err != nil {
 			t.Errorf("%v needs: %v", tech, err)
 		}
 	}

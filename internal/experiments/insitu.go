@@ -121,31 +121,3 @@ func RunInSitu(cfg InTransitConfig) (*InSituResult, error) {
 	res.WallTime = time.Since(wallStart)
 	return res, nil
 }
-
-// CouplingComparison pairs the two modes on the same workload.
-type CouplingComparison struct {
-	InSitu    *InSituResult
-	InTransit *InTransitResult
-	// InTransitWall is the wall time of the in-transit run (its sim ranks
-	// overlap with rendering on the analysis ranks).
-	InTransitWall time.Duration
-}
-
-// CompareCouplings runs the identical simulation workload in-situ (M
-// ranks) and in-transit (M sim + N analysis ranks) and reports both.
-func CompareCouplings(cfg InTransitConfig) (*CouplingComparison, error) {
-	insitu, err := RunInSitu(cfg)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	intransit, err := RunInTransit(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &CouplingComparison{
-		InSitu:        insitu,
-		InTransit:     intransit,
-		InTransitWall: time.Since(start),
-	}, nil
-}

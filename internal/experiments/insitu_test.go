@@ -108,20 +108,24 @@ func TestInTransitFrameStats(t *testing.T) {
 	}
 }
 
+// TestCompareCouplings runs the identical workload in-situ and
+// in-transit: both render the same frames.
 func TestCompareCouplings(t *testing.T) {
-	cmp, err := CompareCouplings(InTransitConfig{
+	cfg := InTransitConfig{
 		M: 4, N: 2,
 		GridW: 48, GridH: 36,
 		Iterations:  20,
 		OutputEvery: 10,
-	})
+	}
+	insitu, err := RunInSitu(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmp.InSitu.Frames != cmp.InTransit.Frames {
-		t.Errorf("frame counts differ: %d vs %d", cmp.InSitu.Frames, cmp.InTransit.Frames)
+	intransit, err := RunInTransit(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cmp.InTransitWall <= 0 {
-		t.Error("missing in-transit wall time")
+	if insitu.Frames != intransit.Frames {
+		t.Errorf("frame counts differ: %d vs %d", insitu.Frames, intransit.Frames)
 	}
 }

@@ -102,16 +102,9 @@ func RunRestartStudy(path string, writeProcs, readProcs int, h bov.Header) (*Res
 		if err != nil {
 			return err
 		}
-		desc, err := core.NewDescriptor(c.Size(), core.Layout3D, core.Uint8, core.WithElemSize(1),
+		viaDDR, err := core.Redistribute(c, core.Layout3D, core.Uint8, []core.Chunk{{Box: slab, Data: slabData}}, brick,
 			core.WithPipelineDepth(1)) // the paper's serial round: one step per MPI_Alltoallw
 		if err != nil {
-			return err
-		}
-		if err := desc.SetupDataMapping(c, []grid.Box{slab}, brick); err != nil {
-			return err
-		}
-		viaDDR := make([]byte, brick.Volume())
-		if err := desc.ReorganizeData(c, [][]byte{slabData}, viaDDR); err != nil {
 			return err
 		}
 		slabTime := time.Since(start)

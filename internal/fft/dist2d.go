@@ -139,12 +139,6 @@ func NewDist2D(c *mpi.Comm, n, nb int, opts ...core.Option) (*Dist2D, error) {
 	return d, nil
 }
 
-// N returns the grid edge length.
-func (d *Dist2D) N() int { return d.n }
-
-// Blocks returns the chunk (= exchange round) count per transpose.
-func (d *Dist2D) Blocks() int { return d.nb }
-
 func (d *Dist2D) rowsPerRank() int { return d.n / d.procs }
 func (d *Dist2D) colsPerRank() int { return d.n / d.procs }
 

@@ -76,9 +76,6 @@ func NewPlan(n int) (*Plan, error) {
 // when log₂n is odd and a radix-2 stage runs first.
 func (p *Plan) firstSpan() int { return 1 + bits.TrailingZeros(uint(p.n))&1 }
 
-// Len returns the transform length the plan was built for.
-func (p *Plan) Len() int { return p.n }
-
 // planCache memoizes plans by length: a distributed transform builds
 // the same row/column plan on every rank and every size-churn step, and
 // the table is tiny next to the data.
@@ -97,14 +94,6 @@ func PlanFor(n int) (*Plan, error) {
 	v, _ := planCache.LoadOrStore(n, p)
 	return v.(*Plan), nil
 }
-
-// Forward transforms x in place (DFT with the e^{-2πi} sign
-// convention). len(x) must equal the plan length.
-func (p *Plan) Forward(x []complex128) { p.transform(x, make([]complex128, len(x)), false) }
-
-// Inverse applies the inverse transform in place, including the 1/n
-// scale, so Inverse(Forward(x)) == x up to rounding.
-func (p *Plan) Inverse(x []complex128) { p.transform(x, make([]complex128, len(x)), true) }
 
 // direction returns what separates the two directions: the twiddle
 // table and the scale the permutation pass applies (1/n folded into the

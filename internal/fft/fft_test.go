@@ -70,11 +70,11 @@ func TestKernelMatchesNaiveDFT(t *testing.T) {
 			inv[i] /= complex(float64(n), 0)
 		}
 		y := append([]complex128(nil), x...)
-		p.Forward(y)
+		p.transform(y, make([]complex128, len(y)), false)
 		if d := maxDiff(y, fwd); d > 1e-9*float64(n) {
 			t.Errorf("n=%d: forward deviates from naive DFT by %g", n, d)
 		}
-		p.Inverse(x)
+		p.transform(x, make([]complex128, len(x)), true)
 		if d := maxDiff(x, inv); d > 1e-9*float64(n) {
 			t.Errorf("n=%d: inverse deviates from naive inverse DFT by %g", n, d)
 		}
@@ -90,8 +90,8 @@ func TestKernelRoundTrip(t *testing.T) {
 		x := make([]complex128, n)
 		fill(x, uint64(n)+7)
 		orig := append([]complex128(nil), x...)
-		p.Forward(x)
-		p.Inverse(x)
+		p.transform(x, make([]complex128, len(x)), false)
+		p.transform(x, make([]complex128, len(x)), true)
 		if d := maxDiff(x, orig); d > 1e-10*float64(n) {
 			t.Errorf("n=%d: round trip deviates by %g", n, d)
 		}
@@ -105,7 +105,7 @@ func TestTransformRejectsWrongLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, transform := range map[string]func([]complex128){"Forward": p.Forward, "Inverse": p.Inverse} {
+	for name, inverse := range map[string]bool{"Forward": false, "Inverse": true} {
 		x := make([]complex128, 4)
 		fill(x, 3)
 		orig := append([]complex128(nil), x...)
@@ -115,7 +115,7 @@ func TestTransformRejectsWrongLength(t *testing.T) {
 					t.Errorf("%s accepted a length-4 buffer on a length-8 plan", name)
 				}
 			}()
-			transform(x)
+			p.transform(x, make([]complex128, len(x)), inverse)
 		}()
 		if maxDiff(x, orig) != 0 {
 			t.Errorf("%s modified the buffer before rejecting its length", name)
@@ -143,9 +143,9 @@ func TestColumnPassMatchesKernel(t *testing.T) {
 						col[y] = slab[y*w+x]
 					}
 					if inverse {
-						p.Inverse(col)
+						p.transform(col, make([]complex128, len(col)), true)
 					} else {
-						p.Forward(col)
+						p.transform(col, make([]complex128, len(col)), false)
 					}
 					for y := range col {
 						want[y*w+x] = col[y]
@@ -188,14 +188,14 @@ func ref2D(src []complex128, n int) []complex128 {
 	out := append([]complex128(nil), src...)
 	p, _ := PlanFor(n)
 	for y := 0; y < n; y++ {
-		p.Forward(out[y*n : (y+1)*n])
+		p.transform(out[y*n:(y+1)*n], make([]complex128, n), false)
 	}
 	col := make([]complex128, n)
 	for x := 0; x < n; x++ {
 		for y := 0; y < n; y++ {
 			col[y] = out[y*n+x]
 		}
-		p.Forward(col)
+		p.transform(col, make([]complex128, len(col)), false)
 		for y := 0; y < n; y++ {
 			out[y*n+x] = col[y]
 		}

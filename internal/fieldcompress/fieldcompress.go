@@ -123,12 +123,3 @@ func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 
 // unzigzag reverses zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// Ratio reports the compression ratio (raw float32 bytes over compressed
-// bytes) for reporting.
-func Ratio(nValues, compressedBytes int) float64 {
-	if compressedBytes == 0 {
-		return 0
-	}
-	return float64(4*nValues) / float64(compressedBytes)
-}

@@ -59,7 +59,7 @@ func TestSmoothFieldCompressesWell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := Ratio(len(vals), len(buf)); r < 3 {
+	if r := float64(4*len(vals)) / float64(len(buf)); r < 3 {
 		t.Errorf("smooth field ratio %.1fx, expected > 3x", r)
 	}
 	// A mostly-zero field (quiet flow regions) must collapse dramatically.
@@ -71,7 +71,7 @@ func TestSmoothFieldCompressesWell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := Ratio(len(zeros), len(buf)); r < 50 {
+	if r := float64(4*len(zeros)) / float64(len(buf)); r < 50 {
 		t.Errorf("sparse field ratio %.1fx, expected > 50x", r)
 	}
 }

@@ -45,57 +45,3 @@ func BytesFloat64(b []byte) []float64 {
 	}
 	return out
 }
-
-// Uint16Bytes serializes vals little-endian.
-func Uint16Bytes(vals []uint16) []byte {
-	out := make([]byte, 2*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint16(out[2*i:], v)
-	}
-	return out
-}
-
-// BytesUint16 deserializes a little-endian uint16 buffer.
-func BytesUint16(b []byte) []uint16 {
-	out := make([]uint16, len(b)/2)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint16(b[2*i:])
-	}
-	return out
-}
-
-// Uint32Bytes serializes vals little-endian.
-func Uint32Bytes(vals []uint32) []byte {
-	out := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(out[4*i:], v)
-	}
-	return out
-}
-
-// BytesUint32 deserializes a little-endian uint32 buffer.
-func BytesUint32(b []byte) []uint32 {
-	out := make([]uint32, len(b)/4)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return out
-}
-
-// Int32Bytes serializes vals little-endian (two's complement).
-func Int32Bytes(vals []int32) []byte {
-	out := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(out[4*i:], uint32(v))
-	}
-	return out
-}
-
-// BytesInt32 deserializes a little-endian int32 buffer.
-func BytesInt32(b []byte) []int32 {
-	out := make([]int32, len(b)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}

@@ -349,18 +349,13 @@ func (e *CoverageError) Error() string {
 	}
 }
 
-// VerifyTiling checks that boxes are pairwise disjoint, contained in
+// VerifyTilingOwned checks that boxes are pairwise disjoint, contained in
 // domain, and collectively cover it — the "mutually exclusive and
 // complete" requirement the paper places on owned data. Empty boxes are
-// ignored. Returns nil when the tiling is exact.
-func VerifyTiling(domain Box, boxes []Box) error {
-	return VerifyTilingOwned(domain, boxes, nil)
-}
-
-// VerifyTilingOwned is VerifyTiling with owner attribution: owners[i] is
-// the rank that contributed boxes[i], carried into any CoverageError so
-// callers need not reconstruct the mapping. A nil owners reports ranks as
-// -1. The pairwise-disjointness check runs through a spatial index, one
+// ignored. Returns nil when the tiling is exact. owners[i] is the rank
+// that contributed boxes[i], carried into any CoverageError so callers
+// need not reconstruct the mapping; a nil owners reports ranks as -1.
+// The pairwise-disjointness check runs through a spatial index, one
 // O(log n + k) overlap query per box instead of the historical pairwise
 // sweep, so verification stays near O(n log n) for every layout shape
 // (stacked slabs included, which degenerated the axis-0 sweep).

@@ -40,7 +40,7 @@ func TestSlabsTile(t *testing.T) {
 		if len(slabs) != count {
 			t.Fatalf("Slabs returned %d boxes, want %d", len(slabs), count)
 		}
-		if err := VerifyTiling(domain, slabs); err != nil {
+		if err := VerifyTilingOwned(domain, slabs, nil); err != nil {
 			t.Errorf("Slabs(%d): %v", count, err)
 		}
 	}
@@ -53,7 +53,7 @@ func TestWeightedSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyTiling(domain, even); err != nil {
+	if err := VerifyTilingOwned(domain, even, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range even {
@@ -66,7 +66,7 @@ func TestWeightedSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyTiling(domain, skew); err != nil {
+	if err := VerifyTilingOwned(domain, skew, nil); err != nil {
 		t.Fatal(err)
 	}
 	if skew[0].Dims[1] <= skew[1].Dims[1] {
@@ -80,7 +80,7 @@ func TestWeightedSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyTiling(domain, extreme); err != nil {
+	if err := VerifyTilingOwned(domain, extreme, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < 4; i++ {
@@ -117,7 +117,7 @@ func TestWeightedSlabsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return VerifyTiling(domain, slabs) == nil
+		return VerifyTilingOwned(domain, slabs, nil) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -159,7 +159,7 @@ func TestGrid2DTiles(t *testing.T) {
 	if len(boxes) != 32 {
 		t.Fatalf("Grid2D returned %d boxes", len(boxes))
 	}
-	if err := VerifyTiling(domain, boxes); err != nil {
+	if err := VerifyTilingOwned(domain, boxes, nil); err != nil {
 		t.Error(err)
 	}
 }
@@ -169,7 +169,7 @@ func TestBricks3DTiles(t *testing.T) {
 	for _, n := range []int{27, 64, 8} {
 		x, y, z := Factor3(n)
 		boxes := Bricks3D(domain, x, y, z)
-		if err := VerifyTiling(domain, boxes); err != nil {
+		if err := VerifyTilingOwned(domain, boxes, nil); err != nil {
 			t.Errorf("Bricks3D(%d): %v", n, err)
 		}
 	}
@@ -185,7 +185,7 @@ func TestRCBTiles(t *testing.T) {
 		if len(boxes) != n {
 			t.Fatalf("RCB(%d) produced %d boxes", n, len(boxes))
 		}
-		if err := VerifyTiling(domain, boxes); err != nil {
+		if err := VerifyTilingOwned(domain, boxes, nil); err != nil {
 			t.Errorf("RCB(%d): %v", n, err)
 		}
 		// Volumes must be balanced within a factor of ~2.5 for these sizes.
@@ -239,7 +239,7 @@ func TestRCBValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyTiling(Box2(0, 0, 3, 2), boxes); err != nil {
+	if err := VerifyTilingOwned(Box2(0, 0, 3, 2), boxes, nil); err != nil {
 		t.Error(err)
 	}
 }
@@ -257,7 +257,7 @@ func TestRCBProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return len(boxes) == n && VerifyTiling(domain, boxes) == nil
+		return len(boxes) == n && VerifyTilingOwned(domain, boxes, nil) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -279,7 +279,7 @@ func TestRoundRobinSlices(t *testing.T) {
 		}
 		all = append(all, chunks...)
 	}
-	if err := VerifyTiling(domain, all); err != nil {
+	if err := VerifyTilingOwned(domain, all, nil); err != nil {
 		t.Error(err)
 	}
 	// 10 slices over 4 ranks: ranks 0,1 get 3 slices; ranks 2,3 get 2.
@@ -298,7 +298,7 @@ func TestConsecutiveSlices(t *testing.T) {
 		}
 		all = append(all, chunks...)
 	}
-	if err := VerifyTiling(domain, all); err != nil {
+	if err := VerifyTilingOwned(domain, all, nil); err != nil {
 		t.Error(err)
 	}
 	// More ranks than slices: some ranks own nothing.
@@ -314,10 +314,10 @@ func TestConsecutiveSlices(t *testing.T) {
 
 func TestVerifyTilingDetectsErrors(t *testing.T) {
 	domain := Box2(0, 0, 8, 8)
-	if err := VerifyTiling(domain, []Box{Box2(0, 0, 8, 4), Box2(0, 4, 8, 4)}); err != nil {
+	if err := VerifyTilingOwned(domain, []Box{Box2(0, 0, 8, 4), Box2(0, 4, 8, 4)}, nil); err != nil {
 		t.Errorf("valid tiling rejected: %v", err)
 	}
-	err := VerifyTiling(domain, []Box{Box2(0, 0, 8, 5), Box2(0, 4, 8, 4)})
+	err := VerifyTilingOwned(domain, []Box{Box2(0, 0, 8, 5), Box2(0, 4, 8, 4)}, nil)
 	if ce, ok := err.(*CoverageError); !ok || len(ce.Overlaps) == 0 {
 		t.Errorf("overlap not detected: %v", err)
 	} else if p := ce.Overlaps[0]; p.Boxes != [2]int{0, 1} || p.Owners != [2]int{-1, -1} {
@@ -329,11 +329,11 @@ func TestVerifyTilingDetectsErrors(t *testing.T) {
 	} else if p := ce.Overlaps[0]; p.Owners != [2]int{3, 7} || !p.Region.Equal(Box2(0, 4, 8, 1)) {
 		t.Errorf("wrong owned pair: %+v", p)
 	}
-	err = VerifyTiling(domain, []Box{Box2(0, 0, 8, 4), Box2(0, 4, 9, 4)})
+	err = VerifyTilingOwned(domain, []Box{Box2(0, 0, 8, 4), Box2(0, 4, 9, 4)}, nil)
 	if ce, ok := err.(*CoverageError); !ok || ce.Escapee == nil {
 		t.Errorf("escapee not detected: %v", err)
 	}
-	err = VerifyTiling(domain, []Box{Box2(0, 0, 8, 4)})
+	err = VerifyTilingOwned(domain, []Box{Box2(0, 0, 8, 4)}, nil)
 	if ce, ok := err.(*CoverageError); !ok || ce.Shortage != 32 {
 		t.Errorf("shortage not detected: %v", err)
 	}
@@ -345,7 +345,7 @@ func TestRandomTilingAlwaysTiles(t *testing.T) {
 		domain := Box3(0, 0, 0, 1+rng.Intn(12), 1+rng.Intn(12), 1+rng.Intn(12))
 		n := int(parts%32) + 1
 		boxes := RandomTiling(rng, domain, n)
-		if err := VerifyTiling(domain, boxes); err != nil {
+		if err := VerifyTilingOwned(domain, boxes, nil); err != nil {
 			t.Logf("seed %d parts %d: %v", seed, n, err)
 			return false
 		}

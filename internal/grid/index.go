@@ -129,12 +129,6 @@ func (ix *Index) pack(lo, hi, axis int) {
 	}
 }
 
-// Query returns the indices (in the original slice, ascending) of every
-// indexed box overlapping q.
-func (ix *Index) Query(q Box) []int {
-	return ix.QueryAppend(nil, q)
-}
-
 // QueryAppend appends the indices of every indexed box overlapping q to
 // dst and returns it, ascending. Reusing dst across queries keeps the hot
 // compile loops allocation-free.
@@ -167,6 +161,3 @@ func (ix *Index) query(dst []int, node int, q Box) []int {
 	}
 	return dst
 }
-
-// Len returns the number of non-empty indexed boxes.
-func (ix *Index) Len() int { return len(ix.live) }

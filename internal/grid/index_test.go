@@ -43,7 +43,7 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 		domain := MustBox(offs, dims)
 		boxes := RandomTiling(rng, domain, 1+int(parts%64))
 		// Mix in a few empty and escaping boxes so the index sees the
-		// irregular populations VerifyTiling feeds it.
+		// irregular populations VerifyTilingOwned feeds it.
 		empty := domain
 		empty.Dims[0] = 0
 		boxes = append(boxes, empty, domain.Grow(2, MustBox(offs, dims)))
@@ -53,8 +53,8 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				query.Offset[0] -= 3 // partially outside
 			}
-			if !sameInts(ix.Query(query), bruteQuery(boxes, query)) {
-				t.Logf("seed %d query %v: %v != %v", seed, query, ix.Query(query), bruteQuery(boxes, query))
+			if !sameInts(ix.QueryAppend(nil, query), bruteQuery(boxes, query)) {
+				t.Logf("seed %d query %v: %v != %v", seed, query, ix.QueryAppend(nil, query), bruteQuery(boxes, query))
 				return false
 			}
 		}
@@ -70,8 +70,8 @@ func TestIndexLargePopulation(t *testing.T) {
 	domain := Box3(0, 0, 0, 64, 64, 64)
 	boxes := Bricks3D(domain, 16, 16, 16) // 4096 bricks
 	ix := NewIndex(boxes)
-	if ix.Len() != len(boxes) {
-		t.Fatalf("Len %d, want %d", ix.Len(), len(boxes))
+	if len(ix.live) != len(boxes) {
+		t.Fatalf("%d live boxes, want %d", len(ix.live), len(boxes))
 	}
 	rng := rand.New(rand.NewSource(42))
 	var scratch []int
@@ -89,18 +89,18 @@ func TestIndexLargePopulation(t *testing.T) {
 }
 
 func TestIndexEmptyAndDegenerate(t *testing.T) {
-	if got := NewIndex(nil).Query(Box1(0, 10)); len(got) != 0 {
+	if got := NewIndex(nil).QueryAppend(nil, Box1(0, 10)); len(got) != 0 {
 		t.Errorf("empty index returned %v", got)
 	}
 	only := []Box{Box1(0, 0)} // a single empty box
-	if got := NewIndex(only).Query(Box1(0, 10)); len(got) != 0 {
+	if got := NewIndex(only).QueryAppend(nil, Box1(0, 10)); len(got) != 0 {
 		t.Errorf("index of empty boxes returned %v", got)
 	}
 	ix := NewIndex([]Box{Box1(2, 3)})
-	if got := ix.Query(Box1(0, 0)); len(got) != 0 {
+	if got := ix.QueryAppend(nil, Box1(0, 0)); len(got) != 0 {
 		t.Errorf("empty query returned %v", got)
 	}
-	if got := ix.Query(Box1(4, 2)); !sameInts(got, []int{0}) {
+	if got := ix.QueryAppend(nil, Box1(4, 2)); !sameInts(got, []int{0}) {
 		t.Errorf("overlap query returned %v", got)
 	}
 }
@@ -136,11 +136,11 @@ func TestVerifyTilingStackedSlabs(t *testing.T) {
 	// check regressed to O(n^2) element-wise work.
 	domain := Box2(0, 0, 4, 4096)
 	slabs := Slabs(domain, 1, 4096)
-	if err := VerifyTiling(domain, slabs); err != nil {
+	if err := VerifyTilingOwned(domain, slabs, nil); err != nil {
 		t.Fatal(err)
 	}
 	slabs[100].Dims[1]++ // now overlaps slab 101
-	err := VerifyTiling(domain, slabs)
+	err := VerifyTilingOwned(domain, slabs, nil)
 	ce, ok := err.(*CoverageError)
 	if !ok || len(ce.Overlaps) == 0 {
 		t.Fatalf("overlap not detected: %v", err)

@@ -1,24 +1,14 @@
 package grid
 
-// Subtract returns a \ b as a list of disjoint boxes that together cover
-// exactly the cells of a not contained in b. The decomposition is the
-// standard axis sweep — for each axis in order, the slab of a below b's
-// low face and the slab above b's high face are split off and the
-// remainder narrows to b's extent on that axis — so it is deterministic:
-// equal inputs produce equal box lists in equal order. At most 2·NDims
-// boxes are produced. When a and b are disjoint the result is [a]; when b
-// covers a the result is nil.
-//
-// Subtract is the primitive behind the delta-plan compiler's geometry
-// diff: the regions of a resized need box that are not already resident
-// locally are exactly newNeed \ oldNeed.
-func Subtract(a, b Box) []Box {
-	return SubtractAppend(nil, a, b)
-}
-
-// SubtractAppend appends the boxes of a \ b to dst and returns it,
-// following the Subtract contract. Reusing dst keeps diff-heavy loops
-// allocation-free.
+// SubtractAppend appends a \ b to dst as disjoint boxes that together
+// cover exactly the cells of a not contained in b, and returns it. The
+// decomposition is the standard axis sweep — for each axis in order, the
+// slab of a below b's low face and the slab above b's high face are split
+// off and the remainder narrows to b's extent on that axis — so it is
+// deterministic: equal inputs append equal box lists in equal order. At
+// most 2·NDims boxes are appended. When a and b are disjoint it appends
+// a; when b covers a it appends nothing. Reusing dst keeps diff-heavy
+// loops allocation-free.
 func SubtractAppend(dst []Box, a, b Box) []Box {
 	if a.Empty() {
 		return dst

@@ -5,22 +5,22 @@ import (
 	"testing"
 )
 
-// checkSubtract verifies the Subtract contract cell by cell: the result
+// checkSubtract verifies the SubtractAppend contract cell by cell: the result
 // boxes are disjoint, lie inside a, avoid b, and together cover every
 // cell of a outside b.
 func checkSubtract(t *testing.T, a, b Box) {
 	t.Helper()
-	out := Subtract(a, b)
+	out := SubtractAppend(nil, a, b)
 	if len(out) > 2*a.NDims {
-		t.Fatalf("Subtract(%v, %v) produced %d boxes, max is %d", a, b, len(out), 2*a.NDims)
+		t.Fatalf("SubtractAppend(nil, %v, %v) produced %d boxes, max is %d", a, b, len(out), 2*a.NDims)
 	}
 	covered := map[[MaxDims]int]int{}
 	for _, box := range out {
 		if !a.Contains(box) {
-			t.Fatalf("Subtract(%v, %v): piece %v escapes a", a, b, box)
+			t.Fatalf("SubtractAppend(nil, %v, %v): piece %v escapes a", a, b, box)
 		}
 		if box.Overlaps(b) {
-			t.Fatalf("Subtract(%v, %v): piece %v overlaps b", a, b, box)
+			t.Fatalf("SubtractAppend(nil, %v, %v): piece %v overlaps b", a, b, box)
 		}
 		forEachPoint(box, func(p [MaxDims]int) { covered[p]++ })
 	}
@@ -30,7 +30,7 @@ func checkSubtract(t *testing.T, a, b Box) {
 			want = 0
 		}
 		if covered[p] != want {
-			t.Fatalf("Subtract(%v, %v): cell %v covered %d times, want %d", a, b, p, covered[p], want)
+			t.Fatalf("SubtractAppend(nil, %v, %v): cell %v covered %d times, want %d", a, b, p, covered[p], want)
 		}
 	})
 }
@@ -63,10 +63,10 @@ func TestSubtractCases(t *testing.T) {
 	for _, tc := range cases {
 		checkSubtract(t, tc.a, tc.b)
 	}
-	if got := Subtract(Box1(0, 8), Box1(0, 8)); len(got) != 0 {
+	if got := SubtractAppend(nil, Box1(0, 8), Box1(0, 8)); len(got) != 0 {
 		t.Fatalf("full cover left %v", got)
 	}
-	if got := Subtract(Box1(0, 8), Box1(9, 2)); len(got) != 1 || !got[0].Equal(Box1(0, 8)) {
+	if got := SubtractAppend(nil, Box1(0, 8), Box1(9, 2)); len(got) != 1 || !got[0].Equal(Box1(0, 8)) {
 		t.Fatalf("disjoint subtract = %v, want the original box", got)
 	}
 }

@@ -261,10 +261,6 @@ func (s *Slab) Step() {
 	s.Stream()
 }
 
-// Macroscopic returns the slab's density and velocity fields from the
-// last Collide, each NY*Width values, row-major starting at global row Y0.
-func (s *Slab) Macroscopic() (rho, ux, uy []float64) { return s.rho, s.ux, s.uy }
-
 // VorticityInterior computes the discrete curl at the slab's cells using
 // central differences over the given neighbor velocity rows. uxBelow/uyBelow
 // hold velocities of global row Y0-1 and uxAbove/uyAbove of row Y0+NY

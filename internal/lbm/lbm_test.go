@@ -76,7 +76,7 @@ func TestUniformFlowIsSteady(t *testing.T) {
 	for it := 0; it < 5; it++ {
 		s.Step()
 	}
-	rho, ux, uy := s.Macroscopic()
+	rho, ux, uy := s.rho, s.ux, s.uy
 	for i := range rho {
 		if math.Abs(rho[i]-1) > 1e-9 || math.Abs(ux[i]-0.08) > 1e-9 || math.Abs(uy[i]) > 1e-9 {
 			t.Fatalf("cell %d drifted: rho=%g ux=%g uy=%g", i, rho[i], ux[i], uy[i])
@@ -104,7 +104,7 @@ func TestBarrierDisturbsFlow(t *testing.T) {
 		t.Errorf("max |vorticity| = %g; expected a wake", maxAbs)
 	}
 	// The flow must stay numerically stable.
-	rho, _, _ := s.Macroscopic()
+	rho := s.rho
 	for i, r := range rho {
 		if math.IsNaN(r) || (r != 0 && (r < 0.2 || r > 5)) {
 			t.Fatalf("cell %d density %g unstable", i, r)
@@ -126,7 +126,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	for it := 0; it < iters; it++ {
 		serial.Step()
 	}
-	srho, sux, suy := serial.Macroscopic()
+	srho, sux, suy := serial.rho, serial.ux, serial.uy
 	serialVort := serial.VorticityInterior(nil, nil, nil, nil)
 
 	for _, n := range []int{2, 3, 5} {
@@ -142,7 +142,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 						return err
 					}
 				}
-				rho, ux, uy := ps.Slab.Macroscopic()
+				rho, ux, uy := ps.Slab.rho, ps.Slab.ux, ps.Slab.uy
 				base := ps.Slab.Y0 * p.Width
 				for i := range rho {
 					if rho[i] != srho[base+i] || ux[i] != sux[base+i] || uy[i] != suy[base+i] {

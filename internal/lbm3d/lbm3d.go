@@ -270,63 +270,12 @@ func (s *Slab) applyFaces() {
 	}
 }
 
-// Step advances one iteration in serial mode (no neighbors).
-func (s *Slab) Step() {
-	s.Collide()
-	s.Stream()
-}
-
-// Macroscopic returns the density and velocity fields from the last
-// Collide, each NZ*Width*Height values starting at global plane Z0.
-func (s *Slab) Macroscopic() (rho, ux, uy, uz []float64) {
-	return s.rho, s.ux, s.uy, s.uz
-}
-
 // SpeedField returns |u| per slab cell as float32 — the streamed variable
 // of interest for volume rendering.
 func (s *Slab) SpeedField() []float32 {
 	out := make([]float32, len(s.ux))
 	for i := range out {
 		out[i] = float32(math.Sqrt(s.ux[i]*s.ux[i] + s.uy[i]*s.uy[i] + s.uz[i]*s.uz[i]))
-	}
-	return out
-}
-
-// Diagnostics summarizes the slab's macroscopic state from the last
-// Collide: total mass, kinetic energy, and density extrema over fluid
-// cells (barrier cells are excluded; cells that have never collided
-// report zero and are skipped).
-func (s *Slab) Diagnostics() (mass, kineticEnergy, minRho, maxRho float64, fluidCells int) {
-	minRho, maxRho = math.Inf(1), math.Inf(-1)
-	plane := s.P.Width * s.P.Height
-	for r := 0; r < s.NZ; r++ {
-		for c := 0; c < plane; c++ {
-			if s.barrier[(r+1)*plane+c] {
-				continue
-			}
-			idx := r*plane + c
-			rho := s.rho[idx]
-			if rho == 0 {
-				continue
-			}
-			mass += rho
-			kineticEnergy += 0.5 * rho * (s.ux[idx]*s.ux[idx] + s.uy[idx]*s.uy[idx] + s.uz[idx]*s.uz[idx])
-			minRho = math.Min(minRho, rho)
-			maxRho = math.Max(maxRho, rho)
-			fluidCells++
-		}
-	}
-	if fluidCells == 0 {
-		minRho, maxRho = 0, 0
-	}
-	return
-}
-
-// DensityField returns rho per slab cell as float32.
-func (s *Slab) DensityField() []float32 {
-	out := make([]float32, len(s.rho))
-	for i := range out {
-		out[i] = float32(s.rho[i])
 	}
 	return out
 }

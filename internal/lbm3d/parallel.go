@@ -80,9 +80,3 @@ func (ps *Parallel) Step() error {
 	s.Stream()
 	return nil
 }
-
-// SlabBox returns the global box this rank's slab covers, the owned-chunk
-// geometry handed to DDR when streaming fields.
-func (ps *Parallel) SlabBox() grid.Box {
-	return grid.Box3(0, 0, ps.Slab.Z0, ps.Slab.P.Width, ps.Slab.P.Height, ps.Slab.NZ)
-}

@@ -189,18 +189,6 @@ func (m *StagingMeter) Lease(n int) StagingLease {
 	return StagingLease{m: m, n: int64(n)}
 }
 
-// Grow extends the lease by n bytes.
-func (l *StagingLease) Grow(n int) {
-	if l.m == nil {
-		return
-	}
-	l.m.Acquire(n)
-	l.n += int64(n)
-}
-
-// Bytes reports the bytes currently reserved by the lease.
-func (l *StagingLease) Bytes() int64 { return l.n }
-
 // Close releases the whole reservation. Closing an empty or
 // already-closed lease is a no-op, so retiring a round is idempotent.
 func (l *StagingLease) Close() {

@@ -273,21 +273,3 @@ func decodeSlices(buf []byte, want int) ([][]byte, error) {
 	}
 	return out, nil
 }
-
-// Sendrecv performs a combined send to dst and receive from src on the
-// same tag, the deadlock-free shift primitive (MPI_Sendrecv). src and dst
-// may be the same rank or differ (e.g. a ring shift).
-func (c *Comm) Sendrecv(dst, src, tag int, data []byte) ([]byte, error) {
-	if err := c.checkRank(dst); err != nil {
-		return nil, err
-	}
-	req := c.Isend(dst, tag, data)
-	got, _, _, err := c.Recv(src, tag)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, _, serr := req.Wait(); serr != nil {
-		return nil, serr
-	}
-	return got, nil
-}

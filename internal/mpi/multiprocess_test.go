@@ -157,8 +157,12 @@ func tcpWorkerBody(c *mpi.Comm) error {
 	}
 	dst := (c.Rank() + 1) % n
 	src := (c.Rank() - 1 + n) % n
-	got, err := c.Sendrecv(dst, src, 11, []byte{byte(c.Rank())})
+	req := c.Isend(dst, 11, []byte{byte(c.Rank())})
+	got, _, _, err := c.Recv(src, 11)
 	if err != nil {
+		return err
+	}
+	if _, _, _, err := req.Wait(); err != nil {
 		return err
 	}
 	if int(got[0]) != src {

@@ -770,10 +770,6 @@ type shmTransport struct {
 	nextStream atomic.Uint32
 }
 
-// Stats snapshots the world-wide shm transport counters (shared by all
-// ranks of the world).
-func (t *shmTransport) Stats() ShmStats { return t.w.stats() }
-
 func (t *shmTransport) send(dst int, e envelope) error {
 	if dst < 0 || dst >= t.w.n {
 		return fmt.Errorf("mpi: shm world rank %d out of range", dst)

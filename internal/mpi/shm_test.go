@@ -121,7 +121,7 @@ func TestShmRingWraparound(t *testing.T) {
 		// early on a drained ring, depending on how the consumer kept up
 		// (TestShmRingRewind forces both).
 		tr := c.tr.(*shmTransport)
-		if st := tr.Stats(); st.Wraps+st.Rewinds == 0 {
+		if st := tr.w.stats(); st.Wraps+st.Rewinds == 0 {
 			return errors.New("ring never wrapped")
 		}
 		return nil

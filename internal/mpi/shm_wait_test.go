@@ -24,7 +24,7 @@ func shmStats(c *Comm) ShmStats {
 	if ft, ok := tr.(*faultTransport); ok {
 		tr = ft.raw
 	}
-	return tr.(*shmTransport).Stats()
+	return tr.(*shmTransport).w.stats()
 }
 
 // shmWaiting waits until the consumer has had the chance to take what

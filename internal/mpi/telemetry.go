@@ -102,14 +102,6 @@ func NewTelemetry(reg *obs.Registry, rank int) *Telemetry {
 	}
 }
 
-// Rank returns the rank the telemetry was created for.
-func (t *Telemetry) Rank() int {
-	if t == nil {
-		return -1
-	}
-	return t.rank
-}
-
 // WithFlightRecorder attaches a flight recorder to the bundle, allocating
 // the bundle if t is nil (flight recording works without a registry). Returns the bundle for chaining; a nil f is a no-op.
 func (t *Telemetry) WithFlightRecorder(f *obs.FlightRecorder, rank int) *Telemetry {
@@ -121,14 +113,6 @@ func (t *Telemetry) WithFlightRecorder(f *obs.FlightRecorder, rank int) *Telemet
 	}
 	t.flight = f
 	return t
-}
-
-// FlightRecorder returns the attached flight recorder (nil when none).
-func (t *Telemetry) FlightRecorder() *obs.FlightRecorder {
-	if t == nil {
-		return nil
-	}
-	return t.flight
 }
 
 // AttachTelemetry hooks the telemetry into this communicator and every
@@ -164,6 +148,3 @@ func (c *Comm) AttachTelemetry(t *Telemetry) {
 		}
 	}
 }
-
-// Telemetry returns the attached telemetry (nil when detached).
-func (c *Comm) Telemetry() *Telemetry { return c.tel }

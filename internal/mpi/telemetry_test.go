@@ -94,7 +94,7 @@ func TestTelemetrySharedAcrossSplit(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if sub.Telemetry() != c.Telemetry() {
+		if sub.tel != c.tel {
 			return fmt.Errorf("telemetry not propagated through Split")
 		}
 		// Split's own Allgather is counted too, so measure the delta of

@@ -204,10 +204,6 @@ func ExponentialBuckets(start, factor float64, n int) []float64 {
 // collective.
 var LatencyBuckets = ExponentialBuckets(1e-6, 2, 25)
 
-// ByteBuckets covers 64B to 4GiB in powers of four, for message and
-// round payload sizes.
-var ByteBuckets = ExponentialBuckets(64, 4, 14)
-
 // instrument is the registry's view of a metric at export time.
 type instrument interface {
 	write(w io.Writer, name, labels string)

@@ -102,9 +102,6 @@ type TIFFWorkload struct {
 	ImageBytes int64
 }
 
-// TotalBytes returns the full stack size.
-func (w TIFFWorkload) TotalBytes() int64 { return int64(w.NumImages) * w.ImageBytes }
-
 // LoadNoDDR models the baseline: the volume is split into near-cube bricks
 // over p processes (nz slabs deep), and every process reads and decodes
 // every image its brick intersects — numImages/nz of them, with whole

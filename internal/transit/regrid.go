@@ -267,32 +267,12 @@ func (rg *Regridder) recordResize(rep *ResizeReport) {
 	}
 }
 
-// Epochs returns how many Connect calls have completed.
-func (rg *Regridder) Epochs() int { return rg.epochs }
-
-// Resizes returns how many elastic resizes have committed.
-func (rg *Regridder) Resizes() int { return rg.resizes }
-
 // Need returns the session's current need box (it changes on Resize).
 func (rg *Regridder) Need() grid.Box { return rg.need }
-
-// Stale reports whether the session needs a successful Connect before it
-// can Regrid again (a prior collective operation failed partway).
-func (rg *Regridder) Stale() bool { return rg.state == stateStale }
 
 // Abandoned reports whether this rank has resized out of the consumer
 // group; an abandoned session accepts no further operations.
 func (rg *Regridder) Abandoned() bool { return rg.state == stateAbandoned }
-
-// Chunks returns the chunk layout of the current epoch, in the order
-// Regrid expects its buffers.
-func (rg *Regridder) Chunks() []grid.Box { return rg.own }
-
-// CacheStats reports the underlying descriptor's plan-cache hits and
-// misses — in steady state every epoch past the first is a hit.
-func (rg *Regridder) CacheStats() (hits, misses int64) {
-	return rg.desc.PlanCacheStats()
-}
 
 // ResizeCacheStats reports the resize descriptor's plan-cache hits and
 // misses (both zero before the first Resize).
@@ -301,12 +281,4 @@ func (rg *Regridder) ResizeCacheStats() (hits, misses int64) {
 		return 0, 0
 	}
 	return rg.resize.PlanCacheStats()
-}
-
-// LastExchangeID returns the trace exchange ID of the most recent Regrid
-// (0 before the first), identical on every rank of the coupling — the
-// key for correlating this transfer's spans and flight events across the
-// merged timeline.
-func (rg *Regridder) LastExchangeID() uint64 {
-	return rg.desc.LastExchangeID()
 }

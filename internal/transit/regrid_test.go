@@ -70,7 +70,7 @@ func TestRegridderReconnectCycles(t *testing.T) {
 			return nil
 		}
 		expectStats := func(when string, hits, misses int64) error {
-			h, m := rg.CacheStats()
+			h, m := rg.desc.PlanCacheStats()
 			if h != hits || m != misses {
 				return fmt.Errorf("%s: cache stats %d hits / %d misses, want %d / %d", when, h, m, hits, misses)
 			}
@@ -118,8 +118,8 @@ func TestRegridderReconnectCycles(t *testing.T) {
 		if desc.Plan() != coldPlan {
 			return fmt.Errorf("returning layout did not replay its cached plan")
 		}
-		if rg.Epochs() != 4 {
-			return fmt.Errorf("epochs = %d, want 4", rg.Epochs())
+		if rg.epochs != 4 {
+			return fmt.Errorf("epochs = %d, want 4", rg.epochs)
 		}
 		return nil
 	})
@@ -142,7 +142,7 @@ func TestRegridderGuards(t *testing.T) {
 		if err := rg.Connect(c, []grid.Box{grid.Box1(0, 8)}); err != nil {
 			return err
 		}
-		if got := len(rg.Chunks()); got != 1 {
+		if got := len(rg.own); got != 1 {
 			return fmt.Errorf("Chunks() has %d entries, want 1", got)
 		}
 		return nil
