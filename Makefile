@@ -27,8 +27,8 @@ chaos:
 names:
 	GO=$(GO) bash scripts/makenames.sh Makefile README.md DESIGN.md TESTING.md
 
-# USEDEXPORTS runs the type-checked audit of the exported names only tests
-# use, over the root module with the bench module as a caller, against
+# USEDEXPORTS runs the type-checked audit of the names, exported or not,
+# only tests use, over the root module with the bench module as a caller, against
 # the allowlist that gives each surviving name its reason. It prints the
 # names and fails when one is off the allowlist, or an allowlisted name
 # has a non-test use or no longer exists.
@@ -102,11 +102,11 @@ bench:
 # size prints the line counts the simplicity acceptance criteria quote:
 # non-test Go outside bench/ (the benchmark is its own module), and the
 # share of it in internal/core and internal/mpi. It then counts, per
-# package, the exported names the audit finds only tests use, which make
+# package, the names the audit finds only tests use, which make
 # verify holds to scripts/usedexports/allowlist.txt.
 size:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l | xargs echo "non-test Go outside bench/:"
 	@find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo "  of which internal/core:"
 	@find internal/mpi -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo "  of which internal/mpi:"
-	@echo "exported names only tests use, per package (scripts/usedexports):"
+	@echo "names only tests use, per package (scripts/usedexports):"
 	@$(USEDEXPORTS) | sed 's/\.[^/]*$$//' | sort | uniq -c | sed 's/^ */  /'

@@ -43,10 +43,6 @@ func TestEndToEndConversionPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum1, err := v.Checksum()
-	if err != nil {
-		t.Fatal(err)
-	}
 	full, err := v.ReadBox(v.Header().Domain())
 	if err != nil {
 		t.Fatal(err)
@@ -62,9 +58,6 @@ func TestEndToEndConversionPipeline(t *testing.T) {
 		if !bytes.Equal(full[z*w*h:(z+1)*w*h], img.Pixels) {
 			t.Fatalf("slice %d differs after conversion", z)
 		}
-	}
-	if sum1 == 0 {
-		t.Log("checksum is zero; legal but suspicious for synthetic data")
 	}
 
 	vtkPath := filepath.Join(dir, "vol.vtk")

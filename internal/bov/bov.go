@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 
 	"ddr/internal/grid"
@@ -219,27 +218,6 @@ func (v *File) ReadBox(box grid.Box) ([]byte, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Checksum computes the IEEE CRC-32 of the full payload by streaming it
-// in fixed windows, for checkpoint integrity verification (the payload
-// may far exceed memory).
-func (v *File) Checksum() (uint32, error) {
-	crc := crc32.NewIEEE()
-	buf := make([]byte, 1<<20)
-	total := v.header.TotalBytes()
-	for off := int64(0); off < total; {
-		n := int64(len(buf))
-		if total-off < n {
-			n = total - off
-		}
-		if _, err := v.f.ReadAt(buf[:n], v.dataStart+off); err != nil {
-			return 0, err
-		}
-		crc.Write(buf[:n]) //nolint:errcheck // hash writes cannot fail
-		off += n
-	}
-	return crc.Sum32(), nil
 }
 
 // RunCount reports how many positional I/O operations accessing box

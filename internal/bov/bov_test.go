@@ -228,47 +228,3 @@ func TestRandomBoxesProperty(t *testing.T) {
 		}
 	}
 }
-
-func TestChecksum(t *testing.T) {
-	h := Header{Dims: [3]int{8, 4, 4}, ElemSize: 2}
-	f, _ := tempVolume(t, h)
-	defer f.Close()
-	empty, err := f.Checksum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.WriteBox(h.Domain(), fillPattern(h.Domain(), 2)); err != nil {
-		t.Fatal(err)
-	}
-	full, err := f.Checksum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full == empty {
-		t.Error("checksum unchanged after writing data")
-	}
-	again, err := f.Checksum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != full {
-		t.Error("checksum not deterministic")
-	}
-	// A single-byte flip must change the checksum.
-	box := grid.Box3(3, 2, 1, 1, 1, 1)
-	data, err := f.ReadBox(box)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[0] ^= 0xFF
-	if err := f.WriteBox(box, data); err != nil {
-		t.Fatal(err)
-	}
-	flipped, err := f.Checksum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flipped == full {
-		t.Error("checksum blind to corruption")
-	}
-}

@@ -1,6 +1,6 @@
 // Package colormap converts scalar fields into raster images: the
-// blue-white-red diverging map the paper uses for vorticity, grayscale
-// ramps for CT data, and JPEG/PNG encoding of the result. JPEG output is
+// blue-white-red diverging map the paper uses for vorticity, a heat ramp
+// for CT data, and JPEG/PNG encoding of the result. JPEG output is
 // what gives the paper's Table IV its ~99.5% data reduction.
 package colormap
 
@@ -12,7 +12,6 @@ import (
 	"image/png"
 	"io"
 	"math"
-	"os"
 )
 
 // Map converts a normalized value t in [0,1] to an RGB color. Values
@@ -39,13 +38,6 @@ func BlueWhiteRed(t float64) (uint8, uint8, uint8) {
 	}
 	s := (t - 0.5) * 2
 	return 255, uint8(255 * (1 - s)), uint8(255 * (1 - s))
-}
-
-// Grayscale maps t linearly to luminance.
-func Grayscale(t float64) (uint8, uint8, uint8) {
-	t = clamp01(t)
-	v := uint8(255 * t)
-	return v, v, v
 }
 
 // Heat is a simple black-red-yellow-white ramp used for CT renderings.
@@ -102,22 +94,4 @@ func EncodeJPEG(w io.Writer, img image.Image, quality int) error {
 // EncodePNG writes img as a PNG (used where lossless output is wanted).
 func EncodePNG(w io.Writer, img image.Image) error {
 	return png.Encode(w, img)
-}
-
-// WriteJPEGFile renders a JPEG file and returns its byte size.
-func WriteJPEGFile(path string, img image.Image, quality int) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	if err := EncodeJPEG(f, img, quality); err != nil {
-		f.Close()
-		return 0, err
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return 0, err
-	}
-	return info.Size(), f.Close()
 }

@@ -6,7 +6,6 @@ import (
 	"image/png"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 )
 
@@ -34,20 +33,6 @@ func TestBlueWhiteRedEndpoints(t *testing.T) {
 	}
 	if r, g, b := BlueWhiteRed(math.NaN()); r != 0 || g != 0 || b != 255 {
 		t.Errorf("NaN not clamped to 0: (%d,%d,%d)", r, g, b)
-	}
-}
-
-func TestGrayscaleMonotone(t *testing.T) {
-	prev := -1
-	for i := 0; i <= 10; i++ {
-		v, g, b := Grayscale(float64(i) / 10)
-		if int(v) < prev {
-			t.Errorf("grayscale not monotone at %d", i)
-		}
-		if v != g || v != b {
-			t.Errorf("grayscale not gray at %d", i)
-		}
-		prev = int(v)
 	}
 }
 
@@ -147,23 +132,5 @@ func TestEncodeJPEGAndPNG(t *testing.T) {
 	raw := 64 * 48 * 4
 	if sbuf.Len() >= raw {
 		t.Errorf("smooth JPEG %d bytes not smaller than raw %d", sbuf.Len(), raw)
-	}
-}
-
-func TestWriteJPEGFile(t *testing.T) {
-	img, err := FieldToImage([]float32{0, 1, 0.5, 0.25}, 2, 2, 0, 1, Grayscale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "f.jpg")
-	n, err := WriteJPEGFile(path, img, 90)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n <= 0 {
-		t.Errorf("size %d", n)
-	}
-	if _, err := WriteJPEGFile(filepath.Join(t.TempDir(), "no/such/dir/f.jpg"), img, 90); err == nil {
-		t.Error("bad path accepted")
 	}
 }

@@ -61,10 +61,10 @@ func TestColorbar(t *testing.T) {
 	if bottom.B != 255 || bottom.R != 0 { // t=0 is blue
 		t.Errorf("bottom = %v, want blue", bottom)
 	}
-	if _, err := Colorbar(Grayscale, 0, 10); err == nil {
+	if _, err := Colorbar(Heat, 0, 10); err == nil {
 		t.Error("zero width accepted")
 	}
-	if _, err := Colorbar(Grayscale, 4, 1); err == nil {
+	if _, err := Colorbar(Heat, 4, 1); err == nil {
 		t.Error("1-pixel height accepted")
 	}
 }

@@ -35,13 +35,3 @@ func SubtractAppend(dst []Box, a, b Box) []Box {
 	}
 	return dst
 }
-
-// SubtractAll returns regions \ b: every region minus b, concatenated in
-// region order. Inputs already disjoint stay disjoint.
-func SubtractAll(regions []Box, b Box) []Box {
-	var out []Box
-	for _, r := range regions {
-		out = SubtractAppend(out, r, b)
-	}
-	return out
-}

@@ -87,12 +87,3 @@ func TestSubtractRandom(t *testing.T) {
 		checkSubtract(t, randBox(), randBox())
 	}
 }
-
-func TestSubtractAll(t *testing.T) {
-	regions := []Box{Box1(0, 4), Box1(6, 4)}
-	out := SubtractAll(regions, Box1(2, 6))
-	// [0,4) minus [2,8) -> [0,2); [6,10) minus [2,8) -> [8,10).
-	if len(out) != 2 || !out[0].Equal(Box1(0, 2)) || !out[1].Equal(Box1(8, 2)) {
-		t.Fatalf("SubtractAll = %v", out)
-	}
-}

@@ -215,9 +215,10 @@ func TestWaitCtxAbandonAccounting(t *testing.T) {
 			}
 			return nil
 		}
-		g := obs.NewRegistry().Gauge("test_mailbox_depth", "")
-		c.box.setDepthGauge(g)
-		defer c.box.setDepthGauge(nil)
+		tel := NewTelemetry(obs.NewRegistry(), c.Rank())
+		c.AttachTelemetry(tel)
+		defer c.AttachTelemetry(nil)
+		g := tel.pendingMsgs
 		cancelled, cancel := context.WithCancel(context.Background())
 		cancel()
 		for i := 0; i < cycles; i++ {

@@ -89,9 +89,10 @@ const (
 // and duplicates have clean buffer ownership, no caller ever waits on a
 // delivery the injector may delay or drop, and nothing lands in a post.
 type faultTransport struct {
-	raw transport
-	inj FaultInjector
-	src int // this rank's world rank
+	raw      transport
+	inj      FaultInjector
+	src      int      // this rank's world rank
+	counters *traffic // this rank's, whose telemetry counts the verdicts
 
 	// onPeerLost, when non-nil, notifies the destination rank's mailbox
 	// that this sender is gone (dst, src are world ranks). Only possible
@@ -103,37 +104,30 @@ type faultTransport struct {
 	closed bool
 	stop   chan struct{}
 	wg     sync.WaitGroup
-
-	obsDrops   atomic.Pointer[obs.Counter]
-	obsRetries atomic.Pointer[obs.Counter]
-	obsSevers  atomic.Pointer[obs.Counter]
-	flight     atomic.Pointer[obs.FlightRecorder]
 }
 
-// attachObs mirrors the fault counters into a rank's telemetry. Nil
-// detaches (the atomic pointers then load nil, whose Add is a no-op).
-func (t *faultTransport) attachObs(tel *Telemetry) {
+// verdict mirrors one injector verdict into the rank's telemetry: its
+// kind's counter when counted, and the flight recorder's event,
+// attributed to this sender. Free when no telemetry is attached.
+func (t *faultTransport) verdict(kind obs.FlightKind, counted bool, dst int, e *envelope) {
+	tel := t.counters.telemetry()
 	if tel == nil {
-		t.obsDrops.Store(nil)
-		t.obsRetries.Store(nil)
-		t.obsSevers.Store(nil)
-		t.flight.Store(nil)
 		return
 	}
-	t.obsDrops.Store(tel.faultDrops)
-	t.obsRetries.Store(tel.faultRetries)
-	t.obsSevers.Store(tel.faultSevers)
-	t.flight.Store(tel.flight)
-}
-
-// recordFlight mirrors one injector verdict into the attached flight
-// recorder (free when detached), attributed to this sender.
-func (t *faultTransport) recordFlight(kind obs.FlightKind, dst int, e *envelope) {
-	f := t.flight.Load()
-	if f == nil {
+	if counted {
+		switch kind {
+		case obs.FlightSever:
+			tel.faultSevers.Add(1)
+		case obs.FlightDrop:
+			tel.faultDrops.Add(1)
+		case obs.FlightRetry:
+			tel.faultRetries.Add(1)
+		}
+	}
+	if tel.flight == nil {
 		return
 	}
-	f.Record(obs.FlightEvent{
+	tel.flight.Record(obs.FlightEvent{
 		Kind: kind, Rank: int32(t.src), Peer: int32(dst),
 		Tag: int32(e.tag), Round: int32(e.tc.Round), Seq: e.seq,
 		Exchange: e.tc.Exchange, Bytes: int64(len(e.data)),
@@ -166,11 +160,12 @@ func (l *faultLink) failure() error {
 	return l.err
 }
 
-func newFaultTransport(raw transport, inj FaultInjector, src int, onPeerLost func(dst, src int, err error)) *faultTransport {
+func newFaultTransport(raw transport, inj FaultInjector, counters *traffic, onPeerLost func(dst, src int, err error)) *faultTransport {
 	return &faultTransport{
 		raw:        raw,
 		inj:        inj,
-		src:        src,
+		src:        counters.rank,
+		counters:   counters,
 		onPeerLost: onPeerLost,
 		links:      make(map[int]*faultLink),
 		stop:       make(chan struct{}),
@@ -263,8 +258,7 @@ func (t *faultTransport) process(l *faultLink, e envelope) bool {
 	for attempt := 0; ; attempt++ {
 		f := t.inj.FaultFor(t.src, l.dst, e.tag, e.seq, attempt)
 		if f.Sever {
-			t.obsSevers.Load().Add(1)
-			t.recordFlight(obs.FlightSever, l.dst, &e)
+			t.verdict(obs.FlightSever, true, l.dst, &e)
 			t.severLink(l, fmt.Errorf("mpi: link %d->%d severed by fault injection: %w", t.src, l.dst, ErrPeerLost))
 			PutBuffer(e.data)
 			return false
@@ -273,16 +267,14 @@ func (t *faultTransport) process(l *faultLink, e envelope) bool {
 			time.Sleep(f.Delay)
 		}
 		if f.Drop {
-			t.obsDrops.Load().Add(1)
-			t.recordFlight(obs.FlightDrop, l.dst, &e)
+			t.verdict(obs.FlightDrop, true, l.dst, &e)
 			if attempt >= faultMaxRetries {
-				t.recordFlight(obs.FlightSever, l.dst, &e)
+				t.verdict(obs.FlightSever, false, l.dst, &e) // retries exhausted: a failed link, not a cut
 				t.severLink(l, fmt.Errorf("mpi: link %d->%d failed after %d delivery attempts: %w", t.src, l.dst, attempt+1, ErrPeerLost))
 				PutBuffer(e.data)
 				return false
 			}
-			t.obsRetries.Load().Add(1)
-			t.recordFlight(obs.FlightRetry, l.dst, &e)
+			t.verdict(obs.FlightRetry, true, l.dst, &e)
 			time.Sleep(faultBackoff << uint(attempt))
 			continue
 		}

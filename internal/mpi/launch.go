@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Launch is the single entry point for running an n-rank world,
@@ -49,8 +50,8 @@ func Launch(n int, body func(c *Comm) error, opts ...LaunchOption) error {
 	if inj != nil {
 		// A severed link tells the destination's mailbox directly, so its
 		// blocked receives fail with ErrPeerLost instead of hanging.
-		for rank, c := range comms {
-			c.tr = newFaultTransport(c.tr, inj, rank, func(dst, src int, err error) {
+		for _, c := range comms {
+			c.tr = newFaultTransport(c.tr, inj, c.counters, func(dst, src int, err error) {
 				if dst >= 0 && dst < n {
 					comms[dst].box.markLost(src, err)
 				}
@@ -85,14 +86,17 @@ func Launch(n int, body func(c *Comm) error, opts ...LaunchOption) error {
 }
 
 // worldComm is world rank rank of an n-rank world, sending over tr and
-// receiving into box.
+// receiving into box, whose counters become the rank's.
 func worldComm(rank, n int, tr transport, box *mailbox) *Comm {
+	t := box.counters
+	t.rank = rank
+	t.peerSent, t.peerRecv = make([]atomic.Int64, n), make([]atomic.Int64, n)
 	c := &Comm{
 		rank:     rank,
 		group:    identityGroup(n),
 		tr:       tr,
 		box:      box,
-		counters: newTraffic(n),
+		counters: t,
 	}
 	c.world = c
 	return c

@@ -187,15 +187,24 @@ type mailbox struct {
 	posts  []*Posted // open posted receives, oldest first
 	closed bool
 	err    error
-	depth  *obs.Gauge          // pending-message depth, nil unless telemetry attached
-	lost   map[int]error       // world src -> why that peer is unreachable
-	seen   map[int]*seqWindow  // world src -> dedupe window for sequenced envelopes
-	lostC  *obs.Counter        // peers-lost counter, nil unless telemetry attached
-	flight *obs.FlightRecorder // flight recorder, nil unless attached
-	self   int                 // world rank owning this mailbox (flight attribution)
+	lost   map[int]error      // world src -> why that peer is unreachable
+	seen   map[int]*seqWindow // world src -> dedupe window for sequenced envelopes
+	// counters is the owning rank's accounting: its telemetry feeds the
+	// pending-message gauge, the peers-lost counter and flight events.
+	counters *traffic
 	// wake nudges the shm ring consumer delivering into this mailbox when
 	// a receive opens or binds (nil on other transports).
 	wake chan struct{}
+}
+
+// newMailbox returns an empty mailbox with fresh counters for its rank.
+func newMailbox() *mailbox { return &mailbox{counters: &traffic{}} }
+
+// addDepth moves the pending-message gauge by d.
+func (m *mailbox) addDepth(d int64) {
+	if t := m.counters.telemetry(); t != nil {
+		t.pendingMsgs.Add(d)
+	}
 }
 
 // nudge signals ch without blocking: a pending signal coalesces, and a
@@ -225,14 +234,6 @@ func (m *mailbox) awaits(src int) bool {
 		}
 	}
 	return false
-}
-
-// setDepthGauge attaches (or detaches, with nil) the pending-message
-// gauge. Taken under the mailbox lock so put/get read it safely.
-func (m *mailbox) setDepthGauge(g *obs.Gauge) {
-	m.mu.Lock()
-	m.depth = g
-	m.mu.Unlock()
 }
 
 // lostCtx is the reserved communicator context for in-band peer-loss
@@ -276,14 +277,13 @@ func (m *mailbox) put(e envelope) bool {
 				m.seen[e.src] = w
 			}
 			if w.seen(e.seq) {
-				flight, self := m.flight, m.self
 				m.mu.Unlock()
 				if e.pend == nil {
 					PutBuffer(e.data)
 				}
-				if flight != nil {
-					flight.Record(obs.FlightEvent{
-						Kind: obs.FlightDup, Rank: int32(self), Peer: int32(e.src), Tag: int32(e.tag), Seq: e.seq,
+				if t := m.counters.telemetry(); t != nil && t.flight != nil {
+					t.flight.Record(obs.FlightEvent{
+						Kind: obs.FlightDup, Rank: int32(m.counters.rank), Peer: int32(e.src), Tag: int32(e.tag), Seq: e.seq,
 						Round: int32(e.tc.Round), Exchange: e.tc.Exchange, Bytes: int64(len(e.data)),
 					})
 				}
@@ -309,32 +309,20 @@ func (m *mailbox) markLost(src int, err error) {
 	}
 	if _, dup := m.lost[src]; !dup {
 		m.lost[src] = err
-		m.lostC.Add(1)
 		first = true
 		m.failPosts()
 	}
-	flight, self := m.flight, m.self
 	m.mu.Unlock()
-	if first && flight != nil {
-		flight.Record(obs.FlightEvent{Kind: obs.FlightPeerLost, Rank: int32(self), Peer: int32(src)})
-		flight.DumpOnce(fmt.Sprintf("rank %d lost peer %d: %v", self, src, err))
+	t := m.counters.telemetry()
+	if !first || t == nil {
+		return
 	}
-}
-
-// setLostCounter attaches (or detaches, with nil) the peers-lost counter.
-func (m *mailbox) setLostCounter(c *obs.Counter) {
-	m.mu.Lock()
-	m.lostC = c
-	m.mu.Unlock()
-}
-
-// setFlight attaches (or detaches, with nil) the flight recorder, along
-// with the world rank owning this mailbox for event attribution.
-func (m *mailbox) setFlight(f *obs.FlightRecorder, self int) {
-	m.mu.Lock()
-	m.flight = f
-	m.self = self
-	m.mu.Unlock()
+	t.peersLost.Add(1)
+	if t.flight != nil {
+		self := m.counters.rank
+		t.flight.Record(obs.FlightEvent{Kind: obs.FlightPeerLost, Rank: int32(self), Peer: int32(src)})
+		t.flight.DumpOnce(fmt.Sprintf("rank %d lost peer %d: %v", self, src, err))
+	}
 }
 
 // removePending unlinks and recycles a still-reassembling envelope whose
@@ -361,7 +349,7 @@ func (m *mailbox) removePending(p *chunkPending) {
 func (m *mailbox) take(i int) envelope {
 	e := m.queue[i]
 	m.queue = append(m.queue[:i], m.queue[i+1:]...)
-	m.depth.Add(-1)
+	m.addDepth(-1)
 	return e
 }
 
@@ -446,8 +434,7 @@ type Comm struct {
 	collSeq  int // per-rank collective sequence number
 	splitSeq int // per-rank Split sequence number
 
-	counters *traffic   // shared across communicators derived from one rank
-	tel      *Telemetry // shared observability hooks, nil unless attached
+	counters *traffic // the rank's, shared across communicators derived from it
 
 	// curTC is the trace context stamped on sends while an exchange is in
 	// flight on this communicator (nil = untraced). One writer (the
@@ -550,8 +537,10 @@ func sendTimeout(err error, dst, tag int) error {
 // sendEnd closes the telemetry sendBegin opened for a send of n bytes.
 func (c *Comm) sendEnd(dstWorld, n int, start time.Time) {
 	c.counters.countSend(dstWorld, n)
-	if t := c.tel; t != nil {
-		t.sendLatency.ObserveSince(start)
+	if t := c.counters.telemetry(); t != nil {
+		if !start.IsZero() { // not a send already under way at the attach
+			t.sendLatency.ObserveSince(start)
+		}
 		t.wireSent.Add(int64(n))
 	}
 }
@@ -561,7 +550,7 @@ func (c *Comm) sendEnd(dstWorld, n int, start time.Time) {
 // message will carry.
 func (c *Comm) sendBegin(dstWorld, tag, n int) (tc TraceContext, start time.Time) {
 	tc = c.traceCtx()
-	if t := c.tel; t != nil {
+	if t := c.counters.telemetry(); t != nil {
 		start = time.Now()
 		if t.flight != nil {
 			t.flight.Record(obs.FlightEvent{
@@ -600,9 +589,10 @@ func (c *Comm) Recv(src, tag int) (data []byte, from, gotTag int, err error) {
 }
 
 // recvStart is when a receive begins to wait, for its latency: now with
-// telemetry attached, the zero time (never read) without.
+// telemetry attached, the zero time, which recvDone leaves untimed,
+// without.
 func (c *Comm) recvStart() (start time.Time) {
-	if c.tel != nil {
+	if c.counters.telemetry() != nil {
 		start = time.Now()
 	}
 	return start
@@ -613,8 +603,10 @@ func (c *Comm) recvStart() (start time.Time) {
 // began to wait — latency, wire bytes and the flight event.
 func (c *Comm) recvDone(e *envelope, n int, start time.Time) {
 	c.counters.countRecv(e.src, n)
-	if t := c.tel; t != nil {
-		t.recvLatency.ObserveSince(start)
+	if t := c.counters.telemetry(); t != nil {
+		if !start.IsZero() { // not a receive already waiting at the attach
+			t.recvLatency.ObserveSince(start)
+		}
 		t.wireRecv.Add(int64(n))
 		if t.flight != nil {
 			t.flight.Record(obs.FlightEvent{
@@ -704,7 +696,7 @@ func inprocComms(n int) []*Comm {
 	w := &inprocWorld{boxes: make([]*mailbox, n)}
 	comms := make([]*Comm, n)
 	for rank := range comms {
-		w.boxes[rank] = &mailbox{}
+		w.boxes[rank] = newMailbox()
 		comms[rank] = worldComm(rank, n, &inprocTransport{w: w}, w.boxes[rank])
 	}
 	return comms

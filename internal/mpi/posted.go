@@ -333,7 +333,7 @@ func (m *mailbox) deliver(e envelope) {
 		break
 	}
 	m.queue = append(m.queue, e)
-	m.depth.Add(1)
+	m.addDepth(1)
 }
 
 // failPosts fails every open post that can no longer be satisfied: all of

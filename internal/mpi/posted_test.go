@@ -191,9 +191,10 @@ func TestPostedRecv(t *testing.T) {
 	for _, w := range postedWorlds() {
 		t.Run(w.name, func(t *testing.T) {
 			err := Launch(4, func(c *Comm) error {
-				g := obs.NewRegistry().Gauge("test_mailbox_depth", "")
-				c.box.setDepthGauge(g)
-				defer c.box.setDepthGauge(nil)
+				tel := NewTelemetry(obs.NewRegistry(), c.Rank())
+				c.AttachTelemetry(tel)
+				defer c.AttachTelemetry(nil)
+				g := tel.pendingMsgs
 				// Messages queued before the gauge was attached went uncounted;
 				// from here on the gauge trails the queue by exactly that many.
 				trail := func() (queued, posted int, behind int64) {

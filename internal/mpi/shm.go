@@ -32,8 +32,9 @@
 //     as occupied until the consumer skips it, and the floor leaves a
 //     burst no larger than one the ring has already carried room below
 //     the marker meanwhile. The first larger burst pays one wait, and
-//     its demand raises the floor. ShmStats counts rewinds apart from
-//     ring-end wraps, and the bytes the rings have touched.
+//     its demand raises the floor. Each ring counts its rewinds apart
+//     from its ring-end wraps; the bytes a rank's inbound rings have
+//     touched are its mpi_shm_ring_touched_bytes gauge.
 //   - Payloads above the chunk threshold stream as bulk-lane chunk
 //     records, reassembled into one arena buffer pinned in the receiving
 //     mailbox (the same mechanism as TCP chunked streaming). A message
@@ -227,13 +228,20 @@ type shmRing struct {
 	// short is raised by a producer that finds too little room and
 	// cleared by the consumer, which then drains the ring whole.
 	short atomic.Bool
+	// spaceWaits counts the producer's timed waits for space. It is atomic,
+	// though only the producer writes it, because it is read while the
+	// producer waits holding mu.
+	spaceWaits atomic.Int64
 	// Producer state, guarded by mu. peak is the most live record bytes
 	// the ring has had to hold — committed, or committed plus a record
 	// reserve could not place — and sets the rewind floor. dead is the
 	// span of the last wrap marker written, which ends at tail position
 	// deadEnd and stays in tail-head until the consumer skips it.
-	// touched is the highest data offset ever written.
+	// touched is the highest data offset ever written. wraps and rewinds
+	// count the wrap markers emitted at the ring end and early, on a
+	// drained ring.
 	peak, dead, deadEnd, touched uint64
+	wraps, rewinds               int64
 
 	// space is nudged by the consumer after it advances head, releasing
 	// a producer blocked on a full ring.
@@ -246,9 +254,6 @@ func (r *shmRing) tailPtr() *uint64 { return (*uint64)(unsafe.Pointer(&r.hdr[64]
 
 func (r *shmRing) loadHead() uint64 { return atomic.LoadUint64(r.headPtr()) }
 func (r *shmRing) loadTail() uint64 { return atomic.LoadUint64(r.tailPtr()) }
-
-// occupied returns the bytes currently committed and unconsumed.
-func (r *shmRing) occupied() uint64 { return r.loadTail() - r.loadHead() }
 
 // shmPad rounds a record length up to the 8-byte ring alignment.
 func shmPad(n int) int { return (n + 7) &^ 7 }
@@ -269,7 +274,11 @@ func (r *shmRing) live(head, tail uint64) uint64 {
 // r.mu.
 func (r *shmRing) touch(w *shmWorld, end uint64) {
 	if end > r.touched {
-		w.touchGauge[r.dst].Load().SetMax(w.touched[r.dst].Add(int64(end - r.touched)))
+		rx := w.boxes[r.dst].counters
+		total := rx.shmTouched.Add(int64(end - r.touched))
+		if t := rx.telemetry(); t != nil {
+			t.shmTouched.SetMax(total)
+		}
 		r.touched = end
 	}
 }
@@ -311,9 +320,9 @@ func (r *shmRing) reserve(need int, w *shmWorld) (pos uint64, err error) {
 				r.dead, r.deadEnd = contig, tail
 				atomic.StoreUint64(r.tailPtr(), tail)
 				if rewind {
-					w.rewinds.Add(1)
+					r.rewinds++
 				} else {
-					w.wraps.Add(1)
+					r.wraps++
 				}
 				continue
 			}
@@ -330,7 +339,7 @@ func (r *shmRing) reserve(need int, w *shmWorld) (pos uint64, err error) {
 			runtime.Gosched()
 			continue
 		}
-		w.backpressure.Add(1)
+		r.spaceWaits.Add(1)
 		// The timeout bounds the lost-wakeup window; the loop re-checks.
 		// One timer per ring, re-armed under the producer lock, keeps a
 		// wait from allocating.
@@ -426,22 +435,9 @@ func (st *shmStream) drop(box *mailbox) {
 	}
 }
 
-// ShmStats is a point-in-time snapshot of a shared-memory world's
-// transport counters.
-type ShmStats struct {
-	BytesOut, BytesIn   int64 // payload bytes through the rings
-	Records             int64 // records published (messages and chunks)
-	ChunksOut, ChunksIn int64
-	Wraps               int64 // wrap markers emitted at the ring end
-	Rewinds             int64 // wrap markers emitted early, on a drained ring
-	BackpressureEvents  int64 // producer waits on a full ring
-	RingOccupancy       int64 // bytes currently committed and unconsumed
-	TouchedBytes        int64 // sum over rings of the highest data offset ever written
-}
-
-// shmWorld is one world's shared region: n*n rings, one consumer
-// goroutine per rank, and the counters every rank's transport view
-// mirrors into its telemetry.
+// shmWorld is one world's shared region: n*n rings and one consumer
+// goroutine per rank. Each rank's mailbox carries its counters, so a
+// producer and a consumer reach the telemetry of the rank they count for.
 type shmWorld struct {
 	n     int
 	cfg   shmConfig
@@ -455,44 +451,9 @@ type shmWorld struct {
 	closed  atomic.Bool
 	wg      sync.WaitGroup // consumer goroutines
 	closeMu sync.Mutex
-
-	bytesOut, bytesIn   atomic.Int64
-	records             atomic.Int64
-	chunksOut, chunksIn atomic.Int64
-	wraps, rewinds      atomic.Int64
-	backpressure        atomic.Int64
-	occupancy           atomic.Int64
-	touched             []atomic.Int64 // per receiving rank, over its inbound rings
-
-	// Per-rank obs mirrors, attached via AttachTelemetry; nil entries
-	// cost one atomic load on the hot path.
-	occGauge   []atomic.Pointer[obs.Gauge]
-	touchGauge []atomic.Pointer[obs.Gauge]
-	inCtr      []atomic.Pointer[obs.Counter]
-	outCtr     []atomic.Pointer[obs.Counter]
 }
 
 func (w *shmWorld) isClosed() bool { return w.closed.Load() }
-
-// Stats snapshots the world-wide transport counters.
-func (w *shmWorld) stats() ShmStats {
-	var touched int64
-	for i := range w.touched {
-		touched += w.touched[i].Load()
-	}
-	return ShmStats{
-		BytesOut:           w.bytesOut.Load(),
-		BytesIn:            w.bytesIn.Load(),
-		Records:            w.records.Load(),
-		ChunksOut:          w.chunksOut.Load(),
-		ChunksIn:           w.chunksIn.Load(),
-		Wraps:              w.wraps.Load(),
-		Rewinds:            w.rewinds.Load(),
-		BackpressureEvents: w.backpressure.Load(),
-		RingOccupancy:      w.occupancy.Load(),
-		TouchedBytes:       touched,
-	}
-}
 
 // newShmWorld maps the shared region and starts one consumer per rank.
 // boxes[i] is rank i's mailbox (shared with the caller, who closes them).
@@ -517,19 +478,14 @@ func mapShmWorld(n int, cfg shmConfig, boxes []*mailbox) (*shmWorld, error) {
 		return nil, err
 	}
 	w := &shmWorld{
-		n:          n,
-		cfg:        cfg,
-		mem:        mem,
-		mmap:       mapped,
-		rings:      make([]*shmRing, n*n),
-		boxes:      boxes,
-		wakes:      make([]chan struct{}, n),
-		stop:       make(chan struct{}),
-		touched:    make([]atomic.Int64, n),
-		occGauge:   make([]atomic.Pointer[obs.Gauge], n),
-		touchGauge: make([]atomic.Pointer[obs.Gauge], n),
-		inCtr:      make([]atomic.Pointer[obs.Counter], n),
-		outCtr:     make([]atomic.Pointer[obs.Counter], n),
+		n:     n,
+		cfg:   cfg,
+		mem:   mem,
+		mmap:  mapped,
+		rings: make([]*shmRing, n*n),
+		boxes: boxes,
+		wakes: make([]chan struct{}, n),
+		stop:  make(chan struct{}),
 	}
 	hdrBase := 0
 	dataBase := n * n * shmRingHeaderBytes
@@ -583,11 +539,15 @@ func shmMap(size int) (mem []byte, mapped bool, err error) {
 // ring returns the (src -> dst) ring.
 func (w *shmWorld) ring(src, dst int) *shmRing { return w.rings[src*w.n+dst] }
 
-// addOccupancy tracks committed-but-unconsumed bytes, mirrored into
-// dst's ring-occupancy gauge when telemetry is attached.
+// tel is the telemetry attached to world rank rank, nil when detached.
+func (w *shmWorld) tel(rank int) *Telemetry { return w.boxes[rank].counters.telemetry() }
+
+// addOccupancy moves dst's ring-occupancy gauge, the record bytes
+// committed to its inbound rings and not yet consumed, by n.
 func (w *shmWorld) addOccupancy(dst int, n int64) {
-	w.occupancy.Add(n)
-	w.occGauge[dst].Load().Add(n)
+	if t := w.tel(dst); t != nil {
+		t.shmOccupancy.Add(n)
+	}
 }
 
 // consume is rank dst's consumer goroutine: it drains every inbound ring
@@ -678,9 +638,10 @@ func (w *shmWorld) consumeRecord(src, dst int, box *mailbox, streams map[uint64]
 	step := uint64(shmPad(rec.hdr + rec.n))
 	head += step
 	atomic.StoreUint64(r.headPtr(), head)
-	w.addOccupancy(dst, -int64(step))
-	w.bytesIn.Add(int64(rec.n))
-	w.inCtr[dst].Load().Add(int64(rec.n))
+	if t := w.tel(dst); t != nil {
+		t.shmOccupancy.Add(-int64(step))
+		t.shmBytesIn.Add(int64(rec.n))
+	}
 	return head
 }
 
@@ -707,7 +668,6 @@ func (w *shmWorld) deliver(dst int, box *mailbox, streams map[uint64]*shmStream,
 		box.put(e)
 		return
 	}
-	w.chunksIn.Add(1)
 	key := uint64(rec.src)<<32 | uint64(rec.stream)
 	st, ok := streams[key]
 	if !ok {
@@ -832,11 +792,7 @@ func (t *shmTransport) write(dst int, e envelope) error {
 		if err := r.writeRecord(w, &e, shmRecChunk, stream, total, []Part{{Buf: e.data[off : off+n]}}, n); err != nil {
 			return err
 		}
-		w.records.Add(1)
-		w.chunksOut.Add(1)
-		w.bytesOut.Add(int64(n))
-		w.outCtr[t.src].Load().Add(int64(n))
-		w.addOccupancy(dst, int64(shmPad(shmWordSize+shmRecHeader+shmChunkExt+shmTraceExtIf(&e)+n)))
+		t.count(dst, n, shmChunkExt+shmTraceExtIf(&e))
 		off += n
 		nudge(w.wakes[dst])
 	}
@@ -854,12 +810,18 @@ func (t *shmTransport) writeMsg(dst int, e *envelope, parts []Part, n int) error
 	if err != nil {
 		return err
 	}
-	w.records.Add(1)
-	w.bytesOut.Add(int64(n))
-	w.outCtr[t.src].Load().Add(int64(n))
-	w.addOccupancy(dst, int64(shmPad(shmWordSize+shmRecHeader+shmTraceExtIf(e)+n)))
+	t.count(dst, n, shmTraceExtIf(e))
 	nudge(w.wakes[dst])
 	return nil
+}
+
+// count accounts one published record of n payload bytes and ext
+// extension bytes: this rank's bytes out, and dst's ring occupancy.
+func (t *shmTransport) count(dst, n, ext int) {
+	if tel := t.w.tel(t.src); tel != nil {
+		tel.shmBytesOut.Add(int64(n))
+	}
+	t.w.addOccupancy(dst, int64(shmPad(shmWordSize+shmRecHeader+ext+n)))
 }
 
 // shmTraceExtIf accounts the trace extension in occupancy bookkeeping.
@@ -872,31 +834,12 @@ func shmTraceExtIf(e *envelope) int {
 
 func (t *shmTransport) close() error { return t.w.close() }
 
-// attachObs mirrors this rank's shm activity into the telemetry's
-// instruments (nil detaches).
-func (t *shmTransport) attachObs(tel *Telemetry) {
-	if tel == nil {
-		t.w.occGauge[t.src].Store(nil)
-		t.w.touchGauge[t.src].Store(nil)
-		t.w.inCtr[t.src].Store(nil)
-		t.w.outCtr[t.src].Store(nil)
-		return
-	}
-	t.w.occGauge[t.src].Store(tel.shmOccupancy)
-	// Touched bytes only rise, so a gauge attached late catches up here
-	// and every later rise sets it to the running total.
-	t.w.touchGauge[t.src].Store(tel.shmTouched)
-	tel.shmTouched.SetMax(t.w.touched[t.src].Load())
-	t.w.inCtr[t.src].Store(tel.shmBytesIn)
-	t.w.outCtr[t.src].Store(tel.shmBytesOut)
-}
-
 // shmComms builds the n world communicators of a world whose traffic
 // crosses the mmap-backed ring transport.
 func shmComms(n int, cfg shmConfig) ([]*Comm, error) {
 	boxes := make([]*mailbox, n)
 	for i := range boxes {
-		boxes[i] = &mailbox{}
+		boxes[i] = newMailbox()
 	}
 	w, err := newShmWorld(n, cfg, boxes)
 	if err != nil {

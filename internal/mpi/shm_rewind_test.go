@@ -52,7 +52,7 @@ func TestShmRingRewind(t *testing.T) {
 		tag       = 5
 		cycles    = 6
 	)
-	box := &mailbox{}
+	box := newMailbox()
 	defer box.close(nil)
 	w, err := mapShmWorld(1, shmConfig{ringSize: ring, chunkThreshold: threshold, chunkSize: chunk}, []*mailbox{box})
 	if err != nil {
@@ -81,9 +81,9 @@ func TestShmRingRewind(t *testing.T) {
 			head, tail := r.loadHead(), r.loadTail()
 			marker := head != tail && binary.LittleEndian.Uint64(r.data[head&r.mask:])&shmWrapBit != 0
 			take := head != tail && (mode == rewindFree || mode == rewindLagging && tail-head > ring/4 ||
-				mode == rewindHeld && marker || mode == rewindStalled && marker && w.backpressure.Load() > waits)
+				mode == rewindHeld && marker || mode == rewindStalled && marker && r.spaceWaits.Load() > waits)
 			if take {
-				waits = w.backpressure.Load()
+				waits = r.spaceWaits.Load()
 				w.consumeRecord(0, 0, box, streams, head, tail)
 				select {
 				case r.space <- struct{}{}:
@@ -129,11 +129,11 @@ func TestShmRingRewind(t *testing.T) {
 		send(small)
 		drained()
 		setMode(rewindStalled)
-		waits := w.backpressure.Load()
+		waits := r.spaceWaits.Load()
 		for i := 0; i < 3; i++ {
 			send(small)
 		}
-		if waits = w.backpressure.Load() - waits; rep > 0 && waits != 0 {
+		if waits = r.spaceWaits.Load() - waits; rep > 0 && waits != 0 {
 			t.Errorf("small burst, occurrence %d: %d backpressure waits, want 0 once the ring has carried it", rep+1, waits)
 		}
 	}
@@ -145,13 +145,13 @@ func TestShmRingRewind(t *testing.T) {
 		}
 
 		setMode(rewindLagging)
-		wraps := w.wraps.Load()
+		wraps := r.wraps
 		for written := 0; written < 3*ring; {
 			n := randomSize()
 			send(n)
 			written += n
 		}
-		if w.wraps.Load() == wraps {
+		if r.wraps == wraps {
 			t.Errorf("cycle %d: a ring never drained did not wrap at its end", cycle)
 		}
 
@@ -186,9 +186,9 @@ func TestShmRingRewind(t *testing.T) {
 		drained()
 		n := rng.Intn(threshold + 1)
 		at, need := r.loadTail()&r.mask, uint64(shmPad(shmWordSize+shmRecHeader+n))
-		rewinds, peak := w.rewinds.Load(), r.peak
+		rewinds, peak := r.rewinds, r.peak
 		send(n)
-		rewound := w.rewinds.Load() == rewinds+1
+		rewound := r.rewinds == rewinds+1
 		if want := at >= max(need, min(peak, chunk)); rewound != want {
 			t.Errorf("cycle %d: %d-byte record at offset %d on a drained ring with peak %d: rewound %v, want %v", cycle, need, at, peak, rewound, want)
 		}
@@ -197,8 +197,8 @@ func TestShmRingRewind(t *testing.T) {
 		}
 	}
 	drained()
-	if st := w.stats(); st.Rewinds == 0 || st.Wraps == 0 {
-		t.Errorf("%d rewinds and %d ring-end wraps, want both", st.Rewinds, st.Wraps)
+	if r.rewinds == 0 || r.wraps == 0 {
+		t.Errorf("%d rewinds and %d ring-end wraps, want both", r.rewinds, r.wraps)
 	}
 
 	for i, n := range sizes {
@@ -218,7 +218,7 @@ func TestShmRingRewind(t *testing.T) {
 // wait re-arms one timer per ring, so however often it wakes the process
 // allocates nothing while it waits.
 func TestShmBackpressureAllocs(t *testing.T) {
-	box := &mailbox{}
+	box := newMailbox()
 	defer box.close(nil)
 	w, err := mapShmWorld(1, wholeRecords, []*mailbox{box})
 	if err != nil {
@@ -233,7 +233,7 @@ func TestShmBackpressureAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	need := shmPad(shmWordSize + shmRecHeader + 256)
-	if free := minShmRing - int(r.occupied()); free >= need {
+	if free := minShmRing - int(r.loadTail()-r.loadHead()); free >= need {
 		t.Fatalf("ring not full: %d bytes free for a %d-byte record", free, need)
 	}
 	reserved := make(chan error, 1)
@@ -243,13 +243,13 @@ func TestShmBackpressureAllocs(t *testing.T) {
 		_, err := r.reserve(need, w)
 		reserved <- err
 	}()
-	for w.backpressure.Load() < 2 { // blocked, its timer armed
+	for r.spaceWaits.Load() < 2 { // blocked, its timer armed
 		time.Sleep(time.Millisecond)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	waits := w.backpressure.Load()
+	waits := r.spaceWaits.Load()
 	allocs := testing.AllocsPerRun(10, func() { time.Sleep(2 * time.Millisecond) })
-	waits = w.backpressure.Load() - waits
+	waits = r.spaceWaits.Load() - waits
 	// Release the producer: consume the record it is waiting behind.
 	w.consumeRecord(0, 0, box, nil, r.loadHead(), r.loadTail())
 	if err := <-reserved; err != nil {
@@ -284,7 +284,8 @@ func boxComm(box *mailbox, n, self int) *Comm {
 // records unconsumed, then drains at the exchange's end. Every busy ring
 // must touch at most twice its burst plus one record of memory — a ring
 // that rewound only once a whole chunk past its start would touch more
-// than a chunk — and ShmStats.TouchedBytes must be the rings' sum.
+// than a chunk — and the receivers' touched-bytes totals, behind their
+// mpi_shm_ring_touched_bytes gauges, must sum to the rings'.
 func TestShmTransposeFootprint(t *testing.T) {
 	const (
 		ranks     = 16
@@ -294,7 +295,7 @@ func TestShmTransposeFootprint(t *testing.T) {
 	)
 	boxes := make([]*mailbox, ranks)
 	for i := range boxes {
-		boxes[i] = &mailbox{}
+		boxes[i] = newMailbox()
 		defer boxes[i].close(nil)
 	}
 	w, err := mapShmWorld(ranks, defaultShmConfig, boxes)
@@ -358,9 +359,10 @@ func TestShmTransposeFootprint(t *testing.T) {
 			}
 		}
 	}
-	var sum int64
+	var sum, rewinds, touched int64
 	bound := uint64(2 * (burst + record))
 	for i, r := range w.rings {
+		rewinds += r.rewinds
 		src, dst := i/ranks, i%ranks
 		if src == dst && r.touched != 0 {
 			t.Errorf("idle ring %d->%d touched %d bytes", src, dst, r.touched)
@@ -370,7 +372,10 @@ func TestShmTransposeFootprint(t *testing.T) {
 		}
 		sum += int64(r.touched)
 	}
-	if st := w.stats(); st.TouchedBytes != sum || st.Rewinds == 0 {
-		t.Errorf("ShmStats.TouchedBytes %d with %d rewinds, want the rings' sum %d and rewinds", st.TouchedBytes, st.Rewinds, sum)
+	for _, box := range boxes {
+		touched += box.counters.shmTouched.Load()
+	}
+	if touched != sum || rewinds == 0 {
+		t.Errorf("receivers' touched bytes %d with %d rewinds, want the rings' sum %d and rewinds", touched, rewinds, sum)
 	}
 }

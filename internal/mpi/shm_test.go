@@ -120,8 +120,11 @@ func TestShmRingWraparound(t *testing.T) {
 		// The schedule must actually have wrapped — at the ring end, or
 		// early on a drained ring, depending on how the consumer kept up
 		// (TestShmRingRewind forces both).
-		tr := c.tr.(*shmTransport)
-		if st := tr.w.stats(); st.Wraps+st.Rewinds == 0 {
+		r := c.tr.(*shmTransport).w.ring(0, 1)
+		r.mu.Lock()
+		turns := r.wraps + r.rewinds
+		r.mu.Unlock()
+		if turns == 0 {
 			return errors.New("ring never wrapped")
 		}
 		return nil
@@ -438,7 +441,7 @@ func TestShmScrapeUnderLoad(t *testing.T) {
 // holds a ring lock, and a producer that takes the lock afterwards must
 // get ErrClosed without touching ring memory.
 func TestShmCloseWaitsOutProducer(t *testing.T) {
-	box := &mailbox{}
+	box := newMailbox()
 	defer box.close(nil)
 	w, err := mapShmWorld(1, wholeRecords, []*mailbox{box})
 	if err != nil {

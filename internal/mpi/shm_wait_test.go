@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
+
+	"ddr/internal/obs"
 )
 
 // A shm record that reaches its ring before its receiver posts waits
@@ -17,31 +20,46 @@ import (
 
 const shmWaitTag = 5
 
-// shmStats is the shm transport's counters as seen from c, behind a
-// fault injector or not.
-func shmStats(c *Comm) ShmStats {
+// shmTel is world rank rank's telemetry in c's shm world, behind a fault
+// injector or not.
+func shmTel(c *Comm, rank int) *Telemetry {
 	tr := c.tr
 	if ft, ok := tr.(*faultTransport); ok {
 		tr = ft.raw
 	}
-	return tr.(*shmTransport).w.stats()
+	return tr.(*shmTransport).w.tel(rank)
 }
+
+// shmOccupancy is the record bytes committed to c's inbound rings and not
+// yet consumed: its mpi_shm_ring_occupancy_bytes gauge.
+func shmOccupancy(c *Comm) int64 { return c.counters.telemetry().shmOccupancy.Value() }
 
 // shmWaiting waits until the consumer has had the chance to take what
 // the rings hold, then reports the bytes still committed and unconsumed.
 func shmWaiting(c *Comm) int64 {
 	time.Sleep(5 * time.Millisecond)
-	return shmStats(c).RingOccupancy
+	return shmOccupancy(c)
 }
 
 // runShmWait runs body on a two-rank shm world with opts, failing the test
 // when the world does not finish within a bound: a record that waits for
-// a receive nobody will post hangs instead of failing.
+// a receive nobody will post hangs instead of failing. Both ranks attach
+// telemetry before either body starts, so the ring gauges count every
+// record.
 func runShmWait(t *testing.T, body func(c *Comm) error, opts ...LaunchOption) {
 	t.Helper()
+	reg := obs.NewRegistry()
+	var attached sync.WaitGroup
+	attached.Add(2)
+	attach := func(c *Comm) error {
+		c.AttachTelemetry(NewTelemetry(reg, c.Rank()))
+		attached.Done()
+		attached.Wait()
+		return body(c)
+	}
 	done := make(chan error, 1)
 	go func() {
-		done <- Launch(2, body, append([]LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil)}, opts...)...)
+		done <- Launch(2, attach, append([]LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil)}, opts...)...)
 	}()
 	select {
 	case err := <-done:
@@ -95,7 +113,7 @@ func TestShmRecordWaitsForPost(t *testing.T) {
 		if st := c.Traffic(); st.MessagesLanded != 1 {
 			return fmt.Errorf("MessagesLanded = %d, want 1", st.MessagesLanded)
 		}
-		if occ := shmStats(c).RingOccupancy; occ != 0 {
+		if occ := shmOccupancy(c); occ != 0 {
 			return fmt.Errorf("%d bytes still in the rings after the receive", occ)
 		}
 		return postedCheck(data, 1<<10, 1)
@@ -180,7 +198,7 @@ func TestShmLaterTagDrainsEarlierRecord(t *testing.T) {
 		if err := postedCheck(data, size, 1); err != nil {
 			return err
 		}
-		if occ := shmStats(c).RingOccupancy; occ != 0 {
+		if occ := shmOccupancy(c); occ != 0 {
 			return fmt.Errorf("the earlier record still waits in its ring (%d bytes) behind a receive from its sender", occ)
 		}
 		data, _, _, err = c.Recv(0, shmWaitTag)
@@ -217,10 +235,13 @@ func TestShmSeverDeliversEarlierMessages(t *testing.T) {
 			return nil
 		}
 		<-sent
+		// Rank 0 published the two messages, one byte each, and then the
+		// notice; this rank took the two sequenced messages out of the ring.
 		deadline := time.Now().Add(10 * time.Second)
-		for st := shmStats(c); st.Records < 3 || st.BytesIn < 2; st = shmStats(c) {
+		out, in := shmTel(c, 0).shmBytesOut, c.counters.telemetry().shmBytesIn
+		for out.Value() <= 2 || in.Value() < 2 {
 			if time.Now().After(deadline) {
-				return fmt.Errorf("the lost-peer notice never reached the ring: %+v", st)
+				return fmt.Errorf("the lost-peer notice never reached the ring: %d bytes out, %d in", out.Value(), in.Value())
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -73,7 +73,6 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		world:    c.world,
 		tr:       c.tr,
 		box:      c.box,
-		counters: c.counters,
-		tel:      c.tel, // sub-communicator traffic shares the rank's telemetry
+		counters: c.counters, // and with them the rank's telemetry
 	}, nil
 }

@@ -149,21 +149,6 @@ func (c *tcpConfig) apply(conn net.Conn) {
 	}
 }
 
-// TCPStats is a point-in-time snapshot of an endpoint's transport
-// counters, for tests and tooling that run without an obs registry.
-type TCPStats struct {
-	WireOut, WireIn    int64 // frame bytes incl. headers that crossed the stack
-	FramesOut          int64 // frames written (whole messages and chunks)
-	FramesCoalesced    int64 // frames that shared a vectored write with others
-	Batches            int64 // vectored writes issued
-	ChunksOut          int64 // chunk sub-frames written
-	ChunksIn           int64 // chunk sub-frames read
-	BackpressureEvents int64 // sends that found their queue full
-	SendqSaturation    int64 // every send-queue saturation occurrence (the log warns once)
-	SendQueueDepth     int64 // frames currently queued across all peers
-	PeerConnections    int64 // outbound peer links this endpoint has dialed
-}
-
 // TCPEndpoint is one rank's attachment point to a TCP-transported world.
 // Create an endpoint per rank, distribute all endpoint addresses (for
 // example through a hostfile or a parent process), then call Join.
@@ -179,132 +164,24 @@ type TCPEndpoint struct {
 	cfg      tcpConfig
 	stop     chan struct{} // closed by Close: writers flush and exit
 
-	// Transport counters, always on — the atomics cost nothing measurable
-	// next to a socket write. The obs instruments mirror them into a
-	// registry once telemetry is attached.
-	wireOut      atomic.Int64
-	wireIn       atomic.Int64
-	framesOut    atomic.Int64
-	coalesced    atomic.Int64
-	batches      atomic.Int64
-	chunksOut    atomic.Int64
-	chunksIn     atomic.Int64
-	backpressure atomic.Int64
-	sendqSat     atomic.Int64
-	queueDepth   atomic.Int64
-
-	// flight is the attached flight recorder (nil = detached) and
-	// selfRank the world rank Join assigned this endpoint, for event
-	// attribution on the read/write loops.
-	flight   atomic.Pointer[obs.FlightRecorder]
-	selfRank atomic.Int32
-
-	obsOut          atomic.Pointer[obs.Counter]
-	obsIn           atomic.Pointer[obs.Counter]
-	obsCoalesced    atomic.Pointer[obs.Counter]
-	obsChunksOut    atomic.Pointer[obs.Counter]
-	obsChunksIn     atomic.Pointer[obs.Counter]
-	obsBackpressure atomic.Pointer[obs.Counter]
-	obsSendqSat     atomic.Pointer[obs.Counter]
-	obsQueueDepth   atomic.Pointer[obs.Gauge]
-
 	mu      sync.Mutex
 	peers   map[int]*tcpPeer
 	inbound map[net.Conn]struct{}
 	closed  bool
 }
 
-// Stats snapshots every transport counter.
-func (ep *TCPEndpoint) Stats() TCPStats {
-	ep.mu.Lock()
-	peerConns := int64(len(ep.peers))
-	ep.mu.Unlock()
-	return TCPStats{
-		PeerConnections:    peerConns,
-		WireOut:            ep.wireOut.Load(),
-		WireIn:             ep.wireIn.Load(),
-		FramesOut:          ep.framesOut.Load(),
-		FramesCoalesced:    ep.coalesced.Load(),
-		Batches:            ep.batches.Load(),
-		ChunksOut:          ep.chunksOut.Load(),
-		ChunksIn:           ep.chunksIn.Load(),
-		BackpressureEvents: ep.backpressure.Load(),
-		SendqSaturation:    ep.sendqSat.Load(),
-		SendQueueDepth:     ep.queueDepth.Load(),
-	}
-}
+// tel is the telemetry attached to the endpoint's rank (nil when
+// detached); the box's counters are the rank's from the endpoint's birth,
+// so the read loops never miss an attach.
+func (ep *TCPEndpoint) tel() *Telemetry { return ep.box.counters.telemetry() }
 
-// attachObs mirrors future transport activity into the given telemetry's
-// instruments (nil detaches).
-func (ep *TCPEndpoint) attachObs(t *Telemetry) {
-	if t == nil {
-		ep.obsOut.Store(nil)
-		ep.obsIn.Store(nil)
-		ep.obsCoalesced.Store(nil)
-		ep.obsChunksOut.Store(nil)
-		ep.obsChunksIn.Store(nil)
-		ep.obsBackpressure.Store(nil)
-		ep.obsSendqSat.Store(nil)
-		ep.obsQueueDepth.Store(nil)
-		ep.flight.Store(nil)
-		return
-	}
-	ep.obsOut.Store(t.tcpOut)
-	ep.obsIn.Store(t.tcpIn)
-	ep.obsCoalesced.Store(t.tcpCoalesced)
-	ep.obsChunksOut.Store(t.tcpChunksOut)
-	ep.obsChunksIn.Store(t.tcpChunksIn)
-	ep.obsBackpressure.Store(t.tcpBackpressure)
-	ep.obsSendqSat.Store(t.tcpSendqSat)
-	ep.obsQueueDepth.Store(t.tcpQueueDepth)
-	ep.flight.Store(t.flight)
-}
-
-func (ep *TCPEndpoint) countWireOut(n int64) {
-	ep.wireOut.Add(n)
-	ep.obsOut.Load().Add(n)
-}
-
-func (ep *TCPEndpoint) countWireIn(n int64) {
-	ep.wireIn.Add(n)
-	ep.obsIn.Load().Add(n)
-}
-
-func (ep *TCPEndpoint) countBatch(frames, chunks int64) {
-	ep.framesOut.Add(frames)
-	ep.batches.Add(1)
-	if frames > 1 {
-		ep.coalesced.Add(frames)
-		ep.obsCoalesced.Load().Add(frames)
-	}
-	if chunks > 0 {
-		ep.chunksOut.Add(chunks)
-		ep.obsChunksOut.Load().Add(chunks)
-	}
-}
-
-func (ep *TCPEndpoint) countChunkIn() {
-	ep.chunksIn.Add(1)
-	ep.obsChunksIn.Load().Add(1)
-}
-
-func (ep *TCPEndpoint) countBackpressure() {
-	ep.backpressure.Add(1)
-	ep.obsBackpressure.Load().Add(1)
-}
-
-// countSaturation records one send-queue saturation occurrence. Distinct
-// from countBackpressure only in what consumes it: the warning log is
-// one-shot per peer, so scrapes need a counter that keeps moving while
-// saturation persists.
-func (ep *TCPEndpoint) countSaturation() {
-	ep.sendqSat.Add(1)
-	ep.obsSendqSat.Load().Add(1)
-}
+// rank is the world rank Join assigned the endpoint.
+func (ep *TCPEndpoint) rank() int { return ep.box.counters.rank }
 
 func (ep *TCPEndpoint) queueDepthAdd(n int64) {
-	ep.queueDepth.Add(n)
-	ep.obsQueueDepth.Load().Add(n)
+	if t := ep.tel(); t != nil {
+		t.tcpQueueDepth.Add(n)
+	}
 }
 
 // NewTCPEndpoint binds a listener on bind (e.g. "127.0.0.1:0") and starts
@@ -322,7 +199,7 @@ func newTCPEndpoint(bind string, cfg tcpConfig) (*TCPEndpoint, error) {
 	}
 	ep := &TCPEndpoint{
 		listener: l,
-		box:      &mailbox{},
+		box:      newMailbox(),
 		cfg:      cfg,
 		stop:     make(chan struct{}),
 		peers:    map[int]*tcpPeer{},
@@ -406,7 +283,6 @@ func (ep *TCPEndpoint) Join(rank int, addrs []string) (*Comm, error) {
 
 // join is Join for a rank known to be in range.
 func (ep *TCPEndpoint) join(rank int, addrs []string) *Comm {
-	ep.selfRank.Store(int32(rank))
 	return worldComm(rank, len(addrs), &tcpTransport{ep: ep, addrs: addrs}, ep.box)
 }
 
@@ -464,6 +340,10 @@ type tcpPeer struct {
 	dead       chan struct{} // closed when the writer has exited
 	nextStream uint32
 	warned     atomic.Bool
+	// frames and batches count the frames written and the vectored writes
+	// that carried them. The writer alone writes them; read them once it
+	// has exited (dead is closed).
+	frames, batches int64
 
 	errMu sync.Mutex
 	err   error // sticky first write error, ErrClosed after clean shutdown
@@ -508,13 +388,15 @@ func (p *tcpPeer) enqueue(e envelope) error {
 	// backpressure by blocking until the writer drains or dies (or the
 	// sender's deadline, when it set one, expires). The saturation counter
 	// moves on every occurrence — the log line does not.
-	p.ep.countBackpressure()
-	p.ep.countSaturation()
-	if f := p.ep.flight.Load(); f != nil {
-		f.Record(obs.FlightEvent{
-			Kind: obs.FlightSaturation, Rank: p.ep.selfRank.Load(), Peer: int32(p.rank),
-			Tag: int32(e.tag), Round: int32(e.tc.Round), Exchange: e.tc.Exchange, Bytes: int64(e.size()),
-		})
+	if t := p.ep.tel(); t != nil {
+		t.tcpBackpressure.Add(1)
+		t.tcpSendqSat.Add(1)
+		if t.flight != nil {
+			t.flight.Record(obs.FlightEvent{
+				Kind: obs.FlightSaturation, Rank: int32(p.ep.rank()), Peer: int32(p.rank),
+				Tag: int32(e.tag), Round: int32(e.tc.Round), Exchange: e.tc.Exchange, Bytes: int64(e.size()),
+			})
+		}
 	}
 	if p.warned.CompareAndSwap(false, true) {
 		obs.Warnf("mpi: tcp send queue to rank %d saturated (cap %d frames); backpressure engaged — slow consumer",
@@ -757,13 +639,25 @@ func (p *tcpPeer) writeLoop() {
 		// Count the batch before writing it: once the bytes are out, the
 		// peer can answer and the sender read its counters before this
 		// goroutine runs again.
-		ep.countBatch(frames, chunks)
+		p.frames += frames
+		p.batches++
+		tel := ep.tel()
+		if tel != nil {
+			if frames > 1 {
+				tel.tcpCoalesced.Add(frames)
+			}
+			if chunks > 0 {
+				tel.tcpChunksOut.Add(chunks)
+			}
+		}
 		if testHookBeforeWrite != nil {
 			testHookBeforeWrite(batchMsgs)
 		}
 		wb = iov
 		nw, werr := wb.WriteTo(conn)
-		ep.countWireOut(nw)
+		if tel != nil {
+			tel.tcpOut.Add(nw)
+		}
 		if werr != nil {
 			loopErr = fmt.Errorf("mpi: tcp send to rank %d: %v: %w", p.rank, werr, ErrPeerLost)
 		}
@@ -916,7 +810,7 @@ func (ep *TCPEndpoint) dial(dst int, addr string) (*tcpPeer, error) {
 	}
 	ep.cfg.apply(conn)
 	var pre [tcpPreamble]byte
-	binary.LittleEndian.PutUint32(pre[:], uint32(ep.selfRank.Load()))
+	binary.LittleEndian.PutUint32(pre[:], uint32(ep.rank()))
 	if _, err := conn.Write(pre[:]); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("mpi: tcp dial rank %d (%s): %v: %w", dst, addr, err, ErrPeerLost)
@@ -948,9 +842,9 @@ type frameDecoder struct {
 	// src is the world rank whose frames the connection carries.
 	src int
 	// ep, when non-nil, is the owning endpoint — the decoder counts every
-	// frame on it and mirrors frame and chunk events into its flight
-	// recorder when one is attached. Standalone decoders (tests, fuzzing)
-	// leave it nil.
+	// frame into its rank's telemetry and mirrors frame and chunk events
+	// into its flight recorder when one is attached. Standalone decoders
+	// (tests, fuzzing) leave it nil.
 	ep *TCPEndpoint
 	// hdr is the header/extension read scratch. A local array would
 	// escape through the io.Reader interface and cost one allocation per
@@ -958,30 +852,33 @@ type frameDecoder struct {
 	hdr [tcpFrameHeader + tcpChunkExt + tcpSeqExt + tcpTraceExt]byte
 }
 
+// tel is the telemetry attached to the owning endpoint's rank: nil when
+// detached, and for a standalone decoder.
+func (d *frameDecoder) tel() *Telemetry {
+	if d.ep == nil {
+		return nil
+	}
+	return d.ep.tel()
+}
+
 // recordFlight mirrors one decode-path event into the endpoint's flight
 // recorder. Free when no endpoint or recorder is attached.
 func (d *frameDecoder) recordFlight(ev obs.FlightEvent) {
-	if d.ep == nil {
-		return
+	if t := d.tel(); t != nil && t.flight != nil {
+		ev.Rank = int32(d.ep.rank())
+		t.flight.Record(ev)
 	}
-	f := d.ep.flight.Load()
-	if f == nil {
-		return
-	}
-	ev.Rank = d.ep.selfRank.Load()
-	f.Record(ev)
 }
 
-// countIn counts one fully read frame on the owning endpoint. readFrame
-// calls it before the frame's message can reach the sink: a receiver that
-// has the message in hand must already find it counted.
+// countIn counts one fully read frame into the rank's telemetry.
+// readFrame calls it before the frame's message can reach the sink: a
+// receiver that has the message in hand must already find it counted.
 func (d *frameDecoder) countIn(wire int64, chunk bool) {
-	if d.ep == nil {
-		return
-	}
-	d.ep.countWireIn(wire)
-	if chunk {
-		d.ep.countChunkIn()
+	if t := d.tel(); t != nil {
+		t.tcpIn.Add(wire)
+		if chunk {
+			t.tcpChunksIn.Add(1)
+		}
 	}
 }
 

@@ -396,16 +396,14 @@ func TestTCPBackpressureWarning(t *testing.T) {
 
 	cfg := defaultTCPConfig
 	cfg.queueLen, cfg.batch = 2, 2
-	var stats TCPStats
+	tel := NewTelemetry(obs.NewRegistry(), 0)
 	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
+			c.AttachTelemetry(tel)
 			for i := 0; i < 512; i++ {
 				if err := c.Send(1, 0, make([]byte, 4096)); err != nil {
 					return err
 				}
-			}
-			if tt, ok := c.tr.(*tcpTransport); ok {
-				stats = tt.ep.Stats()
 			}
 			return nil
 		}
@@ -421,7 +419,7 @@ func TestTCPBackpressureWarning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.BackpressureEvents == 0 {
+	if tel.tcpBackpressure.Value() == 0 {
 		t.Fatal("512 sends through a 2-deep queue never hit backpressure")
 	}
 	out := logbuf.String()
@@ -436,9 +434,12 @@ func TestTCPBackpressureWarning(t *testing.T) {
 // TestTCPStatsCoalescing asserts the writer actually vectors multiple
 // frames per write under bursty load.
 func TestTCPStatsCoalescing(t *testing.T) {
-	var stats TCPStats
+	tel := NewTelemetry(obs.NewRegistry(), 0)
+	var ep *TCPEndpoint
 	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
+			ep = c.tr.(*tcpTransport).ep
+			c.AttachTelemetry(tel)
 			for i := 0; i < 256; i++ {
 				if err := c.Send(1, i, []byte("burst")); err != nil {
 					return err
@@ -447,13 +448,8 @@ func TestTCPStatsCoalescing(t *testing.T) {
 			// Wait for the receiver's ack so every queued frame has been
 			// written before the counters are read; the writer counts a
 			// batch before writing it, so the ack implies the count.
-			if _, _, _, err := c.Recv(1, 0); err != nil {
-				return err
-			}
-			if tt, ok := c.tr.(*tcpTransport); ok {
-				stats = tt.ep.Stats()
-			}
-			return nil
+			_, _, _, err := c.Recv(1, 0)
+			return err
 		}
 		for i := 0; i < 256; i++ {
 			if _, _, _, err := c.Recv(0, i); err != nil {
@@ -461,21 +457,27 @@ func TestTCPStatsCoalescing(t *testing.T) {
 			}
 		}
 		return c.Send(0, 0, []byte{1})
-	}, WithTransport(TransportTCP))
+	}, WithTransport(TransportTCP), WithFaultInjector(nil)) // the bare endpoint's writers
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.FramesOut != 256 {
-		t.Fatalf("FramesOut = %d, want 256", stats.FramesOut)
+	// Launch closed the endpoint, so every writer has exited.
+	var frames, batches int64
+	for _, p := range ep.peers {
+		frames += p.frames
+		batches += p.batches
 	}
-	if stats.Batches >= stats.FramesOut {
-		t.Fatalf("no coalescing: %d batches for %d frames", stats.Batches, stats.FramesOut)
+	if frames != 256 {
+		t.Fatalf("%d frames written, want 256", frames)
 	}
-	if stats.FramesCoalesced == 0 {
-		t.Fatal("FramesCoalesced = 0 under a 256-frame burst")
+	if batches >= frames {
+		t.Fatalf("no coalescing: %d batches for %d frames", batches, frames)
 	}
-	if stats.SendQueueDepth != 0 {
-		t.Fatalf("SendQueueDepth = %d after drain, want 0", stats.SendQueueDepth)
+	if tel.tcpCoalesced.Value() == 0 {
+		t.Fatal("mpi_tcp_frames_coalesced_total = 0 under a 256-frame burst")
+	}
+	if d := tel.tcpQueueDepth.Value(); d != 0 {
+		t.Fatalf("mpi_tcp_send_queue_depth = %d after drain, want 0", d)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 
 // TestTCPSendqSaturationCounter drives a peer's send queue to saturation
 // and checks that, while the log still warns exactly once, every
-// recurrence is counted — in the endpoint stats and in the
-// mpi_tcp_sendq_saturation_total registry series.
+// recurrence is counted in the mpi_tcp_sendq_saturation_total registry
+// series, as often as a send met backpressure.
 func TestTCPSendqSaturationCounter(t *testing.T) {
 	var logbuf bytes.Buffer
 	prev := obs.SetWarnOutput(&logbuf)
@@ -20,8 +20,7 @@ func TestTCPSendqSaturationCounter(t *testing.T) {
 
 	cfg := defaultTCPConfig
 	cfg.queueLen, cfg.batch = 2, 2
-	var stats TCPStats
-	var counted int64
+	var counted, blocked int64
 	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			reg := obs.NewRegistry()
@@ -32,10 +31,7 @@ func TestTCPSendqSaturationCounter(t *testing.T) {
 					return err
 				}
 			}
-			if tt, ok := c.tr.(*tcpTransport); ok {
-				stats = tt.ep.Stats()
-			}
-			counted = tel.tcpSendqSat.Value()
+			counted, blocked = tel.tcpSendqSat.Value(), tel.tcpBackpressure.Value()
 			return nil
 		}
 		for i := 0; i < 512; i++ {
@@ -50,11 +46,11 @@ func TestTCPSendqSaturationCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SendqSaturation == 0 {
+	if counted == 0 {
 		t.Fatal("512 sends through a 2-deep queue never saturated")
 	}
-	if counted != stats.SendqSaturation {
-		t.Fatalf("registry counted %d saturation events, endpoint stats %d", counted, stats.SendqSaturation)
+	if counted != blocked {
+		t.Fatalf("registry counted %d saturation events for %d sends that met backpressure", counted, blocked)
 	}
 	if n := strings.Count(logbuf.String(), "saturated"); n != 1 {
 		t.Fatalf("saturation warned %d times, want exactly 1 (counter carries the recurrences):\n%s",
@@ -131,14 +127,20 @@ func TestTCPTraceContextChunked(t *testing.T) {
 	var recvFlight *obs.FlightRecorder
 	err := Launch(2, func(c *Comm) error {
 		rank := c.Rank()
+		if rank == 1 {
+			recvFlight = obs.NewFlightRecorder(256)
+			c.AttachTelemetry(NewTelemetry(nil, rank).WithFlightRecorder(recvFlight, rank))
+		}
+		// The receiver's recorder must be attached before the first chunk
+		// is on the wire: its read loop records only what arrives after.
+		if err := c.Barrier(); err != nil {
+			return err
+		}
 		if rank == 0 {
 			c.SetTraceContext(TraceContext{Exchange: exch, Round: 1})
 			defer c.ClearTraceContext()
 			return c.Send(1, 9, make([]byte, 1<<14))
 		}
-		f := obs.NewFlightRecorder(256)
-		recvFlight = f
-		c.AttachTelemetry(NewTelemetry(nil, rank).WithFlightRecorder(f, rank))
 		data, _, _, err := c.Recv(0, 9)
 		if err != nil {
 			return err
@@ -177,6 +179,8 @@ func TestTCPUntracedWireIdentical(t *testing.T) {
 		var wireOut int64
 		err := Launch(2, func(c *Comm) error {
 			if c.Rank() == 0 {
+				tel := NewTelemetry(obs.NewRegistry(), 0)
+				c.AttachTelemetry(tel)
 				if traced {
 					c.SetTraceContext(TraceContext{Exchange: 0xbeef, Round: 0})
 					defer c.ClearTraceContext()
@@ -187,26 +191,24 @@ func TestTCPUntracedWireIdentical(t *testing.T) {
 					}
 				}
 				// Wait for the ack so every frame has been written before
-				// the stats are read.
+				// the counter is read.
 				ack, _, _, err := c.Recv(1, 1)
 				if err != nil {
 					return err
 				}
 				PutBuffer(ack)
-				if tt, ok := c.tr.(*tcpTransport); ok {
-					// The frames leave in one writev batch and the stats add
-					// happens after the syscall returns, so the ack round-trip
-					// can overtake the writer goroutine's counter update on a
-					// loaded box. Poll until the counter is nonzero and stable.
-					prev := int64(-1)
-					for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-						wireOut = tt.ep.Stats().WireOut
-						if wireOut > 0 && wireOut == prev {
-							break
-						}
-						prev = wireOut
-						time.Sleep(time.Millisecond)
+				// The frames leave in one writev batch and the counter add
+				// happens after the syscall returns, so the ack round-trip
+				// can overtake the writer goroutine's counter update on a
+				// loaded box. Poll until the counter is nonzero and stable.
+				prev := int64(-1)
+				for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+					wireOut = tel.tcpOut.Value()
+					if wireOut > 0 && wireOut == prev {
+						break
 					}
+					prev = wireOut
+					time.Sleep(time.Millisecond)
 				}
 				return nil
 			}

@@ -17,7 +17,7 @@ type Telemetry struct {
 	wireRecv    *obs.Counter
 	pendingMsgs *obs.Gauge
 
-	// TCP frame-level instruments, mirrored by the endpoint when the
+	// TCP frame-level instruments, fed by the rank's endpoint when the
 	// communicator rides the TCP transport (payload + frame headers).
 	tcpOut          *obs.Counter
 	tcpIn           *obs.Counter
@@ -28,15 +28,15 @@ type Telemetry struct {
 	tcpSendqSat     *obs.Counter
 	tcpQueueDepth   *obs.Gauge
 
-	// Shared-memory transport instruments, mirrored by the rank's shm
-	// ring producer/consumer.
+	// Shared-memory transport instruments, fed by the ring producers and
+	// the consumer that write to and read for this rank.
 	shmBytesOut  *obs.Counter
 	shmBytesIn   *obs.Counter
 	shmOccupancy *obs.Gauge
 	shmTouched   *obs.Gauge
 
-	// Fault-tolerance instruments: chaos-engine verdicts mirrored by the
-	// fault transport, and peers this rank's mailbox declared lost.
+	// Fault-tolerance instruments: chaos-engine verdicts counted by the
+	// rank's fault transport, and peers its mailbox declared lost.
 	faultDrops   *obs.Counter
 	faultRetries *obs.Counter
 	faultSevers  *obs.Counter
@@ -115,36 +115,16 @@ func (t *Telemetry) WithFlightRecorder(f *obs.FlightRecorder, rank int) *Telemet
 	return t
 }
 
-// AttachTelemetry hooks the telemetry into this communicator and every
-// communicator later derived from it via Split/Dup (spans and counters
-// stay attributed to the world rank, giving one unified timeline per
-// process). Attach before the communicator gets busy: the hook is read
-// without synchronization on the hot paths. Passing nil detaches.
+// AttachTelemetry hooks the telemetry into this communicator's rank: every
+// communicator of the rank, split from it before or after the attach,
+// its mailbox and its transport report to it (spans and counters stay
+// attributed to the world rank, giving one unified timeline per
+// process). Passing nil detaches.
 func (c *Comm) AttachTelemetry(t *Telemetry) {
-	c.tel = t
-	if c.box != nil {
-		if t != nil {
-			c.box.setDepthGauge(t.pendingMsgs)
-			c.box.setLostCounter(t.peersLost)
-			c.box.setFlight(t.flight, c.group[c.rank])
-		} else {
-			c.box.setDepthGauge(nil)
-			c.box.setLostCounter(nil)
-			c.box.setFlight(nil, c.group[c.rank])
-		}
-	}
-	switch tr := c.tr.(type) {
-	case *tcpTransport:
-		tr.ep.attachObs(t)
-	case *shmTransport:
-		tr.attachObs(t)
-	case *faultTransport:
-		tr.attachObs(t)
-		switch raw := tr.raw.(type) {
-		case *tcpTransport:
-			raw.ep.attachObs(t)
-		case *shmTransport:
-			raw.attachObs(t)
-		}
+	c.counters.tel.Store(t)
+	if t != nil {
+		// Touched ring bytes only rise, so a gauge attached late catches
+		// up here and every later rise sets it to the running total.
+		t.shmTouched.SetMax(c.counters.shmTouched.Load())
 	}
 }

@@ -1,9 +1,12 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ddr/internal/obs"
 )
@@ -84,37 +87,205 @@ func TestTelemetryTCPAllPairs(t *testing.T) {
 	}
 }
 
-// Telemetry attached on the world must follow Split-derived
-// communicators, still attributed to the world rank.
+// Telemetry attached on the world must reach every communicator of the
+// rank, split from it before the attach or after, still attributed to the
+// world rank.
 func TestTelemetrySharedAcrossSplit(t *testing.T) {
 	reg := obs.NewRegistry()
 	err := Launch(4, func(c *Comm) error {
-		c.AttachTelemetry(NewTelemetry(reg, c.Rank()))
-		sub, err := c.Split(c.Rank()%2, c.Rank())
+		before, err := c.Split(c.Rank()%2, c.Rank())
 		if err != nil {
 			return err
 		}
-		if sub.tel != c.tel {
-			return fmt.Errorf("telemetry not propagated through Split")
+		c.AttachTelemetry(NewTelemetry(reg, c.Rank()))
+		after, err := c.Split(c.Rank()%2, c.Rank())
+		if err != nil {
+			return err
 		}
 		// Split's own Allgather is counted too, so measure the delta of
-		// this rank's counter across the sub-communicator send.
+		// this rank's counter across each sub-communicator send.
 		own := reg.Counter("mpi_wire_bytes_sent_total", "", obs.RankLabel(c.Rank()))
-		base := own.Value()
-		if sub.Rank() == 0 {
+		for name, sub := range map[string]*Comm{"split before the attach": before, "split after it": after} {
+			base := own.Value()
+			if sub.Rank() == 1 {
+				if _, _, _, err := sub.Recv(0, 5); err != nil {
+					return err
+				}
+				continue
+			}
 			if err := sub.Send(1, 5, make([]byte, 10)); err != nil {
 				return err
 			}
 			if got := own.Value() - base; got != 10 {
-				return fmt.Errorf("rank %d counted %d bytes for a 10-byte sub-comm send", c.Rank(), got)
+				return fmt.Errorf("rank %d counted %d bytes for a 10-byte send on a communicator %s", c.Rank(), got, name)
 			}
-			return nil
 		}
-		_, _, _, err = sub.Recv(0, 5)
-		return err
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTelemetryEveryInstrumentMoves runs a short two-rank exchange on each
+// transport, both ranks attached before any traffic, and checks that every
+// instrument the transport feeds has moved — so no count site is lost
+// silently — and that each rank's mpi_wire_bytes_sent_total and
+// mpi_wire_bytes_recv_total equal its Traffic() deltas. Rank 0 sends
+// tags 1 and 2, a burst of tag 3 and one message past tcp's chunk
+// threshold; rank 1 takes tag 2 first, so tag 1 waits in its mailbox, and
+// answers with an ack. A gauge that is back at zero by the end counts as
+// moved when it was caught above zero where it must be: the pending
+// messages while tag 1 waits, the shm ring occupancy while the records
+// wait for their receives, and the tcp send queue while rank 0's writer
+// stalls on its first burst batch. The stall also makes the burst meet a
+// full queue (backpressure) and the next batch coalesce.
+func TestTelemetryEveryInstrumentMoves(t *testing.T) {
+	noop := funcInjector(func(src, dst, tag int, seq uint64, attempt int) Fault { return Fault{} })
+	cfg := tcpChunked(1<<10, 1<<10)
+	cfg.queueLen, cfg.batch = 2, 2
+	common := []string{"mpi_send_latency_seconds", "mpi_recv_latency_seconds",
+		"mpi_wire_bytes_sent_total", "mpi_wire_bytes_recv_total", "mpi_pending_messages"}
+	worlds := []struct {
+		name  string
+		opts  []LaunchOption
+		feeds []string // the instruments of the transport itself
+	}{
+		{"inproc", []LaunchOption{WithFaultInjector(nil)}, nil},
+		{"tcp", []LaunchOption{withTCP(cfg), WithFaultInjector(nil)}, []string{
+			"mpi_tcp_wire_bytes_out_total", "mpi_tcp_wire_bytes_in_total",
+			"mpi_tcp_frames_coalesced_total", "mpi_tcp_chunks_out_total", "mpi_tcp_chunks_in_total",
+			"mpi_tcp_backpressure_total", "mpi_tcp_sendq_saturation_total", "mpi_tcp_send_queue_depth"}},
+		{"shm", []LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil)}, []string{
+			"mpi_shm_bytes_out_total", "mpi_shm_bytes_in_total",
+			"mpi_shm_ring_occupancy_bytes", "mpi_shm_ring_touched_bytes"}},
+		{"inproc+injector", []LaunchOption{WithFaultInjector(noop)}, nil},
+	}
+	const burst = 16
+	for _, w := range worlds {
+		t.Run(w.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			tels := []*Telemetry{NewTelemetry(reg, 0), NewTelemetry(reg, 1)}
+			var mu sync.Mutex
+			moved := map[string]bool{}
+			saw := func(name string, g *obs.Gauge) {
+				if g.Value() > 0 {
+					mu.Lock()
+					moved[name] = true
+					mu.Unlock()
+				}
+			}
+			// Only rank 0's writer carries tag 3, whole frames under the
+			// chunk threshold. While it stalls on its first burst batch the
+			// sender fills the two-frame queue, and its next send finds it
+			// full.
+			var stalled sync.Once
+			testHookBeforeWrite = func(batch []envelope) {
+				if len(batch) == 0 || batch[0].tag != 3 {
+					return
+				}
+				stalled.Do(func() {
+					depth, blocked := tels[0].tcpQueueDepth, tels[0].tcpBackpressure
+					before := blocked.Value()
+					deadline := time.Now().Add(10 * time.Second)
+					for depth.Value() < 2 && time.Now().Before(deadline) {
+						time.Sleep(time.Millisecond)
+					}
+					saw("mpi_tcp_send_queue_depth", depth)
+					for blocked.Value() == before && time.Now().Before(deadline) {
+						time.Sleep(time.Millisecond)
+					}
+				})
+			}
+			defer func() { testHookBeforeWrite = nil }()
+
+			var attached sync.WaitGroup
+			attached.Add(2)
+			sent := make(chan struct{})
+			var base, end [2]TrafficStats
+			err := Launch(2, func(c *Comm) error {
+				r := c.Rank()
+				c.AttachTelemetry(tels[r])
+				attached.Done()
+				attached.Wait()
+				base[r] = c.Traffic()
+				defer func() { end[r] = c.Traffic() }()
+				if r == 0 {
+					for _, m := range []struct{ tag, n int }{{1, 64}, {2, 64}} {
+						if err := c.Send(1, m.tag, make([]byte, m.n)); err != nil {
+							return err
+						}
+					}
+					for i := 0; i < burst; i++ {
+						if err := c.Send(1, 3, make([]byte, 512)); err != nil {
+							return err
+						}
+					}
+					if err := c.Send(1, 4, make([]byte, 8<<10)); err != nil {
+						return err
+					}
+					close(sent)
+					_, _, _, err := c.Recv(1, 5)
+					return err
+				}
+				<-sent
+				if w.name == "shm" {
+					time.Sleep(5 * time.Millisecond) // the consumer leaves every record waiting
+					saw("mpi_shm_ring_occupancy_bytes", tels[1].shmOccupancy)
+				}
+				if _, _, _, err := c.Recv(0, 2); err != nil {
+					return err
+				}
+				saw("mpi_pending_messages", tels[1].pendingMsgs)
+				for _, tag := range []int{1, 3} {
+					for i := 0; i < map[int]int{1: 1, 3: burst}[tag]; i++ {
+						if _, _, _, err := c.Recv(0, tag); err != nil {
+							return err
+						}
+					}
+				}
+				if _, _, _, err := c.Recv(0, 4); err != nil {
+					return err
+				}
+				return c.Send(0, 5, make([]byte, 16))
+			}, w.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var buf bytes.Buffer
+			if err := reg.WritePrometheus(&buf); err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range strings.Split(buf.String(), "\n") {
+				metric, value, ok := strings.Cut(line, " ")
+				if !ok || strings.HasPrefix(line, "#") || value == "0" {
+					continue
+				}
+				name, _, _ := strings.Cut(metric, "{")
+				if h, ok := strings.CutSuffix(name, "_count"); ok {
+					name = h
+				} else if strings.HasSuffix(name, "_bucket") || strings.HasSuffix(name, "_sum") {
+					continue
+				}
+				moved[name] = true
+			}
+			for _, name := range append(common, w.feeds...) {
+				if !moved[name] {
+					t.Errorf("%s never moved", name)
+				}
+			}
+			for r := 0; r < 2; r++ {
+				sent := reg.Counter("mpi_wire_bytes_sent_total", "", obs.RankLabel(r)).Value()
+				recv := reg.Counter("mpi_wire_bytes_recv_total", "", obs.RankLabel(r)).Value()
+				if want := end[r].BytesSent - base[r].BytesSent; sent != want {
+					t.Errorf("rank %d: mpi_wire_bytes_sent_total %d, Traffic().BytesSent moved %d", r, sent, want)
+				}
+				if want := end[r].BytesRecv - base[r].BytesRecv; recv != want {
+					t.Errorf("rank %d: mpi_wire_bytes_recv_total %d, Traffic().BytesRecv moved %d", r, recv, want)
+				}
+			}
+		})
 	}
 }
 

@@ -32,11 +32,20 @@ type TrafficStats struct {
 	PeerBytesRecv []int64
 }
 
-// traffic holds the live counters shared by a rank's communicators. The
-// per-peer rows are world-rank indexed and sized at world creation; all
-// updates are atomic so any communicator derived from the rank may count
-// concurrently.
+// traffic is one world rank's accounting, shared by the rank's
+// communicators, its mailbox and its transport: the always-on traffic
+// counters and the telemetry hook. The per-peer rows are world-rank
+// indexed and sized when the rank's world communicator is built; all
+// updates are atomic so any communicator derived from the rank, and the
+// transport's own goroutines, may count concurrently.
 type traffic struct {
+	// tel is the rank's telemetry (nil when detached). Every count site
+	// loads it once, so attaching reaches every communicator and transport
+	// goroutine of the rank at once.
+	tel atomic.Pointer[Telemetry]
+	// rank is the world rank, the attribution of the rank's flight events.
+	rank int
+
 	msgsSent  atomic.Int64
 	bytesSent atomic.Int64
 	msgsRecv  atomic.Int64
@@ -47,14 +56,21 @@ type traffic struct {
 
 	peerSent []atomic.Int64
 	peerRecv []atomic.Int64
+
+	// shmTouched is the running total behind the rank's
+	// mpi_shm_ring_touched_bytes gauge: the sum over its inbound shm rings
+	// of the highest data offset ever written. It only rises, so a gauge
+	// attached late catches up to it.
+	shmTouched atomic.Int64
 }
 
-// newTraffic returns counters for a world of n ranks.
-func newTraffic(n int) *traffic {
-	return &traffic{
-		peerSent: make([]atomic.Int64, n),
-		peerRecv: make([]atomic.Int64, n),
+// telemetry returns the attached telemetry, nil when detached or for no
+// counters at all.
+func (t *traffic) telemetry() *Telemetry {
+	if t == nil {
+		return nil
 	}
+	return t.tel.Load()
 }
 
 // countSend records n bytes sent to world rank peer.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"testing"
@@ -242,7 +243,7 @@ func typedLanding(c *Comm, cases []typedCase, lands landing) error {
 
 // TestTCPWriterDeathReleasesBorrowedSend: a sender blocked while the
 // writer is inside the vectored write of its lent payload — here one the
-// peer never reads, so the write cannot finish — is released with
+// peer never reads past the frame header, so the write cannot finish — is released with
 // ErrPeerLost when the connection dies under the writer, for a typed and
 // for a plain borrowed send alike.
 func TestTCPWriterDeathReleasesBorrowedSend(t *testing.T) {
@@ -279,10 +280,11 @@ func TestTCPWriterDeathReleasesBorrowedSend(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The batch is counted just before it is written; give the
-			// write a moment to fill the socket and block.
-			for ep.Stats().Batches == 0 {
-				time.Sleep(time.Millisecond)
+			// The frame header leads the payload in one vectored write, so
+			// once it arrives the writer is inside that write; give it a
+			// moment to fill the socket and block.
+			if _, err := io.ReadFull(peer, make([]byte, tcpPreamble+tcpFrameHeader)); err != nil {
+				t.Fatal(err)
 			}
 			time.Sleep(20 * time.Millisecond)
 			select {

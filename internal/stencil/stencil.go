@@ -62,55 +62,14 @@ func (e *Exchanger) Tile() grid.Box { return e.tile }
 // buffers Exchange operates on).
 func (e *Exchanger) Halo() grid.Box { return e.halo }
 
-// TileBytes returns the byte size of a tile buffer.
-func (e *Exchanger) TileBytes() int { return e.tile.Volume() * e.elem }
-
 // HaloBytes returns the byte size of a halo'd buffer.
 func (e *Exchanger) HaloBytes() int { return e.halo.Volume() * e.elem }
 
 // Exchange fills haloBuf (sized HaloBytes, covering Halo()) from tileBuf
-// (sized TileBytes, covering Tile()): interior cells are copied from the
+// (one element per cell of Tile()): interior cells are copied from the
 // local tile and ghost cells arrive from the owning neighbors. Cells of
 // the halo box outside the global domain never exist (the halo box is
 // clamped), so boundary tiles simply have smaller halos.
 func (e *Exchanger) Exchange(tileBuf, haloBuf []byte) error {
 	return e.desc.ReorganizeData(e.comm, [][]byte{tileBuf}, haloBuf)
-}
-
-// ExtractTile copies the interior (tile) region out of a halo'd buffer,
-// the inverse addressing of Exchange for writing results back.
-func (e *Exchanger) ExtractTile(haloBuf, tileBuf []byte) error {
-	if len(haloBuf) != e.HaloBytes() || len(tileBuf) != e.TileBytes() {
-		return fmt.Errorf("stencil: buffer sizes %d/%d, want %d/%d",
-			len(haloBuf), len(tileBuf), e.HaloBytes(), e.TileBytes())
-	}
-	copyRegion(haloBuf, e.halo, tileBuf, e.tile, e.tile, e.elem)
-	return nil
-}
-
-// InsertTile copies a tile buffer into the interior of a halo'd buffer.
-func (e *Exchanger) InsertTile(tileBuf, haloBuf []byte) error {
-	if len(haloBuf) != e.HaloBytes() || len(tileBuf) != e.TileBytes() {
-		return fmt.Errorf("stencil: buffer sizes %d/%d, want %d/%d",
-			len(haloBuf), len(tileBuf), e.HaloBytes(), e.TileBytes())
-	}
-	copyRegion(tileBuf, e.tile, haloBuf, e.halo, e.tile, e.elem)
-	return nil
-}
-
-// copyRegion copies the elements of region from a buffer laid out as src
-// into a buffer laid out as dst (all boxes in global coordinates).
-func copyRegion(srcBuf []byte, src grid.Box, dstBuf []byte, dst, region grid.Box, elem int) {
-	rw := region.Dims[0] * elem
-	for z := 0; z < region.Dims[2]; z++ {
-		gz := region.Offset[2] + z
-		for y := 0; y < region.Dims[1]; y++ {
-			gy := region.Offset[1] + y
-			srcOff := (((gz-src.Offset[2])*src.Dims[1]+(gy-src.Offset[1]))*src.Dims[0] +
-				(region.Offset[0] - src.Offset[0])) * elem
-			dstOff := (((gz-dst.Offset[2])*dst.Dims[1]+(gy-dst.Offset[1]))*dst.Dims[0] +
-				(region.Offset[0] - dst.Offset[0])) * elem
-			copy(dstBuf[dstOff:dstOff+rw], srcBuf[srcOff:srcOff+rw])
-		}
-	}
 }

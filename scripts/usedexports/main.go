@@ -1,12 +1,13 @@
-// Command usedexports lists the exported names of a Go module that only
-// tests use, and holds that list to an allowlist.
+// Command usedexports lists the names of a Go module that only tests use,
+// and holds that list to an allowlist.
 //
 // It type-checks the non-test files of every package of the module, and
 // of each caller module named after it, with go/types; the standard
 // library comes from the export data `go list -export` leaves in the build
-// cache. An exported package-level object of the module, or an exported
-// method of one of its package-level named types, is used when an
-// identifier in a non-test file resolves to it (types.Info.Uses). Names
+// cache. A package-level object of the module, or a method of one of its
+// package-level named types, exported or not, is used when an identifier
+// in a non-test file resolves to it (types.Info.Uses); a program's main
+// function is used by definition. Names
 // are keyed by package, receiver type and name, so a word in a string
 // literal or a same-named field or method of another type is never a use.
 // A method is used too when its type satisfies an interface that non-test
@@ -54,9 +55,8 @@ type listedPackage struct {
 }
 
 // audit type-checks the module in dirs[0] and the caller modules in
-// dirs[1:]. It returns the module's exported names that only tests use,
-// and every exported name it declares. Packages in support are test
-// support.
+// dirs[1:]. It returns the module's names that only tests use, and every
+// name it declares. Packages in support are test support.
 func audit(dirs []string, support map[string]bool) (testOnly []string, declared map[string]bool, err error) {
 	var order []listedPackage
 	exports := map[string]string{}
@@ -171,15 +171,13 @@ func audit(dirs []string, support map[string]bool) (testOnly []string, declared 
 			continue
 		}
 		for _, name := range pkg.Scope().Names() {
-			if obj := pkg.Scope().Lookup(name); obj.Exported() {
-				declared[key(obj)] = true
+			if pkg.Name() != "main" || name != "main" {
+				declared[key(pkg.Scope().Lookup(name))] = true
 			}
 		}
 		for _, n := range namedTypes(pkg) {
 			for i := 0; i < n.NumMethods(); i++ {
-				if m := n.Method(i); m.Exported() {
-					declared[key(m)] = true
-				}
+				declared[key(n.Method(i))] = true
 			}
 		}
 	}

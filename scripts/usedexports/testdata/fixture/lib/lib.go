@@ -11,12 +11,18 @@ func (s Square) Area() float64 { return s.Side * s.Side }
 
 // Total is called by the program.
 func Total(shapes []Shape) float64 {
-	sum := 0.0
+	sum := zero
 	for _, s := range shapes {
 		sum += s.Area()
 	}
 	return sum
 }
+
+// zero is unexported and used by Total.
+const zero = 0.0
+
+// helper is unexported and used by lib_test.go alone.
+func helper() int { return 4 }
 
 // TestOnly is used by lib_test.go alone.
 func TestOnly() int { return 1 }
@@ -29,6 +35,9 @@ func Quoted() {}
 type Counter struct{}
 
 func (Counter) Count() int { return 0 }
+
+// reset is an unexported method used by lib_test.go alone.
+func (Counter) reset() {}
 
 // BenchOnly is called by the second module alone.
 func BenchOnly() int { return 2 }
