@@ -44,8 +44,8 @@ USEDEXPORTS = $(GO) run ./scripts/usedexports scripts/usedexports/allowlist.txt 
 # is gated by existing — nothing is enumerated by name there. What follows the race lines is only what they
 # cannot cover:
 #   - tests that skip themselves under -race and so need a plain run: the
-#     zero-alloc steady-state guards (the detector allocates per sync
-#     event), the arena-recycling guard and the lent-send completion pool
+#     zero-alloc steady-state guards and the cold-miss allocation guard
+#     (the detector allocates per sync event), the arena-recycling guard and the lent-send completion pool
 #     (sync.Pool drops Puts under -race), and the planted-bug self-tests
 #     of the pipelined executor and of the tcp lent send (each planted bug
 #     is a genuine data race the detector would fail before the test's own
@@ -68,7 +68,7 @@ verify: names chaos
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/mpi/... ./internal/trace/... ./internal/core/... ./internal/datatype/... ./internal/fft/...
 	$(GO) test -race ./internal/transit/...
-	$(GO) test -run 'TestZeroAllocSteadyState|TestBoundedZeroAllocSteadyState|TestPipelineZeroAllocSteadyState|TestTracingDetachedZeroAlloc|TestFlightRecorderRecordZeroAlloc|TestTCPUntracedWireIdentical|TestShmZeroAllocSteadyState|TestShmBackpressureAllocs|TestResizeExchangeRecyclesPayloads|TestStridedStepsZeroAlloc|TestStreamSteadyStateAllocs|TestTCPSendSteadyStateAlloc' ./internal/core/ ./internal/obs/ ./internal/mpi/ ./internal/transit/
+	$(GO) test -run 'TestZeroAllocSteadyState|TestBoundedZeroAllocSteadyState|TestPipelineZeroAllocSteadyState|TestTracingDetachedZeroAlloc|TestFlightRecorderRecordZeroAlloc|TestTCPUntracedWireIdentical|TestShmZeroAllocSteadyState|TestShmBackpressureAllocs|TestResizeExchangeRecyclesPayloads|TestStridedStepsZeroAlloc|TestStreamSteadyStateAllocs|TestTCPSendSteadyStateAlloc|TestMissCompileAllocs' ./internal/core/ ./internal/obs/ ./internal/mpi/ ./internal/transit/
 	$(GO) test -run 'TestPipelineHarnessCatchesPlantedBug' ./internal/core/
 	$(GO) test -run 'TestBorrowedSendCatchesEarlyDone' ./internal/mpi/
 	$(GO) test -short -run 'TestHarnessCatchesPipelinePlantedBug' ./internal/ddrtest/

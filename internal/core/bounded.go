@@ -252,11 +252,10 @@ func compileBounded(p *Plan, budget int) (*boundedPlan, error) {
 	maxElems := maxSlice / p.elemSize
 	var pieces []piece
 	var boxes []grid.Box
-	cut := func(sg seg, base grid.Box) ([]seg, error) {
+	cut := func(buf int, base grid.Box) ([]seg, error) {
 		out := make([]seg, len(boxes))
 		for i, box := range boxes {
-			var err error
-			if out[i], err = newSeg(p.elemSize, base, sg.buf, box); err != nil {
+			if err := out[i].init(p.elemSize, base, buf, box); err != nil {
 				return nil, err
 			}
 		}
@@ -271,11 +270,11 @@ func compileBounded(p *Plan, budget int) (*boundedPlan, error) {
 				pieces = append(pieces, piece{round: r, bytes: n, self: true, sf: sf})
 				continue
 			}
-			boxes = appendSlices(boxes[:0], sf.src.region, maxElems)
-			src, err := cut(sf.src, p.myChunks[sf.src.buf])
+			boxes = appendSlices(boxes[:0], sf.src.t.Sub, maxElems)
+			src, err := cut(sf.src.buf, p.myChunks[sf.src.buf])
 			if err == nil {
 				var dst []seg
-				dst, err = cut(sf.dst, p.need)
+				dst, err = cut(sf.dst.buf, p.need)
 				for j := range dst {
 					pieces = append(pieces, piece{round: r, slice: j, bytes: src[j].t.PackedSize(),
 						self: true, sf: selfMove{src: src[j], dst: dst[j]}})
@@ -296,13 +295,14 @@ func compileBounded(p *Plan, budget int) (*boundedPlan, error) {
 					continue
 				}
 				var segs []seg
-				for _, sg := range m.segs {
+				for k := range m.segs {
+					sg := &m.segs[k]
 					base := p.need
 					if dir == 0 {
 						base = p.myChunks[sg.buf]
 					}
-					boxes = appendSlices(boxes[:0], sg.region, maxElems)
-					cs, err := cut(sg, base)
+					boxes = appendSlices(boxes[:0], sg.t.Sub, maxElems)
+					cs, err := cut(sg.buf, base)
 					if err != nil {
 						return nil, fmt.Errorf("core: bounded message with rank %d: %w", m.peer, err)
 					}

@@ -147,7 +147,7 @@ func regionsOf(rank int, sched []step) map[regionKey][]grid.Box {
 	out := map[regionKey][]grid.Box{}
 	add := func(peer int, recv bool, sg seg) {
 		k := regionKey{peer, sg.buf, recv}
-		out[k] = append(out[k], sg.region)
+		out[k] = append(out[k], sg.t.Sub)
 	}
 	for i := range sched {
 		st := &sched[i]

@@ -128,6 +128,7 @@ type Descriptor struct {
 
 	plan                   *Plan      // nil until SetupDataMapping
 	cache                  *planCache // nil when caching is disabled
+	scratch                mapScratch // a miss's decode and discovery, reused (mapping.go)
 	cacheHits, cacheMisses atomic.Int64
 	obsv                   *exchObs // nil unless a tracer or registry is attached
 

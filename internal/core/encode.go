@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ddr/internal/grid"
 )
@@ -30,13 +31,6 @@ func zigzag(v int) uint64 { return uint64((int64(v) << 1) ^ (int64(v) >> 63)) }
 // unzigzag reverses zigzag.
 func unzigzag(u uint64) int { return int(int64(u>>1) ^ -int64(u&1)) }
 
-// appendUvarint appends u as a varint.
-func appendUvarint(buf []byte, u uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], u)
-	return append(buf, tmp[:n]...)
-}
-
 // readUvarint consumes one varint from buf.
 func readUvarint(buf []byte) (uint64, []byte, error) {
 	u, n := binary.Uvarint(buf)
@@ -46,91 +40,152 @@ func readUvarint(buf []byte) (uint64, []byte, error) {
 	return u, buf[n:], nil
 }
 
-// appendBox appends b delta-encoded against prev and advances prev.
-func appendBox(buf []byte, b grid.Box, prev *grid.Box) []byte {
-	buf = appendUvarint(buf, uint64(b.NDims))
-	for i := 0; i < b.NDims; i++ {
-		buf = appendUvarint(buf, zigzag(b.Offset[i]-prev.Offset[i]))
-		buf = appendUvarint(buf, zigzag(b.Dims[i]-prev.Dims[i]))
+// appendBox appends b delta-encoded against prev, the box before it in
+// the stream (or the zero Box). A box of no dimensions — an offline
+// geometry's zero Box for a rank outside the group — is its header alone,
+// decodes to the zero Box, and is the zero Box as the next box's prev.
+func appendBox(buf []byte, b, prev *grid.Box) []byte {
+	if prev.NDims == 0 {
+		prev = &grid.Box{}
 	}
-	*prev = b
+	buf = append(buf, byte(b.NDims))
+	for i := 0; i < b.NDims; i++ {
+		buf = binary.AppendUvarint(buf, zigzag(b.Offset[i]-prev.Offset[i]))
+		buf = binary.AppendUvarint(buf, zigzag(b.Dims[i]-prev.Dims[i]))
+	}
 	return buf
 }
 
-// readBox consumes one delta-encoded box and advances prev.
-func readBox(buf []byte, prev *grid.Box) (grid.Box, []byte, error) {
-	u, buf, err := readUvarint(buf)
-	if err != nil {
-		return grid.Box{}, nil, fmt.Errorf("core: box header: %w", err)
+// readBox consumes one delta-encoded box into b, decoded against prev as
+// appendBox encoded it. It reads the
+// one-byte varints every nearby box is made of inline: a decode reads
+// every rank's boxes on every rank, once per miss.
+func readBox(buf []byte, b, prev *grid.Box) ([]byte, error) {
+	if len(buf) == 0 {
+		return nil, fmt.Errorf("core: box header: truncated or malformed varint")
 	}
-	if u < 1 || u > grid.MaxDims {
-		return grid.Box{}, nil, fmt.Errorf("core: box dimensionality %d out of range", u)
+	if buf[0] > grid.MaxDims { // a longer varint is out of range too
+		return nil, fmt.Errorf("core: box dimensionality out of range (header byte %d)", buf[0])
 	}
-	b := grid.Box{NDims: int(u)}
-	for i := range b.Dims {
-		b.Dims[i] = 1
+	if prev.NDims == 0 {
+		prev = &grid.Box{}
 	}
-	for i := 0; i < b.NDims; i++ {
-		if u, buf, err = readUvarint(buf); err != nil {
-			return grid.Box{}, nil, fmt.Errorf("core: box offset axis %d: %w", i, err)
+	*b = grid.Box{NDims: int(buf[0])}
+	i := 1
+	for a := range grid.MaxDims {
+		if a >= b.NDims {
+			b.Dims[a] = 1
+			continue
 		}
-		b.Offset[i] = prev.Offset[i] + unzigzag(u)
-		if u, buf, err = readUvarint(buf); err != nil {
-			return grid.Box{}, nil, fmt.Errorf("core: box extent axis %d: %w", i, err)
+		var delta [2]int // offset, extent
+		for k := range delta {
+			if i < len(buf) && buf[i] < 0x80 {
+				delta[k], i = unzigzag(uint64(buf[i])), i+1
+				continue
+			}
+			u, n := binary.Uvarint(buf[i:])
+			if n <= 0 {
+				return nil, fmt.Errorf("core: box axis %d: truncated or malformed varint", a)
+			}
+			delta[k], i = unzigzag(u), i+n
 		}
-		if b.Dims[i] = prev.Dims[i] + unzigzag(u); b.Dims[i] < 0 {
-			return grid.Box{}, nil, fmt.Errorf("core: negative extent %d on axis %d", b.Dims[i], i)
+		b.Offset[a] = prev.Offset[a] + delta[0]
+		if b.Dims[a] = prev.Dims[a] + delta[1]; b.Dims[a] < 0 {
+			return nil, fmt.Errorf("core: negative extent %d on axis %d", b.Dims[a], a)
 		}
 	}
-	*prev = b
-	return b, buf, nil
+	if b.NDims == 0 {
+		*b = grid.Box{}
+	}
+	return buf[i:], nil
 }
 
 // encodeGeometry packs a rank's need box and owned chunks for the
 // allgather in SetupDataMapping. The output is canonical: equal
 // geometries encode to equal bytes.
 func encodeGeometry(need grid.Box, own []grid.Box) []byte {
-	buf := append(make([]byte, 0, 16+8*len(own)), geomVersion)
-	var prev grid.Box
-	buf = appendBox(buf, need, &prev)
-	buf = appendUvarint(buf, uint64(len(own)))
-	for _, b := range own {
-		buf = appendBox(buf, b, &prev)
+	return appendGeometry(make([]byte, 0, 16+8*len(own)), need, own)
+}
+
+// appendGeometry appends encodeGeometry's bytes to buf.
+func appendGeometry(buf []byte, need grid.Box, own []grid.Box) []byte {
+	buf = append(buf, geomVersion)
+	buf = appendBox(buf, &need, &grid.Box{})
+	buf = binary.AppendUvarint(buf, uint64(len(own)))
+	prev := &need
+	for i := range own {
+		buf = appendBox(buf, &own[i], prev)
+		prev = &own[i]
 	}
 	return buf
 }
 
-// decodeGeometries reverses encodeGeometry for a whole allgather:
-// needs[r] is rank r's need box and chunks[r] its owned chunks. The
-// headers are read first to size one flat table for every rank's chunks,
-// which the per-rank lists slice — three allocations whatever the number
-// of ranks and boxes.
-func decodeGeometries(packed [][]byte) (needs []grid.Box, chunks [][]grid.Box, err error) {
+// encodeWorld encodes a P-rank geometry the way SetupDataMapping's
+// allgather delivers it, every rank's encoding a slice of one buffer: the
+// world an offline plan keeps.
+func encodeWorld(needs []grid.Box, chunks [][]grid.Box) [][]byte {
+	size := 0
+	for r := range needs {
+		size += 16 + 8*len(chunks[r])
+	}
+	buf := make([]byte, 0, size)
+	packed := make([][]byte, len(needs))
+	for r := range needs {
+		lo := len(buf)
+		buf = appendGeometry(buf, needs[r], chunks[r])
+		packed[r] = buf[lo:len(buf):len(buf)]
+	}
+	return packed
+}
+
+// geomTable is a gathered geometry decoded: needs[r] is rank r's need box
+// and chunks[r] its owned chunks, which slice the one flat table of every
+// rank's chunks.
+type geomTable struct {
+	needs  []grid.Box
+	chunks [][]grid.Box
+	flat   []grid.Box
+}
+
+// decode reverses encodeGeometry for a whole allgather into t, reusing
+// t's slices: the headers are read first to size the flat table, and a
+// table that has held a world as large allocates nothing, whatever the
+// number of ranks and boxes. A fresh table allocates three slices.
+func (t *geomTable) decode(packed [][]byte) error {
 	total := uint64(0)
 	for _, buf := range packed {
 		_, n, _, _ := readGeometryHeader(buf) // 0 on error, which the decode below reports
 		total += n
 	}
-	needs = make([]grid.Box, len(packed))
-	chunks = make([][]grid.Box, len(packed))
-	flat := make([]grid.Box, 0, total)
+	t.needs = slices.Grow(t.needs[:0], len(packed))[:len(packed)]
+	t.chunks = slices.Grow(t.chunks[:0], len(packed))[:len(packed)]
+	t.flat = slices.Grow(t.flat[:0], int(total))
 	for r, buf := range packed {
 		need, n, buf, err := readGeometryHeader(buf)
-		prev, lo := need, len(flat)
-		for i := uint64(0); i < n && err == nil; i++ {
-			var b grid.Box
-			b, buf, err = readBox(buf, &prev)
-			flat = append(flat, b)
+		prev, lo := &need, len(t.flat)
+		t.flat = t.flat[:lo+int(n)] // within the capacity the headers sized
+		for k := lo; k < len(t.flat) && err == nil; k++ {
+			buf, err = readBox(buf, &t.flat[k], prev)
+			prev = &t.flat[k]
 		}
 		if err == nil && len(buf) != 0 {
 			err = fmt.Errorf("core: %d trailing bytes after geometry", len(buf))
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: geometry from rank %d: %w", r, err)
+			return fmt.Errorf("core: geometry from rank %d: %w", r, err)
 		}
-		needs[r], chunks[r] = need, flat[lo:len(flat):len(flat)]
+		t.needs[r], t.chunks[r] = need, t.flat[lo:len(t.flat):len(t.flat)]
 	}
-	return needs, chunks, nil
+	return nil
+}
+
+// decodeGeometries decodes a whole allgather into a fresh table.
+func decodeGeometries(packed [][]byte) (needs []grid.Box, chunks [][]grid.Box, err error) {
+	var t geomTable
+	if err := t.decode(packed); err != nil {
+		return nil, nil, err
+	}
+	return t.needs, t.chunks, nil
 }
 
 // readGeometryHeader consumes the head of one rank's stream: version,
@@ -139,8 +194,7 @@ func readGeometryHeader(buf []byte) (need grid.Box, n uint64, rest []byte, err e
 	if len(buf) < 1 || buf[0] != geomVersion {
 		return grid.Box{}, 0, nil, fmt.Errorf("core: unsupported geometry encoding version")
 	}
-	var prev grid.Box
-	if need, rest, err = readBox(buf[1:], &prev); err != nil {
+	if rest, err = readBox(buf[1:], &need, &grid.Box{}); err != nil {
 		return grid.Box{}, 0, nil, err
 	}
 	if n, rest, err = readUvarint(rest); err != nil {

@@ -1,22 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"ddr/internal/grid"
 )
-
-// encodeWorld encodes a P-rank geometry the way SetupDataMapping's
-// allgather delivers it.
-func encodeWorld(needs []grid.Box, chunks [][]grid.Box) [][]byte {
-	packed := make([][]byte, len(needs))
-	for r := range packed {
-		packed[r] = encodeGeometry(needs[r], chunks[r])
-	}
-	return packed
-}
 
 func TestGeometryCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -30,6 +21,7 @@ func TestGeometryCodecRoundTrip(t *testing.T) {
 		}
 	}
 	needs[3] = grid.Box3(0, 0, 0, 0, 0, 0)
+	needs[5] = grid.Box{} // a rank outside an offline geometry's group
 	gotNeeds, gotChunks, err := decodeGeometries(encodeWorld(needs, chunks))
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +43,7 @@ func TestGeometryCodecRoundTrip(t *testing.T) {
 
 func TestGeometryCodecRejects(t *testing.T) {
 	good := encodeGeometry(grid.Box2(0, 0, 8, 8), []grid.Box{grid.Box2(0, 0, 4, 8), grid.Box2(4, 0, 4, 8)})
-	negative := append([]byte{geomVersion, 1}, appendUvarint(appendUvarint(nil, zigzag(0)), zigzag(-3))...)
+	negative := append([]byte{geomVersion, 1}, binary.AppendUvarint(binary.AppendUvarint(nil, zigzag(0)), zigzag(-3))...)
 	for name, bad := range map[string][]byte{
 		"empty":           {},
 		"version":         append([]byte{geomVersion + 1}, good[1:]...),
@@ -92,5 +84,35 @@ func TestGeometryDecodeAllocs(t *testing.T) {
 	if many > procs || many != few {
 		t.Errorf("decoding %d ranks allocates %.0f times at 2 chunks/rank and %.0f at 64; want equal and at most %d",
 			procs, few, many, procs)
+	}
+}
+
+// TestMissCompileAllocs guards what a live miss allocates after the
+// gather: decoding into the descriptor's reused table, then this rank's
+// compile. That is the plan's own slabs and nothing per box or per rank,
+// so a world four times the size allocates as often. The geometry is the
+// mapping benchmark's halo regrid, where every rank sends, receives and
+// keeps some of its data, so no slab is empty at either size.
+func TestMissCompileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates per sync event")
+	}
+	allocs := func(procs int) float64 {
+		chunks, needs := benchMappingGeometry(procs, 16)
+		packed := encodeWorld(needs, chunks)
+		var s mapScratch
+		rank := procs / 2
+		return testing.AllocsPerRun(20, func() {
+			if _, err := s.compile(rank, 4, packed, false); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// The Plan, its own chunks, and the step, message, seg and self-move
+	// slabs.
+	const slabs = 6
+	small, large := allocs(17), allocs(68)
+	if small != large || large > slabs {
+		t.Errorf("a miss's decode and compile allocate %.0f times at 17×16 chunks and %.0f at 68×16; want equal and at most %d", small, large, slabs)
 	}
 }

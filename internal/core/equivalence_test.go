@@ -123,17 +123,17 @@ func alltoallwRows(p *Plan, r int) (rowSend, rowRecv []datatype.Type) {
 		rowSend[i], rowRecv[i] = datatype.Empty{}, datatype.Empty{}
 	}
 	st := &p.sched[r]
-	for _, sf := range st.selfs {
-		rowSend[p.rank], rowRecv[p.rank] = sf.src.t, sf.dst.t
+	for i := range st.selfs {
+		rowSend[p.rank], rowRecv[p.rank] = &st.selfs[i].src.t, &st.selfs[i].dst.t
 	}
 	for _, m := range st.sends {
-		for _, sg := range m.segs {
-			rowSend[m.peer] = sg.t
+		for k := range m.segs {
+			rowSend[m.peer] = &m.segs[k].t
 		}
 	}
 	for _, m := range st.recvs {
-		for _, sg := range m.segs {
-			rowRecv[m.peer] = sg.t
+		for k := range m.segs {
+			rowRecv[m.peer] = &m.segs[k].t
 		}
 	}
 	return rowSend, rowRecv

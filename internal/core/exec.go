@@ -152,22 +152,24 @@ import (
 // so one footprint suffices.
 
 // seg is one box-shaped region of a message, addressed in a local buffer.
+// Its subarray is held by value, so a plan's seg array holds every one of
+// them; t.Sub is the region in global coordinates — on a recv, what stays
+// unfilled if the peer is lost.
 type seg struct {
-	buf    int           // index into the exchange's source (send) or destination (recv) buffers
-	t      datatype.Type // packs from / scatters into that buffer
-	span   contigSpan    // t's contiguous byte range there, detected at compile time
-	region grid.Box      // global coordinates; on a recv, what stays unfilled if the peer is lost
+	buf  int               // index into the exchange's source (send) or destination (recv) buffers
+	t    datatype.Subarray // packs from / scatters into that buffer
+	span contigSpan        // t's contiguous byte range there, detected at compile time
 }
 
-// newSeg addresses region inside base — the box whose data buffer buf
+// init addresses region inside base — the box whose data buffer buf
 // holds — detecting its contiguity span once, at compile time.
-func newSeg(elemSize int, base grid.Box, buf int, region grid.Box) (seg, error) {
-	t, err := datatype.NewSubarray(elemSize, base, region)
-	if err != nil {
-		return seg{}, err
+func (sg *seg) init(elemSize int, base grid.Box, buf int, region grid.Box) error {
+	if err := sg.t.Init(elemSize, base, region); err != nil {
+		return err
 	}
-	off, n, ok := t.ContiguousSpan()
-	return seg{buf: buf, t: t, span: contigSpan{off: off, n: n, ok: ok}, region: region}, nil
+	off, n, ok := sg.t.ContiguousSpan()
+	sg.buf, sg.span = buf, contigSpan{off: off, n: n, ok: ok}
+	return nil
 }
 
 // message is one wire transfer: its segs' packed bytes concatenated in
@@ -342,7 +344,7 @@ func (x *executor) part(sg *seg, bufs [][]byte) mpi.Part {
 	if !x.staged && sg.span.ok {
 		return mpi.Part{Buf: bufs[sg.buf][sg.span.off : sg.span.off+sg.span.n]}
 	}
-	return mpi.Part{T: sg.t, Buf: bufs[sg.buf]}
+	return mpi.Part{T: &sg.t, Buf: bufs[sg.buf]}
 }
 
 // drive is run's state machine over the ring.
@@ -743,8 +745,8 @@ func partialError(ps *partialState, steps []step) error {
 				if m.peer != peer {
 					continue
 				}
-				for _, sg := range m.segs {
-					missing = append(missing, sg.region)
+				for j := range m.segs {
+					missing = append(missing, m.segs[j].t.Sub)
 				}
 			}
 		}

@@ -39,12 +39,13 @@ func (p *Plan) Geometry() Geometry {
 		Chunks:   make([][]boxDTO, p.nProcs),
 		Needs:    make([]boxDTO, p.nProcs),
 	}
-	for r, chunks := range p.allChunks {
+	allChunks, allNeeds := p.boxes()
+	for r, chunks := range allChunks {
 		g.Chunks[r] = make([]boxDTO, len(chunks))
 		for i, b := range chunks {
 			g.Chunks[r][i] = toDTO(b)
 		}
-		g.Needs[r] = toDTO(p.allNeeds[r])
+		g.Needs[r] = toDTO(allNeeds[r])
 	}
 	return g
 }

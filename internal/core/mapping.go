@@ -31,11 +31,18 @@ type Plan struct {
 	// (and across runs) without any extra communication.
 	fp uint64
 
-	myChunks []grid.Box
-	need     grid.Box
+	// myChunks and need are this rank's own boxes, copied out of the
+	// world the plan was compiled from: the exchange checks its buffers
+	// against them and the cache's collision defence reads them.
+	// needRanks counts the world's non-empty need boxes (NeedRanks).
+	myChunks  []grid.Box
+	need      grid.Box
+	needRanks int
 
-	allChunks [][]grid.Box // [rank][chunk]
-	allNeeds  []grid.Box   // [rank]
+	// world is the global geometry in its one stored form: every rank's
+	// canonical encoding (encode.go), in rank order. A live plan keeps the
+	// gathered bytes themselves; Stats and Geometry decode them on demand.
+	world [][]byte
 
 	// sched is the schedule itself, one step per round (round r moves every
 	// rank's r-th chunk): the round's local move, if this rank's chunk
@@ -90,9 +97,13 @@ func (p *Plan) Rounds() int { return p.rounds }
 // (plancache.go); if so the geometry allgather, validation, and
 // compilation are all skipped and the cached plan is replayed — that one
 // allgather is the steady-state cost of re-establishing a mapping whose
-// layout did not change (the in-transit reconnect cycle). A miss adds the
-// geometry allgather, unless every rank's geometry was small enough to
-// ride in the agreement's (a resize's is), and this rank's own compile.
+// layout did not change (the in-transit reconnect cycle). A rank's
+// geometry rides in its vote when it is small (a resize's is) or when the
+// rank's cache offers no plan for it, so a miss where every rank's rode —
+// every cold set-up — compiles from the gathered votes: one collective.
+// Only a miss where some rank offered a plan for a large contribution
+// adds the geometry allgather. Either way a miss ends in this rank's own
+// compile, into scratch the descriptor reuses.
 func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box) error {
 	if c.Size() != d.nProcs {
 		return fmt.Errorf("core: descriptor is for %d processes but communicator has %d: %w",
@@ -153,22 +164,12 @@ func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box
 			return fmt.Errorf("core: geometry exchange: %w", err)
 		}
 	}
-	allNeeds, allChunks, err := decodeGeometries(packed)
-	if err != nil {
-		return err
-	}
-
-	if d.validate {
-		if err := validateOwnership(allChunks); err != nil {
-			return err
-		}
-	}
 
 	var compileStart time.Time
 	if o.on() {
 		compileStart = time.Now()
 	}
-	plan, err := compilePlan(c.Rank(), d.elemSize, allChunks, allNeeds)
+	plan, err := d.scratch.compile(c.Rank(), d.elemSize, packed, d.validate)
 	if err != nil {
 		return err
 	}
@@ -265,6 +266,37 @@ func NewPlanFromGeometry(rank, elemSize int, allChunks [][]grid.Box, allNeeds []
 	return compilePlan(rank, elemSize, allChunks, allNeeds)
 }
 
+// mapScratch is what a live miss reuses from one SetupDataMapping to the
+// next: the decoded world table and discovery's job list. No plan aliases
+// it — a plan copies the few boxes it reads and keeps the gathered
+// encodings as its world — so a later miss may overwrite it while earlier
+// plans wait in the cache. It is the Descriptor's, never the compiler's:
+// CompileSchedule shares one compiler across workers.
+type mapScratch struct {
+	geomTable
+	jobs []typeJob
+}
+
+// compile decodes the gathered encodings packed into the scratch table,
+// validates ownership when asked, and compiles rank's plan, which keeps
+// packed as its world. Holding on to packed is safe because the gathered
+// bytes are this rank's alone: Recv payloads belong to the receiver (see
+// mpi/bufpool.go) and Allgather never hands them back to the arena.
+func (s *mapScratch) compile(rank, elemSize int, packed [][]byte, validate bool) (*Plan, error) {
+	if err := s.decode(packed); err != nil {
+		return nil, err
+	}
+	if validate {
+		if err := validateOwnership(s.chunks); err != nil {
+			return nil, err
+		}
+	}
+	sc := newScheduleCompiler(elemSize, s.chunks, s.needs, packed)
+	p, jobs, err := sc.plan(rank, s.jobs)
+	s.jobs = jobs
+	return p, err
+}
+
 // typeJob is one overlap of the rank being compiled — the unit discovery
 // emits, layout assigns a slot and construction builds: the round, the
 // peer, and the region the seg packs (inside the rank's round-r chunk, a
@@ -282,31 +314,49 @@ type typeJob struct {
 // nSegs is the number of segs (or self moves) the job compiles to.
 func (j *typeJob) nSegs() int { return max(int(j.nFrag), 1) }
 
-// scheduleCompiler holds the geometry-wide state of plan compilation.
+// scheduleCompiler holds the geometry-wide state of plan compilation,
+// read-only once built: the decoded world, its encodings (which every
+// compiled plan keeps; nil when nothing is compiled) and what is derived
+// from the whole world.
 type scheduleCompiler struct {
 	elemSize  int
 	allChunks [][]grid.Box
 	allNeeds  []grid.Box
+	world     [][]byte
 	rounds    int
+	needRanks int
 }
 
-func newScheduleCompiler(elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box) *scheduleCompiler {
-	sc := &scheduleCompiler{elemSize: elemSize, allChunks: allChunks, allNeeds: allNeeds}
+func newScheduleCompiler(elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, world [][]byte) scheduleCompiler {
+	sc := scheduleCompiler{elemSize: elemSize, allChunks: allChunks, allNeeds: allNeeds, world: world}
 	for _, chunks := range allChunks {
 		sc.rounds = max(sc.rounds, len(chunks))
+	}
+	for _, b := range allNeeds {
+		if b.NDims > 0 && !b.Empty() {
+			sc.needRanks++
+		}
 	}
 	return sc
 }
 
-// discover collects rank's overlaps by linear scan — the one overlap
-// discovery, which every compile and Plan.Stats read: the sends
-// round-major with peers ascending inside each round, then the receives
-// peer-major, rounds ascending inside each peer — the two orders compile
-// lays out from. Empty boxes intersect nothing and drop out. The scan of
-// the world's chunks also finds which of the rank's own chunks another
-// one overlaps (ownTree).
-func (sc *scheduleCompiler) discover(rank int) (sends, recvs []typeJob, contested []bool) {
-	var jobs []typeJob
+// plan compiles rank's plan, discovering into jobs, which it returns
+// grown for the caller's next compile (nil allocates a fresh list).
+func (sc *scheduleCompiler) plan(rank int, jobs []typeJob) (*Plan, []typeJob, error) {
+	jobs, nSend, contested := sc.discover(rank, jobs)
+	p, err := sc.compile(rank, jobs[:nSend:nSend], jobs[nSend:], contested)
+	return p, jobs, err
+}
+
+// discover collects rank's overlaps by linear scan into jobs[:0] — the
+// one overlap discovery, which every compile and Plan.Stats read: its
+// first nSend are the sends, round-major with peers ascending inside each
+// round, then the receives peer-major, rounds ascending inside each peer
+// — the two orders compile lays out from. Empty boxes intersect nothing
+// and drop out. The scan of the world's chunks also finds which of the
+// rank's own chunks another one overlaps (ownTree).
+func (sc *scheduleCompiler) discover(rank int, jobs []typeJob) (all []typeJob, nSend int, contested []bool) {
+	jobs = jobs[:0]
 	for r := range sc.allChunks[rank] {
 		chunk := &sc.allChunks[rank][r]
 		e := extentOf(chunk)
@@ -318,7 +368,7 @@ func (sc *scheduleCompiler) discover(rank int) (sends, recvs []typeJob, conteste
 			}
 		}
 	}
-	nSend := len(jobs)
+	nSend = len(jobs)
 	need := &sc.allNeeds[rank]
 	ne := extentOf(need)
 	var buf [64]extent
@@ -336,7 +386,7 @@ func (sc *scheduleCompiler) discover(rank int) (sends, recvs []typeJob, conteste
 			}
 		}
 	}
-	return jobs[:nSend:nSend], jobs[nSend:], contested
+	return jobs, nSend, contested
 }
 
 // The ownership rule. Owned chunks may overlap — within a rank or across
@@ -552,10 +602,10 @@ func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, contested 
 		rank:      rank,
 		nProcs:    len(sc.allNeeds),
 		rounds:    rounds,
-		myChunks:  sc.allChunks[rank],
+		myChunks:  slices.Clone(sc.allChunks[rank]),
 		need:      sc.allNeeds[rank],
-		allChunks: sc.allChunks,
-		allNeeds:  sc.allNeeds,
+		needRanks: sc.needRanks,
+		world:     sc.world,
 		sched:     make([]step, rounds),
 	}
 
@@ -577,7 +627,11 @@ func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, contested 
 	// round's self moves, paired by arrival order (both lists meet the
 	// rank's own rounds ascending, and both ends of a self move cut it into
 	// the same fragments).
-	next := make([]int, 2*rounds) // per round: next free send slot, next free recv slot
+	var nextBuf [64]int
+	next := nextBuf[:] // per round: next free send slot, next free recv slot
+	if 2*rounds > len(nextBuf) {
+		next = make([]int, 2*rounds)
+	}
 	nMsg, nSeg, nSelf := 0, 0, 0
 	for d, jobs := range [2][]typeJob{sends, recvs} {
 		for i := range jobs {
@@ -638,17 +692,20 @@ func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, contested 
 			if j.nFrag > 0 {
 				region = pieces[int(j.frag)+f]
 			}
-			sg, err := newSeg(sc.elemSize, base, buf, region)
+			var sg *seg
 			switch {
-			case err != nil:
-				return nil, fmt.Errorf("core: %s rank %d: %w", dir, j.peer, err)
 			case j.peer != rank:
-				segs[sn+f] = sg
-				bytes += sg.t.PackedSize()
+				sg = &segs[sn+f]
 			case recv:
-				selfs[pos+f].dst = sg
+				sg = &selfs[pos+f].dst
 			default:
-				selfs[pos+f].src = sg
+				sg = &selfs[pos+f].src
+			}
+			if err := sg.init(sc.elemSize, base, buf, region); err != nil {
+				return nil, fmt.Errorf("core: %s rank %d: %w", dir, j.peer, err)
+			}
+			if j.peer != rank {
+				bytes += sg.t.PackedSize()
 			}
 		}
 		if j.peer != rank {
@@ -658,21 +715,23 @@ func (sc *scheduleCompiler) compile(rank int, sends, recvs []typeJob, contested 
 	return p, nil
 }
 
-// compilePlan builds one rank's plan from the gathered global geometry —
-// the path SetupDataMapping and NewPlanFromGeometry take. It is per-rank
-// work, as in the paper's DDR_SetupDataMapping: O(C_r·P + C) overlap
-// tests and no index.
+// compilePlan builds one rank's plan from the global geometry, which it
+// encodes for the plan to keep — the path NewPlanFromGeometry takes, and
+// SetupDataMapping's (mapScratch.compile) from already gathered
+// encodings. It is per-rank work, as in the paper's
+// DDR_SetupDataMapping: O(C_r·P + C) overlap tests and no index.
 func compilePlan(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box) (*Plan, error) {
-	sc := newScheduleCompiler(elemSize, allChunks, allNeeds)
-	sends, recvs, contested := sc.discover(rank)
-	return sc.compile(rank, sends, recvs, contested)
+	sc := newScheduleCompiler(elemSize, allChunks, allNeeds, encodeWorld(allNeeds, allChunks))
+	p, _, err := sc.plan(rank, nil)
+	return p, err
 }
 
 // CompileSchedule compiles every rank's plan from a full global geometry
 // — the whole-schedule analogue of NewPlanFromGeometry for offline
 // analysis (ddrplan sweeps, capacity planning, the paper's Table II at
 // arbitrary scale). It is P per-rank compiles, fanned out rank-per-worker
-// over par workers; <= 0 means GOMAXPROCS. Errors surface from the lowest
+// over par workers; <= 0 means GOMAXPROCS, and the plans share one
+// encoding of the geometry as their world. Errors surface from the lowest
 // failing rank.
 func CompileSchedule(elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, par int) ([]*Plan, error) {
 	if elemSize <= 0 {
@@ -681,12 +740,11 @@ func CompileSchedule(elemSize int, allChunks [][]grid.Box, allNeeds []grid.Box, 
 	if len(allChunks) != len(allNeeds) {
 		return nil, fmt.Errorf("core: %d chunk lists for %d need boxes", len(allChunks), len(allNeeds))
 	}
-	sc := newScheduleCompiler(elemSize, allChunks, allNeeds)
+	sc := newScheduleCompiler(elemSize, allChunks, allNeeds, encodeWorld(allNeeds, allChunks))
 	plans := make([]*Plan, len(allNeeds))
 	errs := make([]error, len(allNeeds))
 	datatype.ForkJoin(len(plans), par, func(rank int) {
-		sends, recvs, contested := sc.discover(rank)
-		plans[rank], errs[rank] = sc.compile(rank, sends, recvs, contested)
+		plans[rank], _, errs[rank] = sc.plan(rank, nil)
 	})
 	for _, err := range errs {
 		if err != nil {

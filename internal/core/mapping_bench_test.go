@@ -62,10 +62,11 @@ func gcQuiesce() func() {
 // capacity planning): the acceptance target is the schedule ratio at
 // P=1024 with 4 chunks per rank.
 //
-// churn is one rank's plan of elastic_churn's Connect geometry (17 ranks
+// churn is one rank's miss on elastic_churn's Connect geometry (17 ranks
 // × 16 RandomTiling chunks of a 2048×256 domain, slab needs), cycling
-// through the ranks: the compile that workload runs every epoch on every
-// rank.
+// through the ranks: what SetupDataMapping runs after the gather every
+// epoch on every rank — the gathered encodings decoded into the
+// descriptor's reused table, then the compile.
 func BenchmarkSetupMapping(b *testing.B) {
 	b.Run("churn", func(b *testing.B) {
 		const ranks, per = 17, 16
@@ -75,10 +76,11 @@ func BenchmarkSetupMapping(b *testing.B) {
 		for r := range chunks {
 			chunks[r] = tiles[r*per : (r+1)*per]
 		}
-		needs := grid.Slabs(domain, 0, ranks)
+		packed := encodeWorld(grid.Slabs(domain, 0, ranks), chunks)
+		var s mapScratch
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := compilePlan(i%ranks, 4, chunks, needs); err != nil {
+			if _, err := s.compile(i%ranks, 4, packed, false); err != nil {
 				b.Fatal(err)
 			}
 		}

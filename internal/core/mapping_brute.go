@@ -78,6 +78,7 @@ func compilePlanBrute(rank, elemSize int, allChunks [][]grid.Box, allNeeds []gri
 	if err != nil {
 		return nil, err
 	}
+	sc := newScheduleCompiler(elemSize, allChunks, allNeeds, encodeWorld(allNeeds, allChunks))
 	p := &Plan{
 		elemSize:  elemSize,
 		rank:      rank,
@@ -85,8 +86,8 @@ func compilePlanBrute(rank, elemSize int, allChunks [][]grid.Box, allNeeds []gri
 		rounds:    len(send),
 		myChunks:  allChunks[rank],
 		need:      allNeeds[rank],
-		allChunks: allChunks,
-		allNeeds:  allNeeds,
+		needRanks: sc.needRanks,
+		world:     sc.world,
 		sched:     make([]step, len(send)),
 	}
 	for r := range p.sched {
@@ -109,7 +110,7 @@ func compilePlanBrute(rank, elemSize int, allChunks [][]grid.Box, allNeeds []gri
 // bruteSeg lifts a dense-table slot into a seg addressing buffer buf.
 func bruteSeg(t *datatype.Subarray, buf int) seg {
 	off, n, ok := t.ContiguousSpan()
-	return seg{buf: buf, t: t, span: contigSpan{off: off, n: n, ok: ok}, region: t.Sub}
+	return seg{buf: buf, t: *t, span: contigSpan{off: off, n: n, ok: ok}}
 }
 
 // bruteMessage is round r's single-seg message to or from peer.

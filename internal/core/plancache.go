@@ -31,13 +31,19 @@ import (
 // a rank lists a cached plan only when the match callback confirms it was
 // compiled from the rank's current contribution.
 //
-// A small geometry rides in the vote itself: a rank whose encoding is at
-// most inlineGeometry bytes — a resize's one old and one new box — sends
-// it ahead of its hash. When every rank's does, a miss compiles from the
-// gathered votes, and the agreement is the mapping's only collective,
-// hit or miss.
+// A rank's geometry rides in the vote itself, ahead of its hash, when it
+// is small — at most inlineGeometry bytes, a resize's one old and one new
+// box — or when the rank's cache offers no plan for it: such a rank
+// cannot hit, so its vote already settles a miss and might as well carry
+// what the compile needs. When every rank's geometry rode, the miss
+// compiles from the gathered votes and the agreement is the mapping's only
+// collective. That is every cold set-up, where no rank can hit, and every
+// set-up of small geometries, hit or miss. Only a rank that offers a plan
+// for a large contribution leaves its geometry out, so a warm vote stays
+// small, and a miss then gathers the geometry in a second allgather.
 
-// inlineGeometry is the largest encoding a rank sends in its vote.
+// inlineGeometry is the largest encoding a rank that offers a plan sends
+// in its vote.
 const inlineGeometry = 64
 
 // FNV-1a, the 64-bit variant — stable across processes and runs, unlike
@@ -140,13 +146,7 @@ func newPlanCache(limit int) *planCache {
 // in the votes, or else after gathering them itself.
 func (pc *planCache) lookup(c *mpi.Comm, enc []byte, salt uint64, match func(*Plan) bool) (hit *Plan, key cacheKey, geoms [][]byte, err error) {
 	key = cacheKey{fp: fnvOffset64, rank: c.Rank()}
-	var inline []byte
-	if len(enc) <= inlineGeometry {
-		inline = enc
-	}
-	vote := append(appendUvarint(make([]byte, 0, 1+len(inline)+16), uint64(len(inline))), inline...)
-	vote = binary.LittleEndian.AppendUint64(vote, saltHash(hash64(fnvOffset64, enc), salt))
-	gathered, err := c.Allgather(pc.offers(vote, key.rank, match))
+	gathered, err := c.Allgather(pc.vote(enc, salt, key.rank, match))
 	if err != nil {
 		return nil, key, nil, err
 	}
@@ -178,9 +178,25 @@ func (pc *planCache) lookup(c *mpi.Comm, enc []byte, salt uint64, match func(*Pl
 	return nil, key, geoms, nil
 }
 
+// vote builds rank's contribution to the agreement: the geometry it
+// carries (enc, or nothing when enc is large and a cached plan is
+// offered for it), the salted hash of enc, then the fingerprints of the
+// cached plans match confirms.
+func (pc *planCache) vote(enc []byte, salt uint64, rank int, match func(*Plan) bool) []byte {
+	var buf [64]byte
+	offers := pc.offers(buf[:0], rank, match)
+	carried := enc
+	if len(offers) > 0 && len(enc) > inlineGeometry {
+		carried = nil
+	}
+	vote := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(carried)+8+len(offers)), uint64(len(carried)))
+	vote = append(vote, carried...)
+	vote = binary.LittleEndian.AppendUint64(vote, saltHash(hash64(fnvOffset64, enc), salt))
+	return append(vote, offers...)
+}
+
 // splitVote splits a gathered vote into the geometry it carries (empty
-// when the rank's was too large to) and the hash followed by whole
-// fingerprints.
+// when the rank left it out) and the hash followed by whole fingerprints.
 func splitVote(v []byte) (geom, rest []byte, err error) {
 	n, rest, err := readUvarint(v)
 	if err != nil {
@@ -192,16 +208,16 @@ func splitVote(v []byte) (geom, rest []byte, err error) {
 	return rest[:n], rest[n:], nil
 }
 
-// offers appends to vote the fingerprints of rank's cached plans that
+// offers appends to buf the fingerprints of rank's cached plans that
 // match confirms. The global fingerprint is not known before the gather,
 // so a rank offers every plan it could replay for its contribution.
-func (pc *planCache) offers(vote []byte, rank int, match func(*Plan) bool) []byte {
+func (pc *planCache) offers(buf []byte, rank int, match func(*Plan) bool) []byte {
 	for el := pc.ll.Front(); el != nil; el = el.Next() {
 		if ent := el.Value.(*cacheEntry); ent.key.rank == rank && match(ent.val) {
-			vote = binary.LittleEndian.AppendUint64(vote, ent.key.fp)
+			buf = binary.LittleEndian.AppendUint64(buf, ent.key.fp)
 		}
 	}
-	return vote
+	return buf
 }
 
 // offered reports whether a rank's offers (whole 8-byte fingerprints)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -19,9 +21,13 @@ func messages(c *mpi.Comm) int64 {
 
 // TestAgreementCollectiveCounts pins what agreement costs on the wire, in
 // units of a bare Allgather measured in the same world (so no tree shape
-// is assumed): a cold SetupDataMapping is two and a warm one is one,
-// except that a geometry small enough to ride in the agreement's votes —
-// a resize's, one old and one new box a rank — is one either way.
+// is assumed): a warm SetupDataMapping is one, and so is a cold one, whose
+// votes carry every rank's geometry because no rank can hit. A miss where
+// one rank's cache offers a plan for its large contribution while the
+// others are cold is two — that rank's vote leaves its geometry out, so
+// the compile gathers it — and every rank misses together. A geometry
+// small enough to ride in every vote — a resize's, one old and one new
+// box a rank — is one whatever the caches hold.
 func TestAgreementCollectiveCounts(t *testing.T) {
 	const n = 5
 	err := mpi.Launch(n, func(c *mpi.Comm) error {
@@ -45,28 +51,51 @@ func TestAgreementCollectiveCounts(t *testing.T) {
 			return nil
 		}
 
+		mine := grid.Box1(64*r, 64)
 		for _, tc := range []struct {
-			name string
-			cold int64
-			own  []grid.Box
+			name  string
+			mixed int64 // allgathers when only rank 0's cache offers a plan
+			carry bool  // a warm vote carries the geometry
+			own   []grid.Box
+			other []grid.Box // a new contribution, for every rank but 0
 		}{
-			{"resize-sized", 1, []grid.Box{grid.Box1(64*r, 64)}},
-			{"chunked", 2, grid.Slabs(grid.Box1(64*r, 64), 0, 32)},
+			{"resize-sized", 1, true, []grid.Box{mine}, grid.Slabs(mine, 0, 2)},
+			{"chunked", 2, false, grid.Slabs(mine, 0, 32), grid.Slabs(mine, 0, 16)},
 		} {
 			desc, err := NewDescriptor(n, Layout1D, Uint8)
 			if err != nil {
 				return err
 			}
 			need := grid.Box1(64*(n-1-r), 64)
-			setup := func() error { return desc.SetupDataMapping(c, tc.own, need) }
-			if err := cost("cold "+tc.name+" SetupDataMapping", tc.cold, setup); err != nil {
+			setup := func(own []grid.Box) func() error {
+				return func() error { return desc.SetupDataMapping(c, own, need) }
+			}
+			if err := cost("cold "+tc.name+" SetupDataMapping", 1, setup(tc.own)); err != nil {
 				return err
 			}
-			if err := cost("warm "+tc.name+" SetupDataMapping", 1, setup); err != nil {
+			if err := cost("warm "+tc.name+" SetupDataMapping", 1, setup(tc.own)); err != nil {
 				return err
 			}
-			if hits, misses := desc.PlanCacheStats(); hits != 1 || misses != 1 {
-				return fmt.Errorf("rank %d %s: %d hits / %d misses, want 1 / 1", r, tc.name, hits, misses)
+			enc := encodeGeometry(need, tc.own)
+			vote := desc.cache.vote(enc, desc.fpSalt(), r, func(p *Plan) bool { return planMatchesLocal(p, r, tc.own, need) })
+			geom, rest, err := splitVote(vote)
+			switch {
+			case err != nil:
+				return fmt.Errorf("rank %d %s: warm vote: %w", r, tc.name, err)
+			case len(rest) != 16:
+				return fmt.Errorf("rank %d %s: warm vote holds %d bytes of hash and offers, want one hash and one offer", r, tc.name, len(rest))
+			case tc.carry != (string(geom) == string(enc)) || !tc.carry && len(geom) != 0:
+				return fmt.Errorf("rank %d %s: warm vote carries %d geometry bytes of %d, want carried=%v", r, tc.name, len(geom), len(enc), tc.carry)
+			}
+			mixed := tc.own
+			if r != 0 {
+				mixed = tc.other
+			}
+			if err := cost("mixed "+tc.name+" SetupDataMapping", tc.mixed, setup(mixed)); err != nil {
+				return err
+			}
+			if hits, misses := desc.PlanCacheStats(); hits != 1 || misses != 2 {
+				return fmt.Errorf("rank %d %s: %d hits / %d misses, want 1 / 2", r, tc.name, hits, misses)
 			}
 		}
 		return nil
@@ -173,5 +202,81 @@ func TestPlanCacheMalformedVote(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestPlanCacheReplayAfterScratchReuse: a miss decodes into the
+// descriptor's reused table and discovers into its reused job list, and
+// the plan it compiles keeps only copies of its own boxes and the gathered
+// encodings. Mapping A, then B — a smaller world that overwrites A's
+// decoded boxes and jobs in place — and then A again from the cache must
+// replay A's exchange exactly, and the replayed plan must still describe
+// A: its Stats and Geometry equal those of A's offline plan. On every
+// transport, since each delivers the gathered bytes differently.
+func TestPlanCacheReplayAfterScratchReuse(t *testing.T) {
+	const procs, side = 4, 64
+	ownA, needA := stripWorld(procs, side, 12, true)
+	ownB, needB := stripWorld(procs, side, 6, false)
+	for _, tr := range []struct {
+		name string
+		opts []mpi.LaunchOption
+	}{
+		{"inproc", nil},
+		{"tcp", []mpi.LaunchOption{mpi.WithTransport(mpi.TransportTCP)}},
+		{"shm", []mpi.LaunchOption{mpi.WithTransport(mpi.TransportShm)}},
+	} {
+		t.Run(tr.name, func(t *testing.T) {
+			err := mpi.Launch(procs, func(c *mpi.Comm) error {
+				r := c.Rank()
+				d, err := NewDescriptor(procs, Layout2D, Float32)
+				if err != nil {
+					return err
+				}
+				mapAndMove := func(step string, own [][]grid.Box, need []grid.Box) error {
+					if err := d.SetupDataMapping(c, own[r], need[r]); err != nil {
+						return fmt.Errorf("rank %d %s: %w", r, step, err)
+					}
+					src := make([][]byte, len(own[r]))
+					for i, b := range own[r] {
+						src[i] = fillBox(b, 4)
+					}
+					dst := make([]byte, need[r].Volume()*4)
+					if err := d.ReorganizeData(c, src, dst); err != nil {
+						return fmt.Errorf("rank %d %s: %w", r, step, err)
+					}
+					if !bytes.Equal(dst, fillBox(need[r], 4)) {
+						return fmt.Errorf("rank %d %s: need buffer wrong after exchange", r, step)
+					}
+					return nil
+				}
+				if err := mapAndMove("A", ownA, needA); err != nil {
+					return err
+				}
+				first := d.Plan()
+				if err := mapAndMove("B", ownB, needB); err != nil {
+					return err
+				}
+				if err := mapAndMove("A again", ownA, needA); err != nil {
+					return err
+				}
+				if hits, misses := d.PlanCacheStats(); hits != 1 || misses != 2 || d.Plan() != first {
+					return fmt.Errorf("rank %d: %d hits / %d misses, same plan %v; want 1 / 2 and A's plan replayed", r, hits, misses, d.Plan() == first)
+				}
+				offline, err := NewPlanFromGeometry(r, 4, ownA, needA)
+				if err != nil {
+					return err
+				}
+				if got, want := d.Plan().Stats(), offline.Stats(); got != want {
+					return fmt.Errorf("rank %d: replayed plan's stats %+v, offline %+v", r, got, want)
+				}
+				if got, want := d.Plan().Geometry(), offline.Geometry(); !reflect.DeepEqual(got, want) {
+					return fmt.Errorf("rank %d: replayed plan's geometry differs from the offline plan's", r)
+				}
+				return nil
+			}, tr.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -59,7 +59,8 @@ func ProfileMapping(rank, elemSize int, allChunks [][]grid.Box, allNeeds []grid.
 
 	// Phase 3: the compile proper.
 	start = time.Now()
-	plan, err := compilePlan(rank, elemSize, allChunks, allNeeds)
+	sc := newScheduleCompiler(elemSize, allChunks, allNeeds, encodings)
+	plan, _, err := sc.plan(rank, nil)
 	if err != nil {
 		return nil, prof, err
 	}

@@ -46,14 +46,19 @@ func (s ScheduleStats) String() string {
 // rank's plan moves, from the compiler's own discovery and ownership rule,
 // without building a datatype. Because every rank holds the full gathered
 // geometry, the computation is local and deterministic — all ranks obtain
-// identical values.
+// identical values. It decodes the world afresh on every call.
 func (p *Plan) Stats() ScheduleStats {
 	s := ScheduleStats{Rounds: p.rounds, Ranks: p.nProcs}
-	sc := newScheduleCompiler(p.elemSize, p.allChunks, p.allNeeds)
+	allChunks, allNeeds := p.boxes()
+	sc := newScheduleCompiler(p.elemSize, allChunks, allNeeds, nil)
 	activeSlots := 0
+	var jobs []typeJob
 	for rank := range p.nProcs {
-		activeSlots += len(p.allChunks[rank])
-		sends, _, contested := sc.discover(rank)
+		activeSlots += len(allChunks[rank])
+		var nSend int
+		var contested []bool
+		jobs, nSend, contested = sc.discover(rank, jobs)
+		sends := jobs[:nSend]
 		var pieces []grid.Box
 		if contested != nil {
 			sends, pieces = sc.cut(rank, sends, false, contested, nil)
@@ -126,12 +131,15 @@ func (p *Plan) RetainedBytes() int64 {
 
 // NeedRanks returns how many ranks of the plan's world need a non-empty
 // box — after a resize, the size of the new group.
-func (p *Plan) NeedRanks() int {
-	n := 0
-	for _, b := range p.allNeeds {
-		if b.NDims > 0 && !b.Empty() {
-			n++
-		}
+func (p *Plan) NeedRanks() int { return p.needRanks }
+
+// boxes decodes the plan's world into a fresh table: every rank's chunks
+// and need box. The plan was compiled from these very encodings, so they
+// decode.
+func (p *Plan) boxes() (allChunks [][]grid.Box, allNeeds []grid.Box) {
+	allNeeds, allChunks, err := decodeGeometries(p.world)
+	if err != nil {
+		panic(fmt.Sprintf("core: a plan's own geometry does not decode: %v", err))
 	}
-	return n
+	return allChunks, allNeeds
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ddr/internal/datatype"
 	"ddr/internal/grid"
 )
 
@@ -52,16 +51,6 @@ func (bc *boundedCase) overlapCells() map[cellKey]int {
 	return cells
 }
 
-// segBox recovers the global region a freshly compiled seg addresses.
-func segBox(t *testing.T, sg seg) grid.Box {
-	t.Helper()
-	sub, ok := sg.t.(*datatype.Subarray)
-	if !ok {
-		t.Fatalf("seg type %T is not a Subarray", sg.t)
-	}
-	return sub.Sub
-}
-
 // checkSchedules verifies the invariants over one world's step lists,
 // the budget's only when budget > 0. want counts each obligation once.
 func checkSchedules(t *testing.T, scheds [][]step, want map[cellKey]int, budget int) {
@@ -87,9 +76,9 @@ func checkSchedules(t *testing.T, scheds [][]step, want map[cellKey]int, budget 
 		for i := range sched {
 			st := &sched[i]
 			for _, sf := range st.selfs {
-				box := segBox(t, sf.src)
-				if !box.Equal(segBox(t, sf.dst)) {
-					t.Errorf("rank %d step %d: self move packs %v but scatters %v", r, i, box, segBox(t, sf.dst))
+				box := sf.src.t.Sub
+				if !box.Equal(sf.dst.t.Sub) {
+					t.Errorf("rank %d step %d: self move packs %v but scatters %v", r, i, box, sf.dst.t.Sub)
 				}
 				addCells(got, r, r, sf.dst.buf, box)
 			}
@@ -112,10 +101,10 @@ func checkSchedules(t *testing.T, scheds [][]step, want map[cellKey]int, budget 
 					continue
 				}
 				for k := range m.segs {
-					box := segBox(t, m.segs[k])
-					if !box.Equal(segBox(t, peer.segs[k])) || !box.Equal(peer.segs[k].region) {
-						t.Errorf("rank %d step %d → %d seg %d: packs %v, peer scatters %v (region %v)",
-							r, i, m.peer, k, box, segBox(t, peer.segs[k]), peer.segs[k].region)
+					box := m.segs[k].t.Sub
+					if !box.Equal(peer.segs[k].t.Sub) {
+						t.Errorf("rank %d step %d → %d seg %d: packs %v, peer scatters %v",
+							r, i, m.peer, k, box, peer.segs[k].t.Sub)
 					}
 					addCells(got, r, m.peer, peer.segs[k].buf, box)
 				}

@@ -32,14 +32,15 @@ func shiftRecvSeg(sched []step, elemSize int, base grid.Box) bool {
 		for _, m := range sched[i].recvs {
 			for j := range m.segs {
 				sg := &m.segs[j]
-				for ax := 0; ax < sg.region.NDims; ax++ {
+				for ax := 0; ax < sg.t.Sub.NDims; ax++ {
 					for _, delta := range [2]int{1, -1} {
-						moved := sg.region
+						moved := sg.t.Sub
 						moved.Offset[ax] += delta
 						if !base.Contains(moved) {
 							continue
 						}
-						if shifted, err := newSeg(elemSize, base, sg.buf, moved); err == nil {
+						var shifted seg
+						if shifted.init(elemSize, base, sg.buf, moved) == nil {
 							*sg = shifted
 							postEager(sched)
 							return true

@@ -49,9 +49,9 @@ type Subarray struct {
 	Array    grid.Box // full local array (global offset + extents)
 	Sub      grid.Box // region to transfer, in global coordinates
 
-	// The row-run geometry of the copy loops, derived once by NewSubarray,
-	// so a Subarray built any other way moves nothing: the byte offset of
-	// the first element, the length of one contiguous run, the strides
+	// The row-run geometry of the copy loops, derived once by Init, so a
+	// Subarray built any other way moves nothing: the byte offset of the
+	// first element, the length of one contiguous run, the strides
 	// between consecutive runs along y and z, and the run counts — zero
 	// for an empty region. The exported fields must not change after.
 	start, run, strideY, strideZ, ny, nz int
@@ -60,16 +60,27 @@ type Subarray struct {
 // NewSubarray validates and builds a Subarray. The sub box must lie within
 // the array box and elemSize must be positive.
 func NewSubarray(elemSize int, array, sub grid.Box) (*Subarray, error) {
+	s := new(Subarray)
+	if err := s.Init(elemSize, array, sub); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Init is NewSubarray in place: it validates the arguments as NewSubarray
+// does and builds the Subarray into s, so a caller that needs many can
+// allocate them as one slice. s is left unchanged on error.
+func (s *Subarray) Init(elemSize int, array, sub grid.Box) error {
 	if elemSize <= 0 {
-		return nil, fmt.Errorf("datatype: element size %d must be positive", elemSize)
+		return fmt.Errorf("datatype: element size %d must be positive", elemSize)
 	}
 	if array.NDims != sub.NDims {
-		return nil, fmt.Errorf("datatype: array is %dD but sub-region is %dD", array.NDims, sub.NDims)
+		return fmt.Errorf("datatype: array is %dD but sub-region is %dD", array.NDims, sub.NDims)
 	}
 	if !array.Contains(sub) {
-		return nil, fmt.Errorf("datatype: sub-region %v not contained in array %v", sub, array)
+		return fmt.Errorf("datatype: sub-region %v not contained in array %v", sub, array)
 	}
-	s := &Subarray{ElemSize: elemSize, Array: array, Sub: sub}
+	*s = Subarray{ElemSize: elemSize, Array: array, Sub: sub}
 	if !sub.Empty() {
 		local := sub.LocalTo(array)
 		w := array.Dims[0]
@@ -83,7 +94,7 @@ func NewSubarray(elemSize int, array, sub grid.Box) (*Subarray, error) {
 		s.strideZ = w * h * elemSize
 		s.ny, s.nz = local.Dims[1], local.Dims[2]
 	}
-	return s, nil
+	return nil
 }
 
 // PackedSize implements Type.
