@@ -127,6 +127,11 @@ func (d *Descriptor) BoundedSteps() int {
 // WithMemoryBudget).
 func (d *Descriptor) LastPeakStaging() int64 { return d.lastPeakStaging }
 
+// StagingHeld reports the staging bytes this rank's meter holds now. Every
+// exchange releases what it charged before it returns — send wires, settled
+// lent messages, receive leases — so it reads 0 between exchanges.
+func (d *Descriptor) StagingHeld() int64 { return d.ex.meter.Current() }
+
 // maxSliceBytes returns the largest slice payload whose class-rounded
 // staging charge fits the budget, or 0 when no class does.
 func maxSliceBytes(budget int) int {

@@ -786,9 +786,9 @@ func TestBoundedZeroAllocSteadyState(t *testing.T) {
 	// At elem size 8 the self move (336 bytes, a 512-byte class) exceeds
 	// the 256-byte budget, so each rank slices it into two pieces and
 	// re-packs its round. A self move stages nothing; what the meter sees
-	// is the message: its receive lease, and its send wire when the
-	// peer's post is not yet open — one 256-byte class either way, never
-	// both at once.
+	// is the message: its receive lease, and its send wire when run
+	// settles it before the peer's post took it — one 256-byte class
+	// either way, never both at once.
 	arrays := []grid.Box{grid.Box2(0, 0, 8, 8), grid.Box2(8, 0, 8, 8)}
 	needs := []grid.Box{grid.Box2(1, 1, 8, 6), grid.Box2(7, 1, 8, 6)}
 	const budget = 256

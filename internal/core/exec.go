@@ -54,17 +54,20 @@ import (
 // the need buffers, the shape a send takes: a contiguous seg as its byte
 // span, a strided one as its datatype.
 //
-// One send call. issue hands every message to mpi.Comm.SendTyped as its
-// segs, parts of the owned buffers in the same shape, and the transport,
-// and only the transport, decides where the gather happens and how the
-// post completes:
+// One send call. issue hands every message to mpi.Comm.Lend as its segs,
+// parts of the owned buffers in the same shape, on the message's own
+// mpi.Loan, and the transport, and only the transport, decides where the
+// gather happens and how the post completes:
 //
-//   - Landed by the sender's send. On bare inproc, the one transport that
-//     shares the receiver's address space and delivers synchronously, the
-//     send claims the peer's oldest open post when its parts pack to
-//     exactly the message's length, copies the owned rows straight into
-//     the peer's need rows and completes the post: one copy end to end,
-//     strided or not on either side, no staging, nothing to unpack.
+//   - Landed in one copy on bare inproc, the one transport that shares the
+//     receiver's address space and delivers synchronously. When the
+//     peer's oldest open post for the message packs to exactly its length,
+//     the send claims it, copies the owned rows straight into the peer's
+//     need rows and completes the post. When the peer has not posted yet,
+//     the send queues the message lent, at its FIFO position in the peer's
+//     mailbox, by reference to the owned rows, and the peer's post copies
+//     them straight in when it takes it. Either way: strided or not on
+//     either side, no staging, nothing to unpack.
 //   - Landed by the ring consumer. On shm the segs are packed straight
 //     from the owned buffers into the ring record, and the receiving
 //     rank's ring consumer unpacks the record into the posted parts when
@@ -76,13 +79,13 @@ import (
 //     are eager.
 //   - Eager. Otherwise tcp writes the segs' rows of a message from 64 KiB
 //     up straight from the owned buffer into its vectored write, and
-//     everything else (a smaller tcp message, an inproc post not open, a
-//     fault-injected world, a chunk stream, a deadline-bounded exchange
-//     on tcp) is packed into an arena wire handed over by ownership. The
-//     arriving envelope completes the oldest matching post, or waits in
-//     the mailbox queue for the post to come and take it, and wait places
-//     its contiguous segs and batches its strided ones for retire to
-//     unpack.
+//     everything else (a smaller tcp message, a fault-injected world, a
+//     chunk stream, a deadline-bounded exchange on tcp, an inproc message
+//     settled before its peer posted) is packed into an arena wire handed
+//     over by ownership. The arriving envelope completes the oldest
+//     matching post, or waits in the mailbox queue for the post to come
+//     and take it, and wait places its contiguous segs and batches its
+//     strided ones for retire to unpack.
 //
 // The executor stages nothing on the send side. wait sees both kinds of
 // landing alike — the post reports landed and there is nothing to place —
@@ -101,13 +104,15 @@ import (
 //
 // Deadlock freedom at any depth mix: a rank only blocks in wait(j) after
 // it has issued steps 0..j+k-1 — in particular its own step-j sends are
-// already posted — and a sender never waits for a receiver: a landing
-// claim either hits at once or misses at once, and a send is buffered or
-// drained without the receiver's help on every transport. Inproc appends
-// to the destination mailbox; shm writes the ring, where a record may
-// wait for its receive, but a producer short of space flags the ring and
-// the receiver's consumer goroutine then empties it into the mailbox,
-// whatever the receiver posted; a tcp send that lends the owned buffer
+// already posted — and a sender never waits for a receiver that has not
+// started: a landing claim either hits at once or misses at once, and a
+// send is buffered or drained without the receiver's help on every
+// transport. Inproc appends to the destination mailbox, lent or packed,
+// and run's settle waits only for a copy a receiving post has already
+// begun on the receiver's own goroutine; shm writes the ring, where a
+// record may wait for its receive, but a producer short of space flags
+// the ring and the receiver's consumer goroutine then empties it into the
+// mailbox, whatever the receiver posted; a tcp send that lends the owned buffer
 // blocks, but only on its connection's writer, and the writer only on the
 // socket, which the peer's read loop drains into the mailbox
 // unconditionally. So every posted send is eventually delivered, and
@@ -120,12 +125,15 @@ import (
 // never a rendezvous.
 //
 // Leaving run, on every exit — success, hard error, caller's cancel,
-// deadline — no post of this exchange stays behind: open ones are
-// revoked (a message that arrives later stays in the mailbox queue,
+// deadline, lost peer — no post of this exchange stays behind: open ones
+// are revoked (a message that arrives later stays in the mailbox queue,
 // matchable by whoever receives next), completed ones are recycled, and
 // a post a sender has claimed is waited for, which is bounded by that
-// sender's copy of one message. Nobody writes into the caller's need
-// buffers after its call returned.
+// sender's copy of one message. Every send of it is settled: a message
+// still queued lent is packed where it waits into a metered arena wire,
+// and one a receiving post has started copying is waited for, bounded by
+// that one copy. Nobody writes into the caller's need buffers, or reads
+// its owned ones, after its call returned.
 //
 // Partial failure with several steps in flight: a peer lost at step j is
 // skipped for every subsequent send and wait (its posts fail with the
@@ -136,15 +144,17 @@ import (
 //
 // Buffer lease lifecycle (the memory-budget interaction): when a budget
 // is set, all staging is metered. A send that needs an arena wire draws
-// it through the exchange's meter inside SendTyped, which releases the
-// charge as it hands the wire to the transport — before the next message
-// is packed — so at most one message's wire is charged at a time; from
-// then on the payload is covered by the receiving rank's lease. A message
-// landed by its sender, lent to the tcp writer or packed into a shm
-// record takes no wire at all. Step r's receive payload classes are
-// leased at issue time — conservatively: whether or not a message later
-// lands and needs no payload — and released when the step retires, so
-// the meter's high-water mark bounds the whole in-flight window: k
+// it through the exchange's meter inside Lend, or inside the settle of a
+// message still lent, which release the charge as they hand the wire to
+// the transport — before the next message is packed — so at most one
+// message's wire is charged at a time; from then on the payload is
+// covered by the receiving rank's lease. A message landed on inproc, lent
+// to the tcp writer or packed into a shm record takes no wire at all, and
+// settle runs after every step retired, when no lease is open. Step r's
+// receive payload classes are leased at issue time — conservatively:
+// whether or not a message later lands and needs no payload — and
+// released when the step retires, so the meter's high-water mark bounds
+// the whole in-flight window: k
 // receive leases plus one send wire while packing, or k+1 leases (and no
 // wire) in the instant between issue(r) and retire(r-k). Both are at most
 // k+1 per-step footprints, which is exactly what pipelineDepth clamps to
@@ -232,12 +242,16 @@ type executor struct {
 	// on hosts without a fast clock source time.Now dominated short steps.
 	clock time.Time
 
-	// parts is the typed send in flight, cleared as soon as it is sent, and
-	// recvParts every post's parts, cleared as run returns: both reference
-	// the caller's memory, and a surviving descriptor must not keep a dead
-	// world's buffers reachable.
-	parts, recvParts []mpi.Part
-	slots            []slot
+	// sendParts holds every send's parts and recvParts every post's, both
+	// sized once per run and cleared as run returns: they reference the
+	// caller's memory, and a surviving descriptor must not keep a dead
+	// world's buffers reachable. loans holds one mpi.Loan per send message
+	// in issue order, lent of them used so far: a message may wait in its
+	// receiver's mailbox by reference to its parts until run settles it.
+	sendParts, recvParts []mpi.Part
+	loans                []mpi.Loan
+	lent                 int
+	slots                []slot
 
 	// posts holds the exchange's posted receives, one per receive message
 	// in step order; the mailbox keeps their addresses and they keep their
@@ -301,19 +315,29 @@ func (x *executor) run(ex *exchange, steps []step, k int, own, need [][]byte) er
 		}
 		x.open = 0
 	}
+	// Sends whose receiver has not taken them yet are packed where they
+	// wait; one a receiver is copying is waited for.
+	for i := range x.loans[:x.lent] {
+		x.loans[i].Settle()
+	}
+	clear(x.sendParts)
 	clear(x.recvParts)
 	return err
 }
 
-// post posts every receive of the exchange as its segs' parts of the
-// need buffers.
+// post sizes the exchange's send scratch and posts every receive of it as
+// its segs' parts of the need buffers.
 func (x *executor) post(ex *exchange, steps []step, need [][]byte) error {
-	total, segs := 0, 0
+	total, segs, sends, sendSegs := 0, 0, 0, 0
 	for i := range steps {
 		for j := range steps[i].recvs {
 			segs += len(steps[i].recvs[j].segs)
 		}
+		for j := range steps[i].sends {
+			sendSegs += len(steps[i].sends[j].segs)
+		}
 		total += len(steps[i].recvs)
+		sends += len(steps[i].sends)
 	}
 	if cap(x.posts) < total {
 		x.posts = make([]mpi.Posted, total)
@@ -321,8 +345,15 @@ func (x *executor) post(ex *exchange, steps []step, need [][]byte) error {
 	if cap(x.recvParts) < segs {
 		x.recvParts = make([]mpi.Part, segs)
 	}
+	if cap(x.loans) < sends {
+		x.loans = make([]mpi.Loan, sends)
+	}
+	if cap(x.sendParts) < sendSegs {
+		x.sendParts = make([]mpi.Part, sendSegs)
+	}
 	x.posts, x.recvParts = x.posts[:total], x.recvParts[:0]
-	x.open, x.next = 0, 0
+	x.loans, x.sendParts = x.loans[:sends], x.sendParts[:0]
+	x.open, x.next, x.lent = 0, 0, 0
 	for i := range steps {
 		for j := range steps[i].recvs {
 			m, at := &steps[i].recvs[j], len(x.recvParts)
@@ -459,12 +490,15 @@ func (x *executor) issue(ex *exchange, st *step, idx int, s *slot, own, need [][
 
 // send hands m to the transport as one typed message over the owned
 // buffers — a contiguous seg as its byte span, a strided one as its
-// datatype — and observes the call as m's pack: wherever the transport
-// writes the bytes (the peer's posted regions, its socket, its ring, an
-// arena wire), that is where they are gathered.
+// datatype — on the message's own loan, and observes the call as m's
+// pack: wherever the transport writes the bytes (the peer's posted
+// regions, its socket, its ring, an arena wire), that is where they are
+// gathered; a message lent to a peer that has not posted yet is gathered
+// by the peer's post, or by run's settle.
 func (x *executor) send(ex *exchange, m *message, own [][]byte) error {
+	at := len(x.sendParts)
 	for j := range m.segs {
-		x.parts = append(x.parts, x.part(&m.segs[j], own))
+		x.sendParts = append(x.sendParts, x.part(&m.segs[j], own))
 	}
 	var start time.Time
 	if ex.o.on() {
@@ -474,9 +508,9 @@ func (x *executor) send(ex *exchange, m *message, own [][]byte) error {
 	if x.metered {
 		meter = &x.meter
 	}
-	err := ex.c.SendTyped(ex.ctx, m.peer, m.tag, x.parts, meter)
-	clear(x.parts)
-	x.parts = x.parts[:0]
+	l := &x.loans[x.lent]
+	x.lent++
+	err := ex.c.Lend(l, ex.ctx, m.peer, m.tag, x.sendParts[at:len(x.sendParts):len(x.sendParts)], meter)
 	if err == nil && ex.o.on() {
 		ex.o.observeCopy(start, m.bytes, m.peer, false)
 	}
@@ -590,8 +624,9 @@ func (x *executor) retire(ex *exchange, s *slot) {
 }
 
 // exchJob is one unpack of an eager receive seg (tcp, a fault injector,
-// a post not yet open): a strided one is batched in its slot by wait and
-// run by retire; a contiguous one (nil t) wait runs at once, one memmove.
+// an inproc message settled before its post): a strided one is batched
+// in its slot by wait and run by retire; a contiguous one (nil t) wait
+// runs at once, one memmove.
 // Like every copy of the exchange it runs on the rank's own goroutine: a
 // world's ranks are goroutines of this process, and once they cover the
 // cores — every exchange of the benchmark of record — a pool forked per

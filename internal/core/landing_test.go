@@ -50,9 +50,10 @@ func stridedRecvWorld(n, side, chunksPerRank int) (ownAll [][]grid.Box, needAll 
 }
 
 // landWorld runs two exchanges of the geometry on one world, the need
-// buffers poisoned first, and returns every rank's output and the number
-// of messages that landed (TrafficStats.MessagesLanded, world total).
-func landWorld(t *testing.T, ownAll [][]grid.Box, needAll []grid.Box, layout Layout, launch []mpi.LaunchOption, opts ...Option) (out [][]byte, landed int64) {
+// buffers poisoned first, and returns every rank's output and the numbers
+// of messages received and landed (TrafficStats.MessagesRecv and
+// MessagesLanded, world totals).
+func landWorld(t *testing.T, ownAll [][]grid.Box, needAll []grid.Box, layout Layout, launch []mpi.LaunchOption, opts ...Option) (out [][]byte, recvd, landed int64) {
 	t.Helper()
 	n := len(needAll)
 	out = make([][]byte, n)
@@ -70,7 +71,7 @@ func landWorld(t *testing.T, ownAll [][]grid.Box, needAll []grid.Box, layout Lay
 			bufs[i] = fillBox(box, 4)
 		}
 		dst := make([]byte, needAll[rank].Volume()*4)
-		before := c.Traffic().MessagesLanded
+		before := c.Traffic()
 		for iter := 0; iter < 2; iter++ {
 			for i := range dst {
 				dst[i] = landPoison
@@ -79,24 +80,29 @@ func landWorld(t *testing.T, ownAll [][]grid.Box, needAll []grid.Box, layout Lay
 				return err
 			}
 		}
-		atomic.AddInt64(&landed, c.Traffic().MessagesLanded-before)
+		after := c.Traffic()
+		atomic.AddInt64(&recvd, after.MessagesRecv-before.MessagesRecv)
+		atomic.AddInt64(&landed, after.MessagesLanded-before.MessagesLanded)
 		out[rank] = dst
 		return checkBox(dst, needAll[rank], 4, nil, landPoison)
 	}, launch...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, landed
+	return out, recvd, landed
 }
 
 // TestLandedMatchesEager is the differential test of the completion
 // paths: the same geometry on bare inproc and on shm must leave the bytes
 // it leaves behind a no-op fault injector, where nothing can land and
-// every message is placed by its receiver — the reference. Landing is certain on bare inproc and on shm
-// for contiguous and strided receives alike: every rank posts all its
-// receives before it sends anything, so whatever is sent to the rank that
-// finished posting first finds its post open — claimed by the sender on
-// inproc, by that rank's ring consumer on shm.
+// every message is placed by its receiver — the reference. On bare inproc
+// every message lands, for contiguous and strided receives alike: every
+// rank posts all its receives before it sends anything, a message that
+// finds no post open waits lent until its receiver posts, and in both
+// geometries every receiver of a rank is also one of its sources, so no
+// rank finishes, and settles, before its receivers have posted. On shm
+// landing is certain for whatever is sent to the rank that finished
+// posting first: that rank's ring consumer finds its posts open.
 func TestLandedMatchesEager(t *testing.T) {
 	_, stackOwn, stackNeed := stackWorld(16, 16)
 	stripOwn, stripNeed := stridedRecvWorld(4, 32, 3)
@@ -112,15 +118,15 @@ func TestLandedMatchesEager(t *testing.T) {
 	bare := []mpi.LaunchOption{mpi.WithFaultInjector(nil)}
 	for _, g := range geoms {
 		t.Run(g.name, func(t *testing.T) {
-			got, landed := landWorld(t, g.ownAll, g.needAll, g.layout, bare)
-			if landed == 0 {
-				t.Error("nothing landed on bare inproc")
+			got, recvd, landed := landWorld(t, g.ownAll, g.needAll, g.layout, bare)
+			if landed != recvd || recvd == 0 {
+				t.Errorf("%d of %d messages landed on bare inproc, want all", landed, recvd)
 			}
-			eager, landed := landWorld(t, g.ownAll, g.needAll, g.layout, []mpi.LaunchOption{mpi.WithFaultInjector(noFaults{})})
+			eager, _, landed := landWorld(t, g.ownAll, g.needAll, g.layout, []mpi.LaunchOption{mpi.WithFaultInjector(noFaults{})})
 			if landed != 0 {
 				t.Errorf("%d messages landed through a fault injector", landed)
 			}
-			shm, landed := landWorld(t, g.ownAll, g.needAll, g.layout, []mpi.LaunchOption{mpi.WithTransport(mpi.TransportShm), mpi.WithFaultInjector(nil)})
+			shm, _, landed := landWorld(t, g.ownAll, g.needAll, g.layout, []mpi.LaunchOption{mpi.WithTransport(mpi.TransportShm), mpi.WithFaultInjector(nil)})
 			if landed == 0 {
 				t.Error("nothing landed on shm")
 			}
@@ -241,9 +247,10 @@ func nobodyWritesAfterReturn(t *testing.T, launch []mpi.LaunchOption, layout Lay
 
 // BenchmarkStackExchange times stack_to_bricks' exchange (256x256x128
 // float32, 16 slices a rank -> 2x2x2 bricks, a barrier between epochs as
-// in bench/ddrperf) on bare inproc, where its messages land in the posted
-// spans, and behind a no-op fault injector, where every one is staged, and
-// reports the share that landed.
+// in bench/ddrperf) on bare inproc, where every message lands in the
+// posted spans — at once, or lent until its receiver posts — and behind a
+// no-op fault injector, where every one is staged, and reports the share
+// that landed.
 func BenchmarkStackExchange(b *testing.B) {
 	b.Run("landed", func(b *testing.B) { benchStackExchange(b, nil) })
 	b.Run("eager", func(b *testing.B) { benchStackExchange(b, noFaults{}) })

@@ -105,7 +105,10 @@ const ExchangeTagBase = ddrTagBase
 // the order the chunks were passed to SetupDataMapping; need receives the
 // redistributed data and must be sized for the need box. Elements of the
 // need box covered by no rank's owned data are left untouched (the paper
-// allows incomplete receives).
+// allows incomplete receives). own is read until the call returns — on
+// bare inproc a peer that posts late copies straight from it — so it must
+// neither change nor overlap need during the call; once the call has
+// returned nobody reads it.
 //
 // It corresponds to DDR_ReorganizeData(nProcs, dataOwn, dataNeed, desc)
 // and may be called repeatedly as new data arrives in the same layout.

@@ -57,6 +57,9 @@ func (tc *Case) RunCacheReuse(plantStale bool) ([]CacheReuseResult, error) {
 			if err := d.ReorganizeData(c, own, needBuf); err != nil {
 				return fmt.Errorf("pass %d: %w", i, err)
 			}
+			if err := stagingReleased(d); err != nil {
+				return fmt.Errorf("pass %d: %w", i, err)
+			}
 			res.CheckErrs[i] = tc.CheckNeed(need, needBuf, nil)
 			return nil
 		}

@@ -260,8 +260,11 @@ func launchOptions(transport string, inj mpi.FaultInjector) ([]mpi.LaunchOption,
 
 // Run executes the case and returns the per-rank results. The returned
 // error reports infrastructure failures (descriptor construction, mapping
-// setup, transport bring-up); exchange and invariant outcomes land in the
-// results so one rank's degradation does not tear down its peers.
+// setup, transport bring-up) and leaks: staging a rank's meter still
+// holds once its exchange returned, or a message still lent to a mailbox
+// once every rank returned (mpi.Launch reports those). Exchange and
+// invariant outcomes land in the results so one rank's degradation does
+// not tear down its peers.
 func (tc *Case) Run(opt RunOptions) ([]RankResult, error) {
 	results := make([]RankResult, tc.NProcs)
 	body := func(c *mpi.Comm) error {
@@ -299,6 +302,9 @@ func (tc *Case) Run(opt RunOptions) ([]RankResult, error) {
 			needBuf[i] = Sentinel
 		}
 		err = d.ReorganizeData(c, own, needBuf)
+		if err := stagingReleased(d); err != nil {
+			return err
+		}
 		res.BoundedSteps = d.BoundedSteps()
 		res.PeakStaging = d.LastPeakStaging()
 		var pe *core.PartialError
@@ -323,4 +329,14 @@ func (tc *Case) Run(opt RunOptions) ([]RankResult, error) {
 	}
 	err = mpi.Launch(tc.NProcs, body, launchOpts...)
 	return results, err
+}
+
+// stagingReleased is the leak postcondition every runner checks after
+// every exchange, whatever its outcome: the rank's staging meter holds
+// nothing.
+func stagingReleased(d *core.Descriptor) error {
+	if held := d.StagingHeld(); held != 0 {
+		return fmt.Errorf("%d staging bytes still held after the exchange returned", held)
+	}
+	return nil
 }

@@ -32,7 +32,7 @@ func (c *Comm) treeGatherSignal(tag int) error {
 	for mask := 1; mask < size; mask <<= 1 {
 		if rank&mask != 0 {
 			dst := rank - mask
-			return c.send(nil, dst, tag, nil, nil, nil)
+			return c.send(nil, dst, tag, nil, nil, nil, nil)
 		}
 		src := rank + mask
 		if src < size {
@@ -79,7 +79,7 @@ func (c *Comm) bcastInternal(root int, data []byte, tag int) ([]byte, error) {
 			if dst >= size {
 				dst -= size
 			}
-			if err := c.send(nil, dst, tag, data, nil, nil); err != nil {
+			if err := c.send(nil, dst, tag, data, nil, nil, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -95,7 +95,7 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	}
 	tag := c.nextCollTag()
 	if c.rank != root {
-		return nil, c.send(nil, root, tag, data, nil, nil)
+		return nil, c.send(nil, root, tag, data, nil, nil, nil)
 	}
 	out := make([][]byte, len(c.group))
 	cp := make([]byte, len(data))

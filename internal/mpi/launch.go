@@ -20,8 +20,10 @@ import (
 // body runs once per rank (one goroutine each); Launch blocks until all
 // ranks return and yields the joined errors. When a rank fails, the
 // remaining ranks' pending operations are unblocked with ErrClosed so
-// the world can drain. A transport only builds the world's communicators;
-// the fault wrapping, the ranks and the teardown are the same for all.
+// the world can drain. A message still queued lent (Comm.Lend) once every
+// rank returned is an error too. A transport only builds the world's
+// communicators; the fault wrapping, the ranks and the teardown are the
+// same for all.
 func Launch(n int, body func(c *Comm) error, opts ...LaunchOption) error {
 	if n <= 0 {
 		return fmt.Errorf("mpi: world size %d must be positive", n)
@@ -81,6 +83,7 @@ func Launch(n int, body func(c *Comm) error, opts ...LaunchOption) error {
 	}
 	for _, c := range comms {
 		c.box.close(nil)
+		errs = append(errs, c.box.unsettled())
 	}
 	return errors.Join(errs...)
 }

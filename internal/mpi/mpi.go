@@ -17,7 +17,9 @@
 // MPI_Send provides. A receive may also be posted ahead of its message
 // (Comm.Post, posted.go); in process a sender, and on shared memory the
 // receiver's ring consumer, can then write the payload straight into the
-// posted destination.
+// posted destination. In process a typed send may also come first and
+// wait by reference to the sender's memory (Comm.Lend) for the post that
+// copies it in.
 package mpi
 
 import (
@@ -84,6 +86,11 @@ type envelope struct {
 	// is borrowed from a caller blocked until the writer signals zc.done,
 	// and is never recycled. Never set on mailbox envelopes.
 	zc *borrow
+
+	// lent is non-nil for a message queued in an inproc mailbox by
+	// reference (Comm.Lend): its payload is the packed bytes of lent.parts,
+	// in the sender's memory, and data is nil until the loan is repaid.
+	lent *Loan
 
 	// tc is the distributed trace context stamped on messages sent while
 	// an exchange is being traced (tc.Exchange == 0 means untraced). The
@@ -345,12 +352,32 @@ func (m *mailbox) removePending(p *chunkPending) {
 	}
 }
 
-// take unlinks and returns the queued envelope at index i.
+// take unlinks and returns the queued envelope at index i. A lent one is
+// the taker's to repay from then on, and its sender's Settle waits for it.
 func (m *mailbox) take(i int) envelope {
 	e := m.queue[i]
+	if e.lent != nil {
+		e.lent.taken = true
+	}
 	m.queue = append(m.queue[:i], m.queue[i+1:]...)
 	m.addDepth(-1)
 	return e
+}
+
+// unsettled reports, and drops, every message still queued lent once the
+// world's ranks have returned: its sender may have reused the memory the
+// loan names, so nothing may read it any more.
+func (m *mailbox) unsettled() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var err error
+	for i := range m.queue {
+		if e := &m.queue[i]; e.lent != nil {
+			err = errors.Join(err, fmt.Errorf("mpi: rank %d: the message from rank %d (tag %d) is still lent: its sender never settled the loan", m.counters.rank, e.src, e.tag))
+			e.lent = nil
+		}
+	}
+	return err
 }
 
 // failure reports why a receive from src (a world rank or AnySource) can
@@ -470,18 +497,20 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	if _, err := c.sendArgs(nil, dst, tag); err != nil {
 		return err
 	}
-	return c.send(nil, dst, tag, data, nil, nil)
+	return c.send(nil, dst, tag, data, nil, nil, nil)
 }
 
-// send is the one delivery path behind Send, SendTyped and the
+// send is the one delivery path behind Send, SendTyped, Lend and the
 // collectives, without the user-tag restriction. The payload is the
 // packed bytes of parts, or data when parts is nil, so a plain send
 // builds no part list. The transport's typedSender capability decides
-// first — land it, lend it, write it to a ring — and a message it does
-// not handle is gathered into an arena wire, charged to meter (nil for
-// none) until it is handed to the transport, which owns it from then on.
-// Either way the caller may touch its buffers again once send returns.
-func (c *Comm) send(cancel <-chan struct{}, dst, tag int, data []byte, parts []Part, meter *StagingMeter) error {
+// first — land it, queue it lent on l (nil for no loan), lend it to a
+// writer, write it to a ring — and a message it does not handle is
+// gathered into an arena wire, charged to meter (nil for none) until it
+// is handed to the transport, which owns it from then on. Unless the
+// message went out on l, the caller may touch its buffers again once send
+// returns.
+func (c *Comm) send(cancel <-chan struct{}, dst, tag int, data []byte, parts []Part, meter *StagingMeter, l *Loan) error {
 	n := len(data)
 	if parts != nil {
 		n = partsSize(parts)
@@ -492,7 +521,7 @@ func (c *Comm) send(cancel <-chan struct{}, dst, tag int, data []byte, parts []P
 	var handled bool
 	var err error
 	if ts, ok := c.tr.(typedSender); ok {
-		handled, err = ts.sendTyped(dstWorld, e, parts, n)
+		handled, err = ts.sendTyped(dstWorld, e, parts, n, l)
 	}
 	if !handled {
 		e.data = GetBufferMetered(n, meter)
@@ -584,6 +613,7 @@ func (c *Comm) Recv(src, tag int) (data []byte, from, gotTag int, err error) {
 	if !taken {
 		return p.recv(nil)
 	}
+	e.repay(nil, 0)
 	c.recvDone(&e, len(e.data), c.recvStart())
 	return e.data, c.localRank(e.src), e.tag, nil
 }
@@ -673,16 +703,18 @@ func (t *inprocTransport) send(dst int, e envelope) error {
 // completes the post — one copy end to end, no arena wire, whether either
 // side is strided or not. Only bare inproc may: delivery here is
 // synchronous, so none of this sender's earlier messages can still be in
-// flight behind a claim that jumps the queue. Any other case is not
-// handled, and the message is queued.
-func (t *inprocTransport) sendTyped(dst int, e envelope, parts []Part, n int) (bool, error) {
+// flight behind a claim that jumps the queue. With a loan and no post open
+// for the message, it queues the message lent instead, at its FIFO
+// position, for the receiver's post to copy or pack (Comm.Lend). Any other
+// case is not handled, and the message is packed and queued.
+func (t *inprocTransport) sendTyped(dst int, e envelope, parts []Part, n int, l *Loan) (bool, error) {
 	if n == 0 || dst < 0 || dst >= len(t.w.boxes) {
 		return false, nil
 	}
 	box := t.w.boxes[dst]
-	p := box.claim(envelope{ctx: e.ctx, src: e.src, tag: e.tag}, n)
+	p, lent := box.claim(envelope{ctx: e.ctx, src: e.src, tag: e.tag, tc: e.tc}, n, parts, l)
 	if p == nil {
-		return false, nil
+		return lent, nil
 	}
 	p.land(e.data, parts)
 	box.commit(p, e.tc)

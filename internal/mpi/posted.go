@@ -10,17 +10,20 @@ import (
 // receive before its message exists; the mailbox then hands the arriving
 // envelope to the post instead of queueing it, and the payload may land
 // straight in the regions the receiver posted — ordered (datatype,
-// buffer) parts, the shape SendTyped takes — in one of two ways: on a
+// buffer) parts, the shape SendTyped takes — in one of three ways: on a
 // transport that shares the receiver's address space and delivers
 // synchronously (bare inproc) the sender's typed send claims the post and
 // copies its parts' runs into the posted parts' runs, so the message is
 // never staged at all; on shm the receiving rank's ring consumer claims
 // it and unpacks the ring record into the posted parts, so no arena
-// payload exists. Either way mailbox.claim takes the post and
+// payload exists. In both, mailbox.claim takes the post and
 // mailbox.commit completes it; nothing outside the transports reaches
-// them. A shm record that arrives first waits in its ring until a receive
-// from its sender opens or binds: post nudges the rank's consumer, which
-// then lands it in the posts that fit (shm.go).
+// them. The message may also come first. A shm record then waits in its
+// ring until a receive from its sender opens or binds: post nudges the
+// rank's consumer, which then lands it in the posts that fit (shm.go). An
+// inproc message sent with Comm.Lend waits in the queue by reference to
+// the sender's parts, and the post that takes it copies them straight in
+// (envelope.repay).
 //
 // Matching is FIFO per (communicator, source, tag) on both sides: an
 // arriving envelope completes the oldest open post that accepts it, a new
@@ -82,8 +85,9 @@ func (p *Posted) finish(e envelope, err error) {
 // allowed — in the caller-owned p. parts are the regions the payload
 // belongs in, in order, exactly as SendTyped takes a message: a nil T
 // takes Buf whole. They are only an offer, taken for a message of exactly
-// their packed size when a sender in this address space claims the post
-// or the shm consumer delivers the message (Wait then reports landed); in
+// their packed size when a sender in this address space claims the post,
+// the post takes a message queued lent (Comm.Lend, copied during Post) or
+// the shm consumer delivers the message (Wait then reports landed); in
 // every other case the post completes with an arena-backed payload
 // exactly as Recv would return it, and nil parts offer nothing. The
 // caller must end every post with Wait or Cancel, and must keep parts and
@@ -91,6 +95,10 @@ func (p *Posted) finish(e envelope, err error) {
 func (c *Comm) Post(p *Posted, src, tag int, parts []Part) error {
 	e, taken, err := c.post(p, src, tag, parts)
 	if taken {
+		if e.repay(p.parts, p.n) {
+			c.counters.countLanded(p.n)
+			p.landed = true
+		}
 		p.finish(e, nil)
 	}
 	return err
@@ -225,8 +233,11 @@ func (p *Posted) Cancel() bool {
 // exactly n bytes. The oldest one decides: skipping it for a later post
 // that fits would break FIFO matching. The claimer — an in-process
 // sender's typed send or the shm consumer delivering id — writes the
-// parts and then commits.
-func (m *mailbox) claim(id envelope, n int) *Posted {
+// parts and then commits. When no open post accepts id and l is set, id
+// is queued instead, lent on l, its payload the n packed bytes of parts,
+// and lent reports it: under the same lock, so no open post that accepts
+// it can appear in between.
+func (m *mailbox) claim(id envelope, n int, parts []Part, l *Loan) (p *Posted, lent bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, p := range m.posts {
@@ -234,13 +245,41 @@ func (m *mailbox) claim(id envelope, n int) *Posted {
 			continue
 		}
 		if p.n != n {
-			return nil
+			return nil, false
 		}
 		m.unpost(i)
 		p.env, p.state = id, postClaimed
-		return p
+		return p, false
 	}
-	return nil
+	if l == nil || m.closed {
+		return nil, false
+	}
+	l.box, l.parts, l.n, l.taken = m, parts, n, false
+	id.lent = l
+	m.queue = append(m.queue, id)
+	m.addDepth(1)
+	return nil, true
+}
+
+// repay turns a lent envelope a receive took from the queue into an
+// ordinary one: its bytes are copied straight into dst when dst packs to
+// exactly their size n — landed reports it, and data stays nil — and into
+// an arena payload otherwise, exactly as Recv would return it. Then the
+// sender's Settle may go on. Envelopes that were not lent are untouched.
+func (e *envelope) repay(dst []Part, n int) (landed bool) {
+	l := e.lent
+	if l == nil {
+		return false
+	}
+	if landed = n == l.n; landed {
+		CopyParts(dst, l.parts)
+	} else {
+		e.data = GetBuffer(l.n)
+		packParts(e.data, l.parts)
+	}
+	e.lent = nil
+	l.done <- struct{}{}
+	return landed
 }
 
 // land writes a claimed post's message — the packed bytes of src, or

@@ -308,11 +308,11 @@ func TestPostedClaimBlocksRevoke(t *testing.T) {
 			}
 			box := c.tr.(*inprocTransport).w.boxes[1]
 			id := envelope{ctx: c.ctx, src: 0, tag: postTagData}
-			p := box.claim(id, n)
+			p, _ := box.claim(id, n, nil, nil)
 			if p == nil {
 				return errors.New("claim missed an open post")
 			}
-			if box.claim(id, n) != nil {
+			if p, _ := box.claim(id, n, nil, nil); p != nil {
 				return errors.New("one post claimed twice")
 			}
 			if err := c.Send(1, postTagGo, nil); err != nil {
@@ -440,7 +440,7 @@ func TestPostedChunkStream(t *testing.T) {
 		if err := c.Post(&b, 1, postTagData, nil); err != nil {
 			return err
 		}
-		if m.claim(envelope{ctx: c.ctx, src: 1, tag: postTagData}, 4) != nil {
+		if p, _ := m.claim(envelope{ctx: c.ctx, src: 1, tag: postTagData}, 4, nil, nil); p != nil {
 			return errors.New("a bound post was claimable")
 		}
 		if err := expect(&b, 2); err != nil {

@@ -226,8 +226,11 @@ type shmRing struct {
 
 	mu sync.Mutex // serializes producers; consumer never takes it
 	// short is raised by a producer that finds too little room and
-	// cleared by the consumer, which then drains the ring whole.
-	short atomic.Bool
+	// cleared by the consumer, which then drains the ring whole. draining
+	// is up while the consumer does: raised before short is cleared, so a
+	// reader that finds both down knows no whole-ring drain is pending or
+	// under way.
+	short, draining atomic.Bool
 	// spaceWaits counts the producer's timed waits for space. It is atomic,
 	// though only the producer writes it, because it is read while the
 	// producer waits holding mu.
@@ -590,11 +593,19 @@ func (w *shmWorld) consume(dst int) {
 // progress.
 func (w *shmWorld) drainRing(src, dst int, box *mailbox, streams map[uint64]*shmStream, all bool) bool {
 	r := w.ring(src, dst)
-	all = r.short.Swap(false) || all
+	short := r.short.Load()
+	if short {
+		r.draining.Store(true)
+		r.short.Store(false)
+	}
+	all = all || short
 	start, tail := r.loadHead(), r.loadTail()
 	head := start
 	for head != tail && (all || !r.waits(head, box)) {
 		head = w.consumeRecord(src, dst, box, streams, head, tail)
+	}
+	if short {
+		r.draining.Store(false)
 	}
 	if head == start {
 		return false
@@ -655,7 +666,7 @@ func (w *shmWorld) deliver(dst int, box *mailbox, streams map[uint64]*shmStream,
 	e := envelope{ctx: rec.ctx, src: rec.src, tag: rec.tag, seq: rec.seq, tc: rec.tc}
 	if rec.typ == shmRecMsg {
 		if rec.n > 0 && rec.seq == 0 {
-			if p := box.claim(e, rec.n); p != nil {
+			if p, _ := box.claim(e, rec.n, nil, nil); p != nil {
 				unpackParts(payload, p.parts)
 				box.commit(p, rec.tc)
 				return
@@ -753,7 +764,7 @@ func (t *shmTransport) send(dst int, e envelope) error {
 // larger ones stream as chunk records from the arena wire the caller packs
 // instead. The ring write is synchronous, so by the time it returns the
 // caller's buffers are reusable, which is exactly Send's contract.
-func (t *shmTransport) sendTyped(dst int, e envelope, parts []Part, n int) (bool, error) {
+func (t *shmTransport) sendTyped(dst int, e envelope, parts []Part, n int, _ *Loan) (bool, error) {
 	if parts != nil && n > t.w.cfg.chunkThreshold {
 		return false, nil
 	}

@@ -120,11 +120,29 @@ func TestShmRecordWaitsForPost(t *testing.T) {
 	})
 }
 
+// drained waits until the (src -> dst) ring of c's shm world has no
+// whole-ring drain pending or under way.
+func drained(c *Comm, src, dst int) {
+	tr := c.tr
+	if ft, ok := tr.(*faultTransport); ok {
+		tr = ft.raw
+	}
+	r := tr.(*shmTransport).w.ring(src, dst)
+	for r.short.Load() || r.draining.Load() {
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // TestShmPressureDrainsWaitingRecords: a sender writes four rings' worth
 // to a receiver that posts only after every send returned. Sends must not
 // wait for receives, so a producer short of space flags its ring and the
 // consumer drains it into the arena; only the records still in the ring
-// when the posts open can land.
+// when the posts open can land. A drain takes every record committed when
+// it starts, and one flagged while an earlier drain is still under way
+// may start only after the flagging record was written, and take it too.
+// So the sender makes its last send once every drain is over: that record
+// either fits or flags a drain that ends before it is written, and waits
+// in the ring either way.
 func TestShmPressureDrainsWaitingRecords(t *testing.T) {
 	const size, msgs = 512, 32
 	record := shmPad(shmWordSize + shmRecHeader + size)
@@ -134,6 +152,9 @@ func TestShmPressureDrainsWaitingRecords(t *testing.T) {
 			defer close(sent)
 			own := make([]byte, size)
 			for i := 0; i < msgs; i++ {
+				if i == msgs-1 {
+					drained(c, 0, 1)
+				}
 				postedFill(own, i)
 				if err := c.Send(1, shmWaitTag, own); err != nil {
 					return err
@@ -142,6 +163,7 @@ func TestShmPressureDrainsWaitingRecords(t *testing.T) {
 			return nil
 		}
 		<-sent
+		drained(c, 0, 1)
 		if occ := shmWaiting(c); occ == 0 {
 			return errors.New("no record waits in the ring for its receive")
 		}

@@ -750,7 +750,7 @@ func (t *tcpTransport) send(dst int, e envelope) error {
 // one frame have their runs appended to the writer's vectored write.
 // Smaller messages are copied or packed and queued, so a storm of them
 // still coalesces without the sender waiting.
-func (t *tcpTransport) sendTyped(dst int, e envelope, parts []Part, n int) (bool, error) {
+func (t *tcpTransport) sendTyped(dst int, e envelope, parts []Part, n int, _ *Loan) (bool, error) {
 	if e.cancel != nil || n < readBufSize {
 		return false, nil
 	}

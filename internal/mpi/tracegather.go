@@ -65,7 +65,7 @@ func GatherTrace(c *Comm, rec *trace.Recorder) (*MergedTrace, error) {
 			var off time.Duration
 			for k := 0; k < traceSyncRounds; k++ {
 				t0 := rec.Now()
-				if err := c.send(nil, r, tag, nil, nil, nil); err != nil {
+				if err := c.send(nil, r, tag, nil, nil, nil, nil); err != nil {
 					return nil, fmt.Errorf("mpi: trace sync ping to rank %d: %w", r, err)
 				}
 				data, _, _, err := c.Recv(r, tag)
@@ -94,7 +94,7 @@ func GatherTrace(c *Comm, rec *trace.Recorder) (*MergedTrace, error) {
 				}
 				PutBuffer(data)
 				binary.LittleEndian.PutUint64(pong[:], uint64(rec.Now()))
-				if err := c.send(nil, 0, tag, pong[:], nil, nil); err != nil {
+				if err := c.send(nil, 0, tag, pong[:], nil, nil, nil); err != nil {
 					return nil, fmt.Errorf("mpi: trace sync pong to rank 0: %w", err)
 				}
 			}

@@ -15,8 +15,9 @@ type TrafficStats struct {
 	// MessagesLanded / BytesLanded count the messages that reached the
 	// regions of one of this rank's posted receives without an arena
 	// payload — whether the sender's typed send copied them straight
-	// there (bare inproc) or this rank's shm ring consumer unpacked them
-	// there (shm) —
+	// there or this rank's post copied them in from a sender's lent parts
+	// (bare inproc), or this rank's shm ring consumer unpacked them there
+	// (shm) —
 	// on the receiving side, where Posted.Wait reports them landed. They
 	// say which path ran; the messages are included in the sender's Sent
 	// and the receiver's Recv totals like any other.

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"ddr/internal/datatype"
@@ -12,7 +13,8 @@ import (
 // decides where the gather happens, the way MPI derived datatypes let the
 // communication layer move non-contiguous data. A posted receive offers
 // its regions in the same shape (Comm.Post). On bare inproc the parts'
-// runs copy straight into the receiver's posted parts; on tcp the writer
+// runs copy straight into the receiver's posted parts, now or — lent
+// (Comm.Lend) — when the receiver posts; on tcp the writer
 // puts every part's runs of a large message straight into its vectored
 // write and the kernel's copy is the only one; on shm the parts pack
 // straight into the ring record, which the consumer unpacks straight into
@@ -139,12 +141,13 @@ func appendRuns(iov [][]byte, parts []Part) [][]byte {
 
 // typedSender is the one optional transport capability: deliver a
 // message of n packed bytes — the parts, or e.data when parts is nil —
-// without an arena wire, by landing it in the receiver's posted parts
-// (inproc), lending it to the writer (tcp) or writing it into the ring
-// (shm). handled=false means the message does not qualify, and the
-// caller packs it into a wire the transport owns.
+// without an arena wire, by landing it in the receiver's posted parts or,
+// given a loan l, queueing it lent (inproc), lending it to the writer
+// (tcp) or writing it into the ring (shm). handled=false means the message
+// does not qualify, and the caller packs it into a wire the transport
+// owns.
 type typedSender interface {
-	sendTyped(dst int, e envelope, parts []Part, n int) (handled bool, err error)
+	sendTyped(dst int, e envelope, parts []Part, n int, l *Loan) (handled bool, err error)
 }
 
 // borrow is a send whose payload a transport writes straight from the
@@ -179,5 +182,78 @@ func (c *Comm) SendTyped(ctx context.Context, dst, tag int, parts []Part, meter 
 	if err != nil {
 		return err
 	}
-	return c.send(cancel, dst, tag, nil, parts, meter)
+	return c.send(cancel, dst, tag, nil, parts, meter, nil)
+}
+
+// Loan is one typed send that may wait in its receiver's mailbox by
+// reference to the sender's parts (Comm.Lend) until Settle. The zero value
+// is ready, and a Loan is reusable once Settle returned, which lets a
+// caller keep them in scratch and send without allocating. It must not be
+// copied or moved while lent: the receiver's mailbox holds its address.
+type Loan struct {
+	// box is the receiver's mailbox while the message is lent, nil
+	// otherwise; box, parts and n are the sender's, written before the
+	// message is queued and only read by the receive that takes it.
+	box   *mailbox
+	parts []Part
+	n     int
+	meter *StagingMeter
+	// taken: a receive took the message out of the queue and repays it,
+	// then signals done. Guarded by box.mu.
+	taken bool
+	done  chan struct{} // capacity 1
+}
+
+// Lend is SendTyped on l, except on bare inproc when dst has no receive
+// open for the message: instead of packing it into an arena wire, it
+// queues it lent, at its FIFO position in dst's mailbox, and the receive
+// that takes it copies the runs of parts straight into posted parts of
+// exactly its size (landed, one copy) or into an arena payload. Lend never
+// waits for the receiver. Until Settle returns the caller must keep parts
+// and the memory they name untouched, and must call Settle on every path,
+// success or not; everywhere else the message goes out as SendTyped sends
+// it and Settle returns at once.
+func (c *Comm) Lend(l *Loan, ctx context.Context, dst, tag int, parts []Part, meter *StagingMeter) error {
+	cancel, err := c.sendArgs(ctx, dst, tag)
+	if err != nil {
+		return err
+	}
+	if l.box != nil {
+		return errors.New("mpi: Lend on a loan not yet settled")
+	}
+	if l.done == nil {
+		l.done = make(chan struct{}, 1)
+	}
+	l.meter = meter
+	return c.send(cancel, dst, tag, nil, parts, meter, l)
+}
+
+// Settle ends the loan: once it returns nobody reads the lent parts or the
+// memory they name. A message still queued is packed in place into an
+// arena wire, charged to the Lend's meter until it is in the queue as
+// SendTyped charges one, and the receiver gets it as any queued payload;
+// a message a receive has taken is waited for, which is bounded by that
+// receive's one copy. A sender never waits for a receiver that has not
+// started.
+func (l *Loan) Settle() {
+	m := l.box
+	if m != nil {
+		m.mu.Lock()
+		if l.taken {
+			m.mu.Unlock()
+			<-l.done
+		} else {
+			for i := range m.queue {
+				if e := &m.queue[i]; e.lent == l {
+					e.data = GetBufferMetered(l.n, l.meter)
+					packParts(e.data, l.parts)
+					l.meter.Release(cap(e.data))
+					e.lent = nil
+					break
+				}
+			}
+			m.mu.Unlock()
+		}
+	}
+	l.box, l.parts, l.meter = nil, nil, nil
 }
