@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -53,20 +52,6 @@ func depthGauge(reg *obs.Registry, rank int) *obs.Gauge {
 	return reg.Gauge("mpi_pending_messages", "", obs.RankLabel(rank))
 }
 
-// attachDepth attaches telemetry to rank 1 of an n-rank world before any
-// rank goes on, so its depth gauge counts every message queued there.
-func attachDepth(reg *obs.Registry, n int) func(c *mpi.Comm) {
-	var attached sync.WaitGroup
-	attached.Add(n)
-	return func(c *mpi.Comm) {
-		if c.Rank() == 1 {
-			c.AttachTelemetry(mpi.NewTelemetry(reg, 1))
-		}
-		attached.Done()
-		attached.Wait()
-	}
-}
-
 // TestLentSendsSettleOnEveryExit: rank 0's exchange lends its message to
 // rank 1, which has not posted, and then leaves run — by returning (it
 // receives nothing), by its caller's cancel, by its deadline, or because
@@ -89,10 +74,8 @@ func TestLentSendsSettleOnEveryExit(t *testing.T) {
 			}
 			n := len(needAll)
 			reg := obs.NewRegistry()
-			attach := attachDepth(reg, n)
 			returned, ready := make(chan struct{}), make(chan struct{})
 			err := mpi.Launch(n, func(c *mpi.Comm) error {
-				attach(c)
 				rank := c.Rank()
 				var opts []Option
 				if exit == "deadline" && rank == 0 {
@@ -151,7 +134,7 @@ func TestLentSendsSettleOnEveryExit(t *testing.T) {
 					}
 					return errLost
 				}
-			}, mpi.WithFaultInjector(nil))
+			}, mpi.WithFaultInjector(nil), mpi.WithTelemetry(reg, nil))
 			if exit == "lost-peer" {
 				if !errors.Is(err, errLost) || strings.Contains(err.Error(), "lent") {
 					t.Fatalf("Launch returned %v, want only rank 2's loss", err)
@@ -176,11 +159,9 @@ func TestLentZeroAllocSteadyState(t *testing.T) {
 	const runs = 50
 	ownAll, needAll := swapWorld()
 	reg := obs.NewRegistry()
-	attach := attachDepth(reg, 2)
 	measured := make(chan struct{})
 	var landed [2]int64
 	err := mpi.Launch(2, func(c *mpi.Comm) error {
-		attach(c)
 		rank := c.Rank()
 		d, err := NewDescriptor(2, Layout2D, Float32)
 		if err != nil {
@@ -227,7 +208,7 @@ func TestLentZeroAllocSteadyState(t *testing.T) {
 		}
 		landed[rank] = c.Traffic().MessagesLanded - before
 		return checkBox(dst, needAll[rank], 4, nil, 0)
-	}, mpi.WithFaultInjector(nil))
+	}, mpi.WithFaultInjector(nil), mpi.WithTelemetry(reg, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

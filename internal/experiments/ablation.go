@@ -97,7 +97,6 @@ func DepthAblation(procs int, domain grid.Box, chunkCounts []int, reps int, tele
 		for _, depth := range depths {
 			samples := make([]time.Duration, 0, reps)
 			err := mpi.Launch(procs, func(c *mpi.Comm) error {
-				tel.attach(c)
 				desc, err := core.NewDescriptor(procs, core.Layout3D, core.Float32,
 					append([]core.Option{core.WithPipelineDepth(depth)}, tel.coreOpts()...)...)
 				if err != nil {
@@ -133,7 +132,7 @@ func DepthAblation(procs int, domain grid.Box, chunkCounts []int, reps int, tele
 					}
 				}
 				return nil
-			})
+			}, tel.launchOpts()...)
 			if err != nil {
 				return nil, err
 			}

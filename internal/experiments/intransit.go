@@ -134,7 +134,6 @@ func RunInTransit(cfg InTransitConfig) (*InTransitResult, error) {
 		return nil, err
 	}
 	err = mpi.Launch(cfg.M+cfg.N, func(world *mpi.Comm) error {
-		cfg.Telemetry.attach(world)
 		cp, err := transit.NewCoupling(world, cfg.M, cfg.N)
 		if err != nil {
 			return err
@@ -159,7 +158,7 @@ func RunInTransit(cfg InTransitConfig) (*InTransitResult, error) {
 			mu.Unlock()
 		}
 		return cfg.Telemetry.MergeAndWrite(world)
-	}, launchOpts...)
+	}, append(launchOpts, cfg.Telemetry.launchOpts()...)...)
 	if err != nil {
 		return nil, err
 	}

@@ -53,15 +53,14 @@ func (t *Telemetry) coreOpts() []core.Option {
 	return opts
 }
 
-// attach hooks a world communicator's send/recv/collective paths into
-// the sinks. Communicators derived with Split inherit the attachment, so
-// one call at world setup covers the whole run.
-func (t *Telemetry) attach(world *mpi.Comm) {
+// launchOpts returns the launch options that report every rank's
+// send/recv/collective paths and transport to the sinks, bound before the
+// world starts, so communicators split from it report too.
+func (t *Telemetry) launchOpts() []mpi.LaunchOption {
 	if !t.enabled() {
-		return
+		return nil
 	}
-	world.AttachTelemetry(mpi.NewTelemetry(t.Metrics, world.Rank()).
-		WithFlightRecorder(t.Flight, world.Rank()))
+	return []mpi.LaunchOption{mpi.WithTelemetry(t.Metrics, t.Flight)}
 }
 
 // MergeAndWrite assembles the world's merged timeline and writes it to

@@ -147,3 +147,32 @@ func TestTelemetryNil(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An in-transit run on shm reports to its registry from the world's
+// first message, so every gauge of every rank ends at exactly zero:
+// nothing stays pending, in a ring or in a send queue, and no move is
+// counted on one side only.
+func TestInTransitShmGaugesEndAtZero(t *testing.T) {
+	const m, n = 4, 2
+	tel := &Telemetry{Metrics: obs.NewRegistry()}
+	if _, err := RunInTransit(InTransitConfig{
+		M: m, N: n,
+		GridW: 48, GridH: 36,
+		Iterations:  20,
+		OutputEvery: 10,
+		Telemetry:   tel,
+		Transport:   "shm",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if tel.Metrics.Counter("mpi_shm_bytes_in_total", "", obs.RankLabel(m)).Value() == 0 {
+		t.Fatal("consumer rank received no shm bytes")
+	}
+	for r := 0; r < m+n; r++ {
+		for _, gauge := range []string{"mpi_pending_messages", "mpi_shm_ring_occupancy_bytes", "mpi_tcp_send_queue_depth"} {
+			if v := tel.Metrics.Gauge(gauge, "", obs.RankLabel(r)).Value(); v != 0 {
+				t.Errorf("rank %d: %s ends at %d, want 0", r, gauge, v)
+			}
+		}
+	}
+}

@@ -46,72 +46,6 @@ func Slabs(domain Box, axis, count int) []Box {
 	return out
 }
 
-// WeightedSlabs decomposes domain into len(weights) slabs along axis with
-// cut points chosen so each slab's share of the total weight is as even
-// as possible: weights[i] is the relative cost of slab i's rank (e.g.
-// measured step time), so a slow rank receives proportionally fewer
-// rows — the load-balancing counterpart of Slabs. All weights must be
-// positive. Every slab is at least one cell thick when the axis allows
-// it.
-func WeightedSlabs(domain Box, axis int, weights []float64) ([]Box, error) {
-	n := len(weights)
-	if n == 0 {
-		return nil, fmt.Errorf("grid: no weights")
-	}
-	if axis < 0 || axis >= domain.NDims {
-		return nil, fmt.Errorf("grid: slab axis %d out of range for %dD domain", axis, domain.NDims)
-	}
-	if domain.Dims[axis] < n {
-		return nil, fmt.Errorf("grid: %d slabs along an axis of %d cells", n, domain.Dims[axis])
-	}
-	// A rank's capacity is the inverse of its cost; distribute rows in
-	// proportion to capacity.
-	total := 0.0
-	caps := make([]float64, n)
-	for i, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("grid: weight %d is %g, must be positive", i, w)
-		}
-		caps[i] = 1 / w
-		total += caps[i]
-	}
-	rows := domain.Dims[axis]
-	sizes := make([]int, n)
-	assigned := 0
-	for i := range sizes {
-		sizes[i] = max(1, int(float64(rows)*caps[i]/total))
-		assigned += sizes[i]
-	}
-	// Fix rounding drift by adjusting the largest-capacity slabs first.
-	for assigned != rows {
-		step := 1
-		if assigned > rows {
-			step = -1
-		}
-		best := -1
-		for i := range sizes {
-			if step < 0 && sizes[i] <= 1 {
-				continue
-			}
-			if best == -1 || caps[i]*float64(step) > caps[best]*float64(step) {
-				best = i
-			}
-		}
-		sizes[best] += step
-		assigned += step
-	}
-	out := make([]Box, n)
-	off := domain.Offset[axis]
-	for i := range out {
-		b := domain
-		b.Offset[axis] = off
-		b.Dims[axis] = sizes[i]
-		off += sizes[i]
-		out[i] = b
-	}
-	return out, nil
-}
-
 // Factor2 returns the factorization rows×cols = count with rows ≤ cols and
 // the two factors as close as possible — the "as close to square as
 // possible" grid the paper's analysis application expects.
@@ -193,73 +127,6 @@ func Bricks3D(domain Box, nx, ny, nz int) []Box {
 		}
 	}
 	return out
-}
-
-// RCB decomposes domain into exactly n boxes by recursive coordinate
-// bisection: each split halves the part count and cuts the current box
-// along its longest axis in proportion to the two halves. Unlike
-// Bricks3D, which needs n to factor into a grid, RCB produces compact
-// near-equal-volume boxes for any n (e.g. 7 GPUs), the decomposition
-// practical DVR runs need when node counts are not round. Requires
-// domain.Volume() >= n.
-func RCB(domain Box, n int) ([]Box, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("grid: RCB needs at least one part, got %d", n)
-	}
-	if domain.Volume() < n {
-		return nil, fmt.Errorf("grid: domain %v too small for %d parts", domain, n)
-	}
-	out := make([]Box, 0, n)
-	var split func(b Box, parts int) error
-	split = func(b Box, parts int) error {
-		if parts == 1 {
-			out = append(out, b)
-			return nil
-		}
-		// Longest splittable axis.
-		axis := -1
-		for i := 0; i < b.NDims; i++ {
-			if b.Dims[i] > 1 && (axis == -1 || b.Dims[i] > b.Dims[axis]) {
-				axis = i
-			}
-		}
-		if axis == -1 {
-			return fmt.Errorf("grid: RCB cannot split unit box %v into %d parts", b, parts)
-		}
-		// Cut near the middle, then hand each side a part count
-		// proportional to its volume, clamped so both sides stay feasible
-		// (possible because b.Volume() >= parts).
-		cut := b.Dims[axis] / 2
-		if cut < 1 {
-			cut = 1
-		}
-		lo, hi := b, b
-		lo.Dims[axis] = cut
-		hi.Offset[axis] += cut
-		hi.Dims[axis] -= cut
-		loVol, hiVol := lo.Volume(), hi.Volume()
-		left := (parts*loVol + (loVol+hiVol)/2) / (loVol + hiVol)
-		if left < parts-hiVol {
-			left = parts - hiVol
-		}
-		if left > loVol {
-			left = loVol
-		}
-		if left < 1 {
-			left = 1
-		}
-		if left > parts-1 {
-			left = parts - 1
-		}
-		if err := split(lo, left); err != nil {
-			return err
-		}
-		return split(hi, parts-left)
-	}
-	if err := split(domain, n); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // RoundRobinSlices assigns the `count` unit-thick slices of domain along

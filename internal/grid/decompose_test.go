@@ -46,84 +46,6 @@ func TestSlabsTile(t *testing.T) {
 	}
 }
 
-func TestWeightedSlabs(t *testing.T) {
-	domain := Box2(0, 0, 10, 100)
-	// Equal weights degenerate to near-even slabs.
-	even, err := WeightedSlabs(domain, 1, []float64{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyTilingOwned(domain, even, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range even {
-		if s.Dims[1] != 25 {
-			t.Errorf("even slab height %d", s.Dims[1])
-		}
-	}
-	// A rank twice as slow gets half the rows of a fast one.
-	skew, err := WeightedSlabs(domain, 1, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyTilingOwned(domain, skew, nil); err != nil {
-		t.Fatal(err)
-	}
-	if skew[0].Dims[1] <= skew[1].Dims[1] {
-		t.Errorf("fast rank got %d rows, slow got %d", skew[0].Dims[1], skew[1].Dims[1])
-	}
-	if skew[0].Dims[1] != 66 && skew[0].Dims[1] != 67 {
-		t.Errorf("fast rank rows %d, want ~67", skew[0].Dims[1])
-	}
-	// Extreme skew still yields at least one row each.
-	extreme, err := WeightedSlabs(domain, 1, []float64{1, 1e9, 1e9, 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyTilingOwned(domain, extreme, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < 4; i++ {
-		if extreme[i].Dims[1] < 1 {
-			t.Errorf("slab %d starved", i)
-		}
-	}
-	// Validation.
-	if _, err := WeightedSlabs(domain, 1, nil); err == nil {
-		t.Error("no weights accepted")
-	}
-	if _, err := WeightedSlabs(domain, 1, []float64{1, -1}); err == nil {
-		t.Error("negative weight accepted")
-	}
-	if _, err := WeightedSlabs(domain, 5, []float64{1}); err == nil {
-		t.Error("bad axis accepted")
-	}
-	if _, err := WeightedSlabs(Box2(0, 0, 10, 2), 1, []float64{1, 1, 1}); err == nil {
-		t.Error("more slabs than cells accepted")
-	}
-}
-
-func TestWeightedSlabsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
-		rows := n + rng.Intn(200)
-		domain := Box2(0, rng.Intn(5), 7, rows)
-		weights := make([]float64, n)
-		for i := range weights {
-			weights[i] = 0.1 + rng.Float64()*10
-		}
-		slabs, err := WeightedSlabs(domain, 1, weights)
-		if err != nil {
-			return false
-		}
-		return VerifyTilingOwned(domain, slabs, nil) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestFactor2(t *testing.T) {
 	cases := []struct{ n, r, c int }{
 		{1, 1, 1}, {4, 2, 2}, {6, 2, 3}, {12, 3, 4}, {32, 4, 8}, {7, 1, 7},
@@ -172,95 +94,6 @@ func TestBricks3DTiles(t *testing.T) {
 		if err := VerifyTilingOwned(domain, boxes, nil); err != nil {
 			t.Errorf("Bricks3D(%d): %v", n, err)
 		}
-	}
-}
-
-func TestRCBTiles(t *testing.T) {
-	domain := Box3(0, 0, 0, 20, 16, 12)
-	for _, n := range []int{1, 2, 3, 5, 7, 11, 27, 60} {
-		boxes, err := RCB(domain, n)
-		if err != nil {
-			t.Fatalf("RCB(%d): %v", n, err)
-		}
-		if len(boxes) != n {
-			t.Fatalf("RCB(%d) produced %d boxes", n, len(boxes))
-		}
-		if err := VerifyTilingOwned(domain, boxes, nil); err != nil {
-			t.Errorf("RCB(%d): %v", n, err)
-		}
-		// Volumes must be balanced within a factor of ~2.5 for these sizes.
-		lo, hi := domain.Volume(), 0
-		for _, b := range boxes {
-			lo, hi = min(lo, b.Volume()), max(hi, b.Volume())
-		}
-		if n > 1 && float64(hi)/float64(lo) > 2.5 {
-			t.Errorf("RCB(%d): imbalance %d..%d", n, lo, hi)
-		}
-	}
-}
-
-func TestRCBBetterAspectThanBricksForPrimes(t *testing.T) {
-	// For 7 parts Bricks3D degenerates to 1x1x7 slabs; RCB must produce
-	// more compact boxes (smaller max aspect ratio).
-	domain := Box3(0, 0, 0, 64, 64, 64)
-	rcb, err := RCB(domain, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, y, z := Factor3(7)
-	bricks := Bricks3D(domain, x, y, z)
-	aspect := func(boxes []Box) float64 {
-		worst := 1.0
-		for _, b := range boxes {
-			lo, hi := b.Dims[0], b.Dims[0]
-			for i := 1; i < 3; i++ {
-				lo, hi = min(lo, b.Dims[i]), max(hi, b.Dims[i])
-			}
-			if a := float64(hi) / float64(lo); a > worst {
-				worst = a
-			}
-		}
-		return worst
-	}
-	if aspect(rcb) >= aspect(bricks) {
-		t.Errorf("RCB aspect %.1f not better than brick aspect %.1f", aspect(rcb), aspect(bricks))
-	}
-}
-
-func TestRCBValidation(t *testing.T) {
-	if _, err := RCB(Box1(0, 4), 0); err == nil {
-		t.Error("zero parts accepted")
-	}
-	if _, err := RCB(Box1(0, 3), 5); err == nil {
-		t.Error("too many parts accepted")
-	}
-	// Exactly volume-many parts: every cell its own box.
-	boxes, err := RCB(Box2(0, 0, 3, 2), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyTilingOwned(Box2(0, 0, 3, 2), boxes, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRCBProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		domain := Box3(rng.Intn(3), rng.Intn(3), rng.Intn(3),
-			1+rng.Intn(15), 1+rng.Intn(15), 1+rng.Intn(15))
-		n := 1 + rng.Intn(domain.Volume())
-		if n > 64 {
-			n = 64
-		}
-		boxes, err := RCB(domain, n)
-		if err != nil {
-			return false
-		}
-		return len(boxes) == n && VerifyTilingOwned(domain, boxes, nil) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -40,19 +40,3 @@ func ExampleBox_Grow() {
 	// Output:
 	// (0,3)+(6,5)
 }
-
-// ExampleRCB decomposes for a rank count that does not factor nicely.
-func ExampleRCB() {
-	boxes, err := grid.RCB(grid.Box3(0, 0, 0, 8, 8, 8), 3)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	for i, b := range boxes {
-		fmt.Printf("rank %d: %v (%d cells)\n", i, b, b.Volume())
-	}
-	// Output:
-	// rank 0: (0,0,0)+(4,4,8) (128 cells)
-	// rank 1: (0,4,0)+(4,4,8) (128 cells)
-	// rank 2: (4,0,0)+(4,8,8) (256 cells)
-}

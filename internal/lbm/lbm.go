@@ -55,19 +55,6 @@ func CylinderBarrier(cx, cy, r int) func(x, y int) bool {
 	}
 }
 
-// UnionBarriers combines barriers: a cell is solid if any constituent
-// marks it, for domains with multiple obstacles. Nil entries are skipped.
-func UnionBarriers(barriers ...func(x, y int) bool) func(x, y int) bool {
-	return func(x, y int) bool {
-		for _, b := range barriers {
-			if b != nil && b(x, y) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
 // Slab simulates rows [Y0, Y0+NY) of the global domain, with one ghost
 // row above and below. A serial simulation is a single slab covering the
 // whole height.
@@ -317,4 +304,23 @@ func (s *Slab) VelocityEdgeRows() (uxLow, uyLow, uxHigh, uyHigh []float64) {
 	uxHigh = append([]float64(nil), s.ux[(s.NY-1)*w:s.NY*w]...)
 	uyHigh = append([]float64(nil), s.uy[(s.NY-1)*w:s.NY*w]...)
 	return
+}
+
+// SpeedField returns |u| per slab cell as float32, a second streamable
+// variable of interest besides vorticity.
+func (s *Slab) SpeedField() []float32 {
+	out := make([]float32, len(s.ux))
+	for i := range out {
+		out[i] = float32(math.Sqrt(s.ux[i]*s.ux[i] + s.uy[i]*s.uy[i]))
+	}
+	return out
+}
+
+// DensityField returns rho per slab cell as float32.
+func (s *Slab) DensityField() []float32 {
+	out := make([]float32, len(s.rho))
+	for i := range out {
+		out[i] = float32(s.rho[i])
+	}
+	return out
 }

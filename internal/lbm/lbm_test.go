@@ -85,14 +85,29 @@ func TestUniformFlowIsSteady(t *testing.T) {
 }
 
 // TestBarrierDisturbsFlow: the obstacle must generate a wake with nonzero
-// vorticity after enough iterations.
+// vorticity after enough iterations, while the flow stays stable and,
+// although the inflow boundary does not conserve mass exactly, the summed
+// fluid density stays within 5 % of its value after the first step.
 func TestBarrierDisturbsFlow(t *testing.T) {
 	p := testParams(64, 32)
 	s, err := NewSlab(p, 0, p.Height)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for it := 0; it < 300; it++ {
+	fluidMass := func() float64 {
+		var m float64
+		for r := 0; r < s.NY; r++ {
+			for x := 0; x < p.Width; x++ {
+				if !s.barrier[(r+1)*p.Width+x] {
+					m += s.rho[r*p.Width+x]
+				}
+			}
+		}
+		return m
+	}
+	s.Step()
+	m0 := fluidMass()
+	for it := 1; it < 300; it++ {
 		s.Step()
 	}
 	vort := s.VorticityInterior(nil, nil, nil, nil)
@@ -109,6 +124,9 @@ func TestBarrierDisturbsFlow(t *testing.T) {
 		if math.IsNaN(r) || (r != 0 && (r < 0.2 || r > 5)) {
 			t.Fatalf("cell %d density %g unstable", i, r)
 		}
+	}
+	if rel := math.Abs(fluidMass()-m0) / m0; rel > 0.05 {
+		t.Errorf("fluid mass drifted %.2f%% over the run", 100*rel)
 	}
 }
 
@@ -218,5 +236,25 @@ func BenchmarkStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()
+	}
+}
+
+func TestFieldExtractors(t *testing.T) {
+	p := Params{Width: 8, Height: 6, Viscosity: 0.05, InletVelocity: 0.08}
+	s, err := NewSlab(p, 0, p.Height)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Step()
+	speed := s.SpeedField()
+	dens := s.DensityField()
+	if len(speed) != 48 || len(dens) != 48 {
+		t.Fatalf("field lengths %d/%d", len(speed), len(dens))
+	}
+	if math.Abs(float64(speed[10])-0.08) > 1e-6 {
+		t.Errorf("speed %f, want 0.08", speed[10])
+	}
+	if math.Abs(float64(dens[10])-1) > 1e-6 {
+		t.Errorf("density %f, want 1", dens[10])
 	}
 }

@@ -203,6 +203,7 @@ func TestWaitCtxNilAndDone(t *testing.T) {
 // mailbox must be empty and the depth gauge back at zero.
 func TestWaitCtxAbandonAccounting(t *testing.T) {
 	const cycles = 50
+	reg := obs.NewRegistry()
 	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 1 {
 			for i := 0; i < cycles; i++ {
@@ -215,10 +216,7 @@ func TestWaitCtxAbandonAccounting(t *testing.T) {
 			}
 			return nil
 		}
-		tel := NewTelemetry(obs.NewRegistry(), c.Rank())
-		c.AttachTelemetry(tel)
-		defer c.AttachTelemetry(nil)
-		g := tel.pendingMsgs
+		g := reg.Gauge("mpi_pending_messages", "", obs.RankLabel(c.Rank()))
 		cancelled, cancel := context.WithCancel(context.Background())
 		cancel()
 		for i := 0; i < cycles; i++ {
@@ -247,7 +245,7 @@ func TestWaitCtxAbandonAccounting(t *testing.T) {
 			return fmt.Errorf("%d envelopes still queued after drain", n)
 		}
 		return nil
-	})
+	}, WithTelemetry(reg, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

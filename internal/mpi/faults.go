@@ -108,7 +108,7 @@ type faultTransport struct {
 
 // verdict mirrors one injector verdict into the rank's telemetry: its
 // kind's counter when counted, and the flight recorder's event,
-// attributed to this sender. Free when no telemetry is attached.
+// attributed to this sender. Free when the rank has no telemetry.
 func (t *faultTransport) verdict(kind obs.FlightKind, counted bool, dst int, e *envelope) {
 	tel := t.counters.telemetry()
 	if tel == nil {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"ddr/internal/obs"
 )
 
 // Launch is the single entry point for running an n-rank world,
@@ -16,6 +18,7 @@ import (
 //	mpi.Launch(8, body, mpi.WithFaultInjector(inj))              // explicit injector
 //	mpi.Launch(8, body, mpi.WithTransport(mpi.TransportTCP))     // loopback TCP
 //	mpi.Launch(8, body, mpi.WithTransport(mpi.TransportShm))     // shm rings
+//	mpi.Launch(8, body, mpi.WithTelemetry(reg, nil))             // metrics
 //
 // body runs once per rank (one goroutine each); Launch blocks until all
 // ranks return and yields the joined errors. When a rank fails, the
@@ -32,15 +35,21 @@ func Launch(n int, body func(c *Comm) error, opts ...LaunchOption) error {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	// Bound before any transport goroutine or rank body starts, a rank's
+	// telemetry counts both sides of every move.
+	tels := make([]*telemetry, n)
+	for rank := range tels {
+		tels[rank] = newTelemetry(cfg.reg, cfg.flight, rank)
+	}
 	var comms []*Comm
 	var err error
 	switch cfg.transport {
 	case TransportTCP:
-		comms, err = tcpComms(n, cfg.tcp)
+		comms, err = tcpComms(cfg.tcp, tels)
 	case TransportShm:
-		comms, err = shmComms(n, cfg.shm)
+		comms, err = shmComms(cfg.shm, tels)
 	default:
-		comms = inprocComms(n)
+		comms = inprocComms(tels)
 	}
 	if err != nil {
 		return err
@@ -143,6 +152,8 @@ type launchConfig struct {
 	shm       shmConfig
 	inj       FaultInjector
 	injSet    bool
+	reg       *obs.Registry
+	flight    *obs.FlightRecorder
 }
 
 // LaunchOption configures one Launch call.
@@ -163,5 +174,18 @@ func WithFaultInjector(inj FaultInjector) LaunchOption {
 	return func(cfg *launchConfig) {
 		cfg.inj = inj
 		cfg.injSet = true
+	}
+}
+
+// WithTelemetry reports every rank of the world to reg, each rank's
+// instruments under its rank label, and records the transport's flight
+// events into flight. Either may be nil; omitting the option, or passing
+// two nils, leaves the hot paths on their nil fast path. The bundle binds
+// when the world is built and does not change while it runs: every
+// communicator of a rank, split from the world or not, its mailbox and
+// its transport report to it, attributed to the world rank.
+func WithTelemetry(reg *obs.Registry, flight *obs.FlightRecorder) LaunchOption {
+	return func(cfg *launchConfig) {
+		cfg.reg, cfg.flight = reg, flight
 	}
 }

@@ -204,8 +204,9 @@ type mailbox struct {
 	wake chan struct{}
 }
 
-// newMailbox returns an empty mailbox with fresh counters for its rank.
-func newMailbox() *mailbox { return &mailbox{counters: &traffic{}} }
+// newMailbox returns an empty mailbox with fresh counters for its rank,
+// reporting to tel.
+func newMailbox(tel *telemetry) *mailbox { return &mailbox{counters: &traffic{tel: tel}} }
 
 // addDepth moves the pending-message gauge by d.
 func (m *mailbox) addDepth(d int64) {
@@ -567,15 +568,13 @@ func sendTimeout(err error, dst, tag int) error {
 func (c *Comm) sendEnd(dstWorld, n int, start time.Time) {
 	c.counters.countSend(dstWorld, n)
 	if t := c.counters.telemetry(); t != nil {
-		if !start.IsZero() { // not a send already under way at the attach
-			t.sendLatency.ObserveSince(start)
-		}
+		t.sendLatency.ObserveSince(start)
 		t.wireSent.Add(int64(n))
 	}
 }
 
 // sendBegin opens one send's telemetry: the flight event and the latency
-// clock (zero when no telemetry is attached), plus the trace context the
+// clock (zero when the rank has no telemetry), plus the trace context the
 // message will carry.
 func (c *Comm) sendBegin(dstWorld, tag, n int) (tc TraceContext, start time.Time) {
 	tc = c.traceCtx()
@@ -618,9 +617,8 @@ func (c *Comm) Recv(src, tag int) (data []byte, from, gotTag int, err error) {
 	return e.data, c.localRank(e.src), e.tag, nil
 }
 
-// recvStart is when a receive begins to wait, for its latency: now with
-// telemetry attached, the zero time, which recvDone leaves untimed,
-// without.
+// recvStart is when a receive begins to wait, for its latency: now when
+// the rank has telemetry, the zero time, which nothing reads, without.
 func (c *Comm) recvStart() (start time.Time) {
 	if c.counters.telemetry() != nil {
 		start = time.Now()
@@ -629,14 +627,12 @@ func (c *Comm) recvStart() (start time.Time) {
 }
 
 // recvDone accounts for one consumed message of n payload bytes: traffic
-// counters, and — with telemetry attached, start being when the receive
-// began to wait — latency, wire bytes and the flight event.
+// counters, and — when the rank has telemetry, start being when the
+// receive began to wait — latency, wire bytes and the flight event.
 func (c *Comm) recvDone(e *envelope, n int, start time.Time) {
 	c.counters.countRecv(e.src, n)
 	if t := c.counters.telemetry(); t != nil {
-		if !start.IsZero() { // not a receive already waiting at the attach
-			t.recvLatency.ObserveSince(start)
-		}
+		t.recvLatency.ObserveSince(start)
 		t.wireRecv.Add(int64(n))
 		if t.flight != nil {
 			t.flight.Record(obs.FlightEvent{
@@ -723,12 +719,14 @@ func (t *inprocTransport) sendTyped(dst int, e envelope, parts []Part, n int, l 
 
 func (t *inprocTransport) close() error { return nil }
 
-// inprocComms builds the n world communicators of an in-process world.
-func inprocComms(n int) []*Comm {
+// inprocComms builds the world communicators of an in-process world, one
+// a rank, rank r reporting to tels[r].
+func inprocComms(tels []*telemetry) []*Comm {
+	n := len(tels)
 	w := &inprocWorld{boxes: make([]*mailbox, n)}
 	comms := make([]*Comm, n)
 	for rank := range comms {
-		w.boxes[rank] = newMailbox()
+		w.boxes[rank] = newMailbox(tels[rank])
 		comms[rank] = worldComm(rank, n, &inprocTransport{w: w}, w.boxes[rank])
 	}
 	return comms

@@ -190,19 +190,8 @@ func postedRevoke(c *Comm, from, to int) error {
 func TestPostedRecv(t *testing.T) {
 	for _, w := range postedWorlds() {
 		t.Run(w.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
 			err := Launch(4, func(c *Comm) error {
-				tel := NewTelemetry(obs.NewRegistry(), c.Rank())
-				c.AttachTelemetry(tel)
-				defer c.AttachTelemetry(nil)
-				g := tel.pendingMsgs
-				// Messages queued before the gauge was attached went uncounted;
-				// from here on the gauge trails the queue by exactly that many.
-				trail := func() (queued, posted int, behind int64) {
-					c.box.mu.Lock()
-					defer c.box.mu.Unlock()
-					return len(c.box.queue), len(c.box.posts), int64(len(c.box.queue)) - g.Value()
-				}
-				_, _, uncounted := trail()
 				if err := postedExchange(c, 0, 3, w); err != nil {
 					return err
 				}
@@ -219,8 +208,12 @@ func TestPostedRecv(t *testing.T) {
 				if err := c.Barrier(); err != nil {
 					return err
 				}
-				if queued, posted, behind := trail(); queued != 0 || posted != 0 || behind != uncounted {
-					return fmt.Errorf("mailbox not drained: %d queued, %d posted, depth gauge off by %d", queued, posted, uncounted-behind)
+				g := reg.Gauge("mpi_pending_messages", "", obs.RankLabel(c.Rank()))
+				c.box.mu.Lock()
+				queued, posted, depth := len(c.box.queue), len(c.box.posts), g.Value()
+				c.box.mu.Unlock()
+				if queued != 0 || posted != 0 || depth != int64(queued) {
+					return fmt.Errorf("mailbox not drained: %d queued, %d posted, depth gauge %d", queued, posted, depth)
 				}
 				// Rank 0 sends on the world, ranks 0 and 1 on their halves;
 				// rank 3 receives on the world, ranks 2 and 3 on the halves.
@@ -231,7 +224,7 @@ func TestPostedRecv(t *testing.T) {
 					return fmt.Errorf("MessagesLanded = %d on a rank whose posts take landings: %v", st.MessagesLanded, lands)
 				}
 				return nil
-			}, w.opts...)
+			}, append(w.opts, WithTelemetry(reg, nil))...)
 			if err != nil {
 				t.Fatal(err)
 			}

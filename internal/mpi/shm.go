@@ -273,14 +273,12 @@ func (r *shmRing) live(head, tail uint64) uint64 {
 }
 
 // touch raises the ring's high-water data offset to end, adding the rise
-// to the receiving rank's touched bytes. Producer-side; the caller holds
-// r.mu.
+// to the receiving rank's touched-bytes gauge. Producer-side; the caller
+// holds r.mu.
 func (r *shmRing) touch(w *shmWorld, end uint64) {
 	if end > r.touched {
-		rx := w.boxes[r.dst].counters
-		total := rx.shmTouched.Add(int64(end - r.touched))
-		if t := rx.telemetry(); t != nil {
-			t.shmTouched.SetMax(total)
+		if t := w.tel(r.dst); t != nil {
+			t.shmTouched.Add(int64(end - r.touched))
 		}
 		r.touched = end
 	}
@@ -542,8 +540,8 @@ func shmMap(size int) (mem []byte, mapped bool, err error) {
 // ring returns the (src -> dst) ring.
 func (w *shmWorld) ring(src, dst int) *shmRing { return w.rings[src*w.n+dst] }
 
-// tel is the telemetry attached to world rank rank, nil when detached.
-func (w *shmWorld) tel(rank int) *Telemetry { return w.boxes[rank].counters.telemetry() }
+// tel is world rank rank's telemetry, nil when it has none.
+func (w *shmWorld) tel(rank int) *telemetry { return w.boxes[rank].counters.telemetry() }
 
 // addOccupancy moves dst's ring-occupancy gauge, the record bytes
 // committed to its inbound rings and not yet consumed, by n.
@@ -845,12 +843,14 @@ func shmTraceExtIf(e *envelope) int {
 
 func (t *shmTransport) close() error { return t.w.close() }
 
-// shmComms builds the n world communicators of a world whose traffic
-// crosses the mmap-backed ring transport.
-func shmComms(n int, cfg shmConfig) ([]*Comm, error) {
+// shmComms builds the world communicators of a world whose traffic
+// crosses the mmap-backed ring transport, one a rank, rank r reporting to
+// tels[r].
+func shmComms(cfg shmConfig, tels []*telemetry) ([]*Comm, error) {
+	n := len(tels)
 	boxes := make([]*mailbox, n)
 	for i := range boxes {
-		boxes[i] = newMailbox()
+		boxes[i] = newMailbox(tels[i])
 	}
 	w, err := newShmWorld(n, cfg, boxes)
 	if err != nil {

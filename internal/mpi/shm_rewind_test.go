@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ddr/internal/obs"
 )
 
 // Consumer behaviours of TestShmRingRewind.
@@ -52,7 +54,7 @@ func TestShmRingRewind(t *testing.T) {
 		tag       = 5
 		cycles    = 6
 	)
-	box := newMailbox()
+	box := newMailbox(nil)
 	defer box.close(nil)
 	w, err := mapShmWorld(1, shmConfig{ringSize: ring, chunkThreshold: threshold, chunkSize: chunk}, []*mailbox{box})
 	if err != nil {
@@ -218,7 +220,7 @@ func TestShmRingRewind(t *testing.T) {
 // wait re-arms one timer per ring, so however often it wakes the process
 // allocates nothing while it waits.
 func TestShmBackpressureAllocs(t *testing.T) {
-	box := newMailbox()
+	box := newMailbox(nil)
 	defer box.close(nil)
 	w, err := mapShmWorld(1, wholeRecords, []*mailbox{box})
 	if err != nil {
@@ -284,8 +286,8 @@ func boxComm(box *mailbox, n, self int) *Comm {
 // records unconsumed, then drains at the exchange's end. Every busy ring
 // must touch at most twice its burst plus one record of memory — a ring
 // that rewound only once a whole chunk past its start would touch more
-// than a chunk — and the receivers' touched-bytes totals, behind their
-// mpi_shm_ring_touched_bytes gauges, must sum to the rings'.
+// than a chunk — and the receivers' mpi_shm_ring_touched_bytes gauges
+// must sum to the rings' touched bytes.
 func TestShmTransposeFootprint(t *testing.T) {
 	const (
 		ranks     = 16
@@ -293,9 +295,10 @@ func TestShmTransposeFootprint(t *testing.T) {
 		payload   = 16 << 10
 		exchanges = 12
 	)
+	reg := obs.NewRegistry()
 	boxes := make([]*mailbox, ranks)
 	for i := range boxes {
-		boxes[i] = newMailbox()
+		boxes[i] = newMailbox(newTelemetry(reg, nil, i))
 		defer boxes[i].close(nil)
 	}
 	w, err := mapShmWorld(ranks, defaultShmConfig, boxes)
@@ -372,8 +375,8 @@ func TestShmTransposeFootprint(t *testing.T) {
 		}
 		sum += int64(r.touched)
 	}
-	for _, box := range boxes {
-		touched += box.counters.shmTouched.Load()
+	for rank := range boxes {
+		touched += reg.Gauge("mpi_shm_ring_touched_bytes", "", obs.RankLabel(rank)).Value()
 	}
 	if touched != sum || rewinds == 0 {
 		t.Errorf("receivers' touched bytes %d with %d rewinds, want the rings' sum %d and rewinds", touched, rewinds, sum)

@@ -364,8 +364,7 @@ func TestShmZeroAllocSteadyState(t *testing.T) {
 // instruments and nothing deadlocks.
 func TestShmScrapeUnderLoad(t *testing.T) {
 	reg := obs.NewRegistry()
-	err := runShm(4, func(c *Comm) error {
-		c.AttachTelemetry(NewTelemetry(reg, c.Rank()))
+	err := Launch(4, func(c *Comm) error {
 		stop := make(chan struct{})
 		var scrapes sync.WaitGroup
 		scrapes.Add(1)
@@ -407,7 +406,7 @@ func TestShmScrapeUnderLoad(t *testing.T) {
 		close(stop)
 		scrapes.Wait()
 		return nil
-	})
+	}, WithTransport(TransportShm), WithTelemetry(reg, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +440,7 @@ func TestShmScrapeUnderLoad(t *testing.T) {
 // holds a ring lock, and a producer that takes the lock afterwards must
 // get ErrClosed without touching ring memory.
 func TestShmCloseWaitsOutProducer(t *testing.T) {
-	box := newMailbox()
+	box := newMailbox(nil)
 	defer box.close(nil)
 	w, err := mapShmWorld(1, wholeRecords, []*mailbox{box})
 	if err != nil {

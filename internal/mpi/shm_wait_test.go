@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -22,7 +21,7 @@ const shmWaitTag = 5
 
 // shmTel is world rank rank's telemetry in c's shm world, behind a fault
 // injector or not.
-func shmTel(c *Comm, rank int) *Telemetry {
+func shmTel(c *Comm, rank int) *telemetry {
 	tr := c.tr
 	if ft, ok := tr.(*faultTransport); ok {
 		tr = ft.raw
@@ -43,23 +42,14 @@ func shmWaiting(c *Comm) int64 {
 
 // runShmWait runs body on a two-rank shm world with opts, failing the test
 // when the world does not finish within a bound: a record that waits for
-// a receive nobody will post hangs instead of failing. Both ranks attach
-// telemetry before either body starts, so the ring gauges count every
-// record.
+// a receive nobody will post hangs instead of failing. The world reports
+// to a registry, so the ring gauges count every record.
 func runShmWait(t *testing.T, body func(c *Comm) error, opts ...LaunchOption) {
 	t.Helper()
-	reg := obs.NewRegistry()
-	var attached sync.WaitGroup
-	attached.Add(2)
-	attach := func(c *Comm) error {
-		c.AttachTelemetry(NewTelemetry(reg, c.Rank()))
-		attached.Done()
-		attached.Wait()
-		return body(c)
-	}
 	done := make(chan error, 1)
 	go func() {
-		done <- Launch(2, attach, append([]LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil)}, opts...)...)
+		done <- Launch(2, body, append([]LaunchOption{WithTransport(TransportShm), WithFaultInjector(nil),
+			WithTelemetry(obs.NewRegistry(), nil)}, opts...)...)
 	}()
 	select {
 	case err := <-done:

@@ -170,10 +170,9 @@ type TCPEndpoint struct {
 	closed  bool
 }
 
-// tel is the telemetry attached to the endpoint's rank (nil when
-// detached); the box's counters are the rank's from the endpoint's birth,
-// so the read loops never miss an attach.
-func (ep *TCPEndpoint) tel() *Telemetry { return ep.box.counters.telemetry() }
+// tel is the endpoint's rank's telemetry, nil when it has none; it is in
+// the box before the accept loop starts.
+func (ep *TCPEndpoint) tel() *telemetry { return ep.box.counters.telemetry() }
 
 // rank is the world rank Join assigned the endpoint.
 func (ep *TCPEndpoint) rank() int { return ep.box.counters.rank }
@@ -185,21 +184,23 @@ func (ep *TCPEndpoint) queueDepthAdd(n int64) {
 }
 
 // NewTCPEndpoint binds a listener on bind (e.g. "127.0.0.1:0") and starts
-// accepting peer connections.
+// accepting peer connections. Its rank reports to no telemetry: a
+// rank's bundle must bind here, not at Join, because the endpoint's read
+// loops start here and count from their first frame.
 func NewTCPEndpoint(bind string) (*TCPEndpoint, error) {
-	return newTCPEndpoint(bind, defaultTCPConfig)
+	return newTCPEndpoint(bind, defaultTCPConfig, nil)
 }
 
-// newTCPEndpoint is NewTCPEndpoint on the wire geometry cfg; Launch passes
-// its own, and tests pass small ones.
-func newTCPEndpoint(bind string, cfg tcpConfig) (*TCPEndpoint, error) {
+// newTCPEndpoint is NewTCPEndpoint on the wire geometry cfg, reporting to
+// tel; Launch passes each rank's bundle, and tests pass small geometries.
+func newTCPEndpoint(bind string, cfg tcpConfig, tel *telemetry) (*TCPEndpoint, error) {
 	l, err := net.Listen("tcp", bind)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: tcp listen: %w", err)
 	}
 	ep := &TCPEndpoint{
 		listener: l,
-		box:      newMailbox(),
+		box:      newMailbox(tel),
 		cfg:      cfg,
 		stop:     make(chan struct{}),
 		peers:    map[int]*tcpPeer{},
@@ -273,7 +274,8 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 
 // Join assembles the world communicator for this endpoint. rank is this
 // endpoint's world rank and addrs lists every rank's endpoint address in
-// rank order (addrs[rank] should be this endpoint's own address).
+// rank order (addrs[rank] should be this endpoint's own address). It
+// takes no telemetry: that binds in NewTCPEndpoint, where reading starts.
 func (ep *TCPEndpoint) Join(rank int, addrs []string) (*Comm, error) {
 	if rank < 0 || rank >= len(addrs) {
 		return nil, fmt.Errorf("mpi: tcp rank %d out of range for %d addresses", rank, len(addrs))
@@ -852,9 +854,9 @@ type frameDecoder struct {
 	hdr [tcpFrameHeader + tcpChunkExt + tcpSeqExt + tcpTraceExt]byte
 }
 
-// tel is the telemetry attached to the owning endpoint's rank: nil when
-// detached, and for a standalone decoder.
-func (d *frameDecoder) tel() *Telemetry {
+// tel is the owning endpoint's rank's telemetry: nil when it has none,
+// and for a standalone decoder.
+func (d *frameDecoder) tel() *telemetry {
 	if d.ep == nil {
 		return nil
 	}
@@ -1083,15 +1085,15 @@ func (d *frameDecoder) cleanup() {
 	}
 }
 
-// tcpComms builds the n world communicators of a world whose traffic
-// crosses loopback TCP sockets, one endpoint per rank: the socket twin of
-// the in-process world, which shows DDR behaves the same when messages
-// cross a real network stack.
-func tcpComms(n int, cfg tcpConfig) ([]*Comm, error) {
-	eps := make([]*TCPEndpoint, n)
-	addrs := make([]string, n)
+// tcpComms builds the world communicators of a world whose traffic
+// crosses loopback TCP sockets, one endpoint a rank, rank r reporting to
+// tels[r]: the socket twin of the in-process world, which shows DDR
+// behaves the same when messages cross a real network stack.
+func tcpComms(cfg tcpConfig, tels []*telemetry) ([]*Comm, error) {
+	eps := make([]*TCPEndpoint, len(tels))
+	addrs := make([]string, len(tels))
 	for i := range eps {
-		ep, err := newTCPEndpoint("127.0.0.1:0", cfg)
+		ep, err := newTCPEndpoint("127.0.0.1:0", cfg, tels[i])
 		if err != nil {
 			for _, prev := range eps[:i] {
 				prev.Close()
@@ -1101,7 +1103,7 @@ func tcpComms(n int, cfg tcpConfig) ([]*Comm, error) {
 		eps[i] = ep
 		addrs[i] = ep.Addr()
 	}
-	comms := make([]*Comm, n)
+	comms := make([]*Comm, len(eps))
 	for rank, ep := range eps {
 		comms[rank] = ep.join(rank, addrs)
 	}

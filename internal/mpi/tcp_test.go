@@ -242,11 +242,11 @@ func TestTCPInterleavedChunkStreams(t *testing.T) {
 // force-closes the rest within its timeout, and nothing hangs or panics.
 func TestTCPCloseMidStream(t *testing.T) {
 	cfg := tcpChunked(4<<10, 1<<10)
-	a, err := newTCPEndpoint("127.0.0.1:0", cfg)
+	a, err := newTCPEndpoint("127.0.0.1:0", cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := newTCPEndpoint("127.0.0.1:0", cfg)
+	b, err := newTCPEndpoint("127.0.0.1:0", cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,10 +396,9 @@ func TestTCPBackpressureWarning(t *testing.T) {
 
 	cfg := defaultTCPConfig
 	cfg.queueLen, cfg.batch = 2, 2
-	tel := NewTelemetry(obs.NewRegistry(), 0)
+	reg := obs.NewRegistry()
 	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.AttachTelemetry(tel)
 			for i := 0; i < 512; i++ {
 				if err := c.Send(1, 0, make([]byte, 4096)); err != nil {
 					return err
@@ -415,11 +414,11 @@ func TestTCPBackpressureWarning(t *testing.T) {
 			PutBuffer(data)
 		}
 		return nil
-	}, withTCP(cfg))
+	}, withTCP(cfg), WithTelemetry(reg, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tel.tcpBackpressure.Value() == 0 {
+	if reg.Counter("mpi_tcp_backpressure_total", "", obs.RankLabel(0)).Value() == 0 {
 		t.Fatal("512 sends through a 2-deep queue never hit backpressure")
 	}
 	out := logbuf.String()
@@ -434,12 +433,11 @@ func TestTCPBackpressureWarning(t *testing.T) {
 // TestTCPStatsCoalescing asserts the writer actually vectors multiple
 // frames per write under bursty load.
 func TestTCPStatsCoalescing(t *testing.T) {
-	tel := NewTelemetry(obs.NewRegistry(), 0)
+	reg := obs.NewRegistry()
 	var ep *TCPEndpoint
 	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			ep = c.tr.(*tcpTransport).ep
-			c.AttachTelemetry(tel)
 			for i := 0; i < 256; i++ {
 				if err := c.Send(1, i, []byte("burst")); err != nil {
 					return err
@@ -457,7 +455,7 @@ func TestTCPStatsCoalescing(t *testing.T) {
 			}
 		}
 		return c.Send(0, 0, []byte{1})
-	}, WithTransport(TransportTCP), WithFaultInjector(nil)) // the bare endpoint's writers
+	}, WithTransport(TransportTCP), WithFaultInjector(nil), WithTelemetry(reg, nil)) // the bare endpoint's writers
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,10 +471,10 @@ func TestTCPStatsCoalescing(t *testing.T) {
 	if batches >= frames {
 		t.Fatalf("no coalescing: %d batches for %d frames", batches, frames)
 	}
-	if tel.tcpCoalesced.Value() == 0 {
+	if reg.Counter("mpi_tcp_frames_coalesced_total", "", obs.RankLabel(0)).Value() == 0 {
 		t.Fatal("mpi_tcp_frames_coalesced_total = 0 under a 256-frame burst")
 	}
-	if d := tel.tcpQueueDepth.Value(); d != 0 {
+	if d := reg.Gauge("mpi_tcp_send_queue_depth", "", obs.RankLabel(0)).Value(); d != 0 {
 		t.Fatalf("mpi_tcp_send_queue_depth = %d after drain, want 0", d)
 	}
 }

@@ -20,18 +20,14 @@ func TestTCPSendqSaturationCounter(t *testing.T) {
 
 	cfg := defaultTCPConfig
 	cfg.queueLen, cfg.batch = 2, 2
-	var counted, blocked int64
+	reg := obs.NewRegistry()
 	err := Launch(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			reg := obs.NewRegistry()
-			tel := NewTelemetry(reg, 0)
-			c.AttachTelemetry(tel)
 			for i := 0; i < 512; i++ {
 				if err := c.Send(1, 0, make([]byte, 4096)); err != nil {
 					return err
 				}
 			}
-			counted, blocked = tel.tcpSendqSat.Value(), tel.tcpBackpressure.Value()
 			return nil
 		}
 		for i := 0; i < 512; i++ {
@@ -42,10 +38,12 @@ func TestTCPSendqSaturationCounter(t *testing.T) {
 			PutBuffer(data)
 		}
 		return nil
-	}, withTCP(cfg))
+	}, withTCP(cfg), WithTelemetry(reg, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
+	counted := reg.Counter("mpi_tcp_sendq_saturation_total", "", obs.RankLabel(0)).Value()
+	blocked := reg.Counter("mpi_tcp_backpressure_total", "", obs.RankLabel(0)).Value()
 	if counted == 0 {
 		t.Fatal("512 sends through a 2-deep queue never saturated")
 	}
@@ -63,18 +61,9 @@ func TestTCPSendqSaturationCounter(t *testing.T) {
 // exchange ID and round — i.e. the context really crossed the wire.
 func TestTCPTraceContextRoundTrip(t *testing.T) {
 	const exch = uint64(0xabcdef0123456789)
-	var flights [2]*obs.FlightRecorder
+	flight := obs.NewFlightRecorder(256)
 	err := Launch(2, func(c *Comm) error {
-		rank := c.Rank()
-		f := obs.NewFlightRecorder(256)
-		flights[rank] = f
-		c.AttachTelemetry(NewTelemetry(nil, rank).WithFlightRecorder(f, rank))
-		// Both recorders must be attached before the frame is on the wire:
-		// the receiver's read loop records frame-in only when it has one.
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if rank == 0 {
+		if c.Rank() == 0 {
 			c.SetTraceContext(TraceContext{Exchange: exch, Round: 3})
 			defer c.ClearTraceContext()
 			return c.Send(1, 7, []byte("traced payload"))
@@ -85,13 +74,13 @@ func TestTCPTraceContextRoundTrip(t *testing.T) {
 		}
 		PutBuffer(data)
 		return nil
-	}, WithTransport(TransportTCP))
+	}, WithTransport(TransportTCP), WithTelemetry(nil, flight))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantKinds := map[obs.FlightKind]bool{obs.FlightFrameIn: false, obs.FlightRecv: false}
-	for _, ev := range flights[1].Snapshot() {
-		if _, ok := wantKinds[ev.Kind]; ok && ev.Exchange == exch {
+	for _, ev := range flight.Snapshot() {
+		if _, ok := wantKinds[ev.Kind]; ok && ev.Rank == 1 && ev.Exchange == exch {
 			if ev.Round != 3 {
 				t.Fatalf("%v event carries round %d, want 3", ev.Kind, ev.Round)
 			}
@@ -104,13 +93,13 @@ func TestTCPTraceContextRoundTrip(t *testing.T) {
 	for kind, seen := range wantKinds {
 		if !seen {
 			t.Errorf("receiver recorded no %v event with exchange %016x:\n%+v",
-				kind, exch, flights[1].Snapshot())
+				kind, exch, flight.Snapshot())
 		}
 	}
 	// The sender's side records the send with the same identity.
 	found := false
-	for _, ev := range flights[0].Snapshot() {
-		if ev.Kind == obs.FlightSend && ev.Exchange == exch && ev.Peer == 1 {
+	for _, ev := range flight.Snapshot() {
+		if ev.Kind == obs.FlightSend && ev.Rank == 0 && ev.Exchange == exch && ev.Peer == 1 {
 			found = true
 		}
 	}
@@ -124,19 +113,9 @@ func TestTCPTraceContextRoundTrip(t *testing.T) {
 // (chunk frames repeat the extension so mid-stream observation works).
 func TestTCPTraceContextChunked(t *testing.T) {
 	const exch = uint64(0x1122334455667788)
-	var recvFlight *obs.FlightRecorder
+	flight := obs.NewFlightRecorder(256)
 	err := Launch(2, func(c *Comm) error {
-		rank := c.Rank()
-		if rank == 1 {
-			recvFlight = obs.NewFlightRecorder(256)
-			c.AttachTelemetry(NewTelemetry(nil, rank).WithFlightRecorder(recvFlight, rank))
-		}
-		// The receiver's recorder must be attached before the first chunk
-		// is on the wire: its read loop records only what arrives after.
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if rank == 0 {
+		if c.Rank() == 0 {
 			c.SetTraceContext(TraceContext{Exchange: exch, Round: 1})
 			defer c.ClearTraceContext()
 			return c.Send(1, 9, make([]byte, 1<<14))
@@ -147,12 +126,15 @@ func TestTCPTraceContextChunked(t *testing.T) {
 		}
 		PutBuffer(data)
 		return nil
-	}, withTCP(tcpChunked(1<<10, 1<<10)))
+	}, withTCP(tcpChunked(1<<10, 1<<10)), WithTelemetry(nil, flight))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var open, done bool
-	for _, ev := range recvFlight.Snapshot() {
+	for _, ev := range flight.Snapshot() {
+		if ev.Rank != 1 {
+			continue
+		}
 		switch ev.Kind {
 		case obs.FlightChunkStart:
 			if ev.Exchange == exch {
@@ -164,7 +146,7 @@ func TestTCPTraceContextChunked(t *testing.T) {
 	}
 	if !open || !done {
 		t.Fatalf("chunk stream events missing (open=%v done=%v):\n%+v",
-			open, done, recvFlight.Snapshot())
+			open, done, flight.Snapshot())
 	}
 }
 
@@ -177,10 +159,10 @@ func TestTCPUntracedWireIdentical(t *testing.T) {
 	const size = 1024
 	run := func(traced bool) int64 {
 		var wireOut int64
+		reg := obs.NewRegistry()
+		out := reg.Counter("mpi_tcp_wire_bytes_out_total", "", obs.RankLabel(0))
 		err := Launch(2, func(c *Comm) error {
 			if c.Rank() == 0 {
-				tel := NewTelemetry(obs.NewRegistry(), 0)
-				c.AttachTelemetry(tel)
 				if traced {
 					c.SetTraceContext(TraceContext{Exchange: 0xbeef, Round: 0})
 					defer c.ClearTraceContext()
@@ -203,7 +185,7 @@ func TestTCPUntracedWireIdentical(t *testing.T) {
 				// loaded box. Poll until the counter is nonzero and stable.
 				prev := int64(-1)
 				for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-					wireOut = tel.tcpOut.Value()
+					wireOut = out.Value()
 					if wireOut > 0 && wireOut == prev {
 						break
 					}
@@ -220,7 +202,7 @@ func TestTCPUntracedWireIdentical(t *testing.T) {
 				PutBuffer(data)
 			}
 			return c.Send(0, 1, []byte{1})
-		}, WithTransport(TransportTCP))
+		}, WithTransport(TransportTCP), WithTelemetry(reg, nil))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,15 +2,13 @@ package mpi
 
 import "ddr/internal/obs"
 
-// Telemetry bundles the observability sinks for one rank: latency
-// histograms and wire-byte counters in an obs.Registry and a
-// pending-message gauge on the rank's mailbox. The runtime records no
-// spans of its own; the exchange's spans are core's. Construct with NewTelemetry and attach with
-// Comm.AttachTelemetry; a nil *Telemetry is valid everywhere and costs a
-// single pointer check on the hot paths.
-type Telemetry struct {
-	rank int
-
+// telemetry bundles the observability sinks of one rank: latency
+// histograms, wire-byte counters, the mailbox's and the transport's
+// instruments in an obs.Registry, and an optional flight recorder. The
+// runtime records no spans of its own; the exchange's spans are core's.
+// Launch binds one per rank before any goroutine that counts starts, and
+// it never changes. A nil *telemetry costs one pointer check per site.
+type telemetry struct {
 	sendLatency *obs.Histogram
 	recvLatency *obs.Histogram
 	wireSent    *obs.Counter
@@ -42,21 +40,20 @@ type Telemetry struct {
 	faultSevers  *obs.Counter
 	peersLost    *obs.Counter
 
-	// flight is the per-rank flight recorder; nil unless attached via
-	// WithFlightRecorder. Hot paths gate on the nil check.
+	// flight is the world's flight recorder, nil when none was given. Hot
+	// paths gate on the nil check.
 	flight *obs.FlightRecorder
 }
 
-// NewTelemetry derives a rank's instrument handles from the registry. A
-// nil registry gives a nil bundle, and instrumentation stays on its free
-// path.
-func NewTelemetry(reg *obs.Registry, rank int) *Telemetry {
-	if reg == nil {
+// newTelemetry derives rank's instruments from reg, with flight; nil when
+// both are. A nil registry gives nil instruments, which count nothing.
+func newTelemetry(reg *obs.Registry, flight *obs.FlightRecorder, rank int) *telemetry {
+	if reg == nil && flight == nil {
 		return nil
 	}
 	rl := obs.RankLabel(rank)
-	return &Telemetry{
-		rank: rank,
+	return &telemetry{
+		flight: flight,
 		sendLatency: reg.Histogram("mpi_send_latency_seconds",
 			"Time spent delivering one message into the transport.", obs.LatencyBuckets, rl),
 		recvLatency: reg.Histogram("mpi_recv_latency_seconds",
@@ -99,32 +96,5 @@ func NewTelemetry(reg *obs.Registry, rank int) *Telemetry {
 			"Peer links cut by the fault injector.", rl),
 		peersLost: reg.Counter("mpi_peers_lost_total",
 			"Peer ranks this rank's mailbox declared unreachable.", rl),
-	}
-}
-
-// WithFlightRecorder attaches a flight recorder to the bundle, allocating
-// the bundle if t is nil (flight recording works without a registry). Returns the bundle for chaining; a nil f is a no-op.
-func (t *Telemetry) WithFlightRecorder(f *obs.FlightRecorder, rank int) *Telemetry {
-	if f == nil {
-		return t
-	}
-	if t == nil {
-		t = &Telemetry{rank: rank}
-	}
-	t.flight = f
-	return t
-}
-
-// AttachTelemetry hooks the telemetry into this communicator's rank: every
-// communicator of the rank, split from it before or after the attach,
-// its mailbox and its transport report to it (spans and counters stay
-// attributed to the world rank, giving one unified timeline per
-// process). Passing nil detaches.
-func (c *Comm) AttachTelemetry(t *Telemetry) {
-	c.counters.tel.Store(t)
-	if t != nil {
-		// Touched ring bytes only rise, so a gauge attached late catches
-		// up here and every later rise sets it to the running total.
-		t.shmTouched.SetMax(c.counters.shmTouched.Load())
 	}
 }

@@ -20,16 +20,7 @@ func TestTelemetryTCPAllPairs(t *testing.T) {
 		msgSize = 64
 	)
 	reg := obs.NewRegistry()
-
-	// Every rank attaches before any rank sends: a message that lands in a
-	// mailbox ahead of its owner's gauges is consumed after them, and the
-	// depth and frame counters would read one short.
-	var attached sync.WaitGroup
-	attached.Add(n)
 	err := Launch(n, func(c *Comm) error {
-		c.AttachTelemetry(NewTelemetry(reg, c.Rank()))
-		attached.Done()
-		attached.Wait()
 		for peer := 0; peer < n; peer++ {
 			if peer != c.Rank() {
 				if err := c.Send(peer, 7, make([]byte, msgSize)); err != nil {
@@ -50,7 +41,7 @@ func TestTelemetryTCPAllPairs(t *testing.T) {
 			}
 		}
 		return c.Barrier()
-	}, WithTransport(TransportTCP))
+	}, WithTransport(TransportTCP), WithTelemetry(reg, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,54 +78,45 @@ func TestTelemetryTCPAllPairs(t *testing.T) {
 	}
 }
 
-// Telemetry attached on the world must reach every communicator of the
-// rank, split from it before the attach or after, still attributed to the
-// world rank.
+// A world's telemetry must reach every communicator of a rank, split from
+// the world or not, still attributed to the world rank.
 func TestTelemetrySharedAcrossSplit(t *testing.T) {
 	reg := obs.NewRegistry()
 	err := Launch(4, func(c *Comm) error {
-		before, err := c.Split(c.Rank()%2, c.Rank())
-		if err != nil {
-			return err
-		}
-		c.AttachTelemetry(NewTelemetry(reg, c.Rank()))
-		after, err := c.Split(c.Rank()%2, c.Rank())
+		sub, err := c.Split(c.Rank()%2, c.Rank())
 		if err != nil {
 			return err
 		}
 		// Split's own Allgather is counted too, so measure the delta of
-		// this rank's counter across each sub-communicator send.
+		// this rank's counter across the sub-communicator send.
 		own := reg.Counter("mpi_wire_bytes_sent_total", "", obs.RankLabel(c.Rank()))
-		for name, sub := range map[string]*Comm{"split before the attach": before, "split after it": after} {
-			base := own.Value()
-			if sub.Rank() == 1 {
-				if _, _, _, err := sub.Recv(0, 5); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := sub.Send(1, 5, make([]byte, 10)); err != nil {
-				return err
-			}
-			if got := own.Value() - base; got != 10 {
-				return fmt.Errorf("rank %d counted %d bytes for a 10-byte send on a communicator %s", c.Rank(), got, name)
-			}
+		base := own.Value()
+		if sub.Rank() == 1 {
+			_, _, _, err := sub.Recv(0, 5)
+			return err
+		}
+		if err := sub.Send(1, 5, make([]byte, 10)); err != nil {
+			return err
+		}
+		if got := own.Value() - base; got != 10 {
+			return fmt.Errorf("rank %d counted %d bytes for a 10-byte send on a split communicator", c.Rank(), got)
 		}
 		return nil
-	})
+	}, WithTelemetry(reg, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestTelemetryEveryInstrumentMoves runs a short two-rank exchange on each
-// transport, both ranks attached before any traffic, and checks that every
-// instrument the transport feeds has moved — so no count site is lost
-// silently — and that each rank's mpi_wire_bytes_sent_total and
-// mpi_wire_bytes_recv_total equal its Traffic() deltas. Rank 0 sends
-// tags 1 and 2, a burst of tag 3 and one message past tcp's chunk
-// threshold; rank 1 takes tag 2 first, so tag 1 waits in its mailbox, and
-// answers with an ack. A gauge that is back at zero by the end counts as
+// transport and checks that every instrument the transport feeds has
+// moved — so no count site is lost silently — that each rank's
+// mpi_wire_bytes_sent_total and mpi_wire_bytes_recv_total equal its
+// Traffic() totals, and that every gauge of every rank is back at exactly
+// zero once the world has returned: each move is counted on both sides.
+// Rank 0 sends tags 1 and 2, a burst of tag 3 and one message past tcp's
+// chunk threshold; rank 1 takes tag 2 first, so tag 1 waits in its
+// mailbox, and answers with an ack. A gauge that is back at zero by the end counts as
 // moved when it was caught above zero where it must be: the pending
 // messages while tag 1 waits, the shm ring occupancy while the records
 // wait for their receives, and the tcp send queue while rank 0's writer
@@ -165,7 +147,6 @@ func TestTelemetryEveryInstrumentMoves(t *testing.T) {
 	for _, w := range worlds {
 		t.Run(w.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			tels := []*Telemetry{NewTelemetry(reg, 0), NewTelemetry(reg, 1)}
 			var mu sync.Mutex
 			moved := map[string]bool{}
 			saw := func(name string, g *obs.Gauge) {
@@ -185,7 +166,8 @@ func TestTelemetryEveryInstrumentMoves(t *testing.T) {
 					return
 				}
 				stalled.Do(func() {
-					depth, blocked := tels[0].tcpQueueDepth, tels[0].tcpBackpressure
+					depth := reg.Gauge("mpi_tcp_send_queue_depth", "", obs.RankLabel(0))
+					blocked := reg.Counter("mpi_tcp_backpressure_total", "", obs.RankLabel(0))
 					before := blocked.Value()
 					deadline := time.Now().Add(10 * time.Second)
 					for depth.Value() < 2 && time.Now().Before(deadline) {
@@ -199,16 +181,10 @@ func TestTelemetryEveryInstrumentMoves(t *testing.T) {
 			}
 			defer func() { testHookBeforeWrite = nil }()
 
-			var attached sync.WaitGroup
-			attached.Add(2)
 			sent := make(chan struct{})
-			var base, end [2]TrafficStats
+			var end [2]TrafficStats
 			err := Launch(2, func(c *Comm) error {
 				r := c.Rank()
-				c.AttachTelemetry(tels[r])
-				attached.Done()
-				attached.Wait()
-				base[r] = c.Traffic()
 				defer func() { end[r] = c.Traffic() }()
 				if r == 0 {
 					for _, m := range []struct{ tag, n int }{{1, 64}, {2, 64}} {
@@ -231,12 +207,12 @@ func TestTelemetryEveryInstrumentMoves(t *testing.T) {
 				<-sent
 				if w.name == "shm" {
 					time.Sleep(5 * time.Millisecond) // the consumer leaves every record waiting
-					saw("mpi_shm_ring_occupancy_bytes", tels[1].shmOccupancy)
+					saw("mpi_shm_ring_occupancy_bytes", reg.Gauge("mpi_shm_ring_occupancy_bytes", "", obs.RankLabel(1)))
 				}
 				if _, _, _, err := c.Recv(0, 2); err != nil {
 					return err
 				}
-				saw("mpi_pending_messages", tels[1].pendingMsgs)
+				saw("mpi_pending_messages", reg.Gauge("mpi_pending_messages", "", obs.RankLabel(1)))
 				for _, tag := range []int{1, 3} {
 					for i := 0; i < map[int]int{1: 1, 3: burst}[tag]; i++ {
 						if _, _, _, err := c.Recv(0, tag); err != nil {
@@ -248,7 +224,7 @@ func TestTelemetryEveryInstrumentMoves(t *testing.T) {
 					return err
 				}
 				return c.Send(0, 5, make([]byte, 16))
-			}, w.opts...)
+			}, append(w.opts, WithTelemetry(reg, nil))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,31 +254,41 @@ func TestTelemetryEveryInstrumentMoves(t *testing.T) {
 			for r := 0; r < 2; r++ {
 				sent := reg.Counter("mpi_wire_bytes_sent_total", "", obs.RankLabel(r)).Value()
 				recv := reg.Counter("mpi_wire_bytes_recv_total", "", obs.RankLabel(r)).Value()
-				if want := end[r].BytesSent - base[r].BytesSent; sent != want {
-					t.Errorf("rank %d: mpi_wire_bytes_sent_total %d, Traffic().BytesSent moved %d", r, sent, want)
+				if want := end[r].BytesSent; sent != want {
+					t.Errorf("rank %d: mpi_wire_bytes_sent_total %d, Traffic().BytesSent %d", r, sent, want)
 				}
-				if want := end[r].BytesRecv - base[r].BytesRecv; recv != want {
-					t.Errorf("rank %d: mpi_wire_bytes_recv_total %d, Traffic().BytesRecv moved %d", r, recv, want)
+				if want := end[r].BytesRecv; recv != want {
+					t.Errorf("rank %d: mpi_wire_bytes_recv_total %d, Traffic().BytesRecv %d", r, recv, want)
+				}
+				for _, gauge := range []string{"mpi_pending_messages", "mpi_shm_ring_occupancy_bytes", "mpi_tcp_send_queue_depth"} {
+					if v := reg.Gauge(gauge, "", obs.RankLabel(r)).Value(); v != 0 {
+						t.Errorf("rank %d: %s ends at %d, want 0", r, gauge, v)
+					}
 				}
 			}
 		})
 	}
 }
 
-// Attaching no telemetry must keep the hot paths on the nil fast path.
+// A world launched without telemetry, or with WithTelemetry(nil, nil),
+// must keep its hot paths on the nil fast path.
 func TestTelemetryNilAttach(t *testing.T) {
-	err := Launch(2, func(c *Comm) error {
-		c.AttachTelemetry(nil)
-		if c.Rank() == 0 {
-			return c.Send(1, 1, []byte("x"))
+	for name, opts := range map[string][]LaunchOption{
+		"no option":               nil,
+		"WithTelemetry(nil, nil)": {WithTelemetry(nil, nil)},
+	} {
+		err := Launch(2, func(c *Comm) error {
+			if tel := c.counters.telemetry(); tel != nil {
+				return fmt.Errorf("rank %d has telemetry %p", c.Rank(), tel)
+			}
+			if c.Rank() == 0 {
+				return c.Send(1, 1, []byte("x"))
+			}
+			_, _, _, err := c.Recv(0, 1)
+			return err
+		}, opts...)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
-		_, _, _, err := c.Recv(0, 1)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tel := NewTelemetry(nil, 0); tel != nil {
-		t.Error("NewTelemetry(nil, 0) should be nil")
 	}
 }

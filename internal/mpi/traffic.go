@@ -40,10 +40,10 @@ type TrafficStats struct {
 // updates are atomic so any communicator derived from the rank, and the
 // transport's own goroutines, may count concurrently.
 type traffic struct {
-	// tel is the rank's telemetry (nil when detached). Every count site
-	// loads it once, so attaching reaches every communicator and transport
-	// goroutine of the rank at once.
-	tel atomic.Pointer[Telemetry]
+	// tel is the rank's telemetry, nil when the world has none. It is set
+	// when the rank's mailbox is made, before any goroutine that counts
+	// starts, and never changes.
+	tel *telemetry
 	// rank is the world rank, the attribution of the rank's flight events.
 	rank int
 
@@ -57,21 +57,15 @@ type traffic struct {
 
 	peerSent []atomic.Int64
 	peerRecv []atomic.Int64
-
-	// shmTouched is the running total behind the rank's
-	// mpi_shm_ring_touched_bytes gauge: the sum over its inbound shm rings
-	// of the highest data offset ever written. It only rises, so a gauge
-	// attached late catches up to it.
-	shmTouched atomic.Int64
 }
 
-// telemetry returns the attached telemetry, nil when detached or for no
+// telemetry returns the rank's telemetry, nil when it has none or for no
 // counters at all.
-func (t *traffic) telemetry() *Telemetry {
+func (t *traffic) telemetry() *telemetry {
 	if t == nil {
 		return nil
 	}
-	return t.tel.Load()
+	return t.tel
 }
 
 // countSend records n bytes sent to world rank peer.

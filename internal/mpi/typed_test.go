@@ -265,7 +265,7 @@ func TestTCPWriterDeathReleasesBorrowedSend(t *testing.T) {
 			// One frame, not a chunk stream, from a 4 KiB socket buffer.
 			cfg := tcpChunked(2*n, tcpChunkSize)
 			cfg.sndbuf = 4096
-			ep, err := newTCPEndpoint("127.0.0.1:0", cfg)
+			ep, err := newTCPEndpoint("127.0.0.1:0", cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

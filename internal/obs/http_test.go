@@ -12,20 +12,24 @@ import (
 
 // A scrape arriving while hot paths are registering and incrementing
 // instruments must return a well-formed document (and stay clean under
-// the race detector, which make verify runs this package with).
+// the race detector, which make verify runs this package with). The first
+// scrapes race the registrations; the later ones start once every writer
+// has registered, so they must show its series.
 func TestMetricsScrapeWhileWriting(t *testing.T) {
 	reg := NewRegistry()
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var wg, registered sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
+		registered.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			c := reg.Counter(fmt.Sprintf("scrape_race_total_%d", w), "scrape race test counter.", RankLabel(w))
 			h := reg.Histogram(fmt.Sprintf("scrape_race_seconds_%d", w), "scrape race test histogram.", LatencyBuckets, RankLabel(w))
+			registered.Done()
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -38,6 +42,9 @@ func TestMetricsScrapeWhileWriting(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 20; i++ {
+		if i == 6 {
+			registered.Wait()
+		}
 		resp, err := http.Get(srv.URL)
 		if err != nil {
 			t.Fatal(err)

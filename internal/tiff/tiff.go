@@ -277,21 +277,18 @@ func Decode(data []byte) (*Image, error) {
 	if bo.Uint16(data[2:]) != 42 {
 		return nil, fmt.Errorf("tiff: bad magic")
 	}
-	img, _, err := decodeIFD(data, bo, bo.Uint32(data[4:]))
-	return img, err
+	return decodeIFD(data, bo, bo.Uint32(data[4:]))
 }
 
-// decodeIFD parses one image file directory and its pixel data, returning
-// the image and the offset of the next IFD in the chain (0 = last).
-func decodeIFD(data []byte, bo binary.ByteOrder, ifdOff uint32) (*Image, uint32, error) {
+// decodeIFD parses the image file directory at ifdOff and its pixel data.
+func decodeIFD(data []byte, bo binary.ByteOrder, ifdOff uint32) (*Image, error) {
 	if int64(ifdOff)+2 > int64(len(data)) {
-		return nil, 0, fmt.Errorf("tiff: IFD offset out of range")
+		return nil, fmt.Errorf("tiff: IFD offset out of range")
 	}
 	n := int(bo.Uint16(data[ifdOff:]))
 	if int64(ifdOff)+2+int64(n)*12+4 > int64(len(data)) {
-		return nil, 0, fmt.Errorf("tiff: truncated IFD")
+		return nil, fmt.Errorf("tiff: truncated IFD")
 	}
-	nextIFD := bo.Uint32(data[int64(ifdOff)+2+int64(n)*12:])
 
 	img := &Image{BitsPerSample: 8, SampleFormat: FormatUint}
 	rowsPerStrip := int64(1) << 31
@@ -346,7 +343,7 @@ func decodeIFD(data []byte, bo binary.ByteOrder, ifdOff uint32) (*Image, uint32,
 			img.Height = int(scalar())
 		case tagBitsPerSample:
 			if count != 1 {
-				return nil, 0, fmt.Errorf("tiff: %d samples per pixel unsupported", count)
+				return nil, fmt.Errorf("tiff: %d samples per pixel unsupported", count)
 			}
 			img.BitsPerSample = int(scalar())
 		case tagCompression:
@@ -358,66 +355,66 @@ func decodeIFD(data []byte, bo binary.ByteOrder, ifdOff uint32) (*Image, uint32,
 		case tagStripOffsets:
 			var err error
 			if stripOffsets, err = readArray(typ, count, value, rawValue); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 		case tagStripCounts:
 			var err error
 			if stripCounts, err = readArray(typ, count, value, rawValue); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 		}
 	}
 	if Compression(compression) != CompressionNone && Compression(compression) != CompressionPackBits {
-		return nil, 0, fmt.Errorf("tiff: compression %d unsupported", compression)
+		return nil, fmt.Errorf("tiff: compression %d unsupported", compression)
 	}
 	if len(stripOffsets) == 0 || len(stripOffsets) != len(stripCounts) {
-		return nil, 0, fmt.Errorf("tiff: inconsistent strip tables (%d offsets, %d counts)",
+		return nil, fmt.Errorf("tiff: inconsistent strip tables (%d offsets, %d counts)",
 			len(stripOffsets), len(stripCounts))
 	}
 	bps := img.BitsPerSample / 8
 	if bps == 0 {
-		return nil, 0, fmt.Errorf("tiff: unsupported bits per sample %d", img.BitsPerSample)
+		return nil, fmt.Errorf("tiff: unsupported bits per sample %d", img.BitsPerSample)
 	}
 	if img.Width <= 0 || img.Height <= 0 {
-		return nil, 0, fmt.Errorf("tiff: invalid dimensions %dx%d", img.Width, img.Height)
+		return nil, fmt.Errorf("tiff: invalid dimensions %dx%d", img.Width, img.Height)
 	}
 	img.Pixels = make([]byte, img.Width*img.Height*bps)
 	rowBytes := img.Width * bps
 	if rowsPerStrip <= 0 {
-		return nil, 0, fmt.Errorf("tiff: invalid rows per strip %d", rowsPerStrip)
+		return nil, fmt.Errorf("tiff: invalid rows per strip %d", rowsPerStrip)
 	}
 	written := 0
 	for s := range stripOffsets {
 		off, cnt := int64(stripOffsets[s]), int64(stripCounts[s])
 		if off+cnt > int64(len(data)) {
-			return nil, 0, fmt.Errorf("tiff: strip %d out of range", s)
+			return nil, fmt.Errorf("tiff: strip %d out of range", s)
 		}
 		rowsLeft := int64(img.Height) - int64(s)*rowsPerStrip
 		if rowsLeft <= 0 {
-			return nil, 0, fmt.Errorf("tiff: strip %d beyond image height", s)
+			return nil, fmt.Errorf("tiff: strip %d beyond image height", s)
 		}
 		if rowsLeft > rowsPerStrip {
 			rowsLeft = rowsPerStrip
 		}
 		expect := int(rowsLeft) * rowBytes
 		if written+expect > len(img.Pixels) {
-			return nil, 0, fmt.Errorf("tiff: strips exceed image size")
+			return nil, fmt.Errorf("tiff: strips exceed image size")
 		}
 		src := data[off : off+cnt]
 		if Compression(compression) == CompressionPackBits {
 			if err := packBitsDecode(img.Pixels[written:written+expect], src); err != nil {
-				return nil, 0, fmt.Errorf("tiff: strip %d: %w", s, err)
+				return nil, fmt.Errorf("tiff: strip %d: %w", s, err)
 			}
 		} else {
 			if int(cnt) != expect {
-				return nil, 0, fmt.Errorf("tiff: strip %d holds %d bytes, want %d", s, cnt, expect)
+				return nil, fmt.Errorf("tiff: strip %d holds %d bytes, want %d", s, cnt, expect)
 			}
 			copy(img.Pixels[written:], src)
 		}
 		written += expect
 	}
 	if written != len(img.Pixels) {
-		return nil, 0, fmt.Errorf("tiff: strips cover %d of %d pixel bytes", written, len(img.Pixels))
+		return nil, fmt.Errorf("tiff: strips cover %d of %d pixel bytes", written, len(img.Pixels))
 	}
 	// Normalize sample byte order.
 	if bo == binary.BigEndian && bps > 1 {
@@ -428,9 +425,9 @@ func decodeIFD(data []byte, bo binary.ByteOrder, ifdOff uint32) (*Image, uint32,
 		}
 	}
 	if err := img.Validate(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return img, nextIFD, nil
+	return img, nil
 }
 
 // WriteFile encodes img to path.
