@@ -20,12 +20,12 @@ chaos:
 # benchmark or fuzz target that no longer exists in the packages of its
 # line (go test -list): a renamed or deleted test would otherwise leave
 # its line running nothing, silently. It fails too when README.md,
-# DESIGN.md or TESTING.md names a test, benchmark, fuzz target or example
-# that neither the root module nor the bench module has, or shows a
-# `go run ./cmd/<bin>` command line with a flag that binary's -h does not
-# list.
+# DESIGN.md, TESTING.md, EXPERIMENTS.md or bench/README.md names a test,
+# benchmark, fuzz target or example that neither the root module nor the
+# bench module has, or shows a `go run ./cmd/<bin>` command line with a
+# flag that binary's -h does not list.
 names:
-	GO=$(GO) bash scripts/makenames.sh Makefile README.md DESIGN.md TESTING.md
+	GO=$(GO) bash scripts/makenames.sh Makefile README.md DESIGN.md TESTING.md EXPERIMENTS.md bench/README.md
 
 # USEDEXPORTS runs the type-checked audit of the names, exported or not,
 # only tests use, over the root module with the bench module as a caller, against

@@ -315,32 +315,6 @@ func BenchmarkReorganizeThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationReduction compares the two data-reduction paths of the
-// Table IV pipeline: render-to-JPEG (the paper's) vs the error-bounded
-// numerical quantizer (this repo's extension).
-func BenchmarkAblationReduction(b *testing.B) {
-	cases := []struct {
-		name    string
-		measure func() (float64, error)
-	}{
-		{"jpeg", func() (float64, error) {
-			return experiments.MeasureJPEGBytesPerPixel(162, 65, 20, 2, 5, 75)
-		}},
-		{"quantizer", func() (float64, error) {
-			return experiments.MeasureQuantizedBytesPerPixel(162, 65, 20, 2, 5, 1e-4)
-		}},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := tc.measure(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationRestartIO compares the two restart strategies on a
 // real shared checkpoint file: direct strided brick reads versus one
 // sequential slab read per rank followed by a DDR redistribution.
@@ -357,49 +331,6 @@ func BenchmarkAblationRestartIO(b *testing.B) {
 			b.Fatal("restart strategies disagree")
 		}
 	}
-}
-
-// BenchmarkInTransit3D measures the combined-use-case pipeline: 3D LBM
-// slabs stream to analysis ranks, DDR regrids slabs into bricks, and the
-// parallel DVR renders a frame.
-func BenchmarkInTransit3D(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := experiments.RunInTransit3D(experiments.InTransit3DConfig{
-			M: 4, N: 2,
-			W: 24, H: 16, D: 16,
-			Iterations:  10,
-			OutputEvery: 5,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationCoupling compares in-situ (analysis on simulation
-// ranks) against in-transit (separate analysis ranks fed over the
-// coupling) on the same LBM workload, the trade-off of paper §II-C.
-func BenchmarkAblationCoupling(b *testing.B) {
-	cfg := experiments.InTransitConfig{
-		M: 4, N: 2,
-		GridW: 96, GridH: 48,
-		Iterations:  40,
-		OutputEvery: 10,
-	}
-	b.Run("in-situ", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.RunInSitu(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("in-transit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.RunInTransit(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkWeakScalingLBM grows the LBM domain with the rank count (fixed

@@ -44,7 +44,6 @@ func main() {
 		all       = flag.Bool("all", false, "reproduce every table and figure")
 		real      = flag.Bool("real", false, "run the laptop-scale real-execution TIFF study")
 		ablation  = flag.Bool("ablation", false, "run the pipeline-depth ablation study (serial paper rounds vs pipelined)")
-		vol3d     = flag.Bool("volumetric", false, "run the 3D in-transit volume-rendering extension")
 		outDir    = flag.String("out", "ddrbench-out", "directory for rendered outputs")
 		t4w       = flag.Int("t4width", 648, "grid width for the Table IV JPEG density measurement")
 		t4h       = flag.Int("t4height", 260, "grid height for the Table IV JPEG density measurement")
@@ -64,7 +63,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ddrbench:", err)
 		os.Exit(2)
 	}
-	if !*all && *table == 0 && *figure == 0 && !*real && !*ablation && !*vol3d {
+	if !*all && *table == 0 && *figure == 0 && !*real && !*ablation {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -73,7 +72,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ddrbench:", err)
 		os.Exit(1)
 	}
-	if err := run(tel, shared.Transport, *memBudget, shared.PipelineDepth, *table, *figure, *all, *real, *ablation, *vol3d, *outDir, *t4w, *t4h, *t4fr, *quality); err != nil {
+	if err := run(tel, shared.Transport, *memBudget, shared.PipelineDepth, *table, *figure, *all, *real, *ablation, *outDir, *t4w, *t4h, *t4fr, *quality); err != nil {
 		fmt.Fprintln(os.Stderr, "ddrbench:", err)
 		os.Exit(1)
 	}
@@ -83,7 +82,7 @@ func main() {
 	}
 }
 
-func run(tel *experiments.Telemetry, transport string, memBudget, pipeDepth int, table, figure int, all, real, ablation, vol3d bool, outDir string, t4w, t4h, t4fr, quality int) error {
+func run(tel *experiments.Telemetry, transport string, memBudget, pipeDepth int, table, figure int, all, real, ablation bool, outDir string, t4w, t4h, t4fr, quality int) error {
 	machine := perfmodel.Cooley()
 	want := func(t, f int) bool {
 		return all || (t != 0 && table == t) || (f != 0 && figure == f)
@@ -116,14 +115,7 @@ func run(tel *experiments.Telemetry, transport string, memBudget, pipeDepth int,
 			return err
 		}
 		experiments.WriteTable4(os.Stdout, experiments.Table4(bpp, 200), bpp)
-		// Extension: the error-bounded numerical reduction as an alternative
-		// to render-to-JPEG (preserves analyzable values, not just pixels).
-		qbpp, err := experiments.MeasureQuantizedBytesPerPixel(t4w, t4h, 400, t4fr, 100, 1e-4)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("extension: error-bounded quantizer (|err| <= 1e-4) reduces raw 4 B/px to %.4f B/px (%.2f%% reduction)\n\n",
-			qbpp, 100*(1-qbpp/4))
+		fmt.Println()
 	}
 	if want(0, 2) {
 		if err := os.MkdirAll(outDir, 0o755); err != nil {
@@ -207,26 +199,6 @@ func run(tel *experiments.Telemetry, transport string, memBudget, pipeDepth int,
 		}
 		experiments.WriteAblation(os.Stdout, rows, reps)
 		fmt.Println()
-	}
-	if vol3d || all {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return err
-		}
-		fmt.Println("extension: 3D in-transit volume rendering (6 sim ranks -> 2 analysis ranks)...")
-		res, err := experiments.RunInTransit3D(experiments.InTransit3DConfig{
-			M: 6, N: 2,
-			W: 96, H: 48, D: 48,
-			Iterations:  400,
-			OutputEvery: 80,
-			JPEGQuality: quality,
-			OutDir:      outDir,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  frames=%d raw=%.1f MB jpeg=%.3f MB reduction=%.2f%% (volume_*.jpg in %s)\n\n",
-			res.Frames, float64(res.RawBytes)/1e6, float64(res.ProcessedBytes)/1e6,
-			res.ReductionPct, outDir)
 	}
 	if real {
 		dir := filepath.Join(outDir, "stack")

@@ -27,16 +27,15 @@ func main() {
 		tech  = flag.String("technique", "consecutive", "slice assignment: round-robin or consecutive")
 		out   = flag.String("out", "volume.png", "output PNG path")
 		axis  = flag.String("axis", "+z", "viewing axis: +x -x +y -y +z -z")
-		mip   = flag.Bool("mip", false, "maximum intensity projection instead of compositing DVR (+z only)")
 	)
 	flag.Parse()
-	if err := run(*stack, *procs, *tech, *out, *axis, *mip); err != nil {
+	if err := run(*stack, *procs, *tech, *out, *axis); err != nil {
 		fmt.Fprintln(os.Stderr, "volrender:", err)
 		os.Exit(1)
 	}
 }
 
-func run(stack string, procs int, tech, out, axis string, mip bool) error {
+func run(stack string, procs int, tech, out, axis string) error {
 	info, err := tiff.ProbeStack(stack)
 	if err != nil {
 		return err
@@ -64,25 +63,13 @@ func run(stack string, procs int, tech, out, axis string, mip bool) error {
 		if err != nil {
 			return err
 		}
-		var img *image.RGBA
-		if mip {
-			p, err := render.RenderBrickMIP(res.Brick)
-			if err != nil {
-				return err
-			}
-			img, err = render.GatherMIP(c, 0, p, info.Width, info.Height, 0, 1)
-			if err != nil {
-				return err
-			}
-		} else {
-			partial, err := render.RenderBrickAxis(res.Brick, render.CTTransfer, view)
-			if err != nil {
-				return err
-			}
-			img, err = render.GatherComposite(c, 0, partial, frameW, frameH)
-			if err != nil {
-				return err
-			}
+		partial, err := render.RenderBrickAxis(res.Brick, render.CTTransfer, view)
+		if err != nil {
+			return err
+		}
+		img, err := render.GatherComposite(c, 0, partial, frameW, frameH)
+		if err != nil {
+			return err
 		}
 		if c.Rank() == 0 {
 			mu.Lock()

@@ -144,9 +144,6 @@ func Open(path string) (*File, error) {
 	return &File{f: f, header: h, dataStart: int64(len(Magic)) + 4 + hdrLen, writable: true}, nil
 }
 
-// Header returns the volume description.
-func (v *File) Header() Header { return v.header }
-
 // Close releases the handle.
 func (v *File) Close() error { return v.f.Close() }
 

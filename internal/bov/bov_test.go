@@ -41,11 +41,11 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if g.Header() != h {
-		t.Errorf("header %+v, want %+v", g.Header(), h)
+	if g.header != h {
+		t.Errorf("header %+v, want %+v", g.header, h)
 	}
-	if g.Header().TotalBytes() != 10*6*4*2 {
-		t.Errorf("total bytes %d", g.Header().TotalBytes())
+	if g.header.TotalBytes() != 10*6*4*2 {
+		t.Errorf("total bytes %d", g.header.TotalBytes())
 	}
 	// The file is pre-sized.
 	info, err := os.Stat(path)

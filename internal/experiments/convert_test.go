@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ddr/internal/bov"
+	"ddr/internal/grid"
 	"ddr/internal/mpi"
 	"ddr/internal/tiff"
 )
@@ -42,13 +43,12 @@ func TestConvertStackToBOV(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v.Close()
-	hdr := v.Header()
-	if hdr.Dims != [3]int{w, h, d} || hdr.ElemSize != 2 {
-		t.Fatalf("header %+v", hdr)
-	}
-	full, err := v.ReadBox(hdr.Domain())
+	full, err := v.ReadBox(grid.Box3(0, 0, 0, w, h, d))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(full) != w*h*d*2 {
+		t.Fatalf("volume holds %d bytes, want %d of 2-byte elements", len(full), w*h*d*2)
 	}
 	sliceBytes := w * h * 2
 	for z := 0; z < d; z++ {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"ddr/internal/grid"
@@ -221,22 +223,6 @@ func TestMeasureJPEGBytesPerPixel(t *testing.T) {
 	}
 }
 
-func TestMeasureQuantizedBytesPerPixel(t *testing.T) {
-	bpp, err := MeasureQuantizedBytesPerPixel(96, 48, 50, 2, 10, 1e-4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bpp <= 0 || bpp >= 4 {
-		t.Errorf("quantized bytes per pixel %.3f not in (0,4)", bpp)
-	}
-	if _, err := MeasureQuantizedBytesPerPixel(96, 48, 0, 0, 10, 1e-4); err == nil {
-		t.Error("zero frames accepted")
-	}
-	if _, err := MeasureQuantizedBytesPerPixel(96, 48, 0, 1, 10, 0); err == nil {
-		t.Error("zero error bound accepted")
-	}
-}
-
 func TestTable4Projection(t *testing.T) {
 	rows := Table4(0.025, 200)
 	if len(rows) != 4 {
@@ -351,6 +337,47 @@ func TestRunInTransitPipelineDepth(t *testing.T) {
 		if res.ProcessedBytes <= 0 || res.ProcessedBytes >= res.RawBytes {
 			t.Errorf("depth %d budget %d: processed bytes %d vs raw %d", cfg.PipelineDepth, cfg.MemBudget, res.ProcessedBytes, res.RawBytes)
 		}
+	}
+}
+
+func TestInTransitFrameStats(t *testing.T) {
+	dir := t.TempDir()
+	csvPath := dir + "/stats.csv"
+	res, err := RunInTransit(InTransitConfig{
+		M: 4, N: 2,
+		GridW: 48, GridH: 36,
+		Iterations:  20,
+		OutputEvery: 10,
+		Fields:      []string{"vorticity", "density"},
+		StatsPath:   csvPath,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stats) != 4 { // 2 steps x 2 fields
+		t.Fatalf("%d stats rows", len(res.Stats))
+	}
+	for _, s := range res.Stats {
+		if s.Cells != 48*36 {
+			t.Errorf("step %d %s: %d cells", s.Step, s.Field, s.Cells)
+		}
+		if s.Min > s.Mean || s.Mean > s.Max {
+			t.Errorf("step %d %s: min/mean/max out of order: %g %g %g", s.Step, s.Field, s.Min, s.Mean, s.Max)
+		}
+		if s.RMS < 0 {
+			t.Errorf("negative RMS")
+		}
+		if s.Field == "density" && (s.Mean < 0.5 || s.Mean > 1.5) {
+			t.Errorf("density mean %g implausible", s.Mean)
+		}
+	}
+	data, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 5 || !strings.HasPrefix(lines[0], "step,field") {
+		t.Errorf("CSV shape: %d lines, header %q", len(lines), lines[0])
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"ddr/internal/colormap"
 	"ddr/internal/core"
-	"ddr/internal/fieldcompress"
 	"ddr/internal/grid"
 	"ddr/internal/lbm"
 	"ddr/internal/perfmodel"
@@ -194,10 +193,12 @@ type Table4Row struct {
 	PaperReductionPct float64
 }
 
-// measureFrames runs a real serial LBM at the given grid and feeds the
-// vorticity field of every output frame to reduce, which returns the
-// reduced byte size. It returns the average reduced bytes per pixel.
-func measureFrames(w, h, warmup, frames, every int, reduce func(vort []float32) (int, error)) (float64, error) {
+// MeasureJPEGBytesPerPixel runs a real serial LBM at the given grid,
+// renders the vorticity field through the blue-white-red map every
+// `every` iterations, JPEG-encodes each frame in memory, and returns the
+// measured average JPEG bytes per pixel. This is the empirical compression
+// density used to project Table IV to the paper's grids.
+func MeasureJPEGBytesPerPixel(w, h, warmup, frames, every, quality int) (float64, error) {
 	if frames <= 0 {
 		return 0, fmt.Errorf("experiments: no frames measured")
 	}
@@ -216,55 +217,24 @@ func measureFrames(w, h, warmup, frames, every int, reduce func(vort []float32) 
 		s.Step()
 	}
 	var totalBytes int64
+	var buf bytes.Buffer
 	for f := 0; f < frames; f++ {
 		for i := 0; i < every; i++ {
 			s.Step()
 		}
-		n, err := reduce(s.VorticityInterior(nil, nil, nil, nil))
-		if err != nil {
-			return 0, err
-		}
-		totalBytes += int64(n)
-	}
-	return float64(totalBytes) / (float64(frames) * float64(w) * float64(h)), nil
-}
-
-// MeasureJPEGBytesPerPixel runs a real serial LBM at the given grid,
-// renders the vorticity field through the blue-white-red map every
-// `every` iterations, JPEG-encodes each frame in memory, and returns the
-// measured average JPEG bytes per pixel. This is the empirical compression
-// density used to project Table IV to the paper's grids.
-func MeasureJPEGBytesPerPixel(w, h, warmup, frames, every, quality int) (float64, error) {
-	return measureFrames(w, h, warmup, frames, every, func(vort []float32) (int, error) {
+		vort := s.VorticityInterior(nil, nil, nil, nil)
 		lo, hi := colormap.SymmetricRange(vort)
 		img, err := colormap.FieldToImage(vort, w, h, lo, hi, colormap.BlueWhiteRed)
 		if err != nil {
 			return 0, err
 		}
-		var buf bytes.Buffer
+		buf.Reset()
 		if err := colormap.EncodeJPEG(&buf, img, quality); err != nil {
 			return 0, err
 		}
-		return buf.Len(), nil
-	})
-}
-
-// MeasureQuantizedBytesPerPixel is the numerical-reduction twin of
-// MeasureJPEGBytesPerPixel: instead of rendering, each vorticity frame is
-// compressed with the error-bounded quantizer at the given absolute error
-// bound, preserving analyzable values rather than pixels.
-func MeasureQuantizedBytesPerPixel(w, h, warmup, frames, every int, maxError float64) (float64, error) {
-	return measureFrames(w, h, warmup, frames, every, func(vort []float32) (int, error) {
-		buf, err := fieldcompress.Compress(vort, maxError)
-		if err != nil {
-			return 0, err
-		}
-		// Sanity: the stream must stay decodable.
-		if _, err := fieldcompress.Decompress(buf); err != nil {
-			return 0, err
-		}
-		return len(buf), nil
-	})
+		totalBytes += int64(buf.Len())
+	}
+	return float64(totalBytes) / (float64(frames) * float64(w) * float64(h)), nil
 }
 
 // Table4 projects Table IV: raw sizes are exact (w*h*4 bytes per saved

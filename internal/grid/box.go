@@ -203,20 +203,6 @@ func BoundingBox(boxes []Box) (Box, bool) {
 	return out, found
 }
 
-// Grow expands the box by n cells in every direction along its
-// significant axes, clamping the result to domain — the ghost-zone
-// ("halo") region around a tile. n must be non-negative.
-func (b Box) Grow(n int, domain Box) Box {
-	out := b
-	for i := 0; i < b.NDims; i++ {
-		lo := max(b.Offset[i]-n, domain.Offset[i])
-		hi := min(b.End(i)+n, domain.End(i))
-		out.Offset[i] = lo
-		out.Dims[i] = hi - lo
-	}
-	return out
-}
-
 // String renders the box as "offset+dims", e.g. "(0,4)+(4,4)".
 func (b Box) String() string {
 	var sb strings.Builder

@@ -141,25 +141,6 @@ func TestBoundingBox(t *testing.T) {
 	}
 }
 
-func TestGrow(t *testing.T) {
-	domain := Box2(0, 0, 10, 10)
-	inner := Box2(4, 4, 2, 2)
-	if got := inner.Grow(1, domain); !got.Equal(Box2(3, 3, 4, 4)) {
-		t.Errorf("interior grow = %v", got)
-	}
-	corner := Box2(0, 0, 2, 2)
-	if got := corner.Grow(3, domain); !got.Equal(Box2(0, 0, 5, 5)) {
-		t.Errorf("corner grow = %v", got)
-	}
-	if got := domain.Grow(5, domain); !got.Equal(domain) {
-		t.Errorf("domain grow = %v", got)
-	}
-	// Growing by zero is the identity.
-	if got := inner.Grow(0, domain); !got.Equal(inner) {
-		t.Errorf("zero grow = %v", got)
-	}
-}
-
 func TestStringAndSlices(t *testing.T) {
 	b := Box2(0, 4, 4, 4)
 	if got := b.String(); got != "(0,4)+(4,4)" {

@@ -31,12 +31,3 @@ func ExampleFactor3() {
 	// 64 = 4x4x4
 	// 12 = 2x2x3
 }
-
-// ExampleBox_Grow shows halo-region computation with domain clamping.
-func ExampleBox_Grow() {
-	domain := grid.Box2(0, 0, 10, 10)
-	tile := grid.Box2(0, 4, 5, 3)
-	fmt.Println(tile.Grow(1, domain))
-	// Output:
-	// (0,3)+(6,5)
-}

@@ -46,7 +46,12 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 		// irregular populations VerifyTilingOwned feeds it.
 		empty := domain
 		empty.Dims[0] = 0
-		boxes = append(boxes, empty, domain.Grow(2, MustBox(offs, dims)))
+		escaping := domain
+		for i := 0; i < nd; i++ {
+			escaping.Offset[i] -= 2
+			escaping.Dims[i] += 4
+		}
+		boxes = append(boxes, empty, escaping)
 		ix := NewIndex(boxes)
 		for q := 0; q < 1+int(queries%16); q++ {
 			query := RandomBoxIn(rng, domain)
