@@ -452,7 +452,8 @@ func TestDist2DStepMatchesAcrossPaths(t *testing.T) {
 // records often reach its ring before it posts their receives; they must
 // wait there for the posts rather than take arena payloads. After a
 // warm-up, every message of both transposes must land: each rank's
-// MessagesLanded must rise by exactly its MessagesRecv.
+// MessagesLanded must rise by exactly its MessagesRecv. A failure names
+// the routes the others took into the arena.
 func TestDist2DShmEveryReceiveLands(t *testing.T) {
 	const n, nProcs, nb, warm, steps = 256, 16, 4, 5, 20
 	global := globalInput(n)
@@ -477,7 +478,8 @@ func TestDist2DShmEveryReceiveLands(t *testing.T) {
 		after := c.Traffic()
 		recv, landed := after.MessagesRecv-before.MessagesRecv, after.MessagesLanded-before.MessagesLanded
 		if recv == 0 || landed != recv {
-			return fmt.Errorf("rank %d: %d of %d transpose receives landed", c.Rank(), landed, recv)
+			return fmt.Errorf("rank %d: %d of %d transpose receives landed; arena payloads: %d from a ring drained short, %d with no post open, %d past a post of another size",
+				c.Rank(), landed, recv, after.ArenaShort-before.ArenaShort, after.ArenaNoPost-before.ArenaNoPost, after.ArenaOther-before.ArenaOther)
 		}
 		return nil
 	}, mpi.WithTransport(mpi.TransportShm), mpi.WithFaultInjector(nil))

@@ -708,7 +708,7 @@ func (t *inprocTransport) sendTyped(dst int, e envelope, parts []Part, n int, l 
 		return false, nil
 	}
 	box := t.w.boxes[dst]
-	p, lent := box.claim(envelope{ctx: e.ctx, src: e.src, tag: e.tag, tc: e.tc}, n, parts, l)
+	p, lent, _ := box.claim(envelope{ctx: e.ctx, src: e.src, tag: e.tag, tc: e.tc}, n, parts, l)
 	if p == nil {
 		return lent, nil
 	}

@@ -231,13 +231,13 @@ func (p *Posted) Cancel() bool {
 
 // claim takes the oldest open post accepting id if its parts pack to
 // exactly n bytes. The oldest one decides: skipping it for a later post
-// that fits would break FIFO matching. The claimer — an in-process
-// sender's typed send or the shm consumer delivering id — writes the
-// parts and then commits. When no open post accepts id and l is set, id
-// is queued instead, lent on l, its payload the n packed bytes of parts,
-// and lent reports it: under the same lock, so no open post that accepts
-// it can appear in between.
-func (m *mailbox) claim(id envelope, n int, parts []Part, l *Loan) (p *Posted, lent bool) {
+// that fits would break FIFO matching, and other reports that it packs to
+// another size. The claimer — an in-process sender's typed send or the
+// shm consumer delivering id — writes the parts and then commits. When no
+// open post accepts id and l is set, id is queued instead, lent on l, its
+// payload the n packed bytes of parts, and lent reports it: under the
+// same lock, so no open post that accepts it can appear in between.
+func (m *mailbox) claim(id envelope, n int, parts []Part, l *Loan) (p *Posted, lent, other bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, p := range m.posts {
@@ -245,20 +245,20 @@ func (m *mailbox) claim(id envelope, n int, parts []Part, l *Loan) (p *Posted, l
 			continue
 		}
 		if p.n != n {
-			return nil, false
+			return nil, false, true
 		}
 		m.unpost(i)
 		p.env, p.state = id, postClaimed
-		return p, false
+		return p, false, false
 	}
 	if l == nil || m.closed {
-		return nil, false
+		return nil, false, false
 	}
 	l.box, l.parts, l.n, l.taken = m, parts, n, false
 	id.lent = l
 	m.queue = append(m.queue, id)
 	m.addDepth(1)
-	return nil, true
+	return nil, true, false
 }
 
 // repay turns a lent envelope a receive took from the queue into an

@@ -21,20 +21,16 @@
 //     producer that would wrap emits a wrap marker (descriptor word with
 //     the wrap bit) and restarts at offset zero.
 //   - Rewind: a producer that finds its ring drained (head == tail, so
-//     the consumer is done with every byte) with the tail past its
-//     floor — at least the record, and at least the largest burst of
-//     live record bytes the ring has carried, capped at one chunk —
-//     emits the same wrap marker early and restarts at offset zero. A
-//     ring's pages are then touched up to about twice its largest burst,
-//     and never past its peak occupancy plus one chunk: n*n rings cost
-//     memory in proportion to the bytes in flight. The floor is what
-//     keeps a rewind from costing a wait: the marker's dead space counts
-//     as occupied until the consumer skips it, and the floor leaves a
-//     burst no larger than one the ring has already carried room below
-//     the marker meanwhile. The first larger burst pays one wait, and
-//     its demand raises the floor. Each ring counts its rewinds apart
-//     from its ring-end wraps; the bytes a rank's inbound rings have
-//     touched are its mpi_shm_ring_touched_bytes gauge.
+//     the consumer is done with every byte) at a nonzero offset moves
+//     head and tail together to the next lap start and writes at offset
+//     zero: no marker, no dead space, the whole ring free. A ring's pages
+//     are then touched up to the most record bytes it held plus one
+//     record, so n*n rings cost memory in proportion to the bytes in
+//     flight. The reset is safe because every consumer reads the pair
+//     through span, which claims the ring's state word against it. Each
+//     ring counts its rewinds apart from its ring-end wraps; the bytes a
+//     rank's inbound rings have touched are its
+//     mpi_shm_ring_touched_bytes gauge.
 //   - Payloads above the chunk threshold stream as bulk-lane chunk
 //     records, reassembled into one arena buffer pinned in the receiving
 //     mailbox (the same mechanism as TCP chunked streaming). A message
@@ -82,9 +78,8 @@ import (
 type shmConfig struct {
 	// ringSize is the per-(sender,receiver) ring capacity in bytes, a
 	// power of two. A world of n ranks reserves n*n rings of address
-	// space, but a drained ring rewinds to its start once its tail is past
-	// the largest burst it has carried (capped at one chunk), so each
-	// touches about twice that burst of memory.
+	// space, but a drained ring rewinds to its start, so each touches
+	// about the most record bytes it held at once.
 	ringSize int
 	// chunkThreshold is the payload size above which a message streams as
 	// bulk-lane chunk records instead of one record. It must stay below
@@ -93,7 +88,7 @@ type shmConfig struct {
 	chunkThreshold int
 	// chunkSize is the payload size of each bulk-lane chunk record, at
 	// most ringSize/4 so a chunk plus its header can never deadlock a
-	// ring. It also caps a ring's rewind floor.
+	// ring.
 	chunkSize int
 }
 
@@ -101,7 +96,7 @@ const (
 	shmRingSize        = 1 << 20
 	shmChunkThreshold  = 256 << 10
 	shmChunkSize       = shmRingSize / 4
-	shmRingHeaderBytes = 128 // head + tail, one cache line apart
+	shmRingHeaderBytes = 128 // head and state word, then tail a cache line on
 	shmSpaceWait       = 100 * time.Microsecond
 )
 
@@ -219,10 +214,10 @@ func decodeShmRecord(b []byte) (rec shmRecord, wrap bool, err error) {
 // also preserves per-(sender,receiver) message order across chunked
 // streams.
 type shmRing struct {
-	hdr  []byte // 128-byte header block (head at 0, tail at 64)
-	data []byte // power-of-2 payload area
-	mask uint64
-	dst  int // the receiving rank, whose touched bytes this ring adds to
+	hdr      []byte // 128-byte header block (head at 0, state word at 8, tail at 64)
+	data     []byte // power-of-2 payload area
+	mask     uint64
+	src, dst int // sending and receiving world ranks, whose counters the ring moves
 
 	mu sync.Mutex // serializes producers; consumer never takes it
 	// short is raised by a producer that finds too little room and
@@ -235,16 +230,11 @@ type shmRing struct {
 	// though only the producer writes it, because it is read while the
 	// producer waits holding mu.
 	spaceWaits atomic.Int64
-	// Producer state, guarded by mu. peak is the most live record bytes
-	// the ring has had to hold — committed, or committed plus a record
-	// reserve could not place — and sets the rewind floor. dead is the
-	// span of the last wrap marker written, which ends at tail position
-	// deadEnd and stays in tail-head until the consumer skips it.
-	// touched is the highest data offset ever written. wraps and rewinds
-	// count the wrap markers emitted at the ring end and early, on a
-	// drained ring.
-	peak, dead, deadEnd, touched uint64
-	wraps, rewinds               int64
+	// Producer state, guarded by mu. touched is the highest data offset
+	// ever written; wraps count the wrap markers emitted at the ring end,
+	// rewinds the resets of a drained ring to offset zero.
+	touched        uint64
+	wraps, rewinds int64
 
 	// space is nudged by the consumer after it advances head, releasing
 	// a producer blocked on a full ring.
@@ -252,25 +242,40 @@ type shmRing struct {
 	timer *time.Timer // bounds a producer's wait on space; guarded by mu
 }
 
-func (r *shmRing) headPtr() *uint64 { return (*uint64)(unsafe.Pointer(&r.hdr[0])) }
-func (r *shmRing) tailPtr() *uint64 { return (*uint64)(unsafe.Pointer(&r.hdr[64])) }
+func (r *shmRing) headPtr() *uint64  { return (*uint64)(unsafe.Pointer(&r.hdr[0])) }
+func (r *shmRing) statePtr() *uint32 { return (*uint32)(unsafe.Pointer(&r.hdr[8])) }
+func (r *shmRing) tailPtr() *uint64  { return (*uint64)(unsafe.Pointer(&r.hdr[64])) }
 
 func (r *shmRing) loadHead() uint64 { return atomic.LoadUint64(r.headPtr()) }
 func (r *shmRing) loadTail() uint64 { return atomic.LoadUint64(r.tailPtr()) }
 
+// Values of a ring's state word: who, if anyone, holds head and tail.
+const (
+	shmIdle      uint32 = iota
+	shmReading          // a consumer loads the pair (span)
+	shmRewinding        // the producer stores the pair (reserve's reset)
+)
+
+// hold claims the ring's state word for who, waiting out the other
+// side's two loads or stores of the pair; unhold releases it.
+func (r *shmRing) hold(who uint32) {
+	for !atomic.CompareAndSwapUint32(r.statePtr(), shmIdle, who) {
+		runtime.Gosched()
+	}
+}
+func (r *shmRing) unhold() { atomic.StoreUint32(r.statePtr(), shmIdle) }
+
+// span is the consumer's one view of the ring: head and tail loaded
+// together, never an old head with a reset tail. Only the loads need the
+// claim: while records remain, head < tail, and the producer never resets.
+func (r *shmRing) span() (head, tail uint64) {
+	r.hold(shmReading)
+	defer r.unhold()
+	return r.loadHead(), r.loadTail()
+}
+
 // shmPad rounds a record length up to the 8-byte ring alignment.
 func shmPad(n int) int { return (n + 7) &^ 7 }
-
-// live returns the record bytes committed and unconsumed when the
-// consumer is at head and the producer at tail: the occupancy less the
-// dead span of a wrap marker not yet skipped. Producer-side; the caller
-// holds r.mu.
-func (r *shmRing) live(head, tail uint64) uint64 {
-	if head < r.deadEnd {
-		return tail - head - r.dead
-	}
-	return tail - head
-}
 
 // touch raises the ring's high-water data offset to end, adding the rise
 // to the receiving rank's touched-bytes gauge. Producer-side; the caller
@@ -285,14 +290,11 @@ func (r *shmRing) touch(w *shmWorld, end uint64) {
 }
 
 // reserve blocks until at least need contiguous bytes are writable at
-// the tail, emitting a wrap marker when the record would straddle the
-// ring end — or, rewinding, when the ring is drained and the tail is at
-// least the record and the ring's peak burst (capped at one chunk) past
-// offset zero. A record it cannot place raises the peak to the live
-// bytes plus the record before it waits, so the next burst that large
-// finds room below a rewind's marker. It returns the write position, or
-// an error when the world shuts down while waiting. Producer-side only;
-// the caller holds r.mu.
+// the tail and returns their position, or an error when the world shuts
+// down while waiting. On a drained ring at a nonzero offset it first
+// moves head and tail together to the next lap start, so the record goes
+// to offset zero; on a busy one it emits a wrap marker when the record
+// would straddle the ring end. Producer-side only; the caller holds r.mu.
 func (r *shmRing) reserve(need int, w *shmWorld) (pos uint64, err error) {
 	size := uint64(len(r.data))
 	spins := 0
@@ -303,33 +305,31 @@ func (r *shmRing) reserve(need int, w *shmWorld) (pos uint64, err error) {
 			return 0, ErrClosed
 		}
 		tail, head := r.loadTail(), r.loadHead()
-		free := size - (tail - head)
 		at := tail & r.mask
 		contig := size - at
-		rewind := head == tail && at >= max(uint64(need), min(r.peak, uint64(w.cfg.chunkSize)))
-		required := uint64(need)
-		if uint64(need) > contig {
-			// Wrap marker consumes the ring tail; the record restarts at
-			// offset zero.
-			required = contig + uint64(need)
+		if head == tail && at != 0 {
+			// Drained: a consumer may only be loading the pair (span).
+			tail += contig
+			r.hold(shmRewinding)
+			atomic.StoreUint64(r.headPtr(), tail)
+			atomic.StoreUint64(r.tailPtr(), tail)
+			r.unhold()
+			r.rewinds++
+			continue
 		}
-		if rewind || free >= required {
-			if rewind || uint64(need) > contig {
-				binary.LittleEndian.PutUint64(r.data[at:], shmWrapBit)
-				r.touch(w, at+shmWordSize)
-				tail += contig
-				r.dead, r.deadEnd = contig, tail
-				atomic.StoreUint64(r.tailPtr(), tail)
-				if rewind {
-					r.rewinds++
-				} else {
-					r.wraps++
-				}
-				continue
-			}
+		free := size - (tail - head)
+		if uint64(need) > contig && free >= contig+uint64(need) {
+			// A wrap marker consumes the ring tail; the record restarts at
+			// offset zero.
+			binary.LittleEndian.PutUint64(r.data[at:], shmWrapBit)
+			r.touch(w, at+shmWordSize)
+			atomic.StoreUint64(r.tailPtr(), tail+contig)
+			r.wraps++
+			continue
+		}
+		if uint64(need) <= contig && free >= uint64(need) {
 			return tail, nil
 		}
-		r.peak = max(r.peak, r.live(head, tail)+uint64(need))
 		if spins == 0 {
 			// Records may be waiting for their receive; this one must not.
 			r.short.Store(true)
@@ -359,17 +359,12 @@ func (r *shmRing) reserve(need int, w *shmWorld) (pos uint64, err error) {
 	}
 }
 
-// publish commits n bytes written at the reserved position and raises
-// the ring's peak to the live bytes it now holds. Producer-side; the
-// caller holds r.mu.
-func (r *shmRing) publish(pos uint64, n int) {
-	tail := pos + uint64(n)
-	atomic.StoreUint64(r.tailPtr(), tail)
-	r.peak = max(r.peak, r.live(r.loadHead(), tail))
-}
+// publish commits n bytes written at the reserved position.
+func (r *shmRing) publish(pos uint64, n int) { atomic.StoreUint64(r.tailPtr(), pos+uint64(n)) }
 
 // writeRecord reserves, fills, and publishes one record whose payload is
-// the n packed bytes of parts, packed straight into the ring.
+// the n packed bytes of parts, packed straight into the ring, and counts
+// it: the sender's bytes out, the receiver's ring occupancy.
 func (r *shmRing) writeRecord(w *shmWorld, e *envelope, typ byte, stream uint32, total uint64, parts []Part, n int) error {
 	flags := byte(0)
 	hdrLen := shmWordSize + shmRecHeader
@@ -413,6 +408,10 @@ func (r *shmRing) writeRecord(w *shmWorld, e *envelope, typ byte, stream uint32,
 	}
 	packParts(b[hdrLen:hdrLen+n], parts)
 	r.publish(pos, rec)
+	if t := w.tel(r.src); t != nil {
+		t.shmBytesOut.Add(int64(n))
+	}
+	w.addOccupancy(r.dst, int64(rec))
 	return nil
 }
 
@@ -496,6 +495,7 @@ func mapShmWorld(n int, cfg shmConfig, boxes []*mailbox) (*shmWorld, error) {
 			data:  mem[dataBase+i*cfg.ringSize : dataBase+(i+1)*cfg.ringSize],
 			mask:  uint64(cfg.ringSize - 1),
 			space: make(chan struct{}, 1),
+			src:   i / n,
 			dst:   i % n,
 		}
 	}
@@ -597,7 +597,7 @@ func (w *shmWorld) drainRing(src, dst int, box *mailbox, streams map[uint64]*shm
 		r.short.Store(false)
 	}
 	all = all || short
-	start, tail := r.loadHead(), r.loadTail()
+	start, tail := r.span()
 	head := start
 	for head != tail && (all || !r.waits(head, box)) {
 		head = w.consumeRecord(src, dst, box, streams, head, tail)
@@ -642,33 +642,36 @@ func (w *shmWorld) consumeRecord(src, dst int, box *mailbox, streams map[uint64]
 		w.addOccupancy(dst, -int64(tail-head))
 		return tail
 	}
-	payload := r.data[at+uint64(rec.hdr) : at+uint64(rec.hdr)+uint64(rec.n)]
-	w.deliver(dst, box, streams, rec, payload)
+	// Count first: the delivery may wake a receive that reads the gauges.
 	step := uint64(shmPad(rec.hdr + rec.n))
-	head += step
-	atomic.StoreUint64(r.headPtr(), head)
 	if t := w.tel(dst); t != nil {
 		t.shmOccupancy.Add(-int64(step))
 		t.shmBytesIn.Add(int64(rec.n))
 	}
+	w.deliver(dst, box, streams, rec, r.data[at+uint64(rec.hdr):at+uint64(rec.hdr)+uint64(rec.n)], r.draining.Load())
+	head += step
+	atomic.StoreUint64(r.headPtr(), head)
 	return head
 }
 
 // deliver lands one decoded record in the mailbox. A whole message
 // unpacks straight into the posted parts of the oldest open post it
 // matches when they pack to exactly its length — the one copy on the
-// receiving side — and copies into an arena buffer otherwise. Sequenced (fault-injected) messages
-// always take the arena path, so the mailbox can drop duplicates, and
-// chunk records reassemble into a pinned envelope.
-func (w *shmWorld) deliver(dst int, box *mailbox, streams map[uint64]*shmStream, rec shmRecord, payload []byte) {
+// receiving side — and copies into an arena buffer otherwise, counted by
+// route (draining: its ring is drained whole). Sequenced (fault-injected)
+// messages always take the arena path, so the mailbox can drop
+// duplicates, and chunk records reassemble into a pinned envelope.
+func (w *shmWorld) deliver(dst int, box *mailbox, streams map[uint64]*shmStream, rec shmRecord, payload []byte, draining bool) {
 	e := envelope{ctx: rec.ctx, src: rec.src, tag: rec.tag, seq: rec.seq, tc: rec.tc}
 	if rec.typ == shmRecMsg {
 		if rec.n > 0 && rec.seq == 0 {
-			if p, _ := box.claim(e, rec.n, nil, nil); p != nil {
+			p, _, other := box.claim(e, rec.n, nil, nil)
+			if p != nil {
 				unpackParts(payload, p.parts)
 				box.commit(p, rec.tc)
 				return
 			}
+			box.counters.countArena(other, draining)
 		}
 		if rec.n > 0 {
 			e.data = GetBuffer(rec.n)
@@ -740,13 +743,7 @@ type shmTransport struct {
 }
 
 func (t *shmTransport) send(dst int, e envelope) error {
-	if dst < 0 || dst >= t.w.n {
-		return fmt.Errorf("mpi: shm world rank %d out of range", dst)
-	}
-	if t.w.isClosed() {
-		return ErrClosed
-	}
-	err := t.write(dst, e)
+	_, err := t.sendTyped(dst, e, nil, len(e.data), nil)
 	if e.data != nil {
 		// The transport owns eager-copy payloads; the ring copy is the
 		// delivery, so the staging buffer recycles immediately.
@@ -794,14 +791,10 @@ func (t *shmTransport) write(dst int, e envelope) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for off := 0; off < len(e.data); {
-		n := len(e.data) - off
-		if n > cfg.chunkSize {
-			n = cfg.chunkSize
-		}
+		n := min(len(e.data)-off, cfg.chunkSize)
 		if err := r.writeRecord(w, &e, shmRecChunk, stream, total, []Part{{Buf: e.data[off : off+n]}}, n); err != nil {
 			return err
 		}
-		t.count(dst, n, shmChunkExt+shmTraceExtIf(&e))
 		off += n
 		nudge(w.wakes[dst])
 	}
@@ -819,26 +812,8 @@ func (t *shmTransport) writeMsg(dst int, e *envelope, parts []Part, n int) error
 	if err != nil {
 		return err
 	}
-	t.count(dst, n, shmTraceExtIf(e))
 	nudge(w.wakes[dst])
 	return nil
-}
-
-// count accounts one published record of n payload bytes and ext
-// extension bytes: this rank's bytes out, and dst's ring occupancy.
-func (t *shmTransport) count(dst, n, ext int) {
-	if tel := t.w.tel(t.src); tel != nil {
-		tel.shmBytesOut.Add(int64(n))
-	}
-	t.w.addOccupancy(dst, int64(shmPad(shmWordSize+shmRecHeader+ext+n)))
-}
-
-// shmTraceExtIf accounts the trace extension in occupancy bookkeeping.
-func shmTraceExtIf(e *envelope) int {
-	if e.tc.Exchange != 0 {
-		return shmTraceExt
-	}
-	return 0
 }
 
 func (t *shmTransport) close() error { return t.w.close() }

@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -22,12 +23,12 @@ const (
 )
 
 // TestShmRingRewind drives one ring with a racing producer and consumer
-// (the real writer and the real per-record consumer, no consumer
-// goroutine of the world's own). It first repeats one small burst on the
-// fresh ring: a record the consumer takes at once, then three it holds
-// (stalled), so the producer waits whenever a rewind's marker leaves the
-// burst too little room below it. Only the first occurrence may wait:
-// the ring learns the burst and rewinds no earlier than it from then on.
+// (the real writer and the real per-record consumer, which reads head and
+// tail through span as drainRing does; no consumer goroutine of the
+// world's own). It first repeats one small burst: a record the consumer
+// takes at once, then three it holds (stalled), so the producer would
+// wait if a rewind left the burst too little room. None may wait, not
+// even the first occurrence: a rewind frees the whole ring.
 //
 // Then payloads from 0 B to three times the chunk threshold, so whole
 // records and chunk streams both flow. Each cycle runs the consumer
@@ -37,14 +38,11 @@ const (
 //   - lagging: the ring is never drained again once a quarter full, so
 //     the producer cannot rewind and must wrap at the ring end;
 //   - held: a burst written on a drained ring is read in place, and every
-//     record must end within the burst's occupancy plus the rewind floor
-//     (the ring's peak burst, capped at one chunk) plus the largest
-//     record — the extent a rewinding ring touches. The held consumer
-//     still skips wrap markers: a rewind's dead space counts as occupied
-//     until it does, which is what the floor leaves room for.
+//     record must end within the burst's occupancy plus the largest
+//     record — the extent a rewinding ring touches.
 //
 // Then a single message written on a drained ring must rewind exactly when
-// the tail is at least the floor (and the record) past the ring start.
+// the tail is not at the ring start, and then be written at offset zero.
 // Every message must arrive in order with its bytes intact.
 func TestShmRingRewind(t *testing.T) {
 	const (
@@ -80,7 +78,7 @@ func TestShmRingRewind(t *testing.T) {
 		waits := int64(0) // producer waits the stalled consumer has answered
 		for {
 			mu.Lock()
-			head, tail := r.loadHead(), r.loadTail()
+			head, tail := r.span()
 			marker := head != tail && binary.LittleEndian.Uint64(r.data[head&r.mask:])&shmWrapBit != 0
 			take := head != tail && (mode == rewindFree || mode == rewindLagging && tail-head > ring/4 ||
 				mode == rewindHeld && marker || mode == rewindStalled && marker && r.spaceWaits.Load() > waits)
@@ -125,7 +123,7 @@ func TestShmRingRewind(t *testing.T) {
 	}
 	randomSize := func() int { return rng.Intn(3*threshold + 1) }
 
-	const small = 200 // four such records stay under one chunk
+	const small = 200
 	for rep := 0; rep < 5; rep++ {
 		drained()
 		send(small)
@@ -135,8 +133,8 @@ func TestShmRingRewind(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			send(small)
 		}
-		if waits = r.spaceWaits.Load() - waits; rep > 0 && waits != 0 {
-			t.Errorf("small burst, occurrence %d: %d backpressure waits, want 0 once the ring has carried it", rep+1, waits)
+		if waits = r.spaceWaits.Load() - waits; waits != 0 {
+			t.Errorf("small burst, occurrence %d: %d backpressure waits, want 0", rep+1, waits)
 		}
 	}
 	drained()
@@ -159,7 +157,6 @@ func TestShmRingRewind(t *testing.T) {
 
 		drained()
 		setMode(rewindHeld)
-		floor := int(min(r.peak, chunk))
 		for written := 0; written < ring/8; {
 			n := randomSize()
 			send(n)
@@ -181,20 +178,19 @@ func TestShmRingRewind(t *testing.T) {
 			extent = max(extent, int(at)+step)
 			pos += uint64(step)
 		}
-		if extent > occ+floor+largest {
-			t.Errorf("cycle %d: burst of %d bytes on a drained ring touched %d bytes, bound %d", cycle, occ, extent, occ+floor+largest)
+		if extent > occ+largest {
+			t.Errorf("cycle %d: burst of %d bytes on a drained ring touched %d bytes, bound %d", cycle, occ, extent, occ+largest)
 		}
 
 		drained()
 		n := rng.Intn(threshold + 1)
 		at, need := r.loadTail()&r.mask, uint64(shmPad(shmWordSize+shmRecHeader+n))
-		rewinds, peak := r.rewinds, r.peak
+		rewinds := r.rewinds
 		send(n)
-		rewound := r.rewinds == rewinds+1
-		if want := at >= max(need, min(peak, chunk)); rewound != want {
-			t.Errorf("cycle %d: %d-byte record at offset %d on a drained ring with peak %d: rewound %v, want %v", cycle, need, at, peak, rewound, want)
+		if rewound, want := r.rewinds == rewinds+1, at != 0; rewound != want {
+			t.Errorf("cycle %d: %d-byte record at offset %d on a drained ring: rewound %v, want %v", cycle, need, at, rewound, want)
 		}
-		if rewound && (r.loadTail()-need)&r.mask != 0 {
+		if (r.loadTail()-need)&r.mask != 0 {
 			t.Errorf("cycle %d: rewound record written at offset %d, want 0", cycle, (r.loadTail()-need)&r.mask)
 		}
 	}
@@ -212,6 +208,73 @@ func TestShmRingRewind(t *testing.T) {
 			t.Fatalf("message %d (%d bytes): arrived out of order or corrupt (%d bytes)", i, n, len(data))
 		}
 		PutBuffer(data)
+	}
+}
+
+// TestShmRewindRacesConsumer races the producer's reset of a drained
+// ring against the world's own consumer goroutine, which reads head and
+// tail through span whenever it is nudged. One producer writes 10,000
+// messages of 0 B to three times the chunk threshold in bursts of 1 to 8,
+// waiting for the ring to drain between bursts, so a burst that does not
+// start at offset zero starts with a reset; a receiver takes the messages
+// as they come. Every message must arrive in order with its bytes intact,
+// and the ring must have rewound.
+func TestShmRewindRacesConsumer(t *testing.T) {
+	const (
+		threshold = 2 << 10
+		msgs      = 10000
+		tag       = 7
+	)
+	box := newMailbox(nil)
+	defer box.close(nil)
+	w, err := newShmWorld(1, shmConfig{ringSize: 16 << 10, chunkThreshold: threshold, chunkSize: 1 << 10}, []*mailbox{box})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	r, tr := w.ring(0, 0), &shmTransport{w: w}
+	rng := rand.New(rand.NewSource(1))
+	sizes := make([]int, msgs)
+	for i := range sizes {
+		sizes[i] = rng.Intn(3*threshold + 1)
+	}
+	received := make(chan error, 1)
+	go func() {
+		c := boxComm(box, 1, 0)
+		for i, n := range sizes {
+			data, _, _, err := c.Recv(0, tag)
+			if err != nil {
+				received <- err
+				return
+			}
+			if !bytes.Equal(data, shmPattern(0, tag, i, n)) {
+				received <- fmt.Errorf("message %d (%d bytes): arrived out of order or corrupt (%d bytes)", i, n, len(data))
+				return
+			}
+			PutBuffer(data)
+		}
+		received <- nil
+	}()
+	for i := 0; i < msgs; {
+		for end := min(i+1+rng.Intn(8), msgs); i < end; i++ {
+			if err := tr.write(0, envelope{ctx: 1, tag: tag, data: shmPattern(0, tag, i, sizes[i])}); err != nil {
+				t.Fatalf("message %d: %v", i, err)
+			}
+		}
+		for r.loadHead() != r.loadTail() {
+			select {
+			case err := <-received:
+				t.Fatalf("receiver stopped with %d of %d messages written: %v", i, msgs, err)
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
+	if err := <-received; err != nil {
+		t.Fatal(err)
+	}
+	if r.rewinds == 0 {
+		t.Errorf("%d messages in drained-between bursts: no rewind", msgs)
 	}
 }
 
@@ -253,7 +316,8 @@ func TestShmBackpressureAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() { time.Sleep(2 * time.Millisecond) })
 	waits = r.spaceWaits.Load() - waits
 	// Release the producer: consume the record it is waiting behind.
-	w.consumeRecord(0, 0, box, nil, r.loadHead(), r.loadTail())
+	head, tail := r.span()
+	w.consumeRecord(0, 0, box, nil, head, tail)
 	if err := <-reserved; err != nil {
 		t.Fatal(err)
 	}
@@ -279,21 +343,26 @@ func boxComm(box *mailbox, n, self int) *Comm {
 
 // TestShmTransposeFootprint replays fft_transpose's traffic at the
 // default ring geometry: a 16-rank world in which every ordered pair
-// carries 4 records of 16 KiB an exchange, one a round, every rank
-// sending a round to all its peers before the receivers consume. The
-// consumers are driven by the test, so the run is deterministic: over
-// successive exchanges each receiver leaves 0 to 3 of the latest rounds'
-// records unconsumed, then drains at the exchange's end. Every busy ring
-// must touch at most twice its burst plus one record of memory — a ring
-// that rewound only once a whole chunk past its start would touch more
-// than a chunk — and the receivers' mpi_shm_ring_touched_bytes gauges
-// must sum to the rings' touched bytes.
+// carries 4 records of 16 KiB a transpose, one a round, and two
+// transposes (forward, inverse) an epoch, every rank sending a round to
+// all its peers before the receivers consume. The consumers are driven by
+// the test, so the run is deterministic: each epoch a ring's receiver
+// takes the first k of the forward records as they arrive, k 2 or 3 by
+// epoch and pair, while the rest wait, as they do in the workload when
+// the inverse transpose's records arrive behind forward records whose
+// receives are not yet posted; it drains at the epoch's end. A ring so
+// holds at most a burst of 6 records, and drains mid-epoch 2 or 3
+// records past its start. Every busy ring must touch at most its burst
+// plus one record of memory — a ring that rewound only once past the
+// largest burst it had carried writes that burst from where it drained
+// and touches 8 records — and the receivers' mpi_shm_ring_touched_bytes
+// gauges must sum to the rings' touched bytes.
 func TestShmTransposeFootprint(t *testing.T) {
 	const (
-		ranks     = 16
-		rounds    = 4
-		payload   = 16 << 10
-		exchanges = 12
+		ranks   = 16
+		rounds  = 4
+		payload = 16 << 10
+		epochs  = 12
 	)
 	reg := obs.NewRegistry()
 	boxes := make([]*mailbox, ranks)
@@ -307,15 +376,14 @@ func TestShmTransposeFootprint(t *testing.T) {
 	}
 	defer w.close()
 	record := shmPad(shmWordSize + shmRecHeader + payload)
-	burst := rounds * record
+	burst := (2*rounds - 2) * record
 	data := make([]byte, payload)
-	consumed := make([]int, ranks*ranks) // records taken per ring this exchange
+	consumed := make([]int, ranks*ranks) // records taken per ring this epoch
 	// consume takes records of the (src -> dst) ring up to the want-th of
-	// this exchange, skipping wrap markers on the way as the consumer
-	// would.
+	// this epoch, skipping wrap markers on the way as the consumer would.
 	consume := func(src, dst, want int) {
 		r := w.ring(src, dst)
-		for head, tail := r.loadHead(), r.loadTail(); head != tail; {
+		for head, tail := r.span(); head != tail; {
 			wrap := binary.LittleEndian.Uint64(r.data[head&r.mask:])&shmWrapBit != 0
 			if !wrap && consumed[src*ranks+dst] == want {
 				return
@@ -326,10 +394,9 @@ func TestShmTransposeFootprint(t *testing.T) {
 			}
 		}
 	}
-	for x := 0; x < exchanges; x++ {
-		lag := x % rounds
+	for e := 0; e < epochs; e++ {
 		clear(consumed)
-		for round := 0; round < rounds; round++ {
+		for round := 0; round < 2*rounds; round++ {
 			for src := 0; src < ranks; src++ {
 				tr := &shmTransport{w: w, src: src}
 				for dst := 0; dst < ranks; dst++ {
@@ -343,17 +410,17 @@ func TestShmTransposeFootprint(t *testing.T) {
 			}
 			for src := 0; src < ranks; src++ {
 				for dst := 0; dst < ranks; dst++ {
-					consume(src, dst, max(round+1-lag, 0))
+					consume(src, dst, min(round+1, 2+(e+src+dst)%2))
 				}
 			}
 		}
 		for src := 0; src < ranks; src++ {
 			for dst := 0; dst < ranks; dst++ {
-				consume(src, dst, rounds)
+				consume(src, dst, 2*rounds)
 			}
 		}
 		for dst := 0; dst < ranks; dst++ {
-			for i := 0; i < (ranks-1)*rounds; i++ {
+			for i := 0; i < (ranks-1)*2*rounds; i++ {
 				data, _, _, err := boxComm(boxes[dst], ranks, dst).Recv(AnySource, AnyTag)
 				if err != nil {
 					t.Fatal(err)
@@ -363,7 +430,7 @@ func TestShmTransposeFootprint(t *testing.T) {
 		}
 	}
 	var sum, rewinds, touched int64
-	bound := uint64(2 * (burst + record))
+	bound := uint64(burst + record)
 	for i, r := range w.rings {
 		rewinds += r.rewinds
 		src, dst := i/ranks, i%ranks
@@ -371,7 +438,7 @@ func TestShmTransposeFootprint(t *testing.T) {
 			t.Errorf("idle ring %d->%d touched %d bytes", src, dst, r.touched)
 		}
 		if r.touched > bound {
-			t.Errorf("ring %d->%d touched %d bytes carrying %d-byte bursts, bound %d", src, dst, r.touched, burst, bound)
+			t.Errorf("ring %d->%d touched %d bytes holding bursts of up to %d bytes, bound %d", src, dst, r.touched, burst, bound)
 		}
 		sum += int64(r.touched)
 	}

@@ -19,14 +19,13 @@ import (
 
 const shmWaitTag = 5
 
-// shmTel is world rank rank's telemetry in c's shm world, behind a fault
-// injector or not.
-func shmTel(c *Comm, rank int) *telemetry {
+// shmWorldOf is c's shm world, behind a fault injector or not.
+func shmWorldOf(c *Comm) *shmWorld {
 	tr := c.tr
 	if ft, ok := tr.(*faultTransport); ok {
 		tr = ft.raw
 	}
-	return tr.(*shmTransport).w.tel(rank)
+	return tr.(*shmTransport).w
 }
 
 // shmOccupancy is the record bytes committed to c's inbound rings and not
@@ -113,11 +112,7 @@ func TestShmRecordWaitsForPost(t *testing.T) {
 // drained waits until the (src -> dst) ring of c's shm world has no
 // whole-ring drain pending or under way.
 func drained(c *Comm, src, dst int) {
-	tr := c.tr
-	if ft, ok := tr.(*faultTransport); ok {
-		tr = ft.raw
-	}
-	r := tr.(*shmTransport).w.ring(src, dst)
+	r := shmWorldOf(c).ring(src, dst)
 	for r.short.Load() || r.draining.Load() {
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -250,7 +245,7 @@ func TestShmSeverDeliversEarlierMessages(t *testing.T) {
 		// Rank 0 published the two messages, one byte each, and then the
 		// notice; this rank took the two sequenced messages out of the ring.
 		deadline := time.Now().Add(10 * time.Second)
-		out, in := shmTel(c, 0).shmBytesOut, c.counters.telemetry().shmBytesIn
+		out, in := shmWorldOf(c).tel(0).shmBytesOut, c.counters.telemetry().shmBytesIn
 		for out.Value() <= 2 || in.Value() < 2 {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("the lost-peer notice never reached the ring: %d bytes out, %d in", out.Value(), in.Value())
@@ -315,5 +310,66 @@ func TestShmCancelledPostRepostLands(t *testing.T) {
 			return fmt.Errorf("MessagesLanded = %d, want 1", st.MessagesLanded)
 		}
 		return postedCheck(span, size, 3)
+	})
+}
+
+// TestShmLargerBurstLands: a burst larger than any its ring has carried
+// still waits in the ring for its receives and lands whole. Rank 0 sends
+// three bursts of one 1 KiB record, then one of four, each on a drained
+// ring; rank 1 posts a burst's receives only once it was sent. A ring
+// that rewinds only past the largest burst it has carried leaves the
+// four-record burst room for one record below the rewind's wrap marker:
+// the second flags the ring short, the first is drained into the arena,
+// and three of four land.
+func TestShmLargerBurstLands(t *testing.T) {
+	const size = 1 << 10
+	bursts := []int{1, 1, 1, 4}
+	sent, got := make(chan struct{}, len(bursts)), make(chan struct{})
+	runShmWait(t, func(c *Comm) error {
+		if c.Rank() == 0 {
+			own, r := make([]byte, size), shmWorldOf(c).ring(0, 1)
+			for b, k := range bursts {
+				// Rank 1 has received the last burst; wait until its
+				// consumer has also moved head past it.
+				for r.loadHead() != r.loadTail() {
+					time.Sleep(100 * time.Microsecond)
+				}
+				for i := 0; i < k; i++ {
+					postedFill(own, 8*b+i)
+					if err := c.Send(1, shmWaitTag, own); err != nil {
+						return err
+					}
+				}
+				sent <- struct{}{}
+				<-got
+			}
+			return nil
+		}
+		defer close(got)
+		for b, k := range bursts {
+			<-sent
+			landed := 0
+			for i := 0; i < k; i++ {
+				data, ok, err := postWait(c, 0, shmWaitTag, size)
+				if err != nil {
+					return err
+				}
+				if err := postedCheck(data, size, 8*b+i); err != nil {
+					return err
+				}
+				if ok {
+					landed++
+				} else {
+					PutBuffer(data)
+				}
+			}
+			if landed != k {
+				st := c.Traffic()
+				return fmt.Errorf("burst %d of %d records: %d landed (arena payloads: %d from a ring drained short, %d with no post open, %d past a post of another size)",
+					b, k, landed, st.ArenaShort, st.ArenaNoPost, st.ArenaOther)
+			}
+			got <- struct{}{}
+		}
+		return nil
 	})
 }

@@ -24,6 +24,13 @@ type TrafficStats struct {
 	MessagesLanded int64
 	BytesLanded    int64
 
+	// ArenaShort, ArenaNoPost and ArenaOther count the unsequenced
+	// whole-message shm records this rank's ring consumer copied into
+	// arena payloads, by route: no open post accepted one drained from a
+	// ring flagged short, or one taken otherwise; the oldest post
+	// accepting one packs to another size.
+	ArenaShort, ArenaNoPost, ArenaOther int64
+
 	// PeerBytesSent[w] / PeerBytesRecv[w] attribute the byte totals to the
 	// world rank w on the other end, so collective traffic can be
 	// decomposed into the point-to-point flows it is built from:
@@ -54,6 +61,7 @@ type traffic struct {
 
 	msgsLanded  atomic.Int64
 	bytesLanded atomic.Int64
+	arena       [3]atomic.Int64 // short, no post, other size
 
 	peerSent []atomic.Int64
 	peerRecv []atomic.Int64
@@ -102,6 +110,21 @@ func (t *traffic) countLanded(n int) {
 	t.bytesLanded.Add(int64(n))
 }
 
+// countArena records a whole-message shm record put in an arena payload:
+// past a post of another size when other is set, else with no post open,
+// from a ring drained whole or not.
+func (t *traffic) countArena(other, draining bool) {
+	route := 1
+	if other {
+		route = 2
+	} else if draining {
+		route = 0
+	}
+	if t != nil {
+		t.arena[route].Add(1)
+	}
+}
+
 // Traffic returns a snapshot of this rank's cumulative transport traffic.
 // Collective operations are included (they are built from point-to-point
 // messages), so the counters measure real wire load, not call counts.
@@ -118,6 +141,8 @@ func (c *Comm) Traffic() TrafficStats {
 
 		MessagesLanded: t.msgsLanded.Load(),
 		BytesLanded:    t.bytesLanded.Load(),
+
+		ArenaShort: t.arena[0].Load(), ArenaNoPost: t.arena[1].Load(), ArenaOther: t.arena[2].Load(),
 	}
 	if len(t.peerSent) > 0 {
 		s.PeerBytesSent = make([]int64, len(t.peerSent))
