@@ -56,6 +56,10 @@ USEDEXPORTS = $(GO) run ./scripts/usedexports scripts/usedexports/allowlist.txt 
 #     without the detector, whose slowdown changes which rank finds whose
 #     post open and how long a lent payload stays in the writer;
 #   - the golden plan and bounded-step fixtures;
+#   - use case B as two processes (internal/experiments, which no race
+#     line covers): lbmsim's sim role re-executed as a child process that
+#     joins the test's viz role in one tcp world, run to the end and
+#     killed after frame 0;
 #   - a brief fuzz of the shm ring-record decoder, both TCP wire
 #     decoders and the budgeted compile;
 #   - one-iteration smokes of the Go micro-benchmarks, so every measured
@@ -74,6 +78,7 @@ verify: names chaos
 	$(GO) test -short -run 'TestHarnessCatchesPipelinePlantedBug' ./internal/ddrtest/
 	$(GO) test -run 'TestPosted|TestTypedPostMatchesUnpacked|TestLandedMatchesEager|TestNobodyWritesAfterReturn|TestShmRingRewind|TestShmRewindRacesConsumer|TestShmTransposeFootprint|TestShmRecordWaitsForPost|TestShmLargerBurstLands|TestShmPressureDrainsWaitingRecords|TestShmLaterTagDrainsEarlierRecord|TestShmSeverDeliversEarlierMessages|TestShmCancelledPostRepostLands|TestDist2DShmEveryReceiveLands|TestTelemetryPackUnpackObserved|TestDist2DStepMatchesAcrossPaths|TestTypedSendMatchesPacked|TestBorrowedSendScribbleAfterReturn|TestTCPWriterDeathReleasesBorrowedSend|TestStagingHandOffEveryTransport|TestLend|TestLentSendsSettleOnEveryExit' ./internal/mpi/ ./internal/core/ ./internal/fft/
 	$(GO) test -run 'TestGoldenPlans|TestGoldenBoundedPlans' ./internal/core/
+	$(GO) test -run 'TestInTransitTwoProcessMatchesCoupled|TestInTransitSimKilledIsPeerLost' ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz FuzzShmRingHeader -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTCPFrameDecoder -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTCPSeqFrameDecoder -fuzztime 10s ./internal/mpi/

@@ -16,10 +16,8 @@ import (
 	"ddr/internal/core"
 	"ddr/internal/experiments"
 	"ddr/internal/grid"
-	"ddr/internal/lbm"
 	"ddr/internal/mpi"
 	"ddr/internal/perfmodel"
-	"ddr/internal/render"
 	"ddr/internal/tiff"
 )
 
@@ -330,65 +328,5 @@ func BenchmarkAblationRestartIO(b *testing.B) {
 		if !res.Match {
 			b.Fatal("restart strategies disagree")
 		}
-	}
-}
-
-// BenchmarkWeakScalingLBM grows the LBM domain with the rank count (fixed
-// rows per rank), the weak-scaling counterpart of Figure 3's strong
-// scaling: per-iteration time should stay near-flat.
-func BenchmarkWeakScalingLBM(b *testing.B) {
-	const rowsPerRank, width, iters = 16, 128, 10
-	for _, ranks := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
-			p := struct{ w, h int }{width, rowsPerRank * ranks}
-			for i := 0; i < b.N; i++ {
-				err := mpi.Launch(ranks, func(c *mpi.Comm) error {
-					sim, err := lbmNewParallel(c, p.w, p.h)
-					if err != nil {
-						return err
-					}
-					for it := 0; it < iters; it++ {
-						if err := sim.Step(); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// lbmNewParallel builds the standard benchmark flow at the given size.
-func lbmNewParallel(c *mpi.Comm, w, h int) (*lbm.Parallel, error) {
-	return lbm.NewParallel(c, lbm.Params{
-		Width: w, Height: h,
-		Viscosity:     0.02,
-		InletVelocity: 0.1,
-		Barrier:       lbm.CylinderBarrier(w/4, h/2, h/9),
-	})
-}
-
-// BenchmarkRenderBrickScaling measures the software DVR per brick size.
-func BenchmarkRenderBrickScaling(b *testing.B) {
-	for _, side := range []int{32, 64} {
-		b.Run(fmt.Sprintf("%d3", side), func(b *testing.B) {
-			box := grid.Box3(0, 0, 0, side, side, side)
-			vals := make([]float32, box.Volume())
-			for i := range vals {
-				vals[i] = float32(i%256) / 255
-			}
-			brick := render.Brick{Box: box, Values: vals}
-			b.SetBytes(int64(box.Volume()) * 4)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := render.RenderBrick(brick, render.CTTransfer); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

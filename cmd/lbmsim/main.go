@@ -7,11 +7,17 @@
 //
 //	lbmsim -sim 8 -viz 2 -width 648 -height 260 -iters 2000 -every 100 -out frames
 //
-// Two separate applications connected over TCP (run the viz side first;
-// it prints "BRIDGE addr1,addr2,...", which the sim side takes):
+// Two separately launched applications, one world of M+N ranks over TCP.
+// Each role binds one endpoint per rank it hosts on -bind, and the two
+// trade their addresses through files beside the -connect path (each
+// writes <path>.sim or <path>.viz and reads the other's), so they may
+// start in either order:
 //
-//	lbmsim -role viz -sim 8 -viz 2 ...            # prints BRIDGE <addrs>
-//	lbmsim -role sim -sim 8 -viz 2 -connect <addrs> ...
+//	lbmsim -role viz -sim 8 -viz 2 -connect /tmp/lbm.rdv -out frames ...
+//	lbmsim -role sim -sim 8 -viz 2 -connect /tmp/lbm.rdv ...
+//
+// The split roles run over tcp only and take no -trace-merge or chaos
+// flags.
 package main
 
 import (
@@ -20,6 +26,7 @@ import (
 	"os"
 	"strings"
 
+	"ddr/internal/chaos"
 	"ddr/internal/experiments"
 )
 
@@ -34,9 +41,9 @@ func main() {
 		quality   = flag.Int("quality", 75, "JPEG quality")
 		out       = flag.String("out", "frames", "output directory for JPEG frames")
 		fields    = flag.String("fields", "vorticity", "comma-separated variables to stream: vorticity,speed,density")
-		role      = flag.String("role", "both", "both (one process), sim, or viz (two applications over TCP)")
-		connect   = flag.String("connect", "", "comma-separated analysis addresses (role=sim)")
-		bind      = flag.String("bind", "127.0.0.1:0", "listener bind address (role=viz)")
+		role      = flag.String("role", "both", "both (one process), sim, or viz (two applications, one world over TCP)")
+		connect   = flag.String("connect", "", "rendezvous path: the roles trade endpoint addresses through <path>.sim and <path>.viz (role=sim|viz)")
+		bind      = flag.String("bind", "127.0.0.1:0", "endpoint bind address of every hosted rank (role=sim|viz)")
 		gifOut    = flag.String("gif", "", "also write an animated GIF of the first field to this path")
 		stats     = flag.String("stats", "", "write per-frame field statistics (min/max/mean/rms) as CSV to this path")
 		trace     = flag.String("trace-out", "", "write a Perfetto/Chrome trace of the pipeline to this JSON file")
@@ -50,6 +57,10 @@ func main() {
 	shared.Bind(flag.CommandLine)
 	flag.Parse()
 	if err := shared.Apply(); err != nil {
+		fmt.Fprintln(os.Stderr, "lbmsim:", err)
+		os.Exit(2)
+	}
+	if err := splitRoleChaos(*role, shared.Chaos); err != nil {
 		fmt.Fprintln(os.Stderr, "lbmsim:", err)
 		os.Exit(2)
 	}
@@ -82,44 +93,37 @@ func main() {
 	}
 }
 
+// splitRoleChaos rejects a fault schedule on a split role: its ranks join
+// over tcp endpoints, which carry no fault injector.
+func splitRoleChaos(role string, opts chaos.Options) error {
+	if role != "both" && chaos.New(opts).Enabled() {
+		return fmt.Errorf("role=%s runs without fault injection; the chaos flags need -role both", role)
+	}
+	return nil
+}
+
 func run(cfg experiments.InTransitConfig, role, connect, bind, out string) error {
-	report := func(res *experiments.InTransitResult) {
-		fmt.Printf("%d sim ranks -> %d analysis ranks, %d frames of %dx%d\n",
-			cfg.M, cfg.N, res.Frames, cfg.GridW, cfg.GridH)
-		fmt.Printf("raw output would be %.1f MB; rendered JPEG output is %.2f MB (%.2f%% reduction)\n",
-			float64(res.RawBytes)/1e6, float64(res.ProcessedBytes)/1e6, res.ReductionPct)
-	}
-	switch role {
-	case "both":
+	if role == "both" || role == "viz" {
 		if err := os.MkdirAll(out, 0o755); err != nil {
 			return err
 		}
 		cfg.OutDir = out
-		res, err := experiments.RunInTransit(cfg)
-		if err != nil {
-			return err
-		}
-		report(res)
-		return nil
-	case "viz":
-		if err := os.MkdirAll(out, 0o755); err != nil {
-			return err
-		}
-		cfg.OutDir = out
-		res, err := experiments.RunInTransitBridgeViz(cfg, bind, func(addrs []string) {
-			fmt.Printf("BRIDGE %s\n", strings.Join(addrs, ","))
-		})
-		if err != nil {
-			return err
-		}
-		report(res)
-		return nil
-	case "sim":
-		if connect == "" {
-			return fmt.Errorf("role=sim needs -connect with the viz side's BRIDGE addresses")
-		}
-		return experiments.RunInTransitBridgeSim(cfg, strings.Split(connect, ","))
-	default:
-		return fmt.Errorf("unknown role %q", role)
 	}
+	var (
+		res *experiments.InTransitResult
+		err error
+	)
+	if role == "both" {
+		res, err = experiments.RunInTransit(cfg)
+	} else {
+		res, err = experiments.RunInTransitRole(cfg, role, bind, connect)
+	}
+	if err != nil || res == nil {
+		return err
+	}
+	fmt.Printf("%d sim ranks -> %d analysis ranks, %d frames of %dx%d\n",
+		cfg.M, cfg.N, res.Frames, cfg.GridW, cfg.GridH)
+	fmt.Printf("raw output would be %.1f MB; rendered JPEG output is %.2f MB (%.2f%% reduction)\n",
+		float64(res.RawBytes)/1e6, float64(res.ProcessedBytes)/1e6, res.ReductionPct)
+	return nil
 }

@@ -5,8 +5,8 @@
 // ∇²u = f by one pointwise multiply in spectral space, and come back.
 // Both transposes run as multi-round pipelined exchanges — the example
 // prints each direction's measured pack/wire/unpack overlap so you can
-// see the pipeline at work, and verifies the solve against the
-// analytically known solution.
+// see the pipeline at work, verifies the solve against the analytically
+// known solution, and prints each rank's spans as an ASCII timeline.
 //
 // Run with: go run ./examples/fft
 package main
@@ -19,6 +19,7 @@ import (
 	"ddr/internal/core"
 	"ddr/internal/fft"
 	"ddr/internal/mpi"
+	"ddr/internal/trace"
 )
 
 const (
@@ -37,8 +38,9 @@ func main() {
 
 func run() error {
 	overlaps := make([]float64, procs)
+	rec := trace.NewRecorder()
 	err := mpi.Launch(procs, func(c *mpi.Comm) error {
-		d, err := fft.NewDist2D(c, n, blocks, core.WithPipelineDepth(depth))
+		d, err := fft.NewDist2D(c, n, blocks, core.WithPipelineDepth(depth), core.WithTracer(rec))
 		if err != nil {
 			return err
 		}
@@ -111,6 +113,8 @@ func run() error {
 		procs, n, n, blocks, depth)
 	fmt.Printf("mean forward-transpose overlap ratio: %.2f (share of wire time hidden under pack/unpack)\n",
 		sum/procs)
+	fmt.Println("\nper-rank span timeline (m=mapping, e=exchange, r=rounds):")
+	rec.WriteTimeline(os.Stdout, 64)
 	return nil
 }
 

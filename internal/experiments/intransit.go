@@ -108,56 +108,41 @@ type InTransitResult struct {
 	Stats          []FrameStats // per-frame reductions (when StatsPath set)
 }
 
+// prepare fills the defaults and rejects a configuration the pipeline
+// cannot run.
+func (cfg *InTransitConfig) prepare() error {
+	cfg.fillDefaults()
+	if cfg.M < 1 || cfg.N < 1 {
+		return fmt.Errorf("experiments: need at least one simulation and one analysis rank, have %d and %d", cfg.M, cfg.N)
+	}
+	if cfg.OutputEvery <= 0 || cfg.Iterations < cfg.OutputEvery {
+		return fmt.Errorf("experiments: need OutputEvery in (0, Iterations]")
+	}
+	return cfg.validateFields()
+}
+
 // RunInTransit executes the full in-transit pipeline on M+N in-process
 // ranks and returns the consumer-side accounting.
 func RunInTransit(cfg InTransitConfig) (*InTransitResult, error) {
-	cfg.fillDefaults()
-	if cfg.OutputEvery <= 0 || cfg.Iterations < cfg.OutputEvery {
-		return nil, fmt.Errorf("experiments: need OutputEvery in (0, Iterations]")
+	if err := cfg.prepare(); err != nil {
+		return nil, err
 	}
-	if err := cfg.validateFields(); err != nil {
+	launchOpts, err := transportLaunchOpts(cfg.Transport)
+	if err != nil {
 		return nil, err
 	}
 	var (
 		mu  sync.Mutex
 		res *InTransitResult
 	)
-	params := lbm.Params{
-		Width:         cfg.GridW,
-		Height:        cfg.GridH,
-		Viscosity:     cfg.Viscosity,
-		InletVelocity: cfg.InletVelocity,
-		Barrier:       lbm.CylinderBarrier(cfg.GridW/4, cfg.GridH/2, cfg.GridH/9),
-	}
-	launchOpts, err := transportLaunchOpts(cfg.Transport)
-	if err != nil {
-		return nil, err
-	}
 	err = mpi.Launch(cfg.M+cfg.N, func(world *mpi.Comm) error {
-		cp, err := transit.NewCoupling(world, cfg.M, cfg.N)
-		if err != nil {
-			return err
-		}
-		if cp.Role == transit.Producer {
-			if err := runProducer(cp.Local, params, cfg, cp.Send); err != nil {
-				return err
-			}
-			return cfg.Telemetry.MergeAndWrite(world)
-		}
-		r, err := runConsumer(consumerEnv{
-			local:       cp.Local,
-			producersOf: cp.ProducersOf,
-			recvStep:    func(step int) ([]transit.Message, error) { return cp.Recv(step) },
-		}, cfg)
-		if err != nil {
-			return err
-		}
+		r, err := inTransitRank(world, cfg)
 		if r != nil {
 			mu.Lock()
 			res = r
 			mu.Unlock()
 		}
-		return cfg.Telemetry.MergeAndWrite(world)
+		return err
 	}, append(launchOpts, cfg.Telemetry.launchOpts()...)...)
 	if err != nil {
 		return nil, err
@@ -166,6 +151,28 @@ func RunInTransit(cfg InTransitConfig) (*InTransitResult, error) {
 		return nil, fmt.Errorf("experiments: consumer root produced no result")
 	}
 	return res, nil
+}
+
+// inTransitRank is the pipeline's body on one rank of an M+N world,
+// however the world was formed: the coupling splits producers from
+// consumers, producers run the LBM and stream their slabs, consumers
+// regrid and render them. Consumer rank 0 returns the accounting; every
+// other rank returns nil.
+func inTransitRank(world *mpi.Comm, cfg InTransitConfig) (*InTransitResult, error) {
+	cp, err := transit.NewCoupling(world, cfg.M, cfg.N)
+	if err != nil {
+		return nil, err
+	}
+	var res *InTransitResult
+	if cp.Role == transit.Producer {
+		err = runProducer(cp, cfg)
+	} else {
+		res, err = runConsumer(cp, cfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, cfg.Telemetry.MergeAndWrite(world)
 }
 
 // producerField extracts one named field from the simulation slab.
@@ -182,10 +189,17 @@ func producerField(sim *lbm.Parallel, name string) ([]float32, error) {
 }
 
 // runProducer advances the slab-decomposed LBM on the producer group and
-// streams the selected field slabs every OutputEvery iterations through
-// the injected send function (in-world coupling or network bridge).
-func runProducer(local *mpi.Comm, params lbm.Params, cfg InTransitConfig, send func(step int, payload []byte) error) error {
-	sim, err := lbm.NewParallel(local, params)
+// streams the selected field slabs to its consumer every OutputEvery
+// iterations.
+func runProducer(cp *transit.Coupling, cfg InTransitConfig) error {
+	local := cp.Local
+	sim, err := lbm.NewParallel(local, lbm.Params{
+		Width:         cfg.GridW,
+		Height:        cfg.GridH,
+		Viscosity:     cfg.Viscosity,
+		InletVelocity: cfg.InletVelocity,
+		Barrier:       lbm.CylinderBarrier(cfg.GridW/4, cfg.GridH/2, cfg.GridH/9),
+	})
 	if err != nil {
 		return err
 	}
@@ -212,7 +226,7 @@ func runProducer(local *mpi.Comm, params lbm.Params, cfg InTransitConfig, send f
 		if err != nil {
 			return err
 		}
-		if err := send(step, payload); err != nil {
+		if err := cp.Send(step, payload); err != nil {
 			return err
 		}
 		endSend()
@@ -222,39 +236,11 @@ func runProducer(local *mpi.Comm, params lbm.Params, cfg InTransitConfig, send f
 	return nil
 }
 
-// consumerEnv abstracts how a consumer obtains its producers' payloads:
-// through the in-world coupling or through bridge listeners.
-type consumerEnv struct {
-	local       *mpi.Comm
-	producersOf func(rank int) (lo, hi int)
-	// recvStep returns all payloads of a step (coupled mode); when nil,
-	// recv is called per producer (bridge mode).
-	recvStep func(step int) ([]transit.Message, error)
-	recv     func(step, producer int) ([]byte, error)
-}
-
-// recvAll collects the step's payloads for the consumer, in ascending
-// producer order.
-func (env consumerEnv) recvAll(step, lo, hi int) ([]transit.Message, error) {
-	if env.recvStep != nil {
-		return env.recvStep(step)
-	}
-	out := make([]transit.Message, 0, hi-lo)
-	for p := lo; p < hi; p++ {
-		data, err := env.recv(step, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, transit.Message{ProducerRank: p, Data: data})
-	}
-	return out, nil
-}
-
 // runConsumer receives field slabs, regrids each with DDR into this
 // consumer's near-square rectangle (Figure 5), and assembles/encodes each
 // frame at consumer rank 0. Only rank 0 returns a result.
-func runConsumer(env consumerEnv, cfg InTransitConfig) (*InTransitResult, error) {
-	local := env.local
+func runConsumer(cp *transit.Coupling, cfg InTransitConfig) (*InTransitResult, error) {
+	local := cp.Local
 	tel := cfg.Telemetry
 	lane := local.WorldRank(local.Rank())
 	domain := grid.Box2(0, 0, cfg.GridW, cfg.GridH)
@@ -269,7 +255,7 @@ func runConsumer(env consumerEnv, cfg InTransitConfig) (*InTransitResult, error)
 
 	// The mapping is constant across frames and fields (the paper's key
 	// point): set it up once and replay ReorganizeData per arrival.
-	lo, hi := env.producersOf(local.Rank())
+	lo, hi := cp.ProducersOf(local.Rank())
 	myChunks := make([]grid.Box, 0, hi-lo)
 	for p := lo; p < hi; p++ {
 		myChunks = append(myChunks, slabBox(p))
@@ -295,7 +281,7 @@ func runConsumer(env consumerEnv, cfg InTransitConfig) (*InTransitResult, error)
 	steps := cfg.Iterations / cfg.OutputEvery
 	for step := 0; step < steps; step++ {
 		endRecv := tel.phase(lane, "recv")
-		msgs, err := env.recvAll(step, lo, hi)
+		msgs, err := cp.Recv(step)
 		if err != nil {
 			return nil, err
 		}

@@ -150,8 +150,8 @@ func (c *tcpConfig) apply(conn net.Conn) {
 }
 
 // TCPEndpoint is one rank's attachment point to a TCP-transported world.
-// Create an endpoint per rank, distribute all endpoint addresses (for
-// example through a hostfile or a parent process), then call Join.
+// Create an endpoint per rank, distribute all endpoint addresses (lbmsim's
+// split roles trade theirs through a rendezvous file), then call Join.
 //
 // Sending is asynchronous: a per-peer writer goroutine drains a bounded
 // queue and coalesces pending frames into a single vectored write, so
